@@ -32,12 +32,18 @@
 // sessionize, and sort a synthetic day >= 10x the shared corpus — streamed
 // straight from the workload generator into the warehouse writer — under a
 // 32 KiB budget. The §3.2 rollup job runs map-combine-reduce: a map-side
-// combiner pre-aggregates the five rollup rows per event so only distinct
-// partial counts shuffle.
+// combiner counts events by interned (full name, country, logged-in) —
+// one map write per event, ParseName and the five rolled names computed
+// once per distinct name — and expands each distinct combination into
+// its five rollup rows when the scan ends, so only distinct partial
+// counts shuffle.
 //
 // Sealed warehouse hours additionally carry a columnar encoding
-// (internal/columnar): SealHour re-encodes each client-events hour into
-// fixed-size row-count chunks, one CRC-framed file per column —
+// (internal/columnar seals and scans it; the layout, encoders and typed
+// reader are the leaf package internal/chunk, below dataflow, so the
+// daily session job can read chunks too): SealHour re-encodes each
+// client-events hour into fixed-size row-count chunks, one CRC-framed
+// file per column —
 // dictionary + varint IDs for the low-cardinality strings (name,
 // session_id, ip), zigzag deltas for timestamps, run-length bytes for
 // initiator and the derived logged_in flag — plus a per-chunk meta
@@ -63,6 +69,31 @@
 // at >= 2x the throughput of the row scan. The log mover seals hours
 // as it publishes them (Mover.SealColumnar), so rollups, raw-log
 // counting, and funnel walks go columnar the moment an hour lands.
+//
+// The chunk reader's contract is the ID vector: a dictionary column
+// decodes to the chunk's sorted distinct values plus one validated uint32
+// ID per row (user_id and timestamp to []int64, details to an index that
+// inflates a row's map only on request), with every CRC, range and
+// trailing-byte check applied before a consumer sees a value and every
+// error naming its file (FuzzChunkColumns holds the decoders to that).
+// EventsFormat resolves tuple strings from those dictionaries and
+// evaluates a pushed-down name pattern once per dictionary entry. The
+// §4.2 daily job (session.BuildDay) never inflates a string per row: its
+// two logical passes — histogram and dictionary, then session
+// reconstruction — are one physical scan that remaps chunk-local IDs to
+// day-global IDs once per distinct value, counts names by ID, groups
+// 16-byte {timestamp, name ID, IP ID} entries by (user, session ID), and
+// when the scan ends builds the dictionary, sorts each group (timestamp,
+// then name rank) and encodes it through an ID -> code point table.
+// Catalog samples read a chunk's remaining columns only while its name
+// dictionary still holds a name short of its quota, and materialize only
+// the sampled rows. Hours without the _col-SEALED marker feed the same
+// core from their row files, interned event by event; output — records,
+// sequence files, dictionary.gz — is byte-identical either way, held by
+// an equivalence test against the two-row-scan reference. The dictionary
+// is written last, so a day that has one is complete: BuildDay on it
+// returns ErrDayBuilt before reading anything, and session files without
+// a dictionary are a dead run's and are removed before the rebuild.
 //
 // The whole dataflow executes multi-core behind one knob:
 // dataflow.Job.Parallelism (default runtime.GOMAXPROCS(0); 1 forces the

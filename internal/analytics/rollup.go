@@ -34,11 +34,12 @@ type RollupKey struct {
 // rudimentary statistics are computed and made available on a daily basis."
 //
 // The job runs map-combine-reduce: events stream off the scan (one split in
-// memory at a time), a map-side combiner pre-aggregates the five rollup
-// rows per event into partial counts keyed by rollup row, and only those
-// partials — a relation the size of the distinct key space, not five times
-// the event count — shuffle into the final GroupBy, which spills under
-// Job.MemoryBudget like any external operator.
+// memory at a time), a map-side combiner counts them by interned (full
+// name, country, logged-in) — one map write per event — and expands each
+// distinct combination into its five rollup rows once, when the scan ends.
+// Only those partials — a relation the size of the distinct key space, not
+// five times the event count — shuffle into the final GroupBy, which
+// spills under Job.MemoryBudget like any external operator.
 //
 // The scan goes through the columnar source projected to the three columns
 // the rollup touches; hours not yet sealed into chunks fall back to their
@@ -52,30 +53,16 @@ func Rollups(j *dataflow.Job, day time.Time) (map[RollupKey]int64, error) {
 	ipIdx := d.Schema().MustIndex("ip")
 	liIdx := d.Schema().MustIndex("logged_in")
 
-	// Map side: stream the day once, folding each event's five rollup rows
-	// into the combiner table.
-	partial := make(map[RollupKey]int64)
+	// Map side: stream the day once through the combiner.
+	c := newRollupCombiner()
 	err = d.Each(func(t dataflow.Tuple) error {
-		name, err := events.ParseName(t[nameIdx].(string))
-		if err != nil {
-			return nil // malformed names are dropped, as the FlatMap did
-		}
-		country := geo.CountryOf(t[ipIdx].(string))
-		loggedIn := t[liIdx].(bool)
-		for lvl := 0; lvl < events.NumRollupLevels; lvl++ {
-			k := RollupKey{
-				Level:    events.RollupLevel(lvl),
-				Name:     name.Rollup(events.RollupLevel(lvl)).String(),
-				Country:  country,
-				LoggedIn: loggedIn,
-			}
-			partial[k]++
-		}
+		c.add(t[nameIdx].(string), t[ipIdx].(string), t[liIdx].(bool))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	partial := c.partials()
 
 	// Shuffle only the combined partials. Sorting the keys keeps the
 	// synthetic relation deterministic run over run.
@@ -129,6 +116,78 @@ func Rollups(j *dataflow.Job, day time.Time) (map[RollupKey]int64, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// rollupCombiner is the map side of Rollups: a count per distinct (full
+// event name, country, logged-in) over interned IDs. Everything derived
+// from the name — ParseName and the five §3.2 rolled names — is computed
+// once per distinct name; the country is resolved per event (no per-IP
+// table: addresses are nearly as many as events) and interned.
+type rollupCombiner struct {
+	names     map[string]uint32 // full name -> index into rolled
+	rolled    []*[events.NumRollupLevels]string
+	countries []string
+	counts    map[combineKey]int64
+}
+
+// combineKey is one combiner cell.
+type combineKey struct {
+	name, country uint32
+	loggedIn      bool
+}
+
+func newRollupCombiner() *rollupCombiner {
+	return &rollupCombiner{names: make(map[string]uint32), counts: make(map[combineKey]int64)}
+}
+
+// add counts one event. Malformed names are dropped, as the FlatMap did.
+func (c *rollupCombiner) add(name, ip string, loggedIn bool) {
+	id, ok := c.names[name]
+	if !ok {
+		id = uint32(len(c.rolled))
+		c.names[name] = id
+		var rolled *[events.NumRollupLevels]string // nil marks a malformed name
+		if parsed, err := events.ParseName(name); err == nil {
+			rolled = new([events.NumRollupLevels]string)
+			for lvl := range rolled {
+				rolled[lvl] = parsed.Rollup(events.RollupLevel(lvl)).String()
+			}
+		}
+		c.rolled = append(c.rolled, rolled)
+	}
+	if c.rolled[id] == nil {
+		return
+	}
+	c.counts[combineKey{name: id, country: c.country(geo.CountryOf(ip)), loggedIn: loggedIn}]++
+}
+
+// country interns a country code; there are a handful, so a scan beats a
+// map.
+func (c *rollupCombiner) country(code string) uint32 {
+	for i, known := range c.countries {
+		if known == code {
+			return uint32(i)
+		}
+	}
+	c.countries = append(c.countries, code)
+	return uint32(len(c.countries) - 1)
+}
+
+// partials expands every cell into its five rollup rows: the table a
+// per-event fold of those rows would have built.
+func (c *rollupCombiner) partials() map[RollupKey]int64 {
+	partial := make(map[RollupKey]int64, len(c.counts))
+	for k, n := range c.counts {
+		for lvl, name := range c.rolled[k.name] {
+			partial[RollupKey{
+				Level:    events.RollupLevel(lvl),
+				Name:     name,
+				Country:  c.countries[k.country],
+				LoggedIn: k.loggedIn,
+			}] += n
+		}
+	}
+	return partial
 }
 
 // RollupTotal sums a rolled-up name across countries and login status at

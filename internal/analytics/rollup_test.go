@@ -112,3 +112,65 @@ func TestRollupTotalPerLevel(t *testing.T) {
 		t.Errorf("r[%+v] = %d, want 2", k, r[k])
 	}
 }
+
+// TestCombineThenExpandEqualsPerEventFold feeds one stream — repeated
+// names, a malformed name, an address no country claims, both login
+// states — to the combiner and to the per-event fold it replaced (five
+// rollup rows and five map writes per event), and wants the same table.
+func TestCombineThenExpandEqualsPerEventFold(t *testing.T) {
+	type row struct {
+		name, ip string
+		loggedIn bool
+	}
+	var stream []row
+	names := []string{
+		"web:home:mentions:stream:avatar:profile_click",
+		"web:home:mentions:grid:avatar:profile_click",
+		"iphone:profile:header:bio:link:click",
+		"Web:Home:::tweet:CLICK", // not lowercase: dropped
+		"too:few:components",     // malformed: dropped
+	}
+	ips := []string{geo.IPFor("us", 1), geo.IPFor("us", 2), geo.IPFor("jp", 3), "203.0.113.9", "nonsense"}
+	for i := 0; i < 300; i++ {
+		stream = append(stream, row{names[i%len(names)], ips[(i/2)%len(ips)], i%3 != 0})
+	}
+
+	want := make(map[RollupKey]int64)
+	c := newRollupCombiner()
+	for _, r := range stream {
+		c.add(r.name, r.ip, r.loggedIn)
+		name, err := events.ParseName(r.name)
+		if err != nil {
+			continue
+		}
+		for lvl := 0; lvl < events.NumRollupLevels; lvl++ {
+			want[RollupKey{
+				Level:    events.RollupLevel(lvl),
+				Name:     name.Rollup(events.RollupLevel(lvl)).String(),
+				Country:  geo.CountryOf(r.ip),
+				LoggedIn: r.loggedIn,
+			}]++
+		}
+	}
+	got := c.partials()
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, per-event fold %d", len(got), len(want))
+	}
+	for k, n := range want {
+		if got[k] != n {
+			t.Errorf("%+v = %d, per-event fold %d", k, got[k], n)
+		}
+	}
+	if n := got[RollupKey{Level: 4, Name: "web:*:*:*:*:profile_click", Country: geo.Unknown, LoggedIn: true}]; n == 0 {
+		t.Error("no unknown-country cell: the case is not exercised")
+	}
+	level0 := 0
+	for k := range want {
+		if k.Level == 0 {
+			level0++
+		}
+	}
+	if len(c.counts) > level0 {
+		t.Errorf("combiner holds %d cells, more than the %d level-0 rows", len(c.counts), level0)
+	}
+}

@@ -1,0 +1,417 @@
+package chunk
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"unilog/internal/events"
+	"unilog/internal/hdfs"
+	"unilog/internal/recordio"
+)
+
+const testDir = "/logs/client_events/2012/08/21/00"
+
+// testEvents is a deterministic chunk's worth of events: a few names and
+// addresses, both login states, details on every other row.
+func testEvents(n int) []*events.ClientEvent {
+	names := []string{
+		"web:home:timeline:stream:tweet:impression",
+		"web:home:mentions:stream:avatar:profile_click",
+		"iphone:profile:header:bio:link:click",
+		"android:discover:trends:list:trend:click",
+	}
+	rng := rand.New(rand.NewSource(7))
+	evs := make([]*events.ClientEvent, n)
+	for i := range evs {
+		e := &events.ClientEvent{
+			Initiator: events.Initiator(rng.Intn(4)),
+			Name:      events.MustParseName(names[rng.Intn(len(names))]),
+			SessionID: fmt.Sprintf("s%02d", rng.Intn(9)),
+			IP:        fmt.Sprintf("10.0.%d.%d", rng.Intn(3), rng.Intn(50)),
+			Timestamp: 1345507200000 + int64(i)*1733 - int64(rng.Intn(900)),
+		}
+		if rng.Intn(3) > 0 {
+			e.UserID = int64(1000 + rng.Intn(20))
+		}
+		if i%2 == 0 {
+			e.Details = map[string]string{"request_id": fmt.Sprintf("r%04x", rng.Int31n(1<<16)), "lang": "en"}
+		}
+		evs[i] = e
+	}
+	return evs
+}
+
+func writeTestChunk(t testing.TB, evs []*events.ClientEvent) *hdfs.FS {
+	t.Helper()
+	fs := hdfs.New(0)
+	if err := Write(fs, testDir, 0, evs); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSealed(fs, testDir, 1); err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// TestRoundTrip: what Write seals, Load reads back — every row as the
+// event it was, the zone map as the chunk's true ranges, and the dictionary
+// columns under the ID-vector contract (sorted distinct values, one
+// in-range ID per row).
+func TestRoundTrip(t *testing.T) {
+	evs := testEvents(300)
+	fs := writeTestChunk(t, evs)
+	if !Sealed(fs, testDir) {
+		t.Fatal("sealed dir does not read as sealed")
+	}
+	if n, err := SealedChunks(fs, testDir); err != nil || n != 1 {
+		t.Fatalf("SealedChunks = %d, %v", n, err)
+	}
+	m, err := ReadMeta(fs, MetaPath(testDir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Rows != len(evs) || m.Cols != All {
+		t.Fatalf("meta: %d rows, columns %08b", m.Rows, m.Cols)
+	}
+	var cc Columns
+	if err := cc.Load(fs, Base(testDir, 0), m, All); err != nil {
+		t.Fatal(err)
+	}
+	minTs, maxTs := evs[0].Timestamp, evs[0].Timestamp
+	for row, want := range evs {
+		got, err := cc.Event(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&got, want) {
+			t.Fatalf("row %d = %+v, sealed from %+v", row, got, want)
+		}
+		if (cc.LoggedIn[row] == 1) != want.LoggedIn() {
+			t.Fatalf("row %d logged_in = %d", row, cc.LoggedIn[row])
+		}
+		minTs, maxTs = min(minTs, want.Timestamp), max(maxTs, want.Timestamp)
+	}
+	if m.MinTs != minTs || m.MaxTs != maxTs {
+		t.Fatalf("zone map [%d, %d], chunk spans [%d, %d]", m.MinTs, m.MaxTs, minTs, maxTs)
+	}
+	for _, col := range []DictColumn{cc.Name, cc.SessionID, cc.IP} {
+		if !sort.StringsAreSorted(col.Dict) || len(col.IDs) != m.Rows {
+			t.Fatalf("dictionary column: sorted %v, %d ids for %d rows", sort.StringsAreSorted(col.Dict), len(col.IDs), m.Rows)
+		}
+		for i := 1; i < len(col.Dict); i++ {
+			if col.Dict[i] == col.Dict[i-1] {
+				t.Fatalf("dictionary repeats %q", col.Dict[i])
+			}
+		}
+	}
+	if m.MinName != cc.Name.Dict[0] || m.MaxName != cc.Name.Dict[len(cc.Name.Dict)-1] {
+		t.Fatalf("zone map names [%s, %s], dictionary [%s, %s]", m.MinName, m.MaxName, cc.Name.Dict[0], cc.Name.Dict[len(cc.Name.Dict)-1])
+	}
+}
+
+// TestLoadWidens: a second Load reads only the column files the first did
+// not, and a Load of nothing new reads none.
+func TestLoadWidens(t *testing.T) {
+	fs := writeTestChunk(t, testEvents(64))
+	m, err := ReadMeta(fs, MetaPath(testDir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opens := func() int64 { return fs.Snapshot().OpenOps }
+	var cc Columns
+	o0 := opens()
+	if err := cc.Load(fs, Base(testDir, 0), m, Name|Timestamp); err != nil {
+		t.Fatal(err)
+	}
+	if got := opens() - o0; got != 2 {
+		t.Fatalf("first Load opened %d files, want 2", got)
+	}
+	if cc.UserID != nil || cc.IP.IDs != nil {
+		t.Fatal("Load decoded a column nobody asked for")
+	}
+	o1 := opens()
+	if err := cc.Load(fs, Base(testDir, 0), m, Name|UserID|Details); err != nil {
+		t.Fatal(err)
+	}
+	if got := opens() - o1; got != 2 {
+		t.Fatalf("widening Load opened %d files, want 2 (user_id, details)", got)
+	}
+	o2 := opens()
+	if err := cc.Load(fs, Base(testDir, 0), m, Name|UserID); err != nil || opens() != o2 {
+		t.Fatalf("Load of loaded columns: %v, %d opens", err, opens()-o2)
+	}
+}
+
+// payloads splits a file image into its record payloads.
+func payloads(t testing.TB, data []byte) [][]byte {
+	t.Helper()
+	var recs [][]byte
+	for len(data) > 0 {
+		rec, rest, err := recordio.NextCRCRecord(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, append([]byte(nil), rec...))
+		data = rest
+	}
+	return recs
+}
+
+// corruption is one way to damage a column file image.
+type corruption struct {
+	name   string
+	col    string
+	mutate func(t testing.TB, b []byte) []byte
+	want   error
+}
+
+// corruptions is the corruption matrix at the codec's level: the storage
+// failures columnar's scan-level matrix drives (torn tail, flipped bit,
+// over-long column) plus the ones only a crafted, CRC-valid file can hold.
+var corruptions = []corruption{
+	{"torn tail", "name", func(_ testing.TB, b []byte) []byte { return b[:len(b)-3] }, recordio.ErrTruncated},
+	{"bit flip", "user_id", func(_ testing.TB, b []byte) []byte { b[len(b)-1] ^= 0x40; return b }, recordio.ErrCorrupt},
+	{"meta bit flip", "meta", func(_ testing.TB, b []byte) []byte { b[len(b)-1] ^= 0x01; return b }, recordio.ErrCorrupt},
+	{"over-long varints", "user_id", func(t testing.TB, b []byte) []byte {
+		return frame(append(payloads(t, b)[0], 0))
+	}, recordio.ErrCorrupt},
+	{"short varints", "timestamp", func(t testing.TB, b []byte) []byte {
+		p := payloads(t, b)[0]
+		return frame(p[:len(p)/2])
+	}, recordio.ErrCorrupt},
+	{"dict id out of range", "session_id", func(t testing.TB, b []byte) []byte {
+		p := payloads(t, b)
+		n, _ := binary.Uvarint(p[0]) // dictionary size: the first ID past it
+		p[1][0] = byte(n)
+		return frame(p...)
+	}, recordio.ErrCorrupt},
+	{"dict entry past the record", "name", func(t testing.TB, b []byte) []byte {
+		p := payloads(t, b)
+		p[0][1] = 0x7f // the first entry claims 127 bytes of a 40-byte record
+		p[0] = p[0][:40]
+		return frame(p...)
+	}, recordio.ErrCorrupt},
+	{"ids record missing", "ip", func(t testing.TB, b []byte) []byte { return frame(payloads(t, b)[0]) }, recordio.ErrCorrupt},
+	{"rle run past the chunk", "initiator", func(t testing.TB, b []byte) []byte {
+		p := payloads(t, b)[0]
+		return frame(append(p[:1:1], 0xff, 0x7f)) // one run of 16383 rows
+	}, recordio.ErrCorrupt},
+	{"rle zero run", "logged_in", func(t testing.TB, b []byte) []byte { return frame([]byte{1, 0}) }, recordio.ErrCorrupt},
+	{"rle ends early", "logged_in", func(t testing.TB, b []byte) []byte { return frame([]byte{1, 5}) }, recordio.ErrCorrupt},
+	{"details pair count lies", "details", func(t testing.TB, b []byte) []byte {
+		p := payloads(t, b)[0]
+		p[0] = 0x7e // row 0 claims 126 pairs
+		return frame(p)
+	}, recordio.ErrCorrupt},
+	{"details trailing bytes", "details", func(t testing.TB, b []byte) []byte {
+		return frame(append(payloads(t, b)[0], 0, 0))
+	}, recordio.ErrCorrupt},
+	{"meta row count absurd", "meta", func(t testing.TB, b []byte) []byte {
+		var rec []byte
+		rec = binary.AppendUvarint(rec, metaMagic)
+		rec = binary.AppendUvarint(rec, metaVersion)
+		rec = binary.AppendUvarint(rec, 1<<62)
+		return frame(rec)
+	}, recordio.ErrCorrupt},
+	{"meta bad magic", "meta", func(t testing.TB, b []byte) []byte {
+		p := payloads(t, b)[0]
+		p[0] ^= 0x01
+		return frame(p)
+	}, recordio.ErrCorrupt},
+	{"meta from a later version", "meta", func(t testing.TB, b []byte) []byte {
+		p := payloads(t, b)[0]
+		_, n := binary.Uvarint(p) // the version follows the magic
+		p[n] = 9
+		return frame(p)
+	}, recordio.ErrCorrupt},
+}
+
+// TestCorruptionMatrix: every damaged file fails its Load (or ReadMeta)
+// with the right recordio kind and its own path in the message.
+func TestCorruptionMatrix(t *testing.T) {
+	for _, tc := range corruptions {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := writeTestChunk(t, testEvents(120))
+			path := Base(testDir, 0) + "." + tc.col
+			data, err := fs.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Delete(path, false); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.WriteFile(path, tc.mutate(t, data)); err != nil {
+				t.Fatal(err)
+			}
+			m, err := ReadMeta(fs, MetaPath(testDir, 0))
+			if err == nil {
+				var cc Columns
+				err = cc.Load(fs, Base(testDir, 0), m, All)
+			}
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("error = %v, want %v", err, tc.want)
+			}
+			if !strings.Contains(err.Error(), path) {
+				t.Fatalf("error %q does not name %s", err, path)
+			}
+		})
+	}
+}
+
+// TestMissingColumn: a column file that is gone is hdfs.ErrNotFound with
+// its path, and one the meta never listed is corruption, not a nil vector.
+func TestMissingColumn(t *testing.T) {
+	fs := writeTestChunk(t, testEvents(40))
+	m, err := ReadMeta(fs, MetaPath(testDir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := Base(testDir, 0) + ".session_id"
+	if err := fs.Delete(path, false); err != nil {
+		t.Fatal(err)
+	}
+	var cc Columns
+	if err := cc.Load(fs, Base(testDir, 0), m, SessionID); !errors.Is(err, hdfs.ErrNotFound) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("missing file: %v", err)
+	}
+	m.Cols &^= IP
+	if err := cc.Load(fs, Base(testDir, 0), m, IP); !errors.Is(err, recordio.ErrCorrupt) {
+		t.Fatalf("unlisted column: %v", err)
+	}
+}
+
+// decoderKinds numbers the decoders FuzzChunkColumns drives.
+const decoderKinds = 6
+
+// fuzzDecode runs one decoder over a file image and, when it accepts,
+// checks what the typed reader promises its consumers.
+func fuzzDecode(t *testing.T, kind uint8, rows int, data []byte) {
+	const path = "/fuzz/_col-00000.x"
+	var err error
+	switch kind % decoderKinds {
+	case 0:
+		var col DictColumn
+		if col, err = decodeDict(path, data, rows); err == nil {
+			if len(col.IDs) != rows {
+				t.Fatalf("dict: %d ids for %d rows", len(col.IDs), rows)
+			}
+			for _, id := range col.IDs {
+				if int(id) >= len(col.Dict) {
+					t.Fatalf("dict: id %d escapes a dictionary of %d", id, len(col.Dict))
+				}
+			}
+		}
+	case 1, 2:
+		var vals []int64
+		if vals, err = decodeVarints(path, data, rows, kind%decoderKinds == 2); err == nil && len(vals) != rows {
+			t.Fatalf("varints: %d values for %d rows", len(vals), rows)
+		}
+	case 3:
+		var vals []byte
+		if vals, err = decodeRLE(path, data, rows); err == nil && len(vals) != rows {
+			t.Fatalf("rle: %d values for %d rows", len(vals), rows)
+		}
+	case 4:
+		var col DetailsColumn
+		if col, err = decodeDetails(path, data, rows); err == nil {
+			for row := 0; row < rows; row++ {
+				col.At(row)
+			}
+		}
+	case 5:
+		var m Meta
+		if m, err = decodeMeta(path, data); err == nil && (m.Rows < 0 || m.Rows > recordio.MaxRecordSize) {
+			t.Fatalf("meta: %d rows", m.Rows)
+		}
+	}
+	if err == nil {
+		return
+	}
+	if !errors.Is(err, recordio.ErrCorrupt) && !errors.Is(err, recordio.ErrTruncated) {
+		t.Fatalf("error %q is neither ErrCorrupt nor ErrTruncated", err)
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Fatalf("error %q does not name the file", err)
+	}
+}
+
+// FuzzChunkColumns drives the dictionary/ID, varint, delta, run-length,
+// details and meta decoders with arbitrary file images. The property: no
+// panic, no allocation sized by a lying count; an accepted column has
+// exactly rows rows and every dictionary ID in range; a rejected one fails
+// with ErrCorrupt or ErrTruncated and names the file. The corpus starts
+// from a real chunk and the corruption matrix's damage to it.
+func FuzzChunkColumns(f *testing.F) {
+	const rows = 24 // small images: the engine minimizes every input that finds new coverage
+	fs := writeTestChunk(f, testEvents(rows))
+	kindOf := map[string][]uint8{
+		"name": {0}, "session_id": {0}, "ip": {0}, "user_id": {1}, "timestamp": {2},
+		"initiator": {3}, "logged_in": {3}, "details": {4}, "meta": {5},
+	}
+	image := func(col string) []byte {
+		data, err := fs.ReadFile(Base(testDir, 0) + "." + col)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	for col, kinds := range kindOf {
+		for _, kind := range kinds {
+			f.Add(kind, uint16(rows), image(col))
+			f.Add(kind, uint16(rows+1), image(col))
+			f.Add(kind, uint16(0), image(col))
+		}
+	}
+	for _, tc := range corruptions {
+		f.Add(kindOf[tc.col][0], uint16(rows), tc.mutate(f, image(tc.col)))
+	}
+	f.Add(uint8(0), uint16(3), []byte{})
+	f.Fuzz(func(t *testing.T, kind uint8, rows uint16, data []byte) {
+		fuzzDecode(t, kind, int(rows), data)
+	})
+}
+
+// TestNextCRCRecordMatchesReader: the in-place parser and the streaming
+// CRCReader agree on every prefix and every single-bit flip of a two-record
+// file — same payloads, same terminal error kind.
+func TestNextCRCRecordMatchesReader(t *testing.T) {
+	file := frame([]byte("the first record"), bytes.Repeat([]byte{0xa5}, 200))
+	check := func(data []byte) {
+		t.Helper()
+		r := recordio.NewCRCReader(bytes.NewReader(data))
+		rest := data
+		for {
+			want, werr := r.Next()
+			got, next, gerr := recordio.NextCRCRecord(rest)
+			if (werr == nil) != (gerr == nil) || !bytes.Equal(got, want) {
+				t.Fatalf("in place: %q, %v; reader: %q, %v", got, gerr, want, werr)
+			}
+			if werr != nil {
+				for _, kind := range []error{recordio.ErrCorrupt, recordio.ErrTruncated} {
+					if errors.Is(werr, kind) != errors.Is(gerr, kind) {
+						t.Fatalf("in place: %v; reader: %v", gerr, werr)
+					}
+				}
+				return
+			}
+			rest = next
+		}
+	}
+	for n := 0; n <= len(file); n++ {
+		check(file[:n])
+	}
+	for i := range file {
+		for bit := 0; bit < 8; bit++ {
+			flipped := append([]byte(nil), file...)
+			flipped[i] ^= 1 << bit
+			check(flipped)
+		}
+	}
+}

@@ -1,0 +1,354 @@
+package chunk
+
+import (
+	"fmt"
+	"io"
+
+	"unilog/internal/events"
+	"unilog/internal/hdfs"
+	"unilog/internal/recordio"
+)
+
+// Meta is a decoded zone map: everything pruning needs, nothing a pruned
+// chunk has to pay for beyond this one small file.
+type Meta struct {
+	Rows             int
+	MinTs, MaxTs     int64
+	MinName, MaxName string
+	// Cols is the set of column files the chunk was written with.
+	Cols Set
+}
+
+// readFile reads a chunk file whole, naming it in the error.
+func readFile(fs *hdfs.FS, path string) ([]byte, error) {
+	data, err := fs.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("chunk: %s: %w", path, err)
+	}
+	return data, nil
+}
+
+// records splits a file image into exactly want CRC records, in place.
+// Terminal framing errors (ErrTruncated, ErrCorrupt) propagate with the
+// path attached.
+func records(path string, data []byte, want int) ([][]byte, error) {
+	recs := make([][]byte, 0, want)
+	for {
+		rec, rest, err := recordio.NextCRCRecord(data)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("chunk: %s: %w", path, err)
+		}
+		recs = append(recs, rec)
+		data = rest
+	}
+	if len(recs) != want {
+		return nil, fmt.Errorf("chunk: %s: %w: want %d records, have %d", path, recordio.ErrCorrupt, want, len(recs))
+	}
+	return recs, nil
+}
+
+// oneRecord parses a file image expected to hold exactly one CRC record.
+func oneRecord(path string, data []byte) ([]byte, error) {
+	recs, err := records(path, data, 1)
+	if err != nil {
+		return nil, err
+	}
+	return recs[0], nil
+}
+
+// trailing is the error of a column record that holds more than rows rows.
+func trailing(path string, c *recordio.Cursor, rows int) error {
+	return fmt.Errorf("chunk: %s: %w: %d trailing bytes after %d rows", path, recordio.ErrCorrupt, c.Remaining(), rows)
+}
+
+// short is the error of a column record that cannot hold its chunk's rows:
+// every encoding but run-length spends at least a byte per row, so the
+// check also keeps a lying row count from sizing an allocation.
+func short(path string) error {
+	return fmt.Errorf("chunk: %s: %w: short column", path, recordio.ErrCorrupt)
+}
+
+// ReadMeta reads and decodes a chunk's zone-map file.
+func ReadMeta(fs *hdfs.FS, path string) (Meta, error) {
+	data, err := readFile(fs, path)
+	if err != nil {
+		return Meta{}, err
+	}
+	return decodeMeta(path, data)
+}
+
+// decodeMeta decodes a zone-map file image.
+func decodeMeta(path string, data []byte) (Meta, error) {
+	rec, err := oneRecord(path, data)
+	if err != nil {
+		return Meta{}, err
+	}
+	c := recordio.NewCursor(rec)
+	if magic := c.Uvarint("magic"); c.Ok() && magic != metaMagic {
+		return Meta{}, fmt.Errorf("chunk: %s: %w: bad magic %#x", path, recordio.ErrCorrupt, magic)
+	}
+	if v := c.Uvarint("version"); c.Ok() && v != metaVersion {
+		return Meta{}, fmt.Errorf("chunk: %s: %w: unsupported chunk version %d", path, recordio.ErrCorrupt, v)
+	}
+	var m Meta
+	rows := c.Uvarint("rows")
+	if rows > recordio.MaxRecordSize {
+		// Every varint column spends at least a byte per row inside one
+		// record, so no readable chunk is longer than a record may be.
+		return Meta{}, fmt.Errorf("chunk: %s: %w: row count %d", path, recordio.ErrCorrupt, rows)
+	}
+	m.Rows = int(rows)
+	m.MinTs = c.Varint("min_ts")
+	m.MaxTs = c.Varint("max_ts")
+	m.MinName = c.String("min_name")
+	m.MaxName = c.String("max_name")
+	n := c.Count("columns")
+	for i := 0; i < n; i++ {
+		m.Cols |= ColumnOf(string(c.Bytes("column"))) // a column this reader does not know is one it never loads
+	}
+	if err := c.Err(); err != nil {
+		return Meta{}, fmt.Errorf("chunk: %s: %w", path, err)
+	}
+	return m, nil
+}
+
+// DictColumn is a decoded dictionary column: the chunk's distinct values
+// and one validated index into them per row.
+type DictColumn struct {
+	Dict []string
+	IDs  []uint32
+}
+
+// At returns the value of one row.
+func (d DictColumn) At(row int) string { return d.Dict[d.IDs[row]] }
+
+// decodeDict decodes a dictionary column file image.
+func decodeDict(path string, data []byte, rows int) (DictColumn, error) {
+	recs, err := records(path, data, 2)
+	if err != nil {
+		return DictColumn{}, err
+	}
+	dc := recordio.NewCursor(recs[0])
+	n := dc.Count("dict size")
+	// One string backs every entry: a chunk with thousands of distinct
+	// session ids costs one allocation, not one per id.
+	blob := string(recs[0])
+	dict := make([]string, n)
+	for i := range dict {
+		l := len(dc.Bytes("dict entry"))
+		end := len(blob) - dc.Remaining()
+		dict[i] = blob[end-l : end]
+	}
+	if err := dc.Err(); err != nil {
+		return DictColumn{}, fmt.Errorf("chunk: %s: %w", path, err)
+	}
+	if rows > len(recs[1]) {
+		return DictColumn{}, short(path)
+	}
+	ic := recordio.NewCursor(recs[1])
+	ids := make([]uint32, rows)
+	for i := range ids {
+		id := ic.Uvarint("dict id")
+		if !ic.Ok() || id >= uint64(len(dict)) {
+			return DictColumn{}, fmt.Errorf("chunk: %s: %w: dict id out of range", path, recordio.ErrCorrupt)
+		}
+		ids[i] = uint32(id)
+	}
+	if !ic.Empty() {
+		return DictColumn{}, trailing(path, ic, rows)
+	}
+	return DictColumn{Dict: dict, IDs: ids}, nil
+}
+
+// decodeVarints decodes a zig-zag varint column file image into one int64
+// per row; delta == true accumulates row-over-row deltas (the timestamp
+// column).
+func decodeVarints(path string, data []byte, rows int, delta bool) ([]int64, error) {
+	rec, err := oneRecord(path, data)
+	if err != nil {
+		return nil, err
+	}
+	if rows > len(rec) {
+		return nil, short(path)
+	}
+	c := recordio.NewCursor(rec)
+	out := make([]int64, rows)
+	prev := int64(0)
+	for i := range out {
+		v := c.Varint("varint value")
+		if delta {
+			v += prev
+			prev = v
+		}
+		out[i] = v
+	}
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("chunk: %s: %w", path, err)
+	}
+	if !c.Empty() {
+		return nil, trailing(path, c, rows)
+	}
+	return out, nil
+}
+
+// decodeRLE decodes a run-length byte column file image into one byte per
+// row.
+func decodeRLE(path string, data []byte, rows int) ([]byte, error) {
+	rec, err := oneRecord(path, data)
+	if err != nil {
+		return nil, err
+	}
+	c := recordio.NewCursor(rec)
+	out := make([]byte, 0, rows)
+	for len(out) < rows && c.Ok() {
+		v := c.Byte("rle value")
+		run := c.Uvarint("rle run")
+		if !c.Ok() || run == 0 || run > uint64(rows-len(out)) {
+			return nil, fmt.Errorf("chunk: %s: %w: bad run length", path, recordio.ErrCorrupt)
+		}
+		for j := uint64(0); j < run; j++ {
+			out = append(out, v)
+		}
+	}
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("chunk: %s: %w", path, err)
+	}
+	if len(out) != rows {
+		return nil, short(path)
+	}
+	if !c.Empty() {
+		return nil, trailing(path, c, rows)
+	}
+	return out, nil
+}
+
+// DetailsColumn is the details column, checked end to end but not yet
+// inflated: a map is built only for the rows a consumer asks for.
+type DetailsColumn struct {
+	rec  []byte
+	offs []uint32 // where each row's pair count starts in rec
+}
+
+// At returns one row's details; a row with zero pairs is a nil map, exactly
+// like the thrift decoder.
+func (d DetailsColumn) At(row int) map[string]string {
+	c := recordio.NewCursor(d.rec[d.offs[row]:])
+	n := c.Count("details pairs")
+	if n == 0 {
+		return nil
+	}
+	m := make(map[string]string, n)
+	for j := 0; j < n; j++ {
+		k := c.String("details key")
+		m[k] = c.String("details value")
+	}
+	return m
+}
+
+// decodeDetails checks a details column file image — every count and
+// length in bounds, rows rows, nothing after them — and indexes its rows.
+func decodeDetails(path string, data []byte, rows int) (DetailsColumn, error) {
+	rec, err := oneRecord(path, data)
+	if err != nil {
+		return DetailsColumn{}, err
+	}
+	if rows > len(rec) {
+		return DetailsColumn{}, short(path)
+	}
+	c := recordio.NewCursor(rec)
+	offs := make([]uint32, rows)
+	for i := range offs {
+		offs[i] = uint32(len(rec) - c.Remaining())
+		for j := c.Count("details pairs"); j > 0; j-- {
+			c.Bytes("details key")
+			c.Bytes("details value")
+		}
+	}
+	if err := c.Err(); err != nil {
+		return DetailsColumn{}, fmt.Errorf("chunk: %s: %w", path, err)
+	}
+	if !c.Empty() {
+		return DetailsColumn{}, trailing(path, c, rows)
+	}
+	return DetailsColumn{rec: rec, offs: offs}, nil
+}
+
+// Columns holds the decoded column vectors of one chunk. Vectors that no
+// Load asked for stay nil and their files stay unread.
+type Columns struct {
+	Initiator []byte
+	Name      DictColumn
+	UserID    []int64
+	SessionID DictColumn
+	IP        DictColumn
+	Timestamp []int64
+	LoggedIn  []byte
+	Details   DetailsColumn
+
+	have Set
+}
+
+// Load decodes the column files of chunk base (a meta path without its
+// extension) that need names and no earlier Load on cc has read, so a
+// consumer can start from the columns it always wants and widen only for
+// the chunks that turn out to need more.
+func (cc *Columns) Load(fs *hdfs.FS, base string, m Meta, need Set) error {
+	for i, col := range ColumnNames {
+		bit := Set(1) << i
+		if need&^cc.have&bit == 0 {
+			continue
+		}
+		path := base + "." + col
+		if m.Cols&bit == 0 {
+			return fmt.Errorf("chunk: %s: %w: column not listed in the chunk meta", path, recordio.ErrCorrupt)
+		}
+		data, err := readFile(fs, path)
+		if err != nil {
+			return err
+		}
+		switch bit {
+		case Initiator:
+			cc.Initiator, err = decodeRLE(path, data, m.Rows)
+		case Name:
+			cc.Name, err = decodeDict(path, data, m.Rows)
+		case UserID:
+			cc.UserID, err = decodeVarints(path, data, m.Rows, false)
+		case SessionID:
+			cc.SessionID, err = decodeDict(path, data, m.Rows)
+		case IP:
+			cc.IP, err = decodeDict(path, data, m.Rows)
+		case Timestamp:
+			cc.Timestamp, err = decodeVarints(path, data, m.Rows, true)
+		case LoggedIn:
+			cc.LoggedIn, err = decodeRLE(path, data, m.Rows)
+		case Details:
+			cc.Details, err = decodeDetails(path, data, m.Rows)
+		}
+		if err != nil {
+			return err
+		}
+		cc.have |= bit
+	}
+	return nil
+}
+
+// Event materializes one row as the client event it was sealed from. Every
+// column but the derived logged_in must be loaded.
+func (cc *Columns) Event(row int) (events.ClientEvent, error) {
+	name, err := events.ParseName(cc.Name.At(row))
+	if err != nil {
+		return events.ClientEvent{}, err
+	}
+	return events.ClientEvent{
+		Initiator: events.Initiator(cc.Initiator[row]),
+		Name:      name,
+		UserID:    cc.UserID[row],
+		SessionID: cc.SessionID.At(row),
+		IP:        cc.IP.At(row),
+		Timestamp: cc.Timestamp[row],
+		Details:   cc.Details.At(row),
+	}, nil
+}

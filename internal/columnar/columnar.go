@@ -4,26 +4,13 @@
 // eight-column event, and the row-oriented hour files make them decode
 // all eight.
 //
-// A sealed hour directory gains, beside its row files, one group of
-// column files per chunk of ChunkRows events (in warehouse scan order):
-//
-//	_col-00000.meta        zone map: row count, min/max timestamp, min/max name
-//	_col-00000.initiator   run-length pairs (initiator byte, run)
-//	_col-00000.name        sorted per-chunk dictionary + uvarint IDs
-//	_col-00000.user_id     zig-zag varints
-//	_col-00000.session_id  sorted per-chunk dictionary + uvarint IDs
-//	_col-00000.ip          sorted per-chunk dictionary + uvarint IDs
-//	_col-00000.timestamp   zig-zag varint deltas from the previous row
-//	_col-00000.logged_in   run-length pairs (bool byte, run)
-//	_col-00000.details     per row: pair count + length-prefixed k/v, keys sorted
-//	_col-SEALED            hour-level completion marker: total chunk count
-//
-// Every file is framed with the repository's recordio CRC discipline, so
-// a torn tail reads back as recordio.ErrTruncated and a flipped bit as
-// recordio.ErrCorrupt — the same failure vocabulary as the WAL and the
-// spill files. The leading underscore makes the files auxiliary to every
-// row scanner (warehouse.IsAuxiliary), so row and columnar layouts
-// coexist in one directory and either can serve a scan.
+// The chunk layout, its encoders and its typed reader live in the leaf
+// package internal/chunk, which the daily session-sequence job imports
+// too; this package is what sits on either side of it. This file seals:
+// it cuts an hour's row scan into chunks of ChunkRows events and writes
+// them beside the row files, whose leading-underscore names make them
+// auxiliary to every row scanner (warehouse.IsAuxiliary), so row and
+// columnar layouts coexist in one directory and either can serve a scan.
 //
 // Sealing is crash-safe at two levels: within a chunk the meta file is
 // written last, and across the hour the _col-SEALED marker is written
@@ -32,27 +19,28 @@
 // orphaned chunk files and re-seals from scratch — so a seal that dies
 // mid-hour can never silently drop the rows it had not reached.
 //
-// The reader side lives in format.go: EventsFormat is a pushdown-aware
-// dataflow.InputFormat whose splits are chunk meta files. A pushed-down
-// Selection prunes whole chunks against the meta zone maps without
-// opening a column file, reads only the column streams the projection
-// and predicate reference, and applies the exact row-level filter to
-// what survives — so the zone map is allowed to be a superset.
+// The dataflow reader lives in format.go: EventsFormat is a
+// pushdown-aware dataflow.InputFormat whose splits are chunk meta files. A
+// pushed-down Selection prunes whole chunks against the meta zone maps
+// without opening a column file, reads only the column streams the
+// projection and predicate reference, evaluates the name pattern once per
+// chunk-dictionary entry, and applies the exact row-level filter to what
+// survives — so the zone map is allowed to be a superset. Tuple strings
+// are resolved from the chunk's decoded dictionaries; a consumer that can
+// work on dictionary IDs (session.BuildDay) reads internal/chunk directly
+// and never inflates a string per row.
 package columnar
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"unilog/internal/chunk"
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
-	"unilog/internal/recordio"
 	"unilog/internal/warehouse"
 )
 
@@ -61,68 +49,12 @@ import (
 // time-ordered hour give selective time windows real pruning.
 const DefaultChunkRows = 8192
 
-// chunkCols is the column order of a chunk, identical to
-// dataflow.ClientEventSchema. The derived logged_in flag is materialized
-// as its own (cheap, run-length) column so a projected scan never decodes
-// user_id just to re-derive it.
-var chunkCols = []string{"initiator", "name", "user_id", "session_id", "ip", "timestamp", "logged_in", "details"}
-
-const (
-	metaMagic   = 0x636f6c // "col"
-	sealedMagic = 0x73656c // "sel"
-	metaVersion = 1
-)
-
-// chunkBase returns the path prefix of chunk i in dir, without extension.
-func chunkBase(dir string, i int) string {
-	return fmt.Sprintf("%s/_col-%05d", dir, i)
-}
-
-// metaPath returns the zone-map file of chunk i in dir.
-func metaPath(dir string, i int) string { return chunkBase(dir, i) + ".meta" }
-
-// sealedPath returns the hour-level completion marker of dir.
-func sealedPath(dir string) string { return dir + "/_col-SEALED" }
-
 // HasColumnar reports whether dir has been fully sealed into column
 // chunks. Chunk files without the completion marker — a seal that died
 // mid-hour — do not count: the hour keeps scanning through its row files
 // until a re-seal finishes the job.
 func HasColumnar(fs *hdfs.FS, dir string) bool {
-	return fs.Exists(sealedPath(dir))
-}
-
-// encodeSealed builds the completion-marker file: one CRC record naming
-// the chunk count of the sealed hour.
-func encodeSealed(chunks int) []byte {
-	var rec []byte
-	rec = binary.AppendUvarint(rec, sealedMagic)
-	rec = binary.AppendUvarint(rec, metaVersion)
-	rec = binary.AppendUvarint(rec, uint64(chunks))
-	f := newFramed()
-	f.w.Append(rec)
-	return f.buf.Bytes()
-}
-
-// sealedChunks reads the completion marker's chunk count.
-func sealedChunks(fs *hdfs.FS, dir string) (int, error) {
-	path := sealedPath(dir)
-	rec, err := oneRecord(fs, path)
-	if err != nil {
-		return 0, err
-	}
-	c := recordio.NewCursor(rec)
-	if magic := c.Uvarint("magic"); c.Ok() && magic != sealedMagic {
-		return 0, fmt.Errorf("columnar: %s: %w: bad magic %#x", path, recordio.ErrCorrupt, magic)
-	}
-	if v := c.Uvarint("version"); c.Ok() && v != metaVersion {
-		return 0, fmt.Errorf("columnar: %s: unsupported seal version %d", path, v)
-	}
-	n := int(c.Uvarint("chunks"))
-	if err := c.Err(); err != nil {
-		return 0, fmt.Errorf("columnar: %s: %w", path, err)
-	}
-	return n, nil
+	return chunk.Sealed(fs, dir)
 }
 
 // removeTornSeal deletes the leftover _col- files of a seal that died
@@ -174,7 +106,7 @@ func SealHourChunks(fs *hdfs.FS, category string, hour time.Time, chunkRows int)
 		if len(buf) == 0 {
 			return nil
 		}
-		if err := writeChunk(fs, dir, chunks, buf); err != nil {
+		if err := chunk.Write(fs, dir, chunks, buf); err != nil {
 			return err
 		}
 		tmSealChunks.Inc()
@@ -197,8 +129,8 @@ func SealHourChunks(fs *hdfs.FS, category string, hour time.Time, chunkRows int)
 	if err := flush(); err != nil {
 		return chunks, err
 	}
-	if err := fs.WriteFile(sealedPath(dir), encodeSealed(chunks)); err != nil {
-		return chunks, fmt.Errorf("columnar: write seal marker %s: %w", sealedPath(dir), err)
+	if err := chunk.WriteSealed(fs, dir, chunks); err != nil {
+		return chunks, err
 	}
 	tmSealHourNs.ObserveSince(t0)
 	return chunks, nil
@@ -276,199 +208,4 @@ func SealHoursParallel(fs *hdfs.FS, category string, hours []time.Time, workers 
 		}
 	}
 	return total, nil
-}
-
-// framed wraps a payload-building function in one CRC-framed file image.
-type framed struct {
-	buf bytes.Buffer
-	w   *recordio.CRCWriter
-}
-
-func newFramed() *framed {
-	f := &framed{}
-	f.w = recordio.NewCRCWriter(&f.buf)
-	return f
-}
-
-// writeChunk encodes one chunk of events (column files first, the meta
-// file last, so a torn seal never claims a chunk it did not finish).
-func writeChunk(fs *hdfs.FS, dir string, idx int, evs []*events.ClientEvent) error {
-	base := chunkBase(dir, idx)
-	cols := map[string][]byte{
-		"initiator":  encodeInitiator(evs),
-		"name":       encodeDict(evs, func(e *events.ClientEvent) string { return e.Name.String() }),
-		"user_id":    encodeUserIDs(evs),
-		"session_id": encodeDict(evs, func(e *events.ClientEvent) string { return e.SessionID }),
-		"ip":         encodeDict(evs, func(e *events.ClientEvent) string { return e.IP }),
-		"timestamp":  encodeTimestamps(evs),
-		"logged_in":  encodeLoggedIn(evs),
-		"details":    encodeDetails(evs),
-	}
-	for _, col := range chunkCols {
-		if err := fs.WriteFile(base+"."+col, cols[col]); err != nil {
-			return fmt.Errorf("columnar: write chunk %s.%s: %w", base, col, err)
-		}
-	}
-	if err := fs.WriteFile(base+".meta", encodeMeta(evs)); err != nil {
-		return fmt.Errorf("columnar: write chunk %s.meta: %w", base, err)
-	}
-	return nil
-}
-
-// encodeMeta builds the zone-map file: one CRC record with the row count,
-// the timestamp range, and the lexical name range of the chunk.
-func encodeMeta(evs []*events.ClientEvent) []byte {
-	minTs, maxTs := evs[0].Timestamp, evs[0].Timestamp
-	minName, maxName := evs[0].Name.String(), evs[0].Name.String()
-	for _, e := range evs[1:] {
-		if e.Timestamp < minTs {
-			minTs = e.Timestamp
-		}
-		if e.Timestamp > maxTs {
-			maxTs = e.Timestamp
-		}
-		n := e.Name.String()
-		if n < minName {
-			minName = n
-		}
-		if n > maxName {
-			maxName = n
-		}
-	}
-	var rec []byte
-	rec = binary.AppendUvarint(rec, metaMagic)
-	rec = binary.AppendUvarint(rec, metaVersion)
-	rec = binary.AppendUvarint(rec, uint64(len(evs)))
-	rec = binary.AppendVarint(rec, minTs)
-	rec = binary.AppendVarint(rec, maxTs)
-	rec = appendString(rec, minName)
-	rec = appendString(rec, maxName)
-	rec = binary.AppendUvarint(rec, uint64(len(chunkCols)))
-	for _, col := range chunkCols {
-		rec = appendString(rec, col)
-	}
-	f := newFramed()
-	f.w.Append(rec)
-	return f.buf.Bytes()
-}
-
-// appendString appends a uvarint length-prefixed string.
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// encodeDict encodes one string column as two CRC records: the sorted
-// per-chunk dictionary, then one uvarint dictionary ID per row.
-func encodeDict(evs []*events.ClientEvent, get func(*events.ClientEvent) string) []byte {
-	distinct := make(map[string]int)
-	for _, e := range evs {
-		distinct[get(e)] = 0
-	}
-	dict := make([]string, 0, len(distinct))
-	for s := range distinct {
-		dict = append(dict, s)
-	}
-	sort.Strings(dict)
-	for i, s := range dict {
-		distinct[s] = i
-	}
-	var d []byte
-	d = binary.AppendUvarint(d, uint64(len(dict)))
-	for _, s := range dict {
-		d = appendString(d, s)
-	}
-	var ids []byte
-	for _, e := range evs {
-		ids = binary.AppendUvarint(ids, uint64(distinct[get(e)]))
-	}
-	f := newFramed()
-	f.w.Append(d)
-	f.w.Append(ids)
-	return f.buf.Bytes()
-}
-
-// encodeUserIDs packs the user_id column as zig-zag varints.
-func encodeUserIDs(evs []*events.ClientEvent) []byte {
-	var rec []byte
-	for _, e := range evs {
-		rec = binary.AppendVarint(rec, e.UserID)
-	}
-	f := newFramed()
-	f.w.Append(rec)
-	return f.buf.Bytes()
-}
-
-// encodeTimestamps delta-codes the timestamp column: each row stores the
-// zig-zag difference from the previous row (the first from zero), so a
-// time-ordered hour costs a byte or two per row.
-func encodeTimestamps(evs []*events.ClientEvent) []byte {
-	var rec []byte
-	prev := int64(0)
-	for _, e := range evs {
-		rec = binary.AppendVarint(rec, e.Timestamp-prev)
-		prev = e.Timestamp
-	}
-	f := newFramed()
-	f.w.Append(rec)
-	return f.buf.Bytes()
-}
-
-// encodeInitiator run-length encodes the initiator column as (byte, run)
-// pairs — a handful of distinct values with long runs.
-func encodeInitiator(evs []*events.ClientEvent) []byte {
-	return encodeRLE(evs, func(e *events.ClientEvent) byte { return byte(e.Initiator) })
-}
-
-// encodeLoggedIn run-length encodes the derived logged_in flag.
-func encodeLoggedIn(evs []*events.ClientEvent) []byte {
-	return encodeRLE(evs, func(e *events.ClientEvent) byte {
-		if e.LoggedIn() {
-			return 1
-		}
-		return 0
-	})
-}
-
-// encodeRLE encodes one byte-valued column as (value, run-length) pairs
-// in a single CRC record.
-func encodeRLE(evs []*events.ClientEvent, get func(*events.ClientEvent) byte) []byte {
-	var rec []byte
-	i := 0
-	for i < len(evs) {
-		v := get(evs[i])
-		j := i + 1
-		for j < len(evs) && get(evs[j]) == v {
-			j++
-		}
-		rec = append(rec, v)
-		rec = binary.AppendUvarint(rec, uint64(j-i))
-		i = j
-	}
-	f := newFramed()
-	f.w.Append(rec)
-	return f.buf.Bytes()
-}
-
-// encodeDetails encodes the details map column: per row a pair count then
-// length-prefixed key/value strings, keys sorted for determinism. Zero
-// pairs round-trips as a nil map, matching the thrift row decoder.
-func encodeDetails(evs []*events.ClientEvent) []byte {
-	var rec []byte
-	var keys []string
-	for _, e := range evs {
-		rec = binary.AppendUvarint(rec, uint64(len(e.Details)))
-		keys = keys[:0]
-		for k := range e.Details {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			rec = appendString(rec, k)
-			rec = appendString(rec, e.Details[k])
-		}
-	}
-	f := newFramed()
-	f.w.Append(rec)
-	return f.buf.Bytes()
 }

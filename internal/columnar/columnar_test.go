@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"unilog/internal/chunk"
 	"unilog/internal/dataflow"
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
@@ -320,15 +321,15 @@ func TestTornSealRecovers(t *testing.T) {
 	}
 	// Rewind the seal to "died before chunk 4": drop the completion
 	// marker and the last chunk's files.
-	if err := fs.Delete(sealedPath(hourDir), false); err != nil {
+	if err := fs.Delete(chunk.SealedPath(hourDir), false); err != nil {
 		t.Fatal(err)
 	}
-	for _, col := range chunkCols {
-		if err := fs.Delete(chunkBase(hourDir, 4)+"."+col, false); err != nil {
+	for _, col := range chunk.ColumnNames {
+		if err := fs.Delete(chunk.Base(hourDir, 4)+"."+col, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := fs.Delete(metaPath(hourDir, 4), false); err != nil {
+	if err := fs.Delete(chunk.MetaPath(hourDir, 4), false); err != nil {
 		t.Fatal(err)
 	}
 	if HasColumnar(fs, hourDir) {
@@ -360,7 +361,7 @@ func TestTornSealRecovers(t *testing.T) {
 	if n == 0 {
 		t.Fatal("re-seal of a torn hour was a no-op")
 	}
-	if fs.Exists(metaPath(hourDir, 3)) {
+	if fs.Exists(chunk.MetaPath(hourDir, 3)) {
 		t.Fatal("re-seal left stale chunks from the torn attempt")
 	}
 	if !HasColumnar(fs, hourDir) {
@@ -376,7 +377,7 @@ func TestTornSealRecovers(t *testing.T) {
 
 func mustSealedChunks(t *testing.T, fs *hdfs.FS, dir string) int {
 	t.Helper()
-	n, err := sealedChunks(fs, dir)
+	n, err := chunk.SealedChunks(fs, dir)
 	if err != nil {
 		t.Fatalf("read seal marker: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"time"
 
+	"unilog/internal/chunk"
 	"unilog/internal/dataflow"
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
@@ -69,13 +70,13 @@ func (f EventsFormat) Pushdown(sel dataflow.Selection) (dataflow.InputFormat, da
 // as an error instead of silently shrinking the hour.
 func (f EventsFormat) Splits(fs *hdfs.FS, dir string) ([]dataflow.Split, error) {
 	if HasColumnar(fs, dir) {
-		n, err := sealedChunks(fs, dir)
+		n, err := chunk.SealedChunks(fs, dir)
 		if err != nil {
 			return nil, err
 		}
 		splits := make([]dataflow.Split, 0, n)
 		for i := 0; i < n; i++ {
-			fi, err := fs.Stat(metaPath(dir, i))
+			fi, err := fs.Stat(chunk.MetaPath(dir, i))
 			if err != nil {
 				return nil, err
 			}
@@ -119,18 +120,18 @@ func (f EventsFormat) outCols() []string {
 // match. The name range test uses the pattern's literal head as a string
 // prefix — a superset of the componentwise match, which is exactly what
 // pruning is allowed to be, since survivors still pass the exact filter.
-func (f EventsFormat) prune(m chunkMeta) bool {
-	if f.sel.TimeMin != 0 && m.maxTs < f.sel.TimeMin {
+func (f EventsFormat) prune(m chunk.Meta) bool {
+	if f.sel.TimeMin != 0 && m.MaxTs < f.sel.TimeMin {
 		return true
 	}
-	if f.sel.TimeMax != 0 && m.minTs >= f.sel.TimeMax {
+	if f.sel.TimeMax != 0 && m.MinTs >= f.sel.TimeMax {
 		return true
 	}
 	if f.hasPrefix {
-		if m.maxName < f.prefix {
+		if m.MaxName < f.prefix {
 			return true
 		}
-		if up := prefixSuccessor(f.prefix); up != "" && m.minName >= up {
+		if up := prefixSuccessor(f.prefix); up != "" && m.MinName >= up {
 			return true
 		}
 	}
@@ -148,15 +149,12 @@ func prefixSuccessor(prefix string) string {
 	return ""
 }
 
-// match applies the exact row-level predicate.
-func (f EventsFormat) match(name string, ts int64) bool {
+// matchTime applies the exact row-level time window.
+func (f EventsFormat) matchTime(ts int64) bool {
 	if f.sel.TimeMin != 0 && ts < f.sel.TimeMin {
 		return false
 	}
 	if f.sel.TimeMax != 0 && ts >= f.sel.TimeMax {
-		return false
-	}
-	if f.sel.NamePattern != "" && !f.pat.MatchesString(name) {
 		return false
 	}
 	return true
@@ -164,8 +162,10 @@ func (f EventsFormat) match(name string, ts int64) bool {
 
 // readChunk scans one column chunk: prune on the zone map, decode only
 // the referenced column streams, filter exactly, emit projected tuples.
+// The name pattern is evaluated once per entry of the chunk's name
+// dictionary; rows test a bool by ID.
 func (f EventsFormat) readChunk(fs *hdfs.FS, metaFile string, emit func(dataflow.Tuple) error) error {
-	m, err := readMeta(fs, metaFile)
+	m, err := chunk.ReadMeta(fs, metaFile)
 	if err != nil {
 		return err
 	}
@@ -175,46 +175,72 @@ func (f EventsFormat) readChunk(fs *hdfs.FS, metaFile string, emit func(dataflow
 	}
 	tmChunksScanned.Inc()
 	out := f.outCols()
-	need := make(map[string]bool, len(out)+2)
-	for _, col := range out {
-		need[col] = true
+	cols := make([]chunk.Set, len(out))
+	var need chunk.Set
+	for i, col := range out {
+		cols[i] = chunk.ColumnOf(col)
+		need |= cols[i]
 	}
-	if f.sel.NamePattern != "" {
-		need["name"] = true
+	byName := f.sel.NamePattern != ""
+	byTime := f.sel.TimeMin != 0 || f.sel.TimeMax != 0
+	if byName {
+		need |= chunk.Name
 	}
-	if f.sel.TimeMin != 0 || f.sel.TimeMax != 0 {
-		need["timestamp"] = true
+	if byTime {
+		need |= chunk.Timestamp
 	}
-	base := strings.TrimSuffix(metaFile, ".meta")
-	cc, err := readColumns(fs, base, m, need)
-	if err != nil {
+	var cc chunk.Columns
+	if err := cc.Load(fs, strings.TrimSuffix(metaFile, ".meta"), m, need); err != nil {
 		return err
 	}
-	tmRowsRead.Add(int64(m.rows))
-	filtered := f.sel.NamePattern != "" || f.sel.TimeMin != 0 || f.sel.TimeMax != 0
-	for row := 0; row < m.rows; row++ {
-		if filtered {
-			var name string
-			var ts int64
-			if f.sel.NamePattern != "" {
-				name = cc.name[row]
-			}
-			if need["timestamp"] {
-				ts = cc.timestamp[row]
-			}
-			if !f.match(name, ts) {
-				continue
-			}
+	tmRowsRead.Add(int64(m.Rows))
+	var nameOK []bool
+	if byName {
+		nameOK = make([]bool, len(cc.Name.Dict))
+		for id, name := range cc.Name.Dict {
+			nameOK[id] = f.pat.MatchesString(name)
+		}
+	}
+	for row := 0; row < m.Rows; row++ {
+		if byName && !nameOK[cc.Name.IDs[row]] {
+			continue
+		}
+		if byTime && !f.matchTime(cc.Timestamp[row]) {
+			continue
 		}
 		t := make(dataflow.Tuple, len(out))
-		for i, col := range out {
-			t[i] = cc.value(col, row)
+		for i, col := range cols {
+			t[i] = value(&cc, col, row)
 		}
 		if err := emit(t); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// value renders one column of one row as its dataflow tuple value —
+// identical to what ClientEventFormat emits for the same event.
+func value(cc *chunk.Columns, col chunk.Set, row int) any {
+	switch col {
+	case chunk.Initiator:
+		return events.Initiator(cc.Initiator[row]).String()
+	case chunk.Name:
+		return cc.Name.At(row)
+	case chunk.UserID:
+		return cc.UserID[row]
+	case chunk.SessionID:
+		return cc.SessionID.At(row)
+	case chunk.IP:
+		return cc.IP.At(row)
+	case chunk.Timestamp:
+		return cc.Timestamp[row]
+	case chunk.LoggedIn:
+		return cc.LoggedIn[row] == 1
+	case chunk.Details:
+		return cc.Details.At(row)
+	}
+	panic("columnar: value of unknown column")
 }
 
 // readRowFile scans one unsealed row file, applying the same selection
@@ -225,7 +251,7 @@ func (f EventsFormat) readRowFile(fs *hdfs.FS, s dataflow.Split, emit func(dataf
 	return full.ReadSplit(fs, s, func(t dataflow.Tuple) error {
 		name, _ := t[1].(string)
 		ts, _ := t[5].(int64)
-		if !f.match(name, ts) {
+		if !f.matchTime(ts) || (f.sel.NamePattern != "" && !f.pat.MatchesString(name)) {
 			return nil
 		}
 		if f.sel.Columns == nil {

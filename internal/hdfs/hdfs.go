@@ -294,7 +294,12 @@ func (fs *FS) ReadFile(path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return io.ReadAll(r)
+	// The size is known: one exact buffer, filled through the metered Read.
+	buf := make([]byte, r.Size())
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // FileReader reads a published file.

@@ -117,6 +117,37 @@ func (r *CRCReader) Next() ([]byte, error) {
 	return r.buf, nil
 }
 
+// NextCRCRecord parses the first checksummed record of data in place: rec
+// aliases data, rest is what follows the record. The terminal conditions
+// are Next's — io.EOF when data is empty, ErrTruncated when it ends inside
+// a record, ErrCorrupt when a length or checksum lies — without the copy
+// through a bufio.Reader, for callers that already hold the whole file.
+func NextCRCRecord(data []byte) (rec, rest []byte, err error) {
+	if len(data) == 0 {
+		return nil, nil, io.EOF
+	}
+	size, n := binary.Uvarint(data)
+	if n == 0 {
+		return nil, nil, ErrTruncated
+	}
+	if n < 0 {
+		return nil, nil, fmt.Errorf("%w: record length overflows", ErrCorrupt)
+	}
+	if size > MaxRecordSize {
+		return nil, nil, fmt.Errorf("%w: record of %d bytes", ErrCorrupt, size)
+	}
+	body := data[n:]
+	if uint64(len(body)) < crcHeaderLen+size {
+		return nil, nil, ErrTruncated
+	}
+	want := binary.LittleEndian.Uint32(body)
+	rec = body[crcHeaderLen : crcHeaderLen+size]
+	if got := crc32.Checksum(rec, castagnoli); got != want {
+		return nil, nil, fmt.Errorf("%w: crc mismatch (want %08x, got %08x)", ErrCorrupt, want, got)
+	}
+	return rec, body[crcHeaderLen+size:], nil
+}
+
 // ForEach scans every record, invoking fn on each. It returns nil at a
 // clean end of stream and the terminal error otherwise; fn errors stop the
 // scan immediately.

@@ -6,6 +6,9 @@ import (
 	"time"
 
 	"unilog/internal/events"
+	"unilog/internal/hdfs"
+	"unilog/internal/warehouse"
+	"unilog/internal/workload"
 )
 
 func benchDictionary(b *testing.B, n int) *Dictionary {
@@ -92,4 +95,51 @@ func BenchmarkSessionize(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(evs)), "events")
+}
+
+// BenchmarkBuildDay times the whole daily job — scan, dictionary, session
+// encoding, write — over a generated day, sealed into column chunks and as
+// row files, with the catalog's three samples per name.
+func BenchmarkBuildDay(b *testing.B) {
+	cfg := workload.DefaultConfig(day)
+	cfg.Users = 1500
+	cfg.LoggedOutSessions = 500
+	evs, truth := workload.New(cfg).Generate()
+	for _, sealed := range []bool{true, false} {
+		name := "rows"
+		if sealed {
+			name = "sealed"
+		}
+		b.Run(name, func(b *testing.B) {
+			fs := hdfs.New(0)
+			w := warehouse.NewWriter(fs, events.Category)
+			for i := range evs {
+				if err := w.Append(&evs[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				b.Fatal(err)
+			}
+			if sealed {
+				sealHours(b, fs, 8192, true, allHours...)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, _, stats, err := BuildDay(fs, day, 3)
+				if err != nil || stats.Sessions != truth.Sessions {
+					b.Fatalf("BuildDay: %d sessions, want %d, %v", stats.Sessions, truth.Sessions, err)
+				}
+				b.StopTimer()
+				for _, dir := range []string{warehouse.SessionDayDir(day), warehouse.DictionaryDir(day)} {
+					if err := fs.Delete(dir, true); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(truth.Events), "ns/event")
+		})
+	}
 }

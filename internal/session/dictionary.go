@@ -11,9 +11,22 @@
 //
 //	user_id, session_id, ip, session_sequence, duration
 //
-// exactly as in §4.2. Construction is the paper's two-pass daily job: pass
+// exactly as in §4.2. Construction is the paper's two-pass daily job — pass
 // one computes the event histogram (and samples for the catalog) and builds
-// the dictionary; pass two reconstructs sessions and encodes them.
+// the dictionary, pass two reconstructs sessions and encodes them — run as
+// two logical passes over one physical scan (BuildDay). The scan (dayScan)
+// reads hours sealed into column chunks through internal/chunk's typed
+// reader and every other hour from its row files, and hands both to one
+// sessionizer that works on interned IDs: names are counted by ID, events
+// are kept as 16-byte {timestamp, name ID, IP ID} entries grouped by
+// (user id, session-id ID), and strings reappear only at the edges — the
+// histogram's keys, the dictionary, a record's session id and IP. When the
+// scan ends the dictionary is built from the counts and the sessions are
+// sorted, split and encoded out of the table, so the day is read once.
+// Catalog samples widen a chunk's read to its remaining columns only while
+// its name dictionary holds a name short of its quota, and only the
+// sampled rows become events. Builder is the same sessionizer behind an
+// event-at-a-time interface: Add interns, then appends.
 package session
 
 import (
@@ -69,10 +82,13 @@ func nextCodePoint(r rune) rune {
 // Dictionary is the bijective mapping between event names and unicode code
 // points (§4.2), with frequent events assigned smaller code points.
 type Dictionary struct {
-	toSymbol map[string]rune
-	toName   map[rune]string
+	// index maps an event name to its position in names, symbols and counts.
+	index  map[string]int
+	toName map[rune]string
 	// names holds event names in assignment (descending frequency) order.
 	names []string
+	// symbols holds the assigned code points, aligned with names.
+	symbols []rune
 	// counts holds the histogram the dictionary was built from, aligned
 	// with names.
 	counts []int64
@@ -94,22 +110,32 @@ func Build(histogram map[string]int64) (*Dictionary, error) {
 		return names[i] < names[j]
 	})
 	d := &Dictionary{
-		toSymbol: make(map[string]rune, len(names)),
-		toName:   make(map[rune]string, len(names)),
-		names:    names,
-		counts:   make([]int64, len(names)),
+		index:  make(map[string]int, len(names)),
+		toName: make(map[rune]string, len(names)),
 	}
-	r := firstCodePoint
-	for i, name := range names {
-		if r > maxCodePoint {
-			return nil, ErrDictionaryFull
+	for _, name := range names {
+		if err := d.assign(name, histogram[name]); err != nil {
+			return nil, err
 		}
-		d.toSymbol[name] = r
-		d.toName[r] = name
-		d.counts[i] = histogram[name]
-		r = nextCodePoint(r)
 	}
 	return d, nil
+}
+
+// assign gives name the next code point after the last one assigned.
+func (d *Dictionary) assign(name string, count int64) error {
+	r := firstCodePoint
+	if n := len(d.symbols); n > 0 {
+		r = nextCodePoint(d.symbols[n-1])
+	}
+	if r > maxCodePoint {
+		return ErrDictionaryFull
+	}
+	d.index[name] = len(d.names)
+	d.toName[r] = name
+	d.names = append(d.names, name)
+	d.symbols = append(d.symbols, r)
+	d.counts = append(d.counts, count)
+	return nil
 }
 
 // Len returns the alphabet size.
@@ -117,8 +143,11 @@ func (d *Dictionary) Len() int { return len(d.names) }
 
 // Symbol returns the code point assigned to the event name.
 func (d *Dictionary) Symbol(name string) (rune, bool) {
-	r, ok := d.toSymbol[name]
-	return r, ok
+	i, ok := d.index[name]
+	if !ok {
+		return 0, false
+	}
+	return d.symbols[i], true
 }
 
 // Name returns the event name assigned to the code point.
@@ -133,10 +162,8 @@ func (d *Dictionary) Names() []string { return d.names }
 
 // Count returns the histogram count the name had at build time.
 func (d *Dictionary) Count(name string) int64 {
-	for i, n := range d.names {
-		if n == name {
-			return d.counts[i]
-		}
+	if i, ok := d.index[name]; ok {
+		return d.counts[i]
 	}
 	return 0
 }
@@ -146,7 +173,7 @@ func (d *Dictionary) Count(name string) int64 {
 func (d *Dictionary) Encode(names []string) (string, error) {
 	buf := make([]rune, len(names))
 	for i, n := range names {
-		r, ok := d.toSymbol[n]
+		r, ok := d.Symbol(n)
 		if !ok {
 			return "", fmt.Errorf("%w: %q", ErrUnknownEvent, n)
 		}
@@ -174,9 +201,9 @@ func (d *Dictionary) Decode(seq string) ([]string, error) {
 // expanded to include all matching events" (§5.2).
 func (d *Dictionary) SymbolsWhere(pred func(name string) bool) []rune {
 	var out []rune
-	for _, name := range d.names {
+	for i, name := range d.names {
 		if pred(name) {
-			out = append(out, d.toSymbol[name])
+			out = append(out, d.symbols[i])
 		}
 	}
 	return out
@@ -211,10 +238,9 @@ func (d *Dictionary) Marshal() ([]byte, error) {
 // order is preserved, so symbols are identical to the original's.
 func Unmarshal(data []byte) (*Dictionary, error) {
 	d := &Dictionary{
-		toSymbol: make(map[string]rune),
-		toName:   make(map[rune]string),
+		index:  make(map[string]int),
+		toName: make(map[rune]string),
 	}
-	r := firstCodePoint
 	err := recordio.ScanGzipFile(data, func(rec []byte) error {
 		dec := thrift.NewCompactDecoder(rec)
 		var name string
@@ -242,15 +268,7 @@ func Unmarshal(data []byte) (*Dictionary, error) {
 				return err
 			}
 		}
-		if r > maxCodePoint {
-			return ErrDictionaryFull
-		}
-		d.toSymbol[name] = r
-		d.toName[r] = name
-		d.names = append(d.names, name)
-		d.counts = append(d.counts, count)
-		r = nextCodePoint(r)
-		return nil
+		return d.assign(name, count)
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -11,7 +12,7 @@ import (
 	"unilog/internal/warehouse"
 )
 
-// Histogram is the output of the first daily pass (§4.2): event counts plus
+// Histogram is the output of the first logical pass (§4.2): event counts plus
 // a few sample messages per event type, which feed the client event catalog.
 type Histogram struct {
 	Counts map[string]int64
@@ -33,28 +34,15 @@ func NewHistogram(sampleLimit int) *Histogram {
 	}
 }
 
-// Observe counts one event and retains it as a sample if quota remains.
-func (h *Histogram) Observe(e *events.ClientEvent) {
-	name := e.Name.String()
-	h.Counts[name]++
-	h.Events++
-	if h.SampleLimit > 0 && len(h.Samples[name]) < h.SampleLimit {
-		h.Samples[name] = append(h.Samples[name], e.Marshal())
-	}
-}
-
 // HistogramDay scans one day of client events in the warehouse and returns
-// the event histogram — the first pass of the daily session-sequence job.
+// the event histogram — the first logical pass of the daily
+// session-sequence job, run on its own (the catalog builds from it).
 func HistogramDay(fs *hdfs.FS, day time.Time, sampleLimit int) (*Histogram, error) {
-	h := NewHistogram(sampleLimit)
-	err := warehouse.ScanDay(fs, events.Category, day, func(e *events.ClientEvent) error {
-		h.Observe(e)
-		return nil
-	})
-	if err != nil {
+	s := newDayScan(sampleLimit, false)
+	if err := s.scan(fs, day); err != nil {
 		return nil, err
 	}
-	return h, nil
+	return s.histogram(), nil
 }
 
 // dictionaryFile is where a day's dictionary is persisted.
@@ -174,38 +162,48 @@ func (s DayStats) Ratio() float64 {
 	return float64(s.RawBytes) / float64(s.SeqBytes)
 }
 
-// BuildDay runs the full two-pass daily job (§4.2): histogram + dictionary
-// construction, then session reconstruction and materialization. The
-// dictionary is persisted to its known HDFS location; the records land in
-// the day's session-sequence partition.
+// ErrDayBuilt reports a BuildDay on a day whose session sequences are
+// already complete.
+var ErrDayBuilt = errors.New("session: day already built")
+
+// BuildDay runs the daily job of §4.2. The paper's two passes — histogram
+// and dictionary, then session reconstruction and encoding — are two
+// logical passes over one physical scan: the scan counts names and fills
+// the group table by ID, the dictionary is built when it ends, and the
+// sessions are encoded out of the table, so the day's data is read once.
+//
+// The records land in the day's session-sequence partition and the
+// dictionary, written last, in its known HDFS location: a day that has its
+// dictionary is complete. BuildDay on such a day returns ErrDayBuilt
+// before reading any data; session files without a dictionary are what a
+// dead run left, and are removed before the rebuild.
 func BuildDay(fs *hdfs.FS, day time.Time, sampleLimit int) (*Dictionary, *Histogram, DayStats, error) {
 	var stats DayStats
-	// Pass 1: histogram and dictionary.
-	h, err := HistogramDay(fs, day, sampleLimit)
-	if err != nil {
+	if fs.Exists(dictionaryFile(day)) {
+		return nil, nil, stats, fmt.Errorf("%w: %s", ErrDayBuilt, dictionaryFile(day))
+	}
+	if dir := warehouse.SessionDayDir(day); fs.Exists(dir) {
+		if err := fs.Delete(dir, true); err != nil {
+			return nil, nil, stats, fmt.Errorf("session: remove partial %s: %w", dir, err)
+		}
+	}
+	s := newDayScan(sampleLimit, true)
+	if err := s.scan(fs, day); err != nil {
 		return nil, nil, stats, err
 	}
+	h := s.histogram()
 	dict, err := Build(h.Counts)
 	if err != nil {
 		return nil, nil, stats, err
 	}
-	if err := SaveDictionary(fs, day, dict); err != nil {
-		return nil, nil, stats, err
-	}
-	// Pass 2: reconstruct and materialize sessions.
-	b := NewBuilder(dict)
-	err = warehouse.ScanDay(fs, events.Category, day, func(e *events.ClientEvent) error {
-		b.Add(e)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, stats, err
-	}
-	recs, err := b.Finish()
+	recs, err := s.core.finish(dict, InactivityGap)
 	if err != nil {
 		return nil, nil, stats, err
 	}
 	if err := WriteDay(fs, day, recs, 0); err != nil {
+		return nil, nil, stats, err
+	}
+	if err := SaveDictionary(fs, day, dict); err != nil {
 		return nil, nil, stats, err
 	}
 
