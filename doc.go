@@ -12,6 +12,24 @@
 // collocations) — over a deterministic synthetic workload with planted
 // ground truth.
 //
+// The §2 transport compresses each event once. Daemons batch messages to
+// the aggregators ZooKeeper names; an aggregator frames each category's
+// messages as length-prefixed records (internal/recordio) and gzips them
+// on the fly into staging files. When every datacenter has sealed an
+// hour, the log mover (internal/logmover) inflates each staging file end
+// to end as its sanity check — gzip verifies every member's CRC-32 and
+// length, and every record frame is walked to a clean boundary — and then
+// appends the file's compressed bytes, as they are, to a merged warehouse
+// part: a gzip file is a concatenation of gzip members and every reader
+// reads through member boundaries, so merging small files into big ones
+// needs no second deflate. Parts roll at staging-file boundaries once
+// Mover.TargetFileBytes of raw payload is reached, the hour is published
+// by one directory rename, and an audit record accounts for every file,
+// record and byte. Only a Mover.Transform hook (the §3.2 anonymization
+// policy, say), whose records really do change, decodes and re-compresses.
+// The logmover.* telemetry series count hours, records, bytes and which of
+// the two paths each staging file took.
+//
 // The dataflow engine executes out-of-core with a sort-merge shuffle, the
 // way the MapReduce jobs it models do: datasets are lazy pull-based
 // iterator pipelines (scans buffer one split at a time;

@@ -151,12 +151,18 @@ func frame(recs ...[]byte) []byte {
 // file last, so a torn seal never claims a chunk it did not finish).
 func Write(fs *hdfs.FS, dir string, idx int, evs []*events.ClientEvent) error {
 	base := Base(dir, idx)
+	// Rendering a name is a six-way concat: do it once per row and share
+	// the result between the dictionary and the zone map.
+	names := make([]string, len(evs))
+	for i, e := range evs {
+		names[i] = e.Name.String()
+	}
 	cols := [][]byte{
 		encodeRLE(evs, func(e *events.ClientEvent) byte { return byte(e.Initiator) }),
-		encodeDict(evs, func(e *events.ClientEvent) string { return e.Name.String() }),
+		encodeDict(len(evs), func(i int) string { return names[i] }),
 		encodeUserIDs(evs),
-		encodeDict(evs, func(e *events.ClientEvent) string { return e.SessionID }),
-		encodeDict(evs, func(e *events.ClientEvent) string { return e.IP }),
+		encodeDict(len(evs), func(i int) string { return evs[i].SessionID }),
+		encodeDict(len(evs), func(i int) string { return evs[i].IP }),
 		encodeTimestamps(evs),
 		encodeRLE(evs, func(e *events.ClientEvent) byte {
 			if e.LoggedIn() {
@@ -171,31 +177,21 @@ func Write(fs *hdfs.FS, dir string, idx int, evs []*events.ClientEvent) error {
 			return fmt.Errorf("chunk: write chunk %s.%s: %w", base, col, err)
 		}
 	}
-	if err := fs.WriteFile(base+".meta", encodeMeta(evs)); err != nil {
+	if err := fs.WriteFile(base+".meta", encodeMeta(evs, names)); err != nil {
 		return fmt.Errorf("chunk: write chunk %s.meta: %w", base, err)
 	}
 	return nil
 }
 
 // encodeMeta builds the zone-map file: one CRC record with the row count,
-// the timestamp range, and the lexical name range of the chunk.
-func encodeMeta(evs []*events.ClientEvent) []byte {
+// the timestamp range, and the lexical name range of the chunk. names[i]
+// is the rendered name of evs[i].
+func encodeMeta(evs []*events.ClientEvent, names []string) []byte {
 	minTs, maxTs := evs[0].Timestamp, evs[0].Timestamp
-	minName, maxName := evs[0].Name.String(), evs[0].Name.String()
-	for _, e := range evs[1:] {
-		if e.Timestamp < minTs {
-			minTs = e.Timestamp
-		}
-		if e.Timestamp > maxTs {
-			maxTs = e.Timestamp
-		}
-		n := e.Name.String()
-		if n < minName {
-			minName = n
-		}
-		if n > maxName {
-			maxName = n
-		}
+	minName, maxName := names[0], names[0]
+	for i := 1; i < len(evs); i++ {
+		minTs, maxTs = min(minTs, evs[i].Timestamp), max(maxTs, evs[i].Timestamp)
+		minName, maxName = min(minName, names[i]), max(maxName, names[i])
 	}
 	var rec []byte
 	rec = binary.AppendUvarint(rec, metaMagic)
@@ -218,12 +214,13 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// encodeDict encodes one string column as two CRC records: the sorted
-// per-chunk dictionary, then one uvarint dictionary ID per row.
-func encodeDict(evs []*events.ClientEvent, get func(*events.ClientEvent) string) []byte {
+// encodeDict encodes one string column of rows values, get(i) the value of
+// row i, as two CRC records: the sorted per-chunk dictionary, then one
+// uvarint dictionary ID per row.
+func encodeDict(rows int, get func(i int) string) []byte {
 	distinct := make(map[string]int)
-	for _, e := range evs {
-		distinct[get(e)] = 0
+	for i := 0; i < rows; i++ {
+		distinct[get(i)] = 0
 	}
 	dict := make([]string, 0, len(distinct))
 	for s := range distinct {
@@ -239,8 +236,8 @@ func encodeDict(evs []*events.ClientEvent, get func(*events.ClientEvent) string)
 		d = appendString(d, s)
 	}
 	var ids []byte
-	for _, e := range evs {
-		ids = binary.AppendUvarint(ids, uint64(distinct[get(e)]))
+	for i := 0; i < rows; i++ {
+		ids = binary.AppendUvarint(ids, uint64(distinct[get(i)]))
 	}
 	return frame(d, ids)
 }
@@ -298,7 +295,9 @@ func encodeDetails(evs []*events.ClientEvent) []byte {
 		for k := range e.Details {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
+		if len(keys) > 1 {
+			sort.Strings(keys)
+		}
 		for _, k := range keys {
 			rec = appendString(rec, k)
 			rec = appendString(rec, e.Details[k])

@@ -2,6 +2,8 @@ package columnar
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -402,5 +404,64 @@ func TestHybridDirFallsBackToRows(t *testing.T) {
 	}
 	if n != int64(total) {
 		t.Fatalf("hybrid day scan saw %d events, want %d", n, total)
+	}
+}
+
+// TestSealedBytesPinned seals one fixed-seed hour and compares a digest of
+// every _col-* file with the value recorded before chunk.Write's encoders
+// were reworked: an encoder change that moves one byte of the sealed
+// layout — dictionary order, details key order, the zone map — fails here.
+func TestSealedBytesPinned(t *testing.T) {
+	fs := hdfs.New(0)
+	w := warehouse.NewWriter(fs, events.Category)
+	rng := rand.New(rand.NewSource(14))
+	detailKeys := []string{"request_id", "lang", "position", "client_version"}
+	for i := 0; i < 500; i++ {
+		e := &events.ClientEvent{
+			Initiator: events.Initiator(rng.Intn(4)),
+			Name:      events.MustParseName(testNames[rng.Intn(len(testNames))]),
+			UserID:    int64(rng.Intn(3)) * int64(1000+rng.Intn(50)),
+			SessionID: fmt.Sprintf("s%03d", rng.Intn(40)),
+			IP:        fmt.Sprintf("10.0.%d.%d", rng.Intn(4), rng.Intn(200)),
+			Timestamp: testDay.UnixMilli() + 5000 + int64(i)*6789 - int64(rng.Intn(5000)),
+		}
+		// Zero to four details keys, inserted in shuffled order.
+		for _, k := range rng.Perm(len(detailKeys))[:rng.Intn(len(detailKeys)+1)] {
+			if e.Details == nil {
+				e.Details = map[string]string{}
+			}
+			e.Details[detailKeys[k]] = fmt.Sprintf("v%04x", rng.Int31n(1<<16))
+		}
+		if err := w.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SealHourChunks(fs, events.Category, testDay, 64); err != nil {
+		t.Fatal(err)
+	}
+	infos, err := fs.Walk(warehouse.HourDir(events.Category, testDay))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	files := 0
+	for _, fi := range infos { // Walk returns paths sorted
+		if !strings.Contains(fi.Path, "/_col-") {
+			continue
+		}
+		data, err := fs.ReadFile(fi.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", fi.Path, len(data))
+		h.Write(data)
+		files++
+	}
+	const want = "3aca943cda7e553c49341c84c5aa263a5d9861fbbb48cccd04bf0c525064f128" // recorded at 11993ca
+	if got := hex.EncodeToString(h.Sum(nil)); got != want || files != 8*9+1 {
+		t.Fatalf("digest of %d column files = %s, want %d files, %s", files, got, 8*9+1, want)
 	}
 }

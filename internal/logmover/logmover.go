@@ -6,10 +6,17 @@
 //  1. waits until every datacenter has sealed the hour (the _SEALED marker
 //     written after all aggregators flushed);
 //  2. applies sanity checks — each staging file must be a well-formed
-//     gzipped record stream; corrupt files fail the move rather than
+//     gzipped record stream: it is inflated end to end, gzip verifies the
+//     CRC-32 and length of every member, and every record frame is walked
+//     to a clean boundary; corrupt files fail the move rather than
 //     silently losing data;
 //  3. merges the many small per-aggregator files into a few big warehouse
-//     files, re-compressing as it goes;
+//     files. A gzip file is a concatenation of gzip members, so a verified
+//     staging file's compressed bytes are appended to the merged part as
+//     they are — the aggregator's deflate is the only one an event pays on
+//     its way in, and each member keeps its own trailer, so later damage
+//     in the warehouse is detected per member. Only a Transform hook, whose
+//     records really do change, decodes and re-compresses;
 //  4. atomically slides the hour into /logs/<category>/YYYY/MM/DD/HH/ with
 //     a single directory rename;
 //  5. records an audit trace of what moved, how many records, and from
@@ -21,8 +28,11 @@
 package logmover
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"unilog/internal/columnar"
@@ -71,6 +81,9 @@ type Mover struct {
 	Sources   []Source
 	// TargetFileBytes is the approximate uncompressed size of each merged
 	// warehouse file ("merging many small files into a few big ones", §2).
+	// Without a Transform a part is rolled at the first staging-file
+	// boundary at or past the target — a staging file is never split —
+	// with one, at the first record.
 	TargetFileBytes int64
 	// Transform, when set, rewrites each record on its way into the
 	// warehouse — §2's "sanity checks and transformations". Returning nil
@@ -131,6 +144,7 @@ func (m *Mover) MoveHour(category string, hour time.Time) (AuditRecord, error) {
 // re-encode happens here (MoveHour) or is left to the caller's deferred
 // sealing pass (MoveAllSealed, which fans the seals out after all moves).
 func (m *Mover) moveHour(category string, hour time.Time, sealInline bool) (AuditRecord, error) {
+	started := time.Now()
 	rec := AuditRecord{Category: category, Hour: hour.UTC().Truncate(time.Hour), Started: m.Clock()}
 	destDir := warehouse.HourDir(category, hour)
 	if m.Warehouse.Exists(destDir) {
@@ -173,24 +187,30 @@ func (m *Mover) moveHour(category string, hour time.Time, sealInline bool) (Audi
 			if err != nil {
 				return rec, err
 			}
-			// Sanity check + transform + merge in one scan.
-			n := int64(0)
-			err = recordio.ScanGzipFile(data, func(r []byte) error {
-				n++
-				if m.Transform != nil {
+			var n int64
+			if m.Transform == nil {
+				// Splice: the whole file passes its sanity check before
+				// one compressed byte of it joins a merged part.
+				var raw int64
+				n, raw, err = recordio.VerifyGzipFile(data)
+				if err == nil && n > 0 {
+					err = merger.splice(data, raw)
+				}
+			} else {
+				// Sanity check + transform + re-encode in one scan.
+				err = recordio.ScanGzipFile(data, func(r []byte) error {
 					out, terr := m.Transform(category, r)
 					if terr != nil {
 						return terr
 					}
 					if out == nil {
-						rec.Dropped++
-						n-- // not counted as moved
+						rec.Dropped++ // not counted as moved
 						return nil
 					}
-					r = out
-				}
-				return merger.append(r)
-			})
+					n++
+					return merger.append(out)
+				})
+			}
 			if err != nil {
 				return rec, fmt.Errorf("%w: %s from %s: %v", ErrCorruptFile, fi.Path, src.Datacenter, err)
 			}
@@ -226,6 +246,7 @@ func (m *Mover) moveHour(category string, hour time.Time, sealInline bool) (Audi
 			return rec, err
 		}
 	}
+	m.observeMove(rec, started)
 	if sealInline && m.needsSeal(category, filesOut) {
 		if _, err := columnar.SealHour(m.Warehouse, category, hour); err != nil {
 			return rec, err
@@ -306,68 +327,68 @@ func (m *Mover) needsSeal(category string, filesOut int) bool {
 }
 
 // parseStagingPath extracts (category, hour) from
-// /staging/<category>/YYYY/MM/DD/HH/<file>.
+// /staging/<category>/YYYY/MM/DD/HH/<file>. The date components must be
+// exactly what warehouse.HourPath writes for a real hour: anything else
+// under the staging root is not the mover's to interpret.
 func parseStagingPath(p string) (string, time.Time, bool) {
-	const prefix = warehouse.StagingRoot + "/"
-	if len(p) <= len(prefix) || p[:len(prefix)] != prefix {
+	// "", "staging", category, YYYY, MM, DD, HH, file
+	parts := strings.SplitN(p, "/", 8)
+	if len(parts) != 8 {
 		return "", time.Time{}, false
 	}
-	// The remainder must be category/YYYY/MM/DD/HH/file.
-	parts := splitN(p[len(prefix):], '/', 6)
-	if len(parts) != 6 {
-		return "", time.Time{}, false
-	}
-	var y, mo, d, h int
-	for i, dst := range []*int{&y, &mo, &d, &h} {
-		if _, err := fmt.Sscanf(parts[i+1], "%d", dst); err != nil {
+	var ymdh [4]int
+	for i, s := range parts[3:7] {
+		n, err := strconv.Atoi(s)
+		// Atoi takes a sign; a digit in first place rules it out.
+		if err != nil || s[0] < '0' || s[0] > '9' {
 			return "", time.Time{}, false
 		}
+		ymdh[i] = n
 	}
-	return parts[0], time.Date(y, time.Month(mo), d, h, 0, 0, 0, time.UTC), true
+	hour := time.Date(ymdh[0], time.Month(ymdh[1]), ymdh[2], ymdh[3], 0, 0, 0, time.UTC)
+	// time.Date normalises month 13 or hour 99 into a later date, and
+	// HourPath pads to fixed widths: the round trip rejects every
+	// out-of-range or mis-sized component, and any other root, at once.
+	if warehouse.StagingHourDir(parts[2], hour)+"/"+parts[7] != p {
+		return "", time.Time{}, false
+	}
+	return parts[2], hour, true
 }
 
-func splitN(s string, sep byte, n int) []string {
-	out := make([]string, 0, n)
-	start := 0
-	for i := 0; i < len(s) && len(out) < n-1; i++ {
-		if s[i] == sep {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	out = append(out, s[start:])
-	return out
-}
-
-// merger accumulates records and rolls output files at the target size.
+// merger builds one hour's warehouse parts in the tmp directory, rolling to
+// a new part once the current one holds target raw payload bytes. A move
+// drives it through splice or through append, never both.
 type merger struct {
 	fs      *hdfs.FS
 	dir     string
 	target  int64
-	buf     *memBuf
-	w       *recordio.GzipWriter
+	part    bytes.Buffer         // compressed bytes of the part being built
+	w       *recordio.GzipWriter // append's open gzip member over part
 	raw     int64
 	seq     int
 	files   int
 	outSize int64
 }
 
-type memBuf struct{ data []byte }
-
-func (m *memBuf) Write(p []byte) (int, error) {
-	m.data = append(m.data, p...)
-	return len(p), nil
-}
-
 func newMerger(fs *hdfs.FS, dir string, target int64) *merger {
 	return &merger{fs: fs, dir: dir, target: target}
 }
 
+// splice appends a verified staging file — whole gzip members holding raw
+// payload bytes of whole records — to the current part as it is.
+func (m *merger) splice(members []byte, raw int64) error {
+	m.part.Write(members)
+	m.raw += raw
+	if m.raw >= m.target {
+		return m.roll()
+	}
+	return nil
+}
+
+// append re-encodes one record into the current part.
 func (m *merger) append(rec []byte) error {
 	if m.w == nil {
-		m.buf = &memBuf{}
-		m.w = recordio.NewGzipWriter(m.buf)
-		m.raw = 0
+		m.w = recordio.NewGzipWriter(&m.part)
 	}
 	if err := m.w.Append(rec); err != nil {
 		return err
@@ -380,21 +401,24 @@ func (m *merger) append(rec []byte) error {
 }
 
 func (m *merger) roll() error {
-	if m.w == nil {
-		return nil
+	if m.w != nil {
+		if err := m.w.Close(); err != nil {
+			return err
+		}
+		m.w = nil
 	}
-	if err := m.w.Close(); err != nil {
-		return err
+	if m.part.Len() == 0 {
+		return nil
 	}
 	path := fmt.Sprintf("%s/part-%05d.gz", m.dir, m.seq)
 	m.seq++
-	if err := m.fs.WriteFile(path, m.buf.data); err != nil {
+	if err := m.fs.WriteFile(path, m.part.Bytes()); err != nil {
 		return err
 	}
 	m.files++
-	m.outSize += int64(len(m.buf.data))
-	m.w = nil
-	m.buf = nil
+	m.outSize += int64(m.part.Len())
+	m.part.Reset()
+	m.raw = 0
 	return nil
 }
 

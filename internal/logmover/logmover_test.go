@@ -1,8 +1,10 @@
 package logmover
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,6 +40,45 @@ func stageHour(t *testing.T, dcName string, n int, seal bool) *scribe.Datacenter
 		t.Fatal(err)
 	}
 	return dc
+}
+
+// stageFiles stages n messages for hour t0 as staging files of perFile
+// records each, through one aggregator, and seals the hour.
+func stageFiles(t *testing.T, n, perFile int) *scribe.Datacenter {
+	t.Helper()
+	dc, err := scribe.NewDatacenter("dc1", hdfs.New(0), zk.NewManualClock(t0), 1, 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc.Aggregators[0].RollRecords = int64(perFile)
+	for i := 0; i < n; i++ {
+		dc.Daemons[0].Log("ce", []byte(fmt.Sprintf("dc1-msg-%04d", i)))
+	}
+	if err := dc.SealHour([]string{"ce"}, t0); err != nil {
+		t.Fatal(err)
+	}
+	return dc
+}
+
+// readAll returns the contents of every data file under dir, in path order.
+func readAll(t *testing.T, fs *hdfs.FS, dir string) [][]byte {
+	t.Helper()
+	infos, err := fs.Walk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]byte
+	for _, fi := range infos {
+		if strings.HasSuffix(fi.Path, "/"+warehouse.SealedMarker) {
+			continue
+		}
+		data, err := fs.ReadFile(fi.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, data)
+	}
+	return out
 }
 
 func warehouseMessages(t *testing.T, wh *hdfs.FS, category string, hour time.Time) []string {
@@ -179,17 +220,50 @@ func TestSmallFileMerging(t *testing.T) {
 	}
 }
 
+// TestTargetFileSizeSplitsOutput: with a small target the hour rolls into
+// several parts, and every part is a run of whole staging files — the
+// splice never cuts a gzip member — closed by the first file that carried
+// it to the target.
 func TestTargetFileSizeSplitsOutput(t *testing.T) {
-	dc := stageHour(t, "dc1", 1000, true)
+	dc := stageFiles(t, 1000, 50) // 20 staging files of ~700 raw bytes
+	staged := readAll(t, dc.Staging, warehouse.StagingHourDir("ce", t0))
 	wh := hdfs.New(0)
 	m := New(wh, Source{"dc1", dc.Staging})
-	m.TargetFileBytes = 2048 // force several output files
+	m.TargetFileBytes = 2048 // three staging files reach it
 	rec, err := m.MoveHour("ce", t0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.FilesOut < 3 {
-		t.Fatalf("FilesOut = %d, want several", rec.FilesOut)
+	if rec.FilesIn != len(staged) || rec.FilesOut < 3 {
+		t.Fatalf("FilesIn = %d of %d staged, FilesOut = %d, want several", rec.FilesIn, len(staged), rec.FilesOut)
+	}
+	parts := readAll(t, wh, warehouse.HourDir("ce", t0))
+	if len(parts) != rec.FilesOut {
+		t.Fatalf("%d parts published, audit says %d", len(parts), rec.FilesOut)
+	}
+	next := 0
+	for i, part := range parts {
+		var raw int64
+		for rest := part; len(rest) > 0; next++ {
+			if next == len(staged) || !bytes.HasPrefix(rest, staged[next]) {
+				t.Fatalf("part %d does not continue with staging file %d at offset %d", i, next, len(part)-len(rest))
+			}
+			if raw >= m.TargetFileBytes {
+				t.Fatalf("part %d took staging file %d with %d raw bytes already in it", i, next, raw)
+			}
+			_, n, err := recordio.VerifyGzipFile(staged[next])
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw += n
+			rest = rest[len(staged[next]):]
+		}
+		if raw < m.TargetFileBytes && i != len(parts)-1 {
+			t.Fatalf("part %d rolled at %d raw bytes, target %d", i, raw, m.TargetFileBytes)
+		}
+	}
+	if next != len(staged) {
+		t.Fatalf("parts hold %d of %d staging files", next, len(staged))
 	}
 	if got := warehouseMessages(t, wh, "ce", t0); len(got) != 1000 {
 		t.Fatalf("messages = %d", len(got))
@@ -275,9 +349,26 @@ func TestParseStagingPath(t *testing.T) {
 	if !ok || cat != "client_events" || !hour.Equal(t0) {
 		t.Fatalf("parse = %q %v %v", cat, hour, ok)
 	}
-	for _, p := range []string{"/logs/x/2012/08/21/14/f", "/staging/short", "/staging/c/2012/08/f"} {
-		if _, _, ok := parseStagingPath(p); ok {
-			t.Errorf("parseStagingPath(%q) ok", p)
+	for _, p := range []string{
+		"/logs/x/2012/08/21/14/f",
+		"/staging/short",
+		"/staging/c/2012/08/f",
+		"/staging/c/2012/08/01/5junk/f", // Sscanf read this as hour 05
+		"/staging/c/2012/13/45/99/f",    // time.Date normalised this to 2013-02-18T03
+		"/staging/c/2012/08/01/-3/f",
+		"/staging/c/+2012/08/01/05/f",
+		"/staging/c/-012/08/01/05/f",
+		"/staging/c/2012/8/1/5/f", // not the fixed widths HourPath writes
+		"/staging/c/2012/08/01/005/f",
+		"/staging/c/2012/02/30/05/f",
+		"/staging/c/2012/00/01/05/f",
+		"/staging/c/2012/08/01/24/f",
+		"/staging/c/2012/08/01//f",
+		"/staging/c/2012/08/01/05",
+		"/stagingx/c/2012/08/01/05/f",
+	} {
+		if cat, hour, ok := parseStagingPath(p); ok {
+			t.Errorf("parseStagingPath(%q) = %q, %v", p, cat, hour)
 		}
 	}
 }

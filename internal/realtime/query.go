@@ -1,6 +1,7 @@
 package realtime
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -101,21 +102,33 @@ func (c *Counter) TopK(parent string, k int, from, to time.Time) []PathCount {
 		return nil
 	}
 	parentID := noParent
-	childDepth := uint8(0)
 	if parent != "" {
 		id, ok := c.tab.pathOf(parent)
 		if !ok {
 			return nil
 		}
 		parentID = id
-		d, _ := c.tab.pathMeta(id)
-		childDepth = d + 1
 	}
-	acc := make(map[uint32]int64)
+	// A path has few children and a bucket holds every prefix of every
+	// name of its stripe and minute, so the scan asks each bucket for the
+	// children by ID rather than walking its whole map; a bucket with
+	// fewer cells than there are children is walked instead.
+	children := c.tab.childrenOf(parentID)
+	counts := make([]int64, len(children))
 	c.forEachBucket(from, to, func(b *bucket) {
-		c.tab.accumulateChildren(acc, b.prefix, parentID, childDepth)
+		if len(b.prefix) < len(children) {
+			for id, n := range b.prefix {
+				if i, ok := slices.BinarySearch(children, id); ok {
+					counts[i] += n
+				}
+			}
+			return
+		}
+		for i, id := range children {
+			counts[i] += b.prefix[id]
+		}
 	})
-	ranked := c.tab.resolveCounts(acc)
+	ranked := c.tab.resolveCounts(children, counts)
 	if len(ranked) == 0 {
 		return nil
 	}

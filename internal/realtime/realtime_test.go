@@ -1,6 +1,8 @@
 package realtime
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -151,6 +153,42 @@ func TestTopK(t *testing.T) {
 	}
 	if got := c.TopK("ipad", 3, from, to); len(got) != 0 {
 		t.Errorf("TopK(ipad) = %v, want empty", got)
+	}
+}
+
+// A parent with more children than a bucket has cells: each action lands in
+// its own minute, so every bucket holds six cells against forty children and
+// TopK walks the bucket instead of probing it. Both ways must rank alike;
+// TopK("") over the same window probes.
+func TestTopKManyChildren(t *testing.T) {
+	c := newCounter(t, Config{Shards: 2, Stripes: 2})
+	b := c.NewBatcher()
+	const children = 40
+	for i := 0; i < children; i++ {
+		name := fmt.Sprintf("web:home:timeline:stream:tweet:action%02d", i)
+		for j := 0; j <= i; j++ {
+			b.Add(ev(name, t0.Add(time.Duration(i)*time.Minute), 1, "us"))
+		}
+	}
+	b.Flush()
+	c.Sync()
+
+	from, to := t0, t0.Add(children*time.Minute)
+	top := c.TopK("web:home:timeline:stream:tweet", 3, from, to)
+	want := []PathCount{
+		{Path: "web:home:timeline:stream:tweet:action39", Count: 40},
+		{Path: "web:home:timeline:stream:tweet:action38", Count: 39},
+		{Path: "web:home:timeline:stream:tweet:action37", Count: 38},
+	}
+	if !reflect.DeepEqual(top, want) {
+		t.Errorf("TopK(tweet, 3) = %v, want %v", top, want)
+	}
+	// A window that ends early leaves the later children out altogether.
+	if all := c.TopK("web:home:timeline:stream:tweet", children, from, t0.Add(10*time.Minute)); len(all) != 10 {
+		t.Errorf("TopK(tweet) over ten minutes has %d children, want 10: %v", len(all), all)
+	}
+	if roots := c.TopK("", 5, from, to); len(roots) != 1 || roots[0] != (PathCount{Path: "web", Count: children * (children + 1) / 2}) {
+		t.Errorf("TopK(\"\") = %v", roots)
 	}
 }
 

@@ -23,8 +23,9 @@ import (
 //     cached digest;
 //   - a *path* ID per distinct counter key — every prefix of every name
 //     plus every rolled-up name — carrying the string, its depth, and its
-//     parent path, which is what lets TopK filter children without
-//     touching a string.
+//     parent path, and listed under that parent, which is what lets TopK
+//     ask a bucket for a path's children without touching a string or
+//     walking the bucket.
 //
 // Countries get the same treatment in a third, tiny space.
 //
@@ -69,6 +70,9 @@ type symtab struct {
 
 	pathID map[string]uint32
 	paths  []pathInfo // path ID -> info
+	// kids lists each path's direct children (noParent: the depth-0
+	// roots), ascending by ID because IDs are handed out in append order.
+	kids map[uint32][]uint32
 
 	countryID map[string]uint32
 	countries []string // country ID -> code
@@ -81,6 +85,7 @@ func newSymtab(shards, stripes int) *symtab {
 		byName:    make(map[events.EventName]*nameSym),
 		byFull:    make(map[string]*nameSym),
 		pathID:    make(map[string]uint32),
+		kids:      make(map[uint32][]uint32),
 		countryID: make(map[string]uint32),
 	}
 }
@@ -182,6 +187,7 @@ func (t *symtab) internPathLocked(s string) uint32 {
 	id := uint32(len(t.paths))
 	t.pathID[s] = id
 	t.paths = append(t.paths, info)
+	t.kids[info.parent] = append(t.kids[info.parent], id)
 	return id
 }
 
@@ -268,35 +274,28 @@ func (t *symtab) countryName(id uint32) string {
 	return s
 }
 
-// accumulateChildren folds one ID-keyed counter table into acc, keeping
-// only the direct children of parent (noParent selects the depth-0
-// roots) — the filter runs during accumulation, so TopK's working set is
-// the matching children, not every path in the window. One RLock per
-// call; safe under a stripe lock because no code path acquires the
-// symtab lock first and a stripe lock second.
-func (t *symtab) accumulateChildren(acc, counts map[uint32]int64, parent uint32, depth uint8) {
+// childrenOf lists the path IDs of parent's direct children (noParent
+// selects the depth-0 roots), ascending. The result is a snapshot: IDs are
+// append-only and published entries never change, so it stays valid, and
+// race-free to read, after the lock is dropped.
+func (t *symtab) childrenOf(parent uint32) []uint32 {
 	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for id, n := range counts {
-		p := &t.paths[id]
-		if p.depth != depth {
-			continue
-		}
-		if parent != noParent && p.parent != parent {
-			continue
-		}
-		acc[id] += n
-	}
+	k := t.kids[parent]
+	t.mu.RUnlock()
+	return k[:len(k):len(k)]
 }
 
-// resolveCounts turns an ID-keyed accumulator into named counts — the
-// string resolution at the edge of a query, one lock for the whole pass.
-func (t *symtab) resolveCounts(acc map[uint32]int64) []PathCount {
+// resolveCounts names the paths that counted anything: counts[i] belongs to
+// ids[i]. This is the string resolution at the edge of a query, one lock
+// for the whole pass.
+func (t *symtab) resolveCounts(ids []uint32, counts []int64) []PathCount {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]PathCount, 0, len(acc))
-	for id, n := range acc {
-		out = append(out, PathCount{Path: t.paths[id].str, Count: n})
+	var out []PathCount
+	for i, n := range counts {
+		if n != 0 {
+			out = append(out, PathCount{Path: t.paths[ids[i]].str, Count: n})
+		}
 	}
 	return out
 }

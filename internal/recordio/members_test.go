@@ -1,0 +1,175 @@
+package recordio
+
+import (
+	"bytes"
+	"compress/gzip"
+	"errors"
+	"fmt"
+	"testing"
+	"testing/quick"
+)
+
+// gzipMember returns one GzipWriter output holding recs.
+func gzipMember(t testing.TB, recs [][]byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewGzipWriter(&buf)
+	for _, r := range recs {
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// gzipRaw compresses stream as it is — frames and all — so a test can put
+// a malformed record stream inside a well-formed gzip member.
+func gzipRaw(t testing.TB, stream []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	gz.Write(stream)
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// scanAll runs both whole-file checks over data and requires them to
+// agree: the records ScanGzipFile delivered, and the error of either.
+func scanAll(t testing.TB, data []byte) ([][]byte, error) {
+	t.Helper()
+	var recs [][]byte
+	var payload int64
+	scanErr := ScanGzipFile(data, func(rec []byte) error {
+		recs = append(recs, append([]byte(nil), rec...))
+		payload += int64(len(rec))
+		return nil
+	})
+	n, p, verifyErr := VerifyGzipFile(data)
+	for _, err := range []error{scanErr, verifyErr} {
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("untyped error %v", err)
+		}
+	}
+	if (scanErr == nil) != (verifyErr == nil) {
+		t.Fatalf("ScanGzipFile: %v, VerifyGzipFile: %v", scanErr, verifyErr)
+	}
+	if scanErr == nil && (n != int64(len(recs)) || p != payload) {
+		t.Fatalf("VerifyGzipFile counted %d records, %d bytes; ScanGzipFile read %d, %d", n, p, len(recs), payload)
+	}
+	return recs, scanErr
+}
+
+// TestConcatenatedMembers: the concatenation of N GzipWriter outputs scans
+// as the concatenation of their records, whatever the records are.
+func TestConcatenatedMembers(t *testing.T) {
+	f := func(members [][][]byte) bool {
+		var file []byte
+		var want [][]byte
+		for _, recs := range members {
+			file = append(file, gzipMember(t, recs)...)
+			want = append(want, recs...)
+		}
+		if len(members) == 0 {
+			file = gzipMember(t, nil)
+		}
+		got, err := scanAll(t, file)
+		if err != nil || len(got) != len(want) {
+			return false
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDamagedMember: damage inside the first, a middle or the last member
+// of a multi-member file is ErrCorrupt, never a clean read of fewer
+// records — each member's own trailer catches it.
+func TestDamagedMember(t *testing.T) {
+	var members [][]byte
+	for m := 0; m < 5; m++ {
+		var recs [][]byte
+		for i := 0; i < 40; i++ {
+			recs = append(recs, []byte(fmt.Sprintf("member %d record %03d", m, i)))
+		}
+		members = append(members, gzipMember(t, recs))
+	}
+	whole := bytes.Join(members, nil)
+	if recs, err := scanAll(t, whole); err != nil || len(recs) != 200 {
+		t.Fatalf("undamaged file: %d records, %v", len(recs), err)
+	}
+	for _, k := range []int{0, 2, 4} {
+		start := len(bytes.Join(members[:k], nil))
+		end := start + len(members[k])
+		damage := map[string][]byte{
+			// Past the ten-byte header, whose mtime and OS bytes gzip
+			// does not checksum.
+			"flip body byte":    flipAt(whole, start+10+(end-start-10)/2),
+			"flip trailer byte": flipAt(whole, end-6),
+			"cut file inside":   whole[:end-3],
+			"cut member tail":   append(append([]byte(nil), whole[:end-3]...), whole[end:]...),
+		}
+		for name, data := range damage {
+			if recs, err := scanAll(t, data); err == nil {
+				t.Errorf("member %d, %s: clean read of %d records", k, name, len(recs))
+			}
+		}
+	}
+	if _, err := scanAll(t, append(append([]byte(nil), whole...), "trailing garbage"...)); err == nil {
+		t.Error("trailing garbage read clean")
+	}
+}
+
+func flipAt(data []byte, i int) []byte {
+	out := append([]byte(nil), data...)
+	out[i] ^= 0x40
+	return out
+}
+
+// TestVerifyRequiresRecordBoundary: a well-formed gzip file that stops in
+// the middle of a frame fails the check, so files that pass can be
+// concatenated without a record ever straddling two of them.
+func TestVerifyRequiresRecordBoundary(t *testing.T) {
+	var stream bytes.Buffer
+	NewWriter(&stream).Append([]byte("hello world"))
+	half := gzipRaw(t, stream.Bytes()[:5])
+	if _, _, err := VerifyGzipFile(half); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("file ending mid-record: %v, want ErrCorrupt", err)
+	}
+	midPrefix := gzipRaw(t, []byte{0x80})
+	if _, _, err := VerifyGzipFile(midPrefix); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("file ending mid-length: %v, want ErrCorrupt", err)
+	}
+}
+
+// FuzzGzipRecords: on any file image, ScanGzipFile and VerifyGzipFile
+// neither panic nor return an untyped error, and they agree — on whether
+// the file is sound and, when it is, on how many records it holds.
+func FuzzGzipRecords(f *testing.F) {
+	var one bytes.Buffer
+	NewWriter(&one).Append([]byte("hello world"))
+	good := gzipMember(f, [][]byte{[]byte("one"), {}, bytes.Repeat([]byte("x"), 300)})
+	f.Add(good)
+	f.Add(append(append([]byte(nil), good...), gzipMember(f, [][]byte{[]byte("two")})...))
+	f.Add(gzipMember(f, nil))
+	// TestCorruptLength, TestTruncatedRecord and TestBadGzipHeader, as files.
+	f.Add(gzipRaw(f, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}))
+	f.Add(gzipRaw(f, one.Bytes()[:one.Len()-3]))
+	f.Add([]byte("not gzip at all"))
+	f.Add(good[:len(good)-4])
+	f.Add(append(append([]byte(nil), good...), 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		scanAll(t, data)
+	})
+}

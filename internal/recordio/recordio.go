@@ -1,16 +1,26 @@
 // Package recordio frames variable-length records inside a byte stream and
 // optionally compresses the stream with gzip. It is the on-disk layout used
 // throughout the pipeline: Scribe aggregators write gzipped record streams
-// to staging HDFS, the log mover re-frames them into big warehouse files,
-// and the session store uses the same framing for materialized sequences.
+// to staging HDFS, the log mover concatenates them into big warehouse
+// files, and the session store uses the same framing for materialized
+// sequences.
 //
 // The format is a sequence of records, each a uvarint length followed by
 // that many bytes. It supports streaming append and streaming scans without
 // an index, which is all the paper's brute-force-scan workloads need.
+//
+// A gzipped record stream is one or more gzip members back to back (RFC
+// 1952 §2.2), each holding a whole number of records and carrying its own
+// CRC-32 and length trailer. GzipWriter produces one member; concatenating
+// the outputs of several GzipWriters produces a valid file whose records
+// are the concatenation of theirs, which is how the log mover merges
+// staging files without inflating and re-deflating them. Every reader here
+// reads through member boundaries, and damage is detected per member.
 package recordio
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
@@ -27,26 +37,25 @@ const MaxRecordSize = 16 << 20
 
 // Writer frames records onto an io.Writer.
 type Writer struct {
-	w      io.Writer
-	lenBuf [binary.MaxVarintLen64]byte
-	count  int64
-	bytes  int64
+	w     io.Writer
+	frame []byte // scratch: the current record's length prefix + payload
+	count int64
+	bytes int64
 }
 
 // NewWriter returns a Writer framing onto w.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
-// Append writes one record.
+// Append writes one record: prefix and payload go down in a single Write,
+// so a compressing destination pays its per-call costs once per record.
 func (w *Writer) Append(rec []byte) error {
-	n := binary.PutUvarint(w.lenBuf[:], uint64(len(rec)))
-	if _, err := w.w.Write(w.lenBuf[:n]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(rec); err != nil {
+	w.frame = binary.AppendUvarint(w.frame[:0], uint64(len(rec)))
+	w.frame = append(w.frame, rec...)
+	if _, err := w.w.Write(w.frame); err != nil {
 		return err
 	}
 	w.count++
-	w.bytes += int64(n + len(rec))
+	w.bytes += int64(len(w.frame))
 	return nil
 }
 
@@ -132,28 +141,90 @@ func NewGzipReader(r io.Reader) (*Reader, error) {
 }
 
 // ScanGzipFile decodes a whole gzipped record stream held in memory,
-// invoking fn on each record.
+// invoking fn on each record. fn may see records of a member before gzip
+// has verified that member's trailer; a caller that must not act on
+// damaged data checks the file with VerifyGzipFile first.
 func ScanGzipFile(data []byte, fn func(rec []byte) error) error {
-	r, err := NewGzipReader(bytesReader(data))
+	r, err := NewGzipReader(bytes.NewReader(data))
 	if err != nil {
 		return err
 	}
 	return r.ForEach(fn)
 }
 
-// bytesReader avoids importing bytes for one call site.
-type byteSliceReader struct {
-	data []byte
-	off  int
+// VerifyGzipFile checks a whole gzipped record stream held in memory
+// without materializing a record: every member is inflated, gzip verifies
+// each member's CRC-32 and length, and every frame is walked to a clean
+// record boundary at the end of the file. It returns the number of records
+// and their total payload bytes (length prefixes excluded). A file that
+// passes scans with ScanGzipFile to exactly that many records, alone or
+// concatenated with other files that pass.
+func VerifyGzipFile(data []byte) (records, payload int64, err error) {
+	gz, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		return 0, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	var fw frameWalker
+	if _, err := io.Copy(&fw, gz); err != nil {
+		if !errors.Is(err, ErrCorrupt) {
+			err = fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		return 0, 0, err
+	}
+	if err := fw.end(); err != nil {
+		return 0, 0, err
+	}
+	return fw.records, fw.payload, nil
 }
 
-func bytesReader(data []byte) io.Reader { return &byteSliceReader{data: data} }
+// frameWalker is an io.Writer that walks the record frames of a stream
+// handed to it in arbitrary pieces, accepting exactly the streams Reader
+// does while copying nothing.
+type frameWalker struct {
+	records int64
+	payload int64
 
-func (r *byteSliceReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.data) {
-		return 0, io.EOF
+	remaining uint64 // payload bytes of the current record still to come
+	size      uint64 // length prefix being assembled
+	sizeLen   int    // prefix bytes consumed so far; 0 at a record boundary
+}
+
+func (w *frameWalker) Write(p []byte) (int, error) {
+	total := len(p)
+	for len(p) > 0 {
+		if w.remaining > 0 {
+			n := min(uint64(len(p)), w.remaining)
+			w.remaining -= n
+			p = p[n:]
+			continue
+		}
+		// The same acceptance as binary.ReadUvarint: at most ten bytes,
+		// the tenth at most 1.
+		b := p[0]
+		p = p[1:]
+		if w.sizeLen == binary.MaxVarintLen64-1 && b > 1 {
+			return 0, fmt.Errorf("%w: record length overflows 64 bits", ErrCorrupt)
+		}
+		w.size |= uint64(b&0x7f) << (7 * w.sizeLen)
+		w.sizeLen++
+		if b >= 0x80 {
+			continue
+		}
+		if w.size > MaxRecordSize {
+			return 0, fmt.Errorf("%w: record of %d bytes", ErrCorrupt, w.size)
+		}
+		w.records++
+		w.payload += int64(w.size)
+		w.remaining = w.size
+		w.size, w.sizeLen = 0, 0
 	}
-	n := copy(p, r.data[r.off:])
-	r.off += n
-	return n, nil
+	return total, nil
+}
+
+// end reports whether the stream stopped at a record boundary.
+func (w *frameWalker) end() error {
+	if w.sizeLen > 0 || w.remaining > 0 {
+		return fmt.Errorf("%w: truncated record", ErrCorrupt)
+	}
+	return nil
 }
