@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -110,7 +109,6 @@ type dataflowMetrics struct {
 	SpilledBytes            int64   `json:"spilled_bytes"`
 	SpilledRecords          int64   `json:"spilled_records"`
 	SpillFlushes            int     `json:"spill_flushes"`
-	SpilledPartitions       int     `json:"spilled_partitions"`
 	MergePasses             int     `json:"merge_passes"`
 	ShuffleBytes            int64   `json:"shuffle_bytes"`
 	SessionGroups           int     `json:"session_groups"`
@@ -147,24 +145,6 @@ type dataflowMetrics struct {
 	E18ChunksScanned               int64   `json:"e18_chunks_scanned"`
 	E18ChunksPruned                int64   `json:"e18_chunks_pruned"`
 	E18RollupIdentical             bool    `json:"e18_rollup_identical"`
-
-	// E19: parallel dataflow — the day-scale rollup and the selective
-	// columnar query at Job.Parallelism 1 vs 4, plus concurrent hour
-	// sealing. The speedup fields carry an _x suffix on purpose: they
-	// depend on the runner's core count, so benchcompare must not gate
-	// them; the per-leg _per_sec fields track absolute throughput.
-	E19Events             int64   `json:"e19_events"`
-	E19Workers            int     `json:"e19_workers"`
-	E19SerialRollupPerSec float64 `json:"e19_serial_rollup_events_per_sec"`
-	E19ParRollupPerSec    float64 `json:"e19_parallel_rollup_events_per_sec"`
-	E19RollupSpeedupX     float64 `json:"e19_rollup_speedup_x"`
-	E19SerialQueryPerSec  float64 `json:"e19_serial_query_events_per_sec"`
-	E19ParQueryPerSec     float64 `json:"e19_parallel_query_events_per_sec"`
-	E19QuerySpeedupX      float64 `json:"e19_query_speedup_x"`
-	E19SealChunks         int     `json:"e19_seal_chunks"`
-	E19SealEventsPerSec   float64 `json:"e19_seal_events_per_sec"`
-	E19RollupIdentical    bool    `json:"e19_rollup_identical"`
-	E19QueryIdentical     bool    `json:"e19_query_identical"`
 
 	MergePassP50Ns  int64 `json:"merge_pass_p50_ns"`
 	MergePassP95Ns  int64 `json:"merge_pass_p95_ns"`
@@ -270,7 +250,6 @@ func main() {
 		{"e16", "out-of-core dataflow: day-scale rollups under a spilling memory budget", e16},
 		{"e17", "sort-merge dataflow: streaming merge-reduce, ordered groups, external OrderBy", e17},
 		{"e18", "columnar sealed-day storage: zone-map pruning and pushdown vs row scan", e18},
-		{"e19", "parallel dataflow: multi-core scan/reduce and concurrent sealing vs serial", e19},
 	}
 	want := map[string]bool{}
 	if *only != "" {
@@ -1004,14 +983,14 @@ func e16(e *env) {
 		bt.Round(time.Millisecond), len(budgeted), bst.SpilledBytes, float64(truth.Events)/bt.Seconds())
 	fmt.Printf("  %-26s %10v %12d %14d %10.0f\n", "unbudgeted (in-memory)",
 		mt.Round(time.Millisecond), len(inmem), mj.Stats().SpilledBytes, float64(truth.Events)/mt.Seconds())
-	fmt.Printf("  peak-RSS proxy under budget: %d spilled partitions, %d flush waves, %d spilled records, %d merge passes\n",
-		bst.SpilledPartitions, bst.SpillFlushes, bst.SpilledRecords, bst.MergePasses)
+	fmt.Printf("  peak-RSS proxy under budget: %d sorted runs, %d spilled records, %d merge passes\n",
+		bst.SpillRuns, bst.SpilledRecords, bst.MergePasses)
 	fmt.Printf("  rollup tables identical: %v\n", identical)
 	if !identical {
 		fatal(fmt.Errorf("e16: spilling and in-memory rollups diverged"))
 	}
-	if bst.SpilledPartitions < 2 {
-		fatal(fmt.Errorf("e16: only %d spilled partitions — the budget did not force external grouping", bst.SpilledPartitions))
+	if bst.SpillRuns < 2 {
+		fatal(fmt.Errorf("e16: only %d spilled runs — the budget did not force external grouping", bst.SpillRuns))
 	}
 	if mj.Stats().SpilledBytes != 0 {
 		fatal(fmt.Errorf("e16: unbudgeted run spilled"))
@@ -1047,13 +1026,13 @@ func e16(e *env) {
 	}
 	bg, bgs := countGroups(true)
 	mg, _ := countGroups(false)
-	fmt.Printf("  session group-by: %d groups budgeted vs %d in-memory (equal: %v); spilled %.1f MiB over %d partitions\n",
-		bg, mg, bg == mg, float64(bgs.SpilledBytes)/(1<<20), bgs.SpilledPartitions)
+	fmt.Printf("  session group-by: %d groups budgeted vs %d in-memory (equal: %v); spilled %.1f MiB in %d runs\n",
+		bg, mg, bg == mg, float64(bgs.SpilledBytes)/(1<<20), bgs.SpillRuns)
 	if bg != mg {
 		fatal(fmt.Errorf("e16: session group-by diverged under budget"))
 	}
-	if bgs.SpilledPartitions < 2 {
-		fatal(fmt.Errorf("e16: session group-by spilled %d partitions, want >= 2", bgs.SpilledPartitions))
+	if bgs.SpillRuns < 2 {
+		fatal(fmt.Errorf("e16: session group-by spilled %d runs, want >= 2", bgs.SpillRuns))
 	}
 
 	dfMetrics.measured = true
@@ -1067,7 +1046,6 @@ func e16(e *env) {
 	dfMetrics.SpilledBytes = bst.SpilledBytes + bgs.SpilledBytes
 	dfMetrics.SpilledRecords = bst.SpilledRecords + bgs.SpilledRecords
 	dfMetrics.SpillFlushes = bst.SpillFlushes + bgs.SpillFlushes
-	dfMetrics.SpilledPartitions = bst.SpilledPartitions + bgs.SpilledPartitions
 	dfMetrics.MergePasses = bst.MergePasses + bgs.MergePasses
 	dfMetrics.ShuffleBytes = bst.ShuffleBytes + bgs.ShuffleBytes
 	dfMetrics.SessionGroups = bg
@@ -1414,138 +1392,6 @@ func e18(e *env) {
 	dfMetrics.E18ChunksScanned = chunksScanned
 	dfMetrics.E18ChunksPruned = chunksPruned
 	dfMetrics.E18RollupIdentical = rollIdentical
-}
-
-func e19(e *env) {
-	// The parallelism question: does Job.Parallelism buy wall-clock on the
-	// day-scale work without changing a single output byte? Three legs on
-	// a streamed synthetic day: (1) the §3.2 rollup under the same tiny
-	// spill budget as E16/E17, once at Parallelism 1 and once at 4 — the
-	// two tables must be exactly equal; (2) the day sealed into column
-	// chunks with four concurrent hour workers; (3) E18's selective
-	// pruned+projected query at Parallelism 1 vs 4 — the delivered row
-	// streams must be identical, order included, because the parallel
-	// scan reorders splits back to serial order. The >=1.8x speedup
-	// assertion only fires on machines with >= 4 CPUs; the outputs are
-	// asserted identical everywhere.
-	const workers = 4
-	cfg := e.cfg
-	cfg.Users = e.cfg.Users * 12
-	cfg.LoggedOutSessions = e.cfg.LoggedOutSessions * 12
-	cfg.Seed = e.cfg.Seed + 19
-	bigFS, truth := synthesizeDay(cfg)
-	fmt.Printf("  synthetic day: %d events (%.1fx the shared corpus), streamed into the warehouse\n",
-		truth.Events, float64(truth.Events)/float64(e.truth.Events))
-
-	const budget = 32 << 10
-	spillDir, err := os.MkdirTemp("", "benchrunner-parallel-")
-	if err != nil {
-		fatal(err)
-	}
-	defer os.RemoveAll(spillDir)
-
-	// Leg 1: spilling rollups, serial vs parallel.
-	runRollup := func(par int) (map[analytics.RollupKey]int64, time.Duration) {
-		j := dataflow.NewJob(fmt.Sprintf("e19-rollups-p%d", par), bigFS)
-		j.MemoryBudget = budget
-		j.SpillDir = spillDir
-		j.Parallelism = par
-		var roll map[analytics.RollupKey]int64
-		t := timeIt(func() {
-			var err error
-			roll, err = analytics.Rollups(j, day)
-			if err != nil {
-				fatal(err)
-			}
-		})
-		return roll, t
-	}
-	serialRoll, st := runRollup(1)
-	parRoll, pt := runRollup(workers)
-	rollIdentical := reflect.DeepEqual(serialRoll, parRoll)
-	rollSpeedup := st.Seconds() / pt.Seconds()
-	fmt.Printf("  rollups under %d KiB budget: serial %v (%.0f events/s) vs %d workers %v (%.0f events/s) — %.2fx, identical: %v\n",
-		budget>>10, st.Round(time.Millisecond), float64(truth.Events)/st.Seconds(),
-		workers, pt.Round(time.Millisecond), float64(truth.Events)/pt.Seconds(), rollSpeedup, rollIdentical)
-	if !rollIdentical {
-		fatal(fmt.Errorf("e19: parallel rollup diverged from serial"))
-	}
-
-	// Leg 2: concurrent sealing — 24 hour directories, four workers.
-	var chunks int
-	sealT := timeIt(func() {
-		var err error
-		chunks, err = columnar.SealDayParallel(bigFS, events.Category, day, workers)
-		if err != nil {
-			fatal(err)
-		}
-	})
-	fmt.Printf("  sealed: %d column chunks with %d workers in %v (%.0f events/s)\n",
-		chunks, workers, sealT.Round(time.Millisecond), float64(truth.Events)/sealT.Seconds())
-
-	// Leg 3: the selective pruned query, serial vs parallel, row streams
-	// compared in delivery order.
-	sel := dataflow.Selection{
-		Columns:     []string{"name", "user_id", "timestamp"},
-		NamePattern: "web:home:*",
-		TimeMin:     day.Add(9 * time.Hour).UnixMilli(),
-		TimeMax:     day.Add(15 * time.Hour).UnixMilli(),
-	}
-	runQuery := func(par int) ([]string, time.Duration) {
-		j := dataflow.NewJob(fmt.Sprintf("e19-selective-p%d", par), bigFS)
-		j.Parallelism = par
-		var rows []string
-		t := timeIt(func() {
-			d, err := columnar.LoadDay(j, day, sel)
-			if err != nil {
-				fatal(err)
-			}
-			if err := d.Each(func(t dataflow.Tuple) error {
-				rows = append(rows, fmt.Sprint(t))
-				return nil
-			}); err != nil {
-				fatal(err)
-			}
-			if err := d.Close(); err != nil {
-				fatal(err)
-			}
-		})
-		return rows, t
-	}
-	serialRows, sqt := runQuery(1)
-	parRows, pqt := runQuery(workers)
-	queryIdentical := reflect.DeepEqual(serialRows, parRows)
-	querySpeedup := sqt.Seconds() / pqt.Seconds()
-	fmt.Printf("  selective query (%d rows): serial %v vs %d workers %v — %.2fx, identical row streams: %v\n",
-		len(serialRows), sqt.Round(time.Millisecond), workers, pqt.Round(time.Millisecond), querySpeedup, queryIdentical)
-	if !queryIdentical {
-		fatal(fmt.Errorf("e19: parallel selective query diverged from serial (%d vs %d rows)", len(parRows), len(serialRows)))
-	}
-	if len(serialRows) == 0 {
-		fatal(fmt.Errorf("e19: selective query matched no rows — not a meaningful comparison"))
-	}
-
-	if runtime.NumCPU() >= workers {
-		if rollSpeedup < 1.8 {
-			fatal(fmt.Errorf("e19: rollup speedup %.2fx at %d workers on %d CPUs, want >= 1.8x", rollSpeedup, workers, runtime.NumCPU()))
-		}
-	} else {
-		fmt.Printf("  (speedup floor not asserted: only %d CPUs, need >= %d)\n", runtime.NumCPU(), workers)
-	}
-
-	dfMetrics.measured = true
-	dfMetrics.E19Events = truth.Events
-	dfMetrics.E19Workers = workers
-	dfMetrics.E19SerialRollupPerSec = float64(truth.Events) / st.Seconds()
-	dfMetrics.E19ParRollupPerSec = float64(truth.Events) / pt.Seconds()
-	dfMetrics.E19RollupSpeedupX = rollSpeedup
-	dfMetrics.E19SerialQueryPerSec = float64(truth.Events) / sqt.Seconds()
-	dfMetrics.E19ParQueryPerSec = float64(truth.Events) / pqt.Seconds()
-	dfMetrics.E19QuerySpeedupX = querySpeedup
-	dfMetrics.E19SealChunks = chunks
-	dfMetrics.E19SealEventsPerSec = float64(truth.Events) / sealT.Seconds()
-	dfMetrics.E19RollupIdentical = rollIdentical
-	dfMetrics.E19QueryIdentical = queryIdentical
 }
 
 type memBuf struct{ data []byte }

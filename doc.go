@@ -35,17 +35,19 @@
 // iterator pipelines (scans buffer one split at a time;
 // Filter/Project/ForEach/FlatMap stream), and the pipeline breakers —
 // GroupBy, GroupAll, Join, Distinct, OrderBy — are external operators that
-// hash-partition their input and, once dataflow.Job.MemoryBudget is
-// exceeded, sort each overflowing buffer on (rendered key, optional order
-// column, insertion sequence) and spill it as a sorted run in a CRC-framed
-// spill file. The reduce side is a streaming k-way merge over the runs:
+// buffer their input and, each time dataflow.Job.MemoryBudget is
+// exceeded, sort the buffer on (rendered key, optional order columns,
+// insertion sequence) and spill it as one budget-sized sorted run in a
+// CRC-framed spill file. The reduce side is a streaming k-way merge over
+// the runs (cascaded first when there are more than Job.MaxMergeFanIn):
 // groups arrive in global key order with their tuples pre-ordered
 // (GroupByOrdered's secondary sort is what lets sessionization and funnel
 // walks consume each group without re-sorting it), joins advance two
-// ordered streams in lockstep, and OrderBy is a true external merge sort —
-// so peak reduce memory is the run fan-in (one buffered tuple per run),
-// never the group count. A zero budget keeps everything in memory (the
-// default); either path produces identical relations in identical order,
+// ordered streams in lockstep, and OrderBy is a merge sort over the same
+// runs — so peak reduce memory is the run fan-in (one buffered tuple per
+// run), never the group count. A zero budget (the default) never trips:
+// the same table with one never-spilled run, so any budget produces
+// identical relations in identical order at the same modelled cost,
 // asserted by property tests and by benchrunner E16/E17, which roll up,
 // sessionize, and sort a synthetic day >= 10x the shared corpus — streamed
 // straight from the workload generator into the warehouse writer — under a
@@ -113,29 +115,23 @@
 // returns ErrDayBuilt before reading anything, and session files without
 // a dictionary are a dead run's and are removed before the rebuild.
 //
-// The whole dataflow executes multi-core behind one knob:
-// dataflow.Job.Parallelism (default runtime.GOMAXPROCS(0); 1 forces the
-// serial engine). Scans decode file splits on a worker pool and a
-// reorder buffer delivers them in serial split order; shuffle spills
-// flush to disk on a background goroutine off the ingest path; the
-// reduce-side merge runs partition-at-a-time across workers, each
-// partition's sorted runs merged independently and the per-partition
-// streams k-way merged back into one globally key-ordered stream at the
-// emit point. Because hash partitions hold disjoint key sets and each
-// is reduced in key order, every operator — GroupBy, Join, Distinct,
-// Aggregate, OrderBy — produces the byte-identical relation in the
-// identical order at any parallelism, under any memory budget; property
-// tests assert it for parallelism {1,2,8} x budgets {0, 32 KiB} under
-// the race detector, and benchrunner E19 asserts it at day scale plus a
-// >= 1.8x rollup speedup at 4 workers on >= 4-CPU machines. The one
-// ordering contract a caller can relax is the scan's: Dataset.Unordered
-// marks a scan whose consumer is order-insensitive (anything feeding a
-// shuffle already is), letting splits deliver as they finish instead of
-// through the reorder buffer. Concurrent hour sealing rides the same
-// knob — columnar.SealDayParallel / Mover.SealParallelism seal the 24
-// hour directories on a worker pool, hours being independent — and the
-// pool depths and per-stage busy time report through telemetry
-// (dataflow.parallel.workers, dataflow.parallel.*.busy.ns,
+// Parallelism lives in the scan and nowhere else. dataflow.Job.Parallelism
+// (default runtime.GOMAXPROCS(0)) caps the scan's decode workers: file
+// splits decode on a pool and a reorder buffer delivers them in plan
+// order, so a scan's output and its cost accounting are byte-identical at
+// any setting; with one worker or one split the serial split-by-split
+// iterator runs instead. Everything after the scan — the run sort, the
+// spill, the cascade, the merge and each operator's reduce loop — is one
+// streaming path on the calling goroutine; property tests hold every
+// operator fed by the pooled scan to the serial scan's relation, order
+// and stats for parallelism {1,2,8} x budgets {0, 32 KiB, cascading}
+// under the race detector, and the package's TestMain fails if a scan
+// worker outlives its job. Whether the pool pays on >= 4 cores is
+// unverified. Concurrent hour sealing takes a worker cap of its own —
+// columnar.SealDayParallel / Mover.SealParallelism seal the 24 hour
+// directories on a worker pool, hours being independent — and the pool
+// depths and busy time report through telemetry
+// (dataflow.parallel.workers, dataflow.parallel.scan.busy.ns,
 // dataflow.parallel.scan.queue.depth, columnar.seal.workers).
 //
 // Beyond the paper's batch pipeline, internal/realtime adds the §6
@@ -164,10 +160,10 @@
 // truncates the covered log segments. WAL records are
 // dictionary-compressed (format v2): each segment embeds a first-seen
 // name once and logs a few varint bytes per observation after that,
-// cutting the log from ~36 B to a few bytes per event; v1 full-name
-// records from older logs still replay. Snapshots carry a dictionary of
-// their own plus the full Stats block, so activity counters survive
-// restarts. After a crash, Open rebuilds the symbol table and replays the
+// cutting the log from ~36 B to a few bytes per event; a record or
+// snapshot header of any other version is rejected as corrupt. Snapshots
+// carry a dictionary of their own plus the full Stats block, so activity
+// counters survive restarts. After a crash, Open rebuilds the symbol table and replays the
 // newest valid snapshot plus the WAL tail — tolerating a torn final
 // record, flipped bits, damaged or missing snapshots, and shard/stripe
 // reconfiguration (replay re-digests every name) — so a restarted shard

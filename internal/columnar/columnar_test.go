@@ -153,6 +153,70 @@ func TestColumnarMatchesRowScan(t *testing.T) {
 	}
 }
 
+// TestWorkerCountChangesNoByte: sealing a day on four workers writes the
+// files the serial loop writes, and a selective scan of it delivers the
+// same rows in the same order from the serial and the pooled scan.
+func TestWorkerCountChangesNoByte(t *testing.T) {
+	colFiles := func(fs *hdfs.FS) map[string]string {
+		infos, err := fs.Walk(warehouse.CategoryDir(events.Category))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string]string{}
+		for _, fi := range infos {
+			if strings.Contains(fi.Path, "/_col-") {
+				data, err := fs.ReadFile(fi.Path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files[fi.Path] = string(data)
+			}
+		}
+		return files
+	}
+	serialFS, _ := buildDay(t, 5)
+	pooledFS, _ := buildDay(t, 5)
+	sn, err := SealDayParallel(serialFS, events.Category, testDay, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pn, err := SealDayParallel(pooledFS, events.Category, testDay, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same := reflect.DeepEqual(colFiles(pooledFS), colFiles(serialFS)); sn == 0 || pn != sn || !same {
+		t.Fatalf("sealing on 4 workers wrote %d chunks, serially %d; files equal: %v", pn, sn, same)
+	}
+
+	sel := dataflow.Selection{
+		Columns:     []string{"name", "user_id", "timestamp"},
+		NamePattern: "web:home:*",
+		TimeMin:     testDay.Add(30 * time.Minute).UnixMilli(),
+		TimeMax:     testDay.Add(150 * time.Minute).UnixMilli(),
+	}
+	scan := func(workers int) ([]dataflow.Tuple, dataflow.Stats) {
+		j := dataflow.NewJob(fmt.Sprintf("scan-p%d", workers), pooledFS)
+		j.Parallelism = workers
+		d, err := LoadDay(j, testDay, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := d.Tuples()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows, j.Stats()
+	}
+	want, wantStats := scan(1)
+	got, gotStats := scan(4)
+	if len(want) == 0 || wantStats.MapTasks < 2 {
+		t.Fatalf("serial scan: %d rows from %d splits — nothing for a pool to reorder", len(want), wantStats.MapTasks)
+	}
+	if !reflect.DeepEqual(got, want) || gotStats != wantStats {
+		t.Fatalf("pooled scan diverged: %d rows %+v, serial %d rows %+v", len(got), gotStats, len(want), wantStats)
+	}
+}
+
 // TestZoneMapPruning asserts a selective scan actually prunes chunks and
 // reads fewer bytes than the row scan — the point of the layout.
 func TestZoneMapPruning(t *testing.T) {

@@ -3,19 +3,9 @@ package dataflow
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
-
-func cascadeFiles(t *testing.T, j *Job) []string {
-	t.Helper()
-	files, err := filepath.Glob(filepath.Join(j.SpillDir, "unilog-cascade-*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return files
-}
 
 // TestCascadeCapsRunFanIn is the acceptance property of the multi-pass
 // merge: under a budget tiny enough to write far more sorted runs than
@@ -76,7 +66,7 @@ func TestCascadeCapsRunFanIn(t *testing.T) {
 	if err := sorted.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if left := append(spillFiles(t, j), cascadeFiles(t, j)...); len(left) != 0 {
+	if left := spillFiles(t, j); len(left) != 0 {
 		t.Fatalf("staged files survived Close: %v", left)
 	}
 }
@@ -127,7 +117,6 @@ func TestCascadeGroupByAggregate(t *testing.T) {
 	want := agg(spillJob(t, 0))
 
 	j := spillJob(t, 512)
-	j.SpillPartitions = 2
 	j.MaxMergeFanIn = 5
 	got := agg(j)
 	st := j.Stats()
@@ -140,7 +129,7 @@ func TestCascadeGroupByAggregate(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("cascaded aggregates differ from the in-memory relation")
 	}
-	if left := append(spillFiles(t, j), cascadeFiles(t, j)...); len(left) != 0 {
+	if left := spillFiles(t, j); len(left) != 0 {
 		t.Fatalf("staged files survived Close: %v", left)
 	}
 }

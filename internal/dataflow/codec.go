@@ -10,7 +10,7 @@ import (
 )
 
 // The spill codec serializes one tuple per CRC-framed recordio record so
-// external operators can stage partitions on disk and read them back with
+// external operators can stage sorted runs on disk and read them back with
 // their concrete Go types intact (an int64 column must come back int64 —
 // downstream reducers type-assert). The wire form is a uvarint arity
 // followed by tagged values; decoding runs on the shared recordio.Cursor,

@@ -24,18 +24,21 @@
 //     buffers one split at a time — exactly a map task's working set.
 //   - GroupBy, GroupAll, Join, Distinct, and OrderBy are the pipeline
 //     breakers, and they are external operators with a *sort-merge*
-//     shuffle, like the Hadoop jobs they model: input tuples are
-//     hash-partitioned on the key, buffered per partition, and — once the
-//     buffered bytes exceed Job.MemoryBudget — sorted on (rendered key,
-//     optional order column, insertion sequence) and spilled to CRC-framed
-//     spill files as sorted runs (spill.go). The reduce side is a
-//     streaming k-way merge over the runs (merge.go): groups arrive in
-//     global key order with ordered tuples inside, reducers fold each
-//     group as it streams by without any per-group hash map, and OrderBy
-//     is a true external merge sort over the same runs. Peak reduce memory
-//     is the run fan-in — one buffered tuple per run — not the group
-//     count. A zero or negative budget disables spilling (the in-memory
-//     fast path, still the default), with identical output order.
+//     shuffle, like the Hadoop jobs they model: input tuples are buffered
+//     with their rendered key in one buffer and — each time the buffered
+//     bytes exceed Job.MemoryBudget — sorted on (rendered key, optional
+//     order columns, insertion sequence) and appended to a CRC-framed
+//     spill file as one budget-sized sorted run (spill.go). The reduce
+//     side is a streaming k-way merge over the runs (merge.go): groups
+//     arrive in global key order with ordered tuples inside, reducers fold
+//     each group as it streams by without any per-group hash map, and
+//     OrderBy is a merge sort over the same runs. Peak reduce memory is
+//     the run fan-in — one buffered tuple per run — not the group count.
+//     A zero or negative budget (the default) never trips: the same table
+//     with one never-spilled run, and identical output order.
+//   - Only the scan runs on more than one goroutine (parallel.go): splits
+//     decode on a worker pool behind a reorder buffer that restores plan
+//     order. Everything after it is one streaming path.
 //   - Terminal operations (Each, Tuples, Count, and the reduce-side calls
 //     on Grouped) drive the pipeline. Every execution is metered: re-running
 //     a pipeline really is another job, and the stats say so.
@@ -106,16 +109,15 @@ type Stats struct {
 
 	// Out-of-core accounting: what the external operators pushed to disk
 	// when Job.MemoryBudget was exceeded — the peak-memory proxy.
-	SpilledBytes      int64 // framed bytes written to spill files
-	SpilledRecords    int64 // tuples written to spill files
-	SpilledPartitions int   // partitions that overflowed to disk (one spill file each)
-	SpillFlushes      int   // buffer-to-disk flush waves across all partitions
-	SpillRuns         int   // sorted runs written across all spill files
-	MergePasses       int   // streaming merge-reduce passes executed
-	MergeRuns         int   // run cursors (spilled runs + sorted residues) consumed by merges
-	PeakRunFanIn      int   // widest single k-way merge: peak reduce memory is one buffered tuple per run at this width
-	CascadePasses     int   // cascade waves run to bring the run count under Job.MaxMergeFanIn
-	CascadeRuns       int   // intermediate wider runs written by cascade passes
+	SpilledBytes   int64 // framed bytes written to spill files
+	SpilledRecords int64 // tuples written to spill files
+	SpillFlushes   int   // buffer-to-disk flushes
+	SpillRuns      int   // sorted runs written across all spill files
+	MergePasses    int   // streaming merge-reduce passes executed
+	MergeRuns      int   // run cursors (spilled runs + sorted residues) consumed by merges
+	PeakRunFanIn   int   // widest single k-way merge: peak reduce memory is one buffered tuple per run at this width
+	CascadePasses  int   // cascade waves run to bring the run count under Job.MaxMergeFanIn
+	CascadeRuns    int   // intermediate wider runs written by cascade passes
 }
 
 // ClusterSeconds estimates cluster occupancy from task startup overheads —
@@ -131,10 +133,9 @@ type Job struct {
 	FS   *hdfs.FS
 
 	// MemoryBudget bounds the tuple bytes an external operator (GroupBy,
-	// GroupAll, Join, Distinct, OrderBy) may buffer before hash partitions
-	// start spilling sorted runs to disk. <= 0 (the default) disables
-	// spilling: everything stays in memory, as the engine behaved before
-	// it went out-of-core.
+	// GroupAll, Join, Distinct, OrderBy) may buffer before it spills the
+	// buffer to disk as a sorted run. <= 0 (the default) disables
+	// spilling: everything stays in memory.
 	MemoryBudget int64
 	// SpillDir is where spill files are created; empty means os.TempDir().
 	SpillDir string
@@ -146,19 +147,9 @@ type Job struct {
 	// extra sequential I/O for bounded reduce memory, as external sorts
 	// always have.
 	MaxMergeFanIn int
-	// SpillPartitions is the hash-partition fan-out of the external
-	// operators; <= 0 means DefaultSpillPartitions. Peak reduce-side
-	// memory is roughly the input size divided by this.
-	SpillPartitions int
 
-	// Parallelism caps the worker goroutines each phase of the engine may
-	// use: concurrent split decoding on the scan side, the async spill
-	// flusher and concurrent per-partition merge-reduce on the shuffle
-	// side, and concurrent cascade merges. <= 0 (the default) means
-	// runtime.GOMAXPROCS(0); 1 selects the original single-threaded
-	// execution paths exactly. Output is byte-identical to serial
-	// execution at any setting — see the package comment's Parallelism
-	// section for the ordering contract.
+	// Parallelism caps the scan's decode workers; <= 0 (the default) means
+	// runtime.GOMAXPROCS(0). Output is byte-identical at any setting.
 	Parallelism int
 
 	stats jobStats
@@ -172,7 +163,7 @@ func NewJob(name string, fs *hdfs.FS) *Job { return &Job{Name: name, FS: fs} }
 // atomically as work completes.
 func (j *Job) Stats() Stats { return j.stats.snapshot() }
 
-// parallelism resolves the effective worker cap.
+// parallelism resolves the scan's effective worker cap.
 func (j *Job) parallelism() int {
 	if j.Parallelism > 0 {
 		return j.Parallelism
@@ -228,11 +219,8 @@ type Dataset struct {
 	schema Schema
 	open   func() (Iterator, error)
 	// cleanup releases operator state backing this dataset (the spill
-	// partitions behind a Join); nil for sources and streaming operators.
+	// files behind a Join); nil for sources and streaming operators.
 	cleanup func() error
-	// scan is non-nil when this dataset is a raw scan source — the only
-	// node kind Unordered applies to.
-	scan *scanSpec
 }
 
 // NewDataset wraps already-materialized tuples (used by generators and
@@ -270,8 +258,8 @@ func (d *Dataset) Close() error {
 // Each executes the pipeline once, invoking fn on every tuple in stream
 // order. Delivered tuples are owned by the consumer: every source and
 // operator in this package allocates a fresh Tuple per emitted row (the
-// external operators rely on that to retain tuples in their partition
-// buffers), and any future InputFormat must do the same.
+// external operators rely on that to retain tuples in their run buffer),
+// and any future InputFormat must do the same.
 func (d *Dataset) Each(fn func(Tuple) error) error {
 	it, err := d.open()
 	if err != nil {
@@ -369,17 +357,15 @@ func (j *Job) LoadDirs(dirs []string, f InputFormat) (*Dataset, error) {
 	return j.datasetForSplits(f, all), nil
 }
 
-// scanSpec is the plan of a scan source: the format, the splits, and
-// whether the consumer waived split-order delivery.
+// scanSpec is the plan of a scan source: the format and the splits.
 type scanSpec struct {
-	format    InputFormat
-	splits    []Split
-	unordered bool
+	format InputFormat
+	splits []Split
 }
 
 func (j *Job) datasetForSplits(f InputFormat, splits []Split) *Dataset {
 	sc := &scanSpec{format: f, splits: splits}
-	return &Dataset{job: j, schema: f.Schema(), scan: sc, open: func() (Iterator, error) {
+	return &Dataset{job: j, schema: f.Schema(), open: func() (Iterator, error) {
 		return j.newScanIter(sc), nil
 	}}
 }
@@ -396,32 +382,6 @@ func (j *Job) newScanIter(sc *scanSpec) Iterator {
 		return &splitIter{job: j, format: sc.format, splits: sc.splits}
 	}
 	return newParallelScan(j, sc, n)
-}
-
-// Unordered waives the scan's split-order delivery guarantee, letting
-// parallel workers hand splits to the consumer in completion order
-// instead of plan order. It applies only to a raw scan source (Load,
-// LoadDirs, and their wrappers) and is a no-op on any derived dataset.
-//
-// Use it only when the consumer is insensitive to input order: Count,
-// Distinct, and integer Aggregate folds are safe; float aggregates
-// (Avg/Sum over float64) and anything that observes within-group tuple
-// order (ForEachGroup bodies, OrderBy ties broken by arrival) are not,
-// because reordering changes insertion sequence numbers and float
-// addition is not associative. The ordered default is byte-identical to
-// serial execution; Unordered trades that guarantee for not stalling on
-// the slowest split.
-func (d *Dataset) Unordered() *Dataset {
-	if d.scan == nil {
-		return d
-	}
-	sc := *d.scan
-	sc.unordered = true
-	nd := &Dataset{job: d.job, schema: d.schema, scan: &sc, cleanup: d.cleanup}
-	nd.open = func() (Iterator, error) {
-		return nd.job.newScanIter(&sc), nil
-	}
-	return nd
 }
 
 // splitIter streams a scan split by split: one map task's tuples are

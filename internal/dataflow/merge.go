@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"unilog/internal/recordio"
@@ -24,8 +23,8 @@ import (
 // groups. A corrupted or short run surfaces recordio.ErrCorrupt /
 // ErrTruncated from the merge instead of a silently incomplete relation.
 
-// runCursor is one sorted run being merged: a spilled run (fileRun) or a
-// partition's sorted in-memory residue (memRun). advance loads the next
+// runCursor is one sorted run being merged: a run on disk (fileRun) or
+// the table's sorted in-memory residue (memRun). advance loads the next
 // record, returning io.EOF at the end of the run; key/seq/tuple read the
 // current record and are valid until the next advance.
 type runCursor interface {
@@ -35,7 +34,7 @@ type runCursor interface {
 	tuple() Tuple
 }
 
-// fileRun streams one sorted run out of a partition's spill file through
+// fileRun streams one sorted run out of a spill or cascade file through
 // an io.SectionReader, so every run of a file shares a single descriptor.
 // The run's record count is checked at EOF: a truncated file makes a
 // section read clean but short, which must surface as ErrTruncated, not as
@@ -82,32 +81,31 @@ func (c *fileRun) key() []byte  { return c.curKey }
 func (c *fileRun) seq() uint64  { return c.curSeq }
 func (c *fileRun) tuple() Tuple { return c.curT }
 
-// memRun cursors a partition's sorted in-memory residue.
+// memRun cursors the table's sorted in-memory residue.
 type memRun struct {
-	p *spillPart
-	i int
+	st *spillTable
+	i  int
 }
 
 func (c *memRun) advance() error {
 	c.i++
-	if c.i >= len(c.p.mem) {
+	if c.i >= len(c.st.mem) {
 		return io.EOF
 	}
 	return nil
 }
 
-func (c *memRun) key() []byte  { return c.p.key(&c.p.mem[c.i]) }
-func (c *memRun) seq() uint64  { return c.p.mem[c.i].seq }
-func (c *memRun) tuple() Tuple { return c.p.mem[c.i].t }
+func (c *memRun) key() []byte  { return c.st.key(&c.st.mem[c.i]) }
+func (c *memRun) seq() uint64  { return c.st.mem[c.i].seq }
+func (c *memRun) tuple() Tuple { return c.st.mem[c.i].t }
 
 // DefaultMaxMergeFanIn is the run-cursor cap of a single streaming merge
 // when Job.MaxMergeFanIn is unset.
 const DefaultMaxMergeFanIn = 64
 
-// mergeAll opens one streaming merge over every run of every partition.
-// Hash partitions hold disjoint key sets, so merging all runs at once
-// yields the global (key, order, sequence) order directly — there is no
-// per-partition pass and no output re-sort. If the accumulated run count
+// mergeAll opens one streaming merge over every run on disk plus the
+// in-memory residue, yielding the global (key, order, sequence) order
+// directly — there is no output re-sort. If the accumulated run count
 // exceeds Job.MaxMergeFanIn, cascade first folds batches of runs into
 // wider ones until the final merge fits the cap. The caller owns Close;
 // the table can be merged repeatedly until it is closed.
@@ -119,33 +117,11 @@ func (st *spillTable) mergeAll() (*mergeIter, error) {
 		return nil, err
 	}
 	m := &mergeIter{st: st}
-	for pi := range st.parts {
-		p := &st.parts[pi]
-		if len(p.runs) > 0 {
-			f, err := os.Open(p.path)
-			if err != nil {
-				m.Close()
-				return nil, fmt.Errorf("dataflow: reopen spill file: %w", err)
-			}
-			m.files = append(m.files, f)
-			for _, r := range p.runs {
-				sec := io.NewSectionReader(f, r.off, r.len)
-				m.h = append(m.h, &fileRun{path: p.path, r: recordio.NewCRCReader(sec), remaining: r.records})
-			}
-		}
-		if len(p.mem) > 0 {
-			m.h = append(m.h, &memRun{p: p, i: -1})
-		}
-		// Partition-local cascade output from an earlier parallel reduce
-		// pass merges like any other sorted run of the partition.
-		if len(p.merged) > 0 {
-			if err := m.addRefs(p.merged); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := m.addRefs(st.merged); err != nil {
+	if err := m.addRefs(st.runs); err != nil {
 		return nil, err
+	}
+	if len(st.mem) > 0 {
+		m.h = append(m.h, &memRun{st: st, i: -1})
 	}
 	st.chargeMergeFanIn(len(m.h))
 	if err := m.prime(); err != nil {
@@ -154,51 +130,8 @@ func (st *spillTable) mergeAll() (*mergeIter, error) {
 	return m, nil
 }
 
-// mergePart opens a streaming merge over a single partition's runs and
-// residue — the per-partition unit of a parallel reduce pass. It
-// cascades only that partition's runs (staged in p.merged) when they
-// exceed the fan-in cap. Distinct partitions may be merged concurrently:
-// everything mutated here (p.runs, p.merged, cascade temp files) is
-// partition-local and the stats are atomic.
-func (st *spillTable) mergePart(pi int) (*mergeIter, error) {
-	if st.closed {
-		return nil, errSpillClosed
-	}
-	if err := st.cascadePart(pi); err != nil {
-		return nil, err
-	}
-	p := &st.parts[pi]
-	m := &mergeIter{st: st}
-	if len(p.runs) > 0 {
-		f, err := os.Open(p.path)
-		if err != nil {
-			m.Close()
-			return nil, fmt.Errorf("dataflow: reopen spill file: %w", err)
-		}
-		m.files = append(m.files, f)
-		for _, r := range p.runs {
-			sec := io.NewSectionReader(f, r.off, r.len)
-			m.h = append(m.h, &fileRun{path: p.path, r: recordio.NewCRCReader(sec), remaining: r.records})
-		}
-	}
-	if len(p.mem) > 0 {
-		m.h = append(m.h, &memRun{p: p, i: -1})
-	}
-	if err := m.addRefs(p.merged); err != nil {
-		return nil, err
-	}
-	st.chargeMergeFanIn(len(m.h))
-	if err := m.prime(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// chargeMergeFanIn records a merge's run fan-in. Per-partition merges
-// charge the same MergeRuns total as one global merge would (the runs
-// are the same runs); PeakRunFanIn then reflects the widest single
-// merge actually held open, which under a parallel reduce is the
-// per-partition width.
+// chargeMergeFanIn records one merge's run fan-in: MergeRuns totals the
+// cursors consumed, PeakRunFanIn the widest single merge held open.
 func (st *spillTable) chargeMergeFanIn(fanIn int) {
 	st.job.stats.mergeRuns.Add(int64(fanIn))
 	st.job.stats.maxRunFanIn(int64(fanIn))
@@ -222,205 +155,55 @@ func (st *spillTable) fanInCap() int {
 // each pass folds batches of runs into single wider sorted runs staged
 // in cascade files, retiring source files as their last run is
 // consumed. Sorted-run merging is closed under the (key, order,
-// sequence) comparator, so any batch — even one spanning partitions —
-// produces a run the final merge consumes identically; the output
-// relation is byte-for-byte what a single unbounded merge would yield.
-// In-memory residues are never cascaded (they are already resident and
-// cost no reread); they reserve their cursor slots out of the cap, with
-// a floor of two slots for file runs.
+// sequence) comparator, so any batch produces a run the final merge
+// consumes identically; the output relation is byte-for-byte what a
+// single unbounded merge would yield. The in-memory residue is never
+// cascaded (it is already resident and costs no reread); it reserves its
+// cursor slot out of the cap, with a floor of two slots for file runs.
 func (st *spillTable) cascade() error {
 	eff := st.fanInCap()
-	for i := range st.parts {
-		if len(st.parts[i].mem) > 0 {
-			eff--
-		}
-	}
-	if eff < 2 {
-		eff = 2
-	}
-	total := len(st.merged)
-	for i := range st.parts {
-		total += len(st.parts[i].runs) + len(st.parts[i].merged)
-	}
-	if total <= eff {
-		return nil
-	}
-	// Take ownership of every partition run (including the staged output
-	// of any earlier per-partition cascade): from here on the runs live
-	// as runRefs and the partitions only contribute residues.
-	for i := range st.parts {
-		p := &st.parts[i]
-		for _, r := range p.runs {
-			st.merged = append(st.merged, runRef{path: p.path, off: r.off, len: r.len, records: r.records})
-		}
-		p.runs = nil
-		st.merged = append(st.merged, p.merged...)
-		p.merged = nil
-	}
-	for len(st.merged) > eff {
-		t0 := time.Now()
-		st.job.stats.cascadePasses.Add(1)
-		tmCascadePasses.Inc()
-		old := st.merged
-		var batches [][]runRef
-		for i := 0; i < len(old); i += eff {
-			end := i + eff
-			if end > len(old) {
-				end = len(old)
-			}
-			batches = append(batches, old[i:end])
-		}
-		outs := make([]runRef, len(batches))
-		errs := make([]error, len(batches))
-		done := make([]bool, len(batches))
-		st.runBatches(batches, outs, errs, done)
-		next := make([]runRef, 0, len(batches))
-		var firstErr error
-		for k, batch := range batches {
-			switch {
-			case len(batch) == 1:
-				// A stray singleton carries over unchanged; a later pass or
-				// the final merge consumes it.
-				next = append(next, batch[0])
-			case !done[k] || errs[k] != nil:
-				// Keep both the rewritten and the unconsumed runs reachable
-				// so Close still removes every staged file.
-				next = append(next, batch...)
-				if errs[k] != nil && firstErr == nil {
-					firstErr = errs[k]
-				}
-			default:
-				next = append(next, outs[k])
-			}
-		}
-		st.merged = next
-		if firstErr != nil {
-			return firstErr
-		}
-		st.dropUnreferenced(old, next)
-		tmCascadeNs.ObserveSince(t0)
-	}
-	return nil
-}
-
-// runBatches executes the multi-run merges of one cascade pass, filling
-// outs/errs/done by batch index. The batches are independent — each
-// reads its own runs and writes its own temp file — so with parallelism
-// they run on a worker pool; serially they run in order and stop at the
-// first failure, exactly as the pre-parallel cascade did.
-func (st *spillTable) runBatches(batches [][]runRef, outs []runRef, errs []error, done []bool) {
-	var work []int
-	for k, b := range batches {
-		if len(b) > 1 {
-			work = append(work, k)
-		}
-	}
-	workers := st.job.parallelism()
-	if workers > len(work) {
-		workers = len(work)
-	}
-	if workers <= 1 {
-		for _, k := range work {
-			out, err := st.mergeBatch(batches[k])
-			done[k] = true
-			if err != nil {
-				errs[k] = err
-				return
-			}
-			outs[k] = out
-			st.chargeCascadeBatch(len(batches[k]))
-		}
-		return
-	}
-	tmParWorkers.SetMax(int64(workers))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range idx {
-				out, err := st.mergeBatch(batches[k])
-				done[k] = true
-				if err != nil {
-					errs[k] = err
-					continue
-				}
-				outs[k] = out
-				st.chargeCascadeBatch(len(batches[k]))
-			}
-		}()
-	}
-	for _, k := range work {
-		idx <- k
-	}
-	close(idx)
-	wg.Wait()
-}
-
-// chargeCascadeBatch records one completed cascade batch merge.
-func (st *spillTable) chargeCascadeBatch(fanIn int) {
-	st.job.stats.cascadeRuns.Add(1)
-	st.job.stats.mergeRuns.Add(int64(fanIn))
-	st.job.stats.maxRunFanIn(int64(fanIn))
-	tmCascadeRuns.Inc()
-	tmMergeFanInMax.SetMax(int64(fanIn))
-}
-
-// cascadePart is cascade for a single partition, staging its output in
-// p.merged instead of st.merged so partition identity survives for the
-// per-partition merges of a parallel reduce. It runs inside a reduce
-// worker, so its own batch merges stay serial.
-func (st *spillTable) cascadePart(pi int) error {
-	p := &st.parts[pi]
-	eff := st.fanInCap()
-	if len(p.mem) > 0 {
+	if len(st.mem) > 0 {
 		eff--
 	}
 	if eff < 2 {
 		eff = 2
 	}
-	if len(p.runs)+len(p.merged) <= eff {
-		return nil
-	}
-	for _, r := range p.runs {
-		p.merged = append(p.merged, runRef{path: p.path, off: r.off, len: r.len, records: r.records})
-	}
-	p.runs = nil
-	for len(p.merged) > eff {
+	for len(st.runs) > eff {
 		t0 := time.Now()
 		st.job.stats.cascadePasses.Add(1)
 		tmCascadePasses.Inc()
-		old := p.merged
+		old := st.runs
 		next := make([]runRef, 0, (len(old)+eff-1)/eff)
+		var err error
 		for i := 0; i < len(old); i += eff {
-			end := i + eff
-			if end > len(old) {
-				end = len(old)
-			}
-			batch := old[i:end]
+			batch := old[i:min(i+eff, len(old))]
 			if len(batch) == 1 {
+				// A stray singleton carries over unchanged; a later pass or
+				// the final merge consumes it.
 				next = append(next, batch[0])
 				continue
 			}
-			out, err := st.mergeBatch(batch)
-			if err != nil {
-				p.merged = append(next, old[i:]...)
-				return err
+			var out runRef
+			if out, err = st.mergeBatch(batch); err != nil {
+				// Keep the unconsumed runs reachable so Close still removes
+				// every staged file.
+				next = append(next, old[i:]...)
+				break
 			}
-			st.chargeCascadeBatch(len(batch))
 			next = append(next, out)
 		}
-		p.merged = next
-		st.dropUnreferencedPart(p, old, next)
+		st.runs = next
+		st.dropUnreferenced(old)
+		if err != nil {
+			return err
+		}
 		tmCascadeNs.ObserveSince(t0)
 	}
 	return nil
 }
 
 // mergeBatch streams one k-way merge over a batch of file runs into a
-// fresh cascade file holding a single sorted run. It keeps its encode
-// buffer local — batches of one pass may run on concurrent workers.
+// fresh cascade file holding a single sorted run.
 func (st *spillTable) mergeBatch(batch []runRef) (runRef, error) {
 	m := &mergeIter{st: st}
 	if err := m.addRefs(batch); err != nil {
@@ -471,50 +254,28 @@ func (st *spillTable) mergeBatch(batch []runRef) (runRef, error) {
 		os.Remove(out.Name())
 		return runRef{}, fmt.Errorf("dataflow: seal cascade file %s: %w", out.Name(), err)
 	}
-	return runRef{path: out.Name(), off: 0, len: w.Bytes(), records: records, temp: true}, nil
+	st.job.stats.cascadeRuns.Add(1)
+	tmCascadeRuns.Inc()
+	st.chargeMergeFanIn(len(batch))
+	return runRef{path: out.Name(), off: 0, len: w.Bytes(), records: records}, nil
 }
 
-// dropUnreferenced removes source files whose last run was consumed by a
-// cascade pass — spill files shrink as passes retire them instead of
-// lingering at full size until Close.
-func (st *spillTable) dropUnreferenced(old, next []runRef) {
-	live := make(map[string]bool, len(next))
-	for _, r := range next {
+// dropUnreferenced removes the files of old runs that the table's current
+// runs no longer reference — spill files shrink as passes retire them
+// instead of lingering at full size until Close.
+func (st *spillTable) dropUnreferenced(old []runRef) {
+	live := make(map[string]bool, len(st.runs))
+	for _, r := range st.runs {
 		live[r.path] = true
 	}
-	dropped := make(map[string]bool)
 	for _, r := range old {
-		if live[r.path] || dropped[r.path] {
+		if live[r.path] {
 			continue
 		}
-		dropped[r.path] = true
+		live[r.path] = true // one removal per file
 		os.Remove(r.path)
-		for i := range st.parts {
-			if st.parts[i].path == r.path {
-				st.parts[i].path = ""
-			}
-		}
-	}
-}
-
-// dropUnreferencedPart is dropUnreferenced for a single partition's
-// cascade. Partition-local refs only ever point at that partition's
-// spill file or its own cascade temps, so concurrent per-partition
-// cascades never touch each other's files or path fields.
-func (st *spillTable) dropUnreferencedPart(p *spillPart, old, next []runRef) {
-	live := make(map[string]bool, len(next))
-	for _, r := range next {
-		live[r.path] = true
-	}
-	dropped := make(map[string]bool)
-	for _, r := range old {
-		if live[r.path] || dropped[r.path] {
-			continue
-		}
-		dropped[r.path] = true
-		os.Remove(r.path)
-		if p.path == r.path {
-			p.path = ""
+		if r.path == st.path {
+			st.path = ""
 		}
 	}
 }
@@ -649,8 +410,8 @@ func (m *mergeIter) down(i int) {
 	}
 }
 
-// Close releases the merge's open spill-file handles (one per partition;
-// the files themselves belong to the spill table). Safe to call more than
+// Close releases the merge's open run-file handles (one per file; the
+// files themselves belong to the spill table). Safe to call more than
 // once, including mid-merge abandonment.
 func (m *mergeIter) Close() error {
 	var err error
@@ -667,8 +428,8 @@ func (m *mergeIter) Close() error {
 // compareValues orders two column values the way OrderBy always has:
 // integer kinds compare exactly, any numeric pair compares as float64, and
 // everything else by its %v rendering — with numerics before non-numerics
-// so mixed-type columns still have one total order shared by the external
-// merge sort and the in-memory fast path.
+// so mixed-type columns still have one total order shared by the run sort
+// and the merge.
 func compareValues(a, b Value) int {
 	aInt, aNum := numericKind(a)
 	bInt, bNum := numericKind(b)

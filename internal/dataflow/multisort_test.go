@@ -143,3 +143,55 @@ func TestGroupByOrderedColumns(t *testing.T) {
 		}
 	}
 }
+
+// TestOrderByCostIndependentOfBudget: the memory budget is promised not to
+// change a job's result, and that covers its modelled cost — a sort
+// charges the same shuffle, the same reduce wave and the same merge pass
+// with no budget, with a budget that never trips and with one that
+// spills, and returns the same rows.
+func TestOrderByCostIndependentOfBudget(t *testing.T) {
+	in := multiSortCorpus(13, 400)
+	sorts := map[string]func(*Dataset) (*Dataset, error){
+		"OrderBy": func(d *Dataset) (*Dataset, error) { return d.OrderBy("a", false) },
+		"OrderByColumns": func(d *Dataset) (*Dataset, error) {
+			return d.OrderByColumns(Order{Col: "b"}, Order{Col: "a", Desc: true})
+		},
+	}
+	for name, sortBy := range sorts {
+		var wantRows []Tuple
+		var want Stats
+		for _, budget := range []int64{0, 1 << 30, 1 << 10} {
+			j := spillJob(t, budget)
+			d, err := sortBy(NewDataset(j, multiSortSchema, in))
+			if err != nil {
+				t.Fatalf("%s budget %d: %v", name, budget, err)
+			}
+			rows, err := d.Tuples()
+			if err != nil {
+				t.Fatalf("%s budget %d: %v", name, budget, err)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st := j.Stats()
+			if spilled := st.SpillRuns > 0; spilled != (budget == 1<<10) {
+				t.Fatalf("%s budget %d: spill runs = %d", name, budget, st.SpillRuns)
+			}
+			if budget == 0 {
+				wantRows, want = rows, st
+				if want.ShuffleRecords != int64(len(in)) || want.ReduceTasks != 1 || want.MergePasses != 1 {
+					t.Fatalf("%s unbudgeted sort charged %+v", name, want)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(rows, wantRows) {
+				t.Fatalf("%s budget %d: rows differ from the unbudgeted sort", name, budget)
+			}
+			if st.ShuffleRecords != want.ShuffleRecords || st.ShuffleBytes != want.ShuffleBytes ||
+				st.ReduceTasks != want.ReduceTasks || st.MergePasses != want.MergePasses ||
+				st.ClusterSeconds() != want.ClusterSeconds() {
+				t.Fatalf("%s budget %d: cost depends on the budget\nunbudgeted: %+v\nbudgeted:   %+v", name, budget, want, st)
+			}
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"time"
 )
@@ -271,7 +270,7 @@ type Grouped struct {
 // GroupBy shuffles the dataset by the named key columns — the reduce-side
 // step the paper's session reconstruction pays on every raw-log query
 // ("essentially, a large group-by across potentially terabytes of data").
-// The input is consumed here; partitions spill sorted runs under
+// The input is consumed here, spilling sorted runs under
 // Job.MemoryBudget. Each group's tuples are delivered in input order.
 func (d *Dataset) GroupBy(keyCols ...string) (*Grouped, error) {
 	return d.groupBy(noSort, keyCols)
@@ -326,7 +325,7 @@ func (d *Dataset) groupBy(order sortSpec, keyCols []string) (*Grouped, error) {
 		}
 		idx[i] = j
 	}
-	st := newSpillTable(d.job, idx, order, 0)
+	st := newSpillTable(d.job, idx, order)
 	if err := st.fill(d); err != nil {
 		return nil, err
 	}
@@ -338,7 +337,7 @@ func (d *Dataset) groupBy(order sortSpec, keyCols []string) (*Grouped, error) {
 // the idiom that ends the paper's counting scripts. The single group still
 // spills under the memory budget; an empty input still has its one group.
 func (d *Dataset) GroupAll() (*Grouped, error) {
-	st := newSpillTable(d.job, nil, noSort, 1)
+	st := newSpillTable(d.job, nil, noSort)
 	if err := st.fill(d); err != nil {
 		return nil, err
 	}
@@ -363,24 +362,17 @@ func (g *Grouped) setGroups(n int) {
 // cannot be reduced again afterwards.
 func (g *Grouped) Close() error { return g.st.Close() }
 
-// mergePass drives one streaming merge-reduce: the sorted runs of every
-// partition merge into one globally ordered stream, each tuple folds into
-// the current group's state, and a key change emits the finished group.
-// There is no per-group index map and no output re-sort — peak memory is
-// the merge fan-in (one buffered tuple per run) plus one group state. It
-// returns the number of distinct groups; this loop is the shared skeleton
-// under NumGroups, EachGroup, and Aggregate. With Job.Parallelism > 1 and
-// at least two populated hash partitions, the fold fans out per partition
-// (mergePassParallel) with identical emitted output.
+// mergePass drives one streaming merge-reduce: the sorted runs merge into
+// one globally ordered stream, each tuple folds into the current group's
+// state, and a key change emits the finished group. There is no per-group
+// index map and no output re-sort — peak memory is the merge fan-in (one
+// buffered tuple per run) plus one group state. It returns the number of
+// distinct groups; this loop is the shared skeleton under NumGroups,
+// EachGroup, and Aggregate.
 func mergePass[S any](g *Grouped, newState func(first Tuple) S, fold func(S, Tuple) S, emit func(s S) error) (int, error) {
 	g.job.stats.mergePasses.Add(1)
 	tmMergePasses.Inc()
 	defer tmMergePassNs.ObserveSince(time.Now())
-	if g.job.parallelism() > 1 {
-		if parts := g.st.parallelParts(); parts != nil {
-			return mergePassParallel(g.st, parts, newState, fold, emit)
-		}
-	}
 	m, err := g.st.mergeAll()
 	if err != nil {
 		return 0, err
@@ -639,9 +631,6 @@ func (g *Grouped) Aggregate(aggs ...Agg) (*Dataset, error) {
 	}
 	schema := append(append(Schema(nil), g.keyCols...), outCols...)
 
-	// scratch lives in the group state, not a shared closure variable:
-	// under a parallel reduce, folds of different groups run on
-	// concurrent partition workers.
 	type groupState struct {
 		keyVals Tuple
 		cells   []aggCell
@@ -696,8 +685,7 @@ func (g *Grouped) Aggregate(aggs ...Agg) (*Dataset, error) {
 // Join sort-merge-joins two datasets on equality of leftCol and rightCol:
 // both sides shuffle into sorted spill runs under Job.MemoryBudget, and
 // the merge advances the two ordered streams in lockstep — buffering only
-// the right tuples of the *current* key, never a whole partition's hash
-// table. Output schema is the left schema followed by the right schema
+// the right tuples of the *current* key, never a hash table. Output schema is the left schema followed by the right schema
 // with joined-column collisions suffixed "_r"; rows arrive in key order,
 // left-input order within a key. Close the returned dataset to release the
 // spill files.
@@ -710,11 +698,11 @@ func (d *Dataset) Join(other *Dataset, leftCol, rightCol string) (*Dataset, erro
 	if err != nil {
 		return nil, err
 	}
-	lt := newSpillTable(d.job, []int{li}, noSort, 0)
+	lt := newSpillTable(d.job, []int{li}, noSort)
 	if err := lt.fill(d); err != nil {
 		return nil, err
 	}
-	rt := newSpillTable(d.job, []int{ri}, noSort, lt.numParts())
+	rt := newSpillTable(d.job, []int{ri}, noSort)
 	if err := rt.fill(other); err != nil {
 		lt.Close()
 		return nil, err
@@ -744,9 +732,6 @@ type joinState struct {
 func (s *joinState) open() (Iterator, error) {
 	s.job.stats.mergePasses.Add(1)
 	tmMergePasses.Inc()
-	if it := s.openParallel(); it != nil {
-		return it, nil
-	}
 	lm, err := s.lt.mergeAll()
 	if err != nil {
 		return nil, err
@@ -928,18 +913,13 @@ func (d *Dataset) Distinct() *Dataset {
 		idx[i] = i
 	}
 	return &Dataset{job: d.job, schema: d.schema, cleanup: d.cleanup, open: func() (Iterator, error) {
-		st := newSpillTable(d.job, idx, noSort, 0)
+		st := newSpillTable(d.job, idx, noSort)
 		if err := st.fill(d); err != nil {
 			return nil, err
 		}
 		d.job.stats.reduceTasks.Add(1) // base wave; topped up at end of merge
 		d.job.stats.mergePasses.Add(1)
 		tmMergePasses.Inc()
-		if d.job.parallelism() > 1 {
-			if parts := st.parallelParts(); parts != nil {
-				return newDistinctParallel(d.job, st, parts), nil
-			}
-		}
 		m, err := st.mergeAll()
 		if err != nil {
 			st.Close()
@@ -997,10 +977,9 @@ func (it *distinctIter) Close() error {
 
 // OrderBy sorts by the named column; numeric columns sort numerically and
 // the sort is stable (equal keys keep input order, for descending too).
-// With Job.MemoryBudget unset the input is materialized and sorted in
-// memory, as ever. Under a budget it is a true external merge sort: the
-// input streams into sorted spill runs through the shared run machinery —
-// never through Tuples() — and every iteration of the result is a k-way
+// It is an external merge sort: the input streams into sorted runs through
+// the shared run machinery — spilled under Job.MemoryBudget, one resident
+// run without a budget — and every iteration of the result is a k-way
 // merge, so peak memory is the run fan-in. Close the returned dataset to
 // release the runs (and any operator state upstream).
 func (d *Dataset) OrderBy(col string, ascending bool) (*Dataset, error) {
@@ -1008,34 +987,13 @@ func (d *Dataset) OrderBy(col string, ascending bool) (*Dataset, error) {
 }
 
 // OrderByColumns sorts by multiple columns applied in sequence — the
-// multi-column generalization of OrderBy with the same stability and
-// in-memory/external duality.
+// multi-column generalization of OrderBy, with the same stability.
 func (d *Dataset) OrderByColumns(orders ...Order) (*Dataset, error) {
 	spec, err := d.resolveOrders(orders)
 	if err != nil {
 		return nil, err
 	}
-	if d.job.MemoryBudget <= 0 {
-		out, err := d.Tuples()
-		if err != nil {
-			return nil, err
-		}
-		sort.SliceStable(out, func(a, b int) bool {
-			for _, k := range spec {
-				if c := compareValues(out[a][k.col], out[b][k.col]); c != 0 {
-					if k.desc {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			return false
-		})
-		sorted := NewDataset(d.job, d.schema, out)
-		sorted.cleanup = d.cleanup // closing the sorted view frees upstream spill state too
-		return sorted, nil
-	}
-	st := newSpillTable(d.job, nil, spec, 1)
+	st := newSpillTable(d.job, nil, spec)
 	if err := st.fill(d); err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package dataflow
 
 import (
-	"bytes"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -10,28 +9,13 @@ import (
 	"unilog/internal/hdfs"
 )
 
-// Parallel execution machinery. Three phases of the engine fan out over
-// a Job.Parallelism-bounded worker pool, and each is built so that its
-// output is byte-identical to the serial path:
-//
-//   - the scan (parallelScan): N workers decode splits concurrently
-//     into a bounded window; the ordered default releases splits to the
-//     consumer strictly in plan order through a reorder buffer, and
-//     Dataset.Unordered waives that for order-insensitive consumers;
-//   - the reduce (mergePassParallel and the Distinct/Join fan-ins):
-//     hash partitions hold disjoint keys, so each partition merges and
-//     folds on its own worker, but partition key RANGES interleave —
-//     per-partition outputs are therefore k-way merged by key at the
-//     emit point rather than concatenated, reproducing the serial
-//     stream exactly;
-//   - the cascade (spillTable.runBatches): the batch merges within one
-//     cascade pass are independent and run concurrently.
-//
-// The async spill flusher lives in spill.go; the shared invariant
-// everywhere is that the (key, order column, insertion sequence)
-// comparator is a total order, so run boundaries and partition
-// boundaries can move between workers without the merged stream ever
-// changing.
+// The scan is the one stage of the engine that runs on more than one
+// goroutine. parallelScan decodes splits on a Job.Parallelism-bounded
+// worker pool into a bounded window and releases them to the consumer
+// strictly in plan order through a reorder buffer, so its output is
+// byte-identical to the serial splitIter's. Everything downstream of the
+// scan — the run sort, the spill, the cascade, the merge and every reduce
+// loop — is one streaming path on the calling goroutine.
 
 // scanResult is one decoded split traveling from a scan worker to the
 // consumer.
@@ -69,13 +53,12 @@ type parallelScan struct {
 	before hdfs.Stats
 	charge sync.Once
 
-	ready     map[int]scanResult // ordered mode: completed out-of-order splits
-	nextIdx   int                // ordered mode: next split ordinal to deliver
-	delivered int
-	cur       []Tuple
-	i         int
-	active    bool // cur is a delivered split holding a semaphore slot
-	err       error
+	ready   map[int]scanResult // completed out-of-order splits
+	nextIdx int                // next split ordinal to deliver
+	cur     []Tuple
+	i       int
+	active  bool // cur is a delivered split holding a semaphore slot
+	err     error
 }
 
 func newParallelScan(j *Job, sc *scanSpec, workers int) *parallelScan {
@@ -152,31 +135,22 @@ func (s *parallelScan) Next() (Tuple, error) {
 			s.cur, s.active = nil, false
 			<-s.sem
 		}
-		if s.delivered == len(s.sc.splits) {
+		if s.nextIdx == len(s.sc.splits) {
 			s.finish()
 			return nil, io.EOF
 		}
-		var r scanResult
-		if s.sc.unordered {
-			r = <-s.results
-		} else {
-			for {
-				if q, ok := s.ready[s.nextIdx]; ok {
-					r = q
-					delete(s.ready, s.nextIdx)
-					break
-				}
-				q := <-s.results
-				if q.idx == s.nextIdx {
-					r = q
-					break
-				}
-				s.ready[q.idx] = q
-				tmScanQueueDepth.SetMax(int64(len(s.ready)))
+		r, ok := s.ready[s.nextIdx]
+		for !ok {
+			q := <-s.results
+			if q.idx == s.nextIdx {
+				r = q
+				break
 			}
-			s.nextIdx++
+			s.ready[q.idx] = q
+			tmScanQueueDepth.SetMax(int64(len(s.ready)))
 		}
-		s.delivered++
+		delete(s.ready, s.nextIdx)
+		s.nextIdx++
 		s.job.stats.mapTasks.Add(1)
 		s.job.stats.filesRead.Add(1)
 		if r.err != nil {
@@ -214,458 +188,5 @@ func (s *parallelScan) shutdown() {
 func (s *parallelScan) Close() error {
 	s.shutdown()
 	s.finish()
-	return nil
-}
-
-// keyed is one key-tagged item flowing out of a partition worker into
-// the fan-in merge: a finished group state, a distinct row, or a join
-// output row, tagged with the rendered key it belongs to.
-type keyed[T any] struct {
-	key []byte
-	val T
-}
-
-// sendKeyed delivers an item unless the consumer has torn down; false
-// tells the worker to stop producing.
-func sendKeyed[T any](ch chan<- keyed[T], stop <-chan struct{}, item keyed[T]) bool {
-	select {
-	case ch <- item:
-		return true
-	case <-stop:
-		return false
-	}
-}
-
-// fanInBuf is the per-partition channel depth of a reduce fan-in: how
-// far a partition worker may run ahead of the consuming merge.
-const fanInBuf = 64
-
-// fanIn merges P channels of ascending-key items into one ascending
-// stream. Hash partitions hold disjoint key sets, so cross-channel keys
-// never tie and the merged order is exactly the global key order the
-// serial single-stream merge produces. A linear scan over ≤64 heads per
-// item beats heap bookkeeping at this width.
-type fanIn[T any] struct {
-	chans  []chan keyed[T]
-	heads  []keyed[T]
-	has    []bool
-	inited bool
-}
-
-func newFanIn[T any](chans []chan keyed[T]) *fanIn[T] {
-	return &fanIn[T]{chans: chans, heads: make([]keyed[T], len(chans)), has: make([]bool, len(chans))}
-}
-
-func (f *fanIn[T]) fill(i int) {
-	v, ok := <-f.chans[i]
-	f.heads[i], f.has[i] = v, ok
-}
-
-// next pops the minimum-key head; ok is false once every channel has
-// closed and drained.
-func (f *fanIn[T]) next() (keyed[T], bool) {
-	if !f.inited {
-		f.inited = true
-		for i := range f.chans {
-			f.fill(i)
-		}
-	}
-	best := -1
-	for i := range f.heads {
-		if !f.has[i] {
-			continue
-		}
-		if best < 0 || bytes.Compare(f.heads[i].key, f.heads[best].key) < 0 {
-			best = i
-		}
-	}
-	if best < 0 {
-		var zero keyed[T]
-		return zero, false
-	}
-	item := f.heads[best]
-	f.fill(best)
-	return item, true
-}
-
-// parallelParts returns the partition indices a parallel reduce may fan
-// out over, or nil when the table must take the serial path: closed,
-// already globally cascaded (st.merged holds runs that span partition
-// boundaries, so partition identity is gone), or fewer than two
-// partitions holding data.
-func (st *spillTable) parallelParts() []int {
-	if st.closed || len(st.merged) > 0 {
-		return nil
-	}
-	var parts []int
-	for i := range st.parts {
-		if st.partHasData(i) {
-			parts = append(parts, i)
-		}
-	}
-	if len(parts) < 2 {
-		return nil
-	}
-	return parts
-}
-
-// partHasData reports whether partition pi holds any runs or residue.
-func (st *spillTable) partHasData(pi int) bool {
-	p := &st.parts[pi]
-	return len(p.runs) > 0 || len(p.mem) > 0 || len(p.merged) > 0
-}
-
-// mergePassParallel is the parallel counterpart of mergePass: each hash
-// partition merges and folds on its own worker, streaming finished
-// (key, state) pairs into a bounded channel, and the consumer k-way
-// merges the channel heads by key so groups are emitted in exactly the
-// serial global key order. emit (and therefore every user callback)
-// runs only on the calling goroutine; newState/fold run on workers, one
-// group at a time, so group state needs no locking.
-//
-// Every active partition gets its own worker — deliberately NOT a
-// semaphore-bounded pool. The fan-in needs a head item from every
-// channel before it can emit its first group, so gating producers
-// behind a semaphore deadlocks: slot holders fill their channels and
-// block while the consumer starves on a channel whose producer can
-// never acquire a slot. Concurrency is bounded by the partition
-// fan-out (Job.SpillPartitions, default 8) and run-ahead memory by
-// fanInBuf items per channel; workers past the consumer's current key
-// park on their full channels, so the pool self-throttles to the
-// merge frontier.
-func mergePassParallel[S any](st *spillTable, parts []int, newState func(first Tuple) S, fold func(S, Tuple) S, emit func(s S) error) (int, error) {
-	tmParWorkers.SetMax(int64(len(parts)))
-	stop := make(chan struct{})
-	chans := make([]chan keyed[S], len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for wi, pi := range parts {
-		ch := make(chan keyed[S], fanInBuf)
-		chans[wi] = ch
-		wg.Add(1)
-		go func(wi, pi int, ch chan keyed[S]) {
-			defer wg.Done()
-			defer close(ch)
-			t0 := time.Now()
-			defer tmParReduceBusyNs.ObserveSince(t0)
-			errs[wi] = reducePart(st, pi, newState, fold, ch, stop)
-		}(wi, pi, ch)
-	}
-	f := newFanIn(chans)
-	total := 0
-	var emitErr error
-	for emitErr == nil {
-		item, ok := f.next()
-		if !ok {
-			break
-		}
-		total++
-		if emit != nil {
-			emitErr = emit(item.val)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if emitErr != nil {
-		return 0, emitErr
-	}
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return total, nil
-}
-
-// reducePart folds the groups of one partition, sending each finished
-// group tagged with a copy of its key (the working key buffer is
-// reused).
-func reducePart[S any](st *spillTable, pi int, newState func(first Tuple) S, fold func(S, Tuple) S, ch chan<- keyed[S], stop <-chan struct{}) error {
-	m, err := st.mergePart(pi)
-	if err != nil {
-		return err
-	}
-	defer m.Close()
-	var curKey []byte
-	var state S
-	open := false
-	for {
-		key, t, err := m.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if !open || !bytes.Equal(key, curKey) {
-			if open && !sendKeyed(ch, stop, keyed[S]{key: append([]byte(nil), curKey...), val: state}) {
-				return nil
-			}
-			curKey = append(curKey[:0], key...)
-			state = newState(t)
-			open = true
-		}
-		state = fold(state, t)
-	}
-	if open {
-		sendKeyed(ch, stop, keyed[S]{key: append([]byte(nil), curKey...), val: state})
-	}
-	return nil
-}
-
-// fanIter is the shared pull-side of the streaming parallel reduces
-// (Distinct, Join): an Iterator over a fan-in whose workers it owns.
-// stopWorkers tears the pool down exactly once; firstErr is checked
-// only after every channel has drained, so a worker error surfaces
-// (sticky) instead of truncating the relation silently.
-type fanIter struct {
-	f       *fanIn[Tuple]
-	stop    chan struct{}
-	stopped sync.Once
-	wg      *sync.WaitGroup
-	errs    []error
-	done    bool
-	err     error
-}
-
-func (it *fanIter) stopWorkers() {
-	it.stopped.Do(func() { close(it.stop) })
-	it.wg.Wait()
-}
-
-func (it *fanIter) firstErr() error {
-	for _, err := range it.errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// next drives the fan-in; at exhaustion it joins the workers and
-// surfaces their first error, once, stickily.
-func (it *fanIter) next() (Tuple, error) {
-	if it.err != nil {
-		return nil, it.err
-	}
-	if it.done {
-		return nil, io.EOF
-	}
-	item, ok := it.f.next()
-	if ok {
-		return item.val, nil
-	}
-	it.done = true
-	it.stopWorkers()
-	if err := it.firstErr(); err != nil {
-		it.err = err
-		return nil, err
-	}
-	return nil, io.EOF
-}
-
-// newDistinctParallel is the parallel Distinct reduce: each partition
-// deduplicates its own merged stream (keys are partition-disjoint, so
-// within-partition dedup is global dedup) and the fan-in restores the
-// global key order. The winning representative of each key is the
-// lowest-sequence tuple, same as serial, because the per-partition
-// merge is sequence-ordered within a key.
-func newDistinctParallel(j *Job, st *spillTable, parts []int) Iterator {
-	// One worker per active partition — the fan-in consumer needs every
-	// channel's head before it can emit (see mergePassParallel).
-	tmParWorkers.SetMax(int64(len(parts)))
-	stop := make(chan struct{})
-	chans := make([]chan keyed[Tuple], len(parts))
-	errs := make([]error, len(parts))
-	counts := make([]int, len(parts))
-	wg := &sync.WaitGroup{}
-	for wi, pi := range parts {
-		ch := make(chan keyed[Tuple], fanInBuf)
-		chans[wi] = ch
-		wg.Add(1)
-		go func(wi, pi int, ch chan keyed[Tuple]) {
-			defer wg.Done()
-			defer close(ch)
-			t0 := time.Now()
-			defer tmParReduceBusyNs.ObserveSince(t0)
-			counts[wi], errs[wi] = distinctPart(st, pi, ch, stop)
-		}(wi, pi, ch)
-	}
-	return &distinctParIter{
-		fanIter: fanIter{f: newFanIn(chans), stop: stop, wg: wg, errs: errs},
-		job:     j, st: st, counts: counts,
-	}
-}
-
-// distinctPart emits the first occurrence of each key in one partition,
-// returning the partition's distinct count for the reduce-wave top-up.
-func distinctPart(st *spillTable, pi int, ch chan<- keyed[Tuple], stop <-chan struct{}) (int, error) {
-	m, err := st.mergePart(pi)
-	if err != nil {
-		return 0, err
-	}
-	defer m.Close()
-	var last []byte
-	started := false
-	total := 0
-	for {
-		key, t, err := m.next()
-		if err == io.EOF {
-			return total, nil
-		}
-		if err != nil {
-			return total, err
-		}
-		if started && bytes.Equal(key, last) {
-			continue
-		}
-		started = true
-		last = append(last[:0], key...)
-		total++
-		if !sendKeyed(ch, stop, keyed[Tuple]{key: append([]byte(nil), key...), val: t}) {
-			return total, nil
-		}
-	}
-}
-
-// distinctParIter adapts the Distinct fan-in to the serial
-// distinctIter's contract: the reduce wave tops up once at EOF with the
-// global distinct count (partition counts sum exactly — keys are
-// disjoint), and Close releases the spill table it owns.
-type distinctParIter struct {
-	fanIter
-	job     *Job
-	st      *spillTable
-	counts  []int
-	charged bool
-}
-
-func (it *distinctParIter) Next() (Tuple, error) {
-	t, err := it.next()
-	if err == io.EOF && !it.charged {
-		it.charged = true
-		total := 0
-		for _, n := range it.counts {
-			total += n
-		}
-		it.job.stats.reduceTasks.Add(int64(reducersFor(total) - 1))
-	}
-	return t, err
-}
-
-func (it *distinctParIter) Close() error {
-	it.stopWorkers()
-	return it.st.Close()
-}
-
-// openParallel builds the per-partition parallel join, or returns nil
-// when the serial path must run: one worker, mismatched partition
-// fan-outs, a side already globally cascaded, or fewer than two
-// partitions holding data. Left and right tables co-partition (the
-// right is built with the left's fan-out and keys hash by rendered
-// bytes), so partition pi of each side holds exactly the joinable keys
-// of pi — each pair runs the ordinary serial joinIter, and the fan-in
-// merges their row streams back into global key order.
-func (s *joinState) openParallel() Iterator {
-	workers := s.job.parallelism()
-	if workers <= 1 || s.lt.closed || s.rt.closed ||
-		len(s.lt.merged) > 0 || len(s.rt.merged) > 0 ||
-		s.lt.numParts() != s.rt.numParts() {
-		return nil
-	}
-	var parts []int
-	for pi := 0; pi < s.lt.numParts(); pi++ {
-		// Right-only partitions still run: their keys count toward the
-		// distinct-right total exactly as the serial drain counts them.
-		if s.lt.partHasData(pi) || s.rt.partHasData(pi) {
-			parts = append(parts, pi)
-		}
-	}
-	if len(parts) < 2 {
-		return nil
-	}
-	// One worker per active partition pair — the fan-in consumer needs
-	// every channel's head before it can emit (see mergePassParallel).
-	tmParWorkers.SetMax(int64(len(parts)))
-	stop := make(chan struct{})
-	chans := make([]chan keyed[Tuple], len(parts))
-	errs := make([]error, len(parts))
-	distincts := make([]int, len(parts))
-	wg := &sync.WaitGroup{}
-	for wi, pi := range parts {
-		ch := make(chan keyed[Tuple], fanInBuf)
-		chans[wi] = ch
-		wg.Add(1)
-		go func(wi, pi int, ch chan keyed[Tuple]) {
-			defer wg.Done()
-			defer close(ch)
-			t0 := time.Now()
-			defer tmParReduceBusyNs.ObserveSince(t0)
-			distincts[wi], errs[wi] = joinPart(s, pi, ch, stop)
-		}(wi, pi, ch)
-	}
-	return &joinParIter{
-		fanIter: fanIter{f: newFanIn(chans), stop: stop, wg: wg, errs: errs},
-		s:       s, distincts: distincts,
-	}
-}
-
-// joinPart drives one partition pair through the serial join logic,
-// tagging every output row with its left key for the fan-in. The
-// iterator is constructed pre-charged: the reduce-wave top-up must use
-// the distinct-right total across partitions, which only the consumer
-// knows.
-func joinPart(s *joinState, pi int, ch chan<- keyed[Tuple], stop <-chan struct{}) (int, error) {
-	lm, err := s.lt.mergePart(pi)
-	if err != nil {
-		return 0, err
-	}
-	rm, err := s.rt.mergePart(pi)
-	if err != nil {
-		lm.Close()
-		return 0, err
-	}
-	ji := &joinIter{s: s, lm: lm, rm: rm, charged: true}
-	defer ji.Close()
-	for {
-		t, err := ji.Next()
-		if err == io.EOF {
-			return ji.distinctRight, nil
-		}
-		if err != nil {
-			return ji.distinctRight, err
-		}
-		if !sendKeyed(ch, stop, keyed[Tuple]{key: append([]byte(nil), ji.matched...), val: t}) {
-			return ji.distinctRight, nil
-		}
-	}
-}
-
-// joinParIter adapts the join fan-in to the serial joinIter's contract:
-// rows in global key order (left-input order within a key, courtesy of
-// each partition's sequence-ordered merge), with the two-sided reduce
-// wave topped up once at EOF from the summed distinct-right counts.
-type joinParIter struct {
-	fanIter
-	s         *joinState
-	distincts []int
-	charged   bool
-}
-
-func (it *joinParIter) Next() (Tuple, error) {
-	t, err := it.next()
-	if err == io.EOF && !it.charged {
-		it.charged = true
-		total := 0
-		for _, n := range it.distincts {
-			total += n
-		}
-		it.s.job.stats.reduceTasks.Add(int64(2 * (reducersFor(total) - 1)))
-	}
-	return t, err
-}
-
-func (it *joinParIter) Close() error {
-	it.stopWorkers()
 	return nil
 }

@@ -21,25 +21,20 @@ func parJob(t *testing.T, budget int64, par, fanIn int) *Job {
 	return j
 }
 
-// comparableStats zeroes the counters that are documented to depend on
-// execution shape (per-partition cascades change how wide individual
-// merges are) while keeping everything the engine promises is identical
-// between serial and parallel execution — including the spill-side
-// counters, which the async flusher must reproduce exactly.
-func comparableStats(s Stats) Stats {
-	s.PeakRunFanIn, s.MergeRuns, s.CascadePasses, s.CascadeRuns = 0, 0, 0, 0
-	return s
-}
-
 type opsSuiteResult struct {
 	agg, red, ordered, joined, distinct, asc, desc string
 	stats                                          Stats
 }
 
+// opsSuiteSplits is how many splits each input of the ops suite is cut
+// into: enough that a pool of 8 decodes them out of plan order.
+const opsSuiteSplits = 10
+
 // runOpsSuite executes one fixed relational workload — every external
-// operator — under the given budget/parallelism/fan-in and renders each
-// output relation to a string. Two runs are equivalent iff the strings
-// (rows AND order) and the comparable stats match.
+// operator, each fed by a scan of opsSuiteSplits splits whose earliest
+// splits finish last — under the given budget/parallelism/fan-in and
+// renders each output relation to a string. Two runs are equivalent iff
+// the strings (rows AND order) and the stats match.
 func runOpsSuite(t *testing.T, budget int64, par, fanIn int) opsSuiteResult {
 	t.Helper()
 	j := parJob(t, budget, par, fanIn)
@@ -53,7 +48,7 @@ func runOpsSuite(t *testing.T, budget int64, par, fanIn int) opsSuiteResult {
 				int64(i),
 			}
 		}
-		return NewDataset(j, Schema{"k", "v", "pos"}, tuples)
+		return scanDataset(t, j, splitFixture(Schema{"k", "v", "pos"}, tuples, opsSuiteSplits))
 	}
 	buildRight := func() *Dataset {
 		rng := rand.New(rand.NewSource(402))
@@ -64,7 +59,7 @@ func runOpsSuite(t *testing.T, budget int64, par, fanIn int) opsSuiteResult {
 			// unmatched keys on both sides.
 			tuples[i] = Tuple{fmt.Sprintf("k%03d", rng.Intn(90)), int64(i)}
 		}
-		return NewDataset(j, Schema{"k", "tag"}, tuples)
+		return scanDataset(t, j, splitFixture(Schema{"k", "tag"}, tuples, opsSuiteSplits))
 	}
 	var res opsSuiteResult
 	render := func(d *Dataset) string {
@@ -150,12 +145,12 @@ func runOpsSuite(t *testing.T, budget int64, par, fanIn int) opsSuiteResult {
 	return res
 }
 
-// TestParallelOpsByteIdenticalToSerial is the tentpole equivalence
-// property: for every external operator, parallel execution produces
-// relations byte-identical to serial execution — same rows, same order —
-// and identical cost accounting, across worker counts and budgets
-// (in-memory, spilling, and spilling with a tiny fan-in that forces
-// cascaded merges).
+// TestParallelOpsByteIdenticalToSerial is the equivalence property of
+// the one parallel stage: for every external operator, a pipeline fed by
+// the parallel scan produces relations byte-identical to one fed by the
+// serial scan — same rows, same order — and identical cost accounting,
+// run geometry included, across worker counts and budgets (in-memory,
+// spilling, and spilling with a tiny fan-in that forces cascaded merges).
 func TestParallelOpsByteIdenticalToSerial(t *testing.T) {
 	cells := []struct {
 		budget int64
@@ -189,80 +184,32 @@ func TestParallelOpsByteIdenticalToSerial(t *testing.T) {
 						cell.budget, cell.fanIn, par, what, pair[0], pair[1])
 				}
 			}
-			if a, b := comparableStats(ref.stats), comparableStats(got.stats); a != b {
+			if ref.stats != got.stats {
 				t.Fatalf("budget %d fanIn %d par %d: stats diverged\nserial:   %+v\nparallel: %+v",
-					cell.budget, cell.fanIn, par, a, b)
+					cell.budget, cell.fanIn, par, ref.stats, got.stats)
 			}
 		}
 	}
 }
 
-// TestParallelReducePathEngages guards against the parallel dispatch
-// silently never firing: a budgeted shuffle across many keys must leave
-// at least two partitions holding data, which is exactly the
-// parallelParts eligibility condition.
-func TestParallelReducePathEngages(t *testing.T) {
-	j := parJob(t, 4096, 4, 0)
-	g, err := wideDataset(j, 3000, 200, 31).GroupBy("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	if parts := g.st.parallelParts(); len(parts) < 2 {
-		t.Fatalf("parallelParts = %v, want >= 2 partitions with data", parts)
-	}
-	if _, err := g.Aggregate(Count("n")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestParallelMergeAbandonKeepsState mirrors the serial abandonment
-// contract on the parallel reduce: a reducer error mid-merge stops the
-// fan-out after exactly one group, the spill state stays reusable, and
-// Close removes every run file (no worker goroutine keeps one open).
-func TestParallelMergeAbandonKeepsState(t *testing.T) {
-	j := parJob(t, 512, 8, 0)
-	g, err := wideDataset(j, 2000, 50, 23).GroupBy("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spillFiles(t, j)) == 0 {
-		t.Fatal("no spill files under budget")
-	}
-	boom := errors.New("stop after first group")
-	seen := 0
-	err = g.EachGroup(func(key Tuple, group []Tuple) error {
-		seen++
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want the reducer's error", err)
-	}
-	if seen != 1 {
-		t.Fatalf("reducer ran %d times after aborting", seen)
-	}
-	if n, err := g.NumGroups(); err != nil || n != 50 {
-		t.Fatalf("NumGroups after abandoned parallel merge = %d, %v", n, err)
-	}
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if left := spillFiles(t, j); len(left) != 0 {
-		t.Fatalf("spill files survived Close: %v", left)
-	}
-}
-
-// TestParallelDistinctEarlyClose abandons a parallel Distinct after one
-// row; Close must stop the partition workers and remove the spill state.
+// TestParallelDistinctEarlyClose abandons a Distinct over a parallel scan
+// after one row; Close must remove the spill state.
 func TestParallelDistinctEarlyClose(t *testing.T) {
 	j := parJob(t, 512, 8, 0)
-	proj, err := wideDataset(j, 2000, 80, 41).Project("k")
+	tuples := make([]Tuple, 2000)
+	for i := range tuples {
+		tuples[i] = Tuple{fmt.Sprintf("key-%03d", i%80), fmt.Sprintf("payload-%d", i)}
+	}
+	proj, err := scanDataset(t, j, splitFixture(Schema{"k", "s"}, tuples, 8)).Project("k")
 	if err != nil {
 		t.Fatal(err)
 	}
 	it, err := proj.Distinct().Open()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if j.Stats().SpillRuns == 0 {
+		t.Fatal("distinct under budget never spilled")
 	}
 	if _, err := it.Next(); err != nil {
 		t.Fatal(err)
@@ -271,7 +218,7 @@ func TestParallelDistinctEarlyClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	if left := spillFiles(t, j); len(left) != 0 {
-		t.Fatalf("spill files survived early Close: %v", left)
+		t.Fatalf("staged files survived early Close: %v", left)
 	}
 }
 
@@ -279,12 +226,13 @@ func TestParallelDistinctEarlyClose(t *testing.T) {
 // per-split artificial latency (so completion order differs from plan
 // order) and injectable decode failures.
 type fakeFormat struct {
+	schema Schema
 	rows   map[string][]Tuple
 	delays map[string]time.Duration
 	fail   map[string]error
 }
 
-func (f *fakeFormat) Schema() Schema { return Schema{"path", "seq"} }
+func (f *fakeFormat) Schema() Schema { return f.schema }
 
 func (f *fakeFormat) Splits(fs *hdfs.FS, dir string) ([]Split, error) {
 	var paths []string
@@ -315,13 +263,27 @@ func (f *fakeFormat) ReadSplit(fs *hdfs.FS, sp Split, emit func(Tuple) error) er
 // scanFixture builds n splits where the EARLIEST splits are the slowest,
 // so a parallel pool completes them out of plan order.
 func scanFixture(n int) *fakeFormat {
-	f := &fakeFormat{rows: map[string][]Tuple{}, delays: map[string]time.Duration{}, fail: map[string]error{}}
+	f := &fakeFormat{schema: Schema{"path", "seq"}, rows: map[string][]Tuple{}, delays: map[string]time.Duration{}, fail: map[string]error{}}
 	for i := 0; i < n; i++ {
 		path := fmt.Sprintf("split-%02d", i)
 		for r := 0; r <= i%4; r++ {
 			f.rows[path] = append(f.rows[path], Tuple{path, int64(r)})
 		}
 		f.delays[path] = time.Duration(n-i) * time.Millisecond
+	}
+	return f
+}
+
+// splitFixture cuts a relation into n contiguous splits, again with the
+// earliest splits the slowest, so any operator can be fed by a scan that
+// completes out of plan order.
+func splitFixture(schema Schema, tuples []Tuple, n int) *fakeFormat {
+	f := &fakeFormat{schema: schema, rows: map[string][]Tuple{}, delays: map[string]time.Duration{}}
+	per := (len(tuples) + n - 1) / n
+	for i := 0; i < n; i++ {
+		path := fmt.Sprintf("split-%02d", i)
+		f.rows[path] = tuples[min(i*per, len(tuples)):min((i+1)*per, len(tuples))]
+		f.delays[path] = time.Duration(n-i) * 100 * time.Microsecond
 	}
 	return f
 }
@@ -358,34 +320,6 @@ func TestParallelScanOrderedByteIdentical(t *testing.T) {
 		if stats != serialStats {
 			t.Fatalf("par %d: scan stats diverged\nserial:   %+v\nparallel: %+v", par, serialStats, stats)
 		}
-	}
-}
-
-// TestParallelScanUnorderedSameMultiset: Unordered waives order only —
-// the delivered multiset and the task accounting stay identical.
-func TestParallelScanUnorderedSameMultiset(t *testing.T) {
-	f := scanFixture(10)
-	run := func(par int) ([]string, Stats) {
-		j := NewJob("scan", hdfs.New(0))
-		j.Parallelism = par
-		var got []string
-		err := scanDataset(t, j, f).Unordered().Each(func(tp Tuple) error {
-			got = append(got, fmt.Sprintf("%v", tp))
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sort.Strings(got)
-		return got, j.Stats()
-	}
-	serialRows, serialStats := run(1)
-	gotRows, gotStats := run(4)
-	if fmt.Sprintf("%v", gotRows) != fmt.Sprintf("%v", serialRows) {
-		t.Fatalf("unordered scan multiset diverged:\nserial:   %v\nparallel: %v", serialRows, gotRows)
-	}
-	if gotStats != serialStats {
-		t.Fatalf("unordered scan stats diverged:\nserial:   %+v\nparallel: %+v", serialStats, gotStats)
 	}
 }
 
@@ -461,19 +395,10 @@ func TestParallelScanLimitChargesPrefix(t *testing.T) {
 	}
 }
 
-// TestUnorderedIsNoOpOffScan: Unordered on a derived dataset returns the
-// dataset unchanged — only raw scan sources have an order to waive.
-func TestUnorderedIsNoOpOffScan(t *testing.T) {
-	d := NewDataset(emptyJob(), Schema{"a"}, []Tuple{{int64(1)}})
-	if got := d.Unordered(); got != d {
-		t.Fatal("Unordered on a non-scan dataset built a new node")
-	}
-}
-
 // TestParallelDistinctReduceWaveTopUp: with enough distinct keys to need
-// more than one reducer, the parallel Distinct must charge the same
-// topped-up reduce wave as serial — the partition counts sum to the
-// global distinct count.
+// more than one reducer, Distinct tops its base reducer up to the
+// group-scaled wave at the end of the merge, and charges the same whether
+// the serial or the parallel scan fed it.
 func TestParallelDistinctReduceWaveTopUp(t *testing.T) {
 	const keys = 25000
 	run := func(par int) (int64, Stats) {
@@ -482,7 +407,7 @@ func TestParallelDistinctReduceWaveTopUp(t *testing.T) {
 		for i := range tuples {
 			tuples[i] = Tuple{fmt.Sprintf("key-%06d", i)}
 		}
-		n, err := NewDataset(j, Schema{"k"}, tuples).Distinct().Count()
+		n, err := scanDataset(t, j, splitFixture(Schema{"k"}, tuples, 8)).Distinct().Count()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -493,7 +418,7 @@ func TestParallelDistinctReduceWaveTopUp(t *testing.T) {
 	if serialN != keys || parN != keys {
 		t.Fatalf("distinct counts = %d / %d, want %d", serialN, parN, keys)
 	}
-	if comparableStats(parStats) != comparableStats(serialStats) {
+	if parStats != serialStats {
 		t.Fatalf("distinct stats diverged:\nserial:   %+v\nparallel: %+v", serialStats, parStats)
 	}
 	if want := reducersFor(keys); parStats.ReduceTasks != want {

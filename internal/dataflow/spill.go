@@ -5,11 +5,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"unilog/internal/recordio"
@@ -18,22 +15,16 @@ import (
 // An external operator (GroupBy, GroupAll, Join, Distinct, OrderBy) cannot
 // assume its input fits in memory. spillTable is the shared machinery, and
 // — like the sort-merge shuffle of the MapReduce jobs this engine models —
-// it is sort-based: tuples are hash-partitioned on their rendered key and
-// buffered per partition, and when the buffered bytes exceed
-// Job.MemoryBudget the largest partition's buffer is *sorted* (key, then
-// the optional order column, then insertion sequence) and appended to the
-// partition's spill file as one sorted run. The reduce side is a streaming
-// k-way merge over every run plus the sorted in-memory residues (merge.go):
-// tuples arrive in global (key, order, sequence) order, so reducers fold
-// group boundaries as they stream by and never hold a per-group hash map —
-// peak reduce memory is the merge heap plus one buffered tuple per run.
-// With MemoryBudget <= 0 the table degenerates to a single never-spilled
-// partition whose residue is sorted once: the in-memory fast path, with
-// identical output order.
-
-// DefaultSpillPartitions is the hash fan-out of external operators when
-// Job.SpillPartitions is unset.
-const DefaultSpillPartitions = 8
+// it is sort-based: tuples are buffered with their rendered key, and when
+// the buffered bytes exceed Job.MemoryBudget the buffer is *sorted* (key,
+// then the optional order columns, then insertion sequence) and appended to
+// the table's spill file as one budget-sized sorted run. The reduce side is
+// a streaming k-way merge over every run plus the sorted in-memory residue
+// (merge.go): tuples arrive in global (key, order, sequence) order, so
+// reducers fold group boundaries as they stream by and never hold a
+// per-group hash map — peak reduce memory is the merge heap plus one
+// buffered tuple per run. With MemoryBudget <= 0 the budget never trips:
+// the same table with one never-spilled run, and identical output order.
 
 // sortKey is one column of a secondary sort: the col'th tuple column,
 // descending when desc.
@@ -54,7 +45,7 @@ var noSort = sortSpec(nil)
 
 // memTuple is one buffered tuple: its rendered key (an arena slice), its
 // global insertion sequence (the stability tiebreak), and the tuple. The
-// arena offset is an int: the unbudgeted path never resets the arena, so
+// arena offset is an int: an unbudgeted table never resets the arena, so
 // a narrower offset could silently wrap on a multi-GiB key volume.
 type memTuple struct {
 	keyOff int
@@ -63,107 +54,42 @@ type memTuple struct {
 	t      Tuple
 }
 
-// spillRun is one sorted run inside a partition's spill file.
-type spillRun struct {
-	off     int64
-	len     int64
-	records int64
-}
-
-// runRef is a sorted run addressed by file: either a section of a
-// partition's spill file or a whole cascade file (temp = true, owned by
-// the table and removed once consumed or on Close). The cascade in
-// merge.go moves partition runs into this form so multiple passes can
-// rewrite and retire them independently of the partitions they came
-// from.
+// runRef is one sorted run on disk: a section of the table's spill file,
+// or a whole cascade file (merge.go) that replaced several earlier runs.
 type runRef struct {
 	path    string
 	off     int64
 	len     int64
 	records int64
-	temp    bool
 }
 
-// spillPart is one hash partition: an in-memory buffer plus, once it has
-// overflowed, a spill file holding earlier tuples as sorted runs.
-type spillPart struct {
+// spillTable turns one operator input into sorted runs: an in-memory
+// buffer plus, once the budget has tripped, a spill file holding earlier
+// tuples as sorted runs.
+type spillTable struct {
+	job    *Job
+	keyIdx []int
+	order  sortSpec
+	budget int64 // <= 0: unlimited (never spills)
+	seq    uint64
+
 	mem      []memTuple
 	keyArena []byte
-	memBytes int64
+	memBytes int64 // tuple+key bytes currently buffered
+	scratch  []byte
+	encBuf   []byte
 
 	path string // spill file; "" until first overflow
 	f    *os.File
 	bw   *bufio.Writer
 	w    *recordio.CRCWriter
-	runs []spillRun
+	runs []runRef // every run on disk; the cascade (merge.go) rewrites it
 
-	// merged holds this partition's runs after a per-partition cascade
-	// (merge.go) has staged them into wider files — the partition-local
-	// counterpart of spillTable.merged, used by parallel reduce passes
-	// so partition identity survives cascading.
-	merged []runRef
+	closed bool
 }
 
-// key returns the rendered key of a buffered tuple.
-func (p *spillPart) key(m *memTuple) []byte {
-	return p.keyArena[m.keyOff : m.keyOff+m.keyLen]
-}
-
-// spillTable partitions one operator input into sorted runs.
-type spillTable struct {
-	job      *Job
-	keyIdx   []int
-	order    sortSpec
-	parts    []spillPart
-	budget   int64 // <= 0: unlimited (pure in-memory)
-	buffered int64 // tuple+key bytes currently buffered across partitions
-	seq      uint64
-	scratch  []byte
-	encBuf   []byte
-	merged   []runRef // file runs owned by the cascade (merge.go); empty until one runs
-	closed   bool
-
-	// Async spill flushing (Job.Parallelism > 1): detached partition
-	// buffers travel to a single flusher goroutine that sorts and writes
-	// them off the ingest path. Budget is freed at detach time, so flush
-	// decisions, run boundaries, and file contents are identical to the
-	// serial path — only the ingest thread no longer waits for the sort
-	// and the write. flushErr is owned by the flusher until flushDone
-	// closes; flushFail is the ingest path's fail-fast signal.
-	flushCh   chan flushReq
-	flushDone chan struct{}
-	flushErr  error
-	flushFail atomic.Bool
-}
-
-// flushReq is one detached partition buffer awaiting its sort-and-write.
-type flushReq struct {
-	p     *spillPart
-	mem   []memTuple
-	arena []byte
-}
-
-// newSpillTable sizes a table for the job's budget. partitions overrides
-// the fan-out when > 0 (GroupAll and OrderBy use 1: a single global order
-// cannot be hash-split).
-func newSpillTable(j *Job, keyIdx []int, order sortSpec, partitions int) *spillTable {
-	n := partitions
-	if n <= 0 {
-		n = j.SpillPartitions
-		if n <= 0 {
-			n = DefaultSpillPartitions
-		}
-	}
-	budget := j.MemoryBudget
-	if budget <= 0 {
-		// In-memory fast path: one partition, no spilling; the residue is
-		// still sorted once, so the merge semantics are identical.
-		budget = 0
-		if partitions <= 0 {
-			n = 1
-		}
-	}
-	return &spillTable{job: j, keyIdx: keyIdx, order: order, parts: make([]spillPart, n), budget: budget}
+func newSpillTable(j *Job, keyIdx []int, order sortSpec) *spillTable {
+	return &spillTable{job: j, keyIdx: keyIdx, order: order, budget: j.MemoryBudget}
 }
 
 // spillDir returns where this job stages spill files.
@@ -174,8 +100,13 @@ func (st *spillTable) spillDir() string {
 	return os.TempDir()
 }
 
-// add routes one tuple to its partition, charging the shuffle and spilling
-// sorted runs as needed. On error the table has already been cleaned up.
+// key returns the rendered key of a buffered tuple.
+func (st *spillTable) key(m *memTuple) []byte {
+	return st.keyArena[m.keyOff : m.keyOff+m.keyLen]
+}
+
+// add buffers one tuple, charging the shuffle and spilling a sorted run
+// when the budget trips. On error the table has already been cleaned up.
 func (st *spillTable) add(t Tuple) error {
 	b := tupleBytes(t)
 	st.job.stats.shuffleBytes.Add(b)
@@ -184,22 +115,13 @@ func (st *spillTable) add(t Tuple) error {
 	if len(st.keyIdx) > 0 {
 		st.scratch = appendKey(st.scratch, t, st.keyIdx)
 	}
-	p := 0
-	if len(st.parts) > 1 {
-		h := fnv.New64a()
-		h.Write(st.scratch)
-		p = int(h.Sum64() % uint64(len(st.parts)))
-	}
-	part := &st.parts[p]
-	off := len(part.keyArena)
-	part.keyArena = append(part.keyArena, st.scratch...)
-	part.mem = append(part.mem, memTuple{keyOff: off, keyLen: len(st.scratch), seq: st.seq, t: t})
+	off := len(st.keyArena)
+	st.keyArena = append(st.keyArena, st.scratch...)
+	st.mem = append(st.mem, memTuple{keyOff: off, keyLen: len(st.scratch), seq: st.seq, t: t})
 	st.seq++
-	b += int64(len(st.scratch)) // the rendered key is buffered too
-	part.memBytes += b
-	st.buffered += b
-	for st.budget > 0 && st.buffered > st.budget {
-		if err := st.spillLargest(); err != nil {
+	st.memBytes += b + int64(len(st.scratch)) // the rendered key is buffered too
+	if st.budget > 0 && st.memBytes > st.budget {
+		if err := st.spill(); err != nil {
 			st.Close()
 			return err
 		}
@@ -208,7 +130,7 @@ func (st *spillTable) add(t Tuple) error {
 }
 
 // fill consumes an entire dataset into the table, then seals the spill
-// files and sorts the residues for merging. On error the table has been
+// file and sorts the residue for merging. On error the table has been
 // cleaned up.
 func (st *spillTable) fill(d *Dataset) error {
 	t0 := time.Now()
@@ -225,21 +147,14 @@ func (st *spillTable) fill(d *Dataset) error {
 	return err
 }
 
-// sortPart orders a partition buffer by (key, order column, sequence) —
-// the run order the merge relies on. Sequences are unique, so the order is
-// total and the sort is stable by construction.
-func (st *spillTable) sortPart(p *spillPart) {
-	st.sortRun(p.mem, p.keyArena)
-}
-
-// sortRun is sortPart over an explicit (buffer, arena) pair, so a
-// detached buffer handed to the async flusher sorts identically.
-func (st *spillTable) sortRun(mem []memTuple, arena []byte) {
+// sortMem orders the buffer by (key, order columns, sequence) — the run
+// order the merge relies on. Sequences are unique, so the order is total
+// and the sort is stable by construction.
+func (st *spillTable) sortMem() {
+	mem := st.mem
 	sort.Slice(mem, func(i, j int) bool {
 		a, b := &mem[i], &mem[j]
-		ka := arena[a.keyOff : a.keyOff+a.keyLen]
-		kb := arena[b.keyOff : b.keyOff+b.keyLen]
-		if c := bytes.Compare(ka, kb); c != 0 {
+		if c := bytes.Compare(st.key(a), st.key(b)); c != 0 {
 			return c < 0
 		}
 		for _, k := range st.order {
@@ -254,254 +169,108 @@ func (st *spillTable) sortRun(mem []memTuple, arena []byte) {
 	})
 }
 
-// detachLargest picks the biggest in-memory partition buffer, detaches
-// it from the partition, and frees its budget share — the flush
-// *decision* and accounting, separated from the flush I/O so the write
-// can happen on the flusher goroutine without changing which buffers
-// spill or what runs they form.
-func (st *spillTable) detachLargest() (*spillPart, []memTuple, []byte) {
-	var p *spillPart
-	for i := range st.parts {
-		if st.parts[i].memBytes > 0 && (p == nil || st.parts[i].memBytes > p.memBytes) {
-			p = &st.parts[i]
-		}
-	}
-	if p == nil {
-		return nil, nil, nil
-	}
-	mem, arena := p.mem, p.keyArena
-	st.buffered -= p.memBytes
-	p.mem = nil // really release: the budget exists to bound live tuples
-	p.keyArena = nil
-	p.memBytes = 0
-	return p, mem, arena
-}
-
-// writeRun sorts a detached partition buffer and appends it to the
-// partition's spill file as one sorted run. The partition's file state
-// (p.f, p.w, p.runs) is touched only here; while the async flusher is
-// running it is the sole caller, so file state is single-owner in both
-// modes. Returns the (possibly grown) encode buffer for reuse.
-func (st *spillTable) writeRun(p *spillPart, mem []memTuple, arena []byte, encBuf []byte) ([]byte, error) {
+// spill sorts the buffer, appends it to the spill file as one sorted run,
+// and empties it.
+func (st *spillTable) spill() error {
 	t0 := time.Now()
-	st.sortRun(mem, arena)
-	if p.f == nil {
+	st.sortMem()
+	if st.f == nil {
 		f, err := os.CreateTemp(st.spillDir(), "unilog-spill-"+st.job.Name+"-*.crc")
 		if err != nil {
-			return encBuf, fmt.Errorf("dataflow: create spill file: %w", err)
+			return fmt.Errorf("dataflow: create spill file: %w", err)
 		}
-		p.f = f
-		p.path = f.Name()
-		p.bw = bufio.NewWriterSize(f, 1<<16)
-		p.w = recordio.NewCRCWriter(p.bw)
-		st.job.stats.spilledPartitions.Add(1)
+		st.f = f
+		st.path = f.Name()
+		st.bw = bufio.NewWriterSize(f, 1<<16)
+		st.w = recordio.NewCRCWriter(st.bw)
 	}
+	before := st.w.Bytes()
+	for i := range st.mem {
+		m := &st.mem[i]
+		var err error
+		st.encBuf, err = appendRunRec(st.encBuf[:0], st.key(m), m.seq, m.t)
+		if err != nil {
+			return err
+		}
+		if err := st.w.Append(st.encBuf); err != nil {
+			return fmt.Errorf("dataflow: write spill file %s: %w", st.path, err)
+		}
+	}
+	records, size := int64(len(st.mem)), st.w.Bytes()-before
+	st.runs = append(st.runs, runRef{path: st.path, off: before, len: size, records: records})
 	st.job.stats.spillFlushes.Add(1)
-	before := p.w.Bytes()
-	for i := range mem {
-		m := &mem[i]
-		var err error
-		encBuf, err = appendRunRec(encBuf[:0], arena[m.keyOff:m.keyOff+m.keyLen], m.seq, m.t)
-		if err != nil {
-			return encBuf, err
-		}
-		if err := p.w.Append(encBuf); err != nil {
-			return encBuf, fmt.Errorf("dataflow: write spill file %s: %w", p.path, err)
-		}
-	}
-	p.runs = append(p.runs, spillRun{off: before, len: p.w.Bytes() - before, records: int64(len(mem))})
 	st.job.stats.spillRuns.Add(1)
-	st.job.stats.spilledRecords.Add(int64(len(mem)))
-	st.job.stats.spilledBytes.Add(p.w.Bytes() - before)
+	st.job.stats.spilledRecords.Add(records)
+	st.job.stats.spilledBytes.Add(size)
 	tmSpillRuns.Inc()
-	tmSpillRecords.Add(int64(len(mem)))
-	tmSpillBytes.Add(p.w.Bytes() - before)
+	tmSpillRecords.Add(records)
+	tmSpillBytes.Add(size)
 	tmSpillFlushNs.ObserveSince(t0)
-	return encBuf, nil
+	// Drop the tuple references: the budget exists to bound live tuples.
+	clear(st.mem)
+	st.mem = st.mem[:0]
+	st.keyArena = st.keyArena[:0]
+	st.memBytes = 0
+	return nil
 }
 
-// spillLargest detaches the biggest partition buffer and flushes it —
-// inline when serial, via the flusher goroutine when Job.Parallelism
-// allows, so sorting and writing leave the ingest path. Requests are
-// FIFO through a single flusher, so each partition file's runs land in
-// exactly the order the serial path would write them.
-func (st *spillTable) spillLargest() error {
-	if st.flushFail.Load() {
-		return st.stopFlusher()
-	}
-	p, mem, arena := st.detachLargest()
-	if p == nil {
-		return nil
-	}
-	if st.flushCh == nil && st.job.parallelism() > 1 {
-		st.flushCh = make(chan flushReq, 2)
-		st.flushDone = make(chan struct{})
-		go st.flusher()
-	}
-	if st.flushCh != nil {
-		st.flushCh <- flushReq{p: p, mem: mem, arena: arena}
-		return nil
-	}
-	var err error
-	st.encBuf, err = st.writeRun(p, mem, arena, st.encBuf)
-	return err
-}
-
-// flusher drains detached buffers, recording the first failure and
-// discarding the rest — the table is poisoned and being torn down once
-// anything goes wrong.
-func (st *spillTable) flusher() {
-	defer close(st.flushDone)
-	var encBuf []byte
-	for req := range st.flushCh {
-		if st.flushErr != nil {
-			continue
-		}
-		t0 := time.Now()
-		var err error
-		encBuf, err = st.writeRun(req.p, req.mem, req.arena, encBuf)
-		tmParSpillBusyNs.ObserveSince(t0)
-		if err != nil {
-			st.flushErr = err
-			st.flushFail.Store(true)
-		}
-	}
-}
-
-// stopFlusher joins the flusher goroutine, if one is running, and
-// returns its first error. After it returns, partition file state is
-// back under the caller's ownership.
-func (st *spillTable) stopFlusher() error {
-	if st.flushCh == nil {
-		return nil
-	}
-	close(st.flushCh)
-	<-st.flushDone
-	st.flushCh = nil
-	return st.flushErr
-}
-
-// finish flushes and closes every spill file for writing and sorts the
-// in-memory residues; the table is then ready for (repeated) merge reads.
-// The flusher (if running) is joined first, so its error surfaces here
-// and file state is single-threaded again. On error the table has been
-// cleaned up.
+// finish sorts the in-memory residue and flushes and closes the spill
+// file for writing; the table is then ready for (repeated) merge reads.
+// On error the table has been cleaned up.
 func (st *spillTable) finish() error {
-	if err := st.stopFlusher(); err != nil {
-		st.Close()
-		return err
+	st.sortMem()
+	if st.f == nil {
+		return nil
 	}
-	st.sortResidues()
-	for i := range st.parts {
-		p := &st.parts[i]
-		if p.f == nil {
-			continue
-		}
-		err := p.bw.Flush()
-		if cerr := p.f.Close(); err == nil {
-			err = cerr
-		}
-		p.f, p.bw, p.w = nil, nil, nil
-		if err != nil {
-			st.Close()
-			return fmt.Errorf("dataflow: seal spill file %s: %w", p.path, err)
-		}
+	err := st.bw.Flush()
+	if cerr := st.f.Close(); err == nil {
+		err = cerr
+	}
+	st.f, st.bw, st.w = nil, nil, nil
+	if err != nil {
+		path := st.path
+		st.Close()
+		return fmt.Errorf("dataflow: seal spill file %s: %w", path, err)
 	}
 	return nil
 }
 
-// sortResidues sorts every partition's in-memory residue, fanning the
-// sorts out over workers when the job allows — each sort touches only
-// its own partition's buffer, and sort order does not depend on who
-// sorts.
-func (st *spillTable) sortResidues() {
-	var parts []*spillPart
-	for i := range st.parts {
-		if len(st.parts[i].mem) > 0 {
-			parts = append(parts, &st.parts[i])
-		}
-	}
-	workers := st.job.parallelism()
-	if workers > len(parts) {
-		workers = len(parts)
-	}
-	if workers <= 1 {
-		for _, p := range parts {
-			st.sortPart(p)
-		}
-		return
-	}
-	tmParWorkers.SetMax(int64(workers))
-	idx := make(chan *spillPart)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range idx {
-				st.sortPart(p)
-			}
-		}()
-	}
-	for _, p := range parts {
-		idx <- p
-	}
-	close(idx)
-	wg.Wait()
-}
-
 // errSpillClosed guards use-after-Close: without it a reduce pass over a
-// closed table would see empty partitions and return a silently empty
+// closed table would see an empty buffer and return a silently empty
 // relation.
 var errSpillClosed = errors.New("dataflow: spilled operator state is closed")
 
-// numParts returns the partition fan-out.
-func (st *spillTable) numParts() int { return len(st.parts) }
-
-// Close removes every spill file and drops the buffers. It is safe to call
-// more than once; after Close the table cannot be read.
+// Close removes the spill file and every cascade file and drops the
+// buffer. It is safe to call more than once; after Close the table cannot
+// be read.
 func (st *spillTable) Close() error {
 	if st.closed {
 		return nil
 	}
 	st.closed = true
-	// Join the flusher before touching file state: a mid-flight write
-	// must not race the removals below. Its error is superseded by the
-	// teardown itself.
-	st.stopFlusher()
+	if st.f != nil {
+		st.f.Close()
+		st.f, st.bw, st.w = nil, nil, nil
+	}
 	var err error
 	removed := make(map[string]bool)
-	rmTemps := func(refs []runRef) {
-		for _, r := range refs {
-			if !r.temp || removed[r.path] {
-				continue
-			}
-			removed[r.path] = true
-			if rerr := os.Remove(r.path); rerr != nil && err == nil {
-				err = rerr
-			}
+	remove := func(path string) {
+		if path == "" || removed[path] {
+			return
+		}
+		removed[path] = true
+		if rerr := os.Remove(path); rerr != nil && err == nil {
+			err = rerr
 		}
 	}
-	for i := range st.parts {
-		p := &st.parts[i]
-		if p.f != nil {
-			p.f.Close()
-			p.f, p.bw, p.w = nil, nil, nil
-		}
-		if p.path != "" {
-			if rerr := os.Remove(p.path); rerr != nil && err == nil {
-				err = rerr
-			}
-			p.path = ""
-		}
-		p.mem = nil
-		p.keyArena = nil
-		p.runs = nil
-		p.memBytes = 0
-		rmTemps(p.merged)
-		p.merged = nil
+	remove(st.path)
+	for _, r := range st.runs {
+		remove(r.path)
 	}
-	rmTemps(st.merged)
-	st.merged = nil
+	st.path = ""
+	st.runs = nil
+	st.mem = nil
+	st.keyArena = nil
+	st.memBytes = 0
 	return err
 }

@@ -23,9 +23,11 @@ func spillJob(t *testing.T, budget int64) *Job {
 	return j
 }
 
+// spillFiles lists every file the job's external operators have staged:
+// spill files and the cascade files that replace them.
 func spillFiles(t *testing.T, j *Job) []string {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(j.SpillDir, "unilog-spill-*"))
+	files, err := filepath.Glob(filepath.Join(j.SpillDir, "unilog-*.crc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +60,8 @@ func TestGroupBySpillsUnderBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := j.Stats()
-	if st.SpilledPartitions < 2 {
-		t.Fatalf("spilled partitions = %d, want >= 2 under a 512-byte budget", st.SpilledPartitions)
+	if st.SpillRuns < 2 {
+		t.Fatalf("spill runs = %d, want >= 2 under a 512-byte budget", st.SpillRuns)
 	}
 	if st.SpilledBytes == 0 || st.SpilledRecords == 0 || st.SpillFlushes == 0 {
 		t.Fatalf("spill stats = %+v", st)
@@ -102,7 +104,7 @@ func TestZeroAndNegativeBudgetStayInMemory(t *testing.T) {
 			t.Fatalf("budget %d: groups = %d", budget, len(rows))
 		}
 		st := j.Stats()
-		if st.SpilledPartitions != 0 || st.SpilledBytes != 0 {
+		if st.SpillRuns != 0 || st.SpilledBytes != 0 {
 			t.Fatalf("budget %d spilled: %+v", budget, st)
 		}
 		if files := spillFiles(t, j); len(files) != 0 {
@@ -112,8 +114,7 @@ func TestZeroAndNegativeBudgetStayInMemory(t *testing.T) {
 	}
 }
 
-// renderRows canonicalizes a relation for comparison across execution
-// strategies whose row order may differ (Join partitions).
+// renderRows canonicalizes a relation for comparison as a multiset.
 func renderRows(rows []Tuple) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
@@ -171,7 +172,7 @@ func TestGroupBySpillMatchesInMemory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return aggRows, redRows, j.Stats().SpilledPartitions
+			return aggRows, redRows, j.Stats().SpillRuns
 		}
 
 		memAgg, memRed, memSpills := run(0)
@@ -192,8 +193,8 @@ func TestGroupBySpillMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestJoinSpillMatchesInMemory: Grace-join output equals the in-memory
-// join as a relation (order may legitimately differ across partitions).
+// TestJoinSpillMatchesInMemory: the spilled join's output equals the
+// in-memory join as a relation.
 func TestJoinSpillMatchesInMemory(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed + 100))
@@ -221,7 +222,7 @@ func TestJoinSpillMatchesInMemory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return renderRows(rows), j.Stats().SpilledPartitions
+			return renderRows(rows), j.Stats().SpillRuns
 		}
 		mem, memSpills := run(0)
 		spilled, spills := run(256)
@@ -325,7 +326,7 @@ func TestSpillFileTruncation(t *testing.T) {
 }
 
 // TestSpillEncodeErrorCleansUp: a tuple the codec cannot serialize fails
-// the partition phase with a clean error and leaves no temp files behind.
+// the shuffle with a clean error and leaves no temp files behind.
 func TestSpillEncodeErrorCleansUp(t *testing.T) {
 	j := spillJob(t, 64)
 	type opaque struct{ x int }

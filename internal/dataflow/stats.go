@@ -2,13 +2,10 @@ package dataflow
 
 import "sync/atomic"
 
-// jobStats is the internal, race-safe representation of Stats. Parallel
-// scan workers, the async spill flusher, and concurrent per-partition
-// reduce passes all charge the same job, so every field is an atomic;
-// Job.Stats() materializes the plain snapshot the public API has always
-// returned. Counts are identical to the serial engine's for any fully
-// consumed pipeline — parallel execution changes when a charge lands,
-// never how much is charged.
+// jobStats is the internal, race-safe representation of Stats. Job.Stats
+// may be called while a pipeline is executing, so every field is an
+// atomic; Job.Stats() materializes the plain snapshot the public API has
+// always returned.
 type jobStats struct {
 	mapTasks       atomic.Int64
 	reduceTasks    atomic.Int64
@@ -20,21 +17,19 @@ type jobStats struct {
 	shuffleBytes   atomic.Int64
 	outputRecords  atomic.Int64
 
-	spilledBytes      atomic.Int64
-	spilledRecords    atomic.Int64
-	spilledPartitions atomic.Int64
-	spillFlushes      atomic.Int64
-	spillRuns         atomic.Int64
-	mergePasses       atomic.Int64
-	mergeRuns         atomic.Int64
-	peakRunFanIn      atomic.Int64
-	cascadePasses     atomic.Int64
-	cascadeRuns       atomic.Int64
+	spilledBytes   atomic.Int64
+	spilledRecords atomic.Int64
+	spillFlushes   atomic.Int64
+	spillRuns      atomic.Int64
+	mergePasses    atomic.Int64
+	mergeRuns      atomic.Int64
+	peakRunFanIn   atomic.Int64
+	cascadePasses  atomic.Int64
+	cascadeRuns    atomic.Int64
 }
 
 // maxRunFanIn raises peakRunFanIn to n if n exceeds it — the same
-// CAS-max idiom as telemetry.Gauge.SetMax, since concurrent merges
-// race to record the widest fan-in.
+// CAS-max idiom as telemetry.Gauge.SetMax.
 func (s *jobStats) maxRunFanIn(n int64) {
 	for {
 		cur := s.peakRunFanIn.Load()
@@ -57,15 +52,14 @@ func (s *jobStats) snapshot() Stats {
 		ShuffleBytes:   s.shuffleBytes.Load(),
 		OutputRecords:  s.outputRecords.Load(),
 
-		SpilledBytes:      s.spilledBytes.Load(),
-		SpilledRecords:    s.spilledRecords.Load(),
-		SpilledPartitions: int(s.spilledPartitions.Load()),
-		SpillFlushes:      int(s.spillFlushes.Load()),
-		SpillRuns:         int(s.spillRuns.Load()),
-		MergePasses:       int(s.mergePasses.Load()),
-		MergeRuns:         int(s.mergeRuns.Load()),
-		PeakRunFanIn:      int(s.peakRunFanIn.Load()),
-		CascadePasses:     int(s.cascadePasses.Load()),
-		CascadeRuns:       int(s.cascadeRuns.Load()),
+		SpilledBytes:   s.spilledBytes.Load(),
+		SpilledRecords: s.spilledRecords.Load(),
+		SpillFlushes:   int(s.spillFlushes.Load()),
+		SpillRuns:      int(s.spillRuns.Load()),
+		MergePasses:    int(s.mergePasses.Load()),
+		MergeRuns:      int(s.mergeRuns.Load()),
+		PeakRunFanIn:   int(s.peakRunFanIn.Load()),
+		CascadePasses:  int(s.cascadePasses.Load()),
+		CascadeRuns:    int(s.cascadeRuns.Load()),
 	}
 }

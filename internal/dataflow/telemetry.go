@@ -26,16 +26,12 @@ var (
 	tmCascadeNs    = telemetry.GetHistogram("dataflow.stage.cascade.ns")
 	tmMergePassNs  = telemetry.GetHistogram("dataflow.stage.merge.ns")
 
-	// Parallel-execution instruments. The workers gauge records (SetMax)
-	// the widest worker pool any phase engaged; the queue-depth gauge
-	// records the deepest the ordered scan's reorder buffer ever got —
-	// how far completion order ran ahead of delivery order. Busy
-	// histograms observe per-work-item wall time inside worker
-	// goroutines, one observation per split decode / partition reduce /
-	// detached spill flush.
-	tmParWorkers      = telemetry.GetGauge("dataflow.parallel.workers")
-	tmScanQueueDepth  = telemetry.GetGauge("dataflow.parallel.scan.queue.depth")
-	tmParScanBusyNs   = telemetry.GetHistogram("dataflow.parallel.scan.busy.ns")
-	tmParReduceBusyNs = telemetry.GetHistogram("dataflow.parallel.reduce.busy.ns")
-	tmParSpillBusyNs  = telemetry.GetHistogram("dataflow.parallel.spill.busy.ns")
+	// Scan-pool instruments. The workers gauge records (SetMax) the widest
+	// scan pool engaged; the queue-depth gauge records the deepest the
+	// scan's reorder buffer ever got — how far completion order ran ahead
+	// of delivery order. The busy histogram observes one split decode's
+	// wall time inside a worker goroutine.
+	tmParWorkers     = telemetry.GetGauge("dataflow.parallel.workers")
+	tmScanQueueDepth = telemetry.GetGauge("dataflow.parallel.scan.queue.depth")
+	tmParScanBusyNs  = telemetry.GetHistogram("dataflow.parallel.scan.busy.ns")
 )

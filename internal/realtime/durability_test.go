@@ -1,7 +1,10 @@
 package realtime
 
 import (
-	"encoding/binary"
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"unilog/internal/analytics"
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
 	"unilog/internal/recordio"
@@ -629,89 +631,87 @@ func TestStatsPersistAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestV1WALSegmentReplaysIntoV2Engine hand-crafts a segment in the v1
-// record format (full name logged per observation, the pre-dictionary
-// encoding) and requires the current engine to replay it exactly — the
-// format-boundary guarantee that upgrading does not strand existing logs.
-func TestV1WALSegmentReplaysIntoV2Engine(t *testing.T) {
-	dir := t.TempDir()
-	v1Obs := func(buf []byte, name string, minute int64, country string, loggedIn bool) []byte {
-		buf = binary.AppendUvarint(buf, uint64(len(name)))
-		buf = append(buf, name...)
-		buf = binary.AppendUvarint(buf, uint64(minute))
-		buf = binary.AppendUvarint(buf, uint64(len(country)))
-		buf = append(buf, country...)
-		if loggedIn {
-			return append(buf, 1)
-		}
-		return append(buf, 0)
-	}
-	click := "web:home:mentions:stream:avatar:profile_click"
-	impr := "iphone:home:timeline:stream:tweet:impression"
-	m0 := t0.Unix() / 60
+// TestRetiredAndUnknownFormatVersionsAreCorrupt: a WAL record or a
+// snapshot header whose version byte is not the current one — the retired
+// v1 or a version this build has never heard of — is rejected with
+// recordio.ErrCorrupt naming the version, and recovery treats it as it
+// treats any other damage: the WAL keeps its intact prefix and truncates,
+// the snapshot is skipped in favour of the surviving WAL tail.
+func TestRetiredAndUnknownFormatVersionsAreCorrupt(t *testing.T) {
+	for _, version := range []byte{1, 3} {
+		named := fmt.Sprintf("version %d", version)
 
-	f, err := os.Create(filepath.Join(dir, walName(0, 0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cw := recordio.NewCRCWriter(f)
-	rec := []byte{walRecordV1}
-	rec = binary.AppendUvarint(rec, 3)
-	rec = v1Obs(rec, click, m0, "us", true)
-	rec = v1Obs(rec, click, m0, "jp", false)
-	rec = v1Obs(rec, impr, m0, "us", true)
-	if err := cw.Append(rec); err != nil {
-		t.Fatal(err)
-	}
-	rec = []byte{walRecordV1}
-	rec = binary.AppendUvarint(rec, 2)
-	rec = v1Obs(rec, impr, m0+1, "uk", false)
-	rec = v1Obs(rec, impr, m0+1, "uk", true)
-	if err := cw.Append(rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Replay into a differently-sharded engine: v1 decoding feeds the
-	// same re-digest path as v2, so routing follows the new config.
-	r, err := Open(dir, durCfg(3, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	day := t0.Truncate(24 * time.Hour)
-	end := day.Add(24 * time.Hour)
-	checkReplayed := func(c *Counter, label string) {
-		t.Helper()
-		if got := c.Stats().Observed; got != 5 {
-			t.Errorf("%s: Observed = %d, want 5", label, got)
+		err := (&walDecoder{}).decodeBatch([]byte{version, 0, 0, 0, 0}, nil)
+		if !errors.Is(err, recordio.ErrCorrupt) || !strings.Contains(err.Error(), named) {
+			t.Errorf("wal record %s: err = %v, want ErrCorrupt naming the version", named, err)
 		}
-		for path, want := range map[string]int64{
-			"web": 2, click: 2, "iphone": 3, impr: 3, "web:home:mentions": 2,
-		} {
-			if got := c.PathSum(path, day, end); got != want {
-				t.Errorf("%s: PathSum(%q) = %d, want %d", label, path, got, want)
+		dir := t.TempDir()
+		seg := oneShardScenario(t, dir, 5)
+		intact, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := recordio.NewCRCWriter(f).Append([]byte{version, 0, 0, 0, 0}); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		r, err := Open(dir, durCfg(1, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pathSumAll(r); got != 5 || r.Stats().WALErrors == 0 {
+			t.Errorf("wal %s: recovered %d events with %d WAL errors, want the 5-event prefix and the damage counted",
+				named, got, r.Stats().WALErrors)
+		}
+		r.Crash()
+		if fi, err := os.Stat(seg); err != nil || fi.Size() != intact.Size() {
+			t.Errorf("wal %s: segment is %d bytes after recovery, want it truncated back to %d (%v)",
+				named, fi.Size(), intact.Size(), err)
+		}
+
+		// The same snapshot, re-framed with only the header's version byte
+		// changed, so the checksum holds and the version check is what fires.
+		dir = t.TempDir()
+		snap := snapThenTail(t, dir)
+		in, err := os.Open(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		cr, cw := recordio.NewCRCReader(in), recordio.NewCRCWriter(&out)
+		for first := true; ; first = false {
+			rec, err := cr.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first {
+				rec[1] = version
+			}
+			if err := cw.Append(rec); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if got := c.Series(impr, t0, t0.Add(2*time.Minute)); !reflect.DeepEqual(got, []int64{1, 2}) {
-			t.Errorf("%s: Series(impr) = %v, want [1 2]", label, got)
+		in.Close()
+		if err := os.WriteFile(snap, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		snap := c.RollupSnapshot(day, end)
-		k := analytics.RollupKey{Level: 4, Name: "iphone:*:*:*:*:impression", Country: "uk", LoggedIn: true}
-		if snap[k] != 1 {
-			t.Errorf("%s: rollup[%+v] = %d, want 1", label, k, snap[k])
+		if _, _, _, err := loadSnapshot(snap); !errors.Is(err, recordio.ErrCorrupt) || !strings.Contains(err.Error(), named) {
+			t.Errorf("snapshot header %s: err = %v, want ErrCorrupt naming the version", named, err)
 		}
+		r, err = Open(dir, durCfg(1, 1))
+		if err != nil {
+			t.Fatalf("snapshot %s: recovery errored instead of degrading: %v", named, err)
+		}
+		if got := pathSumAll(r); got != 4 {
+			t.Errorf("snapshot %s: recovered %d events, want the 4 surviving WAL-tail events", named, got)
+		}
+		r.Crash()
 	}
-	checkReplayed(r, "v1 replay")
-
-	// Round-trip the recovered state through a v2 snapshot and reopen:
-	// the upgraded on-disk form must answer identically.
-	r.Close()
-	r2, err := Open(dir, durCfg(3, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	checkReplayed(r2, "after v2 snapshot round-trip")
 }

@@ -36,15 +36,13 @@ import (
 // table — built fresh here, snapshot dictionary first, then first-seen
 // WAL names — so routing and IDs always follow the current configuration:
 // a log or snapshot written under different shard/stripe settings (or a
-// different ID assignment) recovers exactly. Both WAL record formats
-// load: v2 (per-segment dictionary) and the v1 full-name records that
-// predate it.
+// different ID assignment) recovers exactly.
 //
 // Counts recovered this way are exact for everything the WAL fsync
 // cadence made durable: after a clean Close, or a Crash with the tail
 // flushed, a reopened counter answers every query identically to one
 // that never went down — including the activity counters in Stats, which
-// a v2 snapshot carries across the restart.
+// the snapshot carries across the restart.
 func Open(dir string, cfg Config) (*Counter, error) {
 	cfg.WALDir = dir
 	cfg = cfg.withDefaults()
@@ -187,9 +185,8 @@ func scanDir(dir string) (snaps []dirEntry, segs map[int][]dirEntry, maxSnapSeq 
 }
 
 // loadSnapshot parses a whole snapshot file into memory, validating every
-// frame before any of it is applied — a snapshot is all-or-nothing. v2
-// files carry a dictionary record between the header and the buckets; v1
-// files go straight to string-keyed buckets.
+// frame before any of it is applied — a snapshot is all-or-nothing. A
+// dictionary record sits between the header and the buckets.
 func loadSnapshot(path string) (snapHeader, snapDict, []snapBucket, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -205,15 +202,12 @@ func loadSnapshot(path string) (snapHeader, snapDict, []snapBucket, error) {
 	if err != nil {
 		return snapHeader{}, snapDict{}, nil, err
 	}
-	var dict snapDict
-	if header.version >= snapRecordVersion {
-		rec, err := r.Next()
-		if err != nil {
-			return snapHeader{}, snapDict{}, nil, fmt.Errorf("realtime: snapshot %s: %w", filepath.Base(path), errOr(err))
-		}
-		if dict, err = decodeSnapDict(rec); err != nil {
-			return snapHeader{}, snapDict{}, nil, err
-		}
+	if rec, err = r.Next(); err != nil {
+		return snapHeader{}, snapDict{}, nil, fmt.Errorf("realtime: snapshot %s: %w", filepath.Base(path), errOr(err))
+	}
+	dict, err := decodeSnapDict(rec)
+	if err != nil {
+		return snapHeader{}, snapDict{}, nil, err
 	}
 	var buckets []snapBucket
 	for {
@@ -224,7 +218,7 @@ func loadSnapshot(path string) (snapHeader, snapDict, []snapBucket, error) {
 		if err != nil {
 			return snapHeader{}, snapDict{}, nil, fmt.Errorf("realtime: snapshot %s: %w", filepath.Base(path), err)
 		}
-		b, err := decodeBucket(rec, header.version, &dict)
+		b, err := decodeBucket(rec, &dict)
 		if err != nil {
 			return snapHeader{}, snapDict{}, nil, err
 		}
@@ -244,17 +238,15 @@ func errOr(err error) error {
 // recovering counter's symbol-table IDs: index by old ID, read new ID.
 // Built once per file by batch-interning the dictionary (internPaths /
 // internCountries), it replaces the per-cell string round-trip the load
-// path used to pay — decodeBucket's range checks guarantee every v2 cell
-// ID indexes within these slices.
+// path used to pay — decodeBucket's range checks guarantee every cell ID
+// indexes within these slices.
 type idRemap struct {
 	paths     []uint32
 	countries []uint32
 }
 
-// loadBucket merges one snapshot bucket into the stripes. v2 cells
-// arrive ID-keyed and translate through rm with two array reads; v1
-// cells arrive string-keyed and re-intern into this counter's symbol
-// table per key. Shard and stripe indices are taken modulo the current
+// loadBucket merges one snapshot bucket into the stripes. Cells arrive
+// ID-keyed and translate through rm with two array reads. Shard and stripe indices are taken modulo the current
 // configuration, so a snapshot from a differently-sized counter still
 // loads — totals are distributive across placement, and collisions
 // merge.
@@ -268,8 +260,8 @@ func (c *Counter) loadBucket(sb *snapBucket, rm *idRemap) {
 	switch {
 	case b.prefix == nil || b.minute < sb.minute:
 		b.minute = sb.minute
-		b.prefix = make(map[uint32]int64, len(sb.prefix)+len(sb.prefixID))
-		b.rollup = make(map[rollupCell]int64, len(sb.rollup)+len(sb.rollupID))
+		b.prefix = make(map[uint32]int64, len(sb.prefixID))
+		b.rollup = make(map[rollupCell]int64, len(sb.rollupID))
 	case b.minute == sb.minute:
 		// Merge below.
 	default:
@@ -288,22 +280,11 @@ func (c *Counter) loadBucket(sb *snapBucket, rm *idRemap) {
 			loggedIn: cell.loggedIn,
 		}] += v
 	}
-	for k, v := range sb.prefix {
-		b.prefix[c.tab.internPath(k)] += v
-	}
-	for k, v := range sb.rollup {
-		b.rollup[rollupCell{
-			name:     c.tab.internPath(k.Name),
-			country:  c.tab.country(k.Country),
-			level:    uint8(k.Level),
-			loggedIn: k.LoggedIn,
-		}] += v
-	}
 }
 
 // replaySegment re-applies every intact batch record in one WAL segment,
-// feeding a per-segment decoder (v2 records grow its dictionaries in
-// order; v1 records need none). On a torn or corrupt record it applies
+// feeding a per-segment decoder (records grow its dictionaries in
+// order). On a torn or corrupt record it applies
 // the intact prefix, truncates the file down to that prefix (counting the
 // damage in WALErrors), and reports success so the shard's chain
 // continues; it errors only when the segment cannot be read or repaired.

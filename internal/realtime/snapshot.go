@@ -11,8 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"unilog/internal/analytics"
-	"unilog/internal/events"
 	"unilog/internal/recordio"
 )
 
@@ -32,26 +30,23 @@ import (
 // apply more batches while shard B serializes) — that is fine, because
 // shards never share keys and recovery is per-shard.
 //
-// Snapshot files are named snap-<seq>.snap; higher seq wins. A v2 file is
-// a CRC record stream: one header record (version, per-shard next WAL
+// Snapshot files are named snap-<seq>.snap; higher seq wins. A file is a
+// CRC record stream: one header record (version, per-shard next WAL
 // sequence numbers, the observed-event total, the retention high-water
 // minute, and the full Stats block so activity counters survive
 // restarts), one dictionary record (the symbol table's path and country
 // strings, indexed by ID), then one record per non-empty minute bucket
-// with ID-keyed cells. v1 files (string-keyed buckets, no dictionary, no
-// stats) still load. Writes go to a temp file that is fsynced and
+// with ID-keyed cells. Writes go to a temp file that is fsynced and
 // atomically renamed, so a crashed snapshotter leaves either the old
 // snapshot or the new one, never a half-written current file.
 
 // errClosed reports a durability operation on a stopped counter.
 var errClosed = errors.New("realtime: counter is closed")
 
-// Snapshot format versions: v2 added the dictionary record, ID-keyed
-// bucket cells, and the persisted stats block. v1 files still load.
-const (
-	snapRecordV1      = 1
-	snapRecordVersion = 2
-)
+// snapRecordVersion is the snapshot format version. A header carrying any
+// other version — the retired v1 (string-keyed buckets, no dictionary, no
+// stats) included — is rejected as corrupt.
+const snapRecordVersion = 2
 
 // Record tags inside a snapshot file.
 const (
@@ -377,22 +372,21 @@ type snapHeader struct {
 	next      []int64
 	observed  int64
 	maxMinute int64
-	version   byte
-	stats     Stats // zero when loading a v1 snapshot
+	stats     Stats
 }
 
-// decodeSnapHeader parses a header record, v1 or v2, on the shared
-// recordio.Cursor.
+// decodeSnapHeader parses a header record on the shared recordio.Cursor.
 func decodeSnapHeader(rec []byte) (snapHeader, error) {
 	var h snapHeader
 	corrupt := func(what string) (snapHeader, error) {
 		return h, fmt.Errorf("%w: snapshot header %s", recordio.ErrCorrupt, what)
 	}
-	if len(rec) < 2 || rec[0] != snapTagHeader ||
-		(rec[1] != snapRecordV1 && rec[1] != snapRecordVersion) {
-		return corrupt("tag/version")
+	if len(rec) < 2 || rec[0] != snapTagHeader {
+		return corrupt("tag")
 	}
-	h.version = rec[1]
+	if rec[1] != snapRecordVersion {
+		return corrupt(fmt.Sprintf("version %d", rec[1]))
+	}
 	c := recordio.NewCursor(rec[2:])
 	nshards := c.Uvarint("shard count")
 	if !c.Ok() || nshards > 1<<16 {
@@ -404,10 +398,8 @@ func decodeSnapHeader(rec []byte) (snapHeader, error) {
 	}
 	h.observed = int64(c.Uvarint("observed"))
 	h.maxMinute = int64(c.Uvarint("max minute"))
-	if h.version >= snapRecordVersion {
-		for _, f := range statsFields(&h.stats) {
-			*f = int64(c.Uvarint("stats"))
-		}
+	for _, f := range statsFields(&h.stats) {
+		*f = int64(c.Uvarint("stats"))
 	}
 	if err := c.Err(); err != nil {
 		return h, fmt.Errorf("snapshot header: %w", err)
@@ -494,30 +486,26 @@ func encodeBucket(buf []byte, shard, stripe int, b *bucket) []byte {
 	return buf
 }
 
-// snapBucket is a decoded bucket record. v2 buckets stay in ID space —
-// cells keyed by the snapshot file's dictionary IDs, translated into the
+// snapBucket is a decoded bucket record. Buckets stay in ID space — cells
+// keyed by the snapshot file's dictionary IDs, translated into the
 // recovering counter's own IDs by loadBucket through a remap table built
-// once per file (no per-cell string hashing). v1 buckets, which predate
-// the dictionary, decode to string-keyed cells and re-intern per key.
-// Either way, keys end up in the recovering counter's symbol table, which
-// is how a snapshot survives shard/stripe/ID-assignment differences.
+// once per file (no per-cell string hashing). The keys end up in the
+// recovering counter's symbol table, which is how a snapshot survives
+// shard/stripe/ID-assignment differences.
 type snapBucket struct {
 	shard, stripe int
 	minute        int64
-	// v2: dictionary-ID-keyed cells (rollupCell fields hold file IDs).
+	// Dictionary-ID-keyed cells (rollupCell fields hold file IDs).
 	prefixID map[uint32]int64
 	rollupID map[rollupCell]int64
-	// v1: string-keyed cells.
-	prefix map[string]int64
-	rollup map[analytics.RollupKey]int64
 }
 
-// decodeBucket parses a bucket record of either version. v2 IDs are
+// decodeBucket parses a bucket record. IDs are
 // range-checked against the file's dictionary here — so the remap lookup
 // at load time cannot go out of bounds — but not resolved to strings.
 // Bounds checks ride on the shared recordio.Cursor; dictionary-range
 // checks stay local.
-func decodeBucket(rec []byte, version byte, dict *snapDict) (snapBucket, error) {
+func decodeBucket(rec []byte, dict *snapDict) (snapBucket, error) {
 	var b snapBucket
 	corrupt := func(what string) (snapBucket, error) {
 		return b, fmt.Errorf("%w: snapshot bucket %s", recordio.ErrCorrupt, what)
@@ -531,58 +519,33 @@ func decodeBucket(rec []byte, version byte, dict *snapDict) (snapBucket, error) 
 	b.minute = int64(c.Uvarint("coordinates"))
 	badID := false
 	np := c.Count("prefix count")
-	if version == snapRecordV1 {
-		b.prefix = make(map[string]int64, np)
-		for i := 0; i < np && c.Ok(); i++ {
-			k := c.String("prefix key")
-			v := c.Uvarint("prefix value")
-			if c.Ok() {
-				b.prefix[k] += int64(v)
-			}
-		}
-	} else {
-		b.prefixID = make(map[uint32]int64, np)
-		for i := 0; i < np && c.Ok() && !badID; i++ {
-			id := c.Uvarint("prefix key")
-			v := c.Uvarint("prefix value")
-			if id >= uint64(len(dict.paths)) {
-				badID = true
-			} else if c.Ok() {
-				b.prefixID[uint32(id)] += int64(v)
-			}
+	b.prefixID = make(map[uint32]int64, np)
+	for i := 0; i < np && c.Ok() && !badID; i++ {
+		id := c.Uvarint("prefix key")
+		v := c.Uvarint("prefix value")
+		if id >= uint64(len(dict.paths)) {
+			badID = true
+		} else if c.Ok() {
+			b.prefixID[uint32(id)] += int64(v)
 		}
 	}
 	nr := c.Count("rollup count")
-	if version == snapRecordV1 {
-		b.rollup = make(map[analytics.RollupKey]int64, nr)
-		for i := 0; i < nr && c.Ok(); i++ {
-			level := events.RollupLevel(c.Byte("rollup level"))
-			name := c.String("rollup name")
-			country := c.String("rollup country")
-			loggedIn := c.Bool("rollup login bit")
-			v := c.Uvarint("rollup value")
-			if c.Ok() {
-				b.rollup[analytics.RollupKey{Level: level, Name: name, Country: country, LoggedIn: loggedIn}] += int64(v)
-			}
-		}
-	} else {
-		b.rollupID = make(map[rollupCell]int64, nr)
-		for i := 0; i < nr && c.Ok() && !badID; i++ {
-			level := c.Byte("rollup level")
-			name := c.Uvarint("rollup name")
-			country := c.Uvarint("rollup country")
-			loggedIn := c.Bool("rollup login bit")
-			v := c.Uvarint("rollup value")
-			if name >= uint64(len(dict.paths)) || country >= uint64(len(dict.countries)) {
-				badID = true
-			} else if c.Ok() {
-				b.rollupID[rollupCell{
-					name:     uint32(name),
-					country:  uint32(country),
-					level:    level,
-					loggedIn: loggedIn,
-				}] += int64(v)
-			}
+	b.rollupID = make(map[rollupCell]int64, nr)
+	for i := 0; i < nr && c.Ok() && !badID; i++ {
+		level := c.Byte("rollup level")
+		name := c.Uvarint("rollup name")
+		country := c.Uvarint("rollup country")
+		loggedIn := c.Bool("rollup login bit")
+		v := c.Uvarint("rollup value")
+		if name >= uint64(len(dict.paths)) || country >= uint64(len(dict.countries)) {
+			badID = true
+		} else if c.Ok() {
+			b.rollupID[rollupCell{
+				name:     uint32(name),
+				country:  uint32(country),
+				level:    level,
+				loggedIn: loggedIn,
+			}] += int64(v)
 		}
 	}
 	if err := c.Err(); err != nil {

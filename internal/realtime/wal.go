@@ -36,8 +36,7 @@ import (
 // and shard/stripe routing are all derived from the name, so they are
 // recomputed at recovery time against the recovering counter's own
 // configuration — a log written by a 4-shard counter replays correctly
-// into an 8-shard one. decodeBatch still accepts v1 records, so logs
-// written before the dictionary format replay unchanged.
+// into an 8-shard one.
 //
 // Segments are named wal-<shard>-<seq>.log. A snapshot rotates every
 // shard to a fresh segment and then deletes the segments it covers, so
@@ -45,13 +44,10 @@ import (
 // segments appended since it was cut (plus, transiently, garbage an
 // interrupted snapshot failed to delete, which recovery ignores).
 
-// WAL record format versions. New records are written as v2; v1 records
-// (full name logged per observation) are still decoded for replay of
-// pre-dictionary logs.
-const (
-	walRecordV1      = 1
-	walRecordVersion = 2
-)
+// walRecordVersion is the WAL record format version. Any other version
+// byte — the retired v1 (full name logged per observation) included —
+// is rejected as corrupt.
+const walRecordVersion = 2
 
 // walName formats a segment file name.
 func walName(shard int, seq int64) string {
@@ -293,36 +289,26 @@ func (w *walWriter) encodeBatch(buf []byte, batch []obs, tab *symtab) (out []byt
 }
 
 // walDecoder accumulates one segment's dictionaries while replaying its
-// records in order. Create one per segment; v1 records need no state and
-// decode through the same entry point.
+// records in order. Create one per segment.
 type walDecoder struct {
 	names     []string
 	countries []string
 }
 
-// decodeBatch walks one WAL record, invoking fn per logged observation.
-// Any structural damage surfaces as recordio.ErrCorrupt so replay treats
-// it like a failed checksum.
+// decodeBatch walks one WAL record, invoking fn per logged observation and
+// extending the segment dictionaries with the record's first-seen
+// entries. Any structural damage — an unknown version byte included —
+// surfaces as recordio.ErrCorrupt so replay treats it like a failed
+// checksum. Bounds checking rides on the shared recordio.Cursor; the wrap
+// keeps errors in the familiar "wal record <field>" shape.
 func (d *walDecoder) decodeBatch(rec []byte, fn func(name string, minute int64, country string, loggedIn bool) error) error {
 	if len(rec) == 0 {
 		return fmt.Errorf("%w: wal record empty", recordio.ErrCorrupt)
 	}
-	switch rec[0] {
-	case walRecordV1:
-		return decodeBatchV1(rec[1:], fn)
-	case walRecordVersion:
-		return d.decodeBatchV2(rec[1:], fn)
-	default:
+	if rec[0] != walRecordVersion {
 		return fmt.Errorf("%w: wal record version %d", recordio.ErrCorrupt, rec[0])
 	}
-}
-
-// decodeBatchV2 parses one dictionary-compressed record, extending the
-// segment dictionaries with its first-seen entries. Bounds checking rides
-// on the shared recordio.Cursor; the wrap keeps errors in the familiar
-// "wal record <field>" shape.
-func (d *walDecoder) decodeBatchV2(rec []byte, fn func(name string, minute int64, country string, loggedIn bool) error) error {
-	c := recordio.NewCursor(rec)
+	c := recordio.NewCursor(rec[1:])
 	corrupt := func(what string) error {
 		return fmt.Errorf("%w: wal record %s", recordio.ErrCorrupt, what)
 	}
@@ -360,30 +346,6 @@ func (d *walDecoder) decodeBatchV2(rec []byte, fn func(name string, minute int64
 		if err := fn(d.names[nameID], int64(base)+delta, d.countries[cl>>1], cl&1 == 1); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// decodeBatchV1 parses the pre-dictionary record body (full name, minute,
-// country, login bit per observation) — the compatibility path that keeps
-// logs written before the v2 format replayable.
-func decodeBatchV1(rec []byte, fn func(name string, minute int64, country string, loggedIn bool) error) error {
-	c := recordio.NewCursor(rec)
-	count := c.Uvarint("count")
-	for i := uint64(0); i < count; i++ {
-		name := c.String("name")
-		minute := c.Uvarint("minute")
-		country := c.String("country")
-		loggedIn := c.Bool("login bit")
-		if !c.Ok() {
-			break
-		}
-		if err := fn(name, int64(minute), country, loggedIn); err != nil {
-			return err
-		}
-	}
-	if err := c.Err(); err != nil {
-		return fmt.Errorf("wal record: %w", err)
 	}
 	return nil
 }
