@@ -1,8 +1,12 @@
-// Benchmarks regenerating the paper's quantified claims, one per experiment
-// row in DESIGN.md §2. Custom metrics carry the paper-facing numbers:
-// compression ratios, map-task counts, bytes scanned, and shuffle volumes —
-// the quantities the paper's performance argument is made of — alongside
-// the usual ns/op.
+// Benchmarks regenerating the paper's quantified claims. Custom metrics
+// carry the paper-facing numbers: compression ratios, map-task counts,
+// bytes scanned, and shuffle volumes — the quantities the paper's
+// performance argument is made of — alongside the usual ns/op.
+//
+// What the pipeline costs per event — delivery, the daily session job,
+// rollups, counting and funnel queries, the realtime counters — is not
+// measured here: that is the repository's benchmark (bench/README.md),
+// which checks every answer against an oracle.
 //
 // Run: go test -bench=. -benchmem .
 package unilog_test
@@ -12,7 +16,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"unilog/internal/align"
 	"unilog/internal/analytics"
@@ -26,12 +29,10 @@ import (
 	"unilog/internal/ngram"
 	"unilog/internal/realtime"
 	"unilog/internal/recordio"
-	"unilog/internal/scribe"
 	"unilog/internal/session"
 	"unilog/internal/thrift"
 	"unilog/internal/warehouse"
 	"unilog/internal/workload"
-	"unilog/internal/zk"
 )
 
 // benchCorpus is a lazily-built shared fixture: one generated day in
@@ -39,7 +40,6 @@ import (
 type benchCorpus struct {
 	fs    *hdfs.FS
 	dict  *session.Dictionary
-	truth *workload.Truth
 	stats session.DayStats
 	evs   []events.ClientEvent
 	seqs  []string
@@ -56,7 +56,7 @@ func getCorpus(b *testing.B) *benchCorpus {
 		cfg := workload.DefaultConfig(day)
 		cfg.Users = 400
 		cfg.LoggedOutSessions = 300
-		evs, truth := workload.New(cfg).Generate()
+		evs, _ := workload.New(cfg).Generate()
 		fs := hdfs.New(0)
 		w := warehouse.NewWriter(fs, events.Category)
 		w.RollRecords = 4000 // several part files per hour, as the mover would leave
@@ -79,12 +79,12 @@ func getCorpus(b *testing.B) *benchCorpus {
 		}); err != nil {
 			panic(err)
 		}
-		corpus = &benchCorpus{fs: fs, dict: dict, truth: truth, stats: stats, evs: evs, seqs: seqs}
+		corpus = &benchCorpus{fs: fs, dict: dict, stats: stats, evs: evs, seqs: seqs}
 	})
 	return corpus
 }
 
-// --- E1: session sequences ≈ 50x smaller than raw client event logs ---
+// --- §4.2: session sequences ≈ 50x smaller than raw client event logs ---
 
 func BenchmarkCompressionRatio(b *testing.B) {
 	c := getCorpus(b)
@@ -99,93 +99,7 @@ func BenchmarkCompressionRatio(b *testing.B) {
 	b.ReportMetric(float64(c.stats.SeqBytes), "seq-bytes")
 }
 
-// BenchmarkSessionSequenceBuild times the two-pass daily materialization
-// job itself.
-func BenchmarkSessionSequenceBuild(b *testing.B) {
-	c := getCorpus(b)
-	for i := 0; i < b.N; i++ {
-		fs := c.fs
-		// Rebuild into a scratch day so each iteration writes fresh output.
-		hist, err := session.HistogramDay(fs, day, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dict, err := session.Build(hist.Counts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		builder := session.NewBuilder(dict)
-		err = warehouse.ScanDay(fs, events.Category, day, func(e *events.ClientEvent) error {
-			builder.Add(e)
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		recs, err := builder.Finish()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if int64(len(recs)) != c.truth.Sessions {
-			b.Fatalf("sessions = %d", len(recs))
-		}
-	}
-	b.ReportMetric(float64(c.truth.Events), "events")
-}
-
-// --- E2: counting queries — raw scan vs session sequences ---
-
-func countMatcher(b *testing.B) analytics.Matcher {
-	m, err := analytics.MatcherFromPattern("*:profile_click")
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m
-}
-
-func BenchmarkCountRawLogs(b *testing.B) {
-	c := getCorpus(b)
-	m := countMatcher(b)
-	var st dataflow.Stats
-	for i := 0; i < b.N; i++ {
-		j := dataflow.NewJob("bench-raw", c.fs)
-		rep, err := analytics.CountRawDay(j, day, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Events == 0 {
-			b.Fatal("no events counted")
-		}
-		st = j.Stats()
-	}
-	b.ReportMetric(float64(st.BytesRead), "bytes-scanned")
-	b.ReportMetric(float64(st.MapTasks), "map-tasks")
-	b.ReportMetric(float64(st.ShuffleBytes), "shuffle-bytes")
-	b.ReportMetric(st.ClusterSeconds(), "cluster-s")
-}
-
-func BenchmarkCountSessionSequences(b *testing.B) {
-	c := getCorpus(b)
-	m := countMatcher(b)
-	var st dataflow.Stats
-	for i := 0; i < b.N; i++ {
-		j := dataflow.NewJob("bench-seq", c.fs)
-		rep, err := analytics.CountSequencesDay(j, day, c.dict, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Events == 0 {
-			b.Fatal("no events counted")
-		}
-		st = j.Stats()
-	}
-	b.ReportMetric(float64(st.BytesRead), "bytes-scanned")
-	b.ReportMetric(float64(st.MapTasks), "map-tasks")
-	b.ReportMetric(float64(st.ShuffleBytes), "shuffle-bytes")
-	b.ReportMetric(st.ClusterSeconds(), "cluster-s")
-}
-
-// --- E3: session reconstruction — legacy join vs unified vs materialized ---
+// --- §3.1/§4.1: session reconstruction — legacy join vs unified vs materialized ---
 
 var (
 	legacyOnce sync.Once
@@ -299,7 +213,7 @@ func BenchmarkSessionReconstructionMaterialized(b *testing.B) {
 	b.ReportMetric(float64(st.BytesRead), "bytes-scanned")
 }
 
-// --- E4: map-task reduction ---
+// --- §4.1: map-task reduction ---
 
 func BenchmarkMapTaskReduction(b *testing.B) {
 	c := getCorpus(b)
@@ -328,64 +242,7 @@ func BenchmarkMapTaskReduction(b *testing.B) {
 	b.ReportMetric(float64(rawTasks)/float64(seqTasks), "task-reduction-x")
 }
 
-// --- E5: the five rollup schemas ---
-
-func BenchmarkRollups(b *testing.B) {
-	c := getCorpus(b)
-	var n int
-	for i := 0; i < b.N; i++ {
-		j := dataflow.NewJob("rollups", c.fs)
-		rollups, err := analytics.Rollups(j, day)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n = len(rollups)
-	}
-	b.ReportMetric(float64(n), "metric-rows")
-}
-
-// --- E6: funnel analytics — raw vs sequences ---
-
-func funnelStages() []analytics.Matcher {
-	stages := make([]analytics.Matcher, 5)
-	for i, full := range workload.FunnelStages("web") {
-		suffix := full[len("web"):]
-		stages[i] = func(name string) bool { return strings.HasSuffix(name, suffix) }
-	}
-	return stages
-}
-
-func BenchmarkFunnelSequences(b *testing.B) {
-	c := getCorpus(b)
-	f := analytics.NewFunnel(c.dict, funnelStages()...)
-	for i := 0; i < b.N; i++ {
-		j := dataflow.NewJob("funnel-seq", c.fs)
-		rep, err := analytics.FunnelSequencesDay(j, day, f)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Completed[0] != c.truth.FunnelStage[0] {
-			b.Fatalf("stage0 = %d, truth %d", rep.Completed[0], c.truth.FunnelStage[0])
-		}
-	}
-}
-
-func BenchmarkFunnelRawLogs(b *testing.B) {
-	c := getCorpus(b)
-	stages := funnelStages()
-	for i := 0; i < b.N; i++ {
-		j := dataflow.NewJob("funnel-raw", c.fs)
-		rep, err := analytics.FunnelRawDay(j, day, stages)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Completed[0] != c.truth.FunnelStage[0] {
-			b.Fatalf("stage0 = %d, truth %d", rep.Completed[0], c.truth.FunnelStage[0])
-		}
-	}
-}
-
-// --- E7: CTR computation over sequences ---
+// --- §5.2: CTR computation over sequences ---
 
 func BenchmarkCTROverSequences(b *testing.B) {
 	c := getCorpus(b)
@@ -408,7 +265,7 @@ func BenchmarkCTROverSequences(b *testing.B) {
 	b.ReportMetric(rate, "ctr")
 }
 
-// --- E8: n-gram language models ---
+// --- §5.4: n-gram language models ---
 
 func BenchmarkNgramTrain(b *testing.B) {
 	c := getCorpus(b)
@@ -438,7 +295,7 @@ func BenchmarkNgramPerplexity(b *testing.B) {
 	b.ReportMetric(p, "perplexity")
 }
 
-// --- E9: collocation extraction ---
+// --- §5.4: collocation extraction ---
 
 func BenchmarkCollocations(b *testing.B) {
 	c := getCorpus(b)
@@ -453,32 +310,10 @@ func BenchmarkCollocations(b *testing.B) {
 	b.ReportMetric(top[0].Score, "top-llr")
 }
 
-// --- E10 / F1: delivery pipeline throughput ---
-
-func BenchmarkScribeDelivery(b *testing.B) {
-	clock := zk.NewManualClock(day)
-	dc, err := scribe.NewDatacenter("bench", hdfs.New(0), clock, 2, 4, 99)
-	if err != nil {
-		b.Fatal(err)
-	}
-	msg := []byte("web:home:timeline:stream:tweet:impression payload payload payload")
-	b.SetBytes(int64(len(msg)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dc.Daemons[i%len(dc.Daemons)].Log(events.Category, msg)
-	}
-	b.StopTimer()
-	if err := dc.FlushAll(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// --- E11: Elephant Twin index push-down (see internal/twin benches for the
-// selectivity sweep; this is the headline comparison) ---
+// --- §6: Elephant Twin index push-down (internal/twin has the index side
+// and the selectivity sweep; this is the full scan it is compared with) ---
 
 func BenchmarkTwinComparison(b *testing.B) {
-	// Covered in cmd/benchrunner e11 and internal/twin tests; here we keep
-	// the full-scan baseline measurable at the root for the harness.
 	c := getCorpus(b)
 	m := func(name string) bool { return strings.HasSuffix(name, ":signup:flow:step:complete:view") }
 	for i := 0; i < b.N; i++ {
@@ -495,7 +330,7 @@ func BenchmarkTwinComparison(b *testing.B) {
 	}
 }
 
-// --- E12: dictionary ordering ablation ---
+// --- §4.2: dictionary ordering ablation (variable-length coding) ---
 
 func BenchmarkDictionaryFrequencyOrdered(b *testing.B) {
 	c := getCorpus(b)
@@ -625,160 +460,11 @@ func BenchmarkCounterUDF(b *testing.B) {
 	b.ReportMetric(float64(total), "events")
 }
 
-// --- E14: realtime streaming counters (§6 real-time direction) ---
-
-// BenchmarkRealtimeIngest measures the streaming hot path: decoded events
-// fanned across four counter shards through a Batcher, ns per event
-// end-to-end (digest, enqueue, amortized drain).
-func BenchmarkRealtimeIngest(b *testing.B) {
-	c := getCorpus(b)
-	rt := realtime.New(realtime.Config{Shards: 4})
-	defer rt.Close()
-	batcher := rt.NewBatcher()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batcher.Add(&c.evs[i%len(c.evs)])
-	}
-	batcher.Flush()
-	rt.Sync()
-	b.StopTimer()
-	b.ReportMetric(float64(rt.Shards()), "shards")
-	if rt.Stats().Observed != int64(b.N) {
-		b.Fatalf("observed %d, want %d", rt.Stats().Observed, b.N)
-	}
-}
-
-// BenchmarkRealtimeWALIngest measures the same hot path with durability
-// on: every drained batch is CRC-framed into a per-shard write-ahead log
-// (batch fsync cadence) before it is applied. Compare against
-// BenchmarkRealtimeIngest for the durability overhead; E15 requires it to
-// stay within 2x.
-func BenchmarkRealtimeWALIngest(b *testing.B) {
-	c := getCorpus(b)
-	rt, err := realtime.Open(b.TempDir(), realtime.Config{Shards: 4, SnapshotEvery: time.Hour})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rt.Close()
-	batcher := rt.NewBatcher()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batcher.Add(&c.evs[i%len(c.evs)])
-	}
-	batcher.Flush()
-	rt.Sync()
-	b.StopTimer()
-	st := rt.Stats()
-	if st.Observed != int64(b.N) || st.WALErrors != 0 {
-		b.Fatalf("observed %d (want %d), wal errors %d", st.Observed, b.N, st.WALErrors)
-	}
-	b.ReportMetric(float64(st.WALBytes)/float64(b.N), "walB/event")
-}
-
-// BenchmarkRealtimeRecover measures crash recovery: a WAL holding the
-// corpus is replayed into a fresh counter by realtime.Open.
-func BenchmarkRealtimeRecover(b *testing.B) {
-	c := getCorpus(b)
-	dir := b.TempDir()
-	rt, err := realtime.Open(dir, realtime.Config{Shards: 4, SnapshotEvery: time.Hour})
-	if err != nil {
-		b.Fatal(err)
-	}
-	batcher := rt.NewBatcher()
-	for i := range c.evs {
-		batcher.Add(&c.evs[i])
-	}
-	batcher.Flush()
-	rt.Sync()
-	want := rt.Stats().Observed
-	rt.Crash()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec, err := realtime.Open(dir, realtime.Config{Shards: 4, SnapshotEvery: time.Hour})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rec.Stats().Observed != want {
-			b.Fatalf("recovered %d events, want %d", rec.Stats().Observed, want)
-		}
-		rec.Crash()
-	}
-	b.ReportMetric(float64(len(c.evs)), "events")
-}
-
-// BenchmarkRealtimeTapIngest measures the same path from the aggregator
-// tap: Thrift decode included, as entries arrive from Scribe daemons.
-func BenchmarkRealtimeTapIngest(b *testing.B) {
-	c := getCorpus(b)
-	const batchSize = 200
-	batch := make([]scribe.Entry, batchSize)
-	for i := range batch {
-		batch[i] = scribe.Entry{Category: events.Category, Message: c.evs[i%len(c.evs)].Marshal()}
-	}
-	rt := realtime.New(realtime.Config{Shards: 4})
-	defer rt.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n += batchSize {
-		rt.TapBatch(batch)
-	}
-	rt.Sync()
-}
-
-// realtimeCorpus returns a counter pre-loaded with the benchmark day.
-var (
-	rtOnce   sync.Once
-	rtLoaded *realtime.Counter
-)
-
-func getRealtime(b *testing.B) *realtime.Counter {
-	c := getCorpus(b)
-	rtOnce.Do(func() {
-		rtLoaded = realtime.New(realtime.Config{Shards: 4})
-		batcher := rtLoaded.NewBatcher()
-		for i := range c.evs {
-			batcher.Add(&c.evs[i])
-		}
-		batcher.Flush()
-		rtLoaded.Sync()
-	})
-	return rtLoaded
-}
-
-// BenchmarkRealtimeQueryPoint measures the point-lookup latency BirdBrain
-// pays for a "today so far" number, full-day window.
-func BenchmarkRealtimeQueryPoint(b *testing.B) {
-	rt := getRealtime(b)
-	end := day.Add(24 * time.Hour)
-	var n int64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		n = rt.PathSum("web", day, end)
-	}
-	if n == 0 {
-		b.Fatal("nothing counted")
-	}
-	b.ReportMetric(float64(n), "events")
-}
-
-// BenchmarkRealtimeQueryTopK measures the prefix drill-down (top pages of
-// the web client) over the full day.
-func BenchmarkRealtimeQueryTopK(b *testing.B) {
-	rt := getRealtime(b)
-	end := day.Add(24 * time.Hour)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if top := rt.TopK("web", 5, day, end); len(top) == 0 {
-			b.Fatal("no children")
-		}
-	}
-}
+// --- §6 real-time direction: lambda reconciliation ---
 
 // BenchmarkRealtimeReconcile runs the full lambda check: batch rollups
-// plus a streaming replay of the day, diffed to exact agreement.
+// plus a streaming replay of the day, diffed to exact agreement. It is
+// the one realtime leg bench/ has no metric for.
 func BenchmarkRealtimeReconcile(b *testing.B) {
 	c := getCorpus(b)
 	b.ReportAllocs()

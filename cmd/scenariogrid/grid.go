@@ -10,42 +10,83 @@ import (
 	"unilog/internal/scenario"
 )
 
-// gridSpec is the experiments.json shape: a (scenario × config) matrix
-// with repeats. Scenario paths are relative to the grid file, so a grid
-// and its scenarios travel together as a directory.
+// gridSpec is the grid file's shape: a (scenario × config) matrix with
+// repeats. Scenario paths are relative to the grid file, so a grid and
+// its scenarios travel together as a directory.
 type gridSpec struct {
 	Name    string `json:"name"`
 	Repeats int    `json:"repeats,omitempty"`
 	// OutputDir receives one CELL_*.json per (scenario, config, repeat);
-	// the -grid-out flag overrides it.
+	// the -out flag overrides it.
 	OutputDir string               `json:"output_dir,omitempty"`
 	Scenarios []string             `json:"scenarios"`
 	Configs   []scenario.RunConfig `json:"configs,omitempty"`
 }
 
-// runGrid executes every cell of the grid and writes one machine-readable
-// JSON per cell. It returns an error if any cell fails to run or finishes
-// with a failed invariant, after running every cell — CI sees the whole
-// matrix, not just the first failure.
-func runGrid(gridPath, outOverride string) error {
+// loadGrid parses the grid file and every scenario it lists, filling in
+// the defaults (one repeat, one "default" config). It rejects a grid in
+// which two cells would write the same CELL_*.json: cell files are named
+// from the sanitized scenario and config names, so two scenario files
+// carrying one "name", or configs "a b" and "a-b", would otherwise
+// overwrite each other and the artifact would show fewer cells than ran.
+func loadGrid(gridPath string) (*gridSpec, []*scenario.Spec, error) {
 	data, err := os.ReadFile(gridPath)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
 	var g gridSpec
 	if err := dec.Decode(&g); err != nil {
-		return fmt.Errorf("%s: %v", gridPath, err)
+		return nil, nil, fmt.Errorf("%s: %v", gridPath, err)
 	}
 	if len(g.Scenarios) == 0 {
-		return fmt.Errorf("%s: no scenarios", gridPath)
+		return nil, nil, fmt.Errorf("%s: no scenarios", gridPath)
 	}
 	if g.Repeats <= 0 {
 		g.Repeats = 1
 	}
 	if len(g.Configs) == 0 {
 		g.Configs = []scenario.RunConfig{{Name: "default"}}
+	}
+	baseDir := filepath.Dir(gridPath)
+
+	specs := make([]*scenario.Spec, len(g.Scenarios))
+	writers := map[string]string{} // cell file → the (scenario file × config) that writes it
+	for i, rel := range g.Scenarios {
+		p := rel
+		if !filepath.IsAbs(p) {
+			p = filepath.Join(baseDir, p)
+		}
+		sp, err := scenario.Load(p)
+		if err != nil {
+			return nil, nil, err
+		}
+		specs[i] = sp
+		for _, rc := range g.Configs {
+			file := cellName(sp.Name, rc.Name, 1)
+			cell := fmt.Sprintf("%s (name %q) × config %q", rel, sp.Name, rc.Name)
+			if prev, ok := writers[file]; ok {
+				return nil, nil, fmt.Errorf("%s: cells %s and %s would both write %s",
+					gridPath, prev, cell, file)
+			}
+			writers[file] = cell
+		}
+	}
+	return &g, specs, nil
+}
+
+// runGrid executes every cell of the grid and writes one machine-readable
+// JSON per cell. A cell that finishes with a failed invariant does not
+// stop the grid: every cell still runs and is written, and the error
+// returned at the end names each failed cell, so CI sees the whole
+// matrix. A cell that fails to run at all (scenario.Run returns an
+// error) aborts on the spot — that is an infrastructure failure with no
+// Result to write.
+func runGrid(gridPath, outOverride string) error {
+	g, specs, err := loadGrid(gridPath)
+	if err != nil {
+		return err
 	}
 	outDir := g.OutputDir
 	if outOverride != "" {
@@ -56,20 +97,6 @@ func runGrid(gridPath, outOverride string) error {
 	}
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
-	}
-	baseDir := filepath.Dir(gridPath)
-
-	specs := make([]*scenario.Spec, len(g.Scenarios))
-	for i, rel := range g.Scenarios {
-		p := rel
-		if !filepath.IsAbs(p) {
-			p = filepath.Join(baseDir, p)
-		}
-		sp, err := scenario.Load(p)
-		if err != nil {
-			return err
-		}
-		specs[i] = sp
 	}
 
 	fmt.Printf("# Experiment grid %s — %d scenarios × %d configs × %d repeats\n\n",

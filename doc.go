@@ -48,10 +48,13 @@
 // run), never the group count. A zero budget (the default) never trips:
 // the same table with one never-spilled run, so any budget produces
 // identical relations in identical order at the same modelled cost,
-// asserted by property tests and by benchrunner E16/E17, which roll up,
-// sessionize, and sort a synthetic day >= 10x the shared corpus — streamed
-// straight from the workload generator into the warehouse writer — under a
-// 32 KiB budget. The §3.2 rollup job runs map-combine-reduce: a map-side
+// asserted by internal/dataflow's property tests and, for the day-scale
+// jobs, by internal/analytics' layout × budget test (rollups and the
+// raw-log count equal over row files and sealed chunks, unbudgeted and
+// under 32 KiB with spilling forced); the benchmark's batch-rows-spill
+// workload (bench/README.md) rolls up, sessionizes and sorts a larger
+// day under the same budget and checks every answer against an oracle.
+// The §3.2 rollup job runs map-combine-reduce: a map-side
 // combiner counts events by interned (full name, country, logged-in) —
 // one map write per event, ParseName and the five rolled names computed
 // once per distinct name — and expands each distinct combination into
@@ -84,9 +87,11 @@
 // format, and any predicate that is an arbitrary Go closure rather
 // than a Selection, falls through to the row files with the same
 // filter and projection applied tuple-side — identical relations
-// either way, asserted by property tests and by benchrunner E18,
-// which requires the pruned+projected path to read >= 5x fewer bytes
-// at >= 2x the throughput of the row scan. The log mover seals hours
+// either way, asserted by internal/columnar's property tests
+// (TestColumnarMatchesRowScan over a sweep of selections;
+// TestZoneMapPruning requires chunks pruned and fewer bytes read than
+// the row scan); what the pruned+projected path costs is the benchmark's
+// batch-sealed workload. The log mover seals hours
 // as it publishes them (Mover.SealColumnar), so rollups, raw-log
 // counting, and funnel walks go columnar the moment an hour lands.
 //
@@ -214,10 +219,9 @@
 // JSON-ready value, telemetry.Handler() serves it at /debug/unilog
 // (expvar-style text, or JSON with ?format=json — cmd/unilog-demo
 // -http serves it live and CI smoke-tests it), and StartSummaryLogger
-// emits a periodic one-line delta of series that changed. benchrunner
-// embeds the full snapshot plus p50/p95/p99 latency series in every
-// BENCH_*.json, and cmd/benchcompare gates those direction-aware
-// (throughput lower = regressed, latency higher = regressed).
+// emits a periodic one-line delta of series that changed. Every
+// scenario-grid cell embeds the full snapshot, histogram summaries
+// (p50/p95/p99) included.
 //
 // The traffic shapes the paper's infrastructure existed to survive are
 // data, not code: internal/scenario turns a declarative JSON workload
@@ -230,14 +234,19 @@
 // executes it through the full multi-region pipeline with the faults
 // injected, and evaluates the spec's declared invariants:
 // reconcile-exact after backfill, exactly-once delivery, required spill
-// or backpressure telemetry, event-volume floors. benchrunner -grid runs
-// a (scenario x config) experiment matrix from an experiments.json,
-// emitting one machine-readable JSON per cell (telemetry snapshot plus
-// latency percentiles, same shape as the BENCH files); benchcompare
-// diffs whole grid directories cell by cell; and CI's scenario-matrix
-// job runs the committed grid under ci/scenarios/ on every push.
+// or backpressure telemetry, event-volume floors. cmd/scenariogrid runs
+// a (scenario x config) experiment matrix from a grid file, emitting one
+// machine-readable JSON per cell (verdicts plus telemetry snapshot) and
+// exiting nonzero if any cell's declared invariants fail — it judges
+// nothing else; CI's scenario-matrix job runs the committed grid under
+// ci/scenarios/ on every push.
 //
-// See DESIGN.md for the system inventory and per-experiment index,
-// EXPERIMENTS.md for paper-vs-measured results, and the examples/ directory
-// for runnable entry points.
+// There is one way to measure performance: the benchmark in bench/
+// (BENCHMARK.json, bench/README.md) — five workloads, every answer
+// checked against an oracle, end-to-end metrics with bounds and a
+// per-layer traced run. The paper's quantified claims (compression
+// ratio, map-task reduction, funnel and CTR recovery, n-grams,
+// collocations) are asserted by the package tests and reported by the
+// root bench_test.go. See the examples/ directory for runnable entry
+// points.
 package unilog

@@ -55,7 +55,8 @@ func BenchmarkGroupByKey(b *testing.B) {
 // slice), so its allocs/op grow ~100x from groups=64 to groups=6400, while
 // merge-reduce holds one running state and a reused boundary key, so its
 // allocs/op stay flat as the group count scales. (Spilled-run reduce
-// throughput is covered by BenchmarkGroupByShuffle and benchrunner E17.)
+// throughput is covered by BenchmarkGroupByShuffle and, end to end, by
+// the benchmark's batch-rows-spill workload.)
 func BenchmarkReduceStrategies(b *testing.B) {
 	for _, groups := range []int{64, 6400} {
 		j := NewJob("bench", hdfs.New(0))

@@ -11,8 +11,7 @@
 // repeats. The paper gestures at grammar induction generally (citing
 // constituent-context models); Re-Pair is the standard offline algorithm
 // for exactly this hierarchical-decomposition effect on symbol sequences
-// and needs no training corpus beyond the sessions themselves — the
-// substitution is recorded in DESIGN.md.
+// and needs no training corpus beyond the sessions themselves.
 package grammar
 
 import (

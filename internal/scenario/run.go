@@ -45,11 +45,12 @@ type InvariantCheck struct {
 }
 
 // Result is one cell of the experiment grid: everything one scenario run
-// under one config produced, in the flat machine-readable shape the
-// BENCH files use — float keys ending in _per_sec (higher is better) and
-// _ns (lower is better) are gated by cmd/benchcompare, Telemetry is the
-// full registry snapshot for forensics, and Invariants carries the
-// spec's per-cell verdicts.
+// under one config produced, as flat machine-readable JSON. Invariants
+// carries the spec's per-cell verdicts and OK their conjunction — the
+// only thing a cell is judged on. The two _per_sec rates are wall-clock
+// readings of a single small run, kept as information; Telemetry is the
+// full registry snapshot (every series and histogram summary) for
+// forensics.
 type Result struct {
 	Scenario    string `json:"scenario"`
 	Config      string `json:"config"`
@@ -103,16 +104,6 @@ type Result struct {
 	DegradedQueries       int64 `json:"degraded_queries,omitempty"`
 	PartialQueries        int64 `json:"partial_queries,omitempty"`
 
-	ApplyBatchP50Ns int64 `json:"apply_batch_p50_ns"`
-	ApplyBatchP95Ns int64 `json:"apply_batch_p95_ns"`
-	ApplyBatchP99Ns int64 `json:"apply_batch_p99_ns"`
-	TapBatchP50Ns   int64 `json:"tap_batch_p50_ns"`
-	TapBatchP95Ns   int64 `json:"tap_batch_p95_ns"`
-	TapBatchP99Ns   int64 `json:"tap_batch_p99_ns"`
-	MergePassP50Ns  int64 `json:"merge_pass_p50_ns"`
-	MergePassP95Ns  int64 `json:"merge_pass_p95_ns"`
-	MergePassP99Ns  int64 `json:"merge_pass_p99_ns"`
-
 	Telemetry  telemetry.Snap   `json:"telemetry"`
 	Invariants []InvariantCheck `json:"invariants"`
 	OK         bool             `json:"ok"`
@@ -134,8 +125,8 @@ const (
 // invariant verdicts.
 //
 // Run resets the process-global telemetry registry so the cell's
-// Telemetry snapshot and percentiles cover this cell alone; do not run
-// cells concurrently in one process.
+// Telemetry snapshot covers this cell alone; do not run cells
+// concurrently in one process.
 func Run(spec *Spec, rc RunConfig) (*Result, error) {
 	telemetry.Reset()
 	res := &Result{
@@ -424,19 +415,10 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 	res.SpilledBytes = js.SpilledBytes
 	res.SpillRuns = js.SpillRuns
 
-	res.ApplyBatchP50Ns, res.ApplyBatchP95Ns, res.ApplyBatchP99Ns = pcts("realtime.apply.batch.ns")
-	res.TapBatchP50Ns, res.TapBatchP95Ns, res.TapBatchP99Ns = pcts("realtime.tap.batch.ns")
-	res.MergePassP50Ns, res.MergePassP95Ns, res.MergePassP99Ns = pcts("dataflow.stage.merge.ns")
 	res.Telemetry = telemetry.Snapshot()
 
 	res.evaluateInvariants(spec)
 	return res, nil
-}
-
-// pcts reads one histogram's p50/p95/p99 from the default registry.
-func pcts(name string) (p50, p95, p99 int64) {
-	s := telemetry.GetHistogram(name).Summary()
-	return s.P50, s.P95, s.P99
 }
 
 // hash64 is FNV-1a over the session id; low bits pick the region, high

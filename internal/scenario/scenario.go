@@ -9,14 +9,13 @@
 //
 // The paper's infrastructure existed to survive real traffic shapes:
 // flash crowds on one namespace subtree, a datacenter's daemons going
-// dark and replaying their spools, consumers that fall behind. Before
-// this package each such shape was a hand-written experiment in
-// benchrunner; now it is data. A spec file plus a seed reproduces the
-// same event stream byte for byte, cmd/benchrunner's -grid mode runs a
-// (scenario × config) experiment matrix emitting one machine-readable
-// JSON per cell, and CI's scenario-matrix job asserts each cell's
-// invariants — reconcile-exact after backfill, exactly-once delivery,
-// nonzero spill and ingest telemetry — on every push.
+// dark and replaying their spools, consumers that fall behind. Here
+// each such shape is data, not a hand-written experiment. A spec file
+// plus a seed reproduces the same event stream byte for byte,
+// cmd/scenariogrid runs a (scenario × config) experiment matrix emitting
+// one machine-readable JSON per cell, and CI's scenario-matrix job fails
+// on any cell whose declared invariants fail — reconcile-exact after
+// backfill, exactly-once delivery, nonzero spill — on every push.
 //
 // The pieces compose:
 //
@@ -31,8 +30,8 @@
 //     clock-skew transforms, each a Stream → Stream function.
 //   - run.go: Run drives a stream through a multi-region Scribe
 //     topology with the spec's outages and slow-consumer delay applied,
-//     seals and moves every hour, and returns a Result with telemetry,
-//     latency percentiles, and the spec's invariant verdicts.
+//     seals and moves every hour, and returns a Result with telemetry
+//     and the spec's invariant verdicts.
 package scenario
 
 import (

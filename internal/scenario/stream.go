@@ -48,8 +48,8 @@ type timedSession struct {
 // stream, event for event.
 //
 // Class generation materializes one class's sessions at a time (the
-// harness runs CI-scale days, not the out-of-core corpus sizes
-// benchrunner E16/E17 stream); the transforms themselves are streaming.
+// harness runs CI-scale days, not out-of-core corpus sizes); the
+// transforms themselves are streaming.
 func (s *Spec) EventStream() (Stream, error) {
 	perClass := make([][]timedSession, len(s.Clients))
 	counts := s.SessionCounts()

@@ -180,7 +180,7 @@ func RegisterGaugeFunc(name string, fn func() int64) { Default.GaugeFunc(name, f
 // Snap is one consistent-enough view of a registry: counters, gauges,
 // and gauge funcs flattened into Series; histograms summarized with
 // their quantiles. It marshals directly to the JSON shape served by
-// /debug/unilog and embedded in BENCH_*.json.
+// /debug/unilog and embedded in every scenario-grid cell.
 type Snap struct {
 	Series     map[string]int64            `json:"series"`
 	Histograms map[string]HistogramSummary `json:"histograms"`

@@ -264,8 +264,8 @@ type sessionPlan struct {
 
 // GenerateTo streams the day's events into sink — sessions in start-time
 // order, each session's events in time order — without ever materializing
-// a []events.ClientEvent, which is what lets benchrunner synthesize days
-// orders of magnitude past the shared corpus. Planning (user attributes
+// a []events.ClientEvent, which is what lets bench/ synthesize days
+// orders of magnitude past the test corpora. Planning (user attributes
 // and session start times) happens first and is cheap: one schedule entry
 // per session, not per event. The emitted stream is only approximately
 // timestamp-ordered globally (concurrent sessions interleave at session

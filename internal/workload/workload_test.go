@@ -259,7 +259,8 @@ func TestGenerateToSessionsStreamInStartOrder(t *testing.T) {
 
 // TestGenerateToStreamsIntoWarehouse: the emit-callback path feeds the
 // warehouse writer directly, and the sessionizer recovers the exact
-// ground truth from what landed — the benchrunner E16/E17 path.
+// ground truth from what landed — the path bench/'s generator and the
+// scenario harness take.
 func TestGenerateToStreamsIntoWarehouse(t *testing.T) {
 	fs := hdfs.New(0)
 	w := warehouse.NewWriter(fs, events.Category)
