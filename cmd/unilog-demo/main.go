@@ -129,7 +129,7 @@ func main() {
 		if *crash && hr == 10 {
 			rt.Sync()
 			check(rt.Snapshot())
-			fmt.Println("  hour 10: realtime snapshot cut (stripe rings serialized, WAL truncated)")
+			fmt.Println("  hour 10: realtime snapshot cut (shard rings serialized, WAL truncated)")
 		}
 		if *crash && hr == 14 {
 			rt.Sync()

@@ -142,8 +142,9 @@
 // Beyond the paper's batch pipeline, internal/realtime adds the §6
 // "real-time processing" direction as a Rainbird-style streaming counter
 // subsystem: a tap on the Scribe aggregators fans accepted client events
-// into sharded, lock-striped, one-minute-windowed hierarchical counters
-// (knobs: Config.Shards, Stripes, Retention, QueueDepth, MaxBatch), which
+// into sharded, one-minute-windowed hierarchical counters — one ring of
+// minute buckets and one lock per shard
+// (knobs: Config.Shards, Retention, QueueDepth, MaxBatch), which
 // answer point lookups, prefix top-K, and time-range sums seconds after
 // events occur. birdbrain.Lambda splits serving between the two paths —
 // "today so far" from the realtime counters, sealed days from the
@@ -152,7 +153,7 @@
 //
 // The counter hot path is interned: a concurrent, read-mostly symbol
 // table digests each distinct event name once — its six hierarchy
-// prefixes, five §3.2 rollup names, and shard/stripe routing cached
+// prefixes, five §3.2 rollup names, and shard routing cached
 // behind dense integer IDs — so steady-state ingestion is an
 // allocation-free read-locked lookup plus integer-keyed increments, and
 // query results resolve IDs back to strings only at the edges.
@@ -161,7 +162,7 @@
 // where every drained batch is appended to a per-shard, CRC-framed
 // write-ahead log (recordio.CRCWriter framing; Config.FsyncEvery trades
 // fsync cadence against throughput) before it is applied, and a periodic
-// snapshotter (Config.SnapshotEvery) serializes the stripe rings and
+// snapshotter (Config.SnapshotEvery) serializes the shard rings and
 // truncates the covered log segments. WAL records are
 // dictionary-compressed (format v2): each segment embeds a first-seen
 // name once and logs a few varint bytes per observation after that,
@@ -170,8 +171,8 @@
 // carry a dictionary of their own plus the full Stats block, so activity
 // counters survive restarts. After a crash, Open rebuilds the symbol table and replays the
 // newest valid snapshot plus the WAL tail — tolerating a torn final
-// record, flipped bits, damaged or missing snapshots, and shard/stripe
-// reconfiguration (replay re-digests every name) — so a restarted shard
+// record, flipped bits, damaged or missing snapshots, and a changed
+// shard count (replay re-digests every name) — so a restarted shard
 // remembers "today so far" instead of waiting a day for the warehouse
 // rollup, and still reconciles exactly against the batch path.
 //
@@ -180,11 +181,12 @@
 // Dynamo-style map — event name to one of P fixed partitions, partition
 // to R distinct nodes on a virtual-point ring, computed once at startup
 // so crashes divert writes to hints rather than re-route the ring).
-// Every event lands on all R replicas through per-node send queues that
-// retry with capped exponential backoff; a heartbeat/suspicion failure
-// detector (alive -> suspect -> dead on a zk.Clock, so scenarios run it
-// deterministically) stops the retry tax for dead nodes, whose writes
-// divert to hinted handoff and replay in order once the node returns —
+// Every event lands on all R replicas through one send queue per node,
+// which retries with capped exponential backoff; a heartbeat/suspicion
+// failure detector (alive -> suspect -> dead on a zk.Clock, so scenarios
+// run it deterministically) stops the retry tax for dead nodes, whose
+// queue parks its writes as hints and replays them in order once the
+// node returns —
 // each node's own WAL/snapshot recovery remains the intra-node story,
 // and the two together make a mid-day crash + restart converge back to
 // exact counts. On the read side birdbrain.Scatter fans PathSum / TopK /

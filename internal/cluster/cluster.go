@@ -20,14 +20,16 @@
 // tops it up.
 //
 // Writes. Ingest (or the scribe TapBatch) routes every accepted event
-// to all R replicas of its partition through per-node send queues. A
-// delivery that fails — the node crashed but the failure detector has
-// not noticed yet — retries with capped exponential backoff
-// (RetryBase doubling up to RetryCap); once a node has been failing
-// for HintAfter, or the detector declares it dead, the queue stops
-// retrying and the undelivered events become *hints*: buffered per
-// target node in the hinted-handoff table, replayed into the node as
-// soon as the detector sees it alive again. Surviving replicas take
+// to all R replicas of its partition through one send queue per node,
+// the only place an undelivered event waits. A queue's backlog has two
+// ways to be retried. A delivery that fails — the node crashed but the
+// failure detector has not noticed yet — retries on a timer, with
+// capped exponential backoff (RetryBase doubling up to RetryCap). Once
+// a node has been failing for HintAfter, or the detector declares it
+// dead, the queue is parked: the timer stops, the backlog and every
+// later write to the node are *hints* that wait in the queue, and the
+// retry comes from the detector — the first Tick that sees the node
+// alive again delivers them in order. Surviving replicas take
 // every write in the meantime, so the counters a reader can reach stay
 // exact through the outage, and the recovered node converges to them
 // after WAL recovery plus hint replay — Reconcile-exact end to end.
@@ -86,7 +88,7 @@ type Config struct {
 	// suspect. Default 3 × HeartbeatEvery.
 	SuspectAfter time.Duration
 	// DeadAfter is the silence after which a suspect node is declared
-	// dead: its queue stops retrying and new writes hint immediately.
+	// dead: its queue is parked and new writes hint immediately.
 	// Default 3 × SuspectAfter.
 	DeadAfter time.Duration
 
@@ -95,8 +97,7 @@ type Config struct {
 	RetryBase time.Duration
 	RetryCap  time.Duration
 	// HintAfter is how long a node may keep failing deliveries before the
-	// queue gives up retrying and hands its backlog to hinted handoff.
-	// Default 2m.
+	// queue gives up retrying and parks its backlog as hints. Default 2m.
 	HintAfter time.Duration
 
 	// Dir, when non-empty, makes every node durable: node i's partition p
@@ -106,8 +107,8 @@ type Config struct {
 	// fails reconciliation; use it only for tests without crashes.
 	Dir string
 	// Node configures each per-partition counter. Cluster nodes default
-	// smaller than a standalone counter (Shards 1, Stripes 4, QueueDepth
-	// 32, MaxBatch 256) because a node hosts one counter per replicated
+	// smaller than a standalone counter (Shards 1, QueueDepth 32,
+	// MaxBatch 256) because a node hosts one counter per replicated
 	// partition.
 	Node realtime.Config
 	// Clock drives heartbeats, backoff, and hint timeouts. Default
@@ -152,9 +153,6 @@ func (c Config) withDefaults() Config {
 	if c.Node.Shards <= 0 {
 		c.Node.Shards = 1
 	}
-	if c.Node.Stripes <= 0 {
-		c.Node.Stripes = 4
-	}
 	if c.Node.QueueDepth <= 0 {
 		c.Node.QueueDepth = 32
 	}
@@ -180,15 +178,17 @@ type Stats struct {
 	DecodeErrors int64
 	// Delivered counts per-replica event deliveries that reached a node
 	// (hint replays included); SendAttempts/SendRetries/SendFailures
-	// count queue delivery attempts, backoff retries, and failed
-	// attempts.
+	// count the un-parked queues' delivery attempts, backoff retries,
+	// and failed attempts.
 	Delivered    int64
 	SendAttempts int64
 	SendRetries  int64
 	SendFailures int64
-	// Hinted / Replayed / ReplayFailures count events buffered into and
-	// replayed out of the hinted-handoff table; HandoffPending is the
-	// current backlog, HandoffHighWater the largest backlog seen.
+	// Hinted counts events that were in, or entered, a parked queue;
+	// Replayed counts events delivered by the attempt that un-parks one
+	// (so the two are equal once Drained); ReplayFailures counts such
+	// attempts that failed. HandoffPending is the sum of the parked
+	// backlogs, HandoffHighWater the largest it has been.
 	Hinted           int64
 	Replayed         int64
 	ReplayFailures   int64
@@ -210,13 +210,13 @@ type Stats struct {
 // drive time with Tick, and read it through birdbrain.Scatter (or the
 // per-node query methods in query.go).
 type Cluster struct {
-	cfg     Config
-	clock   zk.Clock
-	ring    *ring
-	nodes   []*Node
-	det     *detector
-	queues  []*sendQueue
-	handoff *handoff
+	cfg    Config
+	clock  zk.Clock
+	ring   *ring
+	nodes  []*Node
+	det    *detector
+	queues []*sendQueue
+	hints  hintLoad
 
 	ingested   atomic.Int64
 	decodeErrs atomic.Int64
@@ -228,10 +228,9 @@ type Cluster struct {
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
-		cfg:     cfg,
-		clock:   cfg.Clock,
-		ring:    newRing(cfg.Nodes, cfg.VirtualPoints, cfg.Partitions, cfg.ReplicationFactor),
-		handoff: newHandoff(cfg.Nodes),
+		cfg:   cfg,
+		clock: cfg.Clock,
+		ring:  newRing(cfg.Nodes, cfg.VirtualPoints, cfg.Partitions, cfg.ReplicationFactor),
 	}
 	for id := 0; id < cfg.Nodes; id++ {
 		dir := ""
@@ -246,7 +245,7 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 		c.nodes = append(c.nodes, n)
-		c.queues = append(c.queues, newSendQueue(n, cfg.RetryBase, cfg.RetryCap, cfg.HintAfter))
+		c.queues = append(c.queues, newSendQueue(n, cfg.RetryBase, cfg.RetryCap, cfg.HintAfter, &c.hints))
 	}
 	c.det = newDetector(cfg.Nodes, cfg.SuspectAfter, cfg.DeadAfter, c.clock.Now())
 	return c, nil
@@ -282,7 +281,7 @@ func (c *Cluster) Ingest(e *events.ClientEvent) {
 	tmClusterIngest.Inc()
 	batch := []routed{{p: p, e: *e}}
 	for _, id := range c.ring.replicas[p] {
-		c.route(id, batch, now)
+		c.queues[id].send(batch, now, c.det.statusOf(id))
 	}
 }
 
@@ -313,29 +312,18 @@ func (c *Cluster) TapBatch(batch []scribe.Entry) {
 	}
 	for id, b := range perNode {
 		if len(b) > 0 {
-			c.route(id, b, now)
+			c.queues[id].send(b, now, c.det.statusOf(id))
 		}
 	}
 }
 
-// route hands one node's batch to its send queue — or straight to
-// hinted handoff when the failure detector already declared the node
-// dead, so a known-dead node costs no retry cycles.
-func (c *Cluster) route(id int, batch []routed, now time.Time) {
-	if c.det.statusOf(id) == StatusDead {
-		c.handoff.add(id, batch)
-		return
-	}
-	c.queues[id].send(batch, now, c.handoff)
-}
-
 // Tick advances the cluster's failure machinery to the clock's now:
 // live nodes heartbeat, the detector re-ages every node (suspect →
-// dead → alive transitions land here), queues whose backoff window
-// elapsed retry, queues for dead nodes evict their backlog to handoff,
-// and nodes detected alive again get their hints replayed. Call it on
-// every scenario time step; a production loop would run it on a ticker
-// at HeartbeatEvery.
+// dead → alive transitions land here), and every queue is pumped with
+// its node's status — a backoff window that elapsed retries, a dead
+// node's queue parks, a node seen alive again gets its hints. Call it
+// on every scenario time step; a production loop would run it on a
+// ticker at HeartbeatEvery.
 func (c *Cluster) Tick() {
 	now := c.clock.Now()
 	for _, n := range c.nodes {
@@ -345,27 +333,7 @@ func (c *Cluster) Tick() {
 	}
 	c.det.refresh(now)
 	for id, q := range c.queues {
-		if c.det.statusOf(id) == StatusDead {
-			q.evict(c.handoff)
-		} else {
-			q.pump(now, c.handoff)
-		}
-	}
-	for id, n := range c.nodes {
-		if c.det.statusOf(id) != StatusAlive {
-			continue
-		}
-		if c.handoff.pending(id) > 0 {
-			if err := c.handoff.replay(n); err == nil {
-				c.queues[id].reset()
-			}
-		} else if c.queues[id].isHinting() {
-			// Alive with no hint debt: stop routing new writes through
-			// the handoff table (the replay that cleared the debt may
-			// have reset already; an evict with an empty backlog would
-			// otherwise hint forever).
-			c.queues[id].reset()
-		}
+		q.pump(now, c.det.statusOf(id))
 	}
 }
 
@@ -388,16 +356,16 @@ func (c *Cluster) Restart(id int) error {
 	return nil
 }
 
-// Drained reports whether every send queue and the hinted-handoff
-// table are empty — the condition under which every routed event has
-// reached all R of its replicas.
+// Drained reports whether every send queue is empty, hints included —
+// the condition under which every routed event has reached all R of
+// its replicas.
 func (c *Cluster) Drained() bool {
 	for _, q := range c.queues {
 		if q.pendingLen() > 0 {
 			return false
 		}
 	}
-	return c.handoff.totalPending() == 0
+	return true
 }
 
 // Sync blocks until every delivered observation is applied on every
@@ -437,14 +405,12 @@ func (c *Cluster) Stats() Stats {
 		s.SendAttempts += qs.attempts
 		s.SendRetries += qs.retries
 		s.SendFailures += qs.failures
+		s.Hinted += qs.hinted
+		s.Replayed += qs.replayed
+		s.ReplayFailures += qs.replayFailures
 	}
-	hs := c.handoff.statsSnap()
-	s.Hinted = hs.hinted
-	s.Replayed = hs.replayed
-	s.ReplayFailures = hs.replayFailures
-	s.HandoffPending = int64(c.handoff.totalPending())
-	s.HandoffHighWater = hs.highWater
-	s.Delivered += hs.replayed
+	s.HandoffPending = c.hints.pending.Load()
+	s.HandoffHighWater = c.hints.highWater.Load()
 	s.Suspects, s.Deaths, s.Revivals = c.det.transitions()
 	for _, n := range c.nodes {
 		s.NodeCrashes += n.crashes.Load()
@@ -460,9 +426,7 @@ func (c *Cluster) Publish(reg *telemetry.Registry) {
 	if reg == nil {
 		reg = telemetry.Default
 	}
-	reg.GaugeFunc("cluster.handoff.pending", func() int64 {
-		return int64(c.handoff.totalPending())
-	})
+	reg.GaugeFunc("cluster.handoff.pending", c.hints.pending.Load)
 	reg.GaugeFunc("cluster.nodes.alive", func() int64 {
 		var n int64
 		for id := range c.nodes {
@@ -473,7 +437,7 @@ func (c *Cluster) Publish(reg *telemetry.Registry) {
 		return n
 	})
 	reg.GaugeFunc("cluster.queues.pending", func() int64 {
-		var n int64
+		n := -c.hints.pending.Load() // hints have their own gauge
 		for _, q := range c.queues {
 			n += int64(q.pendingLen())
 		}

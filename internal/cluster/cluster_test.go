@@ -134,16 +134,9 @@ func TestDetectorTransitions(t *testing.T) {
 }
 
 // Backoff must double per consecutive failure from RetryBase and clamp
-// at RetryCap, and the queue must refuse attempts inside the window.
+// at RetryCap.
 func TestBackoffTiming(t *testing.T) {
-	n, err := newNode(0, []int{0}, "", realtime.Config{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.crash() // every deliver fails
-	base, cap := 500*time.Millisecond, 8*time.Second
-	q := newSendQueue(n, base, cap, time.Hour)
-
+	q := newSendQueue(nil, 500*time.Millisecond, 8*time.Second, time.Hour, nil)
 	for f, want := range map[int]time.Duration{
 		1: 500 * time.Millisecond,
 		2: time.Second,
@@ -157,62 +150,160 @@ func TestBackoffTiming(t *testing.T) {
 			t.Errorf("backoff(%d) = %v, want %v", f, got, want)
 		}
 	}
-
-	h := newHandoff(1)
-	now := t0
-	q.send([]routed{{p: 0, e: *ev(testNames[0], t0, 1, "us")}}, now, h)
-	if q.statsSnap().attempts != 1 || q.statsSnap().failures != 1 {
-		t.Fatalf("after send: %+v, want 1 attempt 1 failure", q.statsSnap())
-	}
-	// Inside the 500ms window: pump must not attempt.
-	q.pump(now.Add(400*time.Millisecond), h)
-	if got := q.statsSnap().attempts; got != 1 {
-		t.Fatalf("pump inside backoff attempted (attempts=%d)", got)
-	}
-	// Past the window: one retry, which fails and doubles the window.
-	q.pump(now.Add(600*time.Millisecond), h)
-	s := q.statsSnap()
-	if s.attempts != 2 || s.retries != 1 {
-		t.Fatalf("pump past backoff: %+v, want 2 attempts 1 retry", s)
-	}
-	// The second failure's window is 1s from the retry; 1.5s later it
-	// reopens. Restart the node so the attempt lands.
-	if err := n.restart(); err != nil {
-		t.Fatal(err)
-	}
-	q.pump(now.Add(1700*time.Millisecond), h)
-	s = q.statsSnap()
-	if s.delivered != 1 || q.pendingLen() != 0 {
-		t.Fatalf("after recovery pump: %+v pending=%d, want delivered", s, q.pendingLen())
-	}
 }
 
-// A queue whose node keeps failing past HintAfter must surrender its
-// backlog to hinted handoff and route subsequent sends straight there.
-func TestQueueHintTimeout(t *testing.T) {
-	n, err := newNode(0, []int{0}, "", realtime.Config{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
+// TestQueueTimeline drives one send queue (RetryBase 500ms, RetryCap 8s)
+// through a timeline of sends, pumps, detector statuses and node
+// crashes, and pins what the queue holds and has counted after every
+// step. The cluster-wide hint load must equal the backlog whenever the
+// queue is parked and zero otherwise.
+func TestQueueTimeline(t *testing.T) {
+	const (
+		send = iota
+		pump
+		crash
+		restart
+	)
+	type want struct {
+		pending                             int
+		parked                              bool
+		attempts, retries, hinted, replayed int64
 	}
-	n.crash()
-	q := newSendQueue(n, 500*time.Millisecond, 8*time.Second, 2*time.Minute)
-	h := newHandoff(1)
-
-	now := t0
-	q.send([]routed{{p: 0, e: *ev(testNames[0], t0, 1, "us")}}, now, h)
-	for i := 1; i <= 20 && h.pending(0) == 0; i++ {
-		q.pump(now.Add(time.Duration(i)*10*time.Second), h)
+	type step struct {
+		at     time.Duration
+		do     int
+		status Status
+		want   want
 	}
-	if got := h.pending(0); got != 1 {
-		t.Fatalf("handoff pending = %d, want 1 after HintAfter elapsed", got)
-	}
-	// Hinting mode: new sends bypass the queue.
-	q.send([]routed{{p: 0, e: *ev(testNames[1], t0, 2, "us")}}, now.Add(5*time.Minute), h)
-	if got := h.pending(0); got != 2 {
-		t.Fatalf("handoff pending = %d, want 2 (send while hinting)", got)
-	}
-	if q.pendingLen() != 0 {
-		t.Fatalf("queue pending = %d, want 0 while hinting", q.pendingLen())
+	ms, sec := time.Millisecond, time.Second
+	for _, tc := range []struct {
+		name      string
+		hintAfter time.Duration
+		steps     []step
+		// totals once the timeline is over
+		delivered, failures, replayFailures, highWater int64
+	}{
+		{
+			// The queue must refuse attempts inside the backoff window,
+			// and the window must double per consecutive failure.
+			name: "backoff-window", hintAfter: time.Hour,
+			steps: []step{
+				{do: crash},
+				{0, send, StatusAlive, want{pending: 1, attempts: 1}},
+				{400 * ms, pump, StatusAlive, want{pending: 1, attempts: 1}}, // inside the 500ms window
+				{600 * ms, pump, StatusAlive, want{pending: 1, attempts: 2, retries: 1}},
+				{do: restart},
+				{1500 * ms, pump, StatusAlive, want{pending: 1, attempts: 2, retries: 1}}, // inside the 1s window
+				{1500 * ms, send, StatusAlive, want{pending: 2, attempts: 2, retries: 1}}, // a send waits for it too
+				{1700 * ms, pump, StatusAlive, want{attempts: 3, retries: 2}},
+			},
+			delivered: 2, failures: 2,
+		},
+		{
+			// A node that keeps failing past HintAfter parks the queue:
+			// the backlog becomes hints, later sends join it without an
+			// attempt, and only the node being seen alive retries it.
+			name: "hint-timeout", hintAfter: 2 * time.Minute,
+			steps: []step{
+				{do: crash},
+				{0, send, StatusAlive, want{pending: 1, attempts: 1}},
+				{60 * sec, pump, StatusSuspect, want{pending: 1, attempts: 2, retries: 1}},
+				{119 * sec, pump, StatusSuspect, want{pending: 1, attempts: 3, retries: 2}},
+				{120 * sec, pump, StatusSuspect, want{pending: 1, attempts: 3, retries: 2}}, // inside the 2s window
+				{125 * sec, pump, StatusSuspect, want{pending: 1, parked: true, attempts: 4, retries: 3, hinted: 1}},
+				{300 * sec, send, StatusSuspect, want{pending: 2, parked: true, attempts: 4, retries: 3, hinted: 2}},
+				{310 * sec, pump, StatusSuspect, want{pending: 2, parked: true, attempts: 4, retries: 3, hinted: 2}},
+				{do: restart},
+				{360 * sec, pump, StatusAlive, want{attempts: 4, retries: 3, hinted: 2, replayed: 2}},
+				{370 * sec, send, StatusAlive, want{attempts: 5, retries: 3, hinted: 2, replayed: 2}},
+			},
+			delivered: 3, failures: 4, highWater: 2,
+		},
+		{
+			// A node the detector declared dead costs no send attempts;
+			// a replay that finds it down again leaves the queue parked.
+			name: "dead-then-alive", hintAfter: time.Hour,
+			steps: []step{
+				{do: crash},
+				{0, send, StatusSuspect, want{pending: 1, attempts: 1}},
+				{10 * sec, pump, StatusDead, want{pending: 1, parked: true, attempts: 1, hinted: 1}},
+				{20 * sec, send, StatusDead, want{pending: 2, parked: true, attempts: 1, hinted: 2}},
+				{30 * sec, pump, StatusAlive, want{pending: 2, parked: true, attempts: 1, hinted: 2}}, // still down
+				{do: restart},
+				{40 * sec, send, StatusAlive, want{pending: 3, parked: true, attempts: 1, hinted: 3}},
+				{50 * sec, pump, StatusAlive, want{attempts: 1, hinted: 3, replayed: 3}},
+			},
+			delivered: 3, failures: 1, replayFailures: 1, highWater: 3,
+		},
+		{
+			// A send to a node already declared dead parks the queue
+			// without an attempt.
+			name: "send-to-dead", hintAfter: time.Hour,
+			steps: []step{
+				{0, send, StatusDead, want{pending: 1, parked: true, hinted: 1}},
+				{10 * sec, pump, StatusSuspect, want{pending: 1, parked: true, hinted: 1}},
+				{20 * sec, pump, StatusAlive, want{hinted: 1, replayed: 1}},
+			},
+			delivered: 1, highWater: 1,
+		},
+		{
+			// A node declared dead with nothing owed, then alive again:
+			// the queue must come out of parking with no replay, and the
+			// next send must be an ordinary attempt, not a hint.
+			name: "dead-empty-then-alive", hintAfter: time.Hour,
+			steps: []step{
+				{0, pump, StatusDead, want{parked: true}},
+				{10 * sec, pump, StatusDead, want{parked: true}},
+				{20 * sec, pump, StatusAlive, want{}},
+				{30 * sec, send, StatusAlive, want{attempts: 1}},
+			},
+			delivered: 1,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, err := newNode(0, []int{0}, "", realtime.Config{Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.close()
+			var hints hintLoad
+			q := newSendQueue(n, 500*time.Millisecond, 8*time.Second, tc.hintAfter, &hints)
+			for i, st := range tc.steps {
+				now := t0.Add(st.at)
+				switch st.do {
+				case send:
+					q.send([]routed{{p: 0, e: *ev(testNames[i%len(testNames)], t0, int64(i), "us")}}, now, st.status)
+				case pump:
+					q.pump(now, st.status)
+				case crash:
+					n.crash()
+					continue
+				case restart:
+					if err := n.restart(); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				s := q.statsSnap()
+				got := want{q.pendingLen(), q.parked, s.attempts, s.retries, s.hinted, s.replayed}
+				if got != st.want {
+					t.Fatalf("step %d (+%v): got %+v, want %+v", i, st.at, got, st.want)
+				}
+				load := int64(0)
+				if got.parked {
+					load = int64(got.pending)
+				}
+				if hints.pending.Load() != load {
+					t.Fatalf("step %d (+%v): hint load %d, want %d", i, st.at, hints.pending.Load(), load)
+				}
+			}
+			s := q.statsSnap()
+			if s.delivered != tc.delivered || s.failures != tc.failures || s.replayFailures != tc.replayFailures ||
+				hints.highWater.Load() != tc.highWater {
+				t.Errorf("totals: %+v with hint high water %d, want delivered %d, failures %d, replay failures %d, high water %d",
+					s, hints.highWater.Load(), tc.delivered, tc.failures, tc.replayFailures, tc.highWater)
+			}
+		})
 	}
 }
 

@@ -34,7 +34,7 @@ func (s Status) String() string {
 // when a node was last seen; refresh re-ages every node against the
 // injected clock's now. Suspicion is the hedge against declaring a
 // slow node dead: a suspect node's queue keeps retrying (the write may
-// still land), only a dead node's writes divert to hinted handoff.
+// still land), only a dead node's writes park as hints.
 type detector struct {
 	mu           sync.Mutex
 	suspectAfter time.Duration

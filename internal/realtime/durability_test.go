@@ -24,10 +24,9 @@ import (
 // durCfg keeps durability tests deterministic: every batch fsyncs, and the
 // automatic snapshotter never fires on its own (tests cut snapshots
 // explicitly).
-func durCfg(shards, stripes int) Config {
+func durCfg(shards int) Config {
 	return Config{
 		Shards:        shards,
-		Stripes:       stripes,
 		FsyncEvery:    1,
 		SnapshotEvery: time.Hour,
 	}
@@ -90,11 +89,11 @@ func sameAnswers(t *testing.T, got, want *Counter) {
 // memory-only counter that never went down.
 func TestKillAndRecoverMatchesNeverCrashed(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir, durCfg(3, 4))
+	d, err := Open(dir, durCfg(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(Config{Shards: 3, Stripes: 4})
+	m := New(Config{Shards: 3})
 	t.Cleanup(m.Close)
 
 	feedBoth(400, d, m)
@@ -107,7 +106,7 @@ func TestKillAndRecoverMatchesNeverCrashed(t *testing.T) {
 	m.Sync()
 	d.Crash()
 
-	r, err := Open(dir, durCfg(3, 4))
+	r, err := Open(dir, durCfg(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +125,7 @@ func TestKillAndRecoverMatchesNeverCrashed(t *testing.T) {
 	if len(segs) != 0 {
 		t.Errorf("WAL not retired after Close: %v", segs)
 	}
-	r2, err := Open(dir, durCfg(3, 4))
+	r2, err := Open(dir, durCfg(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,18 +137,18 @@ func TestKillAndRecoverMatchesNeverCrashed(t *testing.T) {
 // the WAL tail.
 func TestRecoverFromWALOnly(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir, durCfg(2, 2))
+	d, err := Open(dir, durCfg(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(Config{Shards: 2, Stripes: 2})
+	m := New(Config{Shards: 2})
 	t.Cleanup(m.Close)
 	feedBoth(250, d, m)
 	d.Sync()
 	m.Sync()
 	d.Crash()
 
-	r, err := Open(dir, durCfg(2, 2))
+	r, err := Open(dir, durCfg(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +161,11 @@ func TestRecoverFromWALOnly(t *testing.T) {
 // must not change any answer.
 func TestRecoverAcrossConfigChange(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir, durCfg(4, 8))
+	d, err := Open(dir, durCfg(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(Config{Shards: 2, Stripes: 3})
+	m := New(Config{Shards: 2})
 	t.Cleanup(m.Close)
 	feedBoth(200, d, m)
 	d.Sync()
@@ -178,7 +177,7 @@ func TestRecoverAcrossConfigChange(t *testing.T) {
 	m.Sync()
 	d.Crash()
 
-	r, err := Open(dir, durCfg(2, 3))
+	r, err := Open(dir, durCfg(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,9 +188,9 @@ func TestRecoverAcrossConfigChange(t *testing.T) {
 // oneShardScenario ingests n single-event batches (one WAL record each)
 // into a 1-shard durable counter and crashes it, returning the lone live
 // WAL segment for the corruption tests to damage.
-func oneShardScenario(t *testing.T, dir string, n int) string {
+func oneShardScenario(t testing.TB, dir string, n int) string {
 	t.Helper()
-	d, err := Open(dir, durCfg(1, 1))
+	d, err := Open(dir, durCfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +223,7 @@ func TestRecoverTornFinalRecord(t *testing.T) {
 	if err := os.Truncate(seg, fi.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(dir, durCfg(1, 1))
+	r, err := Open(dir, durCfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +239,7 @@ func TestRecoverTornFinalRecord(t *testing.T) {
 	// Recovery is stable: crash and reopen again without new ingestion
 	// and nothing double counts.
 	r.Crash()
-	r2, err := Open(dir, durCfg(1, 1))
+	r2, err := Open(dir, durCfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +262,7 @@ func TestRecoverFlippedCRCByte(t *testing.T) {
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(dir, durCfg(1, 1))
+	r, err := Open(dir, durCfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +274,7 @@ func TestRecoverFlippedCRCByte(t *testing.T) {
 		t.Error("corruption not surfaced in WALErrors")
 	}
 	r.Crash()
-	r2, err := Open(dir, durCfg(1, 1))
+	r2, err := Open(dir, durCfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +284,149 @@ func TestRecoverFlippedCRCByte(t *testing.T) {
 	}
 }
 
+// TestRecoverSkipsPreEpochWALRecord: a segment written before observe
+// checked the minute can hold a record that used to kill the process on
+// every Open — the first one did, replayed into an empty ring; behind a
+// good record the same minute was dropped as past retention. Replay must
+// count both Invalid and carry on, every time.
+func TestRecoverSkipsPreEpochWALRecord(t *testing.T) {
+	dir := t.TempDir()
+	tab := newSymtab(1)
+	sym, cid, err := tab.resolveFull("web:home:timeline:stream:tweet:impression", "us")
+	if err != nil {
+		t.Fatal(err)
+	}
+	minute := t0.Unix() / 60
+	w, err := openWAL(dir, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range [][]obs{
+		{{minute: -5, sym: sym, country: cid}},
+		{{minute: minute, sym: sym, country: cid}, {minute: 0, sym: sym, country: cid}, {minute: minute + 1, sym: sym, country: cid}},
+	} {
+		rec, _, _ := w.encodeBatch(nil, batch, tab)
+		if err := w.cw.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		r, err := Open(dir, durCfg(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := r.Stats(); pathSumAll(r) != 2 || st.Observed != 2 || st.Invalid != 2 || st.DroppedOld != 0 || st.WALErrors != 0 {
+			t.Errorf("round %d: PathSum %d, stats %+v; want both good events, Invalid 2, nothing dropped, no WAL error",
+				round, pathSumAll(r), st)
+		}
+		r.Crash()
+	}
+}
+
+// TestSnapshotWithStripeCoordinatesLoads: until a shard owned one ring, a
+// name also belonged to one of eight lock stripes inside its shard, and a
+// snapshot held one bucket record per (shard, stripe, minute). Such a
+// file must load into one ring per shard as the cell-wise sum.
+func TestSnapshotWithStripeCoordinatesLoads(t *testing.T) {
+	const shards, stripes = 2, 8
+	m := New(Config{Shards: shards})
+	t.Cleanup(m.Close)
+	tab := newSymtab(shards)
+	type coord struct {
+		shard, stripe int
+		minute        int64
+	}
+	buckets := map[coord]*bucket{}
+	countries := []string{"us", "jp", "uk", "br"}
+	var observed int64
+	const names = 96
+	for i := 0; i < names; i++ {
+		name := fmt.Sprintf("web:home:timeline:stream:tweet:action%02d", i)
+		if i%3 == 0 {
+			name = fmt.Sprintf("iphone:search:results:cell:tweet:action%02d", i)
+		}
+		at := t0.Add(time.Duration(i/stripes%2) * time.Minute)
+		n := int64(i + 1)
+		e := ev(name, at, int64(i%3), countries[i%len(countries)])
+		for j := int64(0); j < n; j++ {
+			m.Ingest(e)
+		}
+		observed += n
+		// The same events as the cells a striped counter would have held.
+		sym, cid, err := tab.resolveFull(name, countries[i%len(countries)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := coord{int(hash32(name) % shards), i % stripes, at.Unix() / 60}
+		b := buckets[k]
+		if b == nil {
+			b = &bucket{minute: k.minute, prefix: map[uint32]int64{}, rollup: map[rollupCell]int64{}}
+			buckets[k] = b
+		}
+		for _, id := range sym.prefixID {
+			b.prefix[id] += n
+		}
+		for lvl, id := range sym.rollupID {
+			b.rollup[rollupCell{name: id, country: cid, level: uint8(lvl), loggedIn: e.LoggedIn()}] += n
+		}
+	}
+	m.Sync()
+	if len(buckets) != shards*stripes*2 {
+		t.Fatalf("the names fill %d buckets, want all %d stripes of each shard and minute", len(buckets), stripes)
+	}
+
+	dir := t.TempDir()
+	var file bytes.Buffer
+	cw := recordio.NewCRCWriter(&file)
+	paths, ctries := tab.dict()
+	recs := [][]byte{
+		encodeSnapHeader(nil, make([]int64, shards), observed, t0.Unix()/60+1, Stats{}),
+		encodeSnapDict(nil, paths, ctries),
+	}
+	for k, b := range buckets {
+		rec := encodeBucket(nil, k.shard, b)
+		rec[2] = byte(k.stripe) // after the tag and the one-byte shard varint
+		recs = append(recs, rec)
+	}
+	for _, rec := range recs {
+		if err := cw.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapName(1)), file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := Open(dir, durCfg(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	sameAnswers(t, r, m)
+	from, to := t0, t0.Add(2*time.Minute)
+	for _, p := range paths {
+		if g, w := r.PathSum(p, from, to), m.PathSum(p, from, to); g != w {
+			t.Errorf("PathSum(%q) = %d, want %d", p, g, w)
+		}
+	}
+	for _, parent := range []string{"web:home:timeline:stream:tweet", "iphone:search:results:cell:tweet"} {
+		if g, w := r.TopK(parent, names, from, to), m.TopK(parent, names, from, to); !reflect.DeepEqual(g, w) {
+			t.Errorf("TopK(%q) diverged:\n got  %v\n want %v", parent, g, w)
+		}
+		if g, w := r.Series(parent, from, to), m.Series(parent, from, to); !reflect.DeepEqual(g, w) {
+			t.Errorf("Series(%q) = %v, want %v", parent, g, w)
+		}
+	}
+}
+
 // snapThenTail builds the snapshot-plus-WAL-tail layout: 5 events covered
 // by a snapshot, 4 more only in the log, then a crash.
-func snapThenTail(t *testing.T, dir string) string {
+func snapThenTail(t testing.TB, dir string) string {
 	t.Helper()
-	d, err := Open(dir, durCfg(1, 1))
+	d, err := Open(dir, durCfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +493,7 @@ func TestRecoverDamagedSnapshot(t *testing.T) {
 			dir := t.TempDir()
 			snap := snapThenTail(t, dir)
 			tc.damage(t, snap)
-			r, err := Open(dir, durCfg(1, 1))
+			r, err := Open(dir, durCfg(1))
 			if err != nil {
 				t.Fatalf("recovery errored instead of degrading: %v", err)
 			}
@@ -371,7 +508,7 @@ func TestRecoverDamagedSnapshot(t *testing.T) {
 	t.Run("intact", func(t *testing.T) {
 		dir := t.TempDir()
 		snapThenTail(t, dir)
-		r, err := Open(dir, durCfg(1, 1))
+		r, err := Open(dir, durCfg(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,7 +525,7 @@ func TestRecoverDamagedSnapshot(t *testing.T) {
 // counter.
 func TestRecoverFallsBackToPreviousSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir, durCfg(1, 1))
+	d, err := Open(dir, durCfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +560,7 @@ func TestRecoverFallsBackToPreviousSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := Open(dir, durCfg(1, 1))
+	r, err := Open(dir, durCfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +596,7 @@ func TestReconcileWithRecoveredCounter(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	d, err := Open(dir, durCfg(4, 8))
+	d, err := Open(dir, durCfg(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +615,7 @@ func TestReconcileWithRecoveredCounter(t *testing.T) {
 	d.Sync()
 	d.Crash()
 
-	r, err := Open(dir, durCfg(4, 8))
+	r, err := Open(dir, durCfg(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +641,7 @@ func TestReconcileWithRecoveredCounter(t *testing.T) {
 // queries, then a kill and a recovery that must account for every event.
 func TestDurableConcurrentIngestAndSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durCfg(4, 8)
+	cfg := durCfg(4)
 	cfg.FsyncEvery = 8
 	d, err := Open(dir, cfg)
 	if err != nil {
@@ -592,7 +729,7 @@ func TestSnapshotOnMemoryCounterErrors(t *testing.T) {
 // watching Stats see monotonic values across restarts.
 func TestStatsPersistAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durCfg(2, 2)
+	cfg := durCfg(2)
 	cfg.Retention = 5 * time.Minute
 	d, err := Open(dir, cfg)
 	if err != nil {
@@ -659,7 +796,7 @@ func TestRetiredAndUnknownFormatVersionsAreCorrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.Close()
-		r, err := Open(dir, durCfg(1, 1))
+		r, err := Open(dir, durCfg(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -705,7 +842,7 @@ func TestRetiredAndUnknownFormatVersionsAreCorrupt(t *testing.T) {
 		if _, _, _, err := loadSnapshot(snap); !errors.Is(err, recordio.ErrCorrupt) || !strings.Contains(err.Error(), named) {
 			t.Errorf("snapshot header %s: err = %v, want ErrCorrupt naming the version", named, err)
 		}
-		r, err = Open(dir, durCfg(1, 1))
+		r, err = Open(dir, durCfg(1))
 		if err != nil {
 			t.Fatalf("snapshot %s: recovery errored instead of degrading: %v", named, err)
 		}

@@ -206,7 +206,7 @@ func checkAgainstReference(t *testing.T, rng *rand.Rand, c *Counter, ref *refMod
 // the pre-refactor semantics.
 func TestCounterMatchesReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(20120821))
-	c := newCounter(t, Config{Shards: 3, Stripes: 2, Retention: 4 * time.Hour, MaxBatch: 64})
+	c := newCounter(t, Config{Shards: 3, Retention: 4 * time.Hour, MaxBatch: 64})
 	ref := genReferenceWorkload(rng, 4000, 120, nil, c)
 	c.Sync()
 	checkAgainstReference(t, rng, c, ref)
@@ -221,12 +221,12 @@ func TestCounterMatchesReferenceModel(t *testing.T) {
 // randomized workload, cuts a v2 snapshot (dictionary + ID-keyed
 // buckets) mid-stream, crashes with the tail only in the
 // dictionary-compressed WAL, and is reopened under a *different*
-// shard/stripe configuration. The recovered engine must answer the full
+// shard count. The recovered engine must answer the full
 // query battery exactly like the reference.
 func TestRecoveredCounterMatchesReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(20120822))
 	dir := t.TempDir()
-	cfg := durCfg(3, 2)
+	cfg := durCfg(3)
 	cfg.Retention = 4 * time.Hour
 	cfg.MaxBatch = 64
 	d, err := Open(dir, cfg)
@@ -241,7 +241,7 @@ func TestRecoveredCounterMatchesReferenceModel(t *testing.T) {
 	d.Sync()
 	d.Crash()
 
-	rcfg := durCfg(2, 4) // recovery re-digests, so resharding must not change answers
+	rcfg := durCfg(2) // recovery re-digests, so resharding must not change answers
 	rcfg.Retention = 4 * time.Hour
 	r, err := Open(dir, rcfg)
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 	"unilog/internal/events"
 )
 
-// Queries merge counts across every shard, stripe, and minute bucket whose
+// Queries merge counts across every shard and minute bucket whose
 // minute falls in [from, to). They read committed state only — call Sync
 // first for read-your-writes against a live ingest stream.
 //
@@ -29,23 +29,20 @@ func minuteRange(from, to time.Time) (int64, int64) {
 	return fm, tm
 }
 
-// forEachBucket invokes fn under the stripe lock for every bucket in the
-// window. The ring holds one bucket per minute, so this visits at most
-// ring-length buckets regardless of the window width.
+// forEachBucket invokes fn under the shard lock for every bucket in the
+// window. A shard's ring holds one bucket per minute, so this visits at
+// most ring-length buckets per shard regardless of the window width.
 func (c *Counter) forEachBucket(from, to time.Time, fn func(*bucket)) {
 	fm, tm := minuteRange(from, to)
 	for _, s := range c.shards {
-		for i := range s.stripes {
-			st := &s.stripes[i]
-			st.mu.Lock()
-			for j := range st.ring {
-				b := &st.ring[j]
-				if b.minute >= fm && b.minute < tm && b.prefix != nil {
-					fn(b)
-				}
+		s.mu.Lock()
+		for j := range s.ring {
+			b := &s.ring[j]
+			if b.minute >= fm && b.minute < tm && b.prefix != nil {
+				fn(b)
 			}
-			st.mu.Unlock()
 		}
+		s.mu.Unlock()
 	}
 }
 
@@ -110,7 +107,7 @@ func (c *Counter) TopK(parent string, k int, from, to time.Time) []PathCount {
 		parentID = id
 	}
 	// A path has few children and a bucket holds every prefix of every
-	// name of its stripe and minute, so the scan asks each bucket for the
+	// name of its shard and minute, so the scan asks each bucket for the
 	// children by ID rather than walking its whole map; a bucket with
 	// fewer cells than there are children is walked instead.
 	children := c.tab.childrenOf(parentID)

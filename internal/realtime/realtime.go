@@ -15,17 +15,17 @@
 //
 //   - a concurrent, read-mostly symbol table (symtab.go) interns every
 //     distinct event name once, caching the full string digest — prefix
-//     IDs, rollup-name IDs, shard, stripe — behind dense integer IDs, so
+//     IDs, rollup-name IDs, shard — behind dense integer IDs, so
 //     the per-event hot path is a read-locked lookup and the counters
 //     below increment integer-keyed cells;
 //   - a Tap on scribe.Aggregator.Append fans accepted client_events into N
 //     counter shards (hash of the event name) over bounded channels;
 //     producers block when a shard queue is full (backpressure), and each
 //     shard drains whole batches at a time;
-//   - a shard's key space is lock-striped: each stripe owns a ring of
-//     one-minute buckets (configurable retention), so the single drain
-//     goroutine and any number of concurrent readers contend only
-//     per-stripe, and shards scale with cores;
+//   - a shard owns one ring of one-minute buckets (configurable
+//     retention) behind one mutex: its single drain goroutine takes the
+//     lock once per batch, a reader once per shard, and write parallelism
+//     comes from the shard count alone;
 //   - alongside the prefix counters every bucket keeps the five §3.2
 //     rollup rows (analytics.RollupKey: level, rolled name, country,
 //     logged-in), which makes the streaming path directly comparable with
@@ -33,8 +33,8 @@
 //     exact agreement with analytics.Rollups.
 //
 // Totals are distributive: a key's count is the sum of its per-shard,
-// per-stripe, per-bucket cells, so ingestion never coordinates across
-// shards and queries merge at read time.
+// per-bucket cells, so ingestion never coordinates across shards and
+// queries merge at read time.
 package realtime
 
 import (
@@ -51,8 +51,6 @@ type Config struct {
 	// Shards is the number of counter shards, each with its own drain
 	// goroutine and queue. Default 4.
 	Shards int
-	// Stripes is the number of lock stripes per shard. Default 8.
-	Stripes int
 	// Retention is how much history the ring of one-minute buckets keeps.
 	// Observations older than the newest minute seen by the whole counter
 	// minus Retention are dropped and counted in Stats.DroppedOld, so a
@@ -75,17 +73,12 @@ type Config struct {
 	// slow-consumer workload specs; production configs leave it zero.
 	ApplyDelay time.Duration
 
-	// WALDir, when non-empty, makes the counter durable: every drained
-	// batch is appended to a per-shard write-ahead log under this
-	// directory before it is applied, and a snapshotter periodically
-	// serializes the stripe rings and truncates the logs. Open sets it
-	// from its dir argument; New ignores it (memory-only counters come
-	// from New, durable ones from Open, which is what knows how to
-	// recover existing state first).
-	WALDir string
-	// SnapshotEvery is the interval between automatic snapshots of a
-	// durable counter. Each snapshot bounds both recovery time and disk
-	// use (the WAL tail it retires is deleted). Default 30s.
+	// SnapshotEvery and FsyncEvery matter only to a durable counter — one
+	// made by Open, which names the directory; New ignores them.
+	//
+	// SnapshotEvery is the interval between automatic snapshots. Each
+	// snapshot bounds both recovery time and disk use (the WAL tail it
+	// retires is deleted). Default 30s.
 	SnapshotEvery time.Duration
 	// FsyncEvery is the number of appended WAL batches between fsyncs on
 	// each shard's log, the durability/throughput trade-off knob: 1
@@ -100,9 +93,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 4
-	}
-	if c.Stripes <= 0 {
-		c.Stripes = 8
 	}
 	if c.Retention <= 0 {
 		c.Retention = 26 * time.Hour
@@ -133,7 +123,8 @@ type Stats struct {
 	TapEntries int64
 	// DecodeErrors counts tap entries that failed Thrift decoding.
 	DecodeErrors int64
-	// Invalid counts events whose name failed validation.
+	// Invalid counts events whose name failed validation or whose
+	// timestamp lies before the first Unix minute.
 	Invalid int64
 	// DroppedOld counts observations older than the retention window.
 	DroppedOld int64
@@ -161,7 +152,7 @@ type Stats struct {
 // to apply the event without touching the Thrift message again. The
 // symbol table did the string work the first time this name appeared, so
 // an obs is ~24 bytes — a minute, an immutable *nameSym (which carries
-// the prefix/rollup/stripe digest), and an interned country — where the
+// the prefix/rollup/shard digest), and an interned country — where the
 // pre-interning representation hauled eleven strings (~200 B) through
 // the shard channel per event.
 type obs struct {
@@ -181,7 +172,7 @@ type rollupCell struct {
 	loggedIn bool
 }
 
-// bucket is one minute of counters within one stripe. Both maps are keyed
+// bucket is one minute of counters within one shard. Both maps are keyed
 // by symbol-table IDs, so applying an event is eleven integer-keyed
 // increments instead of eleven string hashes.
 type bucket struct {
@@ -190,37 +181,31 @@ type bucket struct {
 	rollup map[rollupCell]int64
 }
 
-// stripe is one lock-striped slice of a shard's key space: a ring of
-// minute buckets guarded by a single mutex.
-type stripe struct {
-	mu   sync.Mutex
-	ring []bucket
-}
-
 type shardMsg struct {
 	batch []obs
 	// sync, when non-nil, is closed once every message enqueued before it
 	// has been applied.
 	sync chan struct{}
 	// snap, when non-nil, asks the drain goroutine to rotate its WAL to a
-	// fresh segment and reply with its serialized stripe state — the
+	// fresh segment and reply with its serialized ring — the
 	// per-shard half of a consistent snapshot (see snapshot.go).
 	snap chan shardState
 }
 
-// shard owns one queue, one drain goroutine, and Stripes stripes.
+// shard owns one queue, one drain goroutine, and one ring of minute
+// buckets, which mu guards against concurrent readers.
 type shard struct {
-	idx     int
-	ch      chan shardMsg
-	stripes []stripe
-	scratch [][]obs    // per-stripe grouping buffer, drain-goroutine-local
-	wal     *walWriter // nil on memory-only counters; drain-goroutine-owned after start
+	idx  int
+	ch   chan shardMsg
+	mu   sync.Mutex
+	ring []bucket
+	wal  *walWriter // nil on memory-only counters; drain-goroutine-owned after start
 	// applied counts events this shard has applied since start; dropped
 	// and evicted mirror the replay-derivable slices of DroppedOld and
 	// Evicted. All three are written only by the owning drain goroutine
 	// (or single-threaded recovery), and snapshots read them from that
 	// same goroutine, which is what lets a mid-run snapshot record
-	// totals exactly consistent with the captured stripe state — WAL-tail
+	// totals exactly consistent with the captured ring — WAL-tail
 	// replay then re-derives precisely the post-rotation remainder.
 	applied int64
 	dropped int64
@@ -246,10 +231,11 @@ type Counter struct {
 	closed  bool
 	wg      sync.WaitGroup
 
-	// Durability state (zero on memory-only counters). snapMu serializes
-	// snapshot attempts; snapSeq numbers snapshot files; snapQuit stops
-	// the periodic snapshotter.
-	durable  bool
+	// Durability state (zero on memory-only counters). dir, set by Open
+	// and what makes a counter durable, holds the WAL segments and
+	// snapshots; snapMu serializes snapshot attempts; snapSeq numbers
+	// snapshot files; snapQuit stops the periodic snapshotter.
+	dir      string
 	snapMu   sync.Mutex
 	snapSeq  int64
 	snapQuit chan struct{}
@@ -293,29 +279,24 @@ func New(cfg Config) *Counter {
 	return c
 }
 
-// newCounter allocates shards and stripes without starting goroutines, so
+// allocCounter allocates the shards without starting goroutines, so
 // Open can load recovered state single-threaded first.
 func allocCounter(cfg Config) *Counter {
 	c := &Counter{
 		cfg:     cfg,
 		buckets: int(cfg.Retention / time.Minute),
-		tab:     newSymtab(cfg.Shards, cfg.Stripes),
+		tab:     newSymtab(cfg.Shards),
 	}
 	c.batchPool.New = func() any {
 		b := make([]obs, 0, cfg.MaxBatch)
 		return &b
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		s := &shard{
-			idx:     i,
-			ch:      make(chan shardMsg, cfg.QueueDepth),
-			stripes: make([]stripe, cfg.Stripes),
-			scratch: make([][]obs, cfg.Stripes),
-		}
-		for j := range s.stripes {
-			s.stripes[j].ring = make([]bucket, c.buckets)
-		}
-		c.shards = append(c.shards, s)
+		c.shards = append(c.shards, &shard{
+			idx:  i,
+			ch:   make(chan shardMsg, cfg.QueueDepth),
+			ring: make([]bucket, c.buckets),
+		})
 	}
 	return c
 }
@@ -327,7 +308,7 @@ func (c *Counter) start() {
 		c.wg.Add(1)
 		go c.drain(s)
 	}
-	if c.durable {
+	if c.dir != "" {
 		c.snapQuit = make(chan struct{})
 		c.snapDone = make(chan struct{})
 		go c.snapshotLoop()
@@ -359,13 +340,13 @@ func (c *Counter) shutdown(final bool) {
 	}
 	c.closeMu.Unlock()
 	c.wg.Wait()
-	if !c.durable {
+	if c.dir == "" {
 		return
 	}
 	close(c.snapQuit)
 	<-c.snapDone
 	if final {
-		// Queues are drained, goroutines stopped: serialize the stripes
+		// Queues are drained, goroutines stopped: serialize the rings
 		// directly and retire the whole WAL.
 		c.snapMu.Lock()
 		if err := c.snapshotFinal(); err != nil {
@@ -417,8 +398,7 @@ func (c *Counter) Stats() Stats {
 // Shards reports the configured shard count.
 func (c *Counter) Shards() int { return len(c.shards) }
 
-// hash32 is FNV-1a; it picks both the shard (low bits) and the stripe
-// (higher bits) for an event name.
+// hash32 is FNV-1a; it picks the shard for an event name.
 func hash32(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
@@ -428,29 +408,34 @@ func hash32(s string) uint32 {
 }
 
 // observe digests one event into an obs and its shard index. It reports
-// false for events that should not be counted (invalid name). A name seen
-// before costs one read-locked lookup; validation and the string digest
-// ran when the symbol table first interned it.
+// false, counting Stats.Invalid, for events that must not be counted: an
+// invalid name, or a timestamp before Unix minute 1 — the timestamp comes
+// from outside, a negative minute would index the ring out of range and
+// minute 0 is the ring's empty-slot value. A name seen before costs one
+// read-locked lookup; validation and the string digest ran when the
+// symbol table first interned it.
 func (c *Counter) observe(e *events.ClientEvent) (obs, int, bool) {
+	minute := e.Timestamp / 60_000
 	sym, country, err := c.tab.resolve(e.Name, geo.CountryOf(e.IP))
-	if err != nil {
+	if err != nil || minute < 1 {
 		c.invalid.Add(1)
 		return obs{}, 0, false
 	}
-	return obs{minute: e.Timestamp / 60_000, sym: sym, country: country, loggedIn: e.LoggedIn()},
-		int(sym.shard), true
+	return obs{minute: minute, sym: sym, country: country, loggedIn: e.LoggedIn()}, int(sym.shard), true
 }
 
 // digestFull is observe for WAL replay (recover.go), where the event
 // arrives as a logged name string. Re-digesting through this counter's own
-// symbol table is what lets a log written under one shard/stripe
-// configuration replay correctly into another.
-func (c *Counter) digestFull(name string, minute int64, country string, loggedIn bool) (obs, int, error) {
+// symbol table is what lets a log written under one shard count replay
+// correctly into another; re-checking the minute is what lets a segment
+// written before observe checked it replay past the record.
+func (c *Counter) digestFull(name string, minute int64, country string, loggedIn bool) (obs, int, bool) {
 	sym, cid, err := c.tab.resolveFull(name, country)
-	if err != nil {
-		return obs{}, 0, err
+	if err != nil || minute < 1 {
+		c.invalid.Add(1)
+		return obs{}, 0, false
 	}
-	return obs{minute: minute, sym: sym, country: cid, loggedIn: loggedIn}, int(sym.shard), nil
+	return obs{minute: minute, sym: sym, country: cid, loggedIn: loggedIn}, int(sym.shard), true
 }
 
 // send enqueues one batch on a shard, blocking when the queue is full.
@@ -471,8 +456,8 @@ func (c *Counter) send(shardIdx int, batch []obs) {
 }
 
 // drain is the per-shard goroutine: it pulls batches off the queue,
-// appends each to the shard's WAL (durable counters), groups it by
-// stripe, and applies each group under one lock acquisition. The
+// appends each to the shard's WAL (durable counters), and applies it
+// under one acquisition of the shard lock. The
 // write-ahead ordering — log before apply — is what makes recovery exact:
 // a batch is never visible to queries unless it is also in the OS's hands.
 func (c *Counter) drain(s *shard) {
@@ -494,7 +479,7 @@ func (c *Counter) drain(s *shard) {
 			}
 		}
 		if msg.snap != nil {
-			msg.snap <- c.captureShard(s)
+			msg.snap <- c.captureShard(s, true)
 		}
 		if msg.sync != nil {
 			close(msg.sync)
@@ -509,26 +494,14 @@ func (c *Counter) drain(s *shard) {
 
 func (c *Counter) apply(s *shard, batch []obs) {
 	t0 := time.Now()
-	for i := range batch {
-		st := batch[i].sym.stripe
-		s.scratch[st] = append(s.scratch[st], batch[i])
-	}
 	var applied int64
-	for st := range s.scratch {
-		group := s.scratch[st]
-		if len(group) == 0 {
-			continue
+	s.mu.Lock()
+	for i := range batch {
+		if c.applyOne(s, &batch[i]) {
+			applied++
 		}
-		stripe := &s.stripes[st]
-		stripe.mu.Lock()
-		for i := range group {
-			if c.applyOne(s, stripe, &group[i]) {
-				applied++
-			}
-		}
-		stripe.mu.Unlock()
-		s.scratch[st] = group[:0]
 	}
+	s.mu.Unlock()
 	c.observed.Add(applied)
 	tmIngestEvents.Add(applied)
 	tmIngestBatches.Inc()
@@ -537,10 +510,10 @@ func (c *Counter) apply(s *shard, batch []obs) {
 
 // applyOne increments one observation's 6 prefix counters and 5 rollup
 // rows in its minute bucket, reporting whether the event was applied (vs
-// dropped behind the retention horizon). Callers hold the stripe lock and
-// account the observed total (apply batches one atomic add per group;
-// recovery adds per record).
-func (c *Counter) applyOne(s *shard, st *stripe, o *obs) bool {
+// dropped behind the retention horizon). Callers hold the shard lock (or
+// are single-threaded recovery) and account the observed total (apply
+// batches one atomic add per batch; recovery adds per record).
+func (c *Counter) applyOne(s *shard, o *obs) bool {
 	for {
 		cur := c.maxMinute.Load()
 		if o.minute <= cur || c.maxMinute.CompareAndSwap(cur, o.minute) {
@@ -554,7 +527,7 @@ func (c *Counter) applyOne(s *shard, st *stripe, o *obs) bool {
 		c.droppedOld.Add(1)
 		return false
 	}
-	b := &st.ring[int(o.minute)%c.buckets]
+	b := &s.ring[int(o.minute)%c.buckets]
 	if b.minute != o.minute {
 		if b.minute > o.minute {
 			// The slot already holds a newer minute (the horizon advanced

@@ -161,7 +161,7 @@ func TestTopK(t *testing.T) {
 // TopK walks the bucket instead of probing it. Both ways must rank alike;
 // TopK("") over the same window probes.
 func TestTopKManyChildren(t *testing.T) {
-	c := newCounter(t, Config{Shards: 2, Stripes: 2})
+	c := newCounter(t, Config{Shards: 2})
 	b := c.NewBatcher()
 	const children = 40
 	for i := 0; i < children; i++ {
@@ -248,7 +248,7 @@ func TestTapBatchDecodesClientEvents(t *testing.T) {
 }
 
 func TestRetentionDropsAndEvicts(t *testing.T) {
-	c := newCounter(t, Config{Shards: 1, Stripes: 1, Retention: 5 * time.Minute})
+	c := newCounter(t, Config{Shards: 1, Retention: 5 * time.Minute})
 	one := func(at time.Time) {
 		c.Ingest(ev("web:home:timeline:stream:tweet:impression", at, 1, "us"))
 	}
@@ -316,7 +316,7 @@ func TestCloseIsIdempotentAndStopsIngest(t *testing.T) {
 // allocations at all — digest is a read-locked lookup, the obs appends
 // into pooled capacity.
 func TestBatcherSteadyStateAllocationFree(t *testing.T) {
-	c := newCounter(t, Config{Shards: 1, Stripes: 1, MaxBatch: 1 << 16})
+	c := newCounter(t, Config{Shards: 1, MaxBatch: 1 << 16})
 	b := c.NewBatcher()
 	es := []*events.ClientEvent{
 		ev("web:home:mentions:stream:avatar:profile_click", t0, 1, "us"),
@@ -345,5 +345,32 @@ func TestBatcherSteadyStateAllocationFree(t *testing.T) {
 	c.Sync()
 	if got := c.Stats().Observed; got != 64+1+2001 {
 		t.Fatalf("Observed = %d, want %d", got, 64+1+2001)
+	}
+}
+
+// A timestamp arrives from outside: one before Unix minute 1 (negative, or
+// inside the minute the ring uses as its empty-slot value) must be
+// rejected at the door, not index the ring.
+func TestPreEpochTimestampIsInvalid(t *testing.T) {
+	c := newCounter(t, Config{Shards: 1})
+	const name = "web:home:timeline:stream:tweet:impression"
+	at := func(ms int64) *events.ClientEvent {
+		e := ev(name, t0, 1, "us")
+		e.Timestamp = ms
+		return e
+	}
+	c.Ingest(at(-300_000))
+	c.TapBatch([]scribe.Entry{
+		{Category: events.Category, Message: at(0).Marshal()},
+		{Category: events.Category, Message: at(59_999).Marshal()},
+		{Category: events.Category, Message: at(60_000).Marshal()},
+	})
+	c.Ingest(ev(name, t0, 1, "us"))
+	c.Sync()
+	if st := c.Stats(); st.Invalid != 3 || st.Observed != 2 {
+		t.Errorf("stats = %+v, want Invalid 3, Observed 2", st)
+	}
+	if got := c.PathSum("web", time.Unix(0, 0), t0.Add(time.Minute)); got != 2 {
+		t.Errorf("PathSum(web) = %d, want 2 (Unix minute 1 and t0)", got)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // Open starts a durable counter rooted at dir, recovering whatever a
 // previous incarnation left there: it loads the newest valid snapshot,
 // replays each shard's WAL tail on top, and only then starts the drain
-// goroutines and the periodic snapshotter. dir overrides cfg.WALDir.
+// goroutines and the periodic snapshotter.
 //
 // Recovery is deliberately tolerant — a crash can leave a torn final WAL
 // record, a half-written snapshot temp file, or segments a finished
@@ -35,7 +35,7 @@ import (
 // Replay re-digests every logged name through the counter's own symbol
 // table — built fresh here, snapshot dictionary first, then first-seen
 // WAL names — so routing and IDs always follow the current configuration:
-// a log or snapshot written under different shard/stripe settings (or a
+// a log or snapshot written under a different shard count (or a
 // different ID assignment) recovers exactly.
 //
 // Counts recovered this way are exact for everything the WAL fsync
@@ -44,13 +44,11 @@ import (
 // that never went down — including the activity counters in Stats, which
 // the snapshot carries across the restart.
 func Open(dir string, cfg Config) (*Counter, error) {
-	cfg.WALDir = dir
-	cfg = cfg.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	c := allocCounter(cfg)
-	c.durable = true
+	c := allocCounter(cfg.withDefaults())
+	c.dir = dir
 
 	span := telemetry.StartSpan("realtime.recovery")
 
@@ -245,18 +243,17 @@ type idRemap struct {
 	countries []uint32
 }
 
-// loadBucket merges one snapshot bucket into the stripes. Cells arrive
-// ID-keyed and translate through rm with two array reads. Shard and stripe indices are taken modulo the current
-// configuration, so a snapshot from a differently-sized counter still
-// loads — totals are distributive across placement, and collisions
-// merge.
+// loadBucket merges one snapshot bucket into its shard's ring. Cells
+// arrive ID-keyed and translate through rm with two array reads. The
+// shard index is taken modulo the current configuration, so a snapshot
+// from a differently-sized counter still loads — totals are distributive
+// across placement, and collisions merge.
 func (c *Counter) loadBucket(sb *snapBucket, rm *idRemap) {
 	if sb.minute <= c.maxMinute.Load()-int64(c.buckets) {
 		return // behind the retention horizon
 	}
 	s := c.shards[sb.shard%len(c.shards)]
-	st := &s.stripes[sb.stripe%c.cfg.Stripes]
-	b := &st.ring[int(sb.minute)%c.buckets]
+	b := &s.ring[int(sb.minute)%c.buckets]
 	switch {
 	case b.prefix == nil || b.minute < sb.minute:
 		b.minute = sb.minute
@@ -309,13 +306,8 @@ func (c *Counter) replaySegment(path string) error {
 			return os.Truncate(path, intact)
 		}
 		err = dec.decodeBatch(rec, func(name string, minute int64, country string, loggedIn bool) error {
-			o, shardIdx, err := c.digestFull(name, minute, country, loggedIn)
-			if err != nil {
-				c.invalid.Add(1)
-				return nil
-			}
-			s := c.shards[shardIdx]
-			if c.applyOne(s, &s.stripes[o.sym.stripe], &o) {
+			o, shardIdx, ok := c.digestFull(name, minute, country, loggedIn)
+			if ok && c.applyOne(c.shards[shardIdx], &o) {
 				c.observed.Add(1)
 			}
 			return nil

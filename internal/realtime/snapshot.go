@@ -16,14 +16,14 @@ import (
 
 // A snapshot is the other half of durability: the WAL alone would grow
 // without bound and make recovery replay a whole day, so the snapshotter
-// periodically serializes every shard's stripe rings into one CRC-framed
+// periodically serializes every shard's ring into one CRC-framed
 // file and retires the WAL segments the file covers.
 //
 // The snapshot/WAL boundary must be exact — counters are additive, so a
 // record replayed on top of a snapshot that already contains it double
 // counts. The protocol gets exactness per shard from the drain goroutine
 // itself: a snap message asks each drain to (1) rotate its WAL to a fresh
-// segment and (2) serialize its stripes, in that order, between batches.
+// segment and (2) serialize its ring, in that order, between batches.
 // The serialized state is then precisely the effect of every record in
 // segments below the rotated sequence number, and recovery replays only
 // segments at or above it. Shards are captured independently (shard A may
@@ -87,33 +87,30 @@ type shardState struct {
 	err     error
 }
 
-// captureShard runs on the shard's drain goroutine: rotate the WAL so the
-// boundary is durable, then encode every live bucket. Stripe locks are
-// held per stripe only against concurrent readers. Bucket records carry
-// only IDs; the dictionary that resolves them is fetched afterwards, in
-// writeSnapshot, which is safe because IDs are append-only — the table
-// can only have grown since the capture.
-func (c *Counter) captureShard(s *shard) shardState {
+// captureShard encodes every live bucket of a shard. With rotate it runs
+// on the shard's drain goroutine and first rotates the WAL so the
+// boundary is durable; without, the drains have exited (Close) and the
+// caller sets the boundary. The shard lock is held only against
+// concurrent readers. Bucket records carry only IDs; the dictionary that
+// resolves them is fetched afterwards, in writeSnapshot, which is safe
+// because IDs are append-only — the table can only have grown since the
+// capture.
+func (c *Counter) captureShard(s *shard, rotate bool) shardState {
 	st := shardState{applied: s.applied, dropped: s.dropped, evicted: s.evicted}
-	if s.wal != nil {
+	if rotate && s.wal != nil {
 		seq, err := s.wal.rotate()
 		if err != nil {
 			return shardState{err: err}
 		}
 		st.nextSeq = seq
 	}
-	for i := range s.stripes {
-		sp := &s.stripes[i]
-		sp.mu.Lock()
-		for j := range sp.ring {
-			b := &sp.ring[j]
-			if b.prefix == nil {
-				continue
-			}
-			st.recs = append(st.recs, encodeBucket(nil, s.idx, i, b))
+	s.mu.Lock()
+	for j := range s.ring {
+		if b := &s.ring[j]; b.prefix != nil {
+			st.recs = append(st.recs, encodeBucket(nil, s.idx, b))
 		}
-		sp.mu.Unlock()
 	}
+	s.mu.Unlock()
 	return st
 }
 
@@ -131,7 +128,7 @@ func (c *Counter) Snapshot() error {
 }
 
 func (c *Counter) snapshotNow() error {
-	if !c.durable {
+	if c.dir == "" {
 		return errors.New("realtime: memory-only counter has no snapshots (use Open)")
 	}
 	c.snapMu.Lock()
@@ -159,34 +156,16 @@ func (c *Counter) snapshotNow() error {
 	return c.writeSnapshot(states)
 }
 
-// snapshotFinal serializes directly from the stripes after the drains
+// snapshotFinal serializes directly from the rings after the drains
 // have exited (Close); the WAL writers are closed, so the snapshot covers
 // every segment and the whole log is retired.
 func (c *Counter) snapshotFinal() error {
 	states := make([]shardState, len(c.shards))
 	for i, s := range c.shards {
-		st := c.captureShardStopped(s)
-		st.nextSeq = s.wal.seq + 1
-		states[i] = st
+		states[i] = c.captureShard(s, false)
+		states[i].nextSeq = s.wal.seq + 1
 	}
 	return c.writeSnapshot(states)
-}
-
-// captureShardStopped is captureShard without the WAL rotation, for use
-// once the drain goroutines are gone.
-func (c *Counter) captureShardStopped(s *shard) shardState {
-	st := shardState{applied: s.applied, dropped: s.dropped, evicted: s.evicted}
-	for i := range s.stripes {
-		sp := &s.stripes[i]
-		for j := range sp.ring {
-			b := &sp.ring[j]
-			if b.prefix == nil {
-				continue
-			}
-			st.recs = append(st.recs, encodeBucket(nil, s.idx, i, b))
-		}
-	}
-	return st
 }
 
 // writeSnapshot persists the captured states as snap-<snapSeq+1>.snap and
@@ -228,7 +207,7 @@ func (c *Counter) writeSnapshot(states []shardState) error {
 	stats.Evicted = c.evictedBase + evicted
 
 	seq := c.snapSeq + 1
-	tmp := filepath.Join(c.cfg.WALDir, fmt.Sprintf("snap-%010d.tmp", seq))
+	tmp := filepath.Join(c.dir, fmt.Sprintf("snap-%010d.tmp", seq))
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
@@ -261,12 +240,12 @@ func (c *Counter) writeSnapshot(states []shardState) error {
 		os.Remove(tmp)
 		return werr
 	}
-	final := filepath.Join(c.cfg.WALDir, snapName(seq))
+	final := filepath.Join(c.dir, snapName(seq))
 	if err := os.Rename(tmp, final); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	syncDir(c.cfg.WALDir)
+	syncDir(c.dir)
 	c.snapSeq = seq
 	c.snapshots.Add(1)
 	c.prune(seq, next)
@@ -277,7 +256,7 @@ func (c *Counter) writeSnapshot(states []shardState) error {
 // still has WAL files on disk, the highest segment sequence present.
 func (c *Counter) lingeringSegments(liveShards int) map[int]int64 {
 	out := map[int]int64{}
-	entries, err := os.ReadDir(c.cfg.WALDir)
+	entries, err := os.ReadDir(c.dir)
 	if err != nil {
 		return out
 	}
@@ -299,17 +278,17 @@ func (c *Counter) lingeringSegments(liveShards int) map[int]int64 {
 // unreadable, and it costs one file. Failures are harmless: recovery
 // ignores superseded snapshots and skips covered segments by sequence.
 func (c *Counter) prune(seq int64, next []int64) {
-	entries, err := os.ReadDir(c.cfg.WALDir)
+	entries, err := os.ReadDir(c.dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
 		name := e.Name()
 		if s, ok := parseSnapName(name); ok && s < seq-1 {
-			os.Remove(filepath.Join(c.cfg.WALDir, name))
+			os.Remove(filepath.Join(c.dir, name))
 		}
 		if shard, s, ok := parseWALName(name); ok && shard < len(next) && s < next[shard] {
-			os.Remove(filepath.Join(c.cfg.WALDir, name))
+			os.Remove(filepath.Join(c.dir, name))
 		}
 	}
 }
@@ -388,11 +367,7 @@ func decodeSnapHeader(rec []byte) (snapHeader, error) {
 		return corrupt(fmt.Sprintf("version %d", rec[1]))
 	}
 	c := recordio.NewCursor(rec[2:])
-	nshards := c.Uvarint("shard count")
-	if !c.Ok() || nshards > 1<<16 {
-		return corrupt("shard count")
-	}
-	h.next = make([]int64, nshards)
+	h.next = make([]int64, c.Count("shard count"))
 	for i := range h.next {
 		h.next[i] = int64(c.Uvarint("next seq"))
 	}
@@ -460,11 +435,14 @@ func decodeSnapDict(rec []byte) (snapDict, error) {
 
 // encodeBucket appends one v2 bucket record: tag, shard, stripe, minute,
 // then the ID-keyed prefix and rollup tables. Strings live in the
-// dictionary record, written once per file.
-func encodeBucket(buf []byte, shard, stripe int, b *bucket) []byte {
+// dictionary record, written once per file. The stripe varint is what
+// remains of a second partitioning level inside a shard: written 0 and
+// ignored on load, it stays so that v2 files written with stripe
+// coordinates keep loading (their same-minute buckets merge in loadBucket).
+func encodeBucket(buf []byte, shard int, b *bucket) []byte {
 	buf = append(buf, snapTagBucket)
 	buf = binary.AppendUvarint(buf, uint64(shard))
-	buf = binary.AppendUvarint(buf, uint64(stripe))
+	buf = append(buf, 0) // stripe
 	buf = binary.AppendUvarint(buf, uint64(b.minute))
 	buf = binary.AppendUvarint(buf, uint64(len(b.prefix)))
 	for id, v := range b.prefix {
@@ -491,10 +469,10 @@ func encodeBucket(buf []byte, shard, stripe int, b *bucket) []byte {
 // recovering counter's own IDs by loadBucket through a remap table built
 // once per file (no per-cell string hashing). The keys end up in the
 // recovering counter's symbol table, which is how a snapshot survives
-// shard/stripe/ID-assignment differences.
+// shard-count and ID-assignment differences.
 type snapBucket struct {
-	shard, stripe int
-	minute        int64
+	shard  int
+	minute int64
 	// Dictionary-ID-keyed cells (rollupCell fields hold file IDs).
 	prefixID map[uint32]int64
 	rollupID map[rollupCell]int64
@@ -515,7 +493,7 @@ func decodeBucket(rec []byte, dict *snapDict) (snapBucket, error) {
 	}
 	c := recordio.NewCursor(rec[1:])
 	b.shard = int(c.Uvarint("coordinates"))
-	b.stripe = int(c.Uvarint("coordinates"))
+	c.Uvarint("coordinates") // stripe
 	b.minute = int64(c.Uvarint("coordinates"))
 	badID := false
 	np := c.Count("prefix count")
@@ -550,6 +528,9 @@ func decodeBucket(rec []byte, dict *snapDict) (snapBucket, error) {
 	}
 	if err := c.Err(); err != nil {
 		return b, fmt.Errorf("snapshot bucket: %w", err)
+	}
+	if b.shard < 0 || b.minute < 1 {
+		return corrupt("coordinates out of range") // would index a ring out of range
 	}
 	if badID {
 		return corrupt("dictionary id out of range")

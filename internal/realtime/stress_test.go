@@ -38,7 +38,7 @@ func TestSustainedIngestWithConcurrentQueries(t *testing.T) {
 	}
 	day := t0.UTC().Truncate(24 * time.Hour)
 
-	c := newCounter(t, Config{Shards: 4, Stripes: 8})
+	c := newCounter(t, Config{Shards: 4})
 	if c.Shards() < 4 {
 		t.Fatalf("Shards = %d, want >= 4", c.Shards())
 	}

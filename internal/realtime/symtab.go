@@ -10,8 +10,8 @@ import (
 // The symbol table is the hot-path optimization the §3 namespace makes
 // possible: millions of events per minute draw their names from a small,
 // slowly-growing set, so everything derivable from a name — its six
-// hierarchy prefixes, its five §3.2 rollup names, its shard and stripe
-// routing — is computed once, the first time the name is seen, and cached
+// hierarchy prefixes, its five §3.2 rollup names, its shard routing —
+// is computed once, the first time the name is seen, and cached
 // behind a dense integer ID. After that, digesting an event is one
 // read-locked map lookup and the counters increment integer-keyed cells
 // instead of hashing strings.
@@ -38,13 +38,13 @@ import (
 // noParent marks a depth-0 path (a client, e.g. "web") in pathInfo.parent.
 const noParent = ^uint32(0)
 
-// nameSym is the cached digest of one full event name: everything the old
-// per-event digest() recomputed, now paid once per distinct name.
+// nameSym is the cached digest of one full event name — its strings, its
+// shard and the IDs of the eleven cells it increments — paid once per
+// distinct name instead of once per event.
 type nameSym struct {
-	id     uint32 // dense name ID, the WAL v2 dictionary key
-	full   string
-	shard  uint32
-	stripe uint32
+	id    uint32 // dense name ID, the WAL v2 dictionary key
+	full  string
+	shard uint32 // hash of full, modulo the counter's shard count
 	// prefixID[d] is the path ID of the first d+1 components.
 	prefixID [events.NumComponents]uint32
 	// rollupID[l] is the path ID of the level-l rolled name of §3.2.
@@ -59,9 +59,9 @@ type pathInfo struct {
 }
 
 // symtab is a concurrent, read-mostly intern table bound to one Counter
-// (shard and stripe routing depend on the counter's configuration).
+// (shard routing depends on the counter's configuration).
 type symtab struct {
-	shards, stripes uint32
+	shards uint32
 
 	mu     sync.RWMutex
 	byName map[events.EventName]*nameSym
@@ -78,10 +78,9 @@ type symtab struct {
 	countries []string // country ID -> code
 }
 
-func newSymtab(shards, stripes int) *symtab {
+func newSymtab(shards int) *symtab {
 	return &symtab{
 		shards:    uint32(shards),
-		stripes:   uint32(stripes),
 		byName:    make(map[events.EventName]*nameSym),
 		byFull:    make(map[string]*nameSym),
 		pathID:    make(map[string]uint32),
@@ -152,9 +151,7 @@ func (t *symtab) internLocked(n events.EventName) *nameSym {
 	}
 	full := n.String()
 	sym := &nameSym{id: uint32(len(t.syms)), full: full}
-	h := hash32(full)
-	sym.stripe = (h >> 16) % t.stripes
-	sym.shard = h % t.shards
+	sym.shard = hash32(full) % t.shards
 	d := 0
 	for i := 0; i < len(full); i++ {
 		if full[i] == ':' {

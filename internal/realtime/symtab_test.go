@@ -9,7 +9,7 @@ import (
 )
 
 func TestSymtabInternCachesFullDigest(t *testing.T) {
-	tab := newSymtab(4, 8)
+	tab := newSymtab(4)
 	n := events.MustParseName("web:home:mentions:stream:avatar:profile_click")
 	sym, cid, err := tab.resolve(n, "us")
 	if err != nil {
@@ -30,10 +30,9 @@ func TestSymtabInternCachesFullDigest(t *testing.T) {
 	if byFull != sym {
 		t.Fatalf("resolveFull returned a different sym")
 	}
-	// Shard and stripe match the hash routing digest() used before.
-	h := hash32(n.String())
-	if sym.shard != h%4 || sym.stripe != (h>>16)%8 {
-		t.Fatalf("routing = (%d, %d), want (%d, %d)", sym.shard, sym.stripe, h%4, (h>>16)%8)
+	// The shard is the name's hash modulo the shard count.
+	if h := hash32(n.String()); sym.shard != h%4 {
+		t.Fatalf("shard = %d, want %d", sym.shard, h%4)
 	}
 	// The six prefixes resolve to their own strings, parents chained.
 	wantPrefixes := []string{
@@ -71,7 +70,7 @@ func TestSymtabInternCachesFullDigest(t *testing.T) {
 }
 
 func TestSymtabSharesPrefixIDs(t *testing.T) {
-	tab := newSymtab(2, 2)
+	tab := newSymtab(2)
 	a, _, err := tab.resolve(events.MustParseName("web:home:mentions:stream:avatar:profile_click"), "us")
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +91,7 @@ func TestSymtabSharesPrefixIDs(t *testing.T) {
 }
 
 func TestSymtabInvalidNameNotInterned(t *testing.T) {
-	tab := newSymtab(2, 2)
+	tab := newSymtab(2)
 	bad := events.EventName{Client: "web"} // empty action
 	if _, _, err := tab.resolve(bad, "us"); err == nil {
 		t.Fatal("invalid name resolved")
@@ -109,7 +108,7 @@ func TestSymtabInvalidNameNotInterned(t *testing.T) {
 // goroutines resolving an overlapping name set; every goroutine must see
 // the same sym for the same name (run under -race in CI).
 func TestSymtabConcurrentResolve(t *testing.T) {
-	tab := newSymtab(4, 8)
+	tab := newSymtab(4)
 	const goroutines = 8
 	names := make([]events.EventName, 32)
 	for i := range names {

@@ -5,7 +5,7 @@ import (
 )
 
 // Telemetry instruments for the realtime vertical, resolved once at init
-// so the ingest legs (tap → batch → stripe apply → WAL append/fsync)
+// so the ingest legs (tap → batch → shard apply → WAL append/fsync)
 // record through pre-fetched atomic handles — no lookups, no allocation
 // on the hot path. Counters and histograms here are process-global
 // totals across every Counter instance; per-instance Stats fields are

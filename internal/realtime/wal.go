@@ -33,7 +33,7 @@ import (
 //
 // The log remains the minimum needed to re-digest its observations on
 // replay: names, minutes, countries, login bits. Prefixes, rollup names,
-// and shard/stripe routing are all derived from the name, so they are
+// and shard routing are all derived from the name, so they are
 // recomputed at recovery time against the recovering counter's own
 // configuration — a log written by a 4-shard counter replays correctly
 // into an 8-shard one.
