@@ -156,7 +156,17 @@
 // prefixes, five §3.2 rollup names, and shard routing cached
 // behind dense integer IDs — so steady-state ingestion is an
 // allocation-free read-locked lookup plus integer-keyed increments, and
-// query results resolve IDs back to strings only at the edges.
+// query results resolve IDs back to strings only at the edges. The tap
+// never builds a ClientEvent: events.Header is one allocation-free walk
+// over the compact-Thrift message (every field read or skipped, so a
+// damaged message fails as ClientEvent.Decode, which is built on the same
+// walk, fails it), the name is looked up by its bytes in the message and
+// parsed and validated only the first time those bytes are seen, and the
+// country is read off the IP bytes. Three doors lead to the counters and
+// meet at one digested observation: Batcher.Add and Counter.Ingest for
+// decoded events (Reconcile, tests), Batcher.AddObservation for an event
+// already reduced to realtime.Observation {name, minute, country, login
+// bit} — the door WAL replay uses too — and TapBatch from the header.
 //
 // The counters are durable: realtime.Open roots a counter in a directory
 // where every drained batch is appended to a per-shard, CRC-framed
@@ -167,7 +177,11 @@
 // dictionary-compressed (format v2): each segment embeds a first-seen
 // name once and logs a few varint bytes per observation after that,
 // cutting the log from ~36 B to a few bytes per event; a record or
-// snapshot header of any other version is rejected as corrupt. Snapshots
+// snapshot header of any other version is rejected as corrupt. A record
+// is one batch as a producer handed it over, so a Batcher logs hundreds
+// of events per record and Counter.Ingest exactly one per call — its
+// own dictionary delta, its own write(2), its own share of an fsync
+// (realtime.wal.record_events is the histogram of that). Snapshots
 // carry a dictionary of their own plus the full Stats block, so activity
 // counters survive restarts. After a crash, Open rebuilds the symbol table and replays the
 // newest valid snapshot plus the WAL tail — tolerating a torn final
@@ -181,8 +195,16 @@
 // Dynamo-style map — event name to one of P fixed partitions, partition
 // to R distinct nodes on a virtual-point ring, computed once at startup
 // so crashes divert writes to hints rather than re-route the ring).
-// Every event lands on all R replicas through one send queue per node,
-// which retries with capped exponential backoff; a heartbeat/suspicion
+// The router reads each tapped message's events.Header, interns its name
+// once per distinct name into (owned string, partition), and queues a
+// 56-byte routed realtime.Observation — nothing that aliases the Scribe
+// buffer, no ClientEvent. Every event lands on all R replicas through one
+// send queue per node; a delivery feeds one Batcher per partition counter
+// and flushes them before it lets go of the node, so N delivered events
+// cost each partition's WAL one record, not N (Config.FsyncEvery on a
+// cluster node therefore counts deliveries, not events), and it applies
+// all of a batch or none of it. The queue retries with capped
+// exponential backoff; a heartbeat/suspicion
 // failure detector (alive -> suspect -> dead on a zk.Clock, so scenarios
 // run it deterministically) stops the retry tax for dead nodes, whose
 // queue parks its writes as hints and replays them in order once the

@@ -21,7 +21,16 @@
 //
 // Writes. Ingest (or the scribe TapBatch) routes every accepted event
 // to all R replicas of its partition through one send queue per node,
-// the only place an undelivered event waits. A queue's backlog has two
+// the only place an undelivered event waits. What is routed, queued and
+// parked is a realtime.Observation — the router's interned copy of the
+// name, the minute, a country constant, the login bit: 56 bytes with its
+// partition, none of them the caller's — which TapBatch reads off each
+// message's events.Header without decoding the event. A delivery hands a
+// node's whole backlog to one Batcher per partition counter and flushes
+// them before it returns, so each counter logs the delivery as one WAL
+// record (Node.FsyncEvery counts those) and the delivery is all or
+// nothing: a down node or a partition the node does not host refuses the
+// batch before any of it is applied. A queue's backlog has two
 // ways to be retried. A delivery that fails — the node crashed but the
 // failure detector has not noticed yet — retries on a timer, with
 // capped exponential backoff (RetryBase doubling up to RetryCap). Once
@@ -54,13 +63,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"unilog/internal/events"
+	"unilog/internal/geo"
 	"unilog/internal/realtime"
 	"unilog/internal/scribe"
 	"unilog/internal/telemetry"
+	"unilog/internal/thrift"
 	"unilog/internal/zk"
 )
 
@@ -173,7 +185,8 @@ type Stats struct {
 	Replication int
 
 	// Ingested counts events accepted for routing; DecodeErrors counts
-	// tap entries that failed Thrift decoding.
+	// tap entries that failed Thrift decoding or carried a name
+	// events.ParseName rejects.
 	Ingested     int64
 	DecodeErrors int64
 	// Delivered counts per-replica event deliveries that reached a node
@@ -218,6 +231,10 @@ type Cluster struct {
 	queues []*sendQueue
 	hints  hintLoad
 
+	// names is the router's name table (see routeOf).
+	namesMu sync.RWMutex
+	names   map[string]route
+
 	ingested   atomic.Int64
 	decodeErrs atomic.Int64
 }
@@ -231,6 +248,7 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:   cfg,
 		clock: cfg.Clock,
 		ring:  newRing(cfg.Nodes, cfg.VirtualPoints, cfg.Partitions, cfg.ReplicationFactor),
+		names: make(map[string]route),
 	}
 	for id := 0; id < cfg.Nodes; id++ {
 		dir := ""
@@ -273,13 +291,21 @@ func (c *Cluster) PartitionOf(name string) int { return c.ring.partitionOf(name)
 // NodeStatus reports the failure detector's current view of a node.
 func (c *Cluster) NodeStatus(id int) Status { return c.det.statusOf(id) }
 
-// Ingest routes one decoded event to every replica of its partition.
+// Ingest routes one already-decoded event to every replica of its
+// partition. It renders the name and queues a one-event batch per replica;
+// TapBatch is the bulk path.
 func (c *Cluster) Ingest(e *events.ClientEvent) {
 	now := c.clock.Now()
-	p := c.ring.partitionOfName(e.Name)
+	o := realtime.Observation{
+		Name:     e.Name.String(),
+		Minute:   e.Timestamp / 60_000,
+		Country:  geo.CountryOf(e.IP),
+		LoggedIn: e.LoggedIn(),
+	}
+	p := c.ring.partitionOf(o.Name)
 	c.ingested.Add(1)
 	tmClusterIngest.Inc()
-	batch := []routed{{p: p, e: *e}}
+	batch := []routed{{p: p, o: o}}
 	for _, id := range c.ring.replicas[p] {
 		c.queues[id].send(batch, now, c.det.statusOf(id))
 	}
@@ -289,24 +315,45 @@ func (c *Cluster) Ingest(e *events.ClientEvent) {
 // scribe.Aggregator.Tap exactly like realtime.Counter.TapBatch. Events
 // are grouped per target node so a staging flush costs one queue
 // interaction per replica node, not per event.
+//
+// The router reads each message's header in place (events.Header) and
+// queues a realtime.Observation — the interned name, the minute, the
+// country constant, the login bit — so nothing it parks aliases the
+// caller's buffers. A message that fails the walk, or whose name fails
+// events.ParseName the first time it is seen, counts in
+// Stats.DecodeErrors and is routed nowhere.
 func (c *Cluster) TapBatch(batch []scribe.Entry) {
 	now := c.clock.Now()
 	perNode := make([][]routed, len(c.nodes))
+	var dec thrift.CompactDecoder
+	var h events.Header
 	for i := range batch {
 		if batch[i].Category != events.Category {
 			continue
 		}
-		var e events.ClientEvent
-		if err := e.Unmarshal(batch[i].Message); err != nil {
+		dec.Reset(batch[i].Message)
+		err := h.Decode(&dec)
+		var rt route
+		if err == nil {
+			rt, err = c.routeOf(h.Name)
+		}
+		if err != nil {
 			c.decodeErrs.Add(1)
 			tmClusterDecodeErrs.Inc()
 			continue
 		}
-		p := c.ring.partitionOfName(e.Name)
 		c.ingested.Add(1)
 		tmClusterIngest.Inc()
-		r := routed{p: p, e: e}
-		for _, id := range c.ring.replicas[p] {
+		r := routed{p: rt.p, o: realtime.Observation{
+			Name:     rt.name,
+			Minute:   h.Timestamp / 60_000,
+			Country:  geo.CountryOfBytes(h.IP),
+			LoggedIn: h.LoggedIn(),
+		}}
+		for _, id := range c.ring.replicas[rt.p] {
+			if perNode[id] == nil {
+				perNode[id] = make([]routed, 0, len(batch))
+			}
 			perNode[id] = append(perNode[id], r)
 		}
 	}
@@ -315,6 +362,39 @@ func (c *Cluster) TapBatch(batch []scribe.Entry) {
 			c.queues[id].send(b, now, c.det.statusOf(id))
 		}
 	}
+}
+
+// route is what the router keeps per distinct event name: the owned copy
+// of the name that every queued Observation of it shares, and the
+// partition it hashes to.
+type route struct {
+	name string
+	p    int
+}
+
+// routeOf returns the route of a name still lying in a Thrift message. A
+// name seen before costs one read-locked map lookup on the bytes in place;
+// a first-seen one is copied, validated (events.ParseName) and hashed to
+// its partition once. Names that fail validation are never stored, so the
+// table grows with the namespace, not with the traffic.
+func (c *Cluster) routeOf(name []byte) (route, error) {
+	c.namesMu.RLock()
+	rt, ok := c.names[string(name)]
+	c.namesMu.RUnlock()
+	if ok {
+		return rt, nil
+	}
+	owned := string(name)
+	if _, err := events.ParseName(owned); err != nil {
+		return route{}, err
+	}
+	c.namesMu.Lock()
+	defer c.namesMu.Unlock()
+	if rt, ok = c.names[owned]; !ok {
+		rt = route{name: owned, p: c.ring.partitionOf(owned)}
+		c.names[owned] = rt
+	}
+	return rt, nil
 }
 
 // Tick advances the cluster's failure machinery to the clock's now:

@@ -25,6 +25,11 @@ func ev(name string, at time.Time, user int64, country string) *events.ClientEve
 	}
 }
 
+// obsAt is the observation of a logged-in US user firing name at at.
+func obsAt(name string, at time.Time) realtime.Observation {
+	return realtime.Observation{Name: name, Minute: at.Unix() / 60, Country: "us", LoggedIn: true}
+}
+
 // testNames spreads over enough distinct full names that every test
 // exercises multiple partitions.
 var testNames = []string{
@@ -71,16 +76,6 @@ func TestRingPlacement(t *testing.T) {
 		}
 		if got := len(r.hostedBy(id)); got != n {
 			t.Errorf("hostedBy(%d) = %d partitions, replica sets say %d", id, got, n)
-		}
-	}
-}
-
-func TestPartitionOfNameMatchesString(t *testing.T) {
-	r := newRing(3, 8, 16, 2)
-	for _, s := range testNames {
-		n := events.MustParseName(s)
-		if got, want := r.partitionOfName(n), r.partitionOf(n.String()); got != want {
-			t.Errorf("partitionOfName(%q) = %d, partitionOf = %d", s, got, want)
 		}
 	}
 }
@@ -272,7 +267,7 @@ func TestQueueTimeline(t *testing.T) {
 				now := t0.Add(st.at)
 				switch st.do {
 				case send:
-					q.send([]routed{{p: 0, e: *ev(testNames[i%len(testNames)], t0, int64(i), "us")}}, now, st.status)
+					q.send([]routed{{p: 0, o: obsAt(testNames[i%len(testNames)], t0)}}, now, st.status)
 				case pump:
 					q.pump(now, st.status)
 				case crash:

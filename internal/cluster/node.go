@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"unilog/internal/events"
 	"unilog/internal/realtime"
 )
 
@@ -22,12 +21,13 @@ var (
 	ErrNotReplica = errors.New("cluster: node does not replicate partition")
 )
 
-// routed is one event bound for one partition replica. The event is
-// held by value: a queued or hinted write must stay intact however long
-// the target node is down, independent of the caller's buffers.
+// routed is one event bound for one partition replica: 56 bytes, all of it
+// owned (the name is the router's interned copy, the country a geo
+// constant), so a queued or hinted write stays intact however long the
+// target node is down, independent of the caller's buffers.
 type routed struct {
 	p int
-	e events.ClientEvent
+	o realtime.Observation
 }
 
 // Node is one member of the cluster: a realtime.Counter per partition
@@ -104,8 +104,13 @@ func (n *Node) openCounters(partitions []int) (map[int]*realtime.Counter, error)
 // ID returns the node's cluster-wide id.
 func (n *Node) ID() int { return n.id }
 
-// deliver applies a batch of routed events. It either applies the whole
-// batch or (if the node is down) none of it.
+// deliver applies a batch of routed events: the whole batch, or — if the
+// node is down or the batch names a partition it does not host — none of
+// it. The events go through one realtime.Batcher per partition counter,
+// flushed before the read lock is released, so a delivery of N events
+// appends at most one WAL record per (hosted partition, shard, MaxBatch
+// events) instead of N, and a delivery that returned nil is in the shard
+// queues before crash can take the write lock.
 func (n *Node) deliver(batch []routed) error {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -113,13 +118,24 @@ func (n *Node) deliver(batch []routed) error {
 		return ErrNodeDown
 	}
 	for i := range batch {
-		c := n.counters[batch[i].p]
-		if c == nil {
+		if n.counters[batch[i].p] == nil {
 			return fmt.Errorf("%w: node %d, partition %d", ErrNotReplica, n.id, batch[i].p)
 		}
-		c.Ingest(&batch[i].e)
+	}
+	batchers := make(map[int]*realtime.Batcher)
+	for i := range batch {
+		b := batchers[batch[i].p]
+		if b == nil {
+			b = n.counters[batch[i].p].NewBatcher()
+			batchers[batch[i].p] = b
+		}
+		b.AddObservation(batch[i].o)
+	}
+	for _, b := range batchers {
+		b.Flush()
 	}
 	tmClusterDeliver.Add(int64(len(batch)))
+	tmClusterDeliverBatch.Observe(int64(len(batch)))
 	return nil
 }
 

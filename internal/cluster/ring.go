@@ -3,8 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sort"
-
-	"unilog/internal/events"
 )
 
 // ring places a fixed set of namespace partitions on the nodes,
@@ -79,22 +77,6 @@ func (r *ring) partitionOf(name string) int {
 	return int(mix64(hash64(name)) % uint64(r.partitions))
 }
 
-// partitionOfName maps a structured event name to its partition without
-// rendering it: the six components hash through the same ':'-separated
-// byte stream EventName.String would produce, so
-// partitionOfName(n) == partitionOf(n.String()) with zero allocations
-// on the ingest path.
-func (r *ring) partitionOfName(n events.EventName) int {
-	h := uint64(fnvOffset64)
-	for i := 0; i < events.NumComponents; i++ {
-		if i > 0 {
-			h = fnvByte(h, ':')
-		}
-		h = fnvString(h, n.At(i))
-	}
-	return int(mix64(h) % uint64(r.partitions))
-}
-
 // hostedBy returns the partitions node id replicates, ascending.
 func (r *ring) hostedBy(id int) []int { return r.hosted[id] }
 
@@ -105,18 +87,13 @@ const (
 	fnvPrime64  uint64 = 1099511628211
 )
 
-func fnvByte(h uint64, b byte) uint64 {
-	return (h ^ uint64(b)) * fnvPrime64
-}
-
-func fnvString(h uint64, s string) uint64 {
+func hash64(s string) uint64 {
+	h := fnvOffset64
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
 	return h
 }
-
-func hash64(s string) uint64 { return fnvString(fnvOffset64, s) }
 
 // mix64 is the splitmix64 finalizer. Raw FNV-1a over near-identical
 // strings ("node/0/point/1", "node/0/point/2", ...) produces *ordered*

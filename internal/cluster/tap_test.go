@@ -1,0 +1,220 @@
+package cluster
+
+import (
+	"errors"
+	"sync"
+	"testing"
+	"time"
+
+	"unilog/internal/events"
+	"unilog/internal/realtime"
+	"unilog/internal/scribe"
+	"unilog/internal/thrift"
+	"unilog/internal/zk"
+)
+
+// tapEntries is n client_events entries cycling over testNames, stamped
+// one second apart from t0.
+func tapEntries(n int) []scribe.Entry {
+	out := make([]scribe.Entry, n)
+	for i := range out {
+		e := ev(testNames[i%len(testNames)], t0.Add(time.Duration(i)*time.Second), int64(i%3), "jp")
+		e.Details = map[string]string{"rank": "3", "profile_id": "12345"}
+		out[i] = scribe.Entry{Category: events.Category, Message: e.Marshal()}
+	}
+	return out
+}
+
+// deliver documents "the whole batch or none of it". A batch naming one
+// partition the node does not host is a routing bug; it must be refused
+// before any of it is applied, because the send queue keeps the whole
+// backlog and offers it again.
+func TestDeliverForeignPartitionAppliesNothing(t *testing.T) {
+	n, err := newNode(0, []int{0, 1}, "", realtime.Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.close()
+	o := obsAt(testNames[0], t0)
+	batch := []routed{{p: 0, o: o}, {p: 1, o: o}, {p: 5, o: o}, {p: 0, o: o}}
+	for attempt := 0; attempt < 2; attempt++ {
+		if err := n.deliver(batch); !errors.Is(err, ErrNotReplica) {
+			t.Fatalf("deliver with a foreign partition = %v, want ErrNotReplica", err)
+		}
+	}
+	n.sync()
+	for p, c := range n.counters {
+		if got := c.Stats().Observed; got != 0 {
+			t.Errorf("partition %d counter observed %d events of a refused batch", p, got)
+		}
+	}
+	if err := n.deliver(append(batch[:2:2], batch[3])); err != nil {
+		t.Fatalf("deliver of the hosted events: %v", err)
+	}
+	n.sync()
+	if got := n.counterStats().Observed; got != 3 {
+		t.Errorf("Observed = %d after delivering the 3 hosted events, want 3", got)
+	}
+}
+
+// One tapped batch must cost each partition counter it reaches at most
+// one WAL record per shard, not one per event: the property the cluster's
+// write cost and WAL size rest on.
+func TestTapBatchAppendsOneWALRecordPerPartition(t *testing.T) {
+	c := testCluster(t, Config{
+		Nodes: 3, ReplicationFactor: 2, Clock: zk.NewManualClock(t0),
+		Dir: t.TempDir(), Node: realtime.Config{SnapshotEvery: time.Hour},
+	})
+	const n = 500
+	c.TapBatch(tapEntries(n))
+	c.Sync()
+	st := c.Stats()
+	if st.Ingested != n || st.Delivered != n*2 || st.Counter.Observed != n*2 {
+		t.Fatalf("stats = %+v, want %d ingested, each delivered to and observed on 2 replicas", st, n)
+	}
+	bound := int64(0)
+	for id := 0; id < c.NumNodes(); id++ {
+		bound += int64(len(c.ring.hostedBy(id)) * c.cfg.Node.Shards)
+	}
+	if got := st.Counter.WALBatches; got == 0 || got > bound {
+		t.Errorf("%d events × 2 replicas appended %d WAL records, want 1..%d (hosted partitions × shards)", n, got, bound)
+	}
+}
+
+// Many aggregators tap one cluster. Taps racing to intern the same
+// first-seen names — in the router's table and in each partition counter's
+// — must route every event to both replicas exactly once.
+func TestConcurrentTapsRouteEveryEventOnce(t *testing.T) {
+	c := testCluster(t, Config{Nodes: 3, ReplicationFactor: 2, Clock: zk.NewManualClock(t0)})
+	batch := tapEntries(2000)
+	const taps = 4
+	var wg sync.WaitGroup
+	for g := 0; g < taps; g++ {
+		wg.Add(1)
+		go func(part []scribe.Entry) {
+			defer wg.Done()
+			c.TapBatch(part)
+		}(batch[g*len(batch)/taps : (g+1)*len(batch)/taps])
+	}
+	wg.Wait()
+	c.Sync()
+	n := int64(len(batch))
+	if st := c.Stats(); st.Ingested != n || st.Delivered != 2*n || st.Counter.Observed != 2*n || st.DecodeErrors != 0 {
+		t.Fatalf("stats = %+v, want %d ingested, each delivered to and observed on 2 replicas", st, n)
+	}
+	if got := len(c.names); got != len(testNames) {
+		t.Errorf("router interned %d names, the batch has %d distinct", got, len(testNames))
+	}
+	from, to := t0.Add(-time.Hour), t0.Add(time.Hour)
+	for _, name := range testNames {
+		p := c.PartitionOf(name)
+		for _, id := range c.ReplicasOf(p) {
+			if got, err := c.Node(id).PathSum(p, name, from, to); err != nil || got != n/int64(len(testNames)) {
+				t.Errorf("node %d PathSum(%q) = %d (%v), want %d", id, name, got, err, n/int64(len(testNames)))
+			}
+		}
+	}
+}
+
+// rawEvent encodes a client event by hand, so a test can say what the
+// typed encoder cannot: any string as the name, a field of a later schema.
+func rawEvent(name string, timestamp int64, unknownField bool) []byte {
+	enc := thrift.NewCompactEncoder()
+	enc.WriteStructBegin()
+	enc.WriteFieldBegin(thrift.BYTE, 1)
+	enc.WriteI8(int8(events.InitiatorClientUser))
+	enc.WriteFieldBegin(thrift.STRING, 2)
+	enc.WriteString(name)
+	enc.WriteFieldBegin(thrift.I64, 3)
+	enc.WriteI64(7)
+	enc.WriteFieldBegin(thrift.STRING, 4)
+	enc.WriteString("sess")
+	enc.WriteFieldBegin(thrift.STRING, 5)
+	enc.WriteString("10.1.2.3")
+	enc.WriteFieldBegin(thrift.I64, 6)
+	enc.WriteI64(timestamp)
+	if unknownField {
+		enc.WriteFieldBegin(thrift.LIST, 9)
+		enc.WriteListBegin(thrift.I32, 2)
+		enc.WriteI32(1)
+		enc.WriteI32(2)
+	}
+	enc.WriteFieldStop()
+	enc.WriteStructEnd()
+	return append([]byte(nil), enc.Bytes()...)
+}
+
+// Both taps — a single counter's and the cluster router's — must sort a
+// message that is not a countable event into the same counter they always
+// have: refused by the decoder or by name validation is a decode error and
+// nothing else, a good name with a timestamp before Unix minute 1 is
+// routed and then invalid at each counter, a field from a later schema is
+// skipped, another category is not the tap's business.
+func TestTapsClassifyMessages(t *testing.T) {
+	const good = "web:home:timeline:stream:tweet:impression"
+	at := t0.UnixMilli()
+	whole := rawEvent(good, at, false)
+	type tally struct{ tapped, decodeErrs, invalid, observed int64 }
+	for _, tc := range []struct {
+		name  string
+		entry scribe.Entry
+		want  tally
+	}{
+		{"well-formed", scribe.Entry{Category: events.Category, Message: whole}, tally{tapped: 1, observed: 1}},
+		{"truncated message", scribe.Entry{Category: events.Category, Message: whole[:len(whole)-5]}, tally{tapped: 1, decodeErrs: 1}},
+		{"five-component name", scribe.Entry{Category: events.Category, Message: rawEvent("web:home:timeline:stream:impression", at, false)}, tally{tapped: 1, decodeErrs: 1}},
+		{"bad character in a component", scribe.Entry{Category: events.Category, Message: rawEvent("web:Home:timeline:stream:tweet:impression", at, false)}, tally{tapped: 1, decodeErrs: 1}},
+		{"timestamp 0", scribe.Entry{Category: events.Category, Message: rawEvent(good, 0, false)}, tally{tapped: 1, invalid: 1}},
+		{"unknown extra field", scribe.Entry{Category: events.Category, Message: rawEvent(good, at, true)}, tally{tapped: 1, observed: 1}},
+		{"foreign category", scribe.Entry{Category: "search_events", Message: whole}, tally{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Twice: the second pass finds the names already interned.
+			batch := []scribe.Entry{tc.entry, tc.entry}
+			want := tally{2 * tc.want.tapped, 2 * tc.want.decodeErrs, 2 * tc.want.invalid, 2 * tc.want.observed}
+
+			rt := realtime.New(realtime.Config{Shards: 2})
+			defer rt.Close()
+			rt.TapBatch(batch)
+			rt.Sync()
+			st := rt.Stats()
+			if got := (tally{st.TapEntries, st.DecodeErrors, st.Invalid, st.Observed}); got != want {
+				t.Errorf("realtime tap: %+v, want %+v", got, want)
+			}
+
+			// The cluster counts a decode error at the router and routes
+			// everything else to R = 2 replicas, whose counters judge it.
+			c := testCluster(t, Config{Nodes: 3, ReplicationFactor: 2, Clock: zk.NewManualClock(t0)})
+			c.TapBatch(batch)
+			c.Sync()
+			cs := c.Stats()
+			routed := want.invalid + want.observed
+			if cs.DecodeErrors != want.decodeErrs || cs.Ingested != routed || cs.Delivered != 2*routed ||
+				cs.Counter.Invalid != 2*want.invalid || cs.Counter.Observed != 2*want.observed || cs.Counter.DecodeErrors != 0 {
+				t.Errorf("cluster tap: %+v, want %d decode errors, %d ingested, each invalid or observed on 2 replicas (%+v)",
+					cs, want.decodeErrs, routed, want)
+			}
+		})
+	}
+}
+
+func BenchmarkClusterTapBatch(b *testing.B) {
+	c, err := New(Config{
+		Nodes: 3, ReplicationFactor: 2, Clock: zk.NewManualClock(t0),
+		Dir: b.TempDir(), Node: realtime.Config{SnapshotEvery: time.Hour},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	batch := tapEntries(500)
+	c.TapBatch(batch)
+	c.Sync()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.TapBatch(batch)
+	}
+	c.Sync()
+	b.ReportMetric(float64(len(batch)), "events/op")
+}

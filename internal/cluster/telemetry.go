@@ -19,4 +19,10 @@ var (
 	tmClusterRevivals   = telemetry.GetCounter("cluster.detector.revivals")
 	tmClusterCrashes    = telemetry.GetCounter("cluster.node.crashes")
 	tmClusterRestarts   = telemetry.GetCounter("cluster.node.restarts")
+
+	// cluster.deliver.batch_events is the events per successful node
+	// delivery. Each delivery costs every partition counter it touches one
+	// WAL record, so this over the hosted partition count is the events
+	// per record — read it beside realtime.wal.record_events.
+	tmClusterDeliverBatch = telemetry.GetHistogram("cluster.deliver.batch_events")
 )

@@ -11,6 +11,15 @@
 // with simple patterns: web:home:mentions:* selects every action on the
 // mentions timeline of the web client, *:profile_click selects profile
 // clicks across all clients.
+//
+// A message can be read two ways. ClientEvent.Decode materialises it:
+// the parsed name, the strings, the details map — what a scan that hands
+// events to arbitrary code needs. Header.Decode fills the fixed fields
+// from the same walk over the same bytes without allocating, the strings
+// left as slices of the message, for the consumers that route or count on
+// a few fields of every message (the realtime tap, the cluster router, the
+// per-file name index). Both are one switch over the field ids (walk), and
+// FuzzHeaderMatchesDecode holds them to the decoder they replaced.
 package events
 
 import (
@@ -365,8 +374,73 @@ func (e *ClientEvent) Encode(enc thrift.Encoder) {
 }
 
 // Decode reads the event from a Thrift struct, skipping unknown fields so
-// newer producers remain readable.
+// newer producers remain readable. It is the header walk plus the
+// allocations a decoded event needs: the parsed name, the strings, the
+// details map.
 func (e *ClientEvent) Decode(dec thrift.Decoder) error {
+	var h Header
+	var details map[string]string
+	if err := walk(dec, &h, &details); err != nil {
+		return err
+	}
+	var name EventName
+	if h.Name != nil { // a message without the field decodes to the zero name
+		var err error
+		if name, err = ParseName(string(h.Name)); err != nil {
+			return err
+		}
+	}
+	*e = ClientEvent{
+		Initiator: h.Initiator,
+		Name:      name,
+		UserID:    h.UserID,
+		SessionID: string(h.SessionID),
+		IP:        string(h.IP),
+		Timestamp: h.Timestamp,
+		Details:   details,
+	}
+	return nil
+}
+
+// Header is the fixed-semantics part of a client event (Table 2 without
+// the details) as it lies on the wire. Name, SessionID and IP alias the
+// message they were read from: they are valid for as long as that buffer
+// is, and a field the message does not carry is nil. Name is the raw
+// colon-joined string, not yet validated — ParseName does that, and a
+// consumer that has seen the same bytes before need not do it again.
+//
+// A Header is for consumers that route or count on a few fields of every
+// message — the realtime tap, the cluster router, the per-file name index —
+// where materialising a ClientEvent (six name components, three strings, a
+// map) to read four of them was most of the cost of ingest.
+type Header struct {
+	Initiator Initiator
+	Name      []byte
+	UserID    int64
+	SessionID []byte
+	IP        []byte
+	Timestamp int64
+}
+
+// LoggedIn reports whether the event was produced by an authenticated user.
+func (h *Header) LoggedIn() bool { return h.UserID != 0 }
+
+// Decode fills the header from one compact-protocol client event without
+// allocating. It reads or skips every field of the message, the details map
+// pair by pair, so a truncated, oversized or mistyped message fails with
+// the same thrift error ClientEvent.Decode gives it. Reset dec to the next
+// message and call Decode again to walk a batch with one decoder.
+func (h *Header) Decode(dec *thrift.CompactDecoder) error {
+	*h = Header{}
+	return walk(dec, h, nil)
+}
+
+// walk reads one client event struct from dec: the one place the field ids
+// are switched on. Strings land in h as slices of dec's input. The details
+// pairs are stored into *details when it is non-nil and read past
+// otherwise. Known fields are read by id whatever wire type the header
+// declared, as Decode always has.
+func walk(dec thrift.Decoder, h *Header, details *map[string]string) error {
 	if err := dec.ReadStructBegin(); err != nil {
 		return err
 	}
@@ -381,35 +455,37 @@ func (e *ClientEvent) Decode(dec thrift.Decoder) error {
 		switch id {
 		case fieldInitiator:
 			var v int8
-			if v, err = dec.ReadI8(); err == nil {
-				e.Initiator = Initiator(v)
-			}
+			v, err = dec.ReadI8()
+			h.Initiator = Initiator(v)
 		case fieldEventName:
-			var s string
-			if s, err = dec.ReadString(); err == nil {
-				e.Name, err = ParseName(s)
-			}
+			h.Name, err = dec.ReadBinary()
 		case fieldUserID:
-			e.UserID, err = dec.ReadI64()
+			h.UserID, err = dec.ReadI64()
 		case fieldSessionID:
-			e.SessionID, err = dec.ReadString()
+			h.SessionID, err = dec.ReadBinary()
 		case fieldIP:
-			e.IP, err = dec.ReadString()
+			h.IP, err = dec.ReadBinary()
 		case fieldTimestamp:
-			e.Timestamp, err = dec.ReadI64()
+			h.Timestamp, err = dec.ReadI64()
 		case fieldDetails:
 			var n int
-			if _, _, n, err = dec.ReadMapBegin(); err == nil {
-				e.Details = make(map[string]string, n)
-				for i := 0; i < n; i++ {
-					var k, v string
-					if k, err = dec.ReadString(); err != nil {
-						return err
-					}
-					if v, err = dec.ReadString(); err != nil {
-						return err
-					}
-					e.Details[k] = v
+			if _, _, n, err = dec.ReadMapBegin(); err != nil {
+				return err
+			}
+			if details != nil {
+				// n is at most the bytes left in the message (ReadMapBegin).
+				*details = make(map[string]string, n)
+			}
+			for i := 0; i < n; i++ {
+				var k, v []byte
+				if k, err = dec.ReadBinary(); err != nil {
+					return err
+				}
+				if v, err = dec.ReadBinary(); err != nil {
+					return err
+				}
+				if details != nil {
+					(*details)[string(k)] = string(v)
 				}
 			}
 		default:

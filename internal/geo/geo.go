@@ -8,11 +8,7 @@
 // "unknown" for anything else.
 package geo
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // Unknown is returned for unresolvable addresses.
 const Unknown = "unknown"
@@ -25,20 +21,40 @@ var Countries = []string{"us", "jp", "uk", "br", "in", "de", "id", "mx"}
 const firstOctetBase = 10
 
 // CountryOf resolves an IPv4 address to a country code.
-func CountryOf(ip string) string {
-	dot := strings.IndexByte(ip, '.')
-	if dot < 0 {
+func CountryOf(ip string) string { return countryOf(ip) }
+
+// CountryOfBytes is CountryOf for an address still lying in a message
+// buffer: CountryOfBytes(b) == CountryOf(string(b)) for every b, without
+// the conversion. The result is Unknown or one of the Countries constants,
+// never a slice of b.
+func CountryOfBytes(ip []byte) string { return countryOf(ip) }
+
+// countryOf reads the first octet the way strconv.Atoi would — an optional
+// '+', then decimal digits, leading zeros allowed — up to the first '.'.
+// Anything Atoi would reject, and any value outside the table (a '-' can
+// only give one), is Unknown.
+func countryOf[S string | []byte](ip S) string {
+	i := 0
+	if len(ip) > 0 && ip[0] == '+' {
+		i = 1
+	}
+	octet, digits := 0, 0
+	for ; i < len(ip) && ip[i] != '.'; i++ {
+		d := ip[i] - '0'
+		if d > 9 {
+			return Unknown
+		}
+		// Stop past the table's end: every longer number is Unknown too,
+		// and octet never overflows.
+		if octet = octet*10 + int(d); octet >= firstOctetBase+len(Countries) {
+			return Unknown
+		}
+		digits++
+	}
+	if i == len(ip) || digits == 0 || octet < firstOctetBase {
 		return Unknown
 	}
-	octet, err := strconv.Atoi(ip[:dot])
-	if err != nil {
-		return Unknown
-	}
-	i := octet - firstOctetBase
-	if i < 0 || i >= len(Countries) {
-		return Unknown
-	}
-	return Countries[i]
+	return Countries[octet-firstOctetBase]
 }
 
 // IPFor synthesizes an IPv4 address inside the given country's prefix; host

@@ -4,39 +4,62 @@ import (
 	"time"
 
 	"unilog/internal/events"
+	"unilog/internal/geo"
 	"unilog/internal/scribe"
+	"unilog/internal/thrift"
 )
 
 // TapBatch observes one batch of Scribe entries. Assign it to
 // scribe.Aggregator.Tap to make an aggregator fan its accepted
 // client_events into the counters; entries of other categories pass
 // through uncounted. Safe for concurrent use by many aggregators.
+//
+// It digests each message from its header walk (events.Header) without
+// building a ClientEvent: the name is looked up in the symbol table by the
+// bytes in the message, the country read off the IP bytes, so an event
+// whose name has been seen before allocates nothing. A message that fails
+// the walk, or whose name fails events.ParseName the first time it is
+// seen, counts in Stats.DecodeErrors; a timestamp before Unix minute 1 in
+// Stats.Invalid.
 func (c *Counter) TapBatch(batch []scribe.Entry) {
 	defer tmTapBatchNs.ObserveSince(time.Now())
 	b := c.NewBatcher()
+	var dec thrift.CompactDecoder
+	var h events.Header
 	for i := range batch {
 		if batch[i].Category != events.Category {
 			continue
 		}
 		c.tapEntries.Add(1)
-		var e events.ClientEvent
-		if err := e.Unmarshal(batch[i].Message); err != nil {
+		dec.Reset(batch[i].Message)
+		if err := h.Decode(&dec); err != nil {
 			c.decodeErrors.Add(1)
 			continue
 		}
-		b.Add(&e)
+		sym, country, err := c.tab.resolveBytes(h.Name, geo.CountryOfBytes(h.IP))
+		if err != nil {
+			c.decodeErrors.Add(1)
+			continue
+		}
+		minute := h.Timestamp / 60_000
+		if minute < 1 {
+			c.invalid.Add(1)
+			continue
+		}
+		b.add(obs{minute: minute, sym: sym, country: country, loggedIn: h.LoggedIn()})
 	}
 	b.Flush()
 }
 
-// Ingest counts one already-decoded event. For bulk loads prefer a
-// Batcher, which amortizes the channel send.
+// Ingest counts one already-decoded event as a batch of its own: one
+// channel send and, on a durable counter, one WAL record — a dictionary
+// delta, a write(2) and 1/FsyncEvery of an fsync for a single observation.
+// It is for tests and one-off events; anything that has more than one
+// event in hand uses a Batcher.
 func (c *Counter) Ingest(e *events.ClientEvent) {
-	o, shard, ok := c.observe(e)
-	if !ok {
-		return
+	if o, ok := c.observe(e); ok {
+		c.send(int(o.sym.shard), []obs{o})
 	}
-	c.send(shard, []obs{o})
 }
 
 // Batcher accumulates per-shard batches of observations and ships each
@@ -54,19 +77,48 @@ func (c *Counter) NewBatcher() *Batcher {
 	return &Batcher{c: c, per: make([][]obs, len(c.shards))}
 }
 
-// Add digests and buffers one event, flushing its shard's batch if full.
+// Observation is one event reduced to what the counters keep of it: its
+// full name, its minute, the country its IP resolved to and whether a user
+// was logged in. It is what a WAL record logs per event, and what a
+// cluster coordinator routes and parks for a node — every field owned, so
+// it outlives the message it was read from.
+type Observation struct {
+	Name     string // colon-joined six-component name
+	Minute   int64  // event timestamp in Unix minutes
+	Country  string // geo.CountryOf the event's IP
+	LoggedIn bool
+}
+
+// Add digests and buffers one decoded event, flushing its shard's batch
+// if full.
 func (b *Batcher) Add(e *events.ClientEvent) {
-	o, shard, ok := b.c.observe(e)
-	if !ok {
-		return
+	if o, ok := b.c.observe(e); ok {
+		b.add(o)
 	}
+}
+
+// AddObservation is Add for an event that has already been reduced to an
+// Observation. It enters the counter through digestFull, the door WAL
+// replay uses, so an observation delivered live and the same one replayed
+// after a crash are validated and digested by one function: an invalid
+// name or a minute before 1 counts in Stats.Invalid.
+func (b *Batcher) AddObservation(o Observation) {
+	if o, ok := b.c.digestFull(o.Name, o.Minute, o.Country, o.LoggedIn); ok {
+		b.add(o)
+	}
+}
+
+// add buffers one digested observation — where the decoded-event, the
+// observation and the tap paths meet.
+func (b *Batcher) add(o obs) {
+	shard := o.sym.shard
 	buf := b.per[shard]
 	if buf == nil {
 		buf = (*b.c.batchPool.Get().(*[]obs))[:0]
 	}
 	buf = append(buf, o)
 	if len(buf) >= b.c.cfg.MaxBatch {
-		b.c.send(shard, buf)
+		b.c.send(int(shard), buf)
 		buf = nil
 	}
 	b.per[shard] = buf

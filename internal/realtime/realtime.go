@@ -21,7 +21,11 @@
 //   - a Tap on scribe.Aggregator.Append fans accepted client_events into N
 //     counter shards (hash of the event name) over bounded channels;
 //     producers block when a shard queue is full (backpressure), and each
-//     shard drains whole batches at a time;
+//     shard drains whole batches at a time. The tap reads each message's
+//     events.Header in place — no ClientEvent, no strings, no details map —
+//     and looks the name up by its bytes, so an event whose name has been
+//     seen before allocates nothing between the Scribe buffer and the shard
+//     queue (ingest.go);
 //   - a shard owns one ring of one-minute buckets (configurable
 //     retention) behind one mutex: its single drain goroutine takes the
 //     lock once per batch, a reader once per shard, and write parallelism
@@ -86,7 +90,10 @@ type Config struct {
 	// the sync over more batches and risk losing at most that many
 	// batches on an OS (not process) crash — every batch reaches the
 	// page cache before it is applied, so a killed process loses
-	// nothing that was drained. Default 64.
+	// nothing that was drained. A batch is whatever one producer handed
+	// over at once: up to MaxBatch events from a Batcher or TapBatch, one
+	// event from Counter.Ingest, and on a cluster node one delivery's
+	// events for the partition — so there it counts deliveries. Default 64.
 	FsyncEvery int
 }
 
@@ -121,10 +128,12 @@ type Stats struct {
 	Observed int64
 	// TapEntries is the number of Scribe entries seen by TapBatch.
 	TapEntries int64
-	// DecodeErrors counts tap entries that failed Thrift decoding.
+	// DecodeErrors counts tap entries that failed Thrift decoding or
+	// carried a name events.ParseName rejects.
 	DecodeErrors int64
-	// Invalid counts events whose name failed validation or whose
-	// timestamp lies before the first Unix minute.
+	// Invalid counts decoded events and observations (Add, Ingest,
+	// AddObservation, WAL replay) whose name failed validation, and events
+	// by any door whose timestamp lies before the first Unix minute.
 	Invalid int64
 	// DroppedOld counts observations older than the retention window.
 	DroppedOld int64
@@ -213,8 +222,9 @@ type shard struct {
 }
 
 // Counter is the realtime counting service. Create with New, feed it via
-// TapBatch (wired to scribe.Aggregator.Tap), a Batcher, or Ingest, and
-// read it with the query methods in query.go.
+// TapBatch (wired to scribe.Aggregator.Tap), a Batcher (decoded events
+// through Add, reduced ones through AddObservation), or Ingest, and read
+// it with the query methods in query.go.
 type Counter struct {
 	cfg     Config
 	shards  []*shard
@@ -407,35 +417,37 @@ func hash32(s string) uint32 {
 	return h
 }
 
-// observe digests one event into an obs and its shard index. It reports
-// false, counting Stats.Invalid, for events that must not be counted: an
-// invalid name, or a timestamp before Unix minute 1 — the timestamp comes
-// from outside, a negative minute would index the ring out of range and
-// minute 0 is the ring's empty-slot value. A name seen before costs one
-// read-locked lookup; validation and the string digest ran when the
-// symbol table first interned it.
-func (c *Counter) observe(e *events.ClientEvent) (obs, int, bool) {
+// observe digests one decoded event into an obs (whose sym names its
+// shard). It reports false, counting Stats.Invalid, for events that must
+// not be counted: an invalid name, or a timestamp before Unix minute 1 —
+// the timestamp comes from outside, a negative minute would index the ring
+// out of range and minute 0 is the ring's empty-slot value. A name seen
+// before costs one read-locked lookup; validation and the string digest
+// ran when the symbol table first interned it.
+func (c *Counter) observe(e *events.ClientEvent) (obs, bool) {
 	minute := e.Timestamp / 60_000
 	sym, country, err := c.tab.resolve(e.Name, geo.CountryOf(e.IP))
 	if err != nil || minute < 1 {
 		c.invalid.Add(1)
-		return obs{}, 0, false
+		return obs{}, false
 	}
-	return obs{minute: minute, sym: sym, country: country, loggedIn: e.LoggedIn()}, int(sym.shard), true
+	return obs{minute: minute, sym: sym, country: country, loggedIn: e.LoggedIn()}, true
 }
 
-// digestFull is observe for WAL replay (recover.go), where the event
-// arrives as a logged name string. Re-digesting through this counter's own
-// symbol table is what lets a log written under one shard count replay
-// correctly into another; re-checking the minute is what lets a segment
-// written before observe checked it replay past the record.
-func (c *Counter) digestFull(name string, minute int64, country string, loggedIn bool) (obs, int, bool) {
+// digestFull is observe for an event that arrives as an Observation's
+// fields: WAL replay (recover.go), where they were logged, and
+// Batcher.AddObservation, where a cluster coordinator read them off the
+// wire. Re-digesting through this counter's own symbol table is what lets
+// a log written under one shard count replay correctly into another;
+// re-checking the minute is what lets a segment written before observe
+// checked it replay past the record.
+func (c *Counter) digestFull(name string, minute int64, country string, loggedIn bool) (obs, bool) {
 	sym, cid, err := c.tab.resolveFull(name, country)
 	if err != nil || minute < 1 {
 		c.invalid.Add(1)
-		return obs{}, 0, false
+		return obs{}, false
 	}
-	return obs{minute: minute, sym: sym, country: cid, loggedIn: loggedIn}, int(sym.shard), true
+	return obs{minute: minute, sym: sym, country: cid, loggedIn: loggedIn}, true
 }
 
 // send enqueues one batch on a shard, blocking when the queue is full.

@@ -306,8 +306,8 @@ func (c *Counter) replaySegment(path string) error {
 			return os.Truncate(path, intact)
 		}
 		err = dec.decodeBatch(rec, func(name string, minute int64, country string, loggedIn bool) error {
-			o, shardIdx, ok := c.digestFull(name, minute, country, loggedIn)
-			if ok && c.applyOne(c.shards[shardIdx], &o) {
+			o, ok := c.digestFull(name, minute, country, loggedIn)
+			if ok && c.applyOne(c.shards[o.sym.shard], &o) {
 				c.observed.Add(1)
 			}
 			return nil

@@ -143,6 +143,21 @@ func (t *symtab) resolveFull(full, country string) (*nameSym, uint32, error) {
 	return sym, t.countryLocked(country), nil
 }
 
+// resolveBytes is resolveFull for a name still lying in a Thrift message —
+// the tap's path. A name seen before costs the one map lookup, keyed on the
+// bytes in place; only a first-seen one is copied to a string, parsed and
+// validated, so the returned sym never aliases name.
+func (t *symtab) resolveBytes(name []byte, country string) (*nameSym, uint32, error) {
+	t.mu.RLock()
+	sym, ok := t.byFull[string(name)]
+	cid, cok := t.countryID[country]
+	t.mu.RUnlock()
+	if ok && cok {
+		return sym, cid, nil
+	}
+	return t.resolveFull(string(name), country)
+}
+
 // internLocked builds and publishes the digest of a validated name.
 // Callers hold the write lock.
 func (t *symtab) internLocked(n events.EventName) *nameSym {

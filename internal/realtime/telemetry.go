@@ -21,6 +21,13 @@ var (
 	tmWALFsyncNs   = telemetry.GetHistogram("realtime.wal.fsync.ns")
 	tmSnapshotNs   = telemetry.GetHistogram("realtime.snapshot.write.ns")
 
+	// realtime.wal.record_events is the observations per appended WAL
+	// record. A record costs one write(2), one dictionary delta and
+	// 1/FsyncEvery of an fsync whatever it holds, so a median of 1 here
+	// means a producer is logging event by event (Counter.Ingest in a loop)
+	// where a Batcher would log hundreds per record.
+	tmWALRecordEvents = telemetry.GetHistogram("realtime.wal.record_events")
+
 	tmQueryPathSumNs = telemetry.GetHistogram("realtime.query.pathsum.ns")
 	tmQuerySeriesNs  = telemetry.GetHistogram("realtime.query.series.ns")
 	tmQueryTopKNs    = telemetry.GetHistogram("realtime.query.topk.ns")

@@ -219,6 +219,7 @@ func (c *Counter) walAppend(s *shard, batch []obs) {
 	c.walBatches.Add(1)
 	c.walBytes.Add(n)
 	tmWALBytes.Add(n)
+	tmWALRecordEvents.Observe(int64(len(batch)))
 	if err != nil {
 		c.walErrors.Add(1)
 		return

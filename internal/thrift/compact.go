@@ -252,6 +252,13 @@ func NewCompactDecoder(data []byte) *CompactDecoder { return &CompactDecoder{dat
 
 var _ Decoder = (*CompactDecoder)(nil)
 
+// Reset points the decoder at a new message, keeping its field-id stack's
+// backing array, so one decoder walks a whole batch of messages without
+// allocating.
+func (d *CompactDecoder) Reset(data []byte) {
+	*d = CompactDecoder{data: data, idStack: d.idStack[:0]}
+}
+
 func (d *CompactDecoder) readByte() (byte, error) {
 	if d.pos >= len(d.data) {
 		return 0, ErrTruncated

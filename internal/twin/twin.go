@@ -105,23 +105,50 @@ func unmarshalIndex(data []byte) (*FileIndex, error) {
 	return ix, nil
 }
 
+// noName is the name a record without a name field decodes to
+// (events.ClientEvent.Decode leaves the zero EventName, unvalidated).
+var noName = []byte(events.EventName{}.String())
+
 // IndexFile builds and writes the index of one client-event data file.
 func IndexFile(fs *hdfs.FS, path string) error {
 	data, err := fs.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	ix := &FileIndex{Counts: make(map[string]int64)}
+	// Count on the name bytes where they lie in each record: a name costs
+	// a string, a parse and a validation the first time the file shows it,
+	// a map lookup after that.
+	counts := make(map[string]*int64)
+	var dec thrift.CompactDecoder
+	var h events.Header
 	err = recordio.ScanGzipFile(data, func(rec []byte) error {
-		var e events.ClientEvent
-		if err := e.Unmarshal(rec); err != nil {
+		dec.Reset(rec)
+		if err := h.Decode(&dec); err != nil {
 			return err
 		}
-		ix.Counts[e.Name.String()]++
+		name := h.Name
+		if name == nil {
+			name = noName
+		}
+		n := counts[string(name)]
+		if n == nil {
+			if h.Name != nil {
+				if _, err := events.ParseName(string(name)); err != nil {
+					return err
+				}
+			}
+			n = new(int64)
+			counts[string(name)] = n
+		}
+		*n++
 		return nil
 	})
 	if err != nil {
 		return err
+	}
+	ix := &FileIndex{Counts: make(map[string]int64, len(counts))}
+	for name, n := range counts {
+		ix.Counts[name] = *n
 	}
 	out, err := ix.marshal()
 	if err != nil {
