@@ -2,15 +2,31 @@
 // Infrastructure for Data Analytics at Twitter" (Lee, Lin, Liu, Lorek,
 // Ryaboy; PVLDB 5(12), 2012).
 //
-// The repository rebuilds every system the paper describes or depends on —
+// The repository rebuilds the systems the paper's pipeline runs through —
 // Scribe daemons and aggregators, ZooKeeper coordination, staging and
 // warehouse HDFS clusters, the hourly log mover, Thrift serialization, the
 // unified client-events format, materialized session sequences, the client
 // event catalog, a Pig-like dataflow engine with MapReduce cost accounting,
-// the Oink workflow manager, Elephant Twin indexing, and the §5 analytics
-// applications (counting, funnels, CTR/FTR, n-gram user models,
-// collocations) — over a deterministic synthetic workload with planted
-// ground truth.
+// and the §5 analytics applications (counting, funnels, CTR/FTR, n-gram
+// user models, collocations) — over a deterministic synthetic workload with
+// planted ground truth. internal/legacy keeps §3.1's application-specific
+// formats as the "before" of the paper's session-reconstruction comparison,
+// which the root TestSessionReconstructionCosts asserts.
+//
+// Three of the paper's systems are not reproduced as separate systems;
+// each one's function lives in a package that is on the pipeline. Oink
+// (§3, scheduling and dataflow dependencies): Mover.MoveAllSealed's
+// all-datacenters barrier is the "run B only after A sealed" dependency,
+// the daily jobs behind it (session.BuildDay, the rollups, catalog.Rebuild,
+// birdbrain.Build) are called in order by cmd/unilog-demo and
+// scenario.Run, and the execution trace is logmover.AuditRecord. Elephant
+// Twin (§6, index push-down): internal/columnar's zone maps prune the
+// chunks a selection cannot match and a name pattern is evaluated once per
+// dictionary entry, with the row files as the always-correct fallback; the
+// full-text index is not reproduced. Protocol Buffers and Elephant Bird
+// (§3): every message here is Thrift compact, and the hand-written Struct
+// implementations (events.ClientEvent, session.Record) need no schema
+// compiler.
 //
 // The §2 transport compresses each event once. Daemons batch messages to
 // the aggregators ZooKeeper names; an aggregator frames each category's
@@ -39,7 +55,7 @@
 // exceeded, sort the buffer on (rendered key, optional order columns,
 // insertion sequence) and spill it as one budget-sized sorted run in a
 // CRC-framed spill file. The reduce side is a streaming k-way merge over
-// the runs (cascaded first when there are more than Job.MaxMergeFanIn):
+// the runs (cascaded first when there are more than 64 of them):
 // groups arrive in global key order with their tuples pre-ordered
 // (GroupByOrdered's secondary sort is what lets sessionization and funnel
 // walks consume each group without re-sorting it), joins advance two

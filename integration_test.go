@@ -13,7 +13,6 @@ import (
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
 	"unilog/internal/logmover"
-	"unilog/internal/oink"
 	"unilog/internal/scribe"
 	"unilog/internal/session"
 	"unilog/internal/warehouse"
@@ -23,10 +22,10 @@ import (
 
 var day = time.Date(2012, 8, 21, 0, 0, 0, 0, time.UTC)
 
-// TestPipelineFaultTolerance is experiment E10 and Figure 1 end to end: two
-// datacenters deliver a day of traffic through daemons and aggregators
-// while one aggregator is gracefully restarted mid-run and the staging
-// cluster of the other datacenter suffers a transient outage. The
+// TestPipelineFaultTolerance is §2's delivery guarantee and Figure 1 end to
+// end: two datacenters deliver a day of traffic through daemons and
+// aggregators while one aggregator is gracefully restarted mid-run and the
+// staging cluster of the other datacenter suffers a transient outage. The
 // invariant: every message accepted by a daemon appears in the warehouse
 // exactly once after the hours slide.
 func TestPipelineFaultTolerance(t *testing.T) {
@@ -194,11 +193,13 @@ func TestPipelineFaultTolerance(t *testing.T) {
 	}
 }
 
-// TestOinkDrivesDailyPipeline wires the production workflow of the paper in
-// Oink: hourly log-mover runs gated on the all-datacenter seal barrier,
-// then the daily session-sequence build, then the dashboard, and replays a
-// day against it.
-func TestOinkDrivesDailyPipeline(t *testing.T) {
+// TestDailyPipelineInOrder runs the paper's production workflow (§3) the
+// way cmd/unilog-demo and scenario.Run do, with no scheduler between the
+// steps: every hour is sealed and moved behind the mover's all-datacenters
+// barrier, then the daily session-sequence build and the dashboard are
+// called in order. The mover's audit trail is the execution trace: one
+// record per moved hour, accounting for every event.
+func TestDailyPipelineInOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline run")
 	}
@@ -214,48 +215,6 @@ func TestOinkDrivesDailyPipeline(t *testing.T) {
 	wh := hdfs.New(0)
 	mover := logmover.New(wh, logmover.Source{Datacenter: "dc1", FS: dc.Staging})
 
-	sched := oink.NewScheduler(day)
-	if err := sched.Add(&oink.Job{
-		Name:  "log_mover",
-		Every: time.Hour,
-		Ready: func(p time.Time) bool { return mover.HourSealed(events.Category, p) },
-		Run: func(p time.Time) error {
-			_, err := mover.MoveHour(events.Category, p)
-			if errors.Is(err, logmover.ErrAlreadyMoved) {
-				return nil
-			}
-			return err
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var built bool
-	if err := sched.Add(&oink.Job{
-		Name:      "session_sequences",
-		Every:     24 * time.Hour,
-		DependsOn: []string{"log_mover"},
-		Run: func(p time.Time) error {
-			_, _, _, err := session.BuildDay(wh, p, 3)
-			built = err == nil
-			return err
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var summary *birdbrain.Summary
-	if err := sched.Add(&oink.Job{
-		Name:      "birdbrain",
-		Every:     24 * time.Hour,
-		DependsOn: []string{"session_sequences"},
-		Run: func(p time.Time) error {
-			var err error
-			summary, err = birdbrain.Build(wh, p, 5)
-			return err
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-
 	i := 0
 	for hr := 0; hr < 25; hr++ {
 		hour := day.Add(time.Duration(hr) * time.Hour)
@@ -266,29 +225,52 @@ func TestOinkDrivesDailyPipeline(t *testing.T) {
 		if err := dc.SealHour([]string{events.Category}, hour); err != nil {
 			t.Fatal(err)
 		}
-		sched.AdvanceTo(hour.Add(time.Hour))
-	}
-
-	if !built {
-		t.Fatal("session sequences never built")
-	}
-	if summary == nil || summary.Sessions != truth.Sessions {
-		t.Fatalf("dashboard = %+v, want %d sessions", summary, truth.Sessions)
-	}
-	// Audit traces recorded every execution.
-	succeeded := 0
-	for _, tr := range sched.Traces() {
-		if tr.Status == oink.StatusSucceeded {
-			succeeded++
+		moved, err := mover.MoveAllSealed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range moved {
+			if !rec.Hour.Equal(hour) {
+				t.Fatalf("sealing %v moved %v", hour, rec.Hour)
+			}
 		}
 	}
-	if succeeded < 26 { // 24 hourly movers + sessions + birdbrain
-		t.Fatalf("only %d successful traces", succeeded)
+
+	_, _, stats, err := session.BuildDay(wh, day, 3)
+	if err != nil {
+		t.Fatalf("session sequences never built: %v", err)
+	}
+	if stats.Sessions != truth.Sessions {
+		t.Fatalf("sessions = %d, truth %d", stats.Sessions, truth.Sessions)
+	}
+	summary, err := birdbrain.Build(wh, day, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if summary.Sessions != truth.Sessions {
+		t.Fatalf("dashboard = %+v, want %d sessions", summary, truth.Sessions)
+	}
+
+	audits := mover.Audits()
+	movedHours := make(map[time.Time]bool)
+	var records int64
+	for _, rec := range audits {
+		if rec.Category != events.Category || movedHours[rec.Hour] {
+			t.Fatalf("audit trail: unexpected or repeated record %+v", rec)
+		}
+		movedHours[rec.Hour] = true
+		records += rec.Records
+	}
+	if len(audits) < 24 {
+		t.Fatalf("only %d hours in the audit trail", len(audits))
+	}
+	if records != truth.Events {
+		t.Fatalf("audit trail accounts for %d events, truth %d", records, truth.Events)
 	}
 }
 
 // TestThreeDayProduction replays three days of growing traffic through the
-// Oink-scheduled daily jobs: session sequences, the catalog (with developer
+// daily jobs called in order: session sequences, the catalog (with developer
 // descriptions carrying forward across rebuilds), and the BirdBrain trend
 // that §5.1 uses to "monitor the growth of the service over time".
 func TestThreeDayProduction(t *testing.T) {
@@ -296,41 +278,7 @@ func TestThreeDayProduction(t *testing.T) {
 		t.Skip("multi-day run")
 	}
 	wh := hdfs.New(0)
-	sched := oink.NewScheduler(day)
-
-	var builtDays []time.Time
-	if err := sched.Add(&oink.Job{
-		Name:  "session_sequences",
-		Every: 24 * time.Hour,
-		Ready: func(p time.Time) bool {
-			// Gate on the day's logs being present in the warehouse.
-			return len(dataflow.HourDirs(wh, events.Category, p)) > 0
-		},
-		Run: func(p time.Time) error {
-			_, _, _, err := session.BuildDay(wh, p, 3)
-			if err == nil {
-				builtDays = append(builtDays, p)
-			}
-			return err
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
 	var lastCatalog *catalog.Catalog
-	if err := sched.Add(&oink.Job{
-		Name:      "event_catalog",
-		Every:     24 * time.Hour,
-		DependsOn: []string{"session_sequences"},
-		Run: func(p time.Time) error {
-			c, err := catalog.Rebuild(wh, p, 2)
-			if err == nil {
-				lastCatalog = c
-			}
-			return err
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
 
 	perDay := make([]*workload.Truth, 3)
 	for i := 0; i < 3; i++ {
@@ -353,16 +301,19 @@ func TestThreeDayProduction(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sched.AdvanceTo(d.AddDate(0, 0, 1))
+		_, _, stats, err := session.BuildDay(wh, d, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Sessions != truth.Sessions {
+			t.Fatalf("day %d built %d sessions, truth %d", i, stats.Sessions, truth.Sessions)
+		}
+		if lastCatalog, err = catalog.Rebuild(wh, d, 2); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	if len(builtDays) != 3 {
-		t.Fatalf("built %d days", len(builtDays))
-	}
 	// The description survived the day-2 rebuild.
-	if lastCatalog == nil {
-		t.Fatal("no catalog")
-	}
 	found := false
 	for _, e := range lastCatalog.All() {
 		if e.Description == "documented on day 0" {

@@ -92,7 +92,8 @@ func TestCountMatchesGroundTruth(t *testing.T) {
 }
 
 // TestRawAndSequencePathsAgree: both query paths return identical answers;
-// only their costs differ (E2).
+// only their costs differ (§4.1; the root BenchmarkMapTaskReduction and
+// BenchmarkCTROverSequences report those).
 func TestRawAndSequencePathsAgree(t *testing.T) {
 	c := buildCorpus(t)
 	m, err := MatcherFromPattern("*:profile_click")
@@ -273,7 +274,7 @@ func TestUniqueUsersPerStage(t *testing.T) {
 	}
 }
 
-// TestCTRRecovery is experiment E7: measured CTR matches planted ground
+// TestCTRRecovery is the §5.2 query: measured CTR matches planted ground
 // truth exactly (counts) and approximately (rates vs config).
 func TestCTRRecovery(t *testing.T) {
 	c := buildCorpus(t)
@@ -299,7 +300,7 @@ func TestCTRRecovery(t *testing.T) {
 	}
 }
 
-// TestRollupConservation is experiment E5: every rollup level's counts sum
+// TestRollupConservation is the §3.2 rollup job: every level's counts sum
 // to the total event count, and the example top-level metric matches.
 func TestRollupConservation(t *testing.T) {
 	c := buildCorpus(t)

@@ -7,7 +7,6 @@ import (
 
 	"unilog/internal/dataflow"
 	"unilog/internal/geo"
-	"unilog/internal/users"
 	"unilog/internal/workload"
 )
 
@@ -17,14 +16,12 @@ import (
 // segment impressions must sum to the logged-in total.
 func TestSegmentedCTR(t *testing.T) {
 	c := buildCorpus(t)
-	if err := users.Write(c.fs, c.truth); err != nil {
-		t.Fatal(err)
+	rows := make([]dataflow.Tuple, 0, len(c.truth.UserCountry))
+	for id, country := range c.truth.UserCountry {
+		rows = append(rows, dataflow.Tuple{id, country, c.truth.UserClient[id]})
 	}
-	usersJob := dataflow.NewJob("users", c.fs)
-	usersDS, err := usersJob.Load(users.Dir, users.Format())
-	if err != nil {
-		t.Fatal(err)
-	}
+	usersDS := dataflow.NewDataset(dataflow.NewJob("users", c.fs),
+		dataflow.Schema{"user_id", "country", "primary_client"}, rows)
 	if n, err := usersDS.Count(); err != nil || n != c.truth.UniqueUsers {
 		t.Fatalf("users table has %d rows, %v, want %d", n, err, c.truth.UniqueUsers)
 	}

@@ -84,8 +84,8 @@ func TestEmptyStats(t *testing.T) {
 	}
 }
 
-// TestCollocationRecovery is experiment E9: the planted expand→profile_click
-// pair surfaces at the top of both rankings over real session sequences.
+// TestCollocationRecovery is §5.4: the planted expand→profile_click pair
+// surfaces at the top of both rankings over real session sequences.
 func TestCollocationRecovery(t *testing.T) {
 	day := time.Date(2012, 8, 21, 0, 0, 0, 0, time.UTC)
 	cfg := workload.DefaultConfig(day)

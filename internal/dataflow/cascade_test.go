@@ -9,7 +9,7 @@ import (
 
 // TestCascadeCapsRunFanIn is the acceptance property of the multi-pass
 // merge: under a budget tiny enough to write far more sorted runs than
-// MaxMergeFanIn allows open at once, the reduce side must cascade —
+// the merge fan-in cap allows open at once, the reduce side must cascade —
 // several passes, each bounded by the cap — and still produce the exact
 // relation, rows and order, of the unbudgeted in-memory path.
 func TestCascadeCapsRunFanIn(t *testing.T) {
@@ -28,7 +28,7 @@ func TestCascadeCapsRunFanIn(t *testing.T) {
 	}
 
 	j := spillJob(t, 512)
-	j.MaxMergeFanIn = capFanIn
+	j.maxMergeFanIn = capFanIn
 	sorted, err := NewDataset(j, Schema{"v", "pos"}, tuples).OrderBy("v", true)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestCascadeCapsRunFanIn(t *testing.T) {
 		t.Fatalf("expected a real multi-pass cascade, got %+v", st)
 	}
 	if st.PeakRunFanIn > capFanIn {
-		t.Fatalf("peak fan-in %d exceeds MaxMergeFanIn %d", st.PeakRunFanIn, capFanIn)
+		t.Fatalf("peak fan-in %d exceeds the cap %d", st.PeakRunFanIn, capFanIn)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("cascaded output differs from the in-memory relation")
@@ -117,14 +117,14 @@ func TestCascadeGroupByAggregate(t *testing.T) {
 	want := agg(spillJob(t, 0))
 
 	j := spillJob(t, 512)
-	j.MaxMergeFanIn = 5
+	j.maxMergeFanIn = 5
 	got := agg(j)
 	st := j.Stats()
 	if st.CascadePasses == 0 || st.CascadeRuns == 0 {
 		t.Fatalf("budgeted group-by never cascaded: %+v", st)
 	}
-	if st.PeakRunFanIn > j.MaxMergeFanIn {
-		t.Fatalf("peak fan-in %d exceeds MaxMergeFanIn %d", st.PeakRunFanIn, j.MaxMergeFanIn)
+	if st.PeakRunFanIn > j.maxMergeFanIn {
+		t.Fatalf("peak fan-in %d exceeds the cap %d", st.PeakRunFanIn, j.maxMergeFanIn)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("cascaded aggregates differ from the in-memory relation")

@@ -116,7 +116,7 @@ type Stats struct {
 	MergePasses    int   // streaming merge-reduce passes executed
 	MergeRuns      int   // run cursors (spilled runs + sorted residues) consumed by merges
 	PeakRunFanIn   int   // widest single k-way merge: peak reduce memory is one buffered tuple per run at this width
-	CascadePasses  int   // cascade waves run to bring the run count under Job.MaxMergeFanIn
+	CascadePasses  int   // cascade waves run to bring the run count under the merge fan-in cap
 	CascadeRuns    int   // intermediate wider runs written by cascade passes
 }
 
@@ -139,18 +139,18 @@ type Job struct {
 	MemoryBudget int64
 	// SpillDir is where spill files are created; empty means os.TempDir().
 	SpillDir string
-	// MaxMergeFanIn caps how many run cursors a single streaming merge
-	// holds open at once; <= 0 means DefaultMaxMergeFanIn. When a tiny
-	// MemoryBudget accumulates more sorted runs than the cap, the reduce
-	// side first runs cascaded merge passes — batches of runs merged into
-	// single wider runs staged on disk — until one merge fits, trading
-	// extra sequential I/O for bounded reduce memory, as external sorts
-	// always have.
-	MaxMergeFanIn int
-
 	// Parallelism caps the scan's decode workers; <= 0 (the default) means
 	// runtime.GOMAXPROCS(0). Output is byte-identical at any setting.
 	Parallelism int
+
+	// maxMergeFanIn caps how many run cursors a single streaming merge
+	// holds open at once; 0 means defaultMaxMergeFanIn, and only tests set
+	// anything else. When a tiny MemoryBudget accumulates more sorted runs
+	// than the cap, the reduce side first runs cascaded merge passes —
+	// batches of runs merged into single wider runs staged on disk — until
+	// one merge fits, trading extra sequential I/O for bounded reduce
+	// memory, as external sorts always have.
+	maxMergeFanIn int
 
 	stats jobStats
 }
@@ -316,9 +316,8 @@ type Split struct {
 }
 
 // InputFormat decodes splits into tuples. Implementations exist for client
-// events, session sequences, legacy logs, and Elephant Twin's index-pruned
-// loading (the paper's §6 "integrates with Hadoop at the level of
-// InputFormats").
+// events as row files, session sequences, legacy logs, and client events as
+// column chunks (columnar.EventsFormat, a PushdownFormat as well).
 type InputFormat interface {
 	// Schema describes the tuples this format produces.
 	Schema() Schema

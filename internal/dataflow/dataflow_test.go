@@ -285,8 +285,10 @@ func TestFlatMap(t *testing.T) {
 	}
 }
 
-// TestMapTaskReduction measures the E4 effect: loading session sequences
-// spawns far fewer map tasks and reads far fewer bytes than the raw logs.
+// TestMapTaskReduction measures the §4.1 effect (the root
+// BenchmarkMapTaskReduction reports it at day scale): loading session
+// sequences spawns far fewer map tasks and reads far fewer bytes than the
+// raw logs.
 func TestMapTaskReduction(t *testing.T) {
 	fs := hdfs.New(0)
 	populate(t, fs)

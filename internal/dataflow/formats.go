@@ -11,8 +11,8 @@ import (
 	"unilog/internal/warehouse"
 )
 
-// walkSplits lists every data file under dir as one split, skipping seal
-// markers and index files that live beside the data.
+// walkSplits lists every data file under dir as one split, skipping the
+// seal markers and column chunks that live beside the data.
 func walkSplits(fs *hdfs.FS, dir string) ([]Split, error) {
 	infos, err := fs.Walk(dir)
 	if err != nil {

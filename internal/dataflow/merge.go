@@ -99,14 +99,13 @@ func (c *memRun) key() []byte  { return c.st.key(&c.st.mem[c.i]) }
 func (c *memRun) seq() uint64  { return c.st.mem[c.i].seq }
 func (c *memRun) tuple() Tuple { return c.st.mem[c.i].t }
 
-// DefaultMaxMergeFanIn is the run-cursor cap of a single streaming merge
-// when Job.MaxMergeFanIn is unset.
-const DefaultMaxMergeFanIn = 64
+// defaultMaxMergeFanIn is the run-cursor cap of a single streaming merge.
+const defaultMaxMergeFanIn = 64
 
 // mergeAll opens one streaming merge over every run on disk plus the
 // in-memory residue, yielding the global (key, order, sequence) order
 // directly — there is no output re-sort. If the accumulated run count
-// exceeds Job.MaxMergeFanIn, cascade first folds batches of runs into
+// exceeds the merge fan-in cap, cascade first folds batches of runs into
 // wider ones until the final merge fits the cap. The caller owns Close;
 // the table can be merged repeatedly until it is closed.
 func (st *spillTable) mergeAll() (*mergeIter, error) {
@@ -141,9 +140,9 @@ func (st *spillTable) chargeMergeFanIn(fanIn int) {
 // fanInCap resolves the job's merge fan-in cap (minimum 2 — a 1-way
 // "merge" could never make progress reducing the run count).
 func (st *spillTable) fanInCap() int {
-	c := st.job.MaxMergeFanIn
+	c := st.job.maxMergeFanIn
 	if c <= 0 {
-		c = DefaultMaxMergeFanIn
+		c = defaultMaxMergeFanIn
 	}
 	if c < 2 {
 		c = 2

@@ -17,7 +17,7 @@ func parJob(t *testing.T, budget int64, par, fanIn int) *Job {
 	t.Helper()
 	j := spillJob(t, budget)
 	j.Parallelism = par
-	j.MaxMergeFanIn = fanIn
+	j.maxMergeFanIn = fanIn
 	return j
 }
 

@@ -173,9 +173,6 @@ func (g *Grammar) CompressedSymbols() int {
 	return n
 }
 
-// OriginalSymbols counts the corpus size before induction.
-func (g *Grammar) OriginalSymbols() int { return g.terminals }
-
 // CompressionRatio is original/compressed symbol count: how much
 // hierarchical structure the grammar explains.
 func (g *Grammar) CompressionRatio() float64 {

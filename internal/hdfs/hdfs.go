@@ -95,9 +95,6 @@ func New(blockSize int) *FS {
 	return fs
 }
 
-// BlockSize returns the filesystem's block size in bytes.
-func (fs *FS) BlockSize() int { return fs.blockSize }
-
 // SetAvailable injects or clears an outage. While unavailable every
 // operation fails with ErrUnavailable.
 func (fs *FS) SetAvailable(up bool) { fs.down.Store(!up) }
@@ -257,9 +254,6 @@ func (w *FileWriter) Close() error {
 	w.fs.addStats(Stats{BytesWritten: int64(len(w.buf)), FilesCreated: 1})
 	return nil
 }
-
-// Abort discards the pending file.
-func (w *FileWriter) Abort() { w.closed = true; w.buf = nil }
 
 // Path returns the destination path of the writer.
 func (w *FileWriter) Path() string { return w.path }

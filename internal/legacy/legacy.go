@@ -1,6 +1,8 @@
 // Package legacy reproduces the paper's *first-generation* logging — the
 // application-specific formats of §3.1 that the unified client events
-// replaced — so experiments can measure what unification buys.
+// replaced. It is the "before" of the paper's headline comparison and is
+// reached by nothing on the pipeline: the root TestSessionReconstructionCosts
+// (§3.1/§4.1) is what holds it in the repository.
 //
 // Three deliberately inconsistent categories are modelled, each with the
 // pathologies the paper complains about:
@@ -9,14 +11,15 @@
 //     sessionCookie) and an ISO-8601 string timestamp;
 //   - api_server: tab-delimited text with snake_case names (uid, sess) and a
 //     seconds-resolution unix timestamp;
-//   - search_service: a Thrift struct with user_id in millis — and *no
-//     session id at all*, so sessions must be inferred by user id and time
-//     proximity ("no consistent way across all applications to easily
+//   - search_service: a Thrift struct with a millisecond timestamp — and
+//     *no session id at all*, so sessions must be inferred by user id and
+//     time proximity ("no consistent way across all applications to easily
 //     reconstruct the session, except based on timestamps and the user id").
 //
 // ReconstructSessions performs the join-based analysis those formats force
-// on the data scientist; its cost is compared against the unified group-by
-// and the materialized session sequences in experiment E3.
+// on the data scientist; TestSessionReconstructionCosts and the root
+// BenchmarkSessionReconstruction* compare its job stats against the unified
+// group-by and the materialized session sequences (§3.1, §4.1).
 package legacy
 
 import (
@@ -182,7 +185,7 @@ func FromClientEvent(e *events.ClientEvent) (category string, record []byte) {
 	switch {
 	case e.Name.Page == "search":
 		se := &SearchEvent{UserID: e.UserID, Action: e.Name.Action, IP: e.IP, Millis: e.Timestamp}
-		return CategorySearch, thrift.EncodeBinary(se)
+		return CategorySearch, thrift.EncodeCompact(se)
 	case e.Name.Client != "web":
 		return CategoryAPI, EncodeAPIServer(e.UserID, e.SessionID, e.Name.Page+"/"+e.Name.Action, e.IP, at)
 	default:
@@ -227,7 +230,7 @@ func Formats() map[string]dataflow.RawRecordFormat {
 			Columns: normalizedSchema,
 			Decode: func(rec []byte) dataflow.Tuple {
 				var e SearchEvent
-				if err := thrift.DecodeBinary(rec, &e); err != nil {
+				if err := thrift.DecodeCompact(rec, &e); err != nil {
 					return nil
 				}
 				// No session id was logged; sessions will be inferred from
@@ -241,16 +244,16 @@ func Formats() map[string]dataflow.RawRecordFormat {
 // ReconstructSessions performs the pre-unification session analysis of
 // §3.1: load all three categories with three different parsers, union them,
 // group by user id, order by timestamp, and split on 30-minute gaps. It
-// returns the number of sessions found. Compare its job stats with the
-// unified and materialized variants (experiment E3).
+// returns the number of sessions found. TestSessionReconstructionCosts
+// compares its job stats with the unified and materialized variants.
 func ReconstructSessions(j *dataflow.Job, dirsByCategory map[string][]string, gap time.Duration) (int64, error) {
 	formats := Formats()
 	// Only user_id and timestamp_ms survive into the group-by. The
 	// selection goes through LoadDirsSelective, but RawRecordFormat is not
 	// pushdown-aware — the planner falls through and applies the projection
 	// row-side, after each category's custom parser has paid full decode.
-	// That asymmetry against the columnar client-events path is the point
-	// of experiment E3's comparison.
+	// That asymmetry against the columnar client-events path is part of
+	// what the §3.1 comparison measures.
 	sel := dataflow.Selection{Columns: []string{"user_id", "timestamp_ms"}}
 	var parts []*dataflow.Dataset
 	for _, cat := range Categories {

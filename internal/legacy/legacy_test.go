@@ -55,7 +55,7 @@ func TestAPIServerRoundTrip(t *testing.T) {
 func TestSearchEventRoundTrip(t *testing.T) {
 	in := &SearchEvent{UserID: 9, Action: "click", IP: "12.0.0.1", Millis: day.UnixMilli()}
 	var out SearchEvent
-	if err := thrift.DecodeBinary(thrift.EncodeBinary(in), &out); err != nil {
+	if err := thrift.DecodeCompact(thrift.EncodeCompact(in), &out); err != nil {
 		t.Fatal(err)
 	}
 	if out != *in {

@@ -82,7 +82,7 @@ func TestRandomSequenceHasNoTemporalSignal(t *testing.T) {
 	}
 }
 
-// TestPerplexityDecreasesOnSessions is experiment E8: real session
+// TestPerplexityDecreasesOnSessions is the §5.4 claim: real session
 // sequences have temporal structure, so perplexity decreases with model
 // order — "how the user behaves right now is strongly influenced by
 // immediately preceding actions" (§5.4).

@@ -6,8 +6,8 @@ import (
 	"math"
 )
 
-// Compact-protocol wire type nibbles. They differ from the binary protocol's
-// type IDs; booleans in field headers carry their value in the type nibble.
+// Compact-protocol wire type nibbles. They differ from the Type IDs;
+// booleans in field headers carry their value in the type nibble.
 const (
 	ctStop        = 0x00
 	ctBoolTrue    = 0x01

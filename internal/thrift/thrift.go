@@ -1,19 +1,14 @@
-// Package thrift implements the Apache Thrift binary and compact wire
-// protocols from scratch, sufficient for the "client events" log format and
-// its schema evolution guarantees (unknown fields are skipped on decode).
+// Package thrift implements the Apache Thrift compact wire protocol from
+// scratch, sufficient for the "client events" log format and its schema
+// evolution guarantees (unknown fields are skipped on decode).
 //
 // The paper serializes every log message as a Thrift struct (§3); this
-// package is the substrate that plays Thrift's role. Two protocols are
-// provided:
-//
-//   - the binary protocol: fixed-width big-endian integers, simple and fast;
-//   - the compact protocol: zigzag varints and field-id delta encoding,
-//     trading CPU for smaller messages.
+// package is the substrate that plays Thrift's role. One protocol is
+// provided, the compact one: zigzag varints and field-id delta encoding.
 //
 // Encoders append to an internal buffer and never fail; decoders consume a
 // byte slice and return errors for malformed or truncated input. A type that
-// implements Struct can be round-tripped through either protocol with
-// EncodeBinary/DecodeBinary and EncodeCompact/DecodeCompact.
+// implements Struct is round-tripped with EncodeCompact/DecodeCompact.
 package thrift
 
 import (
@@ -21,11 +16,11 @@ import (
 	"fmt"
 )
 
-// Type identifies a Thrift wire type. The values match the Apache Thrift
-// binary protocol type IDs.
+// Type identifies a Thrift wire type. The values are Apache Thrift's
+// protocol-independent type IDs.
 type Type byte
 
-// Wire types supported by both protocols.
+// Wire types.
 const (
 	STOP   Type = 0
 	BOOL   Type = 2
@@ -145,20 +140,6 @@ type Decoder interface {
 type Struct interface {
 	Encode(e Encoder)
 	Decode(d Decoder) error
-}
-
-// EncodeBinary serializes s with the binary protocol.
-func EncodeBinary(s Struct) []byte {
-	e := NewBinaryEncoder()
-	s.Encode(e)
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
-}
-
-// DecodeBinary deserializes data into s with the binary protocol.
-func DecodeBinary(data []byte, s Struct) error {
-	return s.Decode(NewBinaryDecoder(data))
 }
 
 // EncodeCompact serializes s with the compact protocol.

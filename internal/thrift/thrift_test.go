@@ -1,6 +1,7 @@
 package thrift
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -143,27 +144,14 @@ func sample() *testStruct {
 	}
 }
 
-func roundTrip(t *testing.T, enc func(Struct) []byte, dec func([]byte, Struct) error) {
-	t.Helper()
+func TestCompactRoundTrip(t *testing.T) {
 	in := sample()
-	data := enc(in)
 	var out testStruct
-	if err := dec(data, &out); err != nil {
+	if err := DecodeCompact(EncodeCompact(in), &out); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if !reflect.DeepEqual(in, &out) {
 		t.Fatalf("round trip mismatch:\n in=%+v\nout=%+v", in, &out)
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T)  { roundTrip(t, EncodeBinary, DecodeBinary) }
-func TestCompactRoundTrip(t *testing.T) { roundTrip(t, EncodeCompact, DecodeCompact) }
-
-func TestCompactSmallerThanBinary(t *testing.T) {
-	s := sample()
-	b, c := EncodeBinary(s), EncodeCompact(s)
-	if len(c) >= len(b) {
-		t.Fatalf("compact (%d bytes) not smaller than binary (%d bytes)", len(c), len(b))
 	}
 }
 
@@ -211,21 +199,12 @@ func TestSchemaEvolution(t *testing.T) {
 		ExtraList:  []int64{1, 2, 3},
 		ExtraSub:   &testStruct{S: "deep", M: map[string]int64{}},
 	}
-	for name, codec := range map[string]struct {
-		enc func(Struct) []byte
-		dec func([]byte, Struct) error
-	}{
-		"binary":  {EncodeBinary, DecodeBinary},
-		"compact": {EncodeCompact, DecodeCompact},
-	} {
-		data := codec.enc(v2)
-		var v1 testStruct
-		if err := codec.dec(data, &v1); err != nil {
-			t.Fatalf("%s: v1 reader failed on v2 message: %v", name, err)
-		}
-		if !v1.B || v1.S != "hello" || v1.I64 != 99 {
-			t.Fatalf("%s: v1 fields corrupted: %+v", name, v1)
-		}
+	var v1 testStruct
+	if err := DecodeCompact(EncodeCompact(v2), &v1); err != nil {
+		t.Fatalf("v1 reader failed on v2 message: %v", err)
+	}
+	if !v1.B || v1.S != "hello" || v1.I64 != 99 {
+		t.Fatalf("v1 fields corrupted: %+v", v1)
 	}
 }
 
@@ -259,7 +238,7 @@ func TestZigZagProperty(t *testing.T) {
 	}
 }
 
-// TestRoundTripProperty fuzzes struct contents through both protocols.
+// TestRoundTripProperty fuzzes struct contents through the protocol.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(b bool, i8 int8, i16 int16, i32 int32, i64 int64, fl float64, s string, bin []byte, l []string) bool {
 		if math.IsNaN(fl) {
@@ -272,14 +251,11 @@ func TestRoundTripProperty(t *testing.T) {
 			l = []string{}
 		}
 		in := &testStruct{B: b, I8: i8, I16: i16, I32: i32, I64: i64, F: fl, S: s, Bin: bin, L: l, M: map[string]int64{}}
-		var outB, outC testStruct
-		if err := DecodeBinary(EncodeBinary(in), &outB); err != nil {
+		var out testStruct
+		if err := DecodeCompact(EncodeCompact(in), &out); err != nil {
 			return false
 		}
-		if err := DecodeCompact(EncodeCompact(in), &outC); err != nil {
-			return false
-		}
-		return reflect.DeepEqual(in, &outB) && reflect.DeepEqual(in, &outC)
+		return reflect.DeepEqual(in, &out)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -287,52 +263,47 @@ func TestRoundTripProperty(t *testing.T) {
 }
 
 func TestTruncatedInput(t *testing.T) {
-	data := EncodeBinary(sample())
+	// A strict prefix lacks the STOP byte, so every cut must fail.
+	data := EncodeCompact(sample())
 	for cut := 0; cut < len(data); cut += 7 {
 		var out testStruct
-		if err := DecodeBinary(data[:cut], &out); err == nil {
-			// Truncation at a field boundary after all required data may
-			// decode only if a STOP byte happens to align; reaching here
-			// without error on a strict prefix that lacks STOP is a bug.
-			if cut < len(data)-1 {
-				t.Fatalf("no error decoding %d/%d byte prefix", cut, len(data))
-			}
-		}
-	}
-	dataC := EncodeCompact(sample())
-	for cut := 0; cut < len(dataC); cut += 7 {
-		var out testStruct
-		if err := DecodeCompact(dataC[:cut], &out); err == nil && cut < len(dataC)-1 {
-			t.Fatalf("compact: no error decoding %d/%d byte prefix", cut, len(dataC))
+		if err := DecodeCompact(data[:cut], &out); err == nil && cut < len(data)-1 {
+			t.Fatalf("no error decoding %d/%d byte prefix", cut, len(data))
 		}
 	}
 }
 
 func TestMaliciousSizes(t *testing.T) {
-	// A declared list of 2^31-1 strings in 6 bytes of input must not OOM.
-	e := NewBinaryEncoder()
+	// A declared list of 2^31-1 strings in 8 bytes of input must not OOM.
+	e := NewCompactEncoder()
+	e.WriteStructBegin()
 	e.WriteFieldBegin(LIST, 10)
 	e.WriteListBegin(STRING, math.MaxInt32)
-	data := append([]byte{}, e.Bytes()...)
-	data = append(data, byte(STOP))
+	e.WriteFieldStop()
+	e.WriteStructEnd()
 	var out testStruct
-	if err := DecodeBinary(data, &out); err == nil {
-		t.Fatal("expected size-limit error for absurd list size")
+	if err := DecodeCompact(e.Bytes(), &out); !errors.Is(err, ErrSizeLimit) {
+		t.Fatalf("absurd list size: err = %v, want ErrSizeLimit", err)
 	}
 }
 
 func TestSkipDepthLimit(t *testing.T) {
 	// 100 nested structs exceeds maxSkipDepth when skipped as unknown.
-	e := NewBinaryEncoder()
+	e := NewCompactEncoder()
+	e.WriteStructBegin()
 	for i := 0; i < 100; i++ {
 		e.WriteFieldBegin(STRUCT, 30)
+		e.WriteStructBegin()
 	}
 	for i := 0; i < 100; i++ {
 		e.WriteFieldStop()
+		e.WriteStructEnd()
 	}
+	e.WriteFieldStop()
+	e.WriteStructEnd()
 	var out testStruct
-	if err := DecodeBinary(e.Bytes(), &out); err == nil {
-		t.Fatal("expected depth-limit error")
+	if err := DecodeCompact(e.Bytes(), &out); !errors.Is(err, ErrDepthLimit) {
+		t.Fatalf("100 nested structs: err = %v, want ErrDepthLimit", err)
 	}
 }
 
@@ -351,8 +322,7 @@ func TestEncoderReset(t *testing.T) {
 }
 
 func TestRemaining(t *testing.T) {
-	data := EncodeBinary(sample())
-	d := NewBinaryDecoder(data)
+	d := NewCompactDecoder(EncodeCompact(sample()))
 	var out testStruct
 	if err := out.Decode(d); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,10 @@
 // and the staging clusters as the paper describes them (§2): logs arrive in
 // per-category, per-hour directories, /logs/category/YYYY/MM/DD/HH/, with
 // messages bundled into a small number of large gzipped record files.
+// Every file in an hour directory is such a record file unless its name
+// starts with an underscore (seal markers, column chunks): there is no
+// other kind of sidecar, so a scan that meets anything else fails with
+// recordio.ErrCorrupt and the file's path rather than skipping it.
 //
 // It also provides a direct Writer/Scanner pair over that layout. The full
 // delivery path (daemon → aggregator → staging → log mover) produces the
@@ -10,6 +14,7 @@
 package warehouse
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -171,6 +176,9 @@ func ScanHour(fs *hdfs.FS, category string, hour time.Time, fn func(*events.Clie
 			}
 			return fn(&e)
 		})
+		if errors.Is(err, recordio.ErrCorrupt) {
+			return fmt.Errorf("warehouse: %s: %w", fi.Path, err)
+		}
 		if err != nil {
 			return err
 		}
@@ -201,17 +209,15 @@ func DictionaryDir(t time.Time) string {
 }
 
 // IsAuxiliary reports whether a path names a non-data file living beside
-// log data: seal markers (leading underscore) and Elephant Twin indexes
-// (.idx event-name indexes, .tidx full-text indexes). Scanners and loaders
-// skip these.
+// log data: seal markers and column chunks, all of which carry a leading
+// underscore. Scanners and loaders skip these; every other file in a log
+// directory is read as data.
 func IsAuxiliary(path string) bool {
 	base := path
 	if i := strings.LastIndexByte(path, '/'); i >= 0 {
 		base = path[i+1:]
 	}
-	return strings.HasPrefix(base, "_") ||
-		strings.HasSuffix(base, ".idx") ||
-		strings.HasSuffix(base, ".tidx")
+	return strings.HasPrefix(base, "_")
 }
 
 // DataSize sums the sizes of data files (excluding auxiliaries) under dir.

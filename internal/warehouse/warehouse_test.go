@@ -1,13 +1,16 @@
 package warehouse
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
+	"unilog/internal/recordio"
 )
 
 var t14 = time.Date(2012, 8, 21, 14, 30, 0, 0, time.UTC)
@@ -44,7 +47,7 @@ func TestHourPathUsesUTC(t *testing.T) {
 func TestIsAuxiliary(t *testing.T) {
 	cases := map[string]bool{
 		"/logs/ce/2012/08/21/14/part-00000.gz":     false,
-		"/logs/ce/2012/08/21/14/part-00000.gz.idx": true,
+		"/logs/ce/2012/08/21/14/part-00000.gz.idx": false,
 		"/staging/ce/2012/08/21/14/_SEALED":        true,
 		"/logs/ce/_tmp":                            true,
 		"part-1.gz":                                false,
@@ -138,12 +141,36 @@ func TestScanDaySkipsMissingHours(t *testing.T) {
 	}
 }
 
+// TestStrayFileIsReadAsData: only a leading underscore hides a file from
+// scanners. Anything else in an hour directory is data, so a file that is
+// not a gzipped record stream fails the scan with the typed error and its
+// path instead of being skipped.
+func TestStrayFileIsReadAsData(t *testing.T) {
+	fs := hdfs.New(0)
+	day := time.Date(2012, 8, 21, 0, 0, 0, 0, time.UTC)
+	w := NewWriter(fs, "ce")
+	if err := w.Append(mkEvent(1, day.Add(time.Hour))); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stray := HourDir("ce", day.Add(time.Hour)) + "/part-00000.gz.idx"
+	if err := fs.WriteFile(stray, []byte("not a record file")); err != nil {
+		t.Fatal(err)
+	}
+	err := ScanDay(fs, "ce", day, func(*events.ClientEvent) error { return nil })
+	if !errors.Is(err, recordio.ErrCorrupt) || !strings.Contains(err.Error(), stray) {
+		t.Fatalf("err = %v, want recordio.ErrCorrupt naming %s", err, stray)
+	}
+}
+
 func TestDataSizeExcludesAuxiliary(t *testing.T) {
 	fs := hdfs.New(0)
 	if err := fs.WriteFile("/logs/ce/part-0.gz", make([]byte, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.WriteFile("/logs/ce/part-0.gz.idx", make([]byte, 999)); err != nil {
+	if err := fs.WriteFile("/logs/ce/_col-000000.name", make([]byte, 999)); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.WriteFile("/logs/ce/_SEALED", make([]byte, 5)); err != nil {

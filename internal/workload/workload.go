@@ -9,13 +9,14 @@
 //     what makes the frequency-ordered dictionary effective);
 //   - each engagement feature (who-to-follow, search results, trends,
 //     discover stories) has a configured click-through and follow-through
-//     rate, recovered in experiment E7;
+//     rate, recovered by analytics.TestCTRRecovery (§5.2);
 //   - signup sessions walk a five-stage funnel with configured per-stage
-//     continuation probabilities, recovered in experiment E6;
+//     continuation probabilities, recovered by
+//     analytics.TestFunnelRecoversPlantedDropoff (§5.3);
 //   - page navigation is Markovian, so n-gram models find real temporal
-//     signal (experiment E8);
+//     signal (§5.4, ngram.TestPerplexityDecreasesOnSessions);
 //   - one event pair ("tweet expand" → "profile click") is planted as a
-//     strong collocation (experiment E9);
+//     strong collocation (§5.4, colloc.TestCollocationRecovery);
 //   - sessions per client and country, logged-in/out mix, and exact session
 //     boundaries (>30-minute gaps) are all recorded in the returned Truth.
 //
@@ -226,7 +227,8 @@ func FeatureFollowName(client, feature string) string {
 }
 
 // Markov page-navigation transition table: page → candidate next pages.
-// The structure gives bigram models real predictive power (E8).
+// The structure gives bigram models real predictive power (§5.4,
+// ngram.TestPerplexityDecreasesOnSessions).
 var pageTransitions = map[string][]weighted{
 	"home":     {{"home", 40}, {"search", 15}, {"profile", 15}, {"discover", 20}, {"connect", 10}},
 	"search":   {{"search", 30}, {"home", 40}, {"profile", 20}, {"discover", 10}},
