@@ -31,9 +31,15 @@
 // The §2 transport compresses each event once. Daemons batch messages to
 // the aggregators ZooKeeper names; an aggregator frames each category's
 // messages as length-prefixed records (internal/recordio) and gzips them
-// on the fly into staging files. When every datacenter has sealed an
-// hour, the log mover (internal/logmover) inflates each staging file end
-// to end as its sanity check — gzip verifies every member's CRC-32 and
+// on the fly into staging files. recordio.GzipWriter is block-buffered:
+// frames gather in a 32 KiB block and the compressor — drawn from a pool
+// and handed back by Close — is called once per block, not once per
+// record, which moves no byte of the output (deflate does not care how its
+// input was cut; the package's identity test holds it to compress/gzip fed
+// the same frames at once) but means appended data is only certain to have
+// reached the destination once Close returns. When every datacenter has
+// sealed an hour, the log mover (internal/logmover) inflates each staging
+// file end to end as its sanity check — gzip verifies every member's CRC-32 and
 // length, and every record frame is walked to a clean boundary — and then
 // appends the file's compressed bytes, as they are, to a merged warehouse
 // part: a gzip file is a concatenation of gzip members and every reader
@@ -78,9 +84,9 @@
 // counts shuffle.
 //
 // Sealed warehouse hours additionally carry a columnar encoding
-// (internal/columnar seals and scans it; the layout, encoders and typed
-// reader are the leaf package internal/chunk, below dataflow, so the
-// daily session job can read chunks too): SealHour re-encodes each
+// (internal/columnar seals and scans it; the layout, its one encoder and
+// the typed reader are the leaf package internal/chunk, below dataflow, so
+// the daily session job can read chunks too): SealHour re-encodes each
 // client-events hour into fixed-size row-count chunks, one CRC-framed
 // file per column —
 // dictionary + varint IDs for the low-cardinality strings (name,
@@ -91,7 +97,18 @@
 // chunk. Only the marker makes an hour columnar: a seal that dies
 // mid-hour leaves its partial chunks invisible (scans keep using the
 // row files) and the next seal cleans them up and retries, so a torn
-// seal can never silently drop rows. The chunk files are auxiliary
+// seal can never silently drop rows. The seal builds chunks from the wire:
+// warehouse.ScanHourRecords hands it the raw records of the hour's row
+// files and chunk.Builder.AddRecord walks each one without allocating
+// (events.Header.DecodePairs: the strings and details pairs stay slices of
+// the record) and appends the row straight to its column accumulators —
+// varints as they arrive, one map probe per dictionary column, details pairs insertion-
+// sorted with a repeated key keeping its last value, a name validated once
+// per distinct value per chunk — so no ClientEvent is built to be taken
+// apart again (TestSealAllocatesPerChunkNotPerEvent; BenchmarkSealHour
+// reports ns and allocs per event), and TestSealedBytesPinned holds the
+// bytes to what the event-by-event encoder wrote. The chunk files are
+// auxiliary
 // (underscore-prefixed): row files stay authoritative and row scanners
 // never see them, so sealed and unsealed hours coexist in one day. Queries opt in through
 // dataflow.Selection — a declarative (columns, name pattern, time

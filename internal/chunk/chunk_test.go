@@ -14,6 +14,7 @@ import (
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
 	"unilog/internal/recordio"
+	"unilog/internal/thrift"
 )
 
 const testDir = "/logs/client_events/2012/08/21/00"
@@ -48,10 +49,23 @@ func testEvents(n int) []*events.ClientEvent {
 	return evs
 }
 
+// addEvents is how tests reach the builder: each event marshalled and added
+// as the record a row file would hold.
+func addEvents(t testing.TB, b *Builder, evs []*events.ClientEvent) {
+	t.Helper()
+	for i, e := range evs {
+		if err := b.AddRecord(e.Marshal()); err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+	}
+}
+
 func writeTestChunk(t testing.TB, evs []*events.ClientEvent) *hdfs.FS {
 	t.Helper()
 	fs := hdfs.New(0)
-	if err := Write(fs, testDir, 0, evs); err != nil {
+	var b Builder
+	addEvents(t, &b, evs)
+	if err := b.Flush(fs, testDir, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteSealed(fs, testDir, 1); err != nil {
@@ -60,7 +74,7 @@ func writeTestChunk(t testing.TB, evs []*events.ClientEvent) *hdfs.FS {
 	return fs
 }
 
-// TestRoundTrip: what Write seals, Load reads back — every row as the
+// TestRoundTrip: what the Builder seals, Load reads back — every row as the
 // event it was, the zone map as the chunk's true ranges, and the dictionary
 // columns under the ID-vector contract (sorted distinct values, one
 // in-range ID per row).
@@ -113,6 +127,154 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if m.MinName != cc.Name.Dict[0] || m.MaxName != cc.Name.Dict[len(cc.Name.Dict)-1] {
 		t.Fatalf("zone map names [%s, %s], dictionary [%s, %s]", m.MinName, m.MaxName, cc.Name.Dict[0], cc.Name.Dict[len(cc.Name.Dict)-1])
+	}
+}
+
+// wireMessage encodes a client event by hand, so a test can put on the wire
+// what Marshal never writes: no name field, or a details map with a key
+// twice. Field ids are the wire contract's.
+func wireMessage(name *string, ts int64, details ...[2]string) []byte {
+	enc := thrift.NewCompactEncoder()
+	enc.WriteStructBegin()
+	if name != nil {
+		enc.WriteFieldBegin(thrift.STRING, 2)
+		enc.WriteString(*name)
+	}
+	enc.WriteFieldBegin(thrift.STRING, 4)
+	enc.WriteString("s1")
+	enc.WriteFieldBegin(thrift.I64, 6)
+	enc.WriteI64(ts)
+	if len(details) > 0 {
+		enc.WriteFieldBegin(thrift.MAP, 7)
+		enc.WriteMapBegin(thrift.STRING, thrift.STRING, len(details))
+		for _, kv := range details {
+			enc.WriteString(kv[0])
+			enc.WriteString(kv[1])
+		}
+	}
+	enc.WriteFieldStop()
+	enc.WriteStructEnd()
+	return append([]byte(nil), enc.Bytes()...)
+}
+
+// flushed flushes b as chunk 0 of a fresh file system and returns every
+// file it wrote.
+func flushed(t testing.TB, b *Builder) map[string]string {
+	t.Helper()
+	fs := hdfs.New(0)
+	if err := b.Flush(fs, testDir, 0); err != nil {
+		t.Fatal(err)
+	}
+	if b.Rows() != 0 {
+		t.Fatalf("builder holds %d rows after Flush", b.Rows())
+	}
+	infos, err := fs.Walk(testDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string)
+	for _, fi := range infos {
+		data, err := fs.ReadFile(fi.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[fi.Path] = string(data)
+	}
+	if len(files) != len(ColumnNames)+1 {
+		t.Fatalf("Flush wrote %d files, want %d", len(files), len(ColumnNames)+1)
+	}
+	return files
+}
+
+// TestBuilderDetailsFromTheWire: pairs arrive in wire order with repeats,
+// and seal as the map Decode makes of them — keys sorted, a repeated key
+// keeping its last value — byte for byte what the deduplicated message seals
+// as.
+func TestBuilderDetailsFromTheWire(t *testing.T) {
+	name := "web:home:timeline:stream:tweet:impression"
+	var wire, clean Builder
+	if err := wire.AddRecord(wireMessage(&name, 5, [2]string{"rank", "first"}, [2]string{"lang", "en"},
+		[2]string{"rank", "second"}, [2]string{"a", ""}, [2]string{"rank", "last"})); err != nil {
+		t.Fatal(err)
+	}
+	if err := clean.AddRecord(wireMessage(&name, 5, [2]string{"a", ""}, [2]string{"lang", "en"}, [2]string{"rank", "last"})); err != nil {
+		t.Fatal(err)
+	}
+	got := flushed(t, &wire)
+	if want := flushed(t, &clean); !reflect.DeepEqual(got, want) {
+		t.Fatal("a details map with a repeated key seals to other bytes than its last-wins meaning")
+	}
+	col, err := decodeDetails("details", []byte(got[Base(testDir, 0)+".details"]), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]string{"a": "", "lang": "en", "rank": "last"}; !reflect.DeepEqual(col.At(0), want) {
+		t.Fatalf("details = %v, want %v", col.At(0), want)
+	}
+}
+
+// TestBuilderNames: a message without the name field seals as the zero
+// name, unvalidated, as decoding it always allowed; every name that is on
+// the wire is held to ParseName, the zero name's rendering included, and a
+// row that fails is not added — the rows before it flush to the bytes they
+// would have without it, and the builder goes on accepting.
+func TestBuilderNames(t *testing.T) {
+	good := "web:home:timeline:stream:tweet:impression"
+	var b, want Builder
+	for _, dst := range []*Builder{&b, &want} {
+		if err := dst.AddRecord(wireMessage(nil, 1)); err != nil {
+			t.Fatalf("message without a name: %v", err)
+		}
+		if err := dst.AddRecord(wireMessage(&good, 2, [2]string{"k", "v"})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, bad := range []string{"", zeroName, "Web:home:timeline:stream:tweet:impression", "web:home"} {
+		if err := b.AddRecord(wireMessage(&bad, 3, [2]string{"never", "sealed"})); err == nil {
+			t.Fatalf("name %q was accepted", bad)
+		}
+		if b.Rows() != 2 {
+			t.Fatalf("a failed Add left %d rows, want 2", b.Rows())
+		}
+	}
+	for _, dst := range []*Builder{&b, &want} {
+		if err := dst.AddRecord(wireMessage(&good, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := flushed(t, &b)
+	if !reflect.DeepEqual(got, flushed(t, &want)) {
+		t.Fatal("failed Adds changed the bytes of the rows around them")
+	}
+	names, err := decodeDict("name", []byte(got[Base(testDir, 0)+".name"]), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names.At(0) != zeroName || names.At(1) != good {
+		t.Fatalf("names = %q, %q", names.At(0), names.At(1))
+	}
+	m, err := decodeMeta("meta", []byte(got[MetaPath(testDir, 0)]))
+	if err != nil || m.MinName != zeroName || m.MaxName != good || m.MinTs != 1 || m.MaxTs != 4 {
+		t.Fatalf("meta = %+v, %v", m, err)
+	}
+}
+
+// TestBuilderReuse: a builder that has flushed writes its next chunk to the
+// bytes a fresh one does — no dictionary entry, timestamp base or zone-map
+// bound survives Flush.
+func TestBuilderReuse(t *testing.T) {
+	evs := testEvents(200)
+	var reused, fresh Builder
+	addEvents(t, &reused, evs[:120])
+	flushed(t, &reused)
+	addEvents(t, &reused, evs[120:])
+	addEvents(t, &fresh, evs[120:])
+	if !reflect.DeepEqual(flushed(t, &reused), flushed(t, &fresh)) {
+		t.Fatal("a reused builder and a fresh one seal the same rows to different bytes")
+	}
+	fs := hdfs.New(0)
+	if err := reused.Flush(fs, testDir, 1); err != nil || fs.Exists(MetaPath(testDir, 1)) {
+		t.Fatalf("Flush of an empty builder: %v, wrote a chunk: %v", err, fs.Exists(MetaPath(testDir, 1)))
 	}
 }
 

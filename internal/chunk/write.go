@@ -1,8 +1,13 @@
 // Package chunk is the column-chunk codec: the on-disk layout of a sealed
-// warehouse hour, its encoders, and a typed reader. It is a leaf — it
+// warehouse hour, its encoder, and a typed reader. It is a leaf — it
 // knows events, hdfs and recordio, nothing of dataflow — so both the
 // tuple-producing scan (columnar.EventsFormat) and the ID-consuming daily
 // job (session.BuildDay) decode chunks through the same checks.
+//
+// The encoder is Builder, and it is the only one: rows go in as wire
+// records — walked to a header and details pairs that still alias the
+// message — and come out as the column files below, with no ClientEvent in
+// between.
 //
 // A sealed hour directory holds, beside its row files, one group of column
 // files per chunk of events (in warehouse scan order):
@@ -35,11 +40,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
 	"unilog/internal/recordio"
+	"unilog/internal/thrift"
 )
 
 // Set is a set of chunk columns.
@@ -147,161 +154,296 @@ func frame(recs ...[]byte) []byte {
 	return buf.Bytes()
 }
 
-// Write encodes chunk idx of dir from evs (column files first, the meta
-// file last, so a torn seal never claims a chunk it did not finish).
-func Write(fs *hdfs.FS, dir string, idx int, evs []*events.ClientEvent) error {
-	base := Base(dir, idx)
-	// Rendering a name is a six-way concat: do it once per row and share
-	// the result between the dictionary and the zone map.
-	names := make([]string, len(evs))
-	for i, e := range evs {
-		names[i] = e.Name.String()
+// zeroName is what a message without the name field seals as: the zero
+// EventName rendered, which is what decoding and re-rendering it gave.
+const zeroName = ":::::"
+
+// dictBuilder accumulates one dictionary column: every distinct value once,
+// numbered in first-seen order, and one such number per row. Flush renumbers
+// to sorted order, so the file is the one a sort-first encoder writes.
+type dictBuilder struct {
+	ids  map[string]uint32
+	vals []string // first-seen order; vals[ids[v]] == v
+	rows []uint32 // first-seen id of each row
+
+	order []uint32 // scratch: first-seen ids in sorted order of their values
+	rank  []uint32 // scratch: sorted position of each first-seen id
+}
+
+// lookup returns v's first-seen id, if it has one. The conversion in the
+// index expression does not allocate.
+func (d *dictBuilder) lookup(v []byte) (uint32, bool) {
+	id, ok := d.ids[string(v)]
+	return id, ok
+}
+
+// insert numbers a value lookup did not find, copying it out of the message.
+func (d *dictBuilder) insert(v []byte) uint32 {
+	if d.ids == nil {
+		d.ids = make(map[string]uint32)
 	}
-	cols := [][]byte{
-		encodeRLE(evs, func(e *events.ClientEvent) byte { return byte(e.Initiator) }),
-		encodeDict(len(evs), func(i int) string { return names[i] }),
-		encodeUserIDs(evs),
-		encodeDict(len(evs), func(i int) string { return evs[i].SessionID }),
-		encodeDict(len(evs), func(i int) string { return evs[i].IP }),
-		encodeTimestamps(evs),
-		encodeRLE(evs, func(e *events.ClientEvent) byte {
-			if e.LoggedIn() {
-				return 1
-			}
-			return 0
-		}),
-		encodeDetails(evs),
+	id := uint32(len(d.vals))
+	s := string(v)
+	d.ids[s] = id
+	d.vals = append(d.vals, s)
+	return id
+}
+
+// add appends one row, probing the map once.
+func (d *dictBuilder) add(v []byte) {
+	id, seen := d.lookup(v)
+	if !seen {
+		id = d.insert(v)
 	}
-	for i, col := range ColumnNames {
-		if err := fs.WriteFile(base+"."+col, cols[i]); err != nil {
-			return fmt.Errorf("chunk: write chunk %s.%s: %w", base, col, err)
+	d.rows = append(d.rows, id)
+}
+
+// records appends the column's two records to buf[:0] — the dictionary in
+// sorted order, then one uvarint ID per row, renumbered to that order — and
+// returns them with the grown buffer.
+func (d *dictBuilder) records(buf []byte) (dict, ids, grown []byte) {
+	d.order = d.order[:0]
+	for id := range d.vals {
+		d.order = append(d.order, uint32(id))
+	}
+	slices.SortFunc(d.order, func(a, b uint32) int { return strings.Compare(d.vals[a], d.vals[b]) })
+	d.rank = slices.Grow(d.rank[:0], len(d.order))[:len(d.order)]
+	buf = binary.AppendUvarint(buf[:0], uint64(len(d.order)))
+	for pos, id := range d.order {
+		d.rank[id] = uint32(pos)
+		buf = appendString(buf, d.vals[id])
+	}
+	n := len(buf)
+	for _, id := range d.rows {
+		buf = binary.AppendUvarint(buf, uint64(d.rank[id]))
+	}
+	return buf[:n:n], buf[n:], buf
+}
+
+func (d *dictBuilder) reset() {
+	clear(d.ids)
+	d.vals = d.vals[:0]
+	d.rows = d.rows[:0]
+}
+
+// Builder is the chunk encoder: rows go in as they lie on the wire — a
+// decoded header and the details pairs, all slices of the message — and
+// are appended straight to the column accumulators, so sealing an hour
+// builds no ClientEvent, renders no name and sorts no map. A Builder is
+// reusable: after Flush it is empty and keeps its buffers. The zero value
+// is ready to use; it is not safe for concurrent use.
+type Builder struct {
+	rows         int
+	initiator    []byte // one byte per row, run-length-coded at Flush
+	loggedIn     []byte // likewise
+	name         dictBuilder
+	sessionID    dictBuilder
+	ip           dictBuilder
+	userID       []byte // zig-zag varints, as the file holds them
+	timestamp    []byte // zig-zag varint deltas from the previous row
+	prevTs       int64
+	minTs, maxTs int64
+	details      []byte // per row: pair count, then length-prefixed k/v by key
+
+	dec     thrift.CompactDecoder // AddRecord's walk over the current record
+	header  events.Header         // what that walk fills
+	wire    []events.Pair         // and its details, in wire order
+	pairs   []events.Pair         // scratch: one row's details, sorted and deduplicated
+	payload []byte                // scratch: a column's payload records
+	file    bytes.Buffer          // scratch: a file image being framed
+}
+
+// Rows returns the number of rows added since the last Flush.
+func (b *Builder) Rows() int { return b.rows }
+
+// AddRecord appends the row one compact-protocol client event holds: a
+// header walk over rec (events.Header.DecodePairs), then Add. rec is not
+// kept. A record the walk cannot read fails with its thrift error and, like
+// a name that fails validation, leaves the builder as it was.
+func (b *Builder) AddRecord(rec []byte) error {
+	b.dec.Reset(rec)
+	var err error
+	if b.wire, err = b.header.DecodePairs(&b.dec, b.wire); err != nil {
+		return err
+	}
+	return b.Add(&b.header, b.wire)
+}
+
+// Add appends one row. h and pairs are read, never kept: everything the
+// chunk needs is copied out before Add returns, so both may alias a buffer
+// the caller is about to reuse. A message without a name seals as the zero
+// name; a name the chunk has not seen yet must pass events.ParseName — the
+// acceptance a full decode of every row applies, paid once per distinct
+// value — and a row that fails it is not added: the builder is as it was.
+// Details keep the meaning ClientEvent.Decode gives them: sorted by key, a
+// repeated key keeping its last value.
+func (b *Builder) Add(h *events.Header, pairs []events.Pair) error {
+	name := h.Name
+	if name == nil {
+		name = []byte(zeroName)
+	}
+	nameID, seen := b.name.lookup(name)
+	// zeroName in the dictionary came from a message without the field; on
+	// the wire it is a name with no client, and fails.
+	if h.Name != nil && (!seen || string(name) == zeroName) {
+		if _, err := events.ParseName(string(name)); err != nil {
+			return err
 		}
 	}
-	if err := fs.WriteFile(base+".meta", encodeMeta(evs, names)); err != nil {
-		return fmt.Errorf("chunk: write chunk %s.meta: %w", base, err)
+	if !seen {
+		nameID = b.name.insert(name)
+	}
+	b.name.rows = append(b.name.rows, nameID)
+	b.sessionID.add(h.SessionID)
+	b.ip.add(h.IP)
+
+	b.initiator = append(b.initiator, byte(h.Initiator))
+	loggedIn := byte(0)
+	if h.LoggedIn() {
+		loggedIn = 1
+	}
+	b.loggedIn = append(b.loggedIn, loggedIn)
+	b.userID = binary.AppendVarint(b.userID, h.UserID)
+	b.timestamp = binary.AppendVarint(b.timestamp, h.Timestamp-b.prevTs)
+	b.prevTs = h.Timestamp
+	if b.rows == 0 {
+		b.minTs, b.maxTs = h.Timestamp, h.Timestamp
+	} else {
+		b.minTs, b.maxTs = min(b.minTs, h.Timestamp), max(b.maxTs, h.Timestamp)
+	}
+
+	// Insertion sort into the scratch slice: a row has a handful of pairs,
+	// and producers mostly write them in the same order.
+	sorted := b.pairs[:0]
+	for _, p := range pairs {
+		i := len(sorted)
+		for i > 0 && bytes.Compare(sorted[i-1].K, p.K) > 0 {
+			i--
+		}
+		if i > 0 && bytes.Equal(sorted[i-1].K, p.K) {
+			sorted[i-1].V = p.V
+			continue
+		}
+		sorted = slices.Insert(sorted, i, p)
+	}
+	b.pairs = sorted
+	b.details = binary.AppendUvarint(b.details, uint64(len(sorted)))
+	for _, p := range sorted {
+		b.details = appendString(appendString(b.details, p.K), p.V)
+	}
+	b.rows++
+	return nil
+}
+
+// Flush writes the rows added so far as chunk idx of dir — column files
+// first, the meta file last, so a torn seal never claims a chunk it did not
+// finish — and empties the builder. With no rows it writes nothing.
+func (b *Builder) Flush(fs *hdfs.FS, dir string, idx int) error {
+	if b.rows == 0 {
+		return nil
+	}
+	base := Base(dir, idx)
+	for i, col := range ColumnNames {
+		path := base + "." + col
+		var err error
+		switch Set(1) << i {
+		case Initiator:
+			err = b.writeFile(fs, path, b.runLengths(b.initiator))
+		case Name:
+			err = b.writeDict(fs, path, &b.name)
+		case UserID:
+			err = b.writeFile(fs, path, b.userID)
+		case SessionID:
+			err = b.writeDict(fs, path, &b.sessionID)
+		case IP:
+			err = b.writeDict(fs, path, &b.ip)
+		case Timestamp:
+			err = b.writeFile(fs, path, b.timestamp)
+		case LoggedIn:
+			err = b.writeFile(fs, path, b.runLengths(b.loggedIn))
+		case Details:
+			err = b.writeFile(fs, path, b.details)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if err := b.writeFile(fs, base+".meta", b.meta()); err != nil {
+		return err
+	}
+	b.reset()
+	return nil
+}
+
+// writeFile frames recs as one CRC-framed file image and writes it.
+func (b *Builder) writeFile(fs *hdfs.FS, path string, recs ...[]byte) error {
+	b.file.Reset()
+	w := recordio.NewCRCWriter(&b.file)
+	for _, rec := range recs {
+		if err := w.Append(rec); err != nil {
+			return fmt.Errorf("chunk: write chunk %s: %w", path, err)
+		}
+	}
+	if err := fs.WriteFile(path, b.file.Bytes()); err != nil {
+		return fmt.Errorf("chunk: write chunk %s: %w", path, err)
 	}
 	return nil
 }
 
-// encodeMeta builds the zone-map file: one CRC record with the row count,
-// the timestamp range, and the lexical name range of the chunk. names[i]
-// is the rendered name of evs[i].
-func encodeMeta(evs []*events.ClientEvent, names []string) []byte {
-	minTs, maxTs := evs[0].Timestamp, evs[0].Timestamp
-	minName, maxName := names[0], names[0]
-	for i := 1; i < len(evs); i++ {
-		minTs, maxTs = min(minTs, evs[i].Timestamp), max(maxTs, evs[i].Timestamp)
-		minName, maxName = min(minName, names[i]), max(maxName, names[i])
-	}
-	var rec []byte
-	rec = binary.AppendUvarint(rec, metaMagic)
+func (b *Builder) writeDict(fs *hdfs.FS, path string, d *dictBuilder) error {
+	var dict, ids []byte
+	dict, ids, b.payload = d.records(b.payload)
+	return b.writeFile(fs, path, dict, ids)
+}
+
+func (b *Builder) reset() {
+	b.rows = 0
+	b.initiator, b.loggedIn = b.initiator[:0], b.loggedIn[:0]
+	b.name.reset()
+	b.sessionID.reset()
+	b.ip.reset()
+	b.userID, b.timestamp, b.details = b.userID[:0], b.timestamp[:0], b.details[:0]
+	b.prevTs = 0
+}
+
+// meta builds the zone-map record: the row count, the timestamp range, and
+// the lexical name range of the chunk, taken over its dictionary.
+func (b *Builder) meta() []byte {
+	rec := binary.AppendUvarint(b.payload[:0], metaMagic)
 	rec = binary.AppendUvarint(rec, metaVersion)
-	rec = binary.AppendUvarint(rec, uint64(len(evs)))
-	rec = binary.AppendVarint(rec, minTs)
-	rec = binary.AppendVarint(rec, maxTs)
-	rec = appendString(rec, minName)
-	rec = appendString(rec, maxName)
+	rec = binary.AppendUvarint(rec, uint64(b.rows))
+	rec = binary.AppendVarint(rec, b.minTs)
+	rec = binary.AppendVarint(rec, b.maxTs)
+	rec = appendString(rec, slices.Min(b.name.vals))
+	rec = appendString(rec, slices.Max(b.name.vals))
 	rec = binary.AppendUvarint(rec, uint64(len(ColumnNames)))
 	for _, col := range ColumnNames {
 		rec = appendString(rec, col)
 	}
-	return frame(rec)
+	b.payload = rec
+	return rec
 }
 
-// appendString appends a uvarint length-prefixed string.
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// encodeDict encodes one string column of rows values, get(i) the value of
-// row i, as two CRC records: the sorted per-chunk dictionary, then one
-// uvarint dictionary ID per row.
-func encodeDict(rows int, get func(i int) string) []byte {
-	distinct := make(map[string]int)
-	for i := 0; i < rows; i++ {
-		distinct[get(i)] = 0
-	}
-	dict := make([]string, 0, len(distinct))
-	for s := range distinct {
-		dict = append(dict, s)
-	}
-	sort.Strings(dict)
-	for i, s := range dict {
-		distinct[s] = i
-	}
-	var d []byte
-	d = binary.AppendUvarint(d, uint64(len(dict)))
-	for _, s := range dict {
-		d = appendString(d, s)
-	}
-	var ids []byte
-	for i := 0; i < rows; i++ {
-		ids = binary.AppendUvarint(ids, uint64(distinct[get(i)]))
-	}
-	return frame(d, ids)
-}
-
-// encodeUserIDs packs the user_id column as zig-zag varints.
-func encodeUserIDs(evs []*events.ClientEvent) []byte {
-	var rec []byte
-	for _, e := range evs {
-		rec = binary.AppendVarint(rec, e.UserID)
-	}
-	return frame(rec)
-}
-
-// encodeTimestamps delta-codes the timestamp column: each row stores the
-// zig-zag difference from the previous row (the first from zero), so a
-// time-ordered hour costs a byte or two per row.
-func encodeTimestamps(evs []*events.ClientEvent) []byte {
-	var rec []byte
-	prev := int64(0)
-	for _, e := range evs {
-		rec = binary.AppendVarint(rec, e.Timestamp-prev)
-		prev = e.Timestamp
-	}
-	return frame(rec)
-}
-
-// encodeRLE encodes one byte-valued column — the initiator and the derived
+// runLengths encodes one byte-valued column — the initiator and the derived
 // logged_in flag, a handful of distinct values with long runs — as (value,
-// run-length) pairs in a single CRC record.
-func encodeRLE(evs []*events.ClientEvent, get func(*events.ClientEvent) byte) []byte {
-	var rec []byte
-	i := 0
-	for i < len(evs) {
-		v := get(evs[i])
+// run-length) pairs.
+func (b *Builder) runLengths(vals []byte) []byte {
+	rec := b.payload[:0]
+	for i := 0; i < len(vals); {
 		j := i + 1
-		for j < len(evs) && get(evs[j]) == v {
+		for j < len(vals) && vals[j] == vals[i] {
 			j++
 		}
-		rec = append(rec, v)
+		rec = append(rec, vals[i])
 		rec = binary.AppendUvarint(rec, uint64(j-i))
 		i = j
 	}
-	return frame(rec)
+	b.payload = rec
+	return rec
 }
 
-// encodeDetails encodes the details map column: per row a pair count then
-// length-prefixed key/value strings, keys sorted for determinism. Zero
-// pairs round-trips as a nil map, matching the thrift row decoder.
-func encodeDetails(evs []*events.ClientEvent) []byte {
-	var rec []byte
-	var keys []string
-	for _, e := range evs {
-		rec = binary.AppendUvarint(rec, uint64(len(e.Details)))
-		keys = keys[:0]
-		for k := range e.Details {
-			keys = append(keys, k)
-		}
-		if len(keys) > 1 {
-			sort.Strings(keys)
-		}
-		for _, k := range keys {
-			rec = appendString(rec, k)
-			rec = appendString(rec, e.Details[k])
-		}
-	}
-	return frame(rec)
+// appendString appends a uvarint length-prefixed string.
+func appendString[S string | []byte](b []byte, s S) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }

@@ -4,12 +4,13 @@
 // eight-column event, and the row-oriented hour files make them decode
 // all eight.
 //
-// The chunk layout, its encoders and its typed reader live in the leaf
+// The chunk layout, its encoder and its typed reader live in the leaf
 // package internal/chunk, which the daily session-sequence job imports
 // too; this package is what sits on either side of it. This file seals:
-// it cuts an hour's row scan into chunks of ChunkRows events and writes
-// them beside the row files, whose leading-underscore names make them
-// auxiliary to every row scanner (warehouse.IsAuxiliary), so row and
+// it walks the raw records of an hour's row files into a chunk.Builder,
+// cuts a chunk every ChunkRows events and writes them beside the row
+// files, whose leading-underscore names make them auxiliary to every row
+// scanner (warehouse.IsAuxiliary), so row and
 // columnar layouts coexist in one directory and either can serve a scan.
 //
 // Sealing is crash-safe at two levels: within a chunk the meta file is
@@ -39,7 +40,6 @@ import (
 	"time"
 
 	"unilog/internal/chunk"
-	"unilog/internal/events"
 	"unilog/internal/hdfs"
 	"unilog/internal/warehouse"
 )
@@ -99,26 +99,29 @@ func SealHourChunks(fs *hdfs.FS, category string, hour time.Time, chunkRows int)
 	}
 	t0 := time.Now()
 	var (
-		buf    []*events.ClientEvent
+		b      chunk.Builder
 		chunks int
 	)
 	flush := func() error {
-		if len(buf) == 0 {
+		rows := b.Rows()
+		if rows == 0 {
 			return nil
 		}
-		if err := chunk.Write(fs, dir, chunks, buf); err != nil {
+		if err := b.Flush(fs, dir, chunks); err != nil {
 			return err
 		}
 		tmSealChunks.Inc()
-		tmSealRows.Add(int64(len(buf)))
+		tmSealRows.Add(int64(rows))
 		chunks++
-		buf = buf[:0]
 		return nil
 	}
-	err := warehouse.ScanHour(fs, category, hour, func(e *events.ClientEvent) error {
-		cp := *e
-		buf = append(buf, &cp)
-		if len(buf) >= chunkRows {
+	// Each row goes from the wire to the column accumulators: one header
+	// walk over the record, no ClientEvent in between.
+	err := warehouse.ScanHourRecords(fs, category, hour, func(path string, rec []byte) error {
+		if err := b.AddRecord(rec); err != nil {
+			return fmt.Errorf("warehouse: %s: %w", path, err)
+		}
+		if b.Rows() >= chunkRows {
 			return flush()
 		}
 		return nil

@@ -472,9 +472,10 @@ func TestHybridDirFallsBackToRows(t *testing.T) {
 }
 
 // TestSealedBytesPinned seals one fixed-seed hour and compares a digest of
-// every _col-* file with the value recorded before chunk.Write's encoders
-// were reworked: an encoder change that moves one byte of the sealed
-// layout — dictionary order, details key order, the zone map — fails here.
+// every _col-* file with the value recorded when chunks were still encoded
+// event by event from decoded ClientEvents: an encoder change that moves one
+// byte of the sealed layout — dictionary order, details key order, the zone
+// map — fails here.
 func TestSealedBytesPinned(t *testing.T) {
 	fs := hdfs.New(0)
 	w := warehouse.NewWriter(fs, events.Category)

@@ -18,8 +18,11 @@
 // from the same walk over the same bytes without allocating, the strings
 // left as slices of the message, for the consumers that route or count on
 // a few fields of every message (the realtime tap, the cluster router, the
-// per-file name index). Both are one switch over the field ids (walk), and
-// FuzzHeaderMatchesDecode holds them to the decoder they replaced.
+// per-file name index). Header.DecodePairs is that plus the details as
+// key/value slices of the message, for the columnar seal, which re-lays
+// every field out and needs none of them as an object. All three are one
+// switch over the field ids (walk), and FuzzHeaderMatchesDecode holds them
+// to the decoder they replaced.
 package events
 
 import (
@@ -380,7 +383,7 @@ func (e *ClientEvent) Encode(enc thrift.Encoder) {
 func (e *ClientEvent) Decode(dec thrift.Decoder) error {
 	var h Header
 	var details map[string]string
-	if err := walk(dec, &h, &details); err != nil {
+	if err := walk(dec, &h, &details, nil); err != nil {
 		return err
 	}
 	var name EventName
@@ -432,15 +435,32 @@ func (h *Header) LoggedIn() bool { return h.UserID != 0 }
 // message and call Decode again to walk a batch with one decoder.
 func (h *Header) Decode(dec *thrift.CompactDecoder) error {
 	*h = Header{}
-	return walk(dec, h, nil)
+	return walk(dec, h, nil, nil)
+}
+
+// Pair is one details entry as it lies on the wire: K and V alias the
+// message, as a Header's strings do.
+type Pair struct{ K, V []byte }
+
+// DecodePairs is Decode that also hands back the message's details, appended
+// to pairs[:0] in wire order — pass the slice the last call returned and a
+// steady-state walk allocates nothing. A key the map carries twice appears
+// twice; ClientEvent.Decode keeps the last, and so must a consumer that wants
+// the map's meaning. A message without details gives an empty slice.
+func (h *Header) DecodePairs(dec *thrift.CompactDecoder, pairs []Pair) ([]Pair, error) {
+	*h = Header{}
+	pairs = pairs[:0]
+	err := walk(dec, h, nil, &pairs)
+	return pairs, err
 }
 
 // walk reads one client event struct from dec: the one place the field ids
 // are switched on. Strings land in h as slices of dec's input. The details
-// pairs are stored into *details when it is non-nil and read past
-// otherwise. Known fields are read by id whatever wire type the header
-// declared, as Decode always has.
-func walk(dec thrift.Decoder, h *Header, details *map[string]string) error {
+// pairs are stored into *details and appended to *pairs, whichever is
+// non-nil, and read past otherwise; a message that carries the field twice
+// keeps the second map only. Known fields are read by id whatever wire type
+// the header declared, as Decode always has.
+func walk(dec thrift.Decoder, h *Header, details *map[string]string, pairs *[]Pair) error {
 	if err := dec.ReadStructBegin(); err != nil {
 		return err
 	}
@@ -476,6 +496,9 @@ func walk(dec thrift.Decoder, h *Header, details *map[string]string) error {
 				// n is at most the bytes left in the message (ReadMapBegin).
 				*details = make(map[string]string, n)
 			}
+			if pairs != nil {
+				*pairs = (*pairs)[:0]
+			}
 			for i := 0; i < n; i++ {
 				var k, v []byte
 				if k, err = dec.ReadBinary(); err != nil {
@@ -486,6 +509,9 @@ func walk(dec thrift.Decoder, h *Header, details *map[string]string) error {
 				}
 				if details != nil {
 					(*details)[string(k)] = string(v)
+				}
+				if pairs != nil {
+					*pairs = append(*pairs, Pair{K: k, V: v})
 				}
 			}
 		default:

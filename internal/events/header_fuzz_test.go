@@ -149,17 +149,54 @@ func withExtraFields(e *events.ClientEvent, unknown, duplicate bool) []byte {
 	return append([]byte(nil), enc.Bytes()...)
 }
 
-// FuzzHeaderMatchesDecode holds the header walk, and the Decode rebuilt on
-// it, to the reference above on arbitrary bytes:
+// withDetailsShapes encodes e's fixed fields around the shapes of the name
+// and details fields the generator never writes: the name left out or
+// empty, the map with one key twice (the second value must win) or with no
+// entries at all, and the whole details field a second time (the second map
+// replaces the first).
+func withDetailsShapes(e *events.ClientEvent, name *string, pairs [][2]string, again [][2]string) []byte {
+	enc := thrift.NewCompactEncoder()
+	enc.WriteStructBegin()
+	if name != nil {
+		enc.WriteFieldBegin(thrift.STRING, 2)
+		enc.WriteString(*name)
+	}
+	enc.WriteFieldBegin(thrift.I64, 3)
+	enc.WriteI64(e.UserID)
+	enc.WriteFieldBegin(thrift.I64, 6)
+	enc.WriteI64(e.Timestamp)
+	for _, m := range [][][2]string{pairs, again} {
+		if m == nil {
+			continue
+		}
+		enc.WriteFieldBegin(thrift.MAP, 7)
+		enc.WriteMapBegin(thrift.STRING, thrift.STRING, len(m))
+		for _, kv := range m {
+			enc.WriteString(kv[0])
+			enc.WriteString(kv[1])
+		}
+	}
+	enc.WriteFieldStop()
+	enc.WriteStructEnd()
+	return append([]byte(nil), enc.Bytes()...)
+}
+
+// FuzzHeaderMatchesDecode holds the header walk — with and without the
+// details pairs — and the Decode rebuilt on it to the reference above on
+// arbitrary bytes:
 //
-//   - the reference decodes: so do both, to equal fields;
+//   - the reference decodes: so do all three, to equal fields, and the pairs
+//     folded last-wins into a map are the reference's details;
 //   - the reference fails in the decoder (truncated, oversized, bad type,
 //     too deep): both fail with the same error;
 //   - the reference fails on the name: the walk, which does not validate,
 //     either fails in the decoder further on or hands back a name — no
 //     more is asked of it;
+//   - the two walks fail on the same inputs with the same error and fill
+//     equal headers;
 //   - the header's slices lie inside the message, and a walk that succeeds
-//     allocates nothing, whatever lengths the bytes claim.
+//     allocates nothing — the pairs variant once its slice has grown —
+//     whatever lengths the bytes claim.
 func FuzzHeaderMatchesDecode(f *testing.F) {
 	for _, e := range generatorEvents(f) {
 		e := e
@@ -175,7 +212,14 @@ func FuzzHeaderMatchesDecode(f *testing.F) {
 		f.Add(withExtraFields(&e, true, false))
 		f.Add(withExtraFields(&e, false, true))
 		f.Add(withExtraFields(&e, true, true))
+		name, empty := e.Name.String(), ""
+		f.Add(withDetailsShapes(&e, &name, [][2]string{{"k", "first"}, {"j", "x"}, {"k", "last"}}, nil))
+		f.Add(withDetailsShapes(&e, &name, [][2]string{}, nil))
+		f.Add(withDetailsShapes(&e, &name, [][2]string{{"a", "1"}, {"b", "2"}}, [][2]string{{"c", "3"}}))
+		f.Add(withDetailsShapes(&e, nil, [][2]string{{"k", "v"}}, nil))
+		f.Add(withDetailsShapes(&e, &empty, nil, nil))
 	}
+	var pairs []events.Pair // grown once, reused by every input, as a seal reuses it
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ref events.ClientEvent
 		refErr := decodeReference(&ref, thrift.NewCompactDecoder(data))
@@ -184,6 +228,16 @@ func FuzzHeaderMatchesDecode(f *testing.F) {
 		var h events.Header
 		dec.Reset(data)
 		err := h.Decode(&dec)
+		var hp events.Header
+		dec.Reset(data)
+		var pairsErr error
+		pairs, pairsErr = hp.DecodePairs(&dec, pairs)
+		if (err == nil) != (pairsErr == nil) || (err != nil && err.Error() != pairsErr.Error()) {
+			t.Fatalf("walk(%x) = %v, with pairs %v", data, err, pairsErr)
+		}
+		if err == nil && !reflect.DeepEqual(hp, h) {
+			t.Fatalf("walk(%x) = %+v, with pairs %+v", data, h, hp)
+		}
 		var got events.ClientEvent
 		gotErr := got.Unmarshal(data)
 
@@ -224,15 +278,24 @@ func FuzzHeaderMatchesDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(h.Name)+len(h.SessionID)+len(h.IP) > len(data) {
-			t.Fatalf("walk(%x): %d + %d + %d header bytes out of a %d-byte message",
-				data, len(h.Name), len(h.SessionID), len(h.IP), len(data))
+		held := len(h.Name) + len(h.SessionID) + len(h.IP)
+		for _, p := range pairs {
+			held += len(p.K) + len(p.V)
+		}
+		if held > len(data) {
+			t.Fatalf("walk(%x): %d header and details bytes out of a %d-byte message", data, held, len(data))
 		}
 		if n := testing.AllocsPerRun(1, func() {
 			dec.Reset(data)
 			_ = h.Decode(&dec)
 		}); n != 0 {
 			t.Fatalf("walk(%x) allocates %v objects", data, n)
+		}
+		if n := testing.AllocsPerRun(1, func() {
+			dec.Reset(data)
+			pairs, _ = hp.DecodePairs(&dec, pairs)
+		}); n != 0 {
+			t.Fatalf("walk(%x) with pairs allocates %v objects", data, n)
 		}
 	})
 }

@@ -16,6 +16,11 @@
 // are the concatenation of theirs, which is how the log mover merges
 // staging files without inflating and re-deflating them. Every reader here
 // reads through member boundaries, and damage is detected per member.
+//
+// GzipWriter is block-buffered: it hands its compressor 32 KiB of frames at
+// a time and takes that compressor from a pool, so the member is complete —
+// and the destination has seen all of it — only when Close returns. The
+// bytes are the ones compress/gzip writes for the same frames in one Write.
 package recordio
 
 import (
@@ -26,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // ErrCorrupt reports a malformed record frame.
@@ -46,8 +52,7 @@ type Writer struct {
 // NewWriter returns a Writer framing onto w.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
-// Append writes one record: prefix and payload go down in a single Write,
-// so a compressing destination pays its per-call costs once per record.
+// Append writes one record: prefix and payload go down in a single Write.
 func (w *Writer) Append(rec []byte) error {
 	w.frame = binary.AppendUvarint(w.frame[:0], uint64(len(rec)))
 	w.frame = append(w.frame, rec...)
@@ -115,21 +120,62 @@ func (r *Reader) ForEach(fn func(rec []byte) error) error {
 	}
 }
 
+// gzipBlock is how many framed bytes a GzipWriter gathers before it calls
+// the compressor: deflate's per-call costs are paid once per block, not once
+// per few-hundred-byte record, and the bytes it emits do not depend on how
+// its input was cut.
+const gzipBlock = 32 << 10
+
+// gzipWriters recycles compressors between GzipWriters: a deflate state is
+// over a megabyte, and a staging or part file is written every few thousand
+// records.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
+var errWriterClosed = errors.New("recordio: append to a closed GzipWriter")
+
 // GzipWriter couples a record Writer with gzip compression, the aggregator's
-// "compressing data on the fly" (§2). Close flushes both layers.
+// "compressing data on the fly" (§2). Its output is one gzip member. Records
+// are framed into a block buffer and compressed a block at a time, so what
+// has been appended is only certain to have reached the destination — and a
+// destination's write error to have been seen — once Close returns. Close
+// also hands the compressor back for the next GzipWriter; a writer dropped
+// without Close just never returns it.
 type GzipWriter struct {
 	*Writer
-	gz *gzip.Writer
+	block *bufio.Writer
+	gz    *gzip.Writer // nil once closed: the compressor may be someone else's
 }
 
 // NewGzipWriter returns a record writer that gzips its output onto w.
 func NewGzipWriter(w io.Writer) *GzipWriter {
-	gz := gzip.NewWriter(w)
-	return &GzipWriter{Writer: NewWriter(gz), gz: gz}
+	gz := gzipWriters.Get().(*gzip.Writer)
+	gz.Reset(w)
+	block := bufio.NewWriterSize(gz, gzipBlock)
+	return &GzipWriter{Writer: NewWriter(block), block: block, gz: gz}
 }
 
-// Close flushes the compressor; the underlying writer is not closed.
-func (w *GzipWriter) Close() error { return w.gz.Close() }
+// Append frames one record into the current block. It fails after Close.
+func (w *GzipWriter) Append(rec []byte) error {
+	if w.gz == nil {
+		return errWriterClosed
+	}
+	return w.Writer.Append(rec)
+}
+
+// Close compresses the last block and finishes the gzip member; the
+// underlying writer is not closed. A second Close does nothing.
+func (w *GzipWriter) Close() error {
+	if w.gz == nil {
+		return nil
+	}
+	err := w.block.Flush()
+	if cerr := w.gz.Close(); err == nil {
+		err = cerr
+	}
+	gzipWriters.Put(w.gz)
+	w.gz = nil
+	return err
+}
 
 // NewGzipReader returns a record reader that decompresses from r.
 func NewGzipReader(r io.Reader) (*Reader, error) {

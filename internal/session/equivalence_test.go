@@ -67,21 +67,24 @@ func sealHours(t testing.TB, fs *hdfs.FS, chunkRows int, marker bool, hours ...i
 		if !fs.Exists(dir) {
 			continue
 		}
-		var buf []*events.ClientEvent
-		chunks := 0
+		var (
+			b      chunk.Builder
+			chunks int
+		)
 		flush := func() {
-			if len(buf) == 0 {
+			if b.Rows() == 0 {
 				return
 			}
-			if err := chunk.Write(fs, dir, chunks, buf); err != nil {
+			if err := b.Flush(fs, dir, chunks); err != nil {
 				t.Fatal(err)
 			}
 			chunks++
-			buf = nil
 		}
-		err := warehouse.ScanHour(fs, events.Category, hour, func(e *events.ClientEvent) error {
-			cp := *e
-			if buf = append(buf, &cp); len(buf) >= chunkRows {
+		err := warehouse.ScanHourRecords(fs, events.Category, hour, func(_ string, rec []byte) error {
+			if err := b.AddRecord(rec); err != nil {
+				return err
+			}
+			if b.Rows() >= chunkRows {
 				flush()
 			}
 			return nil

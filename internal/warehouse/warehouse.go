@@ -22,6 +22,7 @@ import (
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
 	"unilog/internal/recordio"
+	"unilog/internal/telemetry"
 )
 
 // Root directories of the two clusters.
@@ -153,11 +154,23 @@ func (w *Writer) Close() error { return w.flushCurrent() }
 // Written reports the number of events appended.
 func (w *Writer) Written() int64 { return w.written }
 
-// ScanHour decodes every event in one imported category-hour, in file
-// order, invoking fn on each.
-func ScanHour(fs *hdfs.FS, category string, hour time.Time, fn func(*events.ClientEvent) error) error {
-	dir := HourDir(category, hour)
-	infos, err := fs.Walk(dir)
+// Telemetry for row-file scans, booked once per file read — never per
+// record — so the scan loop stays as cheap as it was dark.
+var (
+	tmScanFiles   = telemetry.GetCounter("warehouse.scan.files")
+	tmScanRecords = telemetry.GetCounter("warehouse.scan.records")
+	tmScanBytes   = telemetry.GetCounter("warehouse.scan.bytes")
+)
+
+// ScanHourRecords is the one loop over an hour's row files: every file of
+// the category-hour that is not auxiliary, in path order, read whole and
+// inflated, fn invoked on each record with the path of the file it came
+// from. rec is valid only during the call — the next record overwrites it —
+// so fn copies what it keeps. A damaged file fails the scan with
+// recordio.ErrCorrupt and its path; an error from fn stops it and is
+// returned as it is.
+func ScanHourRecords(fs *hdfs.FS, category string, hour time.Time, fn func(path string, rec []byte) error) error {
+	infos, err := fs.Walk(HourDir(category, hour))
 	if err != nil {
 		return err
 	}
@@ -169,13 +182,14 @@ func ScanHour(fs *hdfs.FS, category string, hour time.Time, fn func(*events.Clie
 		if err != nil {
 			return err
 		}
+		var records int64
 		err = recordio.ScanGzipFile(data, func(rec []byte) error {
-			var e events.ClientEvent
-			if err := e.Unmarshal(rec); err != nil {
-				return fmt.Errorf("warehouse: %s: %w", fi.Path, err)
-			}
-			return fn(&e)
+			records++
+			return fn(fi.Path, rec)
 		})
+		tmScanFiles.Inc()
+		tmScanRecords.Add(records)
+		tmScanBytes.Add(int64(len(data)))
 		if errors.Is(err, recordio.ErrCorrupt) {
 			return fmt.Errorf("warehouse: %s: %w", fi.Path, err)
 		}
@@ -184,6 +198,18 @@ func ScanHour(fs *hdfs.FS, category string, hour time.Time, fn func(*events.Clie
 		}
 	}
 	return nil
+}
+
+// ScanHour decodes every event in one imported category-hour, in file
+// order, invoking fn on each.
+func ScanHour(fs *hdfs.FS, category string, hour time.Time, fn func(*events.ClientEvent) error) error {
+	return ScanHourRecords(fs, category, hour, func(path string, rec []byte) error {
+		var e events.ClientEvent
+		if err := e.Unmarshal(rec); err != nil {
+			return fmt.Errorf("warehouse: %s: %w", path, err)
+		}
+		return fn(&e)
+	})
 }
 
 // ScanDay decodes every event of a category across all 24 hours of t's day.

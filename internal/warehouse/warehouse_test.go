@@ -3,6 +3,7 @@ package warehouse
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -11,6 +12,7 @@ import (
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
 	"unilog/internal/recordio"
+	"unilog/internal/telemetry"
 )
 
 var t14 = time.Date(2012, 8, 21, 14, 30, 0, 0, time.UTC)
@@ -162,6 +164,73 @@ func TestStrayFileIsReadAsData(t *testing.T) {
 	err := ScanDay(fs, "ce", day, func(*events.ClientEvent) error { return nil })
 	if !errors.Is(err, recordio.ErrCorrupt) || !strings.Contains(err.Error(), stray) {
 		t.Fatalf("err = %v, want recordio.ErrCorrupt naming %s", err, stray)
+	}
+}
+
+// TestScanHourRecords: the raw loop hands over every record of every row
+// file with the path it came from, in path order, skips auxiliaries, books
+// its three series once per file, and returns fn's error as it is.
+func TestScanHourRecords(t *testing.T) {
+	fs := hdfs.New(0)
+	hour := t14.Truncate(time.Hour)
+	w := NewWriter(fs, "ce")
+	w.RollRecords = 4
+	var want [][]byte
+	for i := 0; i < 10; i++ {
+		e := mkEvent(int64(i+1), hour.Add(time.Duration(i)*time.Minute))
+		if err := w.Append(e); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, e.Marshal())
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dir := HourDir("ce", hour)
+	if err := fs.WriteFile(dir+"/_col-00000.meta", []byte("not a record file")); err != nil {
+		t.Fatal(err)
+	}
+	size, err := DataSize(fs, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	before := telemetry.Snapshot().Series
+	var got [][]byte
+	var paths []string
+	err = ScanHourRecords(fs, "ce", hour, func(path string, rec []byte) error {
+		got = append(got, append([]byte(nil), rec...))
+		if len(paths) == 0 || paths[len(paths)-1] != path {
+			paths = append(paths, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := telemetry.Snapshot().Series
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scanned %d records, wrote %d, or they differ", len(got), len(want))
+	}
+	if wantPaths := []string{dir + "/part-00000.gz", dir + "/part-00001.gz", dir + "/part-00002.gz"}; !reflect.DeepEqual(paths, wantPaths) {
+		t.Fatalf("paths = %v, want %v", paths, wantPaths)
+	}
+	for series, want := range map[string]int64{"warehouse.scan.files": 3, "warehouse.scan.records": 10, "warehouse.scan.bytes": size} {
+		if got := after[series] - before[series]; got != want {
+			t.Errorf("%s moved by %d, want %d", series, got, want)
+		}
+	}
+
+	stop := errors.New("stop")
+	n := 0
+	err = ScanHourRecords(fs, "ce", hour, func(string, []byte) error {
+		if n++; n == 6 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || n != 6 {
+		t.Fatalf("err = %v after %d records, want fn's own error after 6", err, n)
 	}
 }
 
