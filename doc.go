@@ -188,8 +188,17 @@
 // table digests each distinct event name once — its six hierarchy
 // prefixes, five §3.2 rollup names, and shard routing cached
 // behind dense integer IDs — so steady-state ingestion is an
-// allocation-free read-locked lookup plus integer-keyed increments, and
-// query results resolve IDs back to strings only at the edges. The tap
+// allocation-free read-locked lookup plus one integer-keyed increment, and
+// query results resolve IDs back to strings only at the edges. A minute
+// bucket is its leaf table, (name, country, logged-in) → count: §3.2
+// defines every prefix count and rollup row as a sum over full names, so
+// the write path counts the leaf and marks the bucket stale, PathSum,
+// Series and TopK rebuild a stale bucket's prefix sums from its leaves the
+// first time they read it (realtime.derive.buckets / realtime.derive.ns
+// show that cost) and a clean bucket is a map read as before, and
+// RollupSnapshot and RollupTotal sum leaves and expand each distinct one
+// into its five rows. Reads skip buckets behind the retention horizon, and
+// a window shorter than the ring probes only the slots of its minutes. The tap
 // never builds a ClientEvent: events.Header is one allocation-free walk
 // over the compact-Thrift message (every field read or skipped, so a
 // damaged message fails as ClientEvent.Decode, which is built on the same
@@ -216,7 +225,10 @@
 // own dictionary delta, its own write(2), its own share of an fsync
 // (realtime.wal.record_events is the histogram of that). Snapshots
 // carry a dictionary of their own plus the full Stats block, so activity
-// counters survive restarts. After a crash, Open rebuilds the symbol table and replays the
+// counters survive restarts; a bucket record still holds the prefix sums
+// and all five rollup levels, expanded from the leaves at capture, so the
+// format is the one older binaries read, and a load keeps the level-0
+// rows (the leaves) and drops the rest. After a crash, Open rebuilds the symbol table and replays the
 // newest valid snapshot plus the WAL tail — tolerating a torn final
 // record, flipped bits, damaged or missing snapshots, and a changed
 // shard count (replay re-digests every name) — so a restarted shard

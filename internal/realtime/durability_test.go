@@ -339,7 +339,11 @@ func TestSnapshotWithStripeCoordinatesLoads(t *testing.T) {
 		shard, stripe int
 		minute        int64
 	}
-	buckets := map[coord]*bucket{}
+	type tables struct {
+		prefix map[uint32]int64
+		rollup map[rollupCell]int64
+	}
+	buckets := map[coord]*tables{}
 	countries := []string{"us", "jp", "uk", "br"}
 	var observed int64
 	const names = 96
@@ -363,7 +367,7 @@ func TestSnapshotWithStripeCoordinatesLoads(t *testing.T) {
 		k := coord{int(hash32(name) % shards), i % stripes, at.Unix() / 60}
 		b := buckets[k]
 		if b == nil {
-			b = &bucket{minute: k.minute, prefix: map[uint32]int64{}, rollup: map[rollupCell]int64{}}
+			b = &tables{prefix: map[uint32]int64{}, rollup: map[rollupCell]int64{}}
 			buckets[k] = b
 		}
 		for _, id := range sym.prefixID {
@@ -387,7 +391,7 @@ func TestSnapshotWithStripeCoordinatesLoads(t *testing.T) {
 		encodeSnapDict(nil, paths, ctries),
 	}
 	for k, b := range buckets {
-		rec := encodeBucket(nil, k.shard, b)
+		rec := encodeBucket(nil, k.shard, k.minute, b.prefix, b.rollup)
 		rec[2] = byte(k.stripe) // after the tag and the one-byte shard varint
 		recs = append(recs, rec)
 	}
@@ -572,6 +576,73 @@ func TestRecoverFallsBackToPreviousSnapshot(t *testing.T) {
 	// fallback).
 	if got := pathSumAll(r); got != 7 {
 		t.Errorf("recovered %d events, want 7 (snapshot-1 state + WAL tail)", got)
+	}
+}
+
+// TestSnapshotLeafNamingNoEventIsCorrupt: a load keeps a file's level-0
+// rollup rows as its leaves, so each must name an event. One that points
+// at another of the dictionary's paths — a prefix, here — is a bad ID like
+// any other: the whole file is refused before any of it is applied, and
+// recovery comes up exact from the previous snapshot and the WAL.
+func TestSnapshotLeafNamingNoEventIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	recs := fileRecords(t, snapThenTail(t, dir)) // 5 events under snapshot 1, 4 in the log
+	dict, err := decodeSnapDict(recs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := decodeBucket(recs[2], &dict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cell, n := range b.rollupID {
+		if cell.level == 0 {
+			delete(b.rollupID, cell)
+			for id, p := range dict.paths {
+				if p == "web:home" {
+					cell.name = uint32(id)
+				}
+			}
+			b.rollupID[cell] = n
+		}
+	}
+	// Were it accepted, its header would retire the log and claim 1000 events.
+	var forged bytes.Buffer
+	cw := recordio.NewCRCWriter(&forged)
+	for _, rec := range [][]byte{
+		encodeSnapHeader(nil, []int64{99}, 1000, t0.Unix()/60, Stats{}),
+		recs[1],
+		encodeBucket(nil, b.shard, b.minute, b.prefixID, b.rollupID),
+	} {
+		if err := cw.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapName(2)), forged.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := loadSnapshot(filepath.Join(dir, snapName(2))); err != nil {
+		t.Fatalf("the forged file must get as far as its leaf names, failed to parse: %v", err)
+	}
+	probe := allocCounter(durCfg(1).withDefaults())
+	if err := probe.resolveLeaves(&dict, []snapBucket{b}); !errors.Is(err, recordio.ErrCorrupt) {
+		t.Fatalf("resolveLeaves = %v, want an error wrapping recordio.ErrCorrupt", err)
+	}
+
+	r, err := Open(dir, durCfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Crash()
+	if got, st := pathSumAll(r), r.Stats(); got != 9 || st.Observed != 9 {
+		t.Errorf("recovered PathSum %d, Observed %d; want 9 and 9 (snapshot 1 + the WAL tail)", got, st.Observed)
+	}
+	from, to := t0, t0.Add(2*time.Minute)
+	if got := r.PathSum("web:home", from, to); got != 9 {
+		t.Errorf("PathSum(web:home) = %d, want 9", got)
+	}
+	if got := r.RollupTotal(0, "web:home", from, to); got != 0 {
+		t.Errorf("RollupTotal(0, web:home) = %d: the forged leaf was applied", got)
 	}
 }
 

@@ -5,15 +5,17 @@ import (
 	"io"
 	"os"
 	"testing"
+	"time"
 
+	"unilog/internal/events"
 	"unilog/internal/recordio"
 )
 
 // fileRecords returns the CRC-framed records of a WAL segment or snapshot.
-func fileRecords(f *testing.F, path string) [][]byte {
+func fileRecords(tb testing.TB, path string) [][]byte {
 	in, err := os.Open(path)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	defer in.Close()
 	var recs [][]byte
@@ -23,7 +25,7 @@ func fileRecords(f *testing.F, path string) [][]byte {
 			return recs
 		}
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
 		recs = append(recs, append([]byte(nil), rec...))
 	}
@@ -92,7 +94,11 @@ func FuzzWALBatch(f *testing.F) {
 // FuzzSnapshotRecords: on any record, the three snapshot decoders each
 // return a value or an error wrapping recordio.ErrCorrupt, never panic,
 // and never size a slice or map past the record's length. Buckets decode
-// against the dictionary of the snapshot the seeds come from.
+// against the dictionary of the snapshot the seeds come from, and one the
+// decoder accepts goes on down the load path — its level-0 rows resolved as
+// event names, merged into a ring, derived and read back — which may refuse
+// it as corrupt (most of the dictionary's paths name no event) and may not
+// panic.
 func FuzzSnapshotRecords(f *testing.F) {
 	recs := fileRecords(f, snapThenTail(f, f.TempDir()))
 	if len(recs) < 3 {
@@ -123,8 +129,35 @@ func FuzzSnapshotRecords(f *testing.F) {
 		check("dictionary", len(d.paths)+len(d.countries), err)
 		b, err := decodeBucket(rec, &dict)
 		check("bucket", len(b.prefixID)+len(b.rollupID), err)
-		if err == nil && (b.shard < 0 || b.minute < 1) {
+		if err != nil {
+			return
+		}
+		if b.shard < 0 || b.minute < 1 {
 			t.Fatalf("bucket: coordinates (%d, %d) would index a ring out of range", b.shard, b.minute)
 		}
+		c := allocCounter(Config{Shards: 2, Retention: 2 * time.Minute}.withDefaults()) // no goroutines to stop
+		file := []snapBucket{b}
+		if err := c.resolveLeaves(&dict, file); err != nil {
+			check("leaf names", 0, err)
+			return
+		}
+		c.loadBucket(&file[0])
+		if b.minute > 1<<40 {
+			return // no time.Time names this minute to a query
+		}
+		var leaves, loaded int64
+		for cell, n := range b.rollupID {
+			if cell.level == 0 {
+				leaves += n
+			}
+		}
+		at := time.Unix(b.minute*60, 0)
+		for _, n := range c.RollupSnapshot(at, at.Add(time.Minute)) {
+			loaded += n
+		}
+		if loaded != leaves*int64(events.NumRollupLevels) {
+			t.Fatalf("bucket: %d in level-0 rows loaded as %d over the five levels", leaves, loaded)
+		}
+		c.TopK("", 3, at, at.Add(time.Minute))
 	})
 }

@@ -3,6 +3,7 @@ package realtime
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -15,24 +16,43 @@ import (
 )
 
 // refModel is the brute-force, string-keyed reference the ID-keyed engine
-// must reproduce bit-for-bit: per-path per-minute counts and the full
-// §3.2 rollup table, built exactly the way the pre-symbol-table engine
-// counted (string prefixes, string rollup keys).
+// must reproduce bit-for-bit: per-path per-minute counts and the §3.2
+// rollup table, whole and per minute, built exactly the way the
+// pre-symbol-table engine counted (string prefixes, string rollup keys,
+// eleven increments per event).
 type refModel struct {
-	minute  map[string]map[int64]int64 // path -> minute -> count
-	rollup  map[analytics.RollupKey]int64
-	names   map[string]bool
-	events  int
-	minutes int
-	m0      int64
+	minute   map[string]map[int64]int64 // path -> minute -> count
+	rollup   map[analytics.RollupKey]int64
+	rollupAt map[int64]map[analytics.RollupKey]int64 // minute -> its rollup rows
+	names    map[string]bool
+	events   int
+	minutes  int
+	m0       int64
 }
 
-// genReferenceWorkload streams nEvents randomized events into every
-// counter (one Batcher each) while recording the reference model. mid,
-// when non-nil, runs once after half the events with all batchers flushed
-// and counters synced — the hook a durability test uses to cut a
-// mid-stream snapshot.
-func genReferenceWorkload(rng *rand.Rand, nEvents, minutes int, mid func(), cs ...*Counter) *refModel {
+// refGen streams one randomized workload, a stretch at a time, into
+// counters and into the reference model beside them. Every stretch draws
+// its minutes from the same window, so a read between two stretches finds
+// buckets it has read before written again: clean → stale → clean.
+type refGen struct {
+	rng *rand.Rand
+	ref *refModel
+}
+
+func newRefGen(rng *rand.Rand, minutes int) *refGen {
+	return &refGen{rng: rng, ref: &refModel{
+		minute:   map[string]map[int64]int64{},
+		rollup:   map[analytics.RollupKey]int64{},
+		rollupAt: map[int64]map[analytics.RollupKey]int64{},
+		names:    map[string]bool{},
+		minutes:  minutes,
+		m0:       t0.Unix() / 60,
+	}}
+}
+
+// feed streams n more events into every counter (one Batcher each) and the
+// reference, and returns with them applied.
+func (g *refGen) feed(n int, cs ...*Counter) {
 	clients := []string{"web", "iphone", "android"}
 	pages := []string{"home", "search", "profile"}
 	sections := []string{"timeline", "mentions", ""}
@@ -40,25 +60,12 @@ func genReferenceWorkload(rng *rand.Rand, nEvents, minutes int, mid func(), cs .
 	actions := []string{"impression", "click", "open"}
 	countries := []string{"us", "jp", "uk", "xx"} // xx resolves to unknown
 
-	ref := &refModel{
-		minute:  map[string]map[int64]int64{},
-		rollup:  map[analytics.RollupKey]int64{},
-		names:   map[string]bool{},
-		events:  nEvents,
-		minutes: minutes,
-		m0:      t0.Unix() / 60,
-	}
+	rng, ref := g.rng, g.ref
 	batchers := make([]*Batcher, len(cs))
 	for i, c := range cs {
 		batchers[i] = c.NewBatcher()
 	}
-	flushAll := func() {
-		for i, b := range batchers {
-			b.Flush()
-			cs[i].Sync()
-		}
-	}
-	for i := 0; i < nEvents; i++ {
+	for i := 0; i < n; i++ {
 		name := events.EventName{
 			Client:  clients[rng.Intn(len(clients))],
 			Page:    pages[rng.Intn(len(pages))],
@@ -69,7 +76,7 @@ func genReferenceWorkload(rng *rand.Rand, nEvents, minutes int, mid func(), cs .
 		if rng.Intn(4) > 0 {
 			name.Component = "stream"
 		}
-		minute := ref.m0 + rng.Int63n(int64(minutes))
+		minute := ref.m0 + rng.Int63n(int64(ref.minutes))
 		country := countries[rng.Intn(len(countries))]
 		user := rng.Int63n(3) // 0 = logged out
 		e := ev(name.String(), time.Unix(minute*60, 0).Add(time.Duration(rng.Intn(60))*time.Second), user, country)
@@ -77,6 +84,7 @@ func genReferenceWorkload(rng *rand.Rand, nEvents, minutes int, mid func(), cs .
 			b.Add(e)
 		}
 
+		ref.events++
 		full := name.String()
 		ref.names[full] = true
 		parts := strings.Split(full, ":")
@@ -87,21 +95,24 @@ func genReferenceWorkload(rng *rand.Rand, nEvents, minutes int, mid func(), cs .
 			}
 			ref.minute[p][minute]++
 		}
+		if ref.rollupAt[minute] == nil {
+			ref.rollupAt[minute] = map[analytics.RollupKey]int64{}
+		}
 		for lvl := 0; lvl < events.NumRollupLevels; lvl++ {
-			ref.rollup[analytics.RollupKey{
+			k := analytics.RollupKey{
 				Level:    events.RollupLevel(lvl),
 				Name:     name.Rollup(events.RollupLevel(lvl)).String(),
 				Country:  geo.CountryOf(e.IP),
 				LoggedIn: user != 0,
-			}]++
-		}
-		if mid != nil && i == nEvents/2 {
-			flushAll()
-			mid()
+			}
+			ref.rollup[k]++
+			ref.rollupAt[minute][k]++
 		}
 	}
-	flushAll()
-	return ref
+	for i, b := range batchers {
+		b.Flush()
+		cs[i].Sync()
+	}
 }
 
 func (r *refModel) sum(path string, fromMin, toMin int64) int64 {
@@ -114,10 +125,11 @@ func (r *refModel) sum(path string, fromMin, toMin int64) int64 {
 	return total
 }
 
-// checkAgainstReference runs the full query battery — point sums over
-// random windows, per-minute series, prefix top-K of every parent depth,
-// the complete rollup table, and the observed total — and fails on any
-// divergence from the reference model.
+// checkAgainstReference runs the full query battery — the point sum of
+// every path, point sums over random windows, per-minute series, prefix
+// top-K of every parent depth, the complete rollup table, the total of
+// every rolled name, and the observed total — and fails on any divergence
+// from the reference model.
 func checkAgainstReference(t *testing.T, rng *rand.Rand, c *Counter, ref *refModel) {
 	t.Helper()
 	m0, minutes := ref.m0, int64(ref.minutes)
@@ -129,6 +141,12 @@ func checkAgainstReference(t *testing.T, rng *rand.Rand, c *Counter, ref *refMod
 	}
 	sort.Strings(paths)
 	paths = append(paths, "ipad", "web:nosuchpage")
+	for _, path := range paths {
+		got := c.PathSum(path, time.Unix(m0*60, 0), time.Unix((m0+minutes)*60, 0))
+		if want := ref.sum(path, m0, m0+minutes); got != want {
+			t.Fatalf("PathSum(%q, whole window) = %d, want %d", path, got, want)
+		}
+	}
 	for trial := 0; trial < 300; trial++ {
 		path := paths[rng.Intn(len(paths))]
 		a := m0 + rng.Int63n(minutes)
@@ -194,6 +212,31 @@ func checkAgainstReference(t *testing.T, rng *rand.Rand, c *Counter, ref *refMod
 	if !reflect.DeepEqual(snap, ref.rollup) {
 		t.Fatalf("rollup snapshot diverges: %d rows vs %d reference rows", len(snap), len(ref.rollup))
 	}
+	// The total of a sample of rolled names, summed over country and login.
+	type rolled struct {
+		level events.RollupLevel
+		name  string
+	}
+	totals := map[rolled]int64{}
+	for k, n := range ref.rollup {
+		totals[rolled{k.Level, k.Name}] += n
+	}
+	keys := make([]rolled, 0, len(totals))
+	for k := range totals {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].level != keys[j].level {
+			return keys[i].level < keys[j].level
+		}
+		return keys[i].name < keys[j].name
+	})
+	for trial := 0; trial < 60; trial++ {
+		k := keys[rng.Intn(len(keys))]
+		if got := c.RollupTotal(k.level, k.name, from, to); got != totals[k] {
+			t.Fatalf("RollupTotal(%d, %q) = %d, want %d", k.level, k.name, got, totals[k])
+		}
+	}
 
 	if got := c.Stats().Observed; got != int64(ref.events) {
 		t.Fatalf("Observed = %d, want %d", got, ref.events)
@@ -202,27 +245,34 @@ func checkAgainstReference(t *testing.T, rng *rand.Rand, c *Counter, ref *refMod
 
 // TestCounterMatchesReferenceModel drives a randomized workload through a
 // small counter and checks every query against the brute-force
-// string-keyed reference — the property pinning the ID-keyed engine to
-// the pre-refactor semantics.
+// string-keyed reference — the property pinning the ID-keyed, leaf-only
+// engine to the semantics of the engine that counted eleven strings per
+// event. The battery runs between stretches of the same stream, so every
+// round after the first reads prefix caches that were clean, were written
+// to, and must have been derived again.
 func TestCounterMatchesReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(20120821))
 	c := newCounter(t, Config{Shards: 3, Retention: 4 * time.Hour, MaxBatch: 64})
-	ref := genReferenceWorkload(rng, 4000, 120, nil, c)
-	c.Sync()
-	checkAgainstReference(t, rng, c, ref)
+	g := newRefGen(rng, 120)
+	for _, n := range []int{2000, 40, 1000, 960} { // 40: most minutes stay clean beside the dirty ones
+		g.feed(n, c)
+		checkAgainstReference(t, rng, c, g.ref)
+	}
 	if testing.Verbose() {
 		fmt.Printf("reference model: %d names, %d prefix paths, %d rollup rows\n",
-			len(ref.names), len(ref.minute), len(ref.rollup))
+			len(g.ref.names), len(g.ref.minute), len(g.ref.rollup))
 	}
 }
 
 // TestRecoveredCounterMatchesReferenceModel runs the same property
 // through the whole durability vertical: a durable counter ingests the
-// randomized workload, cuts a v2 snapshot (dictionary + ID-keyed
-// buckets) mid-stream, crashes with the tail only in the
-// dictionary-compressed WAL, and is reopened under a *different*
-// shard count. The recovered engine must answer the full
-// query battery exactly like the reference.
+// randomized workload with the battery read in between, cuts a v2 snapshot
+// (dictionary + ID-keyed buckets) while some buckets' prefix caches are
+// clean and some stale, crashes with the tail only in the
+// dictionary-compressed WAL, and is reopened under a *different* shard
+// count. The recovered engine — every bucket loaded stale — must answer
+// the battery exactly like the reference, and again after more writes to
+// the same minutes.
 func TestRecoveredCounterMatchesReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(20120822))
 	dir := t.TempDir()
@@ -233,12 +283,15 @@ func TestRecoveredCounterMatchesReferenceModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := genReferenceWorkload(rng, 3000, 120, func() {
-		if err := d.Snapshot(); err != nil {
-			t.Fatalf("mid-stream snapshot: %v", err)
-		}
-	}, d)
-	d.Sync()
+	g := newRefGen(rng, 120)
+	g.feed(1500, d)
+	checkAgainstReference(t, rng, d, g.ref)
+	g.feed(40, d)
+	if err := d.Snapshot(); err != nil {
+		t.Fatalf("mid-stream snapshot: %v", err)
+	}
+	checkAgainstReference(t, rng, d, g.ref)
+	g.feed(1460, d)
 	d.Crash()
 
 	rcfg := durCfg(2) // recovery re-digests, so resharding must not change answers
@@ -248,5 +301,76 @@ func TestRecoveredCounterMatchesReferenceModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	checkAgainstReference(t, rng, r, ref)
+	checkAgainstReference(t, rng, r, g.ref)
+	g.feed(500, r)
+	checkAgainstReference(t, rng, r, g.ref)
+}
+
+// TestSnapshotCarriesDerivedTables: the file format did not change with the
+// bucket. A snapshot cut while some prefix caches are clean and some stale
+// must hold, for every minute, exactly the prefix sums and the five rollup
+// rows per leaf that the reference counts for it — the tables the engine
+// that kept both in memory wrote, so a binary from before the leaf table
+// loads the file.
+func TestSnapshotCarriesDerivedTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(20120823))
+	dir := t.TempDir()
+	cfg := durCfg(3)
+	cfg.Retention = 4 * time.Hour
+	d, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newRefGen(rng, 90)
+	g.feed(1200, d)
+	checkAgainstReference(t, rng, d, g.ref) // every cache clean
+	g.feed(30, d)                           // some stale again
+	if err := d.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	d.Crash()
+
+	recs := fileRecords(t, filepath.Join(dir, snapName(1)))
+	dict, err := decodeSnapDict(recs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := map[string]map[int64]int64{}
+	rollup := map[int64]map[analytics.RollupKey]int64{}
+	seen := map[[2]int64]bool{}
+	for _, rec := range recs[2:] {
+		b, err := decodeBucket(rec, &dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if at := [2]int64{int64(b.shard), b.minute}; seen[at] {
+			t.Fatalf("two records for shard %d, minute %d", b.shard, b.minute)
+		} else {
+			seen[at] = true
+		}
+		for id, n := range b.prefixID {
+			p := dict.paths[id]
+			if prefix[p] == nil {
+				prefix[p] = map[int64]int64{}
+			}
+			prefix[p][b.minute] += n
+		}
+		if rollup[b.minute] == nil {
+			rollup[b.minute] = map[analytics.RollupKey]int64{}
+		}
+		for cell, n := range b.rollupID {
+			rollup[b.minute][analytics.RollupKey{
+				Level:    events.RollupLevel(cell.level),
+				Name:     dict.paths[cell.name],
+				Country:  dict.countries[cell.country],
+				LoggedIn: cell.loggedIn,
+			}] += n
+		}
+	}
+	if !reflect.DeepEqual(prefix, g.ref.minute) {
+		t.Errorf("the file's prefix rows differ from the reference (%d paths vs %d)", len(prefix), len(g.ref.minute))
+	}
+	if !reflect.DeepEqual(rollup, g.ref.rollupAt) {
+		t.Errorf("the file's rollup rows differ from the reference (%d minutes vs %d)", len(rollup), len(g.ref.rollupAt))
+	}
 }

@@ -29,21 +29,77 @@ func minuteRange(from, to time.Time) (int64, int64) {
 	return fm, tm
 }
 
-// forEachBucket invokes fn under the shard lock for every bucket in the
-// window. A shard's ring holds one bucket per minute, so this visits at
-// most ring-length buckets per shard regardless of the window width.
-func (c *Counter) forEachBucket(from, to time.Time, fn func(*bucket)) {
+// forEachBucket invokes fn under the shard lock for every live bucket in
+// the window. A bucket at or behind the retention horizon is not live even
+// while its slot is unrecycled — writes there are dropped, so reads there
+// are empty (Config.Retention). When what is left of the window is shorter
+// than the ring, the slots of the minutes asked for are probed by index and
+// the cost follows the window; a wider window walks the ring once.
+//
+// With prefixes set, fn is going to read b.prefix, and a bucket written
+// since it was last read that way is derived first: the lock held is
+// exclusive, so the rebuild races nothing, and a clean bucket costs what it
+// always has. Rollup readers pass false — they read the leaves, and a
+// rollup question must not pay for (or hide the staleness of) a cache it
+// does not use.
+func (c *Counter) forEachBucket(from, to time.Time, prefixes bool, fn func(*bucket)) {
 	fm, tm := minuteRange(from, to)
+	// From minute 1: 0 is the empty-slot value and minutes before it index no slot.
+	fm = max(fm, c.maxMinute.Load()-int64(c.buckets)+1, 1)
+	var derived int64
+	var deriveTime time.Duration
+	// syms must cover every leaf of the shard being read, so it is fetched
+	// under that shard's lock, and only by a read that derives.
+	var syms []*nameSym
+	visit := func(b *bucket) {
+		if prefixes && b.stale {
+			t0 := time.Now()
+			if syms == nil {
+				syms = c.tab.symsSnapshot()
+			}
+			b.derive(syms)
+			derived++
+			deriveTime += time.Since(t0)
+		}
+		fn(b)
+	}
 	for _, s := range c.shards {
 		s.mu.Lock()
-		for j := range s.ring {
-			b := &s.ring[j]
-			if b.minute >= fm && b.minute < tm && b.prefix != nil {
-				fn(b)
+		syms = nil
+		if n := int64(len(s.ring)); tm-fm < n {
+			for m, j := fm, fm%n; m < tm; m++ {
+				if b := &s.ring[j]; b.minute == m {
+					visit(b)
+				}
+				if j++; j == n {
+					j = 0
+				}
+			}
+		} else {
+			for j := range s.ring {
+				if b := &s.ring[j]; b.minute >= fm && b.minute < tm {
+					visit(b)
+				}
 			}
 		}
 		s.mu.Unlock()
 	}
+	if derived > 0 {
+		tmDeriveBuckets.Add(derived)
+		tmDeriveNs.Observe(int64(deriveTime))
+	}
+}
+
+// leafTotals sums the leaves of every live bucket in the window — what
+// both rollup readers expand. It never derives a prefix cache.
+func (c *Counter) leafTotals(from, to time.Time) map[uint64]int64 {
+	acc := make(map[uint64]int64)
+	c.forEachBucket(from, to, false, func(b *bucket) {
+		for k, n := range b.leaf {
+			acc[k] += n
+		}
+	})
+	return acc
 }
 
 // PathSum is the point lookup: the total count of a hierarchy path —
@@ -55,7 +111,7 @@ func (c *Counter) PathSum(path string, from, to time.Time) int64 {
 		return 0
 	}
 	var total int64
-	c.forEachBucket(from, to, func(b *bucket) {
+	c.forEachBucket(from, to, true, func(b *bucket) {
 		total += b.prefix[id]
 	})
 	return total
@@ -78,7 +134,7 @@ func (c *Counter) Series(path string, from, to time.Time) []int64 {
 	if !ok {
 		return out
 	}
-	c.forEachBucket(from, to, func(b *bucket) {
+	c.forEachBucket(from, to, true, func(b *bucket) {
 		out[b.minute-fm] += b.prefix[id]
 	})
 	return out
@@ -112,7 +168,7 @@ func (c *Counter) TopK(parent string, k int, from, to time.Time) []PathCount {
 	// fewer cells than there are children is walked instead.
 	children := c.tab.childrenOf(parentID)
 	counts := make([]int64, len(children))
-	c.forEachBucket(from, to, func(b *bucket) {
+	c.forEachBucket(from, to, true, func(b *bucket) {
 		if len(b.prefix) < len(children) {
 			for id, n := range b.prefix {
 				if i, ok := slices.BinarySearch(children, id); ok {
@@ -141,44 +197,42 @@ func (c *Counter) TopK(parent string, k int, from, to time.Time) []PathCount {
 	return ranked
 }
 
-// RollupSnapshot merges the §3.2 rollup rows accumulated over [from, to)
-// into one table, keyed identically to analytics.Rollups. The merge runs
-// in ID space; each distinct cell resolves to its string key exactly once.
+// RollupSnapshot builds the §3.2 rollup table of [from, to), keyed
+// identically to analytics.Rollups. The merge runs over leaves in ID space;
+// each distinct leaf expands into its five rows, and resolves their
+// strings, exactly once.
 func (c *Counter) RollupSnapshot(from, to time.Time) map[analytics.RollupKey]int64 {
 	defer tmQueryRollupNs.ObserveSince(time.Now())
-	acc := make(map[rollupCell]int64)
-	c.forEachBucket(from, to, func(b *bucket) {
-		for cell, n := range b.rollup {
-			acc[cell] += n
-		}
-	})
+	acc := c.leafTotals(from, to)
+	syms := c.tab.symsSnapshot()
 	out := make(map[analytics.RollupKey]int64, len(acc))
-	for cell, n := range acc {
-		out[analytics.RollupKey{
-			Level:    events.RollupLevel(cell.level),
-			Name:     c.tab.pathString(cell.name),
-			Country:  c.tab.countryName(cell.country),
-			LoggedIn: cell.loggedIn,
-		}] += n
+	for k, n := range acc {
+		name, country, loggedIn := leafFields(k)
+		key := analytics.RollupKey{Country: c.tab.countryName(country), LoggedIn: loggedIn}
+		for lvl, id := range syms[name].rollupID {
+			key.Level, key.Name = events.RollupLevel(lvl), c.tab.pathString(id)
+			out[key] += n
+		}
 	}
 	return out
 }
 
 // RollupTotal sums one rolled-up name across countries and login status
-// over [from, to) — the live equivalent of analytics.RollupTotal.
+// over [from, to) — the live equivalent of analytics.RollupTotal. A level
+// §3.2 does not define totals zero.
 func (c *Counter) RollupTotal(level events.RollupLevel, name string, from, to time.Time) int64 {
 	defer tmQueryRollupNs.ObserveSince(time.Now())
 	id, ok := c.tab.pathOf(name)
-	if !ok {
+	if !ok || level < 0 || int(level) >= events.NumRollupLevels {
 		return 0
 	}
+	acc := c.leafTotals(from, to)
+	syms := c.tab.symsSnapshot()
 	var total int64
-	c.forEachBucket(from, to, func(b *bucket) {
-		for cell, n := range b.rollup {
-			if cell.level == uint8(level) && cell.name == id {
-				total += n
-			}
+	for k, n := range acc {
+		if name, _, _ := leafFields(k); syms[name].rollupID[level] == id {
+			total += n
 		}
-	})
+	}
 	return total
 }

@@ -6,10 +6,13 @@
 //
 // The design exploits the property §3 built into the event namespace: the
 // six-level client:page:section:component:element:action hierarchy means
-// every count of interest is a sum along a path prefix. Each incoming event
-// therefore increments all six prefixes of its name — "web",
-// "web:home", ..., the full name — so point lookups, drill-downs, and
-// prefix top-K all become map reads, no scan required.
+// every count of interest is a sum along a path prefix, and §3.2 defines
+// the five rollup tables as aggregations of the full name. So an event is
+// counted once, at its leaf — (full name, country, logged-in) in its
+// minute — and everything else is derived from leaves when it is read:
+// the six prefix sums ("web", "web:home", ..., the full name) into a
+// per-bucket cache, after which point lookups, drill-downs and prefix top-K
+// are map reads, no scan required; the rollup rows on the fly.
 //
 // Architecture:
 //
@@ -17,7 +20,7 @@
 //     distinct event name once, caching the full string digest — prefix
 //     IDs, rollup-name IDs, shard — behind dense integer IDs, so
 //     the per-event hot path is a read-locked lookup and the counters
-//     below increment integer-keyed cells;
+//     below increment one integer-keyed cell;
 //   - a Tap on scribe.Aggregator.Append fans accepted client_events into N
 //     counter shards (hash of the event name) over bounded channels;
 //     producers block when a shard queue is full (backpressure), and each
@@ -30,11 +33,28 @@
 //     retention) behind one mutex: its single drain goroutine takes the
 //     lock once per batch, a reader once per shard, and write parallelism
 //     comes from the shard count alone;
-//   - alongside the prefix counters every bucket keeps the five §3.2
-//     rollup rows (analytics.RollupKey: level, rolled name, country,
-//     logged-in), which makes the streaming path directly comparable with
-//     the warehouse batch job — Reconcile replays a sealed day and asserts
-//     exact agreement with analytics.Rollups.
+//   - a bucket is its leaf table. Under the shard lock a write is one map
+//     increment and a stale mark (applyOne); the prefix readers (PathSum,
+//     Series, TopK) rebuild a stale bucket's prefix sums from its leaves
+//     the first time they meet it (forEachBucket, bucket.derive) and read
+//     the cache from then until the bucket is written again; the rollup
+//     readers (RollupSnapshot, RollupTotal) sum leaves and expand each
+//     distinct one into its five analytics.RollupKey rows, which makes the
+//     streaming path directly comparable with the warehouse batch job —
+//     Reconcile replays a sealed day and asserts exact agreement with
+//     analytics.Rollups.
+//
+// What the write path no longer does the read side pays, bounded: a prefix
+// read that finds a bucket stale does about six map adds per leaf of that
+// bucket, once, however many events the leaves count (a generated day of
+// 80k events holds ~11 leaves in each of its ~4.6k buckets; the first
+// dashboard refresh after ingesting it derives them all, ~13 ms where a
+// refresh over clean buckets is ~1 ms); a clean bucket costs a read what it
+// always has. The case that pays repeatedly is a poller of a
+// minute still being written, which derives that one bucket per poll.
+// realtime.derive.buckets and realtime.derive.ns (telemetry.go) show both.
+// A snapshot pays the same expansion at capture, because the file format
+// still carries the prefix sums and all five rollup levels (snapshot.go).
 //
 // Totals are distributive: a key's count is the sum of its per-shard,
 // per-bucket cells, so ingestion never coordinates across shards and
@@ -160,9 +180,9 @@ type Stats struct {
 // obs is one decoded, pre-digested observation: everything a shard needs
 // to apply the event without touching the Thrift message again. The
 // symbol table did the string work the first time this name appeared, so
-// an obs is ~24 bytes — a minute, an immutable *nameSym (which carries
-// the prefix/rollup/shard digest), and an interned country — where the
-// pre-interning representation hauled eleven strings (~200 B) through
+// an obs is ~24 bytes — a minute, an immutable *nameSym (its id keys the
+// leaf, its shard routed the obs here), and an interned country — where
+// the pre-interning representation hauled eleven strings (~200 B) through
 // the shard channel per event.
 type obs struct {
 	minute   int64 // event timestamp in Unix minutes
@@ -171,9 +191,10 @@ type obs struct {
 	loggedIn bool
 }
 
-// rollupCell is the ID-keyed form of analytics.RollupKey: the counter key
-// for one §3.2 rollup row inside a bucket. String resolution happens at
-// query time (RollupSnapshot), not per increment.
+// rollupCell is the ID-keyed form of analytics.RollupKey: one §3.2 rollup
+// row of a bucket as a snapshot file records it. No bucket holds these in
+// memory; captureShard expands them from the leaves and decodeBucket reads
+// them back.
 type rollupCell struct {
 	name     uint32 // path ID of the rolled name
 	country  uint32 // country ID
@@ -181,13 +202,59 @@ type rollupCell struct {
 	loggedIn bool
 }
 
-// bucket is one minute of counters within one shard. Both maps are keyed
-// by symbol-table IDs, so applying an event is eleven integer-keyed
-// increments instead of eleven string hashes.
+// leafKey packs what the counters keep of an event besides its minute —
+// name ID, country ID, logged-in bit — into the one word a bucket's leaf
+// map is keyed by. Country IDs index a table held in memory, so they stay
+// far below the 31 bits they get.
+func leafKey(name, country uint32, loggedIn bool) uint64 {
+	k := uint64(name)<<32 | uint64(country)<<1
+	if loggedIn {
+		k |= 1
+	}
+	return k
+}
+
+// leafFields inverts leafKey.
+func leafFields(k uint64) (name, country uint32, loggedIn bool) {
+	return uint32(k >> 32), uint32(k) >> 1, k&1 != 0
+}
+
+// bucket is one minute of counters within one shard. The leaf table is the
+// bucket: rollup level 0 keeps the full name, so (name, country, loggedIn)
+// is the finest cell §3.2 defines and every other count is a sum over
+// leaves. prefix caches the six hierarchy-prefix sums per leaf for the
+// prefix readers; any write sets stale and the next prefix read rebuilds
+// the map from the leaves (derive). Staleness belongs to the bucket, not
+// to the clock: a replayed or late event dirties an old minute like any
+// other.
 type bucket struct {
 	minute int64            // Unix minute this slot currently holds; 0 = empty
-	prefix map[uint32]int64 // path ID -> count
-	rollup map[rollupCell]int64
+	leaf   map[uint64]int64 // leafKey -> count; nil = slot never used
+	prefix map[uint32]int64 // path ID -> count, valid while !stale
+	stale  bool
+}
+
+// sumPrefixes adds every leaf's count to its six hierarchy prefixes in dst.
+// syms is a symtab.symsSnapshot taken after the leaves were last written.
+func sumPrefixes(dst map[uint32]int64, leaf map[uint64]int64, syms []*nameSym) {
+	for k, n := range leaf {
+		name, _, _ := leafFields(k)
+		for _, id := range syms[name].prefixID {
+			dst[id] += n
+		}
+	}
+}
+
+// derive rebuilds the prefix cache from the leaves, reusing the map. It is
+// where anything else computed per bucket from its leaves belongs.
+func (b *bucket) derive(syms []*nameSym) {
+	if b.prefix == nil {
+		b.prefix = make(map[uint32]int64, 2*events.NumComponents)
+	} else {
+		clear(b.prefix)
+	}
+	sumPrefixes(b.prefix, b.leaf, syms)
+	b.stale = false
 }
 
 type shardMsg struct {
@@ -520,11 +587,13 @@ func (c *Counter) apply(s *shard, batch []obs) {
 	tmApplyBatchNs.ObserveSince(t0)
 }
 
-// applyOne increments one observation's 6 prefix counters and 5 rollup
-// rows in its minute bucket, reporting whether the event was applied (vs
-// dropped behind the retention horizon). Callers hold the shard lock (or
-// are single-threaded recovery) and account the observed total (apply
-// batches one atomic add per batch; recovery adds per record).
+// applyOne counts one observation in its minute bucket — one increment of
+// its leaf, which marks the bucket's prefix cache stale — reporting whether
+// the event was applied (vs dropped behind the retention horizon). Nothing
+// else may happen per event here: the drains hold the shard lock for it.
+// Callers hold the shard lock (or are single-threaded recovery) and account
+// the observed total (apply batches one atomic add per batch; recovery adds
+// per record).
 func (c *Counter) applyOne(s *shard, o *obs) bool {
 	for {
 		cur := c.maxMinute.Load()
@@ -548,21 +617,15 @@ func (c *Counter) applyOne(s *shard, o *obs) bool {
 			c.droppedOld.Add(1)
 			return false
 		}
-		if b.prefix != nil {
+		if b.leaf != nil {
 			s.evicted++
 			c.evicted.Add(1)
 		}
 		b.minute = o.minute
-		b.prefix = make(map[uint32]int64, 2*events.NumComponents)
-		b.rollup = make(map[rollupCell]int64, events.NumRollupLevels)
+		b.leaf = make(map[uint64]int64, 2*events.NumComponents)
 	}
-	sym := o.sym
-	for _, id := range sym.prefixID {
-		b.prefix[id]++
-	}
-	for lvl, id := range sym.rollupID {
-		b.rollup[rollupCell{name: id, country: o.country, level: uint8(lvl), loggedIn: o.loggedIn}]++
-	}
+	b.leaf[leafKey(o.sym.id, o.country, o.loggedIn)]++
+	b.stale = true
 	s.applied++
 	return true
 }

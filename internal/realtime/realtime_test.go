@@ -365,12 +365,18 @@ func TestPreEpochTimestampIsInvalid(t *testing.T) {
 		{Category: events.Category, Message: at(59_999).Marshal()},
 		{Category: events.Category, Message: at(60_000).Marshal()},
 	})
+	c.Sync()
+	if got := c.PathSum("web", time.Unix(0, 0), time.Unix(120, 0)); got != 1 {
+		t.Errorf("PathSum(web) = %d, want 1 (Unix minute 1)", got)
+	}
+	// t0 moves the retention horizon decades past minute 1, which from
+	// then on reads empty like any minute behind it.
 	c.Ingest(ev(name, t0, 1, "us"))
 	c.Sync()
 	if st := c.Stats(); st.Invalid != 3 || st.Observed != 2 {
 		t.Errorf("stats = %+v, want Invalid 3, Observed 2", st)
 	}
-	if got := c.PathSum("web", time.Unix(0, 0), t0.Add(time.Minute)); got != 2 {
-		t.Errorf("PathSum(web) = %d, want 2 (Unix minute 1 and t0)", got)
+	if got := c.PathSum("web", time.Unix(0, 0), t0.Add(time.Minute)); got != 1 {
+		t.Errorf("PathSum(web) = %d, want 1 (t0 alone)", got)
 	}
 }

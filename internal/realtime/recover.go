@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"unilog/internal/events"
 	"unilog/internal/recordio"
 	"unilog/internal/telemetry"
 )
@@ -33,8 +34,9 @@ import (
 //   - appending always begins in a fresh segment, never after a tear.
 //
 // Replay re-digests every logged name through the counter's own symbol
-// table — built fresh here, snapshot dictionary first, then first-seen
-// WAL names — so routing and IDs always follow the current configuration:
+// table — built fresh here, the snapshot's leaf names first, then
+// first-seen WAL names — so routing and IDs always follow the current
+// configuration:
 // a log or snapshot written under a different shard count (or a
 // different ID assignment) recovers exactly.
 //
@@ -65,19 +67,18 @@ func Open(dir string, cfg Config) (*Counter, error) {
 		if err != nil {
 			continue // superseded at the next snapshot; recovery moves on
 		}
+		// Before anything is applied: a leaf that names no event fails
+		// the file like any other bad ID.
+		if err := c.resolveLeaves(&dict, buckets); err != nil {
+			continue
+		}
 		header = h
 		c.observedBase = h.observed
 		c.observed.Store(h.observed)
 		c.maxMinute.Store(h.maxMinute)
 		c.restoreStats(h.stats)
-		// One batch intern of the file's dictionary builds the old-ID →
-		// new-ID remap; every v2 bucket cell then loads by array index.
-		rm := idRemap{
-			paths:     c.tab.internPaths(dict.paths),
-			countries: c.tab.internCountries(dict.countries),
-		}
 		for i := range buckets {
-			c.loadBucket(&buckets[i], &rm)
+			c.loadBucket(&buckets[i])
 		}
 		break
 	}
@@ -232,51 +233,62 @@ func errOr(err error) error {
 	return err
 }
 
-// idRemap translates one snapshot file's dictionary IDs into the
-// recovering counter's symbol-table IDs: index by old ID, read new ID.
-// Built once per file by batch-interning the dictionary (internPaths /
-// internCountries), it replaces the per-cell string round-trip the load
-// path used to pay — decodeBucket's range checks guarantee every cell ID
-// indexes within these slices.
-type idRemap struct {
-	paths     []uint32
-	countries []uint32
+// resolveLeaves translates a parsed file's leaves — the level-0 rollup
+// rows of each bucket, whose path is a full event name — from the file's
+// dictionary IDs into this counter's leaf keys, filling snapBucket.leaf.
+// Each distinct name resolves through the symbol table once per file and
+// each country by array index (decodeBucket's range checks guarantee the
+// indexes), so a cell costs no string hashing. A level-0 path that is not a
+// valid six-component name makes the file corrupt. The prefix rows and
+// rollup levels 1-4 are not looked at: they are sums of the leaves.
+func (c *Counter) resolveLeaves(dict *snapDict, buckets []snapBucket) error {
+	syms := make([]*nameSym, len(dict.paths)) // by file path ID; nil until a leaf names it
+	countries := c.tab.internCountries(dict.countries)
+	for i := range buckets {
+		sb := &buckets[i]
+		sb.leaf = make(map[uint64]int64, len(sb.rollupID)/events.NumRollupLevels)
+		for cell, v := range sb.rollupID {
+			if cell.level != 0 {
+				continue
+			}
+			sym := syms[cell.name]
+			if sym == nil {
+				var err error
+				if sym, _, err = c.tab.resolveFull(dict.paths[cell.name], dict.countries[cell.country]); err != nil {
+					return fmt.Errorf("%w: snapshot leaf %q: %v", recordio.ErrCorrupt, dict.paths[cell.name], err)
+				}
+				syms[cell.name] = sym
+			}
+			sb.leaf[leafKey(sym.id, countries[cell.country], cell.loggedIn)] += v
+		}
+	}
+	return nil
 }
 
-// loadBucket merges one snapshot bucket into its shard's ring. Cells
-// arrive ID-keyed and translate through rm with two array reads. The
-// shard index is taken modulo the current configuration, so a snapshot
-// from a differently-sized counter still loads — totals are distributive
-// across placement, and collisions merge.
-func (c *Counter) loadBucket(sb *snapBucket, rm *idRemap) {
+// loadBucket merges one snapshot bucket's resolved leaves into its shard's
+// ring; the bucket loads stale and its prefix sums are derived when first
+// read. The shard index is taken modulo the current configuration, so a
+// snapshot from a differently-sized counter still loads — totals are
+// distributive across placement, and collisions merge.
+func (c *Counter) loadBucket(sb *snapBucket) {
 	if sb.minute <= c.maxMinute.Load()-int64(c.buckets) {
 		return // behind the retention horizon
 	}
 	s := c.shards[sb.shard%len(c.shards)]
 	b := &s.ring[int(sb.minute)%c.buckets]
 	switch {
-	case b.prefix == nil || b.minute < sb.minute:
-		b.minute = sb.minute
-		b.prefix = make(map[uint32]int64, len(sb.prefixID))
-		b.rollup = make(map[rollupCell]int64, len(sb.rollupID))
+	case b.leaf == nil || b.minute < sb.minute:
+		b.minute, b.leaf = sb.minute, sb.leaf
 	case b.minute == sb.minute:
-		// Merge below.
+		for k, v := range sb.leaf {
+			b.leaf[k] += v
+		}
 	default:
 		// The slot already holds a newer minute; this bucket is behind
 		// the horizon by ring geometry.
 		return
 	}
-	for id, v := range sb.prefixID {
-		b.prefix[rm.paths[id]] += v
-	}
-	for cell, v := range sb.rollupID {
-		b.rollup[rollupCell{
-			name:     rm.paths[cell.name],
-			country:  rm.countries[cell.country],
-			level:    cell.level,
-			loggedIn: cell.loggedIn,
-		}] += v
-	}
+	b.stale = true
 }
 
 // replaySegment re-applies every intact batch record in one WAL segment,

@@ -91,10 +91,14 @@ type shardState struct {
 // on the shard's drain goroutine and first rotates the WAL so the
 // boundary is durable; without, the drains have exited (Close) and the
 // caller sets the boundary. The shard lock is held only against
-// concurrent readers. Bucket records carry only IDs; the dictionary that
-// resolves them is fetched afterwards, in writeSnapshot, which is safe
-// because IDs are append-only — the table can only have grown since the
-// capture.
+// concurrent readers. A bucket record carries the two tables format v2
+// has always carried — prefix sums and the five rollup rows per leaf — so
+// the expansion the write path no longer does per event happens here, per
+// leaf, into scratch maps (a clean bucket's prefix cache is written as it
+// is; no bucket's cache state changes). Bucket records carry only IDs; the
+// dictionary that resolves them is fetched afterwards, in writeSnapshot,
+// which is safe because IDs are append-only — the table can only have
+// grown since the capture.
 func (c *Counter) captureShard(s *shard, rotate bool) shardState {
 	st := shardState{applied: s.applied, dropped: s.dropped, evicted: s.evicted}
 	if rotate && s.wal != nil {
@@ -104,14 +108,39 @@ func (c *Counter) captureShard(s *shard, rotate bool) shardState {
 		}
 		st.nextSeq = seq
 	}
+	scratch := make(map[uint32]int64)
+	rollup := make(map[rollupCell]int64)
 	s.mu.Lock()
+	syms := c.tab.symsSnapshot()
 	for j := range s.ring {
-		if b := &s.ring[j]; b.prefix != nil {
-			st.recs = append(st.recs, encodeBucket(nil, s.idx, b))
+		b := &s.ring[j]
+		if b.leaf == nil {
+			continue
 		}
+		prefix := b.prefix
+		if b.stale {
+			clear(scratch)
+			sumPrefixes(scratch, b.leaf, syms)
+			prefix = scratch
+		}
+		clear(rollup)
+		expandRollups(rollup, b.leaf, syms)
+		st.recs = append(st.recs, encodeBucket(nil, s.idx, b.minute, prefix, rollup))
 	}
 	s.mu.Unlock()
 	return st
+}
+
+// expandRollups adds every leaf's count to its five §3.2 rollup rows in
+// dst; the level-0 rows are the leaves themselves, which is what lets a
+// snapshot load keep those and drop the rest.
+func expandRollups(dst map[rollupCell]int64, leaf map[uint64]int64, syms []*nameSym) {
+	for k, n := range leaf {
+		name, country, loggedIn := leafFields(k)
+		for lvl, id := range syms[name].rollupID {
+			dst[rollupCell{name: id, country: country, level: uint8(lvl), loggedIn: loggedIn}] += n
+		}
+	}
 }
 
 // Snapshot forces a snapshot now: every shard rotates its WAL and hands
@@ -439,18 +468,21 @@ func decodeSnapDict(rec []byte) (snapDict, error) {
 // remains of a second partitioning level inside a shard: written 0 and
 // ignored on load, it stays so that v2 files written with stripe
 // coordinates keep loading (their same-minute buckets merge in loadBucket).
-func encodeBucket(buf []byte, shard int, b *bucket) []byte {
+// The tables are derivable from the level-0 rollup rows alone and a load
+// keeps nothing else; they are written in full so that a binary from
+// before the leaf table reads this file.
+func encodeBucket(buf []byte, shard int, minute int64, prefix map[uint32]int64, rollup map[rollupCell]int64) []byte {
 	buf = append(buf, snapTagBucket)
 	buf = binary.AppendUvarint(buf, uint64(shard))
 	buf = append(buf, 0) // stripe
-	buf = binary.AppendUvarint(buf, uint64(b.minute))
-	buf = binary.AppendUvarint(buf, uint64(len(b.prefix)))
-	for id, v := range b.prefix {
+	buf = binary.AppendUvarint(buf, uint64(minute))
+	buf = binary.AppendUvarint(buf, uint64(len(prefix)))
+	for id, v := range prefix {
 		buf = binary.AppendUvarint(buf, uint64(id))
 		buf = binary.AppendUvarint(buf, uint64(v))
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(b.rollup)))
-	for cell, v := range b.rollup {
+	buf = binary.AppendUvarint(buf, uint64(len(rollup)))
+	for cell, v := range rollup {
 		buf = append(buf, cell.level)
 		buf = binary.AppendUvarint(buf, uint64(cell.name))
 		buf = binary.AppendUvarint(buf, uint64(cell.country))
@@ -464,23 +496,24 @@ func encodeBucket(buf []byte, shard int, b *bucket) []byte {
 	return buf
 }
 
-// snapBucket is a decoded bucket record. Buckets stay in ID space — cells
-// keyed by the snapshot file's dictionary IDs, translated into the
-// recovering counter's own IDs by loadBucket through a remap table built
-// once per file (no per-cell string hashing). The keys end up in the
-// recovering counter's symbol table, which is how a snapshot survives
-// shard-count and ID-assignment differences.
+// snapBucket is a decoded bucket record. decodeBucket fills the tables as
+// the file holds them — cells keyed by the file's dictionary IDs, every ID
+// range-checked. What a load keeps of them is leaf: the level-0 rollup
+// rows translated into the recovering counter's own IDs (resolveLeaves),
+// which is how a snapshot survives shard-count and ID-assignment
+// differences.
 type snapBucket struct {
 	shard  int
 	minute int64
 	// Dictionary-ID-keyed cells (rollupCell fields hold file IDs).
 	prefixID map[uint32]int64
 	rollupID map[rollupCell]int64
+	leaf     map[uint64]int64 // leafKey in the counter's IDs; nil until resolveLeaves
 }
 
 // decodeBucket parses a bucket record. IDs are
-// range-checked against the file's dictionary here — so the remap lookup
-// at load time cannot go out of bounds — but not resolved to strings.
+// range-checked against the file's dictionary here — so resolveLeaves'
+// lookups by ID cannot go out of bounds — but not resolved to strings.
 // Bounds checks ride on the shared recordio.Cursor; dictionary-range
 // checks stay local.
 func decodeBucket(rec []byte, dict *snapDict) (snapBucket, error) {

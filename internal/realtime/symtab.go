@@ -13,8 +13,8 @@ import (
 // hierarchy prefixes, its five §3.2 rollup names, its shard routing —
 // is computed once, the first time the name is seen, and cached
 // behind a dense integer ID. After that, digesting an event is one
-// read-locked map lookup and the counters increment integer-keyed cells
-// instead of hashing strings.
+// read-locked map lookup and the counters increment one integer-keyed
+// leaf instead of hashing strings.
 //
 // Two ID spaces cover the namespace:
 //
@@ -39,8 +39,10 @@ import (
 const noParent = ^uint32(0)
 
 // nameSym is the cached digest of one full event name — its strings, its
-// shard and the IDs of the eleven cells it increments — paid once per
-// distinct name instead of once per event.
+// shard and the IDs of the eleven cells §3.2 derives from it (six prefixes,
+// five rollup names) — paid once per distinct name instead of once per
+// event. An event increments one leaf keyed by id; prefixID and rollupID
+// are how a reader expands that leaf.
 type nameSym struct {
 	id    uint32 // dense name ID, the WAL v2 dictionary key
 	full  string
@@ -213,29 +215,9 @@ func (t *symtab) countryLocked(s string) uint32 {
 	return id
 }
 
-// internPath interns a bare counter key outside the ingest path — snapshot
-// load, where aggregated per-path counts arrive without their full names.
-func (t *symtab) internPath(s string) uint32 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.internPathLocked(s)
-}
-
-// internPaths interns a whole dictionary of counter keys under one write
-// lock, returning old-ID (slice index) → new-ID. This is the snapshot
-// remap builder: every bucket cell in the file then translates with one
-// array index instead of a string hash and per-key lock.
-func (t *symtab) internPaths(ss []string) []uint32 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]uint32, len(ss))
-	for i, s := range ss {
-		out[i] = t.internPathLocked(s)
-	}
-	return out
-}
-
-// internCountries is internPaths for the country table.
+// internCountries interns a snapshot file's country table under one write
+// lock, returning old-ID (slice index) → new-ID, so every cell in the file
+// translates its country with one array index.
 func (t *symtab) internCountries(ss []string) []uint32 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -284,6 +266,18 @@ func (t *symtab) countryName(id uint32) string {
 	s := t.countries[id]
 	t.mu.RUnlock()
 	return s
+}
+
+// symsSnapshot returns the name ID → sym table as it stands: the slice a
+// reader expands leaf keys through. Like childrenOf's result it stays valid,
+// and race-free to read, after the lock is dropped — IDs are append-only and
+// entries immutable — and it covers every ID a leaf written before the call
+// can hold.
+func (t *symtab) symsSnapshot() []*nameSym {
+	t.mu.RLock()
+	s := t.syms
+	t.mu.RUnlock()
+	return s[:len(s):len(s)]
 }
 
 // childrenOf lists the path IDs of parent's direct children (noParent

@@ -32,6 +32,15 @@ var (
 	tmQuerySeriesNs  = telemetry.GetHistogram("realtime.query.series.ns")
 	tmQueryTopKNs    = telemetry.GetHistogram("realtime.query.topk.ns")
 	tmQueryRollupNs  = telemetry.GetHistogram("realtime.query.rollup.ns")
+
+	// The cost the write path moved to the read side. realtime.derive.buckets
+	// counts prefix caches rebuilt because a write had landed in the bucket
+	// since a prefix query last read it; realtime.derive.ns is the time one
+	// query spent on those rebuilds, observed once per query that did any.
+	// A rising buckets rate under steady ingest is a poller re-reading
+	// minutes that are still being written.
+	tmDeriveBuckets = telemetry.GetCounter("realtime.derive.buckets")
+	tmDeriveNs      = telemetry.GetHistogram("realtime.derive.ns")
 )
 
 // Publish wires this counter's live Stats fields and queue state into
