@@ -216,20 +216,23 @@
 // fsync cadence against throughput) before it is applied, and a periodic
 // snapshotter (Config.SnapshotEvery) serializes the shard rings and
 // truncates the covered log segments. WAL records are
-// dictionary-compressed (format v2): each segment embeds a first-seen
+// dictionary-compressed (WAL format v2): each segment embeds a first-seen
 // name once and logs a few varint bytes per observation after that,
 // cutting the log from ~36 B to a few bytes per event; a record or
 // snapshot header of any other version is rejected as corrupt. A record
 // is one batch as a producer handed it over, so a Batcher logs hundreds
 // of events per record and Counter.Ingest exactly one per call — its
 // own dictionary delta, its own write(2), its own share of an fsync
-// (realtime.wal.record_events is the histogram of that). Snapshots
-// carry a dictionary of their own plus the full Stats block, so activity
-// counters survive restarts; a bucket record still holds the prefix sums
-// and all five rollup levels, expanded from the leaves at capture, so the
-// format is the one older binaries read, and a load keeps the level-0
-// rows (the leaves) and drops the rest. After a crash, Open rebuilds the symbol table and replays the
-// newest valid snapshot plus the WAL tail — tolerating a torn final
+// (realtime.wal.record_events is the histogram of that). A snapshot
+// (format v3) is the leaf table: the full Stats block, so activity
+// counters survive restarts, a dictionary of event names and countries,
+// and one record per bucket holding its leaf rows — nothing derived, so a
+// capture reads the leaves as they stand and a load maps the file's IDs
+// into its own and derives prefix sums when they are first read. Formats
+// v1 and v2 are retired: a directory last written by a binary from before
+// v3 recovers from its WAL tail only. After a crash, Open rebuilds the
+// symbol table and replays the newest valid snapshot plus the WAL tail —
+// tolerating a torn final
 // record, flipped bits, damaged or missing snapshots, and a changed
 // shard count (replay re-digests every name) — so a restarted shard
 // remembers "today so far" instead of waiting a day for the warehouse

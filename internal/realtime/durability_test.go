@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -326,106 +326,6 @@ func TestRecoverSkipsPreEpochWALRecord(t *testing.T) {
 	}
 }
 
-// TestSnapshotWithStripeCoordinatesLoads: until a shard owned one ring, a
-// name also belonged to one of eight lock stripes inside its shard, and a
-// snapshot held one bucket record per (shard, stripe, minute). Such a
-// file must load into one ring per shard as the cell-wise sum.
-func TestSnapshotWithStripeCoordinatesLoads(t *testing.T) {
-	const shards, stripes = 2, 8
-	m := New(Config{Shards: shards})
-	t.Cleanup(m.Close)
-	tab := newSymtab(shards)
-	type coord struct {
-		shard, stripe int
-		minute        int64
-	}
-	type tables struct {
-		prefix map[uint32]int64
-		rollup map[rollupCell]int64
-	}
-	buckets := map[coord]*tables{}
-	countries := []string{"us", "jp", "uk", "br"}
-	var observed int64
-	const names = 96
-	for i := 0; i < names; i++ {
-		name := fmt.Sprintf("web:home:timeline:stream:tweet:action%02d", i)
-		if i%3 == 0 {
-			name = fmt.Sprintf("iphone:search:results:cell:tweet:action%02d", i)
-		}
-		at := t0.Add(time.Duration(i/stripes%2) * time.Minute)
-		n := int64(i + 1)
-		e := ev(name, at, int64(i%3), countries[i%len(countries)])
-		for j := int64(0); j < n; j++ {
-			m.Ingest(e)
-		}
-		observed += n
-		// The same events as the cells a striped counter would have held.
-		sym, cid, err := tab.resolveFull(name, countries[i%len(countries)])
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := coord{int(hash32(name) % shards), i % stripes, at.Unix() / 60}
-		b := buckets[k]
-		if b == nil {
-			b = &tables{prefix: map[uint32]int64{}, rollup: map[rollupCell]int64{}}
-			buckets[k] = b
-		}
-		for _, id := range sym.prefixID {
-			b.prefix[id] += n
-		}
-		for lvl, id := range sym.rollupID {
-			b.rollup[rollupCell{name: id, country: cid, level: uint8(lvl), loggedIn: e.LoggedIn()}] += n
-		}
-	}
-	m.Sync()
-	if len(buckets) != shards*stripes*2 {
-		t.Fatalf("the names fill %d buckets, want all %d stripes of each shard and minute", len(buckets), stripes)
-	}
-
-	dir := t.TempDir()
-	var file bytes.Buffer
-	cw := recordio.NewCRCWriter(&file)
-	paths, ctries := tab.dict()
-	recs := [][]byte{
-		encodeSnapHeader(nil, make([]int64, shards), observed, t0.Unix()/60+1, Stats{}),
-		encodeSnapDict(nil, paths, ctries),
-	}
-	for k, b := range buckets {
-		rec := encodeBucket(nil, k.shard, k.minute, b.prefix, b.rollup)
-		rec[2] = byte(k.stripe) // after the tag and the one-byte shard varint
-		recs = append(recs, rec)
-	}
-	for _, rec := range recs {
-		if err := cw.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapName(1)), file.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := Open(dir, durCfg(shards))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	sameAnswers(t, r, m)
-	from, to := t0, t0.Add(2*time.Minute)
-	for _, p := range paths {
-		if g, w := r.PathSum(p, from, to), m.PathSum(p, from, to); g != w {
-			t.Errorf("PathSum(%q) = %d, want %d", p, g, w)
-		}
-	}
-	for _, parent := range []string{"web:home:timeline:stream:tweet", "iphone:search:results:cell:tweet"} {
-		if g, w := r.TopK(parent, names, from, to), m.TopK(parent, names, from, to); !reflect.DeepEqual(g, w) {
-			t.Errorf("TopK(%q) diverged:\n got  %v\n want %v", parent, g, w)
-		}
-		if g, w := r.Series(parent, from, to), m.Series(parent, from, to); !reflect.DeepEqual(g, w) {
-			t.Errorf("Series(%q) = %v, want %v", parent, g, w)
-		}
-	}
-}
-
 // snapThenTail builds the snapshot-plus-WAL-tail layout: 5 events covered
 // by a snapshot, 4 more only in the log, then a crash.
 func snapThenTail(t testing.TB, dir string) string {
@@ -579,10 +479,24 @@ func TestRecoverFallsBackToPreviousSnapshot(t *testing.T) {
 	}
 }
 
-// TestSnapshotLeafNamingNoEventIsCorrupt: a load keeps a file's level-0
-// rollup rows as its leaves, so each must name an event. One that points
-// at another of the dictionary's paths — a prefix, here — is a bad ID like
-// any other: the whole file is refused before any of it is applied, and
+// writeSnapFile frames recs into dir's snapshot file number seq.
+func writeSnapFile(t *testing.T, dir string, seq int64, recs ...[]byte) {
+	t.Helper()
+	var file bytes.Buffer
+	cw := recordio.NewCRCWriter(&file)
+	for _, rec := range recs {
+		if err := cw.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapName(seq)), file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotLeafNamingNoEventIsCorrupt: a file's leaves are keyed by its
+// dictionary's names, so each entry must name an event. One that does not —
+// a prefix, here — fails the whole file before any of it is applied, and
 // recovery comes up exact from the previous snapshot and the WAL.
 func TestSnapshotLeafNamingNoEventIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
@@ -591,42 +505,18 @@ func TestSnapshotLeafNamingNoEventIsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := decodeBucket(recs[2], &dict)
-	if err != nil {
-		t.Fatal(err)
+	if len(dict.names) != 1 {
+		t.Fatalf("seed dictionary names %q, want the one event name", dict.names)
 	}
-	for cell, n := range b.rollupID {
-		if cell.level == 0 {
-			delete(b.rollupID, cell)
-			for id, p := range dict.paths {
-				if p == "web:home" {
-					cell.name = uint32(id)
-				}
-			}
-			b.rollupID[cell] = n
-		}
-	}
-	// Were it accepted, its header would retire the log and claim 1000 events.
-	var forged bytes.Buffer
-	cw := recordio.NewCRCWriter(&forged)
-	for _, rec := range [][]byte{
+	// Were it accepted, its header would retire the log and claim 1000
+	// events, all of them under "web:home".
+	writeSnapFile(t, dir, 2,
 		encodeSnapHeader(nil, []int64{99}, 1000, t0.Unix()/60, Stats{}),
-		recs[1],
-		encodeBucket(nil, b.shard, b.minute, b.prefixID, b.rollupID),
-	} {
-		if err := cw.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapName(2)), forged.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := loadSnapshot(filepath.Join(dir, snapName(2))); err != nil {
-		t.Fatalf("the forged file must get as far as its leaf names, failed to parse: %v", err)
-	}
+		encodeSnapDict(nil, []string{"web:home"}, dict.countries),
+		recs[2])
 	probe := allocCounter(durCfg(1).withDefaults())
-	if err := probe.resolveLeaves(&dict, []snapBucket{b}); !errors.Is(err, recordio.ErrCorrupt) {
-		t.Fatalf("resolveLeaves = %v, want an error wrapping recordio.ErrCorrupt", err)
+	if _, _, err := probe.loadSnapshot(filepath.Join(dir, snapName(2))); !errors.Is(err, recordio.ErrCorrupt) || !strings.Contains(err.Error(), `"web:home"`) {
+		t.Fatalf("loadSnapshot = %v, want an error wrapping recordio.ErrCorrupt that names the entry", err)
 	}
 
 	r, err := Open(dir, durCfg(1))
@@ -643,6 +533,111 @@ func TestSnapshotLeafNamingNoEventIsCorrupt(t *testing.T) {
 	}
 	if got := r.RollupTotal(0, "web:home", from, to); got != 0 {
 		t.Errorf("RollupTotal(0, web:home) = %d: the forged leaf was applied", got)
+	}
+}
+
+// TestSnapshotLeafIDPastDictionaryIsCorrupt: a leaf row indexes the file's
+// dictionary, and an ID one past either table's end is refused.
+func TestSnapshotLeafIDPastDictionaryIsCorrupt(t *testing.T) {
+	remap := snapRemap{names: []uint32{0, 1}, countries: []uint32{0, 1, 2}}
+	minute := t0.Unix() / 60
+	for _, tc := range []struct {
+		what          string
+		name, country uint32
+		ok            bool
+	}{
+		{"last name and country", 1, 2, true},
+		{"name one past", 2, 2, false},
+		{"country one past", 1, 3, false},
+	} {
+		rec := encodeBucket(nil, 0, minute, map[uint64]int64{leafKey(tc.name, tc.country, true): 7})
+		b, err := decodeBucket(rec, &remap)
+		if tc.ok {
+			if err != nil || b.leaf[leafKey(tc.name, tc.country, true)] != 7 {
+				t.Errorf("%s: decodeBucket = %v, %v; want the row back", tc.what, b.leaf, err)
+			}
+		} else if !errors.Is(err, recordio.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want an error wrapping recordio.ErrCorrupt", tc.what, err)
+		}
+	}
+}
+
+// TestSnapshotIDsAreTheWritersOwn: the IDs in a file are its writer's, and a
+// load maps them into whatever numbering the recovering table already has.
+// Two hand-built files list the same names and countries in opposite orders.
+// The newer one is damaged behind its dictionary record, so by the time it is
+// refused its order is the table's; the older one must then load through a
+// remap that is not the identity, and the WAL tail replay on top of it.
+func TestSnapshotIDsAreTheWritersOwn(t *testing.T) {
+	names := []string{
+		"web:home:mentions:stream:avatar:profile_click",
+		"web:home:timeline:stream:tweet:impression",
+		"iphone:home:timeline:stream:tweet:impression",
+	}
+	countries := []string{"us", "jp", "br"}
+	dir := t.TempDir()
+	m := New(Config{Shards: 2})
+	t.Cleanup(m.Close)
+
+	// The WAL tail, in segments 0 of a counter that then dies: the same
+	// names in yet another first-seen order.
+	d, err := Open(dir, durCfg(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{1, 2, 0, 1} {
+		e := ev(names[i], t0.Add(time.Duration(i)*time.Minute), 1, countries[(i+1)%len(countries)])
+		d.Ingest(e)
+		m.Ingest(e)
+	}
+	d.Sync()
+	d.Crash()
+
+	// The snapshots' content, under a header that covers no segment: name i,
+	// country i, i+1 events in minute i, logged in on the even ones.
+	minute := t0.Unix() / 60
+	var observed int64
+	for i, name := range names {
+		for n := 0; n <= i; n++ {
+			m.Ingest(ev(name, t0.Add(time.Duration(i)*time.Minute), int64((i+1)%2), countries[i]))
+			observed++
+		}
+	}
+	m.Sync()
+	// fileInOrder writes that content with the dictionary permuted by order.
+	fileInOrder := func(seq int64, order []int, damage bool) {
+		fileNames, fileCountries := make([]string, len(order)), make([]string, len(order))
+		recs := make([][]byte, 2, 2+len(order))
+		for id, i := range order {
+			fileNames[id], fileCountries[id] = names[i], countries[i]
+			leaf := map[uint64]int64{leafKey(uint32(id), uint32(id), i%2 == 0): int64(i + 1)}
+			recs = append(recs, encodeBucket(nil, i%2, minute+int64(i), leaf))
+		}
+		recs[0] = encodeSnapHeader(nil, []int64{0, 0}, observed, minute+int64(len(names))-1, Stats{})
+		recs[1] = encodeSnapDict(nil, fileNames, fileCountries)
+		if damage {
+			last := recs[len(recs)-1]
+			recs[len(recs)-1] = last[:len(last)-1]
+		}
+		writeSnapFile(t, dir, seq, recs...)
+	}
+	fileInOrder(1, []int{0, 1, 2}, false)
+	fileInOrder(2, []int{2, 1, 0}, true)
+
+	r, err := Open(dir, durCfg(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Crash()
+	if got, _ := r.tab.dict(); !reflect.DeepEqual(got, []string{names[2], names[1], names[0]}) {
+		t.Fatalf("recovered table numbers the names %q: the refused file's dictionary was not interned first, so the older file's remap was the identity", got)
+	}
+	sameAnswers(t, r, m)
+	from, to := t0, t0.Add(time.Duration(len(names))*time.Minute)
+	for _, name := range names {
+		if g, w := r.Series(name, from, to), m.Series(name, from, to); !reflect.DeepEqual(g, w) {
+			t.Errorf("Series(%q) = %v, want %v", name, g, w)
+		}
 	}
 }
 
@@ -839,14 +834,21 @@ func TestStatsPersistAcrossRestart(t *testing.T) {
 	}
 }
 
+// Version bytes that are not a format's current one: those it has retired
+// and the next one up, which this build has never heard of.
+var (
+	staleWALVersions  = []byte{1, 3}
+	staleSnapVersions = []byte{1, 2, 4}
+)
+
 // TestRetiredAndUnknownFormatVersionsAreCorrupt: a WAL record or a
-// snapshot header whose version byte is not the current one — the retired
-// v1 or a version this build has never heard of — is rejected with
+// snapshot header whose version byte is not the current one — a retired
+// version or one this build has never heard of — is rejected with
 // recordio.ErrCorrupt naming the version, and recovery treats it as it
 // treats any other damage: the WAL keeps its intact prefix and truncates,
 // the snapshot is skipped in favour of the surviving WAL tail.
 func TestRetiredAndUnknownFormatVersionsAreCorrupt(t *testing.T) {
-	for _, version := range []byte{1, 3} {
+	for _, version := range staleWALVersions {
 		named := fmt.Sprintf("version %d", version)
 
 		err := (&walDecoder{}).decodeBatch([]byte{version, 0, 0, 0, 0}, nil)
@@ -880,40 +882,23 @@ func TestRetiredAndUnknownFormatVersionsAreCorrupt(t *testing.T) {
 			t.Errorf("wal %s: segment is %d bytes after recovery, want it truncated back to %d (%v)",
 				named, fi.Size(), intact.Size(), err)
 		}
+	}
+
+	for _, version := range staleSnapVersions {
+		named := fmt.Sprintf("version %d", version)
 
 		// The same snapshot, re-framed with only the header's version byte
 		// changed, so the checksum holds and the version check is what fires.
-		dir = t.TempDir()
+		dir := t.TempDir()
 		snap := snapThenTail(t, dir)
-		in, err := os.Open(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out bytes.Buffer
-		cr, cw := recordio.NewCRCReader(in), recordio.NewCRCWriter(&out)
-		for first := true; ; first = false {
-			rec, err := cr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if first {
-				rec[1] = version
-			}
-			if err := cw.Append(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		in.Close()
-		if err := os.WriteFile(snap, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := loadSnapshot(snap); !errors.Is(err, recordio.ErrCorrupt) || !strings.Contains(err.Error(), named) {
+		recs := fileRecords(t, snap)
+		recs[0][1] = version
+		writeSnapFile(t, dir, 1, recs...)
+		probe := allocCounter(durCfg(1).withDefaults())
+		if _, _, err := probe.loadSnapshot(snap); !errors.Is(err, recordio.ErrCorrupt) || !strings.Contains(err.Error(), named) {
 			t.Errorf("snapshot header %s: err = %v, want ErrCorrupt naming the version", named, err)
 		}
-		r, err = Open(dir, durCfg(1))
+		r, err := Open(dir, durCfg(1))
 		if err != nil {
 			t.Fatalf("snapshot %s: recovery errored instead of degrading: %v", named, err)
 		}
@@ -921,5 +906,76 @@ func TestRetiredAndUnknownFormatVersionsAreCorrupt(t *testing.T) {
 			t.Errorf("snapshot %s: recovered %d events, want the 4 surviving WAL-tail events", named, got)
 		}
 		r.Crash()
+	}
+}
+
+// TestOpenFailureReleasesWhatItOpened: when a later shard's WAL cannot be
+// created, Open returns the error naming that shard with the earlier
+// shards' segment files closed again. Open steps over any name already in
+// the directory, so the one way to squat on the segment it will pick is at
+// the last sequence number there is, which has no successor to step to.
+func TestOpenFailureReleasesWhatItOpened(t *testing.T) {
+	dir := t.TempDir()
+	const last = math.MaxInt64
+	writeSnapFile(t, dir, 1,
+		encodeSnapHeader(nil, []int64{0, last}, 0, 0, Stats{}),
+		encodeSnapDict(nil, nil, nil))
+	if err := os.Mkdir(filepath.Join(dir, walName(1, last)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	openFDs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			return -1 // no /proc here: the error is all this test can see
+		}
+		return len(fds)
+	}
+	before := openFDs()
+	c, err := Open(dir, durCfg(2))
+	if err == nil {
+		c.Crash()
+		t.Fatal("Open succeeded with a directory squatting on shard 1's next segment")
+	}
+	if !strings.Contains(err.Error(), "shard 1") {
+		t.Errorf("err = %v, want it to name shard 1", err)
+	}
+	if after := openFDs(); after > before {
+		t.Errorf("%d descriptors open after the failed Open, %d before: shard 0's segment leaked", after, before)
+	}
+}
+
+// TestSnapshotTelemetry: cutting a snapshot reports the file's size and the
+// leaf rows it holds.
+func TestSnapshotTelemetry(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir, durCfg(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Crash()
+	tmSnapshotBytes.Set(0)
+	tmSnapshotLeaves.Set(0)
+	feedBoth(200, d)
+	d.Sync()
+	if err := d.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(filepath.Join(dir, snapName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tmSnapshotBytes.Value(); got != fi.Size() {
+		t.Errorf("realtime.snapshot.bytes = %d, the file is %d bytes", got, fi.Size())
+	}
+	var leaves int64
+	for _, s := range d.shards {
+		s.mu.Lock()
+		for j := range s.ring {
+			leaves += int64(len(s.ring[j].leaf))
+		}
+		s.mu.Unlock()
+	}
+	if got := tmSnapshotLeaves.Value(); got != leaves || leaves == 0 {
+		t.Errorf("realtime.snapshot.leaves = %d, the rings hold %d leaves", got, leaves)
 	}
 }

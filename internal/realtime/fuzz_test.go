@@ -33,20 +33,19 @@ func fileRecords(tb testing.TB, path string) [][]byte {
 
 // addDamaged seeds rec and the damage durability_test.go does to whole
 // files, done to one record: cut short, one byte flipped, and the version
-// byte at index version (-1: the record has none) retired or unknown.
-func addDamaged(f *testing.F, rec []byte, version int) {
+// byte at index version set to each of stale (the format's retired and
+// unknown versions; none for a record without one).
+func addDamaged(f *testing.F, rec []byte, version int, stale []byte) {
 	f.Add(rec)
 	f.Add(rec[:len(rec)/2])
 	f.Add(rec[:len(rec)-1])
 	flipped := append([]byte(nil), rec...)
 	flipped[len(rec)*2/5] ^= 0xFF
 	f.Add(flipped)
-	if version >= 0 {
-		for _, v := range []byte{1, 3} {
-			other := append([]byte(nil), rec...)
-			other[version] = v
-			f.Add(other)
-		}
+	for _, v := range stale {
+		other := append([]byte(nil), rec...)
+		other[version] = v
+		f.Add(other)
 	}
 }
 
@@ -57,7 +56,7 @@ func FuzzWALBatch(f *testing.F) {
 	// The records of a live segment: the first carries the dictionary,
 	// the rest refer to it (corrupt on their own).
 	recs := fileRecords(f, oneShardScenario(f, f.TempDir(), 3))
-	addDamaged(f, recs[0], 0)
+	addDamaged(f, recs[0], 0, staleWALVersions)
 	f.Add(recs[1])
 	// One batch with several names, countries, login bits and a negative
 	// minute delta.
@@ -74,7 +73,7 @@ func FuzzWALBatch(f *testing.F) {
 	}
 	w := &walWriter{nameLocal: map[uint32]uint32{}, countryLocal: map[uint32]uint32{}}
 	rec, _, _ := w.encodeBatch(nil, batch, tab)
-	addDamaged(f, rec, 0)
+	addDamaged(f, rec, 0, staleWALVersions)
 	f.Add([]byte{})
 	f.Add([]byte{walRecordVersion, 0, 0, 0, 0})
 
@@ -94,11 +93,10 @@ func FuzzWALBatch(f *testing.F) {
 // FuzzSnapshotRecords: on any record, the three snapshot decoders each
 // return a value or an error wrapping recordio.ErrCorrupt, never panic,
 // and never size a slice or map past the record's length. Buckets decode
-// against the dictionary of the snapshot the seeds come from, and one the
-// decoder accepts goes on down the load path — its level-0 rows resolved as
-// event names, merged into a ring, derived and read back — which may refuse
-// it as corrupt (most of the dictionary's paths name no event) and may not
-// panic.
+// against the dictionary of the v3 snapshot the seeds come from, interned
+// into a fresh counter, and one the decoder accepts goes on down the load
+// path — merged into a ring, expanded into rollup rows, derived and read
+// back — which may not panic or lose a count.
 func FuzzSnapshotRecords(f *testing.F) {
 	recs := fileRecords(f, snapThenTail(f, f.TempDir()))
 	if len(recs) < 3 {
@@ -108,9 +106,9 @@ func FuzzSnapshotRecords(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	addDamaged(f, recs[0], 1)
-	addDamaged(f, recs[1], -1)
-	addDamaged(f, recs[2], -1)
+	addDamaged(f, recs[0], 1, staleSnapVersions)
+	addDamaged(f, recs[1], 0, nil)
+	addDamaged(f, recs[2], 0, nil)
 	f.Add([]byte{})
 	f.Add([]byte{snapTagHeader, snapRecordVersion, 0xFF, 0xFF, 0x03}) // 65535 shards in five bytes
 
@@ -126,37 +124,34 @@ func FuzzSnapshotRecords(f *testing.F) {
 		h, err := decodeSnapHeader(rec)
 		check("header", len(h.next), err)
 		d, err := decodeSnapDict(rec)
-		check("dictionary", len(d.paths)+len(d.countries), err)
-		b, err := decodeBucket(rec, &dict)
-		check("bucket", len(b.prefixID)+len(b.rollupID), err)
+		check("dictionary", len(d.names)+len(d.countries), err)
+		c := allocCounter(Config{Shards: 2, Retention: 2 * time.Minute}.withDefaults()) // no goroutines to stop
+		remap, err := c.tab.internDict(&dict)
+		if err != nil {
+			t.Fatalf("the seed snapshot's own dictionary: %v", err)
+		}
+		b, err := decodeBucket(rec, &remap)
+		check("bucket", len(b.leaf), err)
 		if err != nil {
 			return
 		}
 		if b.shard < 0 || b.minute < 1 {
 			t.Fatalf("bucket: coordinates (%d, %d) would index a ring out of range", b.shard, b.minute)
 		}
-		c := allocCounter(Config{Shards: 2, Retention: 2 * time.Minute}.withDefaults()) // no goroutines to stop
-		file := []snapBucket{b}
-		if err := c.resolveLeaves(&dict, file); err != nil {
-			check("leaf names", 0, err)
-			return
+		var leaves, loaded int64
+		for _, n := range b.leaf {
+			leaves += n
 		}
-		c.loadBucket(&file[0])
+		c.loadBucket(&b)
 		if b.minute > 1<<40 {
 			return // no time.Time names this minute to a query
-		}
-		var leaves, loaded int64
-		for cell, n := range b.rollupID {
-			if cell.level == 0 {
-				leaves += n
-			}
 		}
 		at := time.Unix(b.minute*60, 0)
 		for _, n := range c.RollupSnapshot(at, at.Add(time.Minute)) {
 			loaded += n
 		}
 		if loaded != leaves*int64(events.NumRollupLevels) {
-			t.Fatalf("bucket: %d in level-0 rows loaded as %d over the five levels", leaves, loaded)
+			t.Fatalf("bucket: %d in leaf rows loaded as %d over the five levels", leaves, loaded)
 		}
 		c.TopK("", 3, at, at.Add(time.Minute))
 	})

@@ -2,7 +2,9 @@ package realtime
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -13,6 +15,7 @@ import (
 	"unilog/internal/analytics"
 	"unilog/internal/events"
 	"unilog/internal/geo"
+	"unilog/internal/workload"
 )
 
 // refModel is the brute-force, string-keyed reference the ID-keyed engine
@@ -266,8 +269,8 @@ func TestCounterMatchesReferenceModel(t *testing.T) {
 
 // TestRecoveredCounterMatchesReferenceModel runs the same property
 // through the whole durability vertical: a durable counter ingests the
-// randomized workload with the battery read in between, cuts a v2 snapshot
-// (dictionary + ID-keyed buckets) while some buckets' prefix caches are
+// randomized workload with the battery read in between, cuts a snapshot
+// (dictionary + ID-keyed leaf rows) while some buckets' prefix caches are
 // clean and some stale, crashes with the tail only in the
 // dictionary-compressed WAL, and is reopened under a *different* shard
 // count. The recovered engine — every bucket loaded stale — must answer
@@ -306,13 +309,68 @@ func TestRecoveredCounterMatchesReferenceModel(t *testing.T) {
 	checkAgainstReference(t, rng, r, g.ref)
 }
 
-// TestSnapshotCarriesDerivedTables: the file format did not change with the
-// bucket. A snapshot cut while some prefix caches are clean and some stale
-// must hold, for every minute, exactly the prefix sums and the five rollup
-// rows per leaf that the reference counts for it — the tables the engine
-// that kept both in memory wrote, so a binary from before the leaf table
-// loads the file.
-func TestSnapshotCarriesDerivedTables(t *testing.T) {
+// snapshotLeaves reads a snapshot file back the way a load does — its
+// dictionary interned into a fresh table, its buckets decoded through the
+// remap — and returns each bucket's rows under their strings, keyed the way
+// the reference keys its level-0 rollup rows, with the bucket count per
+// (shard, minute) beside them.
+func snapshotLeaves(t *testing.T, path string) (rows map[int64]map[analytics.RollupKey]int64, records map[[2]int64]int) {
+	t.Helper()
+	recs := fileRecords(t, path)
+	dict, err := decodeSnapDict(recs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := newSymtab(1)
+	remap, err := tab.internDict(&dict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows = map[int64]map[analytics.RollupKey]int64{}
+	records = map[[2]int64]int{}
+	for _, rec := range recs[2:] {
+		b, err := decodeBucket(rec, &remap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records[[2]int64{int64(b.shard), b.minute}]++
+		if rows[b.minute] == nil {
+			rows[b.minute] = map[analytics.RollupKey]int64{}
+		}
+		for k, n := range b.leaf {
+			name, country, loggedIn := leafFields(k)
+			rows[b.minute][analytics.RollupKey{
+				Name:     tab.syms[name].full,
+				Country:  tab.countryName(country),
+				LoggedIn: loggedIn,
+			}] += n
+		}
+	}
+	return rows, records
+}
+
+// cacheStates copies every live bucket's stale mark and prefix cache.
+func cacheStates(c *Counter) (stale map[[2]int64]bool, prefix map[[2]int64]map[uint32]int64) {
+	stale, prefix = map[[2]int64]bool{}, map[[2]int64]map[uint32]int64{}
+	for _, s := range c.shards {
+		s.mu.Lock()
+		for j := range s.ring {
+			if b := &s.ring[j]; b.leaf != nil {
+				at := [2]int64{int64(s.idx), b.minute}
+				stale[at], prefix[at] = b.stale, maps.Clone(b.prefix)
+			}
+		}
+		s.mu.Unlock()
+	}
+	return stale, prefix
+}
+
+// TestSnapshotHoldsLeaves: a snapshot is the leaf table. One cut while some
+// prefix caches are clean and some stale must hold exactly one record per
+// (shard, minute), whose rows are the level-0 rollup rows the reference
+// counts for that minute and nothing derived from them; and cutting it
+// reads the leaves only — no bucket's stale mark or prefix cache changes.
+func TestSnapshotHoldsLeaves(t *testing.T) {
 	rng := rand.New(rand.NewSource(20120823))
 	dir := t.TempDir()
 	cfg := durCfg(3)
@@ -325,52 +383,83 @@ func TestSnapshotCarriesDerivedTables(t *testing.T) {
 	g.feed(1200, d)
 	checkAgainstReference(t, rng, d, g.ref) // every cache clean
 	g.feed(30, d)                           // some stale again
+	staleBefore, prefixBefore := cacheStates(d)
 	if err := d.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
+	staleAfter, prefixAfter := cacheStates(d)
 	d.Crash()
 
-	recs := fileRecords(t, filepath.Join(dir, snapName(1)))
-	dict, err := decodeSnapDict(recs[1])
+	var stale int
+	for _, is := range staleBefore {
+		if is {
+			stale++
+		}
+	}
+	if stale == 0 || stale == len(staleBefore) {
+		t.Fatalf("%d of %d buckets stale at the capture, want some of each", stale, len(staleBefore))
+	}
+	if !reflect.DeepEqual(staleAfter, staleBefore) || !reflect.DeepEqual(prefixAfter, prefixBefore) {
+		t.Errorf("the capture changed a bucket's stale mark or prefix cache")
+	}
+
+	rows, records := snapshotLeaves(t, filepath.Join(dir, snapName(1)))
+	if len(records) != len(staleBefore) {
+		t.Errorf("%d (shard, minute) pairs in the file, %d live buckets", len(records), len(staleBefore))
+	}
+	for at, n := range records {
+		if n != 1 {
+			t.Errorf("%d records for shard %d, minute %d", n, at[0], at[1])
+		}
+	}
+	want := map[int64]map[analytics.RollupKey]int64{}
+	for minute, at := range g.ref.rollupAt {
+		want[minute] = map[analytics.RollupKey]int64{}
+		for k, n := range at {
+			if k.Level == 0 {
+				want[minute][k] = n
+			}
+		}
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("the file's rows differ from the reference's level-0 rollup rows (%d minutes vs %d)", len(rows), len(want))
+	}
+}
+
+// TestSnapshotBytesPerLeaf is the gate that keeps derived rows from coming
+// back: the generated day's snapshot, header and dictionary included, costs
+// at most 8 bytes per leaf (5.3 as written; the format that carried prefix
+// sums and five rollup levels per bucket cost 41.9).
+func TestSnapshotBytesPerLeaf(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir, durCfg(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefix := map[string]map[int64]int64{}
-	rollup := map[int64]map[analytics.RollupKey]int64{}
-	seen := map[[2]int64]bool{}
-	for _, rec := range recs[2:] {
-		b, err := decodeBucket(rec, &dict)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if at := [2]int64{int64(b.shard), b.minute}; seen[at] {
-			t.Fatalf("two records for shard %d, minute %d", b.shard, b.minute)
-		} else {
-			seen[at] = true
-		}
-		for id, n := range b.prefixID {
-			p := dict.paths[id]
-			if prefix[p] == nil {
-				prefix[p] = map[int64]int64{}
-			}
-			prefix[p][b.minute] += n
-		}
-		if rollup[b.minute] == nil {
-			rollup[b.minute] = map[analytics.RollupKey]int64{}
-		}
-		for cell, n := range b.rollupID {
-			rollup[b.minute][analytics.RollupKey{
-				Level:    events.RollupLevel(cell.level),
-				Name:     dict.paths[cell.name],
-				Country:  dict.countries[cell.country],
-				LoggedIn: cell.loggedIn,
-			}] += n
-		}
+	defer d.Crash()
+	ingestGeneratedDay(d)
+	if err := d.Snapshot(); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(prefix, g.ref.minute) {
-		t.Errorf("the file's prefix rows differ from the reference (%d paths vs %d)", len(prefix), len(g.ref.minute))
+	fi, err := os.Stat(filepath.Join(dir, snapName(1)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rollup, g.ref.rollupAt) {
-		t.Errorf("the file's rollup rows differ from the reference (%d minutes vs %d)", len(rollup), len(g.ref.rollupAt))
+	leaves := tmSnapshotLeaves.Value()
+	t.Logf("%d bytes, %d leaves: %.1f bytes per leaf", fi.Size(), leaves, float64(fi.Size())/float64(leaves))
+	if leaves == 0 || fi.Size() > 8*leaves {
+		t.Errorf("snapshot is %d bytes for %d leaves, want at most 8 per leaf", fi.Size(), leaves)
 	}
+}
+
+// ingestGeneratedDay streams workload.DefaultConfig's day into c and returns
+// with it applied.
+func ingestGeneratedDay(c *Counter) {
+	evs, _ := workload.New(workload.DefaultConfig(day)).Generate()
+	b := c.NewBatcher()
+	for i := range evs {
+		b.Add(&evs[i])
+	}
+	b.Flush()
+	c.Sync()
 }

@@ -209,8 +209,8 @@ func (c *Counter) RollupSnapshot(from, to time.Time) map[analytics.RollupKey]int
 	for k, n := range acc {
 		name, country, loggedIn := leafFields(k)
 		key := analytics.RollupKey{Country: c.tab.countryName(country), LoggedIn: loggedIn}
-		for lvl, id := range syms[name].rollupID {
-			key.Level, key.Name = events.RollupLevel(lvl), c.tab.pathString(id)
+		for lvl, rolled := range syms[name].rolled {
+			key.Level, key.Name = events.RollupLevel(lvl), rolled
 			out[key] += n
 		}
 	}
@@ -222,15 +222,14 @@ func (c *Counter) RollupSnapshot(from, to time.Time) map[analytics.RollupKey]int
 // §3.2 does not define totals zero.
 func (c *Counter) RollupTotal(level events.RollupLevel, name string, from, to time.Time) int64 {
 	defer tmQueryRollupNs.ObserveSince(time.Now())
-	id, ok := c.tab.pathOf(name)
-	if !ok || level < 0 || int(level) >= events.NumRollupLevels {
+	if level < 0 || int(level) >= events.NumRollupLevels {
 		return 0
 	}
 	acc := c.leafTotals(from, to)
 	syms := c.tab.symsSnapshot()
 	var total int64
 	for k, n := range acc {
-		if name, _, _ := leafFields(k); syms[name].rollupID[level] == id {
+		if id, _, _ := leafFields(k); syms[id].rolled[level] == name {
 			total += n
 		}
 	}

@@ -18,7 +18,7 @@
 //
 //   - a concurrent, read-mostly symbol table (symtab.go) interns every
 //     distinct event name once, caching the full string digest — prefix
-//     IDs, rollup-name IDs, shard — behind dense integer IDs, so
+//     IDs, rolled names, shard — behind dense integer IDs, so
 //     the per-event hot path is a read-locked lookup and the counters
 //     below increment one integer-keyed cell;
 //   - a Tap on scribe.Aggregator.Append fans accepted client_events into N
@@ -53,8 +53,8 @@
 // always has. The case that pays repeatedly is a poller of a
 // minute still being written, which derives that one bucket per poll.
 // realtime.derive.buckets and realtime.derive.ns (telemetry.go) show both.
-// A snapshot pays the same expansion at capture, because the file format
-// still carries the prefix sums and all five rollup levels (snapshot.go).
+// A snapshot pays none of it: the file holds the leaves as the buckets do
+// (snapshot.go), and a loaded bucket is derived like any other stale one.
 //
 // Totals are distributive: a key's count is the sum of its per-shard,
 // per-bucket cells, so ingestion never coordinates across shards and
@@ -188,17 +188,6 @@ type obs struct {
 	minute   int64 // event timestamp in Unix minutes
 	sym      *nameSym
 	country  uint32 // interned country ID
-	loggedIn bool
-}
-
-// rollupCell is the ID-keyed form of analytics.RollupKey: one §3.2 rollup
-// row of a bucket as a snapshot file records it. No bucket holds these in
-// memory; captureShard expands them from the leaves and decodeBucket reads
-// them back.
-type rollupCell struct {
-	name     uint32 // path ID of the rolled name
-	country  uint32 // country ID
-	level    uint8  // events.RollupLevel
 	loggedIn bool
 }
 

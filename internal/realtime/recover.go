@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"unilog/internal/events"
 	"unilog/internal/recordio"
 	"unilog/internal/telemetry"
 )
@@ -34,7 +33,7 @@ import (
 //   - appending always begins in a fresh segment, never after a tear.
 //
 // Replay re-digests every logged name through the counter's own symbol
-// table — built fresh here, the snapshot's leaf names first, then
+// table — built fresh here, the snapshot dictionary's names first, then
 // first-seen WAL names — so routing and IDs always follow the current
 // configuration:
 // a log or snapshot written under a different shard count (or a
@@ -53,6 +52,7 @@ func Open(dir string, cfg Config) (*Counter, error) {
 	c.dir = dir
 
 	span := telemetry.StartSpan("realtime.recovery")
+	defer span.End()
 
 	snaps, segs, maxSnapSeq, err := scanDir(dir)
 	if err != nil {
@@ -63,14 +63,9 @@ func Open(dir string, cfg Config) (*Counter, error) {
 	var header snapHeader
 	snapSpan := span.Child("snapshot")
 	for _, s := range snaps { // newest first
-		h, dict, buckets, err := loadSnapshot(filepath.Join(dir, s.name))
+		h, buckets, err := c.loadSnapshot(filepath.Join(dir, s.name))
 		if err != nil {
 			continue // superseded at the next snapshot; recovery moves on
-		}
-		// Before anything is applied: a leaf that names no event fails
-		// the file like any other bad ID.
-		if err := c.resolveLeaves(&dict, buckets); err != nil {
-			continue
 		}
 		header = h
 		c.observedBase = h.observed
@@ -122,12 +117,17 @@ func Open(dir string, cfg Config) (*Counter, error) {
 		}
 		w, err := openWAL(dir, i, seq)
 		if err != nil {
+			// Nothing has started and the segments opened so far are
+			// empty: releasing them is all there is to undo, and this
+			// error, not theirs, is the one the caller needs.
+			for _, opened := range c.shards[:i] {
+				_ = opened.wal.close()
+			}
 			return nil, fmt.Errorf("realtime: open wal shard %d: %w", i, err)
 		}
 		s.wal = w
 	}
 
-	span.End()
 	c.start()
 	return c, nil
 }
@@ -184,42 +184,50 @@ func scanDir(dir string) (snaps []dirEntry, segs map[int][]dirEntry, maxSnapSeq 
 }
 
 // loadSnapshot parses a whole snapshot file into memory, validating every
-// frame before any of it is applied — a snapshot is all-or-nothing. A
-// dictionary record sits between the header and the buckets.
-func loadSnapshot(path string) (snapHeader, snapDict, []snapBucket, error) {
+// frame before any of it is applied — a snapshot is all-or-nothing. The
+// dictionary record between the header and the buckets is interned into the
+// counter's symbol table as soon as it is read, so every bucket decodes
+// straight into the counter's own leaf keys; an entry that is not a valid
+// six-component name makes the file corrupt. A file refused after that
+// point leaves its names interned and nothing counted under them.
+func (c *Counter) loadSnapshot(path string) (snapHeader, []snapBucket, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return snapHeader{}, snapDict{}, nil, err
+		return snapHeader{}, nil, err
 	}
 	defer f.Close()
 	r := recordio.NewCRCReader(f)
 	rec, err := r.Next()
 	if err != nil {
-		return snapHeader{}, snapDict{}, nil, fmt.Errorf("realtime: snapshot %s: %w", filepath.Base(path), errOr(err))
+		return snapHeader{}, nil, fmt.Errorf("realtime: snapshot %s: %w", filepath.Base(path), errOr(err))
 	}
 	header, err := decodeSnapHeader(rec)
 	if err != nil {
-		return snapHeader{}, snapDict{}, nil, err
+		return snapHeader{}, nil, err
 	}
 	if rec, err = r.Next(); err != nil {
-		return snapHeader{}, snapDict{}, nil, fmt.Errorf("realtime: snapshot %s: %w", filepath.Base(path), errOr(err))
+		return snapHeader{}, nil, fmt.Errorf("realtime: snapshot %s: %w", filepath.Base(path), errOr(err))
 	}
 	dict, err := decodeSnapDict(rec)
 	if err != nil {
-		return snapHeader{}, snapDict{}, nil, err
+		return snapHeader{}, nil, err
+	}
+	remap, err := c.tab.internDict(&dict)
+	if err != nil {
+		return snapHeader{}, nil, err
 	}
 	var buckets []snapBucket
 	for {
 		rec, err := r.Next()
 		if err == io.EOF {
-			return header, dict, buckets, nil
+			return header, buckets, nil
 		}
 		if err != nil {
-			return snapHeader{}, snapDict{}, nil, fmt.Errorf("realtime: snapshot %s: %w", filepath.Base(path), err)
+			return snapHeader{}, nil, fmt.Errorf("realtime: snapshot %s: %w", filepath.Base(path), err)
 		}
-		b, err := decodeBucket(rec, &dict)
+		b, err := decodeBucket(rec, &remap)
 		if err != nil {
-			return snapHeader{}, snapDict{}, nil, err
+			return snapHeader{}, nil, err
 		}
 		buckets = append(buckets, b)
 	}
@@ -231,38 +239,6 @@ func errOr(err error) error {
 		return fmt.Errorf("%w: empty snapshot", recordio.ErrCorrupt)
 	}
 	return err
-}
-
-// resolveLeaves translates a parsed file's leaves — the level-0 rollup
-// rows of each bucket, whose path is a full event name — from the file's
-// dictionary IDs into this counter's leaf keys, filling snapBucket.leaf.
-// Each distinct name resolves through the symbol table once per file and
-// each country by array index (decodeBucket's range checks guarantee the
-// indexes), so a cell costs no string hashing. A level-0 path that is not a
-// valid six-component name makes the file corrupt. The prefix rows and
-// rollup levels 1-4 are not looked at: they are sums of the leaves.
-func (c *Counter) resolveLeaves(dict *snapDict, buckets []snapBucket) error {
-	syms := make([]*nameSym, len(dict.paths)) // by file path ID; nil until a leaf names it
-	countries := c.tab.internCountries(dict.countries)
-	for i := range buckets {
-		sb := &buckets[i]
-		sb.leaf = make(map[uint64]int64, len(sb.rollupID)/events.NumRollupLevels)
-		for cell, v := range sb.rollupID {
-			if cell.level != 0 {
-				continue
-			}
-			sym := syms[cell.name]
-			if sym == nil {
-				var err error
-				if sym, _, err = c.tab.resolveFull(dict.paths[cell.name], dict.countries[cell.country]); err != nil {
-					return fmt.Errorf("%w: snapshot leaf %q: %v", recordio.ErrCorrupt, dict.paths[cell.name], err)
-				}
-				syms[cell.name] = sym
-			}
-			sb.leaf[leafKey(sym.id, countries[cell.country], cell.loggedIn)] += v
-		}
-	}
-	return nil
 }
 
 // loadBucket merges one snapshot bucket's resolved leaves into its shard's

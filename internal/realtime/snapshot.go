@@ -34,19 +34,23 @@ import (
 // CRC record stream: one header record (version, per-shard next WAL
 // sequence numbers, the observed-event total, the retention high-water
 // minute, and the full Stats block so activity counters survive
-// restarts), one dictionary record (the symbol table's path and country
-// strings, indexed by ID), then one record per non-empty minute bucket
-// with ID-keyed cells. Writes go to a temp file that is fsynced and
-// atomically renamed, so a crashed snapshotter leaves either the old
-// snapshot or the new one, never a half-written current file.
+// restarts), one dictionary record (the symbol table's event names and
+// countries, indexed by ID), then one record per non-empty minute bucket
+// holding its leaf rows (name ID, country ID and logged-in bit, count). A
+// snapshot is the leaf table and nothing derived from it: prefix sums and
+// rollup rows are sums over leaves, rebuilt when they are read. Writes go
+// to a temp file that is fsynced and atomically renamed, so a crashed
+// snapshotter leaves either the old snapshot or the new one, never a
+// half-written current file.
 
 // errClosed reports a durability operation on a stopped counter.
 var errClosed = errors.New("realtime: counter is closed")
 
 // snapRecordVersion is the snapshot format version. A header carrying any
 // other version — the retired v1 (string-keyed buckets, no dictionary, no
-// stats) included — is rejected as corrupt.
-const snapRecordVersion = 2
+// stats) and v2 (prefix and rollup tables per bucket) included — is
+// rejected as corrupt.
+const snapRecordVersion = 3
 
 // Record tags inside a snapshot file.
 const (
@@ -76,10 +80,11 @@ func parseSnapName(name string) (seq int64, ok bool) {
 }
 
 // shardState is one shard's contribution to a snapshot: its encoded
-// buckets, its applied-event count, and the WAL sequence number its state
-// is exact up to (exclusive).
+// buckets and the leaf rows in them, its applied-event count, and the WAL
+// sequence number its state is exact up to (exclusive).
 type shardState struct {
 	recs    [][]byte
+	leaves  int64
 	applied int64
 	dropped int64
 	evicted int64
@@ -91,14 +96,11 @@ type shardState struct {
 // on the shard's drain goroutine and first rotates the WAL so the
 // boundary is durable; without, the drains have exited (Close) and the
 // caller sets the boundary. The shard lock is held only against
-// concurrent readers. A bucket record carries the two tables format v2
-// has always carried — prefix sums and the five rollup rows per leaf — so
-// the expansion the write path no longer does per event happens here, per
-// leaf, into scratch maps (a clean bucket's prefix cache is written as it
-// is; no bucket's cache state changes). Bucket records carry only IDs; the
-// dictionary that resolves them is fetched afterwards, in writeSnapshot,
-// which is safe because IDs are append-only — the table can only have
-// grown since the capture.
+// concurrent readers, and only the leaves are read: a bucket's prefix
+// cache and stale mark are as the capture found them. Bucket records
+// carry only IDs; the dictionary that resolves them is fetched
+// afterwards, in writeSnapshot, which is safe because IDs are append-only
+// — the table can only have grown since the capture.
 func (c *Counter) captureShard(s *shard, rotate bool) shardState {
 	st := shardState{applied: s.applied, dropped: s.dropped, evicted: s.evicted}
 	if rotate && s.wal != nil {
@@ -108,39 +110,17 @@ func (c *Counter) captureShard(s *shard, rotate bool) shardState {
 		}
 		st.nextSeq = seq
 	}
-	scratch := make(map[uint32]int64)
-	rollup := make(map[rollupCell]int64)
 	s.mu.Lock()
-	syms := c.tab.symsSnapshot()
 	for j := range s.ring {
 		b := &s.ring[j]
 		if b.leaf == nil {
 			continue
 		}
-		prefix := b.prefix
-		if b.stale {
-			clear(scratch)
-			sumPrefixes(scratch, b.leaf, syms)
-			prefix = scratch
-		}
-		clear(rollup)
-		expandRollups(rollup, b.leaf, syms)
-		st.recs = append(st.recs, encodeBucket(nil, s.idx, b.minute, prefix, rollup))
+		st.recs = append(st.recs, encodeBucket(nil, s.idx, b.minute, b.leaf))
+		st.leaves += int64(len(b.leaf))
 	}
 	s.mu.Unlock()
 	return st
-}
-
-// expandRollups adds every leaf's count to its five §3.2 rollup rows in
-// dst; the level-0 rows are the leaves themselves, which is what lets a
-// snapshot load keep those and drop the rest.
-func expandRollups(dst map[rollupCell]int64, leaf map[uint64]int64, syms []*nameSym) {
-	for k, n := range leaf {
-		name, country, loggedIn := leafFields(k)
-		for lvl, id := range syms[name].rollupID {
-			dst[rollupCell{name: id, country: country, level: uint8(lvl), loggedIn: loggedIn}] += n
-		}
-	}
 }
 
 // Snapshot forces a snapshot now: every shard rotates its WAL and hands
@@ -245,10 +225,12 @@ func (c *Counter) writeSnapshot(states []shardState) error {
 	cw := recordio.NewCRCWriter(bw)
 	werr := cw.Append(encodeSnapHeader(nil, next, observed, c.maxMinute.Load(), stats))
 	if werr == nil {
-		paths, countries := c.tab.dict()
-		werr = cw.Append(encodeSnapDict(nil, paths, countries))
+		names, countries := c.tab.dict()
+		werr = cw.Append(encodeSnapDict(nil, names, countries))
 	}
+	var leaves int64
 	for _, st := range states {
+		leaves += st.leaves
 		for _, rec := range st.recs {
 			if werr != nil {
 				break
@@ -277,6 +259,8 @@ func (c *Counter) writeSnapshot(states []shardState) error {
 	syncDir(c.dir)
 	c.snapSeq = seq
 	c.snapshots.Add(1)
+	tmSnapshotBytes.Set(cw.Bytes())
+	tmSnapshotLeaves.Set(leaves)
 	c.prune(seq, next)
 	return nil
 }
@@ -411,18 +395,18 @@ func decodeSnapHeader(rec []byte) (snapHeader, error) {
 	return h, nil
 }
 
-// snapDict is the decoded dictionary record: the snapshot's ID -> string
-// tables for counter paths and countries.
+// snapDict is the decoded dictionary record: the writer's ID -> string
+// tables for full event names and countries.
 type snapDict struct {
-	paths     []string
+	names     []string
 	countries []string
 }
 
 // encodeSnapDict appends the dictionary record.
-func encodeSnapDict(buf []byte, paths, countries []string) []byte {
+func encodeSnapDict(buf []byte, names, countries []string) []byte {
 	buf = append(buf, snapTagDict)
-	buf = binary.AppendUvarint(buf, uint64(len(paths)))
-	for _, s := range paths {
+	buf = binary.AppendUvarint(buf, uint64(len(names)))
+	for _, s := range names {
 		buf = binary.AppendUvarint(buf, uint64(len(s)))
 		buf = append(buf, s...)
 	}
@@ -454,7 +438,7 @@ func decodeSnapDict(rec []byte) (snapDict, error) {
 		}
 		return out
 	}
-	d.paths = readStrs("paths")
+	d.names = readStrs("names")
 	d.countries = readStrs("countries")
 	if err := c.Err(); err != nil {
 		return d, fmt.Errorf("snapshot dictionary: %w", err)
@@ -462,61 +446,45 @@ func decodeSnapDict(rec []byte) (snapDict, error) {
 	return d, nil
 }
 
-// encodeBucket appends one v2 bucket record: tag, shard, stripe, minute,
-// then the ID-keyed prefix and rollup tables. Strings live in the
-// dictionary record, written once per file. The stripe varint is what
-// remains of a second partitioning level inside a shard: written 0 and
-// ignored on load, it stays so that v2 files written with stripe
-// coordinates keep loading (their same-minute buckets merge in loadBucket).
-// The tables are derivable from the level-0 rollup rows alone and a load
-// keeps nothing else; they are written in full so that a binary from
-// before the leaf table reads this file.
-func encodeBucket(buf []byte, shard int, minute int64, prefix map[uint32]int64, rollup map[rollupCell]int64) []byte {
+// snapRemap translates a file's dictionary IDs, which are its writer's,
+// into the loading counter's: index by file ID, read the counter's ID
+// (symtab.internDict).
+type snapRemap struct {
+	names     []uint32
+	countries []uint32
+}
+
+// encodeBucket appends one bucket record: tag, shard, minute, then the
+// bucket's leaf rows — name ID, country ID << 1 | logged-in (the low word
+// of a leafKey as it stands), count — with their strings in the dictionary
+// record, written once per file.
+func encodeBucket(buf []byte, shard int, minute int64, leaf map[uint64]int64) []byte {
 	buf = append(buf, snapTagBucket)
 	buf = binary.AppendUvarint(buf, uint64(shard))
-	buf = append(buf, 0) // stripe
 	buf = binary.AppendUvarint(buf, uint64(minute))
-	buf = binary.AppendUvarint(buf, uint64(len(prefix)))
-	for id, v := range prefix {
-		buf = binary.AppendUvarint(buf, uint64(id))
-		buf = binary.AppendUvarint(buf, uint64(v))
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(rollup)))
-	for cell, v := range rollup {
-		buf = append(buf, cell.level)
-		buf = binary.AppendUvarint(buf, uint64(cell.name))
-		buf = binary.AppendUvarint(buf, uint64(cell.country))
-		if cell.loggedIn {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+	buf = binary.AppendUvarint(buf, uint64(len(leaf)))
+	for k, v := range leaf {
+		buf = binary.AppendUvarint(buf, k>>32)
+		buf = binary.AppendUvarint(buf, uint64(uint32(k)))
 		buf = binary.AppendUvarint(buf, uint64(v))
 	}
 	return buf
 }
 
-// snapBucket is a decoded bucket record. decodeBucket fills the tables as
-// the file holds them — cells keyed by the file's dictionary IDs, every ID
-// range-checked. What a load keeps of them is leaf: the level-0 rollup
-// rows translated into the recovering counter's own IDs (resolveLeaves),
-// which is how a snapshot survives shard-count and ID-assignment
-// differences.
+// snapBucket is a decoded bucket record with its leaves keyed the way the
+// loading counter keys them, which is how a snapshot survives shard-count
+// and ID-assignment differences.
 type snapBucket struct {
 	shard  int
 	minute int64
-	// Dictionary-ID-keyed cells (rollupCell fields hold file IDs).
-	prefixID map[uint32]int64
-	rollupID map[rollupCell]int64
-	leaf     map[uint64]int64 // leafKey in the counter's IDs; nil until resolveLeaves
+	leaf   map[uint64]int64
 }
 
-// decodeBucket parses a bucket record. IDs are
-// range-checked against the file's dictionary here — so resolveLeaves'
-// lookups by ID cannot go out of bounds — but not resolved to strings.
-// Bounds checks ride on the shared recordio.Cursor; dictionary-range
-// checks stay local.
-func decodeBucket(rec []byte, dict *snapDict) (snapBucket, error) {
+// decodeBucket parses a bucket record, range-checking each row's IDs
+// against the file's dictionary and mapping them through remap into the
+// counter's own leaf keys. Bounds checks ride on the shared
+// recordio.Cursor; dictionary-range checks stay local.
+func decodeBucket(rec []byte, remap *snapRemap) (snapBucket, error) {
 	var b snapBucket
 	corrupt := func(what string) (snapBucket, error) {
 		return b, fmt.Errorf("%w: snapshot bucket %s", recordio.ErrCorrupt, what)
@@ -526,37 +494,18 @@ func decodeBucket(rec []byte, dict *snapDict) (snapBucket, error) {
 	}
 	c := recordio.NewCursor(rec[1:])
 	b.shard = int(c.Uvarint("coordinates"))
-	c.Uvarint("coordinates") // stripe
 	b.minute = int64(c.Uvarint("coordinates"))
 	badID := false
-	np := c.Count("prefix count")
-	b.prefixID = make(map[uint32]int64, np)
-	for i := 0; i < np && c.Ok() && !badID; i++ {
-		id := c.Uvarint("prefix key")
-		v := c.Uvarint("prefix value")
-		if id >= uint64(len(dict.paths)) {
+	n := c.Count("leaf count")
+	b.leaf = make(map[uint64]int64, n)
+	for i := 0; i < n && c.Ok() && !badID; i++ {
+		name := c.Uvarint("leaf name")
+		cl := c.Uvarint("leaf country and login bit")
+		v := c.Uvarint("leaf value")
+		if name >= uint64(len(remap.names)) || cl>>1 >= uint64(len(remap.countries)) {
 			badID = true
 		} else if c.Ok() {
-			b.prefixID[uint32(id)] += int64(v)
-		}
-	}
-	nr := c.Count("rollup count")
-	b.rollupID = make(map[rollupCell]int64, nr)
-	for i := 0; i < nr && c.Ok() && !badID; i++ {
-		level := c.Byte("rollup level")
-		name := c.Uvarint("rollup name")
-		country := c.Uvarint("rollup country")
-		loggedIn := c.Bool("rollup login bit")
-		v := c.Uvarint("rollup value")
-		if name >= uint64(len(dict.paths)) || country >= uint64(len(dict.countries)) {
-			badID = true
-		} else if c.Ok() {
-			b.rollupID[rollupCell{
-				name:     uint32(name),
-				country:  uint32(country),
-				level:    level,
-				loggedIn: loggedIn,
-			}] += int64(v)
+			b.leaf[leafKey(remap.names[name], remap.countries[cl>>1], cl&1 != 0)] += int64(v)
 		}
 	}
 	if err := c.Err(); err != nil {

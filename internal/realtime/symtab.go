@@ -1,10 +1,11 @@
 package realtime
 
 import (
-	"strings"
+	"fmt"
 	"sync"
 
 	"unilog/internal/events"
+	"unilog/internal/recordio"
 )
 
 // The symbol table is the hot-path optimization the §3 namespace makes
@@ -19,15 +20,15 @@ import (
 // Two ID spaces cover the namespace:
 //
 //   - a *name* ID per distinct full event name (dense intern order; this
-//     is also the WAL v2 dictionary key), each owning a nameSym with the
-//     cached digest;
-//   - a *path* ID per distinct counter key — every prefix of every name
-//     plus every rolled-up name — carrying the string, its depth, and its
-//     parent path, and listed under that parent, which is what lets TopK
-//     ask a bucket for a path's children without touching a string or
-//     walking the bucket.
+//     keys a bucket's leaves, the snapshot dictionary and the WAL v2
+//     dictionaries), each owning a nameSym with the cached digest;
+//   - a *path* ID per distinct hierarchy prefix — "web", "web:home", ...,
+//     the full name — which keys a bucket's prefix cache. Each path is
+//     listed under its parent, which is what lets TopK ask a bucket for a
+//     path's children without touching a string or walking the bucket.
 //
-// Countries get the same treatment in a third, tiny space.
+// Rolled-up names have no ID: nothing is keyed by one, so they are strings
+// on the sym. Countries get the ID treatment in a third, tiny space.
 //
 // The table is read-mostly: lookups take the read lock; the write lock is
 // taken only the first time a name (or country) appears, and entries are
@@ -35,29 +36,22 @@ import (
 // valid forever. IDs are append-only and never reused, which is what the
 // snapshot dictionary and the WAL v2 per-segment dictionaries rely on.
 
-// noParent marks a depth-0 path (a client, e.g. "web") in pathInfo.parent.
+// noParent is the parent of a depth-0 path (a client, e.g. "web") in kids.
 const noParent = ^uint32(0)
 
 // nameSym is the cached digest of one full event name — its strings, its
-// shard and the IDs of the eleven cells §3.2 derives from it (six prefixes,
-// five rollup names) — paid once per distinct name instead of once per
-// event. An event increments one leaf keyed by id; prefixID and rollupID
-// are how a reader expands that leaf.
+// shard and the eleven cells §3.2 derives from it (six prefixes, five
+// rollup names) — paid once per distinct name instead of once per event.
+// An event increments one leaf keyed by id; prefixID and rolled are how a
+// reader expands that leaf.
 type nameSym struct {
-	id    uint32 // dense name ID, the WAL v2 dictionary key
+	id    uint32 // dense name ID, the snapshot and WAL v2 dictionary key
 	full  string
 	shard uint32 // hash of full, modulo the counter's shard count
 	// prefixID[d] is the path ID of the first d+1 components.
 	prefixID [events.NumComponents]uint32
-	// rollupID[l] is the path ID of the level-l rolled name of §3.2.
-	rollupID [events.NumRollupLevels]uint32
-}
-
-// pathInfo describes one interned counter key.
-type pathInfo struct {
-	str    string
-	parent uint32 // path ID of the parent path, noParent at depth 0
-	depth  uint8  // number of ':' in str
+	// rolled[l] is the level-l rolled name of §3.2; rolled[0] is full.
+	rolled [events.NumRollupLevels]string
 }
 
 // symtab is a concurrent, read-mostly intern table bound to one Counter
@@ -71,7 +65,7 @@ type symtab struct {
 	syms   []*nameSym // name ID -> sym
 
 	pathID map[string]uint32
-	paths  []pathInfo // path ID -> info
+	paths  []string // path ID -> hierarchy prefix
 	// kids lists each path's direct children (noParent: the depth-0
 	// roots), ascending by ID because IDs are handed out in append order.
 	kids map[uint32][]uint32
@@ -169,17 +163,17 @@ func (t *symtab) internLocked(n events.EventName) *nameSym {
 	full := n.String()
 	sym := &nameSym{id: uint32(len(t.syms)), full: full}
 	sym.shard = hash32(full) % t.shards
-	d := 0
-	for i := 0; i < len(full); i++ {
-		if full[i] == ':' {
-			sym.prefixID[d] = t.internPathLocked(full[:i])
+	d, parent := 0, noParent
+	for i := 0; i <= len(full); i++ {
+		if i == len(full) || full[i] == ':' {
+			parent = t.internPathLocked(full[:i], parent)
+			sym.prefixID[d] = parent
 			d++
 		}
 	}
-	sym.prefixID[events.NumComponents-1] = t.internPathLocked(full)
-	sym.rollupID[0] = sym.prefixID[events.NumComponents-1]
+	sym.rolled[0] = full
 	for lvl := 1; lvl < events.NumRollupLevels; lvl++ {
-		sym.rollupID[lvl] = t.internPathLocked(n.Rollup(events.RollupLevel(lvl)).String())
+		sym.rolled[lvl] = n.Rollup(events.RollupLevel(lvl)).String()
 	}
 	t.syms = append(t.syms, sym)
 	t.byName[n] = sym
@@ -187,21 +181,16 @@ func (t *symtab) internLocked(n events.EventName) *nameSym {
 	return sym
 }
 
-// internPathLocked interns one counter key, parents first, so every path's
-// parent already has an ID. Callers hold the write lock.
-func (t *symtab) internPathLocked(s string) uint32 {
+// internPathLocked interns one hierarchy prefix under its parent's ID
+// (noParent at depth 0). Callers hold the write lock.
+func (t *symtab) internPathLocked(s string, parent uint32) uint32 {
 	if id, ok := t.pathID[s]; ok {
 		return id
 	}
-	info := pathInfo{str: s, parent: noParent}
-	if i := strings.LastIndexByte(s, ':'); i >= 0 {
-		info.parent = t.internPathLocked(s[:i])
-		info.depth = t.paths[info.parent].depth + 1
-	}
 	id := uint32(len(t.paths))
 	t.pathID[s] = id
-	t.paths = append(t.paths, info)
-	t.kids[info.parent] = append(t.kids[info.parent], id)
+	t.paths = append(t.paths, s)
+	t.kids[parent] = append(t.kids[parent], id)
 	return id
 }
 
@@ -215,24 +204,29 @@ func (t *symtab) countryLocked(s string) uint32 {
 	return id
 }
 
-// internCountries interns a snapshot file's country table under one write
-// lock, returning old-ID (slice index) → new-ID, so every cell in the file
-// translates its country with one array index.
-func (t *symtab) internCountries(ss []string) []uint32 {
+// internDict interns a snapshot file's dictionary under one write lock,
+// returning file ID (slice index) → this table's ID for names and
+// countries, so every leaf row in the file translates with two array
+// indexes. An entry that is not a valid six-component event name makes the
+// file corrupt; the names before it stay interned, which counts nothing.
+func (t *symtab) internDict(d *snapDict) (snapRemap, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]uint32, len(ss))
-	for i, s := range ss {
-		out[i] = t.countryLocked(s)
+	remap := snapRemap{
+		names:     make([]uint32, len(d.names)),
+		countries: make([]uint32, len(d.countries)),
 	}
-	return out
-}
-
-// country interns a country code outside the ingest path.
-func (t *symtab) country(s string) uint32 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.countryLocked(s)
+	for i, s := range d.names {
+		n, err := events.ParseName(s)
+		if err != nil {
+			return snapRemap{}, fmt.Errorf("%w: snapshot dictionary name %q: %v", recordio.ErrCorrupt, s, err)
+		}
+		remap.names[i] = t.internLocked(n).id
+	}
+	for i, s := range d.countries {
+		remap.countries[i] = t.countryLocked(s)
+	}
+	return remap, nil
 }
 
 // pathOf resolves a query string to its path ID; a miss means the path has
@@ -242,22 +236,6 @@ func (t *symtab) pathOf(s string) (uint32, bool) {
 	id, ok := t.pathID[s]
 	t.mu.RUnlock()
 	return id, ok
-}
-
-// pathString resolves a path ID back to its string at query time.
-func (t *symtab) pathString(id uint32) string {
-	t.mu.RLock()
-	s := t.paths[id].str
-	t.mu.RUnlock()
-	return s
-}
-
-// pathMeta reports a path's depth and parent ID.
-func (t *symtab) pathMeta(id uint32) (depth uint8, parent uint32) {
-	t.mu.RLock()
-	p := t.paths[id]
-	t.mu.RUnlock()
-	return p.depth, p.parent
 }
 
 // countryName resolves a country ID back to its code at query time.
@@ -300,23 +278,24 @@ func (t *symtab) resolveCounts(ids []uint32, counts []int64) []PathCount {
 	var out []PathCount
 	for i, n := range counts {
 		if n != 0 {
-			out = append(out, PathCount{Path: t.paths[ids[i]].str, Count: n})
+			out = append(out, PathCount{Path: t.paths[ids[i]], Count: n})
 		}
 	}
 	return out
 }
 
-// dict snapshots both string tables — the snapshot file's dictionary. The
-// copies index exactly by ID, and because IDs are append-only they cover
-// every ID any concurrently-captured bucket can reference.
-func (t *symtab) dict() (paths, countries []string) {
+// dict snapshots the name and country tables — the snapshot file's
+// dictionary. The copies index exactly by ID, and because IDs are
+// append-only they cover every ID any concurrently-captured bucket can
+// reference.
+func (t *symtab) dict() (names, countries []string) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	paths = make([]string, len(t.paths))
-	for i := range t.paths {
-		paths[i] = t.paths[i].str
+	names = make([]string, len(t.syms))
+	for i, sym := range t.syms {
+		names[i] = sym.full
 	}
 	countries = make([]string, len(t.countries))
 	copy(countries, t.countries)
-	return paths, countries
+	return names, countries
 }

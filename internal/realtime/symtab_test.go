@@ -2,8 +2,10 @@ package realtime
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"unilog/internal/events"
 )
@@ -43,29 +45,52 @@ func TestSymtabInternCachesFullDigest(t *testing.T) {
 		"web:home:mentions:stream:avatar",
 		"web:home:mentions:stream:avatar:profile_click",
 	}
+	parent := noParent
 	for d, want := range wantPrefixes {
 		id := sym.prefixID[d]
-		if got := tab.pathString(id); got != want {
+		if got := tab.paths[id]; got != want {
 			t.Errorf("prefix[%d] = %q, want %q", d, got, want)
 		}
-		depth, parent := tab.pathMeta(id)
-		if int(depth) != d {
-			t.Errorf("depth(%q) = %d, want %d", want, depth, d)
+		if kids := tab.childrenOf(parent); len(kids) != 1 || kids[0] != id {
+			t.Errorf("children of %q's parent = %v, want [%d]", want, kids, id)
 		}
-		if d == 0 {
-			if parent != noParent {
-				t.Errorf("parent(%q) = %d, want noParent", want, parent)
-			}
-		} else if parent != sym.prefixID[d-1] {
-			t.Errorf("parent(%q) = %d, want %d", want, parent, sym.prefixID[d-1])
-		}
+		parent = id
 	}
 	// Rollup level 0 is the full name; higher levels wildcard per §3.2.
-	if sym.rollupID[0] != sym.prefixID[events.NumComponents-1] {
-		t.Errorf("rollupID[0] != full-name path ID")
+	if sym.rolled[0] != sym.full {
+		t.Errorf("rolled[0] = %q, want the full name", sym.rolled[0])
 	}
-	if got := tab.pathString(sym.rollupID[2]); got != "web:home:mentions:*:*:profile_click" {
-		t.Errorf("rollup[2] = %q", got)
+	if got := sym.rolled[2]; got != "web:home:mentions:*:*:profile_click" {
+		t.Errorf("rolled[2] = %q", got)
+	}
+}
+
+// TestSymtabPathsAreHierarchyPrefixes: the path space holds what a bucket's
+// prefix cache is keyed by and nothing else. After the generated day no
+// interned path is a rolled name, and every child TopK would probe counted
+// something that day.
+func TestSymtabPathsAreHierarchyPrefixes(t *testing.T) {
+	c := newCounter(t, Config{})
+	ingestGeneratedDay(c)
+	if len(c.tab.paths) == 0 {
+		t.Fatal("the generated day interned no paths")
+	}
+	for _, p := range c.tab.paths {
+		if strings.Contains(p, "*") {
+			t.Errorf("path %q is a rolled name", p)
+		}
+	}
+	listed := 0
+	for parent, kids := range c.tab.kids {
+		for _, id := range kids {
+			listed++
+			if c.PathSum(c.tab.paths[id], day, day.Add(24*time.Hour)) == 0 {
+				t.Errorf("child %q of path %d counted nothing all day", c.tab.paths[id], parent)
+			}
+		}
+	}
+	if listed != len(c.tab.paths) {
+		t.Errorf("%d paths listed as someone's child, %d interned", listed, len(c.tab.paths))
 	}
 }
 

@@ -21,6 +21,10 @@ var (
 	tmWALFsyncNs   = telemetry.GetHistogram("realtime.wal.fsync.ns")
 	tmSnapshotNs   = telemetry.GetHistogram("realtime.snapshot.write.ns")
 
+	// The newest snapshot file: its size on disk and the leaf rows in it.
+	tmSnapshotBytes  = telemetry.GetGauge("realtime.snapshot.bytes")
+	tmSnapshotLeaves = telemetry.GetGauge("realtime.snapshot.leaves")
+
 	// realtime.wal.record_events is the observations per appended WAL
 	// record. A record costs one write(2), one dictionary delta and
 	// 1/FsyncEvery of an fsync whatever it holds, so a median of 1 here
