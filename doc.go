@@ -52,22 +52,27 @@
 // The logmover.* telemetry series count hours, records, bytes and which of
 // the two paths each staging file took.
 //
-// The dataflow engine executes out-of-core with a sort-merge shuffle, the
-// way the MapReduce jobs it models do: datasets are lazy pull-based
-// iterator pipelines (scans buffer one split at a time;
-// Filter/Project/ForEach/FlatMap stream), and the pipeline breakers —
-// GroupBy, GroupAll, Join, Distinct, OrderBy — are external operators that
-// buffer their input and, each time dataflow.Job.MemoryBudget is
-// exceeded, sort the buffer on (rendered key, optional order columns,
-// insertion sequence) and spill it as one budget-sized sorted run in a
-// CRC-framed spill file. The reduce side is a streaming k-way merge over
-// the runs (cascaded first when there are more than 64 of them):
+// The dataflow engine keeps the operators the jobs run and meters the
+// three numbers §4 argues from: map tasks (one per file), bytes read and
+// bytes shuffled; it simulates no cluster time. It executes out-of-core
+// with a sort-merge shuffle, the way the MapReduce jobs it models do:
+// datasets are lazy pull-based iterator pipelines (scans buffer one split
+// at a time; Filter/Project/Union stream), and the pipeline breakers —
+// GroupBy, GroupAll, Join, OrderBy — are external operators that buffer
+// their input and, each time dataflow.Job.MemoryBudget is exceeded, sort
+// the buffer on (rendered key, optional order column, insertion sequence)
+// and spill it as one budget-sized sorted run in a CRC-framed spill file
+// (FuzzSpillRecord holds the run-record decoder to ErrCorrupt /
+// ErrTruncated on any bytes). The reduce side is a streaming k-way merge
+// over the runs (cascaded first when there are more than 64 of them):
 // groups arrive in global key order with their tuples pre-ordered
 // (GroupByOrdered's secondary sort is what lets sessionization and funnel
-// walks consume each group without re-sorting it), joins advance two
-// ordered streams in lockstep, and OrderBy is a merge sort over the same
-// runs — so peak reduce memory is the run fan-in (one buffered tuple per
-// run), never the group count. A zero budget (the default) never trips:
+// walks consume each group without re-sorting it) and reduce through
+// EachGroup, ForEachGroup or Sum (integer columns only; anything else is
+// an error naming the column and type), joins advance two ordered streams
+// in lockstep, and OrderBy is a merge sort over the same runs — so peak
+// reduce memory is the run fan-in (one buffered tuple per run), never the
+// group count. A zero budget (the default) never trips:
 // the same table with one never-spilled run, so any budget produces
 // identical relations in identical order at the same modelled cost,
 // asserted by internal/dataflow's property tests and, for the day-scale

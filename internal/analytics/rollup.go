@@ -97,7 +97,7 @@ func Rollups(j *dataflow.Job, day time.Time) (map[RollupKey]int64, error) {
 		return nil, err
 	}
 	defer g.Close()
-	counts, err := g.Aggregate(dataflow.Sum("n", "n"))
+	counts, err := g.Sum("n", "n")
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +140,7 @@ func newRollupCombiner() *rollupCombiner {
 	return &rollupCombiner{names: make(map[string]uint32), counts: make(map[combineKey]int64)}
 }
 
-// add counts one event. Malformed names are dropped, as the FlatMap did.
+// add counts one event. Malformed names are dropped.
 func (c *rollupCombiner) add(name, ip string, loggedIn bool) {
 	id, ok := c.names[name]
 	if !ok {

@@ -45,22 +45,22 @@ func (f EventsFormat) Schema() dataflow.Schema {
 // outside the row schema) returns ok == false and the planner falls
 // through to the row path, where the same selection fails or filters
 // with the ordinary row operators.
-func (f EventsFormat) Pushdown(sel dataflow.Selection) (dataflow.InputFormat, dataflow.Selection, bool) {
+func (f EventsFormat) Pushdown(sel dataflow.Selection) (dataflow.InputFormat, bool) {
 	nf := EventsFormat{sel: sel}
 	if sel.NamePattern != "" {
 		pat, err := events.ParsePattern(sel.NamePattern)
 		if err != nil {
-			return f, sel, false
+			return f, false
 		}
 		nf.pat = pat
 		nf.prefix, nf.hasPrefix = pat.PrunePrefix()
 	}
 	for _, col := range sel.Columns {
 		if _, err := dataflow.ClientEventSchema.Index(col); err != nil {
-			return f, sel, false
+			return f, false
 		}
 	}
-	return nf, dataflow.Selection{}, true
+	return nf, true
 }
 
 // Splits implements dataflow.InputFormat: chunk meta files when the dir

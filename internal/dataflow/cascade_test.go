@@ -84,9 +84,9 @@ func mustOrderBy(t *testing.T, j *Job, tuples []Tuple) ([]Tuple, error) {
 }
 
 // TestCascadeGroupByAggregate drives the cascade through the grouped
-// reduce path: aggregates over cascaded runs must match the in-memory
-// aggregates exactly, and the cascade must retire consumed spill files
-// as it compacts instead of keeping every generation on disk.
+// reduce path: sums over cascaded runs must match the in-memory sums
+// exactly, and the cascade must retire consumed spill files as it
+// compacts instead of keeping every generation on disk.
 func TestCascadeGroupByAggregate(t *testing.T) {
 	build := func(j *Job) *Dataset {
 		rng := rand.New(rand.NewSource(7))
@@ -103,7 +103,7 @@ func TestCascadeGroupByAggregate(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer g.Close()
-		out, err := g.Aggregate(Count("n"), Sum("v", "sum"))
+		out, err := g.Sum("v", "sum")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestCascadeGroupByAggregate(t *testing.T) {
 		t.Fatalf("peak fan-in %d exceeds the cap %d", st.PeakRunFanIn, j.maxMergeFanIn)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("cascaded aggregates differ from the in-memory relation")
+		t.Fatal("cascaded sums differ from the in-memory relation")
 	}
 	if left := spillFiles(t, j); len(left) != 0 {
 		t.Fatalf("staged files survived Close: %v", left)

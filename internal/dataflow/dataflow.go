@@ -4,46 +4,43 @@
 // The paper's performance argument (§4) is not about absolute runtimes but
 // about cluster mechanics: how many map tasks a query spawns, how many bytes
 // it brute-force scans, and how much data the session group-by shuffles.
-// This engine meters exactly those quantities:
+// This engine meters exactly those three quantities, and simulates no
+// cluster time on top of them:
 //
 //   - one map task per input file (warehouse files are gzipped record
-//     streams, and gzip is not splittable — as in Hadoop);
-//   - bytes and blocks read come from the filesystem's own accounting;
-//   - every GroupBy and Join charges shuffle bytes for the tuples that move
-//     between the map and reduce sides;
-//   - a cluster cost model converts task counts into simulated cluster
-//     seconds using per-task startup overheads, reproducing the paper's
-//     complaint that raw-log jobs "routinely spawned tens of thousands of
-//     mappers and clogged our Hadoop jobtracker".
+//     streams, and gzip is not splittable — as in Hadoop), the count behind
+//     the paper's complaint that raw-log jobs "routinely spawned tens of
+//     thousands of mappers and clogged our Hadoop jobtracker";
+//   - bytes read come from the filesystem's own accounting;
+//   - every GroupBy, GroupAll, Join and OrderBy charges shuffle bytes for
+//     the tuples that move between the map and reduce sides.
 //
 // Execution is out-of-core, the way the MapReduce jobs it models are:
 //
 //   - A Dataset is a lazy pipeline node, not a materialized relation.
-//     Filter, Project, ForEach, FlatMap, and Limit compose pull-based
-//     Iterators (Volcano-style) and hold no tuples of their own; a scan
-//     buffers one split at a time — exactly a map task's working set.
-//   - GroupBy, GroupAll, Join, Distinct, and OrderBy are the pipeline
-//     breakers, and they are external operators with a *sort-merge*
-//     shuffle, like the Hadoop jobs they model: input tuples are buffered
-//     with their rendered key in one buffer and — each time the buffered
-//     bytes exceed Job.MemoryBudget — sorted on (rendered key, optional
-//     order columns, insertion sequence) and appended to a CRC-framed
-//     spill file as one budget-sized sorted run (spill.go). The reduce
-//     side is a streaming k-way merge over the runs (merge.go): groups
-//     arrive in global key order with ordered tuples inside, reducers fold
-//     each group as it streams by without any per-group hash map, and
-//     OrderBy is a merge sort over the same runs. Peak reduce memory is
-//     the run fan-in — one buffered tuple per run — not the group count.
-//     A zero or negative budget (the default) never trips: the same table
-//     with one never-spilled run, and identical output order.
+//     Filter, Project, and Union compose pull-based Iterators
+//     (Volcano-style) and hold no tuples of their own; a scan buffers one
+//     split at a time — exactly a map task's working set.
+//   - GroupBy, GroupAll, Join, and OrderBy are the pipeline breakers, and
+//     they are external operators with a *sort-merge* shuffle, like the
+//     Hadoop jobs they model: input tuples are buffered with their
+//     rendered key in one buffer and — each time the buffered bytes exceed
+//     Job.MemoryBudget — sorted on (rendered key, optional order column,
+//     insertion sequence) and appended to a CRC-framed spill file as one
+//     budget-sized sorted run (spill.go). The reduce side is a streaming
+//     k-way merge over the runs (merge.go): groups arrive in global key
+//     order with ordered tuples inside, reducers fold each group as it
+//     streams by without any per-group hash map, and OrderBy is a merge
+//     sort over the same runs. Peak reduce memory is the run fan-in — one
+//     buffered tuple per run — not the group count. A zero or negative
+//     budget (the default) never trips: the same table with one
+//     never-spilled run, and identical output order.
 //   - Only the scan runs on more than one goroutine (parallel.go): splits
 //     decode on a worker pool behind a reorder buffer that restores plan
 //     order. Everything after it is one streaming path.
 //   - Terminal operations (Each, Tuples, Count, and the reduce-side calls
 //     on Grouped) drive the pipeline. Every execution is metered: re-running
 //     a pipeline really is another job, and the stats say so.
-//
-// Correctness is exact; the cost model is the simulation.
 package dataflow
 
 import (
@@ -54,13 +51,6 @@ import (
 	"time"
 
 	"unilog/internal/hdfs"
-)
-
-// Cost-model constants, loosely matching Hadoop task overheads of the
-// paper's era (seconds of cluster time per task launch).
-const (
-	MapTaskStartupSeconds    = 1.5
-	ReduceTaskStartupSeconds = 2.0
 )
 
 // ErrNoColumn reports a reference to a column missing from a schema.
@@ -97,33 +87,25 @@ func (s Schema) MustIndex(name string) int {
 
 // Stats aggregates the cost of every operator executed under one Job.
 type Stats struct {
+	// The §4 cost model: map tasks (one per split delivered to the
+	// pipeline), the records and filesystem bytes those tasks read, and the
+	// tuples and estimated bytes the external operators shuffled.
 	MapTasks       int
-	ReduceTasks    int
-	FilesRead      int
 	RecordsRead    int64
 	BytesRead      int64
-	BlocksRead     int64
 	ShuffleRecords int64
 	ShuffleBytes   int64
-	OutputRecords  int64
 
 	// Out-of-core accounting: what the external operators pushed to disk
 	// when Job.MemoryBudget was exceeded — the peak-memory proxy.
 	SpilledBytes   int64 // framed bytes written to spill files
 	SpilledRecords int64 // tuples written to spill files
-	SpillFlushes   int   // buffer-to-disk flushes
-	SpillRuns      int   // sorted runs written across all spill files
+	SpillRuns      int   // sorted runs written, one per buffer-to-disk flush
 	MergePasses    int   // streaming merge-reduce passes executed
 	MergeRuns      int   // run cursors (spilled runs + sorted residues) consumed by merges
 	PeakRunFanIn   int   // widest single k-way merge: peak reduce memory is one buffered tuple per run at this width
 	CascadePasses  int   // cascade waves run to bring the run count under the merge fan-in cap
 	CascadeRuns    int   // intermediate wider runs written by cascade passes
-}
-
-// ClusterSeconds estimates cluster occupancy from task startup overheads —
-// the jobtracker-load proxy the paper cares about.
-func (s Stats) ClusterSeconds() float64 {
-	return float64(s.MapTasks)*MapTaskStartupSeconds + float64(s.ReduceTasks)*ReduceTaskStartupSeconds
 }
 
 // Job is one logical analytics job; all datasets derived from it share its
@@ -133,9 +115,9 @@ type Job struct {
 	FS   *hdfs.FS
 
 	// MemoryBudget bounds the tuple bytes an external operator (GroupBy,
-	// GroupAll, Join, Distinct, OrderBy) may buffer before it spills the
-	// buffer to disk as a sorted run. <= 0 (the default) disables
-	// spilling: everything stays in memory.
+	// GroupAll, Join, OrderBy) may buffer before it spills the buffer to
+	// disk as a sorted run. <= 0 (the default) disables spilling:
+	// everything stays in memory.
 	MemoryBudget int64
 	// SpillDir is where spill files are created; empty means os.TempDir().
 	SpillDir string
@@ -234,16 +216,13 @@ func NewDataset(j *Job, schema Schema, tuples []Tuple) *Dataset {
 // Schema returns the dataset's schema.
 func (d *Dataset) Schema() Schema { return d.schema }
 
-// Job returns the owning job.
-func (d *Dataset) Job() *Job { return d.job }
-
 // Open starts one execution of the pipeline and returns its cursor. Most
 // callers want Each, Tuples, or Count instead.
 func (d *Dataset) Open() (Iterator, error) { return d.open() }
 
 // Close releases operator state backing this dataset — the spill files
-// behind a Join output. Streaming wrappers (Filter, Project, ForEach,
-// FlatMap, Limit, Distinct, Union) propagate their source's cleanup, so
+// behind a Join output. Streaming wrappers (Filter, Project, Union)
+// propagate their source's cleanup, so
 // closing a derived view is equivalent to closing the operator output it
 // wraps. It is a no-op when nothing upstream holds spill state. After
 // Close the dataset (and any view sharing its state) must not be iterated
@@ -414,7 +393,6 @@ func (s *splitIter) Next() (Tuple, error) {
 		sp := s.splits[0]
 		s.splits = s.splits[1:]
 		s.job.stats.mapTasks.Add(1)
-		s.job.stats.filesRead.Add(1)
 		t0 := time.Now()
 		before := s.job.FS.Snapshot()
 		s.cur = s.cur[:0]
@@ -424,7 +402,6 @@ func (s *splitIter) Next() (Tuple, error) {
 		})
 		after := s.job.FS.Snapshot()
 		s.job.stats.bytesRead.Add(after.BytesRead - before.BytesRead)
-		s.job.stats.blocksRead.Add(after.BlocksRead - before.BlocksRead)
 		tmScanBytes.Add(after.BytesRead - before.BytesRead)
 		tmScanSplitNs.ObserveSince(t0)
 		if err != nil {
@@ -463,21 +440,4 @@ func tupleBytes(t Tuple) int64 {
 		}
 	}
 	return n
-}
-
-// reducersFor sizes a reduce wave: reducers scale with group count as a
-// Pig job's parallelism hint would. External operators charge one base
-// reducer when their shuffle runs (construction) and top the wave up to
-// this once a merge pass learns the exact group count — so even an
-// abandoned or never-driven reduce side still costs its minimum wave, as
-// it did when the engine was eager.
-func reducersFor(groups int) int {
-	r := groups / 10000
-	if r < 1 {
-		r = 1
-	}
-	if r > 64 {
-		r = 64
-	}
-	return r
 }

@@ -123,22 +123,17 @@ func (j *Job) LoadSessionSequencesDay(day time.Time) (*Dataset, error) {
 	return j.Load(warehouse.SessionDayDir(day), SessionSequenceFormat{})
 }
 
-// RawRecordFormat yields each framed record as a single-column tuple of raw
-// bytes; legacy-log decoders build on it.
+// RawRecordFormat decodes each framed record with Decode into a tuple of
+// the Columns schema; the legacy-log formats are built on it.
 type RawRecordFormat struct {
-	// Decode, when set, transforms the raw record; returning nil drops it.
+	// Decode transforms one raw record; returning nil drops it.
 	Decode func(rec []byte) Tuple
 	// Columns names the produced schema.
 	Columns Schema
 }
 
 // Schema implements InputFormat.
-func (f RawRecordFormat) Schema() Schema {
-	if f.Columns != nil {
-		return f.Columns
-	}
-	return Schema{"record"}
-}
+func (f RawRecordFormat) Schema() Schema { return f.Columns }
 
 // Splits implements InputFormat.
 func (f RawRecordFormat) Splits(fs *hdfs.FS, dir string) ([]Split, error) {
@@ -152,11 +147,6 @@ func (f RawRecordFormat) ReadSplit(fs *hdfs.FS, s Split, emit func(Tuple) error)
 		return err
 	}
 	return recordio.ScanGzipFile(data, func(rec []byte) error {
-		if f.Decode == nil {
-			cp := make([]byte, len(rec))
-			copy(cp, rec)
-			return emit(Tuple{cp})
-		}
 		if t := f.Decode(rec); t != nil {
 			return emit(t)
 		}

@@ -109,8 +109,8 @@ func BenchmarkReduceStrategies(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				n, err := mergePass(g,
 					func(Tuple) int64 { return 0 },
-					func(s int64, _ Tuple) int64 { return s + 1 },
-					nil)
+					func(s int64, _ Tuple) (int64, error) { return s + 1, nil },
+					func(int64) error { return nil })
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -143,7 +143,7 @@ func BenchmarkGroupByShuffle(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := g.Aggregate(Count("n"), Sum("v", "sum")); err != nil {
+			if _, err := g.Sum("v", "sum"); err != nil {
 				b.Fatal(err)
 			}
 			g.Close()

@@ -373,22 +373,10 @@ func (m *mergeIter) nextRec() ([]byte, uint64, Tuple, error) {
 	return c.key(), c.seq(), c.tuple(), nil
 }
 
-// less orders two cursors by (key, order columns, sequence) — identical to
-// the run sort in spill.go, so the merge preserves it globally.
+// less orders two cursors by the table's run order (sortKey.less).
 func (m *mergeIter) less(i, j int) bool {
 	a, b := m.h[i], m.h[j]
-	if c := bytes.Compare(a.key(), b.key()); c != 0 {
-		return c < 0
-	}
-	for _, k := range m.st.order {
-		if c := compareValues(a.tuple()[k.col], b.tuple()[k.col]); c != 0 {
-			if k.desc {
-				return c > 0
-			}
-			return c < 0
-		}
-	}
-	return a.seq() < b.seq()
+	return m.st.order.less(a.key(), b.key(), a.tuple(), b.tuple(), a.seq(), b.seq())
 }
 
 func (m *mergeIter) down(i int) {
@@ -475,6 +463,34 @@ func numericKind(v Value) (isInt, isNum bool) {
 		return false, true
 	}
 	return false, false
+}
+
+func toF(v Value) float64 {
+	switch x := v.(type) {
+	case int64:
+		return float64(x)
+	case int32:
+		return float64(x)
+	case int:
+		return float64(x)
+	case float64:
+		return x
+	}
+	return 0
+}
+
+func toI(v Value) int64 {
+	switch x := v.(type) {
+	case int64:
+		return x
+	case int32:
+		return int64(x)
+	case int:
+		return int64(x)
+	case float64:
+		return int64(x)
+	}
+	return 0
 }
 
 func renderValue(v Value) []byte {

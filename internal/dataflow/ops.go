@@ -62,76 +62,6 @@ func (d *Dataset) Project(cols ...string) (*Dataset, error) {
 	}}, nil
 }
 
-// ForEach transforms every tuple (Pig's FOREACH ... GENERATE); returning
-// nil drops the tuple. It streams.
-func (d *Dataset) ForEach(schema Schema, fn func(Tuple) Tuple) *Dataset {
-	return &Dataset{job: d.job, schema: schema, cleanup: d.cleanup, open: func() (Iterator, error) {
-		it, err := d.open()
-		if err != nil {
-			return nil, err
-		}
-		return &iterFunc{next: func() (Tuple, error) {
-			for {
-				t, err := it.Next()
-				if err != nil {
-					return nil, err
-				}
-				if nt := fn(t); nt != nil {
-					return nt, nil
-				}
-			}
-		}, close: it.Close}, nil
-	}}
-}
-
-// FlatMap transforms every tuple into zero or more tuples. It streams; only
-// one input tuple's expansion is buffered at a time.
-func (d *Dataset) FlatMap(schema Schema, fn func(Tuple) []Tuple) *Dataset {
-	return &Dataset{job: d.job, schema: schema, cleanup: d.cleanup, open: func() (Iterator, error) {
-		it, err := d.open()
-		if err != nil {
-			return nil, err
-		}
-		var pending []Tuple
-		return &iterFunc{next: func() (Tuple, error) {
-			for {
-				if len(pending) > 0 {
-					t := pending[0]
-					pending = pending[1:]
-					return t, nil
-				}
-				t, err := it.Next()
-				if err != nil {
-					return nil, err
-				}
-				pending = fn(t)
-			}
-		}, close: it.Close}, nil
-	}}
-}
-
-// Limit keeps the first n tuples, stopping the upstream scan early.
-func (d *Dataset) Limit(n int) *Dataset {
-	return &Dataset{job: d.job, schema: d.schema, cleanup: d.cleanup, open: func() (Iterator, error) {
-		it, err := d.open()
-		if err != nil {
-			return nil, err
-		}
-		remaining := n
-		return &iterFunc{next: func() (Tuple, error) {
-			if remaining <= 0 {
-				return nil, io.EOF
-			}
-			t, err := it.Next()
-			if err != nil {
-				return nil, err
-			}
-			remaining--
-			return t, nil
-		}, close: it.Close}, nil
-	}}
-}
-
 // Union concatenates this dataset with others of the same schema,
 // streaming each input in turn.
 func (d *Dataset) Union(others ...*Dataset) *Dataset {
@@ -255,8 +185,8 @@ func appendKeyValue(dst []byte, v Value) []byte {
 // (merge.go): groups arrive in ascending key order — globally, for free,
 // because the runs are sorted — and within each group tuples arrive in
 // input order (GroupBy) or ordered by the requested column
-// (GroupByOrdered). A Grouped supports multiple reduce passes (NumGroups,
-// then Aggregate, say); Close releases its spill files.
+// (GroupByOrdered). A Grouped supports multiple reduce passes (Sum, then
+// EachGroup, say); Close releases its spill files.
 type Grouped struct {
 	job     *Job
 	schema  Schema
@@ -264,7 +194,6 @@ type Grouped struct {
 	keyIdx  []int
 	st      *spillTable
 	all     bool // GROUP ALL: a single global group, present even when empty
-	groups  int  // distinct keys; -1 until a reduce pass has counted
 }
 
 // GroupBy shuffles the dataset by the named key columns — the reduce-side
@@ -281,42 +210,14 @@ func (d *Dataset) GroupBy(keyCols ...string) (*Grouped, error) {
 // sort-merge shuffle's "secondary sort" idiom that lets sessionization and
 // funnel walks consume each group without re-sorting it.
 func (d *Dataset) GroupByOrdered(orderCol string, keyCols ...string) (*Grouped, error) {
-	return d.GroupByOrderedColumns([]Order{{Col: orderCol}}, keyCols...)
-}
-
-// Order is one column of a multi-column sort: the named column, descending
-// when Desc. OrderByColumns and GroupByOrderedColumns take a list of them
-// applied in sequence, ties within all of them broken by input order.
-type Order struct {
-	Col  string
-	Desc bool
-}
-
-// resolveOrders maps a public Order list onto column indexes.
-func (d *Dataset) resolveOrders(orders []Order) (sortSpec, error) {
-	spec := make(sortSpec, len(orders))
-	for i, o := range orders {
-		j, err := d.schema.Index(o.Col)
-		if err != nil {
-			return nil, err
-		}
-		spec[i] = sortKey{col: j, desc: o.Desc}
-	}
-	return spec, nil
-}
-
-// GroupByOrderedColumns is GroupByOrdered with a multi-column secondary
-// sort: each group's tuples are delivered ordered by each Order in turn
-// (ties in input order).
-func (d *Dataset) GroupByOrderedColumns(orderCols []Order, keyCols ...string) (*Grouped, error) {
-	spec, err := d.resolveOrders(orderCols)
+	oi, err := d.schema.Index(orderCol)
 	if err != nil {
 		return nil, err
 	}
-	return d.groupBy(spec, keyCols)
+	return d.groupBy(sortKey{col: oi}, keyCols)
 }
 
-func (d *Dataset) groupBy(order sortSpec, keyCols []string) (*Grouped, error) {
+func (d *Dataset) groupBy(order sortKey, keyCols []string) (*Grouped, error) {
 	idx := make([]int, len(keyCols))
 	for i, c := range keyCols {
 		j, err := d.schema.Index(c)
@@ -329,8 +230,7 @@ func (d *Dataset) groupBy(order sortSpec, keyCols []string) (*Grouped, error) {
 	if err := st.fill(d); err != nil {
 		return nil, err
 	}
-	d.job.stats.reduceTasks.Add(1) // base reduce wave; topped up when the group count is known
-	return &Grouped{job: d.job, schema: d.schema, keyCols: keyCols, keyIdx: idx, st: st, groups: -1}, nil
+	return &Grouped{job: d.job, schema: d.schema, keyCols: keyCols, keyIdx: idx, st: st}, nil
 }
 
 // GroupAll groups every tuple into a single group (Pig's GROUP ... ALL),
@@ -341,21 +241,7 @@ func (d *Dataset) GroupAll() (*Grouped, error) {
 	if err := st.fill(d); err != nil {
 		return nil, err
 	}
-	d.job.stats.reduceTasks.Add(1)
-	g := &Grouped{job: d.job, schema: d.schema, st: st, all: true, groups: -1}
-	g.setGroups(1)
-	return g, nil
-}
-
-// setGroups records the group count the first time a reduce pass learns
-// it, topping the base reducer charged at construction up to the
-// group-scaled wave.
-func (g *Grouped) setGroups(n int) {
-	if g.groups >= 0 {
-		return
-	}
-	g.groups = n
-	g.job.stats.reduceTasks.Add(int64(reducersFor(n) - 1))
+	return &Grouped{job: d.job, schema: d.schema, st: st, all: true}, nil
 }
 
 // Close removes the spill files backing the sorted runs. The Grouped
@@ -367,9 +253,9 @@ func (g *Grouped) Close() error { return g.st.Close() }
 // state, and a key change emits the finished group. There is no per-group
 // index map and no output re-sort — peak memory is the merge fan-in (one
 // buffered tuple per run) plus one group state. It returns the number of
-// distinct groups; this loop is the shared skeleton under NumGroups,
-// EachGroup, and Aggregate.
-func mergePass[S any](g *Grouped, newState func(first Tuple) S, fold func(S, Tuple) S, emit func(s S) error) (int, error) {
+// distinct groups; this loop is the shared skeleton under EachGroup and
+// Sum. A fold or emit error aborts the merge.
+func mergePass[S any](g *Grouped, newState func(first Tuple) S, fold func(S, Tuple) (S, error), emit func(s S) error) (int, error) {
 	g.job.stats.mergePasses.Add(1)
 	tmMergePasses.Inc()
 	defer tmMergePassNs.ObserveSince(time.Now())
@@ -391,7 +277,7 @@ func mergePass[S any](g *Grouped, newState func(first Tuple) S, fold func(S, Tup
 			return 0, err
 		}
 		if !open || !bytes.Equal(key, curKey) {
-			if open && emit != nil {
+			if open {
 				if err := emit(state); err != nil {
 					return 0, err
 				}
@@ -401,33 +287,15 @@ func mergePass[S any](g *Grouped, newState func(first Tuple) S, fold func(S, Tup
 			open = true
 			total++
 		}
-		state = fold(state, t)
+		if state, err = fold(state, t); err != nil {
+			return 0, err
+		}
 	}
-	if open && emit != nil {
+	if open {
 		if err := emit(state); err != nil {
 			return 0, err
 		}
 	}
-	return total, nil
-}
-
-// NumGroups returns the number of distinct keys, counting them with a
-// streaming merge if no reduce has run yet; nothing is buffered per group.
-func (g *Grouped) NumGroups() (int, error) {
-	if g.groups >= 0 {
-		return g.groups, nil
-	}
-	total, err := mergePass(g,
-		func(Tuple) struct{} { return struct{}{} },
-		func(s struct{}, _ Tuple) struct{} { return s },
-		nil)
-	if err != nil {
-		return 0, err
-	}
-	if g.all && total == 0 {
-		total = 1
-	}
-	g.setGroups(total)
 	return total, nil
 }
 
@@ -439,26 +307,25 @@ func (g *Grouped) NumGroups() (int, error) {
 func (g *Grouped) EachGroup(fn func(key Tuple, group []Tuple) error) error {
 	total, err := mergePass(g,
 		func(Tuple) []Tuple { return nil },
-		func(group []Tuple, t Tuple) []Tuple { return append(group, t) },
-		func(group []Tuple) error {
-			keyVals := make(Tuple, len(g.keyIdx))
-			for i, idx := range g.keyIdx {
-				keyVals[i] = group[0][idx]
-			}
-			return fn(keyVals, group)
-		})
+		func(group []Tuple, t Tuple) ([]Tuple, error) { return append(group, t), nil },
+		func(group []Tuple) error { return fn(g.keyOf(group[0]), group) })
 	if err != nil {
 		return err
 	}
 	if g.all && total == 0 {
 		// GROUP ALL of an empty relation still visits its single group.
-		total = 1
-		if err := fn(Tuple{}, nil); err != nil {
-			return err
-		}
+		return fn(Tuple{}, nil)
 	}
-	g.setGroups(total)
 	return nil
+}
+
+// keyOf copies the key columns out of one of a group's tuples.
+func (g *Grouped) keyOf(t Tuple) Tuple {
+	key := make(Tuple, len(g.keyIdx))
+	for i, idx := range g.keyIdx {
+		key[i] = t[idx]
+	}
+	return key
 }
 
 // ForEachGroup reduces each group to one tuple. The emitted schema is the
@@ -477,208 +344,52 @@ func (g *Grouped) ForEachGroup(outCols Schema, fn func(key Tuple, group []Tuple)
 	if err != nil {
 		return nil, err
 	}
-	g.job.stats.outputRecords.Add(int64(len(rows)))
 	return NewDataset(g.job, schema, rows), nil
 }
 
-// Agg is one aggregate computed per group.
-type Agg struct {
-	Name string
-	Col  string // input column; ignored by COUNT(*)
-	Kind AggKind
-}
-
-// AggKind selects the aggregate function.
-type AggKind int
-
-// Aggregate kinds.
-const (
-	AggCount AggKind = iota // COUNT(*)
-	AggSum
-	AggMin
-	AggMax
-	AggAvg
-	AggCountDistinct
-)
-
-// Count is COUNT(*) named as out.
-func Count(out string) Agg { return Agg{Name: out, Kind: AggCount} }
-
-// Sum is SUM(col) over int64 or float64 columns.
-func Sum(col, out string) Agg { return Agg{Name: out, Col: col, Kind: AggSum} }
-
-// Min is MIN(col) over int64 columns.
-func Min(col, out string) Agg { return Agg{Name: out, Col: col, Kind: AggMin} }
-
-// Max is MAX(col) over int64 columns.
-func Max(col, out string) Agg { return Agg{Name: out, Col: col, Kind: AggMax} }
-
-// Avg is AVG(col) over numeric columns, producing float64.
-func Avg(col, out string) Agg { return Agg{Name: out, Col: col, Kind: AggAvg} }
-
-// CountDistinct counts distinct values of col per group.
-func CountDistinct(col, out string) Agg { return Agg{Name: out, Col: col, Kind: AggCountDistinct} }
-
-func toF(v Value) float64 {
-	switch x := v.(type) {
-	case int64:
-		return float64(x)
-	case int32:
-		return float64(x)
-	case int:
-		return float64(x)
-	case float64:
-		return x
+// Sum reduces each group to SUM(col) — the paper's counting idiom — with a
+// streaming merge-fold that holds one running total, never the group's
+// tuples, so even a spilled GROUP ALL sums in fan-in-bounded memory. The
+// emitted schema is the key columns followed by out, an int64; rows arrive
+// in global key order, and GROUP ALL over an empty input still yields its
+// one row, holding 0. col must hold int64, int32 or int values: any other
+// value fails the pass with an error naming the column and its type.
+func (g *Grouped) Sum(col, out string) (*Dataset, error) {
+	ci, err := g.schema.Index(col)
+	if err != nil {
+		return nil, err
 	}
-	return 0
-}
-
-func toI(v Value) int64 {
-	switch x := v.(type) {
-	case int64:
-		return x
-	case int32:
-		return int64(x)
-	case int:
-		return int64(x)
-	case float64:
-		return int64(x)
-	}
-	return 0
-}
-
-// aggCell is the incremental state of one aggregate over one group. The
-// fold never materializes the group's tuples, so the reduce side of an
-// Aggregate holds one group's cells at a time, not the group's tuples.
-type aggCell struct {
-	count    int64
-	isum     int64
-	fsum     float64
-	extreme  int64
-	started  bool
-	distinct map[string]struct{}
-}
-
-func (c *aggCell) fold(kind AggKind, v Value, scratch []byte) []byte {
-	switch kind {
-	case AggCount:
-		c.count++
-	case AggSum:
-		c.isum += toI(v)
-	case AggMin:
-		if x := toI(v); !c.started || x < c.extreme {
-			c.extreme = x
-		}
-		c.started = true
-	case AggMax:
-		if x := toI(v); !c.started || x > c.extreme {
-			c.extreme = x
-		}
-		c.started = true
-	case AggAvg:
-		c.fsum += toF(v)
-		c.count++
-	case AggCountDistinct:
-		scratch = appendKeyValue(scratch[:0], v)
-		if c.distinct == nil {
-			c.distinct = make(map[string]struct{})
-		}
-		if _, ok := c.distinct[string(scratch)]; !ok {
-			c.distinct[string(scratch)] = struct{}{}
-		}
-	}
-	return scratch
-}
-
-func (c *aggCell) final(kind AggKind) Value {
-	switch kind {
-	case AggCount:
-		return c.count
-	case AggSum:
-		return c.isum
-	case AggMin, AggMax:
-		return c.extreme
-	case AggAvg:
-		if c.count == 0 {
-			return float64(0)
-		}
-		return c.fsum / float64(c.count)
-	case AggCountDistinct:
-		return int64(len(c.distinct))
-	}
-	return nil
-}
-
-// Aggregate computes the given aggregates for every group with a streaming
-// merge-fold: the sorted runs stream by once and only the *current*
-// group's aggregate cells are live (per distinct value for CountDistinct),
-// so even a spilled GROUP ALL aggregates in fan-in-bounded memory. Output
-// rows arrive in global key order.
-func (g *Grouped) Aggregate(aggs ...Agg) (*Dataset, error) {
-	idx := make([]int, len(aggs))
-	outCols := make(Schema, len(aggs))
-	for i, a := range aggs {
-		outCols[i] = a.Name
-		if a.Kind == AggCount {
-			idx[i] = -1
-			continue
-		}
-		j, err := g.schema.Index(a.Col)
-		if err != nil {
-			return nil, err
-		}
-		idx[i] = j
-	}
-	schema := append(append(Schema(nil), g.keyCols...), outCols...)
-
-	type groupState struct {
-		keyVals Tuple
-		cells   []aggCell
-		scratch []byte
+	type groupSum struct {
+		key Tuple
+		sum int64
 	}
 	var rows []Tuple
 	total, err := mergePass(g,
-		func(t Tuple) *groupState {
-			keyVals := make(Tuple, len(g.keyIdx))
-			for i, kidx := range g.keyIdx {
-				keyVals[i] = t[kidx]
+		func(t Tuple) groupSum { return groupSum{key: g.keyOf(t)} },
+		func(s groupSum, t Tuple) (groupSum, error) {
+			switch v := t[ci].(type) {
+			case int64:
+				s.sum += v
+			case int32:
+				s.sum += int64(v)
+			case int:
+				s.sum += int64(v)
+			default:
+				return s, fmt.Errorf("dataflow: SUM(%s): cannot sum a %T value", col, v)
 			}
-			return &groupState{keyVals: keyVals, cells: make([]aggCell, len(aggs))}
+			return s, nil
 		},
-		func(st *groupState, t Tuple) *groupState {
-			for ai, a := range aggs {
-				var v Value
-				if idx[ai] >= 0 {
-					v = t[idx[ai]]
-				}
-				st.scratch = st.cells[ai].fold(a.Kind, v, st.scratch)
-			}
-			return st
-		},
-		func(st *groupState) error {
-			row := append(Tuple(nil), st.keyVals...)
-			for ai, a := range aggs {
-				row = append(row, st.cells[ai].final(a.Kind))
-			}
-			rows = append(rows, row)
+		func(s groupSum) error {
+			rows = append(rows, append(s.key, s.sum))
 			return nil
 		})
 	if err != nil {
 		return nil, err
 	}
 	if g.all && total == 0 {
-		// GROUP ALL of an empty relation still emits its single row of
-		// zero-valued aggregates.
-		total = 1
-		row := Tuple{}
-		var zero aggCell
-		for _, a := range aggs {
-			row = append(row, zero.final(a.Kind))
-		}
-		rows = append(rows, row)
+		rows = append(rows, Tuple{int64(0)})
 	}
-	g.setGroups(total)
-	g.job.stats.outputRecords.Add(int64(len(rows)))
+	schema := append(append(Schema(nil), g.keyCols...), out)
 	return NewDataset(g.job, schema, rows), nil
 }
 
@@ -707,9 +418,6 @@ func (d *Dataset) Join(other *Dataset, leftCol, rightCol string) (*Dataset, erro
 		lt.Close()
 		return nil, err
 	}
-	// Both sides shuffled: one base reduce wave per side now (as the eager
-	// engine charged), topped up when a full merge learns the key count.
-	d.job.stats.reduceTasks.Add(2)
 	schema := append(Schema(nil), d.schema...)
 	for _, c := range other.schema {
 		if _, err := d.schema.Index(c); err == nil {
@@ -770,11 +478,6 @@ type joinIter struct {
 	rOK   bool
 	rDone bool
 
-	rSeen         bool
-	rLast         []byte // last right key, for the distinct count
-	distinctRight int
-	charged       bool
-
 	err error // sticky: a failed side cannot be skipped
 }
 
@@ -797,20 +500,10 @@ func (it *joinIter) next() (Tuple, error) {
 			nt := make(Tuple, 0, len(it.cur)+len(rt))
 			nt = append(nt, it.cur...)
 			nt = append(nt, rt...)
-			it.s.job.stats.outputRecords.Add(1)
 			return nt, nil
 		}
 		lkey, lt, err := it.lm.next()
 		if err == io.EOF {
-			// Finish the right-side key count so the reduce wave is charged
-			// as the hash engine charged it.
-			if err := it.drainRight(); err != nil {
-				return nil, err
-			}
-			if !it.charged {
-				it.charged = true
-				it.s.job.stats.reduceTasks.Add(int64(2 * (reducersFor(it.distinctRight) - 1)))
-			}
 			return nil, io.EOF
 		}
 		if err != nil {
@@ -826,8 +519,7 @@ func (it *joinIter) next() (Tuple, error) {
 	}
 }
 
-// advanceRight loads the right lookahead, counting distinct right keys as
-// they stream past.
+// advanceRight loads the right lookahead.
 func (it *joinIter) advanceRight() (bool, error) {
 	if it.rDone {
 		return false, nil
@@ -839,11 +531,6 @@ func (it *joinIter) advanceRight() (bool, error) {
 	}
 	if err != nil {
 		return false, err
-	}
-	if !it.rSeen || !bytes.Equal(key, it.rLast) {
-		it.rSeen = true
-		it.distinctRight++
-		it.rLast = append(it.rLast[:0], key...)
 	}
 	it.rKey = append(it.rKey[:0], key...)
 	it.rTup = t
@@ -879,98 +566,10 @@ func (it *joinIter) seekRight(k []byte) error {
 	}
 }
 
-// drainRight consumes the rest of the right stream for key counting.
-func (it *joinIter) drainRight() error {
-	it.rOK = false
-	for {
-		ok, err := it.advanceRight()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		it.rOK = false
-	}
-}
-
 func (it *joinIter) Close() error {
 	err := it.lm.Close()
 	if rerr := it.rm.Close(); err == nil {
 		err = rerr
-	}
-	return err
-}
-
-// Distinct removes duplicate tuples (whole-row comparison). It is an
-// external operator: rows shuffle into sorted runs under Job.MemoryBudget
-// and the merge emits the first occurrence of each key, so deduplication
-// holds no seen-set — one key comparison per tuple. Output arrives in
-// ascending (whole-row) key order.
-func (d *Dataset) Distinct() *Dataset {
-	idx := make([]int, len(d.schema))
-	for i := range idx {
-		idx[i] = i
-	}
-	return &Dataset{job: d.job, schema: d.schema, cleanup: d.cleanup, open: func() (Iterator, error) {
-		st := newSpillTable(d.job, idx, noSort)
-		if err := st.fill(d); err != nil {
-			return nil, err
-		}
-		d.job.stats.reduceTasks.Add(1) // base wave; topped up at end of merge
-		d.job.stats.mergePasses.Add(1)
-		tmMergePasses.Inc()
-		m, err := st.mergeAll()
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		return &distinctIter{job: d.job, st: st, m: m}, nil
-	}}
-}
-
-type distinctIter struct {
-	job     *Job
-	st      *spillTable
-	m       *mergeIter
-	last    []byte
-	started bool
-	total   int
-	charged bool
-	err     error // sticky: a failed merge cannot be skipped
-}
-
-func (it *distinctIter) Next() (Tuple, error) {
-	if it.err != nil {
-		return nil, it.err
-	}
-	for {
-		key, t, err := it.m.next()
-		if err == io.EOF {
-			if !it.charged {
-				it.charged = true
-				it.job.stats.reduceTasks.Add(int64(reducersFor(it.total) - 1))
-			}
-			return nil, io.EOF
-		}
-		if err != nil {
-			it.err = err
-			return nil, err
-		}
-		if it.started && bytes.Equal(key, it.last) {
-			continue
-		}
-		it.started = true
-		it.last = append(it.last[:0], key...)
-		it.total++
-		return t, nil
-	}
-}
-
-func (it *distinctIter) Close() error {
-	err := it.m.Close()
-	if cerr := it.st.Close(); err == nil {
-		err = cerr
 	}
 	return err
 }
@@ -983,21 +582,14 @@ func (it *distinctIter) Close() error {
 // merge, so peak memory is the run fan-in. Close the returned dataset to
 // release the runs (and any operator state upstream).
 func (d *Dataset) OrderBy(col string, ascending bool) (*Dataset, error) {
-	return d.OrderByColumns(Order{Col: col, Desc: !ascending})
-}
-
-// OrderByColumns sorts by multiple columns applied in sequence — the
-// multi-column generalization of OrderBy, with the same stability.
-func (d *Dataset) OrderByColumns(orders ...Order) (*Dataset, error) {
-	spec, err := d.resolveOrders(orders)
+	ci, err := d.schema.Index(col)
 	if err != nil {
 		return nil, err
 	}
-	st := newSpillTable(d.job, nil, spec)
+	st := newSpillTable(d.job, nil, sortKey{col: ci, desc: !ascending})
 	if err := st.fill(d); err != nil {
 		return nil, err
 	}
-	d.job.stats.reduceTasks.Add(1) // the sort's reduce wave
 	upstream := d.cleanup
 	cleanup := func() error {
 		err := st.Close()

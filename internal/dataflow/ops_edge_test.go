@@ -30,12 +30,8 @@ func TestAggregateUnknownColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	if _, err := g.Aggregate(Sum("nope", "s")); !errors.Is(err, ErrNoColumn) {
+	if _, err := g.Sum("nope", "s"); !errors.Is(err, ErrNoColumn) {
 		t.Fatalf("err = %v", err)
-	}
-	// COUNT(*) needs no column and must not error.
-	if _, err := g.Aggregate(Count("n")); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -71,15 +67,18 @@ func TestGroupByEmptyDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	if n, err := g.NumGroups(); err != nil || n != 0 {
-		t.Fatalf("groups = %d, %v", n, err)
+	if err := g.EachGroup(func(key Tuple, _ []Tuple) error {
+		t.Fatalf("empty group-by visited group %v", key)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	res, err := g.Aggregate(Count("n"))
+	res, err := g.Sum("k", "n")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n, err := res.Count(); err != nil || n != 0 {
-		t.Fatalf("agg = %d rows, %v", n, err)
+		t.Fatalf("sum = %d rows, %v", n, err)
 	}
 }
 
@@ -118,19 +117,6 @@ func TestOrderByStable(t *testing.T) {
 	}
 }
 
-func TestForEachDropsNil(t *testing.T) {
-	d := NewDataset(emptyJob(), Schema{"v"}, []Tuple{{int64(1)}, {int64(2)}, {int64(3)}})
-	out := d.ForEach(Schema{"v"}, func(tp Tuple) Tuple {
-		if tp[0].(int64)%2 == 0 {
-			return nil
-		}
-		return tp
-	})
-	if n, err := out.Count(); err != nil || n != 2 {
-		t.Fatalf("rows = %d, %v", n, err)
-	}
-}
-
 func TestShuffleAccountingCoversValueKinds(t *testing.T) {
 	j := emptyJob()
 	d := NewDataset(j, Schema{"k", "m", "b", "f", "bool", "i32"}, []Tuple{
@@ -141,38 +127,5 @@ func TestShuffleAccountingCoversValueKinds(t *testing.T) {
 	}
 	if j.Stats().ShuffleBytes == 0 {
 		t.Fatal("no shuffle bytes charged for mixed-type tuple")
-	}
-}
-
-func TestCountDistinctAcrossTypes(t *testing.T) {
-	j := emptyJob()
-	d := NewDataset(j, Schema{"k", "v"}, []Tuple{
-		{"a", int64(1)}, {"a", int64(1)}, {"a", int64(2)},
-	})
-	g, err := d.GroupBy("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	res, err := g.Aggregate(CountDistinct("v", "dv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := res.Tuples()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0][1].(int64) != 2 {
-		t.Fatalf("distinct = %v", rows)
-	}
-}
-
-func TestClusterSecondsModel(t *testing.T) {
-	var s Stats
-	s.MapTasks = 10
-	s.ReduceTasks = 2
-	want := 10*MapTaskStartupSeconds + 2*ReduceTaskStartupSeconds
-	if got := s.ClusterSeconds(); got != want {
-		t.Fatalf("ClusterSeconds = %f, want %f", got, want)
 	}
 }

@@ -34,12 +34,11 @@ type scanResult struct {
 // semaphore slot, sends never block and the pool cannot deadlock.
 //
 // Cost accounting matches the serial splitIter where the serial
-// contract is observable: MapTasks/FilesRead are charged when a split
-// is *delivered* (so an early-stopping consumer — Limit — charges a
-// plan-order prefix, not whatever the prefetcher touched), RecordsRead
-// per delivered tuple, and BytesRead/BlocksRead once per scan as the
-// filesystem-counter delta between open and finish — prefetched I/O is
-// real I/O and is metered as such.
+// contract is observable: MapTasks is charged when a split is *delivered*
+// (so a consumer that stops early charges a plan-order prefix, not
+// whatever the prefetcher touched), RecordsRead per delivered tuple, and
+// BytesRead once per scan as the filesystem-counter delta between open
+// and finish — prefetched I/O is real I/O and is metered as such.
 type parallelScan struct {
 	job *Job
 	sc  *scanSpec
@@ -152,7 +151,6 @@ func (s *parallelScan) Next() (Tuple, error) {
 		delete(s.ready, s.nextIdx)
 		s.nextIdx++
 		s.job.stats.mapTasks.Add(1)
-		s.job.stats.filesRead.Add(1)
 		if r.err != nil {
 			// Sticky, like the serial iterator: a failed split cannot be
 			// read past into a silently incomplete relation. The slot is
@@ -173,7 +171,6 @@ func (s *parallelScan) finish() {
 		after := s.job.FS.Snapshot()
 		db := after.BytesRead - s.before.BytesRead
 		s.job.stats.bytesRead.Add(db)
-		s.job.stats.blocksRead.Add(after.BlocksRead - s.before.BlocksRead)
 		tmScanBytes.Add(db)
 	})
 }

@@ -22,8 +22,8 @@ func parJob(t *testing.T, budget int64, par, fanIn int) *Job {
 }
 
 type opsSuiteResult struct {
-	agg, red, ordered, joined, distinct, asc, desc string
-	stats                                          Stats
+	agg, red, ordered, joined, asc, desc string
+	stats                                Stats
 }
 
 // opsSuiteSplits is how many splits each input of the ops suite is cut
@@ -75,7 +75,7 @@ func runOpsSuite(t *testing.T, budget int64, par, fanIn int) opsSuiteResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := g.Aggregate(Count("n"), Min("pos", "min"), Max("pos", "max"), CountDistinct("v", "dv"))
+	agg, err := g.Sum("pos", "sum")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +115,6 @@ func runOpsSuite(t *testing.T, budget int64, par, fanIn int) opsSuiteResult {
 	if err := joined.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	proj, err := build().Project("k", "v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.distinct = render(proj.Distinct())
 
 	for _, asc := range []bool{true, false} {
 		sorted, err := build().OrderBy("v", asc)
@@ -171,11 +165,10 @@ func TestParallelOpsByteIdenticalToSerial(t *testing.T) {
 		for _, par := range []int{2, 8} {
 			got := runOpsSuite(t, cell.budget, par, cell.fanIn)
 			for what, pair := range map[string][2]string{
-				"aggregate":      {ref.agg, got.agg},
+				"sum":            {ref.agg, got.agg},
 				"foreachgroup":   {ref.red, got.red},
 				"groupbyordered": {ref.ordered, got.ordered},
 				"join":           {ref.joined, got.joined},
-				"distinct":       {ref.distinct, got.distinct},
 				"orderby-asc":    {ref.asc, got.asc},
 				"orderby-desc":   {ref.desc, got.desc},
 			} {
@@ -189,36 +182,6 @@ func TestParallelOpsByteIdenticalToSerial(t *testing.T) {
 					cell.budget, cell.fanIn, par, ref.stats, got.stats)
 			}
 		}
-	}
-}
-
-// TestParallelDistinctEarlyClose abandons a Distinct over a parallel scan
-// after one row; Close must remove the spill state.
-func TestParallelDistinctEarlyClose(t *testing.T) {
-	j := parJob(t, 512, 8, 0)
-	tuples := make([]Tuple, 2000)
-	for i := range tuples {
-		tuples[i] = Tuple{fmt.Sprintf("key-%03d", i%80), fmt.Sprintf("payload-%d", i)}
-	}
-	proj, err := scanDataset(t, j, splitFixture(Schema{"k", "s"}, tuples, 8)).Project("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := proj.Distinct().Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Stats().SpillRuns == 0 {
-		t.Fatal("distinct under budget never spilled")
-	}
-	if _, err := it.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if err := it.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if left := spillFiles(t, j); len(left) != 0 {
-		t.Fatalf("staged files survived early Close: %v", left)
 	}
 }
 
@@ -368,20 +331,23 @@ func TestParallelScanErrorSticky(t *testing.T) {
 	}
 }
 
-// TestParallelScanLimitChargesPrefix: an early-stopping consumer charges
+// TestParallelScanLimitChargesPrefix: a consumer that stops early (a
+// limit: its Each callback returns an error after the first tuple) charges
 // only the plan-order prefix of splits it consumed, exactly like the
 // serial scan — regardless of how many splits the prefetch pool decoded.
 func TestParallelScanLimitChargesPrefix(t *testing.T) {
 	f := scanFixture(12)
+	enough := errors.New("limit reached")
 	run := func(par int) Stats {
 		j := NewJob("scan", hdfs.New(0))
 		j.Parallelism = par
-		n, err := scanDataset(t, j, f).Limit(1).Count()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != 1 {
-			t.Fatalf("limit count = %d", n)
+		n := 0
+		err := scanDataset(t, j, f).Each(func(Tuple) error {
+			n++
+			return enough
+		})
+		if !errors.Is(err, enough) || n != 1 {
+			t.Fatalf("par %d: limit consumed %d tuples, %v", par, n, err)
 		}
 		return j.Stats()
 	}
@@ -392,37 +358,6 @@ func TestParallelScanLimitChargesPrefix(t *testing.T) {
 	}
 	if parStats.MapTasks != 1 {
 		t.Fatalf("MapTasks = %d, want 1 (only the first split was delivered)", parStats.MapTasks)
-	}
-}
-
-// TestParallelDistinctReduceWaveTopUp: with enough distinct keys to need
-// more than one reducer, Distinct tops its base reducer up to the
-// group-scaled wave at the end of the merge, and charges the same whether
-// the serial or the parallel scan fed it.
-func TestParallelDistinctReduceWaveTopUp(t *testing.T) {
-	const keys = 25000
-	run := func(par int) (int64, Stats) {
-		j := parJob(t, 64<<10, par, 0)
-		tuples := make([]Tuple, keys)
-		for i := range tuples {
-			tuples[i] = Tuple{fmt.Sprintf("key-%06d", i)}
-		}
-		n, err := scanDataset(t, j, splitFixture(Schema{"k"}, tuples, 8)).Distinct().Count()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n, j.Stats()
-	}
-	serialN, serialStats := run(1)
-	parN, parStats := run(4)
-	if serialN != keys || parN != keys {
-		t.Fatalf("distinct counts = %d / %d, want %d", serialN, parN, keys)
-	}
-	if parStats != serialStats {
-		t.Fatalf("distinct stats diverged:\nserial:   %+v\nparallel: %+v", serialStats, parStats)
-	}
-	if want := reducersFor(keys); parStats.ReduceTasks != want {
-		t.Fatalf("ReduceTasks = %d, want the topped-up wave %d", parStats.ReduceTasks, want)
 	}
 }
 

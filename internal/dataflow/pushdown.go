@@ -30,16 +30,15 @@ func (s Selection) empty() bool {
 	return s.Columns == nil && s.NamePattern == "" && s.TimeMin == 0 && s.TimeMax == 0
 }
 
-// PushdownFormat is an InputFormat that can absorb some or all of a
-// Selection into the scan itself — pruning data it never decodes and
-// reading only the column streams the query references. Pushdown returns
-// the format specialized to the absorbed part, the residual selection the
-// planner must still apply row-side, and whether any pushdown happened at
-// all; ok == false means the planner falls through to the plain row path
-// and applies the whole selection itself.
+// PushdownFormat is an InputFormat that can absorb a whole Selection into
+// the scan itself — pruning data it never decodes and reading only the
+// column streams the query references. Pushdown returns the format
+// specialized to the selection, or ok == false when it cannot honor it,
+// in which case the planner falls through to the plain row path and
+// applies the whole selection itself.
 type PushdownFormat interface {
 	InputFormat
-	Pushdown(sel Selection) (f InputFormat, residual Selection, ok bool)
+	Pushdown(sel Selection) (f InputFormat, ok bool)
 }
 
 // LoadDirsSelective is LoadDirs with a Selection: formats that implement
@@ -50,21 +49,20 @@ type PushdownFormat interface {
 // only the selected rows — the selection is a semantic contract, pushdown
 // is just the cheap way to honor it.
 func (j *Job) LoadDirsSelective(dirs []string, f InputFormat, sel Selection) (*Dataset, error) {
-	residual := sel
 	if pf, ok := f.(PushdownFormat); ok {
-		if absorbed, rest, ok := pf.Pushdown(sel); ok {
-			f, residual = absorbed, rest
+		if absorbed, ok := pf.Pushdown(sel); ok {
+			return j.LoadDirs(dirs, absorbed)
 		}
 	}
 	d, err := j.LoadDirs(dirs, f)
 	if err != nil {
 		return nil, err
 	}
-	return applySelection(d, residual)
+	return applySelection(d, sel)
 }
 
-// applySelection applies the residual (non-pushed) part of a selection as
-// row-side operators: pattern and time-window filters, then projection.
+// applySelection applies a selection no format absorbed as row-side
+// operators: pattern and time-window filters, then projection.
 func applySelection(d *Dataset, sel Selection) (*Dataset, error) {
 	if sel.empty() {
 		return d, nil

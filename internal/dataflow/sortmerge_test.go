@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"unilog/internal/recordio"
@@ -24,7 +27,7 @@ func TestMergeReduceBoundedByRunFanIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	if _, err := g.Aggregate(Count("n"), Sum("v", "sum")); err != nil {
+	if _, err := g.Sum("v", "sum"); err != nil {
 		t.Fatal(err)
 	}
 	st := j.Stats()
@@ -44,10 +47,17 @@ func TestMergeReduceBoundedByRunFanIn(t *testing.T) {
 
 // TestGroupByOrderedDeliversSortedGroups: with a secondary sort column the
 // merge hands each group to the reducer already ordered by that column,
-// ties in input order — no per-group re-sort.
+// ties in input order — no per-group re-sort — and the groups are
+// byte-identical in memory, spilled, and through a cascade at fan-in 2.
 func TestGroupByOrderedDeliversSortedGroups(t *testing.T) {
-	for _, budget := range []int64{0, 256} {
+	var want string
+	for _, cell := range []struct {
+		budget int64
+		fanIn  int
+	}{{0, 0}, {256, 0}, {256, 2}} {
+		budget := cell.budget
 		j := spillJob(t, budget)
+		j.maxMergeFanIn = cell.fanIn
 		rng := rand.New(rand.NewSource(7))
 		var tuples []Tuple
 		for i := 0; i < 1200; i++ {
@@ -63,6 +73,7 @@ func TestGroupByOrderedDeliversSortedGroups(t *testing.T) {
 		}
 		groups := 0
 		var lastKey string
+		var out strings.Builder
 		err = g.EachGroup(func(key Tuple, group []Tuple) error {
 			groups++
 			k := key[0].(string)
@@ -79,6 +90,7 @@ func TestGroupByOrderedDeliversSortedGroups(t *testing.T) {
 					t.Fatalf("budget %d: equal ts lost input order in group %q: %v then %v", budget, k, a, b)
 				}
 			}
+			fmt.Fprintln(&out, key, group)
 			return nil
 		})
 		if err != nil {
@@ -89,6 +101,14 @@ func TestGroupByOrderedDeliversSortedGroups(t *testing.T) {
 		}
 		if budget > 0 && j.Stats().SpillRuns == 0 {
 			t.Fatal("budgeted ordered group-by never spilled a run")
+		}
+		if cell.fanIn == 2 && j.Stats().CascadePasses == 0 {
+			t.Fatal("fan-in 2 ordered group-by never cascaded")
+		}
+		if budget == 0 {
+			want = out.String()
+		} else if out.String() != want {
+			t.Fatalf("budget %d fan-in %d: groups differ from the in-memory path", budget, cell.fanIn)
 		}
 		g.Close()
 	}
@@ -117,10 +137,10 @@ func mixedValue(rng *rand.Rand) Value {
 }
 
 // TestSortMergePropertyBudgetSweep is the satellite property: across
-// random relations and a budget sweep, GroupBy/Aggregate, ForEachGroup,
-// Distinct, and OrderBy (both directions, including mixed numeric/string
-// sort columns and heavy duplicates) produce relations identical — rows
-// *and* order — to the in-memory path.
+// random relations and a budget sweep, GroupBy/Sum, ForEachGroup, and
+// OrderBy (both directions, including mixed numeric/string sort columns and
+// heavy duplicates) produce relations identical — rows *and* order — to the
+// in-memory path.
 func TestSortMergePropertyBudgetSweep(t *testing.T) {
 	budgets := []int64{128, 1024, 16 << 10}
 	for seed := int64(0); seed < 6; seed++ {
@@ -139,8 +159,8 @@ func TestSortMergePropertyBudgetSweep(t *testing.T) {
 			return NewDataset(j, Schema{"k", "v", "pos"}, tuples)
 		}
 		type result struct {
-			agg, red, distinct, asc, desc string
-			spilled                       int
+			agg, red, asc, desc string
+			spilled             int
 		}
 		run := func(budget int64) result {
 			j := spillJob(t, budget)
@@ -149,7 +169,7 @@ func TestSortMergePropertyBudgetSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			agg, err := g.Aggregate(Count("n"), Min("pos", "min"), Max("pos", "max"), CountDistinct("v", "dv"))
+			agg, err := g.Sum("pos", "sum")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,14 +188,6 @@ func TestSortMergePropertyBudgetSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			g.Close()
-			dis, err := build(j).Project("k")
-			if err != nil {
-				t.Fatal(err)
-			}
-			disRows, err := dis.Distinct().Tuples()
-			if err != nil {
-				t.Fatal(err)
-			}
 			sortRows := func(ascending bool) string {
 				sorted, err := build(j).OrderBy("v", ascending)
 				if err != nil {
@@ -194,7 +206,6 @@ func TestSortMergePropertyBudgetSweep(t *testing.T) {
 			res.desc = sortRows(false)
 			res.agg = fmt.Sprintf("%v", aggRows)
 			res.red = fmt.Sprintf("%v", redRows)
-			res.distinct = fmt.Sprintf("%v", disRows)
 			res.spilled = j.Stats().SpillRuns
 			if files := spillFiles(t, j); len(files) != 0 {
 				t.Fatalf("seed %d budget %d left spill files: %v", seed, budget, files)
@@ -211,9 +222,8 @@ func TestSortMergePropertyBudgetSweep(t *testing.T) {
 				t.Fatalf("seed %d budget %d: never spilled a run (n=%d)", seed, budget, n)
 			}
 			for what, pair := range map[string][2]string{
-				"aggregate":    {ref.agg, got.agg},
+				"sum":          {ref.agg, got.agg},
 				"foreachgroup": {ref.red, got.red},
-				"distinct":     {ref.distinct, got.distinct},
 				"orderby-asc":  {ref.asc, got.asc},
 				"orderby-desc": {ref.desc, got.desc},
 			} {
@@ -306,6 +316,63 @@ func TestOrderByDescStableOnDuplicates(t *testing.T) {
 			t.Fatalf("budget %d: desc order = %v, want %v", budget, got, want)
 		}
 		sorted.Close()
+	}
+}
+
+// TestOrderByCostIndependentOfBudget: the memory budget is promised not to
+// change a job's result, and that covers its modelled cost. A descending
+// sort over heavy duplicates returns the stable reference order (equal keys
+// in input order) byte for byte with no budget, with a budget that never
+// trips, with one that spills and with one that spills through a cascade
+// at fan-in 2 — and charges the same shuffle and the same merge pass in
+// every cell.
+func TestOrderByCostIndependentOfBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	in := make([]Tuple, 400)
+	for i := range in {
+		in[i] = Tuple{fmt.Sprintf("k%d", rng.Intn(4)), int64(rng.Intn(5)), int64(i)}
+	}
+	want := append([]Tuple(nil), in...)
+	sort.SliceStable(want, func(a, b int) bool { return want[a][1].(int64) > want[b][1].(int64) })
+
+	var ref Stats
+	for _, cell := range []struct {
+		budget int64
+		fanIn  int
+	}{{0, 0}, {1 << 30, 0}, {1 << 10, 0}, {1 << 10, 2}} {
+		j := spillJob(t, cell.budget)
+		j.maxMergeFanIn = cell.fanIn
+		d, err := NewDataset(j, Schema{"k", "a", "pos"}, in).OrderBy("a", false)
+		if err != nil {
+			t.Fatalf("budget %d: %v", cell.budget, err)
+		}
+		rows, err := d.Tuples()
+		if err != nil {
+			t.Fatalf("budget %d: %v", cell.budget, err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rows, want) {
+			t.Fatalf("budget %d fan-in %d: rows differ from the stable reference sort", cell.budget, cell.fanIn)
+		}
+		st := j.Stats()
+		if spilled := st.SpillRuns > 0; spilled != (cell.budget == 1<<10) {
+			t.Fatalf("budget %d: spill runs = %d", cell.budget, st.SpillRuns)
+		}
+		if cascaded := st.CascadePasses > 0; cascaded != (cell.fanIn == 2) {
+			t.Fatalf("budget %d fan-in %d: cascade passes = %d", cell.budget, cell.fanIn, st.CascadePasses)
+		}
+		if cell.budget == 0 {
+			ref = st
+			if ref.ShuffleRecords != int64(len(in)) || ref.MergePasses != 1 {
+				t.Fatalf("unbudgeted sort charged %+v", ref)
+			}
+			continue
+		}
+		if st.ShuffleRecords != ref.ShuffleRecords || st.ShuffleBytes != ref.ShuffleBytes || st.MergePasses != ref.MergePasses {
+			t.Fatalf("budget %d: cost depends on the budget\nunbudgeted: %+v\nbudgeted:   %+v", cell.budget, ref, st)
+		}
 	}
 }
 
@@ -404,8 +471,8 @@ func TestMergeAbandonReleasesRunFiles(t *testing.T) {
 	}
 	// The abandoned merge must not have consumed the state: a fresh pass
 	// still works.
-	if n, err := g.NumGroups(); err != nil || n != 50 {
-		t.Fatalf("NumGroups after abandoned merge = %d, %v", n, err)
+	if n := countGroups(t, g); n != 50 {
+		t.Fatalf("groups after abandoned merge = %d", n)
 	}
 	if err := g.Close(); err != nil {
 		t.Fatal(err)

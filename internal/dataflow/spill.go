@@ -12,36 +12,51 @@ import (
 	"unilog/internal/recordio"
 )
 
-// An external operator (GroupBy, GroupAll, Join, Distinct, OrderBy) cannot
-// assume its input fits in memory. spillTable is the shared machinery, and
-// — like the sort-merge shuffle of the MapReduce jobs this engine models —
-// it is sort-based: tuples are buffered with their rendered key, and when
-// the buffered bytes exceed Job.MemoryBudget the buffer is *sorted* (key,
-// then the optional order columns, then insertion sequence) and appended to
-// the table's spill file as one budget-sized sorted run. The reduce side is
-// a streaming k-way merge over every run plus the sorted in-memory residue
+// An external operator (GroupBy, GroupAll, Join, OrderBy) cannot assume
+// its input fits in memory. spillTable is the shared machinery, and — like
+// the sort-merge shuffle of the MapReduce jobs this engine models — it is
+// sort-based: tuples are buffered with their rendered key, and when the
+// buffered bytes exceed Job.MemoryBudget the buffer is *sorted* (key, then
+// the optional order column, then insertion sequence) and appended to the
+// table's spill file as one budget-sized sorted run. The reduce side is a
+// streaming k-way merge over every run plus the sorted in-memory residue
 // (merge.go): tuples arrive in global (key, order, sequence) order, so
 // reducers fold group boundaries as they stream by and never hold a
 // per-group hash map — peak reduce memory is the merge heap plus one
 // buffered tuple per run. With MemoryBudget <= 0 the budget never trips:
 // the same table with one never-spilled run, and identical output order.
 
-// sortKey is one column of a secondary sort: the col'th tuple column,
-// descending when desc.
+// sortKey is the optional secondary order of a spill table: tuples with
+// equal keys are delivered ordered by the col'th tuple column, descending
+// when desc, ties broken by insertion sequence. col < 0 (noSort) means
+// insertion order alone — the classic GroupBy contract. OrderBy uses an
+// empty key with a sortKey, making the whole table one ordered stream.
 type sortKey struct {
 	col  int
 	desc bool
 }
 
-// sortSpec is the optional secondary order of a spill table: tuples with
-// equal keys are delivered ordered by each sortKey in turn, ties broken
-// by insertion sequence. An empty spec means insertion order alone — the
-// classic GroupBy contract. OrderBy uses an empty key with a sortSpec,
-// making the whole table one ordered stream.
-type sortSpec []sortKey
+// noSort is the sortKey of operators that only need key grouping.
+var noSort = sortKey{col: -1}
 
-// noSort is the sortSpec of operators that only need key grouping.
-var noSort = sortSpec(nil)
+// less orders two records by (rendered key, order column, insertion
+// sequence) — the one comparator behind both the run sort (sortMem) and
+// the merge heap (merge.go), so the merge preserves the runs' order
+// globally. Sequences are unique, so the order is total.
+func (o sortKey) less(ka, kb []byte, ta, tb Tuple, sa, sb uint64) bool {
+	if c := bytes.Compare(ka, kb); c != 0 {
+		return c < 0
+	}
+	if o.col >= 0 {
+		if c := compareValues(ta[o.col], tb[o.col]); c != 0 {
+			if o.desc {
+				return c > 0
+			}
+			return c < 0
+		}
+	}
+	return sa < sb
+}
 
 // memTuple is one buffered tuple: its rendered key (an arena slice), its
 // global insertion sequence (the stability tiebreak), and the tuple. The
@@ -69,7 +84,7 @@ type runRef struct {
 type spillTable struct {
 	job    *Job
 	keyIdx []int
-	order  sortSpec
+	order  sortKey
 	budget int64 // <= 0: unlimited (never spills)
 	seq    uint64
 
@@ -88,7 +103,7 @@ type spillTable struct {
 	closed bool
 }
 
-func newSpillTable(j *Job, keyIdx []int, order sortSpec) *spillTable {
+func newSpillTable(j *Job, keyIdx []int, order sortKey) *spillTable {
 	return &spillTable{job: j, keyIdx: keyIdx, order: order, budget: j.MemoryBudget}
 }
 
@@ -147,25 +162,13 @@ func (st *spillTable) fill(d *Dataset) error {
 	return err
 }
 
-// sortMem orders the buffer by (key, order columns, sequence) — the run
-// order the merge relies on. Sequences are unique, so the order is total
-// and the sort is stable by construction.
+// sortMem orders the buffer by (key, order column, sequence) — the run
+// order the merge relies on; the sort is stable by construction.
 func (st *spillTable) sortMem() {
 	mem := st.mem
 	sort.Slice(mem, func(i, j int) bool {
 		a, b := &mem[i], &mem[j]
-		if c := bytes.Compare(st.key(a), st.key(b)); c != 0 {
-			return c < 0
-		}
-		for _, k := range st.order {
-			if c := compareValues(a.t[k.col], b.t[k.col]); c != 0 {
-				if k.desc {
-					return c > 0
-				}
-				return c < 0
-			}
-		}
-		return a.seq < b.seq
+		return st.order.less(st.key(a), st.key(b), a.t, b.t, a.seq, b.seq)
 	})
 }
 
@@ -198,7 +201,6 @@ func (st *spillTable) spill() error {
 	}
 	records, size := int64(len(st.mem)), st.w.Bytes()-before
 	st.runs = append(st.runs, runRef{path: st.path, off: before, len: size, records: records})
-	st.job.stats.spillFlushes.Add(1)
 	st.job.stats.spillRuns.Add(1)
 	st.job.stats.spilledRecords.Add(records)
 	st.job.stats.spilledBytes.Add(size)

@@ -34,6 +34,16 @@ func spillFiles(t *testing.T, j *Job) []string {
 	return files
 }
 
+// countGroups counts a Grouped's groups with one EachGroup pass.
+func countGroups(t *testing.T, g *Grouped) int {
+	t.Helper()
+	n := 0
+	if err := g.EachGroup(func(Tuple, []Tuple) error { n++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // wideDataset builds n tuples exercising every codec value kind, with keys
 // drawn from k distinct groups.
 func wideDataset(j *Job, n, k int, seed int64) *Dataset {
@@ -63,17 +73,13 @@ func TestGroupBySpillsUnderBudget(t *testing.T) {
 	if st.SpillRuns < 2 {
 		t.Fatalf("spill runs = %d, want >= 2 under a 512-byte budget", st.SpillRuns)
 	}
-	if st.SpilledBytes == 0 || st.SpilledRecords == 0 || st.SpillFlushes == 0 {
+	if st.SpilledBytes == 0 || st.SpilledRecords == 0 {
 		t.Fatalf("spill stats = %+v", st)
 	}
 	if len(spillFiles(t, j)) == 0 {
 		t.Fatal("no spill files on disk while Grouped is live")
 	}
-	n, err := g.NumGroups()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 50 {
+	if n := countGroups(t, g); n != 50 {
 		t.Fatalf("groups = %d, want 50", n)
 	}
 	if err := g.Close(); err != nil {
@@ -92,7 +98,7 @@ func TestZeroAndNegativeBudgetStayInMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := g.Aggregate(Count("n"), Sum("v", "sum"))
+		res, err := g.Sum("v", "sum")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,8 +144,7 @@ func equalRows(a, b []string) bool {
 
 // TestGroupBySpillMatchesInMemory is the acceptance property: on
 // randomized datasets, the spilling path and the in-memory path produce
-// identical relations — same rows, same order — for Aggregate and
-// ForEachGroup.
+// identical relations — same rows, same order — for Sum and ForEachGroup.
 func TestGroupBySpillMatchesInMemory(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -154,7 +159,7 @@ func TestGroupBySpillMatchesInMemory(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer g.Close()
-			agg, err := g.Aggregate(Count("n"), Sum("v", "sum"), Min("v", "min"), Max("v", "max"), Avg("f", "avg"), CountDistinct("s", "ds"))
+			agg, err := g.Sum("v", "sum")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +190,7 @@ func TestGroupBySpillMatchesInMemory(t *testing.T) {
 		}
 		// Same rows in the same (globally key-sorted) order.
 		if fmt.Sprintf("%v", memAgg) != fmt.Sprintf("%v", spillAgg) {
-			t.Fatalf("seed %d: aggregate diverged\nmem:   %v\nspill: %v", seed, memAgg, spillAgg)
+			t.Fatalf("seed %d: sum diverged\nmem:   %v\nspill: %v", seed, memAgg, spillAgg)
 		}
 		if fmt.Sprintf("%v", memRed) != fmt.Sprintf("%v", spillRed) {
 			t.Fatalf("seed %d: reduce diverged\nmem:   %v\nspill: %v", seed, memRed, spillRed)
@@ -238,29 +243,6 @@ func TestJoinSpillMatchesInMemory(t *testing.T) {
 	}
 }
 
-func TestDistinctSpillMatchesInMemory(t *testing.T) {
-	run := func(budget int64) []string {
-		j := spillJob(t, budget)
-		d := wideDataset(j, 1000, 20, 5)
-		// Project to a low-cardinality relation so duplicates exist.
-		p, err := d.Project("k", "b")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := p.Distinct().Tuples()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if files := spillFiles(t, j); len(files) != 0 {
-			t.Fatalf("distinct left spill files: %v", files)
-		}
-		return renderRows(rows)
-	}
-	if mem, spilled := run(0), run(128); !equalRows(mem, spilled) {
-		t.Fatalf("distinct diverged: %v vs %v", mem, spilled)
-	}
-}
-
 // TestSpillFileCorruption: flipped bits in a spill file surface as a clean
 // recordio.ErrCorrupt from the reduce pass — no panic, no silent partial
 // group — and Close still removes the files.
@@ -282,9 +264,9 @@ func TestSpillFileCorruption(t *testing.T) {
 	if err := os.WriteFile(files[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, aerr := g.Aggregate(Count("n"))
+	_, aerr := g.Sum("v", "n")
 	if aerr == nil {
-		t.Fatal("aggregate over corrupted spill succeeded")
+		t.Fatal("sum over corrupted spill succeeded")
 	}
 	if !errors.Is(aerr, recordio.ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", aerr)
@@ -350,8 +332,8 @@ func TestSpillEncodeErrorCleansUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	if n, err := g.NumGroups(); err != nil || n != 1 {
-		t.Fatalf("in-memory groups = %d, %v", n, err)
+	if n := countGroups(t, g); n != 1 {
+		t.Fatalf("in-memory groups = %d", n)
 	}
 }
 
@@ -383,7 +365,7 @@ func TestJoinSpillCleanup(t *testing.T) {
 }
 
 // TestGroupAllSpills: even the single global group stages through disk
-// under a budget, and a streaming Aggregate still folds it exactly.
+// under a budget, and a streaming Sum still folds it exactly.
 func TestGroupAllSpills(t *testing.T) {
 	j := spillJob(t, 256)
 	tuples := make([]Tuple, 3000)
@@ -400,7 +382,7 @@ func TestGroupAllSpills(t *testing.T) {
 	if j.Stats().SpilledRecords == 0 {
 		t.Fatal("GROUP ALL under budget never spilled")
 	}
-	res, err := g.Aggregate(Sum("c", "total"), Count("n"))
+	res, err := g.Sum("c", "total")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,8 +390,17 @@ func TestGroupAllSpills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0][0].(int64) != want || rows[0][1].(int64) != 3000 {
+	if len(rows) != 1 || rows[0][0].(int64) != want {
 		t.Fatalf("rows = %v, want sum %d", rows, want)
+	}
+	err = g.EachGroup(func(_ Tuple, group []Tuple) error {
+		if len(group) != 3000 {
+			t.Fatalf("group all holds %d tuples, want 3000", len(group))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -442,8 +433,9 @@ func TestLoadIsLazy(t *testing.T) {
 	}
 }
 
-// TestLimitStopsScanEarly: Limit over a lazy scan does not read every
-// split.
+// TestLimitStopsScanEarly: a consumer that stops after its first few
+// tuples (a limit: its Each callback returns an error) does not read every
+// split of a lazy scan.
 func TestLimitStopsScanEarly(t *testing.T) {
 	fs := hdfs.New(0)
 	populate(t, fs) // 8 hour-files of 10 events each
@@ -452,7 +444,15 @@ func TestLimitStopsScanEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := d.Limit(5).Count(); err != nil || n != 5 {
+	enough := errors.New("limit reached")
+	n := 0
+	err = d.Each(func(Tuple) error {
+		if n++; n == 5 {
+			return enough
+		}
+		return nil
+	})
+	if !errors.Is(err, enough) || n != 5 {
 		t.Fatalf("limit = %d, %v", n, err)
 	}
 	if st := j.Stats(); st.MapTasks >= 8 {
@@ -474,11 +474,8 @@ func TestGroupByKeysWithEmbeddedNUL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	if n, err := g.NumGroups(); err != nil || n != 2 {
-		t.Fatalf("groups = %d, %v, want 2 (NUL shifted a key boundary)", n, err)
-	}
-	if n, err := d.Distinct().Count(); err != nil || n != 2 {
-		t.Fatalf("distinct = %d, %v, want 2", n, err)
+	if n := countGroups(t, g); n != 2 {
+		t.Fatalf("groups = %d, want 2 (NUL shifted a key boundary)", n)
 	}
 }
 
@@ -494,11 +491,11 @@ func TestClosedGroupedErrs(t *testing.T) {
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Aggregate(Count("n")); err == nil {
-		t.Fatal("aggregate over closed Grouped succeeded")
+	if _, err := g.Sum("k", "n"); !errors.Is(err, errSpillClosed) {
+		t.Fatalf("sum over closed Grouped: err = %v", err)
 	}
-	if _, err := g.NumGroups(); err == nil {
-		t.Fatal("NumGroups over closed Grouped succeeded")
+	if err := g.EachGroup(func(Tuple, []Tuple) error { return nil }); !errors.Is(err, errSpillClosed) {
+		t.Fatalf("EachGroup over closed Grouped: err = %v", err)
 	}
 }
 

@@ -8,18 +8,13 @@ import "sync/atomic"
 // always returned.
 type jobStats struct {
 	mapTasks       atomic.Int64
-	reduceTasks    atomic.Int64
-	filesRead      atomic.Int64
 	recordsRead    atomic.Int64
 	bytesRead      atomic.Int64
-	blocksRead     atomic.Int64
 	shuffleRecords atomic.Int64
 	shuffleBytes   atomic.Int64
-	outputRecords  atomic.Int64
 
 	spilledBytes   atomic.Int64
 	spilledRecords atomic.Int64
-	spillFlushes   atomic.Int64
 	spillRuns      atomic.Int64
 	mergePasses    atomic.Int64
 	mergeRuns      atomic.Int64
@@ -43,18 +38,13 @@ func (s *jobStats) maxRunFanIn(n int64) {
 func (s *jobStats) snapshot() Stats {
 	return Stats{
 		MapTasks:       int(s.mapTasks.Load()),
-		ReduceTasks:    int(s.reduceTasks.Load()),
-		FilesRead:      int(s.filesRead.Load()),
 		RecordsRead:    s.recordsRead.Load(),
 		BytesRead:      s.bytesRead.Load(),
-		BlocksRead:     s.blocksRead.Load(),
 		ShuffleRecords: s.shuffleRecords.Load(),
 		ShuffleBytes:   s.shuffleBytes.Load(),
-		OutputRecords:  s.outputRecords.Load(),
 
 		SpilledBytes:   s.spilledBytes.Load(),
 		SpilledRecords: s.spilledRecords.Load(),
-		SpillFlushes:   int(s.spillFlushes.Load()),
 		SpillRuns:      int(s.spillRuns.Load()),
 		MergePasses:    int(s.mergePasses.Load()),
 		MergeRuns:      int(s.mergeRuns.Load()),

@@ -295,7 +295,7 @@ func ReconstructSessions(j *dataflow.Job, dirsByCategory map[string][]string, ga
 		return 0, err
 	}
 	defer ga.Close()
-	total, err := ga.Aggregate(dataflow.Sum("sessions", "total"))
+	total, err := ga.Sum("sessions", "total")
 	if err != nil {
 		return 0, err
 	}
