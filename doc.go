@@ -57,7 +57,8 @@
 // bytes shuffled; it simulates no cluster time. It executes out-of-core
 // with a sort-merge shuffle, the way the MapReduce jobs it models do:
 // datasets are lazy pull-based iterator pipelines (scans buffer one split
-// at a time; Filter/Project/Union stream), and the pipeline breakers —
+// at a time; Filter/Project/Union stream, and a Project directly on a
+// pushed-down scan folds into the scan instead), and the pipeline breakers —
 // GroupBy, GroupAll, Join, OrderBy — are external operators that buffer
 // their input and, each time dataflow.Job.MemoryBudget is exceeded, sort
 // the buffer on (rendered key, optional order column, insertion sequence)
@@ -104,7 +105,9 @@
 // row files) and the next seal cleans them up and retries, so a torn
 // seal can never silently drop rows. The seal builds chunks from the wire:
 // warehouse.ScanHourRecords hands it the raw records of the hour's row
-// files and chunk.Builder.AddRecord walks each one without allocating
+// files (through warehouse.ScanFileRecords, the per-file loop every
+// row-file reader shares, which names a damaged file in its error) and
+// chunk.Builder.AddRecord walks each one without allocating
 // (events.Header.DecodePairs: the strings and details pairs stay slices of
 // the record) and appends the row straight to its column accumulators —
 // varints as they arrive, one map probe per dictionary column, details pairs insertion-
@@ -118,18 +121,29 @@
 // never see them, so sealed and unsealed hours coexist in one day. Queries opt in through
 // dataflow.Selection — a declarative (columns, name pattern, time
 // range) triple — and Job.LoadDirsSelective: a pushdown-aware format
-// (columnar.EventsFormat) absorbs the selection, pruning whole chunks
+// absorbs the selection. columnar.EventsFormat prunes whole chunks
 // whose zone maps cannot intersect a head-anchored name prefix or the
 // time window (a pruned chunk costs one meta record, never a column
-// byte) and decoding only the projected columns' files; any other
-// format, and any predicate that is an arbitrary Go closure rather
-// than a Selection, falls through to the row files with the same
+// byte) and decodes only the projected columns' files; an hour not yet
+// sealed it reads through dataflow.ClientEventFormat, the one row-file
+// reader, pushed down to the same selection. That reader builds no
+// ClientEvent either: it walks each record's events.Header, validates
+// and pattern-matches each distinct name once per file, checks the
+// window on the header's timestamp, and builds only the projected
+// columns of the rows that pass (the details map only when projected).
+// Any other format (RawRecordFormat's legacy logs), and any predicate
+// that is an arbitrary Go closure rather than a Selection, gets the
 // filter and projection applied tuple-side — identical relations
 // either way, asserted by internal/columnar's property tests
 // (TestColumnarMatchesRowScan over a sweep of selections;
 // TestZoneMapPruning requires chunks pruned and fewer bytes read than
-// the row scan); what the pruned+projected path costs is the benchmark's
-// batch-sealed workload. The log mover seals hours
+// the row scan) and by internal/dataflow's, which hold both row readers
+// to a full ClientEvent.Unmarshal per row over every projection of one,
+// three and eight columns, hand-built edge records and a fuzzer
+// (FuzzRowTupleMatchesDecode); TestRowScanAllocatesLittlePerRow and
+// BenchmarkRowScan measure the row scan per event. What the
+// pruned+projected path costs is the benchmark's batch-sealed workload,
+// what the row path costs its batch-rows-spill. The log mover seals hours
 // as it publishes them (Mover.SealColumnar), so rollups, raw-log
 // counting, and funnel walks go columnar the moment an hour lands.
 //

@@ -1,8 +1,8 @@
 // Package columnar re-encodes sealed warehouse hours into column-chunk
 // files so day-scale batch queries read IO proportional to the query, not
 // the corpus — the §3/§5 rollup scripts touch two or three columns of an
-// eight-column event, and the row-oriented hour files make them decode
-// all eight.
+// eight-column event, and the row-oriented hour files make them inflate
+// and walk all eight.
 //
 // The chunk layout, its encoder and its typed reader live in the leaf
 // package internal/chunk, which the daily session-sequence job imports
@@ -29,7 +29,8 @@
 // survives — so the zone map is allowed to be a superset. Tuple strings
 // are resolved from the chunk's decoded dictionaries; a consumer that can
 // work on dictionary IDs (session.BuildDay) reads internal/chunk directly
-// and never inflates a string per row.
+// and never inflates a string per row. An hour without the marker is read
+// through dataflow.ClientEventFormat pushed down to the same selection.
 package columnar
 
 import (

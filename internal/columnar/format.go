@@ -19,14 +19,17 @@ import (
 //
 // The format is hybrid per directory: an hour that has been sealed into
 // chunks scans the chunk meta files, an hour that has not falls back to
-// its row files and evaluates the same selection row-side — so a day
-// where sealing is still in flight reads correctly either way.
+// its row files, which dataflow.ClientEventFormat reads under the same
+// selection — so a day where sealing is still in flight reads correctly
+// either way.
 type EventsFormat struct {
 	sel dataflow.Selection
 	pat events.Pattern // parsed sel.NamePattern; zero when none
 
 	prefix    string // zone-map prune prefix of pat ("" = no name pruning)
 	hasPrefix bool
+
+	rows dataflow.InputFormat // the row-file reader pushed down to sel; nil = full scan
 }
 
 // Schema implements dataflow.InputFormat: the projected columns, or the
@@ -40,13 +43,18 @@ func (f EventsFormat) Schema() dataflow.Schema {
 
 // Pushdown implements dataflow.PushdownFormat: the whole selection is
 // absorbed into the scan — chunk pruning plus an exact row-level residual
-// filter inside ReadSplit — so the planner has nothing left to apply.
-// A selection the format cannot honor (a malformed pattern, a column
-// outside the row schema) returns ok == false and the planner falls
-// through to the row path, where the same selection fails or filters
-// with the ordinary row operators.
+// filter inside ReadSplit, and the row reader pushed down to the same
+// selection — so the planner has nothing left to apply. A selection the
+// row reader cannot honor (a malformed pattern, a column outside the row
+// schema) returns ok == false and the planner falls through to the row
+// path, where the same selection fails or filters with the ordinary row
+// operators.
 func (f EventsFormat) Pushdown(sel dataflow.Selection) (dataflow.InputFormat, bool) {
-	nf := EventsFormat{sel: sel}
+	rows, ok := dataflow.ClientEventFormat{}.Pushdown(sel)
+	if !ok {
+		return f, false
+	}
+	nf := EventsFormat{sel: sel, rows: rows}
 	if sel.NamePattern != "" {
 		pat, err := events.ParsePattern(sel.NamePattern)
 		if err != nil {
@@ -54,11 +62,6 @@ func (f EventsFormat) Pushdown(sel dataflow.Selection) (dataflow.InputFormat, bo
 		}
 		nf.pat = pat
 		nf.prefix, nf.hasPrefix = pat.PrunePrefix()
-	}
-	for _, col := range sel.Columns {
-		if _, err := dataflow.ClientEventSchema.Index(col); err != nil {
-			return f, false
-		}
 	}
 	return nf, true
 }
@@ -100,12 +103,15 @@ func (f EventsFormat) Splits(fs *hdfs.FS, dir string) ([]dataflow.Split, error) 
 
 // ReadSplit implements dataflow.InputFormat, dispatching on the split
 // kind: chunk meta files go through the zone-map/column-stream path, row
-// files through the thrift decoder with the same selection applied.
+// files through dataflow.ClientEventFormat with the same selection.
 func (f EventsFormat) ReadSplit(fs *hdfs.FS, s dataflow.Split, emit func(dataflow.Tuple) error) error {
 	if strings.HasSuffix(s.Path, ".meta") {
 		return f.readChunk(fs, s.Path, emit)
 	}
-	return f.readRowFile(fs, s, emit)
+	if f.rows == nil {
+		return dataflow.ClientEventFormat{}.ReadSplit(fs, s, emit)
+	}
+	return f.rows.ReadSplit(fs, s, emit)
 }
 
 // outCols returns the emitted column order.
@@ -241,29 +247,6 @@ func value(cc *chunk.Columns, col chunk.Set, row int) any {
 		return cc.Details.At(row)
 	}
 	panic("columnar: value of unknown column")
-}
-
-// readRowFile scans one unsealed row file, applying the same selection
-// the chunk path applies, so both split kinds emit identical relations.
-func (f EventsFormat) readRowFile(fs *hdfs.FS, s dataflow.Split, emit func(dataflow.Tuple) error) error {
-	out := f.outCols()
-	full := dataflow.ClientEventFormat{}
-	return full.ReadSplit(fs, s, func(t dataflow.Tuple) error {
-		name, _ := t[1].(string)
-		ts, _ := t[5].(int64)
-		if !f.matchTime(ts) || (f.sel.NamePattern != "" && !f.pat.MatchesString(name)) {
-			return nil
-		}
-		if f.sel.Columns == nil {
-			return emit(t)
-		}
-		p := make(dataflow.Tuple, len(out))
-		for i, col := range out {
-			j, _ := dataflow.ClientEventSchema.Index(col)
-			p[i] = t[j]
-		}
-		return emit(p)
-	})
 }
 
 // LoadDay loads one UTC day of client events through the columnar source

@@ -20,7 +20,11 @@
 //   - A Dataset is a lazy pipeline node, not a materialized relation.
 //     Filter, Project, and Union compose pull-based Iterators
 //     (Volcano-style) and hold no tuples of their own; a scan buffers one
-//     split at a time — exactly a map task's working set.
+//     split at a time — exactly a map task's working set. A Project
+//     directly on a scan of a PushdownFormat (pushdown.go) is not an
+//     operator at all: it re-plans the scan with its columns, so the
+//     reader builds only those (§4.1's early projection, pushed to where
+//     the bytes are decoded).
 //   - GroupBy, GroupAll, Join, and OrderBy are the pipeline breakers, and
 //     they are external operators with a *sort-merge* shuffle, like the
 //     Hadoop jobs they model: input tuples are buffered with their
@@ -203,6 +207,9 @@ type Dataset struct {
 	// cleanup releases operator state backing this dataset (the spill
 	// files behind a Join); nil for sources and streaming operators.
 	cleanup func() error
+	// scan is the plan of a bare pushed-down scan, which Project folds
+	// into; nil for every other dataset.
+	scan *pushdownScan
 }
 
 // NewDataset wraps already-materialized tuples (used by generators and
@@ -295,8 +302,12 @@ type Split struct {
 }
 
 // InputFormat decodes splits into tuples. Implementations exist for client
-// events as row files, session sequences, legacy logs, and client events as
-// column chunks (columnar.EventsFormat, a PushdownFormat as well).
+// events as row files (ClientEventFormat, a PushdownFormat), session
+// sequences (SessionSequenceFormat), legacy logs (RawRecordFormat), and
+// client events as column chunks (columnar.EventsFormat, a PushdownFormat
+// that reads an unsealed hour's row files through ClientEventFormat). The
+// row-file formats read each file through warehouse.ScanFileRecords, so a
+// damaged file fails its split with the file's path.
 type InputFormat interface {
 	// Schema describes the tuples this format produces.
 	Schema() Schema
@@ -321,6 +332,15 @@ func (j *Job) Load(dir string, f InputFormat) (*Dataset, error) {
 // LoadDirs is Load over several directories (e.g. the 24 hours of a day),
 // concatenating the results; missing directories are skipped.
 func (j *Job) LoadDirs(dirs []string, f InputFormat) (*Dataset, error) {
+	splits, err := j.splitsOf(dirs, f)
+	if err != nil {
+		return nil, err
+	}
+	return j.datasetForSplits(f, splits), nil
+}
+
+// splitsOf enumerates the splits of every existing directory, in order.
+func (j *Job) splitsOf(dirs []string, f InputFormat) ([]Split, error) {
 	var all []Split
 	for _, dir := range dirs {
 		if !j.FS.Exists(dir) {
@@ -332,7 +352,7 @@ func (j *Job) LoadDirs(dirs []string, f InputFormat) (*Dataset, error) {
 		}
 		all = append(all, splits...)
 	}
-	return j.datasetForSplits(f, all), nil
+	return all, nil
 }
 
 // scanSpec is the plan of a scan source: the format and the splits.

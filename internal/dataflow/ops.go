@@ -32,7 +32,10 @@ func (d *Dataset) Filter(pred func(Tuple) bool) *Dataset {
 
 // Project keeps only the named columns, in the given order — the "early
 // projection" idiom of §4.1 that keeps shuffle volume down. Column
-// resolution is eager; execution streams.
+// resolution is eager, against this dataset's schema. On a bare scan of a
+// PushdownFormat (LoadDirsSelective, LoadClientEventsDay) the projection
+// folds into the scan, which then builds only these columns; on anything
+// else it streams.
 func (d *Dataset) Project(cols ...string) (*Dataset, error) {
 	idx := make([]int, len(cols))
 	for i, c := range cols {
@@ -43,6 +46,13 @@ func (d *Dataset) Project(cols ...string) (*Dataset, error) {
 		idx[i] = j
 	}
 	schema := append(Schema(nil), cols...)
+	if d.scan != nil && len(cols) > 0 {
+		sel := d.scan.sel
+		sel.Columns = schema
+		if p, ok := d.scan.dataset(d.job, sel); ok {
+			return p, nil
+		}
+	}
 	return &Dataset{job: d.job, schema: schema, cleanup: d.cleanup, open: func() (Iterator, error) {
 		it, err := d.open()
 		if err != nil {

@@ -31,34 +31,64 @@ func (s Selection) empty() bool {
 }
 
 // PushdownFormat is an InputFormat that can absorb a whole Selection into
-// the scan itself — pruning data it never decodes and reading only the
-// column streams the query references. Pushdown returns the format
-// specialized to the selection, or ok == false when it cannot honor it,
-// in which case the planner falls through to the plain row path and
-// applies the whole selection itself.
+// the scan itself — pruning data it never decodes and building only the
+// columns the query references. Pushdown returns the format specialized to
+// the selection, or ok == false when it cannot honor it, in which case the
+// planner falls through to the plain row path and applies the whole
+// selection itself. The two implementations are ClientEventFormat (row
+// files) and columnar.EventsFormat (column chunks, row files where an hour
+// is not sealed).
+//
+// Splits must not depend on the selection: the planner enumerates them
+// once with the format it was given, and a Project folded into the scan
+// re-plans those same splits under a new selection.
 type PushdownFormat interface {
 	InputFormat
 	Pushdown(sel Selection) (f InputFormat, ok bool)
 }
 
-// LoadDirsSelective is LoadDirs with a Selection: formats that implement
-// PushdownFormat evaluate the predicate against zone maps and read only
-// the projected column streams; every other format gets the selection
-// applied as ordinary row-side Filter/Project operators on top of the
-// scan. Either way the resulting dataset has the projected schema and
-// only the selected rows — the selection is a semantic contract, pushdown
-// is just the cheap way to honor it.
-func (j *Job) LoadDirsSelective(dirs []string, f InputFormat, sel Selection) (*Dataset, error) {
-	if pf, ok := f.(PushdownFormat); ok {
-		if absorbed, ok := pf.Pushdown(sel); ok {
-			return j.LoadDirs(dirs, absorbed)
-		}
+// pushdownScan is the plan behind a bare scan of a PushdownFormat: the
+// format as the caller gave it, its splits, and the selection pushed into
+// it. Project re-plans it rather than wrapping it.
+type pushdownScan struct {
+	format PushdownFormat
+	splits []Split
+	sel    Selection
+}
+
+// dataset plans the scan of sc's splits under sel, or returns ok == false
+// when the format cannot absorb sel.
+func (sc *pushdownScan) dataset(j *Job, sel Selection) (*Dataset, bool) {
+	f, ok := sc.format.Pushdown(sel)
+	if !ok {
+		return nil, false
 	}
-	d, err := j.LoadDirs(dirs, f)
+	d := j.datasetForSplits(f, sc.splits)
+	d.scan = &pushdownScan{format: sc.format, splits: sc.splits, sel: sel}
+	return d, true
+}
+
+// LoadDirsSelective is LoadDirs with a Selection: formats that implement
+// PushdownFormat evaluate the predicate inside the scan (against zone maps,
+// or on each row's header) and build only the projected columns; every
+// other format gets the selection applied as ordinary row-side
+// Filter/Project operators on top of the scan. Either way the resulting
+// dataset has the projected schema and only the selected rows — the
+// selection is a semantic contract, pushdown is just the cheap way to honor
+// it. A Project on a pushed-down scan folds into it: the same splits,
+// the same predicate, the new columns.
+func (j *Job) LoadDirsSelective(dirs []string, f InputFormat, sel Selection) (*Dataset, error) {
+	splits, err := j.splitsOf(dirs, f)
 	if err != nil {
 		return nil, err
 	}
-	return applySelection(d, sel)
+	if pf, ok := f.(PushdownFormat); ok {
+		sc := &pushdownScan{format: pf, splits: splits}
+		if d, ok := sc.dataset(j, sel); ok {
+			return d, nil
+		}
+	}
+	return applySelection(j.datasetForSplits(f, splits), sel)
 }
 
 // applySelection applies a selection no format absorbed as row-side

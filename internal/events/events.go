@@ -18,11 +18,13 @@
 // from the same walk over the same bytes without allocating, the strings
 // left as slices of the message, for the consumers that route or count on
 // a few fields of every message (the realtime tap, the cluster router, the
-// per-file name index). Header.DecodePairs is that plus the details as
-// key/value slices of the message, for the columnar seal, which re-lays
-// every field out and needs none of them as an object. All three are one
-// switch over the field ids (walk), and FuzzHeaderMatchesDecode holds them
-// to the decoder they replaced.
+// per-file name index) and for the dataflow row scan, which builds only the
+// tuple columns a job projects. Header.DecodePairs is that plus the details
+// as key/value slices of the message, for the columnar seal, which re-lays
+// every field out and needs none of them as an object; Header.DecodeDetails
+// is that plus the details as a map, for a row scan that projects them. All
+// four are one switch over the field ids (walk), and FuzzHeaderMatchesDecode
+// holds them to the decoder they replaced.
 package events
 
 import (
@@ -452,6 +454,21 @@ func (h *Header) DecodePairs(dec *thrift.CompactDecoder, pairs []Pair) ([]Pair, 
 	pairs = pairs[:0]
 	err := walk(dec, h, nil, &pairs)
 	return pairs, err
+}
+
+// DecodeDetails is Decode that also builds the message's details map the way
+// ClientEvent.Decode does: nil when the message carries no details field, an
+// empty map for a field with no entries, the last value of a key the map
+// holds twice, and the second map of a message that carries the field twice.
+// It is for a scan that hands the details on as an object while reading the
+// rest of the header in place.
+func (h *Header) DecodeDetails(dec *thrift.CompactDecoder) (map[string]string, error) {
+	*h = Header{}
+	var details map[string]string
+	if err := walk(dec, h, &details, nil); err != nil {
+		return nil, err
+	}
+	return details, nil
 }
 
 // walk reads one client event struct from dec: the one place the field ids

@@ -181,18 +181,19 @@ func withDetailsShapes(e *events.ClientEvent, name *string, pairs [][2]string, a
 	return append([]byte(nil), enc.Bytes()...)
 }
 
-// FuzzHeaderMatchesDecode holds the header walk — with and without the
-// details pairs — and the Decode rebuilt on it to the reference above on
-// arbitrary bytes:
+// FuzzHeaderMatchesDecode holds the header walk — bare, with the details
+// pairs and with the details map — and the Decode rebuilt on it to the
+// reference above on arbitrary bytes:
 //
-//   - the reference decodes: so do all three, to equal fields, and the pairs
-//     folded last-wins into a map are the reference's details;
+//   - the reference decodes: so do all four, to equal fields, the details
+//     map is the reference's, and the pairs folded last-wins into a map are
+//     the reference's details;
 //   - the reference fails in the decoder (truncated, oversized, bad type,
 //     too deep): both fail with the same error;
 //   - the reference fails on the name: the walk, which does not validate,
 //     either fails in the decoder further on or hands back a name — no
 //     more is asked of it;
-//   - the two walks fail on the same inputs with the same error and fill
+//   - the three walks fail on the same inputs with the same error and fill
 //     equal headers;
 //   - the header's slices lie inside the message, and a walk that succeeds
 //     allocates nothing — the pairs variant once its slice has grown —
@@ -238,6 +239,15 @@ func FuzzHeaderMatchesDecode(f *testing.F) {
 		if err == nil && !reflect.DeepEqual(hp, h) {
 			t.Fatalf("walk(%x) = %+v, with pairs %+v", data, h, hp)
 		}
+		var hd events.Header
+		dec.Reset(data)
+		details, detailsErr := hd.DecodeDetails(&dec)
+		if (err == nil) != (detailsErr == nil) || (err != nil && err.Error() != detailsErr.Error()) {
+			t.Fatalf("walk(%x) = %v, with details %v", data, err, detailsErr)
+		}
+		if err == nil && !reflect.DeepEqual(hd, h) {
+			t.Fatalf("walk(%x) = %+v, with details %+v", data, h, hd)
+		}
 		var got events.ClientEvent
 		gotErr := got.Unmarshal(data)
 
@@ -248,6 +258,9 @@ func FuzzHeaderMatchesDecode(f *testing.F) {
 			}
 			if !reflect.DeepEqual(got, ref) {
 				t.Fatalf("Decode(%x) = %+v, the reference %+v", data, got, ref)
+			}
+			if !reflect.DeepEqual(details, ref.Details) {
+				t.Fatalf("walk(%x) details %v, the reference %v", data, details, ref.Details)
 			}
 			name := events.EventName{}
 			if h.Name != nil {

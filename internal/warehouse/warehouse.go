@@ -162,13 +162,34 @@ var (
 	tmScanBytes   = telemetry.GetCounter("warehouse.scan.bytes")
 )
 
-// ScanHourRecords is the one loop over an hour's row files: every file of
-// the category-hour that is not auxiliary, in path order, read whole and
-// inflated, fn invoked on each record with the path of the file it came
-// from. rec is valid only during the call — the next record overwrites it —
-// so fn copies what it keeps. A damaged file fails the scan with
-// recordio.ErrCorrupt and its path; an error from fn stops it and is
-// returned as it is.
+// ScanFileRecords is the one loop over a row file: read whole and inflated,
+// fn invoked on each record. rec is valid only during the call — the next
+// record overwrites it — so fn copies what it keeps. A damaged file fails
+// the scan with recordio.ErrCorrupt and its path; an error from fn stops it
+// and is returned as it is. The hour scans below, the columnar seal and the
+// dataflow formats read through it.
+func ScanFileRecords(fs *hdfs.FS, path string, fn func(rec []byte) error) error {
+	data, err := fs.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var records int64
+	err = recordio.ScanGzipFile(data, func(rec []byte) error {
+		records++
+		return fn(rec)
+	})
+	tmScanFiles.Inc()
+	tmScanRecords.Add(records)
+	tmScanBytes.Add(int64(len(data)))
+	if errors.Is(err, recordio.ErrCorrupt) {
+		return fmt.Errorf("warehouse: %s: %w", path, err)
+	}
+	return err
+}
+
+// ScanHourRecords is ScanFileRecords over every file of the category-hour
+// that is not auxiliary, in path order, fn invoked on each record with the
+// path of the file it came from.
 func ScanHourRecords(fs *hdfs.FS, category string, hour time.Time, fn func(path string, rec []byte) error) error {
 	infos, err := fs.Walk(HourDir(category, hour))
 	if err != nil {
@@ -178,22 +199,8 @@ func ScanHourRecords(fs *hdfs.FS, category string, hour time.Time, fn func(path 
 		if IsAuxiliary(fi.Path) {
 			continue
 		}
-		data, err := fs.ReadFile(fi.Path)
-		if err != nil {
-			return err
-		}
-		var records int64
-		err = recordio.ScanGzipFile(data, func(rec []byte) error {
-			records++
-			return fn(fi.Path, rec)
-		})
-		tmScanFiles.Inc()
-		tmScanRecords.Add(records)
-		tmScanBytes.Add(int64(len(data)))
-		if errors.Is(err, recordio.ErrCorrupt) {
-			return fmt.Errorf("warehouse: %s: %w", fi.Path, err)
-		}
-		if err != nil {
+		path := fi.Path
+		if err := ScanFileRecords(fs, path, func(rec []byte) error { return fn(path, rec) }); err != nil {
 			return err
 		}
 	}
