@@ -3,7 +3,9 @@
 // Ryaboy; PVLDB 5(12), 2012).
 //
 // The repository rebuilds the systems the paper's pipeline runs through —
-// Scribe daemons and aggregators, ZooKeeper coordination, staging and
+// Scribe daemons and aggregators, ZooKeeper coordination (the subset
+// Scribe uses: persistent and ephemeral znodes, sessions that expire on
+// their own next operation), staging and
 // warehouse HDFS clusters, the hourly log mover, Thrift serialization, the
 // unified client-events format, materialized session sequences, the client
 // event catalog, a Pig-like dataflow engine with MapReduce cost accounting,
@@ -200,7 +202,9 @@
 // answer point lookups, prefix top-K, and time-range sums seconds after
 // events occur. birdbrain.Lambda splits serving between the two paths —
 // "today so far" from the realtime counters, sealed days from the
-// warehouse rollups — and realtime.Reconcile replays a sealed day through
+// warehouse rollup job run over what the warehouse holds at query time,
+// with no cache, so an hour backfilled after a staging outage counts as
+// soon as it lands — and realtime.Reconcile replays a sealed day through
 // the counters to prove both paths compute identical §3.2 rollup tables.
 //
 // The counter hot path is interned: a concurrent, read-mostly symbol
@@ -270,12 +274,13 @@
 // and flushes them before it lets go of the node, so N delivered events
 // cost each partition's WAL one record, not N (Config.FsyncEvery on a
 // cluster node therefore counts deliveries, not events), and it applies
-// all of a batch or none of it. The queue retries with capped
-// exponential backoff; a heartbeat/suspicion
-// failure detector (alive -> suspect -> dead on a zk.Clock, so scenarios
-// run it deterministically) stops the retry tax for dead nodes, whose
-// queue parks its writes as hints and replays them in order once the
-// node returns —
+// all of a batch or none of it. A delivery fails only when the node is
+// down, so the first failed one parks the queue: its backlog and every
+// later write to the node wait as hints, without an attempt. A
+// heartbeat/suspicion failure detector (alive -> suspect -> dead on a
+// zk.Clock, so scenarios run it deterministically) is the one retry
+// signal — a Tick that sees the node alive replays the hints in order,
+// and a send to a node it declared dead parks without trying —
 // each node's own WAL/snapshot recovery remains the intra-node story,
 // and the two together make a mid-day crash + restart converge back to
 // exact counts. On the read side birdbrain.Scatter fans PathSum / TopK /

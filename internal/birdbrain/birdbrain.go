@@ -6,6 +6,12 @@
 // "Due to their compact size, statistics about sessions are easy to compute
 // from the session sequences" — every metric here is derived from one scan
 // of the materialized session store, never from the raw logs.
+//
+// The package also answers the dashboards' counting queries. Lambda serves
+// today from the realtime counters and a sealed day from the warehouse
+// rollup job, run over what the warehouse holds at query time — nothing is
+// cached, so a late backfill counts as soon as it lands. Scatter fans the
+// same reads over a replicated cluster.
 package birdbrain
 
 import (

@@ -2,7 +2,6 @@ package birdbrain
 
 import (
 	"strings"
-	"sync"
 	"time"
 
 	"unilog/internal/analytics"
@@ -19,39 +18,15 @@ import (
 // aggregates the batch pipeline publishes. realtime.Reconcile proves the
 // two paths compute identical rollup tables, so a metric does not jump
 // when its day seals and responsibility hands over from memory to HDFS.
+//
+// A sealed-day query runs the rollup job over what the warehouse holds at
+// query time, so an hour the log mover backfills after a staging outage
+// counts the moment it lands.
 type Lambda struct {
 	fs *hdfs.FS
 	rt *realtime.Counter
 	// now decides which day is "today" (the realtime-served day).
 	now func() time.Time
-
-	// MaxSealedDays caps the sealed-day rollup cache; when an insert
-	// would exceed it, the least recently used day is evicted and will be
-	// recomputed on its next query. Set it before serving; values < 1
-	// fall back to DefaultMaxSealedDays.
-	MaxSealedDays int
-
-	mu     sync.Mutex
-	tick   int64 // LRU clock: bumped on every cache touch
-	sealed map[time.Time]*sealedEntry
-
-	// lastToday is the most recent "today" any query observed; when it
-	// advances, yesterday's rollup is pre-warmed in the background.
-	lastToday time.Time
-	// prewarms tracks in-flight pre-warm goroutines (tests and shutdown
-	// wait on it).
-	prewarms sync.WaitGroup
-}
-
-// DefaultMaxSealedDays is the sealed-day cache cap when Lambda.MaxSealedDays
-// is unset: a month of dashboards stays warm, and an ad-hoc backfill over
-// years of history cannot pin every day in memory.
-const DefaultMaxSealedDays = 32
-
-// sealedEntry is one cached sealed-day rollup table plus its LRU stamp.
-type sealedEntry struct {
-	rollups  map[analytics.RollupKey]int64
-	lastUsed int64
 }
 
 // Source labels which path of the lambda architecture answered a query.
@@ -69,19 +44,7 @@ func NewLambda(fs *hdfs.FS, rt *realtime.Counter, now func() time.Time) *Lambda 
 	if now == nil {
 		now = time.Now
 	}
-	return &Lambda{
-		fs:     fs,
-		rt:     rt,
-		now:    now,
-		sealed: make(map[time.Time]*sealedEntry),
-	}
-}
-
-// SealedCached reports how many sealed days the cache currently holds.
-func (l *Lambda) SealedCached() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.sealed)
+	return &Lambda{fs: fs, rt: rt, now: now}
 }
 
 // today reports whether day is the current, realtime-served day.
@@ -89,85 +52,9 @@ func (l *Lambda) today(day time.Time) bool {
 	return day.Equal(l.now().UTC().Truncate(24 * time.Hour))
 }
 
-// maybePrewarm notices the midnight handover: on the first query of a new
-// day, yesterday — which just moved from the realtime counters to the
-// warehouse — is loaded into the sealed-day cache asynchronously, so the
-// first dashboard query after the handover does not pay a cold rollup
-// job. Every query path calls this with the current wall "today" and the
-// day it is about to serve; when that query is itself for yesterday, the
-// spawn is skipped — the synchronous path is already running the job, and
-// a duplicate would only double the cost of the exact query the pre-warm
-// exists to speed up.
-func (l *Lambda) maybePrewarm(today, queryDay time.Time) {
-	yesterday := today.AddDate(0, 0, -1)
-	l.mu.Lock()
-	if l.lastToday.Equal(today) {
-		l.mu.Unlock()
-		return
-	}
-	l.lastToday = today
-	_, cached := l.sealed[yesterday]
-	l.mu.Unlock()
-	if cached || queryDay.Equal(yesterday) {
-		return
-	}
-	l.prewarms.Add(1)
-	go func() {
-		defer l.prewarms.Done()
-		// Errors are deliberately dropped: the pre-warm is an optimization,
-		// and a failing day will surface its error on the real query.
-		_, _ = l.sealedRollups(yesterday)
-	}()
-}
-
-// WaitPrewarm blocks until any in-flight pre-warm finishes — a test and
-// shutdown hook; queries never need it.
-func (l *Lambda) WaitPrewarm() { l.prewarms.Wait() }
-
-// sealedRollups computes and caches the batch rollup table of a sealed
-// day. The rollup job runs outside the lock so a cold day does not block
-// cache hits for other days; concurrent cold queries for the same day may
-// duplicate the job, and the first result stored wins. The cache holds at
-// most MaxSealedDays entries, evicting the least recently used.
+// sealedRollups runs the batch rollup job over one sealed day.
 func (l *Lambda) sealedRollups(day time.Time) (map[analytics.RollupKey]int64, error) {
-	l.mu.Lock()
-	if e, ok := l.sealed[day]; ok {
-		l.tick++
-		e.lastUsed = l.tick
-		l.mu.Unlock()
-		tmCacheHits.Inc()
-		return e.rollups, nil
-	}
-	l.mu.Unlock()
-	tmCacheMisses.Inc()
-	j := dataflow.NewJob("birdbrain-rollups", l.fs)
-	r, err := analytics.Rollups(j, day)
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.tick++
-	if e, ok := l.sealed[day]; ok {
-		e.lastUsed = l.tick
-		return e.rollups, nil
-	}
-	max := l.MaxSealedDays
-	if max < 1 {
-		max = DefaultMaxSealedDays
-	}
-	for len(l.sealed) >= max {
-		var coldest time.Time
-		oldest := int64(1<<63 - 1)
-		for d, e := range l.sealed {
-			if e.lastUsed < oldest {
-				oldest, coldest = e.lastUsed, d
-			}
-		}
-		delete(l.sealed, coldest)
-	}
-	l.sealed[day] = &sealedEntry{rollups: r, lastUsed: l.tick}
-	return r, nil
+	return analytics.Rollups(dataflow.NewJob("birdbrain-rollups", l.fs), day)
 }
 
 // EventTotal answers the dashboard's top-line counting query — the total
@@ -176,7 +63,6 @@ func (l *Lambda) sealedRollups(day time.Time) (map[analytics.RollupKey]int64, er
 func (l *Lambda) EventTotal(day time.Time, level events.RollupLevel, name string) (int64, Source, error) {
 	defer tmEventTotalNs.ObserveSince(time.Now())
 	day = day.UTC().Truncate(24 * time.Hour)
-	l.maybePrewarm(l.now().UTC().Truncate(24*time.Hour), day)
 	if l.today(day) {
 		l.rt.Sync()
 		return l.rt.RollupTotal(level, name, day, day.Add(24*time.Hour)), SourceRealtime, nil
@@ -193,7 +79,6 @@ func (l *Lambda) EventTotal(day time.Time, level events.RollupLevel, name string
 func (l *Lambda) ClientTotals(day time.Time) (map[string]int64, Source, error) {
 	defer tmClientTotalsNs.ObserveSince(time.Now())
 	day = day.UTC().Truncate(24 * time.Hour)
-	l.maybePrewarm(l.now().UTC().Truncate(24*time.Hour), day)
 	out := make(map[string]int64)
 	if l.today(day) {
 		l.rt.Sync()

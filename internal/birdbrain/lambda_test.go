@@ -101,8 +101,8 @@ func TestLambdaServingSplit(t *testing.T) {
 		t.Fatalf("EventTotal(empty day) = %d/%s/%v, want 0/warehouse", n, src, err)
 	}
 
-	// The sealed-day rollup table is cached: events written to the
-	// warehouse after the first query do not change the answer.
+	// A sealed day is read as the warehouse holds it now: an hour the log
+	// mover backfills after the first query counts in the next answer.
 	if err := func() error {
 		w2 := warehouse.NewWriter(fs, events.Category)
 		if err := w2.Append(lambdaEvent(imp, sealedDay, 10)); err != nil {
@@ -113,8 +113,8 @@ func TestLambdaServingSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, _, err = l.EventTotal(sealedDay, 0, imp)
-	if err != nil || n != 4 {
-		t.Fatalf("EventTotal(sealed, cached) = %d/%v, want cached 4", n, err)
+	if err != nil || n != 5 {
+		t.Fatalf("EventTotal(sealed, backfilled) = %d/%v, want 5", n, err)
 	}
 }
 
@@ -157,55 +157,6 @@ func TestLambdaMidnightHandover(t *testing.T) {
 	}
 }
 
-// TestLambdaSealedCacheEviction pins the max-entries LRU policy: the cache
-// never exceeds MaxSealedDays, the least recently used day goes first, and
-// an evicted day still answers correctly (recomputed on demand).
-func TestLambdaSealedCacheEviction(t *testing.T) {
-	const imp = "web:home:timeline:stream:tweet:impression"
-	fs := hdfs.New(0)
-	w := warehouse.NewWriter(fs, events.Category)
-	days := make([]time.Time, 4)
-	for i := range days {
-		days[i] = sealedDay.AddDate(0, 0, -i)
-		// Day i carries i+1 impressions so answers identify their day.
-		for k := 0; k <= i; k++ {
-			if err := w.Append(lambdaEvent(imp, days[i], k%12)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rt := realtime.New(realtime.Config{Shards: 1})
-	defer rt.Close()
-	l := NewLambda(fs, rt, func() time.Time { return liveDay.Add(time.Hour) })
-	l.MaxSealedDays = 2
-
-	query := func(i int) {
-		t.Helper()
-		n, src, err := l.EventTotal(days[i], 0, imp)
-		if err != nil || src != SourceWarehouse || n != int64(i+1) {
-			t.Fatalf("EventTotal(day %d) = %d/%s/%v, want %d/warehouse", i, n, src, err, i+1)
-		}
-	}
-	query(0)
-	query(1)
-	if got := l.SealedCached(); got != 2 {
-		t.Fatalf("cache holds %d days, want 2", got)
-	}
-	query(0) // refresh day 0: day 1 is now the LRU victim
-	query(2) // evicts day 1
-	if got := l.SealedCached(); got != 2 {
-		t.Fatalf("cache holds %d days after eviction, want 2", got)
-	}
-	query(1) // recomputed, still correct; evicts day 0
-	query(3)
-	if got := l.SealedCached(); got != 2 {
-		t.Fatalf("cache holds %d days, want 2", got)
-	}
-}
-
 // TestLambdaServesRecoveredEngine proves the serving API is oblivious to
 // durability: a Lambda built over a counter that crashed and was recovered
 // by realtime.Open answers "today so far" exactly as one over the
@@ -244,71 +195,5 @@ func TestLambdaServesRecoveredEngine(t *testing.T) {
 	totals, src, err := l.ClientTotals(liveDay)
 	if err != nil || src != SourceRealtime || totals["web"] != 11 {
 		t.Fatalf("ClientTotals from recovered engine = %v/%s/%v, want web=11", totals, src, err)
-	}
-}
-
-// TestLambdaMidnightPrewarm pins the handover optimization: the first
-// query of a new day kicks off a background load of yesterday's sealed
-// rollup, so the first warehouse-path query after midnight hits the cache
-// instead of paying a cold rollup job.
-func TestLambdaMidnightPrewarm(t *testing.T) {
-	const imp = "web:home:timeline:stream:tweet:impression"
-	fs := hdfs.New(0)
-	w := warehouse.NewWriter(fs, events.Category)
-	for i := 0; i < 5; i++ {
-		if err := w.Append(lambdaEvent(imp, sealedDay, i%12)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rt := realtime.New(realtime.Config{Shards: 1})
-	defer rt.Close()
-
-	now := liveDay.Add(time.Hour) // sealedDay sealed at the last midnight
-	l := NewLambda(fs, rt, func() time.Time { return now })
-
-	// Query today only; yesterday must get warmed as a side effect.
-	if _, src, err := l.EventTotal(liveDay, 0, imp); err != nil || src != SourceRealtime {
-		t.Fatalf("today query: %s/%v", src, err)
-	}
-	l.WaitPrewarm()
-	if got := l.SealedCached(); got != 1 {
-		t.Fatalf("sealed cache holds %d days after pre-warm, want 1 (yesterday)", got)
-	}
-
-	// The handover query is now a cache hit: events appended to the
-	// warehouse afterwards cannot change its answer, proving no rollup
-	// job runs at query time.
-	w2 := warehouse.NewWriter(fs, events.Category)
-	if err := w2.Append(lambdaEvent(imp, sealedDay, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	n, src, err := l.EventTotal(sealedDay, 0, imp)
-	if err != nil || src != SourceWarehouse || n != 5 {
-		t.Fatalf("handover query = %d/%s/%v, want pre-warmed 5/warehouse", n, src, err)
-	}
-
-	// Same day again: the pre-warm fires once per day change, not per query.
-	if _, _, err := l.EventTotal(liveDay, 0, imp); err != nil {
-		t.Fatal(err)
-	}
-	l.WaitPrewarm()
-	if got := l.SealedCached(); got != 1 {
-		t.Fatalf("cache grew to %d on repeat queries", got)
-	}
-
-	// Midnight passes: the next query pre-warms the just-sealed liveDay.
-	now = liveDay.AddDate(0, 0, 1).Add(time.Minute)
-	if _, _, err := l.EventTotal(now, 0, imp); err != nil {
-		t.Fatal(err)
-	}
-	l.WaitPrewarm()
-	if got := l.SealedCached(); got != 2 {
-		t.Fatalf("cache holds %d after second midnight, want 2", got)
 	}
 }

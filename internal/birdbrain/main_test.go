@@ -11,8 +11,7 @@ import (
 
 // watched names the code no goroutine may still be running once every test
 // has returned: Scatter's hedged replica goroutines end with their query,
-// Lambda's pre-warm with its job, and the counters and clusters the tests
-// build must be closed.
+// and the counters and clusters the tests build must be closed.
 var watched = []string{"unilog/internal/birdbrain.", "unilog/internal/cluster.", "unilog/internal/realtime."}
 
 // TestMain fails the package if a goroutine is still inside the watched

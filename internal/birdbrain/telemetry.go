@@ -5,12 +5,8 @@ import (
 )
 
 // Telemetry instruments for the dashboard query layer: per-verb latency
-// histograms and the sealed-day cache's hit accounting, plus a derived
-// hit-ratio gauge evaluated at snapshot time.
+// histograms.
 var (
-	tmCacheHits   = telemetry.GetCounter("birdbrain.cache.hits")
-	tmCacheMisses = telemetry.GetCounter("birdbrain.cache.misses")
-
 	tmEventTotalNs   = telemetry.GetHistogram("birdbrain.query.event_total.ns")
 	tmClientTotalsNs = telemetry.GetHistogram("birdbrain.query.client_totals.ns")
 )
@@ -29,13 +25,3 @@ var (
 	tmScatterSeriesNs  = telemetry.GetHistogram("birdbrain.scatter.series.ns")
 	tmScatterTopKNs    = telemetry.GetHistogram("birdbrain.scatter.top_k.ns")
 )
-
-func init() {
-	telemetry.RegisterGaugeFunc("birdbrain.cache.hit_ratio.pct", func() int64 {
-		h, m := tmCacheHits.Value(), tmCacheMisses.Value()
-		if h+m == 0 {
-			return 0
-		}
-		return h * 100 / (h + m)
-	})
-}

@@ -30,18 +30,17 @@
 // them before it returns, so each counter logs the delivery as one WAL
 // record (Node.FsyncEvery counts those) and the delivery is all or
 // nothing: a down node or a partition the node does not host refuses the
-// batch before any of it is applied. A queue's backlog has two
-// ways to be retried. A delivery that fails — the node crashed but the
-// failure detector has not noticed yet — retries on a timer, with
-// capped exponential backoff (RetryBase doubling up to RetryCap). Once
-// a node has been failing for HintAfter, or the detector declares it
-// dead, the queue is parked: the timer stops, the backlog and every
-// later write to the node are *hints* that wait in the queue, and the
-// retry comes from the detector — the first Tick that sees the node
-// alive again delivers them in order. Surviving replicas take
-// every write in the meantime, so the counters a reader can reach stay
-// exact through the outage, and the recovered node converges to them
-// after WAL recovery plus hint replay — Reconcile-exact end to end.
+// batch before any of it is applied. A delivery fails only when the node
+// is down, so the first one that fails — the node crashed and the
+// failure detector may not have noticed yet — parks the queue, and so
+// does the detector declaring the node dead: the backlog and every later
+// write to the node are *hints* that wait in the queue without an
+// attempt, and the one retry signal is the detector — every Tick that
+// sees the node alive offers them in order, until one is delivered.
+// Surviving replicas take every write in the meantime, so the counters a
+// reader can reach stay exact through the outage, and the recovered node
+// converges to them after WAL recovery plus hint replay —
+// Reconcile-exact end to end.
 //
 // Failure detection. Nodes do not gossip over a network; the cluster
 // is an in-process simulation and heartbeats are delivered on Tick:
@@ -104,14 +103,6 @@ type Config struct {
 	// Default 3 × SuspectAfter.
 	DeadAfter time.Duration
 
-	// RetryBase is the first retry backoff after a failed delivery; each
-	// further failure doubles it up to RetryCap. Defaults 500ms and 8s.
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// HintAfter is how long a node may keep failing deliveries before the
-	// queue gives up retrying and parks its backlog as hints. Default 2m.
-	HintAfter time.Duration
-
 	// Dir, when non-empty, makes every node durable: node i's partition p
 	// counter recovers from Dir/node<i>/p<p> via the realtime WAL and
 	// snapshot machinery. Empty means memory-only nodes — a crash loses
@@ -123,7 +114,7 @@ type Config struct {
 	// MaxBatch 256) because a node hosts one counter per replicated
 	// partition.
 	Node realtime.Config
-	// Clock drives heartbeats, backoff, and hint timeouts. Default
+	// Clock drives heartbeats and the failure detector. Default
 	// zk.SystemClock; scenarios inject the shared zk.ManualClock.
 	Clock zk.Clock
 }
@@ -153,15 +144,6 @@ func (c Config) withDefaults() Config {
 	if c.DeadAfter <= 0 {
 		c.DeadAfter = 3 * c.SuspectAfter
 	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 500 * time.Millisecond
-	}
-	if c.RetryCap <= 0 {
-		c.RetryCap = 8 * time.Second
-	}
-	if c.HintAfter <= 0 {
-		c.HintAfter = 2 * time.Minute
-	}
 	if c.Node.Shards <= 0 {
 		c.Node.Shards = 1
 	}
@@ -190,9 +172,10 @@ type Stats struct {
 	Ingested     int64
 	DecodeErrors int64
 	// Delivered counts per-replica event deliveries that reached a node
-	// (hint replays included); SendAttempts/SendRetries/SendFailures
-	// count the un-parked queues' delivery attempts, backoff retries,
-	// and failed attempts.
+	// (hint replays included); SendAttempts counts delivery attempts at
+	// un-parked queues and SendFailures those that failed and parked one.
+	// SendRetries counts replay attempts at a parked backlog, the only
+	// retry there is.
 	Delivered    int64
 	SendAttempts int64
 	SendRetries  int64
@@ -263,7 +246,7 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 		c.nodes = append(c.nodes, n)
-		c.queues = append(c.queues, newSendQueue(n, cfg.RetryBase, cfg.RetryCap, cfg.HintAfter, &c.hints))
+		c.queues = append(c.queues, newSendQueue(n, &c.hints))
 	}
 	c.det = newDetector(cfg.Nodes, cfg.SuspectAfter, cfg.DeadAfter, c.clock.Now())
 	return c, nil
@@ -292,22 +275,27 @@ func (c *Cluster) PartitionOf(name string) int { return c.ring.partitionOf(name)
 func (c *Cluster) NodeStatus(id int) Status { return c.det.statusOf(id) }
 
 // Ingest routes one already-decoded event to every replica of its
-// partition. It renders the name and queues a one-event batch per replica;
-// TapBatch is the bulk path.
+// partition, queueing a one-event batch per replica; TapBatch is the bulk
+// path. The name goes through the same routeOf as TapBatch's, so one that
+// fails events.ParseName counts in Stats.DecodeErrors and is routed
+// nowhere.
 func (c *Cluster) Ingest(e *events.ClientEvent) {
-	now := c.clock.Now()
-	o := realtime.Observation{
-		Name:     e.Name.String(),
+	rt, err := c.routeOf([]byte(e.Name.String()))
+	if err != nil {
+		c.decodeErrs.Add(1)
+		tmClusterDecodeErrs.Inc()
+		return
+	}
+	c.ingested.Add(1)
+	tmClusterIngest.Inc()
+	batch := []routed{{p: rt.p, o: realtime.Observation{
+		Name:     rt.name,
 		Minute:   e.Timestamp / 60_000,
 		Country:  geo.CountryOf(e.IP),
 		LoggedIn: e.LoggedIn(),
-	}
-	p := c.ring.partitionOf(o.Name)
-	c.ingested.Add(1)
-	tmClusterIngest.Inc()
-	batch := []routed{{p: p, o: o}}
-	for _, id := range c.ring.replicas[p] {
-		c.queues[id].send(batch, now, c.det.statusOf(id))
+	}}}
+	for _, id := range c.ring.replicas[rt.p] {
+		c.queues[id].send(batch, c.det.statusOf(id))
 	}
 }
 
@@ -323,7 +311,6 @@ func (c *Cluster) Ingest(e *events.ClientEvent) {
 // events.ParseName the first time it is seen, counts in
 // Stats.DecodeErrors and is routed nowhere.
 func (c *Cluster) TapBatch(batch []scribe.Entry) {
-	now := c.clock.Now()
 	perNode := make([][]routed, len(c.nodes))
 	var dec thrift.CompactDecoder
 	var h events.Header
@@ -359,7 +346,7 @@ func (c *Cluster) TapBatch(batch []scribe.Entry) {
 	}
 	for id, b := range perNode {
 		if len(b) > 0 {
-			c.queues[id].send(b, now, c.det.statusOf(id))
+			c.queues[id].send(b, c.det.statusOf(id))
 		}
 	}
 }
@@ -400,10 +387,9 @@ func (c *Cluster) routeOf(name []byte) (route, error) {
 // Tick advances the cluster's failure machinery to the clock's now:
 // live nodes heartbeat, the detector re-ages every node (suspect →
 // dead → alive transitions land here), and every queue is pumped with
-// its node's status — a backoff window that elapsed retries, a dead
-// node's queue parks, a node seen alive again gets its hints. Call it
-// on every scenario time step; a production loop would run it on a
-// ticker at HeartbeatEvery.
+// its node's status — a dead node's queue parks, a node seen alive gets
+// its hints. Call it on every scenario time step; a production loop would
+// run it on a ticker at HeartbeatEvery.
 func (c *Cluster) Tick() {
 	now := c.clock.Now()
 	for _, n := range c.nodes {
@@ -413,13 +399,13 @@ func (c *Cluster) Tick() {
 	}
 	c.det.refresh(now)
 	for id, q := range c.queues {
-		q.pump(now, c.det.statusOf(id))
+		q.pump(c.det.statusOf(id))
 	}
 }
 
 // Crash kills one node the way a machine loss would: its counters stop
-// (WALs keep what the fsync cadence made durable), deliveries start
-// failing, and — once the detector notices — writes hint instead.
+// (WALs keep what the fsync cadence made durable), the next delivery to
+// it fails and parks its queue, and later writes hint.
 func (c *Cluster) Crash(id int) {
 	c.nodes[id].crash()
 	tmClusterCrashes.Inc()

@@ -128,30 +128,10 @@ func TestDetectorTransitions(t *testing.T) {
 	}
 }
 
-// Backoff must double per consecutive failure from RetryBase and clamp
-// at RetryCap.
-func TestBackoffTiming(t *testing.T) {
-	q := newSendQueue(nil, 500*time.Millisecond, 8*time.Second, time.Hour, nil)
-	for f, want := range map[int]time.Duration{
-		1: 500 * time.Millisecond,
-		2: time.Second,
-		3: 2 * time.Second,
-		4: 4 * time.Second,
-		5: 8 * time.Second,
-		6: 8 * time.Second, // capped
-		9: 8 * time.Second,
-	} {
-		if got := q.backoff(f); got != want {
-			t.Errorf("backoff(%d) = %v, want %v", f, got, want)
-		}
-	}
-}
-
-// TestQueueTimeline drives one send queue (RetryBase 500ms, RetryCap 8s)
-// through a timeline of sends, pumps, detector statuses and node
-// crashes, and pins what the queue holds and has counted after every
-// step. The cluster-wide hint load must equal the backlog whenever the
-// queue is parked and zero otherwise.
+// TestQueueTimeline drives one send queue through a sequence of sends,
+// pumps, detector statuses and node crashes, and pins what the queue
+// holds and has counted after every step. The cluster-wide hint load must
+// equal the backlog whenever the queue is parked and zero otherwise.
 func TestQueueTimeline(t *testing.T) {
 	const (
 		send = iota
@@ -165,79 +145,59 @@ func TestQueueTimeline(t *testing.T) {
 		attempts, retries, hinted, replayed int64
 	}
 	type step struct {
-		at     time.Duration
 		do     int
 		status Status
 		want   want
 	}
-	ms, sec := time.Millisecond, time.Second
 	for _, tc := range []struct {
-		name      string
-		hintAfter time.Duration
-		steps     []step
-		// totals once the timeline is over
+		name  string
+		steps []step
+		// totals once the sequence is over
 		delivered, failures, replayFailures, highWater int64
 	}{
 		{
-			// The queue must refuse attempts inside the backoff window,
-			// and the window must double per consecutive failure.
-			name: "backoff-window", hintAfter: time.Hour,
+			// The first send to a crashed node the detector still sees
+			// alive is the one attempt: it fails and parks the queue.
+			// Later sends join the hints without an attempt, and nothing
+			// but the node being seen alive retries them.
+			name: "failed-send-parks",
 			steps: []step{
 				{do: crash},
-				{0, send, StatusAlive, want{pending: 1, attempts: 1}},
-				{400 * ms, pump, StatusAlive, want{pending: 1, attempts: 1}}, // inside the 500ms window
-				{600 * ms, pump, StatusAlive, want{pending: 1, attempts: 2, retries: 1}},
+				{send, StatusAlive, want{pending: 1, parked: true, attempts: 1, hinted: 1}},
+				{send, StatusAlive, want{pending: 2, parked: true, attempts: 1, hinted: 2}},
+				{pump, StatusSuspect, want{pending: 2, parked: true, attempts: 1, hinted: 2}},
+				{pump, StatusDead, want{pending: 2, parked: true, attempts: 1, hinted: 2}},
+				{send, StatusDead, want{pending: 3, parked: true, attempts: 1, hinted: 3}},
 				{do: restart},
-				{1500 * ms, pump, StatusAlive, want{pending: 1, attempts: 2, retries: 1}}, // inside the 1s window
-				{1500 * ms, send, StatusAlive, want{pending: 2, attempts: 2, retries: 1}}, // a send waits for it too
-				{1700 * ms, pump, StatusAlive, want{attempts: 3, retries: 2}},
+				{pump, StatusAlive, want{attempts: 1, retries: 1, hinted: 3, replayed: 3}},
+				{send, StatusAlive, want{attempts: 2, retries: 1, hinted: 3, replayed: 3}},
 			},
-			delivered: 2, failures: 2,
+			delivered: 4, failures: 1, highWater: 3,
 		},
 		{
-			// A node that keeps failing past HintAfter parks the queue:
-			// the backlog becomes hints, later sends join it without an
-			// attempt, and only the node being seen alive retries it.
-			name: "hint-timeout", hintAfter: 2 * time.Minute,
+			// A replay that finds the node still down leaves the queue
+			// parked; the next pump that sees it alive delivers.
+			name: "dead-then-alive",
 			steps: []step{
 				{do: crash},
-				{0, send, StatusAlive, want{pending: 1, attempts: 1}},
-				{60 * sec, pump, StatusSuspect, want{pending: 1, attempts: 2, retries: 1}},
-				{119 * sec, pump, StatusSuspect, want{pending: 1, attempts: 3, retries: 2}},
-				{120 * sec, pump, StatusSuspect, want{pending: 1, attempts: 3, retries: 2}}, // inside the 2s window
-				{125 * sec, pump, StatusSuspect, want{pending: 1, parked: true, attempts: 4, retries: 3, hinted: 1}},
-				{300 * sec, send, StatusSuspect, want{pending: 2, parked: true, attempts: 4, retries: 3, hinted: 2}},
-				{310 * sec, pump, StatusSuspect, want{pending: 2, parked: true, attempts: 4, retries: 3, hinted: 2}},
+				{send, StatusSuspect, want{pending: 1, parked: true, attempts: 1, hinted: 1}},
+				{pump, StatusDead, want{pending: 1, parked: true, attempts: 1, hinted: 1}},
+				{send, StatusDead, want{pending: 2, parked: true, attempts: 1, hinted: 2}},
+				{pump, StatusAlive, want{pending: 2, parked: true, attempts: 1, retries: 1, hinted: 2}}, // still down
 				{do: restart},
-				{360 * sec, pump, StatusAlive, want{attempts: 4, retries: 3, hinted: 2, replayed: 2}},
-				{370 * sec, send, StatusAlive, want{attempts: 5, retries: 3, hinted: 2, replayed: 2}},
-			},
-			delivered: 3, failures: 4, highWater: 2,
-		},
-		{
-			// A node the detector declared dead costs no send attempts;
-			// a replay that finds it down again leaves the queue parked.
-			name: "dead-then-alive", hintAfter: time.Hour,
-			steps: []step{
-				{do: crash},
-				{0, send, StatusSuspect, want{pending: 1, attempts: 1}},
-				{10 * sec, pump, StatusDead, want{pending: 1, parked: true, attempts: 1, hinted: 1}},
-				{20 * sec, send, StatusDead, want{pending: 2, parked: true, attempts: 1, hinted: 2}},
-				{30 * sec, pump, StatusAlive, want{pending: 2, parked: true, attempts: 1, hinted: 2}}, // still down
-				{do: restart},
-				{40 * sec, send, StatusAlive, want{pending: 3, parked: true, attempts: 1, hinted: 3}},
-				{50 * sec, pump, StatusAlive, want{attempts: 1, hinted: 3, replayed: 3}},
+				{send, StatusAlive, want{pending: 3, parked: true, attempts: 1, retries: 1, hinted: 3}},
+				{pump, StatusAlive, want{attempts: 1, retries: 2, hinted: 3, replayed: 3}},
 			},
 			delivered: 3, failures: 1, replayFailures: 1, highWater: 3,
 		},
 		{
 			// A send to a node already declared dead parks the queue
 			// without an attempt.
-			name: "send-to-dead", hintAfter: time.Hour,
+			name: "send-to-dead",
 			steps: []step{
-				{0, send, StatusDead, want{pending: 1, parked: true, hinted: 1}},
-				{10 * sec, pump, StatusSuspect, want{pending: 1, parked: true, hinted: 1}},
-				{20 * sec, pump, StatusAlive, want{hinted: 1, replayed: 1}},
+				{send, StatusDead, want{pending: 1, parked: true, hinted: 1}},
+				{pump, StatusSuspect, want{pending: 1, parked: true, hinted: 1}},
+				{pump, StatusAlive, want{retries: 1, hinted: 1, replayed: 1}},
 			},
 			delivered: 1, highWater: 1,
 		},
@@ -245,12 +205,12 @@ func TestQueueTimeline(t *testing.T) {
 			// A node declared dead with nothing owed, then alive again:
 			// the queue must come out of parking with no replay, and the
 			// next send must be an ordinary attempt, not a hint.
-			name: "dead-empty-then-alive", hintAfter: time.Hour,
+			name: "dead-empty-then-alive",
 			steps: []step{
-				{0, pump, StatusDead, want{parked: true}},
-				{10 * sec, pump, StatusDead, want{parked: true}},
-				{20 * sec, pump, StatusAlive, want{}},
-				{30 * sec, send, StatusAlive, want{attempts: 1}},
+				{pump, StatusDead, want{parked: true}},
+				{pump, StatusDead, want{parked: true}},
+				{pump, StatusAlive, want{}},
+				{send, StatusAlive, want{attempts: 1}},
 			},
 			delivered: 1,
 		},
@@ -262,14 +222,13 @@ func TestQueueTimeline(t *testing.T) {
 			}
 			defer n.close()
 			var hints hintLoad
-			q := newSendQueue(n, 500*time.Millisecond, 8*time.Second, tc.hintAfter, &hints)
+			q := newSendQueue(n, &hints)
 			for i, st := range tc.steps {
-				now := t0.Add(st.at)
 				switch st.do {
 				case send:
-					q.send([]routed{{p: 0, o: obsAt(testNames[i%len(testNames)], t0)}}, now, st.status)
+					q.send([]routed{{p: 0, o: obsAt(testNames[i%len(testNames)], t0)}}, st.status)
 				case pump:
-					q.pump(now, st.status)
+					q.pump(st.status)
 				case crash:
 					n.crash()
 					continue
@@ -282,14 +241,14 @@ func TestQueueTimeline(t *testing.T) {
 				s := q.statsSnap()
 				got := want{q.pendingLen(), q.parked, s.attempts, s.retries, s.hinted, s.replayed}
 				if got != st.want {
-					t.Fatalf("step %d (+%v): got %+v, want %+v", i, st.at, got, st.want)
+					t.Fatalf("step %d: got %+v, want %+v", i, got, st.want)
 				}
 				load := int64(0)
 				if got.parked {
 					load = int64(got.pending)
 				}
 				if hints.pending.Load() != load {
-					t.Fatalf("step %d (+%v): hint load %d, want %d", i, st.at, hints.pending.Load(), load)
+					t.Fatalf("step %d: hint load %d, want %d", i, hints.pending.Load(), load)
 				}
 			}
 			s := q.statsSnap()
@@ -349,9 +308,6 @@ func TestClusterCrashRestartConvergence(t *testing.T) {
 				HeartbeatEvery:    time.Minute,
 				SuspectAfter:      150 * time.Second,
 				DeadAfter:         300 * time.Second,
-				RetryBase:         500 * time.Millisecond,
-				RetryCap:          30 * time.Second,
-				HintAfter:         2 * time.Minute,
 				Node:              realtime.Config{Retention: 26 * time.Hour, FsyncEvery: 1},
 			})
 			ref := realtime.New(realtime.Config{Shards: 2, Retention: 26 * time.Hour})
@@ -391,7 +347,7 @@ func TestClusterCrashRestartConvergence(t *testing.T) {
 					t.Fatalf("final restart %d: %v", id, err)
 				}
 			}
-			// Let detection, backoff, and hint replay settle.
+			// Let detection and hint replay settle.
 			for i := 0; i < 64 && !c.Drained(); i++ {
 				clk.Advance(time.Minute)
 				c.Tick()

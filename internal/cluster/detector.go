@@ -33,8 +33,8 @@ func (s Status) String() string {
 // detector is a heartbeat/suspicion failure detector. Heartbeats record
 // when a node was last seen; refresh re-ages every node against the
 // injected clock's now. Suspicion is the hedge against declaring a
-// slow node dead: a suspect node's queue keeps retrying (the write may
-// still land), only a dead node's writes park as hints.
+// slow node dead: a send to a suspect node is still attempted (the write
+// may land), a send to a dead node parks as a hint without one.
 type detector struct {
 	mu           sync.Mutex
 	suspectAfter time.Duration

@@ -198,6 +198,40 @@ func TestTapsClassifyMessages(t *testing.T) {
 	}
 }
 
+// Ingest and TapBatch are two doors into one router: the same event,
+// decoded or still a Scribe message, must leave identical Stats behind —
+// a name events.ParseName rejects is a decode error routed nowhere, not
+// an event every replica counts invalid.
+func TestIngestMatchesTapBatch(t *testing.T) {
+	good := ev(testNames[0], t0, 7, "us")
+	badName := ev(testNames[0], t0, 7, "us")
+	badName.Name = events.EventName{Client: "web", Page: "Home", Action: "click"}
+	epoch := ev(testNames[0], time.Unix(0, 0), 7, "us")
+	for _, tc := range []struct {
+		name string
+		e    *events.ClientEvent
+	}{
+		{"well-formed", good},
+		{"bad character in a component", badName},
+		{"timestamp 0", epoch},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ingest := testCluster(t, Config{Nodes: 3, ReplicationFactor: 2, Clock: zk.NewManualClock(t0)})
+			tap := testCluster(t, Config{Nodes: 3, ReplicationFactor: 2, Clock: zk.NewManualClock(t0)})
+			// Twice: the second pass finds the name already interned.
+			for i := 0; i < 2; i++ {
+				ingest.Ingest(tc.e)
+				tap.TapBatch([]scribe.Entry{{Category: events.Category, Message: tc.e.Marshal()}})
+			}
+			ingest.Sync()
+			tap.Sync()
+			if is, ts := ingest.Stats(), tap.Stats(); is != ts {
+				t.Errorf("Ingest stats %+v\nTapBatch stats %+v", is, ts)
+			}
+		})
+	}
+}
+
 func BenchmarkClusterTapBatch(b *testing.B) {
 	c, err := New(Config{
 		Nodes: 3, ReplicationFactor: 2, Clock: zk.NewManualClock(t0),

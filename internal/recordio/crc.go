@@ -127,10 +127,12 @@ func NextCRCRecord(data []byte) (rec, rest []byte, err error) {
 		return nil, nil, io.EOF
 	}
 	size, n := binary.Uvarint(data)
-	if n == 0 {
+	// A prefix of MaxVarintLen64 continuation bytes overflows whatever
+	// follows, so only a shorter one can be a torn write.
+	if n == 0 && len(data) < binary.MaxVarintLen64 {
 		return nil, nil, ErrTruncated
 	}
-	if n < 0 {
+	if n <= 0 {
 		return nil, nil, fmt.Errorf("%w: record length overflows", ErrCorrupt)
 	}
 	if size > MaxRecordSize {

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"strings"
 	"testing"
 )
 
-func crcStream(t *testing.T, recs ...string) []byte {
+func crcStream(t testing.TB, recs ...string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewCRCWriter(&buf)
@@ -141,6 +143,79 @@ func TestCRCAppendRejectsOversizedRecord(t *testing.T) {
 	if buf.Len() != 0 || w.Count() != 0 {
 		t.Fatalf("rejected append left %d bytes, count %d", buf.Len(), w.Count())
 	}
+}
+
+// crcErrClass names the terminal condition a CRC reader reported.
+func crcErrClass(err error) string {
+	switch {
+	case err == io.EOF:
+		return "EOF"
+	case errors.Is(err, ErrTruncated):
+		return "truncated"
+	case errors.Is(err, ErrCorrupt):
+		return "corrupt"
+	}
+	return fmt.Sprintf("untyped error %v", err)
+}
+
+// FuzzCRCFrames: on any byte stream, CRCReader.Next and NextCRCRecord
+// neither panic nor disagree — the same records in the same order, then
+// the same terminal condition: io.EOF, ErrTruncated or ErrCorrupt.
+func FuzzCRCFrames(f *testing.F) {
+	good := crcStream(f, "alpha", "", "a much longer record with some bytes in it", "z")
+	f.Add(good)
+	f.Add([]byte{})
+	// TestCRCTornTail's cuts, TestCRCFlippedByte's flips, TestCRCInsaneLength.
+	for _, cut := range []int{1, 5, 9, len(good) - 1} {
+		f.Add(good[:cut])
+	}
+	for _, at := range []int{0, 2, 6} {
+		bad := bytes.Clone(good)
+		bad[at] ^= 0x01
+		f.Add(bad)
+	}
+	f.Add(append(binary.AppendUvarint(nil, MaxRecordSize+1), 0, 0, 0, 0, 'x'))
+	// A length prefix that never ends: corrupt, however many bytes follow.
+	f.Add(bytes.Repeat([]byte{0xFF}, binary.MaxVarintLen64))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var streamed [][]byte
+		r := NewCRCReader(bytes.NewReader(data))
+		var streamErr error
+		for {
+			rec, err := r.Next()
+			if err != nil {
+				streamErr = err
+				break
+			}
+			streamed = append(streamed, bytes.Clone(rec))
+		}
+		var inPlace [][]byte
+		var inPlaceErr error
+		for rest := data; ; {
+			rec, next, err := NextCRCRecord(rest)
+			if err != nil {
+				inPlaceErr = err
+				break
+			}
+			inPlace = append(inPlace, rec)
+			rest = next
+		}
+		sc, pc := crcErrClass(streamErr), crcErrClass(inPlaceErr)
+		if sc != pc {
+			t.Fatalf("Next ends with %s (%v), NextCRCRecord with %s (%v)", sc, streamErr, pc, inPlaceErr)
+		}
+		if strings.HasPrefix(sc, "untyped") {
+			t.Fatalf("readers end with an %s", sc)
+		}
+		if len(streamed) != len(inPlace) {
+			t.Fatalf("Next read %d records, NextCRCRecord %d", len(streamed), len(inPlace))
+		}
+		for i := range streamed {
+			if !bytes.Equal(streamed[i], inPlace[i]) {
+				t.Fatalf("record %d: Next %q, NextCRCRecord %q", i, streamed[i], inPlace[i])
+			}
+		}
+	})
 }
 
 func TestCRCForEachStopsOnFnError(t *testing.T) {

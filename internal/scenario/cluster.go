@@ -16,7 +16,7 @@ import (
 // the spec's node-crash windows applied on a minute-stepped manual
 // clock, periodic scatter-gather probes (so degraded serving during an
 // outage is observed, not assumed), and an end-of-day settle loop that
-// lets detection, backoff, and hint replay finish inside the day.
+// lets detection and hint replay finish inside the day.
 type clusterHarness struct {
 	spec    *Spec
 	c       *cluster.Cluster
@@ -37,18 +37,15 @@ type clusterHarness struct {
 // enough to stay a rounding error next to ingestion.
 const probeEvery = 5
 
-// Detector and retry timing for scenario clusters. The clock advances
-// one simulated minute per step, so heartbeats are minutes apart;
-// suspicion at 2.5 minutes of silence and death at 5 keep healthy nodes
-// from flapping while still detecting a crash well inside any
-// meaningful fault window.
+// Detector timing for scenario clusters. The clock advances one
+// simulated minute per step, so heartbeats are minutes apart; suspicion
+// at 2.5 minutes of silence and death at 5 keep healthy nodes from
+// flapping while still detecting a crash well inside any meaningful
+// fault window.
 const (
 	scenarioHeartbeat    = time.Minute
 	scenarioSuspectAfter = 150 * time.Second
 	scenarioDeadAfter    = 300 * time.Second
-	scenarioRetryBase    = 500 * time.Millisecond
-	scenarioRetryCap     = 30 * time.Second
-	scenarioHintAfter    = 2 * time.Minute
 )
 
 func newClusterHarness(spec *Spec, clock *zk.ManualClock) (*clusterHarness, error) {
@@ -65,9 +62,6 @@ func newClusterHarness(spec *Spec, clock *zk.ManualClock) (*clusterHarness, erro
 		HeartbeatEvery:    scenarioHeartbeat,
 		SuspectAfter:      scenarioSuspectAfter,
 		DeadAfter:         scenarioDeadAfter,
-		RetryBase:         scenarioRetryBase,
-		RetryCap:          scenarioRetryCap,
-		HintAfter:         scenarioHintAfter,
 	})
 	if err != nil {
 		os.RemoveAll(dir)
@@ -132,11 +126,10 @@ func (h *clusterHarness) probe(m int) {
 
 // advanceTo walks the manual clock minute by minute up to the given
 // minute of the day: each step advances one minute, fires that minute's
-// crash/restart edges, ticks the cluster (heartbeats, detection, retry,
+// crash/restart edges, ticks the cluster (heartbeats, detection, hint
 // replay), probes on the cadence, and hands whole hours to onHour as
 // they complete. The single-counter path jumps the clock hour to hour;
-// the cluster cannot — failure detection and backoff live between the
-// hours.
+// the cluster cannot — failure detection lives between the hours.
 func (h *clusterHarness) advanceTo(minute int, onHour func(hr int) error) error {
 	for m := h.curMinute + 1; m <= minute; m++ {
 		h.clock.Advance(time.Minute)

@@ -255,7 +255,7 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 	// advanceTo moves the manual clock to an event's minute. Without a
 	// cluster the clock jumps hour to hour (aggregators bucket staging by
 	// hour, nothing finer matters); with one it steps every minute so the
-	// failure detector, retry backoff, fault edges, and scatter probes
+	// failure detector, hint replay, fault edges, and scatter probes
 	// all run between the hours, sealing each hour as it completes.
 	onHour := func(hr int) error {
 		if err := sealThrough(curHour, hr); err != nil {

@@ -498,7 +498,7 @@ func (d *Daemon) discoverLocked() (string, error) {
 		return "", ErrNoAggregators
 	}
 	pick := kids[d.rng.Intn(len(kids))]
-	data, _, err := d.conn.Get(AggregatorsZNode + "/" + pick)
+	data, err := d.conn.Get(AggregatorsZNode + "/" + pick)
 	if err != nil {
 		return "", err
 	}

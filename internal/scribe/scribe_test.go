@@ -3,6 +3,8 @@ package scribe
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -132,6 +134,60 @@ func TestAggregatorFailover(t *testing.T) {
 	}
 	if s := d.Stats(); s.Rediscoveries < 2 || s.SendFailures < 1 {
 		t.Fatalf("daemon stats = %+v, expected rediscovery after failure", s)
+	}
+}
+
+// Neither aggregators nor daemons run a ZooKeeper heartbeat thread, so a
+// session lapses whenever its owner idles past zkSessionTimeout. The
+// aggregator's next Append must find its session expired — which drops
+// its ephemeral znode — and register again; a daemon's next discovery
+// must reconnect and find it; and every entry must arrive exactly once
+// across the lapse.
+func TestIdleSessionsExpireAndRecover(t *testing.T) {
+	dc, clock := newDC(t, 1, 2)
+	a := dc.Aggregators[0]
+	warm, cold := dc.Daemons[0], dc.Daemons[1]
+	warm.Log("ce", []byte("before"))
+	if err := warm.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	aggConn, coldConn := a.conn, cold.conn
+
+	clock.Advance(zkSessionTimeout + time.Second)
+
+	// warm has the aggregator cached, so its send goes straight to Append,
+	// whose heartbeat is the first operation on the lapsed session.
+	warm.Log("ce", []byte("warm-after"))
+	if err := warm.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := aggConn.Ping(); !errors.Is(err, zk.ErrSessionExpired) {
+		t.Fatalf("aggregator's first session: Ping = %v, want ErrSessionExpired", err)
+	}
+	if a.conn == aggConn {
+		t.Fatal("aggregator did not register a new session")
+	}
+
+	// cold has never discovered; its session lapsed too. Discovery must
+	// reconnect and find the aggregator's new registration.
+	cold.Log("ce", []byte("cold-after"))
+	if err := cold.Flush(); err != nil {
+		t.Fatalf("discovery after the lapse: %v", err)
+	}
+	if cold.conn == coldConn {
+		t.Fatal("daemon did not reconnect")
+	}
+	if s := cold.Stats(); s.Rediscoveries != 1 || s.SendFailures != 0 || s.Delivered != 1 {
+		t.Fatalf("cold daemon stats = %+v, want one discovery and one delivery", s)
+	}
+
+	if err := dc.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	msgs := stagingMessages(t, dc.Staging, "ce", t0)
+	sort.Strings(msgs)
+	if want := []string{"before", "cold-after", "warm-after"}; !reflect.DeepEqual(msgs, want) {
+		t.Fatalf("staged %v, want each of %v once", msgs, want)
 	}
 }
 

@@ -1,13 +1,15 @@
 // Package zk is an in-process reimplementation of the subset of Apache
 // ZooKeeper that Twitter's Scribe infrastructure relies on (§2 of the paper):
-// a hierarchical namespace of znodes, ephemeral and sequential nodes,
-// sessions with expiry, and one-shot watches.
+// a hierarchical namespace of znodes, persistent and ephemeral nodes, and
+// sessions with expiry.
 //
 // Scribe aggregators register themselves under a fixed path using ephemeral
 // znodes; Scribe daemons list that path to discover a live aggregator and
-// re-list it when their aggregator disappears. This package reproduces those
-// semantics exactly: closing or expiring a session deletes its ephemeral
-// nodes and fires child watches on their parents.
+// re-list it when their aggregator disappears. Closing a session, or the
+// session's own next operation finding it past its timeout, deletes its
+// ephemeral nodes — that is how a crashed or stopped aggregator leaves
+// discovery. There are no watches, sequential nodes or versions: Scribe
+// polls and never rewrites a znode.
 //
 // The server is purely in-memory and synchronized with a mutex; time is
 // injected through a Clock so session expiry is deterministic in tests.
@@ -26,15 +28,13 @@ import (
 var (
 	ErrNoNode                  = errors.New("zk: node does not exist")
 	ErrNodeExists              = errors.New("zk: node already exists")
-	ErrNotEmpty                = errors.New("zk: node has children")
-	ErrBadVersion              = errors.New("zk: version conflict")
 	ErrNoChildrenForEphemerals = errors.New("zk: ephemeral nodes may not have children")
 	ErrSessionExpired          = errors.New("zk: session expired")
 	ErrClosed                  = errors.New("zk: connection closed")
 	ErrInvalidPath             = errors.New("zk: invalid path")
 )
 
-// CreateMode selects the lifetime and naming behaviour of a new znode.
+// CreateMode selects the lifetime of a new znode.
 type CreateMode int
 
 // Create modes, as in ZooKeeper.
@@ -43,55 +43,7 @@ const (
 	Persistent CreateMode = iota
 	// Ephemeral nodes are deleted when the creating session ends.
 	Ephemeral
-	// PersistentSequential appends a monotonically increasing, zero-padded
-	// counter to the node name.
-	PersistentSequential
-	// EphemeralSequential combines Ephemeral and PersistentSequential.
-	EphemeralSequential
 )
-
-func (m CreateMode) ephemeral() bool {
-	return m == Ephemeral || m == EphemeralSequential
-}
-
-func (m CreateMode) sequential() bool {
-	return m == PersistentSequential || m == EphemeralSequential
-}
-
-// EventType classifies watch events.
-type EventType int
-
-// Watch event types.
-const (
-	EventCreated EventType = iota
-	EventDeleted
-	EventDataChanged
-	EventChildrenChanged
-	EventSessionExpired
-)
-
-// String names the event type.
-func (t EventType) String() string {
-	switch t {
-	case EventCreated:
-		return "created"
-	case EventDeleted:
-		return "deleted"
-	case EventDataChanged:
-		return "data-changed"
-	case EventChildrenChanged:
-		return "children-changed"
-	case EventSessionExpired:
-		return "session-expired"
-	}
-	return fmt.Sprintf("event(%d)", int(t))
-}
-
-// Event is delivered on watch channels when a watched znode changes.
-type Event struct {
-	Type EventType
-	Path string
-}
 
 // Clock abstracts time for deterministic session-expiry testing.
 type Clock interface {
@@ -128,31 +80,23 @@ func (c *ManualClock) Advance(d time.Duration) {
 }
 
 type znode struct {
-	data           []byte
-	ephemeralOwner int64 // session id, 0 for persistent nodes
-	version        int32
-	seq            int64 // sequential-child counter
-	children       map[string]struct{}
-	dataWatches    []chan Event
-	childWatches   []chan Event
+	data      []byte
+	ephemeral bool
+	children  map[string]struct{}
 }
 
 type session struct {
-	id         int64
 	timeout    time.Duration
 	lastSeen   time.Time
 	ephemerals map[string]struct{}
-	events     chan Event
 	expired    bool
 }
 
 // Server is an in-memory coordination service.
 type Server struct {
-	mu          sync.Mutex
-	clock       Clock
-	nodes       map[string]*znode
-	sessions    map[int64]*session
-	nextSession int64
+	mu    sync.Mutex
+	clock Clock
+	nodes map[string]*znode
 }
 
 // NewServer returns a server with an empty namespace rooted at "/".
@@ -162,47 +106,22 @@ func NewServer(clock Clock) *Server {
 		clock = SystemClock{}
 	}
 	s := &Server{
-		clock:    clock,
-		nodes:    make(map[string]*znode),
-		sessions: make(map[int64]*session),
+		clock: clock,
+		nodes: make(map[string]*znode),
 	}
 	s.nodes["/"] = &znode{children: make(map[string]struct{})}
 	return s
 }
 
-// Connect opens a new session with the given timeout. Sessions that do not
-// issue an operation (or Ping) within the timeout are expired lazily on the
-// next server interaction or CheckSessions call.
+// Connect opens a new session with the given timeout. A session that issues
+// no operation (or Ping) within the timeout expires on its next operation.
 func (s *Server) Connect(timeout time.Duration) *Conn {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nextSession++
 	sess := &session{
-		id:         s.nextSession,
 		timeout:    timeout,
 		lastSeen:   s.clock.Now(),
 		ephemerals: make(map[string]struct{}),
-		events:     make(chan Event, 16),
 	}
-	s.sessions[sess.id] = sess
 	return &Conn{srv: s, sess: sess}
-}
-
-// CheckSessions expires every session whose timeout has elapsed, deleting
-// its ephemeral nodes and firing the associated watches. It returns the
-// number of sessions expired.
-func (s *Server) CheckSessions() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.clock.Now()
-	n := 0
-	for _, sess := range s.sessions {
-		if now.Sub(sess.lastSeen) > sess.timeout {
-			s.expireLocked(sess)
-			n++
-		}
-	}
-	return n
 }
 
 func (s *Server) expireLocked(sess *session) {
@@ -213,8 +132,6 @@ func (s *Server) expireLocked(sess *session) {
 	for path := range sess.ephemerals {
 		s.deleteLocked(path)
 	}
-	delete(s.sessions, sess.id)
-	notify(sess.events, Event{Type: EventSessionExpired})
 }
 
 // parent returns the parent path of p ("/a/b" -> "/a", "/a" -> "/").
@@ -241,49 +158,13 @@ func validPath(p string) error {
 	return nil
 }
 
-// notify delivers e without blocking; watch channels are buffered and a full
-// channel drops the event (watches are advisory, as in ZooKeeper clients
-// that fall behind).
-func notify(ch chan Event, e Event) {
-	select {
-	case ch <- e:
-	default:
-	}
-}
-
-func (s *Server) fireDataWatches(path string, t EventType) {
-	n := s.nodes[path]
-	if n == nil {
-		return
-	}
-	for _, ch := range n.dataWatches {
-		notify(ch, Event{Type: t, Path: path})
-	}
-	n.dataWatches = nil
-}
-
-func (s *Server) fireChildWatches(path string) {
-	n := s.nodes[path]
-	if n == nil {
-		return
-	}
-	for _, ch := range n.childWatches {
-		notify(ch, Event{Type: EventChildrenChanged, Path: path})
-	}
-	n.childWatches = nil
-}
-
 func (s *Server) deleteLocked(path string) {
 	if _, ok := s.nodes[path]; !ok {
 		return
 	}
-	s.fireDataWatches(path, EventDeleted)
-	s.fireChildWatches(path)
 	delete(s.nodes, path)
-	p := parent(path)
-	if pn, ok := s.nodes[p]; ok {
+	if pn, ok := s.nodes[parent(path)]; ok {
 		delete(pn.children, path[strings.LastIndexByte(path, '/')+1:])
-		s.fireChildWatches(p)
 	}
 }
 
@@ -295,13 +176,7 @@ type Conn struct {
 	closed bool
 }
 
-// Events exposes session-level events (currently only EventSessionExpired).
-func (c *Conn) Events() <-chan Event { return c.sess.events }
-
-// SessionID returns the server-assigned session identifier.
-func (c *Conn) SessionID() int64 { return c.sess.id }
-
-// touch validates the session and refreshes its activity timestamp.
+// touchLocked validates the session and refreshes its activity timestamp.
 // Callers must hold srv.mu.
 func (c *Conn) touchLocked() error {
 	c.mu.Lock()
@@ -326,8 +201,8 @@ func (c *Conn) Ping() error {
 	return c.touchLocked()
 }
 
-// Create adds a znode at path with the given data and mode. For sequential
-// modes the returned path carries the appended counter suffix.
+// Create adds a znode at path with the given data and mode and returns its
+// path.
 func (c *Conn) Create(path string, data []byte, mode CreateMode) (string, error) {
 	if err := validPath(path); err != nil {
 		return "", err
@@ -345,202 +220,66 @@ func (c *Conn) Create(path string, data []byte, mode CreateMode) (string, error)
 	if !ok {
 		return "", fmt.Errorf("%w: parent %s", ErrNoNode, pp)
 	}
-	if pn.ephemeralOwner != 0 {
+	if pn.ephemeral {
 		return "", ErrNoChildrenForEphemerals
 	}
-	actual := path
-	if mode.sequential() {
-		actual = fmt.Sprintf("%s%010d", path, pn.seq)
-		pn.seq++
-	}
-	if _, exists := c.srv.nodes[actual]; exists {
-		return "", fmt.Errorf("%w: %s", ErrNodeExists, actual)
+	if _, exists := c.srv.nodes[path]; exists {
+		return "", fmt.Errorf("%w: %s", ErrNodeExists, path)
 	}
 	n := &znode{
-		data:     append([]byte(nil), data...),
-		children: make(map[string]struct{}),
+		data:      append([]byte(nil), data...),
+		ephemeral: mode == Ephemeral,
+		children:  make(map[string]struct{}),
 	}
-	if mode.ephemeral() {
-		n.ephemeralOwner = c.sess.id
-		c.sess.ephemerals[actual] = struct{}{}
+	if n.ephemeral {
+		c.sess.ephemerals[path] = struct{}{}
 	}
-	c.srv.nodes[actual] = n
-	pn.children[actual[strings.LastIndexByte(actual, '/')+1:]] = struct{}{}
-	c.srv.fireDataWatches(actual, EventCreated)
-	c.srv.fireChildWatches(pp)
-	return actual, nil
+	c.srv.nodes[path] = n
+	pn.children[path[strings.LastIndexByte(path, '/')+1:]] = struct{}{}
+	return path, nil
 }
 
-// Get returns the data and version of the znode at path.
-func (c *Conn) Get(path string) ([]byte, int32, error) {
-	data, ver, _, err := c.get(path, false)
-	return data, ver, err
-}
-
-// GetW is Get plus a one-shot watch that fires when the node's data changes
-// or the node is deleted.
-func (c *Conn) GetW(path string) ([]byte, int32, <-chan Event, error) {
-	return c.get(path, true)
-}
-
-func (c *Conn) get(path string, watch bool) ([]byte, int32, <-chan Event, error) {
+// Get returns the data of the znode at path.
+func (c *Conn) Get(path string) ([]byte, error) {
 	if err := validPath(path); err != nil {
-		return nil, 0, nil, err
+		return nil, err
 	}
 	c.srv.mu.Lock()
 	defer c.srv.mu.Unlock()
 	if err := c.touchLocked(); err != nil {
-		return nil, 0, nil, err
+		return nil, err
 	}
 	n, ok := c.srv.nodes[path]
 	if !ok {
-		return nil, 0, nil, fmt.Errorf("%w: %s", ErrNoNode, path)
+		return nil, fmt.Errorf("%w: %s", ErrNoNode, path)
 	}
-	var ch chan Event
-	if watch {
-		ch = make(chan Event, 4)
-		n.dataWatches = append(n.dataWatches, ch)
-	}
-	return append([]byte(nil), n.data...), n.version, ch, nil
-}
-
-// Set replaces the data of the znode at path. version -1 skips the
-// optimistic concurrency check; otherwise it must match the node's version.
-func (c *Conn) Set(path string, data []byte, version int32) (int32, error) {
-	if err := validPath(path); err != nil {
-		return 0, err
-	}
-	c.srv.mu.Lock()
-	defer c.srv.mu.Unlock()
-	if err := c.touchLocked(); err != nil {
-		return 0, err
-	}
-	n, ok := c.srv.nodes[path]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoNode, path)
-	}
-	if version != -1 && version != n.version {
-		return 0, fmt.Errorf("%w: have %d, want %d", ErrBadVersion, n.version, version)
-	}
-	n.data = append([]byte(nil), data...)
-	n.version++
-	c.srv.fireDataWatches(path, EventDataChanged)
-	return n.version, nil
-}
-
-// Delete removes the znode at path. It fails if the node has children or the
-// version (when not -1) does not match.
-func (c *Conn) Delete(path string, version int32) error {
-	if err := validPath(path); err != nil {
-		return err
-	}
-	if path == "/" {
-		return ErrNotEmpty
-	}
-	c.srv.mu.Lock()
-	defer c.srv.mu.Unlock()
-	if err := c.touchLocked(); err != nil {
-		return err
-	}
-	n, ok := c.srv.nodes[path]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoNode, path)
-	}
-	if len(n.children) > 0 {
-		return fmt.Errorf("%w: %s", ErrNotEmpty, path)
-	}
-	if version != -1 && version != n.version {
-		return fmt.Errorf("%w: have %d, want %d", ErrBadVersion, n.version, version)
-	}
-	if n.ephemeralOwner != 0 {
-		if sess, ok := c.srv.sessions[n.ephemeralOwner]; ok {
-			delete(sess.ephemerals, path)
-		}
-	}
-	c.srv.deleteLocked(path)
-	return nil
-}
-
-// Exists reports whether a znode exists at path.
-func (c *Conn) Exists(path string) (bool, error) {
-	ok, _, err := c.exists(path, false)
-	return ok, err
-}
-
-// ExistsW is Exists plus a one-shot watch that fires on creation, deletion,
-// or data change of the node at path.
-func (c *Conn) ExistsW(path string) (bool, <-chan Event, error) {
-	return c.exists(path, true)
-}
-
-func (c *Conn) exists(path string, watch bool) (bool, <-chan Event, error) {
-	if err := validPath(path); err != nil {
-		return false, nil, err
-	}
-	c.srv.mu.Lock()
-	defer c.srv.mu.Unlock()
-	if err := c.touchLocked(); err != nil {
-		return false, nil, err
-	}
-	n, ok := c.srv.nodes[path]
-	var ch chan Event
-	if watch {
-		ch = make(chan Event, 4)
-		if ok {
-			n.dataWatches = append(n.dataWatches, ch)
-		} else {
-			// Watch for creation: attach to a placeholder on the parent; we
-			// model it by attaching a child watch to the parent which fires
-			// on any child change, matching ZooKeeper's exists-watch utility
-			// for discovery loops.
-			if pn, pok := c.srv.nodes[parent(path)]; pok {
-				pn.childWatches = append(pn.childWatches, ch)
-			}
-		}
-	}
-	return ok, ch, nil
+	return append([]byte(nil), n.data...), nil
 }
 
 // Children returns the sorted names of the children of the znode at path.
 func (c *Conn) Children(path string) ([]string, error) {
-	names, _, err := c.children(path, false)
-	return names, err
-}
-
-// ChildrenW is Children plus a one-shot watch that fires when the child set
-// of path changes.
-func (c *Conn) ChildrenW(path string) ([]string, <-chan Event, error) {
-	return c.children(path, true)
-}
-
-func (c *Conn) children(path string, watch bool) ([]string, <-chan Event, error) {
 	if err := validPath(path); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	c.srv.mu.Lock()
 	defer c.srv.mu.Unlock()
 	if err := c.touchLocked(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	n, ok := c.srv.nodes[path]
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", ErrNoNode, path)
+		return nil, fmt.Errorf("%w: %s", ErrNoNode, path)
 	}
 	names := make([]string, 0, len(n.children))
 	for name := range n.children {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var ch chan Event
-	if watch {
-		ch = make(chan Event, 4)
-		n.childWatches = append(n.childWatches, ch)
-	}
-	return names, ch, nil
+	return names, nil
 }
 
-// Close ends the session, deleting its ephemeral nodes and firing watches,
-// exactly as a crashed or restarted client would after session teardown.
+// Close ends the session and deletes its ephemeral nodes, exactly as a
+// crashed or restarted client would after session teardown.
 func (c *Conn) Close() {
 	c.mu.Lock()
 	if c.closed {

@@ -13,7 +13,7 @@ func newTestServer() (*Server, *ManualClock) {
 	return NewServer(clock), clock
 }
 
-func TestCreateGetSetDelete(t *testing.T) {
+func TestCreateGet(t *testing.T) {
 	srv, _ := newTestServer()
 	c := srv.Connect(time.Minute)
 	defer c.Close()
@@ -21,24 +21,15 @@ func TestCreateGetSetDelete(t *testing.T) {
 	if _, err := c.Create("/a", []byte("one"), Persistent); err != nil {
 		t.Fatal(err)
 	}
-	data, ver, err := c.Get("/a")
-	if err != nil || string(data) != "one" || ver != 0 {
-		t.Fatalf("Get = %q v%d, %v", data, ver, err)
+	data, err := c.Get("/a")
+	if err != nil || string(data) != "one" {
+		t.Fatalf("Get = %q, %v", data, err)
 	}
-	if _, err := c.Set("/a", []byte("two"), 0); err != nil {
-		t.Fatal(err)
+	if _, err := c.Create("/a", []byte("two"), Persistent); !errors.Is(err, ErrNodeExists) {
+		t.Fatalf("duplicate Create err = %v", err)
 	}
-	if _, err := c.Set("/a", []byte("three"), 0); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("stale version Set err = %v", err)
-	}
-	if _, err := c.Set("/a", []byte("three"), -1); err != nil {
-		t.Fatalf("unconditional Set: %v", err)
-	}
-	if err := c.Delete("/a", -1); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Get("/a"); !errors.Is(err, ErrNoNode) {
-		t.Fatalf("Get deleted err = %v", err)
+	if _, err := c.Get("/b"); !errors.Is(err, ErrNoNode) {
+		t.Fatalf("Get missing err = %v", err)
 	}
 }
 
@@ -52,8 +43,8 @@ func TestCreateRequiresParent(t *testing.T) {
 	if _, err := c.Create("/a/b", nil, Persistent); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete("/a", -1); !errors.Is(err, ErrNotEmpty) {
-		t.Fatalf("delete non-empty err = %v", err)
+	if kids, err := c.Children("/a"); err != nil || len(kids) != 1 || kids[0] != "b" {
+		t.Fatalf("children = %v, %v", kids, err)
 	}
 }
 
@@ -76,30 +67,6 @@ func TestInvalidPaths(t *testing.T) {
 	}
 }
 
-func TestSequentialNodes(t *testing.T) {
-	srv, _ := newTestServer()
-	c := srv.Connect(time.Minute)
-	mustCreate(t, c, "/agg")
-	p1, err := c.Create("/agg/node-", nil, PersistentSequential)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := c.Create("/agg/node-", nil, PersistentSequential)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != "/agg/node-0000000000" || p2 != "/agg/node-0000000001" {
-		t.Fatalf("sequential paths = %s, %s", p1, p2)
-	}
-	kids, err := c.Children("/agg")
-	if err != nil || len(kids) != 2 {
-		t.Fatalf("children = %v, %v", kids, err)
-	}
-	if kids[0] != "node-0000000000" || kids[1] != "node-0000000001" {
-		t.Fatalf("children not sorted: %v", kids)
-	}
-}
-
 // TestEphemeralLifecycle is the paper's aggregator-discovery mechanism:
 // "Aggregators register themselves ... using an 'ephemeral' znode, which
 // exists only for the duration of a client session" (§2).
@@ -113,21 +80,13 @@ func TestEphemeralLifecycle(t *testing.T) {
 	if _, err := owner.Create("/scribe/aggregators/agg1", []byte("dc1:host1"), Ephemeral); err != nil {
 		t.Fatal(err)
 	}
-	kids, ch, err := watcher.ChildrenW("/scribe/aggregators")
+	kids, err := watcher.Children("/scribe/aggregators")
 	if err != nil || len(kids) != 1 {
 		t.Fatalf("children = %v, %v", kids, err)
 	}
 
 	owner.Close() // simulated crash
 
-	select {
-	case ev := <-ch:
-		if ev.Type != EventChildrenChanged {
-			t.Fatalf("event = %v", ev)
-		}
-	default:
-		t.Fatal("no child watch fired on ephemeral deletion")
-	}
 	kids, err = watcher.Children("/scribe/aggregators")
 	if err != nil || len(kids) != 0 {
 		t.Fatalf("after close children = %v, %v", kids, err)
@@ -145,6 +104,9 @@ func TestEphemeralCannotHaveChildren(t *testing.T) {
 	}
 }
 
+// A session that pings inside its timeout lives on; once it idles past
+// the timeout its own next operation expires it, and its ephemeral node is
+// gone for everyone else.
 func TestSessionExpiry(t *testing.T) {
 	srv, clock := newTestServer()
 	c := srv.Connect(30 * time.Second)
@@ -158,22 +120,17 @@ func TestSessionExpiry(t *testing.T) {
 		t.Fatalf("ping within timeout: %v", err)
 	}
 	clock.Advance(31 * time.Second)
-	if n := srv.CheckSessions(); n != 1 {
-		t.Fatalf("expired %d sessions, want 1", n)
+	if kids, err := obs.Children("/"); err != nil || len(kids) != 1 {
+		t.Fatalf("before the next operation children = %v, %v; expiry is lazy", kids, err)
 	}
-	if ok, _ := obs.Exists("/live"); ok {
-		t.Fatal("ephemeral survived session expiry")
+	if err := c.Ping(); !errors.Is(err, ErrSessionExpired) {
+		t.Fatalf("ping after timeout err = %v, want ErrSessionExpired", err)
 	}
-	if err := c.Ping(); !errors.Is(err, ErrSessionExpired) && !errors.Is(err, ErrClosed) {
-		t.Fatalf("ping after expiry err = %v", err)
+	if kids, err := obs.Children("/"); err != nil || len(kids) != 0 {
+		t.Fatalf("ephemeral survived session expiry: children = %v, %v", kids, err)
 	}
-	select {
-	case ev := <-c.Events():
-		if ev.Type != EventSessionExpired {
-			t.Fatalf("event = %v", ev)
-		}
-	default:
-		t.Fatal("no session-expired event delivered")
+	if err := c.Ping(); !errors.Is(err, ErrSessionExpired) {
+		t.Fatalf("second ping after expiry err = %v", err)
 	}
 }
 
@@ -186,52 +143,6 @@ func TestLazyExpiryOnOperation(t *testing.T) {
 	}
 }
 
-func TestDataWatch(t *testing.T) {
-	srv, _ := newTestServer()
-	c := srv.Connect(time.Minute)
-	mustCreate(t, c, "/cfg")
-	_, _, ch, err := c.GetW("/cfg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Set("/cfg", []byte("v2"), -1); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-ch:
-		if ev.Type != EventDataChanged || ev.Path != "/cfg" {
-			t.Fatalf("event = %+v", ev)
-		}
-	default:
-		t.Fatal("data watch did not fire")
-	}
-	// Watches are one-shot: a second Set must not deliver another event.
-	if _, err := c.Set("/cfg", []byte("v3"), -1); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-ch:
-		t.Fatalf("one-shot watch fired twice: %+v", ev)
-	default:
-	}
-}
-
-func TestExistsWatchOnMissingNode(t *testing.T) {
-	srv, _ := newTestServer()
-	c := srv.Connect(time.Minute)
-	mustCreate(t, c, "/parent")
-	ok, ch, err := c.ExistsW("/parent/future")
-	if err != nil || ok {
-		t.Fatalf("ExistsW = %v, %v", ok, err)
-	}
-	mustCreate(t, c, "/parent/future")
-	select {
-	case <-ch:
-	default:
-		t.Fatal("exists watch did not fire on creation")
-	}
-}
-
 func TestClosedConnRejectsOps(t *testing.T) {
 	srv, _ := newTestServer()
 	c := srv.Connect(time.Minute)
@@ -240,43 +151,6 @@ func TestClosedConnRejectsOps(t *testing.T) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 	c.Close() // double close must be safe
-}
-
-func TestConcurrentSequentialCreates(t *testing.T) {
-	srv, _ := newTestServer()
-	setup := srv.Connect(time.Minute)
-	mustCreate(t, setup, "/q")
-	const workers, per = 8, 25
-	done := make(chan string, workers*per)
-	for w := 0; w < workers; w++ {
-		go func() {
-			c := srv.Connect(time.Minute)
-			defer c.Close()
-			for i := 0; i < per; i++ {
-				p, err := c.Create("/q/item-", nil, PersistentSequential)
-				if err != nil {
-					done <- ""
-					continue
-				}
-				done <- p
-			}
-		}()
-	}
-	seen := make(map[string]bool)
-	for i := 0; i < workers*per; i++ {
-		p := <-done
-		if p == "" {
-			t.Fatal("concurrent create failed")
-		}
-		if seen[p] {
-			t.Fatalf("duplicate sequential path %s", p)
-		}
-		seen[p] = true
-	}
-	kids, err := setup.Children("/q")
-	if err != nil || len(kids) != workers*per {
-		t.Fatalf("children = %d, %v", len(kids), err)
-	}
 }
 
 // TestParentProperty checks parent() against a reference over generated paths.
@@ -298,20 +172,23 @@ func TestParentProperty(t *testing.T) {
 	}
 }
 
+// An ephemeral node deleted by its session's expiry is no longer the
+// session's: re-created persistently by another session, it survives the
+// expired session's Close.
 func TestEphemeralDeleteClearsSessionTracking(t *testing.T) {
-	srv, _ := newTestServer()
-	c := srv.Connect(time.Minute)
+	srv, clock := newTestServer()
+	c := srv.Connect(time.Second)
 	if _, err := c.Create("/tmp", nil, Ephemeral); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete("/tmp", -1); err != nil {
-		t.Fatal(err)
+	clock.Advance(2 * time.Second)
+	if err := c.Ping(); !errors.Is(err, ErrSessionExpired) {
+		t.Fatalf("ping after timeout err = %v", err)
 	}
-	// Re-create persistently; closing the session must not delete it.
 	obs := srv.Connect(time.Minute)
 	mustCreate(t, obs, "/tmp")
 	c.Close()
-	if ok, _ := obs.Exists("/tmp"); !ok {
-		t.Fatal("persistent node deleted by stale ephemeral tracking")
+	if _, err := obs.Get("/tmp"); err != nil {
+		t.Fatalf("persistent node deleted by stale ephemeral tracking: %v", err)
 	}
 }
