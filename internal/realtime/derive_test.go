@@ -68,8 +68,50 @@ func TestRollupTotalOutsideLevels(t *testing.T) {
 
 // TestDeriveTelemetry: the cost moved from the write path shows where it
 // went — the first prefix read after a write derives and says so, a second
-// read of the same clean buckets says nothing.
+// read of the same clean buckets says nothing. Over a day, whole hours come
+// from hour cells: a second read of a clean day derives nothing, and one
+// late write re-derives exactly its minute and its hour.
 func TestDeriveTelemetry(t *testing.T) {
+	t.Run("minutes", testDeriveMinutes)
+	t.Run("day", testDeriveDay)
+}
+
+func testDeriveDay(t *testing.T) {
+	c := newCounter(t, Config{Shards: 2})
+	midnight := t0.Truncate(24 * time.Hour)
+	var written int64
+	for m := 3; m < 1440; m += 7 {
+		c.Ingest(ev(tweetImpression, midnight.Add(time.Duration(m)*time.Minute), 1, "us"))
+		written++
+	}
+	c.Ingest(ev(tweetImpression, midnight.Add(1439*time.Minute), 1, "us")) // the day is the window, ring-clamped
+	written++
+	c.Sync()
+	from, to := midnight, midnight.Add(24*time.Hour)
+	read := func(when string, want, minutes, hours int64) {
+		t.Helper()
+		b0, h0 := tmDeriveBuckets.Value(), tmDeriveHours.Value()
+		if got := c.PathSum("web:home", from, to); got != want {
+			t.Fatalf("%s: PathSum = %d, want %d", when, got, want)
+		}
+		top := c.TopK("", 1, from, to)
+		if len(top) != 1 || top[0] != (PathCount{Path: "web", Count: want}) {
+			t.Fatalf("%s: TopK = %v, want web %d", when, top, want)
+		}
+		if b, h := tmDeriveBuckets.Value()-b0, tmDeriveHours.Value()-h0; b != minutes || h != hours {
+			t.Fatalf("%s: derived %d minutes and %d hour cells, want %d and %d", when, b, h, minutes, hours)
+		}
+	}
+	// Every minute written is its own bucket; every shard sums its 24 cells
+	// once, the one that holds nothing included.
+	read("first read", written, written, 24*2)
+	read("second read", written, 0, 0)
+	c.Ingest(ev(tweetImpression, midnight.Add(5*time.Hour+4*time.Minute), 1, "us"))
+	c.Sync()
+	read("after a late write", written+1, 1, 1)
+}
+
+func testDeriveMinutes(t *testing.T) {
 	c := newCounter(t, Config{Shards: 2})
 	for m := 0; m < 3; m++ {
 		c.Ingest(ev(tweetImpression, t0.Add(time.Duration(m)*time.Minute), 1, "us"))
@@ -154,9 +196,10 @@ func TestReadsHonourRetentionHorizon(t *testing.T) {
 	}
 }
 
-// TestIndexedProbeMatchesRingWalk: a window shorter than the ring probes
-// slots by minute, a wider one walks every slot; over the same live
-// minutes both must count the same buckets, wrapped slots included.
+// TestIndexedProbeMatchesRingWalk: every window is clamped to the live
+// minutes, [horizon, newest], and their slots probed by minute; a window
+// wider than the ring, one clamped to it and one inside it must count the
+// live buckets a walk of the whole ring would, wrapped slots included.
 func TestIndexedProbeMatchesRingWalk(t *testing.T) {
 	c := newCounter(t, Config{Shards: 2, Retention: 8 * time.Minute})
 	m0 := t0.Unix() / 60
@@ -175,9 +218,9 @@ func TestIndexedProbeMatchesRingWalk(t *testing.T) {
 		from, to int64
 		want     int64
 	}{
-		{m0 - 100, m0 + 100, live}, // wider than the ring: walked
-		{m0 + 5, m0 + 13, live},    // clamps to the ring's length: walked
-		{m0, m0 + 12, live - 13},   // horizon-clamped to 7 minutes: probed
+		{m0 - 100, m0 + 100, live}, // wider than the ring: clamped at both ends
+		{m0 + 5, m0 + 13, live},    // exactly the live minutes
+		{m0, m0 + 12, live - 13},   // horizon-clamped to 7 minutes
 		{m0 + 7, m0 + 9, 8 + 9},    // probed across the slot wrap
 		{m0 + 12, m0 + 13, 13},
 		{m0 + 4, m0 + 5, 0}, // behind the horizon
@@ -236,6 +279,34 @@ func BenchmarkApplyBatch(b *testing.B) {
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/event")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*n), "allocs/event")
+}
+
+// BenchmarkDayWindowRead is a dashboard's day-window reads over a clean
+// generated day: a root TopK, a client's TopK and a day PathSum per
+// iteration, each reading 24 hour cells per shard once a first read has
+// summed them.
+func BenchmarkDayWindowRead(b *testing.B) {
+	c := New(Config{})
+	defer c.Close()
+	evs, _ := workload.New(workload.DefaultConfig(day)).Generate()
+	batcher := c.NewBatcher()
+	for i := range evs {
+		batcher.Add(&evs[i])
+	}
+	batcher.Flush()
+	c.Sync()
+	from, to := day, day.Add(24*time.Hour)
+	read := func() int64 {
+		return int64(len(c.TopK("", 5, from, to))+len(c.TopK("web", 5, from, to))) + c.PathSum("web", from, to)
+	}
+	if read() == 0 {
+		b.Fatal("the generated day reads empty")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(3*b.N), "ns/read")
 }
 
 // TestApplySteadyStateAllocationFree: with its buckets made and its leaves

@@ -979,3 +979,35 @@ func TestSnapshotTelemetry(t *testing.T) {
 		t.Errorf("realtime.snapshot.leaves = %d, the rings hold %d leaves", got, leaves)
 	}
 }
+
+// TestSnapshotSkipsBucketsBehindHorizon: a bucket behind the retention
+// horizon whose slot has not been recycled is not live — reads and a load
+// both ignore it — so the capture leaves it out of the file and out of
+// realtime.snapshot.leaves.
+func TestSnapshotSkipsBucketsBehindHorizon(t *testing.T) {
+	at := func(minute int64) time.Time { return time.Unix(minute*60, 0) }
+	dir := t.TempDir()
+	cfg := durCfg(1)
+	cfg.Retention = 10 * time.Minute
+	d, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Crash()
+	d.Ingest(ev(tweetImpression, at(1000), 1, "us")) // slot 0
+	d.Ingest(ev(tweetImpression, at(1015), 1, "us")) // slot 5; the horizon moves to 1005
+	d.Sync()
+	if b := &d.shards[0].ring[1000%d.buckets]; b.minute != 1000 || len(b.leaf) != 1 {
+		t.Fatalf("slot 0 holds minute %d with %d leaves, want minute 1000 unrecycled", b.minute, len(b.leaf))
+	}
+	tmSnapshotLeaves.Set(0)
+	if err := d.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if _, records := snapshotLeaves(t, filepath.Join(dir, snapName(1))); !reflect.DeepEqual(records, map[[2]int64]int{{0, 1015}: 1}) {
+		t.Errorf("the file holds buckets %v, want minute 1015 alone", records)
+	}
+	if got := tmSnapshotLeaves.Value(); got != 1 {
+		t.Errorf("realtime.snapshot.leaves = %d, want the 1 leaf of minute 1015", got)
+	}
+}

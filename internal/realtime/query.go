@@ -29,72 +29,127 @@ func minuteRange(from, to time.Time) (int64, int64) {
 	return fm, tm
 }
 
+// readMode is what a window read takes from each bucket.
+type readMode uint8
+
+const (
+	// readLeaves hands fn minute buckets for their leaves and derives
+	// nothing: a rollup question must not pay for (or hide the staleness
+	// of) a cache it does not use.
+	readLeaves readMode = iota
+	// readMinutes hands fn minute buckets whose prefix caches are current.
+	readMinutes
+	// readHours hands fn an hour cell for every hour the window covers
+	// whole and a minute bucket for each minute at its edges, all with
+	// current prefix caches: for a reader that sums over the window and
+	// never asks which minute a count came from.
+	readHours
+)
+
 // forEachBucket invokes fn under the shard lock for every live bucket in
-// the window. A bucket at or behind the retention horizon is not live even
-// while its slot is unrecycled — writes there are dropped, so reads there
-// are empty (Config.Retention). When what is left of the window is shorter
-// than the ring, the slots of the minutes asked for are probed by index and
-// the cost follows the window; a wider window walks the ring once.
+// the window, or, reading hours, for every whole hour's cell and every live
+// edge minute. The window is first clamped to the minutes that can hold
+// counts, [horizon, maxMinute]: a bucket at or behind the retention horizon
+// is not live even while its slot is unrecycled — writes there are dropped,
+// so reads there are empty (Config.Retention) — and nothing lies beyond the
+// newest minute applied. What is left is at most a ring long, so each
+// minute's slot is probed by index, and a day-window read costs 24 cells
+// per shard (23 and at most 118 edge probes if it is not hour-aligned)
+// where it cost 1440 probes.
 //
-// With prefixes set, fn is going to read b.prefix, and a bucket written
-// since it was last read that way is derived first: the lock held is
-// exclusive, so the rebuild races nothing, and a clean bucket costs what it
-// always has. Rollup readers pass false — they read the leaves, and a
-// rollup question must not pay for (or hide the staleness of) a cache it
-// does not use.
-func (c *Counter) forEachBucket(from, to time.Time, prefixes bool, fn func(*bucket)) {
+// Reading prefixes, a bucket written since it was last read that way is
+// derived first: the lock held is exclusive, so the rebuild races nothing,
+// and a clean bucket costs what it always has. A stale or unclaimed hour
+// cell is rebuilt the same way (sumHour): the hour's stale minutes are
+// derived and the minute caches summed. A late write therefore costs the
+// next read one minute's derivation and one hour's sum of its minute caches.
+// realtime.derive.buckets counts the minutes derived, realtime.derive.hours
+// the cells summed, realtime.derive.ns the time one read spent on both.
+func (c *Counter) forEachBucket(from, to time.Time, mode readMode, fn func(*bucket)) {
 	fm, tm := minuteRange(from, to)
+	newest := c.maxMinute.Load()
 	// From minute 1: 0 is the empty-slot value and minutes before it index no slot.
-	fm = max(fm, c.maxMinute.Load()-int64(c.buckets)+1, 1)
-	var derived int64
-	var deriveTime time.Duration
+	fm = max(fm, newest-int64(c.buckets)+1, 1)
+	tm = min(tm, newest+1)
+	var minutes, hours int64
+	var spent time.Duration
 	// syms must cover every leaf of the shard being read, so it is fetched
 	// under that shard's lock, and only by a read that derives.
 	var syms []*nameSym
-	visit := func(b *bucket) {
-		if prefixes && b.stale {
-			t0 := time.Now()
-			if syms == nil {
-				syms = c.tab.symsSnapshot()
-			}
-			b.derive(syms)
-			derived++
-			deriveTime += time.Since(t0)
+	derive := func(b *bucket) {
+		if syms == nil {
+			syms = c.tab.symsSnapshot()
 		}
-		fn(b)
+		b.derive(syms)
+		minutes++
 	}
 	for _, s := range c.shards {
 		s.mu.Lock()
 		syms = nil
-		if n := int64(len(s.ring)); tm-fm < n {
-			for m, j := fm, fm%n; m < tm; m++ {
-				if b := &s.ring[j]; b.minute == m {
-					visit(b)
+		n, nh := int64(len(s.ring)), int64(len(s.hours))
+		for m := fm; m < tm; {
+			if mode == readHours && m%60 == 0 && tm-m >= 60 {
+				cell := &s.hours[m/60%nh]
+				if cell.stale || cell.minute != m {
+					t0 := time.Now()
+					s.sumHour(cell, m, derive)
+					hours++
+					spent += time.Since(t0)
 				}
-				if j++; j == n {
-					j = 0
-				}
+				fn(cell)
+				m += 60
+				continue
 			}
-		} else {
-			for j := range s.ring {
-				if b := &s.ring[j]; b.minute >= fm && b.minute < tm {
-					visit(b)
+			if b := &s.ring[m%n]; b.minute == m {
+				if mode != readLeaves && b.stale {
+					t0 := time.Now()
+					derive(b)
+					spent += time.Since(t0)
 				}
+				fn(b)
 			}
+			m++
 		}
 		s.mu.Unlock()
 	}
-	if derived > 0 {
-		tmDeriveBuckets.Add(derived)
-		tmDeriveNs.Observe(int64(deriveTime))
+	if minutes+hours > 0 {
+		tmDeriveBuckets.Add(minutes)
+		tmDeriveHours.Add(hours)
+		tmDeriveNs.Observe(int64(spent))
 	}
+}
+
+// sumHour rebuilds cell as the hour starting at minute first: every live
+// minute of it is derived if stale and its prefix cache added in. A cell
+// that held another hour is claimed for this one; summing the minutes is
+// right whatever it held. Callers hold the shard lock.
+func (s *shard) sumHour(cell *bucket, first int64, derive func(*bucket)) {
+	if cell.prefix == nil {
+		cell.prefix = make(map[uint32]int64, 2*events.NumComponents)
+	} else {
+		clear(cell.prefix)
+	}
+	n := int64(len(s.ring))
+	for m := first; m < first+60; m++ {
+		b := &s.ring[m%n]
+		if b.minute != m {
+			continue
+		}
+		if b.stale {
+			derive(b)
+		}
+		for id, v := range b.prefix {
+			cell.prefix[id] += v
+		}
+	}
+	cell.minute, cell.stale = first, false
 }
 
 // leafTotals sums the leaves of every live bucket in the window — what
 // both rollup readers expand. It never derives a prefix cache.
 func (c *Counter) leafTotals(from, to time.Time) map[uint64]int64 {
 	acc := make(map[uint64]int64)
-	c.forEachBucket(from, to, false, func(b *bucket) {
+	c.forEachBucket(from, to, readLeaves, func(b *bucket) {
 		for k, n := range b.leaf {
 			acc[k] += n
 		}
@@ -111,7 +166,7 @@ func (c *Counter) PathSum(path string, from, to time.Time) int64 {
 		return 0
 	}
 	var total int64
-	c.forEachBucket(from, to, true, func(b *bucket) {
+	c.forEachBucket(from, to, readHours, func(b *bucket) {
 		total += b.prefix[id]
 	})
 	return total
@@ -134,7 +189,7 @@ func (c *Counter) Series(path string, from, to time.Time) []int64 {
 	if !ok {
 		return out
 	}
-	c.forEachBucket(from, to, true, func(b *bucket) {
+	c.forEachBucket(from, to, readMinutes, func(b *bucket) {
 		out[b.minute-fm] += b.prefix[id]
 	})
 	return out
@@ -163,12 +218,13 @@ func (c *Counter) TopK(parent string, k int, from, to time.Time) []PathCount {
 		parentID = id
 	}
 	// A path has few children and a bucket holds every prefix of every
-	// name of its shard and minute, so the scan asks each bucket for the
-	// children by ID rather than walking its whole map; a bucket with
-	// fewer cells than there are children is walked instead.
+	// name of its shard and minute (an hour cell, of its hour), so the scan
+	// asks each bucket for the children by ID rather than walking its whole
+	// map; a bucket with fewer cells than there are children is walked
+	// instead.
 	children := c.tab.childrenOf(parentID)
 	counts := make([]int64, len(children))
-	c.forEachBucket(from, to, true, func(b *bucket) {
+	c.forEachBucket(from, to, readHours, func(b *bucket) {
 		if len(b.prefix) < len(children) {
 			for id, n := range b.prefix {
 				if i, ok := slices.BinarySearch(children, id); ok {

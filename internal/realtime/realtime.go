@@ -42,19 +42,32 @@
 //     distinct one into its five analytics.RollupKey rows, which makes the
 //     streaming path directly comparable with the warehouse batch job —
 //     Reconcile replays a sealed day and asserts exact agreement with
-//     analytics.Rollups.
+//     analytics.Rollups;
+//   - beside its minute ring a shard keeps a short ring of hour cells, each
+//     the sum of one hour's minute caches. The first write to a clean
+//     minute marks its hour's cell stale too, so PathSum and TopK take every
+//     hour a window covers whole from its cell — rebuilt from its minutes
+//     when stale — and read minute buckets only at the window's edges. A
+//     day-window read is ~24 cells per shard, not ~1440 minute probes; Series
+//     and the rollup readers keep reading minutes.
 //
 // What the write path no longer does the read side pays, bounded: a prefix
 // read that finds a bucket stale does about six map adds per leaf of that
-// bucket, once, however many events the leaves count (a generated day of
-// 80k events holds ~11 leaves in each of its ~4.6k buckets; the first
-// dashboard refresh after ingesting it derives them all, ~13 ms where a
-// refresh over clean buckets is ~1 ms); a clean bucket costs a read what it
-// always has. The case that pays repeatedly is a poller of a
-// minute still being written, which derives that one bucket per poll.
-// realtime.derive.buckets and realtime.derive.ns (telemetry.go) show both.
-// A snapshot pays none of it: the file holds the leaves as the buckets do
-// (snapshot.go), and a loaded bucket is derived like any other stale one.
+// bucket, once, however many events the leaves count, and one that finds an
+// hour cell stale adds up that hour's ≤ 60 minute caches. A generated day of
+// 80k events holds ~11 leaves in each of its ~4.6k buckets: the first
+// dashboard refresh after ingesting it derives them all and sums every
+// shard's 24 cells, and later refreshes over the clean day read cells alone,
+// a few hundred map reads where each day-window TopK used to walk 1440
+// minutes per shard (BenchmarkDayWindowRead). A late write costs the next
+// read one minute's derivation and one hour's sum. The case that pays
+// repeatedly is a poller of a minute still being written, which derives that
+// one bucket per poll.
+// realtime.derive.buckets, realtime.derive.hours and realtime.derive.ns
+// (telemetry.go) show all of it. A snapshot pays none of it: the file holds
+// the leaves as the buckets do (snapshot.go), cells are never written to
+// disk, and a loaded bucket and its hour are derived like any other stale
+// ones.
 //
 // Totals are distributive: a key's count is the sum of its per-shard,
 // per-bucket cells, so ingestion never coordinates across shards and
@@ -216,6 +229,13 @@ func leafFields(k uint64) (name, country uint32, loggedIn bool) {
 // the map from the leaves (derive). Staleness belongs to the bucket, not
 // to the clock: a replayed or late event dirties an old minute like any
 // other.
+//
+// An hour cell is a bucket too, one per hour in a shard's second, short
+// ring (shard.hours): minute is the hour's first minute, leaf stays nil,
+// and prefix is the sum of that hour's minute caches. A write that turns a
+// clean minute stale marks its hour's cell stale as well (shard.touchHour),
+// so a clean cell is exact, and the first prefix read to meet a stale one
+// rebuilds it from its minutes (sumHour).
 type bucket struct {
 	minute int64            // Unix minute this slot currently holds; 0 = empty
 	leaf   map[uint64]int64 // leafKey -> count; nil = slot never used
@@ -257,14 +277,21 @@ type shardMsg struct {
 	snap chan shardState
 }
 
-// shard owns one queue, one drain goroutine, and one ring of minute
-// buckets, which mu guards against concurrent readers.
+// shard owns one queue, one drain goroutine, one ring of minute buckets
+// and one ring of hour cells, which mu guards against concurrent readers.
 type shard struct {
 	idx  int
 	ch   chan shardMsg
 	mu   sync.Mutex
 	ring []bucket
-	wal  *walWriter // nil on memory-only counters; drain-goroutine-owned after start
+	// hours holds Retention/60 + 2 hour cells, indexed by Unix hour: enough
+	// that two hours sharing a cell are never both within the retention
+	// horizon, so the cell an hour claims on a write is not taken from an
+	// hour a read can still ask for whole. (A taken cell would be summed
+	// again on its next read, never read wrong: a cell is trusted only
+	// while it holds the hour asked for.)
+	hours []bucket
+	wal   *walWriter // nil on memory-only counters; drain-goroutine-owned after start
 	// applied counts events this shard has applied since start; dropped
 	// and evicted mirror the replay-derivable slices of DroppedOld and
 	// Evicted. All three are written only by the owning drain goroutine
@@ -359,9 +386,10 @@ func allocCounter(cfg Config) *Counter {
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		c.shards = append(c.shards, &shard{
-			idx:  i,
-			ch:   make(chan shardMsg, cfg.QueueDepth),
-			ring: make([]bucket, c.buckets),
+			idx:   i,
+			ch:    make(chan shardMsg, cfg.QueueDepth),
+			ring:  make([]bucket, c.buckets),
+			hours: make([]bucket, c.buckets/60+2),
 		})
 	}
 	return c
@@ -577,8 +605,9 @@ func (c *Counter) apply(s *shard, batch []obs) {
 }
 
 // applyOne counts one observation in its minute bucket — one increment of
-// its leaf, which marks the bucket's prefix cache stale — reporting whether
-// the event was applied (vs dropped behind the retention horizon). Nothing
+// its leaf, which marks the bucket's prefix cache stale (and, if it was
+// clean, its hour cell too) — reporting whether the event was applied (vs
+// dropped behind the retention horizon). Nothing
 // else may happen per event here: the drains hold the shard lock for it.
 // Callers hold the shard lock (or are single-threaded recovery) and account
 // the observed total (apply batches one atomic add per batch; recovery adds
@@ -610,11 +639,23 @@ func (c *Counter) applyOne(s *shard, o *obs) bool {
 			s.evicted++
 			c.evicted.Add(1)
 		}
-		b.minute = o.minute
+		// A recycled slot starts clean, so its first write marks the new
+		// minute's hour: the old minute's stale mark says nothing about it.
+		b.minute, b.stale = o.minute, false
 		b.leaf = make(map[uint64]int64, 2*events.NumComponents)
 	}
 	b.leaf[leafKey(o.sym.id, o.country, o.loggedIn)]++
-	b.stale = true
+	if !b.stale {
+		b.stale = true
+		s.touchHour(o.minute)
+	}
 	s.applied++
 	return true
+}
+
+// touchHour marks the hour cell of minute stale, claiming the cell for that
+// hour if an older one held it. Callers hold the shard lock.
+func (s *shard) touchHour(minute int64) {
+	h := &s.hours[minute/60%int64(len(s.hours))]
+	h.minute, h.stale = minute-minute%60, true
 }

@@ -242,13 +242,19 @@ func errOr(err error) error {
 }
 
 // loadBucket merges one snapshot bucket's resolved leaves into its shard's
-// ring; the bucket loads stale and its prefix sums are derived when first
-// read. The shard index is taken modulo the current configuration, so a
+// ring; the bucket and its hour cell load stale, and both are derived when
+// first read. The shard index is taken modulo the current configuration, so a
 // snapshot from a differently-sized counter still loads — totals are
 // distributive across placement, and collisions merge.
 func (c *Counter) loadBucket(sb *snapBucket) {
 	if sb.minute <= c.maxMinute.Load()-int64(c.buckets) {
 		return // behind the retention horizon
+	}
+	// A file's header holds the newest minute of its buckets; one that
+	// does not (a damaged file) raises it as a write of that minute would,
+	// because reads look no further than it.
+	if sb.minute > c.maxMinute.Load() {
+		c.maxMinute.Store(sb.minute)
 	}
 	s := c.shards[sb.shard%len(c.shards)]
 	b := &s.ring[int(sb.minute)%c.buckets]
@@ -265,6 +271,7 @@ func (c *Counter) loadBucket(sb *snapBucket) {
 		return
 	}
 	b.stale = true
+	s.touchHour(sb.minute)
 }
 
 // replaySegment re-applies every intact batch record in one WAL segment,

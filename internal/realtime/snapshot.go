@@ -92,7 +92,9 @@ type shardState struct {
 	err     error
 }
 
-// captureShard encodes every live bucket of a shard. With rotate it runs
+// captureShard encodes every live bucket of a shard — one behind the
+// retention horizon is not live even while its slot is unrecycled, and a
+// load would drop it anyway (loadBucket). With rotate it runs
 // on the shard's drain goroutine and first rotates the WAL so the
 // boundary is durable; without, the drains have exited (Close) and the
 // caller sets the boundary. The shard lock is held only against
@@ -110,10 +112,11 @@ func (c *Counter) captureShard(s *shard, rotate bool) shardState {
 		}
 		st.nextSeq = seq
 	}
+	horizon := c.maxMinute.Load() - int64(c.buckets)
 	s.mu.Lock()
 	for j := range s.ring {
 		b := &s.ring[j]
-		if b.leaf == nil {
+		if b.leaf == nil || b.minute <= horizon {
 			continue
 		}
 		st.recs = append(st.recs, encodeBucket(nil, s.idx, b.minute, b.leaf))

@@ -42,8 +42,11 @@ var (
 	// since a prefix query last read it; realtime.derive.ns is the time one
 	// query spent on those rebuilds, observed once per query that did any.
 	// A rising buckets rate under steady ingest is a poller re-reading
-	// minutes that are still being written.
+	// minutes that are still being written. realtime.derive.hours counts
+	// hour cells rebuilt because one of their minutes had been written (or
+	// the cell had never held that hour); derive.ns includes that time.
 	tmDeriveBuckets = telemetry.GetCounter("realtime.derive.buckets")
+	tmDeriveHours   = telemetry.GetCounter("realtime.derive.hours")
 	tmDeriveNs      = telemetry.GetHistogram("realtime.derive.ns")
 )
 
