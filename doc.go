@@ -62,9 +62,11 @@
 // at a time; Filter/Project/Union stream, and a Project directly on a
 // pushed-down scan folds into the scan instead), and the pipeline breakers —
 // GroupBy, GroupAll, Join, OrderBy — are external operators that buffer
-// their input and, each time dataflow.Job.MemoryBudget is exceeded, sort
-// the buffer on (rendered key, optional order column, insertion sequence)
-// and spill it as one budget-sized sorted run in a CRC-framed spill file
+// their input, numbering its distinct rendered keys, and, each time
+// dataflow.Job.MemoryBudget is exceeded, sort the buffer on (rendered key,
+// optional order column, insertion sequence) — the distinct keys ranked
+// once, the tuples moved by a counting sort on the ranks — and spill it
+// as one budget-sized sorted run in a CRC-framed spill file
 // (FuzzSpillRecord holds the run-record decoder to ErrCorrupt /
 // ErrTruncated on any bytes). The reduce side is a streaming k-way merge
 // over the runs (cascaded first when there are more than 64 of them):

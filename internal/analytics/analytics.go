@@ -29,8 +29,23 @@ import (
 )
 
 // Matcher selects event names. events.Pattern.MatchesString and
-// regexp.MatchString both satisfy it.
+// regexp.MatchString both satisfy it. A matcher must be a pure function of
+// the name: the raw-log queries ask it once per distinct name and reuse
+// the answer for every later event with that name.
 type Matcher func(name string) bool
+
+// memo returns m answering each distinct name once.
+func (m Matcher) memo() Matcher {
+	seen := make(map[string]bool)
+	return func(name string) bool {
+		ok, hit := seen[name]
+		if !hit {
+			ok = m(name)
+			seen[name] = ok
+		}
+		return ok
+	}
+}
 
 // MatcherFromPattern adapts a wildcard pattern.
 func MatcherFromPattern(p string) (Matcher, error) {
@@ -147,6 +162,7 @@ func CountRawDay(j *dataflow.Job, day time.Time, m Matcher) (CountReport, error)
 		return rep, err
 	}
 	defer g.Close()
+	m = m.memo()
 	nameIdx := 2
 	tsIdx := 3
 	gapMs := session.InactivityGap.Milliseconds()

@@ -198,6 +198,10 @@ func FunnelRawDay(j *dataflow.Job, day time.Time, stageMatch []Matcher) (Report,
 		return rep, err
 	}
 	defer g.Close()
+	stages := make([]Matcher, len(stageMatch))
+	for i, m := range stageMatch {
+		stages[i] = m.memo()
+	}
 	gapMs := session.InactivityGap.Milliseconds()
 	err = g.EachGroup(func(key dataflow.Tuple, group []dataflow.Tuple) error {
 		stage := 0
@@ -209,7 +213,7 @@ func FunnelRawDay(j *dataflow.Job, day time.Time, stageMatch []Matcher) (Report,
 			if i > 0 && t[3].(int64)-group[i-1][3].(int64) > gapMs {
 				flush()
 			}
-			if stage < len(stageMatch) && stageMatch[stage](t[2].(string)) {
+			if stage < len(stages) && stages[stage](t[2].(string)) {
 				stage++
 			}
 		}

@@ -181,11 +181,9 @@ func (f EventsFormat) readChunk(fs *hdfs.FS, metaFile string, emit func(dataflow
 	}
 	tmChunksScanned.Inc()
 	out := f.outCols()
-	cols := make([]chunk.Set, len(out))
 	var need chunk.Set
-	for i, col := range out {
-		cols[i] = chunk.ColumnOf(col)
-		need |= cols[i]
+	for _, col := range out {
+		need |= chunk.ColumnOf(col)
 	}
 	byName := f.sel.NamePattern != ""
 	byTime := f.sel.TimeMin != 0 || f.sel.TimeMax != 0
@@ -207,6 +205,10 @@ func (f EventsFormat) readChunk(fs *hdfs.FS, metaFile string, emit func(dataflow
 			nameOK[id] = f.pat.MatchesString(name)
 		}
 	}
+	cols := make([]columnReader, len(out))
+	for i, col := range out {
+		cols[i] = readerOf(&cc, chunk.ColumnOf(col))
+	}
 	for row := 0; row < m.Rows; row++ {
 		if byName && !nameOK[cc.Name.IDs[row]] {
 			continue
@@ -215,8 +217,8 @@ func (f EventsFormat) readChunk(fs *hdfs.FS, metaFile string, emit func(dataflow
 			continue
 		}
 		t := make(dataflow.Tuple, len(out))
-		for i, col := range cols {
-			t[i] = value(&cc, col, row)
+		for i, read := range cols {
+			t[i] = read(row)
 		}
 		if err := emit(t); err != nil {
 			return err
@@ -225,28 +227,47 @@ func (f EventsFormat) readChunk(fs *hdfs.FS, metaFile string, emit func(dataflow
 	return nil
 }
 
-// value renders one column of one row as its dataflow tuple value —
-// identical to what ClientEventFormat emits for the same event.
-func value(cc *chunk.Columns, col chunk.Set, row int) any {
+// columnReader renders one row of one loaded chunk column as its dataflow
+// tuple value — identical to what ClientEventFormat emits for the same
+// event.
+type columnReader func(row int) any
+
+// readerOf builds the reader of one column of a loaded chunk.
+func readerOf(cc *chunk.Columns, col chunk.Set) columnReader {
 	switch col {
 	case chunk.Initiator:
-		return events.Initiator(cc.Initiator[row]).String()
+		return func(row int) any { return events.Initiator(cc.Initiator[row]).String() }
 	case chunk.Name:
-		return cc.Name.At(row)
+		return dictReader(cc.Name)
 	case chunk.UserID:
-		return cc.UserID[row]
+		return func(row int) any { return cc.UserID[row] }
 	case chunk.SessionID:
-		return cc.SessionID.At(row)
+		return dictReader(cc.SessionID)
 	case chunk.IP:
-		return cc.IP.At(row)
+		return dictReader(cc.IP)
 	case chunk.Timestamp:
-		return cc.Timestamp[row]
+		return func(row int) any { return cc.Timestamp[row] }
 	case chunk.LoggedIn:
-		return cc.LoggedIn[row] == 1
+		return func(row int) any { return cc.LoggedIn[row] == 1 }
 	case chunk.Details:
-		return cc.Details.At(row)
+		return func(row int) any { return cc.Details.At(row) }
 	}
-	panic("columnar: value of unknown column")
+	panic("columnar: reader of unknown column")
+}
+
+// dictReader boxes each dictionary entry into an any the first time a row
+// uses it and hands that same any to every later row with the entry's ID:
+// one allocation per distinct value per chunk rather than one per row,
+// and none for the entries a selective scan never emits.
+func dictReader(d chunk.DictColumn) columnReader {
+	boxed := make([]any, len(d.Dict))
+	return func(row int) any {
+		id := d.IDs[row]
+		if boxed[id] == nil {
+			boxed[id] = d.Dict[id]
+		}
+		return boxed[id]
+	}
 }
 
 // LoadDay loads one UTC day of client events through the columnar source

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"unilog/internal/chunk"
+	"unilog/internal/dataflow"
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
 	"unilog/internal/recordio"
@@ -93,6 +94,44 @@ func TestSealAllocatesPerChunkNotPerEvent(t *testing.T) {
 	_, allocs := timedSeal(t, fs)
 	if perEvent := float64(allocs) / float64(n); perEvent > 2 {
 		t.Fatalf("sealing %d events allocated %d objects, %.2f per event; want at most 2", n, allocs, perEvent)
+	}
+}
+
+// TestChunkScanBoxesEachDictionaryEntryOnce holds the sealed scan to what a
+// row costs: the tuple. Name and ip come out of per-chunk dictionaries, and
+// each entry is boxed into an interface value once per chunk and shared by
+// every row that uses it; boxing the string per row cost 3.0 allocations a
+// row on this hour with rollup's three columns.
+func TestChunkScanBoxesEachDictionaryEntryOnce(t *testing.T) {
+	fs, n := generatedHour(t, 100)
+	timedSeal(t, fs)
+	sel := dataflow.Selection{Columns: []string{"name", "ip", "logged_in"}}
+	scan := func() (int, uint64) {
+		j := dataflow.NewJob("chunkscan", fs)
+		j.Parallelism = 1
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d, err := LoadDay(j, testDay, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		if err := d.Each(func(dataflow.Tuple) error {
+			rows++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return rows, after.Mallocs - before.Mallocs
+	}
+	scan()
+	rows, allocs := scan()
+	if rows != n {
+		t.Fatalf("scanned %d of %d events", rows, n)
+	}
+	if perRow := float64(allocs) / float64(rows); perRow > 1.5 {
+		t.Fatalf("scanning %d sealed rows allocated %d objects, %.2f per row; want at most 1.5", rows, allocs, perRow)
 	}
 }
 

@@ -27,11 +27,13 @@
 //     the bytes are decoded).
 //   - GroupBy, GroupAll, Join, and OrderBy are the pipeline breakers, and
 //     they are external operators with a *sort-merge* shuffle, like the
-//     Hadoop jobs they model: input tuples are buffered with their
-//     rendered key in one buffer and — each time the buffered bytes exceed
-//     Job.MemoryBudget — sorted on (rendered key, optional order column,
-//     insertion sequence) and appended to a CRC-framed spill file as one
-//     budget-sized sorted run (spill.go). The reduce side is a streaming
+//     Hadoop jobs they model: input tuples are buffered in one buffer that
+//     numbers their distinct rendered keys and — each time the buffered
+//     bytes exceed Job.MemoryBudget — sorted on (rendered key, optional
+//     order column, insertion sequence) and appended to a CRC-framed spill
+//     file as one budget-sized sorted run (spill.go). The sort compares
+//     the distinct keys once to rank them and moves the tuples by a
+//     counting sort on those ranks. The reduce side is a streaming
 //     k-way merge over the runs (merge.go): groups arrive in global key
 //     order with ordered tuples inside, reducers fold each group as it
 //     streams by without any per-group hash map, and OrderBy is a merge

@@ -95,7 +95,7 @@ func (c *memRun) advance() error {
 	return nil
 }
 
-func (c *memRun) key() []byte  { return c.st.key(&c.st.mem[c.i]) }
+func (c *memRun) key() []byte  { return c.st.key(c.st.mem[c.i].kid) }
 func (c *memRun) seq() uint64  { return c.st.mem[c.i].seq }
 func (c *memRun) tuple() Tuple { return c.st.mem[c.i].t }
 

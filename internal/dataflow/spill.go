@@ -3,10 +3,11 @@ package dataflow
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"time"
 
 	"unilog/internal/recordio"
@@ -15,16 +16,21 @@ import (
 // An external operator (GroupBy, GroupAll, Join, OrderBy) cannot assume
 // its input fits in memory. spillTable is the shared machinery, and — like
 // the sort-merge shuffle of the MapReduce jobs this engine models — it is
-// sort-based: tuples are buffered with their rendered key, and when the
-// buffered bytes exceed Job.MemoryBudget the buffer is *sorted* (key, then
-// the optional order column, then insertion sequence) and appended to the
-// table's spill file as one budget-sized sorted run. The reduce side is a
-// streaming k-way merge over every run plus the sorted in-memory residue
-// (merge.go): tuples arrive in global (key, order, sequence) order, so
-// reducers fold group boundaries as they stream by and never hold a
-// per-group hash map — peak reduce memory is the merge heap plus one
-// buffered tuple per run. With MemoryBudget <= 0 the budget never trips:
-// the same table with one never-spilled run, and identical output order.
+// sort-based: each tuple's key is rendered once, and the buffer numbers
+// its distinct rendered keys (Pinot-style dictionary encoding), so a
+// buffered tuple carries a small key ID rather than its own copy of the
+// key. When the buffered bytes exceed Job.MemoryBudget the buffer is
+// *sorted* (key, then the optional order column, then insertion sequence)
+// and appended to the table's spill file as one budget-sized sorted run.
+// The sort compares rendered keys only to rank the distinct ones; the
+// tuples themselves move by a counting sort on those ranks (sortMem). The
+// reduce side is a streaming k-way merge over every run plus the sorted
+// in-memory residue (merge.go): tuples arrive in global (key, order,
+// sequence) order, so reducers fold group boundaries as they stream by
+// and never hold a per-group hash map — peak reduce memory is the merge
+// heap plus one buffered tuple per run. With MemoryBudget <= 0 the budget
+// never trips: the same table with one never-spilled run, and identical
+// output order.
 
 // sortKey is the optional secondary order of a spill table: tuples with
 // equal keys are delivered ordered by the col'th tuple column, descending
@@ -40,7 +46,7 @@ type sortKey struct {
 var noSort = sortKey{col: -1}
 
 // less orders two records by (rendered key, order column, insertion
-// sequence) — the one comparator behind both the run sort (sortMem) and
+// sequence) — the order of the runs sortMem writes and the comparator of
 // the merge heap (merge.go), so the merge preserves the runs' order
 // globally. Sequences are unique, so the order is total.
 func (o sortKey) less(ka, kb []byte, ta, tb Tuple, sa, sb uint64) bool {
@@ -58,15 +64,15 @@ func (o sortKey) less(ka, kb []byte, ta, tb Tuple, sa, sb uint64) bool {
 	return sa < sb
 }
 
-// memTuple is one buffered tuple: its rendered key (an arena slice), its
-// global insertion sequence (the stability tiebreak), and the tuple. The
-// arena offset is an int: an unbudgeted table never resets the arena, so
-// a narrower offset could silently wrap on a multi-GiB key volume.
+// memTuple is one buffered tuple: the buffer's number for its rendered key
+// (spillTable.key), its order column when that is an integer kind (ord;
+// see ordMixed), its global insertion sequence (the stability tiebreak),
+// and the tuple.
 type memTuple struct {
-	keyOff int
-	keyLen int
-	seq    uint64
-	t      Tuple
+	kid uint32
+	ord int64
+	seq uint64
+	t   Tuple
 }
 
 // runRef is one sorted run on disk: a section of the table's spill file,
@@ -88,9 +94,19 @@ type spillTable struct {
 	budget int64 // <= 0: unlimited (never spills)
 	seq    uint64
 
-	mem      []memTuple
+	mem []memTuple
+	// The distinct keys buffered since the last spill: keyIDs numbers them
+	// in first-seen order, and key kid is keyArena[keyEnds[kid-1]:keyEnds[kid]].
+	// Arena offsets are ints: an unbudgeted table never resets the arena,
+	// so a narrower offset could silently wrap on a multi-GiB key volume.
+	keyIDs   map[string]uint32
+	keyEnds  []int
 	keyArena []byte
-	memBytes int64 // tuple+key bytes currently buffered
+	// ordMixed is set once a buffered order value is not an int64, int32
+	// or int; sortMem then compares the values themselves, not ord.
+	ordMixed bool
+	memBytes int64      // tuple+key bytes currently buffered, charged per tuple
+	sortBuf  []memTuple // sortMem's counting-sort destination, swapped with mem
 	scratch  []byte
 	encBuf   []byte
 
@@ -115,9 +131,13 @@ func (st *spillTable) spillDir() string {
 	return os.TempDir()
 }
 
-// key returns the rendered key of a buffered tuple.
-func (st *spillTable) key(m *memTuple) []byte {
-	return st.keyArena[m.keyOff : m.keyOff+m.keyLen]
+// key returns the rendered key numbered kid.
+func (st *spillTable) key(kid uint32) []byte {
+	start := 0
+	if kid > 0 {
+		start = st.keyEnds[kid-1]
+	}
+	return st.keyArena[start:st.keyEnds[kid]]
 }
 
 // add buffers one tuple, charging the shuffle and spilling a sorted run
@@ -130,9 +150,30 @@ func (st *spillTable) add(t Tuple) error {
 	if len(st.keyIdx) > 0 {
 		st.scratch = appendKey(st.scratch, t, st.keyIdx)
 	}
-	off := len(st.keyArena)
-	st.keyArena = append(st.keyArena, st.scratch...)
-	st.mem = append(st.mem, memTuple{keyOff: off, keyLen: len(st.scratch), seq: st.seq, t: t})
+	kid, ok := st.keyIDs[string(st.scratch)]
+	if !ok {
+		if st.keyIDs == nil {
+			st.keyIDs = make(map[string]uint32)
+		}
+		kid = uint32(len(st.keyEnds))
+		st.keyIDs[string(st.scratch)] = kid
+		st.keyArena = append(st.keyArena, st.scratch...)
+		st.keyEnds = append(st.keyEnds, len(st.keyArena))
+	}
+	m := memTuple{kid: kid, seq: st.seq, t: t}
+	if st.order.col >= 0 {
+		switch v := t[st.order.col].(type) {
+		case int64:
+			m.ord = v
+		case int32:
+			m.ord = int64(v)
+		case int:
+			m.ord = int64(v)
+		default:
+			st.ordMixed = true
+		}
+	}
+	st.mem = append(st.mem, m)
 	st.seq++
 	st.memBytes += b + int64(len(st.scratch)) // the rendered key is buffered too
 	if st.budget > 0 && st.memBytes > st.budget {
@@ -163,13 +204,77 @@ func (st *spillTable) fill(d *Dataset) error {
 }
 
 // sortMem orders the buffer by (key, order column, sequence) — the run
-// order the merge relies on; the sort is stable by construction.
+// order the merge relies on, the same total order as sortKey.less. It
+// ranks the distinct keys (the only place rendered keys are compared),
+// moves the tuples by a stable counting sort on those ranks — the buffer
+// is in sequence order, so each key's bucket stays in sequence order —
+// and, with an order column, sorts each bucket by (order, sequence).
 func (st *spillTable) sortMem() {
+	if n := len(st.keyEnds); n > 1 {
+		byKey := make([]uint32, n)
+		for i := range byKey {
+			byKey[i] = uint32(i)
+		}
+		slices.SortFunc(byKey, func(a, b uint32) int { return bytes.Compare(st.key(a), st.key(b)) })
+		rank := make([]uint32, n)
+		for r, kid := range byKey {
+			rank[kid] = uint32(r)
+		}
+		next := make([]int, n) // next[r]: where bucket r's next tuple goes
+		for i := range st.mem {
+			next[rank[st.mem[i].kid]]++
+		}
+		pos := 0
+		for r, c := range next {
+			next[r] = pos
+			pos += c
+		}
+		out := slices.Grow(st.sortBuf[:0], len(st.mem))[:len(st.mem)]
+		for i := range st.mem {
+			r := rank[st.mem[i].kid]
+			out[next[r]] = st.mem[i]
+			next[r]++
+		}
+		clear(st.mem)
+		st.mem, st.sortBuf = out, st.mem[:0]
+	}
+	if st.order.col < 0 {
+		return
+	}
+	byOrder := st.bucketOrder()
 	mem := st.mem
-	sort.Slice(mem, func(i, j int) bool {
-		a, b := &mem[i], &mem[j]
-		return st.order.less(st.key(a), st.key(b), a.t, b.t, a.seq, b.seq)
-	})
+	for lo := 0; lo < len(mem); {
+		hi := lo + 1
+		for hi < len(mem) && mem[hi].kid == mem[lo].kid {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(mem[lo:hi], byOrder)
+		}
+		lo = hi
+	}
+}
+
+// bucketOrder returns the (order column, sequence) comparator of one key's
+// bucket: on the captured integers, or — once a buffered value was not an
+// integer kind — on compareValues, as sortKey.less does.
+func (st *spillTable) bucketOrder() func(a, b memTuple) int {
+	col, desc, mixed := st.order.col, st.order.desc, st.ordMixed
+	return func(a, b memTuple) int {
+		var c int
+		if mixed {
+			c = compareValues(a.t[col], b.t[col])
+		} else {
+			c = cmp.Compare(a.ord, b.ord)
+		}
+		if desc {
+			c = -c
+		}
+		if c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	}
 }
 
 // spill sorts the buffer, appends it to the spill file as one sorted run,
@@ -191,7 +296,7 @@ func (st *spillTable) spill() error {
 	for i := range st.mem {
 		m := &st.mem[i]
 		var err error
-		st.encBuf, err = appendRunRec(st.encBuf[:0], st.key(m), m.seq, m.t)
+		st.encBuf, err = appendRunRec(st.encBuf[:0], st.key(m.kid), m.seq, m.t)
 		if err != nil {
 			return err
 		}
@@ -211,7 +316,10 @@ func (st *spillTable) spill() error {
 	// Drop the tuple references: the budget exists to bound live tuples.
 	clear(st.mem)
 	st.mem = st.mem[:0]
+	clear(st.keyIDs)
+	st.keyEnds = st.keyEnds[:0]
 	st.keyArena = st.keyArena[:0]
+	st.ordMixed = false
 	st.memBytes = 0
 	return nil
 }
@@ -221,6 +329,7 @@ func (st *spillTable) spill() error {
 // On error the table has been cleaned up.
 func (st *spillTable) finish() error {
 	st.sortMem()
+	st.keyIDs, st.sortBuf = nil, nil // no more adds, no more sorts
 	if st.f == nil {
 		return nil
 	}
@@ -271,8 +380,8 @@ func (st *spillTable) Close() error {
 	}
 	st.path = ""
 	st.runs = nil
-	st.mem = nil
-	st.keyArena = nil
+	st.mem, st.sortBuf = nil, nil
+	st.keyIDs, st.keyEnds, st.keyArena = nil, nil, nil
 	st.memBytes = 0
 	return err
 }

@@ -65,12 +65,21 @@ type EventName struct {
 }
 
 // ParseName parses a colon-separated six-component event name. It returns
-// an error unless the name has exactly six components and validates.
+// an error unless the name has exactly six components and validates. A
+// valid name allocates nothing: the components are substrings of s.
 func ParseName(s string) (EventName, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) != NumComponents {
-		return EventName{}, fmt.Errorf("events: name %q has %d components, want %d", s, len(parts), NumComponents)
+	var parts [NumComponents]string
+	rest := s
+	for i := 0; i < NumComponents-1; i++ {
+		var ok bool
+		if parts[i], rest, ok = strings.Cut(rest, ":"); !ok {
+			return EventName{}, componentCountError(s)
+		}
 	}
+	if strings.IndexByte(rest, ':') >= 0 {
+		return EventName{}, componentCountError(s)
+	}
+	parts[NumComponents-1] = rest
 	n := EventName{
 		Client:    parts[CompClient],
 		Page:      parts[CompPage],
@@ -83,6 +92,10 @@ func ParseName(s string) (EventName, error) {
 		return EventName{}, err
 	}
 	return n, nil
+}
+
+func componentCountError(s string) error {
+	return fmt.Errorf("events: name %q has %d components, want %d", s, strings.Count(s, ":")+1, NumComponents)
 }
 
 // MustParseName is ParseName for statically known names; it panics on error.

@@ -3,6 +3,7 @@ package events
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -51,6 +52,68 @@ func TestParseNameErrors(t *testing.T) {
 		if _, err := ParseName(c); err == nil {
 			t.Errorf("ParseName(%q) succeeded, want error", c)
 		}
+	}
+}
+
+// splitParseName is ParseName as it was written over strings.Split: the
+// reference the cut loop must agree with, error text included.
+func splitParseName(s string) (EventName, error) {
+	parts := strings.Split(s, ":")
+	if len(parts) != NumComponents {
+		return EventName{}, fmt.Errorf("events: name %q has %d components, want %d", s, len(parts), NumComponents)
+	}
+	n := EventName{
+		Client: parts[CompClient], Page: parts[CompPage], Section: parts[CompSection],
+		Component: parts[CompComponent], Element: parts[CompElement], Action: parts[CompAction],
+	}
+	if err := n.Validate(); err != nil {
+		return EventName{}, err
+	}
+	return n, nil
+}
+
+// TestParseNameMatchesSplitReference: names of 1 to 9 components (0 to 8
+// colons) built from valid, empty, uppercase and otherwise invalid
+// components parse to the same EventName, or fail with the same error
+// text, as the strings.Split reference.
+func TestParseNameMatchesSplitReference(t *testing.T) {
+	comps := []string{"", "web", "home", "a1_b-c", "profile_click", "Web", "camelCase", "ho me", "x.y", "*"}
+	rng := rand.New(rand.NewSource(29))
+	cases := []string{"", ":", "::::::", ":::::", paperExample, strings.ToUpper(paperExample)}
+	for colons := 0; colons <= 8; colons++ {
+		for i := 0; i < 300; i++ {
+			parts := make([]string, colons+1)
+			for k := range parts {
+				parts[k] = comps[rng.Intn(len(comps))]
+			}
+			cases = append(cases, strings.Join(parts, ":"))
+		}
+	}
+	valid := 0
+	for _, s := range cases {
+		got, gotErr := ParseName(s)
+		want, wantErr := splitParseName(s)
+		if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("ParseName(%q) = %+v, %v; reference %+v, %v", s, got, gotErr, want, wantErr)
+		}
+		if gotErr == nil {
+			valid++
+		}
+	}
+	if valid == 0 {
+		t.Fatal("no generated name was valid: the table tests only the error paths")
+	}
+}
+
+// TestParseNameAllocatesNothing: a valid name parses into substrings of
+// its input; the streaming taps and the row filter call this per event.
+func TestParseNameAllocatesNothing(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ParseName(paperExample); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("ParseName allocated %.1f times per valid name, want 0", allocs)
 	}
 }
 
