@@ -87,11 +87,18 @@
 // workload (bench/README.md) rolls up, sessionizes and sorts a larger
 // day under the same budget and checks every answer against an oracle.
 // The §3.2 rollup job runs map-combine-reduce: a map-side
-// combiner counts events by interned (full name, country, logged-in) —
-// one map write per event, ParseName and the five rolled names computed
-// once per distinct name — and expands each distinct combination into
-// its five rollup rows when the scan ends, so only distinct partial
-// counts shuffle.
+// combiner counts events by (name ID, country, logged-in) — one
+// name-table lookup and one map write per event — and expands each
+// distinct combination through the name's five rolled names when the scan
+// ends, so only distinct partial counts shuffle.
+//
+// Event names are numbered once per process, in the events name table
+// (names.go): a valid name is validated and digested the first time it is
+// seen into an events.NameEntry — a dense ID, six hierarchy-prefix path IDs,
+// five rolled names, a hash — and later lookups, by message bytes, string or
+// parsed name, are one read-locked map read. Counters key leaves by the ID
+// and shard by the hash, the cluster router partitions by the hash, the
+// rollup combiner counts by the ID. Nothing on disk holds these IDs.
 //
 // Sealed warehouse hours additionally carry a columnar encoding
 // (internal/columnar seals and scans it; the layout, its one encoder and
@@ -209,12 +216,13 @@
 // soon as it lands — and realtime.Reconcile replays a sealed day through
 // the counters to prove both paths compute identical §3.2 rollup tables.
 //
-// The counter hot path is interned: a concurrent, read-mostly symbol
-// table digests each distinct event name once — its six hierarchy
-// prefixes, five §3.2 rollup names, and shard routing cached
-// behind dense integer IDs — so steady-state ingestion is an
-// allocation-free read-locked lookup plus one integer-keyed increment, and
-// query results resolve IDs back to strings only at the edges. A minute
+// The counter hot path is interned: each event's name resolves to its
+// events.NameEntry — hierarchy prefixes, §3.2 rollup names and hash
+// digested once per process — and its country to a per-counter ID, so
+// steady-state ingestion is an allocation-free read-locked lookup plus one
+// integer-keyed increment, and query results resolve IDs back to strings
+// only at the edges; a read of a path the counter never counted (most, on
+// a cluster partition) costs nothing. A minute
 // bucket is its leaf table, (name, country, logged-in) → count: §3.2
 // defines every prefix count and rollup row as a sum over full names, so
 // the write path counts the leaf and marks the bucket stale, PathSum,
@@ -233,7 +241,7 @@
 // over the compact-Thrift message (every field read or skipped, so a
 // damaged message fails as ClientEvent.Decode, which is built on the same
 // walk, fails it), the name is looked up by its bytes in the message and
-// parsed and validated only the first time those bytes are seen, and the
+// parsed and validated only the first time the process sees them, and the
 // country is read off the IP bytes. Three doors lead to the counters and
 // meet at one digested observation: Batcher.Add and Counter.Ingest for
 // decoded events (Reconcile, tests), Batcher.AddObservation for an event
@@ -260,8 +268,9 @@
 // capture reads the leaves as they stand and a load maps the file's IDs
 // into its own and derives prefix sums when they are first read. Formats
 // v1 and v2 are retired: a directory last written by a binary from before
-// v3 recovers from its WAL tail only. After a crash, Open rebuilds the
-// symbol table and replays the newest valid snapshot plus the WAL tail —
+// v3 recovers from its WAL tail only. After a crash, Open numbers the
+// snapshot's dictionary into the name table and replays the newest valid
+// snapshot plus the WAL tail —
 // tolerating a torn final
 // record, flipped bits, damaged or missing snapshots, and a changed
 // shard count (replay re-digests every name) — so a restarted shard
@@ -273,10 +282,11 @@
 // Dynamo-style map — event name to one of P fixed partitions, partition
 // to R distinct nodes on a virtual-point ring, computed once at startup
 // so crashes divert writes to hints rather than re-route the ring).
-// The router reads each tapped message's events.Header, interns its name
-// once per distinct name into (owned string, partition), and queues a
-// 56-byte routed realtime.Observation — nothing that aliases the Scribe
-// buffer, no ClientEvent. Every event lands on all R replicas through one
+// The router reads each tapped message's events.Header, looks its name up
+// in the events name table by its bytes, takes the partition from the
+// entry's hash, and queues a 56-byte routed realtime.Observation carrying
+// the entry's name — nothing that aliases the Scribe buffer, no
+// ClientEvent. Every event lands on all R replicas through one
 // send queue per node; a delivery feeds one Batcher per partition counter
 // and flushes them before it lets go of the node, so N delivered events
 // cost each partition's WAL one record, not N (Config.FsyncEvery on a

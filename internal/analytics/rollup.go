@@ -35,8 +35,9 @@ type RollupKey struct {
 //
 // The job runs map-combine-reduce: events stream off the scan (one split in
 // memory at a time), a map-side combiner counts them by interned (full
-// name, country, logged-in) — one map write per event — and expands each
-// distinct combination into its five rollup rows once, when the scan ends.
+// name, country, logged-in) — one name-table lookup and one map write per
+// event — and expands each distinct combination into its five rollup rows
+// once, when the scan ends.
 // Only those partials — a relation the size of the distinct key space, not
 // five times the event count — shuffle into the final GroupBy, which
 // spills under Job.MemoryBudget like any external operator.
@@ -119,13 +120,12 @@ func Rollups(j *dataflow.Job, day time.Time) (map[RollupKey]int64, error) {
 }
 
 // rollupCombiner is the map side of Rollups: a count per distinct (full
-// event name, country, logged-in) over interned IDs. Everything derived
-// from the name — ParseName and the five §3.2 rolled names — is computed
-// once per distinct name; the country is resolved per event (no per-IP
-// table: addresses are nearly as many as events) and interned.
+// event name, country, logged-in) over interned IDs. The name's ID and its
+// five §3.2 rolled names come from the events name table, which computed
+// them the first time the process saw the name; the country is resolved
+// per event (no per-IP table: addresses are nearly as many as events) and
+// interned.
 type rollupCombiner struct {
-	names     map[string]uint32 // full name -> index into rolled
-	rolled    []*[events.NumRollupLevels]string
 	countries []string
 	counts    map[combineKey]int64
 }
@@ -137,28 +137,16 @@ type combineKey struct {
 }
 
 func newRollupCombiner() *rollupCombiner {
-	return &rollupCombiner{names: make(map[string]uint32), counts: make(map[combineKey]int64)}
+	return &rollupCombiner{counts: make(map[combineKey]int64)}
 }
 
 // add counts one event. Malformed names are dropped.
 func (c *rollupCombiner) add(name, ip string, loggedIn bool) {
-	id, ok := c.names[name]
-	if !ok {
-		id = uint32(len(c.rolled))
-		c.names[name] = id
-		var rolled *[events.NumRollupLevels]string // nil marks a malformed name
-		if parsed, err := events.ParseName(name); err == nil {
-			rolled = new([events.NumRollupLevels]string)
-			for lvl := range rolled {
-				rolled[lvl] = parsed.Rollup(events.RollupLevel(lvl)).String()
-			}
-		}
-		c.rolled = append(c.rolled, rolled)
-	}
-	if c.rolled[id] == nil {
+	e, err := events.Lookup(name)
+	if err != nil {
 		return
 	}
-	c.counts[combineKey{name: id, country: c.country(geo.CountryOf(ip)), loggedIn: loggedIn}]++
+	c.counts[combineKey{name: e.ID, country: c.country(geo.CountryOf(ip)), loggedIn: loggedIn}]++
 }
 
 // country interns a country code; there are a handful, so a scan beats a
@@ -176,9 +164,10 @@ func (c *rollupCombiner) country(code string) uint32 {
 // partials expands every cell into its five rollup rows: the table a
 // per-event fold of those rows would have built.
 func (c *rollupCombiner) partials() map[RollupKey]int64 {
+	names := events.NameEntries()
 	partial := make(map[RollupKey]int64, len(c.counts))
 	for k, n := range c.counts {
-		for lvl, name := range c.rolled[k.name] {
+		for lvl, name := range names[k.name].Rolled {
 			partial[RollupKey{
 				Level:    events.RollupLevel(lvl),
 				Name:     name,

@@ -22,8 +22,8 @@
 // Writes. Ingest (or the scribe TapBatch) routes every accepted event
 // to all R replicas of its partition through one send queue per node,
 // the only place an undelivered event waits. What is routed, queued and
-// parked is a realtime.Observation — the router's interned copy of the
-// name, the minute, a country constant, the login bit: 56 bytes with its
+// parked is a realtime.Observation — the name table's copy of the name,
+// the minute, a country constant, the login bit: 56 bytes with its
 // partition, none of them the caller's — which TapBatch reads off each
 // message's events.Header without decoding the event. A delivery hands a
 // node's whole backlog to one Batcher per partition counter and flushes
@@ -62,7 +62,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -214,10 +213,6 @@ type Cluster struct {
 	queues []*sendQueue
 	hints  hintLoad
 
-	// names is the router's name table (see routeOf).
-	namesMu sync.RWMutex
-	names   map[string]route
-
 	ingested   atomic.Int64
 	decodeErrs atomic.Int64
 }
@@ -231,7 +226,6 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:   cfg,
 		clock: cfg.Clock,
 		ring:  newRing(cfg.Nodes, cfg.VirtualPoints, cfg.Partitions, cfg.ReplicationFactor),
-		names: make(map[string]route),
 	}
 	for id := 0; id < cfg.Nodes; id++ {
 		dir := ""
@@ -269,34 +263,17 @@ func (c *Cluster) Node(id int) *Node { return c.nodes[id] }
 func (c *Cluster) ReplicasOf(p int) []int { return c.ring.replicas[p] }
 
 // PartitionOf returns the partition an event name routes to.
-func (c *Cluster) PartitionOf(name string) int { return c.ring.partitionOf(name) }
+func (c *Cluster) PartitionOf(name string) int { return c.ring.partitionOf(events.Hash64(name)) }
 
 // NodeStatus reports the failure detector's current view of a node.
 func (c *Cluster) NodeStatus(id int) Status { return c.det.statusOf(id) }
 
-// Ingest routes one already-decoded event to every replica of its
-// partition, queueing a one-event batch per replica; TapBatch is the bulk
-// path. The name goes through the same routeOf as TapBatch's, so one that
-// fails events.ParseName counts in Stats.DecodeErrors and is routed
-// nowhere.
+// Ingest routes one already-decoded event as a one-message TapBatch, so a
+// name that fails events.ParseName counts in Stats.DecodeErrors and is
+// routed nowhere, as it would from a tap. It is for tests and one-off
+// events.
 func (c *Cluster) Ingest(e *events.ClientEvent) {
-	rt, err := c.routeOf([]byte(e.Name.String()))
-	if err != nil {
-		c.decodeErrs.Add(1)
-		tmClusterDecodeErrs.Inc()
-		return
-	}
-	c.ingested.Add(1)
-	tmClusterIngest.Inc()
-	batch := []routed{{p: rt.p, o: realtime.Observation{
-		Name:     rt.name,
-		Minute:   e.Timestamp / 60_000,
-		Country:  geo.CountryOf(e.IP),
-		LoggedIn: e.LoggedIn(),
-	}}}
-	for _, id := range c.ring.replicas[rt.p] {
-		c.queues[id].send(batch, c.det.statusOf(id))
-	}
+	c.TapBatch([]scribe.Entry{{Category: events.Category, Message: e.Marshal()}})
 }
 
 // TapBatch observes one batch of Scribe entries; assign it to
@@ -304,9 +281,10 @@ func (c *Cluster) Ingest(e *events.ClientEvent) {
 // are grouped per target node so a staging flush costs one queue
 // interaction per replica node, not per event.
 //
-// The router reads each message's header in place (events.Header) and
-// queues a realtime.Observation — the interned name, the minute, the
-// country constant, the login bit — so nothing it parks aliases the
+// The router reads each message's header in place (events.Header), looks
+// the name up in the events name table by its bytes, routes by the entry's
+// hash and queues a realtime.Observation — the entry's name, the minute,
+// the country constant, the login bit — so nothing it parks aliases the
 // caller's buffers. A message that fails the walk, or whose name fails
 // events.ParseName the first time it is seen, counts in
 // Stats.DecodeErrors and is routed nowhere.
@@ -320,9 +298,9 @@ func (c *Cluster) TapBatch(batch []scribe.Entry) {
 		}
 		dec.Reset(batch[i].Message)
 		err := h.Decode(&dec)
-		var rt route
+		var name *events.NameEntry
 		if err == nil {
-			rt, err = c.routeOf(h.Name)
+			name, err = events.LookupBytes(h.Name)
 		}
 		if err != nil {
 			c.decodeErrs.Add(1)
@@ -331,13 +309,13 @@ func (c *Cluster) TapBatch(batch []scribe.Entry) {
 		}
 		c.ingested.Add(1)
 		tmClusterIngest.Inc()
-		r := routed{p: rt.p, o: realtime.Observation{
-			Name:     rt.name,
+		r := routed{p: c.ring.partitionOf(name.Hash), o: realtime.Observation{
+			Name:     name.Full,
 			Minute:   h.Timestamp / 60_000,
 			Country:  geo.CountryOfBytes(h.IP),
 			LoggedIn: h.LoggedIn(),
 		}}
-		for _, id := range c.ring.replicas[rt.p] {
+		for _, id := range c.ring.replicas[r.p] {
 			if perNode[id] == nil {
 				perNode[id] = make([]routed, 0, len(batch))
 			}
@@ -349,39 +327,6 @@ func (c *Cluster) TapBatch(batch []scribe.Entry) {
 			c.queues[id].send(b, c.det.statusOf(id))
 		}
 	}
-}
-
-// route is what the router keeps per distinct event name: the owned copy
-// of the name that every queued Observation of it shares, and the
-// partition it hashes to.
-type route struct {
-	name string
-	p    int
-}
-
-// routeOf returns the route of a name still lying in a Thrift message. A
-// name seen before costs one read-locked map lookup on the bytes in place;
-// a first-seen one is copied, validated (events.ParseName) and hashed to
-// its partition once. Names that fail validation are never stored, so the
-// table grows with the namespace, not with the traffic.
-func (c *Cluster) routeOf(name []byte) (route, error) {
-	c.namesMu.RLock()
-	rt, ok := c.names[string(name)]
-	c.namesMu.RUnlock()
-	if ok {
-		return rt, nil
-	}
-	owned := string(name)
-	if _, err := events.ParseName(owned); err != nil {
-		return route{}, err
-	}
-	c.namesMu.Lock()
-	defer c.namesMu.Unlock()
-	if rt, ok = c.names[owned]; !ok {
-		rt = route{name: owned, p: c.ring.partitionOf(owned)}
-		c.names[owned] = rt
-	}
-	return rt, nil
 }
 
 // Tick advances the cluster's failure machinery to the clock's now:

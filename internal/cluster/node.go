@@ -22,9 +22,9 @@ var (
 )
 
 // routed is one event bound for one partition replica: 56 bytes, all of it
-// owned (the name is the router's interned copy, the country a geo
-// constant), so a queued or hinted write stays intact however long the
-// target node is down, independent of the caller's buffers.
+// owned (the name is the name table's copy, the country a geo constant), so
+// a queued or hinted write stays intact however long the target node is
+// down, independent of the caller's buffers.
 type routed struct {
 	p int
 	o realtime.Observation

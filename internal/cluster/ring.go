@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"sort"
+
+	"unilog/internal/events"
 )
 
 // ring places a fixed set of namespace partitions on the nodes,
@@ -36,7 +38,7 @@ func newRing(nodes, vpoints, partitions, rf int) *ring {
 	for id := 0; id < nodes; id++ {
 		for v := 0; v < vpoints; v++ {
 			points = append(points, ringPoint{
-				hash: mix64(hash64(fmt.Sprintf("node/%d/point/%d", id, v))),
+				hash: mix64(events.Hash64(fmt.Sprintf("node/%d/point/%d", id, v))),
 				node: id,
 			})
 		}
@@ -53,7 +55,7 @@ func newRing(nodes, vpoints, partitions, rf int) *ring {
 		hosted:     make([][]int, nodes),
 	}
 	for p := 0; p < partitions; p++ {
-		h := mix64(hash64(fmt.Sprintf("partition/%d", p)))
+		h := mix64(events.Hash64(fmt.Sprintf("partition/%d", p)))
 		start := sort.Search(len(points), func(i int) bool { return points[i].hash >= h })
 		set := make([]int, 0, rf)
 		seen := make(map[int]bool, rf)
@@ -72,28 +74,14 @@ func newRing(nodes, vpoints, partitions, rf int) *ring {
 	return r
 }
 
-// partitionOf maps a rendered event name to its partition.
-func (r *ring) partitionOf(name string) int {
-	return int(mix64(hash64(name)) % uint64(r.partitions))
+// partitionOf maps an event name's hash (events.NameEntry.Hash) to its
+// partition.
+func (r *ring) partitionOf(h uint64) int {
+	return int(mix64(h) % uint64(r.partitions))
 }
 
 // hostedBy returns the partitions node id replicates, ascending.
 func (r *ring) hostedBy(id int) []int { return r.hosted[id] }
-
-// FNV-1a, inlined to keep routing allocation-free (the stdlib hash/fnv
-// forces the input through an io.Writer).
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-func hash64(s string) uint64 {
-	h := fnvOffset64
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	return h
-}
 
 // mix64 is the splitmix64 finalizer. Raw FNV-1a over near-identical
 // strings ("node/0/point/1", "node/0/point/2", ...) produces *ordered*

@@ -10,6 +10,7 @@ import (
 	"unilog/internal/realtime"
 	"unilog/internal/scribe"
 	"unilog/internal/thrift"
+	"unilog/internal/workload"
 	"unilog/internal/zk"
 )
 
@@ -81,9 +82,10 @@ func TestTapBatchAppendsOneWALRecordPerPartition(t *testing.T) {
 	}
 }
 
-// Many aggregators tap one cluster. Taps racing to intern the same
-// first-seen names — in the router's table and in each partition counter's
-// — must route every event to both replicas exactly once.
+// Many aggregators tap one cluster. Taps racing to number the same
+// first-seen names and countries — in the name table and in each partition
+// counter's country table — must route every event to both replicas exactly
+// once.
 func TestConcurrentTapsRouteEveryEventOnce(t *testing.T) {
 	c := testCluster(t, Config{Nodes: 3, ReplicationFactor: 2, Clock: zk.NewManualClock(t0)})
 	batch := tapEntries(2000)
@@ -102,15 +104,45 @@ func TestConcurrentTapsRouteEveryEventOnce(t *testing.T) {
 	if st := c.Stats(); st.Ingested != n || st.Delivered != 2*n || st.Counter.Observed != 2*n || st.DecodeErrors != 0 {
 		t.Fatalf("stats = %+v, want %d ingested, each delivered to and observed on 2 replicas", st, n)
 	}
-	if got := len(c.names); got != len(testNames) {
-		t.Errorf("router interned %d names, the batch has %d distinct", got, len(testNames))
-	}
 	from, to := t0.Add(-time.Hour), t0.Add(time.Hour)
 	for _, name := range testNames {
 		p := c.PartitionOf(name)
 		for _, id := range c.ReplicasOf(p) {
 			if got, err := c.Node(id).PathSum(p, name, from, to); err != nil || got != n/int64(len(testNames)) {
 				t.Errorf("node %d PathSum(%q) = %d (%v), want %d", id, name, got, err, n/int64(len(testNames)))
+			}
+		}
+	}
+}
+
+// The router partitions by the name table's hash, PartitionOf by hashing the
+// rendered string. Over the generated day's namespace the two agree: each
+// name's events land in PartitionOf(name)'s replicas and nowhere else.
+func TestRouterPartitionIsPartitionOf(t *testing.T) {
+	evs, _ := workload.New(workload.DefaultConfig(t0)).Generate()
+	c := testCluster(t, Config{Nodes: 3, ReplicationFactor: 2, Clock: zk.NewManualClock(t0)})
+	seen := map[string]bool{}
+	var batch []scribe.Entry
+	for i := range evs {
+		if name := evs[i].Name.String(); !seen[name] {
+			seen[name] = true
+			batch = append(batch, scribe.Entry{Category: events.Category, Message: evs[i].Marshal()})
+		}
+	}
+	c.TapBatch(batch)
+	c.Sync()
+	from, to := t0.Add(-24*time.Hour), t0.Add(24*time.Hour)
+	for name := range seen {
+		want := c.PartitionOf(name)
+		for p := 0; p < c.Partitions(); p++ {
+			for _, id := range c.ReplicasOf(p) {
+				got, err := c.Node(id).PathSum(p, name, from, to)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (got == 1) != (p == want) || got > 1 {
+					t.Errorf("%q: node %d partition %d counted %d; PartitionOf says %d", name, id, p, got, want)
+				}
 			}
 		}
 	}

@@ -25,6 +25,10 @@
 // is that plus the details as a map, for a row scan that projects them. All
 // four are one switch over the field ids (walk), and FuzzHeaderMatchesDecode
 // holds them to the decoder they replaced.
+//
+// The name table (names.go) numbers each valid name once per process and
+// digests it into a NameEntry, which the realtime counters, the cluster
+// router and the rollup combiner count, route and expand by.
 package events
 
 import (

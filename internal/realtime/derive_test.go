@@ -37,9 +37,10 @@ func TestPrefixCacheFollowsWrites(t *testing.T) {
 	if got := len(c.RollupSnapshot(from, to)); got != events.NumRollupLevels {
 		t.Errorf("RollupSnapshot has %d rows, want %d", got, events.NumRollupLevels)
 	}
-	if !b.stale || b.prefix[c.tab.pathID["web:home"]] != 1 {
+	webHome, _ := events.PathID("web:home")
+	if !b.stale || b.prefix[webHome] != 1 {
 		t.Fatalf("a rollup read derived the prefix cache (stale = %v, cached web:home = %d)",
-			b.stale, b.prefix[c.tab.pathID["web:home"]])
+			b.stale, b.prefix[webHome])
 	}
 	if got := c.PathSum("web:home", from, to); got != 2 || b.stale {
 		t.Fatalf("second read: PathSum = %d (want 2), stale = %v (want derived)", got, b.stale)

@@ -60,15 +60,15 @@ func FuzzWALBatch(f *testing.F) {
 	f.Add(recs[1])
 	// One batch with several names, countries, login bits and a negative
 	// minute delta.
-	tab := newSymtab(1)
+	tab := newSymtab()
 	var batch []obs
-	for i, name := range []string{"web:home:timeline:stream:tweet:impression", "iphone:search:results:cell:tweet:open"} {
+	for i, full := range []string{"web:home:timeline:stream:tweet:impression", "iphone:search:results:cell:tweet:open"} {
+		name, err := events.Lookup(full)
+		if err != nil {
+			f.Fatal(err)
+		}
 		for j, country := range []string{"us", "jp", "br"} {
-			sym, cid, err := tab.resolveFull(name, country)
-			if err != nil {
-				f.Fatal(err)
-			}
-			batch = append(batch, obs{minute: t0.Unix()/60 - int64(i+j), sym: sym, country: cid, loggedIn: j%2 == 0})
+			batch = append(batch, obs{minute: t0.Unix()/60 - int64(i+j), name: name, country: tab.country(country), loggedIn: j%2 == 0})
 		}
 	}
 	w := &walWriter{nameLocal: map[uint32]uint32{}, countryLocal: map[uint32]uint32{}}

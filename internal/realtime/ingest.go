@@ -15,8 +15,8 @@ import (
 // through uncounted. Safe for concurrent use by many aggregators.
 //
 // It digests each message from its header walk (events.Header) without
-// building a ClientEvent: the name is looked up in the symbol table by the
-// bytes in the message, the country read off the IP bytes, so an event
+// building a ClientEvent: the name is looked up in the events name table by
+// the bytes in the message, the country read off the IP bytes, so an event
 // whose name has been seen before allocates nothing. A message that fails
 // the walk, or whose name fails events.ParseName the first time it is
 // seen, counts in Stats.DecodeErrors; a timestamp before Unix minute 1 in
@@ -36,17 +36,14 @@ func (c *Counter) TapBatch(batch []scribe.Entry) {
 			c.decodeErrors.Add(1)
 			continue
 		}
-		sym, country, err := c.tab.resolveBytes(h.Name, geo.CountryOfBytes(h.IP))
+		name, err := events.LookupBytes(h.Name)
 		if err != nil {
 			c.decodeErrors.Add(1)
 			continue
 		}
-		minute := h.Timestamp / 60_000
-		if minute < 1 {
-			c.invalid.Add(1)
-			continue
+		if o, ok := c.digest(name, nil, h.Timestamp/60_000, geo.CountryOfBytes(h.IP), h.LoggedIn()); ok {
+			b.add(o)
 		}
-		b.add(obs{minute: minute, sym: sym, country: country, loggedIn: h.LoggedIn()})
 	}
 	b.Flush()
 }
@@ -58,7 +55,7 @@ func (c *Counter) TapBatch(batch []scribe.Entry) {
 // event in hand uses a Batcher.
 func (c *Counter) Ingest(e *events.ClientEvent) {
 	if o, ok := c.observe(e); ok {
-		c.send(int(o.sym.shard), []obs{o})
+		c.send(c.shardOf(o.name), []obs{o})
 	}
 }
 
@@ -111,14 +108,14 @@ func (b *Batcher) AddObservation(o Observation) {
 // add buffers one digested observation — where the decoded-event, the
 // observation and the tap paths meet.
 func (b *Batcher) add(o obs) {
-	shard := o.sym.shard
+	shard := b.c.shardOf(o.name)
 	buf := b.per[shard]
 	if buf == nil {
 		buf = (*b.c.batchPool.Get().(*[]obs))[:0]
 	}
 	buf = append(buf, o)
 	if len(buf) >= b.c.cfg.MaxBatch {
-		b.c.send(int(shard), buf)
+		b.c.send(shard, buf)
 		buf = nil
 	}
 	b.per[shard] = buf

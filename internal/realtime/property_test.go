@@ -310,10 +310,10 @@ func TestRecoveredCounterMatchesReferenceModel(t *testing.T) {
 }
 
 // snapshotLeaves reads a snapshot file back the way a load does — its
-// dictionary interned into a fresh table, its buckets decoded through the
-// remap — and returns each bucket's rows under their strings, keyed the way
-// the reference keys its level-0 rollup rows, with the bucket count per
-// (shard, minute) beside them.
+// dictionary numbered into the name table and a fresh country table, its
+// buckets decoded through the remap — and returns each bucket's rows under
+// their strings, keyed the way the reference keys its level-0 rollup rows,
+// with the bucket count per (shard, minute) beside them.
 func snapshotLeaves(t *testing.T, path string) (rows map[int64]map[analytics.RollupKey]int64, records map[[2]int64]int) {
 	t.Helper()
 	recs := fileRecords(t, path)
@@ -321,11 +321,12 @@ func snapshotLeaves(t *testing.T, path string) (rows map[int64]map[analytics.Rol
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := newSymtab(1)
+	tab := newSymtab()
 	remap, err := tab.internDict(&dict)
 	if err != nil {
 		t.Fatal(err)
 	}
+	names := events.NameEntries()
 	rows = map[int64]map[analytics.RollupKey]int64{}
 	records = map[[2]int64]int{}
 	for _, rec := range recs[2:] {
@@ -340,7 +341,7 @@ func snapshotLeaves(t *testing.T, path string) (rows map[int64]map[analytics.Rol
 		for k, n := range b.leaf {
 			name, country, loggedIn := leafFields(k)
 			rows[b.minute][analytics.RollupKey{
-				Name:     tab.syms[name].full,
+				Name:     names[name].Full,
 				Country:  tab.countryName(country),
 				LoggedIn: loggedIn,
 			}] += n

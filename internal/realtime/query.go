@@ -13,7 +13,7 @@ import (
 // minute falls in [from, to). They read committed state only — call Sync
 // first for read-your-writes against a live ingest stream.
 //
-// The buckets are keyed by symbol-table IDs, so queries resolve strings at
+// The buckets are keyed by name-table IDs, so queries resolve strings at
 // the edges: the requested path resolves to an ID before the scan (a miss
 // means the path was never counted and the answer is zero), and result
 // IDs resolve back to strings only once, after the per-bucket merge.
@@ -73,19 +73,19 @@ func (c *Counter) forEachBucket(from, to time.Time, mode readMode, fn func(*buck
 	tm = min(tm, newest+1)
 	var minutes, hours int64
 	var spent time.Duration
-	// syms must cover every leaf of the shard being read, so it is fetched
+	// names must cover every leaf of the shard being read, so it is fetched
 	// under that shard's lock, and only by a read that derives.
-	var syms []*nameSym
+	var names []*events.NameEntry
 	derive := func(b *bucket) {
-		if syms == nil {
-			syms = c.tab.symsSnapshot()
+		if names == nil {
+			names = events.NameEntries()
 		}
-		b.derive(syms)
+		b.derive(names)
 		minutes++
 	}
 	for _, s := range c.shards {
 		s.mu.Lock()
-		syms = nil
+		names = nil
 		n, nh := int64(len(s.ring)), int64(len(s.hours))
 		for m := fm; m < tm; {
 			if mode == readHours && m%60 == 0 && tm-m >= 60 {
@@ -161,8 +161,8 @@ func (c *Counter) leafTotals(from, to time.Time) map[uint64]int64 {
 // any prefix of an event name, or a full name — over [from, to).
 func (c *Counter) PathSum(path string, from, to time.Time) int64 {
 	defer tmQueryPathSumNs.ObserveSince(time.Now())
-	id, ok := c.tab.pathOf(path)
-	if !ok {
+	id, ok := events.PathID(path)
+	if !ok || !c.tab.counted(id) {
 		return 0
 	}
 	var total int64
@@ -185,8 +185,8 @@ func (c *Counter) Series(path string, from, to time.Time) []int64 {
 		return nil
 	}
 	out := make([]int64, tm-fm)
-	id, ok := c.tab.pathOf(path)
-	if !ok {
+	id, ok := events.PathID(path)
+	if !ok || !c.tab.counted(id) {
 		return out
 	}
 	c.forEachBucket(from, to, readMinutes, func(b *bucket) {
@@ -209,10 +209,10 @@ func (c *Counter) TopK(parent string, k int, from, to time.Time) []PathCount {
 	if k <= 0 {
 		return nil
 	}
-	parentID := noParent
+	parentID := events.NoParent
 	if parent != "" {
-		id, ok := c.tab.pathOf(parent)
-		if !ok {
+		id, ok := events.PathID(parent)
+		if !ok || !c.tab.counted(id) {
 			return nil
 		}
 		parentID = id
@@ -222,7 +222,11 @@ func (c *Counter) TopK(parent string, k int, from, to time.Time) []PathCount {
 	// asks each bucket for the children by ID rather than walking its whole
 	// map; a bucket with fewer cells than there are children is walked
 	// instead.
-	children := c.tab.childrenOf(parentID)
+	children := events.PathChildren(parentID)
+	uncounted := func(id uint32) bool { return !c.tab.counted(id) }
+	if slices.ContainsFunc(children, uncounted) {
+		children = slices.DeleteFunc(slices.Clone(children), uncounted)
+	}
 	counts := make([]int64, len(children))
 	c.forEachBucket(from, to, readHours, func(b *bucket) {
 		if len(b.prefix) < len(children) {
@@ -237,7 +241,14 @@ func (c *Counter) TopK(parent string, k int, from, to time.Time) []PathCount {
 			counts[i] += b.prefix[id]
 		}
 	})
-	ranked := c.tab.resolveCounts(children, counts)
+	// Strings are resolved at the edge, for the children that counted.
+	paths := events.Paths()
+	var ranked []PathCount
+	for i, n := range counts {
+		if n != 0 {
+			ranked = append(ranked, PathCount{Path: paths[children[i]], Count: n})
+		}
+	}
 	if len(ranked) == 0 {
 		return nil
 	}
@@ -260,12 +271,12 @@ func (c *Counter) TopK(parent string, k int, from, to time.Time) []PathCount {
 func (c *Counter) RollupSnapshot(from, to time.Time) map[analytics.RollupKey]int64 {
 	defer tmQueryRollupNs.ObserveSince(time.Now())
 	acc := c.leafTotals(from, to)
-	syms := c.tab.symsSnapshot()
+	names, countries := events.NameEntries(), c.tab.countries()
 	out := make(map[analytics.RollupKey]int64, len(acc))
 	for k, n := range acc {
 		name, country, loggedIn := leafFields(k)
-		key := analytics.RollupKey{Country: c.tab.countryName(country), LoggedIn: loggedIn}
-		for lvl, rolled := range syms[name].rolled {
+		key := analytics.RollupKey{Country: countries[country], LoggedIn: loggedIn}
+		for lvl, rolled := range names[name].Rolled {
 			key.Level, key.Name = events.RollupLevel(lvl), rolled
 			out[key] += n
 		}
@@ -282,10 +293,10 @@ func (c *Counter) RollupTotal(level events.RollupLevel, name string, from, to ti
 		return 0
 	}
 	acc := c.leafTotals(from, to)
-	syms := c.tab.symsSnapshot()
+	names := events.NameEntries()
 	var total int64
 	for k, n := range acc {
-		if id, _, _ := leafFields(k); syms[id].rolled[level] == name {
+		if id, _, _ := leafFields(k); names[id].Rolled[level] == name {
 			total += n
 		}
 	}

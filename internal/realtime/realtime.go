@@ -16,11 +16,13 @@
 //
 // Architecture:
 //
-//   - a concurrent, read-mostly symbol table (symtab.go) interns every
-//     distinct event name once, caching the full string digest — prefix
-//     IDs, rolled names, shard — behind dense integer IDs, so
-//     the per-event hot path is a read-locked lookup and the counters
-//     below increment one integer-keyed cell;
+//   - the process-wide events name table numbers every distinct event name
+//     once, with its digest — prefix IDs, rolled names, hash — on an
+//     immutable events.NameEntry, so the per-event hot path is one
+//     read-locked lookup, the shard is the entry's hash modulo the shard
+//     count, and the counters below increment one integer-keyed cell;
+//     countries, and a bit per path a counter has counted, are kept per
+//     counter (symtab.go);
 //   - a Tap on scribe.Aggregator.Append fans accepted client_events into N
 //     counter shards (hash of the event name) over bounded channels;
 //     producers block when a shard queue is full (backpressure), and each
@@ -191,15 +193,15 @@ type Stats struct {
 }
 
 // obs is one decoded, pre-digested observation: everything a shard needs
-// to apply the event without touching the Thrift message again. The
-// symbol table did the string work the first time this name appeared, so
-// an obs is ~24 bytes — a minute, an immutable *nameSym (its id keys the
-// leaf, its shard routed the obs here), and an interned country — where
-// the pre-interning representation hauled eleven strings (~200 B) through
-// the shard channel per event.
+// to apply the event without touching the Thrift message again. The name
+// table did the string work the first time this name appeared, so an obs
+// is ~24 bytes — a minute, an immutable *events.NameEntry (its ID keys the
+// leaf, its hash routed the obs here), and an interned country — where the
+// pre-interning representation hauled eleven strings (~200 B) through the
+// shard channel per event.
 type obs struct {
 	minute   int64 // event timestamp in Unix minutes
-	sym      *nameSym
+	name     *events.NameEntry
 	country  uint32 // interned country ID
 	loggedIn bool
 }
@@ -244,11 +246,11 @@ type bucket struct {
 }
 
 // sumPrefixes adds every leaf's count to its six hierarchy prefixes in dst.
-// syms is a symtab.symsSnapshot taken after the leaves were last written.
-func sumPrefixes(dst map[uint32]int64, leaf map[uint64]int64, syms []*nameSym) {
+// names is an events.NameEntries taken after the leaves were last written.
+func sumPrefixes(dst map[uint32]int64, leaf map[uint64]int64, names []*events.NameEntry) {
 	for k, n := range leaf {
 		name, _, _ := leafFields(k)
-		for _, id := range syms[name].prefixID {
+		for _, id := range names[name].Prefix {
 			dst[id] += n
 		}
 	}
@@ -256,13 +258,13 @@ func sumPrefixes(dst map[uint32]int64, leaf map[uint64]int64, syms []*nameSym) {
 
 // derive rebuilds the prefix cache from the leaves, reusing the map. It is
 // where anything else computed per bucket from its leaves belongs.
-func (b *bucket) derive(syms []*nameSym) {
+func (b *bucket) derive(names []*events.NameEntry) {
 	if b.prefix == nil {
 		b.prefix = make(map[uint32]int64, 2*events.NumComponents)
 	} else {
 		clear(b.prefix)
 	}
-	sumPrefixes(b.prefix, b.leaf, syms)
+	sumPrefixes(b.prefix, b.leaf, names)
 	b.stale = false
 }
 
@@ -378,7 +380,7 @@ func allocCounter(cfg Config) *Counter {
 	c := &Counter{
 		cfg:     cfg,
 		buckets: int(cfg.Retention / time.Minute),
-		tab:     newSymtab(cfg.Shards),
+		tab:     newSymtab(),
 	}
 	c.batchPool.New = func() any {
 		b := make([]obs, 0, cfg.MaxBatch)
@@ -492,46 +494,43 @@ func (c *Counter) Stats() Stats {
 // Shards reports the configured shard count.
 func (c *Counter) Shards() int { return len(c.shards) }
 
-// hash32 is FNV-1a; it picks the shard for an event name.
-func hash32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
-	}
-	return h
+// shardOf picks the shard of an event name: its hash modulo the shard
+// count, in 32 bits, where the division is cheaper.
+func (c *Counter) shardOf(e *events.NameEntry) int {
+	return int(uint32(e.Hash) % uint32(len(c.shards)))
 }
 
-// observe digests one decoded event into an obs (whose sym names its
-// shard). It reports false, counting Stats.Invalid, for events that must
-// not be counted: an invalid name, or a timestamp before Unix minute 1 —
-// the timestamp comes from outside, a negative minute would index the ring
-// out of range and minute 0 is the ring's empty-slot value. A name seen
-// before costs one read-locked lookup; validation and the string digest
-// ran when the symbol table first interned it.
-func (c *Counter) observe(e *events.ClientEvent) (obs, bool) {
-	minute := e.Timestamp / 60_000
-	sym, country, err := c.tab.resolve(e.Name, geo.CountryOf(e.IP))
+// digest makes the obs of one event, given what the name table returned
+// for its name — where every door to the counters meets. It reports false,
+// counting Stats.Invalid, for events that must not be counted: an invalid
+// name, or a timestamp before Unix minute 1 — the timestamp comes from
+// outside, a negative minute would index the ring out of range and minute 0
+// is the ring's empty-slot value.
+func (c *Counter) digest(name *events.NameEntry, err error, minute int64, country string, loggedIn bool) (obs, bool) {
 	if err != nil || minute < 1 {
 		c.invalid.Add(1)
 		return obs{}, false
 	}
-	return obs{minute: minute, sym: sym, country: country, loggedIn: e.LoggedIn()}, true
+	c.tab.count(name)
+	return obs{minute: minute, name: name, country: c.tab.country(country), loggedIn: loggedIn}, true
+}
+
+// observe digests one decoded event.
+func (c *Counter) observe(e *events.ClientEvent) (obs, bool) {
+	name, err := events.LookupName(e.Name)
+	return c.digest(name, err, e.Timestamp/60_000, geo.CountryOf(e.IP), e.LoggedIn())
 }
 
 // digestFull is observe for an event that arrives as an Observation's
 // fields: WAL replay (recover.go), where they were logged, and
 // Batcher.AddObservation, where a cluster coordinator read them off the
-// wire. Re-digesting through this counter's own symbol table is what lets
-// a log written under one shard count replay correctly into another;
-// re-checking the minute is what lets a segment written before observe
-// checked it replay past the record.
+// wire. Re-digesting the name and re-sharding it is what lets a log written
+// under one shard count replay correctly into another; re-checking the
+// minute is what lets a segment written before observe checked it replay
+// past the record.
 func (c *Counter) digestFull(name string, minute int64, country string, loggedIn bool) (obs, bool) {
-	sym, cid, err := c.tab.resolveFull(name, country)
-	if err != nil || minute < 1 {
-		c.invalid.Add(1)
-		return obs{}, false
-	}
-	return obs{minute: minute, sym: sym, country: cid, loggedIn: loggedIn}, true
+	e, err := events.Lookup(name)
+	return c.digest(e, err, minute, country, loggedIn)
 }
 
 // send enqueues one batch on a shard, blocking when the queue is full.
@@ -644,7 +643,7 @@ func (c *Counter) applyOne(s *shard, o *obs) bool {
 		b.minute, b.stale = o.minute, false
 		b.leaf = make(map[uint64]int64, 2*events.NumComponents)
 	}
-	b.leaf[leafKey(o.sym.id, o.country, o.loggedIn)]++
+	b.leaf[leafKey(o.name.ID, o.country, o.loggedIn)]++
 	if !b.stale {
 		b.stale = true
 		s.touchHour(o.minute)

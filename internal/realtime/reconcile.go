@@ -19,7 +19,7 @@ import (
 // realtime subsystem computes the same answers the daily jobs publish,
 // which is what lets BirdBrain serve "today so far" from memory and
 // sealed days from the warehouse without the numbers jumping at midnight.
-// Because the streaming side counts in symbol-table ID space and resolves
+// Because the streaming side counts in name-table ID space and resolves
 // strings only in RollupSnapshot, this diff is also the end-to-end proof
 // that interning changed the engine's representation, not its answers.
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"unilog/internal/events"
 	"unilog/internal/recordio"
 	"unilog/internal/telemetry"
 )
@@ -32,12 +33,12 @@ import (
 //     recovery), and moves on to the next segment;
 //   - appending always begins in a fresh segment, never after a tear.
 //
-// Replay re-digests every logged name through the counter's own symbol
-// table — built fresh here, the snapshot dictionary's names first, then
-// first-seen WAL names — so routing and IDs always follow the current
-// configuration:
-// a log or snapshot written under a different shard count (or a
-// different ID assignment) recovers exactly.
+// Replay re-digests every logged name through the process's name table and
+// the counter's own country table — built fresh here, the snapshot
+// dictionary's countries first, then first-seen WAL countries — so routing
+// and IDs always follow the current process and configuration: a log or
+// snapshot written under a different shard count (or a different ID
+// assignment) recovers exactly.
 //
 // Counts recovered this way are exact for everything the WAL fsync
 // cadence made durable: after a clean Close, or a Crash with the tail
@@ -185,11 +186,12 @@ func scanDir(dir string) (snaps []dirEntry, segs map[int][]dirEntry, maxSnapSeq 
 
 // loadSnapshot parses a whole snapshot file into memory, validating every
 // frame before any of it is applied — a snapshot is all-or-nothing. The
-// dictionary record between the header and the buckets is interned into the
-// counter's symbol table as soon as it is read, so every bucket decodes
-// straight into the counter's own leaf keys; an entry that is not a valid
-// six-component name makes the file corrupt. A file refused after that
-// point leaves its names interned and nothing counted under them.
+// dictionary record between the header and the buckets is numbered into the
+// name table and the counter's countries as soon as it is read, so every
+// bucket decodes straight into the counter's own leaf keys; an entry that is
+// not a valid six-component name makes the file corrupt. A file refused
+// after that point leaves its names in the table and nothing counted under
+// them.
 func (c *Counter) loadSnapshot(path string) (snapHeader, []snapBucket, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -256,6 +258,11 @@ func (c *Counter) loadBucket(sb *snapBucket) {
 	if sb.minute > c.maxMinute.Load() {
 		c.maxMinute.Store(sb.minute)
 	}
+	names := events.NameEntries()
+	for k := range sb.leaf {
+		name, _, _ := leafFields(k)
+		c.tab.count(names[name])
+	}
 	s := c.shards[sb.shard%len(c.shards)]
 	b := &s.ring[int(sb.minute)%c.buckets]
 	switch {
@@ -302,7 +309,7 @@ func (c *Counter) replaySegment(path string) error {
 		}
 		err = dec.decodeBatch(rec, func(name string, minute int64, country string, loggedIn bool) error {
 			o, ok := c.digestFull(name, minute, country, loggedIn)
-			if ok && c.applyOne(c.shards[o.sym.shard], &o) {
+			if ok && c.applyOne(c.shards[c.shardOf(o.name)], &o) {
 				c.observed.Add(1)
 			}
 			return nil

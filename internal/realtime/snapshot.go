@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"unilog/internal/events"
 	"unilog/internal/recordio"
 )
 
@@ -34,13 +35,13 @@ import (
 // CRC record stream: one header record (version, per-shard next WAL
 // sequence numbers, the observed-event total, the retention high-water
 // minute, and the full Stats block so activity counters survive
-// restarts), one dictionary record (the symbol table's event names and
-// countries, indexed by ID), then one record per non-empty minute bucket
-// holding its leaf rows (name ID, country ID and logged-in bit, count). A
-// snapshot is the leaf table and nothing derived from it: prefix sums and
-// rollup rows are sums over leaves, rebuilt when they are read. Writes go
-// to a temp file that is fsynced and atomically renamed, so a crashed
-// snapshotter leaves either the old snapshot or the new one, never a
+// restarts), one dictionary record (the name table's event names and the
+// counter's countries, indexed by ID), then one record per non-empty minute
+// bucket holding its leaf rows (name ID, country ID and logged-in bit,
+// count). A snapshot is the leaf table and nothing derived from it: prefix
+// sums and rollup rows are sums over leaves, rebuilt when they are read.
+// Writes go to a temp file that is fsynced and atomically renamed, so a
+// crashed snapshotter leaves either the old snapshot or the new one, never a
 // half-written current file.
 
 // errClosed reports a durability operation on a stopped counter.
@@ -228,8 +229,14 @@ func (c *Counter) writeSnapshot(states []shardState) error {
 	cw := recordio.NewCRCWriter(bw)
 	werr := cw.Append(encodeSnapHeader(nil, next, observed, c.maxMinute.Load(), stats))
 	if werr == nil {
-		names, countries := c.tab.dict()
-		werr = cw.Append(encodeSnapDict(nil, names, countries))
+		// The name table as it stands covers every leaf captured before it
+		// was fetched: IDs are append-only.
+		entries := events.NameEntries()
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Full
+		}
+		werr = cw.Append(encodeSnapDict(nil, names, c.tab.countries()))
 	}
 	var leaves int64
 	for _, st := range states {
@@ -450,8 +457,8 @@ func decodeSnapDict(rec []byte) (snapDict, error) {
 }
 
 // snapRemap translates a file's dictionary IDs, which are its writer's,
-// into the loading counter's: index by file ID, read the counter's ID
-// (symtab.internDict).
+// into the loading process's: index by file ID, read the name table's or the
+// counter's ID (symtab.internDict).
 type snapRemap struct {
 	names     []uint32
 	countries []uint32

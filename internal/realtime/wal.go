@@ -92,7 +92,7 @@ type walWriter struct {
 	sinceSync int    // batches appended since the last fsync
 	scratch   []byte // batch encoding buffer, reused
 
-	// Per-segment dictionary state: global symbol-table ID -> dense
+	// Per-segment dictionary state: name-table or country ID -> dense
 	// segment-local ID, assigned in first-reference order (the decoder
 	// mirrors the assignment, so only the strings travel). Reset on
 	// rotate — each segment's dictionary stands alone.
@@ -248,10 +248,10 @@ func (w *walWriter) encodeBatch(buf []byte, batch []obs, tab *symtab) (out []byt
 	var newNames, newCountries []string
 	for i := range batch {
 		o := &batch[i]
-		if _, ok := w.nameLocal[o.sym.id]; !ok {
-			w.nameLocal[o.sym.id] = uint32(len(w.nameLocal))
-			addedNames = append(addedNames, o.sym.id)
-			newNames = append(newNames, o.sym.full)
+		if _, ok := w.nameLocal[o.name.ID]; !ok {
+			w.nameLocal[o.name.ID] = uint32(len(w.nameLocal))
+			addedNames = append(addedNames, o.name.ID)
+			newNames = append(newNames, o.name.Full)
 		}
 		if _, ok := w.countryLocal[o.country]; !ok {
 			w.countryLocal[o.country] = uint32(len(w.countryLocal))
@@ -278,7 +278,7 @@ func (w *walWriter) encodeBatch(buf []byte, batch []obs, tab *symtab) (out []byt
 	buf = binary.AppendUvarint(buf, uint64(base))
 	for i := range batch {
 		o := &batch[i]
-		buf = binary.AppendUvarint(buf, uint64(w.nameLocal[o.sym.id]))
+		buf = binary.AppendUvarint(buf, uint64(w.nameLocal[o.name.ID]))
 		buf = binary.AppendVarint(buf, o.minute-base)
 		cl := uint64(w.countryLocal[o.country]) << 1
 		if o.loggedIn {

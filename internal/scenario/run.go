@@ -65,7 +65,12 @@ type Result struct {
 
 	IngestEventsPerSec float64 `json:"ingest_events_per_sec"`
 	InWarehouse        int64   `json:"in_warehouse"`
-	ExactlyOnce        bool    `json:"exactly_once"`
+	// AcceptedDigest and WarehouseDigest are eventDigest sums, in hex, over
+	// the events handed to the daemons and the events the warehouse holds.
+	// ExactlyOnce requires the counts and the digests to be equal.
+	AcceptedDigest  string `json:"accepted_digest"`
+	WarehouseDigest string `json:"warehouse_digest"`
+	ExactlyOnce     bool   `json:"exactly_once"`
 
 	SendFailures   int64 `json:"send_failures"`
 	Rediscoveries  int64 `json:"rediscoveries"`
@@ -120,7 +125,7 @@ const (
 // feeds a multi-region Scribe topology (with the realtime counter
 // tapping every aggregator), the manual clock advances hour by hour
 // sealing and moving as it goes, outage windows take regions dark and
-// replay their spools, and the cell ends with the exactly-once count,
+// replay their spools, and the cell ends with the exactly-once check,
 // the lambda reconciliation, a budgeted rollup leg, and the spec's
 // invariant verdicts.
 //
@@ -275,6 +280,7 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 		return nil
 	}
 
+	var accepted, stored eventDigest
 	t0 := time.Now()
 	err = stream(func(e *events.ClientEvent) error {
 		minute := int((e.Timestamp - dayMs) / 60_000)
@@ -292,9 +298,12 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 		}
 		setDark(minute)
 
-		ri := int(hash64(e.SessionID) % uint64(len(regions)))
-		di := int((hash64(e.SessionID) >> 32) % uint64(daemonsPerRegion))
+		// Low bits pick the region, high bits the daemon, so routing is
+		// stable per session and uncorrelated between the two choices.
+		ri := int(events.Hash64(e.SessionID) % uint64(len(regions)))
+		di := int((events.Hash64(e.SessionID) >> 32) % uint64(daemonsPerRegion))
 		regions[ri].dc.Daemons[di].Log(events.Category, e.Marshal())
+		accepted.add(e)
 		res.Events++
 		if e.Details["crowd"] == "1" {
 			res.CrowdEvents++
@@ -354,13 +363,16 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 		}
 	}
 
-	if err := warehouse.ScanDay(wh, events.Category, day, func(*events.ClientEvent) error {
+	if err := warehouse.ScanDay(wh, events.Category, day, func(e *events.ClientEvent) error {
+		stored.add(e)
 		res.InWarehouse++
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	res.ExactlyOnce = res.InWarehouse == res.Events
+	res.AcceptedDigest = fmt.Sprintf("%016x", accepted.sum)
+	res.WarehouseDigest = fmt.Sprintf("%016x", stored.sum)
+	res.ExactlyOnce = accepted == stored
 
 	// Seal the delivered day into column chunks before anything batch-reads
 	// it: the reconcile below and the budgeted rollup leg both go through
@@ -421,13 +433,22 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 	return res, nil
 }
 
-// hash64 is FNV-1a over the session id; low bits pick the region, high
-// bits the daemon, so routing is stable per session and uncorrelated
-// between the two choices.
-func hash64(s string) uint64 {
+// eventDigest is an order-independent digest of a multiset of events: the
+// count, and the sum mod 2^64 of the FNV-1a 64 hash of each event's user ID,
+// session ID, timestamp and full name. Equal digests mean equal multisets
+// but for a hash collision, so a lost event plus a duplicated one, which
+// leave the count alone, move the sum. Details are left out: they are not
+// part of an event's identity here.
+type eventDigest struct {
+	n   int64
+	sum uint64
+}
+
+func (d *eventDigest) add(e *events.ClientEvent) {
 	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+	fmt.Fprintf(h, "%d\x00%s\x00%d\x00%s", e.UserID, e.SessionID, e.Timestamp, e.Name)
+	d.n++
+	d.sum += h.Sum64()
 }
 
 // evaluateInvariants fills Invariants and OK from the spec's assertions.
@@ -442,7 +463,8 @@ func (res *Result) evaluateInvariants(spec *Spec) {
 	}
 	if inv.ExactlyOnce {
 		add("exactly_once", res.ExactlyOnce,
-			fmt.Sprintf("accepted %d, warehouse %d", res.Events, res.InWarehouse))
+			fmt.Sprintf("accepted %d (digest %s), warehouse %d (digest %s)",
+				res.Events, res.AcceptedDigest, res.InWarehouse, res.WarehouseDigest))
 	}
 	if inv.RequireBackfill {
 		ok := res.SendFailures > 0 && res.SpooledAtEnd == 0 && res.ExactlyOnce

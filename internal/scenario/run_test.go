@@ -1,7 +1,10 @@
 package scenario
 
 import (
+	"fmt"
 	"testing"
+
+	"unilog/internal/events"
 )
 
 // TestRunOutageBackfillCell is the end-to-end proof the CI matrix relies
@@ -116,5 +119,38 @@ func TestInvariantFailureIsReported(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("failed invariant not reported: %+v", res.Invariants)
+	}
+}
+
+// TestEventDigest: the exactly-once digest is a multiset's. The same events
+// in the same order or in another digest equal; one dropped and another
+// duplicated keep the count and move the sum.
+func TestEventDigest(t *testing.T) {
+	var evs []events.ClientEvent
+	for i := 0; i < 6; i++ {
+		evs = append(evs, events.ClientEvent{
+			Name:      events.MustParseName(fmt.Sprintf("web:home:timeline:stream:tweet:action%d", i%3)),
+			UserID:    int64(i % 2),
+			SessionID: fmt.Sprintf("s%d", i%4),
+			Timestamp: 1_345_507_200_000 + int64(i)*1000,
+		})
+	}
+	digest := func(order ...int) eventDigest {
+		var d eventDigest
+		for _, i := range order {
+			d.add(&evs[i])
+		}
+		return d
+	}
+	want := digest(0, 1, 2, 3, 4, 5)
+	if got := digest(0, 1, 2, 3, 4, 5); got != want {
+		t.Errorf("the same events digest %+v, then %+v", want, got)
+	}
+	if got := digest(5, 3, 1, 0, 4, 2); got != want {
+		t.Errorf("reordered events digest %+v, in order %+v", got, want)
+	}
+	got := digest(0, 1, 2, 3, 4, 4) // 5 lost, 4 twice
+	if got.n != want.n || got.sum == want.sum {
+		t.Errorf("a drop plus a duplicate digests %+v, the events %+v: want the count equal and the sum not", got, want)
 	}
 }

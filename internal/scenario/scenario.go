@@ -172,7 +172,8 @@ type Invariants struct {
 	// after every outage has backfilled.
 	ReconcileExact bool `json:"reconcile_exact,omitempty"`
 	// ExactlyOnce requires every event accepted by a daemon to land in
-	// the warehouse exactly once.
+	// the warehouse exactly once: equal counts and equal order-independent
+	// digests of the two sides (Result.AcceptedDigest, WarehouseDigest).
 	ExactlyOnce bool `json:"exactly_once,omitempty"`
 	// RequireBackfill requires the outage machinery to have actually
 	// engaged: send failures happened, and every spool drained by the
