@@ -243,10 +243,12 @@
 // walk, fails it), the name is looked up by its bytes in the message and
 // parsed and validated only the first time the process sees them, and the
 // country is read off the IP bytes. Three doors lead to the counters and
-// meet at one digested observation: Batcher.Add and Counter.Ingest for
-// decoded events (Reconcile, tests), Batcher.AddObservation for an event
-// already reduced to realtime.Observation {name, minute, country, login
-// bit} — the door WAL replay uses too — and TapBatch from the header.
+// meet at one digested observation, with WAL replay beside them:
+// Batcher.Add and Counter.Ingest for decoded events (Reconcile, tests),
+// Batcher.AddObservation for an event already reduced to
+// realtime.Observation {name-table entry, minute, country, login bit} — a
+// cluster delivery, which never looks the name up again — and TapBatch from
+// the header.
 //
 // The counters are durable: realtime.Open roots a counter in a directory
 // where every drained batch is appended to a per-shard, CRC-framed
@@ -284,12 +286,15 @@
 // so crashes divert writes to hints rather than re-route the ring).
 // The router reads each tapped message's events.Header, looks its name up
 // in the events name table by its bytes, takes the partition from the
-// entry's hash, and queues a 56-byte routed realtime.Observation carrying
-// the entry's name — nothing that aliases the Scribe buffer, no
-// ClientEvent. Every event lands on all R replicas through one
-// send queue per node; a delivery feeds one Batcher per partition counter
-// and flushes them before it lets go of the node, so N delivered events
-// cost each partition's WAL one record, not N (Config.FsyncEvery on a
+// entry's hash, and queues a 16-byte, pointer-free routed record — the
+// entry's ID, the minute, the country's geo.Countries index, the login bit
+// — nothing that aliases the Scribe buffer, no ClientEvent, no string.
+// Every event lands on all R replicas through one send queue per node,
+// which adopts the router's per-node slice as its backlog; a delivery
+// resolves the IDs against one events.NameEntries snapshot (the replicas
+// share the router's table in-process) and feeds one Batcher per partition
+// counter and flushes them before it lets go of the node, so N delivered
+// events cost each partition's WAL one record, not N (Config.FsyncEvery on a
 // cluster node therefore counts deliveries, not events), and it applies
 // all of a batch or none of it. A delivery fails only when the node is
 // down, so the first failed one parks the queue: its backlog and every

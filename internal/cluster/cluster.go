@@ -22,12 +22,14 @@
 // Writes. Ingest (or the scribe TapBatch) routes every accepted event
 // to all R replicas of its partition through one send queue per node,
 // the only place an undelivered event waits. What is routed, queued and
-// parked is a realtime.Observation — the name table's copy of the name,
-// the minute, a country constant, the login bit: 56 bytes with its
-// partition, none of them the caller's — which TapBatch reads off each
-// message's events.Header without decoding the event. A delivery hands a
-// node's whole backlog to one Batcher per partition counter and flushes
-// them before it returns, so each counter logs the delivery as one WAL
+// parked is a 16-byte record with no pointers — the name's events
+// name-table ID, the minute, the country's index in geo.Countries, the
+// login bit and the partition, none of them the caller's — which TapBatch
+// reads off each message's events.Header without decoding the event. A
+// delivery resolves the IDs against one snapshot of the name table, hands a
+// node's whole backlog to one Batcher per partition counter as
+// realtime.Observations carrying the table's entries, and flushes the
+// Batchers before it returns, so each counter logs the delivery as one WAL
 // record (Node.FsyncEvery counts those) and the delivery is all or
 // nothing: a down node or a partition the node does not host refuses the
 // batch before any of it is applied. A delivery fails only when the node
@@ -83,7 +85,8 @@ type Config struct {
 	ReplicationFactor int
 	// Partitions is the fixed number of namespace partitions hashed over
 	// the ring. More partitions smooth placement and shrink the data a
-	// single node loss leaves under-replicated. Default 16.
+	// single node loss leaves under-replicated. Default 16, at most 1<<16
+	// (a routed event carries its partition in 16 bits).
 	Partitions int
 	// VirtualPoints is how many ring points each node contributes;
 	// placement evens out as it grows. Default 8.
@@ -117,6 +120,9 @@ type Config struct {
 	// zk.SystemClock; scenarios inject the shared zk.ManualClock.
 	Clock zk.Clock
 }
+
+// maxPartitions is the most partitions routed.p can name.
+const maxPartitions = 1 << 16
 
 func (c Config) withDefaults() Config {
 	if c.Nodes <= 0 {
@@ -222,6 +228,9 @@ type Cluster struct {
 // realtime.Open does per counter.
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Partitions > maxPartitions {
+		return nil, fmt.Errorf("cluster: %d partitions, at most %d", cfg.Partitions, maxPartitions)
+	}
 	c := &Cluster{
 		cfg:   cfg,
 		clock: cfg.Clock,
@@ -283,11 +292,12 @@ func (c *Cluster) Ingest(e *events.ClientEvent) {
 //
 // The router reads each message's header in place (events.Header), looks
 // the name up in the events name table by its bytes, routes by the entry's
-// hash and queues a realtime.Observation — the entry's name, the minute,
-// the country constant, the login bit — so nothing it parks aliases the
-// caller's buffers. A message that fails the walk, or whose name fails
-// events.ParseName the first time it is seen, counts in
-// Stats.DecodeErrors and is routed nowhere.
+// hash and queues a 16-byte routed record — the entry's ID, the minute, the
+// country's index, the login bit — so nothing it parks aliases the
+// caller's buffers and no replica looks the name up again. A message that
+// fails the walk, or whose name fails events.ParseName the first time it is
+// seen, counts in Stats.DecodeErrors and is routed nowhere. Each per-node
+// slice built here is handed to its send queue, which keeps it.
 func (c *Cluster) TapBatch(batch []scribe.Entry) {
 	perNode := make([][]routed, len(c.nodes))
 	var dec thrift.CompactDecoder
@@ -309,12 +319,13 @@ func (c *Cluster) TapBatch(batch []scribe.Entry) {
 		}
 		c.ingested.Add(1)
 		tmClusterIngest.Inc()
-		r := routed{p: c.ring.partitionOf(name.Hash), o: realtime.Observation{
-			Name:     name.Full,
-			Minute:   h.Timestamp / 60_000,
-			Country:  geo.CountryOfBytes(h.IP),
-			LoggedIn: h.LoggedIn(),
-		}}
+		r := routed{
+			minute:   h.Timestamp / 60_000,
+			name:     name.ID,
+			p:        uint16(c.ring.partitionOf(name.Hash)),
+			country:  uint8(geo.CountryIndexOfBytes(h.IP)),
+			loggedIn: h.LoggedIn(),
+		}
 		for _, id := range c.ring.replicas[r.p] {
 			if perNode[id] == nil {
 				perNode[id] = make([]routed, 0, len(batch))

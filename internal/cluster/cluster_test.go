@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -25,9 +26,14 @@ func ev(name string, at time.Time, user int64, country string) *events.ClientEve
 	}
 }
 
-// obsAt is the observation of a logged-in US user firing name at at.
-func obsAt(name string, at time.Time) realtime.Observation {
-	return realtime.Observation{Name: name, Minute: at.Unix() / 60, Country: "us", LoggedIn: true}
+// routedAt is a logged-in US user firing name at at, routed to partition p.
+func routedAt(t *testing.T, p int, name string, at time.Time) routed {
+	t.Helper()
+	e, err := events.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return routed{minute: at.Unix() / 60, name: e.ID, p: uint16(p), country: uint8(slices.Index(geo.Countries, "us")), loggedIn: true}
 }
 
 // testNames spreads over enough distinct full names that every test
@@ -226,7 +232,7 @@ func TestQueueTimeline(t *testing.T) {
 			for i, st := range tc.steps {
 				switch st.do {
 				case send:
-					q.send([]routed{{p: 0, o: obsAt(testNames[i%len(testNames)], t0)}}, st.status)
+					q.send([]routed{routedAt(t, 0, testNames[i%len(testNames)], t0)}, st.status)
 				case pump:
 					q.pump(st.status)
 				case crash:

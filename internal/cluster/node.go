@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"unilog/internal/events"
+	"unilog/internal/geo"
 	"unilog/internal/realtime"
 )
 
@@ -21,13 +23,17 @@ var (
 	ErrNotReplica = errors.New("cluster: node does not replicate partition")
 )
 
-// routed is one event bound for one partition replica: 56 bytes, all of it
-// owned (the name is the name table's copy, the country a geo constant), so
-// a queued or hinted write stays intact however long the target node is
-// down, independent of the caller's buffers.
+// routed is one event bound for one partition replica: 16 bytes and no
+// pointers — the name is its events name-table ID, the country its index in
+// geo.Countries (len(geo.Countries) for geo.Unknown) — so a queued or hinted
+// write stays intact however long the target node is down, independent of
+// the caller's buffers, and a backlog of them is nothing for the GC to scan.
 type routed struct {
-	p int
-	o realtime.Observation
+	minute   int64  // event timestamp in Unix minutes
+	name     uint32 // events.NameEntry.ID
+	p        uint16 // partition; New caps Partitions at 1<<16
+	country  uint8  // geo.CountryIndexOfBytes of the event's IP
+	loggedIn bool
 }
 
 // Node is one member of the cluster: a realtime.Counter per partition
@@ -48,6 +54,7 @@ type Node struct {
 	mu       sync.RWMutex
 	crashed  bool
 	counters map[int]*realtime.Counter
+	span     int // one past the highest partition hosted
 
 	crashes  atomic.Int64
 	restarts atomic.Int64
@@ -79,6 +86,9 @@ func newNode(id int, partitions []int, dir string, cfg realtime.Config) (*Node, 
 		return nil, err
 	}
 	n.counters = counters
+	for _, p := range partitions {
+		n.span = max(n.span, p+1)
+	}
 	return n, nil
 }
 
@@ -110,29 +120,40 @@ func (n *Node) ID() int { return n.id }
 // flushed before the read lock is released, so a delivery of N events
 // appends at most one WAL record per (hosted partition, shard, MaxBatch
 // events) instead of N, and a delivery that returned nil is in the shard
-// queues before crash can take the write lock.
+// queues before crash can take the write lock. Each event's name ID is
+// resolved against one events.NameEntries snapshot taken here, after the
+// router numbered every name in the batch, so no name is looked up again.
 func (n *Node) deliver(batch []routed) error {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	if n.crashed {
 		return ErrNodeDown
 	}
+	batchers := make([]*realtime.Batcher, n.span)
 	for i := range batch {
-		if n.counters[batch[i].p] == nil {
-			return fmt.Errorf("%w: node %d, partition %d", ErrNotReplica, n.id, batch[i].p)
+		p := int(batch[i].p)
+		if p < len(batchers) && batchers[p] != nil {
+			continue
 		}
+		if p >= len(batchers) || n.counters[p] == nil {
+			return fmt.Errorf("%w: node %d, partition %d", ErrNotReplica, n.id, p)
+		}
+		batchers[p] = n.counters[p].NewBatcher()
 	}
-	batchers := make(map[int]*realtime.Batcher)
+	names := events.NameEntries()
 	for i := range batch {
-		b := batchers[batch[i].p]
-		if b == nil {
-			b = n.counters[batch[i].p].NewBatcher()
-			batchers[batch[i].p] = b
-		}
-		b.AddObservation(batch[i].o)
+		r := &batch[i]
+		batchers[r.p].AddObservation(realtime.Observation{
+			Name:     names[r.name],
+			Minute:   r.minute,
+			Country:  geo.CountryOfIndex(int(r.country)),
+			LoggedIn: r.loggedIn,
+		})
 	}
 	for _, b := range batchers {
-		b.Flush()
+		if b != nil {
+			b.Flush()
+		}
 	}
 	tmClusterDeliver.Add(int64(len(batch)))
 	tmClusterDeliverBatch.Observe(int64(len(batch)))

@@ -63,11 +63,16 @@ func newSendQueue(n *Node, hints *hintLoad) *sendQueue {
 
 // send enqueues a batch for a node the detector sees as status. It
 // attempts delivery unless the queue is parked or the node is dead; a
-// failed attempt parks the backlog.
+// failed attempt parks the backlog. The queue takes ownership of batch:
+// when nothing is pending, batch becomes the backlog without a copy.
 func (q *sendQueue) send(batch []routed, status Status) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.pending = append(q.pending, batch...)
+	if len(q.pending) == 0 {
+		q.pending = batch
+	} else {
+		q.pending = append(q.pending, batch...)
+	}
 	switch {
 	case q.parked:
 		q.hintLocked(len(batch))

@@ -2,9 +2,12 @@ package cluster
 
 import (
 	"errors"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"unilog/internal/events"
 	"unilog/internal/realtime"
@@ -36,8 +39,8 @@ func TestDeliverForeignPartitionAppliesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.close()
-	o := obsAt(testNames[0], t0)
-	batch := []routed{{p: 0, o: o}, {p: 1, o: o}, {p: 5, o: o}, {p: 0, o: o}}
+	at := func(p int) routed { return routedAt(t, p, testNames[0], t0) }
+	batch := []routed{at(0), at(1), at(5), at(0)}
 	for attempt := 0; attempt < 2; attempt++ {
 		if err := n.deliver(batch); !errors.Is(err, ErrNotReplica) {
 			t.Fatalf("deliver with a foreign partition = %v, want ErrNotReplica", err)
@@ -261,6 +264,78 @@ func TestIngestMatchesTapBatch(t *testing.T) {
 				t.Errorf("Ingest stats %+v\nTapBatch stats %+v", is, ts)
 			}
 		})
+	}
+}
+
+// A routed event is what every send queue holds per replica, hints
+// included: it must stay 16 bytes with nothing in it for the GC to follow.
+func TestRoutedIsSixteenPointerFreeBytes(t *testing.T) {
+	if got := unsafe.Sizeof(routed{}); got != 16 {
+		t.Errorf("routed is %d bytes, want 16", got)
+	}
+	var holdsPointers func(reflect.Type) bool
+	holdsPointers = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Array:
+			return holdsPointers(typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if holdsPointers(typ.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice, reflect.String,
+			reflect.Interface, reflect.Chan, reflect.Func:
+			return true
+		}
+		return false
+	}
+	if holdsPointers(reflect.TypeOf(routed{})) {
+		t.Errorf("routed holds a pointer: %+v", reflect.TypeOf(routed{}))
+	}
+}
+
+// A routed event names its partition in 16 bits, so New refuses a ring with
+// more partitions than that can name.
+func TestNewRefusesPartitionsPastSixteenBits(t *testing.T) {
+	c, err := New(Config{Partitions: 1<<16 + 1, Clock: zk.NewManualClock(t0)})
+	if err == nil {
+		c.Close()
+		t.Fatal("New accepted 1<<16 + 1 partitions")
+	}
+}
+
+// TestTapBatchAllocatesLittlePerEvent bounds what the whole write path — the
+// router, the send queues and the replicas' deliveries into memory-only
+// counters — allocates per tapped event once names and countries are
+// numbered. Measured on this test's cluster: 309-318 B/event when each
+// routed event was a 56-byte record holding a realtime.Observation, copied
+// again into the send queue and delivered through a map of Batchers, and
+// ~70 B/event with the 16-byte record the queue adopts; the bound, 103, is
+// a third of the former.
+func TestTapBatchAllocatesLittlePerEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops recycled batches at random")
+	}
+	c := testCluster(t, Config{Nodes: 3, ReplicationFactor: 2, Clock: zk.NewManualClock(t0)})
+	batch := tapEntries(500)
+	c.TapBatch(batch)
+	c.Sync()
+	const taps = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < taps; i++ {
+		c.TapBatch(batch)
+		c.Sync()
+	}
+	runtime.ReadMemStats(&after)
+	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(taps*len(batch))
+	if perEvent > 103 {
+		t.Fatalf("tapping allocates %.1f B/event, want at most 103", perEvent)
+	}
+	if st := c.Stats(); st.Delivered != 2*(taps+1)*int64(len(batch)) {
+		t.Fatalf("stats = %+v, want every event delivered to 2 replicas", st)
 	}
 }
 

@@ -73,7 +73,7 @@ func LookupBytes(b []byte) (*NameEntry, error) {
 }
 
 // Lookup is LookupBytes for a name that arrives as a string: WAL replay,
-// snapshot dictionaries, realtime.Observation and the rollup combiner.
+// snapshot dictionaries and the rollup combiner.
 func Lookup(full string) (*NameEntry, error) {
 	names.mu.RLock()
 	e := names.byFull[full]

@@ -21,19 +21,34 @@ var Countries = []string{"us", "jp", "uk", "br", "in", "de", "id", "mx"}
 const firstOctetBase = 10
 
 // CountryOf resolves an IPv4 address to a country code.
-func CountryOf(ip string) string { return countryOf(ip) }
+func CountryOf(ip string) string { return CountryOfIndex(countryIndex(ip)) }
 
 // CountryOfBytes is CountryOf for an address still lying in a message
 // buffer: CountryOfBytes(b) == CountryOf(string(b)) for every b, without
 // the conversion. The result is Unknown or one of the Countries constants,
 // never a slice of b.
-func CountryOfBytes(ip []byte) string { return countryOf(ip) }
+func CountryOfBytes(ip []byte) string { return CountryOfIndex(countryIndex(ip)) }
 
-// countryOf reads the first octet the way strconv.Atoi would — an optional
-// '+', then decimal digits, leading zeros allowed — up to the first '.'.
-// Anything Atoi would reject, and any value outside the table (a '-' can
-// only give one), is Unknown.
-func countryOf[S string | []byte](ip S) string {
+// CountryIndexOfBytes is CountryOfBytes as an index into Countries, with
+// len(Countries) standing for Unknown — a country a fixed-size record can
+// carry. CountryOfIndex(CountryIndexOfBytes(b)) == CountryOfBytes(b).
+func CountryIndexOfBytes(ip []byte) int { return countryIndex(ip) }
+
+// CountryOfIndex inverts CountryIndexOfBytes: Countries[i], or Unknown for
+// any i outside the table.
+func CountryOfIndex(i int) string {
+	if uint(i) < uint(len(Countries)) {
+		return Countries[i]
+	}
+	return Unknown
+}
+
+// countryIndex reads the first octet the way strconv.Atoi would — an
+// optional '+', then decimal digits, leading zeros allowed — up to the first
+// '.'. Anything Atoi would reject, and any value outside the table (a '-'
+// can only give one), is Unknown, len(Countries).
+func countryIndex[S string | []byte](ip S) int {
+	unknown := len(Countries)
 	i := 0
 	if len(ip) > 0 && ip[0] == '+' {
 		i = 1
@@ -42,19 +57,19 @@ func countryOf[S string | []byte](ip S) string {
 	for ; i < len(ip) && ip[i] != '.'; i++ {
 		d := ip[i] - '0'
 		if d > 9 {
-			return Unknown
+			return unknown
 		}
 		// Stop past the table's end: every longer number is Unknown too,
 		// and octet never overflows.
 		if octet = octet*10 + int(d); octet >= firstOctetBase+len(Countries) {
-			return Unknown
+			return unknown
 		}
 		digits++
 	}
 	if i == len(ip) || digits == 0 || octet < firstOctetBase {
-		return Unknown
+		return unknown
 	}
-	return Countries[octet-firstOctetBase]
+	return octet - firstOctetBase
 }
 
 // IPFor synthesizes an IPv4 address inside the given country's prefix; host

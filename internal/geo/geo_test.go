@@ -58,8 +58,9 @@ func countryOfAtoi(ip string) string {
 	return Countries[i]
 }
 
-// FuzzCountryOf: over arbitrary bytes, CountryOf and CountryOfBytes both
-// answer what the Atoi-based reference answers. The seeds are the inputs
+// FuzzCountryOf: over arbitrary bytes, CountryOf, CountryOfBytes and the
+// index form mapped back to a code all answer what the Atoi-based reference
+// answers. The seeds are the inputs
 // where a digit loop and Atoi could part ways: signs, leading zeros,
 // numbers past int64, underscores, a missing or leading dot.
 func FuzzCountryOf(f *testing.F) {
@@ -79,6 +80,13 @@ func FuzzCountryOf(f *testing.F) {
 		}
 		if got := CountryOf(string(b)); got != want {
 			t.Errorf("CountryOf(%q) = %q, the Atoi reference says %q", b, got, want)
+		}
+		i := CountryIndexOfBytes(b)
+		if i < 0 || i > len(Countries) {
+			t.Fatalf("CountryIndexOfBytes(%q) = %d, outside 0..%d", b, i, len(Countries))
+		}
+		if got := CountryOfIndex(i); got != want {
+			t.Errorf("CountryOfIndex(CountryIndexOfBytes(%q)) = %q, the Atoi reference says %q", b, got, want)
 		}
 	})
 }

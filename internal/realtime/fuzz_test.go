@@ -71,7 +71,7 @@ func FuzzWALBatch(f *testing.F) {
 			batch = append(batch, obs{minute: t0.Unix()/60 - int64(i+j), name: name, country: tab.country(country), loggedIn: j%2 == 0})
 		}
 	}
-	w := &walWriter{nameLocal: map[uint32]uint32{}, countryLocal: map[uint32]uint32{}}
+	w := &walWriter{}
 	rec, _, _ := w.encodeBatch(nil, batch, tab)
 	addDamaged(f, rec, 0, staleWALVersions)
 	f.Add([]byte{})

@@ -41,7 +41,7 @@ func (c *Counter) TapBatch(batch []scribe.Entry) {
 			c.decodeErrors.Add(1)
 			continue
 		}
-		if o, ok := c.digest(name, nil, h.Timestamp/60_000, geo.CountryOfBytes(h.IP), h.LoggedIn()); ok {
+		if o, ok := c.digest(name, h.Timestamp/60_000, geo.CountryOfBytes(h.IP), h.LoggedIn()); ok {
 			b.add(o)
 		}
 	}
@@ -74,15 +74,16 @@ func (c *Counter) NewBatcher() *Batcher {
 	return &Batcher{c: c, per: make([][]obs, len(c.shards))}
 }
 
-// Observation is one event reduced to what the counters keep of it: its
-// full name, its minute, the country its IP resolved to and whether a user
-// was logged in. It is what a WAL record logs per event, and what a
-// cluster coordinator routes and parks for a node — every field owned, so
-// it outlives the message it was read from.
+// Observation is one event reduced to what the counters keep of it: the
+// name table's entry for its name, its minute, the country its IP resolved
+// to and whether a user was logged in — what a WAL record logs per event,
+// and what a cluster node hands its partition counters for each routed
+// event it delivers. Every field is owned by the process, so it outlives the
+// message it was read from.
 type Observation struct {
-	Name     string // colon-joined six-component name
-	Minute   int64  // event timestamp in Unix minutes
-	Country  string // geo.CountryOf the event's IP
+	Name     *events.NameEntry // the name's entry; nil stands for an invalid name
+	Minute   int64             // event timestamp in Unix minutes
+	Country  string            // geo.CountryOf the event's IP
 	LoggedIn bool
 }
 
@@ -95,12 +96,11 @@ func (b *Batcher) Add(e *events.ClientEvent) {
 }
 
 // AddObservation is Add for an event that has already been reduced to an
-// Observation. It enters the counter through digestFull, the door WAL
-// replay uses, so an observation delivered live and the same one replayed
-// after a crash are validated and digested by one function: an invalid
-// name or a minute before 1 counts in Stats.Invalid.
+// Observation. The name is already the table's entry, so it goes straight
+// to digest — no lookup — where every other door, WAL replay included,
+// meets it: a nil Name or a minute before 1 counts in Stats.Invalid.
 func (b *Batcher) AddObservation(o Observation) {
-	if o, ok := b.c.digestFull(o.Name, o.Minute, o.Country, o.LoggedIn); ok {
+	if o, ok := b.c.digest(o.Name, o.Minute, o.Country, o.LoggedIn); ok {
 		b.add(o)
 	}
 }

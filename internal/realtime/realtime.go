@@ -19,7 +19,8 @@
 //   - the process-wide events name table numbers every distinct event name
 //     once, with its digest — prefix IDs, rolled names, hash — on an
 //     immutable events.NameEntry, so the per-event hot path is one
-//     read-locked lookup, the shard is the entry's hash modulo the shard
+//     read-locked lookup (none for an Observation, which carries the
+//     entry), the shard is the entry's hash modulo the shard
 //     count, and the counters below increment one integer-keyed cell;
 //     countries, and a bit per path a counter has counted, are kept per
 //     counter (symtab.go);
@@ -166,9 +167,10 @@ type Stats struct {
 	// DecodeErrors counts tap entries that failed Thrift decoding or
 	// carried a name events.ParseName rejects.
 	DecodeErrors int64
-	// Invalid counts decoded events and observations (Add, Ingest,
-	// AddObservation, WAL replay) whose name failed validation, and events
-	// by any door whose timestamp lies before the first Unix minute.
+	// Invalid counts decoded events and observations (Add, Ingest, WAL
+	// replay) whose name failed validation, AddObservation calls with a nil
+	// Name, and events by any door whose timestamp lies before the first
+	// Unix minute.
 	Invalid int64
 	// DroppedOld counts observations older than the retention window.
 	DroppedOld int64
@@ -500,14 +502,14 @@ func (c *Counter) shardOf(e *events.NameEntry) int {
 	return int(uint32(e.Hash) % uint32(len(c.shards)))
 }
 
-// digest makes the obs of one event, given what the name table returned
-// for its name — where every door to the counters meets. It reports false,
-// counting Stats.Invalid, for events that must not be counted: an invalid
-// name, or a timestamp before Unix minute 1 — the timestamp comes from
-// outside, a negative minute would index the ring out of range and minute 0
-// is the ring's empty-slot value.
-func (c *Counter) digest(name *events.NameEntry, err error, minute int64, country string, loggedIn bool) (obs, bool) {
-	if err != nil || minute < 1 {
+// digest makes the obs of one event, given the name table's entry for its
+// name — where every door to the counters meets. It reports false, counting
+// Stats.Invalid, for events that must not be counted: a nil entry (the name
+// was invalid), or a timestamp before Unix minute 1 — the timestamp comes
+// from outside, a negative minute would index the ring out of range and
+// minute 0 is the ring's empty-slot value.
+func (c *Counter) digest(name *events.NameEntry, minute int64, country string, loggedIn bool) (obs, bool) {
+	if name == nil || minute < 1 {
 		c.invalid.Add(1)
 		return obs{}, false
 	}
@@ -517,20 +519,18 @@ func (c *Counter) digest(name *events.NameEntry, err error, minute int64, countr
 
 // observe digests one decoded event.
 func (c *Counter) observe(e *events.ClientEvent) (obs, bool) {
-	name, err := events.LookupName(e.Name)
-	return c.digest(name, err, e.Timestamp/60_000, geo.CountryOf(e.IP), e.LoggedIn())
+	name, _ := events.LookupName(e.Name)
+	return c.digest(name, e.Timestamp/60_000, geo.CountryOf(e.IP), e.LoggedIn())
 }
 
-// digestFull is observe for an event that arrives as an Observation's
-// fields: WAL replay (recover.go), where they were logged, and
-// Batcher.AddObservation, where a cluster coordinator read them off the
-// wire. Re-digesting the name and re-sharding it is what lets a log written
-// under one shard count replay correctly into another; re-checking the
-// minute is what lets a segment written before observe checked it replay
-// past the record.
+// digestFull is observe for an event that WAL replay (recover.go) read back
+// as a logged name string. Re-digesting the name and re-sharding it is what
+// lets a log written under one shard count replay correctly into another;
+// re-checking the minute is what lets a segment written before observe
+// checked it replay past the record.
 func (c *Counter) digestFull(name string, minute int64, country string, loggedIn bool) (obs, bool) {
-	e, err := events.Lookup(name)
-	return c.digest(e, err, minute, country, loggedIn)
+	e, _ := events.Lookup(name)
+	return c.digest(e, minute, country, loggedIn)
 }
 
 // send enqueues one batch on a shard, blocking when the queue is full.

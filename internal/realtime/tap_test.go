@@ -51,8 +51,9 @@ func TestTapBatchSteadyStateAllocations(t *testing.T) {
 	}
 }
 
-// An observation added live must land where the same observation replayed
-// from a WAL lands: AddObservation and recovery share digestFull.
+// An observation carrying the name table's entry must land where the same
+// event added decoded lands — both doors meet in digest — and one with no
+// entry (the name was invalid) or a minute before 1 must count as invalid.
 func TestAddObservationMatchesAdd(t *testing.T) {
 	byEvent := newCounter(t, Config{Shards: 2})
 	byObs := newCounter(t, Config{Shards: 2})
@@ -63,13 +64,21 @@ func TestAddObservationMatchesAdd(t *testing.T) {
 			t.Fatal(err)
 		}
 		be.Add(&e)
+		name, err := events.LookupName(e.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		bo.AddObservation(Observation{
-			Name: e.Name.String(), Minute: e.Timestamp / 60_000,
+			Name: name, Minute: e.Timestamp / 60_000,
 			Country: geo.CountryOf(e.IP), LoggedIn: e.LoggedIn(),
 		})
 	}
-	bo.AddObservation(Observation{Name: "web:five:components:only:click", Minute: t0.Unix() / 60, Country: "us"})
-	bo.AddObservation(Observation{Name: "web:home:timeline:stream:tweet:impression", Minute: 0, Country: "us"})
+	valid, err := events.Lookup("web:home:timeline:stream:tweet:impression")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bo.AddObservation(Observation{Name: nil, Minute: t0.Unix() / 60, Country: "us"})
+	bo.AddObservation(Observation{Name: valid, Minute: 0, Country: "us"})
 	be.Flush()
 	bo.Flush()
 	byEvent.Sync()

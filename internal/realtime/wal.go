@@ -92,12 +92,47 @@ type walWriter struct {
 	sinceSync int    // batches appended since the last fsync
 	scratch   []byte // batch encoding buffer, reused
 
-	// Per-segment dictionary state: name-table or country ID -> dense
+	// Per-segment dictionaries: name-table or country ID -> dense
 	// segment-local ID, assigned in first-reference order (the decoder
 	// mirrors the assignment, so only the strings travel). Reset on
 	// rotate — each segment's dictionary stands alone.
-	nameLocal    map[uint32]uint32
-	countryLocal map[uint32]uint32
+	nameLocal    segDict
+	countryLocal segDict
+}
+
+// segDict numbers process-wide IDs densely within one segment. slot is
+// indexed by the process ID and holds the segment ID + 1, 0 for an ID the
+// segment has not referenced, so a lookup is one array index. It grows to
+// the highest ID the segment references: for names, the highest name-table
+// ID, however few names the segment logs.
+type segDict struct {
+	slot []uint32
+	n    uint32 // segment IDs assigned
+}
+
+// add numbers id with the next segment ID if the segment has not referenced
+// it yet, and reports whether it did.
+func (d *segDict) add(id uint32) bool {
+	if int(id) >= len(d.slot) {
+		d.slot = append(d.slot, make([]uint32, int(id)+1-len(d.slot))...)
+	}
+	if d.slot[id] != 0 {
+		return false
+	}
+	d.n++
+	d.slot[id] = d.n
+	return true
+}
+
+// local returns the segment ID of an id add has numbered.
+func (d *segDict) local(id uint32) uint32 { return d.slot[id] - 1 }
+
+// forget undoes the assignments of ids, the last len(ids) made.
+func (d *segDict) forget(ids []uint32) {
+	for _, id := range ids {
+		d.slot[id] = 0
+	}
+	d.n -= uint32(len(ids))
 }
 
 // openWAL creates (or truncates) the segment walName(shard, seq) and
@@ -108,11 +143,7 @@ func openWAL(dir string, shard int, seq int64) (*walWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &walWriter{
-		dir: dir, shard: shard, seq: seq, f: f,
-		nameLocal:    make(map[uint32]uint32),
-		countryLocal: make(map[uint32]uint32),
-	}
+	w := &walWriter{dir: dir, shard: shard, seq: seq, f: f}
 	w.bw = bufio.NewWriterSize(f, 1<<16)
 	w.cw = recordio.NewCRCWriter(w.bw)
 	return w, nil
@@ -136,12 +167,8 @@ func (w *walWriter) append(batch []obs, fsyncEvery int, tab *symtab) (int64, boo
 	var addedNames, addedCountries []uint32
 	w.scratch, addedNames, addedCountries = w.encodeBatch(w.scratch[:0], batch, tab)
 	rollback := func() {
-		for _, id := range addedNames {
-			delete(w.nameLocal, id)
-		}
-		for _, id := range addedCountries {
-			delete(w.countryLocal, id)
-		}
+		w.nameLocal.forget(addedNames)
+		w.countryLocal.forget(addedCountries)
 	}
 	before := w.cw.Bytes()
 	if err := w.cw.Append(w.scratch); err != nil {
@@ -248,13 +275,11 @@ func (w *walWriter) encodeBatch(buf []byte, batch []obs, tab *symtab) (out []byt
 	var newNames, newCountries []string
 	for i := range batch {
 		o := &batch[i]
-		if _, ok := w.nameLocal[o.name.ID]; !ok {
-			w.nameLocal[o.name.ID] = uint32(len(w.nameLocal))
+		if w.nameLocal.add(o.name.ID) {
 			addedNames = append(addedNames, o.name.ID)
 			newNames = append(newNames, o.name.Full)
 		}
-		if _, ok := w.countryLocal[o.country]; !ok {
-			w.countryLocal[o.country] = uint32(len(w.countryLocal))
+		if w.countryLocal.add(o.country) {
 			addedCountries = append(addedCountries, o.country)
 			newCountries = append(newCountries, tab.countryName(o.country))
 		}
@@ -278,9 +303,9 @@ func (w *walWriter) encodeBatch(buf []byte, batch []obs, tab *symtab) (out []byt
 	buf = binary.AppendUvarint(buf, uint64(base))
 	for i := range batch {
 		o := &batch[i]
-		buf = binary.AppendUvarint(buf, uint64(w.nameLocal[o.name.ID]))
+		buf = binary.AppendUvarint(buf, uint64(w.nameLocal.local(o.name.ID)))
 		buf = binary.AppendVarint(buf, o.minute-base)
-		cl := uint64(w.countryLocal[o.country]) << 1
+		cl := uint64(w.countryLocal.local(o.country)) << 1
 		if o.loggedIn {
 			cl |= 1
 		}
