@@ -71,8 +71,9 @@
 // ErrTruncated on any bytes). The reduce side is a streaming k-way merge
 // over the runs (cascaded first when there are more than 64 of them):
 // groups arrive in global key order with their tuples pre-ordered
-// (GroupByOrdered's secondary sort is what lets sessionization and funnel
-// walks consume each group without re-sorting it) and reduce through
+// (GroupByOrdered's secondary sort, which the legacy-log sessionization
+// uses; the raw-log queries shuffle per-session partials instead, below)
+// and reduce through
 // EachGroup, ForEachGroup or Sum (integer columns only; anything else is
 // an error naming the column and type), joins advance two ordered streams
 // in lockstep, and OrderBy is a merge sort over the same runs — so peak
@@ -83,14 +84,27 @@
 // asserted by internal/dataflow's property tests and, for the day-scale
 // jobs, by internal/analytics' layout × budget test (rollups and the
 // raw-log count equal over row files and sealed chunks, unbudgeted and
-// under 32 KiB with spilling forced); the benchmark's batch-rows-spill
+// under 2 and 32 KiB with spilling forced); the benchmark's batch-rows-spill
 // workload (bench/README.md) rolls up, sessionizes and sorts a larger
 // day under the same budget and checks every answer against an oracle.
-// The §3.2 rollup job runs map-combine-reduce: a map-side
-// combiner counts events by (name ID, country, logged-in) — one
-// name-table lookup and one map write per event — and expands each
-// distinct combination through the name's five rolled names when the scan
-// ends, so only distinct partial counts shuffle.
+// GroupBy, GroupByOrdered and GroupAll are thin wrappers over one push-fed
+// shuffle, dataflow.Shuffle, which a map-side combiner can feed directly;
+// Dataset.EachBatch is the matching scan entry point, handing a pushed-down
+// projection's splits to a fold one column batch (a chunk.Batch) at a time
+// with the tuple scan's metering and no tuple built.
+// The day-scale jobs fold those batches. The §3.2 rollup job runs
+// map-combine-reduce: its combiner resolves each batch's name dictionary
+// entries through the name table and its address entries to countries
+// once, counts rows by (name ID, country, logged-in) — one map write per
+// row — and expands each distinct combination through the name's five
+// rolled names when the scan ends, so only distinct partial counts shuffle.
+// The two raw-log queries (CountRawDay, FunnelRawDay) share one group-by:
+// each batch folds into a pointer-free table keyed by (user id, session
+// id); whenever the table outgrows the memory budget, and at the end, each
+// key's (timestamp, name ID) events are stably sorted and shuffled as one
+// delta-encoded partial; the reduce is a plain GroupBy that concatenates a
+// key's partials, stably sorts them by timestamp (scan order breaks ties,
+// as the per-event secondary sort did) and cuts sessions at 30-minute gaps.
 //
 // Event names are numbered once per process, in the events name table
 // (names.go): a valid name is validated and digested the first time it is
@@ -173,18 +187,22 @@
 // 16-byte {timestamp, name ID, IP ID} entries by (user, session ID), and
 // when the scan ends builds the dictionary, sorts each group (timestamp,
 // then name rank) and encodes it through an ID -> code point table.
-// Catalog samples read a chunk's remaining columns only while its name
+// Catalog samples read a batch's remaining columns only while its name
 // dictionary still holds a name short of its quota, and materialize only
-// the sampled rows. Hours without the _col-SEALED marker feed the same
-// core from their row files, interned event by event; output — records,
-// sequence files, dictionary.gz — is byte-identical either way, held by
-// an equivalence test against the two-row-scan reference. The dictionary
+// the sampled rows. Hours without the _col-SEALED marker go through the
+// same loop: the day reader (chunk.ReadHour) walks each of their row files
+// with events.Header into the same column vectors a chunk decodes to,
+// validating names as the seal does (FuzzRowBatchMatchesSeal holds it to
+// the seal column by column); output — records, sequence files,
+// dictionary.gz — is byte-identical either way, held by an equivalence
+// test against the two-row-scan reference. The dictionary
 // is written last, so a day that has one is complete: BuildDay on it
 // returns ErrDayBuilt before reading anything, and session files without
 // a dictionary are a dead run's and are removed before the rebuild.
 //
 // Parallelism lives in the scan and nowhere else. dataflow.Job.Parallelism
-// (default runtime.GOMAXPROCS(0)) caps the scan's decode workers: file
+// (default runtime.GOMAXPROCS(0)) caps the tuple scan's decode workers
+// (EachBatch folds its batches serially on the calling goroutine): file
 // splits decode on a pool and a reorder buffer delivers them in plan
 // order, so a scan's output and its cost accounting are byte-identical at
 // any setting; with one worker or one split the serial split-by-split

@@ -11,17 +11,20 @@
 // For every sequence-based query there is a raw-logs counterpart that
 // performs the same analysis the pre-materialization way: scan the day's
 // client events, group by (user id, session id), re-sessionize, then
-// analyze. The pairs are deliberately kept side by side; their cost gap is
-// the paper's performance argument (§4.1, §5.3): TestRawAndSequencePathsAgree
-// and TestFunnelRawAgrees hold the answers equal, and the benchmark reports
-// the gap (analytics.funnel_raw_ms against analytics.funnel_seq_ms).
+// analyze. Both raw queries share one group-by (rawlog.go), which folds the
+// scan's column batches into a map-side combiner and shuffles one partial
+// per session rather than a tuple per event; it still scans every raw byte
+// of the day (Stats.BytesRead is what a tuple scan reads). The pairs are
+// deliberately kept side by side; their cost gap is the paper's performance
+// argument (§4.1, §5.3): TestRawAndSequencePathsAgree and TestFunnelRawAgrees
+// hold the answers equal, and the benchmark reports the gap
+// (analytics.funnel_raw_ms against analytics.funnel_seq_ms).
 package analytics
 
 import (
 	"regexp"
 	"time"
 
-	"unilog/internal/columnar"
 	"unilog/internal/dataflow"
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
@@ -33,19 +36,6 @@ import (
 // the name: the raw-log queries ask it once per distinct name and reuse
 // the answer for every later event with that name.
 type Matcher func(name string) bool
-
-// memo returns m answering each distinct name once.
-func (m Matcher) memo() Matcher {
-	seen := make(map[string]bool)
-	return func(name string) bool {
-		ok, hit := seen[name]
-		if !hit {
-			ok = m(name)
-			seen[name] = ok
-		}
-		return ok
-	}
-}
 
 // MatcherFromPattern adapts a wildcard pattern.
 func MatcherFromPattern(p string) (Matcher, error) {
@@ -143,49 +133,29 @@ func CountSequencesDay(j *dataflow.Job, day time.Time, dict *session.Dictionary,
 }
 
 // CountRawDay answers the same query from the raw client event logs: a full
-// scan, then the reduce-side re-sessionization the paper wants to avoid.
-// The group-by uses the shuffle's secondary sort (GroupByOrdered), so each
-// group streams past already in timestamp order — the reducer never
-// re-sorts it.
+// scan, then the reduce-side re-sessionization the paper wants to avoid —
+// the raw-log group-by of rawlog.go, which hands each re-sessionized
+// session to the count already in timestamp order.
 func CountRawDay(j *dataflow.Job, day time.Time, m Matcher) (CountReport, error) {
 	var rep CountReport
-	// Early projection (§4.1), pushed into the columnar scan: sealed hours
-	// read only the four referenced column streams.
-	p, err := columnar.LoadDay(j, day, dataflow.Selection{
-		Columns: []string{"user_id", "session_id", "name", "timestamp"},
-	})
+	rs, err := scanRawSessions(j, day)
 	if err != nil {
 		return rep, err
 	}
-	g, err := p.GroupByOrdered("timestamp", "user_id", "session_id")
-	if err != nil {
-		return rep, err
-	}
-	defer g.Close()
-	m = m.memo()
-	nameIdx := 2
-	tsIdx := 3
-	gapMs := session.InactivityGap.Milliseconds()
-	err = g.EachGroup(func(key dataflow.Tuple, group []dataflow.Tuple) error {
-		segMatches := int64(0)
-		for i, t := range group {
-			if i > 0 && t[tsIdx].(int64)-group[i-1][tsIdx].(int64) > gapMs {
-				rep.TotalSessions++
-				if segMatches > 0 {
-					rep.Sessions++
-				}
-				segMatches = 0
-			}
-			if m(t[nameIdx].(string)) {
-				rep.Events++
-				segMatches++
+	defer rs.close()
+	match := rs.matcher(m)
+	err = rs.each(func(seg []rawEvent) {
+		n := int64(0)
+		for _, e := range seg {
+			if match(e.name) {
+				n++
 			}
 		}
+		rep.Events += n
 		rep.TotalSessions++
-		if segMatches > 0 {
+		if n > 0 {
 			rep.Sessions++
 		}
-		return nil
 	})
 	return rep, err
 }

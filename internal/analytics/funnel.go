@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"unilog/internal/columnar"
 	"unilog/internal/dataflow"
 	"unilog/internal/session"
 )
@@ -180,45 +179,28 @@ func UniqueUsersPerStage(j *dataflow.Job, day time.Time, f *Funnel) ([]int64, er
 
 // FunnelRawDay answers the same funnel question from the raw client event
 // logs: full scan, group-by, re-sessionize, then walk each session — the
-// cost the materialized sequences amortize away.
+// cost the materialized sequences amortize away. The scan, the group-by and
+// the session cut are CountRawDay's (rawlog.go); sealed hours read four
+// column streams and unsealed hours four columns of their rows.
 func FunnelRawDay(j *dataflow.Job, day time.Time, stageMatch []Matcher) (Report, error) {
 	rep := Report{Completed: make([]int64, len(stageMatch))}
-	// Projection pushed into the columnar scan; unsealed hours fall back
-	// to row files with the projection applied after decode.
-	p, err := columnar.LoadDay(j, day, dataflow.Selection{
-		Columns: []string{"user_id", "session_id", "name", "timestamp"},
-	})
+	rs, err := scanRawSessions(j, day)
 	if err != nil {
 		return rep, err
 	}
-	// Secondary sort on the shuffle: each group arrives in timestamp order,
-	// so the funnel walk streams it without a per-group re-sort.
-	g, err := p.GroupByOrdered("timestamp", "user_id", "session_id")
-	if err != nil {
-		return rep, err
-	}
-	defer g.Close()
-	stages := make([]Matcher, len(stageMatch))
+	defer rs.close()
+	stages := make([]func(uint32) bool, len(stageMatch))
 	for i, m := range stageMatch {
-		stages[i] = m.memo()
+		stages[i] = rs.matcher(m)
 	}
-	gapMs := session.InactivityGap.Milliseconds()
-	err = g.EachGroup(func(key dataflow.Tuple, group []dataflow.Tuple) error {
+	err = rs.each(func(seg []rawEvent) {
 		stage := 0
-		flush := func() {
-			rep.Observe(stage)
-			stage = 0
-		}
-		for i, t := range group {
-			if i > 0 && t[3].(int64)-group[i-1][3].(int64) > gapMs {
-				flush()
-			}
-			if stage < len(stages) && stages[stage](t[2].(string)) {
+		for _, e := range seg {
+			if stage < len(stages) && stages[stage](e.name) {
 				stage++
 			}
 		}
-		flush()
-		return nil
+		rep.Observe(stage)
 	})
 	return rep, err
 }

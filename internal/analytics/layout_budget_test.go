@@ -16,13 +16,16 @@ import (
 
 // TestLayoutAndBudgetDoNotChangeAnswers runs the two day-scale jobs of
 // this package — the §3.2 rollup table and the raw-log count with its
-// ordered-group sessionization — over one generated day in all four
-// cells of {row files, sealed column chunks} × {unbudgeted, 32 KiB}.
+// sessionizing group-by — over one generated day in all six cells of
+// {row files, sealed column chunks} × {unbudgeted, 2 KiB, 32 KiB}.
 // The storage layout and the memory budget are promised not to change a
 // result: the rollup maps and the count reports must be equal in every
 // cell, the budget must really force the row-file jobs through an
 // external merge (two sorted runs or more), an unbudgeted job must not
-// spill at all, and nothing may be left in the spill directory.
+// spill at all, and nothing may be left in the spill directory. The raw
+// count shuffles one partial per session, ~21 KB for this day, so its
+// external merge is asserted under the 2 KiB budget, the rollup's under
+// both.
 func TestLayoutAndBudgetDoNotChangeAnswers(t *testing.T) {
 	cfg := workload.DefaultConfig(day)
 	cfg.Users = 60
@@ -52,7 +55,7 @@ func TestLayoutAndBudgetDoNotChangeAnswers(t *testing.T) {
 				t.Fatalf("SealDay: %d chunks, %v", n, err)
 			}
 		}
-		for _, budget := range []int64{0, 32 << 10} {
+		for _, budget := range []int64{0, 2 << 10, 32 << 10} {
 			cell := fmt.Sprintf("%s/budget=%d", layout, budget)
 			job := func(name string) *dataflow.Job {
 				j := dataflow.NewJob(name, fs)
@@ -92,7 +95,8 @@ func TestLayoutAndBudgetDoNotChangeAnswers(t *testing.T) {
 				if budget == 0 && st.SpilledBytes != 0 {
 					t.Errorf("%s: unbudgeted %s spilled %d bytes", cell, j.Name, st.SpilledBytes)
 				}
-				if budget > 0 && !sealed && st.SpillRuns < 2 {
+				mustMerge := j == rj || budget == 2<<10
+				if budget > 0 && !sealed && mustMerge && st.SpillRuns < 2 {
 					t.Errorf("%s: %s spilled %d runs, want >= 2: the budget did not force an external merge",
 						cell, j.Name, st.SpillRuns)
 				}

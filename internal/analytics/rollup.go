@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"unilog/internal/chunk"
 	"unilog/internal/columnar"
 	"unilog/internal/dataflow"
 	"unilog/internal/events"
@@ -33,34 +34,29 @@ type RollupKey struct {
 // "without any additional intervention from the application developer,
 // rudimentary statistics are computed and made available on a daily basis."
 //
-// The job runs map-combine-reduce: events stream off the scan (one split in
-// memory at a time), a map-side combiner counts them by interned (full
-// name, country, logged-in) — one name-table lookup and one map write per
-// event — and expands each distinct combination into its five rollup rows
-// once, when the scan ends.
+// The job runs map-combine-reduce: the scan hands the day over as column
+// batches (one chunk or row file at a time), and a map-side combiner counts
+// each batch's rows by (name-table ID, country, logged-in) — resolving each
+// name dictionary entry through the events name table and each address
+// dictionary entry to its country once per batch, so a row costs one
+// combiner increment and no string — then expands each distinct combination
+// into its five rollup rows once, when the scan ends.
 // Only those partials — a relation the size of the distinct key space, not
 // five times the event count — shuffle into the final GroupBy, which
 // spills under Job.MemoryBudget like any external operator.
 //
 // The scan goes through the columnar source projected to the three columns
-// the rollup touches; hours not yet sealed into chunks fall back to their
-// row files, with identical output either way.
+// the rollup touches; hours not yet sealed into chunks are read from their
+// row files into the same batches, with identical output either way.
 func Rollups(j *dataflow.Job, day time.Time) (map[RollupKey]int64, error) {
 	d, err := columnar.LoadDay(j, day, dataflow.Selection{Columns: []string{"name", "ip", "logged_in"}})
 	if err != nil {
 		return nil, err
 	}
-	nameIdx := d.Schema().MustIndex("name")
-	ipIdx := d.Schema().MustIndex("ip")
-	liIdx := d.Schema().MustIndex("logged_in")
 
 	// Map side: stream the day once through the combiner.
 	c := newRollupCombiner()
-	err = d.Each(func(t dataflow.Tuple) error {
-		c.add(t[nameIdx].(string), t[ipIdx].(string), t[liIdx].(bool))
-		return nil
-	})
-	if err != nil {
+	if err := d.EachBatch(c.addBatch); err != nil {
 		return nil, err
 	}
 	partial := c.partials()
@@ -84,9 +80,23 @@ func Rollups(j *dataflow.Job, day time.Time) (map[RollupKey]int64, error) {
 		}
 		return !ka.LoggedIn && kb.LoggedIn
 	})
+	// One backing array for the relation, and each distinct string boxed
+	// once: a rolled name or a country recurs across many keys.
 	tuples := make([]dataflow.Tuple, len(keys))
+	vals := make([]any, 5*len(keys))
+	boxed := make(map[string]any)
+	box := func(s string) any {
+		v, ok := boxed[s]
+		if !ok {
+			v = s
+			boxed[s] = v
+		}
+		return v
+	}
 	for i, k := range keys {
-		tuples[i] = dataflow.Tuple{int64(k.Level), k.Name, k.Country, k.LoggedIn, partial[k]}
+		t := dataflow.Tuple(vals[5*i : 5*i+5 : 5*i+5])
+		t[0], t[1], t[2], t[3], t[4] = int64(k.Level), box(k.Name), box(k.Country), k.LoggedIn, partial[k]
+		tuples[i] = t
 	}
 	rows := dataflow.NewDataset(j, dataflow.Schema{"level", "rolled", "country", "logged_in", "n"}, tuples)
 
@@ -122,31 +132,60 @@ func Rollups(j *dataflow.Job, day time.Time) (map[RollupKey]int64, error) {
 // rollupCombiner is the map side of Rollups: a count per distinct (full
 // event name, country, logged-in) over interned IDs. The name's ID and its
 // five §3.2 rolled names come from the events name table, which computed
-// them the first time the process saw the name; the country is resolved
-// per event (no per-IP table: addresses are nearly as many as events) and
-// interned.
+// them the first time the process saw the name; the country is resolved per
+// address dictionary entry of a batch and interned.
 type rollupCombiner struct {
 	countries []string
 	counts    map[combineKey]int64
+
+	// Per batch: name dictionary ID -> name-table ID + 1 (0: a name the
+	// table rejects, whose rows are dropped), address dictionary ID ->
+	// country.
+	names, ips []uint32
 }
 
-// combineKey is one combiner cell.
-type combineKey struct {
-	name, country uint32
-	loggedIn      bool
+// combineKey is one combiner cell — the name-table ID, the country's index
+// in rollupCombiner.countries and the logged-in bit — packed into the
+// map's 64-bit fast path.
+type combineKey uint64
+
+func cellOf(name, country uint32, loggedIn bool) combineKey {
+	k := combineKey(name)<<32 | combineKey(country)<<1
+	if loggedIn {
+		k |= 1
+	}
+	return k
 }
+
+func (k combineKey) name() uint32    { return uint32(k >> 32) }
+func (k combineKey) country() uint32 { return uint32(k) >> 1 }
+func (k combineKey) loggedIn() bool  { return k&1 == 1 }
 
 func newRollupCombiner() *rollupCombiner {
 	return &rollupCombiner{counts: make(map[combineKey]int64)}
 }
 
-// add counts one event. Malformed names are dropped.
-func (c *rollupCombiner) add(name, ip string, loggedIn bool) {
-	e, err := events.Lookup(name)
-	if err != nil {
-		return
+// addBatch counts one batch's rows. Rows with a malformed name (the unnamed
+// message's zero name) are dropped.
+func (c *rollupCombiner) addBatch(b *chunk.Batch) error {
+	c.names = c.names[:0]
+	for _, name := range b.Name.Dict {
+		id := uint32(0)
+		if e, err := events.Lookup(name); err == nil {
+			id = e.ID + 1
+		}
+		c.names = append(c.names, id)
 	}
-	c.counts[combineKey{name: e.ID, country: c.country(geo.CountryOf(ip)), loggedIn: loggedIn}]++
+	c.ips = c.ips[:0]
+	for _, ip := range b.IP.Dict {
+		c.ips = append(c.ips, c.country(geo.CountryOf(ip)))
+	}
+	for row, local := range b.Name.IDs {
+		if name := c.names[local]; name != 0 {
+			c.counts[cellOf(name-1, c.ips[b.IP.IDs[row]], b.LoggedIn[row] == 1)]++
+		}
+	}
+	return nil
 }
 
 // country interns a country code; there are a handful, so a scan beats a
@@ -167,12 +206,12 @@ func (c *rollupCombiner) partials() map[RollupKey]int64 {
 	names := events.NameEntries()
 	partial := make(map[RollupKey]int64, len(c.counts))
 	for k, n := range c.counts {
-		for lvl, name := range names[k.name].Rolled {
+		for lvl, name := range names[k.name()].Rolled {
 			partial[RollupKey{
 				Level:    events.RollupLevel(lvl),
 				Name:     name,
-				Country:  c.countries[k.country],
-				LoggedIn: k.loggedIn,
+				Country:  c.countries[k.country()],
+				LoggedIn: k.loggedIn(),
 			}] += n
 		}
 	}

@@ -1,0 +1,247 @@
+package chunk
+
+import (
+	"fmt"
+	"strings"
+
+	"unilog/internal/events"
+	"unilog/internal/hdfs"
+	"unilog/internal/recordio"
+	"unilog/internal/thrift"
+	"unilog/internal/warehouse"
+)
+
+// The day reader. A warehouse hour is read as a sequence of column batches,
+// one per file HourFiles lists: every chunk of an hour whose _col-SEALED
+// marker exists, and every row file of an hour without it. A row file is
+// walked record by record with events.Header into the same Columns a chunk
+// decodes to — only the requested columns, details only when asked for —
+// and its names are validated exactly as the seal validates them, so a
+// consumer folds either kind with one loop over dictionary IDs and never
+// sees a tuple or a ClientEvent.
+
+// Batch is one file of a warehouse hour read as column vectors: a sealed
+// chunk, or a row file of an hour that is not sealed.
+type Batch struct {
+	Columns
+	// Path is the chunk's meta file or the row file.
+	Path string
+
+	fs      *hdfs.FS
+	meta    Meta // a chunk's zone map
+	rowFile bool
+	walked  bool // a row file has been read once: Rows is its record count
+}
+
+// IsChunk reports whether a path of HourFiles is a chunk's meta file rather
+// than a row file.
+func IsChunk(path string) bool { return strings.HasSuffix(path, ".meta") }
+
+// HourFiles lists the files of one hour directory in scan order: the meta
+// file of every chunk when the hour is sealed, its row files when it is not.
+// A sealed hour's chunks are enumerated from the marker's count rather than
+// by listing, so one that went missing after the seal is an error instead
+// of a silently shorter hour.
+func HourFiles(fs *hdfs.FS, dir string) ([]hdfs.FileInfo, error) {
+	if Sealed(fs, dir) {
+		n, err := SealedChunks(fs, dir)
+		if err != nil {
+			return nil, err
+		}
+		files := make([]hdfs.FileInfo, 0, n)
+		for i := 0; i < n; i++ {
+			fi, err := fs.Stat(MetaPath(dir, i))
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, fi)
+		}
+		return files, nil
+	}
+	infos, err := fs.Walk(dir)
+	if err != nil {
+		return nil, err
+	}
+	files := infos[:0]
+	for _, fi := range infos {
+		if !warehouse.IsAuxiliary(fi.Path) {
+			files = append(files, fi)
+		}
+	}
+	return files, nil
+}
+
+// ReadHour reads every file of one hour directory as a batch of the need
+// columns and hands each to fn in scan order.
+func ReadHour(fs *hdfs.FS, dir string, need Set, fn func(*Batch) error) error {
+	files, err := HourFiles(fs, dir)
+	if err != nil {
+		return err
+	}
+	for _, fi := range files {
+		var b *Batch
+		if IsChunk(fi.Path) {
+			m, err := ReadMeta(fs, fi.Path)
+			if err != nil {
+				return err
+			}
+			b, err = LoadChunk(fs, fi.Path, m, need)
+			if err != nil {
+				return err
+			}
+		} else if b, err = ReadRowFile(fs, fi.Path, need); err != nil {
+			return err
+		}
+		if err := fn(b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// LoadChunk reads the need columns of the chunk whose meta file is metaPath
+// and whose zone map is m.
+func LoadChunk(fs *hdfs.FS, metaPath string, m Meta, need Set) (*Batch, error) {
+	b := &Batch{Path: metaPath, fs: fs, meta: m}
+	if err := b.Widen(need); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// ReadRowFile reads the need columns of one row file. A damaged file, a
+// message the header walk cannot read and a name ParseName rejects each
+// fail with the file's path.
+func ReadRowFile(fs *hdfs.FS, path string, need Set) (*Batch, error) {
+	b := &Batch{Path: path, fs: fs, rowFile: true}
+	if err := b.Widen(need); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// Widen loads the columns of need the batch does not hold yet: a chunk reads
+// their column files, a row file is walked again for them.
+func (b *Batch) Widen(need Set) error {
+	if !b.rowFile {
+		return b.Load(b.fs, strings.TrimSuffix(b.Path, ".meta"), b.meta, need)
+	}
+	need &^= b.have
+	if need == 0 && b.walked {
+		return nil
+	}
+	var r rowReader
+	rows, err := r.read(b.fs, b.Path, need)
+	if err != nil {
+		return err
+	}
+	if b.walked && rows != b.Rows {
+		return fmt.Errorf("warehouse: %s: %w: %d records, %d on the first read", b.Path, recordio.ErrCorrupt, rows, b.Rows)
+	}
+	b.Rows, b.walked = rows, true
+	r.fill(&b.Columns, need)
+	b.have |= need
+	return nil
+}
+
+// rowReader builds column vectors from the records of one row file, with
+// the seal's own accumulators where the two share a layout: the dictionary
+// columns number values in first-seen order, and the details column is the
+// chunk's encoding.
+type rowReader struct {
+	dec   thrift.CompactDecoder
+	h     events.Header
+	wire  []events.Pair
+	pairs []events.Pair
+
+	name, sessionID, ip dictBuilder
+	initiator, loggedIn []byte
+	userID, timestamp   []int64
+	details             []byte
+	detailOffs          []uint32
+}
+
+// read walks every record of the file, keeping the need columns, and
+// returns the record count. The name is validated on every walk, whatever
+// need holds, as the seal and the tuple scan validate it.
+func (r *rowReader) read(fs *hdfs.FS, path string, need Set) (int, error) {
+	rows := 0
+	err := warehouse.ScanFileRecords(fs, path, func(rec []byte) error {
+		if err := r.add(rec, need); err != nil {
+			return fmt.Errorf("warehouse: %s: %w", path, err)
+		}
+		rows++
+		return nil
+	})
+	return rows, err
+}
+
+// add appends one record's need columns.
+func (r *rowReader) add(rec []byte, need Set) error {
+	r.dec.Reset(rec)
+	var err error
+	if need&Details != 0 {
+		r.wire, err = r.h.DecodePairs(&r.dec, r.wire)
+	} else {
+		err = r.h.Decode(&r.dec)
+	}
+	if err != nil {
+		return err
+	}
+	nameID, err := r.name.nameID(r.h.Name)
+	if err != nil {
+		return err
+	}
+	h := &r.h
+	if need&Initiator != 0 {
+		r.initiator = append(r.initiator, byte(h.Initiator))
+	}
+	if need&Name != 0 {
+		r.name.rows = append(r.name.rows, nameID)
+	}
+	if need&UserID != 0 {
+		r.userID = append(r.userID, h.UserID)
+	}
+	if need&SessionID != 0 {
+		r.sessionID.add(h.SessionID)
+	}
+	if need&IP != 0 {
+		r.ip.add(h.IP)
+	}
+	if need&Timestamp != 0 {
+		r.timestamp = append(r.timestamp, h.Timestamp)
+	}
+	if need&LoggedIn != 0 {
+		r.loggedIn = append(r.loggedIn, loggedIn(h))
+	}
+	if need&Details != 0 {
+		r.detailOffs = append(r.detailOffs, uint32(len(r.details)))
+		r.details, r.pairs = appendDetails(r.details, r.pairs, r.wire)
+	}
+	return nil
+}
+
+// fill moves the need columns into cc.
+func (r *rowReader) fill(cc *Columns, need Set) {
+	dict := func(d *dictBuilder) DictColumn { return DictColumn{Dict: d.vals, IDs: d.rows} }
+	for i := range ColumnNames {
+		switch bit := Set(1) << i; need & bit {
+		case Initiator:
+			cc.Initiator = r.initiator
+		case Name:
+			cc.Name = dict(&r.name)
+		case UserID:
+			cc.UserID = r.userID
+		case SessionID:
+			cc.SessionID = dict(&r.sessionID)
+		case IP:
+			cc.IP = dict(&r.ip)
+		case Timestamp:
+			cc.Timestamp = r.timestamp
+		case LoggedIn:
+			cc.LoggedIn = r.loggedIn
+		case Details:
+			cc.Details = DetailsColumn{rec: r.details, offs: r.detailOffs}
+		}
+	}
+}

@@ -276,9 +276,11 @@ func decodeDetails(path string, data []byte, rows int) (DetailsColumn, error) {
 	return DetailsColumn{rec: rec, offs: offs}, nil
 }
 
-// Columns holds the decoded column vectors of one chunk. Vectors that no
-// Load asked for stay nil and their files stay unread.
+// Columns holds the decoded column vectors of one chunk, or of one row file
+// read into the same shape (ReadRowFile). Vectors that no Load asked for stay
+// nil and their files stay unread.
 type Columns struct {
+	Rows      int // the length of every loaded vector
 	Initiator []byte
 	Name      DictColumn
 	UserID    []int64
@@ -332,15 +334,20 @@ func (cc *Columns) Load(fs *hdfs.FS, base string, m Meta, need Set) error {
 		}
 		cc.have |= bit
 	}
+	cc.Rows = m.Rows
 	return nil
 }
 
 // Event materializes one row as the client event it was sealed from. Every
-// column but the derived logged_in must be loaded.
+// column but the derived logged_in must be loaded. A row that sealed as the
+// zero name came from a message without the field, and has the zero name.
 func (cc *Columns) Event(row int) (events.ClientEvent, error) {
-	name, err := events.ParseName(cc.Name.At(row))
-	if err != nil {
-		return events.ClientEvent{}, err
+	var name events.EventName
+	if s := cc.Name.At(row); s != zeroName {
+		var err error
+		if name, err = events.ParseName(s); err != nil {
+			return events.ClientEvent{}, err
+		}
 	}
 	return events.ClientEvent{
 		Initiator: events.Initiator(cc.Initiator[row]),

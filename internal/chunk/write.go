@@ -1,8 +1,12 @@
 // Package chunk is the column-chunk codec: the on-disk layout of a sealed
-// warehouse hour, its encoder, and a typed reader. It is a leaf — it
-// knows events, hdfs and recordio, nothing of dataflow — so both the
-// tuple-producing scan (columnar.EventsFormat) and the ID-consuming daily
-// job (session.BuildDay) decode chunks through the same checks.
+// warehouse hour, its encoder, a typed reader, and the day reader built on
+// it (batch.go), which reads any warehouse hour — sealed chunks, or the row
+// files of an hour not yet sealed — as batches of column vectors. It sits
+// below dataflow — it knows events, hdfs, recordio and the warehouse
+// layout, nothing of dataflow — so the tuple-producing scan
+// (columnar.EventsFormat), the batch folds of the day-scale jobs
+// (analytics.Rollups, the raw-log queries) and the ID-consuming daily job
+// (session.BuildDay) all decode through the same checks.
 //
 // The encoder is Builder, and it is the only one: rows go in as wire
 // records — walked to a header and details pairs that still alias the
@@ -191,11 +195,40 @@ func (d *dictBuilder) insert(v []byte) uint32 {
 
 // add appends one row, probing the map once.
 func (d *dictBuilder) add(v []byte) {
+	d.rows = append(d.rows, d.id(v))
+}
+
+// id returns v's first-seen id, numbering it if it is new.
+func (d *dictBuilder) id(v []byte) uint32 {
 	id, seen := d.lookup(v)
 	if !seen {
 		id = d.insert(v)
 	}
-	d.rows = append(d.rows, id)
+	return id
+}
+
+// nameID returns the id of a message's name field, numbering it if it is
+// new. A message without the field is the zero name; a name the dictionary
+// has not seen yet must pass events.ParseName — the acceptance a full decode
+// of every row applies, paid once per distinct value — and one that fails is
+// not numbered.
+func (d *dictBuilder) nameID(wire []byte) (uint32, error) {
+	name := wire
+	if name == nil {
+		name = []byte(zeroName)
+	}
+	id, seen := d.lookup(name)
+	// zeroName in the dictionary came from a message without the field; on
+	// the wire it is a name with no client, and fails.
+	if wire != nil && (!seen || string(name) == zeroName) {
+		if _, err := events.ParseName(string(name)); err != nil {
+			return 0, err
+		}
+	}
+	if !seen {
+		id = d.insert(name)
+	}
+	return id, nil
 }
 
 // records appends the column's two records to buf[:0] — the dictionary in
@@ -278,31 +311,16 @@ func (b *Builder) AddRecord(rec []byte) error {
 // Details keep the meaning ClientEvent.Decode gives them: sorted by key, a
 // repeated key keeping its last value.
 func (b *Builder) Add(h *events.Header, pairs []events.Pair) error {
-	name := h.Name
-	if name == nil {
-		name = []byte(zeroName)
-	}
-	nameID, seen := b.name.lookup(name)
-	// zeroName in the dictionary came from a message without the field; on
-	// the wire it is a name with no client, and fails.
-	if h.Name != nil && (!seen || string(name) == zeroName) {
-		if _, err := events.ParseName(string(name)); err != nil {
-			return err
-		}
-	}
-	if !seen {
-		nameID = b.name.insert(name)
+	nameID, err := b.name.nameID(h.Name)
+	if err != nil {
+		return err
 	}
 	b.name.rows = append(b.name.rows, nameID)
 	b.sessionID.add(h.SessionID)
 	b.ip.add(h.IP)
 
 	b.initiator = append(b.initiator, byte(h.Initiator))
-	loggedIn := byte(0)
-	if h.LoggedIn() {
-		loggedIn = 1
-	}
-	b.loggedIn = append(b.loggedIn, loggedIn)
+	b.loggedIn = append(b.loggedIn, loggedIn(h))
 	b.userID = binary.AppendVarint(b.userID, h.UserID)
 	b.timestamp = binary.AppendVarint(b.timestamp, h.Timestamp-b.prevTs)
 	b.prevTs = h.Timestamp
@@ -311,10 +329,27 @@ func (b *Builder) Add(h *events.Header, pairs []events.Pair) error {
 	} else {
 		b.minTs, b.maxTs = min(b.minTs, h.Timestamp), max(b.maxTs, h.Timestamp)
 	}
+	b.details, b.pairs = appendDetails(b.details, b.pairs, pairs)
+	b.rows++
+	return nil
+}
 
+// loggedIn is the derived logged_in column's byte for one row.
+func loggedIn(h *events.Header) byte {
+	if h.LoggedIn() {
+		return 1
+	}
+	return 0
+}
+
+// appendDetails appends one row of the details column to buf — the pair
+// count, then length-prefixed k/v by key — with the meaning
+// ClientEvent.Decode gives the wire pairs: sorted by key, a repeated key
+// keeping its last value. sorted is scratch, returned for reuse.
+func appendDetails(buf []byte, sorted, pairs []events.Pair) ([]byte, []events.Pair) {
 	// Insertion sort into the scratch slice: a row has a handful of pairs,
 	// and producers mostly write them in the same order.
-	sorted := b.pairs[:0]
+	sorted = sorted[:0]
 	for _, p := range pairs {
 		i := len(sorted)
 		for i > 0 && bytes.Compare(sorted[i-1].K, p.K) > 0 {
@@ -326,13 +361,11 @@ func (b *Builder) Add(h *events.Header, pairs []events.Pair) error {
 		}
 		sorted = slices.Insert(sorted, i, p)
 	}
-	b.pairs = sorted
-	b.details = binary.AppendUvarint(b.details, uint64(len(sorted)))
+	buf = binary.AppendUvarint(buf, uint64(len(sorted)))
 	for _, p := range sorted {
-		b.details = appendString(appendString(b.details, p.K), p.V)
+		buf = appendString(appendString(buf, p.K), p.V)
 	}
-	b.rows++
-	return nil
+	return buf, sorted
 }
 
 // Flush writes the rows added so far as chunk idx of dir — column files

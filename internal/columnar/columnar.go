@@ -27,10 +27,13 @@
 // projection and predicate reference, evaluates the name pattern once per
 // chunk-dictionary entry, and applies the exact row-level filter to what
 // survives — so the zone map is allowed to be a superset. Tuple strings
-// are resolved from the chunk's decoded dictionaries; a consumer that can
-// work on dictionary IDs (session.BuildDay) reads internal/chunk directly
-// and never inflates a string per row. An hour without the marker is read
-// through dataflow.ClientEventFormat pushed down to the same selection.
+// are resolved from the chunk's decoded dictionaries. An hour without the
+// marker is read through dataflow.ClientEventFormat pushed down to the same
+// selection. A consumer that can work on dictionary IDs never inflates a
+// string per row: EventsFormat.ReadBatch hands dataflow.Dataset.EachBatch
+// each split as one chunk.Batch of the projected columns — a chunk, or a
+// row file read into the same vectors by internal/chunk's day reader — and
+// session.BuildDay reads the day reader directly.
 package columnar
 
 import (

@@ -1,14 +1,12 @@
 package columnar
 
 import (
-	"strings"
 	"time"
 
 	"unilog/internal/chunk"
 	"unilog/internal/dataflow"
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
-	"unilog/internal/warehouse"
 )
 
 // EventsFormat is the columnar client-events InputFormat. The zero value
@@ -67,36 +65,16 @@ func (f EventsFormat) Pushdown(sel dataflow.Selection) (dataflow.InputFormat, bo
 }
 
 // Splits implements dataflow.InputFormat: chunk meta files when the dir
-// carries the _col-SEALED completion marker, row files when it does not.
-// The sealed path enumerates chunks from the marker's count rather than
-// by listing, so a chunk file that went missing after the seal surfaces
-// as an error instead of silently shrinking the hour.
+// carries the _col-SEALED completion marker, row files when it does not —
+// chunk.HourFiles, the day reader's listing.
 func (f EventsFormat) Splits(fs *hdfs.FS, dir string) ([]dataflow.Split, error) {
-	if HasColumnar(fs, dir) {
-		n, err := chunk.SealedChunks(fs, dir)
-		if err != nil {
-			return nil, err
-		}
-		splits := make([]dataflow.Split, 0, n)
-		for i := 0; i < n; i++ {
-			fi, err := fs.Stat(chunk.MetaPath(dir, i))
-			if err != nil {
-				return nil, err
-			}
-			splits = append(splits, dataflow.Split{Path: fi.Path, Size: fi.Size})
-		}
-		return splits, nil
-	}
-	infos, err := fs.Walk(dir)
+	files, err := chunk.HourFiles(fs, dir)
 	if err != nil {
 		return nil, err
 	}
-	var splits []dataflow.Split
-	for _, fi := range infos {
-		if warehouse.IsAuxiliary(fi.Path) {
-			continue
-		}
-		splits = append(splits, dataflow.Split{Path: fi.Path, Size: fi.Size})
+	splits := make([]dataflow.Split, len(files))
+	for i, fi := range files {
+		splits[i] = dataflow.Split{Path: fi.Path, Size: fi.Size}
 	}
 	return splits, nil
 }
@@ -105,13 +83,62 @@ func (f EventsFormat) Splits(fs *hdfs.FS, dir string) ([]dataflow.Split, error) 
 // kind: chunk meta files go through the zone-map/column-stream path, row
 // files through dataflow.ClientEventFormat with the same selection.
 func (f EventsFormat) ReadSplit(fs *hdfs.FS, s dataflow.Split, emit func(dataflow.Tuple) error) error {
-	if strings.HasSuffix(s.Path, ".meta") {
+	if chunk.IsChunk(s.Path) {
 		return f.readChunk(fs, s.Path, emit)
 	}
 	if f.rows == nil {
 		return dataflow.ClientEventFormat{}.ReadSplit(fs, s, emit)
 	}
 	return f.rows.ReadSplit(fs, s, emit)
+}
+
+// ReadBatch implements dataflow.BatchFormat: one split as one batch of the
+// projected columns, read by the day reader (chunk.LoadChunk for a chunk the
+// zone map keeps, chunk.ReadRowFile for a row file), with no tuple built.
+// The batch holds every row of the split: the selection's predicate, if it
+// has one, is left to the caller.
+func (f EventsFormat) ReadBatch(fs *hdfs.FS, s dataflow.Split, fn func(*chunk.Batch) error) error {
+	need := f.need()
+	var b *chunk.Batch
+	var err error
+	if chunk.IsChunk(s.Path) {
+		b, err = f.openChunk(fs, s.Path, need)
+	} else {
+		b, err = chunk.ReadRowFile(fs, s.Path, need)
+	}
+	if err != nil || b == nil {
+		return err
+	}
+	return fn(b)
+}
+
+// need is the column set the selection projects.
+func (f EventsFormat) need() chunk.Set {
+	var need chunk.Set
+	for _, col := range f.outCols() {
+		need |= chunk.ColumnOf(col)
+	}
+	return need
+}
+
+// openChunk reads a chunk's zone map and, unless it prunes the chunk (nil,
+// nil), loads the need columns, booking the chunk as scanned or pruned.
+func (f EventsFormat) openChunk(fs *hdfs.FS, metaFile string, need chunk.Set) (*chunk.Batch, error) {
+	m, err := chunk.ReadMeta(fs, metaFile)
+	if err != nil {
+		return nil, err
+	}
+	if f.prune(m) {
+		tmChunksPruned.Inc()
+		return nil, nil
+	}
+	tmChunksScanned.Inc()
+	b, err := chunk.LoadChunk(fs, metaFile, m, need)
+	if err != nil {
+		return nil, err
+	}
+	tmRowsRead.Add(int64(m.Rows))
+	return b, nil
 }
 
 // outCols returns the emitted column order.
@@ -171,20 +198,8 @@ func (f EventsFormat) matchTime(ts int64) bool {
 // The name pattern is evaluated once per entry of the chunk's name
 // dictionary; rows test a bool by ID.
 func (f EventsFormat) readChunk(fs *hdfs.FS, metaFile string, emit func(dataflow.Tuple) error) error {
-	m, err := chunk.ReadMeta(fs, metaFile)
-	if err != nil {
-		return err
-	}
-	if f.prune(m) {
-		tmChunksPruned.Inc()
-		return nil
-	}
-	tmChunksScanned.Inc()
 	out := f.outCols()
-	var need chunk.Set
-	for _, col := range out {
-		need |= chunk.ColumnOf(col)
-	}
+	need := f.need()
 	byName := f.sel.NamePattern != ""
 	byTime := f.sel.TimeMin != 0 || f.sel.TimeMax != 0
 	if byName {
@@ -193,11 +208,11 @@ func (f EventsFormat) readChunk(fs *hdfs.FS, metaFile string, emit func(dataflow
 	if byTime {
 		need |= chunk.Timestamp
 	}
-	var cc chunk.Columns
-	if err := cc.Load(fs, strings.TrimSuffix(metaFile, ".meta"), m, need); err != nil {
+	b, err := f.openChunk(fs, metaFile, need)
+	if err != nil || b == nil {
 		return err
 	}
-	tmRowsRead.Add(int64(m.Rows))
+	cc := &b.Columns
 	var nameOK []bool
 	if byName {
 		nameOK = make([]bool, len(cc.Name.Dict))
@@ -207,9 +222,9 @@ func (f EventsFormat) readChunk(fs *hdfs.FS, metaFile string, emit func(dataflow
 	}
 	cols := make([]columnReader, len(out))
 	for i, col := range out {
-		cols[i] = readerOf(&cc, chunk.ColumnOf(col))
+		cols[i] = readerOf(cc, chunk.ColumnOf(col))
 	}
-	for row := 0; row < m.Rows; row++ {
+	for row := 0; row < cc.Rows; row++ {
 		if byName && !nameOK[cc.Name.IDs[row]] {
 			continue
 		}

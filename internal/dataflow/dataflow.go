@@ -41,9 +41,18 @@
 //     buffered tuple per run — not the group count. A zero or negative
 //     budget (the default) never trips: the same table with one
 //     never-spilled run, and identical output order.
-//   - Only the scan runs on more than one goroutine (parallel.go): splits
-//     decode on a worker pool behind a reorder buffer that restores plan
-//     order. Everything after it is one streaming path.
+//   - The group-bys are one push-fed shuffle (Shuffle): GroupBy,
+//     GroupByOrdered and GroupAll pour a dataset into it, and a map-side
+//     combiner that is not a dataset — a fold over column batches — adds
+//     its partials to it directly, then groups them for the same reduce.
+//   - A pushed-down projection can also be read without tuples:
+//     Dataset.EachBatch (pushdown.go) hands a BatchFormat's splits to a
+//     fold one chunk.Batch of column vectors at a time, metering map
+//     tasks, records and bytes read exactly as the tuple scan does.
+//   - Only the tuple scan runs on more than one goroutine (parallel.go):
+//     splits decode on a worker pool behind a reorder buffer that restores
+//     plan order. EachBatch folds serially on the calling goroutine.
+//     Everything after the scan is one streaming path.
 //   - Terminal operations (Each, Tuples, Count, and the reduce-side calls
 //     on Grouped) drive the pipeline. Every execution is metered: re-running
 //     a pipeline really is another job, and the stats say so.
@@ -127,8 +136,9 @@ type Job struct {
 	MemoryBudget int64
 	// SpillDir is where spill files are created; empty means os.TempDir().
 	SpillDir string
-	// Parallelism caps the scan's decode workers; <= 0 (the default) means
-	// runtime.GOMAXPROCS(0). Output is byte-identical at any setting.
+	// Parallelism caps the tuple scan's decode workers; <= 0 (the default)
+	// means runtime.GOMAXPROCS(0). Output is byte-identical at any setting.
+	// EachBatch ignores it: a batch fold runs on the calling goroutine.
 	Parallelism int
 
 	// maxMergeFanIn caps how many run cursors a single streaming merge

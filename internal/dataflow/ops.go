@@ -212,7 +212,7 @@ type Grouped struct {
 // The input is consumed here, spilling sorted runs under
 // Job.MemoryBudget. Each group's tuples are delivered in input order.
 func (d *Dataset) GroupBy(keyCols ...string) (*Grouped, error) {
-	return d.groupBy(noSort, keyCols)
+	return d.groupBy(noSort, keyCols, false)
 }
 
 // GroupByOrdered is GroupBy with a secondary sort: each group's tuples are
@@ -224,35 +224,75 @@ func (d *Dataset) GroupByOrdered(orderCol string, keyCols ...string) (*Grouped, 
 	if err != nil {
 		return nil, err
 	}
-	return d.groupBy(sortKey{col: oi}, keyCols)
-}
-
-func (d *Dataset) groupBy(order sortKey, keyCols []string) (*Grouped, error) {
-	idx := make([]int, len(keyCols))
-	for i, c := range keyCols {
-		j, err := d.schema.Index(c)
-		if err != nil {
-			return nil, err
-		}
-		idx[i] = j
-	}
-	st := newSpillTable(d.job, idx, order)
-	if err := st.fill(d); err != nil {
-		return nil, err
-	}
-	return &Grouped{job: d.job, schema: d.schema, keyCols: keyCols, keyIdx: idx, st: st}, nil
+	return d.groupBy(sortKey{col: oi}, keyCols, false)
 }
 
 // GroupAll groups every tuple into a single group (Pig's GROUP ... ALL),
 // the idiom that ends the paper's counting scripts. The single group still
 // spills under the memory budget; an empty input still has its one group.
 func (d *Dataset) GroupAll() (*Grouped, error) {
-	st := newSpillTable(d.job, nil, noSort)
-	if err := st.fill(d); err != nil {
+	return d.groupBy(noSort, nil, true)
+}
+
+// groupBy pushes the whole dataset through a Shuffle.
+func (d *Dataset) groupBy(order sortKey, keyCols []string, all bool) (*Grouped, error) {
+	s, err := d.job.newShuffle(d.schema, order, keyCols, all)
+	if err != nil {
 		return nil, err
 	}
-	return &Grouped{job: d.job, schema: d.schema, st: st, all: true}, nil
+	if err := d.Each(s.Add); err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s.Group()
 }
+
+// Shuffle is the push side of a group-by, the one shuffle path under
+// GroupBy, GroupByOrdered and GroupAll: a producer that is not a Dataset —
+// a map-side combiner folding column batches — adds its tuples one at a
+// time, then Group seals them into the Grouped a reducer reads. Tuples are
+// charged to the job's shuffle and spill under Job.MemoryBudget exactly as
+// GroupBy's input is, and each group's tuples are delivered in the order
+// they were added. A Shuffle that is not grouped must be closed.
+type Shuffle struct {
+	g Grouped
+}
+
+// NewShuffle starts a group-by on keyCols of tuples with the given schema.
+func (j *Job) NewShuffle(schema Schema, keyCols ...string) (*Shuffle, error) {
+	return j.newShuffle(schema, noSort, keyCols, false)
+}
+
+func (j *Job) newShuffle(schema Schema, order sortKey, keyCols []string, all bool) (*Shuffle, error) {
+	idx := make([]int, len(keyCols))
+	for i, c := range keyCols {
+		k, err := schema.Index(c)
+		if err != nil {
+			return nil, err
+		}
+		idx[i] = k
+	}
+	st := newSpillTable(j, idx, order)
+	return &Shuffle{g: Grouped{job: j, schema: schema, keyCols: keyCols, keyIdx: idx, st: st, all: all}}, nil
+}
+
+// Add buffers one tuple, which the shuffle keeps: the caller must not
+// reuse it. On error the shuffle has been closed.
+func (s *Shuffle) Add(t Tuple) error { return s.g.st.add(t) }
+
+// Group seals the added tuples — the residue sorted, the spill file
+// flushed — and returns them grouped. The Shuffle is spent; Close the
+// Grouped to release its runs. On error everything has been released.
+func (s *Shuffle) Group() (*Grouped, error) {
+	if err := s.g.st.finish(); err != nil {
+		return nil, err
+	}
+	g := s.g
+	return &g, nil
+}
+
+// Close releases an ungrouped shuffle's buffer and spill file.
+func (s *Shuffle) Close() error { return s.g.st.Close() }
 
 // Close removes the spill files backing the sorted runs. The Grouped
 // cannot be reduced again afterwards.

@@ -1,7 +1,12 @@
 package dataflow
 
 import (
+	"errors"
+	"time"
+
+	"unilog/internal/chunk"
 	"unilog/internal/events"
+	"unilog/internal/hdfs"
 )
 
 // A Selection is the declarative subset of a scan that a storage format
@@ -54,6 +59,7 @@ type pushdownScan struct {
 	format PushdownFormat
 	splits []Split
 	sel    Selection
+	pushed InputFormat // format specialized to sel
 }
 
 // dataset plans the scan of sc's splits under sel, or returns ok == false
@@ -64,7 +70,7 @@ func (sc *pushdownScan) dataset(j *Job, sel Selection) (*Dataset, bool) {
 		return nil, false
 	}
 	d := j.datasetForSplits(f, sc.splits)
-	d.scan = &pushdownScan{format: sc.format, splits: sc.splits, sel: sel}
+	d.scan = &pushdownScan{format: sc.format, splits: sc.splits, sel: sel, pushed: f}
 	return d, true
 }
 
@@ -131,4 +137,54 @@ func applySelection(d *Dataset, sel Selection) (*Dataset, error) {
 		return d.Project(sel.Columns...)
 	}
 	return d, nil
+}
+
+// BatchFormat is a format that can hand a split over whole, as one column
+// batch, to a consumer that folds vectors instead of pulling tuples —
+// columnar.EventsFormat, whose splits are chunks and row files alike.
+// ReadBatch delivers the batch of the pushed-down columns, or nothing for
+// a split the zone map prunes.
+type BatchFormat interface {
+	InputFormat
+	ReadBatch(fs *hdfs.FS, s Split, fn func(*chunk.Batch) error) error
+}
+
+// errNotBatchScan is EachBatch's refusal of a dataset it cannot hand over
+// as batches.
+var errNotBatchScan = errors.New("dataflow: EachBatch needs a bare scan of a BatchFormat projected without a predicate")
+
+// EachBatch runs a pushed-down scan's splits through fn, one column batch
+// per split, in plan order on the calling goroutine: the batch entry point
+// for a map-side fold. It meters what the tuple scan of the same dataset
+// meters — a map task per split, every delivered row as a record read, the
+// filesystem bytes read — but builds no tuple. The dataset must be a bare
+// scan of a BatchFormat (LoadDirsSelective, or a Project on it) whose
+// selection only projects: a batch is every row of its split.
+func (d *Dataset) EachBatch(fn func(*chunk.Batch) error) error {
+	sc := d.scan
+	if sc == nil || sc.sel.NamePattern != "" || sc.sel.TimeMin != 0 || sc.sel.TimeMax != 0 {
+		return errNotBatchScan
+	}
+	bf, ok := sc.pushed.(BatchFormat)
+	if !ok {
+		return errNotBatchScan
+	}
+	j := d.job
+	for _, sp := range sc.splits {
+		j.stats.mapTasks.Add(1)
+		t0 := time.Now()
+		before := j.FS.Snapshot()
+		err := bf.ReadBatch(j.FS, sp, func(b *chunk.Batch) error {
+			j.stats.recordsRead.Add(int64(b.Rows))
+			return fn(b)
+		})
+		read := j.FS.Snapshot().BytesRead - before.BytesRead
+		j.stats.bytesRead.Add(read)
+		tmScanBytes.Add(read)
+		tmScanSplitNs.ObserveSince(t0)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

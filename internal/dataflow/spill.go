@@ -94,6 +94,12 @@ type spillTable struct {
 	budget int64 // <= 0: unlimited (never spills)
 	seq    uint64
 
+	// When the table opened and the job's shuffle bytes then: finish books
+	// the shuffle stage from them, once per table, from the same Stats
+	// fields add charges per tuple — no per-tuple telemetry.
+	t0        time.Time
+	shuffled0 int64
+
 	mem []memTuple
 	// The distinct keys buffered since the last spill: keyIDs numbers them
 	// in first-seen order, and key kid is keyArena[keyEnds[kid-1]:keyEnds[kid]].
@@ -120,7 +126,8 @@ type spillTable struct {
 }
 
 func newSpillTable(j *Job, keyIdx []int, order sortKey) *spillTable {
-	return &spillTable{job: j, keyIdx: keyIdx, order: order, budget: j.MemoryBudget}
+	return &spillTable{job: j, keyIdx: keyIdx, order: order, budget: j.MemoryBudget,
+		t0: time.Now(), shuffled0: j.stats.shuffleBytes.Load()}
 }
 
 // spillDir returns where this job stages spill files.
@@ -189,18 +196,11 @@ func (st *spillTable) add(t Tuple) error {
 // file and sorts the residue for merging. On error the table has been
 // cleaned up.
 func (st *spillTable) fill(d *Dataset) error {
-	t0 := time.Now()
-	before := st.job.stats.shuffleBytes.Load()
 	if err := d.Each(st.add); err != nil {
 		st.Close()
 		return err
 	}
-	err := st.finish()
-	// The shuffle stage is accounted here, once per table fill, from the
-	// same Stats fields add() charges per tuple — no per-tuple telemetry.
-	tmShuffleBytes.Add(st.job.stats.shuffleBytes.Load() - before)
-	tmShuffleNs.ObserveSince(t0)
-	return err
+	return st.finish()
 }
 
 // sortMem orders the buffer by (key, order column, sequence) — the run
@@ -328,6 +328,8 @@ func (st *spillTable) spill() error {
 // file for writing; the table is then ready for (repeated) merge reads.
 // On error the table has been cleaned up.
 func (st *spillTable) finish() error {
+	defer tmShuffleNs.ObserveSince(st.t0)
+	tmShuffleBytes.Add(st.job.stats.shuffleBytes.Load() - st.shuffled0)
 	st.sortMem()
 	st.keyIDs, st.sortBuf = nil, nil // no more adds, no more sorts
 	if st.f == nil {

@@ -10,13 +10,12 @@ import (
 	"unilog/internal/warehouse"
 )
 
-// dayScan is the one physical scan behind HistogramDay and BuildDay. An
-// hour sealed into column chunks (the _col-SEALED marker, nothing else,
-// decides) is read through the typed chunk reader: chunk-local dictionary
-// IDs are remapped to day-global IDs once per distinct value and every
-// row after that is integer work. Any other hour is read from its row
-// files and interned event by event. Both feed the same counters and the
-// same sessionizer, in the same order the row scan visits the day.
+// dayScan is the one physical scan behind HistogramDay and BuildDay. It
+// reads the day through the day reader (chunk.ReadHour), one column batch
+// per sealed chunk or per row file of an hour not yet sealed, and treats
+// both alike: batch dictionary IDs are remapped to day-global IDs once per
+// distinct value and every row after that is integer work, feeding the
+// same counters and the same sessionizer in scan order.
 type dayScan struct {
 	core        *sessionizer
 	sessions    bool // fill the group table, not only the histogram
@@ -26,12 +25,12 @@ type dayScan struct {
 	samples [][][]byte // up to sampleLimit serialized events per name ID
 	events  int64
 
-	// Per-chunk scratch, reused across chunks.
-	nameMap, sessionMap, ipMap []uint32 // chunk-local ID -> day-global ID
+	// Per-batch scratch, reused across batches.
+	nameMap, sessionMap, ipMap []uint32 // batch-local ID -> day-global ID
 	slots                      []groupSlot
 }
 
-// groupSlot caches, per chunk-local session ID, the group its rows went to
+// groupSlot caches, per batch-local session ID, the group its rows went to
 // last: session ids are all but unique to a user, so most rows find their
 // group by index instead of by hashing a key.
 type groupSlot struct {
@@ -44,23 +43,19 @@ func newDayScan(sampleLimit int, sessions bool) *dayScan {
 	return &dayScan{core: newSessionizer(), sessions: sessions, sampleLimit: sampleLimit}
 }
 
-// scan reads every existing hour of the day once, sealed hours by chunk and
-// the rest by row file — the per-hour choice columnar.EventsFormat makes.
+// scan reads every existing hour of the day once.
 func (s *dayScan) scan(fs *hdfs.FS, day time.Time) error {
+	need := chunk.Name
+	if s.sessions {
+		need |= chunk.UserID | chunk.SessionID | chunk.IP | chunk.Timestamp
+	}
 	day = day.UTC().Truncate(24 * time.Hour)
 	for h := 0; h < 24; h++ {
-		hour := day.Add(time.Duration(h) * time.Hour)
-		dir := warehouse.HourDir(events.Category, hour)
+		dir := warehouse.HourDir(events.Category, day.Add(time.Duration(h)*time.Hour))
 		if !fs.Exists(dir) {
 			continue
 		}
-		var err error
-		if chunk.Sealed(fs, dir) {
-			err = s.scanChunks(fs, dir)
-		} else {
-			err = warehouse.ScanHour(fs, events.Category, hour, s.addEvent)
-		}
-		if err != nil {
+		if err := chunk.ReadHour(fs, dir, need, s.scanBatch); err != nil {
 			return err
 		}
 	}
@@ -75,23 +70,7 @@ func (s *dayScan) growNames() {
 	}
 }
 
-// addEvent feeds one row-file event: intern, count, sample, append.
-func (s *dayScan) addEvent(e *events.ClientEvent) error {
-	c := s.core
-	name := c.names.id(e.Name.String())
-	s.growNames()
-	s.counts[name]++
-	s.events++
-	if len(s.samples[name]) < s.sampleLimit {
-		s.samples[name] = append(s.samples[name], e.Marshal())
-	}
-	if s.sessions {
-		c.add(e.UserID, c.sessions.id(e.SessionID), name, c.ips.id(e.IP), e.Timestamp)
-	}
-	return nil
-}
-
-// remap interns a chunk dictionary, returning chunk-local ID -> global ID.
+// remap interns a batch dictionary, returning batch-local ID -> global ID.
 func remap(t *interner, dict []string, buf []uint32) []uint32 {
 	buf = buf[:0]
 	for _, v := range dict {
@@ -100,52 +79,32 @@ func remap(t *interner, dict []string, buf []uint32) []uint32 {
 	return buf
 }
 
-// scanChunks feeds one sealed hour. The chunks are enumerated from the
-// marker's count, so one that went missing after the seal is an error
-// rather than a shorter hour.
-func (s *dayScan) scanChunks(fs *hdfs.FS, dir string) error {
-	n, err := chunk.SealedChunks(fs, dir)
-	if err != nil {
-		return err
+// scanBatch feeds one batch: count its names, sample the names still short
+// of their quota, and append its rows to the group table.
+func (s *dayScan) scanBatch(b *chunk.Batch) error {
+	s.nameMap = remap(&s.core.names, b.Name.Dict, s.nameMap)
+	s.growNames()
+	for _, id := range b.Name.IDs {
+		s.counts[s.nameMap[id]]++
 	}
-	need := chunk.Name
+	s.events += int64(b.Rows)
+	if s.unsaturated() {
+		// Only now are the remaining columns worth reading, and only the
+		// sampled rows become events.
+		if err := b.Widen(chunk.All &^ chunk.LoggedIn); err != nil {
+			return err
+		}
+		if err := s.sample(&b.Columns); err != nil {
+			return fmt.Errorf("session: %s: %w", b.Path, err)
+		}
+	}
 	if s.sessions {
-		need |= chunk.UserID | chunk.SessionID | chunk.IP | chunk.Timestamp
-	}
-	for i := 0; i < n; i++ {
-		m, err := chunk.ReadMeta(fs, chunk.MetaPath(dir, i))
-		if err != nil {
-			return err
-		}
-		base := chunk.Base(dir, i)
-		var cc chunk.Columns
-		if err := cc.Load(fs, base, m, need); err != nil {
-			return err
-		}
-		s.nameMap = remap(&s.core.names, cc.Name.Dict, s.nameMap)
-		s.growNames()
-		for _, id := range cc.Name.IDs {
-			s.counts[s.nameMap[id]]++
-		}
-		s.events += int64(m.Rows)
-		if s.unsaturated() {
-			// Only now are the remaining columns worth reading, and only
-			// the sampled rows become events.
-			if err := cc.Load(fs, base, m, chunk.All&^chunk.LoggedIn); err != nil {
-				return err
-			}
-			if err := s.sample(&cc); err != nil {
-				return fmt.Errorf("session: %s.name: %w", base, err)
-			}
-		}
-		if s.sessions {
-			s.group(&cc)
-		}
+		s.group(&b.Columns)
 	}
 	return nil
 }
 
-// unsaturated reports whether any name of the current chunk's dictionary
+// unsaturated reports whether any name of the current batch's dictionary
 // still wants samples.
 func (s *dayScan) unsaturated() bool {
 	for _, name := range s.nameMap {
@@ -156,7 +115,7 @@ func (s *dayScan) unsaturated() bool {
 	return false
 }
 
-// sample retains the chunk's first events of every name short of its quota.
+// sample retains the batch's first events of every name short of its quota.
 func (s *dayScan) sample(cc *chunk.Columns) error {
 	for row, id := range cc.Name.IDs {
 		name := s.nameMap[id]
@@ -172,7 +131,7 @@ func (s *dayScan) sample(cc *chunk.Columns) error {
 	return nil
 }
 
-// group appends the chunk's rows to the group table.
+// group appends the batch's rows to the group table.
 func (s *dayScan) group(cc *chunk.Columns) {
 	c := s.core
 	s.sessionMap = remap(&c.sessions, cc.SessionID.Dict, s.sessionMap)

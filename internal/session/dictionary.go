@@ -15,15 +15,16 @@
 // one computes the event histogram (and samples for the catalog) and builds
 // the dictionary, pass two reconstructs sessions and encodes them — run as
 // two logical passes over one physical scan (BuildDay). The scan (dayScan)
-// reads hours sealed into column chunks through internal/chunk's typed
-// reader and every other hour from its row files, and hands both to one
-// sessionizer that works on interned IDs: names are counted by ID, events
+// reads the day through internal/chunk's day reader — column batches of
+// sealed chunks and of the row files of hours not yet sealed alike — and
+// hands them to one sessionizer that works on interned IDs: names are
+// counted by ID, events
 // are kept as 16-byte {timestamp, name ID, IP ID} entries grouped by
 // (user id, session-id ID), and strings reappear only at the edges — the
 // histogram's keys, the dictionary, a record's session id and IP. When the
 // scan ends the dictionary is built from the counts and the sessions are
 // sorted, split and encoded out of the table, so the day is read once.
-// Catalog samples widen a chunk's read to its remaining columns only while
+// Catalog samples widen a batch's read to its remaining columns only while
 // its name dictionary holds a name short of its quota, and only the
 // sampled rows become events. Builder is the same sessionizer behind an
 // event-at-a-time interface: Add interns, then appends.

@@ -112,7 +112,7 @@ func (r *Record) Decode(dec thrift.Decoder) error {
 }
 
 // interner assigns dense IDs to strings in first-seen order: the day-global
-// dictionaries that chunk-local dictionary IDs and row strings both map
+// dictionaries that batch-local dictionary IDs and row strings both map
 // into, so everything past the scan edge compares and stores integers.
 type interner struct {
 	ids  map[string]uint32
@@ -149,7 +149,7 @@ type entry struct {
 
 // sessionizer is the one session-reconstruction core: a group table over
 // interned IDs. Row events reach it through Builder.Add (intern, then
-// append), column chunks through dayScan (remap chunk-local IDs once per
+// append), column batches through dayScan (remap batch-local IDs once per
 // distinct value, then append), and finish turns it into records.
 type sessionizer struct {
 	names, sessions, ips interner

@@ -166,8 +166,8 @@ var (
 // fn invoked on each record. rec is valid only during the call — the next
 // record overwrites it — so fn copies what it keeps. A damaged file fails
 // the scan with recordio.ErrCorrupt and its path; an error from fn stops it
-// and is returned as it is. The hour scans below, the columnar seal and the
-// dataflow formats read through it.
+// and is returned as it is. The hour and day scans below, the columnar seal,
+// the day reader (internal/chunk) and the dataflow formats read through it.
 func ScanFileRecords(fs *hdfs.FS, path string, fn func(rec []byte) error) error {
 	data, err := fs.ReadFile(path)
 	if err != nil {
@@ -207,19 +207,8 @@ func ScanHourRecords(fs *hdfs.FS, category string, hour time.Time, fn func(path 
 	return nil
 }
 
-// ScanHour decodes every event in one imported category-hour, in file
-// order, invoking fn on each.
-func ScanHour(fs *hdfs.FS, category string, hour time.Time, fn func(*events.ClientEvent) error) error {
-	return ScanHourRecords(fs, category, hour, func(path string, rec []byte) error {
-		var e events.ClientEvent
-		if err := e.Unmarshal(rec); err != nil {
-			return fmt.Errorf("warehouse: %s: %w", path, err)
-		}
-		return fn(&e)
-	})
-}
-
-// ScanDay decodes every event of a category across all 24 hours of t's day.
+// ScanDay decodes every event of a category across all 24 hours of t's day,
+// hour by hour and in file order within an hour, invoking fn on each.
 func ScanDay(fs *hdfs.FS, category string, day time.Time, fn func(*events.ClientEvent) error) error {
 	day = day.UTC().Truncate(24 * time.Hour)
 	for h := 0; h < 24; h++ {
@@ -227,7 +216,14 @@ func ScanDay(fs *hdfs.FS, category string, day time.Time, fn func(*events.Client
 		if !fs.Exists(HourDir(category, hour)) {
 			continue
 		}
-		if err := ScanHour(fs, category, hour, fn); err != nil {
+		err := ScanHourRecords(fs, category, hour, func(path string, rec []byte) error {
+			var e events.ClientEvent
+			if err := e.Unmarshal(rec); err != nil {
+				return fmt.Errorf("warehouse: %s: %w", path, err)
+			}
+			return fn(&e)
+		})
+		if err != nil {
 			return err
 		}
 	}

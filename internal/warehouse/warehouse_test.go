@@ -92,7 +92,7 @@ func TestWriterBucketsByHour(t *testing.T) {
 	}
 	for hr := 0; hr < 3; hr++ {
 		n := 0
-		err := ScanHour(fs, "ce", day.Add(time.Duration(hr)*time.Hour), func(e *events.ClientEvent) error {
+		err := ScanHourRecords(fs, "ce", day.Add(time.Duration(hr)*time.Hour), func(string, []byte) error {
 			n++
 			return nil
 		})
