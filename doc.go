@@ -282,15 +282,16 @@
 // of events per record and Counter.Ingest exactly one per call — its
 // own dictionary delta, its own write(2), its own share of an fsync
 // (realtime.wal.record_events is the histogram of that). A snapshot
-// (format v3) is the leaf table: the full Stats block, so activity
-// counters survive restarts, a dictionary of event names and countries,
-// and one record per bucket holding its leaf rows — nothing derived, so a
-// capture reads the leaves as they stand and a load maps the file's IDs
-// into its own and derives prefix sums when they are first read. Formats
-// v1 and v2 are retired: a directory last written by a binary from before
-// v3 recovers from its WAL tail only. After a crash, Open numbers the
-// snapshot's dictionary into the name table and replays the newest valid
-// snapshot plus the WAL tail —
+// (format v4) is the leaf table: a header with the full Stats block, so
+// activity counters survive restarts, then the live leaves as WAL records
+// of lead byte 3 — each leaf one observation with a count, under one
+// dictionary for the file — nothing derived, so a capture reads the leaves
+// as they stand. A load reads them back with the WAL's own decoder and
+// applies each with the drain's own applyOne on its name's shard, and
+// prefix sums are derived when first read. Formats v1 to v3 are retired: a
+// directory last written by a binary from before v4 recovers from its WAL
+// tail only. After a crash, Open loads the newest valid snapshot and
+// replays the WAL tail on top —
 // tolerating a torn final
 // record, flipped bits, damaged or missing snapshots, and a changed
 // shard count (replay re-digests every name) — so a restarted shard

@@ -232,8 +232,10 @@ type DetailsColumn struct {
 	offs []uint32 // where each row's pair count starts in rec
 }
 
-// At returns one row's details; a row with zero pairs is a nil map, exactly
-// like the thrift decoder.
+// At returns one row's details; a row with zero pairs is a nil map, whether
+// its message carried an empty details field or none (the thrift decoder
+// tells those apart; the column keeps only the count). The row scan
+// (dataflow.ClientEventFormat) reads both as nil too.
 func (d DetailsColumn) At(row int) map[string]string {
 	c := recordio.NewCursor(d.rec[d.offs[row]:])
 	n := c.Count("details pairs")

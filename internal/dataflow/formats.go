@@ -152,7 +152,11 @@ func (r *rowReader) read(rec []byte) (Tuple, error) {
 	var details map[string]string
 	var err error
 	if r.details {
-		details, err = r.h.DecodeDetails(&r.dec)
+		// A details field with no pairs is nil, as it is absent: a sealed
+		// chunk keeps only each row's pair count, so the two layouts agree.
+		if details, err = r.h.DecodeDetails(&r.dec); len(details) == 0 {
+			details = nil
+		}
 	} else {
 		err = r.h.Decode(&r.dec)
 	}

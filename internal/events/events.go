@@ -478,7 +478,8 @@ func (h *Header) DecodePairs(dec *thrift.CompactDecoder, pairs []Pair) ([]Pair, 
 // empty map for a field with no entries, the last value of a key the map
 // holds twice, and the second map of a message that carries the field twice.
 // It is for a scan that hands the details on as an object while reading the
-// rest of the header in place.
+// rest of the header in place. The dataflow row scan turns the empty map
+// into nil, because a sealed chunk cannot tell it from an absent field.
 func (h *Header) DecodeDetails(dec *thrift.CompactDecoder) (map[string]string, error) {
 	*h = Header{}
 	var details map[string]string

@@ -59,7 +59,7 @@ func init() {
 }
 
 // LookupBytes returns the entry of a name still lying in a message buffer —
-// the realtime tap's and the cluster router's door. A name seen before costs
+// the realtime tap's, the cluster router's and the WAL decoder's door. A name seen before costs
 // one read-locked lookup on the bytes in place. A name ParseName rejects is
 // an error and is not stored.
 func LookupBytes(b []byte) (*NameEntry, error) {
@@ -72,8 +72,8 @@ func LookupBytes(b []byte) (*NameEntry, error) {
 	return intern(string(b))
 }
 
-// Lookup is LookupBytes for a name that arrives as a string: WAL replay,
-// snapshot dictionaries and the rollup combiner.
+// Lookup is LookupBytes for a name that arrives as a string: the rollup
+// combiner's.
 func Lookup(full string) (*NameEntry, error) {
 	names.mu.RLock()
 	e := names.byFull[full]

@@ -2,13 +2,13 @@ package realtime
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -307,7 +307,7 @@ func TestRecoverSkipsPreEpochWALRecord(t *testing.T) {
 		{{minute: -5, name: name, country: cid}},
 		{{minute: minute, name: name, country: cid}, {minute: 0, name: name, country: cid}, {minute: minute + 1, name: name, country: cid}},
 	} {
-		rec, _, _ := w.encodeBatch(nil, batch, tab)
+		rec, _, _ := w.encodeBatch(nil, batch, nil, tab)
 		if err := w.cw.Append(rec); err != nil {
 			t.Fatal(err)
 		}
@@ -496,33 +496,26 @@ func writeSnapFile(t *testing.T, dir string, seq int64, recs ...[]byte) {
 	}
 }
 
-// TestSnapshotLeafNamingNoEventIsCorrupt: a file's leaves are keyed by its
-// dictionary's names, so each entry must name an event. One that does not —
-// a prefix, here — fails the whole file before any of it is applied, and
-// recovery comes up exact from the previous snapshot and the WAL.
+// TestSnapshotLeafNamingNoEventIsCorrupt: a file's leaves are keyed by the
+// names in its records' dictionary, so each must name an event. One that
+// does not — a prefix, here — fails the whole file before any of it is
+// applied, and recovery comes up exact from the previous snapshot and the
+// WAL.
 func TestSnapshotLeafNamingNoEventIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	recs := fileRecords(t, snapThenTail(t, dir)) // 5 events under snapshot 1, 4 in the log
-	dict, err := decodeSnapDict(recs[1])
-	if err != nil {
-		t.Fatal(err)
+	// The file's one leaf is the one event's; its dictionary entry, a
+	// length byte and the name, becomes the prefix.
+	const full = "web:home:timeline:stream:tweet:impression"
+	forged := bytes.Replace(recs[1], append([]byte{byte(len(full))}, full...), append([]byte{8}, "web:home"...), 1)
+	if bytes.Equal(forged, recs[1]) {
+		t.Fatalf("seed snapshot's leaf record %x does not name %q", recs[1], full)
 	}
-	// The dictionary is the name table as the snapshot found it; the file's
-	// leaf is the one event's, so its entry becomes the prefix.
-	names := slices.Clone(dict.names)
-	i := slices.Index(names, "web:home:timeline:stream:tweet:impression")
-	if i < 0 {
-		t.Fatalf("seed dictionary names %q, none of them the event's", names)
-	}
-	names[i] = "web:home"
 	// Were it accepted, its header would retire the log and claim 1000
 	// events, all of them under "web:home".
-	writeSnapFile(t, dir, 2,
-		encodeSnapHeader(nil, []int64{99}, 1000, t0.Unix()/60, Stats{}),
-		encodeSnapDict(nil, names, dict.countries),
-		recs[2])
+	writeSnapFile(t, dir, 2, encodeSnapHeader(nil, []int64{99}, 1000, t0.Unix()/60, Stats{}), forged)
 	probe := allocCounter(durCfg(1).withDefaults())
-	if _, _, err := probe.loadSnapshot(filepath.Join(dir, snapName(2))); !errors.Is(err, recordio.ErrCorrupt) || !strings.Contains(err.Error(), `"web:home"`) {
+	if _, err := probe.loadSnapshot(filepath.Join(dir, snapName(2))); !errors.Is(err, recordio.ErrCorrupt) || !strings.Contains(err.Error(), `"web:home"`) {
 		t.Fatalf("loadSnapshot = %v, want an error wrapping recordio.ErrCorrupt that names the entry", err)
 	}
 
@@ -543,39 +536,56 @@ func TestSnapshotLeafNamingNoEventIsCorrupt(t *testing.T) {
 	}
 }
 
-// TestSnapshotLeafIDPastDictionaryIsCorrupt: a leaf row indexes the file's
+// TestSnapshotLeafIDPastDictionaryIsCorrupt: a leaf indexes its file's
 // dictionary, and an ID one past either table's end is refused.
 func TestSnapshotLeafIDPastDictionaryIsCorrupt(t *testing.T) {
-	remap := snapRemap{names: []uint32{0, 1}, countries: []uint32{0, 1, 2}}
 	minute := t0.Unix() / 60
 	for _, tc := range []struct {
 		what          string
-		name, country uint32
+		name, country uint64
 		ok            bool
 	}{
 		{"last name and country", 1, 2, true},
 		{"name one past", 2, 2, false},
 		{"country one past", 1, 3, false},
 	} {
-		rec := encodeBucket(nil, 0, minute, map[uint64]int64{leafKey(tc.name, tc.country, true): 7})
-		b, err := decodeBucket(rec, &remap)
+		// A counted record by hand: two names, three countries, one leaf
+		// of 7 logged-in events.
+		rec := []byte{countedRecordVersion, 2}
+		for _, s := range []string{"web:home:timeline:stream:tweet:impression", "iphone:search:results:cell:tweet:open"} {
+			rec = append(binary.AppendUvarint(rec, uint64(len(s))), s...)
+		}
+		rec = append(rec, 3)
+		for _, s := range []string{"us", "jp", "br"} {
+			rec = append(binary.AppendUvarint(rec, uint64(len(s))), s...)
+		}
+		rec = binary.AppendUvarint(append(rec, 1), uint64(minute))
+		rec = binary.AppendUvarint(rec, tc.name)
+		rec = binary.AppendVarint(rec, 0)
+		rec = binary.AppendUvarint(rec, tc.country<<1|1)
+		rec = binary.AppendUvarint(rec, 7)
+
+		var got []string
+		err := (&walDecoder{counted: true}).decodeBatch(rec, func(name *events.NameEntry, _ int64, country string, loggedIn bool, n int64) error {
+			got = append(got, fmt.Sprintf("%s %s %v %d", name.Full, country, loggedIn, n))
+			return nil
+		})
 		if tc.ok {
-			if err != nil || b.leaf[leafKey(tc.name, tc.country, true)] != 7 {
-				t.Errorf("%s: decodeBucket = %v, %v; want the row back", tc.what, b.leaf, err)
+			if want := "iphone:search:results:cell:tweet:open br true 7"; err != nil || len(got) != 1 || got[0] != want {
+				t.Errorf("%s: decodeBatch = %q, %v; want the leaf back", tc.what, got, err)
 			}
-		} else if !errors.Is(err, recordio.ErrCorrupt) {
-			t.Errorf("%s: err = %v, want an error wrapping recordio.ErrCorrupt", tc.what, err)
+		} else if !errors.Is(err, recordio.ErrCorrupt) || len(got) != 0 {
+			t.Errorf("%s: err = %v after %q, want an error wrapping recordio.ErrCorrupt and no leaf", tc.what, err, got)
 		}
 	}
 }
 
 // TestSnapshotIDsAreTheWritersOwn: the IDs in a file are its writer's, and a
 // load maps them into whatever numbering the recovering process already has.
-// Two hand-built files list the same names and countries in opposite orders.
-// The newer one is damaged behind its dictionary record, so by the time it is
-// refused its country order is the counter's; the older one must then load
-// through a remap that is not the identity, and the WAL tail replay on top of
-// it.
+// Two hand-built files reference the same names and countries first in
+// opposite orders. The newer one is damaged in its last record and refused
+// whole, after its first records decoded; the older one must then load, and
+// the WAL tail replay on top of it.
 func TestSnapshotIDsAreTheWritersOwn(t *testing.T) {
 	names := []string{
 		"web:home:mentions:stream:avatar:profile_click",
@@ -612,17 +622,20 @@ func TestSnapshotIDsAreTheWritersOwn(t *testing.T) {
 		}
 	}
 	m.Sync()
-	// fileInOrder writes that content with the dictionary permuted by order.
+	// fileInOrder writes that content one leaf per record, in order.
 	fileInOrder := func(seq int64, order []int, damage bool) {
-		fileNames, fileCountries := make([]string, len(order)), make([]string, len(order))
-		recs := make([][]byte, 2, 2+len(order))
-		for id, i := range order {
-			fileNames[id], fileCountries[id] = names[i], countries[i]
-			leaf := map[uint64]int64{leafKey(uint32(id), uint32(id), i%2 == 0): int64(i + 1)}
-			recs = append(recs, encodeBucket(nil, i%2, minute+int64(i), leaf))
+		tab := newSymtab()
+		var w walWriter
+		recs := [][]byte{encodeSnapHeader(nil, []int64{0, 0}, observed, minute+int64(len(names))-1, Stats{})}
+		for _, i := range order {
+			e, err := events.Lookup(names[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaf := []obs{{minute: minute + int64(i), name: e, country: tab.country(countries[i]), loggedIn: i%2 == 0}}
+			rec, _, _ := w.encodeBatch(nil, leaf, []int64{int64(i + 1)}, tab)
+			recs = append(recs, rec)
 		}
-		recs[0] = encodeSnapHeader(nil, []int64{0, 0}, observed, minute+int64(len(names))-1, Stats{})
-		recs[1] = encodeSnapDict(nil, fileNames, fileCountries)
 		if damage {
 			last := recs[len(recs)-1]
 			recs[len(recs)-1] = last[:len(last)-1]
@@ -644,6 +657,45 @@ func TestSnapshotIDsAreTheWritersOwn(t *testing.T) {
 			t.Errorf("Series(%q) = %v, want %v", name, g, w)
 		}
 	}
+}
+
+// TestSnapshotLeavesFollowTheirNamesShard: a load puts every leaf on the
+// shard its name routes to under the loading configuration, as WAL replay
+// does, not on the shard index it was captured from.
+func TestSnapshotLeavesFollowTheirNamesShard(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir, durCfg(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(Config{Shards: 3})
+	t.Cleanup(m.Close)
+	feedBoth(600, d, m)
+	d.Close() // a final snapshot retires the whole log: the load is all there is
+
+	r, err := Open(dir, durCfg(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Crash()
+	names := events.NameEntries()
+	var leaves int
+	for i, s := range r.shards {
+		for j := range s.ring {
+			for k := range s.ring[j].leaf {
+				name, _, _ := leafFields(k)
+				if at := r.shardOf(names[name]); at != i {
+					t.Errorf("%s (minute %d) loaded on shard %d, routes to %d", names[name].Full, s.ring[j].minute, i, at)
+				}
+				leaves++
+			}
+		}
+	}
+	if leaves == 0 {
+		t.Fatal("the reopened counter holds no leaves")
+	}
+	m.Sync()
+	sameAnswers(t, r, m)
 }
 
 // TestReconcileWithRecoveredCounter is the acceptance check: a day
@@ -843,7 +895,7 @@ func TestStatsPersistAcrossRestart(t *testing.T) {
 // and the next one up, which this build has never heard of.
 var (
 	staleWALVersions  = []byte{1, 3}
-	staleSnapVersions = []byte{1, 2, 4}
+	staleSnapVersions = []byte{1, 2, 3, 5}
 )
 
 // TestRetiredAndUnknownFormatVersionsAreCorrupt: a WAL record or a
@@ -900,7 +952,7 @@ func TestRetiredAndUnknownFormatVersionsAreCorrupt(t *testing.T) {
 		recs[0][1] = version
 		writeSnapFile(t, dir, 1, recs...)
 		probe := allocCounter(durCfg(1).withDefaults())
-		if _, _, err := probe.loadSnapshot(snap); !errors.Is(err, recordio.ErrCorrupt) || !strings.Contains(err.Error(), named) {
+		if _, err := probe.loadSnapshot(snap); !errors.Is(err, recordio.ErrCorrupt) || !strings.Contains(err.Error(), named) {
 			t.Errorf("snapshot header %s: err = %v, want ErrCorrupt naming the version", named, err)
 		}
 		r, err := Open(dir, durCfg(1))
@@ -922,9 +974,7 @@ func TestRetiredAndUnknownFormatVersionsAreCorrupt(t *testing.T) {
 func TestOpenFailureReleasesWhatItOpened(t *testing.T) {
 	dir := t.TempDir()
 	const last = math.MaxInt64
-	writeSnapFile(t, dir, 1,
-		encodeSnapHeader(nil, []int64{0, last}, 0, 0, Stats{}),
-		encodeSnapDict(nil, nil, nil))
+	writeSnapFile(t, dir, 1, encodeSnapHeader(nil, []int64{0, last}, 0, 0, Stats{}))
 	if err := os.Mkdir(filepath.Join(dir, walName(1, last)), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -1009,8 +1059,8 @@ func TestSnapshotSkipsBucketsBehindHorizon(t *testing.T) {
 	if err := d.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if _, records := snapshotLeaves(t, filepath.Join(dir, snapName(1))); !reflect.DeepEqual(records, map[[2]int64]int{{0, 1015}: 1}) {
-		t.Errorf("the file holds buckets %v, want minute 1015 alone", records)
+	if rows := snapshotLeaves(t, filepath.Join(dir, snapName(1))); len(rows) != 1 || len(rows[1015]) != 1 {
+		t.Errorf("the file holds leaves %v, want the one of minute 1015 alone", rows)
 	}
 	if got := tmSnapshotLeaves.Value(); got != 1 {
 		t.Errorf("realtime.snapshot.leaves = %d, want the 1 leaf of minute 1015", got)

@@ -3,6 +3,7 @@ package realtime
 import (
 	"errors"
 	"io"
+	"math"
 	"os"
 	"testing"
 	"time"
@@ -49,9 +50,14 @@ func addDamaged(f *testing.F, rec []byte, version int, stale []byte) {
 	}
 }
 
-// FuzzWALBatch: on any record, decodeBatch returns nil or an error
+// FuzzWALBatch: on any record, decodeBatch — reading a live segment's
+// records and, with counted set, a snapshot's — returns nil or an error
 // wrapping recordio.ErrCorrupt, never panics, and neither grows its
-// dictionaries nor reports observations past the record's length.
+// dictionaries nor reports observations past the record's length. A
+// counted record it accepts goes on down the load path: applied with
+// applyOne (replayOne) to a fresh counter, expanded into rollup rows and
+// read back, it may not panic or lose a count. decodeSnapHeader, the rest
+// of a snapshot, holds to the same contract.
 func FuzzWALBatch(f *testing.F) {
 	// The records of a live segment: the first carries the dictionary,
 	// the rest refer to it (corrupt on their own).
@@ -72,45 +78,23 @@ func FuzzWALBatch(f *testing.F) {
 		}
 	}
 	w := &walWriter{}
-	rec, _, _ := w.encodeBatch(nil, batch, tab)
+	rec, _, _ := w.encodeBatch(nil, batch, nil, tab)
 	addDamaged(f, rec, 0, staleWALVersions)
 	f.Add([]byte{})
 	f.Add([]byte{walRecordVersion, 0, 0, 0, 0})
-
-	f.Fuzz(func(t *testing.T, rec []byte) {
-		dec := &walDecoder{}
-		seen := 0
-		err := dec.decodeBatch(rec, func(string, int64, string, bool) error { seen++; return nil })
-		if err != nil && !errors.Is(err, recordio.ErrCorrupt) {
-			t.Fatalf("untyped error: %v", err)
-		}
-		if n := len(dec.names) + len(dec.countries) + seen; n > len(rec) {
-			t.Fatalf("%d dictionary entries and observations out of a %d-byte record", n, len(rec))
-		}
-	})
-}
-
-// FuzzSnapshotRecords: on any record, the three snapshot decoders each
-// return a value or an error wrapping recordio.ErrCorrupt, never panic,
-// and never size a slice or map past the record's length. Buckets decode
-// against the dictionary of the v3 snapshot the seeds come from, interned
-// into a fresh counter, and one the decoder accepts goes on down the load
-// path — merged into a ring, expanded into rollup rows, derived and read
-// back — which may not panic or lose a count.
-func FuzzSnapshotRecords(f *testing.F) {
-	recs := fileRecords(f, snapThenTail(f, f.TempDir()))
-	if len(recs) < 3 {
-		f.Fatalf("seed snapshot has %d records, want a header, a dictionary and a bucket", len(recs))
+	// A snapshot: its header, then its one counted record.
+	snap := fileRecords(f, snapThenTail(f, f.TempDir()))
+	if len(snap) != 2 {
+		f.Fatalf("seed snapshot has %d records, want a header and one leaf record", len(snap))
 	}
-	dict, err := decodeSnapDict(recs[1])
-	if err != nil {
-		f.Fatal(err)
-	}
-	addDamaged(f, recs[0], 1, staleSnapVersions)
-	addDamaged(f, recs[1], 0, nil)
-	addDamaged(f, recs[2], 0, nil)
-	f.Add([]byte{})
+	addDamaged(f, snap[0], 1, staleSnapVersions)
 	f.Add([]byte{snapTagHeader, snapRecordVersion, 0xFF, 0xFF, 0x03}) // 65535 shards in five bytes
+	addDamaged(f, snap[1], 0, nil)
+	// The batch above as a snapshot's leaves, with counts up to the largest
+	// a load accepts.
+	counts := []int64{1, 2, 300, 1 << 40, 7, math.MaxInt64}
+	rec, _, _ = (&walWriter{}).encodeBatch(nil, batch, counts, tab)
+	f.Add(rec)
 
 	f.Fuzz(func(t *testing.T, rec []byte) {
 		check := func(what string, sized int, err error) {
@@ -121,38 +105,51 @@ func FuzzSnapshotRecords(f *testing.F) {
 				t.Fatalf("%s: %d entries out of a %d-byte record", what, sized, len(rec))
 			}
 		}
+		dec := &walDecoder{}
+		seen := 0
+		err := dec.decodeBatch(rec, func(*events.NameEntry, int64, string, bool, int64) error { seen++; return nil })
+		check("live", len(dec.names)+len(dec.countries)+seen, err)
 		h, err := decodeSnapHeader(rec)
-		check("header", len(h.next), err)
-		d, err := decodeSnapDict(rec)
-		check("dictionary", len(d.names)+len(d.countries), err)
-		c := allocCounter(Config{Shards: 2, Retention: 2 * time.Minute}.withDefaults()) // no goroutines to stop
-		remap, err := c.tab.internDict(&dict)
-		if err != nil {
-			t.Fatalf("the seed snapshot's own dictionary: %v", err)
-		}
-		b, err := decodeBucket(rec, &remap)
-		check("bucket", len(b.leaf), err)
+		check("snapshot header", len(h.next), err)
+
+		// A counted record as a load takes it: checked whole, then applied.
+		type leaf struct{ minute, n int64 }
+		var leaves []leaf
+		dec = &walDecoder{counted: true}
+		err = dec.decodeBatch(rec, func(name *events.NameEntry, minute int64, _ string, _ bool, n int64) error {
+			if name == nil || minute < 1 || n < 1 {
+				t.Fatalf("leaf (%v, minute %d, count %d) accepted", name, minute, n)
+			}
+			leaves = append(leaves, leaf{minute, n})
+			return nil
+		})
+		check("counted", len(dec.names)+len(dec.countries)+len(leaves), err)
 		if err != nil {
 			return
 		}
-		if b.shard < 0 || b.minute < 1 {
-			t.Fatalf("bucket: coordinates (%d, %d) would index a ring out of range", b.shard, b.minute)
+		c := allocCounter(Config{Shards: 2, Retention: 2 * time.Minute}.withDefaults()) // no goroutines to stop
+		if err := (&walDecoder{counted: true}).decodeBatch(rec, c.replayOne); err != nil {
+			t.Fatalf("accepted, then refused on apply: %v", err)
 		}
-		var leaves, loaded int64
-		for _, n := range b.leaf {
-			leaves += n
-		}
-		c.loadBucket(&b)
-		if b.minute > 1<<40 {
+		last := c.maxMinute.Load()
+		if last > 1<<40 {
 			return // no time.Time names this minute to a query
 		}
-		at := time.Unix(b.minute*60, 0)
-		for _, n := range c.RollupSnapshot(at, at.Add(time.Minute)) {
+		// Every leaf in the last retention window is in the ring whatever
+		// order the leaves came in: a slot yields only to a newer minute.
+		var want, loaded int64
+		for _, l := range leaves {
+			if l.minute > last-int64(c.buckets) {
+				want += l.n
+			}
+		}
+		from, to := time.Unix((last-int64(c.buckets)+1)*60, 0), time.Unix((last+1)*60, 0)
+		for _, n := range c.RollupSnapshot(from, to) {
 			loaded += n
 		}
-		if loaded != leaves*int64(events.NumRollupLevels) {
-			t.Fatalf("bucket: %d in leaf rows loaded as %d over the five levels", leaves, loaded)
+		if loaded != want*int64(events.NumRollupLevels) {
+			t.Fatalf("%d in the window's leaves loaded as %d over the five levels", want, loaded)
 		}
-		c.TopK("", 3, at, at.Add(time.Minute))
+		c.TopK("", 3, from, to)
 	})
 }

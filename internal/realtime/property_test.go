@@ -309,55 +309,41 @@ func TestRecoveredCounterMatchesReferenceModel(t *testing.T) {
 	checkAgainstReference(t, rng, r, g.ref)
 }
 
-// snapshotLeaves reads a snapshot file back the way a load does — its
-// dictionary numbered into the name table and a fresh country table, its
-// buckets decoded through the remap — and returns each bucket's rows under
-// their strings, keyed the way the reference keys its level-0 rollup rows,
-// with the bucket count per (shard, minute) beside them.
-func snapshotLeaves(t *testing.T, path string) (rows map[int64]map[analytics.RollupKey]int64, records map[[2]int64]int) {
+// snapshotLeaves reads a snapshot file's leaf records back through the
+// WAL's decoder, as a load does, and returns their rows keyed the way the
+// reference keys its level-0 rollup rows, per minute. A leaf is one row: a
+// row the file holds twice fails the test.
+func snapshotLeaves(t *testing.T, path string) map[int64]map[analytics.RollupKey]int64 {
 	t.Helper()
-	recs := fileRecords(t, path)
-	dict, err := decodeSnapDict(recs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := newSymtab()
-	remap, err := tab.internDict(&dict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := events.NameEntries()
-	rows = map[int64]map[analytics.RollupKey]int64{}
-	records = map[[2]int64]int{}
-	for _, rec := range recs[2:] {
-		b, err := decodeBucket(rec, &remap)
+	rows := map[int64]map[analytics.RollupKey]int64{}
+	dec := &walDecoder{counted: true}
+	for _, rec := range fileRecords(t, path)[1:] {
+		err := dec.decodeBatch(rec, func(name *events.NameEntry, minute int64, country string, loggedIn bool, n int64) error {
+			if rows[minute] == nil {
+				rows[minute] = map[analytics.RollupKey]int64{}
+			}
+			k := analytics.RollupKey{Name: name.Full, Country: country, LoggedIn: loggedIn}
+			if rows[minute][k] != 0 {
+				t.Errorf("minute %d: leaf %+v written twice", minute, k)
+			}
+			rows[minute][k] += n
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		records[[2]int64{int64(b.shard), b.minute}]++
-		if rows[b.minute] == nil {
-			rows[b.minute] = map[analytics.RollupKey]int64{}
-		}
-		for k, n := range b.leaf {
-			name, country, loggedIn := leafFields(k)
-			rows[b.minute][analytics.RollupKey{
-				Name:     names[name].Full,
-				Country:  tab.countryName(country),
-				LoggedIn: loggedIn,
-			}] += n
-		}
 	}
-	return rows, records
+	return rows
 }
 
 // cacheStates copies every live bucket's stale mark and prefix cache.
 func cacheStates(c *Counter) (stale map[[2]int64]bool, prefix map[[2]int64]map[uint32]int64) {
 	stale, prefix = map[[2]int64]bool{}, map[[2]int64]map[uint32]int64{}
-	for _, s := range c.shards {
+	for i, s := range c.shards {
 		s.mu.Lock()
 		for j := range s.ring {
 			if b := &s.ring[j]; b.leaf != nil {
-				at := [2]int64{int64(s.idx), b.minute}
+				at := [2]int64{int64(i), b.minute}
 				stale[at], prefix[at] = b.stale, maps.Clone(b.prefix)
 			}
 		}
@@ -367,10 +353,10 @@ func cacheStates(c *Counter) (stale map[[2]int64]bool, prefix map[[2]int64]map[u
 }
 
 // TestSnapshotHoldsLeaves: a snapshot is the leaf table. One cut while some
-// prefix caches are clean and some stale must hold exactly one record per
-// (shard, minute), whose rows are the level-0 rollup rows the reference
-// counts for that minute and nothing derived from them; and cutting it
-// reads the leaves only — no bucket's stale mark or prefix cache changes.
+// prefix caches are clean and some stale must hold, once each, the level-0
+// rollup rows the reference counts for each minute and nothing derived
+// from them; and cutting it reads the leaves only — no bucket's stale mark
+// or prefix cache changes.
 func TestSnapshotHoldsLeaves(t *testing.T) {
 	rng := rand.New(rand.NewSource(20120823))
 	dir := t.TempDir()
@@ -404,15 +390,7 @@ func TestSnapshotHoldsLeaves(t *testing.T) {
 		t.Errorf("the capture changed a bucket's stale mark or prefix cache")
 	}
 
-	rows, records := snapshotLeaves(t, filepath.Join(dir, snapName(1)))
-	if len(records) != len(staleBefore) {
-		t.Errorf("%d (shard, minute) pairs in the file, %d live buckets", len(records), len(staleBefore))
-	}
-	for at, n := range records {
-		if n != 1 {
-			t.Errorf("%d records for shard %d, minute %d", n, at[0], at[1])
-		}
-	}
+	rows := snapshotLeaves(t, filepath.Join(dir, snapName(1)))
 	want := map[int64]map[analytics.RollupKey]int64{}
 	for minute, at := range g.ref.rollupAt {
 		want[minute] = map[analytics.RollupKey]int64{}
@@ -429,8 +407,9 @@ func TestSnapshotHoldsLeaves(t *testing.T) {
 
 // TestSnapshotBytesPerLeaf is the gate that keeps derived rows from coming
 // back: the generated day's snapshot, header and dictionary included, costs
-// at most 8 bytes per leaf (5.3 as written; the format that carried prefix
-// sums and five rollup levels per bucket cost 41.9).
+// at most 8 bytes per leaf (4.5 as written; a dictionary record and leaf
+// rows per bucket cost 5.3, and prefix sums and five rollup levels per
+// bucket 41.9).
 func TestSnapshotBytesPerLeaf(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir, durCfg(4))

@@ -276,15 +276,14 @@ type shardMsg struct {
 	// has been applied.
 	sync chan struct{}
 	// snap, when non-nil, asks the drain goroutine to rotate its WAL to a
-	// fresh segment and reply with its serialized ring — the
-	// per-shard half of a consistent snapshot (see snapshot.go).
+	// fresh segment and reply with its ring's leaves — the per-shard half
+	// of a consistent snapshot (see snapshot.go).
 	snap chan shardState
 }
 
 // shard owns one queue, one drain goroutine, one ring of minute buckets
 // and one ring of hour cells, which mu guards against concurrent readers.
 type shard struct {
-	idx  int
 	ch   chan shardMsg
 	mu   sync.Mutex
 	ring []bucket
@@ -390,7 +389,6 @@ func allocCounter(cfg Config) *Counter {
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		c.shards = append(c.shards, &shard{
-			idx:   i,
 			ch:    make(chan shardMsg, cfg.QueueDepth),
 			ring:  make([]bucket, c.buckets),
 			hours: make([]bucket, c.buckets/60+2),
@@ -523,16 +521,6 @@ func (c *Counter) observe(e *events.ClientEvent) (obs, bool) {
 	return c.digest(name, e.Timestamp/60_000, geo.CountryOf(e.IP), e.LoggedIn())
 }
 
-// digestFull is observe for an event that WAL replay (recover.go) read back
-// as a logged name string. Re-digesting the name and re-sharding it is what
-// lets a log written under one shard count replay correctly into another;
-// re-checking the minute is what lets a segment written before observe
-// checked it replay past the record.
-func (c *Counter) digestFull(name string, minute int64, country string, loggedIn bool) (obs, bool) {
-	e, _ := events.Lookup(name)
-	return c.digest(e, minute, country, loggedIn)
-}
-
 // send enqueues one batch on a shard, blocking when the queue is full.
 func (c *Counter) send(shardIdx int, batch []obs) {
 	if len(batch) == 0 {
@@ -592,7 +580,7 @@ func (c *Counter) apply(s *shard, batch []obs) {
 	var applied int64
 	s.mu.Lock()
 	for i := range batch {
-		if c.applyOne(s, &batch[i]) {
+		if c.applyOne(s, &batch[i], 1) {
 			applied++
 		}
 	}
@@ -603,15 +591,16 @@ func (c *Counter) apply(s *shard, batch []obs) {
 	tmApplyBatchNs.ObserveSince(t0)
 }
 
-// applyOne counts one observation in its minute bucket — one increment of
+// applyOne counts n of one observation in its minute bucket — an add to
 // its leaf, which marks the bucket's prefix cache stale (and, if it was
-// clean, its hour cell too) — reporting whether the event was applied (vs
-// dropped behind the retention horizon). Nothing
+// clean, its hour cell too) — reporting whether they were applied (vs
+// dropped behind the retention horizon). The drain applies every event
+// with n = 1; WAL replay and snapshot load apply a record's count. Nothing
 // else may happen per event here: the drains hold the shard lock for it.
 // Callers hold the shard lock (or are single-threaded recovery) and account
 // the observed total (apply batches one atomic add per batch; recovery adds
 // per record).
-func (c *Counter) applyOne(s *shard, o *obs) bool {
+func (c *Counter) applyOne(s *shard, o *obs, n int64) bool {
 	for {
 		cur := c.maxMinute.Load()
 		if o.minute <= cur || c.maxMinute.CompareAndSwap(cur, o.minute) {
@@ -621,8 +610,8 @@ func (c *Counter) applyOne(s *shard, o *obs) bool {
 	if o.minute <= c.maxMinute.Load()-int64(c.buckets) {
 		// Older than the retention horizon: drop rather than serve a
 		// partially-evicted minute.
-		s.dropped++
-		c.droppedOld.Add(1)
+		s.dropped += n
+		c.droppedOld.Add(n)
 		return false
 	}
 	b := &s.ring[int(o.minute)%c.buckets]
@@ -630,8 +619,8 @@ func (c *Counter) applyOne(s *shard, o *obs) bool {
 		if b.minute > o.minute {
 			// The slot already holds a newer minute (the horizon advanced
 			// between the checks above): treat as past retention.
-			s.dropped++
-			c.droppedOld.Add(1)
+			s.dropped += n
+			c.droppedOld.Add(n)
 			return false
 		}
 		if b.leaf != nil {
@@ -643,12 +632,12 @@ func (c *Counter) applyOne(s *shard, o *obs) bool {
 		b.minute, b.stale = o.minute, false
 		b.leaf = make(map[uint64]int64, 2*events.NumComponents)
 	}
-	b.leaf[leafKey(o.name.ID, o.country, o.loggedIn)]++
+	b.leaf[leafKey(o.name.ID, o.country, o.loggedIn)] += n
 	if !b.stale {
 		b.stale = true
 		s.touchHour(o.minute)
 	}
-	s.applied++
+	s.applied += n
 	return true
 }
 

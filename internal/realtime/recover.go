@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"unilog/internal/events"
@@ -33,12 +34,13 @@ import (
 //     recovery), and moves on to the next segment;
 //   - appending always begins in a fresh segment, never after a tear.
 //
-// Replay re-digests every logged name through the process's name table and
-// the counter's own country table — built fresh here, the snapshot
-// dictionary's countries first, then first-seen WAL countries — so routing
-// and IDs always follow the current process and configuration: a log or
-// snapshot written under a different shard count (or a different ID
-// assignment) recovers exactly.
+// Replay and snapshot load read the same records, with the same decoder,
+// and apply them with the drain's own applyOne: every logged name is
+// re-digested through the process's name table and the counter's own
+// country table, built fresh here, so routing and IDs always follow the
+// current process and configuration — a log or snapshot written under a
+// different shard count (or a different ID assignment) recovers exactly,
+// each leaf on its name's shard.
 //
 // Counts recovered this way are exact for everything the WAL fsync
 // cadence made durable: after a clean Close, or a Crash with the tail
@@ -63,20 +65,11 @@ func Open(dir string, cfg Config) (*Counter, error) {
 
 	var header snapHeader
 	snapSpan := span.Child("snapshot")
-	for _, s := range snaps { // newest first
-		h, buckets, err := c.loadSnapshot(filepath.Join(dir, s.name))
-		if err != nil {
-			continue // superseded at the next snapshot; recovery moves on
+	// Newest first; one refused is superseded at the next snapshot.
+	for _, s := range snaps {
+		if header, err = c.loadSnapshot(filepath.Join(dir, s.name)); err == nil {
+			break
 		}
-		header = h
-		c.observedBase = h.observed
-		c.observed.Store(h.observed)
-		c.maxMinute.Store(h.maxMinute)
-		c.restoreStats(h.stats)
-		for i := range buckets {
-			c.loadBucket(&buckets[i])
-		}
-		break
 	}
 	snapSpan.End()
 
@@ -184,101 +177,74 @@ func scanDir(dir string) (snaps []dirEntry, segs map[int][]dirEntry, maxSnapSeq 
 	return snaps, segs, maxSnapSeq, nil
 }
 
-// loadSnapshot parses a whole snapshot file into memory, validating every
-// frame before any of it is applied — a snapshot is all-or-nothing. The
-// dictionary record between the header and the buckets is numbered into the
-// name table and the counter's countries as soon as it is read, so every
-// bucket decodes straight into the counter's own leaf keys; an entry that is
-// not a valid six-component name makes the file corrupt. A file refused
-// after that point leaves its names in the table and nothing counted under
-// them.
-func (c *Counter) loadSnapshot(path string) (snapHeader, []snapBucket, error) {
+// loadSnapshot reads a whole snapshot file and, only once every frame and
+// leaf of it has checked out, applies it — a snapshot is all-or-nothing: a
+// file refused leaves nothing in the counter. Both passes read the leaf
+// records with the WAL's decoder; the second applies each leaf as replay
+// does (replayOne), on its name's shard under this configuration, after the
+// header's high-water minute is restored, so a leaf behind the horizon
+// drops and one in a clean minute marks it and its hour stale. The observed
+// total and every activity counter then come from the header, which
+// already accounts for the leaves, so what the apply tallied is reset.
+func (c *Counter) loadSnapshot(path string) (snapHeader, error) {
+	fail := func(err error) (snapHeader, error) {
+		return snapHeader{}, fmt.Errorf("realtime: snapshot %s: %w", filepath.Base(path), err)
+	}
 	f, err := os.Open(path)
 	if err != nil {
-		return snapHeader{}, nil, err
+		return snapHeader{}, err
 	}
 	defer f.Close()
 	r := recordio.NewCRCReader(f)
 	rec, err := r.Next()
+	if err == io.EOF {
+		return fail(fmt.Errorf("%w: empty snapshot", recordio.ErrCorrupt))
+	}
 	if err != nil {
-		return snapHeader{}, nil, fmt.Errorf("realtime: snapshot %s: %w", filepath.Base(path), errOr(err))
+		return fail(err)
 	}
 	header, err := decodeSnapHeader(rec)
 	if err != nil {
-		return snapHeader{}, nil, err
+		return fail(err)
 	}
-	if rec, err = r.Next(); err != nil {
-		return snapHeader{}, nil, fmt.Errorf("realtime: snapshot %s: %w", filepath.Base(path), errOr(err))
-	}
-	dict, err := decodeSnapDict(rec)
-	if err != nil {
-		return snapHeader{}, nil, err
-	}
-	remap, err := c.tab.internDict(&dict)
-	if err != nil {
-		return snapHeader{}, nil, err
-	}
-	var buckets []snapBucket
+	var recs [][]byte
+	dec := &walDecoder{counted: true}
 	for {
 		rec, err := r.Next()
 		if err == io.EOF {
-			return header, buckets, nil
+			break
+		}
+		if err == nil {
+			err = dec.decodeBatch(rec, func(*events.NameEntry, int64, string, bool, int64) error { return nil })
 		}
 		if err != nil {
-			return snapHeader{}, nil, fmt.Errorf("realtime: snapshot %s: %w", filepath.Base(path), err)
+			return fail(err)
 		}
-		b, err := decodeBucket(rec, &remap)
-		if err != nil {
-			return snapHeader{}, nil, err
-		}
-		buckets = append(buckets, b)
+		recs = append(recs, slices.Clone(rec))
 	}
+
+	c.maxMinute.Store(header.maxMinute)
+	dec = &walDecoder{counted: true}
+	for _, rec := range recs {
+		_ = dec.decodeBatch(rec, c.replayOne) // checked above
+	}
+	for _, s := range c.shards {
+		s.applied, s.dropped, s.evicted = 0, 0, 0
+	}
+	c.observedBase = header.observed
+	c.observed.Store(header.observed)
+	c.restoreStats(header.stats)
+	return header, nil
 }
 
-// errOr maps a clean-EOF (empty file) to a recognizable corruption error.
-func errOr(err error) error {
-	if err == io.EOF {
-		return fmt.Errorf("%w: empty snapshot", recordio.ErrCorrupt)
+// replayOne applies n of one observation read back from a WAL record or a
+// snapshot: digested afresh, so it routes under this configuration and a
+// name or minute observe would refuse counts Invalid, then applyOne.
+func (c *Counter) replayOne(name *events.NameEntry, minute int64, country string, loggedIn bool, n int64) error {
+	if o, ok := c.digest(name, minute, country, loggedIn); ok && c.applyOne(c.shards[c.shardOf(o.name)], &o, n) {
+		c.observed.Add(n)
 	}
-	return err
-}
-
-// loadBucket merges one snapshot bucket's resolved leaves into its shard's
-// ring; the bucket and its hour cell load stale, and both are derived when
-// first read. The shard index is taken modulo the current configuration, so a
-// snapshot from a differently-sized counter still loads — totals are
-// distributive across placement, and collisions merge.
-func (c *Counter) loadBucket(sb *snapBucket) {
-	if sb.minute <= c.maxMinute.Load()-int64(c.buckets) {
-		return // behind the retention horizon
-	}
-	// A file's header holds the newest minute of its buckets; one that
-	// does not (a damaged file) raises it as a write of that minute would,
-	// because reads look no further than it.
-	if sb.minute > c.maxMinute.Load() {
-		c.maxMinute.Store(sb.minute)
-	}
-	names := events.NameEntries()
-	for k := range sb.leaf {
-		name, _, _ := leafFields(k)
-		c.tab.count(names[name])
-	}
-	s := c.shards[sb.shard%len(c.shards)]
-	b := &s.ring[int(sb.minute)%c.buckets]
-	switch {
-	case b.leaf == nil || b.minute < sb.minute:
-		b.minute, b.leaf = sb.minute, sb.leaf
-	case b.minute == sb.minute:
-		for k, v := range sb.leaf {
-			b.leaf[k] += v
-		}
-	default:
-		// The slot already holds a newer minute; this bucket is behind
-		// the horizon by ring geometry.
-		return
-	}
-	b.stale = true
-	s.touchHour(sb.minute)
+	return nil
 }
 
 // replaySegment re-applies every intact batch record in one WAL segment,
@@ -302,21 +268,12 @@ func (c *Counter) replaySegment(path string) error {
 			f.Close()
 			return nil
 		}
-		if err != nil {
-			f.Close()
-			c.walErrors.Add(1)
-			return os.Truncate(path, intact)
+		if err == nil {
+			err = dec.decodeBatch(rec, c.replayOne)
 		}
-		err = dec.decodeBatch(rec, func(name string, minute int64, country string, loggedIn bool) error {
-			o, ok := c.digestFull(name, minute, country, loggedIn)
-			if ok && c.applyOne(c.shards[c.shardOf(o.name)], &o) {
-				c.observed.Add(1)
-			}
-			return nil
-		})
 		if err != nil {
-			// Structurally damaged batch behind a valid checksum: treat
-			// like any other corruption at this record's boundary.
+			// A torn or corrupt frame, or a structurally damaged batch
+			// behind a valid checksum: the segment ends here.
 			f.Close()
 			c.walErrors.Add(1)
 			return os.Truncate(path, intact)

@@ -24,24 +24,27 @@ import (
 // record replayed on top of a snapshot that already contains it double
 // counts. The protocol gets exactness per shard from the drain goroutine
 // itself: a snap message asks each drain to (1) rotate its WAL to a fresh
-// segment and (2) serialize its ring, in that order, between batches.
-// The serialized state is then precisely the effect of every record in
+// segment and (2) copy its ring's leaves, in that order, between batches.
+// The captured state is then precisely the effect of every record in
 // segments below the rotated sequence number, and recovery replays only
 // segments at or above it. Shards are captured independently (shard A may
-// apply more batches while shard B serializes) — that is fine, because
-// shards never share keys and recovery is per-shard.
+// apply more batches while shard B is copied) — that is fine, because
+// shards never share keys and each shard's WAL tail replays on its own.
 //
 // Snapshot files are named snap-<seq>.snap; higher seq wins. A file is a
 // CRC record stream: one header record (version, per-shard next WAL
 // sequence numbers, the observed-event total, the retention high-water
 // minute, and the full Stats block so activity counters survive
-// restarts), one dictionary record (the name table's event names and the
-// counter's countries, indexed by ID), then one record per non-empty minute
-// bucket holding its leaf rows (name ID, country ID and logged-in bit,
-// count). A snapshot is the leaf table and nothing derived from it: prefix
-// sums and rollup rows are sums over leaves, rebuilt when they are read.
-// Writes go to a temp file that is fsynced and atomically renamed, so a
-// crashed snapshotter leaves either the old snapshot or the new one, never a
+// restarts), then the live leaves as counted WAL records (wal.go): each
+// leaf one observation — name, minute, country, logged-in bit — with its
+// count, up to Config.MaxBatch per record, under one dictionary that runs
+// through the file as a segment's does. A load reads them back with the
+// WAL's decoder and applies them with the drain's applyOne, so a leaf
+// lands on its name's shard under the loading configuration. A snapshot
+// is the leaf table and nothing derived from it: prefix sums and rollup
+// rows are sums over leaves, rebuilt when they are read. Writes go to a
+// temp file that is fsynced and atomically renamed, so a crashed
+// snapshotter leaves either the old snapshot or the new one, never a
 // half-written current file.
 
 // errClosed reports a durability operation on a stopped counter.
@@ -49,16 +52,12 @@ var errClosed = errors.New("realtime: counter is closed")
 
 // snapRecordVersion is the snapshot format version. A header carrying any
 // other version — the retired v1 (string-keyed buckets, no dictionary, no
-// stats) and v2 (prefix and rollup tables per bucket) included — is
-// rejected as corrupt.
-const snapRecordVersion = 3
+// stats), v2 (prefix and rollup tables per bucket) and v3 (a dictionary
+// record, then leaf rows per bucket) included — is rejected as corrupt.
+const snapRecordVersion = 4
 
-// Record tags inside a snapshot file.
-const (
-	snapTagHeader = 'H'
-	snapTagDict   = 'D'
-	snapTagBucket = 'B'
-)
+// snapTagHeader leads a snapshot's header record.
+const snapTagHeader = 'H'
 
 // snapName formats a snapshot file name.
 func snapName(seq int64) string { return fmt.Sprintf("snap-%010d.snap", seq) }
@@ -80,12 +79,12 @@ func parseSnapName(name string) (seq int64, ok bool) {
 	return seq, true
 }
 
-// shardState is one shard's contribution to a snapshot: its encoded
-// buckets and the leaf rows in them, its applied-event count, and the WAL
+// shardState is one shard's contribution to a snapshot: its live leaves
+// as observations with their counts, its applied-event count, and the WAL
 // sequence number its state is exact up to (exclusive).
 type shardState struct {
-	recs    [][]byte
-	leaves  int64
+	leaves  []obs
+	counts  []int64
 	applied int64
 	dropped int64
 	evicted int64
@@ -93,17 +92,14 @@ type shardState struct {
 	err     error
 }
 
-// captureShard encodes every live bucket of a shard — one behind the
-// retention horizon is not live even while its slot is unrecycled, and a
-// load would drop it anyway (loadBucket). With rotate it runs
-// on the shard's drain goroutine and first rotates the WAL so the
-// boundary is durable; without, the drains have exited (Close) and the
-// caller sets the boundary. The shard lock is held only against
-// concurrent readers, and only the leaves are read: a bucket's prefix
-// cache and stale mark are as the capture found them. Bucket records
-// carry only IDs; the dictionary that resolves them is fetched
-// afterwards, in writeSnapshot, which is safe because IDs are append-only
-// — the table can only have grown since the capture.
+// captureShard copies every leaf of every live bucket of a shard — one
+// behind the retention horizon is not live even while its slot is
+// unrecycled, and a load would drop it anyway. With rotate it runs on the
+// shard's drain goroutine and first rotates the WAL so the boundary is
+// durable; without, the drains have exited (Close) and the caller sets the
+// boundary. The shard lock is held only against concurrent readers, and
+// only the leaves are read: a bucket's prefix cache and stale mark are as
+// the capture found them.
 func (c *Counter) captureShard(s *shard, rotate bool) shardState {
 	st := shardState{applied: s.applied, dropped: s.dropped, evicted: s.evicted}
 	if rotate && s.wal != nil {
@@ -115,13 +111,23 @@ func (c *Counter) captureShard(s *shard, rotate bool) shardState {
 	}
 	horizon := c.maxMinute.Load() - int64(c.buckets)
 	s.mu.Lock()
+	names := events.NameEntries() // covers every ID in the ring
+	// Sized first: a day's ring holds tens of thousands of leaves.
+	live := 0
 	for j := range s.ring {
-		b := &s.ring[j]
-		if b.leaf == nil || b.minute <= horizon {
-			continue
+		if b := &s.ring[j]; b.minute > horizon {
+			live += len(b.leaf)
 		}
-		st.recs = append(st.recs, encodeBucket(nil, s.idx, b.minute, b.leaf))
-		st.leaves += int64(len(b.leaf))
+	}
+	st.leaves, st.counts = make([]obs, 0, live), make([]int64, 0, live)
+	for j := range s.ring {
+		if b := &s.ring[j]; b.minute > horizon {
+			for k, n := range b.leaf {
+				name, country, loggedIn := leafFields(k)
+				st.leaves = append(st.leaves, obs{minute: b.minute, name: names[name], country: country, loggedIn: loggedIn})
+				st.counts = append(st.counts, n)
+			}
+		}
 	}
 	s.mu.Unlock()
 	return st
@@ -228,23 +234,15 @@ func (c *Counter) writeSnapshot(states []shardState) error {
 	bw := bufio.NewWriterSize(f, 1<<16)
 	cw := recordio.NewCRCWriter(bw)
 	werr := cw.Append(encodeSnapHeader(nil, next, observed, c.maxMinute.Load(), stats))
-	if werr == nil {
-		// The name table as it stands covers every leaf captured before it
-		// was fetched: IDs are append-only.
-		entries := events.NameEntries()
-		names := make([]string, len(entries))
-		for i, e := range entries {
-			names[i] = e.Full
-		}
-		werr = cw.Append(encodeSnapDict(nil, names, c.tab.countries()))
-	}
+	// One writer for the file, so one dictionary runs through its records.
+	var w walWriter
+	var rec []byte
 	var leaves int64
 	for _, st := range states {
-		leaves += st.leaves
-		for _, rec := range st.recs {
-			if werr != nil {
-				break
-			}
+		leaves += int64(len(st.leaves))
+		for i := 0; i < len(st.leaves) && werr == nil; i += c.cfg.MaxBatch {
+			j := min(i+c.cfg.MaxBatch, len(st.leaves))
+			rec, _, _ = w.encodeBatch(rec[:0], st.leaves[i:j], st.counts[i:j], c.tab)
 			werr = cw.Append(rec)
 		}
 	}
@@ -403,129 +401,4 @@ func decodeSnapHeader(rec []byte) (snapHeader, error) {
 		return h, fmt.Errorf("snapshot header: %w", err)
 	}
 	return h, nil
-}
-
-// snapDict is the decoded dictionary record: the writer's ID -> string
-// tables for full event names and countries.
-type snapDict struct {
-	names     []string
-	countries []string
-}
-
-// encodeSnapDict appends the dictionary record.
-func encodeSnapDict(buf []byte, names, countries []string) []byte {
-	buf = append(buf, snapTagDict)
-	buf = binary.AppendUvarint(buf, uint64(len(names)))
-	for _, s := range names {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(countries)))
-	for _, s := range countries {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	}
-	return buf
-}
-
-// decodeSnapDict parses a dictionary record. The cursor's Count bounds the
-// entry count by the remaining bytes, so a CRC-colliding file cannot
-// balloon the preallocation.
-func decodeSnapDict(rec []byte) (snapDict, error) {
-	var d snapDict
-	corrupt := func(what string) (snapDict, error) {
-		return d, fmt.Errorf("%w: snapshot dictionary %s", recordio.ErrCorrupt, what)
-	}
-	if len(rec) < 1 || rec[0] != snapTagDict {
-		return corrupt("tag")
-	}
-	c := recordio.NewCursor(rec[1:])
-	readStrs := func(what string) []string {
-		count := c.Count(what)
-		out := make([]string, 0, count)
-		for i := 0; i < count && c.Ok(); i++ {
-			out = append(out, c.String(what))
-		}
-		return out
-	}
-	d.names = readStrs("names")
-	d.countries = readStrs("countries")
-	if err := c.Err(); err != nil {
-		return d, fmt.Errorf("snapshot dictionary: %w", err)
-	}
-	return d, nil
-}
-
-// snapRemap translates a file's dictionary IDs, which are its writer's,
-// into the loading process's: index by file ID, read the name table's or the
-// counter's ID (symtab.internDict).
-type snapRemap struct {
-	names     []uint32
-	countries []uint32
-}
-
-// encodeBucket appends one bucket record: tag, shard, minute, then the
-// bucket's leaf rows — name ID, country ID << 1 | logged-in (the low word
-// of a leafKey as it stands), count — with their strings in the dictionary
-// record, written once per file.
-func encodeBucket(buf []byte, shard int, minute int64, leaf map[uint64]int64) []byte {
-	buf = append(buf, snapTagBucket)
-	buf = binary.AppendUvarint(buf, uint64(shard))
-	buf = binary.AppendUvarint(buf, uint64(minute))
-	buf = binary.AppendUvarint(buf, uint64(len(leaf)))
-	for k, v := range leaf {
-		buf = binary.AppendUvarint(buf, k>>32)
-		buf = binary.AppendUvarint(buf, uint64(uint32(k)))
-		buf = binary.AppendUvarint(buf, uint64(v))
-	}
-	return buf
-}
-
-// snapBucket is a decoded bucket record with its leaves keyed the way the
-// loading counter keys them, which is how a snapshot survives shard-count
-// and ID-assignment differences.
-type snapBucket struct {
-	shard  int
-	minute int64
-	leaf   map[uint64]int64
-}
-
-// decodeBucket parses a bucket record, range-checking each row's IDs
-// against the file's dictionary and mapping them through remap into the
-// counter's own leaf keys. Bounds checks ride on the shared
-// recordio.Cursor; dictionary-range checks stay local.
-func decodeBucket(rec []byte, remap *snapRemap) (snapBucket, error) {
-	var b snapBucket
-	corrupt := func(what string) (snapBucket, error) {
-		return b, fmt.Errorf("%w: snapshot bucket %s", recordio.ErrCorrupt, what)
-	}
-	if len(rec) < 1 || rec[0] != snapTagBucket {
-		return corrupt("tag")
-	}
-	c := recordio.NewCursor(rec[1:])
-	b.shard = int(c.Uvarint("coordinates"))
-	b.minute = int64(c.Uvarint("coordinates"))
-	badID := false
-	n := c.Count("leaf count")
-	b.leaf = make(map[uint64]int64, n)
-	for i := 0; i < n && c.Ok() && !badID; i++ {
-		name := c.Uvarint("leaf name")
-		cl := c.Uvarint("leaf country and login bit")
-		v := c.Uvarint("leaf value")
-		if name >= uint64(len(remap.names)) || cl>>1 >= uint64(len(remap.countries)) {
-			badID = true
-		} else if c.Ok() {
-			b.leaf[leafKey(remap.names[name], remap.countries[cl>>1], cl&1 != 0)] += int64(v)
-		}
-	}
-	if err := c.Err(); err != nil {
-		return b, fmt.Errorf("snapshot bucket: %w", err)
-	}
-	if b.shard < 0 || b.minute < 1 {
-		return corrupt("coordinates out of range") // would index a ring out of range
-	}
-	if badID {
-		return corrupt("dictionary id out of range")
-	}
-	return b, nil
 }

@@ -1,13 +1,11 @@
 package realtime
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"unilog/internal/events"
-	"unilog/internal/recordio"
 )
 
 // Event names are numbered by the process-wide events name table; a leaf is
@@ -15,7 +13,7 @@ import (
 // about one counter, both grown under mu and read without a lock:
 //
 //   - its countries: a handful, so a copy-on-write slice, append-only as the
-//     snapshot and WAL v2 dictionaries need;
+//     WAL record dictionaries (live segments and snapshots alike) need;
 //   - a bit per path ID it has counted. Paths are the process's, so without
 //     it a cluster partition's counter would scan a whole window for a path
 //     none of its names lies under, and rank every child the process knows.
@@ -81,30 +79,6 @@ func (t *symtab) counted(path uint32) bool {
 	bits := *t.paths.Load()
 	i := int(path >> 6)
 	return i < len(bits) && bits[i].Load()&(1<<(path&63)) != 0
-}
-
-// internDict numbers a snapshot file's dictionary into the name table and
-// this counter's countries, returning file ID (slice index) → the loading
-// process's ID for both, so every leaf row in the file translates with two
-// array indexes. An entry that is not a valid six-component event name makes
-// the file corrupt; the names before it stay in the table, which counts
-// nothing.
-func (t *symtab) internDict(d *snapDict) (snapRemap, error) {
-	remap := snapRemap{
-		names:     make([]uint32, len(d.names)),
-		countries: make([]uint32, len(d.countries)),
-	}
-	for i, s := range d.names {
-		e, err := events.Lookup(s)
-		if err != nil {
-			return snapRemap{}, fmt.Errorf("%w: snapshot dictionary name %q: %v", recordio.ErrCorrupt, s, err)
-		}
-		remap.names[i] = e.ID
-	}
-	for i, s := range d.countries {
-		remap.countries[i] = t.country(s)
-	}
-	return remap, nil
 }
 
 // countries returns the country ID → code table as it stands.

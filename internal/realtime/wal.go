@@ -5,12 +5,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
+	"unilog/internal/events"
 	"unilog/internal/recordio"
 )
 
@@ -31,6 +33,12 @@ import (
 // Dictionaries are strictly per-segment, so segments stay independently
 // replayable and rotation/pruning needs no cross-file bookkeeping.
 //
+// A snapshot (snapshot.go) is written in the same records with one
+// difference: lead byte 3 instead of 2, and a count after each
+// observation, so one record row stands for a whole leaf. A live segment
+// accepts only 2 and a snapshot only 3, so either byte out of place is
+// corruption like any other.
+//
 // The log remains the minimum needed to re-digest its observations on
 // replay: names, minutes, countries, login bits. Prefixes, rollup names,
 // and shard routing are all derived from the name, so they are
@@ -45,9 +53,13 @@ import (
 // interrupted snapshot failed to delete, which recovery ignores).
 
 // walRecordVersion is the WAL record format version. Any other version
-// byte — the retired v1 (full name logged per observation) included —
-// is rejected as corrupt.
-const walRecordVersion = 2
+// byte — the retired v1 (full name logged per observation) and the
+// snapshot's counted records included — is rejected as corrupt.
+// countedRecordVersion leads a counted record, which only a snapshot holds.
+const (
+	walRecordVersion     = 2
+	countedRecordVersion = 3
+)
 
 // walName formats a segment file name.
 func walName(shard int, seq int64) string {
@@ -165,7 +177,7 @@ var errFsync = errors.New("realtime: wal fsync failed")
 // retried on the very next append rather than a full fsyncEvery later.
 func (w *walWriter) append(batch []obs, fsyncEvery int, tab *symtab) (int64, bool, error) {
 	var addedNames, addedCountries []uint32
-	w.scratch, addedNames, addedCountries = w.encodeBatch(w.scratch[:0], batch, tab)
+	w.scratch, addedNames, addedCountries = w.encodeBatch(w.scratch[:0], batch, nil, tab)
 	rollback := func() {
 		w.nameLocal.forget(addedNames)
 		w.countryLocal.forget(addedCountries)
@@ -269,9 +281,12 @@ func (c *Counter) walAppend(s *shard, batch []obs) {
 //	  signed varint minute delta from the base
 //	  uvarint (segment-local country ID << 1) | logged-in bit
 //
+// With counts non-nil (a snapshot's leaves, counts[i] for batch[i]) the
+// version byte is 3 and each observation ends with a uvarint count.
+//
 // It also returns the global IDs it added to the segment dictionaries so
 // a failed append can roll them back.
-func (w *walWriter) encodeBatch(buf []byte, batch []obs, tab *symtab) (out []byte, addedNames, addedCountries []uint32) {
+func (w *walWriter) encodeBatch(buf []byte, batch []obs, counts []int64, tab *symtab) (out []byte, addedNames, addedCountries []uint32) {
 	var newNames, newCountries []string
 	for i := range batch {
 		o := &batch[i]
@@ -284,7 +299,11 @@ func (w *walWriter) encodeBatch(buf []byte, batch []obs, tab *symtab) (out []byt
 			newCountries = append(newCountries, tab.countryName(o.country))
 		}
 	}
-	buf = append(buf, walRecordVersion)
+	if counts == nil {
+		buf = append(buf, walRecordVersion)
+	} else {
+		buf = append(buf, countedRecordVersion)
+	}
 	buf = binary.AppendUvarint(buf, uint64(len(newNames)))
 	for _, s := range newNames {
 		buf = binary.AppendUvarint(buf, uint64(len(s)))
@@ -310,46 +329,59 @@ func (w *walWriter) encodeBatch(buf []byte, batch []obs, tab *symtab) (out []byt
 			cl |= 1
 		}
 		buf = binary.AppendUvarint(buf, cl)
+		if counts != nil {
+			buf = binary.AppendUvarint(buf, uint64(counts[i]))
+		}
 	}
 	return buf, addedNames, addedCountries
 }
 
-// walDecoder accumulates one segment's dictionaries while replaying its
-// records in order. Create one per segment.
+// walDecoder accumulates one file's dictionaries while replaying its
+// records in order: each name resolved once, as it is read, through the
+// process's name table (nil for a name the table refuses), each country as
+// its code. Create one per segment, with counted set for a snapshot's
+// records.
 type walDecoder struct {
-	names     []string
+	names     []*events.NameEntry
 	countries []string
+	counted   bool
 }
 
-// decodeBatch walks one WAL record, invoking fn per logged observation and
-// extending the segment dictionaries with the record's first-seen
-// entries. Any structural damage — an unknown version byte included —
+// decodeBatch walks one record, invoking fn per observation with its count
+// (1 in a live segment) and extending the dictionaries with the record's
+// first-seen entries. Any structural damage — a version byte other than
+// the decoder's, or a count of 0 or past math.MaxInt64, included —
 // surfaces as recordio.ErrCorrupt so replay treats it like a failed
-// checksum. Bounds checking rides on the shared recordio.Cursor; the wrap
+// checksum. A snapshot holds only leaves its writer counted, so in a
+// counted record a name that is not an event name, or a minute before the
+// first, is damage too; a live segment hands them to fn, which counts them
+// Invalid. Bounds checking rides on the shared recordio.Cursor; the wrap
 // keeps errors in the familiar "wal record <field>" shape.
-func (d *walDecoder) decodeBatch(rec []byte, fn func(name string, minute int64, country string, loggedIn bool) error) error {
+func (d *walDecoder) decodeBatch(rec []byte, fn func(name *events.NameEntry, minute int64, country string, loggedIn bool, n int64) error) error {
 	if len(rec) == 0 {
 		return fmt.Errorf("%w: wal record empty", recordio.ErrCorrupt)
 	}
-	if rec[0] != walRecordVersion {
+	want := byte(walRecordVersion)
+	if d.counted {
+		want = countedRecordVersion
+	}
+	if rec[0] != want {
 		return fmt.Errorf("%w: wal record version %d", recordio.ErrCorrupt, rec[0])
 	}
 	c := recordio.NewCursor(rec[1:])
 	corrupt := func(what string) error {
 		return fmt.Errorf("%w: wal record %s", recordio.ErrCorrupt, what)
 	}
-	readStrs := func(into *[]string, what string) error {
-		count := c.Count(what + " count")
-		for i := 0; i < count && c.Ok(); i++ {
-			*into = append(*into, c.String(what))
+	for i, count := 0, c.Count("dictionary name count"); i < count && c.Ok(); i++ {
+		b := c.Bytes("dictionary name")
+		e, err := events.LookupBytes(b)
+		if err != nil && d.counted && c.Ok() {
+			return corrupt(fmt.Sprintf("name %q: %v", b, err))
 		}
-		return c.Err()
+		d.names = append(d.names, e)
 	}
-	if err := readStrs(&d.names, "dictionary name"); err != nil {
-		return err
-	}
-	if err := readStrs(&d.countries, "dictionary country"); err != nil {
-		return err
+	for i, count := 0, c.Count("dictionary country count"); i < count && c.Ok(); i++ {
+		d.countries = append(d.countries, c.String("dictionary country"))
 	}
 	count := c.Uvarint("count")
 	base := c.Uvarint("base minute")
@@ -360,6 +392,10 @@ func (d *walDecoder) decodeBatch(rec []byte, fn func(name string, minute int64, 
 		nameID := c.Uvarint("name id")
 		delta := c.Varint("minute delta")
 		cl := c.Uvarint("country id")
+		n := uint64(1)
+		if d.counted {
+			n = c.Uvarint("leaf count")
+		}
 		if !c.Ok() {
 			return fmt.Errorf("wal record: %w", c.Err())
 		}
@@ -369,7 +405,14 @@ func (d *walDecoder) decodeBatch(rec []byte, fn func(name string, minute int64, 
 		if cl>>1 >= uint64(len(d.countries)) {
 			return corrupt("country id")
 		}
-		if err := fn(d.names[nameID], int64(base)+delta, d.countries[cl>>1], cl&1 == 1); err != nil {
+		if n == 0 || n > math.MaxInt64 {
+			return corrupt("leaf count")
+		}
+		minute := int64(base) + delta
+		if d.counted && minute < 1 {
+			return corrupt(fmt.Sprintf("leaf minute %d", minute))
+		}
+		if err := fn(d.names[nameID], minute, d.countries[cl>>1], cl&1 == 1, int64(n)); err != nil {
 			return err
 		}
 	}
