@@ -143,30 +143,33 @@
 // bytes to what the event-by-event encoder wrote. The chunk files are
 // auxiliary
 // (underscore-prefixed): row files stay authoritative and row scanners
-// never see them, so sealed and unsealed hours coexist in one day. Queries opt in through
-// dataflow.Selection — a declarative (columns, name pattern, time
-// range) triple — and Job.LoadDirsSelective: a pushdown-aware format
-// absorbs the selection. columnar.EventsFormat prunes whole chunks
-// whose zone maps cannot intersect a head-anchored name prefix or the
-// time window (a pruned chunk costs one meta record, never a column
-// byte) and decodes only the projected columns' files; an hour not yet
-// sealed it reads through dataflow.ClientEventFormat, the one row-file
-// reader, pushed down to the same selection. That reader builds no
-// ClientEvent either: it walks each record's events.Header, validates
-// and pattern-matches each distinct name once per file, checks the
-// window on the header's timestamp, and builds only the projected
-// columns of the rows that pass (the details map only when projected).
-// Any other format (RawRecordFormat's legacy logs), and any predicate
-// that is an arbitrary Go closure rather than a Selection, gets the
-// filter and projection applied tuple-side — identical relations
-// either way, asserted by internal/columnar's property tests
-// (TestColumnarMatchesRowScan over a sweep of selections;
-// TestZoneMapPruning requires chunks pruned and fewer bytes read than
-// the row scan) and by internal/dataflow's, which hold both row readers
-// to a full ClientEvent.Unmarshal per row over every projection of one,
-// three and eight columns, hand-built edge records and a fuzzer
-// (FuzzRowTupleMatchesDecode); TestRowScanAllocatesLittlePerRow and
-// BenchmarkRowScan measure the row scan per event. What the
+// never see them, so sealed and unsealed hours coexist in one day. There
+// is one client-events format over the two layouts,
+// dataflow.ClientEventFormat: its splits are the day reader's files
+// (chunk.HourFiles: a sealed hour's chunks, an unsealed hour's row files),
+// and each split is opened as one column batch (chunk.LoadChunk,
+// chunk.ReadRowFile) from which the tuples are built, so an hour reads the
+// same before and after its seal. Queries opt in through dataflow.Selection
+// — a declarative (columns, name pattern, time range) triple — and
+// Job.LoadDirsSelective, where the format absorbs the selection: it prunes
+// whole chunks whose zone maps cannot intersect a head-anchored name
+// prefix or the time window (a pruned chunk costs one meta record, never a
+// column byte), reads only the columns the projection and predicate
+// reference, matches the name pattern once per dictionary entry, and
+// builds only the projected columns of the rows that pass. A row file is
+// walked with events.Header, no ClientEvent built, each distinct name
+// validated once per file, the details column only when projected. Any
+// other format (RawRecordFormat's legacy logs), and any predicate that is
+// an arbitrary Go closure rather than a Selection, gets the filter and
+// projection applied tuple-side — identical relations either way,
+// asserted by internal/columnar's property tests (TestColumnarMatchesRowScan
+// holds the sealed day to its row files' relation over a sweep of
+// selections; TestZoneMapPruning requires chunks pruned and fewer bytes
+// read than the scan of the rows) and by internal/dataflow's, which hold
+// both layouts to a full ClientEvent.Unmarshal per row over every
+// projection of one, three and eight columns, hand-built edge records and
+// a fuzzer (FuzzRowTupleMatchesDecode); TestRowScanAllocatesLittlePerRow
+// and BenchmarkRowScan measure the row scan per event. What the
 // pruned+projected path costs is the benchmark's batch-sealed workload,
 // what the row path costs its batch-rows-spill. The log mover seals hours
 // as it publishes them (Mover.SealColumnar), so rollups, raw-log
@@ -178,9 +181,8 @@
 // inflates a row's map only on request), with every CRC, range and
 // trailing-byte check applied before a consumer sees a value and every
 // error naming its file (FuzzChunkColumns holds the decoders to that).
-// EventsFormat resolves tuple strings from those dictionaries and
-// evaluates a pushed-down name pattern once per dictionary entry. The
-// §4.2 daily job (session.BuildDay) never inflates a string per row: its
+// ClientEventFormat resolves tuple strings from those dictionaries, boxing
+// each entry once per batch. The §4.2 daily job (session.BuildDay) never inflates a string per row: its
 // two logical passes — histogram and dictionary, then session
 // reconstruction — are one physical scan that remaps chunk-local IDs to
 // day-global IDs once per distinct value, counts names by ID, groups

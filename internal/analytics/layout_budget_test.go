@@ -50,7 +50,7 @@ func TestLayoutAndBudgetDoNotChangeAnswers(t *testing.T) {
 		if sealed {
 			layout = "sealed"
 			// Sealing adds column chunks beside the row files; from here on
-			// columnar.LoadDay, which both jobs read through, takes them.
+			// the client-events scan both jobs read through takes them.
 			if n, err := columnar.SealDay(fs, events.Category, day); err != nil || n == 0 {
 				t.Fatalf("SealDay: %d chunks, %v", n, err)
 			}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"unilog/internal/chunk"
-	"unilog/internal/columnar"
 	"unilog/internal/dataflow"
 	"unilog/internal/recordio"
 	"unilog/internal/session"
@@ -46,9 +45,10 @@ type rawSessions struct {
 // The projection is pushed into the scan (§4.1's early projection): sealed
 // hours read four column streams, unsealed hours four columns of their rows.
 func scanRawSessions(j *dataflow.Job, day time.Time) (*rawSessions, error) {
-	d, err := columnar.LoadDay(j, day, dataflow.Selection{
-		Columns: []string{"user_id", "session_id", "name", "timestamp"},
-	})
+	d, err := j.LoadClientEventsDay(day)
+	if err == nil {
+		d, err = d.Project("user_id", "session_id", "name", "timestamp")
+	}
 	if err != nil {
 		return nil, err
 	}

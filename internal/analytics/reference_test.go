@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"unilog/internal/columnar"
 	"unilog/internal/dataflow"
 	"unilog/internal/events"
 	"unilog/internal/geo"
@@ -28,7 +27,10 @@ func (c *rollupCombiner) add(name, ip string, loggedIn bool) {
 
 // refRollups is Rollups over tuples.
 func refRollups(j *dataflow.Job, day time.Time) (map[RollupKey]int64, error) {
-	d, err := columnar.LoadDay(j, day, dataflow.Selection{Columns: []string{"name", "ip", "logged_in"}})
+	d, err := j.LoadClientEventsDay(day)
+	if err == nil {
+		d, err = d.Project("name", "ip", "logged_in")
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -89,9 +91,10 @@ func refRollups(j *dataflow.Job, day time.Time) (map[RollupKey]int64, error) {
 // shuffle's secondary sort on the timestamp, cuts each group at inactivity
 // gaps and hands fn each session's names in order.
 func refRawSessions(j *dataflow.Job, day time.Time, fn func(names []string)) error {
-	p, err := columnar.LoadDay(j, day, dataflow.Selection{
-		Columns: []string{"user_id", "session_id", "name", "timestamp"},
-	})
+	p, err := j.LoadClientEventsDay(day)
+	if err == nil {
+		p, err = p.Project("user_id", "session_id", "name", "timestamp")
+	}
 	if err != nil {
 		return err
 	}

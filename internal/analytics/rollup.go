@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"unilog/internal/chunk"
-	"unilog/internal/columnar"
 	"unilog/internal/dataflow"
 	"unilog/internal/events"
 	"unilog/internal/geo"
@@ -45,11 +44,14 @@ type RollupKey struct {
 // five times the event count — shuffle into the final GroupBy, which
 // spills under Job.MemoryBudget like any external operator.
 //
-// The scan goes through the columnar source projected to the three columns
-// the rollup touches; hours not yet sealed into chunks are read from their
-// row files into the same batches, with identical output either way.
+// The scan is the day's client events projected to the three columns the
+// rollup touches; hours not yet sealed into chunks are read from their row
+// files into the same batches, with identical output either way.
 func Rollups(j *dataflow.Job, day time.Time) (map[RollupKey]int64, error) {
-	d, err := columnar.LoadDay(j, day, dataflow.Selection{Columns: []string{"name", "ip", "logged_in"}})
+	d, err := j.LoadClientEventsDay(day)
+	if err == nil {
+		d, err = d.Project("name", "ip", "logged_in")
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package chunk
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
@@ -18,7 +19,9 @@ import (
 // decodes to — only the requested columns, details only when asked for —
 // and its names are validated exactly as the seal validates them, so a
 // consumer folds either kind with one loop over dictionary IDs and never
-// sees a tuple or a ClientEvent.
+// sees a ClientEvent. It is the one reader of a row file's events: the
+// tuple scan, dataflow.ClientEventFormat, builds its tuples from these
+// batches too.
 
 // Batch is one file of a warehouse hour read as column vectors: a sealed
 // chunk, or a row file of an hour that is not sealed.
@@ -30,7 +33,8 @@ type Batch struct {
 	fs      *hdfs.FS
 	meta    Meta // a chunk's zone map
 	rowFile bool
-	walked  bool // a row file has been read once: Rows is its record count
+	walked  bool       // a row file has been read once: Rows is its record count
+	r       *rowReader // the walkers whose vectors a row file's columns are
 }
 
 // IsChunk reports whether a path of HourFiles is a chunk's meta file rather
@@ -72,7 +76,8 @@ func HourFiles(fs *hdfs.FS, dir string) ([]hdfs.FileInfo, error) {
 }
 
 // ReadHour reads every file of one hour directory as a batch of the need
-// columns and hands each to fn in scan order.
+// columns and hands each to fn in scan order. The batch is fn's: fn may
+// keep it, or Release it once done.
 func ReadHour(fs *hdfs.FS, dir string, need Set, fn func(*Batch) error) error {
 	files, err := HourFiles(fs, dir)
 	if err != nil {
@@ -130,24 +135,46 @@ func (b *Batch) Widen(need Set) error {
 	if need == 0 && b.walked {
 		return nil
 	}
-	var r rowReader
+	r := rowReaders.Get().(*rowReader)
+	r.reset()
 	rows, err := r.read(b.fs, b.Path, need)
-	if err != nil {
-		return err
+	if err == nil && b.walked && rows != b.Rows {
+		err = fmt.Errorf("warehouse: %s: %w: %d records, %d on the first read", b.Path, recordio.ErrCorrupt, rows, b.Rows)
 	}
-	if b.walked && rows != b.Rows {
-		return fmt.Errorf("warehouse: %s: %w: %d records, %d on the first read", b.Path, recordio.ErrCorrupt, rows, b.Rows)
+	if err != nil {
+		rowReaders.Put(r)
+		return err
 	}
 	b.Rows, b.walked = rows, true
 	r.fill(&b.Columns, need)
 	b.have |= need
+	r.next, b.r = b.r, r
 	return nil
+}
+
+// Release hands a row file's vectors back, to be reused by the walk of a
+// later file; the batch must not be read after it. A batch never released
+// is garbage collected like any other, so a consumer that keeps batches
+// need not call it.
+func (b *Batch) Release() {
+	for r := b.r; r != nil; {
+		next := r.next
+		rowReaders.Put(r)
+		r = next
+	}
+	b.r, b.Columns = nil, Columns{}
 }
 
 // rowReader builds column vectors from the records of one row file, with
 // the seal's own accumulators where the two share a layout: the dictionary
 // columns number values in first-seen order, and the details column is the
 // chunk's encoding.
+//
+// A batch's columns are the vectors of the readers that walked its file,
+// and Batch.Release recycles those readers through rowReaders, so a scan
+// that releases each batch reuses vectors that have already grown and
+// dictionary maps that keep their buckets, instead of paying every step of
+// an append's growth again for every file.
 type rowReader struct {
 	dec   thrift.CompactDecoder
 	h     events.Header
@@ -159,6 +186,21 @@ type rowReader struct {
 	userID, timestamp   []int64
 	details             []byte
 	detailOffs          []uint32
+
+	next *rowReader // the batch's previous walk, if Widen walked again
+}
+
+var rowReaders = sync.Pool{New: func() any { return new(rowReader) }}
+
+// reset empties the reader for the next file.
+func (r *rowReader) reset() {
+	r.name.reset()
+	r.sessionID.reset()
+	r.ip.reset()
+	r.initiator, r.loggedIn = r.initiator[:0], r.loggedIn[:0]
+	r.userID, r.timestamp = r.userID[:0], r.timestamp[:0]
+	r.details, r.detailOffs = r.details[:0], r.detailOffs[:0]
+	r.next = nil
 }
 
 // read walks every record of the file, keeping the need columns, and
@@ -221,7 +263,7 @@ func (r *rowReader) add(rec []byte, need Set) error {
 	return nil
 }
 
-// fill moves the need columns into cc.
+// fill hands the need columns to cc.
 func (r *rowReader) fill(cc *Columns, need Set) {
 	dict := func(d *dictBuilder) DictColumn { return DictColumn{Dict: d.vals, IDs: d.rows} }
 	for i := range ColumnNames {

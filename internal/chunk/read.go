@@ -234,8 +234,8 @@ type DetailsColumn struct {
 
 // At returns one row's details; a row with zero pairs is a nil map, whether
 // its message carried an empty details field or none (the thrift decoder
-// tells those apart; the column keeps only the count). The row scan
-// (dataflow.ClientEventFormat) reads both as nil too.
+// tells those apart; the column keeps only the count), so a row file's
+// batch reads both as nil too.
 func (d DetailsColumn) At(row int) map[string]string {
 	c := recordio.NewCursor(d.rec[d.offs[row]:])
 	n := c.Count("details pairs")

@@ -3,10 +3,11 @@
 // it (batch.go), which reads any warehouse hour — sealed chunks, or the row
 // files of an hour not yet sealed — as batches of column vectors. It sits
 // below dataflow — it knows events, hdfs, recordio and the warehouse
-// layout, nothing of dataflow — so the tuple-producing scan
-// (columnar.EventsFormat), the batch folds of the day-scale jobs
-// (analytics.Rollups, the raw-log queries) and the ID-consuming daily job
-// (session.BuildDay) all decode through the same checks.
+// layout, nothing of dataflow — so the tuple scan (dataflow.ClientEventFormat,
+// which builds its tuples from these batches), the batch folds of the
+// day-scale jobs (analytics.Rollups, the raw-log queries) and the
+// ID-consuming daily job (session.BuildDay) all decode through the same
+// checks.
 //
 // The encoder is Builder, and it is the only one: rows go in as wire
 // records — walked to a header and details pairs that still alias the
@@ -181,13 +182,13 @@ func (d *dictBuilder) lookup(v []byte) (uint32, bool) {
 	return id, ok
 }
 
-// insert numbers a value lookup did not find, copying it out of the message.
-func (d *dictBuilder) insert(v []byte) uint32 {
+// insert numbers a value lookup did not find, a string already copied out
+// of the message.
+func (d *dictBuilder) insert(s string) uint32 {
 	if d.ids == nil {
 		d.ids = make(map[string]uint32)
 	}
 	id := uint32(len(d.vals))
-	s := string(v)
 	d.ids[s] = id
 	d.vals = append(d.vals, s)
 	return id
@@ -202,7 +203,7 @@ func (d *dictBuilder) add(v []byte) {
 func (d *dictBuilder) id(v []byte) uint32 {
 	id, seen := d.lookup(v)
 	if !seen {
-		id = d.insert(v)
+		id = d.insert(string(v))
 	}
 	return id
 }
@@ -210,25 +211,22 @@ func (d *dictBuilder) id(v []byte) uint32 {
 // nameID returns the id of a message's name field, numbering it if it is
 // new. A message without the field is the zero name; a name the dictionary
 // has not seen yet must pass events.ParseName — the acceptance a full decode
-// of every row applies, paid once per distinct value — and one that fails is
-// not numbered.
+// of every row applies, paid once per distinct value, on the one copy the
+// dictionary keeps — and one that fails is not numbered.
 func (d *dictBuilder) nameID(wire []byte) (uint32, error) {
-	name := wire
-	if name == nil {
-		name = []byte(zeroName)
+	if wire == nil {
+		return d.id([]byte(zeroName)), nil
 	}
-	id, seen := d.lookup(name)
 	// zeroName in the dictionary came from a message without the field; on
 	// the wire it is a name with no client, and fails.
-	if wire != nil && (!seen || string(name) == zeroName) {
-		if _, err := events.ParseName(string(name)); err != nil {
-			return 0, err
-		}
+	if id, seen := d.lookup(wire); seen && string(wire) != zeroName {
+		return id, nil
 	}
-	if !seen {
-		id = d.insert(name)
+	name := string(wire)
+	if _, err := events.ParseName(name); err != nil {
+		return 0, err
 	}
-	return id, nil
+	return d.insert(name), nil
 }
 
 // records appends the column's two records to buf[:0] — the dictionary in

@@ -20,20 +20,13 @@
 // orphaned chunk files and re-seals from scratch — so a seal that dies
 // mid-hour can never silently drop the rows it had not reached.
 //
-// The dataflow reader lives in format.go: EventsFormat is a
-// pushdown-aware dataflow.InputFormat whose splits are chunk meta files. A
-// pushed-down Selection prunes whole chunks against the meta zone maps
-// without opening a column file, reads only the column streams the
-// projection and predicate reference, evaluates the name pattern once per
-// chunk-dictionary entry, and applies the exact row-level filter to what
-// survives — so the zone map is allowed to be a superset. Tuple strings
-// are resolved from the chunk's decoded dictionaries. An hour without the
-// marker is read through dataflow.ClientEventFormat pushed down to the same
-// selection. A consumer that can work on dictionary IDs never inflates a
-// string per row: EventsFormat.ReadBatch hands dataflow.Dataset.EachBatch
-// each split as one chunk.Batch of the projected columns — a chunk, or a
-// row file read into the same vectors by internal/chunk's day reader — and
-// session.BuildDay reads the day reader directly.
+// This package writes chunks; no scan lives here. Both layouts of an hour
+// are read through internal/chunk's day reader — by
+// dataflow.ClientEventFormat, which builds tuples from each file's batch
+// and prunes chunks on their zone maps, by the batch folds behind
+// dataflow.Dataset.EachBatch, and by session.BuildDay — so an hour reads
+// the same before and after its seal. format.go keeps two names the
+// benchmark module still uses, EventsFormat and LoadDay.
 package columnar
 
 import (

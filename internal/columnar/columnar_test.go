@@ -99,11 +99,11 @@ func TestSealIdempotent(t *testing.T) {
 }
 
 // TestColumnarMatchesRowScan is the property test: for a sweep of
-// predicate/projection selections, the columnar scan must produce exactly
-// the relation the row scan produces — same tuples, same order.
+// predicate/projection selections, a scan of the sealed day must produce
+// exactly the relation the scan of its row files produced before the seal —
+// same schema, same tuples, same order.
 func TestColumnarMatchesRowScan(t *testing.T) {
 	fs, _ := buildDay(t, 2)
-	sealTestDay(t, fs, 32)
 	dirs := dataflow.HourDirs(fs, events.Category, testDay)
 
 	h1 := testDay.Add(1 * time.Hour).UnixMilli()
@@ -122,33 +122,33 @@ func TestColumnarMatchesRowScan(t *testing.T) {
 		{NamePattern: "web:home:*", TimeMin: h1, Columns: []string{"name", "ip", "logged_in"}},
 		{NamePattern: "android:*", TimeMin: h1, TimeMax: h2, Columns: []string{"details", "timestamp"}},
 	}
-	for i, sel := range sels {
-		rowJob := dataflow.NewJob(fmt.Sprintf("row-%d", i), fs)
-		rowDS, err := rowJob.LoadDirsSelective(dirs, dataflow.ClientEventFormat{}, sel)
+	scan := func(i int, layout string) (dataflow.Schema, []dataflow.Tuple) {
+		d, err := dataflow.NewJob(fmt.Sprintf("%s-%d", layout, i), fs).LoadDirsSelective(dirs, dataflow.ClientEventFormat{}, sels[i])
 		if err != nil {
-			t.Fatalf("sel %d: row load: %v", i, err)
+			t.Fatalf("sel %d: %s load: %v", i, layout, err)
 		}
-		want, err := rowDS.Tuples()
+		rows, err := d.Tuples()
 		if err != nil {
-			t.Fatalf("sel %d: row scan: %v", i, err)
+			t.Fatalf("sel %d: %s scan: %v", i, layout, err)
 		}
-		colJob := dataflow.NewJob(fmt.Sprintf("col-%d", i), fs)
-		colDS, err := colJob.LoadDirsSelective(dirs, EventsFormat{}, sel)
-		if err != nil {
-			t.Fatalf("sel %d: columnar load: %v", i, err)
-		}
-		got, err := colDS.Tuples()
-		if err != nil {
-			t.Fatalf("sel %d: columnar scan: %v", i, err)
-		}
-		if !reflect.DeepEqual(colDS.Schema(), rowDS.Schema()) {
-			t.Fatalf("sel %d: schema mismatch: row %v, columnar %v", i, rowDS.Schema(), colDS.Schema())
-		}
-		if len(want) == 0 && i < 8 {
+		return d.Schema(), rows
+	}
+	wantSchemas := make([]dataflow.Schema, len(sels))
+	want := make([][]dataflow.Tuple, len(sels))
+	for i := range sels {
+		wantSchemas[i], want[i] = scan(i, "row")
+		if len(want[i]) == 0 && i < 8 {
 			t.Fatalf("sel %d: row baseline matched nothing — selection too narrow to test anything", i)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("sel %d (%+v): columnar relation differs from row scan (%d vs %d tuples)", i, sel, len(got), len(want))
+	}
+	sealTestDay(t, fs, 32)
+	for i, sel := range sels {
+		schema, got := scan(i, "col")
+		if !reflect.DeepEqual(schema, wantSchemas[i]) {
+			t.Fatalf("sel %d: schema mismatch: row %v, columnar %v", i, wantSchemas[i], schema)
+		}
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("sel %d (%+v): columnar relation differs from row scan (%d vs %d tuples)", i, sel, len(got), len(want[i]))
 		}
 	}
 }
@@ -217,36 +217,33 @@ func TestWorkerCountChangesNoByte(t *testing.T) {
 	}
 }
 
-// TestZoneMapPruning asserts a selective scan actually prunes chunks and
-// reads fewer bytes than the row scan — the point of the layout.
+// TestZoneMapPruning asserts a selective scan of the sealed day actually
+// prunes chunks and reads fewer bytes than the same scan of its row files
+// before the seal — the point of the layout.
 func TestZoneMapPruning(t *testing.T) {
 	fs, _ := buildDay(t, 3)
-	sealTestDay(t, fs, 32)
 	dirs := dataflow.HourDirs(fs, events.Category, testDay)
 	sel := dataflow.Selection{
 		NamePattern: "web:home:*",
 		TimeMin:     testDay.Add(2 * time.Hour).UnixMilli(),
 		Columns:     []string{"name", "timestamp", "logged_in"},
 	}
-
-	rowJob := dataflow.NewJob("row", fs)
-	rowDS, err := rowJob.LoadDirsSelective(dirs, dataflow.ClientEventFormat{}, sel)
-	if err != nil {
-		t.Fatal(err)
+	scan := func(name string) int64 {
+		j := dataflow.NewJob(name, fs)
+		d, err := j.LoadDirsSelective(dirs, dataflow.ClientEventFormat{}, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Tuples(); err != nil {
+			t.Fatal(err)
+		}
+		return j.Stats().BytesRead
 	}
-	if _, err := rowDS.Tuples(); err != nil {
-		t.Fatal(err)
-	}
 
+	rowBytes := scan("row")
+	sealTestDay(t, fs, 32)
 	before := telemetry.Snapshot().Series
-	colJob := dataflow.NewJob("col", fs)
-	colDS, err := colJob.LoadDirsSelective(dirs, EventsFormat{}, sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := colDS.Tuples(); err != nil {
-		t.Fatal(err)
-	}
+	colBytes := scan("col")
 	after := telemetry.Snapshot().Series
 
 	pruned := after["columnar.chunks.pruned"] - before["columnar.chunks.pruned"]
@@ -257,8 +254,6 @@ func TestZoneMapPruning(t *testing.T) {
 	if scanned == 0 {
 		t.Fatal("selective scan scanned no chunks — nothing matched")
 	}
-	rowBytes := rowJob.Stats().BytesRead
-	colBytes := colJob.Stats().BytesRead
 	if colBytes >= rowBytes {
 		t.Fatalf("columnar selective scan read %d bytes, row scan %d — no IO win", colBytes, rowBytes)
 	}

@@ -4,17 +4,12 @@ import (
 	"unilog/internal/telemetry"
 )
 
-// Telemetry instruments for the columnar vertical, updated at chunk and
-// seal granularity — never per row — so the decode loops stay as cheap as
-// the row scanners they replace. chunks.pruned / chunks.scanned is the
-// zone-map hit ratio: pruned chunks cost one meta read and zero column
-// bytes.
+// Telemetry instruments for the seal, updated per chunk and per hour, never
+// per row. The chunk scan's columnar.chunks.* and columnar.rows.read series
+// are fed by dataflow.ClientEventFormat.
 var (
-	tmChunksScanned = telemetry.GetCounter("columnar.chunks.scanned")
-	tmChunksPruned  = telemetry.GetCounter("columnar.chunks.pruned")
-	tmRowsRead      = telemetry.GetCounter("columnar.rows.read")
-	tmSealChunks    = telemetry.GetCounter("columnar.seal.chunks")
-	tmSealRows      = telemetry.GetCounter("columnar.seal.rows")
+	tmSealChunks = telemetry.GetCounter("columnar.seal.chunks")
+	tmSealRows   = telemetry.GetCounter("columnar.seal.rows")
 
 	tmSealHourNs = telemetry.GetHistogram("columnar.seal.hour.ns")
 

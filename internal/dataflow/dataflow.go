@@ -21,7 +21,7 @@
 //     Filter, Project, and Union compose pull-based Iterators
 //     (Volcano-style) and hold no tuples of their own; a scan buffers one
 //     split at a time — exactly a map task's working set. A Project
-//     directly on a scan of a PushdownFormat (pushdown.go) is not an
+//     directly on a scan of ClientEventFormat (pushdown.go) is not an
 //     operator at all: it re-plans the scan with its columns, so the
 //     reader builds only those (§4.1's early projection, pushed to where
 //     the bytes are decoded).
@@ -46,9 +46,10 @@
 //     combiner that is not a dataset — a fold over column batches — adds
 //     its partials to it directly, then groups them for the same reduce.
 //   - A pushed-down projection can also be read without tuples:
-//     Dataset.EachBatch (pushdown.go) hands a BatchFormat's splits to a
-//     fold one chunk.Batch of column vectors at a time, metering map
-//     tasks, records and bytes read exactly as the tuple scan does.
+//     Dataset.EachBatch (pushdown.go) hands ClientEventFormat's splits to
+//     a fold one chunk.Batch of column vectors at a time — the batch the
+//     tuple scan builds its tuples from — metering map tasks, records and
+//     bytes read exactly as the tuple scan does.
 //   - Only the tuple scan runs on more than one goroutine (parallel.go):
 //     splits decode on a worker pool behind a reorder buffer that restores
 //     plan order. EachBatch folds serially on the calling goroutine.
@@ -314,12 +315,11 @@ type Split struct {
 }
 
 // InputFormat decodes splits into tuples. Implementations exist for client
-// events as row files (ClientEventFormat, a PushdownFormat), session
-// sequences (SessionSequenceFormat), legacy logs (RawRecordFormat), and
-// client events as column chunks (columnar.EventsFormat, a PushdownFormat
-// that reads an unsealed hour's row files through ClientEventFormat). The
-// row-file formats read each file through warehouse.ScanFileRecords, so a
-// damaged file fails its split with the file's path.
+// events (ClientEventFormat: sealed chunks and row files alike, through
+// the day reader, with a Selection pushed into the scan), session
+// sequences (SessionSequenceFormat) and legacy logs (RawRecordFormat).
+// Every row file is read through warehouse.ScanFileRecords, so a damaged
+// file fails its split with the file's path.
 type InputFormat interface {
 	// Schema describes the tuples this format produces.
 	Schema() Schema

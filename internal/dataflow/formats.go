@@ -1,10 +1,10 @@
 package dataflow
 
 import (
-	"fmt"
-	"slices"
+	"strings"
 	"time"
 
+	"unilog/internal/chunk"
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
 	"unilog/internal/session"
@@ -29,40 +29,51 @@ func walkSplits(fs *hdfs.FS, dir string) ([]Split, error) {
 	return splits, nil
 }
 
-// ClientEventFormat reads warehouse client-event row files. Its schema is
-// the flattened Table 2 structure plus the derived logged_in flag. It is a
-// PushdownFormat: specialized to a Selection, it checks the name pattern
-// and the time window on each message's header and builds only the
-// projected columns of the rows that pass. The zero value is a full scan.
+// ClientEventFormat reads warehouse client events. Its schema is the
+// flattened Table 2 structure plus the derived logged_in flag. Its splits
+// are the files chunk.HourFiles lists: every chunk of a sealed hour, every
+// row file of an hour that is not. The day reader opens each split as one
+// chunk.Batch (chunk.LoadChunk, chunk.ReadRowFile), and the tuples are built
+// from that batch, so both layouts deliver the same relation and an hour
+// reads correctly whether or not its seal has run.
 //
-// Each record is read with the events.Header walk; no ClientEvent is built.
-// A name is validated with events.ParseName, and matched against the
-// pattern, once per distinct name per split, and the details map is built
-// only when projected. A message without a name field reads as ":::::", the
-// zero EventName's string; an invalid name, empty included, fails the split
-// as ClientEvent.Decode fails on it.
+// The zero value is a full scan. Specialized to a Selection
+// (LoadDirsSelective), the format reads only the columns the projection and
+// the predicate reference, skips a chunk whose zone map excludes the
+// predicate without opening a column file, matches the name pattern once per
+// name dictionary entry and builds only the projected columns of the rows
+// that pass. A message without a name field reads as ":::::", the zero
+// EventName's string; an invalid name, empty included, fails the split as
+// ClientEvent.Decode fails on it.
 type ClientEventFormat struct {
-	sel  Selection
-	pat  events.Pattern // parsed sel.NamePattern
-	cols []int          // ClientEventSchema index of each output column; nil = all
+	sel    Selection
+	pat    events.Pattern // parsed sel.NamePattern
+	prefix string         // the pattern's literal head, for the zone maps; "" = none
 }
 
 // ClientEventSchema is the schema produced by ClientEventFormat.
 var ClientEventSchema = Schema{"initiator", "name", "user_id", "session_id", "ip", "timestamp", "logged_in", "details"}
 
-// The ClientEventSchema columns, by index.
-const (
-	colInitiator = iota
-	colName
-	colUserID
-	colSessionID
-	colIP
-	colTimestamp
-	colLoggedIn
-	colDetails
-)
-
-var allClientEventColumns = []int{colInitiator, colName, colUserID, colSessionID, colIP, colTimestamp, colLoggedIn, colDetails}
+// pushdown specializes the format to sel. A malformed pattern or a column
+// outside ClientEventSchema returns ok == false, and the planner's row
+// operators report the error.
+func pushdown(sel Selection) (f ClientEventFormat, ok bool) {
+	f.sel = sel
+	for _, c := range sel.Columns {
+		if _, err := ClientEventSchema.Index(c); err != nil {
+			return f, false
+		}
+	}
+	if sel.NamePattern != "" {
+		pat, err := events.ParsePattern(sel.NamePattern)
+		if err != nil {
+			return f, false
+		}
+		f.pat = pat
+		f.prefix, _ = pat.PrunePrefix()
+	}
+	return f, true
+}
 
 // Schema implements InputFormat: the projected columns, or the full schema
 // when the selection does not project.
@@ -73,148 +84,170 @@ func (f ClientEventFormat) Schema() Schema {
 	return Schema(f.sel.Columns)
 }
 
-// Splits implements InputFormat.
+// Splits implements InputFormat: chunk.HourFiles, the day reader's listing.
 func (ClientEventFormat) Splits(fs *hdfs.FS, dir string) ([]Split, error) {
-	return walkSplits(fs, dir)
+	files, err := chunk.HourFiles(fs, dir)
+	if err != nil {
+		return nil, err
+	}
+	splits := make([]Split, len(files))
+	for i, fi := range files {
+		splits[i] = Split{Path: fi.Path, Size: fi.Size}
+	}
+	return splits, nil
 }
 
-// Pushdown implements PushdownFormat. A malformed pattern or a column
-// outside ClientEventSchema returns ok == false, and the planner's row
-// operators report the error.
-func (f ClientEventFormat) Pushdown(sel Selection) (InputFormat, bool) {
-	nf := ClientEventFormat{sel: sel}
-	if sel.NamePattern != "" {
-		pat, err := events.ParsePattern(sel.NamePattern)
-		if err != nil {
-			return f, false
-		}
-		nf.pat = pat
-	}
-	if sel.Columns != nil {
-		nf.cols = make([]int, len(sel.Columns))
-		for i, c := range sel.Columns {
-			j, err := ClientEventSchema.Index(c)
-			if err != nil {
-				return f, false
-			}
-			nf.cols[i] = j
-		}
-	}
-	return nf, true
-}
-
-// ReadSplit implements InputFormat. A damaged file, a message the walk
-// cannot read and an invalid name each fail the split with its path.
+// ReadSplit implements InputFormat: the split's batch, filtered on the
+// selection's pattern and window, as tuples of the projected columns. A
+// damaged file, a message the header walk cannot read and an invalid name
+// each fail the split with its path.
 func (f ClientEventFormat) ReadSplit(fs *hdfs.FS, s Split, emit func(Tuple) error) error {
-	cols := f.cols
-	if cols == nil {
-		cols = allClientEventColumns
+	byName := f.sel.NamePattern != ""
+	byTime := f.sel.TimeMin != 0 || f.sel.TimeMax != 0
+	need := f.need()
+	if byName {
+		need |= chunk.Name
 	}
-	r := rowReader{f: &f, cols: cols, details: slices.Contains(cols, colDetails), names: make(map[string]rowName)}
-	return warehouse.ScanFileRecords(fs, s.Path, func(rec []byte) error {
-		t, err := r.read(rec)
-		if err != nil {
-			return fmt.Errorf("warehouse: %s: %w", s.Path, err)
-		}
-		if t == nil {
-			return nil
-		}
-		return emit(t)
-	})
-}
-
-// rowReader is one split's pass of a ClientEventFormat: one decoder and one
-// header reused record after record, and the split's names.
-type rowReader struct {
-	f       *ClientEventFormat
-	cols    []int
-	details bool // cols holds colDetails
-	dec     thrift.CompactDecoder
-	h       events.Header
-	names   map[string]rowName // keyed by fresh strings, never the record buffer
-}
-
-// rowName is one distinct valid name of a split: its string, boxed once for
-// every tuple that carries it, and whether the selection's pattern takes it.
-type rowName struct {
-	value Value
-	match bool
-}
-
-// unnamed is the name column of a message without a name field.
-var unnamed Value = events.EventName{}.String()
-
-// read decodes one record into its projected tuple, or nil when the
-// selection drops it. The name is validated before the selection is
-// applied, so a bad name fails the split whatever the filter.
-func (r *rowReader) read(rec []byte) (Tuple, error) {
-	r.dec.Reset(rec)
-	var details map[string]string
-	var err error
-	if r.details {
-		// A details field with no pairs is nil, as it is absent: a sealed
-		// chunk keeps only each row's pair count, so the two layouts agree.
-		if details, err = r.h.DecodeDetails(&r.dec); len(details) == 0 {
-			details = nil
-		}
-	} else {
-		err = r.h.Decode(&r.dec)
+	if byTime {
+		need |= chunk.Timestamp
 	}
+	b, err := f.open(fs, s.Path, need)
+	if err != nil || b == nil {
+		return err
+	}
+	defer b.Release()
+	var nameOK []bool
+	if byName {
+		nameOK = make([]bool, len(b.Name.Dict))
+		for id, name := range b.Name.Dict {
+			nameOK[id] = f.pat.MatchesString(name)
+		}
+	}
+	out := f.Schema()
+	cols := make([]columnReader, len(out))
+	for i, col := range out {
+		cols[i] = readerOf(&b.Columns, chunk.ColumnOf(col))
+	}
+	for row := 0; row < b.Rows; row++ {
+		if byName && !nameOK[b.Name.IDs[row]] {
+			continue
+		}
+		if byTime && !f.inWindow(b.Timestamp[row]) {
+			continue
+		}
+		t := make(Tuple, len(cols))
+		for i, read := range cols {
+			t[i] = read(row)
+		}
+		if err := emit(t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadBatch hands one split to fn as one batch of the projected columns,
+// with no tuple built, or nothing for a chunk the zone map prunes. The batch
+// holds every row of the split: the selection's predicate, if it has one,
+// is left to the caller. It is released when fn returns, so fn must not
+// keep it.
+func (f ClientEventFormat) ReadBatch(fs *hdfs.FS, s Split, fn func(*chunk.Batch) error) error {
+	b, err := f.open(fs, s.Path, f.need())
+	if err != nil || b == nil {
+		return err
+	}
+	defer b.Release()
+	return fn(b)
+}
+
+// need is the column set the selection projects.
+func (f ClientEventFormat) need() chunk.Set {
+	var need chunk.Set
+	for _, col := range f.Schema() {
+		need |= chunk.ColumnOf(col)
+	}
+	return need
+}
+
+// open reads the need columns of one split through the day reader: a row
+// file, or a chunk after its zone map, which may prune it (nil, nil).
+func (f ClientEventFormat) open(fs *hdfs.FS, path string, need chunk.Set) (*chunk.Batch, error) {
+	if !chunk.IsChunk(path) {
+		return chunk.ReadRowFile(fs, path, need)
+	}
+	m, err := chunk.ReadMeta(fs, path)
 	if err != nil {
 		return nil, err
 	}
-	name, err := r.name(r.h.Name)
-	if err != nil {
-		return nil, err
-	}
-	sel := &r.f.sel
-	ts := r.h.Timestamp
-	if !name.match || (sel.TimeMin != 0 && ts < sel.TimeMin) || (sel.TimeMax != 0 && ts >= sel.TimeMax) {
+	if f.prune(m) {
+		tmChunksPruned.Inc()
 		return nil, nil
 	}
-	t := make(Tuple, len(r.cols))
-	for i, c := range r.cols {
-		switch c {
-		case colInitiator:
-			t[i] = r.h.Initiator.String()
-		case colName:
-			t[i] = name.value
-		case colUserID:
-			t[i] = r.h.UserID
-		case colSessionID:
-			t[i] = string(r.h.SessionID)
-		case colIP:
-			t[i] = string(r.h.IP)
-		case colTimestamp:
-			t[i] = ts
-		case colLoggedIn:
-			t[i] = r.h.LoggedIn()
-		case colDetails:
-			t[i] = details
-		}
+	tmChunksScanned.Inc()
+	b, err := chunk.LoadChunk(fs, path, m, need)
+	if err != nil {
+		return nil, err
 	}
-	return t, nil
+	tmRowsRead.Add(int64(m.Rows))
+	return b, nil
 }
 
-// name resolves a message's name field against the split's names,
-// validating and matching a name the first time the split meets it.
-func (r *rowReader) name(b []byte) (rowName, error) {
-	byName := r.f.sel.NamePattern != ""
-	if b == nil {
-		// The zero EventName is never valid, so no pattern takes it.
-		return rowName{value: unnamed, match: !byName}, nil
+// prune reports whether a chunk's zone map proves none of its rows can
+// match. The names sharing the pattern's literal head as a string prefix
+// are one contiguous range, a superset of the componentwise match: a chunk
+// whose names all sort before it, or all after it, holds none of them.
+func (f ClientEventFormat) prune(m chunk.Meta) bool {
+	if f.sel.TimeMin != 0 && m.MaxTs < f.sel.TimeMin || f.sel.TimeMax != 0 && m.MinTs >= f.sel.TimeMax {
+		return true
 	}
-	if n, ok := r.names[string(b)]; ok {
-		return n, nil
+	p := f.prefix
+	return p != "" && (m.MaxName < p || m.MinName > p && !strings.HasPrefix(m.MinName, p))
+}
+
+// inWindow applies the selection's time window to one row.
+func (f ClientEventFormat) inWindow(ts int64) bool {
+	return (f.sel.TimeMin == 0 || ts >= f.sel.TimeMin) && (f.sel.TimeMax == 0 || ts < f.sel.TimeMax)
+}
+
+// columnReader renders one row of a batch column as its tuple value.
+type columnReader func(row int) any
+
+// readerOf builds the reader of one column of a batch.
+func readerOf(cc *chunk.Columns, col chunk.Set) columnReader {
+	switch col {
+	case chunk.Initiator:
+		return func(row int) any { return events.Initiator(cc.Initiator[row]).String() }
+	case chunk.Name:
+		return dictReader(cc.Name)
+	case chunk.UserID:
+		return func(row int) any { return cc.UserID[row] }
+	case chunk.SessionID:
+		return dictReader(cc.SessionID)
+	case chunk.IP:
+		return dictReader(cc.IP)
+	case chunk.Timestamp:
+		return func(row int) any { return cc.Timestamp[row] }
+	case chunk.LoggedIn:
+		return func(row int) any { return cc.LoggedIn[row] == 1 }
+	case chunk.Details:
+		return func(row int) any { return cc.Details.At(row) }
 	}
-	s := string(b)
-	parsed, err := events.ParseName(s)
-	if err != nil {
-		return rowName{}, err
+	panic("dataflow: reader of unknown column")
+}
+
+// dictReader boxes each dictionary entry into an any the first time a row
+// uses it and hands that same any to every later row with the entry's ID:
+// one allocation per distinct value per batch rather than one per row,
+// and none for the entries a selective scan never emits.
+func dictReader(d chunk.DictColumn) columnReader {
+	boxed := make([]any, len(d.Dict))
+	return func(row int) any {
+		id := d.IDs[row]
+		if boxed[id] == nil {
+			boxed[id] = d.Dict[id]
+		}
+		return boxed[id]
 	}
-	n := rowName{value: s, match: !byName || r.f.pat.Matches(parsed)}
-	r.names[s] = n
-	return n, nil
 }
 
 // HourDirs returns the existing warehouse hour directories of a category
@@ -232,8 +265,9 @@ func HourDirs(fs *hdfs.FS, category string, day time.Time) []string {
 }
 
 // LoadClientEventsDay scans one full day of raw client events — the
-// opening of every raw-log Pig script in §5. A Project on the result folds
-// into the scan.
+// opening of every raw-log Pig script in §5. A sealed hour is read from its
+// chunks, an hour not sealed from its row files. A Project on the result
+// folds into the scan.
 func (j *Job) LoadClientEventsDay(day time.Time) (*Dataset, error) {
 	return j.LoadDirsSelective(HourDirs(j.FS, events.Category, day), ClientEventFormat{}, Selection{})
 }

@@ -32,8 +32,8 @@ func (d *Dataset) Filter(pred func(Tuple) bool) *Dataset {
 
 // Project keeps only the named columns, in the given order — the "early
 // projection" idiom of §4.1 that keeps shuffle volume down. Column
-// resolution is eager, against this dataset's schema. On a bare scan of a
-// PushdownFormat (LoadDirsSelective, LoadClientEventsDay) the projection
+// resolution is eager, against this dataset's schema. On a bare scan of
+// ClientEventFormat (LoadDirsSelective, LoadClientEventsDay) the projection
 // folds into the scan, which then builds only these columns; on anything
 // else it streams.
 func (d *Dataset) Project(cols ...string) (*Dataset, error) {
@@ -47,9 +47,9 @@ func (d *Dataset) Project(cols ...string) (*Dataset, error) {
 	}
 	schema := append(Schema(nil), cols...)
 	if d.scan != nil && len(cols) > 0 {
-		sel := d.scan.sel
+		sel := d.scan.pushed.sel
 		sel.Columns = schema
-		if p, ok := d.scan.dataset(d.job, sel); ok {
+		if p, ok := d.job.pushdownDataset(d.scan.splits, sel); ok {
 			return p, nil
 		}
 	}

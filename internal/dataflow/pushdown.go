@@ -6,15 +6,14 @@ import (
 
 	"unilog/internal/chunk"
 	"unilog/internal/events"
-	"unilog/internal/hdfs"
 )
 
-// A Selection is the declarative subset of a scan that a storage format
-// may be able to answer without materializing whole rows: a column
+// A Selection is the declarative subset of a scan that ClientEventFormat
+// answers inside the scan, without materializing whole rows: a column
 // projection, a name-pattern predicate, and a timestamp window. It is
-// deliberately narrower than Filter's arbitrary closures — only what a
-// columnar reader can evaluate against zone maps and column streams is
-// expressible, and anything else stays a row-side Filter.
+// deliberately narrower than Filter's arbitrary closures — only what can
+// be evaluated against zone maps and column batches is expressible, and
+// anything else stays a row-side Filter.
 type Selection struct {
 	// Columns projects the scan to the named columns, in order. nil means
 	// every column of the format's schema.
@@ -35,62 +34,43 @@ func (s Selection) empty() bool {
 	return s.Columns == nil && s.NamePattern == "" && s.TimeMin == 0 && s.TimeMax == 0
 }
 
-// PushdownFormat is an InputFormat that can absorb a whole Selection into
-// the scan itself — pruning data it never decodes and building only the
-// columns the query references. Pushdown returns the format specialized to
-// the selection, or ok == false when it cannot honor it, in which case the
-// planner falls through to the plain row path and applies the whole
-// selection itself. The two implementations are ClientEventFormat (row
-// files) and columnar.EventsFormat (column chunks, row files where an hour
-// is not sealed).
-//
-// Splits must not depend on the selection: the planner enumerates them
-// once with the format it was given, and a Project folded into the scan
-// re-plans those same splits under a new selection.
-type PushdownFormat interface {
-	InputFormat
-	Pushdown(sel Selection) (f InputFormat, ok bool)
-}
-
-// pushdownScan is the plan behind a bare scan of a PushdownFormat: the
-// format as the caller gave it, its splits, and the selection pushed into
-// it. Project re-plans it rather than wrapping it.
+// pushdownScan is the plan behind a bare scan of ClientEventFormat: its
+// splits and the format specialized to the selection. Project re-plans it
+// rather than wrapping it, over the same splits: they do not depend on the
+// selection.
 type pushdownScan struct {
-	format PushdownFormat
 	splits []Split
-	sel    Selection
-	pushed InputFormat // format specialized to sel
+	pushed ClientEventFormat
 }
 
-// dataset plans the scan of sc's splits under sel, or returns ok == false
-// when the format cannot absorb sel.
-func (sc *pushdownScan) dataset(j *Job, sel Selection) (*Dataset, bool) {
-	f, ok := sc.format.Pushdown(sel)
+// pushdownDataset plans a ClientEventFormat scan of splits under sel, or
+// returns ok == false when the format cannot absorb sel.
+func (j *Job) pushdownDataset(splits []Split, sel Selection) (*Dataset, bool) {
+	f, ok := pushdown(sel)
 	if !ok {
 		return nil, false
 	}
-	d := j.datasetForSplits(f, sc.splits)
-	d.scan = &pushdownScan{format: sc.format, splits: sc.splits, sel: sel, pushed: f}
+	d := j.datasetForSplits(f, splits)
+	d.scan = &pushdownScan{splits: splits, pushed: f}
 	return d, true
 }
 
-// LoadDirsSelective is LoadDirs with a Selection: formats that implement
-// PushdownFormat evaluate the predicate inside the scan (against zone maps,
-// or on each row's header) and build only the projected columns; every
-// other format gets the selection applied as ordinary row-side
-// Filter/Project operators on top of the scan. Either way the resulting
-// dataset has the projected schema and only the selected rows — the
-// selection is a semantic contract, pushdown is just the cheap way to honor
-// it. A Project on a pushed-down scan folds into it: the same splits,
-// the same predicate, the new columns.
+// LoadDirsSelective is LoadDirs with a Selection. ClientEventFormat
+// evaluates the predicate inside the scan (against zone maps and per name
+// dictionary entry) and builds only the projected columns; every other
+// format gets the selection applied as ordinary row-side Filter/Project
+// operators on top of the scan. Either way the resulting dataset has the
+// projected schema and only the selected rows — the selection is a semantic
+// contract, pushdown is just the cheap way to honor it. A Project on a
+// pushed-down scan folds into it: the same splits, the same predicate, the
+// new columns.
 func (j *Job) LoadDirsSelective(dirs []string, f InputFormat, sel Selection) (*Dataset, error) {
 	splits, err := j.splitsOf(dirs, f)
 	if err != nil {
 		return nil, err
 	}
-	if pf, ok := f.(PushdownFormat); ok {
-		sc := &pushdownScan{format: pf, splits: splits}
-		if d, ok := sc.dataset(j, sel); ok {
+	if _, ok := f.(ClientEventFormat); ok {
+		if d, ok := j.pushdownDataset(splits, sel); ok {
 			return d, nil
 		}
 	}
@@ -139,34 +119,22 @@ func applySelection(d *Dataset, sel Selection) (*Dataset, error) {
 	return d, nil
 }
 
-// BatchFormat is a format that can hand a split over whole, as one column
-// batch, to a consumer that folds vectors instead of pulling tuples —
-// columnar.EventsFormat, whose splits are chunks and row files alike.
-// ReadBatch delivers the batch of the pushed-down columns, or nothing for
-// a split the zone map prunes.
-type BatchFormat interface {
-	InputFormat
-	ReadBatch(fs *hdfs.FS, s Split, fn func(*chunk.Batch) error) error
-}
-
 // errNotBatchScan is EachBatch's refusal of a dataset it cannot hand over
 // as batches.
-var errNotBatchScan = errors.New("dataflow: EachBatch needs a bare scan of a BatchFormat projected without a predicate")
+var errNotBatchScan = errors.New("dataflow: EachBatch needs a bare scan of ClientEventFormat projected without a predicate")
 
 // EachBatch runs a pushed-down scan's splits through fn, one column batch
-// per split, in plan order on the calling goroutine: the batch entry point
-// for a map-side fold. It meters what the tuple scan of the same dataset
-// meters — a map task per split, every delivered row as a record read, the
-// filesystem bytes read — but builds no tuple. The dataset must be a bare
-// scan of a BatchFormat (LoadDirsSelective, or a Project on it) whose
-// selection only projects: a batch is every row of its split.
+// per split (ClientEventFormat.ReadBatch), in plan order on the calling
+// goroutine: the batch entry point for a map-side fold. It meters what the
+// tuple scan of the same dataset meters — a map task per split, every
+// delivered row as a record read, the filesystem bytes read — but builds no
+// tuple. The dataset must be a bare scan of ClientEventFormat
+// (LoadDirsSelective, or a Project on it) whose selection only projects: a
+// batch is every row of its split. fn must not keep a batch after it
+// returns: the vectors of a row file's batch are reused for a later file.
 func (d *Dataset) EachBatch(fn func(*chunk.Batch) error) error {
 	sc := d.scan
-	if sc == nil || sc.sel.NamePattern != "" || sc.sel.TimeMin != 0 || sc.sel.TimeMax != 0 {
-		return errNotBatchScan
-	}
-	bf, ok := sc.pushed.(BatchFormat)
-	if !ok {
+	if sc == nil || sc.pushed.sel.NamePattern != "" || sc.pushed.sel.TimeMin != 0 || sc.pushed.sel.TimeMax != 0 {
 		return errNotBatchScan
 	}
 	j := d.job
@@ -174,7 +142,7 @@ func (d *Dataset) EachBatch(fn func(*chunk.Batch) error) error {
 		j.stats.mapTasks.Add(1)
 		t0 := time.Now()
 		before := j.FS.Snapshot()
-		err := bf.ReadBatch(j.FS, sp, func(b *chunk.Batch) error {
+		err := sc.pushed.ReadBatch(j.FS, sp, func(b *chunk.Batch) error {
 			j.stats.recordsRead.Add(int64(b.Rows))
 			return fn(b)
 		})

@@ -93,14 +93,28 @@ func referenceScan(tb testing.TB, fs *hdfs.FS, dirs []string, sel dataflow.Selec
 	return out, nil
 }
 
-// rowFormats are the two readers of row files: the dataflow format itself,
-// and the columnar format on a day that has not been sealed.
-var rowFormats = []struct {
+// layout is one way a day lies in the warehouse.
+type layout struct {
 	name string
-	f    dataflow.InputFormat
-}{
-	{"ClientEventFormat", dataflow.ClientEventFormat{}},
-	{"EventsFormat", columnar.EventsFormat{}},
+	fs   *hdfs.FS
+}
+
+// dayLayouts writes the generated day twice, as written and sealed into
+// small chunks, and returns both with its hour directories.
+func dayLayouts(tb testing.TB) ([]layout, []string) {
+	tb.Helper()
+	rows, dirs := generatedDay(tb)
+	sealed, _ := generatedDay(tb)
+	for h := 0; h < 24; h++ {
+		hour := benchDay.Add(time.Duration(h) * time.Hour)
+		if !sealed.Exists(warehouse.HourDir(events.Category, hour)) {
+			continue
+		}
+		if _, err := columnar.SealHourChunks(sealed, events.Category, hour, 16); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return []layout{{"rows", rows}, {"sealed", sealed}}, dirs
 }
 
 // scanSelective runs LoadDirsSelective(dirs, f, sel) to the end.
@@ -176,10 +190,11 @@ func columnSubsets() [][]string {
 
 // TestRowScanMatchesUnmarshal: through every projection of one, three and
 // all eight columns, with and without a name pattern and a window, both
-// row readers deliver the reference relation tuple for tuple — details
+// layouts of a day deliver the reference relation tuple for tuple — details
 // maps included.
 func TestRowScanMatchesUnmarshal(t *testing.T) {
-	fs, dirs := generatedDay(t)
+	layouts, dirs := dayLayouts(t)
+	fs := layouts[0].fs
 	filter := filterOf(t, fs, dirs)
 	for _, cols := range columnSubsets() {
 		for _, filtered := range []bool{false, true} {
@@ -191,16 +206,16 @@ func TestRowScanMatchesUnmarshal(t *testing.T) {
 			if err != nil || len(want) == 0 {
 				t.Fatalf("%+v: reference %d rows, %v", sel, len(want), err)
 			}
-			for _, rf := range rowFormats {
-				got, schema, err := scanSelective(t, fs, dirs, rf.f, sel)
+			for _, l := range layouts {
+				got, schema, err := scanSelective(t, l.fs, dirs, dataflow.ClientEventFormat{}, sel)
 				if err != nil {
-					t.Fatalf("%s %+v: %v", rf.name, sel, err)
+					t.Fatalf("%s %+v: %v", l.name, sel, err)
 				}
 				if cols != nil && !reflect.DeepEqual([]string(schema), cols) {
-					t.Fatalf("%s %+v: schema %v", rf.name, sel, schema)
+					t.Fatalf("%s %+v: schema %v", l.name, sel, schema)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s %+v: %d rows differ from the reference's %d", rf.name, sel, len(got), len(want))
+					t.Fatalf("%s %+v: %d rows differ from the reference's %d", l.name, sel, len(got), len(want))
 				}
 			}
 		}
@@ -292,55 +307,51 @@ func writeRowFile(tb testing.TB, fs *hdfs.FS, path string, recs ...[]byte) {
 }
 
 // TestRowScanEdgeRecords: on each hand-built record, between two good ones,
-// both row readers give the reference's tuples — the unnamed message as
-// ":::::", absent and empty details both nil, the last of a repeated key —
-// or fail where it fails, with its error and the file's path, and stay
-// failed. The same hour sealed reads the same tuples, or fails to seal
-// where the reference fails.
+// the hour as written and the hour sealed give the reference's tuples — the
+// unnamed message as ":::::", absent and empty details both nil, the last
+// of a repeated key. Where the reference fails the seal fails too, and the
+// row file fails the scan with the reference's error and the file's path,
+// and stays failed.
 func TestRowScanEdgeRecords(t *testing.T) {
 	good, edges := edgeRecords()
-	dir := warehouse.HourDir(events.Category, benchDay.Add(9*time.Hour))
+	hour := benchDay.Add(9 * time.Hour)
+	dir := warehouse.HourDir(events.Category, hour)
 	for _, c := range edges {
 		t.Run(c.name, func(t *testing.T) {
-			fs := hdfs.New(0)
-			writeRowFile(t, fs, dir+"/part-00000.gz", good, c.rec, good)
-			for _, sel := range []dataflow.Selection{{}, {NamePattern: "web:*"}, {Columns: []string{"timestamp", "initiator"}}} {
-				want, wantErr := referenceScan(t, fs, []string{dir}, sel)
-				for _, rf := range rowFormats {
-					got, _, err := scanSelective(t, fs, []string{dir}, rf.f, sel)
+			rows, sealed := hdfs.New(0), hdfs.New(0)
+			writeRowFile(t, rows, dir+"/part-00000.gz", good, c.rec, good)
+			writeRowFile(t, sealed, dir+"/part-00000.gz", good, c.rec, good)
+			_, sealErr := columnar.SealHour(sealed, events.Category, hour)
+			_, refErr := referenceScan(t, rows, []string{dir}, dataflow.Selection{})
+			if (sealErr == nil) != (refErr == nil) {
+				t.Fatalf("SealHour: %v; the reference: %v", sealErr, refErr)
+			}
+			layouts := []layout{{"rows", rows}}
+			if sealErr == nil {
+				layouts = append(layouts, layout{"sealed", sealed})
+			}
+			for _, sel := range []dataflow.Selection{{}, {NamePattern: "web:*"}, {Columns: []string{"timestamp", "initiator"}}, {Columns: []string{"timestamp", "details"}}} {
+				want, wantErr := referenceScan(t, rows, []string{dir}, sel)
+				for _, l := range layouts {
+					got, _, err := scanSelective(t, l.fs, []string{dir}, dataflow.ClientEventFormat{}, sel)
 					if wantErr != nil {
 						if err == nil || err.Error() != wantErr.Error() {
-							t.Fatalf("%s %+v: err = %v, the reference fails with %v", rf.name, sel, err, wantErr)
+							t.Fatalf("%s %+v: err = %v, the reference fails with %v", l.name, sel, err, wantErr)
 						}
 						if errors.Is(wantErr, thrift.ErrTruncated) != errors.Is(err, thrift.ErrTruncated) {
-							t.Fatalf("%s %+v: err = %v is not the reference's kind", rf.name, sel, err)
+							t.Fatalf("%s %+v: err = %v is not the reference's kind", l.name, sel, err)
 						}
 						continue
 					}
 					if err != nil || !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s %+v: %v, %v; the reference %v", rf.name, sel, got, err, want)
+						t.Fatalf("%s %+v: %v, %v; the reference %v", l.name, sel, got, err, want)
 					}
 				}
 			}
-			sealed := hdfs.New(0)
-			writeRowFile(t, sealed, dir+"/part-00000.gz", good, c.rec, good)
-			_, sealErr := columnar.SealHour(sealed, events.Category, benchDay.Add(9*time.Hour))
-			if _, err := referenceScan(t, fs, []string{dir}, dataflow.Selection{}); err == nil {
-				if sealErr != nil {
-					t.Fatalf("SealHour: %v; the reference reads the hour", sealErr)
-				}
-				for _, sel := range []dataflow.Selection{{}, {NamePattern: "web:*"}, {Columns: []string{"timestamp", "details"}}} {
-					want, _ := referenceScan(t, fs, []string{dir}, sel)
-					got, _, err := scanSelective(t, sealed, []string{dir}, columnar.EventsFormat{}, sel)
-					if err != nil || !reflect.DeepEqual(got, want) {
-						t.Fatalf("sealed %+v: %v, %v; the reference %v", sel, got, err, want)
-					}
-				}
+			if refErr == nil {
 				return
-			} else if sealErr == nil {
-				t.Fatalf("SealHour sealed an hour the reference fails to read with %v", err)
 			}
-			it, err := dataflow.NewJob("sticky", fs).LoadDirsSelective([]string{dir}, dataflow.ClientEventFormat{}, dataflow.Selection{})
+			it, err := dataflow.NewJob("sticky", rows).LoadDirsSelective([]string{dir}, dataflow.ClientEventFormat{}, dataflow.Selection{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -362,26 +373,15 @@ func TestRowScanEdgeRecords(t *testing.T) {
 
 // TestProjectFoldsIntoPushdownScan: a Project on a pushed-down scan keeps
 // the scan's pattern and window and resolves its columns against the
-// scan's projection, for both row readers and for a sealed day; a Project
-// over a format that cannot push down streams as it always has.
+// scan's projection, on both layouts of a day; a Project over a format that
+// cannot push down streams as it always has.
 func TestProjectFoldsIntoPushdownScan(t *testing.T) {
-	fs, dirs := generatedDay(t)
-	sealed, _ := generatedDay(t)
-	if _, err := columnar.SealDay(sealed, events.Category, benchDay); err != nil {
-		t.Fatal(err)
-	}
+	layouts, dirs := dayLayouts(t)
+	fs := layouts[0].fs
 	sel := filterOf(t, fs, dirs)
 	sel.Columns = []string{"session_id", "name", "timestamp", "user_id"}
-	cases := append(rowFormats, struct {
-		name string
-		f    dataflow.InputFormat
-	}{"EventsFormat sealed", columnar.EventsFormat{}})
-	for _, c := range cases {
-		cfs := fs
-		if c.name == "EventsFormat sealed" {
-			cfs = sealed
-		}
-		d, err := dataflow.NewJob("fold", cfs).LoadDirsSelective(dirs, c.f, sel)
+	for _, c := range layouts {
+		d, err := dataflow.NewJob("fold", c.fs).LoadDirsSelective(dirs, dataflow.ClientEventFormat{}, sel)
 		if err != nil {
 			t.Fatal(err)
 		}

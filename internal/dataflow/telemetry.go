@@ -20,6 +20,14 @@ var (
 	tmCascadeRuns   = telemetry.GetCounter("dataflow.merge.cascade.runs")
 	tmMergeFanInMax = telemetry.GetGauge("dataflow.merge.run_fanin.peak")
 
+	// ClientEventFormat's chunks, named columnar.* because the benchmark
+	// reads them by those names. chunks.pruned / chunks.scanned is the
+	// zone-map hit ratio: a pruned chunk costs one meta read and no column
+	// bytes. rows.read counts the rows of the chunks scanned.
+	tmChunksScanned = telemetry.GetCounter("columnar.chunks.scanned")
+	tmChunksPruned  = telemetry.GetCounter("columnar.chunks.pruned")
+	tmRowsRead      = telemetry.GetCounter("columnar.rows.read")
+
 	tmScanSplitNs  = telemetry.GetHistogram("dataflow.stage.scan.ns")
 	tmShuffleNs    = telemetry.GetHistogram("dataflow.stage.shuffle.ns")
 	tmSpillFlushNs = telemetry.GetHistogram("dataflow.stage.spill.ns")

@@ -408,7 +408,7 @@ func TestSealColumnarOnMove(t *testing.T) {
 		t.Fatal("published hour has no column chunks")
 	}
 	j := dataflow.NewJob("verify", wh)
-	d, err := j.LoadDirsSelective([]string{hourDir}, columnar.EventsFormat{}, dataflow.Selection{})
+	d, err := j.LoadDirsSelective([]string{hourDir}, dataflow.ClientEventFormat{}, dataflow.Selection{})
 	if err != nil {
 		t.Fatal(err)
 	}

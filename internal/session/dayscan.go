@@ -80,8 +80,10 @@ func remap(t *interner, dict []string, buf []uint32) []uint32 {
 }
 
 // scanBatch feeds one batch: count its names, sample the names still short
-// of their quota, and append its rows to the group table.
+// of their quota, and append its rows to the group table. Nothing of the
+// batch is kept, so it is released for the next file's walk.
 func (s *dayScan) scanBatch(b *chunk.Batch) error {
+	defer b.Release()
 	s.nameMap = remap(&s.core.names, b.Name.Dict, s.nameMap)
 	s.growNames()
 	for _, id := range b.Name.IDs {
