@@ -122,7 +122,11 @@
 // file per column —
 // dictionary + varint IDs for the low-cardinality strings (name,
 // session_id, ip), zigzag deltas for timestamps, run-length bytes for
-// initiator and the derived logged_in flag — plus a per-chunk meta
+// initiator and the derived logged_in flag, and for details a sorted
+// key dictionary then one sub-column per key (a presence bitmap when some
+// rows lack the key, and the values packed by type: a value dictionary,
+// hex packed to bytes, decimal as uvarints, or raw, whichever is smallest
+// for that key in that chunk) — plus a per-chunk meta
 // record holding row count and min/max zone maps over timestamp and
 // name, and an hour-level _col-SEALED marker written after the last
 // chunk. Only the marker makes an hour columnar: a seal that dies
@@ -135,12 +139,16 @@
 // chunk.Builder.AddRecord walks each one without allocating
 // (events.Header.DecodePairs: the strings and details pairs stay slices of
 // the record) and appends the row straight to its column accumulators —
-// varints as they arrive, one map probe per dictionary column, details pairs insertion-
-// sorted with a repeated key keeping its last value, a name validated once
-// per distinct value per chunk — so no ClientEvent is built to be taken
-// apart again (TestSealAllocatesPerChunkNotPerEvent; BenchmarkSealHour
-// reports ns and allocs per event), and TestSealedBytesPinned holds the
-// bytes to what the event-by-event encoder wrote. The chunk files are
+// varints as they arrive, one map probe per dictionary column, each
+// details value appended to its key's sub-column with a repeated key
+// keeping its last value, a name validated once per distinct value per
+// chunk — so no ClientEvent is built to be taken apart again
+// (TestSealAllocatesPerChunkNotPerEvent; BenchmarkSealHour reports ns and
+// allocs per event). TestSealedBytesPinned holds the bytes of chunk format
+// 2, and TestSealedNoLargerThanRows holds a sealed hour's column files to
+// no more bytes than its row files (0.83 of them; 4.2 times them when
+// details were stored as length-prefixed pairs); columnar.seal.bytes over
+// columnar.seal.rows is the sealed bytes per row. The chunk files are
 // auxiliary
 // (underscore-prefixed): row files stay authoritative and row scanners
 // never see them, so sealed and unsealed hours coexist in one day. There
@@ -177,8 +185,8 @@
 //
 // The chunk reader's contract is the ID vector: a dictionary column
 // decodes to the chunk's sorted distinct values plus one validated uint32
-// ID per row (user_id and timestamp to []int64, details to an index that
-// inflates a row's map only on request), with every CRC, range and
+// ID per row (user_id and timestamp to []int64, details to per-key
+// indexes that render a row's map only on request), with every CRC, range and
 // trailing-byte check applied before a consumer sees a value and every
 // error naming its file (FuzzChunkColumns holds the decoders to that).
 // ClientEventFormat resolves tuple strings from those dictionaries, boxing

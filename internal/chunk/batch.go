@@ -167,8 +167,9 @@ func (b *Batch) Release() {
 
 // rowReader builds column vectors from the records of one row file, with
 // the seal's own accumulators where the two share a layout: the dictionary
-// columns number values in first-seen order, and the details column is the
-// chunk's encoding.
+// columns number values in first-seen order, and the details column is
+// encoded as the seal encodes it and decoded by the chunk's decoder, so a
+// row file's details and a chunk's are one layout.
 //
 // A batch's columns are the vectors of the readers that walked its file,
 // and Batch.Release recycles those readers through rowReaders, so a scan
@@ -176,16 +177,17 @@ func (b *Batch) Release() {
 // dictionary maps that keep their buckets, instead of paying every step of
 // an append's growth again for every file.
 type rowReader struct {
-	dec   thrift.CompactDecoder
-	h     events.Header
-	wire  []events.Pair
-	pairs []events.Pair
+	dec  thrift.CompactDecoder
+	h    events.Header
+	wire []events.Pair
 
 	name, sessionID, ip dictBuilder
 	initiator, loggedIn []byte
 	userID, timestamp   []int64
-	details             []byte
-	detailOffs          []uint32
+	details             detailsBuilder
+	detailsCol          DetailsColumn
+	payload             []byte   // scratch: the details column's records
+	recs                [][]byte // and those records
 
 	next *rowReader // the batch's previous walk, if Widen walked again
 }
@@ -199,7 +201,8 @@ func (r *rowReader) reset() {
 	r.ip.reset()
 	r.initiator, r.loggedIn = r.initiator[:0], r.loggedIn[:0]
 	r.userID, r.timestamp = r.userID[:0], r.timestamp[:0]
-	r.details, r.detailOffs = r.details[:0], r.detailOffs[:0]
+	r.details.reset()
+	r.detailsCol = DetailsColumn{}
 	r.next = nil
 }
 
@@ -215,6 +218,10 @@ func (r *rowReader) read(fs *hdfs.FS, path string, need Set) (int, error) {
 		rows++
 		return nil
 	})
+	if err == nil && need&Details != 0 {
+		r.recs, r.payload = r.details.records(r.payload, r.recs)
+		r.detailsCol, err = decodeDetailsRecords(path, r.recs, rows)
+	}
 	return rows, err
 }
 
@@ -257,8 +264,7 @@ func (r *rowReader) add(rec []byte, need Set) error {
 		r.loggedIn = append(r.loggedIn, loggedIn(h))
 	}
 	if need&Details != 0 {
-		r.detailOffs = append(r.detailOffs, uint32(len(r.details)))
-		r.details, r.pairs = appendDetails(r.details, r.pairs, r.wire)
+		r.details.add(r.wire)
 	}
 	return nil
 }
@@ -283,7 +289,7 @@ func (r *rowReader) fill(cc *Columns, need Set) {
 		case LoggedIn:
 			cc.LoggedIn = r.loggedIn
 		case Details:
-			cc.Details = DetailsColumn{rec: r.details, offs: r.detailOffs}
+			cc.Details = r.detailsCol
 		}
 	}
 }

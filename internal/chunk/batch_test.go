@@ -76,7 +76,7 @@ func sealed(recs [][]byte) (*Columns, error) {
 		return &Columns{}, nil
 	}
 	fs := hdfs.New(0)
-	if err := b.Flush(fs, testDir, 0); err != nil {
+	if _, err := b.Flush(fs, testDir, 0); err != nil {
 		return nil, err
 	}
 	m, err := ReadMeta(fs, MetaPath(testDir, 0))
@@ -114,7 +114,7 @@ func TestReadHourSealedAndRows(t *testing.T) {
 		return out
 	}
 	rows := read()
-	if len(rows) != 2 || rows[0].Rows != 200 || rows[1].Rows != 300 || rows[0].UserID != nil || rows[0].Details.offs != nil {
+	if len(rows) != 2 || rows[0].Rows != 200 || rows[1].Rows != 300 || rows[0].UserID != nil || rows[0].Details.vals != nil {
 		t.Fatalf("row batches: %d, first %d rows", len(rows), rows[0].Rows)
 	}
 	for _, b := range rows {
@@ -129,7 +129,7 @@ func TestReadHourSealedAndRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		if bld.Rows() == 150 || i == len(recs)-1 {
-			if err := bld.Flush(fs, rowDir, i/150); err != nil {
+			if _, err := bld.Flush(fs, rowDir, i/150); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -191,9 +191,47 @@ func TestRowFileErrorsNameTheFile(t *testing.T) {
 	}
 }
 
+// typeEdges are lists of records whose details sit at the edges of the
+// details column's encodings: values each encoding must refuse, values it
+// must take, a repeated key, a key in some rows only, and a key whose values
+// mix encodings.
+func typeEdges() [][][]byte {
+	name := "web:home:timeline:stream:tweet:impression"
+	msg := func(details ...[2]string) []byte { return wireMessage(&name, 1, details...) }
+	column := func(key string, vals ...string) [][]byte {
+		recs := make([][]byte, len(vals))
+		for i, v := range vals {
+			recs[i] = msg([2]string{key, v})
+		}
+		return recs
+	}
+	return [][][]byte{
+		column("h", "ABCD", "abcd"), // uppercase hex
+		column("h", "abc", "ab"),    // odd-length hex
+		column("h", "0f", "00ff", "deadbeef"),
+		column("n", "0", "00"),                   // a leading zero
+		column("n", "0123", "123"),               // a leading zero
+		column("n", "0", "7", "1000"),            // decimal, "0" itself
+		column("n", "18446744073709551615", "1"), // MaxUint64
+		column("n", "18446744073709551616", "1"), // 20 digits above MaxUint64
+		column("n", "99999999999999999999"),
+		column("n", "-1", "1"),
+		column("n", "+1"),
+		column("e", "", "x", ""),                  // the empty value
+		column("b", "\xff\xfe", "\xff\xfe", "ok"), // not UTF-8
+		column("", "empty key"),
+		{msg([2]string{"k", "1"}, [2]string{"k", "zz"}, [2]string{"k", "2"})}, // a repeated key: last wins
+		{msg([2]string{"a", "1"}), wireMessage(&name, 2), msg([2]string{"b", "ff"}), msg([2]string{"a", "2"}, [2]string{"b", "x"})},
+		column("m", "00ff", "not hex", "ab12"), // hex and not
+		column("m", "12", "ab", "12"),          // decimal, hex, and one dictionary
+		column("d", "en", "en", "en", "en", "en", "fr"),
+	}
+}
+
 // FuzzRowBatchMatchesSeal: a list of records read as a row file by the day
 // reader and sealed by the Builder, then loaded back, gives the same value
-// in every column of every row — or both refuse it.
+// in every column of every row — or both refuse it — and each row's details
+// are the map a full decode of its record makes, nil when it is empty.
 func FuzzRowBatchMatchesSeal(f *testing.F) {
 	name, zero, bad := "web:home:timeline:stream:tweet:impression", zeroName, "Web:home"
 	other := "iphone:profile:header:bio:link:click"
@@ -205,6 +243,7 @@ func FuzzRowBatchMatchesSeal(f *testing.F) {
 		{wireMessage(&bad, 1)},
 		{wireMessage(&name, 1)[:5]},
 	}
+	seeds = append(seeds, typeEdges()...)
 	for _, e := range testEvents(6) {
 		seeds = append(seeds, [][]byte{e.Marshal()})
 	}
@@ -248,6 +287,18 @@ func FuzzRowBatchMatchesSeal(f *testing.F) {
 		}
 		if col := sameRows(&got.Columns, want); col != "" {
 			t.Fatalf("column %s differs between the row batch and the seal", col)
+		}
+		for row, rec := range recs {
+			var e events.ClientEvent
+			if err := e.Unmarshal(rec); err != nil {
+				t.Fatalf("record %d was sealed but does not decode: %v", row, err)
+			}
+			if len(e.Details) == 0 {
+				e.Details = nil
+			}
+			if got := want.Details.At(row); !reflect.DeepEqual(got, e.Details) {
+				t.Fatalf("row %d details = %q, decoded %q", row, got, e.Details)
+			}
 		}
 	})
 }

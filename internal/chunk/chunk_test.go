@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -20,7 +21,9 @@ import (
 const testDir = "/logs/client_events/2012/08/21/00"
 
 // testEvents is a deterministic chunk's worth of events: a few names and
-// addresses, both login states, details on every other row.
+// addresses, both login states, and details in every encoding — a raw
+// request_id and a one-value lang (a dictionary) on every other row, a hex
+// trace and a decimal tweet_id on every third.
 func testEvents(n int) []*events.ClientEvent {
 	names := []string{
 		"web:home:timeline:stream:tweet:impression",
@@ -44,6 +47,13 @@ func testEvents(n int) []*events.ClientEvent {
 		if i%2 == 0 {
 			e.Details = map[string]string{"request_id": fmt.Sprintf("r%04x", rng.Int31n(1<<16)), "lang": "en"}
 		}
+		if i%3 == 0 {
+			if e.Details == nil {
+				e.Details = map[string]string{}
+			}
+			e.Details["trace"] = fmt.Sprintf("%016x", rng.Uint64())
+			e.Details["tweet_id"] = fmt.Sprint(rng.Int63())
+		}
 		evs[i] = e
 	}
 	return evs
@@ -65,7 +75,7 @@ func writeTestChunk(t testing.TB, evs []*events.ClientEvent) *hdfs.FS {
 	fs := hdfs.New(0)
 	var b Builder
 	addEvents(t, &b, evs)
-	if err := b.Flush(fs, testDir, 0); err != nil {
+	if _, err := b.Flush(fs, testDir, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteSealed(fs, testDir, 1); err != nil {
@@ -162,7 +172,7 @@ func wireMessage(name *string, ts int64, details ...[2]string) []byte {
 func flushed(t testing.TB, b *Builder) map[string]string {
 	t.Helper()
 	fs := hdfs.New(0)
-	if err := b.Flush(fs, testDir, 0); err != nil {
+	if _, err := b.Flush(fs, testDir, 0); err != nil {
 		t.Fatal(err)
 	}
 	if b.Rows() != 0 {
@@ -210,6 +220,53 @@ func TestBuilderDetailsFromTheWire(t *testing.T) {
 	}
 	if want := map[string]string{"a": "", "lang": "en", "rank": "last"}; !reflect.DeepEqual(col.At(0), want) {
 		t.Fatalf("details = %v, want %v", col.At(0), want)
+	}
+}
+
+// TestDetailsEncodings: each key of a chunk takes the smallest encoding that
+// admits all its values — hex only for lowercase even-length hex, uvarint
+// only for decimal as strconv writes it, a dictionary only when strictly
+// smaller — and every value reads back as it was written.
+func TestDetailsEncodings(t *testing.T) {
+	for _, tc := range []struct {
+		vals []string
+		want byte
+	}{
+		{[]string{"0f", "00ff", "deadbeef"}, encHex},
+		{[]string{"ABCD", "abcd"}, encRaw},
+		{[]string{"abc", "ab"}, encRaw},
+		{[]string{"0", "7", "1000"}, encUvarint},
+		{[]string{"12"}, encUvarint}, // hex too, and as small: the tie goes to uvarint
+		{[]string{"0", "00"}, encRaw},
+		{[]string{"0123", "123"}, encRaw},
+		{[]string{"18446744073709551615", "1"}, encUvarint},
+		{[]string{"18446744073709551616", "1"}, encRaw},
+		{[]string{"-1", "1"}, encRaw},
+		{[]string{"", "x", ""}, encRaw},
+		{[]string{"\xff\xfe", "ok"}, encRaw},
+		{[]string{"en", "en", "en", "en", "en", "fr"}, encDict},
+		{[]string{"12", "ab", "12"}, encHex},
+		{[]string{"00ff", "not hex", "ab12"}, encRaw},
+	} {
+		var b Builder
+		name := "web:home:timeline:stream:tweet:impression"
+		for i, v := range tc.vals {
+			if err := b.AddRecord(wireMessage(&name, int64(i), [2]string{"k", v})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		col, err := decodeDetails("details", []byte(flushed(t, &b)[Base(testDir, 0)+".details"]), len(tc.vals))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(col.vals) != 1 || col.vals[0].tag != tc.want {
+			t.Errorf("%q: encoding %d, want %d", tc.vals, col.vals[0].tag, tc.want)
+		}
+		for row, v := range tc.vals {
+			if got := col.At(row)["k"]; got != v {
+				t.Errorf("%q: row %d reads back %q", tc.vals, row, got)
+			}
+		}
 	}
 }
 
@@ -273,7 +330,7 @@ func TestBuilderReuse(t *testing.T) {
 		t.Fatal("a reused builder and a fresh one seal the same rows to different bytes")
 	}
 	fs := hdfs.New(0)
-	if err := reused.Flush(fs, testDir, 1); err != nil || fs.Exists(MetaPath(testDir, 1)) {
+	if _, err := reused.Flush(fs, testDir, 1); err != nil || fs.Exists(MetaPath(testDir, 1)) {
 		t.Fatalf("Flush of an empty builder: %v, wrote a chunk: %v", err, fs.Exists(MetaPath(testDir, 1)))
 	}
 }
@@ -326,6 +383,43 @@ func payloads(t testing.TB, data []byte) [][]byte {
 	return recs
 }
 
+// keyHeader is one key's record of a details column file, split at its
+// fields.
+type keyHeader struct {
+	tag     byte
+	count   uint64
+	present []byte
+	values  []byte
+}
+
+// withKeyRecord rewrites the record of one key of a details column file
+// image, which must have the given encoding, and reframes the file.
+func withKeyRecord(t testing.TB, data []byte, key string, tag byte, edit func(*keyHeader)) []byte {
+	t.Helper()
+	p := payloads(t, data)
+	c := recordio.NewCursor(p[0])
+	idx := -1
+	for i, n := 0, c.Count("keys"); i < n; i++ {
+		if string(c.Bytes("key")) == key {
+			idx = i + 1
+		}
+	}
+	if idx < 0 || !c.Ok() {
+		t.Fatalf("details column has no key %q", key)
+	}
+	c = recordio.NewCursor(p[idx])
+	h := keyHeader{tag: c.Byte("tag"), count: c.Uvarint("count"), present: c.Bytes("presence")}
+	h.values = p[idx][len(p[idx])-c.Remaining():]
+	if !c.Ok() || h.tag != tag {
+		t.Fatalf("key %q has encoding %d, want %d", key, h.tag, tag)
+	}
+	edit(&h)
+	rec := binary.AppendUvarint([]byte{h.tag}, h.count)
+	rec = appendString(rec, h.present)
+	p[idx] = append(rec, h.values...)
+	return frame(p...)
+}
+
 // corruption is one way to damage a column file image.
 type corruption struct {
 	name   string
@@ -367,13 +461,36 @@ var corruptions = []corruption{
 	}, recordio.ErrCorrupt},
 	{"rle zero run", "logged_in", func(t testing.TB, b []byte) []byte { return frame([]byte{1, 0}) }, recordio.ErrCorrupt},
 	{"rle ends early", "logged_in", func(t testing.TB, b []byte) []byte { return frame([]byte{1, 5}) }, recordio.ErrCorrupt},
-	{"details pair count lies", "details", func(t testing.TB, b []byte) []byte {
-		p := payloads(t, b)[0]
-		p[0] = 0x7e // row 0 claims 126 pairs
-		return frame(p)
+	{"details key count lies", "details", func(t testing.TB, b []byte) []byte {
+		p := payloads(t, b)
+		_, n := binary.Uvarint(p[0])
+		p[0] = append(binary.AppendUvarint(nil, 1<<40), p[0][n:]...)
+		return frame(p...)
+	}, recordio.ErrCorrupt},
+	{"details key record missing", "details", func(t testing.TB, b []byte) []byte {
+		p := payloads(t, b)
+		return frame(p[:len(p)-1]...)
+	}, recordio.ErrCorrupt},
+	{"details pair count lies", "details", func(t testing.TB, b []byte) []byte { // a key's count of rows, that is of pairs
+		return withKeyRecord(t, b, "tweet_id", encUvarint, func(h *keyHeader) { h.count = 1 << 40 })
+	}, recordio.ErrCorrupt},
+	{"details presence popcount lies", "details", func(t testing.TB, b []byte) []byte {
+		return withKeyRecord(t, b, "request_id", encRaw, func(h *keyHeader) { h.present[0] |= 0x02 }) // row 1 has no details
+	}, recordio.ErrCorrupt},
+	{"details presence bitmap too long", "details", func(t testing.TB, b []byte) []byte {
+		return withKeyRecord(t, b, "trace", encHex, func(h *keyHeader) { h.present = append(h.present, 0) })
+	}, recordio.ErrCorrupt},
+	{"details dict id out of range", "details", func(t testing.TB, b []byte) []byte {
+		return withKeyRecord(t, b, "lang", encDict, func(h *keyHeader) { h.values[len(h.values)-1] = 7 })
+	}, recordio.ErrCorrupt},
+	{"details short hex vector", "details", func(t testing.TB, b []byte) []byte {
+		return withKeyRecord(t, b, "trace", encHex, func(h *keyHeader) { h.values = h.values[:len(h.values)-3] })
+	}, recordio.ErrCorrupt},
+	{"details unknown encoding", "details", func(t testing.TB, b []byte) []byte {
+		return withKeyRecord(t, b, "lang", encDict, func(h *keyHeader) { h.tag = 9 })
 	}, recordio.ErrCorrupt},
 	{"details trailing bytes", "details", func(t testing.TB, b []byte) []byte {
-		return frame(append(payloads(t, b)[0], 0, 0))
+		return withKeyRecord(t, b, "tweet_id", encUvarint, func(h *keyHeader) { h.values = append(h.values, 0, 0) })
 	}, recordio.ErrCorrupt},
 	{"meta row count absurd", "meta", func(t testing.TB, b []byte) []byte {
 		var rec []byte
@@ -391,6 +508,12 @@ var corruptions = []corruption{
 		p := payloads(t, b)[0]
 		_, n := binary.Uvarint(p) // the version follows the magic
 		p[n] = 9
+		return frame(p)
+	}, recordio.ErrCorrupt},
+	{"meta from format 1", "meta", func(t testing.TB, b []byte) []byte { // details as length-prefixed pairs
+		p := payloads(t, b)[0]
+		_, n := binary.Uvarint(p)
+		p[n] = 1
 		return frame(p)
 	}, recordio.ErrCorrupt},
 }
@@ -412,13 +535,21 @@ func TestCorruptionMatrix(t *testing.T) {
 			if err := fs.WriteFile(path, tc.mutate(t, data)); err != nil {
 				t.Fatal(err)
 			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			m, err := ReadMeta(fs, MetaPath(testDir, 0))
 			if err == nil {
 				var cc Columns
 				err = cc.Load(fs, Base(testDir, 0), m, All)
 			}
+			runtime.ReadMemStats(&after)
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("error = %v, want %v", err, tc.want)
+			}
+			// A count that lies must not size an allocation: the whole
+			// chunk is a few kilobytes.
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+				t.Fatalf("the damaged load allocated %d bytes", alloc)
 			}
 			if !strings.Contains(err.Error(), path) {
 				t.Fatalf("error %q does not name %s", err, path)
@@ -533,6 +664,18 @@ func FuzzChunkColumns(f *testing.F) {
 	}
 	for _, tc := range corruptions {
 		f.Add(kindOf[tc.col][0], uint16(rows), tc.mutate(f, image(tc.col)))
+	}
+	// Details columns whose keys sit at the edges of every encoding.
+	for _, recs := range typeEdges() {
+		var b Builder
+		for _, rec := range recs {
+			if err := b.AddRecord(rec); err != nil {
+				f.Fatal(err)
+			}
+		}
+		data := []byte(flushed(f, &b)[Base(testDir, 0)+".details"])
+		f.Add(uint8(4), uint16(len(recs)), data)
+		f.Add(uint8(4), uint16(len(recs)+8), data)
 	}
 	f.Add(uint8(0), uint16(3), []byte{})
 	f.Fuzz(func(t *testing.T, kind uint8, rows uint16, data []byte) {

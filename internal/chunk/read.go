@@ -28,11 +28,11 @@ func readFile(fs *hdfs.FS, path string) ([]byte, error) {
 	return data, nil
 }
 
-// records splits a file image into exactly want CRC records, in place.
-// Terminal framing errors (ErrTruncated, ErrCorrupt) propagate with the
-// path attached.
+// records splits a file image into exactly want CRC records, in place, or
+// into as many as it holds when want is negative. Terminal framing errors
+// (ErrTruncated, ErrCorrupt) propagate with the path attached.
 func records(path string, data []byte, want int) ([][]byte, error) {
-	recs := make([][]byte, 0, want)
+	recs := make([][]byte, 0, max(want, 0))
 	for {
 		rec, rest, err := recordio.NextCRCRecord(data)
 		if err == io.EOF {
@@ -44,7 +44,7 @@ func records(path string, data []byte, want int) ([][]byte, error) {
 		recs = append(recs, rec)
 		data = rest
 	}
-	if len(recs) != want {
+	if want >= 0 && len(recs) != want {
 		return nil, fmt.Errorf("chunk: %s: %w: want %d records, have %d", path, recordio.ErrCorrupt, want, len(recs))
 	}
 	return recs, nil
@@ -223,59 +223,6 @@ func decodeRLE(path string, data []byte, rows int) ([]byte, error) {
 		return nil, trailing(path, c, rows)
 	}
 	return out, nil
-}
-
-// DetailsColumn is the details column, checked end to end but not yet
-// inflated: a map is built only for the rows a consumer asks for.
-type DetailsColumn struct {
-	rec  []byte
-	offs []uint32 // where each row's pair count starts in rec
-}
-
-// At returns one row's details; a row with zero pairs is a nil map, whether
-// its message carried an empty details field or none (the thrift decoder
-// tells those apart; the column keeps only the count), so a row file's
-// batch reads both as nil too.
-func (d DetailsColumn) At(row int) map[string]string {
-	c := recordio.NewCursor(d.rec[d.offs[row]:])
-	n := c.Count("details pairs")
-	if n == 0 {
-		return nil
-	}
-	m := make(map[string]string, n)
-	for j := 0; j < n; j++ {
-		k := c.String("details key")
-		m[k] = c.String("details value")
-	}
-	return m
-}
-
-// decodeDetails checks a details column file image — every count and
-// length in bounds, rows rows, nothing after them — and indexes its rows.
-func decodeDetails(path string, data []byte, rows int) (DetailsColumn, error) {
-	rec, err := oneRecord(path, data)
-	if err != nil {
-		return DetailsColumn{}, err
-	}
-	if rows > len(rec) {
-		return DetailsColumn{}, short(path)
-	}
-	c := recordio.NewCursor(rec)
-	offs := make([]uint32, rows)
-	for i := range offs {
-		offs[i] = uint32(len(rec) - c.Remaining())
-		for j := c.Count("details pairs"); j > 0; j-- {
-			c.Bytes("details key")
-			c.Bytes("details value")
-		}
-	}
-	if err := c.Err(); err != nil {
-		return DetailsColumn{}, fmt.Errorf("chunk: %s: %w", path, err)
-	}
-	if !c.Empty() {
-		return DetailsColumn{}, trailing(path, c, rows)
-	}
-	return DetailsColumn{rec: rec, offs: offs}, nil
 }
 
 // Columns holds the decoded column vectors of one chunk, or of one row file

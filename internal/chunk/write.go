@@ -25,7 +25,7 @@
 //	_col-00000.ip          sorted per-chunk dictionary + uvarint IDs
 //	_col-00000.timestamp   zig-zag varint deltas from the previous row
 //	_col-00000.logged_in   run-length pairs (bool byte, run)
-//	_col-00000.details     per row: pair count + length-prefixed k/v, keys sorted
+//	_col-00000.details     sorted key dictionary + one typed sub-column per key (details.go)
 //	_col-SEALED            hour-level completion marker: total chunk count
 //
 // Every file is framed with the repository's recordio CRC discipline, so
@@ -90,7 +90,7 @@ func ColumnOf(name string) Set {
 const (
 	metaMagic   = 0x636f6c // "col"
 	sealedMagic = 0x73656c // "sel"
-	metaVersion = 1
+	metaVersion = 2        // 2: the details column is typed per key
 )
 
 // Base returns the path prefix of chunk i in dir, without extension.
@@ -274,14 +274,15 @@ type Builder struct {
 	timestamp    []byte // zig-zag varint deltas from the previous row
 	prevTs       int64
 	minTs, maxTs int64
-	details      []byte // per row: pair count, then length-prefixed k/v by key
+	details      detailsBuilder
 
 	dec     thrift.CompactDecoder // AddRecord's walk over the current record
 	header  events.Header         // what that walk fills
 	wire    []events.Pair         // and its details, in wire order
-	pairs   []events.Pair         // scratch: one row's details, sorted and deduplicated
 	payload []byte                // scratch: a column's payload records
+	recs    [][]byte              // scratch: the details column's records
 	file    bytes.Buffer          // scratch: a file image being framed
+	written int                   // bytes of the files the current Flush wrote
 }
 
 // Rows returns the number of rows added since the last Flush.
@@ -306,8 +307,8 @@ func (b *Builder) AddRecord(rec []byte) error {
 // name; a name the chunk has not seen yet must pass events.ParseName — the
 // acceptance a full decode of every row applies, paid once per distinct
 // value — and a row that fails it is not added: the builder is as it was.
-// Details keep the meaning ClientEvent.Decode gives them: sorted by key, a
-// repeated key keeping its last value.
+// Details keep the meaning ClientEvent.Decode gives them: one value per
+// key, a repeated key keeping its last value.
 func (b *Builder) Add(h *events.Header, pairs []events.Pair) error {
 	nameID, err := b.name.nameID(h.Name)
 	if err != nil {
@@ -327,7 +328,7 @@ func (b *Builder) Add(h *events.Header, pairs []events.Pair) error {
 	} else {
 		b.minTs, b.maxTs = min(b.minTs, h.Timestamp), max(b.maxTs, h.Timestamp)
 	}
-	b.details, b.pairs = appendDetails(b.details, b.pairs, pairs)
+	b.details.add(pairs)
 	b.rows++
 	return nil
 }
@@ -340,39 +341,15 @@ func loggedIn(h *events.Header) byte {
 	return 0
 }
 
-// appendDetails appends one row of the details column to buf — the pair
-// count, then length-prefixed k/v by key — with the meaning
-// ClientEvent.Decode gives the wire pairs: sorted by key, a repeated key
-// keeping its last value. sorted is scratch, returned for reuse.
-func appendDetails(buf []byte, sorted, pairs []events.Pair) ([]byte, []events.Pair) {
-	// Insertion sort into the scratch slice: a row has a handful of pairs,
-	// and producers mostly write them in the same order.
-	sorted = sorted[:0]
-	for _, p := range pairs {
-		i := len(sorted)
-		for i > 0 && bytes.Compare(sorted[i-1].K, p.K) > 0 {
-			i--
-		}
-		if i > 0 && bytes.Equal(sorted[i-1].K, p.K) {
-			sorted[i-1].V = p.V
-			continue
-		}
-		sorted = slices.Insert(sorted, i, p)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(sorted)))
-	for _, p := range sorted {
-		buf = appendString(appendString(buf, p.K), p.V)
-	}
-	return buf, sorted
-}
-
 // Flush writes the rows added so far as chunk idx of dir — column files
 // first, the meta file last, so a torn seal never claims a chunk it did not
-// finish — and empties the builder. With no rows it writes nothing.
-func (b *Builder) Flush(fs *hdfs.FS, dir string, idx int) error {
+// finish — empties the builder and returns the bytes of the files it
+// wrote. With no rows it writes nothing.
+func (b *Builder) Flush(fs *hdfs.FS, dir string, idx int) (int, error) {
 	if b.rows == 0 {
-		return nil
+		return 0, nil
 	}
+	b.written = 0
 	base := Base(dir, idx)
 	for i, col := range ColumnNames {
 		path := base + "." + col
@@ -393,17 +370,18 @@ func (b *Builder) Flush(fs *hdfs.FS, dir string, idx int) error {
 		case LoggedIn:
 			err = b.writeFile(fs, path, b.runLengths(b.loggedIn))
 		case Details:
-			err = b.writeFile(fs, path, b.details)
+			b.recs, b.payload = b.details.records(b.payload, b.recs)
+			err = b.writeFile(fs, path, b.recs...)
 		}
 		if err != nil {
-			return err
+			return 0, err
 		}
 	}
 	if err := b.writeFile(fs, base+".meta", b.meta()); err != nil {
-		return err
+		return 0, err
 	}
 	b.reset()
-	return nil
+	return b.written, nil
 }
 
 // writeFile frames recs as one CRC-framed file image and writes it.
@@ -418,6 +396,7 @@ func (b *Builder) writeFile(fs *hdfs.FS, path string, recs ...[]byte) error {
 	if err := fs.WriteFile(path, b.file.Bytes()); err != nil {
 		return fmt.Errorf("chunk: write chunk %s: %w", path, err)
 	}
+	b.written += b.file.Len()
 	return nil
 }
 
@@ -433,7 +412,8 @@ func (b *Builder) reset() {
 	b.name.reset()
 	b.sessionID.reset()
 	b.ip.reset()
-	b.userID, b.timestamp, b.details = b.userID[:0], b.timestamp[:0], b.details[:0]
+	b.userID, b.timestamp = b.userID[:0], b.timestamp[:0]
+	b.details.reset()
 	b.prevTs = 0
 }
 

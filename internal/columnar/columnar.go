@@ -104,11 +104,13 @@ func SealHourChunks(fs *hdfs.FS, category string, hour time.Time, chunkRows int)
 		if rows == 0 {
 			return nil
 		}
-		if err := b.Flush(fs, dir, chunks); err != nil {
+		written, err := b.Flush(fs, dir, chunks)
+		if err != nil {
 			return err
 		}
 		tmSealChunks.Inc()
 		tmSealRows.Add(int64(rows))
+		tmSealBytes.Add(int64(written))
 		chunks++
 		return nil
 	}

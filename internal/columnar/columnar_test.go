@@ -467,9 +467,9 @@ func TestHybridDirFallsBackToRows(t *testing.T) {
 }
 
 // TestSealedBytesPinned seals one fixed-seed hour and compares a digest of
-// every _col-* file with the value recorded when chunks were still encoded
-// event by event from decoded ClientEvents: an encoder change that moves one
-// byte of the sealed layout — dictionary order, details key order, the zone
+// every _col-* file with the value recorded when the details column became
+// typed per key (chunk format 2): an encoder change that moves one byte of
+// the sealed layout — dictionary order, a details key's encoding, the zone
 // map — fails here.
 func TestSealedBytesPinned(t *testing.T) {
 	fs := hdfs.New(0)
@@ -520,7 +520,7 @@ func TestSealedBytesPinned(t *testing.T) {
 		h.Write(data)
 		files++
 	}
-	const want = "3aca943cda7e553c49341c84c5aa263a5d9861fbbb48cccd04bf0c525064f128" // recorded at 11993ca
+	const want = "24c83eb51e13a27cc60dcfc8a3548bc6a6958089c7c046196a2e583a21c5ab98"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want || files != 8*9+1 {
 		t.Fatalf("digest of %d column files = %s, want %d files, %s", files, got, 8*9+1, want)
 	}

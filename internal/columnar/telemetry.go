@@ -10,6 +10,9 @@ import (
 var (
 	tmSealChunks = telemetry.GetCounter("columnar.seal.chunks")
 	tmSealRows   = telemetry.GetCounter("columnar.seal.rows")
+	// The bytes of the column files a seal wrote: over columnar.seal.rows,
+	// the sealed bytes per row.
+	tmSealBytes = telemetry.GetCounter("columnar.seal.bytes")
 
 	tmSealHourNs = telemetry.GetHistogram("columnar.seal.hour.ns")
 

@@ -29,8 +29,8 @@ func referenceTuple(rec []byte) (dataflow.Tuple, error) {
 		return nil, err
 	}
 	// A details field with no pairs reads as nil, not as an empty map: a
-	// sealed chunk keeps each row's pair count and nothing else, so nil is
-	// the one answer both layouts can give.
+	// sealed chunk keeps a row's pairs and nothing else, so nil is the one
+	// answer both layouts can give.
 	details := e.Details
 	if len(details) == 0 {
 		details = nil

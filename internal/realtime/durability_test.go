@@ -1066,3 +1066,49 @@ func TestSnapshotSkipsBucketsBehindHorizon(t *testing.T) {
 		t.Errorf("realtime.snapshot.leaves = %d, want the 1 leaf of minute 1015", got)
 	}
 }
+
+// BenchmarkReopenSnapshotOnly is a reopen with nothing to replay: a
+// generated day ingested into 4 shards and snapshotted, then Open of a copy
+// of that directory per iteration — the snapshot's validation pass, its
+// apply pass and empty WAL segments.
+func BenchmarkReopenSnapshotOnly(b *testing.B) {
+	src := b.TempDir()
+	d, err := Open(src, durCfg(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ingestGeneratedDay(d)
+	if err := d.Snapshot(); err != nil {
+		b.Fatal(err)
+	}
+	d.Close()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(b.TempDir(), "counter")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			b.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(src, e.Name()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		c, err := Open(dir, durCfg(4))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		c.Crash()
+		b.StartTimer()
+	}
+}

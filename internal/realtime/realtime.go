@@ -305,6 +305,9 @@ type shard struct {
 	applied int64
 	dropped int64
 	evicted int64
+	// leafHint, while a snapshot loads, is the file's leaf count for each
+	// ring slot, so applyOne makes a bucket's map the size the load fills.
+	leafHint []int32
 }
 
 // Counter is the realtime counting service. Create with New, feed it via
@@ -614,7 +617,8 @@ func (c *Counter) applyOne(s *shard, o *obs, n int64) bool {
 		c.droppedOld.Add(n)
 		return false
 	}
-	b := &s.ring[int(o.minute)%c.buckets]
+	slot := int(o.minute) % c.buckets
+	b := &s.ring[slot]
 	if b.minute != o.minute {
 		if b.minute > o.minute {
 			// The slot already holds a newer minute (the horizon advanced
@@ -630,7 +634,11 @@ func (c *Counter) applyOne(s *shard, o *obs, n int64) bool {
 		// A recycled slot starts clean, so its first write marks the new
 		// minute's hour: the old minute's stale mark says nothing about it.
 		b.minute, b.stale = o.minute, false
-		b.leaf = make(map[uint64]int64, 2*events.NumComponents)
+		hint := 2 * events.NumComponents
+		if s.leafHint != nil {
+			hint = int(s.leafHint[slot])
+		}
+		b.leaf = make(map[uint64]int64, hint)
 	}
 	b.leaf[leafKey(o.name.ID, o.country, o.loggedIn)] += n
 	if !b.stale {

@@ -180,12 +180,14 @@ func scanDir(dir string) (snaps []dirEntry, segs map[int][]dirEntry, maxSnapSeq 
 // loadSnapshot reads a whole snapshot file and, only once every frame and
 // leaf of it has checked out, applies it — a snapshot is all-or-nothing: a
 // file refused leaves nothing in the counter. Both passes read the leaf
-// records with the WAL's decoder; the second applies each leaf as replay
-// does (replayOne), on its name's shard under this configuration, after the
-// header's high-water minute is restored, so a leaf behind the horizon
-// drops and one in a clean minute marks it and its hour stale. The observed
-// total and every activity counter then come from the header, which
-// already accounts for the leaves, so what the apply tallied is reset.
+// records with the WAL's decoder. The first also counts the leaves of each
+// shard's ring slot, and the second makes each bucket's map that size as it
+// applies each leaf as replay does (replayOne), on its name's shard under
+// this configuration, after the header's high-water minute is restored, so
+// a leaf behind the horizon drops and one in a clean minute marks it and
+// its hour stale. The observed total and every activity counter then come
+// from the header, which already accounts for the leaves, so what the
+// apply tallied is reset.
 func (c *Counter) loadSnapshot(path string) (snapHeader, error) {
 	fail := func(err error) (snapHeader, error) {
 		return snapHeader{}, fmt.Errorf("realtime: snapshot %s: %w", filepath.Base(path), err)
@@ -208,6 +210,13 @@ func (c *Counter) loadSnapshot(path string) (snapHeader, error) {
 		return fail(err)
 	}
 	var recs [][]byte
+	hints := make([]int32, len(c.shards)*c.buckets)
+	count := func(name *events.NameEntry, minute int64, _ string, _ bool, _ int64) error {
+		if name != nil && minute >= 1 {
+			hints[c.shardOf(name)*c.buckets+int(minute%int64(c.buckets))]++
+		}
+		return nil
+	}
 	dec := &walDecoder{counted: true}
 	for {
 		rec, err := r.Next()
@@ -215,7 +224,7 @@ func (c *Counter) loadSnapshot(path string) (snapHeader, error) {
 			break
 		}
 		if err == nil {
-			err = dec.decodeBatch(rec, func(*events.NameEntry, int64, string, bool, int64) error { return nil })
+			err = dec.decodeBatch(rec, count)
 		}
 		if err != nil {
 			return fail(err)
@@ -224,12 +233,16 @@ func (c *Counter) loadSnapshot(path string) (snapHeader, error) {
 	}
 
 	c.maxMinute.Store(header.maxMinute)
+	for i, s := range c.shards {
+		s.leafHint = hints[i*c.buckets : (i+1)*c.buckets]
+	}
 	dec = &walDecoder{counted: true}
 	for _, rec := range recs {
 		_ = dec.decodeBatch(rec, c.replayOne) // checked above
 	}
 	for _, s := range c.shards {
 		s.applied, s.dropped, s.evicted = 0, 0, 0
+		s.leafHint = nil
 	}
 	c.observedBase = header.observed
 	c.observed.Store(header.observed)

@@ -75,7 +75,7 @@ func sealHours(t testing.TB, fs *hdfs.FS, chunkRows int, marker bool, hours ...i
 			if b.Rows() == 0 {
 				return
 			}
-			if err := b.Flush(fs, dir, chunks); err != nil {
+			if _, err := b.Flush(fs, dir, chunks); err != nil {
 				t.Fatal(err)
 			}
 			chunks++
