@@ -193,10 +193,19 @@
 // each entry once per batch. The §4.2 daily job (session.BuildDay) never inflates a string per row: its
 // two logical passes — histogram and dictionary, then session
 // reconstruction — are one physical scan that remaps chunk-local IDs to
-// day-global IDs once per distinct value, counts names by ID, groups
-// 16-byte {timestamp, name ID, IP ID} entries by (user, session ID), and
-// when the scan ends builds the dictionary, sorts each group (timestamp,
-// then name rank) and encodes it through an ID -> code point table.
+// day-global IDs once per distinct value, counts names by ID, appends
+// 16-byte {timestamp, name ID, IP ID} entries with their (user, session ID)
+// group to one flat table grown a block at a time, and when the scan ends
+// builds the dictionary, orders the table by group with a counting sort,
+// sorts each group (timestamp, then name rank) and encodes it through an
+// ID -> code point table. The chunk batches it folds are released as it
+// goes, so each chunk decodes into the vectors the last one handed back.
+// The session partition is the one file the pipeline deflates at
+// gzip.BestSpeed (session.sequenceLevel; everything else is written at
+// level 6 through recordio.NewGzipWriter): sequence strings of 2-byte
+// runes fill deflate's hash chains, level 6 was ~40% of the job, and the
+// fast level costs 0.12 B per event, leaving the sequences still over
+// forty times smaller than the logs. A reader never knows the level.
 // Catalog samples read a batch's remaining columns only while its name
 // dictionary still holds a name short of its quota, and materialize only
 // the sampled rows. Hours without the _col-SEALED marker go through the

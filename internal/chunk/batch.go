@@ -35,6 +35,7 @@ type Batch struct {
 	rowFile bool
 	walked  bool       // a row file has been read once: Rows is its record count
 	r       *rowReader // the walkers whose vectors a row file's columns are
+	v       *vectors   // the vectors a chunk's columns are
 }
 
 // IsChunk reports whether a path of HourFiles is a chunk's meta file rather
@@ -109,6 +110,7 @@ func ReadHour(fs *hdfs.FS, dir string, need Set, fn func(*Batch) error) error {
 func LoadChunk(fs *hdfs.FS, metaPath string, m Meta, need Set) (*Batch, error) {
 	b := &Batch{Path: metaPath, fs: fs, meta: m}
 	if err := b.Widen(need); err != nil {
+		b.Release()
 		return nil, err
 	}
 	return b, nil
@@ -129,7 +131,10 @@ func ReadRowFile(fs *hdfs.FS, path string, need Set) (*Batch, error) {
 // their column files, a row file is walked again for them.
 func (b *Batch) Widen(need Set) error {
 	if !b.rowFile {
-		return b.Load(b.fs, strings.TrimSuffix(b.Path, ".meta"), b.meta, need)
+		if b.v == nil {
+			b.v = vectorPool.Get().(*vectors)
+		}
+		return b.load(b.fs, strings.TrimSuffix(b.Path, ".meta"), b.meta, need, b.v)
 	}
 	need &^= b.have
 	if need == 0 && b.walked {
@@ -152,17 +157,22 @@ func (b *Batch) Widen(need Set) error {
 	return nil
 }
 
-// Release hands a row file's vectors back, to be reused by the walk of a
-// later file; the batch must not be read after it. A batch never released
-// is garbage collected like any other, so a consumer that keeps batches
-// need not call it.
+// Release hands the batch's vectors back, to be decoded into by a later
+// chunk or filled by the walk of a later row file; the batch, and every
+// vector and DetailsColumn taken from it, must not be read after it.
+// Strings are the exception: dictionary entries and rendered details are
+// copies, and stay valid. A batch never released is garbage collected like
+// any other, so a consumer that keeps batches need not call it.
 func (b *Batch) Release() {
 	for r := b.r; r != nil; {
 		next := r.next
 		rowReaders.Put(r)
 		r = next
 	}
-	b.r, b.Columns = nil, Columns{}
+	if b.v != nil {
+		vectorPool.Put(b.v)
+	}
+	b.r, b.v, b.Columns = nil, nil, Columns{}
 }
 
 // rowReader builds column vectors from the records of one row file, with
@@ -202,7 +212,7 @@ func (r *rowReader) reset() {
 	r.initiator, r.loggedIn = r.initiator[:0], r.loggedIn[:0]
 	r.userID, r.timestamp = r.userID[:0], r.timestamp[:0]
 	r.details.reset()
-	r.detailsCol = DetailsColumn{}
+	r.detailsCol = DetailsColumn{vals: r.detailsCol.vals[:0]}
 	r.next = nil
 }
 
@@ -220,7 +230,7 @@ func (r *rowReader) read(fs *hdfs.FS, path string, need Set) (int, error) {
 	})
 	if err == nil && need&Details != 0 {
 		r.recs, r.payload = r.details.records(r.payload, r.recs)
-		r.detailsCol, err = decodeDetailsRecords(path, r.recs, rows)
+		r.detailsCol, err = decodeDetailsRecords(path, r.recs, rows, r.detailsCol.vals)
 	}
 	return rows, err
 }

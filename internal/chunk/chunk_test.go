@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -214,7 +215,7 @@ func TestBuilderDetailsFromTheWire(t *testing.T) {
 	if want := flushed(t, &clean); !reflect.DeepEqual(got, want) {
 		t.Fatal("a details map with a repeated key seals to other bytes than its last-wins meaning")
 	}
-	col, err := decodeDetails("details", []byte(got[Base(testDir, 0)+".details"]), 1)
+	col, err := decodeDetails("details", []byte(got[Base(testDir, 0)+".details"]), 1, new(vectors))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestDetailsEncodings(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		col, err := decodeDetails("details", []byte(flushed(t, &b)[Base(testDir, 0)+".details"]), len(tc.vals))
+		col, err := decodeDetails("details", []byte(flushed(t, &b)[Base(testDir, 0)+".details"]), len(tc.vals), new(vectors))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +304,7 @@ func TestBuilderNames(t *testing.T) {
 	if !reflect.DeepEqual(got, flushed(t, &want)) {
 		t.Fatal("failed Adds changed the bytes of the rows around them")
 	}
-	names, err := decodeDict("name", []byte(got[Base(testDir, 0)+".name"]), 3)
+	names, err := decodeDict("name", []byte(got[Base(testDir, 0)+".name"]), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +592,7 @@ func fuzzDecode(t *testing.T, kind uint8, rows int, data []byte) {
 	switch kind % decoderKinds {
 	case 0:
 		var col DictColumn
-		if col, err = decodeDict(path, data, rows); err == nil {
+		if col, err = decodeDict(path, data, rows, nil); err == nil {
 			if len(col.IDs) != rows {
 				t.Fatalf("dict: %d ids for %d rows", len(col.IDs), rows)
 			}
@@ -600,22 +601,55 @@ func fuzzDecode(t *testing.T, kind uint8, rows int, data []byte) {
 					t.Fatalf("dict: id %d escapes a dictionary of %d", id, len(col.Dict))
 				}
 			}
+			want := slices.Clone(col.IDs)
+			again, err := decodeDict(path, data, rows, poison(col.IDs, ^uint32(0)))
+			if err != nil || !slices.Equal(again.IDs, want) || !slices.Equal(again.Dict, col.Dict) {
+				t.Fatalf("dict: decoded again into its own vectors: %v, %v, %v", again.IDs, want, err)
+			}
 		}
 	case 1, 2:
+		delta := kind%decoderKinds == 2
 		var vals []int64
-		if vals, err = decodeVarints(path, data, rows, kind%decoderKinds == 2); err == nil && len(vals) != rows {
-			t.Fatalf("varints: %d values for %d rows", len(vals), rows)
+		if vals, err = decodeVarints(path, data, rows, delta, nil); err == nil {
+			if len(vals) != rows {
+				t.Fatalf("varints: %d values for %d rows", len(vals), rows)
+			}
+			want := slices.Clone(vals)
+			if again, err := decodeVarints(path, data, rows, delta, poison(vals, -1)); err != nil || !slices.Equal(again, want) {
+				t.Fatalf("varints: decoded again into their own vector: %v, %v, %v", again, want, err)
+			}
 		}
 	case 3:
 		var vals []byte
-		if vals, err = decodeRLE(path, data, rows); err == nil && len(vals) != rows {
-			t.Fatalf("rle: %d values for %d rows", len(vals), rows)
+		if vals, err = decodeRLE(path, data, rows, nil); err == nil {
+			if len(vals) != rows {
+				t.Fatalf("rle: %d values for %d rows", len(vals), rows)
+			}
+			want := slices.Clone(vals)
+			if again, err := decodeRLE(path, data, rows, poison(vals, 0xff)); err != nil || !slices.Equal(again, want) {
+				t.Fatalf("rle: decoded again into its own vector: %v, %v, %v", again, want, err)
+			}
 		}
 	case 4:
 		var col DetailsColumn
-		if col, err = decodeDetails(path, data, rows); err == nil {
-			for row := 0; row < rows; row++ {
-				col.At(row)
+		v := new(vectors)
+		if col, err = decodeDetails(path, data, rows, v); err == nil {
+			want := make([]map[string]string, rows)
+			for row := range want {
+				want[row] = col.At(row)
+			}
+			for i := range v.details {
+				poison(v.details[i].at, 0xfffffff0)
+				poison(v.details[i].dict, "stale")
+			}
+			again, err := decodeDetails(path, data, rows, v)
+			if err != nil {
+				t.Fatalf("details: decoded again into its own vectors: %v", err)
+			}
+			for row := range want {
+				if got := again.At(row); !reflect.DeepEqual(got, want[row]) {
+					t.Fatalf("details: row %d decoded again into its own vectors: %v, want %v", row, got, want[row])
+				}
 			}
 		}
 	case 5:
@@ -633,6 +667,16 @@ func fuzzDecode(t *testing.T, kind uint8, rows int, data []byte) {
 	if !strings.Contains(err.Error(), path) {
 		t.Fatalf("error %q does not name the file", err)
 	}
+}
+
+// poison overwrites a vector's every element, up to its capacity, with
+// junk, so that a decode into it that leaves an element unwritten, or
+// keeps a stale length, reads differently from a decode into nil.
+func poison[E any](vec []E, junk E) []E {
+	for i := range vec[:cap(vec)] {
+		vec[:cap(vec)][i] = junk
+	}
+	return vec
 }
 
 // FuzzChunkColumns drives the dictionary/ID, varint, delta, run-length,

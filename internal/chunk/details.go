@@ -416,19 +416,23 @@ func uvarintIn(s string, off int) (uint64, int) {
 	}
 }
 
-// decodeDetails checks and indexes a details column file image.
-func decodeDetails(path string, data []byte, rows int) (DetailsColumn, error) {
-	recs, err := records(path, data, -1)
-	if err != nil {
+// decodeDetails checks and indexes a details column file image, splitting
+// it into v.recs and indexing its keys' rows in v.details.
+func decodeDetails(path string, data []byte, rows int, v *vectors) (DetailsColumn, error) {
+	var err error
+	if v.recs, err = records(path, data, -1, v.recs); err != nil {
 		return DetailsColumn{}, err
 	}
-	return decodeDetailsRecords(path, recs, rows)
+	d, err := decodeDetailsRecords(path, v.recs, rows, v.details)
+	v.details = d.vals
+	return d, err
 }
 
 // decodeDetailsRecords checks the records of a details column — the key
 // dictionary sorted and one record per key, every count, length, bitmap
-// and ID in bounds, rows rows, nothing after them — and indexes their rows.
-func decodeDetailsRecords(path string, recs [][]byte, rows int) (DetailsColumn, error) {
+// and ID in bounds, rows rows, nothing after them — and indexes their rows,
+// reusing the key columns of vals and their row indexes.
+func decodeDetailsRecords(path string, recs [][]byte, rows int, vals []keyColumn) (DetailsColumn, error) {
 	if len(recs) == 0 {
 		return DetailsColumn{}, fmt.Errorf("chunk: %s: %w: no key dictionary", path, recordio.ErrCorrupt)
 	}
@@ -438,7 +442,7 @@ func decodeDetailsRecords(path string, recs [][]byte, rows int) (DetailsColumn, 
 		return DetailsColumn{}, fmt.Errorf("chunk: %s: %w: %d keys, %d key records", path, recordio.ErrCorrupt, n, len(recs)-1)
 	}
 	blob := string(recs[0])
-	d := DetailsColumn{keys: make([]string, n), vals: make([]keyColumn, n)}
+	d := DetailsColumn{keys: make([]string, n), vals: slices.Grow(vals[:0], n)[:n]}
 	for i := range d.keys {
 		l := len(c.Bytes("details key"))
 		end := len(blob) - c.Remaining()
@@ -488,10 +492,11 @@ func (kc *keyColumn) decode(rec []byte, rows int) error {
 	// n values at a byte each at least, or a bitmap of rows bits, are in
 	// rec, so neither count sizes an allocation beyond the record's.
 	kc.rec = string(rec)
-	kc.at = make([]uint32, rows)
+	kc.at = slices.Grow(kc.at[:0], rows)[:rows]
+	kc.dict = kc.dict[:0]
 	if kc.tag == encDict {
 		size := c.Count("details dict size")
-		kc.dict = make([]string, size)
+		kc.dict = slices.Grow(kc.dict, size)[:size]
 		for i := range kc.dict {
 			l := len(c.Bytes("details dict entry"))
 			end := len(kc.rec) - c.Remaining()

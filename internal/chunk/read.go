@@ -3,6 +3,8 @@ package chunk
 import (
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
@@ -19,20 +21,26 @@ type Meta struct {
 	Cols Set
 }
 
-// readFile reads a chunk file whole, naming it in the error.
-func readFile(fs *hdfs.FS, path string) ([]byte, error) {
-	data, err := fs.ReadFile(path)
+// readFile reads a chunk file whole into buf[:0], through the same metered
+// Open and ReadFull as hdfs.ReadFile, and names the file in an error.
+func readFile(fs *hdfs.FS, path string, buf []byte) ([]byte, error) {
+	r, err := fs.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("chunk: %s: %w", path, err)
 	}
-	return data, nil
+	buf = slices.Grow(buf[:0], int(r.Size()))[:r.Size()]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, fmt.Errorf("chunk: %s: %w", path, err)
+	}
+	return buf, nil
 }
 
 // records splits a file image into exactly want CRC records, in place, or
-// into as many as it holds when want is negative. Terminal framing errors
-// (ErrTruncated, ErrCorrupt) propagate with the path attached.
-func records(path string, data []byte, want int) ([][]byte, error) {
-	recs := make([][]byte, 0, max(want, 0))
+// into as many as it holds when want is negative, appending them to
+// recs[:0]. Terminal framing errors (ErrTruncated, ErrCorrupt) propagate
+// with the path attached.
+func records(path string, data []byte, want int, recs [][]byte) ([][]byte, error) {
+	recs = recs[:0]
 	for {
 		rec, rest, err := recordio.NextCRCRecord(data)
 		if err == io.EOF {
@@ -52,7 +60,8 @@ func records(path string, data []byte, want int) ([][]byte, error) {
 
 // oneRecord parses a file image expected to hold exactly one CRC record.
 func oneRecord(path string, data []byte) ([]byte, error) {
-	recs, err := records(path, data, 1)
+	var one [1][]byte
+	recs, err := records(path, data, 1, one[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +82,7 @@ func short(path string) error {
 
 // ReadMeta reads and decodes a chunk's zone-map file.
 func ReadMeta(fs *hdfs.FS, path string) (Meta, error) {
-	data, err := readFile(fs, path)
+	data, err := readFile(fs, path, nil)
 	if err != nil {
 		return Meta{}, err
 	}
@@ -125,9 +134,10 @@ type DictColumn struct {
 // At returns the value of one row.
 func (d DictColumn) At(row int) string { return d.Dict[d.IDs[row]] }
 
-// decodeDict decodes a dictionary column file image.
-func decodeDict(path string, data []byte, rows int) (DictColumn, error) {
-	recs, err := records(path, data, 2)
+// decodeDict decodes a dictionary column file image, its IDs into ids[:0].
+func decodeDict(path string, data []byte, rows int, ids []uint32) (DictColumn, error) {
+	var two [2][]byte
+	recs, err := records(path, data, 2, two[:0])
 	if err != nil {
 		return DictColumn{}, err
 	}
@@ -149,7 +159,7 @@ func decodeDict(path string, data []byte, rows int) (DictColumn, error) {
 		return DictColumn{}, short(path)
 	}
 	ic := recordio.NewCursor(recs[1])
-	ids := make([]uint32, rows)
+	ids = slices.Grow(ids[:0], rows)[:rows]
 	for i := range ids {
 		id := ic.Uvarint("dict id")
 		if !ic.Ok() || id >= uint64(len(dict)) {
@@ -164,9 +174,9 @@ func decodeDict(path string, data []byte, rows int) (DictColumn, error) {
 }
 
 // decodeVarints decodes a zig-zag varint column file image into one int64
-// per row; delta == true accumulates row-over-row deltas (the timestamp
-// column).
-func decodeVarints(path string, data []byte, rows int, delta bool) ([]int64, error) {
+// per row in out[:0]; delta == true accumulates row-over-row deltas (the
+// timestamp column).
+func decodeVarints(path string, data []byte, rows int, delta bool, out []int64) ([]int64, error) {
 	rec, err := oneRecord(path, data)
 	if err != nil {
 		return nil, err
@@ -175,7 +185,7 @@ func decodeVarints(path string, data []byte, rows int, delta bool) ([]int64, err
 		return nil, short(path)
 	}
 	c := recordio.NewCursor(rec)
-	out := make([]int64, rows)
+	out = slices.Grow(out[:0], rows)[:rows]
 	prev := int64(0)
 	for i := range out {
 		v := c.Varint("varint value")
@@ -195,14 +205,14 @@ func decodeVarints(path string, data []byte, rows int, delta bool) ([]int64, err
 }
 
 // decodeRLE decodes a run-length byte column file image into one byte per
-// row.
-func decodeRLE(path string, data []byte, rows int) ([]byte, error) {
+// row in out[:0].
+func decodeRLE(path string, data []byte, rows int, out []byte) ([]byte, error) {
 	rec, err := oneRecord(path, data)
 	if err != nil {
 		return nil, err
 	}
 	c := recordio.NewCursor(rec)
-	out := make([]byte, 0, rows)
+	out = slices.Grow(out[:0], rows)
 	for len(out) < rows && c.Ok() {
 		v := c.Byte("rle value")
 		run := c.Uvarint("rle run")
@@ -245,8 +255,32 @@ type Columns struct {
 // Load decodes the column files of chunk base (a meta path without its
 // extension) that need names and no earlier Load on cc has read, so a
 // consumer can start from the columns it always wants and widen only for
-// the chunks that turn out to need more.
+// the chunks that turn out to need more. The vectors are cc's own; a chunk
+// batch decodes into recycled ones instead (Batch.Release).
 func (cc *Columns) Load(fs *hdfs.FS, base string, m Meta, need Set) error {
+	return cc.load(fs, base, m, need, new(vectors))
+}
+
+// vectors are the buffers one chunk batch decodes into: a vector per
+// column, each details key's row index, and the image every column file is
+// read into in turn. A batch takes a set from vectorPool on its first load
+// and Release hands it back, so a scan that releases each batch decodes
+// into vectors already grown instead of allocating them chunk after chunk.
+// Nothing else refers to them: every decoder copies the strings it keeps
+// out of the image (a dictionary's blob, a details key's record).
+type vectors struct {
+	image               []byte
+	initiator, loggedIn []byte
+	name, sessionID, ip []uint32
+	userID, timestamp   []int64
+	details             []keyColumn
+	recs                [][]byte
+}
+
+var vectorPool = sync.Pool{New: func() any { return new(vectors) }}
+
+// load is Load decoding into v's vectors, which cc's columns then are.
+func (cc *Columns) load(fs *hdfs.FS, base string, m Meta, need Set, v *vectors) error {
 	for i, col := range ColumnNames {
 		bit := Set(1) << i
 		if need&^cc.have&bit == 0 {
@@ -256,27 +290,35 @@ func (cc *Columns) Load(fs *hdfs.FS, base string, m Meta, need Set) error {
 		if m.Cols&bit == 0 {
 			return fmt.Errorf("chunk: %s: %w: column not listed in the chunk meta", path, recordio.ErrCorrupt)
 		}
-		data, err := readFile(fs, path)
+		data, err := readFile(fs, path, v.image)
 		if err != nil {
 			return err
 		}
+		v.image = data // the next column's read overwrites it
 		switch bit {
 		case Initiator:
-			cc.Initiator, err = decodeRLE(path, data, m.Rows)
+			v.initiator, err = decodeRLE(path, data, m.Rows, v.initiator)
+			cc.Initiator = v.initiator
 		case Name:
-			cc.Name, err = decodeDict(path, data, m.Rows)
+			cc.Name, err = decodeDict(path, data, m.Rows, v.name)
+			v.name = cc.Name.IDs
 		case UserID:
-			cc.UserID, err = decodeVarints(path, data, m.Rows, false)
+			v.userID, err = decodeVarints(path, data, m.Rows, false, v.userID)
+			cc.UserID = v.userID
 		case SessionID:
-			cc.SessionID, err = decodeDict(path, data, m.Rows)
+			cc.SessionID, err = decodeDict(path, data, m.Rows, v.sessionID)
+			v.sessionID = cc.SessionID.IDs
 		case IP:
-			cc.IP, err = decodeDict(path, data, m.Rows)
+			cc.IP, err = decodeDict(path, data, m.Rows, v.ip)
+			v.ip = cc.IP.IDs
 		case Timestamp:
-			cc.Timestamp, err = decodeVarints(path, data, m.Rows, true)
+			v.timestamp, err = decodeVarints(path, data, m.Rows, true, v.timestamp)
+			cc.Timestamp = v.timestamp
 		case LoggedIn:
-			cc.LoggedIn, err = decodeRLE(path, data, m.Rows)
+			v.loggedIn, err = decodeRLE(path, data, m.Rows, v.loggedIn)
+			cc.LoggedIn = v.loggedIn
 		case Details:
-			cc.Details, err = decodeDetails(path, data, m.Rows)
+			cc.Details, err = decodeDetails(path, data, m.Rows, v)
 		}
 		if err != nil {
 			return err

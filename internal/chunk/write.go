@@ -39,6 +39,16 @@
 // day-global once per Dict entry, evaluate a predicate once per Dict entry)
 // never pays a string per row; a consumer that wants strings indexes Dict.
 // The entries of one Dict share a single backing allocation.
+//
+// A batch of the day reader, chunk or row file, owns its vectors until
+// Batch.Release hands them back to a pool, from which a later batch decodes
+// or walks into them instead of allocating its own: the ID, varint and
+// run-length vectors, each details key's row index, and for a chunk the
+// buffer its column files are read into. Nothing read from a batch may be
+// used after its Release but strings — dictionary entries and rendered
+// details are copies. A batch that is never released keeps its vectors and
+// is garbage collected; Columns.Load, outside any batch, decodes into
+// vectors of its own.
 package chunk
 
 import (
@@ -127,7 +137,7 @@ func WriteSealed(fs *hdfs.FS, dir string, chunks int) error {
 // SealedChunks reads the completion marker's chunk count.
 func SealedChunks(fs *hdfs.FS, dir string) (int, error) {
 	path := SealedPath(dir)
-	data, err := readFile(fs, path)
+	data, err := readFile(fs, path, nil)
 	if err != nil {
 		return 0, err
 	}

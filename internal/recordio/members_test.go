@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 	"testing/quick"
 )
@@ -12,8 +13,17 @@ import (
 // gzipMember returns one GzipWriter output holding recs.
 func gzipMember(t testing.TB, recs [][]byte) []byte {
 	t.Helper()
+	return gzipMemberAt(t, gzip.DefaultCompression, recs)
+}
+
+// gzipMemberAt returns one GzipWriter output holding recs, deflated at level.
+func gzipMemberAt(t testing.TB, level int, recs [][]byte) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	w := NewGzipWriter(&buf)
+	w, err := NewGzipWriterLevel(&buf, level)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range recs {
 		if err := w.Append(r); err != nil {
 			t.Fatal(err)
@@ -160,8 +170,11 @@ func FuzzGzipRecords(f *testing.F) {
 	var one bytes.Buffer
 	NewWriter(&one).Append([]byte("hello world"))
 	good := gzipMember(f, [][]byte{[]byte("one"), {}, bytes.Repeat([]byte("x"), 300)})
+	fast := gzipMemberAt(f, gzip.BestSpeed, [][]byte{[]byte("fast"), compressible(4, 700)})
 	f.Add(good)
 	f.Add(append(append([]byte(nil), good...), gzipMember(f, [][]byte{[]byte("two")})...))
+	f.Add(fast)
+	f.Add(append(append([]byte(nil), fast...), good...))
 	f.Add(gzipMember(f, nil))
 	// TestCorruptLength, TestTruncatedRecord and TestBadGzipHeader, as files.
 	f.Add(gzipRaw(f, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}))
@@ -172,4 +185,67 @@ func FuzzGzipRecords(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		scanAll(t, data)
 	})
+}
+
+// TestGzipLevelsConcatenate: a BestSpeed member followed by a level-6 member
+// is one file whose records are both members' in order, and each member is
+// the one compress/gzip writes at its level. The level-6 writer opens after
+// the BestSpeed writer has closed and handed back its compressor, so it
+// would draw that compressor if the levels shared a pool; the third writer,
+// BestSpeed again, checks the other direction.
+func TestGzipLevelsConcatenate(t *testing.T) {
+	fastRecs := [][]byte{compressible(20, 3000), {}, compressible(21, 2*gzipBlock+5)}
+	slowRecs := [][]byte{[]byte("level six"), compressible(22, 9000)}
+	want := func(level int, recs [][]byte) []byte {
+		frames, _ := framesOf(t, recs)
+		var buf bytes.Buffer
+		gz, err := gzip.NewWriterLevel(&buf, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gz.Write(frames); err != nil {
+			t.Fatal(err)
+		}
+		if err := gz.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	fast := gzipMemberAt(t, gzip.BestSpeed, fastRecs)
+	slow := gzipMember(t, slowRecs)
+	fastAgain := gzipMemberAt(t, gzip.BestSpeed, fastRecs)
+	if !bytes.Equal(fast, want(gzip.BestSpeed, fastRecs)) || !bytes.Equal(fastAgain, fast) {
+		t.Fatal("a BestSpeed member differs from compress/gzip's at BestSpeed")
+	}
+	if bytes.Equal(fast, want(6, fastRecs)) {
+		t.Fatal("the BestSpeed member is level 6's")
+	}
+	if !bytes.Equal(slow, want(6, slowRecs)) {
+		t.Fatal("a level-6 member written after a BestSpeed one differs from compress/gzip's at level 6")
+	}
+
+	file := append(append([]byte(nil), fast...), slow...)
+	n, _, err := VerifyGzipFile(file)
+	if err != nil || n != int64(len(fastRecs)+len(slowRecs)) {
+		t.Fatalf("VerifyGzipFile: %d records, %v; want %d", n, err, len(fastRecs)+len(slowRecs))
+	}
+	got, err := scanAll(t, file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := append(append([][]byte(nil), fastRecs...), slowRecs...)
+	if len(got) != len(all) {
+		t.Fatalf("ScanGzipFile: %d records, want %d", len(got), len(all))
+	}
+	for i := range all {
+		if !bytes.Equal(got[i], all[i]) {
+			t.Fatalf("record %d differs", i)
+		}
+	}
+
+	for _, level := range []int{gzip.HuffmanOnly - 1, gzip.BestCompression + 1} {
+		if _, err := NewGzipWriterLevel(io.Discard, level); err == nil {
+			t.Fatalf("level %d accepted", level)
+		}
+	}
 }

@@ -18,9 +18,12 @@
 // reads through member boundaries, and damage is detected per member.
 //
 // GzipWriter is block-buffered: it hands its compressor 32 KiB of frames at
-// a time and takes that compressor from a pool, so the member is complete —
-// and the destination has seen all of it — only when Close returns. The
-// bytes are the ones compress/gzip writes for the same frames in one Write.
+// a time and takes that compressor from a pool of its deflate level, so the
+// member is complete — and the destination has seen all of it — only when
+// Close returns. The bytes are the ones compress/gzip writes at that level
+// for the same frames in one Write. NewGzipWriter writes at level 6, which
+// every writer in the pipeline uses but the session partition
+// (session.WriteDay, gzip.BestSpeed); a reader never needs to know which.
 package recordio
 
 import (
@@ -126,10 +129,13 @@ func (r *Reader) ForEach(fn func(rec []byte) error) error {
 // its input was cut.
 const gzipBlock = 32 << 10
 
-// gzipWriters recycles compressors between GzipWriters: a deflate state is
-// over a megabyte, and a staging or part file is written every few thousand
-// records.
-var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+// gzipWriters recycles compressors between GzipWriters, one pool per
+// deflate level, so a writer only ever draws a compressor of its own level:
+// a deflate state is over a megabyte, and a staging or part file is written
+// every few thousand records. gzipWriters[level-gzip.HuffmanOnly] holds the
+// level's compressors; gzip.DefaultCompression shares level 6's, which it
+// is.
+var gzipWriters [gzip.BestCompression - gzip.HuffmanOnly + 1]sync.Pool
 
 var errWriterClosed = errors.New("recordio: append to a closed GzipWriter")
 
@@ -138,20 +144,41 @@ var errWriterClosed = errors.New("recordio: append to a closed GzipWriter")
 // are framed into a block buffer and compressed a block at a time, so what
 // has been appended is only certain to have reached the destination — and a
 // destination's write error to have been seen — once Close returns. Close
-// also hands the compressor back for the next GzipWriter; a writer dropped
-// without Close just never returns it.
+// also hands the compressor back for the next GzipWriter of its level; a
+// writer dropped without Close just never returns it.
 type GzipWriter struct {
 	*Writer
 	block *bufio.Writer
 	gz    *gzip.Writer // nil once closed: the compressor may be someone else's
+	pool  *sync.Pool
 }
 
-// NewGzipWriter returns a record writer that gzips its output onto w.
+// NewGzipWriter returns a record writer that gzips its output onto w at
+// deflate's default level, 6.
 func NewGzipWriter(w io.Writer) *GzipWriter {
-	gz := gzipWriters.Get().(*gzip.Writer)
-	gz.Reset(w)
+	gw, _ := NewGzipWriterLevel(w, gzip.DefaultCompression) // a valid level
+	return gw
+}
+
+// NewGzipWriterLevel returns a record writer that gzips its output onto w
+// at a compress/gzip level, from gzip.HuffmanOnly to gzip.BestCompression.
+// Its member is read like any other: the level is only the writer's.
+func NewGzipWriterLevel(w io.Writer, level int) (*GzipWriter, error) {
+	if level == gzip.DefaultCompression {
+		level = 6
+	}
+	if level < gzip.HuffmanOnly || level > gzip.BestCompression {
+		return nil, fmt.Errorf("recordio: invalid gzip level %d", level)
+	}
+	pool := &gzipWriters[level-gzip.HuffmanOnly]
+	gz, _ := pool.Get().(*gzip.Writer)
+	if gz == nil {
+		gz, _ = gzip.NewWriterLevel(w, level) // level checked above
+	} else {
+		gz.Reset(w)
+	}
 	block := bufio.NewWriterSize(gz, gzipBlock)
-	return &GzipWriter{Writer: NewWriter(block), block: block, gz: gz}
+	return &GzipWriter{Writer: NewWriter(block), block: block, gz: gz, pool: pool}, nil
 }
 
 // Append frames one record into the current block. It fails after Close.
@@ -172,7 +199,7 @@ func (w *GzipWriter) Close() error {
 	if cerr := w.gz.Close(); err == nil {
 		err = cerr
 	}
-	gzipWriters.Put(w.gz)
+	w.pool.Put(w.gz)
 	w.gz = nil
 	return err
 }

@@ -150,7 +150,7 @@ func (s *dayScan) group(cc *chunk.Columns) {
 		if !slot.ok || slot.userID != userID {
 			*slot = groupSlot{userID: userID, group: c.group(groupKey{userID: userID, session: s.sessionMap[local]}), ok: true}
 		}
-		c.groups[slot.group] = append(c.groups[slot.group], entry{
+		c.add(slot.group, entry{
 			ts:   cc.Timestamp[row],
 			name: s.nameMap[cc.Name.IDs[row]],
 			ip:   s.ipMap[cc.IP.IDs[row]],

@@ -151,12 +151,35 @@ type entry struct {
 // interned IDs. Row events reach it through Builder.Add (intern, then
 // append), column batches through dayScan (remap batch-local IDs once per
 // distinct value, then append), and finish turns it into records.
+//
+// The table is flat: one entry per event in scan order, each with its
+// group beside it, and finish orders it by group with a counting sort,
+// which keeps scan order within each group. It grows a block at a time, so
+// a day's events are written once: append's growth of one slice that large
+// would allocate about five times the table, and one slice per group more
+// still.
 type sessionizer struct {
 	names, sessions, ips interner
 
-	index  map[groupKey]uint32 // group key -> position in keys/groups
+	index  map[groupKey]uint32 // group key -> position in keys
 	keys   []groupKey
-	groups [][]entry
+	blocks []*tableBlock
+	rows   int // events in the table
+}
+
+// blockRows is the number of events a tableBlock holds.
+const blockRows = 4096
+
+// tableBlock holds blockRows consecutive events of the group table.
+type tableBlock struct {
+	entries [blockRows]entry
+	group   [blockRows]uint32 // entries[i]'s group
+}
+
+// filled returns block i's events and their groups.
+func (s *sessionizer) filled(i int) ([]entry, []uint32) {
+	n := min(blockRows, s.rows-i*blockRows)
+	return s.blocks[i].entries[:n], s.blocks[i].group[:n]
 }
 
 func newSessionizer() *sessionizer {
@@ -175,15 +198,44 @@ func (s *sessionizer) group(k groupKey) uint32 {
 		g = uint32(len(s.keys))
 		s.index[k] = g
 		s.keys = append(s.keys, k)
-		s.groups = append(s.groups, nil)
 	}
 	return g
 }
 
-// add appends one event, already interned, to its group.
-func (s *sessionizer) add(userID int64, session, name, ip uint32, ts int64) {
-	g := s.group(groupKey{userID: userID, session: session})
-	s.groups[g] = append(s.groups[g], entry{ts: ts, name: name, ip: ip})
+// add appends one event, already interned, to group g.
+func (s *sessionizer) add(g uint32, e entry) {
+	i := s.rows % blockRows
+	if i == 0 {
+		s.blocks = append(s.blocks, new(tableBlock))
+	}
+	b := s.blocks[len(s.blocks)-1]
+	b.entries[i], b.group[i] = e, g
+	s.rows++
+}
+
+// byGroup returns the entries ordered by group, scan order kept within a
+// group, and where each group starts: group g is out[start[g]:start[g+1]].
+func (s *sessionizer) byGroup() (out []entry, start []int) {
+	start = make([]int, len(s.keys)+1)
+	for i := range s.blocks {
+		_, groups := s.filled(i)
+		for _, g := range groups {
+			start[g+1]++
+		}
+	}
+	for g := range s.keys {
+		start[g+1] += start[g]
+	}
+	next := slices.Clone(start[:len(s.keys)])
+	out = make([]entry, s.rows)
+	for i := range s.blocks {
+		entries, groups := s.filled(i)
+		for j, g := range groups {
+			out[next[g]] = entries[j]
+			next[g]++
+		}
+	}
+	return out, start
 }
 
 // finish orders each group by timestamp (ties by name), splits it on
@@ -218,11 +270,12 @@ func (s *sessionizer) finish(dict *Dictionary, gap time.Duration) ([]Record, err
 		return strings.Compare(s.sessions.strs[ka.session], s.sessions.strs[kb.session])
 	})
 
-	var out []Record
+	table, start := s.byGroup()
+	out := make([]Record, 0, len(s.keys)) // a group is at least one session
 	var seq []byte
 	gapMillis := gap.Milliseconds()
 	for _, g := range order {
-		evs := s.groups[g]
+		evs := table[start[g]:start[g+1]]
 		slices.SortStableFunc(evs, func(a, b entry) int {
 			if c := cmp.Compare(a.ts, b.ts); c != 0 {
 				return c
@@ -277,10 +330,12 @@ func NewBuilder(dict *Dictionary) *Builder {
 // SetGap overrides the inactivity gap (used by ablation experiments).
 func (b *Builder) SetGap(gap time.Duration) { b.gap = gap }
 
-// Add feeds one client event: intern its three strings, append 16 bytes.
+// Add feeds one client event: intern its three strings, append its 16-byte
+// entry and its group.
 func (b *Builder) Add(e *events.ClientEvent) {
 	c := b.core
-	c.add(e.UserID, c.sessions.id(e.SessionID), c.names.id(e.Name.String()), c.ips.id(e.IP), e.Timestamp)
+	g := c.group(groupKey{userID: e.UserID, session: c.sessions.id(e.SessionID)})
+	c.add(g, entry{ts: e.Timestamp, name: c.names.id(e.Name.String()), ip: c.ips.id(e.IP)})
 }
 
 // Finish orders each group by timestamp, splits it on inactivity gaps, and
