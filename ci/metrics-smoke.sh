@@ -3,7 +3,7 @@
 #
 # Runs unilog-demo with the /debug/unilog endpoint up and a post-run hold,
 # scrapes the endpoint while the process is alive, and asserts that the
-# JSON parses and that the six load-bearing series are present and nonzero:
+# JSON parses and that the seven load-bearing series are present and nonzero:
 #
 #   realtime.ingest.events — the streaming path counted events
 #   events.names.entries   — the process-wide event-name table numbered names
@@ -12,6 +12,8 @@
 #                             does at hour 10, ahead of its kill) and sized it
 #   dataflow.spill.bytes   — the budgeted rollup job actually spilled
 #   logmover.records       — the log mover published hours into the warehouse
+#   columnar.seal.rows     — the mover sealed those hours into column chunks
+#                            in the pass that verified them
 #   warehouse.scan.records — the exactly-once check read the row files back
 #
 # This is the guard against the classic observability failure mode: the
@@ -48,7 +50,7 @@ echo "metrics-smoke: starting unilog-demo with telemetry on :${PORT}"
   -http "127.0.0.1:${PORT}" -hold 90s >"$OUT/demo.log" 2>&1 &
 DEMO_PID=$!
 
-# Poll until the endpoint answers with nonzero values for all six series, or
+# Poll until the endpoint answers with nonzero values for all seven series, or
 # time out with a clear error. The demo takes a few seconds to build its
 # day of traffic and run the budgeted rollup; POLL_SECONDS x 1s is
 # generous for a cold CI box.
@@ -62,7 +64,8 @@ for i in $(seq 1 "$POLL_SECONDS"); do
     jq -e '.series["realtime.ingest.events"] > 0 and .series["realtime.snapshot.bytes"] > 0
            and .series["events.names.entries"] > 0
            and .series["dataflow.spill.bytes"] > 0
-           and .series["logmover.records"] > 0 and .series["warehouse.scan.records"] > 0' \
+           and .series["logmover.records"] > 0 and .series["columnar.seal.rows"] > 0
+           and .series["warehouse.scan.records"] > 0' \
       "$OUT/snap.json" >/dev/null 2>&1; then
     echo "metrics-smoke: OK after ${i}s"
     jq '{ "realtime.ingest.events": .series["realtime.ingest.events"],
@@ -70,6 +73,7 @@ for i in $(seq 1 "$POLL_SECONDS"); do
           "realtime.snapshot.bytes": .series["realtime.snapshot.bytes"],
           "dataflow.spill.bytes": .series["dataflow.spill.bytes"],
           "logmover.records": .series["logmover.records"],
+          "columnar.seal.rows": .series["columnar.seal.rows"],
           "warehouse.scan.records": .series["warehouse.scan.records"],
           series_total: (.series | length),
           histograms_total: (.histograms | length) }' "$OUT/snap.json"

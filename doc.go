@@ -179,9 +179,12 @@
 // a fuzzer (FuzzRowTupleMatchesDecode); TestRowScanAllocatesLittlePerRow
 // and BenchmarkRowScan measure the row scan per event. What the
 // pruned+projected path costs is the benchmark's batch-sealed workload,
-// what the row path costs its batch-rows-spill. The log mover seals hours
-// as it publishes them (Mover.SealColumnar), so rollups, raw-log
-// counting, and funnel walks go columnar the moment an hour lands.
+// what the row path costs its batch-rows-spill. The log mover seals every
+// client-events hour as it publishes it: each record its verify pass
+// accepts goes on into a columnar.Sealer, whose chunks are renamed into
+// place with the rows, so an hour is inflated once on its way in and
+// rollups, raw-log counting, and funnel walks go columnar the moment it
+// lands.
 //
 // The chunk reader's contract is the ID vector: a dictionary column
 // decodes to the chunk's sorted distinct values plus one validated uint32
@@ -201,8 +204,10 @@
 // ID -> code point table. The chunk batches it folds are released as it
 // goes, so each chunk decodes into the vectors the last one handed back.
 // The session partition is the one file the pipeline deflates at
-// gzip.BestSpeed (session.sequenceLevel; everything else is written at
-// level 6 through recordio.NewGzipWriter): sequence strings of 2-byte
+// gzip.BestSpeed (session.sequenceLevel; the aggregators' staging files,
+// which the mover splices into the warehouse as they are, are written at
+// level 5, scribe.stagingLevel, and everything else at level 6 through
+// recordio.NewGzipWriter): sequence strings of 2-byte
 // runes fill deflate's hash chains, level 6 was ~40% of the job, and the
 // fast level costs 0.12 B per event, leaving the sequences still over
 // forty times smaller than the logs. A reader never knows the level.
@@ -232,10 +237,10 @@
 // and stats for parallelism {1,2,8} x budgets {0, 32 KiB, cascading}
 // under the race detector, and the package's TestMain fails if a scan
 // worker outlives its job. Whether the pool pays on >= 4 cores is
-// unverified. Concurrent hour sealing takes a worker cap of its own —
-// columnar.SealDayParallel / Mover.SealParallelism seal the 24 hour
-// directories on a worker pool, hours being independent — and the pool
-// depths and busy time report through telemetry
+// unverified. An hour the mover did not seal — a warehouse written by
+// warehouse.Writer — is sealed by columnar.SealDayParallel, whose worker
+// cap is its own, hours being independent; and the pool depths and busy
+// time report through telemetry
 // (dataflow.parallel.workers, dataflow.parallel.scan.busy.ns,
 // dataflow.parallel.scan.queue.depth, columnar.seal.workers).
 //

@@ -7,11 +7,14 @@
 // The chunk layout, its encoder and its typed reader live in the leaf
 // package internal/chunk, which the daily session-sequence job imports
 // too; this package is what sits on either side of it. This file seals:
-// it walks the raw records of an hour's row files into a chunk.Builder,
-// cuts a chunk every ChunkRows events and writes them beside the row
-// files, whose leading-underscore names make them auxiliary to every row
-// scanner (warehouse.IsAuxiliary), so row and
-// columnar layouts coexist in one directory and either can serve a scan.
+// a Sealer walks an hour's raw records into a chunk.Builder, cuts a chunk
+// every DefaultChunkRows events and writes them beside the row files,
+// whose leading-underscore names make them auxiliary to every row scanner
+// (warehouse.IsAuxiliary), so row and columnar layouts coexist in one
+// directory and either can serve a scan. The log mover runs a Sealer in
+// the pass that verifies an hour's staging files, so a client-events hour
+// is published sealed; SealHour runs one over an hour's published row
+// files, for a warehouse written some other way.
 //
 // Sealing is crash-safe at two levels: within a chunk the meta file is
 // written last, and across the hour the _col-SEALED marker is written
@@ -84,9 +87,6 @@ func SealHour(fs *hdfs.FS, category string, hour time.Time) (int, error) {
 // SealHourChunks is SealHour with an explicit chunk size (tests use tiny
 // chunks to exercise pruning on small corpora).
 func SealHourChunks(fs *hdfs.FS, category string, hour time.Time, chunkRows int) (int, error) {
-	if chunkRows <= 0 {
-		chunkRows = DefaultChunkRows
-	}
 	dir := warehouse.HourDir(category, hour)
 	if !fs.Exists(dir) || HasColumnar(fs, dir) {
 		return 0, nil
@@ -94,48 +94,100 @@ func SealHourChunks(fs *hdfs.FS, category string, hour time.Time, chunkRows int)
 	if err := removeTornSeal(fs, dir); err != nil {
 		return 0, err
 	}
-	t0 := time.Now()
-	var (
-		b      chunk.Builder
-		chunks int
-	)
-	flush := func() error {
-		rows := b.Rows()
-		if rows == 0 {
-			return nil
-		}
-		written, err := b.Flush(fs, dir, chunks)
-		if err != nil {
-			return err
-		}
-		tmSealChunks.Inc()
-		tmSealRows.Add(int64(rows))
-		tmSealBytes.Add(int64(written))
-		chunks++
-		return nil
-	}
-	// Each row goes from the wire to the column accumulators: one header
-	// walk over the record, no ClientEvent in between.
+	started := time.Now()
+	s := NewSealer(fs, dir, chunkRows)
 	err := warehouse.ScanHourRecords(fs, category, hour, func(path string, rec []byte) error {
-		if err := b.AddRecord(rec); err != nil {
+		if err := s.Add(rec); err != nil {
 			return fmt.Errorf("warehouse: %s: %w", path, err)
-		}
-		if b.Rows() >= chunkRows {
-			return flush()
 		}
 		return nil
 	})
 	if err != nil {
-		return chunks, err
+		return s.chunks, err
 	}
-	if err := flush(); err != nil {
-		return chunks, err
+	n, err := s.Close()
+	if err == nil {
+		tmSealHourNs.ObserveSince(started)
 	}
-	if err := chunk.WriteSealed(fs, dir, chunks); err != nil {
-		return chunks, err
+	return n, err
+}
+
+// Sealer encodes one hour's records, in the order they are added, into
+// column chunks of one directory: a chunk every chunkRows rows, then the
+// _col-SEALED marker at Close. SealHour feeds it the published row files;
+// the log mover feeds it each record as it verifies the staging files, so
+// the chunks land in its tmp directory and the rename that publishes the
+// rows publishes them too. The columnar.seal.* counters learn of its
+// chunks only once Close has written the marker, so a seal given up on
+// counts nothing. A Sealer is not safe for concurrent use.
+type Sealer struct {
+	fs        *hdfs.FS
+	dir       string
+	chunkRows int
+	b         chunk.Builder
+	chunks    int
+	rows      int64
+	bytes     int64
+}
+
+// NewSealer returns a Sealer writing into dir, which should hold no _col-
+// file yet. chunkRows <= 0 means DefaultChunkRows.
+func NewSealer(fs *hdfs.FS, dir string, chunkRows int) *Sealer {
+	if chunkRows <= 0 {
+		chunkRows = DefaultChunkRows
 	}
-	tmSealHourNs.ObserveSince(t0)
-	return chunks, nil
+	return &Sealer{fs: fs, dir: dir, chunkRows: chunkRows}
+}
+
+// Add appends the row one compact-protocol client event holds, going from
+// the wire to the column accumulators with one header walk and no
+// ClientEvent in between, and writes a chunk once chunkRows rows are in. A
+// record the chunk encoder rejects is not added: its error comes back, and
+// the Sealer is as it was. rec is not kept.
+func (s *Sealer) Add(rec []byte) error {
+	if err := s.b.AddRecord(rec); err != nil {
+		return err
+	}
+	if s.b.Rows() >= s.chunkRows {
+		return s.flush()
+	}
+	return nil
+}
+
+// Close writes the last chunk and the completion marker and returns the
+// number of chunks the hour holds.
+func (s *Sealer) Close() (int, error) {
+	if err := s.flush(); err != nil {
+		return s.chunks, err
+	}
+	if err := chunk.WriteSealed(s.fs, s.dir, s.chunks); err != nil {
+		return s.chunks, err
+	}
+	tmSealChunks.Add(int64(s.chunks))
+	tmSealRows.Add(s.rows)
+	tmSealBytes.Add(s.bytes)
+	return s.chunks, nil
+}
+
+// Discard removes every _col- file in the Sealer's directory, so a caller
+// that gives up on the seal leaves only its rows behind.
+func (s *Sealer) Discard() error {
+	return removeTornSeal(s.fs, s.dir)
+}
+
+func (s *Sealer) flush() error {
+	rows := s.b.Rows()
+	if rows == 0 {
+		return nil
+	}
+	written, err := s.b.Flush(s.fs, s.dir, s.chunks)
+	if err != nil {
+		return err
+	}
+	s.chunks++
+	s.rows += int64(rows)
+	s.bytes += int64(written)
+	return nil
 }
 
 // SealDay seals every existing hour of a category's UTC day, returning

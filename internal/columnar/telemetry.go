@@ -4,7 +4,7 @@ import (
 	"unilog/internal/telemetry"
 )
 
-// Telemetry instruments for the seal, updated per chunk and per hour, never
+// Telemetry instruments for the seal, updated once per sealed hour, never
 // per row. The chunk scan's columnar.chunks.* and columnar.rows.read series
 // are fed by dataflow.ClientEventFormat.
 var (
@@ -14,6 +14,9 @@ var (
 	// the sealed bytes per row.
 	tmSealBytes = telemetry.GetCounter("columnar.seal.bytes")
 
+	// Wall time of one SealHour, its row-file read included. A mover-sealed
+	// hour is not observed here: its seal is spread through the move's
+	// verify pass, whose time is logmover.move.ns.
 	tmSealHourNs = telemetry.GetHistogram("columnar.seal.hour.ns")
 
 	// High-water worker count of concurrent hour sealing (SealDay /

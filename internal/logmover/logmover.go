@@ -9,7 +9,12 @@
 //     gzipped record stream: it is inflated end to end, gzip verifies the
 //     CRC-32 and length of every member, and every record frame is walked
 //     to a clean boundary; corrupt files fail the move rather than
-//     silently losing data;
+//     silently losing data. The same pass seals a client-events hour: each
+//     record the walk accepts goes on into a columnar.Sealer, whose column
+//     chunks and _col-SEALED marker are written beside the merged parts,
+//     so the hour is inflated once on its way in and is columnar from the
+//     moment it is published. A record the chunk encoder rejects costs the
+//     hour its columns, never its rows;
 //  3. merges the many small per-aggregator files into a few big warehouse
 //     files. A gzip file is a concatenation of gzip members, so a verified
 //     staging file's compressed bytes are appended to the merged part as
@@ -90,19 +95,6 @@ type Mover struct {
 	// drops the record (counted in the audit); a typical transform is the
 	// §3.2 anonymization policy. Errors abort the move.
 	Transform func(category string, rec []byte) ([]byte, error)
-	// SealColumnar re-encodes each client-events hour into column chunks
-	// (internal/columnar) right after it is published, so batch queries
-	// over the hour get zone-map pruning and projection pushdown from the
-	// moment it lands. Other categories are unaffected: sealing decodes
-	// events.ClientEvent, which only the unified category stores.
-	SealColumnar bool
-	// SealParallelism caps the workers of the columnar sealing pass that
-	// MoveAllSealed runs after publishing its hours: moves stay ordered
-	// and sequential (the rename is the correctness point), but the
-	// CPU-bound re-encode of the published hours fans out. <= 0 means
-	// runtime.GOMAXPROCS(0); 1 seals hour by hour. MoveHour always seals
-	// its single hour inline.
-	SealParallelism int
 	// Clock stamps audit records; nil uses time.Now.
 	Clock func() time.Time
 
@@ -134,35 +126,46 @@ func (m *Mover) HourSealed(category string, hour time.Time) bool {
 }
 
 // MoveHour merges one sealed category-hour from all staging clusters into
-// the warehouse and atomically publishes it. On any error the warehouse is
-// untouched.
+// the warehouse and atomically publishes it, a client-events hour with its
+// column chunks. On a move error the warehouse is untouched. A seal error
+// comes back after the hour was published and audited as rows alone.
 func (m *Mover) MoveHour(category string, hour time.Time) (AuditRecord, error) {
-	return m.moveHour(category, hour, true)
+	rec, sealErr, err := m.moveHour(category, hour)
+	if err != nil {
+		return rec, err
+	}
+	return rec, sealErr
 }
 
-// moveHour publishes one hour; sealInline controls whether the columnar
-// re-encode happens here (MoveHour) or is left to the caller's deferred
-// sealing pass (MoveAllSealed, which fans the seals out after all moves).
-func (m *Mover) moveHour(category string, hour time.Time, sealInline bool) (AuditRecord, error) {
+// moveHour publishes one hour. err is a failed move, which publishes
+// nothing; sealErr is a record the columnar seal rejected, which publishes
+// the hour without its columns.
+func (m *Mover) moveHour(category string, hour time.Time) (rec AuditRecord, sealErr, err error) {
 	started := time.Now()
-	rec := AuditRecord{Category: category, Hour: hour.UTC().Truncate(time.Hour), Started: m.Clock()}
+	rec = AuditRecord{Category: category, Hour: hour.UTC().Truncate(time.Hour), Started: m.Clock()}
 	destDir := warehouse.HourDir(category, hour)
 	if m.Warehouse.Exists(destDir) {
-		return rec, fmt.Errorf("%w: %s", ErrAlreadyMoved, destDir)
+		return rec, nil, fmt.Errorf("%w: %s", ErrAlreadyMoved, destDir)
 	}
 	if !m.HourSealed(category, hour) {
-		return rec, fmt.Errorf("%w: %s %s", ErrHourIncomplete, category, warehouse.HourPath(hour))
+		return rec, nil, fmt.Errorf("%w: %s %s", ErrHourIncomplete, category, warehouse.HourPath(hour))
 	}
 
 	tmpDir := fmt.Sprintf("%s/mover/%s/%s", warehouse.TmpRoot, category, warehouse.HourPath(hour))
 	// A previous failed attempt may have left debris; start clean.
 	if m.Warehouse.Exists(tmpDir) {
 		if err := m.Warehouse.Delete(tmpDir, true); err != nil {
-			return rec, err
+			return rec, nil, err
 		}
 	}
 
 	merger := newMerger(m.Warehouse, tmpDir, m.TargetFileBytes)
+	// Only the unified category stores client events, the rows a chunk
+	// holds.
+	var sealer *columnar.Sealer
+	if category == events.Category {
+		sealer = columnar.NewSealer(m.Warehouse, tmpDir, columnar.DefaultChunkRows)
+	}
 	srcDir := warehouse.StagingHourDir(category, hour)
 	type consumed struct {
 		fs   *hdfs.FS
@@ -175,7 +178,7 @@ func (m *Mover) moveHour(category string, hour time.Time, sealInline bool) (Audi
 			continue
 		}
 		if err != nil {
-			return rec, err
+			return rec, nil, err
 		}
 		dcHadData := false
 		for _, fi := range infos {
@@ -185,14 +188,29 @@ func (m *Mover) moveHour(category string, hour time.Time, sealInline bool) (Audi
 			}
 			data, err := src.FS.ReadFile(fi.Path)
 			if err != nil {
-				return rec, err
+				return rec, nil, err
+			}
+			// seal hands a record to the sealer. A rejection is only kept:
+			// the record may come from a member whose trailer has not been
+			// checked yet, and only the file's own check tells damage from
+			// a record the chunk encoder cannot hold.
+			var seal func(r []byte)
+			if sealer != nil {
+				path, dc := fi.Path, src.Datacenter
+				seal = func(r []byte) {
+					if sealErr == nil {
+						if err := sealer.Add(r); err != nil {
+							sealErr = fmt.Errorf("logmover: %s published without columns: %s from %s: %w", destDir, path, dc, err)
+						}
+					}
+				}
 			}
 			var n int64
 			if m.Transform == nil {
 				// Splice: the whole file passes its sanity check before
 				// one compressed byte of it joins a merged part.
 				var raw int64
-				n, raw, err = recordio.VerifyGzipFile(data)
+				n, raw, err = recordio.VerifyGzipFile(data, seal)
 				if err == nil && n > 0 {
 					err = merger.splice(data, raw)
 				}
@@ -208,11 +226,14 @@ func (m *Mover) moveHour(category string, hour time.Time, sealInline bool) (Audi
 						return nil
 					}
 					n++
+					if seal != nil {
+						seal(out)
+					}
 					return merger.append(out)
 				})
 			}
 			if err != nil {
-				return rec, fmt.Errorf("%w: %s from %s: %v", ErrCorruptFile, fi.Path, src.Datacenter, err)
+				return rec, nil, fmt.Errorf("%w: %s from %s: %v", ErrCorruptFile, fi.Path, src.Datacenter, err)
 			}
 			rec.FilesIn++
 			rec.Records += n
@@ -226,40 +247,49 @@ func (m *Mover) moveHour(category string, hour time.Time, sealInline bool) (Audi
 	}
 	filesOut, bytesOut, err := merger.close()
 	if err != nil {
-		return rec, err
+		return rec, nil, err
 	}
 	rec.FilesOut = filesOut
 	rec.BytesOut = bytesOut
+	// Chunks and marker go into the tmp directory with the parts: the
+	// rename below publishes rows and columns together, or neither.
+	if sealer != nil && filesOut > 0 && sealErr == nil {
+		if _, err := sealer.Close(); err != nil {
+			sealErr = fmt.Errorf("logmover: %s published without columns: %w", destDir, err)
+		}
+	}
+	if sealErr != nil {
+		if err := sealer.Discard(); err != nil {
+			return rec, nil, err
+		}
+	}
 
 	// The atomic slide: one rename publishes the whole hour.
 	if filesOut > 0 {
 		if err := m.Warehouse.Rename(tmpDir, destDir); err != nil {
-			return rec, err
+			return rec, nil, err
 		}
 	} else if err := m.Warehouse.MkdirAll(destDir); err != nil {
-		return rec, err
+		return rec, nil, err
 	}
 
 	// Source files are consumed only after the hour is published.
 	for _, c := range toDelete {
 		if err := c.fs.Delete(c.path, false); err != nil && !errors.Is(err, hdfs.ErrNotFound) {
-			return rec, err
+			return rec, nil, err
 		}
 	}
 	m.observeMove(rec, started)
-	if sealInline && m.needsSeal(category, filesOut) {
-		if _, err := columnar.SealHour(m.Warehouse, category, hour); err != nil {
-			return rec, err
-		}
-	}
 	rec.Finished = m.Clock()
 	m.audits = append(m.audits, rec)
-	return rec, nil
+	return rec, sealErr, nil
 }
 
 // MoveAllSealed scans staging for sealed category-hours and moves each one,
 // returning the audit records of successful moves. Categories are
-// discovered from the staging directory trees.
+// discovered from the staging directory trees. A move error stops the pass;
+// a seal error does not: every remaining hour still moves, and the first
+// seal error comes back once they have.
 func (m *Mover) MoveAllSealed() ([]AuditRecord, error) {
 	type catHour struct {
 		category string
@@ -291,7 +321,7 @@ func (m *Mover) MoveAllSealed() ([]AuditRecord, error) {
 		}
 	}
 	var recs []AuditRecord
-	var toSeal []time.Time
+	var firstSealErr error
 	for _, ch := range order {
 		if !m.HourSealed(ch.category, ch.hour) {
 			continue
@@ -299,31 +329,16 @@ func (m *Mover) MoveAllSealed() ([]AuditRecord, error) {
 		if m.Warehouse.Exists(warehouse.HourDir(ch.category, ch.hour)) {
 			continue
 		}
-		rec, err := m.moveHour(ch.category, ch.hour, false)
+		rec, sealErr, err := m.moveHour(ch.category, ch.hour)
 		if err != nil {
 			return recs, err
 		}
 		recs = append(recs, rec)
-		if m.needsSeal(ch.category, rec.FilesOut) {
-			toSeal = append(toSeal, ch.hour)
+		if firstSealErr == nil {
+			firstSealErr = sealErr
 		}
 	}
-	// Sealing is deferred behind the moves and fanned out: the hours are
-	// already published (readable as row files), so the CPU-bound
-	// re-encode can run wide without delaying any hour's availability. A
-	// seal failure leaves its hour row-only — the reader falls back — and
-	// surfaces here after every move has landed.
-	if _, err := columnar.SealHoursParallel(m.Warehouse, events.Category, toSeal, m.SealParallelism); err != nil {
-		return recs, err
-	}
-	return recs, nil
-}
-
-// needsSeal reports whether a just-published hour should be columnar
-// sealed: the feature is on, the category actually stores ClientEvents,
-// and the hour has data.
-func (m *Mover) needsSeal(category string, filesOut int) bool {
-	return m.SealColumnar && category == events.Category && filesOut > 0
+	return recs, firstSealErr
 }
 
 // parseStagingPath extracts (category, hour) from

@@ -251,7 +251,7 @@ func TestTargetFileSizeSplitsOutput(t *testing.T) {
 			if raw >= m.TargetFileBytes {
 				t.Fatalf("part %d took staging file %d with %d raw bytes already in it", i, next, raw)
 			}
-			_, n, err := recordio.VerifyGzipFile(staged[next])
+			_, n, err := recordio.VerifyGzipFile(staged[next], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -373,8 +373,8 @@ func TestParseStagingPath(t *testing.T) {
 	}
 }
 
-// TestSealColumnarOnMove: with SealColumnar set, a published client-events
-// hour immediately gains column chunks, and the columnar scan sees exactly
+// TestSealColumnarOnMove: a published client-events hour has its column
+// chunks from the moment it lands, and the columnar scan sees exactly
 // the rows the row files hold.
 func TestSealColumnarOnMove(t *testing.T) {
 	clock := zk.NewManualClock(t0)
@@ -399,7 +399,6 @@ func TestSealColumnarOnMove(t *testing.T) {
 	}
 	wh := hdfs.New(0)
 	m := New(wh, Source{"dc1", dc.Staging})
-	m.SealColumnar = true
 	if _, err := m.MoveHour(events.Category, t0); err != nil {
 		t.Fatal(err)
 	}

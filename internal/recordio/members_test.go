@@ -49,7 +49,10 @@ func gzipRaw(t testing.TB, stream []byte) []byte {
 }
 
 // scanAll runs both whole-file checks over data and requires them to
-// agree: the records ScanGzipFile delivered, and the error of either.
+// agree: the records ScanGzipFile delivered, and the error of either. When
+// the file is sound, the records VerifyGzipFile handed its callback must be
+// ScanGzipFile's, byte for byte and in order, and so must what a nil
+// callback counts.
 func scanAll(t testing.TB, data []byte) ([][]byte, error) {
 	t.Helper()
 	var recs [][]byte
@@ -59,19 +62,35 @@ func scanAll(t testing.TB, data []byte) ([][]byte, error) {
 		payload += int64(len(rec))
 		return nil
 	})
-	n, p, verifyErr := VerifyGzipFile(data)
-	for _, err := range []error{scanErr, verifyErr} {
+	var handed [][]byte
+	n, p, verifyErr := VerifyGzipFile(data, func(rec []byte) {
+		handed = append(handed, append([]byte(nil), rec...))
+	})
+	n0, p0, countErr := VerifyGzipFile(data, nil)
+	for _, err := range []error{scanErr, verifyErr, countErr} {
 		if err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("untyped error %v", err)
 		}
 	}
-	if (scanErr == nil) != (verifyErr == nil) {
-		t.Fatalf("ScanGzipFile: %v, VerifyGzipFile: %v", scanErr, verifyErr)
+	if (scanErr == nil) != (verifyErr == nil) || (countErr == nil) != (verifyErr == nil) {
+		t.Fatalf("ScanGzipFile: %v, VerifyGzipFile: %v, without a callback: %v", scanErr, verifyErr, countErr)
 	}
-	if scanErr == nil && (n != int64(len(recs)) || p != payload) {
-		t.Fatalf("VerifyGzipFile counted %d records, %d bytes; ScanGzipFile read %d, %d", n, p, len(recs), payload)
+	if scanErr != nil {
+		return recs, scanErr
 	}
-	return recs, scanErr
+	if n != int64(len(recs)) || p != payload || n0 != n || p0 != p {
+		t.Fatalf("VerifyGzipFile counted %d records, %d bytes (%d, %d without a callback); ScanGzipFile read %d, %d",
+			n, p, n0, p0, len(recs), payload)
+	}
+	if len(handed) != len(recs) {
+		t.Fatalf("VerifyGzipFile handed %d records, ScanGzipFile read %d", len(handed), len(recs))
+	}
+	for i := range recs {
+		if !bytes.Equal(handed[i], recs[i]) {
+			t.Fatalf("record %d: VerifyGzipFile handed %d bytes that differ from ScanGzipFile's %d", i, len(handed[i]), len(recs[i]))
+		}
+	}
+	return recs, nil
 }
 
 // TestConcatenatedMembers: the concatenation of N GzipWriter outputs scans
@@ -154,18 +173,22 @@ func TestVerifyRequiresRecordBoundary(t *testing.T) {
 	var stream bytes.Buffer
 	NewWriter(&stream).Append([]byte("hello world"))
 	half := gzipRaw(t, stream.Bytes()[:5])
-	if _, _, err := VerifyGzipFile(half); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := VerifyGzipFile(half, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("file ending mid-record: %v, want ErrCorrupt", err)
 	}
 	midPrefix := gzipRaw(t, []byte{0x80})
-	if _, _, err := VerifyGzipFile(midPrefix); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := VerifyGzipFile(midPrefix, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("file ending mid-length: %v, want ErrCorrupt", err)
 	}
 }
 
 // FuzzGzipRecords: on any file image, ScanGzipFile and VerifyGzipFile
 // neither panic nor return an untyped error, and they agree — on whether
-// the file is sound and, when it is, on how many records it holds.
+// the file is sound and, when it is, on how many records it holds and on
+// every record, which VerifyGzipFile hands its callback as ScanGzipFile
+// reads it. Seeds include a record longer than an inflated piece and runs
+// of records that straddle pieces, so both of the callback's ways of
+// handing a record out are in the corpus.
 func FuzzGzipRecords(f *testing.F) {
 	var one bytes.Buffer
 	NewWriter(&one).Append([]byte("hello world"))
@@ -176,6 +199,12 @@ func FuzzGzipRecords(f *testing.F) {
 	f.Add(fast)
 	f.Add(append(append([]byte(nil), fast...), good...))
 	f.Add(gzipMember(f, nil))
+	f.Add(gzipMember(f, [][]byte{[]byte("before"), compressible(5, 40<<10), []byte("after")}))
+	var straddling [][]byte
+	for i := 0; i < 100; i++ {
+		straddling = append(straddling, compressible(100+i, 700+i))
+	}
+	f.Add(gzipMember(f, straddling))
 	// TestCorruptLength, TestTruncatedRecord and TestBadGzipHeader, as files.
 	f.Add(gzipRaw(f, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}))
 	f.Add(gzipRaw(f, one.Bytes()[:one.Len()-3]))
@@ -225,7 +254,7 @@ func TestGzipLevelsConcatenate(t *testing.T) {
 	}
 
 	file := append(append([]byte(nil), fast...), slow...)
-	n, _, err := VerifyGzipFile(file)
+	n, _, err := VerifyGzipFile(file, nil)
 	if err != nil || n != int64(len(fastRecs)+len(slowRecs)) {
 		t.Fatalf("VerifyGzipFile: %d records, %v; want %d", n, err, len(fastRecs)+len(slowRecs))
 	}

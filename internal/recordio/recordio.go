@@ -21,9 +21,14 @@
 // a time and takes that compressor from a pool of its deflate level, so the
 // member is complete — and the destination has seen all of it — only when
 // Close returns. The bytes are the ones compress/gzip writes at that level
-// for the same frames in one Write. NewGzipWriter writes at level 6, which
-// every writer in the pipeline uses but the session partition
-// (session.WriteDay, gzip.BestSpeed); a reader never needs to know which.
+// for the same frames in one Write. NewGzipWriter writes at level 6: the
+// warehouse.Writer, the log mover's Transform re-encode, the catalog and
+// the session dictionary use it. Two writers pick their level with
+// NewGzipWriterLevel: the Scribe aggregator's staging files at level 5
+// (scribe.stagingLevel), the one deflate a delivered event pays, since the
+// mover splices those members into the warehouse as they are; and the
+// session partition at gzip.BestSpeed (session.WriteDay). A reader never
+// needs to know which.
 package recordio
 
 import (
@@ -225,19 +230,26 @@ func ScanGzipFile(data []byte, fn func(rec []byte) error) error {
 	return r.ForEach(fn)
 }
 
-// VerifyGzipFile checks a whole gzipped record stream held in memory
-// without materializing a record: every member is inflated, gzip verifies
-// each member's CRC-32 and length, and every frame is walked to a clean
-// record boundary at the end of the file. It returns the number of records
-// and their total payload bytes (length prefixes excluded). A file that
-// passes scans with ScanGzipFile to exactly that many records, alone or
-// concatenated with other files that pass.
-func VerifyGzipFile(data []byte) (records, payload int64, err error) {
+// VerifyGzipFile checks a whole gzipped record stream held in memory: every
+// member is inflated, gzip verifies each member's CRC-32 and length, and
+// every frame is walked to a clean record boundary at the end of the file.
+// It returns the number of records and their total payload bytes (length
+// prefixes excluded). A file that passes scans with ScanGzipFile to exactly
+// that many records, alone or concatenated with other files that pass.
+//
+// fn, when not nil, is handed each whole record the walk accepts, in order,
+// so a caller can transform the stream in the pass that checks it. A record
+// inside one inflated piece is a subslice of that piece, and one that
+// straddles pieces is assembled in a scratch buffer the next such record
+// reuses: fn must not keep rec. fn sees a member's records before that
+// member's trailer is checked, so a caller may act on what it was handed
+// only once VerifyGzipFile has returned nil.
+func VerifyGzipFile(data []byte, fn func(rec []byte)) (records, payload int64, err error) {
 	gz, err := gzip.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return 0, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	var fw frameWalker
+	fw := frameWalker{fn: fn}
 	if _, err := io.Copy(&fw, gz); err != nil {
 		if !errors.Is(err, ErrCorrupt) {
 			err = fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -252,14 +264,18 @@ func VerifyGzipFile(data []byte) (records, payload int64, err error) {
 
 // frameWalker is an io.Writer that walks the record frames of a stream
 // handed to it in arbitrary pieces, accepting exactly the streams Reader
-// does while copying nothing.
+// does. It copies only the records that straddle two pieces, and those only
+// when there is an fn to hand them to.
 type frameWalker struct {
+	fn func(rec []byte)
+
 	records int64
 	payload int64
 
 	remaining uint64 // payload bytes of the current record still to come
 	size      uint64 // length prefix being assembled
 	sizeLen   int    // prefix bytes consumed so far; 0 at a record boundary
+	split     []byte // the current record's payload from earlier pieces
 }
 
 func (w *frameWalker) Write(p []byte) (int, error) {
@@ -268,6 +284,17 @@ func (w *frameWalker) Write(p []byte) (int, error) {
 		if w.remaining > 0 {
 			n := min(uint64(len(p)), w.remaining)
 			w.remaining -= n
+			if w.fn != nil {
+				rec := p[:n]
+				if w.remaining > 0 || len(w.split) > 0 {
+					w.split = append(w.split, rec...)
+					rec = w.split
+				}
+				if w.remaining == 0 {
+					w.split = w.split[:0]
+					w.fn(rec)
+				}
+			}
 			p = p[n:]
 			continue
 		}
@@ -290,6 +317,9 @@ func (w *frameWalker) Write(p []byte) (int, error) {
 		w.payload += int64(w.size)
 		w.remaining = w.size
 		w.size, w.sizeLen = 0, 0
+		if w.remaining == 0 && w.fn != nil {
+			w.fn(nil)
+		}
 	}
 	return total, nil
 }

@@ -30,11 +30,6 @@ type RunConfig struct {
 	// MemoryBudgetBytes bounds the cell's batch rollup job; 0 runs it
 	// in-memory.
 	MemoryBudgetBytes int64 `json:"memory_budget_bytes,omitempty"`
-	// Parallelism caps the worker pools of the cell's batch legs: the
-	// rollup job's dataflow.Job.Parallelism and the columnar day seal.
-	// 0 means runtime.GOMAXPROCS(0); 1 forces the serial paths, so a
-	// grid can sweep serial vs parallel in otherwise identical cells.
-	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // InvariantCheck is one evaluated assertion from Spec.Invariants.
@@ -374,11 +369,10 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 	res.WarehouseDigest = fmt.Sprintf("%016x", stored.sum)
 	res.ExactlyOnce = accepted == stored
 
-	// Seal the delivered day into column chunks before anything batch-reads
-	// it: the reconcile below and the budgeted rollup leg both go through
-	// the columnar source, so every scenario cell proves the columnar path
-	// end to end against the realtime counters.
-	if _, err := columnar.SealDayParallel(wh, events.Category, day, rc.Parallelism); err != nil {
+	// The mover sealed every hour it published: the reconcile below and the
+	// budgeted rollup leg both read column chunks, so every scenario cell
+	// proves the columnar path end to end against the realtime counters.
+	if err := allHoursSealed(wh, day); err != nil {
 		return nil, err
 	}
 
@@ -411,7 +405,6 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 	defer os.RemoveAll(spillDir)
 	j := dataflow.NewJob("scenario-rollup", wh)
 	j.MemoryBudget = rc.MemoryBudgetBytes
-	j.Parallelism = rc.Parallelism
 	j.SpillDir = spillDir
 	rt0 := time.Now()
 	rollups, err := analytics.Rollups(j, day)
@@ -431,6 +424,25 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 
 	res.evaluateInvariants(spec)
 	return res, nil
+}
+
+// allHoursSealed fails unless every client-events hour of day that holds
+// rows also holds its column chunks, as the log mover writes them.
+func allHoursSealed(wh *hdfs.FS, day time.Time) error {
+	for h := 0; h < 24; h++ {
+		dir := warehouse.HourDir(events.Category, day.Add(time.Duration(h)*time.Hour))
+		if !wh.Exists(dir) {
+			continue
+		}
+		rows, err := warehouse.DataSize(wh, dir)
+		if err != nil {
+			return err
+		}
+		if rows > 0 && !columnar.HasColumnar(wh, dir) {
+			return fmt.Errorf("scenario: %s was published without its column chunks", dir)
+		}
+	}
+	return nil
 }
 
 // eventDigest is an order-independent digest of a multiset of events: the

@@ -44,6 +44,24 @@ const AggregatorsZNode = "/scribe/aggregators"
 
 const zkSessionTimeout = time.Minute
 
+// stagingLevel is the deflate level of the aggregator's staging files. The
+// log mover splices their members into the warehouse as they are, so this
+// is the one deflate a delivered event pays, and the level sets both its
+// CPU and the bytes of the warehouse's row files. On the generator's
+// busiest hour of a 2,000-user day (13,683 events, 3.70 MB of messages, cut
+// into members of 5,000 records as RollRecords does), on a 2-vCPU x86-64
+// host, median of 15:
+//
+//	level   ms     bytes
+//	4       74.1   685,387
+//	5       88.5   670,528
+//	6       97.4   656,680
+//
+// Level 5 takes 9% less time than 6 for 2.1% more bytes. Level 4 would take
+// 16% less again for 2.2% more again, paid by every hour the warehouse
+// keeps.
+const stagingLevel = 5
+
 // Entry is one log message: "Each log entry consists of two strings, a
 // category and a message" (§2).
 type Entry struct {
@@ -225,7 +243,8 @@ func (a *Aggregator) appendLocked(batch []Entry) (func(batch []Entry), []Entry, 
 		}
 		if s == nil {
 			buf := &memBuf{}
-			s = &categoryStream{hour: now, buf: buf, w: recordio.NewGzipWriter(buf)}
+			w, _ := recordio.NewGzipWriterLevel(buf, stagingLevel) // a valid level
+			s = &categoryStream{hour: now, buf: buf, w: w}
 			a.streams[category] = s
 		}
 		if err := s.w.Append(e.Message); err != nil {

@@ -1,6 +1,8 @@
 package scribe
 
 import (
+	"bytes"
+	"compress/gzip"
 	"errors"
 	"fmt"
 	"reflect"
@@ -385,5 +387,52 @@ func TestDaemonCloseReportsSpool(t *testing.T) {
 	_ = d.Flush()
 	if n := d.Close(); n != 1 {
 		t.Fatalf("Close reported %d spooled, want 1", n)
+	}
+}
+
+// TestStagingLevel pins the aggregator's deflate level: a staging file is
+// the member compress/gzip writes at stagingLevel, 5, for the same frames —
+// not level 6's, which the same frames make different bytes of.
+func TestStagingLevel(t *testing.T) {
+	dc, _ := newDC(t, 1, 1)
+	var frames bytes.Buffer
+	w := recordio.NewWriter(&frames)
+	for i := 0; i < 3000; i++ {
+		msg := []byte(fmt.Sprintf("web:home:timeline:stream:tweet:impression user=%d session=s%03d", i*7919%1000, i%97))
+		dc.Daemons[0].Log("client_events", msg)
+		if err := w.Append(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dc.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	infos, err := dc.Staging.Walk(warehouse.StagingHourDir("client_events", t0))
+	if err != nil || len(infos) != 1 {
+		t.Fatalf("staging holds %d files (%v), want one", len(infos), err)
+	}
+	staged, err := dc.Staging.ReadFile(infos[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	member := func(level int) []byte {
+		var buf bytes.Buffer
+		gz, err := gzip.NewWriterLevel(&buf, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gz.Write(frames.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if err := gz.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if bytes.Equal(member(5), member(6)) {
+		t.Fatal("levels 5 and 6 write the same member: the frames cannot tell them apart")
+	}
+	if !bytes.Equal(staged, member(5)) {
+		t.Fatalf("the staging file (%d bytes) is not compress/gzip's level-5 member (%d bytes)", len(staged), len(member(5)))
 	}
 }
