@@ -14,7 +14,15 @@
 #   logmover.records       — the log mover published hours into the warehouse
 #   columnar.seal.rows     — the mover sealed those hours into column chunks
 #                            in the pass that verified them
-#   warehouse.scan.records — the exactly-once check read the row files back
+#   warehouse.scan.records — the demo's delivery count read the row files back
+#
+# Once the demo has finished its day (its "holding" line), the script also
+# requires the demo's three verdict lines in its log:
+#
+#   reconcile <day>: OK — the live counter, killed and recovered mid-run,
+#                         agrees exactly with the batch rollups
+#   exactly once: true  — the warehouse holds every accepted event once
+#   jump-free: true     — the lambda handover at midnight moved no number
 #
 # This is the guard against the classic observability failure mode: the
 # metrics endpoint serves 200 OK forever while every counter silently
@@ -50,10 +58,10 @@ echo "metrics-smoke: starting unilog-demo with telemetry on :${PORT}"
   -http "127.0.0.1:${PORT}" -hold 90s >"$OUT/demo.log" 2>&1 &
 DEMO_PID=$!
 
-# Poll until the endpoint answers with nonzero values for all seven series, or
-# time out with a clear error. The demo takes a few seconds to build its
-# day of traffic and run the budgeted rollup; POLL_SECONDS x 1s is
-# generous for a cold CI box.
+# Poll until the endpoint answers with nonzero values for all seven series
+# and the demo has finished its day, or time out with a clear error. The
+# demo takes a few seconds to build its day of traffic and run the budgeted
+# rollup; POLL_SECONDS x 1s is generous for a cold CI box.
 for i in $(seq 1 "$POLL_SECONDS"); do
   if ! kill -0 "$DEMO_PID" 2>/dev/null; then
     echo "metrics-smoke: demo exited before the endpoint was scraped" >&2
@@ -66,8 +74,16 @@ for i in $(seq 1 "$POLL_SECONDS"); do
            and .series["dataflow.spill.bytes"] > 0
            and .series["logmover.records"] > 0 and .series["columnar.seal.rows"] > 0
            and .series["warehouse.scan.records"] > 0' \
-      "$OUT/snap.json" >/dev/null 2>&1; then
+      "$OUT/snap.json" >/dev/null 2>&1 && grep -q '^holding ' "$OUT/demo.log"; then
+    for verdict in '^reconcile .*: OK' 'exactly once: true' 'jump-free: true'; do
+      if ! grep -q "$verdict" "$OUT/demo.log"; then
+        echo "metrics-smoke: demo.log has no line matching '$verdict'" >&2
+        cat "$OUT/demo.log" >&2
+        exit 1
+      fi
+    done
     echo "metrics-smoke: OK after ${i}s"
+    grep -E '^reconcile |exactly once: |jump-free: ' "$OUT/demo.log"
     jq '{ "realtime.ingest.events": .series["realtime.ingest.events"],
           "events.names.entries": .series["events.names.entries"],
           "realtime.snapshot.bytes": .series["realtime.snapshot.bytes"],

@@ -195,10 +195,12 @@ func main() {
 		}
 	}
 	var inWarehouse int64
-	check(warehouse.ScanDay(wh, events.Category, day, func(*events.ClientEvent) error {
-		inWarehouse++
-		return nil
-	}))
+	for _, dir := range warehouse.HourDirs(wh, events.Category, day) {
+		check(warehouse.ScanHourRecords(wh, dir, func(string, []byte) error {
+			inWarehouse++
+			return nil
+		}))
+	}
 	fmt.Printf("\ndelivery: accepted %d, delivered %d, in warehouse %d (exactly once: %v), zk rediscoveries %d\n",
 		accepted, delivered, inWarehouse, inWarehouse == truth.Events, redisc)
 	var filesIn, filesOut int
@@ -247,7 +249,9 @@ func main() {
 	rts := rt.Stats()
 	fmt.Printf("\nrealtime tap: %d entries tapped, %d events counted, in warehouse %d (streams agree: %v)\n",
 		rts.TapEntries, rts.Observed, inWarehouse, rts.Observed == inWarehouse)
-	rep, err := realtime.Reconcile(wh, day, realtime.Config{Shards: 4})
+	// The counter that tapped the day (killed and recovered at hour 14
+	// under -crash) against the batch rollups over the sealed day.
+	rep, err := realtime.Reconcile(wh, day, rt)
 	check(err)
 	fmt.Println(rep)
 

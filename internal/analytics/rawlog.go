@@ -69,7 +69,7 @@ func scanRawSessions(j *dataflow.Job, day time.Time) (*rawSessions, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &rawSessions{names: c.names.strs, g: g}, nil
+	return &rawSessions{names: c.names.Strs, g: g}, nil
 }
 
 // close releases the shuffle's runs.
@@ -154,31 +154,6 @@ func decodeRawEvents(evs []rawEvent, data []byte) ([]rawEvent, error) {
 	return evs, nil
 }
 
-// idTable numbers strings in first-seen order.
-type idTable struct {
-	ids  map[string]uint32
-	strs []string
-}
-
-// remap numbers every entry of a batch dictionary, returning batch ID ->
-// table ID in buf.
-func (t *idTable) remap(dict []string, buf []uint32) []uint32 {
-	if t.ids == nil {
-		t.ids = make(map[string]uint32)
-	}
-	buf = buf[:0]
-	for _, s := range dict {
-		id, ok := t.ids[s]
-		if !ok {
-			id = uint32(len(t.strs))
-			t.ids[s] = id
-			t.strs = append(t.strs, s)
-		}
-		buf = append(buf, id)
-	}
-	return buf
-}
-
 // rawKey is one (user id, session id) of the combiner, the session id as an
 // ID into rawCombiner.sessions.
 type rawKey struct {
@@ -218,7 +193,7 @@ type rawCombiner struct {
 	shuffle *dataflow.Shuffle
 	budget  int64
 
-	names, sessions idTable
+	names, sessions chunk.Interner
 	index           map[rawKey]uint32 // key -> group, since the last flush
 	keys            []rawKey
 	entries         []rawEntry // in scan order
@@ -237,8 +212,8 @@ type rawCombiner struct {
 
 // add folds one batch into the table.
 func (c *rawCombiner) add(b *chunk.Batch) error {
-	c.nameMap = c.names.remap(b.Name.Dict, c.nameMap)
-	c.sessionMap = c.sessions.remap(b.SessionID.Dict, c.sessionMap)
+	c.nameMap = c.names.Remap(b.Name.Dict, c.nameMap)
+	c.sessionMap = c.sessions.Remap(b.SessionID.Dict, c.sessionMap)
 	if n := len(b.SessionID.Dict); cap(c.slots) < n {
 		c.slots = make([]rawSlot, n)
 	} else {
@@ -331,7 +306,7 @@ func (c *rawCombiner) boxedSession(s uint32) any {
 		c.boxedID = append(c.boxedID, nil)
 	}
 	if c.boxedID[s] == nil {
-		c.boxedID[s] = c.sessions.strs[s]
+		c.boxedID[s] = c.sessions.Strs[s]
 	}
 	return c.boxedID[s]
 }

@@ -15,9 +15,10 @@ import (
 // of a lambda architecture: queries about the current (unsealed) day are
 // answered from the realtime counters seconds after the events occur,
 // while sealed days come from the warehouse rollup job — the §3.2 daily
-// aggregates the batch pipeline publishes. realtime.Reconcile proves the
-// two paths compute identical rollup tables, so a metric does not jump
-// when its day seals and responsibility hands over from memory to HDFS.
+// aggregates the batch pipeline publishes. realtime.Reconcile diffs the
+// day a counter holds against the batch job and proves the two paths
+// compute identical rollup tables, so a metric does not jump when its day
+// seals and responsibility hands over from memory to HDFS.
 //
 // A sealed-day query runs the rollup job over what the warehouse holds at
 // query time, so an hour the log mover backfills after a staging outage

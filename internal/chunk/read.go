@@ -134,6 +134,40 @@ type DictColumn struct {
 // At returns the value of one row.
 func (d DictColumn) At(row int) string { return d.Dict[d.IDs[row]] }
 
+// Interner numbers strings in first-seen order: a table that the dictionary
+// IDs of many batches, or strings met one by one, map into, so a fold past
+// the scan edge compares and stores integers. The zero value is empty and
+// ready to use.
+type Interner struct {
+	ids map[string]uint32
+	// Strs is the table: Strs[id] is the string numbered id.
+	Strs []string
+}
+
+// ID returns the number of s, assigning the next one on first sight.
+func (t *Interner) ID(s string) uint32 {
+	if id, ok := t.ids[s]; ok {
+		return id
+	}
+	if t.ids == nil {
+		t.ids = make(map[string]uint32)
+	}
+	id := uint32(len(t.Strs))
+	t.ids[s] = id
+	t.Strs = append(t.Strs, s)
+	return id
+}
+
+// Remap numbers every entry of a batch dictionary, returning batch ID ->
+// table ID in buf.
+func (t *Interner) Remap(dict []string, buf []uint32) []uint32 {
+	buf = buf[:0]
+	for _, s := range dict {
+		buf = append(buf, t.ID(s))
+	}
+	return buf
+}
+
 // decodeDict decodes a dictionary column file image, its IDs into ids[:0].
 func decodeDict(path string, data []byte, rows int, ids []uint32) (DictColumn, error) {
 	var two [2][]byte

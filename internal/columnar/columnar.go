@@ -96,7 +96,7 @@ func SealHourChunks(fs *hdfs.FS, category string, hour time.Time, chunkRows int)
 	}
 	started := time.Now()
 	s := NewSealer(fs, dir, chunkRows)
-	err := warehouse.ScanHourRecords(fs, category, hour, func(path string, rec []byte) error {
+	err := warehouse.ScanHourRecords(fs, dir, func(path string, rec []byte) error {
 		if err := s.Add(rec); err != nil {
 			return fmt.Errorf("warehouse: %s: %w", path, err)
 		}

@@ -104,7 +104,7 @@ func TestSealIdempotent(t *testing.T) {
 // same schema, same tuples, same order.
 func TestColumnarMatchesRowScan(t *testing.T) {
 	fs, _ := buildDay(t, 2)
-	dirs := dataflow.HourDirs(fs, events.Category, testDay)
+	dirs := warehouse.HourDirs(fs, events.Category, testDay)
 
 	h1 := testDay.Add(1 * time.Hour).UnixMilli()
 	h2 := testDay.Add(2 * time.Hour).UnixMilli()
@@ -222,7 +222,7 @@ func TestWorkerCountChangesNoByte(t *testing.T) {
 // before the seal — the point of the layout.
 func TestZoneMapPruning(t *testing.T) {
 	fs, _ := buildDay(t, 3)
-	dirs := dataflow.HourDirs(fs, events.Category, testDay)
+	dirs := warehouse.HourDirs(fs, events.Category, testDay)
 	sel := dataflow.Selection{
 		NamePattern: "web:home:*",
 		TimeMin:     testDay.Add(2 * time.Hour).UnixMilli(),

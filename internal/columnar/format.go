@@ -5,6 +5,7 @@ import (
 
 	"unilog/internal/dataflow"
 	"unilog/internal/events"
+	"unilog/internal/warehouse"
 )
 
 // EventsFormat and LoadDay are the names the benchmark module reads client
@@ -14,5 +15,5 @@ type EventsFormat = dataflow.ClientEventFormat
 
 // LoadDay loads one UTC day of client events under sel.
 func LoadDay(j *dataflow.Job, day time.Time, sel dataflow.Selection) (*dataflow.Dataset, error) {
-	return j.LoadDirsSelective(dataflow.HourDirs(j.FS, events.Category, day), EventsFormat{}, sel)
+	return j.LoadDirsSelective(warehouse.HourDirs(j.FS, events.Category, day), EventsFormat{}, sel)
 }

@@ -303,7 +303,7 @@ func TestRawRecordFormat(t *testing.T) {
 	populate(t, fs)
 	j := NewJob("raw-records", fs)
 	j.Parallelism = 1 // Decode counts on the test goroutine
-	dirs := HourDirs(fs, events.Category, day)
+	dirs := warehouse.HourDirs(fs, events.Category, day)
 	var decoded int
 	d, err := j.LoadDirs(dirs, RawRecordFormat{
 		Columns: Schema{"user_id"},

@@ -250,26 +250,12 @@ func dictReader(d chunk.DictColumn) columnReader {
 	}
 }
 
-// HourDirs returns the existing warehouse hour directories of a category
-// for one UTC day.
-func HourDirs(fs *hdfs.FS, category string, day time.Time) []string {
-	day = day.UTC().Truncate(24 * time.Hour)
-	var dirs []string
-	for h := 0; h < 24; h++ {
-		dir := warehouse.HourDir(category, day.Add(time.Duration(h)*time.Hour))
-		if fs.Exists(dir) {
-			dirs = append(dirs, dir)
-		}
-	}
-	return dirs
-}
-
 // LoadClientEventsDay scans one full day of raw client events — the
 // opening of every raw-log Pig script in §5. A sealed hour is read from its
 // chunks, an hour not sealed from its row files. A Project on the result
 // folds into the scan.
 func (j *Job) LoadClientEventsDay(day time.Time) (*Dataset, error) {
-	return j.LoadDirsSelective(HourDirs(j.FS, events.Category, day), ClientEventFormat{}, Selection{})
+	return j.LoadDirsSelective(warehouse.HourDirs(j.FS, events.Category, day), ClientEventFormat{}, Selection{})
 }
 
 // SessionSequenceFormat decodes materialized session-sequence partitions —

@@ -46,7 +46,7 @@ var rowScanCases = []struct {
 	load func(j *dataflow.Job) (*dataflow.Dataset, error)
 }{
 	{"rollup-3col", func(j *dataflow.Job) (*dataflow.Dataset, error) {
-		return j.LoadDirsSelective(dataflow.HourDirs(j.FS, events.Category, benchDay), dataflow.ClientEventFormat{},
+		return j.LoadDirsSelective(warehouse.HourDirs(j.FS, events.Category, benchDay), dataflow.ClientEventFormat{},
 			dataflow.Selection{Columns: []string{"name", "ip", "logged_in"}})
 	}},
 	{"project-3col", func(j *dataflow.Job) (*dataflow.Dataset, error) {

@@ -146,7 +146,7 @@ func generatedDay(tb testing.TB) (*hdfs.FS, []string) {
 	if err := w.Close(); err != nil {
 		tb.Fatal(err)
 	}
-	return fs, dataflow.HourDirs(fs, events.Category, benchDay)
+	return fs, warehouse.HourDirs(fs, events.Category, benchDay)
 }
 
 // filterOf is a name pattern and a window that keep some of a generated

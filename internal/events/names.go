@@ -1,6 +1,7 @@
 package events
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 
@@ -138,12 +139,38 @@ func intern(s string) (*NameEntry, error) {
 
 // Hash64 is FNV-1a 64, inlined to keep hashing allocation-free (the stdlib
 // hash/fnv forces the input through an io.Writer).
-func Hash64(s string) uint64 {
-	h := uint64(14695981039346656037)
+func Hash64(s string) uint64 { return fnv1a(14695981039346656037, s) }
+
+// fnv1a continues an FNV-1a 64 hash h over the bytes of s.
+func fnv1a[T string | []byte](h uint64, s T) uint64 {
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * 1099511628211
 	}
 	return h
+}
+
+// Digest is an order-independent digest of a multiset of events: the count,
+// and the sum mod 2^64 of the FNV-1a 64 hash of each event's user ID,
+// session ID, timestamp and full name, joined as "%d\x00%s\x00%d\x00%s".
+// Equal digests mean equal multisets but for a hash collision, so a lost
+// event plus a duplicated one, which leave the count alone, move the sum.
+// Details are left out: they are not part of an event's identity here. Its
+// arguments are plain values, so it digests a decoded event and a row of
+// column vectors alike.
+type Digest struct {
+	N   int64
+	Sum uint64
+}
+
+// Add folds one event into the digest.
+func (d *Digest) Add(userID int64, sessionID string, ts int64, name string) {
+	var num [20]byte
+	h := fnv1a(14695981039346656037, strconv.AppendInt(num[:0], userID, 10))
+	h = fnv1a(fnv1a(h, "\x00"), sessionID)
+	h = fnv1a(fnv1a(h, "\x00"), strconv.AppendInt(num[:0], ts, 10))
+	h = fnv1a(fnv1a(h, "\x00"), name)
+	d.N++
+	d.Sum += h
 }
 
 // NameEntries returns the name ID → entry table as it stands. It covers

@@ -249,3 +249,53 @@ func FuzzInternMatchesParseName(f *testing.F) {
 		}
 	})
 }
+
+// TestDigest: the exactly-once digest is a multiset's. The same events in
+// the same order or in another digest equal; one dropped and another
+// duplicated keep the count and move the sum. The sums are pinned to those
+// of hash/fnv fed fmt.Fprintf(h, "%d\x00%s\x00%d\x00%s", ...), the formula
+// every digest a scenario cell has reported was computed with.
+func TestDigest(t *testing.T) {
+	type ev struct {
+		user    int64
+		session string
+		ts      int64
+		name    string
+	}
+	var evs []ev
+	for i := 0; i < 6; i++ {
+		evs = append(evs, ev{int64(i % 2), fmt.Sprintf("s%d", i%4), 1_345_507_200_000 + int64(i)*1000,
+			fmt.Sprintf("web:home:timeline:stream:tweet:action%d", i%3)})
+	}
+	digest := func(order ...int) events.Digest {
+		var d events.Digest
+		for _, i := range order {
+			d.Add(evs[i].user, evs[i].session, evs[i].ts, evs[i].name)
+		}
+		return d
+	}
+	want := digest(0, 1, 2, 3, 4, 5)
+	if want != (events.Digest{N: 6, Sum: 0x1539ec1bb26c4da7}) {
+		t.Errorf("six events digest %d, %016x; want 6, 1539ec1bb26c4da7", want.N, want.Sum)
+	}
+	if got := digest(5, 3, 1, 0, 4, 2); got != want {
+		t.Errorf("reordered events digest %+v, in order %+v", got, want)
+	}
+	got := digest(0, 1, 2, 3, 4, 4) // 5 lost, 4 twice
+	if got.N != want.N || got.Sum == want.Sum {
+		t.Errorf("a drop plus a duplicate digests %+v, the events %+v: want the count equal and the sum not", got, want)
+	}
+	for _, c := range []struct {
+		e   ev
+		sum uint64
+	}{
+		{ev{-1 << 63, "", -1, "iphone:home:::tweet:click"}, 0xb0c45836232b0944},
+		{ev{}, 0x1a713d3150bfdacf},
+	} {
+		var d events.Digest
+		d.Add(c.e.user, c.e.session, c.e.ts, c.e.name)
+		if d.Sum != c.sum {
+			t.Errorf("%+v digests %016x, want %016x", c.e, d.Sum, c.sum)
+		}
+	}
+}

@@ -233,7 +233,7 @@ func TestMoveSealRejectionPublishesRows(t *testing.T) {
 		t.Fatalf("the warehouse holds %d column files, the next hour %d of them", len(all), len(sealed))
 	}
 	var rows int
-	if err := warehouse.ScanHourRecords(wh, events.Category, t0, func(string, []byte) error {
+	if err := warehouse.ScanHourRecords(wh, warehouse.HourDir(events.Category, t0), func(string, []byte) error {
 		rows++
 		return nil
 	}); err != nil || rows != counts[0]+1 {

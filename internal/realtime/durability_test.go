@@ -698,10 +698,10 @@ func TestSnapshotLeavesFollowTheirNamesShard(t *testing.T) {
 	sameAnswers(t, r, m)
 }
 
-// TestReconcileWithRecoveredCounter is the acceptance check: a day
+// TestReconcileRecoveredCounter is the acceptance check: a day
 // streamed into a durable counter, snapshotted mid-stream, killed, and
 // recovered must still reconcile exactly against the warehouse batch job.
-func TestReconcileWithRecoveredCounter(t *testing.T) {
+func TestReconcileRecoveredCounter(t *testing.T) {
 	cfg := workload.DefaultConfig(day)
 	cfg.Users = 60
 	cfg.LoggedOutSessions = 40
@@ -746,7 +746,7 @@ func TestReconcileWithRecoveredCounter(t *testing.T) {
 	if got := r.Stats().Observed; got != truth.Events {
 		t.Errorf("recovered Observed = %d, want %d", got, truth.Events)
 	}
-	rep, err := ReconcileWith(fs, day, r)
+	rep, err := Reconcile(fs, day, r)
 	if err != nil {
 		t.Fatal(err)
 	}

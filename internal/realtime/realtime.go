@@ -44,8 +44,8 @@
 //     readers (RollupSnapshot, RollupTotal) sum leaves and expand each
 //     distinct one into its five analytics.RollupKey rows, which makes the
 //     streaming path directly comparable with the warehouse batch job —
-//     Reconcile replays a sealed day and asserts exact agreement with
-//     analytics.Rollups;
+//     Reconcile diffs the day a counter holds, live or recovered, against
+//     analytics.Rollups and asserts exact agreement;
 //   - beside its minute ring a shard keeps a short ring of hour cells, each
 //     the sum of one hour's minute caches. The first write to a clean
 //     minute marks its hour's cell stale too, so PathSum and TopK take every

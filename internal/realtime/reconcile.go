@@ -7,21 +7,20 @@ import (
 
 	"unilog/internal/analytics"
 	"unilog/internal/dataflow"
-	"unilog/internal/events"
 	"unilog/internal/hdfs"
-	"unilog/internal/warehouse"
 )
 
-// Reconcile is the lambda-architecture check: it computes one sealed day
-// both ways — the batch path (analytics.Rollups over the warehouse) and
-// the streaming path (a replay of the same warehouse day through a fresh
-// Counter) — and diffs the two rollup tables. Exact agreement proves the
-// realtime subsystem computes the same answers the daily jobs publish,
-// which is what lets BirdBrain serve "today so far" from memory and
-// sealed days from the warehouse without the numbers jumping at midnight.
-// Because the streaming side counts in name-table ID space and resolves
-// strings only in RollupSnapshot, this diff is also the end-to-end proof
-// that interning changed the engine's representation, not its answers.
+// Reconcile is the lambda-architecture check: it diffs one sealed day's
+// rollup table computed both ways — the batch path (analytics.Rollups over
+// the warehouse) and the streaming path (the rollup rows a counter holds for
+// the day, the counter that tapped the day live or one recovered after a
+// kill). Exact agreement proves the realtime subsystem computes the same
+// answers the daily jobs publish, which is what lets BirdBrain serve "today
+// so far" from memory and sealed days from the warehouse without the
+// numbers jumping at midnight. Because the streaming side counts in
+// name-table ID space and resolves strings only in RollupSnapshot, this diff
+// is also the end-to-end proof that interning changed the engine's
+// representation, not its answers.
 
 // Diff is one disagreeing rollup row.
 type Diff struct {
@@ -32,7 +31,7 @@ type Diff struct {
 // Report summarizes one reconciliation run.
 type Report struct {
 	Day    time.Time
-	Events int64 // events replayed through the streaming path
+	Events int64 // events the counter observed (Stats().Observed)
 	// BatchRows and StreamRows are the sizes of the two rollup tables.
 	BatchRows, StreamRows int
 	// Missing rows exist only in the batch table, Extra rows only in the
@@ -60,48 +59,11 @@ func (r *Report) String() string {
 		r.Day.Format("2006-01-02"), r.MissingN, r.ExtraN, r.MismatchN, r.BatchRows)
 }
 
-// Reconcile replays the sealed day from the warehouse through a fresh
-// counter configured by cfg (retention is widened to hold a full day) and
-// compares against the batch rollup job.
-func Reconcile(fs *hdfs.FS, day time.Time, cfg Config) (*Report, error) {
-	day = day.UTC().Truncate(24 * time.Hour)
-
-	j := dataflow.NewJob("reconcile-batch", fs)
-	batch, err := analytics.Rollups(j, day)
-	if err != nil {
-		return nil, err
-	}
-
-	if cfg.Retention < 25*time.Hour {
-		cfg.Retention = 25 * time.Hour
-	}
-	c := New(cfg)
-	defer c.Close()
-	b := c.NewBatcher()
-	var n int64
-	err = warehouse.ScanDay(fs, events.Category, day, func(e *events.ClientEvent) error {
-		b.Add(e)
-		n++
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	b.Flush()
-	c.Sync()
-	stream := c.RollupSnapshot(day, day.Add(24*time.Hour))
-
-	r := &Report{Day: day, Events: n}
-	r.diff(batch, stream)
-	return r, nil
-}
-
-// ReconcileWith diffs the batch rollup job against the rollup rows an
-// existing counter holds for the day — the check a recovered counter must
-// pass: after a kill and an Open, its day must still agree exactly with
-// the warehouse. Events reports the counter's observed total, not a
-// replay count.
-func ReconcileWith(fs *hdfs.FS, day time.Time, c *Counter) (*Report, error) {
+// Reconcile diffs the batch rollup job against the rollup rows c holds for
+// the day — the check a recovered counter must pass too: after a kill and
+// an Open, its day must still agree exactly with the warehouse. c must
+// retain the whole day, as the default Retention does.
+func Reconcile(fs *hdfs.FS, day time.Time, c *Counter) (*Report, error) {
 	day = day.UTC().Truncate(24 * time.Hour)
 	j := dataflow.NewJob("reconcile-batch", fs)
 	batch, err := analytics.Rollups(j, day)

@@ -14,9 +14,10 @@ import (
 
 var day = time.Date(2012, 8, 21, 0, 0, 0, 0, time.UTC)
 
-// TestReconcileSealedDay replays a sealed warehouse day through the
-// streaming counters and requires exact agreement with the batch rollup
-// job — same keys, same counts.
+// TestReconcileSealedDay feeds a day's events to a counter through
+// Batcher.Add and writes the same events to the warehouse, then requires
+// Reconcile to find exact agreement with the batch rollup job — same keys,
+// same counts.
 func TestReconcileSealedDay(t *testing.T) {
 	cfg := workload.DefaultConfig(day)
 	cfg.Users = 80
@@ -25,16 +26,21 @@ func TestReconcileSealedDay(t *testing.T) {
 	fs := hdfs.New(0)
 	w := warehouse.NewWriter(fs, events.Category)
 	w.RollRecords = 2000
+	c := New(Config{Shards: 4})
+	defer c.Close()
+	b := c.NewBatcher()
 	for i := range evs {
 		if err := w.Append(&evs[i]); err != nil {
 			t.Fatal(err)
 		}
+		b.Add(&evs[i])
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	b.Flush()
 
-	rep, err := Reconcile(fs, day, Config{Shards: 4})
+	rep, err := Reconcile(fs, day, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +49,7 @@ func TestReconcileSealedDay(t *testing.T) {
 			rep, rep.Missing, rep.Extra, rep.Mismatched)
 	}
 	if rep.Events != truth.Events {
-		t.Errorf("replayed %d events, truth %d", rep.Events, truth.Events)
+		t.Errorf("counted %d events, truth %d", rep.Events, truth.Events)
 	}
 	if rep.BatchRows == 0 || rep.BatchRows != rep.StreamRows {
 		t.Errorf("row counts: batch %d, stream %d", rep.BatchRows, rep.StreamRows)

@@ -2,12 +2,11 @@ package scenario
 
 import (
 	"fmt"
-	"hash/fnv"
 	"os"
 	"time"
 
 	"unilog/internal/analytics"
-	"unilog/internal/columnar"
+	"unilog/internal/chunk"
 	"unilog/internal/dataflow"
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
@@ -60,7 +59,7 @@ type Result struct {
 
 	IngestEventsPerSec float64 `json:"ingest_events_per_sec"`
 	InWarehouse        int64   `json:"in_warehouse"`
-	// AcceptedDigest and WarehouseDigest are eventDigest sums, in hex, over
+	// AcceptedDigest and WarehouseDigest are events.Digest sums, in hex, over
 	// the events handed to the daemons and the events the warehouse holds.
 	// ExactlyOnce requires the counts and the digests to be equal.
 	AcceptedDigest  string `json:"accepted_digest"`
@@ -275,7 +274,7 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 		return nil
 	}
 
-	var accepted, stored eventDigest
+	var accepted events.Digest
 	t0 := time.Now()
 	err = stream(func(e *events.ClientEvent) error {
 		minute := int((e.Timestamp - dayMs) / 60_000)
@@ -298,7 +297,7 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 		ri := int(events.Hash64(e.SessionID) % uint64(len(regions)))
 		di := int((events.Hash64(e.SessionID) >> 32) % uint64(daemonsPerRegion))
 		regions[ri].dc.Daemons[di].Log(events.Category, e.Marshal())
-		accepted.add(e)
+		accepted.Add(e.UserID, e.SessionID, e.Timestamp, e.Name.String())
 		res.Events++
 		if e.Details["crowd"] == "1" {
 			res.CrowdEvents++
@@ -358,30 +357,25 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 		}
 	}
 
-	if err := warehouse.ScanDay(wh, events.Category, day, func(e *events.ClientEvent) error {
-		stored.add(e)
-		res.InWarehouse++
-		return nil
-	}); err != nil {
+	// The mover sealed every hour it published: the digest and the reconcile
+	// below and the budgeted rollup leg all read column chunks, so every
+	// scenario cell proves the columnar path end to end against the events
+	// accepted and the realtime counters.
+	stored, err := storedDigest(wh, day)
+	if err != nil {
 		return nil, err
 	}
-	res.AcceptedDigest = fmt.Sprintf("%016x", accepted.sum)
-	res.WarehouseDigest = fmt.Sprintf("%016x", stored.sum)
+	res.InWarehouse = stored.N
+	res.AcceptedDigest = fmt.Sprintf("%016x", accepted.Sum)
+	res.WarehouseDigest = fmt.Sprintf("%016x", stored.Sum)
 	res.ExactlyOnce = accepted == stored
-
-	// The mover sealed every hour it published: the reconcile below and the
-	// budgeted rollup leg both read column chunks, so every scenario cell
-	// proves the columnar path end to end against the realtime counters.
-	if err := allHoursSealed(wh, day); err != nil {
-		return nil, err
-	}
 
 	counter.Sync()
 	cstats := counter.Stats()
 	res.QueueFullWaits = cstats.QueueFull
 	res.DroppedOld = cstats.DroppedOld
 
-	report, err := realtime.ReconcileWith(wh, day, counter)
+	report, err := realtime.Reconcile(wh, day, counter)
 	if err != nil {
 		return nil, err
 	}
@@ -426,41 +420,32 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 	return res, nil
 }
 
-// allHoursSealed fails unless every client-events hour of day that holds
-// rows also holds its column chunks, as the log mover writes them.
-func allHoursSealed(wh *hdfs.FS, day time.Time) error {
-	for h := 0; h < 24; h++ {
-		dir := warehouse.HourDir(events.Category, day.Add(time.Duration(h)*time.Hour))
-		if !wh.Exists(dir) {
-			continue
-		}
+// storedDigest digests the client events of day through the day reader,
+// from the column chunks of every hour. It fails on an hour that holds rows
+// but was published without its chunks, as the log mover never publishes
+// one.
+func storedDigest(wh *hdfs.FS, day time.Time) (events.Digest, error) {
+	var d events.Digest
+	for _, dir := range warehouse.HourDirs(wh, events.Category, day) {
 		rows, err := warehouse.DataSize(wh, dir)
 		if err != nil {
-			return err
+			return d, err
 		}
-		if rows > 0 && !columnar.HasColumnar(wh, dir) {
-			return fmt.Errorf("scenario: %s was published without its column chunks", dir)
+		if rows > 0 && !chunk.Sealed(wh, dir) {
+			return d, fmt.Errorf("scenario: %s was published without its column chunks", dir)
+		}
+		err = chunk.ReadHour(wh, dir, chunk.UserID|chunk.SessionID|chunk.Timestamp|chunk.Name, func(b *chunk.Batch) error {
+			defer b.Release()
+			for row := 0; row < b.Rows; row++ {
+				d.Add(b.UserID[row], b.SessionID.At(row), b.Timestamp[row], b.Name.At(row))
+			}
+			return nil
+		})
+		if err != nil {
+			return d, err
 		}
 	}
-	return nil
-}
-
-// eventDigest is an order-independent digest of a multiset of events: the
-// count, and the sum mod 2^64 of the FNV-1a 64 hash of each event's user ID,
-// session ID, timestamp and full name. Equal digests mean equal multisets
-// but for a hash collision, so a lost event plus a duplicated one, which
-// leave the count alone, move the sum. Details are left out: they are not
-// part of an event's identity here.
-type eventDigest struct {
-	n   int64
-	sum uint64
-}
-
-func (d *eventDigest) add(e *events.ClientEvent) {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d\x00%s\x00%d\x00%s", e.UserID, e.SessionID, e.Timestamp, e.Name)
-	d.n++
-	d.sum += h.Sum64()
+	return d, nil
 }
 
 // evaluateInvariants fills Invariants and OK from the spec's assertions.

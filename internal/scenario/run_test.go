@@ -1,10 +1,16 @@
 package scenario
 
 import (
-	"fmt"
+	"strings"
 	"testing"
+	"time"
 
+	"unilog/internal/chunk"
+	"unilog/internal/columnar"
 	"unilog/internal/events"
+	"unilog/internal/hdfs"
+	"unilog/internal/warehouse"
+	"unilog/internal/workload"
 )
 
 // TestRunOutageBackfillCell is the end-to-end proof the CI matrix relies
@@ -122,35 +128,69 @@ func TestInvariantFailureIsReported(t *testing.T) {
 	}
 }
 
-// TestEventDigest: the exactly-once digest is a multiset's. The same events
-// in the same order or in another digest equal; one dropped and another
-// duplicated keep the count and move the sum.
-func TestEventDigest(t *testing.T) {
-	var evs []events.ClientEvent
-	for i := 0; i < 6; i++ {
-		evs = append(evs, events.ClientEvent{
-			Name:      events.MustParseName(fmt.Sprintf("web:home:timeline:stream:tweet:action%d", i%3)),
-			UserID:    int64(i % 2),
-			SessionID: fmt.Sprintf("s%d", i%4),
-			Timestamp: 1_345_507_200_000 + int64(i)*1000,
-		})
-	}
-	digest := func(order ...int) eventDigest {
-		var d eventDigest
-		for _, i := range order {
-			d.add(&evs[i])
+// TestStoredDigestReadsWhatWasWritten: a sealed day digests the same three
+// ways — over the ClientEvents written, over its chunks through the day
+// reader (storedDigest, the cell's warehouse_digest), and over its row files
+// through chunk.ReadRowFile — and an hour published without its chunks is
+// refused rather than digested from its rows.
+func TestStoredDigestReadsWhatWasWritten(t *testing.T) {
+	day := time.Date(2012, 8, 21, 0, 0, 0, 0, time.UTC)
+	cfg := workload.DefaultConfig(day)
+	cfg.Users = 40
+	cfg.LoggedOutSessions = 30
+	evs, _ := workload.New(cfg).Generate()
+	wh := hdfs.New(0)
+	w := warehouse.NewWriter(wh, events.Category)
+	w.RollRecords = 700
+	var written events.Digest
+	for i := range evs {
+		e := &evs[i]
+		if err := w.Append(e); err != nil {
+			t.Fatal(err)
 		}
-		return d
+		written.Add(e.UserID, e.SessionID, e.Timestamp, e.Name.String())
 	}
-	want := digest(0, 1, 2, 3, 4, 5)
-	if got := digest(0, 1, 2, 3, 4, 5); got != want {
-		t.Errorf("the same events digest %+v, then %+v", want, got)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if got := digest(5, 3, 1, 0, 4, 2); got != want {
-		t.Errorf("reordered events digest %+v, in order %+v", got, want)
+
+	var rows events.Digest
+	dirs := warehouse.HourDirs(wh, events.Category, day)
+	for _, dir := range dirs {
+		infos, err := wh.Walk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fi := range infos {
+			b, err := chunk.ReadRowFile(wh, fi.Path, chunk.UserID|chunk.SessionID|chunk.Timestamp|chunk.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for row := 0; row < b.Rows; row++ {
+				rows.Add(b.UserID[row], b.SessionID.At(row), b.Timestamp[row], b.Name.At(row))
+			}
+			b.Release()
+		}
 	}
-	got := digest(0, 1, 2, 3, 4, 4) // 5 lost, 4 twice
-	if got.n != want.n || got.sum == want.sum {
-		t.Errorf("a drop plus a duplicate digests %+v, the events %+v: want the count equal and the sum not", got, want)
+	if _, err := storedDigest(wh, day); err == nil || !strings.Contains(err.Error(), dirs[0]) {
+		t.Fatalf("an unsealed day digested with err = %v, want one naming %s", err, dirs[0])
+	}
+	sealed := 0
+	for h := 0; h < 24; h++ {
+		n, err := columnar.SealHourChunks(wh, events.Category, day.Add(time.Duration(h)*time.Hour), 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed += n
+	}
+	if sealed <= len(dirs) {
+		t.Fatalf("%d chunks over %d hours: want hours of more than one chunk", sealed, len(dirs))
+	}
+	chunks, err := storedDigest(wh, day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if written.N != int64(len(evs)) || rows != written || chunks != written {
+		t.Errorf("digests: written %+v, row files %+v, chunks %+v", written, rows, chunks)
 	}
 }

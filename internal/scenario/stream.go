@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"time"
 
@@ -271,9 +270,7 @@ func (s *Spec) clockSkewTransform(base Stream) Stream {
 	span := 2*s.ClockSkewMs + 1
 	return func(yield func(*events.ClientEvent) error) error {
 		return base(func(e *events.ClientEvent) error {
-			h := fnv.New64a()
-			h.Write([]byte(e.SessionID))
-			offset := int64(h.Sum64()%uint64(span)) - s.ClockSkewMs //nolint:gosec // span <= 2*skew+1 fits int64
+			offset := int64(events.Hash64(e.SessionID)%uint64(span)) - s.ClockSkewMs //nolint:gosec // span <= 2*skew+1 fits int64
 			skewed := *e
 			skewed.Timestamp += offset
 			if skewed.Timestamp < dayMs {

@@ -49,12 +49,7 @@ func (s *dayScan) scan(fs *hdfs.FS, day time.Time) error {
 	if s.sessions {
 		need |= chunk.UserID | chunk.SessionID | chunk.IP | chunk.Timestamp
 	}
-	day = day.UTC().Truncate(24 * time.Hour)
-	for h := 0; h < 24; h++ {
-		dir := warehouse.HourDir(events.Category, day.Add(time.Duration(h)*time.Hour))
-		if !fs.Exists(dir) {
-			continue
-		}
+	for _, dir := range warehouse.HourDirs(fs, events.Category, day) {
 		if err := chunk.ReadHour(fs, dir, need, s.scanBatch); err != nil {
 			return err
 		}
@@ -64,19 +59,10 @@ func (s *dayScan) scan(fs *hdfs.FS, day time.Time) error {
 
 // growNames extends the per-name tables to the names interned so far.
 func (s *dayScan) growNames() {
-	for n := len(s.core.names.strs); len(s.counts) < n; {
+	for n := len(s.core.names.Strs); len(s.counts) < n; {
 		s.counts = append(s.counts, 0)
 		s.samples = append(s.samples, nil)
 	}
-}
-
-// remap interns a batch dictionary, returning batch-local ID -> global ID.
-func remap(t *interner, dict []string, buf []uint32) []uint32 {
-	buf = buf[:0]
-	for _, v := range dict {
-		buf = append(buf, t.id(v))
-	}
-	return buf
 }
 
 // scanBatch feeds one batch: count its names, sample the names still short
@@ -84,7 +70,7 @@ func remap(t *interner, dict []string, buf []uint32) []uint32 {
 // batch is kept, so it is released for the next file's walk.
 func (s *dayScan) scanBatch(b *chunk.Batch) error {
 	defer b.Release()
-	s.nameMap = remap(&s.core.names, b.Name.Dict, s.nameMap)
+	s.nameMap = s.core.names.Remap(b.Name.Dict, s.nameMap)
 	s.growNames()
 	for _, id := range b.Name.IDs {
 		s.counts[s.nameMap[id]]++
@@ -136,8 +122,8 @@ func (s *dayScan) sample(cc *chunk.Columns) error {
 // group appends the batch's rows to the group table.
 func (s *dayScan) group(cc *chunk.Columns) {
 	c := s.core
-	s.sessionMap = remap(&c.sessions, cc.SessionID.Dict, s.sessionMap)
-	s.ipMap = remap(&c.ips, cc.IP.Dict, s.ipMap)
+	s.sessionMap = c.sessions.Remap(cc.SessionID.Dict, s.sessionMap)
+	s.ipMap = c.ips.Remap(cc.IP.Dict, s.ipMap)
 	if n := len(cc.SessionID.Dict); cap(s.slots) < n {
 		s.slots = make([]groupSlot, n)
 	} else {
@@ -162,7 +148,7 @@ func (s *dayScan) group(cc *chunk.Columns) {
 func (s *dayScan) histogram() *Histogram {
 	h := NewHistogram(s.sampleLimit)
 	h.Events = s.events
-	for id, name := range s.core.names.strs {
+	for id, name := range s.core.names.Strs {
 		if s.counts[id] == 0 {
 			continue // a dictionary entry no row referenced
 		}

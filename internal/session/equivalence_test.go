@@ -80,7 +80,7 @@ func sealHours(t testing.TB, fs *hdfs.FS, chunkRows int, marker bool, hours ...i
 			}
 			chunks++
 		}
-		err := warehouse.ScanHourRecords(fs, events.Category, hour, func(_ string, rec []byte) error {
+		err := warehouse.ScanHourRecords(fs, dir, func(_ string, rec []byte) error {
 			if err := b.AddRecord(rec); err != nil {
 				return err
 			}

@@ -8,6 +8,7 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"unilog/internal/chunk"
 	"unilog/internal/events"
 	"unilog/internal/thrift"
 )
@@ -111,27 +112,6 @@ func (r *Record) Decode(dec thrift.Decoder) error {
 	return dec.ReadStructEnd()
 }
 
-// interner assigns dense IDs to strings in first-seen order: the day-global
-// dictionaries that batch-local dictionary IDs and row strings both map
-// into, so everything past the scan edge compares and stores integers.
-type interner struct {
-	ids  map[string]uint32
-	strs []string
-}
-
-func newInterner() interner { return interner{ids: make(map[string]uint32)} }
-
-// id returns the ID of s, assigning the next one on first sight.
-func (t *interner) id(s string) uint32 {
-	if id, ok := t.ids[s]; ok {
-		return id
-	}
-	id := uint32(len(t.strs))
-	t.ids[s] = id
-	t.strs = append(t.strs, s)
-	return id
-}
-
 // groupKey identifies one (user, session-id) group.
 type groupKey struct {
 	userID  int64
@@ -159,7 +139,7 @@ type entry struct {
 // would allocate about five times the table, and one slice per group more
 // still.
 type sessionizer struct {
-	names, sessions, ips interner
+	names, sessions, ips chunk.Interner // day-global IDs, in first-seen order
 
 	index  map[groupKey]uint32 // group key -> position in keys
 	keys   []groupKey
@@ -184,10 +164,7 @@ func (s *sessionizer) filled(i int) ([]entry, []uint32) {
 
 func newSessionizer() *sessionizer {
 	return &sessionizer{
-		names:    newInterner(),
-		sessions: newInterner(),
-		ips:      newInterner(),
-		index:    make(map[groupKey]uint32),
+		index: make(map[groupKey]uint32),
 	}
 }
 
@@ -246,13 +223,13 @@ func (s *sessionizer) finish(dict *Dictionary, gap time.Duration) ([]Record, err
 	// Per distinct name, once: its code point (0, which is never assigned,
 	// when the dictionary lacks it), and its lexical rank so equal-timestamp
 	// ties sort on an integer exactly as they would on the name string.
-	symbols := make([]rune, len(s.names.strs))
-	byName := make([]uint32, len(s.names.strs))
-	for id, name := range s.names.strs {
+	symbols := make([]rune, len(s.names.Strs))
+	byName := make([]uint32, len(s.names.Strs))
+	for id, name := range s.names.Strs {
 		symbols[id], _ = dict.Symbol(name)
 		byName[id] = uint32(id)
 	}
-	slices.SortFunc(byName, func(a, b uint32) int { return strings.Compare(s.names.strs[a], s.names.strs[b]) })
+	slices.SortFunc(byName, func(a, b uint32) int { return strings.Compare(s.names.Strs[a], s.names.Strs[b]) })
 	rank := make([]uint32, len(byName))
 	for r, id := range byName {
 		rank[id] = uint32(r)
@@ -267,7 +244,7 @@ func (s *sessionizer) finish(dict *Dictionary, gap time.Duration) ([]Record, err
 		if c := cmp.Compare(ka.userID, kb.userID); c != 0 {
 			return c
 		}
-		return strings.Compare(s.sessions.strs[ka.session], s.sessions.strs[kb.session])
+		return strings.Compare(s.sessions.Strs[ka.session], s.sessions.Strs[kb.session])
 	})
 
 	table, start := s.byGroup()
@@ -291,14 +268,14 @@ func (s *sessionizer) finish(dict *Dictionary, gap time.Duration) ([]Record, err
 			seq = seq[:0]
 			for _, e := range seg {
 				if symbols[e.name] == 0 {
-					return nil, fmt.Errorf("%w: %q", ErrUnknownEvent, s.names.strs[e.name])
+					return nil, fmt.Errorf("%w: %q", ErrUnknownEvent, s.names.Strs[e.name])
 				}
 				seq = utf8.AppendRune(seq, symbols[e.name])
 			}
 			out = append(out, Record{
 				UserID:    s.keys[g].userID,
-				SessionID: s.sessions.strs[s.keys[g].session],
-				IP:        s.ips.strs[seg[0].ip],
+				SessionID: s.sessions.Strs[s.keys[g].session],
+				IP:        s.ips.Strs[seg[0].ip],
 				Sequence:  string(seq),
 				Duration:  int32((seg[len(seg)-1].ts - seg[0].ts) / 1000),
 				Start:     seg[0].ts,
@@ -334,8 +311,8 @@ func (b *Builder) SetGap(gap time.Duration) { b.gap = gap }
 // entry and its group.
 func (b *Builder) Add(e *events.ClientEvent) {
 	c := b.core
-	g := c.group(groupKey{userID: e.UserID, session: c.sessions.id(e.SessionID)})
-	c.add(g, entry{ts: e.Timestamp, name: c.names.id(e.Name.String()), ip: c.ips.id(e.IP)})
+	g := c.group(groupKey{userID: e.UserID, session: c.sessions.ID(e.SessionID)})
+	c.add(g, entry{ts: e.Timestamp, name: c.names.ID(e.Name.String()), ip: c.ips.ID(e.IP)})
 }
 
 // Finish orders each group by timestamp, splits it on inactivity gaps, and

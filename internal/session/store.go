@@ -245,13 +245,8 @@ func BuildDay(fs *hdfs.FS, day time.Time, sampleLimit int) (*Dictionary, *Histog
 
 // rawDaySize sums the on-disk size of the day's raw client-event logs.
 func rawDaySize(fs *hdfs.FS, day time.Time) (int64, error) {
-	day = day.UTC().Truncate(24 * time.Hour)
 	var total int64
-	for hr := 0; hr < 24; hr++ {
-		dir := warehouse.HourDir(events.Category, day.Add(time.Duration(hr)*time.Hour))
-		if !fs.Exists(dir) {
-			continue
-		}
+	for _, dir := range warehouse.HourDirs(fs, events.Category, day) {
 		sz, err := warehouse.DataSize(fs, dir)
 		if err != nil {
 			return 0, err

@@ -187,11 +187,11 @@ func ScanFileRecords(fs *hdfs.FS, path string, fn func(rec []byte) error) error 
 	return err
 }
 
-// ScanHourRecords is ScanFileRecords over every file of the category-hour
-// that is not auxiliary, in path order, fn invoked on each record with the
-// path of the file it came from.
-func ScanHourRecords(fs *hdfs.FS, category string, hour time.Time, fn func(path string, rec []byte) error) error {
-	infos, err := fs.Walk(HourDir(category, hour))
+// ScanHourRecords is ScanFileRecords over every file of the hour directory
+// dir that is not auxiliary, in path order, fn invoked on each record with
+// the path of the file it came from.
+func ScanHourRecords(fs *hdfs.FS, dir string, fn func(path string, rec []byte) error) error {
+	infos, err := fs.Walk(dir)
 	if err != nil {
 		return err
 	}
@@ -207,16 +207,28 @@ func ScanHourRecords(fs *hdfs.FS, category string, hour time.Time, fn func(path 
 	return nil
 }
 
-// ScanDay decodes every event of a category across all 24 hours of t's day,
-// hour by hour and in file order within an hour, invoking fn on each.
-func ScanDay(fs *hdfs.FS, category string, day time.Time, fn func(*events.ClientEvent) error) error {
+// HourDirs returns the existing hour directories of a category for one UTC
+// day, in hour order: the one listing of a day every day-scale reader walks.
+func HourDirs(fs *hdfs.FS, category string, day time.Time) []string {
 	day = day.UTC().Truncate(24 * time.Hour)
+	dirs := make([]string, 0, 24)
 	for h := 0; h < 24; h++ {
-		hour := day.Add(time.Duration(h) * time.Hour)
-		if !fs.Exists(HourDir(category, hour)) {
-			continue
+		dir := HourDir(category, day.Add(time.Duration(h)*time.Hour))
+		if fs.Exists(dir) {
+			dirs = append(dirs, dir)
 		}
-		err := ScanHourRecords(fs, category, hour, func(path string, rec []byte) error {
+	}
+	return dirs
+}
+
+// ScanDay decodes every event of a category across all 24 hours of t's day,
+// hour by hour and in file order within an hour, invoking fn on each. It
+// builds a ClientEvent per row; the pipeline reads through the day reader
+// (internal/chunk) instead, and only tests and the benchmark's oracle call
+// this.
+func ScanDay(fs *hdfs.FS, category string, day time.Time, fn func(*events.ClientEvent) error) error {
+	for _, dir := range HourDirs(fs, category, day) {
+		err := ScanHourRecords(fs, dir, func(path string, rec []byte) error {
 			var e events.ClientEvent
 			if err := e.Unmarshal(rec); err != nil {
 				return fmt.Errorf("warehouse: %s: %w", path, err)

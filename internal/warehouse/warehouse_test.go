@@ -92,7 +92,7 @@ func TestWriterBucketsByHour(t *testing.T) {
 	}
 	for hr := 0; hr < 3; hr++ {
 		n := 0
-		err := ScanHourRecords(fs, "ce", day.Add(time.Duration(hr)*time.Hour), func(string, []byte) error {
+		err := ScanHourRecords(fs, HourDir("ce", day.Add(time.Duration(hr)*time.Hour)), func(string, []byte) error {
 			n++
 			return nil
 		})
@@ -198,7 +198,7 @@ func TestScanHourRecords(t *testing.T) {
 	before := telemetry.Snapshot().Series
 	var got [][]byte
 	var paths []string
-	err = ScanHourRecords(fs, "ce", hour, func(path string, rec []byte) error {
+	err = ScanHourRecords(fs, dir, func(path string, rec []byte) error {
 		got = append(got, append([]byte(nil), rec...))
 		if len(paths) == 0 || paths[len(paths)-1] != path {
 			paths = append(paths, path)
@@ -223,7 +223,7 @@ func TestScanHourRecords(t *testing.T) {
 
 	stop := errors.New("stop")
 	n := 0
-	err = ScanHourRecords(fs, "ce", hour, func(string, []byte) error {
+	err = ScanHourRecords(fs, dir, func(string, []byte) error {
 		if n++; n == 6 {
 			return stop
 		}
