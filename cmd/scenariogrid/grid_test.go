@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"unilog/internal/scenario"
 )
 
 // committedGrid is the grid CI's scenario-matrix job runs.
@@ -15,13 +17,26 @@ const committedGrid = "../../ci/scenarios/smoke.json"
 
 // TestCommittedGridLoads keeps the committed specs inside tier-1: the
 // grid file and every scenario it lists must parse under the current
-// schema (both decoders disallow unknown fields), and a scenario file
+// schema (both decoders disallow unknown fields), a scenario file
 // dropped into the directory but not listed in the grid would never
-// run, so that fails too. Parse only — running the grid stays in CI.
+// run, so that fails too, and so does a fault kind no listed spec
+// schedules, which CI's grid would then never exercise. Parse only —
+// running the grid stays in CI.
 func TestCommittedGridLoads(t *testing.T) {
-	g, _, err := loadGrid(committedGrid)
+	g, specs, err := loadGrid(committedGrid)
 	if err != nil {
 		t.Fatal(err)
+	}
+	scheduled := map[string]bool{}
+	for _, sp := range specs {
+		for _, f := range sp.Faults {
+			scheduled[f.Kind] = true
+		}
+	}
+	for _, kind := range scenario.FaultKinds {
+		if !scheduled[kind] {
+			t.Errorf("no scenario %s lists schedules a %s fault", committedGrid, kind)
+		}
 	}
 	listed := map[string]bool{filepath.Base(committedGrid): true}
 	for _, rel := range g.Scenarios {

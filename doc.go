@@ -390,15 +390,19 @@
 // The traffic shapes the paper's infrastructure existed to survive are
 // data, not code: internal/scenario turns a declarative JSON workload
 // spec — named client classes with rate fractions and poisson / gamma /
-// uniform arrival processes, time-windowed flash-crowd multipliers on a
-// namespace subtree, per-region outage windows whose daemon spools
-// replay as backfill, per-session clock skew, a deliberately slow
-// realtime consumer, one seed — into a composable event-stream source
-// over the workload generator (Stream transforms stack like middleware),
-// executes it through the full multi-region pipeline with the faults
-// injected, and evaluates the spec's declared invariants:
-// reconcile-exact after backfill, exactly-once delivery, required spill
-// or backpressure telemetry, event-volume floors. cmd/scenariogrid runs
+// uniform arrival processes, per-session clock skew, one seed, and one
+// "faults" list of {kind, subject, start_minute, end_minute, magnitude}
+// entries: a flash_crowd multiplying a namespace subtree, an outage of a
+// region whose daemon spools replay as backfill, a slow_consumer delaying
+// the realtime drains, a node_crash of one cluster node — into a
+// composable event-stream source over the workload generator (Stream
+// transforms stack like middleware), executes it through the full
+// multi-region pipeline with the faults injected (one rule moves each
+// region, the counter and each node to whether a fault covers it at the
+// clock's minute, acting only on a change), and evaluates the spec's
+// declared invariants: reconcile-exact after backfill, exactly-once
+// delivery, required spill or backpressure telemetry, event-volume
+// floors. cmd/scenariogrid runs
 // a (scenario x config) experiment matrix from a grid file, emitting one
 // machine-readable JSON per cell (verdicts plus telemetry snapshot) and
 // exiting nonzero if any cell's declared invariants fail — it judges

@@ -103,16 +103,6 @@ type Config struct {
 	// MaxBatch caps observations per enqueued batch. Default 512.
 	MaxBatch int
 
-	// ApplyDelay, when positive, makes each drain goroutine sleep this
-	// long before applying every batch — a fault-injection hook that
-	// turns the counter into a deliberately slow consumer. With a small
-	// QueueDepth the shard queues fill, producers block in send, and the
-	// backpressure becomes visible in Stats.QueueFull and the
-	// "realtime.queue.depth" / "realtime.queue.full_waits" telemetry
-	// gauges. The scenario harness (internal/scenario) drives it from
-	// slow-consumer workload specs; production configs leave it zero.
-	ApplyDelay time.Duration
-
 	// SnapshotEvery and FsyncEvery matter only to a durable counter — one
 	// made by Open, which names the directory; New ignores them.
 	//
@@ -367,6 +357,7 @@ type Counter struct {
 	fsyncs       atomic.Int64
 	snapshots    atomic.Int64
 	snapErrors   atomic.Int64
+	applyDelay   atomic.Int64 // ns; see SetApplyDelay
 }
 
 // New starts a memory-only counter with cfg's shards and drain goroutines
@@ -454,6 +445,12 @@ func (c *Counter) shutdown(final bool) {
 		c.snapMu.Unlock()
 	}
 }
+
+// SetApplyDelay makes each drain sleep d before applying every batch from
+// now on (0, the default, turns it off): a fault-injection hook for a slow
+// consumer. With a small Config.QueueDepth producers then block in send,
+// counted in Stats.QueueFull. internal/scenario's slow_consumer fault sets it.
+func (c *Counter) SetApplyDelay(d time.Duration) { c.applyDelay.Store(int64(d)) }
 
 // Sync blocks until every observation enqueued before the call has been
 // applied — the read-your-writes barrier queries and tests need.
@@ -550,8 +547,8 @@ func (c *Counter) drain(s *shard) {
 	defer c.wg.Done()
 	for msg := range s.ch {
 		if msg.batch != nil {
-			if c.cfg.ApplyDelay > 0 {
-				time.Sleep(c.cfg.ApplyDelay)
+			if d := time.Duration(c.applyDelay.Load()); d > 0 {
+				time.Sleep(d)
 			}
 			if s.wal != nil {
 				c.walAppend(s, msg.batch)

@@ -310,6 +310,34 @@ func TestCloseIsIdempotentAndStopsIngest(t *testing.T) {
 	}
 }
 
+// TestSetApplyDelayOpensAndCloses: a delay set on a running counter makes
+// its drain sleep before every batch it applies (each Ingest is one batch),
+// and setting it back to 0 stops the sleeping.
+func TestSetApplyDelayOpensAndCloses(t *testing.T) {
+	const delay, n = 50 * time.Millisecond, 4
+	c := New(Config{Shards: 1})
+	defer c.Close()
+	ingest := func() time.Duration {
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			c.Ingest(ev("web:home:timeline:stream:tweet:impression", t0, 1, "us"))
+		}
+		c.Sync()
+		return time.Since(start)
+	}
+	c.SetApplyDelay(delay)
+	if took := ingest(); took < n*delay {
+		t.Fatalf("%d batches with a %v delay drained in %v", n, delay, took)
+	}
+	c.SetApplyDelay(0)
+	if took := ingest(); took >= n*delay {
+		t.Fatalf("%d batches with the delay off drained in %v, as slow as with it on", n, took)
+	}
+	if got := c.PathSum("web", t0, t0.Add(time.Minute)); got != 2*n {
+		t.Fatalf("PathSum = %d, want %d", got, 2*n)
+	}
+}
+
 // TestBatcherSteadyStateAllocationFree pins the hot-path contract the
 // symbol table and batch pool buy: once the names and countries in play
 // are interned and a recycled batch buffer is in hand, Add performs no

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"os"
+	"strconv"
 	"time"
 
 	"unilog/internal/birdbrain"
@@ -13,15 +14,16 @@ import (
 
 // clusterHarness drives the replicated-cluster half of a scenario run:
 // a durable N-node cluster tapped in parallel with the single counter,
-// the spec's node-crash windows applied on a minute-stepped manual
-// clock, periodic scatter-gather probes (so degraded serving during an
-// outage is observed, not assumed), and an end-of-day settle loop that
-// lets detection and hint replay finish inside the day.
+// the fault schedule applied on a minute-stepped manual clock, periodic
+// scatter-gather probes (so degraded serving during an outage is
+// observed, not assumed), and an end-of-day settle loop that lets
+// detection and hint replay finish inside the day.
 type clusterHarness struct {
 	spec    *Spec
 	c       *cluster.Cluster
 	scatter *birdbrain.Scatter
 	clock   *zk.ManualClock
+	faults  *faultSchedule
 	day     time.Time
 	dir     string
 
@@ -48,7 +50,9 @@ const (
 	scenarioDeadAfter    = 300 * time.Second
 )
 
-func newClusterHarness(spec *Spec, clock *zk.ManualClock) (*clusterHarness, error) {
+// newClusterHarness stands the cluster up and gives the fault schedule one
+// node_crash switch per node.
+func newClusterHarness(spec *Spec, clock *zk.ManualClock, faults *faultSchedule) (*clusterHarness, error) {
 	dir, err := os.MkdirTemp("", "scenario-cluster-")
 	if err != nil {
 		return nil, err
@@ -73,32 +77,25 @@ func newClusterHarness(spec *Spec, clock *zk.ManualClock) (*clusterHarness, erro
 		c:       c,
 		scatter: birdbrain.NewScatter(c),
 		clock:   clock,
+		faults:  faults,
 		day:     spec.DayStart(),
 		dir:     dir,
 	}
-	h.applyFaults(0)
+	for n := 0; n < spec.Cluster.Nodes; n++ {
+		faults.add(FaultNodeCrash, strconv.Itoa(n), func(level int) error {
+			if level > 0 {
+				c.Crash(n)
+				return nil
+			}
+			return c.Restart(n)
+		})
+	}
 	return h, nil
 }
 
 func (h *clusterHarness) close() {
 	h.c.Close()
 	os.RemoveAll(h.dir)
-}
-
-// applyFaults fires the crash/restart edges scheduled for minute m.
-func (h *clusterHarness) applyFaults(m int) error {
-	for _, nc := range h.spec.NodeCrashes {
-		if nc.CrashMinute == m {
-			h.c.Crash(nc.Node)
-		}
-		if nc.RestartMinute == m {
-			if err := h.c.Restart(nc.Node); err != nil {
-				return fmt.Errorf("scenario %s: restart node %d at minute %d: %w",
-					h.spec.Name, nc.Node, m, err)
-			}
-		}
-	}
-	return nil
 }
 
 // probe issues one scatter query over the day-so-far window, rotating
@@ -125,15 +122,15 @@ func (h *clusterHarness) probe(m int) {
 }
 
 // advanceTo walks the manual clock minute by minute up to the given
-// minute of the day: each step advances one minute, fires that minute's
-// crash/restart edges, ticks the cluster (heartbeats, detection, hint
+// minute of the day: each step advances one minute, applies the fault
+// schedule at it, ticks the cluster (heartbeats, detection, hint
 // replay), probes on the cadence, and hands whole hours to onHour as
 // they complete. The single-counter path jumps the clock hour to hour;
 // the cluster cannot — failure detection lives between the hours.
 func (h *clusterHarness) advanceTo(minute int, onHour func(hr int) error) error {
 	for m := h.curMinute + 1; m <= minute; m++ {
 		h.clock.Advance(time.Minute)
-		if err := h.applyFaults(m); err != nil {
+		if err := h.faults.apply(m); err != nil {
 			return err
 		}
 		h.c.Tick()

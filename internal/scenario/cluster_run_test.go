@@ -20,7 +20,7 @@ func TestRunNodeCrashCell(t *testing.T) {
 			{"id": "mobile", "rate_fraction": 0.3, "arrival": {"process": "gamma", "cv": 2}}
 		],
 		"cluster": {"nodes": 3, "replication_factor": 2, "partitions": 16},
-		"node_crashes": [{"node": 1, "crash_minute": 360, "restart_minute": 600}],
+		"faults": [{"kind": "node_crash", "subject": "1", "start_minute": 360, "end_minute": 600}],
 		"invariants": {
 			"reconcile_exact": true,
 			"exactly_once": true,

@@ -146,6 +146,7 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 	clock := zk.NewManualClock(day)
 	wh := hdfs.New(0)
 
+	faults := faultSchedule{spec: spec}
 	type region struct {
 		name string
 		dc   *scribe.Datacenter
@@ -161,7 +162,7 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 			return nil, err
 		}
 		r := &region{name: name, dc: dc}
-		// The outage switch: while the region is dark every send to its
+		// While the region is dark (an outage covers it) every send to its
 		// aggregators fails at the "network", so daemons spool locally and
 		// replay once the window closes — the backfill under test.
 		dc.Net.FailSend = func(string) error {
@@ -170,19 +171,32 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 			}
 			return nil
 		}
+		faults.add(FaultOutage, name, func(level int) error {
+			// A closing window replays the spools now rather than at the
+			// next auto-flush, so the backfill lands in the current hour.
+			if r.dark = level > 0; !r.dark {
+				for _, d := range dc.Daemons {
+					d.Flush() //nolint:errcheck // spool retried on later flushes
+				}
+			}
+			return nil
+		})
 		regions[i] = r
 		sources = append(sources, logmover.Source{Datacenter: name, FS: staging})
 	}
 	mover := logmover.New(wh, sources...)
 
 	counterCfg := realtime.Config{Shards: rc.Shards}
-	if sc := spec.SlowConsumer; sc != nil {
-		counterCfg.ApplyDelay = time.Duration(sc.ApplyDelayMs) * time.Millisecond
-		counterCfg.QueueDepth = sc.QueueDepth
+	if spec.hasFault(FaultSlowConsumer) {
+		counterCfg.QueueDepth = 2 // so a slow drain blocks producers at once
 	}
 	counter := realtime.New(counterCfg)
 	defer counter.Close()
 	counter.Publish(nil)
+	faults.add(FaultSlowConsumer, "", func(ms int) error {
+		counter.SetApplyDelay(time.Duration(ms) * time.Millisecond)
+		return nil
+	})
 
 	// With a cluster declared, every aggregator batch fans into both the
 	// single counter (the existing reconcile baseline) and the replicated
@@ -191,7 +205,7 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 	var ch *clusterHarness
 	tap := counter.TapBatch
 	if spec.Cluster != nil {
-		ch, err = newClusterHarness(spec, clock)
+		ch, err = newClusterHarness(spec, clock, &faults)
 		if err != nil {
 			return nil, err
 		}
@@ -205,6 +219,9 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 		for _, a := range r.dc.Aggregators {
 			a.Tap = tap
 		}
+	}
+	if err := faults.apply(0); err != nil {
+		return nil, err
 	}
 
 	cats := []string{events.Category}
@@ -230,32 +247,12 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 		return err
 	}
 
-	setDark := func(minute int) {
-		for _, r := range regions {
-			dark := false
-			for _, o := range spec.Outages {
-				if o.Region == r.name && minute >= o.StartMinute && minute < o.EndMinute {
-					dark = true
-				}
-			}
-			if r.dark && !dark {
-				// The window closed: replay the spools now rather than
-				// waiting for the next auto-flush, so the backfill lands
-				// promptly in the current (correct-day) hour.
-				r.dark = false
-				for _, d := range r.dc.Daemons {
-					d.Flush() //nolint:errcheck // spool retried on later flushes
-				}
-			}
-			r.dark = dark
-		}
-	}
-
-	// advanceTo moves the manual clock to an event's minute. Without a
-	// cluster the clock jumps hour to hour (aggregators bucket staging by
-	// hour, nothing finer matters); with one it steps every minute so the
-	// failure detector, hint replay, fault edges, and scatter probes
-	// all run between the hours, sealing each hour as it completes.
+	// advanceTo moves the manual clock, and the fault schedule with it, to
+	// an event's minute; an event lagging the latest minute moves neither.
+	// Without a cluster the clock jumps hour to hour (aggregators bucket
+	// staging by hour, nothing finer matters); with one it steps every
+	// minute so the failure detector, hint replay, fault edges, and scatter
+	// probes all run between the hours, sealing each hour as it completes.
 	onHour := func(hr int) error {
 		if err := sealThrough(curHour, hr); err != nil {
 			return err
@@ -263,15 +260,22 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 		curHour = hr
 		return nil
 	}
+	clockMinute := 0
 	advanceTo := func(minute int) error {
 		if ch != nil {
 			return ch.advanceTo(minute, onHour)
 		}
+		if minute <= clockMinute {
+			return nil
+		}
+		clockMinute = minute
 		if h := minute / 60; h > curHour {
 			clock.Advance(time.Duration(h-curHour) * time.Hour)
-			return onHour(h)
+			if err := onHour(h); err != nil {
+				return err
+			}
 		}
-		return nil
+		return faults.apply(minute)
 	}
 
 	var accepted events.Digest
@@ -290,7 +294,6 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 		if err := advanceTo(minute); err != nil {
 			return err
 		}
-		setDark(minute)
 
 		// Low bits pick the region, high bits the daemon, so routing is
 		// stable per session and uncorrelated between the two choices.
@@ -310,20 +313,18 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 		return nil, err
 	}
 
-	// End of day: every outage window has closed (validation bounds them
-	// inside the duration), so clear the dark flags, drain every spool and
-	// aggregator into the still-current day, then seal all 24 hours and
-	// move the remainder. The clock stays inside the day so late flushes
-	// cannot leak into tomorrow's directories.
-	for _, r := range regions {
-		r.dark = false
-	}
-	// The cluster first walks out the rest of the active window so every
-	// remaining crash/restart edge fires before the day is sealed.
+	// End of day: every fault window closes by DurationMinutes (the cluster
+	// walks there minute by minute), so the schedule closes what is still
+	// open; then every spool and aggregator drains into the still-current
+	// day, all 24 hours seal and the remainder moves. The clock stays inside
+	// the day so late flushes cannot leak into tomorrow's directories.
 	if ch != nil {
 		if err := ch.advanceTo(spec.DurationMinutes, onHour); err != nil {
 			return nil, err
 		}
+	}
+	if err := faults.apply(spec.DurationMinutes); err != nil {
+		return nil, err
 	}
 	for _, r := range regions {
 		if err := r.dc.FlushAll(); err != nil {
@@ -420,6 +421,54 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 	return res, nil
 }
 
+// faultSchedule is the one dispatcher of the outage, slow_consumer and
+// node_crash faults: one switch per subject, moved at each minute apply is
+// given to its level — 0 when no fault of its kind covers it, else the
+// largest covering magnitude and at least 1 — and acting only on a change.
+// Windows on one subject that abut or overlap are thus one stretch.
+type faultSchedule struct {
+	spec     *Spec
+	switches []faultSwitch
+}
+
+type faultSwitch struct {
+	kind, subject string
+	level         int
+	set           func(level int) error
+}
+
+// add registers a subject of one kind with the action that moves it.
+func (fs *faultSchedule) add(kind, subject string, set func(level int) error) {
+	fs.switches = append(fs.switches, faultSwitch{kind: kind, subject: subject, set: set})
+}
+
+// apply moves every subject to its level at minute m of the day, counting
+// each move into or out of a fault in scenario.fault.edges.
+func (fs *faultSchedule) apply(m int) error {
+	for i := range fs.switches {
+		sw := &fs.switches[i]
+		l := 0
+		for j := range fs.spec.Faults {
+			if f := &fs.spec.Faults[j]; f.Kind == sw.kind && f.Subject == sw.subject && f.covers(m) {
+				l = max(l, f.Magnitude, 1)
+			}
+		}
+		if l == sw.level {
+			continue
+		}
+		if (l == 0) != (sw.level == 0) {
+			tmFaultEdges.Inc()
+		}
+		sw.level = l
+		if err := sw.set(l); err != nil {
+			return fmt.Errorf("scenario %s: %s %q at minute %d: %w", fs.spec.Name, sw.kind, sw.subject, m, err)
+		}
+	}
+	return nil
+}
+
+var tmFaultEdges = telemetry.GetCounter("scenario.fault.edges")
+
 // storedDigest digests the client events of day through the day reader,
 // from the column chunks of every hour. It fails on an hour that holds rows
 // but was published without its chunks, as the log mover never publishes
@@ -454,6 +503,11 @@ func (res *Result) evaluateInvariants(spec *Spec) {
 	add := func(name string, ok bool, detail string) {
 		res.Invariants = append(res.Invariants, InvariantCheck{Name: name, OK: ok, Detail: detail})
 	}
+	atLeast := func(name string, want, got int64) {
+		if want > 0 {
+			add(name, got >= want, fmt.Sprintf("want >= %d, got %d", want, got))
+		}
+	}
 	if inv.ReconcileExact {
 		add("reconcile_exact", res.ReconcileOK,
 			fmt.Sprintf("%d batch rows, %d diffs", res.ReconcileBatchRows, res.ReconcileDiffs))
@@ -473,22 +527,10 @@ func (res *Result) evaluateInvariants(spec *Spec) {
 		add("require_spill", res.SpilledBytes > 0,
 			fmt.Sprintf("%d spilled bytes, %d runs", res.SpilledBytes, res.SpillRuns))
 	}
-	if inv.MinEvents > 0 {
-		add("min_events", res.Events >= inv.MinEvents,
-			fmt.Sprintf("want >= %d, got %d", inv.MinEvents, res.Events))
-	}
-	if inv.MinCrowdEvents > 0 {
-		add("min_crowd_events", res.CrowdEvents >= inv.MinCrowdEvents,
-			fmt.Sprintf("want >= %d, got %d", inv.MinCrowdEvents, res.CrowdEvents))
-	}
-	if inv.MinSendFailures > 0 {
-		add("min_send_failures", res.SendFailures >= inv.MinSendFailures,
-			fmt.Sprintf("want >= %d, got %d", inv.MinSendFailures, res.SendFailures))
-	}
-	if inv.MinQueueFullWaits > 0 {
-		add("min_queue_full_waits", res.QueueFullWaits >= inv.MinQueueFullWaits,
-			fmt.Sprintf("want >= %d, got %d", inv.MinQueueFullWaits, res.QueueFullWaits))
-	}
+	atLeast("min_events", inv.MinEvents, res.Events)
+	atLeast("min_crowd_events", inv.MinCrowdEvents, res.CrowdEvents)
+	atLeast("min_send_failures", inv.MinSendFailures, res.SendFailures)
+	atLeast("min_queue_full_waits", inv.MinQueueFullWaits, res.QueueFullWaits)
 	if inv.RequireHandoff {
 		ok := res.HandoffHinted > 0 && res.HandoffReplayed == res.HandoffHinted &&
 			res.ClusterDrained && res.ClusterReconcileOK
@@ -497,11 +539,7 @@ func (res *Result) evaluateInvariants(spec *Spec) {
 				res.HandoffHinted, res.HandoffReplayed, res.ClusterDrained,
 				res.ClusterReconcileOK, res.ClusterReconcileDiffs))
 	}
-	if inv.MinDegradedQueries > 0 {
-		add("min_degraded_queries", res.DegradedQueries >= inv.MinDegradedQueries,
-			fmt.Sprintf("want >= %d, got %d of %d probes", inv.MinDegradedQueries,
-				res.DegradedQueries, res.ScatterProbes))
-	}
+	atLeast("min_degraded_queries", inv.MinDegradedQueries, res.DegradedQueries)
 	res.OK = true
 	for _, c := range res.Invariants {
 		if !c.OK {

@@ -27,7 +27,7 @@ func TestRunOutageBackfillCell(t *testing.T) {
 			{"id": "web", "rate_fraction": 0.7, "arrival": {"process": "poisson"}},
 			{"id": "mobile", "rate_fraction": 0.3, "arrival": {"process": "gamma", "cv": 2}}
 		],
-		"outages": [{"region": "west", "start_minute": 300, "end_minute": 480}],
+		"faults": [{"kind": "outage", "subject": "west", "start_minute": 300, "end_minute": 480}],
 		"invariants": {
 			"reconcile_exact": true,
 			"exactly_once": true,
@@ -75,8 +75,8 @@ func TestRunFlashCrowdCell(t *testing.T) {
 		"total_sessions": 40,
 		"regions": ["east"],
 		"clients": [{"id": "web", "rate_fraction": 1.0}],
-		"flash_crowds": [
-			{"subtree": "web:home", "start_minute": 600, "end_minute": 780, "multiplier": 20}
+		"faults": [
+			{"kind": "flash_crowd", "subject": "web:home", "start_minute": 600, "end_minute": 780, "magnitude": 20}
 		],
 		"invariants": {
 			"reconcile_exact": true,

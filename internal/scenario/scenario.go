@@ -1,21 +1,21 @@
 // Package scenario is the declarative traffic harness: it turns a JSON
 // workload spec — named client classes with rate fractions and arrival
-// processes, time-windowed flash-crowd multipliers, per-region outage +
-// backfill windows, clock-skew jitter, a slow realtime consumer, one
-// seed — into a composable event-stream source over workload.Generator,
-// and executes that stream through the full pipeline (Scribe daemons →
-// aggregators → staging → log mover → warehouse, with the realtime
-// counters tapping ingestion) while injecting the spec's faults.
+// processes, clock-skew jitter, one fault schedule, one seed — into a
+// composable event-stream source over workload.Generator, and executes
+// that stream through the full pipeline (Scribe daemons → aggregators →
+// staging → log mover → warehouse, with the realtime counters tapping
+// ingestion) while injecting the scheduled faults.
 //
 // The paper's infrastructure existed to survive real traffic shapes:
 // flash crowds on one namespace subtree, a datacenter's daemons going
-// dark and replaying their spools, consumers that fall behind. Here
-// each such shape is data, not a hand-written experiment. A spec file
-// plus a seed reproduces the same event stream byte for byte,
-// cmd/scenariogrid runs a (scenario × config) experiment matrix emitting
-// one machine-readable JSON per cell, and CI's scenario-matrix job fails
-// on any cell whose declared invariants fail — reconcile-exact after
-// backfill, exactly-once delivery, nonzero spill — on every push.
+// dark and replaying their spools, consumers that fall behind, a counter
+// node dying. Here each shape is data: one "faults" list of {kind,
+// subject, start_minute, end_minute, magnitude} entries, the ground truth
+// of what went wrong when. A spec file plus a seed reproduces the same
+// event stream byte for byte, cmd/scenariogrid runs a (scenario × config)
+// experiment matrix emitting one machine-readable JSON per cell, and CI's
+// scenario-matrix job fails on any cell whose declared invariants fail —
+// reconcile-exact after backfill, exactly-once delivery, nonzero spill.
 //
 // The pieces compose:
 //
@@ -28,10 +28,10 @@
 //   - stream.go: Spec.EventStream builds the source — per-class
 //     generators merged by session start, then the flash-crowd and
 //     clock-skew transforms, each a Stream → Stream function.
-//   - run.go: Run drives a stream through a multi-region Scribe
-//     topology with the spec's outages and slow-consumer delay applied,
-//     seals and moves every hour, and returns a Result with telemetry
-//     and the spec's invariant verdicts.
+//   - run.go: Run drives a stream through a multi-region Scribe topology
+//     with the other faults applied by one rule (faultSchedule), seals
+//     and moves every hour, and returns a Result with telemetry and the
+//     spec's invariant verdicts.
 package scenario
 
 import (
@@ -40,6 +40,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -98,69 +100,53 @@ type ClientClass struct {
 	MeanPageVisits int `json:"mean_page_visits,omitempty"`
 }
 
-// FlashCrowd is one "celebrity event": inside the window, every base
-// event whose name starts with Subtree is multiplied — the original plus
-// Multiplier-1 synthetic crowd sessions jittered across the window, each
-// tagged Details["crowd"] = "1".
-type FlashCrowd struct {
-	// Subtree is the namespace prefix that spikes, e.g. "web:home".
-	Subtree string `json:"subtree"`
-	// StartMinute / EndMinute bound the window in minutes of the day.
-	StartMinute int `json:"start_minute"`
-	EndMinute   int `json:"end_minute"`
-	// Multiplier is the traffic amplification inside the window (>= 2;
-	// the paper-scale scenarios use 100-1000).
-	Multiplier int `json:"multiplier"`
+// Fault kinds accepted in Fault.Kind.
+const (
+	FaultFlashCrowd   = "flash_crowd"
+	FaultOutage       = "outage"
+	FaultSlowConsumer = "slow_consumer"
+	FaultNodeCrash    = "node_crash"
+)
+
+// FaultKinds lists every kind a Fault may name.
+var FaultKinds = []string{FaultFlashCrowd, FaultOutage, FaultSlowConsumer, FaultNodeCrash}
+
+// Fault is one entry of the fault schedule: Kind acting on Subject for the
+// minutes [StartMinute, EndMinute) of the day. Windows close inside the
+// duration, so spools replay and hints drain before the day seals.
+//
+//   - flash_crowd: each base event under the Subject subtree ("web:home")
+//     inside the window is followed by Magnitude-1 (Magnitude >= 2)
+//     synthetic crowd events, anonymous sessions jittered across the window
+//     and tagged Details["crowd"] = "1".
+//   - outage: sends to region Subject's aggregators fail, its daemons
+//     spool, and the spools replay when the window closes (the backfill).
+//   - slow_consumer: Subject is empty; the realtime counter's drains sleep
+//     Magnitude ms before each batch, and its queues are two batches deep.
+//   - node_crash: cluster node Subject ("1") crashes when the window opens
+//     and restarts when it closes.
+type Fault struct {
+	Kind        string `json:"kind"`
+	Subject     string `json:"subject,omitempty"`
+	StartMinute int    `json:"start_minute"`
+	EndMinute   int    `json:"end_minute"`
+	Magnitude   int    `json:"magnitude,omitempty"`
 }
 
-// Outage takes one region's Scribe daemons dark: deliveries to the
-// region's aggregators fail for the window, entries pile up in the
-// daemons' local spools, and the spools replay once the window closes —
-// the backfill whose exactness Reconcile then proves.
-type Outage struct {
-	// Region names an entry of Spec.Regions.
-	Region string `json:"region"`
-	// StartMinute / EndMinute bound the dark window in minutes of the
-	// day; the window must close before the scenario ends so the spool
-	// gets to replay.
-	StartMinute int `json:"start_minute"`
-	EndMinute   int `json:"end_minute"`
-}
-
-// SlowConsumer makes the realtime counter a deliberately slow consumer:
-// each shard drain sleeps ApplyDelayMs before applying a batch, and the
-// shard queues shrink to QueueDepth, so ingestion backpressure becomes
-// visible in realtime.queue.* telemetry.
-type SlowConsumer struct {
-	ApplyDelayMs int `json:"apply_delay_ms"`
-	// QueueDepth is the per-shard queue capacity in batches while the
-	// slow consumer is active. Defaults to 2.
-	QueueDepth int `json:"queue_depth,omitempty"`
-}
+// covers reports whether minute m of the day falls inside the window.
+func (f *Fault) covers(m int) bool { return f.StartMinute <= m && m < f.EndMinute }
 
 // ClusterSpec stands up a replicated realtime cluster next to the
 // single tapped counter: every aggregator batch fans into both, the
 // cluster is scatter-gather probed through the day, and the cell gains
-// the cluster's reconcile verdict and handoff/detector counters. Node
-// indexes in NodeCrashes refer to [0, Nodes).
+// the cluster's reconcile verdict and handoff/detector counters. A
+// node_crash fault names a node of [0, Nodes).
 type ClusterSpec struct {
 	// Nodes is the node count (2..16). ReplicationFactor defaults to 2,
 	// Partitions to 16.
 	Nodes             int `json:"nodes"`
 	ReplicationFactor int `json:"replication_factor,omitempty"`
 	Partitions        int `json:"partitions,omitempty"`
-}
-
-// NodeCrash is one cluster fault window: the node crashes at
-// CrashMinute and restarts at RestartMinute (minutes of the day, window
-// inside the scenario duration so hint replay gets to finish before the
-// day seals). With the default R=2 a single crashed node leaves every
-// partition a live replica; overlapping windows on multiple nodes can
-// take whole partitions dark and the probes then report partial.
-type NodeCrash struct {
-	Node          int `json:"node"`
-	CrashMinute   int `json:"crash_minute"`
-	RestartMinute int `json:"restart_minute"`
 }
 
 // Invariants are the per-cell assertions a scenario must satisfy; Run
@@ -191,7 +177,7 @@ type Invariants struct {
 	// RequireHandoff requires the cluster fault machinery to have fully
 	// engaged: writes were hinted, every hint replayed, the cluster
 	// drained, and its scatter-gathered day reconciles exactly with the
-	// batch rollups. Needs Cluster and at least one NodeCrashes window.
+	// batch rollups. Needs Cluster and at least one node_crash fault.
 	RequireHandoff bool `json:"require_handoff,omitempty"`
 	// MinDegradedQueries is a lower bound on scatter probes that were
 	// answered degraded (served around a dead or failing replica).
@@ -222,13 +208,10 @@ type Spec struct {
 	// client timestamps shift by a stable offset in [-skew, +skew] ms.
 	ClockSkewMs int64 `json:"clock_skew_ms,omitempty"`
 
-	Clients      []ClientClass `json:"clients"`
-	FlashCrowds  []FlashCrowd  `json:"flash_crowds,omitempty"`
-	Outages      []Outage      `json:"outages,omitempty"`
-	SlowConsumer *SlowConsumer `json:"slow_consumer,omitempty"`
-	Cluster      *ClusterSpec  `json:"cluster,omitempty"`
-	NodeCrashes  []NodeCrash   `json:"node_crashes,omitempty"`
-	Invariants   Invariants    `json:"invariants,omitempty"`
+	Clients    []ClientClass `json:"clients"`
+	Cluster    *ClusterSpec  `json:"cluster,omitempty"`
+	Faults     []Fault       `json:"faults,omitempty"`
+	Invariants Invariants    `json:"invariants,omitempty"`
 
 	day time.Time // parsed Day
 }
@@ -360,40 +343,6 @@ func (s *Spec) validate() error {
 		return fmt.Errorf("%w: got %.4f", ErrBadFractions, sum)
 	}
 
-	for i, fc := range s.FlashCrowds {
-		field := fmt.Sprintf("flash_crowds[%d]", i)
-		if fc.Subtree == "" {
-			return badField(field+".subtree", "required")
-		}
-		if fc.Multiplier < 2 {
-			return badField(field+".multiplier", fmt.Sprintf("want >= 2, got %d", fc.Multiplier))
-		}
-		if fc.StartMinute < 0 || fc.EndMinute <= fc.StartMinute || fc.EndMinute > s.DurationMinutes {
-			return badField(field, fmt.Sprintf("window [%d, %d) must be ordered and within 0..%d",
-				fc.StartMinute, fc.EndMinute, s.DurationMinutes))
-		}
-	}
-	for i, o := range s.Outages {
-		field := fmt.Sprintf("outages[%d]", i)
-		if !regionSet[o.Region] {
-			return badField(field+".region", fmt.Sprintf("%q is not in regions", o.Region))
-		}
-		if o.StartMinute < 0 || o.EndMinute <= o.StartMinute || o.EndMinute > s.DurationMinutes {
-			return badField(field, fmt.Sprintf("window [%d, %d) must be ordered and within 0..%d",
-				o.StartMinute, o.EndMinute, s.DurationMinutes))
-		}
-	}
-	if sc := s.SlowConsumer; sc != nil {
-		if sc.ApplyDelayMs <= 0 {
-			return badField("slow_consumer.apply_delay_ms", "want > 0")
-		}
-		if sc.QueueDepth == 0 {
-			sc.QueueDepth = 2
-		}
-		if sc.QueueDepth < 0 {
-			return badField("slow_consumer.queue_depth", "must be >= 0")
-		}
-	}
 	if cs := s.Cluster; cs != nil {
 		if cs.Nodes < 2 || cs.Nodes > 16 {
 			return badField("cluster.nodes", fmt.Sprintf("want 2..16, got %d", cs.Nodes))
@@ -411,23 +360,56 @@ func (s *Spec) validate() error {
 			return badField("cluster.partitions", fmt.Sprintf("want 1..64, got %d", cs.Partitions))
 		}
 	}
-	if len(s.NodeCrashes) > 0 && s.Cluster == nil {
-		return badField("node_crashes", "requires a cluster")
-	}
-	for i, nc := range s.NodeCrashes {
-		field := fmt.Sprintf("node_crashes[%d]", i)
-		if nc.Node < 0 || nc.Node >= s.Cluster.Nodes {
-			return badField(field+".node", fmt.Sprintf("want 0..%d, got %d", s.Cluster.Nodes-1, nc.Node))
-		}
-		if nc.CrashMinute < 0 || nc.RestartMinute <= nc.CrashMinute || nc.RestartMinute > s.DurationMinutes {
+	for i, f := range s.Faults {
+		field := fmt.Sprintf("faults[%d]", i)
+		if f.StartMinute < 0 || f.EndMinute <= f.StartMinute || f.EndMinute > s.DurationMinutes {
 			return badField(field, fmt.Sprintf("window [%d, %d) must be ordered and within 0..%d",
-				nc.CrashMinute, nc.RestartMinute, s.DurationMinutes))
+				f.StartMinute, f.EndMinute, s.DurationMinutes))
+		}
+		if key, reason := s.checkFault(&f, regionSet); key != "" {
+			return badField(field+"."+key, reason)
 		}
 	}
-	if s.Invariants.RequireHandoff && (s.Cluster == nil || len(s.NodeCrashes) == 0) {
-		return badField("invariants.require_handoff", "requires cluster and node_crashes")
+	if s.Invariants.RequireHandoff && !s.hasFault(FaultNodeCrash) {
+		return badField("invariants.require_handoff", "requires a node_crash fault")
 	}
 	return nil
+}
+
+// checkFault is the per-kind half of a fault's validation: what its
+// subject names and what its magnitude means. It returns the offending key
+// and why, or "" when the fault is well formed.
+func (s *Spec) checkFault(f *Fault, regions map[string]bool) (key, reason string) {
+	subjectOK, want, minMagnitude := false, "", 0 // a minMagnitude of 0: the kind takes none
+	switch f.Kind {
+	case FaultFlashCrowd:
+		subjectOK, want, minMagnitude = f.Subject != "", "a namespace subtree", 2
+	case FaultSlowConsumer:
+		subjectOK, want, minMagnitude = f.Subject == "", "empty (the realtime counter)", 1
+	case FaultOutage:
+		subjectOK, want = regions[f.Subject], "a region of regions"
+	case FaultNodeCrash:
+		// Subjects compare as text, so a node has one spelling: "1", not "01".
+		n, err := strconv.Atoi(f.Subject)
+		subjectOK = s.Cluster != nil && err == nil && n >= 0 && n < s.Cluster.Nodes && strconv.Itoa(n) == f.Subject
+		want = "a node index of the declared cluster"
+	default:
+		return "kind", fmt.Sprintf("want one of %s, got %q", strings.Join(FaultKinds, ", "), f.Kind)
+	}
+	switch {
+	case !subjectOK:
+		return "subject", fmt.Sprintf("want %s, got %q", want, f.Subject)
+	case minMagnitude == 0 && f.Magnitude != 0:
+		return "magnitude", fmt.Sprintf("%s takes none, got %d", f.Kind, f.Magnitude)
+	case f.Magnitude < minMagnitude:
+		return "magnitude", fmt.Sprintf("want >= %d, got %d", minMagnitude, f.Magnitude)
+	}
+	return "", ""
+}
+
+// hasFault reports whether the schedule holds a fault of the kind.
+func (s *Spec) hasFault(kind string) bool {
+	return slices.ContainsFunc(s.Faults, func(f Fault) bool { return f.Kind == kind })
 }
 
 // DayStart returns the UTC midnight the scenario's traffic falls after.

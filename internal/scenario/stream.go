@@ -17,20 +17,6 @@ import (
 // from Stream to Stream.
 type Stream func(yield func(*events.ClientEvent) error) error
 
-// Collect drains a stream into a slice — the test and small-harness
-// convenience.
-func Collect(s Stream) ([]events.ClientEvent, error) {
-	var out []events.ClientEvent
-	err := s(func(e *events.ClientEvent) error {
-		out = append(out, *e)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // timedSession is one re-timed session: its new start and its events,
 // shifted as a block so intra-session spacing (and therefore session
 // boundaries) survive the re-timing.
@@ -196,13 +182,13 @@ func mergeClasses(perClass [][]timedSession) Stream {
 }
 
 // flashCrowdTransform multiplies matching in-window events: after each
-// base event that falls inside a crowd window and under its subtree, it
-// emits Multiplier-1 synthetic crowd events — fresh anonymous sessions,
-// jittered uniformly across the window, tagged Details["crowd"]="1".
-// The base stream passes through untouched, so crowd windows never
-// change the per-class traffic they amplify.
+// base event that falls inside a flash_crowd fault's window and under its
+// subject subtree, it emits Magnitude-1 synthetic crowd events — fresh
+// anonymous sessions, jittered uniformly across the window, tagged
+// Details["crowd"]="1". The base stream passes through untouched, so crowd
+// windows never change the per-class traffic they amplify.
 func (s *Spec) flashCrowdTransform(base Stream) Stream {
-	if len(s.FlashCrowds) == 0 {
+	if !s.hasFault(FaultFlashCrowd) {
 		return base
 	}
 	dayMs := s.day.UnixMilli()
@@ -215,16 +201,14 @@ func (s *Spec) flashCrowdTransform(base Stream) Stream {
 			}
 			minute := int((e.Timestamp - dayMs) / 60_000)
 			name := e.Name.String()
-			for _, fc := range s.FlashCrowds {
-				if minute < fc.StartMinute || minute >= fc.EndMinute {
-					continue
-				}
-				if !hasPrefixPath(name, fc.Subtree) {
+			for j := range s.Faults {
+				fc := &s.Faults[j]
+				if fc.Kind != FaultFlashCrowd || !fc.covers(minute) || !hasPrefixPath(name, fc.Subject) {
 					continue
 				}
 				winStart := dayMs + int64(fc.StartMinute)*60_000
 				winLen := int64(fc.EndMinute-fc.StartMinute) * 60_000
-				for i := 1; i < fc.Multiplier; i++ {
+				for i := 1; i < fc.Magnitude; i++ {
 					clone := *e
 					crowdSeq++
 					clone.UserID = 0

@@ -37,7 +37,11 @@ func collect(t *testing.T, s *Spec) []events.ClientEvent {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs, err := Collect(st)
+	var evs []events.ClientEvent
+	err = st(func(e *events.ClientEvent) error {
+		evs = append(evs, *e)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +143,9 @@ func TestSessionCountsFollowFractions(t *testing.T) {
 // tagged, in-window, and under the subtree.
 func TestFlashCrowdPreservesBaseTraffic(t *testing.T) {
 	plain := collect(t, testSpec(t, nil))
-	fc := FlashCrowd{Subtree: "web:home", StartMinute: 60, EndMinute: 300, Multiplier: 5}
+	fc := Fault{Kind: FaultFlashCrowd, Subject: "web:home", StartMinute: 60, EndMinute: 300, Magnitude: 5}
 	spiked := collect(t, testSpec(t, func(sp *Spec) {
-		sp.FlashCrowds = []FlashCrowd{fc}
+		sp.Faults = []Fault{fc}
 	}))
 
 	var base []events.ClientEvent
@@ -172,13 +176,13 @@ func TestFlashCrowdPreservesBaseTraffic(t *testing.T) {
 	for i := range plain {
 		minute := int((plain[i].Timestamp - dayMs) / 60_000)
 		if minute >= fc.StartMinute && minute < fc.EndMinute &&
-			hasPrefixPath(plain[i].Name.String(), fc.Subtree) {
+			hasPrefixPath(plain[i].Name.String(), fc.Subject) {
 			matching++
 		}
 	}
-	if want := matching * (fc.Multiplier - 1); len(crowd) != want {
+	if want := matching * (fc.Magnitude - 1); len(crowd) != want {
 		t.Fatalf("crowd events = %d, want %d (%d matching base events × %d)",
-			len(crowd), want, matching, fc.Multiplier-1)
+			len(crowd), want, matching, fc.Magnitude-1)
 	}
 	if matching == 0 {
 		t.Fatal("no base events matched the crowd window; property vacuous")
@@ -189,7 +193,7 @@ func TestFlashCrowdPreservesBaseTraffic(t *testing.T) {
 		if minute < fc.StartMinute || minute >= fc.EndMinute {
 			t.Fatalf("crowd event %d at minute %d outside window", i, minute)
 		}
-		if !hasPrefixPath(e.Name.String(), fc.Subtree) {
+		if !hasPrefixPath(e.Name.String(), fc.Subject) {
 			t.Fatalf("crowd event %d name %s outside subtree", i, e.Name)
 		}
 		if e.UserID != 0 {
