@@ -275,13 +275,15 @@
 // first time they read it (realtime.derive.buckets / realtime.derive.ns
 // show that cost) and a clean bucket is a map read as before, and
 // RollupSnapshot and RollupTotal sum leaves and expand each distinct one
-// into its five rows. Each shard also keeps a short ring of hour cells, the
-// sums of an hour's minute caches, marked stale by the write that dirties a
-// clean minute of their hour: PathSum and TopK take every hour a window
-// covers whole from its cell (realtime.derive.hours counts the rebuilds)
-// and read minutes only at the window's edges, so a day-window read is 24
-// cells per shard. Reads are clamped to the live minutes, from the
-// retention horizon to the newest minute applied. The tap
+// into its five rows. Each shard also keeps its hour sums path-major: one
+// row per path, one entry per cell of a short ring of hour cells, a cell
+// marked stale by the write that dirties a clean minute of its hour.
+// PathSum and TopK share one read kernel that takes every hour a window
+// covers whole from the rows (a stale cell's column rebuilt first;
+// realtime.derive.hours counts the rebuilds, realtime.hours.rows the rows)
+// and reads minutes only at the window's edges, so a day-window read is one
+// row lookup per path per shard. Reads are clamped to the live minutes,
+// from the retention horizon to the newest minute applied. The tap
 // never builds a ClientEvent: events.Header is one allocation-free walk
 // over the compact-Thrift message (every field read or skipped, so a
 // damaged message fails as ClientEvent.Decode, which is built on the same

@@ -282,13 +282,11 @@ func BenchmarkApplyBatch(b *testing.B) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*n), "allocs/event")
 }
 
-// BenchmarkDayWindowRead is a dashboard's day-window reads over a clean
-// generated day: a root TopK, a client's TopK and a day PathSum per
-// iteration, each reading 24 hour cells per shard once a first read has
-// summed them.
-func BenchmarkDayWindowRead(b *testing.B) {
+// generatedDay is a counter holding the workload generator's default day,
+// read once over the day so that its minutes and hours are clean.
+func generatedDay(tb testing.TB) *Counter {
 	c := New(Config{})
-	defer c.Close()
+	tb.Cleanup(c.Close)
 	evs, _ := workload.New(workload.DefaultConfig(day)).Generate()
 	batcher := c.NewBatcher()
 	for i := range evs {
@@ -296,18 +294,69 @@ func BenchmarkDayWindowRead(b *testing.B) {
 	}
 	batcher.Flush()
 	c.Sync()
+	if c.PathSum("web", day, day.Add(24*time.Hour)) == 0 {
+		tb.Fatal("the generated day reads empty")
+	}
+	return c
+}
+
+// BenchmarkDayWindowRead is a dashboard's day-window reads over a clean
+// generated day: a root TopK, a client's TopK and a day PathSum per
+// iteration, each reading one hour row per path and shard.
+func BenchmarkDayWindowRead(b *testing.B) {
+	c := generatedDay(b)
 	from, to := day, day.Add(24*time.Hour)
-	read := func() int64 {
-		return int64(len(c.TopK("", 5, from, to))+len(c.TopK("web", 5, from, to))) + c.PathSum("web", from, to)
-	}
-	if read() == 0 {
-		b.Fatal("the generated day reads empty")
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		read()
+		c.TopK("", 5, from, to)
+		c.TopK("web", 5, from, to)
+		c.PathSum("web", from, to)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(3*b.N), "ns/read")
+}
+
+// BenchmarkDashboardRefresh is the query mix of the benchmark's dashboard
+// refresh over a clean generated day: a path's PathSum over an hour and
+// over the day, TopK of the root and of each of the five clients over the
+// day, and the path's Series over the hour. It reports the refresh's ns
+// and allocations, and the bytes of the hour rows it reads
+// (len(hourSum) × 8 over the shards).
+func BenchmarkDashboardRefresh(b *testing.B) {
+	c := generatedDay(b)
+	from, to := day, day.Add(24*time.Hour)
+	hourFrom, hourTo := day.Add(14*time.Hour), day.Add(15*time.Hour)
+	parents := []string{""}
+	for _, pc := range c.TopK("", 5, from, to) {
+		parents = append(parents, pc.Path)
+	}
+	if len(parents) != 6 {
+		b.Fatalf("the generated day has clients %v, want five", parents[1:])
+	}
+	const path = "web:home"
+	refresh := func() {
+		c.PathSum(path, hourFrom, hourTo)
+		c.PathSum(path, from, to)
+		for _, p := range parents {
+			c.TopK(p, 5, from, to)
+		}
+		c.Series(path, hourFrom, hourTo)
+	}
+	refresh()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		refresh()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	var rowBytes int
+	for _, s := range c.shards {
+		rowBytes += 8 * len(s.hourSum)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/refresh")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/refresh")
+	b.ReportMetric(float64(rowBytes), "hour-row-bytes")
 }
 
 // TestApplySteadyStateAllocationFree: with its buckets made and its leaves

@@ -5,6 +5,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -175,4 +177,132 @@ func FuzzSnapshotRecords(f *testing.F) {
 		}
 		c.TopK("", 3, from, to)
 	})
+}
+
+// fuzzNames are the names FuzzWindowReads writes: three clients, shared
+// and distinct prefixes at every depth, empty components.
+var fuzzNames = []string{
+	tweetImpression,
+	"web:home:timeline:stream:tweet:click",
+	"web:home:mentions:stream:avatar:profile_click",
+	"web:search:::tweet:open",
+	"iphone:home:timeline:stream:tweet:impression",
+	"iphone:search:results:cell:tweet:open",
+	"android:profile:::tweet:impression",
+}
+
+// FuzzWindowReads holds PathSum, TopK and Series to the string-keyed
+// reference (refModel, refTopK) over a sequence of writes and reads the
+// input decodes. Writes land anywhere in a span three retentions long, so
+// some go late into hours a read has already summed and some fall behind
+// the horizon and must be dropped; reads ask any window, across the horizon,
+// the newest minute, hour boundaries and a mid-minute end. The counter is
+// applied to directly, single-threaded, as recovery does.
+func FuzzWindowReads(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 10, 0, 1, 2, 0, 200, 2, 0, 0, 0, 0, 2, 0, 20, 2, 3, 0})
+	f.Add([]byte{1, 1, 5, 3, 0, 0, 4, 0, 7, 0x30, 2, 2, 0, 0, 1, 0, 0, 1, 2, 0, 0, 9, 1, 0xff, 2, 1, 2, 0, 0, 0, 0x40, 6, 3, 3, 0, 0, 0, 0xff, 30})
+	f.Add([]byte{2, 0, 0, 0x10, 0, 4, 0x0a, 0x20, 5, 0x0c, 0x10, 2, 0, 0, 0x06, 0xc0, 0x05, 0xa0, 1, 3, 0x02, 0x00, 0x01, 0x00, 4, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		take := func(n int) int64 { // the next n bytes, big-endian; 0 past the end
+			var v int64
+			for ; n > 0; n-- {
+				v <<= 8
+				if len(data) > 0 {
+					v, data = v|int64(data[0]), data[1:]
+				}
+			}
+			return v
+		}
+		pick := take(1)
+		retention := hourRetentions[pick%int64(len(hourRetentions))]
+		c := allocCounter(Config{Shards: 1 + int(pick/3)%3, Retention: retention}.withDefaults()) // no goroutines to stop
+		buckets := int64(c.buckets)
+		span := 3*buckets + 120
+		m0 := t0.Unix()/60 - 30
+		ref := &refModel{minute: map[string]map[int64]int64{}}
+		var newest int64
+		var paths, parents []string
+		seen := map[string]bool{}
+		for _, full := range fuzzNames {
+			parts := strings.Split(full, ":")
+			for d := 1; d <= events.NumComponents; d++ {
+				if p := strings.Join(parts[:d], ":"); !seen[p] {
+					seen[p] = true
+					paths = append(paths, p)
+					if d < events.NumComponents {
+						parents = append(parents, p)
+					}
+				}
+			}
+		}
+		paths, parents = append(paths, "web:nowhere"), append(parents, "", "web:nowhere")
+		at := func(m int64) time.Time { return time.Unix(m*60, 0) }
+		for len(data) > 0 {
+			switch op := take(1); op % 4 {
+			case 0, 1:
+				full := fuzzNames[take(1)%int64(len(fuzzNames))]
+				minute := m0 + take(2)%span
+				name, err := events.Lookup(full)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o, _ := c.digest(name, minute, []string{"us", "jp"}[op/4%2], op/8%2 == 1)
+				c.applyOne(c.shards[c.shardOf(name)], &o, 1)
+				newest = max(newest, minute)
+				if minute > newest-buckets {
+					ref.addPaths(full, minute)
+				}
+			default:
+				a := m0 - 60 + take(2)%(span+120)
+				z := a + take(2)%(buckets+180)
+				sec := take(1) % 60
+				to := at(z).Add(time.Duration(sec) * time.Second)
+				if sec > 0 {
+					z++
+				}
+				path := paths[take(1)%int64(len(paths))]
+				horizon := newest - buckets + 1
+				if op%4 == 3 {
+					checkSeries(t, c, ref, path, at(a), to, a, z, horizon, newest, buckets)
+					continue
+				}
+				lo, hi := max(a, horizon), min(z, newest+1)
+				var want int64
+				if lo < hi {
+					want = ref.sum(path, lo, hi)
+				}
+				if got := c.PathSum(path, at(a), to); got != want {
+					t.Fatalf("PathSum(%q, [%d, %d) from the horizon %d) = %d, want %d", path, a-horizon, z-horizon, horizon, got, want)
+				}
+				parent, k := parents[op/4%int64(len(parents))], 1+int(op/32)
+				if got, want := c.TopK(parent, k, at(a), to), refTopK(ref, parent, k, lo, hi); !reflect.DeepEqual(got, want) {
+					t.Fatalf("TopK(%q, %d, [%d, %d) from the horizon %d) = %v, want %v", parent, k, a-horizon, z-horizon, horizon, got, want)
+				}
+			}
+		}
+	})
+}
+
+// checkSeries holds Series(path, from, to) — [a, z) in minutes, z widened
+// past a mid-minute to — to the reference: the window capped at the ring's
+// length, zero behind the horizon.
+func checkSeries(t *testing.T, c *Counter, ref *refModel, path string, from, to time.Time, a, z, horizon, newest, buckets int64) {
+	t.Helper()
+	var want []int64
+	if z-a > buckets {
+		z = a + buckets
+	}
+	for m := a; m < z; m++ {
+		var n int64
+		if m >= horizon && m <= newest {
+			n = ref.minute[path][m]
+		}
+		want = append(want, n)
+	}
+	if got := c.Series(path, from, to); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Series(%q, [%d, %d) from the horizon %d) = %v, want %v", path, a-horizon, z-horizon, horizon, got, want)
+	}
 }

@@ -281,3 +281,41 @@ func TestRecycledSlotMarksItsHour(t *testing.T) {
 		t.Fatalf("PathSum over hour 2 after a late write = %d, want 2", got)
 	}
 }
+
+// TestDayReadAllocations: on a clean generated day PathSum allocates
+// nothing, and TopK at most its child counts, its answer and, on a counter
+// that has not counted every child, the child list it keeps — no reflection
+// sort, no closure handed to the read, no growing of the answer.
+func TestDayReadAllocations(t *testing.T) {
+	c := generatedDay(t)
+	from, to := day, day.Add(24*time.Hour)
+	for _, parent := range []string{"", "web", "iphone:home"} {
+		if n := testing.AllocsPerRun(20, func() { c.TopK(parent, 5, from, to) }); n > 3 {
+			t.Errorf("TopK(%q) allocates %.0f objects per call, want at most 3", parent, n)
+		}
+	}
+	for _, w := range [][2]time.Time{{from, to}, {from.Add(14 * time.Hour), from.Add(15 * time.Hour)}, {from.Add(90 * time.Minute), to}} {
+		if n := testing.AllocsPerRun(20, func() { c.PathSum("web:home", w[0], w[1]) }); n != 0 {
+			t.Errorf("PathSum over [%v, %v) allocates %.0f objects per call, want 0", w[0], w[1], n)
+		}
+	}
+}
+
+// TestHourRowsGauge: the hour rows a day-window read makes show in
+// realtime.hours.rows, one per path and shard: two names that differ only
+// in their action, summed in two hours, hold seven.
+func TestHourRowsGauge(t *testing.T) {
+	c := newCounter(t, Config{Shards: 1})
+	c.Ingest(ev(tweetImpression, t0.Add(-2*time.Hour), 1, "us"))
+	c.Ingest(ev("web:home:timeline:stream:tweet:click", t0.Add(-time.Hour), 1, "us"))
+	c.Ingest(ev(tweetImpression, t0, 1, "us")) // the newest minute: its hour is read from the ring
+	c.Sync()
+	midnight := t0.Truncate(24 * time.Hour)
+	tmHourRows.Set(0)
+	if got := c.PathSum("web", midnight, midnight.Add(24*time.Hour)); got != 3 {
+		t.Fatalf("PathSum over the day = %d, want 3", got)
+	}
+	if got := tmHourRows.Value(); got != 7 {
+		t.Fatalf("realtime.hours.rows = %d after a day read, want the 7 distinct paths", got)
+	}
+}

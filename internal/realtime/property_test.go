@@ -90,14 +90,7 @@ func (g *refGen) feed(n int, cs ...*Counter) {
 		ref.events++
 		full := name.String()
 		ref.names[full] = true
-		parts := strings.Split(full, ":")
-		for d := 1; d <= events.NumComponents; d++ {
-			p := strings.Join(parts[:d], ":")
-			if ref.minute[p] == nil {
-				ref.minute[p] = map[int64]int64{}
-			}
-			ref.minute[p][minute]++
-		}
+		ref.addPaths(full, minute)
 		if ref.rollupAt[minute] == nil {
 			ref.rollupAt[minute] = map[analytics.RollupKey]int64{}
 		}
@@ -115,6 +108,19 @@ func (g *refGen) feed(n int, cs ...*Counter) {
 	for i, b := range batchers {
 		b.Flush()
 		cs[i].Sync()
+	}
+}
+
+// addPaths counts one event of the full name at minute under each of its
+// six hierarchy prefixes.
+func (r *refModel) addPaths(full string, minute int64) {
+	parts := strings.Split(full, ":")
+	for d := 1; d <= events.NumComponents; d++ {
+		p := strings.Join(parts[:d], ":")
+		if r.minute[p] == nil {
+			r.minute[p] = map[int64]int64{}
+		}
+		r.minute[p][minute]++
 	}
 }
 

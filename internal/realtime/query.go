@@ -1,8 +1,9 @@
 package realtime
 
 import (
+	"cmp"
 	"slices"
-	"sort"
+	"strings"
 	"time"
 
 	"unilog/internal/analytics"
@@ -29,127 +30,171 @@ func minuteRange(from, to time.Time) (int64, int64) {
 	return fm, tm
 }
 
-// readMode is what a window read takes from each bucket.
-type readMode uint8
-
-const (
-	// readLeaves hands fn minute buckets for their leaves and derives
-	// nothing: a rollup question must not pay for (or hide the staleness
-	// of) a cache it does not use.
-	readLeaves readMode = iota
-	// readMinutes hands fn minute buckets whose prefix caches are current.
-	readMinutes
-	// readHours hands fn an hour cell for every hour the window covers
-	// whole and a minute bucket for each minute at its edges, all with
-	// current prefix caches: for a reader that sums over the window and
-	// never asks which minute a count came from.
-	readHours
-)
-
-// forEachBucket invokes fn under the shard lock for every live bucket in
-// the window, or, reading hours, for every whole hour's cell and every live
-// edge minute. The window is first clamped to the minutes that can hold
-// counts, [horizon, maxMinute]: a bucket at or behind the retention horizon
-// is not live even while its slot is unrecycled — writes there are dropped,
-// so reads there are empty (Config.Retention) — and nothing lies beyond the
-// newest minute applied. What is left is at most a ring long, so each
-// minute's slot is probed by index, and a day-window read costs 24 cells
-// per shard (23 and at most 118 edge probes if it is not hour-aligned)
-// where it cost 1440 probes.
-//
-// Reading prefixes, a bucket written since it was last read that way is
-// derived first: the lock held is exclusive, so the rebuild races nothing,
-// and a clean bucket costs what it always has. A stale or unclaimed hour
-// cell is rebuilt the same way (sumHour): the hour's stale minutes are
-// derived and the minute caches summed. A late write therefore costs the
-// next read one minute's derivation and one hour's sum of its minute caches.
-// realtime.derive.buckets counts the minutes derived, realtime.derive.hours
-// the cells summed, realtime.derive.ns the time one read spent on both.
-func (c *Counter) forEachBucket(from, to time.Time, mode readMode, fn func(*bucket)) {
+// liveMinutes converts [from, to) to minutes and clamps them to the ones
+// that can hold counts, [horizon, maxMinute]: a bucket at or behind the
+// retention horizon is not live even while its slot is unrecycled — writes
+// there are dropped, so reads there are empty (Config.Retention) — and
+// nothing lies beyond the newest minute applied. What is left is at most a
+// ring long, so each minute's slot is probed by index.
+func (c *Counter) liveMinutes(from, to time.Time) (int64, int64) {
 	fm, tm := minuteRange(from, to)
 	newest := c.maxMinute.Load()
 	// From minute 1: 0 is the empty-slot value and minutes before it index no slot.
-	fm = max(fm, newest-int64(c.buckets)+1, 1)
-	tm = min(tm, newest+1)
-	var minutes, hours int64
-	var spent time.Duration
-	// names must cover every leaf of the shard being read, so it is fetched
-	// under that shard's lock, and only by a read that derives.
-	var names []*events.NameEntry
-	derive := func(b *bucket) {
-		if names == nil {
-			names = events.NameEntries()
-		}
-		b.derive(names)
-		minutes++
+	return max(fm, newest-int64(c.buckets)+1, 1), min(tm, newest+1)
+}
+
+// readCost is what one prefix read rebuilt (realtime.derive.buckets, .hours,
+// .ns). names must cover every leaf of the shard being read, so it is
+// fetched under that shard's lock (reset per shard), and only if needed.
+type readCost struct {
+	names          []*events.NameEntry
+	minutes, hours int64
+	spent          time.Duration
+}
+
+// derive rebuilds a stale minute's prefix cache. The shard lock held is
+// exclusive, so the rebuild races nothing.
+func (r *readCost) derive(b *bucket) {
+	t0 := time.Now()
+	if r.names == nil {
+		r.names = events.NameEntries()
 	}
-	for _, s := range c.shards {
-		s.mu.Lock()
-		names = nil
-		n, nh := int64(len(s.ring)), int64(len(s.hours))
-		for m := fm; m < tm; {
-			if mode == readHours && m%60 == 0 && tm-m >= 60 {
-				cell := &s.hours[m/60%nh]
-				if cell.stale || cell.minute != m {
-					t0 := time.Now()
-					s.sumHour(cell, m, derive)
-					hours++
-					spent += time.Since(t0)
-				}
-				fn(cell)
-				m += 60
-				continue
-			}
-			if b := &s.ring[m%n]; b.minute == m {
-				if mode != readLeaves && b.stale {
-					t0 := time.Now()
-					derive(b)
-					spent += time.Since(t0)
-				}
-				fn(b)
-			}
-			m++
-		}
-		s.mu.Unlock()
-	}
-	if minutes+hours > 0 {
-		tmDeriveBuckets.Add(minutes)
-		tmDeriveHours.Add(hours)
-		tmDeriveNs.Observe(int64(spent))
+	b.derive(r.names)
+	r.minutes++
+	r.spent += time.Since(t0)
+}
+
+func (r *readCost) record() {
+	if r.minutes+r.hours > 0 {
+		tmDeriveBuckets.Add(r.minutes)
+		tmDeriveHours.Add(r.hours)
+		tmDeriveNs.Observe(int64(r.spent))
 	}
 }
 
-// sumHour rebuilds cell as the hour starting at minute first: every live
-// minute of it is derived if stale and its prefix cache added in. A cell
-// that held another hour is claimed for this one; summing the minutes is
-// right whatever it held. Callers hold the shard lock.
-func (s *shard) sumHour(cell *bucket, first int64, derive func(*bucket)) {
-	if cell.prefix == nil {
-		cell.prefix = make(map[uint32]int64, 2*events.NumComponents)
-	} else {
-		clear(cell.prefix)
+// forEachBucket invokes fn under the shard lock for every live minute
+// bucket in the window (liveMinutes). With prefixes set, a bucket written
+// since it was last read that way is derived first, and a clean bucket
+// costs what it always has; without, nothing is derived: a rollup question
+// must not pay for (or hide the staleness of) a cache it does not use.
+func (c *Counter) forEachBucket(from, to time.Time, prefixes bool, fn func(*bucket)) {
+	fm, tm := c.liveMinutes(from, to)
+	var cost readCost
+	for _, s := range c.shards {
+		s.mu.Lock()
+		cost.names = nil
+		n := int64(len(s.ring))
+		for m := fm; m < tm; m++ {
+			if b := &s.ring[m%n]; b.minute == m {
+				if prefixes && b.stale {
+					cost.derive(b)
+				}
+				fn(b)
+			}
+		}
+		s.mu.Unlock()
 	}
-	n := int64(len(s.ring))
+	cost.record()
+}
+
+// sumPaths adds each path's count over [from, to) to out, index for index
+// with ids: the read kernel of PathSum and TopK. Per shard, under its lock,
+// it rebuilds each whole hour of the window whose cell is stale or holds
+// another hour (sumHour) and derives each stale edge minute; then a path
+// costs one row lookup, a sum over a run of its row, and a map probe per
+// live edge minute (at most 118, none on an hour-aligned window).
+func (c *Counter) sumPaths(ids []uint32, from, to time.Time, out []int64) {
+	fm, tm := c.liveMinutes(from, to)
+	// The whole hours are [hf, ht); edges holds the minutes either side.
+	hf, ht := (fm+59)/60*60, tm-tm%60
+	if hf >= ht {
+		hf, ht = tm, tm
+	}
+	edges := [2][2]int64{{fm, hf}, {ht, tm}}
+	var cost readCost
+	var edgeBuf [118]*bucket // the most edge minutes: 59 either side, or a window spanning no whole hour
+	for _, s := range c.shards {
+		s.mu.Lock()
+		cost.names = nil
+		n, nh := int64(len(s.ring)), int64(len(s.hours))
+		for m := hf; m < ht; m += 60 {
+			if h := m / 60 % nh; s.hours[h] != (hourCell{minute: m}) {
+				t0, spent := time.Now(), cost.spent
+				c.sumHour(s, int(h), m, &cost)
+				cost.spent = spent + time.Since(t0)
+			}
+		}
+		live := edgeBuf[:0]
+		for _, e := range edges {
+			for m := e[0]; m < e[1]; m++ {
+				if b := &s.ring[m%n]; b.minute == m {
+					if b.stale {
+						cost.derive(b)
+					}
+					live = append(live, b)
+				}
+			}
+		}
+		h0, end := int(hf/60%nh), int(hf/60%nh+(ht-hf)/60)
+		for i, id := range ids {
+			if r, ok := s.hourRow[id]; ok {
+				row := s.hourSum[int(r)*int(nh):][:nh]
+				for _, v := range row[h0:min(end, int(nh))] {
+					out[i] += v
+				}
+				for _, v := range row[:max(end-int(nh), 0)] {
+					out[i] += v
+				}
+			}
+			for _, b := range live {
+				out[i] += b.prefix[id]
+			}
+		}
+		s.mu.Unlock()
+	}
+	cost.record()
+}
+
+// sumHour rebuilds hour cell h as the hour starting at minute first, which
+// it claims: it zeroes column h of every row, then adds in each live
+// minute's prefix cache, derived first if stale, giving a path seen for the
+// first time a new zeroed row. Rows are never removed. Callers hold the
+// shard lock.
+func (c *Counter) sumHour(s *shard, h int, first int64, cost *readCost) {
+	nh, rows, n := len(s.hours), len(s.hourRow), int64(len(s.ring))
+	for i := h; i < len(s.hourSum); i += nh {
+		s.hourSum[i] = 0
+	}
 	for m := first; m < first+60; m++ {
 		b := &s.ring[m%n]
 		if b.minute != m {
 			continue
 		}
 		if b.stale {
-			derive(b)
+			cost.derive(b)
 		}
 		for id, v := range b.prefix {
-			cell.prefix[id] += v
+			r, ok := s.hourRow[id]
+			if !ok {
+				r = int32(len(s.hourRow))
+				s.hourRow[id] = r
+				s.hourSum = append(s.hourSum, make([]int64, nh)...)
+			}
+			s.hourSum[int(r)*nh+h] += v
 		}
 	}
-	cell.minute, cell.stale = first, false
+	s.hours[h] = hourCell{minute: first}
+	cost.hours++
+	if added := len(s.hourRow) - rows; added > 0 {
+		tmHourRows.Set(c.hourRows.Add(int64(added)))
+	}
 }
 
 // leafTotals sums the leaves of every live bucket in the window — what
 // both rollup readers expand. It never derives a prefix cache.
 func (c *Counter) leafTotals(from, to time.Time) map[uint64]int64 {
 	acc := make(map[uint64]int64)
-	c.forEachBucket(from, to, readLeaves, func(b *bucket) {
+	c.forEachBucket(from, to, false, func(b *bucket) {
 		for k, n := range b.leaf {
 			acc[k] += n
 		}
@@ -165,11 +210,9 @@ func (c *Counter) PathSum(path string, from, to time.Time) int64 {
 	if !ok || !c.tab.counted(id) {
 		return 0
 	}
-	var total int64
-	c.forEachBucket(from, to, readHours, func(b *bucket) {
-		total += b.prefix[id]
-	})
-	return total
+	var total [1]int64
+	c.sumPaths([]uint32{id}, from, to, total[:])
+	return total[0]
 }
 
 // Series returns per-minute counts of a path over [from, to), index 0
@@ -189,7 +232,7 @@ func (c *Counter) Series(path string, from, to time.Time) []int64 {
 	if !ok || !c.tab.counted(id) {
 		return out
 	}
-	c.forEachBucket(from, to, readMinutes, func(b *bucket) {
+	c.forEachBucket(from, to, true, func(b *bucket) {
 		out[b.minute-fm] += b.prefix[id]
 	})
 	return out
@@ -217,33 +260,18 @@ func (c *Counter) TopK(parent string, k int, from, to time.Time) []PathCount {
 		}
 		parentID = id
 	}
-	// A path has few children and a bucket holds every prefix of every
-	// name of its shard and minute (an hour cell, of its hour), so the scan
-	// asks each bucket for the children by ID rather than walking its whole
-	// map; a bucket with fewer cells than there are children is walked
-	// instead.
+	// Only the children this counter has counted can count; on a cluster
+	// partition that is often few of them.
 	children := events.PathChildren(parentID)
 	uncounted := func(id uint32) bool { return !c.tab.counted(id) }
 	if slices.ContainsFunc(children, uncounted) {
 		children = slices.DeleteFunc(slices.Clone(children), uncounted)
 	}
 	counts := make([]int64, len(children))
-	c.forEachBucket(from, to, readHours, func(b *bucket) {
-		if len(b.prefix) < len(children) {
-			for id, n := range b.prefix {
-				if i, ok := slices.BinarySearch(children, id); ok {
-					counts[i] += n
-				}
-			}
-			return
-		}
-		for i, id := range children {
-			counts[i] += b.prefix[id]
-		}
-	})
+	c.sumPaths(children, from, to, counts)
 	// Strings are resolved at the edge, for the children that counted.
 	paths := events.Paths()
-	var ranked []PathCount
+	ranked := make([]PathCount, 0, len(counts))
 	for i, n := range counts {
 		if n != 0 {
 			ranked = append(ranked, PathCount{Path: paths[children[i]], Count: n})
@@ -252,11 +280,8 @@ func (c *Counter) TopK(parent string, k int, from, to time.Time) []PathCount {
 	if len(ranked) == 0 {
 		return nil
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].Count != ranked[j].Count {
-			return ranked[i].Count > ranked[j].Count
-		}
-		return ranked[i].Path < ranked[j].Path
+	slices.SortFunc(ranked, func(a, b PathCount) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), strings.Compare(a.Path, b.Path))
 	})
 	if len(ranked) > k {
 		ranked = ranked[:k]

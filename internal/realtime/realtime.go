@@ -39,38 +39,38 @@
 //   - a bucket is its leaf table. Under the shard lock a write is one map
 //     increment and a stale mark (applyOne); the prefix readers (PathSum,
 //     Series, TopK) rebuild a stale bucket's prefix sums from its leaves
-//     the first time they meet it (forEachBucket, bucket.derive) and read
-//     the cache from then until the bucket is written again; the rollup
+//     the first time they meet it (bucket.derive) and read the cache from
+//     then until the bucket is written again; the rollup
 //     readers (RollupSnapshot, RollupTotal) sum leaves and expand each
 //     distinct one into its five analytics.RollupKey rows, which makes the
 //     streaming path directly comparable with the warehouse batch job —
 //     Reconcile diffs the day a counter holds, live or recovered, against
 //     analytics.Rollups and asserts exact agreement;
-//   - beside its minute ring a shard keeps a short ring of hour cells, each
-//     the sum of one hour's minute caches. The first write to a clean
-//     minute marks its hour's cell stale too, so PathSum and TopK take every
-//     hour a window covers whole from its cell — rebuilt from its minutes
-//     when stale — and read minute buckets only at the window's edges. A
-//     day-window read is ~24 cells per shard, not ~1440 minute probes; Series
-//     and the rollup readers keep reading minutes.
+//   - beside its minute ring a shard keeps hour sums path-major: one row
+//     per path, one entry per cell of a short ring of hour cells. The first
+//     write to a clean minute marks its hour's cell stale, so PathSum and
+//     TopK (one kernel, sumPaths) take every hour a window covers whole from
+//     the rows, a stale cell's column rebuilt first, and read minute buckets
+//     only at the window's edges: a day-window read is one row per path per
+//     shard. Series and the rollup readers keep reading minutes.
 //
 // What the write path no longer does the read side pays, bounded: a prefix
 // read that finds a bucket stale does about six map adds per leaf of that
 // bucket, once, however many events the leaves count, and one that finds an
-// hour cell stale adds up that hour's ≤ 60 minute caches. A generated day of
-// 80k events holds ~11 leaves in each of its ~4.6k buckets: the first
-// dashboard refresh after ingesting it derives them all and sums every
-// shard's 24 cells, and later refreshes over the clean day read cells alone,
-// a few hundred map reads where each day-window TopK used to walk 1440
-// minutes per shard (BenchmarkDayWindowRead). A late write costs the next
-// read one minute's derivation and one hour's sum. The case that pays
-// repeatedly is a poller of a minute still being written, which derives that
-// one bucket per poll.
+// hour cell stale zeroes its column and adds in that hour's ≤ 60 minute
+// caches. A generated day of 80k events holds ~11 leaves in each of its
+// ~4.6k buckets: the first dashboard refresh after ingesting it derives them
+// all and sums every shard's 24 cells, and later refreshes over the clean
+// day add up a 24-entry run of one row per path and shard, where a TopK
+// probed 24 hour maps per child (BenchmarkDashboardRefresh). A late write
+// costs the next read one minute's derivation and one hour's sum. The case
+// that pays repeatedly is a poller of a minute still being written, which
+// derives that one bucket per poll.
 // realtime.derive.buckets, realtime.derive.hours and realtime.derive.ns
-// (telemetry.go) show all of it. A snapshot pays none of it: the file holds
-// the leaves as the buckets do (snapshot.go), cells are never written to
-// disk, and a loaded bucket and its hour are derived like any other stale
-// ones.
+// (telemetry.go) show all of it, and realtime.hours.rows the rows, which
+// are never removed. A snapshot pays none of it: the file holds the leaves
+// as the buckets do (snapshot.go), hour rows are never written to disk, and
+// a loaded bucket and its hour are derived like any other stale ones.
 //
 // Totals are distributive: a key's count is the sum of its per-shard,
 // per-bucket cells, so ingestion never coordinates across shards and
@@ -223,17 +223,18 @@ func leafFields(k uint64) (name, country uint32, loggedIn bool) {
 // the map from the leaves (derive). Staleness belongs to the bucket, not
 // to the clock: a replayed or late event dirties an old minute like any
 // other.
-//
-// An hour cell is a bucket too, one per hour in a shard's second, short
-// ring (shard.hours): minute is the hour's first minute, leaf stays nil,
-// and prefix is the sum of that hour's minute caches. A write that turns a
-// clean minute stale marks its hour's cell stale as well (shard.touchHour),
-// so a clean cell is exact, and the first prefix read to meet a stale one
-// rebuilds it from its minutes (sumHour).
 type bucket struct {
 	minute int64            // Unix minute this slot currently holds; 0 = empty
 	leaf   map[uint64]int64 // leafKey -> count; nil = slot never used
 	prefix map[uint32]int64 // path ID -> count, valid while !stale
+	stale  bool
+}
+
+// hourCell says which hour one column of a shard's hour rows holds, and
+// whether a minute of it turned stale since it was summed (touchHour): a
+// clean cell's column is exact, a stale one is rebuilt by the next read.
+type hourCell struct {
+	minute int64 // the hour's first minute; 0 = never summed
 	stale  bool
 }
 
@@ -272,7 +273,7 @@ type shardMsg struct {
 }
 
 // shard owns one queue, one drain goroutine, one ring of minute buckets
-// and one ring of hour cells, which mu guards against concurrent readers.
+// and its hour rows, which mu guards against concurrent readers.
 type shard struct {
 	ch   chan shardMsg
 	mu   sync.Mutex
@@ -283,8 +284,12 @@ type shard struct {
 	// hour a read can still ask for whole. (A taken cell would be summed
 	// again on its next read, never read wrong: a cell is trusted only
 	// while it holds the hour asked for.)
-	hours []bucket
-	wal   *walWriter // nil on memory-only counters; drain-goroutine-owned after start
+	hours []hourCell
+	// hourRow maps a path ID to its row r of hourSum: entries
+	// [r*len(hours), (r+1)*len(hours)), the path's count in each hour cell.
+	hourRow map[uint32]int32
+	hourSum []int64
+	wal     *walWriter // nil on memory-only counters; drain-goroutine-owned after start
 	// applied counts events this shard has applied since start; dropped
 	// and evicted mirror the replay-derivable slices of DroppedOld and
 	// Evicted. All three are written only by the owning drain goroutine
@@ -343,6 +348,8 @@ type Counter struct {
 	// maxMinute is the newest Unix minute any shard has applied — the
 	// high-water mark the retention horizon hangs from.
 	maxMinute atomic.Int64
+	// hourRows counts the hour rows of every shard (realtime.hours.rows).
+	hourRows atomic.Int64
 
 	observed     atomic.Int64
 	tapEntries   atomic.Int64
@@ -383,9 +390,10 @@ func allocCounter(cfg Config) *Counter {
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		c.shards = append(c.shards, &shard{
-			ch:    make(chan shardMsg, cfg.QueueDepth),
-			ring:  make([]bucket, c.buckets),
-			hours: make([]bucket, c.buckets/60+2),
+			ch:      make(chan shardMsg, cfg.QueueDepth),
+			ring:    make([]bucket, c.buckets),
+			hours:   make([]hourCell, c.buckets/60+2),
+			hourRow: make(map[uint32]int32),
 		})
 	}
 	return c

@@ -48,6 +48,11 @@ var (
 	tmDeriveBuckets = telemetry.GetCounter("realtime.derive.buckets")
 	tmDeriveHours   = telemetry.GetCounter("realtime.derive.hours")
 	tmDeriveNs      = telemetry.GetHistogram("realtime.derive.ns")
+
+	// realtime.hours.rows is the hour rows of the counter that last summed
+	// an hour: one row per path per shard, len(hours) × 8 B each. Rows are
+	// never removed, so it grows with the name table (ROADMAP I).
+	tmHourRows = telemetry.GetGauge("realtime.hours.rows")
 )
 
 // Publish wires this counter's live Stats fields and queue state into
