@@ -295,7 +295,12 @@
 // Batcher.AddObservation for an event already reduced to
 // realtime.Observation {name-table entry, minute, country, login bit} — a
 // cluster delivery, which never looks the name up again — and TapBatch from
-// the header.
+// the header. Counter.Sync, the read-your-writes barrier, waits until every
+// batch enqueued before it is applied. Each shard counts the batches sent
+// to its queue and the batches its drain has applied, so a shard with
+// nothing in flight costs Sync two atomic loads, and only a shard whose
+// drain still holds a batch is sent a sync message and waited on
+// (realtime.sync.calls, and realtime.sync.waits per shard waited on).
 //
 // The counters are durable: realtime.Open roots a counter in a directory
 // where every drained batch is appended to a per-shard, CRC-framed
@@ -353,12 +358,14 @@
 // and a send to a node it declared dead parks without trying —
 // each node's own WAL/snapshot recovery remains the intra-node story,
 // and the two together make a mid-day crash + restart converge back to
-// exact counts. On the read side birdbrain.Scatter fans PathSum / TopK /
-// Series / RollupSnapshot across one live replica per partition, merges
-// the disjoint partials, and degrades instead of failing: a query served
-// around a dead replica is marked Degraded (Failovers counts the fallen
-// primaries), and only a partition with no live replica at all makes the
-// answer Partial. Scatter.ReplicaTimeout arms a hedge against
+// exact counts. On the read side birdbrain.Scatter first calls
+// Cluster.Sync, every partition counter's Sync on every live node — on an
+// idle cluster two atomic loads per counter, no goroutine round trip —
+// then fans PathSum / TopK / Series / RollupSnapshot across one live
+// replica per partition, merges the disjoint partials, and degrades
+// instead of failing: a query served around a dead replica is marked
+// Degraded (Failovers counts the fallen primaries), and only a partition
+// with no live replica at all makes the answer Partial. Scatter.ReplicaTimeout arms a hedge against
 // slow-but-alive replicas: a partition query that has not answered
 // within the timeout races the next replica in parallel and takes the
 // first answer, so a wedged node costs one timeout instead of a whole

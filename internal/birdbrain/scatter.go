@@ -1,7 +1,9 @@
 package birdbrain
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"time"
 
 	"unilog/internal/analytics"
@@ -241,11 +243,8 @@ func (s *Scatter) TopK(parent string, k int, from, to time.Time) ([]realtime.Pat
 	for path, count := range acc {
 		ranked = append(ranked, realtime.PathCount{Path: path, Count: count})
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].Count != ranked[j].Count {
-			return ranked[i].Count > ranked[j].Count
-		}
-		return ranked[i].Path < ranked[j].Path
+	slices.SortFunc(ranked, func(a, b realtime.PathCount) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), strings.Compare(a.Path, b.Path))
 	})
 	if len(ranked) > k {
 		ranked = ranked[:k]

@@ -1,6 +1,9 @@
 package birdbrain
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -8,6 +11,8 @@ import (
 	"unilog/internal/events"
 	"unilog/internal/geo"
 	"unilog/internal/realtime"
+	"unilog/internal/scribe"
+	"unilog/internal/workload"
 	"unilog/internal/zk"
 )
 
@@ -78,14 +83,31 @@ func TestScatterMatchesReference(t *testing.T) {
 		}
 	}
 
-	gotTop, _ := s.TopK("", 3, from, to)
-	wantTop := ref.TopK("", 3, from, to)
-	if len(gotTop) != len(wantTop) {
-		t.Fatalf("TopK = %v, want %v", gotTop, wantTop)
+	// web:home (1 + 4 events) ties web:search (5), so the tie order of
+	// every cut through "web"'s children is pinned to the reference's.
+	for j := 0; j < 5; j++ {
+		e := scatterEv("web:search:results:stream:tweet:impression", scatterT0, int64(j))
+		c.Ingest(e)
+		ref.Ingest(e)
 	}
-	for i := range wantTop {
-		if gotTop[i] != wantTop[i] {
-			t.Errorf("TopK[%d] = %v, want %v", i, gotTop[i], wantTop[i])
+	c.Tick()
+	ref.Sync()
+	if all := ref.TopK("web", 3, from, to); len(all) != 3 || all[1].Count != all[2].Count {
+		t.Fatalf("reference TopK(web) = %v, want a tie in second place", all)
+	}
+	for _, q := range []struct {
+		parent string
+		k      int
+	}{{"", 3}, {"web", 3}, {"web", 2}} {
+		gotTop, _ := s.TopK(q.parent, q.k, from, to)
+		wantTop := ref.TopK(q.parent, q.k, from, to)
+		if len(gotTop) != len(wantTop) {
+			t.Fatalf("TopK(%q, %d) = %v, want %v", q.parent, q.k, gotTop, wantTop)
+		}
+		for i := range wantTop {
+			if gotTop[i] != wantTop[i] {
+				t.Errorf("TopK(%q, %d)[%d] = %v, want %v", q.parent, q.k, i, gotTop[i], wantTop[i])
+			}
 		}
 	}
 }
@@ -218,4 +240,108 @@ func TestScatterHedgesSlowReplica(t *testing.T) {
 	if meta.Partial || meta.Answered != meta.Partitions {
 		t.Errorf("post-stall meta = %+v, want full fan", meta)
 	}
+}
+
+// A scatter read looping beside a writer reads what the cluster was fed:
+// each PathSum, behind its Cluster.Sync, counts at least the batches tapped
+// before it began and at most those begun by the time it returned, and the
+// exact total at the end.
+func TestScatterSyncReadsWhatWasTapped(t *testing.T) {
+	c, err := cluster.New(cluster.Config{Nodes: 3, ReplicationFactor: 2, Clock: zk.NewManualClock(scatterT0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	batch := make([]scribe.Entry, 60)
+	for i := range batch {
+		e := scatterEv(scatterNames[i%len(scatterNames)], scatterT0.Add(time.Duration(i)*time.Second), int64(i))
+		batch[i] = scribe.Entry{Category: events.Category, Message: e.Marshal()}
+	}
+	const batches, per = 200, 30 // half of scatterNames are web's
+	var started, fed atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < batches; i++ {
+			started.Add(per)
+			c.TapBatch(batch)
+			fed.Add(per)
+		}
+	}()
+	s := NewScatter(c)
+	from, to := scatterT0, scatterT0.Add(time.Hour)
+	for reads := 0; fed.Load() < batches*per; reads++ {
+		lo := fed.Load()
+		got, meta := s.PathSum("web", from, to)
+		if hi := started.Load(); got < lo || got > hi || meta.Degraded {
+			t.Fatalf("read %d = %d (meta %+v), want within [%d, %d] from a clean fan", reads, got, meta, lo, hi)
+		}
+	}
+	wg.Wait()
+	if got, _ := s.PathSum("web", from, to); got != batches*per {
+		t.Fatalf("final PathSum(web) = %d, want %d", got, batches*per)
+	}
+}
+
+// BenchmarkScatterRefresh is the benchmark dashboard's refresh through the
+// scatter-gather layer: an in-memory 3-node, R = 2, 16-partition cluster
+// holding the workload generator's default day, read with a path's PathSum
+// over an hour and over the day, TopK of the root and of each of the five
+// clients over the day, and the path's Series over the hour — nine
+// queries, each behind its own Cluster.Sync. It reports the refresh's ns
+// and allocations.
+func BenchmarkScatterRefresh(b *testing.B) {
+	c, err := cluster.New(cluster.Config{
+		Nodes: 3, ReplicationFactor: 2, Partitions: 16, Clock: zk.NewManualClock(day),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	evs, _ := workload.New(workload.DefaultConfig(day)).Generate()
+	batch := make([]scribe.Entry, 0, 500)
+	for i := range evs {
+		batch = append(batch, scribe.Entry{Category: events.Category, Message: evs[i].Marshal()})
+		if len(batch) == cap(batch) || i == len(evs)-1 {
+			c.TapBatch(batch)
+			batch = batch[:0]
+		}
+	}
+	c.Tick()
+	c.Sync()
+	s := NewScatter(c)
+	from, to := day, day.Add(24*time.Hour)
+	hourFrom, hourTo := day.Add(14*time.Hour), day.Add(15*time.Hour)
+	parents := []string{""}
+	top, _ := s.TopK("", 5, from, to)
+	for _, pc := range top {
+		parents = append(parents, pc.Path)
+	}
+	if len(parents) != 6 {
+		b.Fatalf("the generated day has clients %v, want five", parents[1:])
+	}
+	const path = "web:home"
+	if n, meta := s.PathSum(path, from, to); n == 0 || meta.Degraded {
+		b.Fatalf("PathSum(%q) over the day = %d (meta %+v), want a clean nonzero answer", path, n, meta)
+	}
+	refresh := func() {
+		s.PathSum(path, hourFrom, hourTo)
+		s.PathSum(path, from, to)
+		for _, p := range parents {
+			s.TopK(p, 5, from, to)
+		}
+		s.Series(path, hourFrom, hourTo)
+	}
+	refresh()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		refresh()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/refresh")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/refresh")
 }

@@ -391,8 +391,10 @@ func (c *Cluster) Drained() bool {
 }
 
 // Sync blocks until every delivered observation is applied on every
-// live node — the cluster-wide read-your-writes barrier. It does not
-// flush send queues or hints; see Drained and Tick for those.
+// live node — the cluster-wide read-your-writes barrier. It is each
+// partition counter's realtime.Counter.Sync, so an idle shard costs two
+// atomic loads and only shards with batches in flight are waited on. It
+// does not flush send queues or hints; see Drained and Tick for those.
 func (c *Cluster) Sync() {
 	for _, n := range c.nodes {
 		n.sync()

@@ -278,6 +278,9 @@ type shard struct {
 	ch   chan shardMsg
 	mu   sync.Mutex
 	ring []bucket
+	// sent counts batches enqueued on ch and done the batches the drain has
+	// applied; done < sent is a batch in flight, which Sync must wait for.
+	sent, done atomic.Uint64
 	// hours holds Retention/60 + 2 hour cells, indexed by Unix hour: enough
 	// that two hours sharing a cell are never both within the retention
 	// horizon, so the cell an hour claims on a write is not taken from an
@@ -461,20 +464,28 @@ func (c *Counter) shutdown(final bool) {
 func (c *Counter) SetApplyDelay(d time.Duration) { c.applyDelay.Store(int64(d)) }
 
 // Sync blocks until every observation enqueued before the call has been
-// applied — the read-your-writes barrier queries and tests need.
+// applied — the read-your-writes barrier queries and tests need. A shard
+// with nothing in flight costs two atomic loads; only shards whose drain
+// has batches still to apply are sent a sync message and waited on.
 func (c *Counter) Sync() {
+	tmSyncCalls.Inc()
 	c.closeMu.RLock()
 	if c.closed {
 		c.closeMu.RUnlock()
 		c.wg.Wait()
 		return
 	}
-	dones := make([]chan struct{}, len(c.shards))
-	for i, s := range c.shards {
-		dones[i] = make(chan struct{})
-		s.ch <- shardMsg{sync: dones[i]}
+	var dones []chan struct{}
+	for _, s := range c.shards {
+		if target := s.sent.Load(); s.done.Load() >= target {
+			continue
+		}
+		d := make(chan struct{})
+		s.ch <- shardMsg{sync: d}
+		dones = append(dones, d)
 	}
 	c.closeMu.RUnlock()
+	tmSyncWaits.Add(int64(len(dones)))
 	for _, d := range dones {
 		<-d
 	}
@@ -543,6 +554,7 @@ func (c *Counter) send(shardIdx int, batch []obs) {
 	if len(s.ch) == cap(s.ch) {
 		c.queueFull.Add(1)
 	}
+	s.sent.Add(1)
 	s.ch <- shardMsg{batch: batch}
 }
 
@@ -562,6 +574,7 @@ func (c *Counter) drain(s *shard) {
 				c.walAppend(s, msg.batch)
 			}
 			c.apply(s, msg.batch)
+			s.done.Add(1)
 			// The batch was handed off exclusively; recycle full-size
 			// buffers so the next Batcher send is allocation-free.
 			if cap(msg.batch) >= c.cfg.MaxBatch {

@@ -32,6 +32,13 @@ var (
 	// where a Batcher would log hundreds per record.
 	tmWALRecordEvents = telemetry.GetHistogram("realtime.wal.record_events")
 
+	// The read-your-writes barrier: realtime.sync.calls counts Counter.Sync
+	// calls, realtime.sync.waits the shards a Sync found a batch in flight
+	// on and waited for. waits ÷ calls is how often a reader waits on the
+	// writer; an idle Sync adds a call and no wait.
+	tmSyncCalls = telemetry.GetCounter("realtime.sync.calls")
+	tmSyncWaits = telemetry.GetCounter("realtime.sync.waits")
+
 	tmQueryPathSumNs = telemetry.GetHistogram("realtime.query.pathsum.ns")
 	tmQuerySeriesNs  = telemetry.GetHistogram("realtime.query.series.ns")
 	tmQueryTopKNs    = telemetry.GetHistogram("realtime.query.topk.ns")
