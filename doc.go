@@ -41,12 +41,17 @@
 // the same frames at once) but means appended data is only certain to have
 // reached the destination once Close returns. When every datacenter has
 // sealed an hour, the log mover (internal/logmover) inflates each staging
-// file end to end as its sanity check — gzip verifies every member's CRC-32 and
-// length, and every record frame is walked to a clean boundary — and then
-// appends the file's compressed bytes, as they are, to a merged warehouse
-// part: a gzip file is a concatenation of gzip members and every reader
-// reads through member boundaries, so merging small files into big ones
-// needs no second deflate. Parts roll at staging-file boundaries once
+// file end to end as its sanity check — every member's CRC-32 and length
+// are checked, and every record frame is walked to a clean boundary — and
+// then appends the file's compressed bytes, as they are, to a merged
+// warehouse part: a gzip file is a concatenation of gzip members and every
+// reader reads through member boundaries, so merging small files into big
+// ones needs no second deflate. Every read of a gzipped record file — that
+// check, the warehouse row scans, the dataflow row formats, the session
+// store, the catalog — goes through recordio's own decoder, which inflates
+// from the file image in memory into one fixed window, a piece at a time,
+// and refuses what compress/gzip refuses; compress/gzip writes, and is the
+// reference its tests hold it to. Parts roll at staging-file boundaries once
 // Mover.TargetFileBytes of raw payload is reached, the hour is published
 // by one directory rename, and an audit record accounts for every file,
 // record and byte. Only a Mover.Transform hook (the §3.2 anonymization

@@ -1,14 +1,52 @@
 package recordio
 
 import (
+	"bufio"
 	"bytes"
+	"compress/flate"
 	"compress/gzip"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"testing"
 	"testing/quick"
 )
+
+// refScan reads a gzipped record file the way the package did before it
+// had its own decoder, kept as the reference: compress/gzip's multistream
+// Reader, then frames pulled one at a time through a bufio.Reader.
+func refScan(data []byte, fn func(rec []byte) error) error {
+	gz, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	r := bufio.NewReader(gz)
+	var buf []byte
+	for {
+		size, err := binary.ReadUvarint(r)
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		if size > MaxRecordSize {
+			return fmt.Errorf("%w: record of %d bytes", ErrCorrupt, size)
+		}
+		if cap(buf) < int(size) {
+			buf = make([]byte, size)
+		}
+		buf = buf[:size]
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return fmt.Errorf("%w: truncated record: %v", ErrCorrupt, err)
+		}
+		if err := fn(buf); err != nil {
+			return err
+		}
+	}
+}
 
 // gzipMember returns one GzipWriter output holding recs.
 func gzipMember(t testing.TB, recs [][]byte) []byte {
@@ -49,19 +87,36 @@ func gzipRaw(t testing.TB, stream []byte) []byte {
 }
 
 // scanAll runs both whole-file checks over data and requires them to
-// agree: the records ScanGzipFile delivered, and the error of either. When
-// the file is sound, the records VerifyGzipFile handed its callback must be
-// ScanGzipFile's, byte for byte and in order, and so must what a nil
-// callback counts.
+// agree with each other and with the reference, refScan: the records ScanGzipFile delivered, and the error of either.
+// When the file is sound, the records VerifyGzipFile handed its callback
+// and the reference read must be ScanGzipFile's, byte for byte and in
+// order, and so must what a nil callback counts.
 func scanAll(t testing.TB, data []byte) ([][]byte, error) {
 	t.Helper()
-	var recs [][]byte
+	var recs, ref [][]byte
 	var payload int64
 	scanErr := ScanGzipFile(data, func(rec []byte) error {
 		recs = append(recs, append([]byte(nil), rec...))
 		payload += int64(len(rec))
 		return nil
 	})
+	refErr := refScan(data, func(rec []byte) error {
+		ref = append(ref, append([]byte(nil), rec...))
+		return nil
+	})
+	if (scanErr == nil) != (refErr == nil) {
+		t.Fatalf("ScanGzipFile: %v, compress/gzip: %v", scanErr, refErr)
+	}
+	if scanErr == nil {
+		if len(ref) != len(recs) {
+			t.Fatalf("ScanGzipFile read %d records, compress/gzip %d", len(recs), len(ref))
+		}
+		for i := range recs {
+			if !bytes.Equal(ref[i], recs[i]) {
+				t.Fatalf("record %d: ScanGzipFile read %d bytes that differ from compress/gzip's %d", i, len(recs[i]), len(ref[i]))
+			}
+		}
+	}
 	var handed [][]byte
 	n, p, verifyErr := VerifyGzipFile(data, func(rec []byte) {
 		handed = append(handed, append([]byte(nil), rec...))
@@ -183,12 +238,16 @@ func TestVerifyRequiresRecordBoundary(t *testing.T) {
 }
 
 // FuzzGzipRecords: on any file image, ScanGzipFile and VerifyGzipFile
-// neither panic nor return an untyped error, and they agree — on whether
-// the file is sound and, when it is, on how many records it holds and on
-// every record, which VerifyGzipFile hands its callback as ScanGzipFile
-// reads it. Seeds include a record longer than an inflated piece and runs
-// of records that straddle pieces, so both of the callback's ways of
-// handing a record out are in the corpus.
+// neither panic nor return an untyped error, and they agree with each
+// other and with refScan (compress/gzip) — on whether the file is
+// sound and, when it is, on how many records it holds and on every record,
+// which VerifyGzipFile hands its callback as ScanGzipFile reads it. Seeds
+// include a file that inflates past one piece of the decoder's window, so
+// records straddle pieces and both of the callback's ways of handing a
+// record out are in the corpus; members at every level the writers use and at the
+// extremes (stored blocks, Huffman only, 9); header fields and a header
+// CRC; a member reaching back into the one before it; broken literal/length
+// codes; and a trailing zero byte.
 func FuzzGzipRecords(f *testing.F) {
 	var one bytes.Buffer
 	NewWriter(&one).Append([]byte("hello world"))
@@ -211,9 +270,84 @@ func FuzzGzipRecords(f *testing.F) {
 	f.Add([]byte("not gzip at all"))
 	f.Add(good[:len(good)-4])
 	f.Add(append(append([]byte(nil), good...), 0))
+	// Past one piece of the decoder's window, in a few KiB.
+	repeated := make([][]byte, inflatePiece/700+10)
+	for i := range repeated {
+		repeated[i] = compressible(7, 700)
+	}
+	f.Add(gzipMember(f, repeated))
+	recs := [][]byte{[]byte("levels"), compressible(6, 900), {}, compressible(7, 3000)}
+	for _, level := range []int{gzip.NoCompression, gzip.HuffmanOnly, gzip.BestSpeed, 5, 6, gzip.BestCompression} {
+		f.Add(gzipMemberAt(f, level, recs))
+	}
+	frames, _ := framesOf(f, recs)
+	named := gzipWithHeader(f, gzip.Header{Name: "part-00000", Comment: "staging", Extra: []byte("xy\x02\x00ok")}, frames)
+	f.Add(named)
+	f.Add(withHeaderCRC(named))
+	f.Add(reachingBack(f, recs))
+	f.Add(gzipWrap(dynamicBlock(uniformLens(257, 8), []uint8{1}, nil), nil)) // over-subscribed
+	f.Add(gzipWrap(dynamicBlock(uniformLens(257, 9), []uint8{1}, nil), nil)) // incomplete
 	f.Fuzz(func(t *testing.T, data []byte) {
 		scanAll(t, data)
 	})
+}
+
+// gzipWithHeader returns frames as one compress/gzip member with header h.
+func gzipWithHeader(t testing.TB, h gzip.Header, frames []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	gz.Header = h
+	if _, err := gz.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// headerLen returns the length of member's header (RFC 1952 §2.3).
+func headerLen(member []byte) int {
+	flg, p := member[3], 10
+	if flg&0x04 != 0 {
+		p += 2 + int(binary.LittleEndian.Uint16(member[p:]))
+	}
+	for _, bit := range []byte{0x08, 0x10} {
+		if flg&bit != 0 {
+			p += bytes.IndexByte(member[p:], 0) + 1
+		}
+	}
+	return p
+}
+
+// withHeaderCRC returns member with FHCRC set and the header's CRC-16
+// after the header.
+func withHeaderCRC(member []byte) []byte {
+	n := headerLen(member)
+	out := append([]byte(nil), member[:n]...)
+	out[3] |= 0x02
+	out = binary.LittleEndian.AppendUint16(out, uint16(crc32.ChecksumIEEE(out)))
+	return append(out, member[n:]...)
+}
+
+// reachingBack returns two members, the first holding recs and the second
+// recs again deflated against the first's frames as a preset dictionary, so
+// its matches reach back across the member boundary: compress/gzip refuses
+// the file, since each member's window starts empty.
+func reachingBack(t testing.TB, recs [][]byte) []byte {
+	t.Helper()
+	frames, first := framesOf(t, recs)
+	var deflated bytes.Buffer
+	fw, err := flate.NewWriterDict(&deflated, 6, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.Write(frames)
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return append(first, gzipWrap(deflated.Bytes(), frames)...)
 }
 
 // TestGzipLevelsConcatenate: a BestSpeed member followed by a level-6 member

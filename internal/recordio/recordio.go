@@ -17,6 +17,13 @@
 // staging files without inflating and re-deflating them. Every reader here
 // reads through member boundaries, and damage is detected per member.
 //
+// Reading goes through the package's own decoder (inflate.go): ScanGzipFile
+// and VerifyGzipFile inflate a file image held in memory straight from its
+// bytes into a fixed window of output that is walked for record frames a
+// piece at a time, so a scan holds that window and one record however
+// large the file, and refuses what compress/gzip refuses. compress/gzip
+// writes, and is the reference the package's tests hold the decoder to.
+//
 // GzipWriter is block-buffered: it hands its compressor 32 KiB of frames at
 // a time and takes that compressor from a pool of its deflate level, so the
 // member is complete — and the destination has seen all of it — only when
@@ -33,7 +40,6 @@ package recordio
 
 import (
 	"bufio"
-	"bytes"
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
@@ -78,55 +84,6 @@ func (w *Writer) Count() int64 { return w.count }
 // Bytes returns the number of framed bytes written (before any outer
 // compression).
 func (w *Writer) Bytes() int64 { return w.bytes }
-
-// Reader scans records from an io.Reader.
-type Reader struct {
-	r   *bufio.Reader
-	buf []byte
-}
-
-// NewReader returns a Reader scanning r.
-func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
-
-// Next returns the next record, or io.EOF at a clean end of stream. The
-// returned slice is reused by subsequent calls; copy it to retain it.
-func (r *Reader) Next() ([]byte, error) {
-	size, err := binary.ReadUvarint(r.r)
-	if err == io.EOF {
-		return nil, io.EOF
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if size > MaxRecordSize {
-		return nil, fmt.Errorf("%w: record of %d bytes", ErrCorrupt, size)
-	}
-	if cap(r.buf) < int(size) {
-		r.buf = make([]byte, size)
-	}
-	r.buf = r.buf[:size]
-	if _, err := io.ReadFull(r.r, r.buf); err != nil {
-		return nil, fmt.Errorf("%w: truncated record: %v", ErrCorrupt, err)
-	}
-	return r.buf, nil
-}
-
-// ForEach scans every record in the stream, invoking fn on each. Scanning
-// stops on the first error from fn.
-func (r *Reader) ForEach(fn func(rec []byte) error) error {
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-}
 
 // gzipBlock is how many framed bytes a GzipWriter gathers before it calls
 // the compressor: deflate's per-call costs are paid once per block, not once
@@ -209,65 +166,72 @@ func (w *GzipWriter) Close() error {
 	return err
 }
 
-// NewGzipReader returns a record reader that decompresses from r.
-func NewGzipReader(r io.Reader) (*Reader, error) {
-	gz, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return NewReader(gz), nil
-}
-
 // ScanGzipFile decodes a whole gzipped record stream held in memory,
-// invoking fn on each record. fn may see records of a member before gzip
-// has verified that member's trailer; a caller that must not act on
-// damaged data checks the file with VerifyGzipFile first.
+// invoking fn on each record; it stops at the first error fn returns and
+// returns that error as it is. rec is only valid until fn returns. fn may
+// see records of a member before that member's trailer is checked; a
+// caller that must not act on damaged data checks the file with
+// VerifyGzipFile first. ScanGzipFile refuses exactly what VerifyGzipFile
+// refuses, as ErrCorrupt.
 func ScanGzipFile(data []byte, fn func(rec []byte) error) error {
-	r, err := NewGzipReader(bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	return r.ForEach(fn)
+	_, _, err := walkGzip(data, fn)
+	return err
 }
 
 // VerifyGzipFile checks a whole gzipped record stream held in memory: every
-// member is inflated, gzip verifies each member's CRC-32 and length, and
-// every frame is walked to a clean record boundary at the end of the file.
-// It returns the number of records and their total payload bytes (length
-// prefixes excluded). A file that passes scans with ScanGzipFile to exactly
-// that many records, alone or concatenated with other files that pass.
+// member is inflated, its CRC-32 and length are checked against its
+// trailer, and every frame is walked to a clean record boundary at the end
+// of the file. It returns the number of records and their total payload
+// bytes (length prefixes excluded). A file that passes scans with
+// ScanGzipFile to exactly that many records, alone or concatenated with
+// other files that pass.
 //
 // fn, when not nil, is handed each whole record the walk accepts, in order,
 // so a caller can transform the stream in the pass that checks it. A record
 // inside one inflated piece is a subslice of that piece, and one that
 // straddles pieces is assembled in a scratch buffer the next such record
-// reuses: fn must not keep rec. fn sees a member's records before that
-// member's trailer is checked, so a caller may act on what it was handed
-// only once VerifyGzipFile has returned nil.
+// reuses: fn must not keep rec. fn sees a member's records as the member
+// inflates, before its trailer is checked, so a caller may act on what it
+// was handed only once VerifyGzipFile has returned nil.
 func VerifyGzipFile(data []byte, fn func(rec []byte)) (records, payload int64, err error) {
-	gz, err := gzip.NewReader(bytes.NewReader(data))
+	var each func(rec []byte) error
+	if fn != nil {
+		each = func(rec []byte) error { fn(rec); return nil }
+	}
+	records, payload, err = walkGzip(data, each)
 	if err != nil {
-		return 0, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	fw := frameWalker{fn: fn}
-	if _, err := io.Copy(&fw, gz); err != nil {
-		if !errors.Is(err, ErrCorrupt) {
-			err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
 		return 0, 0, err
 	}
-	if err := fw.end(); err != nil {
-		return 0, 0, err
+	return records, payload, nil
+}
+
+// walkGzip is ScanGzipFile and VerifyGzipFile: the package's inflater
+// hands the file's output, a piece at a time, to a frameWalker.
+func walkGzip(data []byte, fn func(rec []byte) error) (records, payload int64, err error) {
+	d := inflaters.Get().(*inflater)
+	d.walk = frameWalker{fn: fn, split: d.walk.split[:0]}
+	d.reset(data, &d.walk)
+	err = d.gunzip()
+	if err == nil {
+		err = d.walk.end()
 	}
-	return fw.records, fw.payload, nil
+	records, payload = d.walk.records, d.walk.payload
+	d.reset(nil, nil)
+	d.walk.fn = nil
+	if cap(d.walk.split) > inflatePiece {
+		d.walk.split = nil // an outsized record's buffer is not kept
+	}
+	inflaters.Put(d)
+	return records, payload, err
 }
 
 // frameWalker is an io.Writer that walks the record frames of a stream
-// handed to it in arbitrary pieces, accepting exactly the streams Reader
-// does. It copies only the records that straddle two pieces, and those only
-// when there is an fn to hand them to.
+// handed to it in arbitrary pieces: each a uvarint length of at most
+// MaxRecordSize, then that many bytes. It copies only the records that
+// straddle two pieces, and those only when there is an fn to hand them to;
+// the first error fn returns is Write's.
 type frameWalker struct {
-	fn func(rec []byte)
+	fn func(rec []byte) error
 
 	records int64
 	payload int64
@@ -292,7 +256,9 @@ func (w *frameWalker) Write(p []byte) (int, error) {
 				}
 				if w.remaining == 0 {
 					w.split = w.split[:0]
-					w.fn(rec)
+					if err := w.fn(rec); err != nil {
+						return 0, err
+					}
 				}
 			}
 			p = p[n:]
@@ -318,7 +284,9 @@ func (w *frameWalker) Write(p []byte) (int, error) {
 		w.remaining = w.size
 		w.size, w.sizeLen = 0, 0
 		if w.remaining == 0 && w.fn != nil {
-			w.fn(nil)
+			if err := w.fn(nil); err != nil {
+				return 0, err
+			}
 		}
 	}
 	return total, nil

@@ -4,12 +4,21 @@ import (
 	"bytes"
 	"compress/gzip"
 	"errors"
-	"io"
 	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
 )
+
+// walkFrames reads a plain record stream with the frame walker behind
+// ScanGzipFile, handed the whole stream in one piece.
+func walkFrames(stream []byte, fn func(rec []byte) error) error {
+	fw := frameWalker{fn: fn}
+	if _, err := fw.Write(stream); err != nil {
+		return err
+	}
+	return fw.end()
+}
 
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -20,18 +29,20 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.Count() != int64(len(recs)) {
-		t.Fatalf("Count = %d", w.Count())
+	if w.Count() != int64(len(recs)) || w.Bytes() != int64(buf.Len()) {
+		t.Fatalf("Count, Bytes = %d, %d", w.Count(), w.Bytes())
 	}
-	r := NewReader(&buf)
+	var got [][]byte
+	if err := walkFrames(buf.Bytes(), func(rec []byte) error {
+		got = append(got, append([]byte(nil), rec...))
+		return nil
+	}); err != nil || len(got) != len(recs) {
+		t.Fatalf("read %d records, %v", len(got), err)
+	}
 	for i, want := range recs {
-		got, err := r.Next()
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("record %d = %q, %v", i, got, err)
+		if !bytes.Equal(got[i], want) {
+			t.Fatalf("record %d = %q", i, got[i])
 		}
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("err = %v, want io.EOF", err)
 	}
 }
 
@@ -64,9 +75,8 @@ func TestGzipRoundTrip(t *testing.T) {
 
 func TestCorruptLength(t *testing.T) {
 	// A huge declared length must error, not allocate.
-	data := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}
-	r := NewReader(bytes.NewReader(data))
-	if _, err := r.Next(); !errors.Is(err, ErrCorrupt) {
+	data := gzipRaw(t, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
+	if err := ScanGzipFile(data, func([]byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
@@ -77,31 +87,29 @@ func TestTruncatedRecord(t *testing.T) {
 	if err := w.Append([]byte("hello world")); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()[:buf.Len()-3]
-	r := NewReader(bytes.NewReader(data))
-	if _, err := r.Next(); !errors.Is(err, ErrCorrupt) {
+	data := gzipRaw(t, buf.Bytes()[:buf.Len()-3])
+	if err := ScanGzipFile(data, func([]byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
 
+// TestForEachStopsOnError: ScanGzipFile stops at the first error its
+// callback returns and returns that error as it is.
 func TestForEachStopsOnError(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	var recs [][]byte
 	for i := 0; i < 10; i++ {
-		if err := w.Append([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
+		recs = append(recs, []byte{byte(i)})
 	}
 	sentinel := errors.New("stop")
 	n := 0
-	err := NewReader(&buf).ForEach(func(rec []byte) error {
+	err := ScanGzipFile(gzipMember(t, recs), func(rec []byte) error {
 		n++
 		if n == 3 {
 			return sentinel
 		}
 		return nil
 	})
-	if !errors.Is(err, sentinel) || n != 3 {
+	if err != sentinel || n != 3 {
 		t.Fatalf("n = %d, err = %v", n, err)
 	}
 }
@@ -142,7 +150,7 @@ func TestRoundTripProperty(t *testing.T) {
 			return true
 		}
 		var got1 [][]byte
-		if err := NewReader(&plain).ForEach(func(rec []byte) error {
+		if err := walkFrames(plain.Bytes(), func(rec []byte) error {
 			got1 = append(got1, append([]byte(nil), rec...))
 			return nil
 		}); err != nil {
