@@ -283,12 +283,15 @@
 // into its five rows. Each shard also keeps its hour sums path-major: one
 // row per path, one entry per cell of a short ring of hour cells, a cell
 // marked stale by the write that dirties a clean minute of its hour.
-// PathSum and TopK share one read kernel that takes every hour a window
-// covers whole from the rows (a stale cell's column rebuilt first;
-// realtime.derive.hours counts the rebuilds, realtime.hours.rows the rows)
-// and reads minutes only at the window's edges, so a day-window read is one
-// row lookup per path per shard. Reads are clamped to the live minutes,
-// from the retention horizon to the newest minute applied. The tap
+// PathSum and TopK share one read kernel, Counter.SumPaths, that takes
+// every hour a window covers whole from the rows (a stale cell's column
+// rebuilt first; realtime.derive.hours counts the rebuilds,
+// realtime.hours.rows the rows) and reads minutes only at the window's
+// edges, so a day-window read is one row lookup per path per shard. Reads
+// are clamped to the live minutes, from the retention horizon to the newest
+// minute applied; since no minute past that one holds a count, a window
+// that runs to the end of its hour or beyond reads that hour whole from its
+// cell. IDs the counter never counted are skipped. The tap
 // never builds a ClientEvent: events.Header is one allocation-free walk
 // over the compact-Thrift message (every field read or skipped, so a
 // damaged message fails as ClientEvent.Decode, which is built on the same
@@ -365,13 +368,21 @@
 // and the two together make a mid-day crash + restart converge back to
 // exact counts. On the read side birdbrain.Scatter first calls
 // Cluster.Sync, every partition counter's Sync on every live node — on an
-// idle cluster two atomic loads per counter, no goroutine round trip —
-// then fans PathSum / TopK / Series / RollupSnapshot across one live
+// idle cluster two atomic loads per counter, no goroutine round trip, no
+// lock — then fans PathSum / TopK / Series / RollupSnapshot across one live
 // replica per partition, merges the disjoint partials, and degrades
-// instead of failing: a query served around a dead replica is marked
-// Degraded (Failovers counts the fallen primaries), and only a partition
-// with no live replica at all makes the answer Partial. Scatter.ReplicaTimeout arms a hedge against
-// slow-but-alive replicas: a partition query that has not answered
+// instead of failing. PathSum and TopK merge in name-ID space: the path, or
+// the parent's children, resolve once to IDs of the process-wide events
+// name table, which the router already routes by, each partition adds its
+// counts into one vector (Node.SumPaths), and TopK ranks that vector once,
+// resolving strings only for the children it keeps. Where router and
+// replicas are separate processes, a replica would first need the router's
+// IDs (ROADMAP's parked "dictionary delta"). The fan degrades: a query
+// served around a dead replica is marked Degraded (Failovers counts the
+// fallen primaries), and only a partition with no live replica at all
+// makes the answer Partial; a path no name lies under still fans out, so
+// its meta is as honest as any other. Scatter.ReplicaTimeout arms a hedge
+// against slow-but-alive replicas: a partition query that has not answered
 // within the timeout races the next replica in parallel and takes the
 // first answer, so a wedged node costs one timeout instead of a whole
 // query. The node-crash scenario cell asserts the whole story

@@ -1,14 +1,13 @@
 package birdbrain
 
 import (
-	"cmp"
 	"slices"
-	"strings"
 	"time"
 
 	"unilog/internal/analytics"
 	"unilog/internal/cluster"
 	"unilog/internal/dataflow"
+	"unilog/internal/events"
 	"unilog/internal/hdfs"
 	"unilog/internal/realtime"
 )
@@ -18,9 +17,10 @@ import (
 // partitions, asks ONE replica per partition (primary first, failing
 // over down the replica list), and merges the disjoint partials into
 // the cluster-wide answer. Because partitions split the namespace by
-// whole event name, the merge is exact — a sum of sums for PathSum and
-// Series, a union-then-rank for TopK — whenever every partition
-// answers.
+// whole event name, the merge is exact — a sum of sums — whenever every
+// partition answers. PathSum and TopK merge in the process-wide path-ID
+// space the router also routes by: every partition adds its counts into one
+// vector (cluster.Node.SumPaths), which TopK ranks once.
 //
 // Degradation is explicit rather than silent. A query that had to fail
 // over (a replica was dead or errored mid-query) still returns the
@@ -29,7 +29,7 @@ import (
 // the partial sum it could compute, marked Partial (and Degraded).
 // Callers — and the scenario harness's invariants — decide what a
 // partial answer is worth; the telemetry counters track how often each
-// happens.
+// happens. A path no name lies under still fans out, for honest meta.
 type Scatter struct {
 	c *cluster.Cluster
 
@@ -92,17 +92,17 @@ func (m *QueryMeta) finish() {
 }
 
 // fan asks every partition for its partial and folds the answers. query
-// runs against one replica (concurrently with its hedges under
-// ReplicaTimeout) and must be free of shared state; fold is called once
-// per answered partition, always from this goroutine, so the verbs'
-// accumulators need no locking. Replicas are tried primary-first, and a
-// detector-dead replica is still attempted — in-process it fails fast,
-// and attempting keeps answers available when the detector lags a
-// restart.
-func (s *Scatter) fan(query func(p int, n *cluster.Node) (any, error), fold func(any)) QueryMeta {
+// runs against one replica, with hedged set when it may race its sibling
+// replicas (under ReplicaTimeout), and must then be free of shared state;
+// fold is called once per answered partition, always from this goroutine,
+// so the verbs' accumulators need no locking. Replicas are tried
+// primary-first, and a detector-dead replica is still attempted —
+// in-process it fails fast, and attempting keeps answers available when
+// the detector lags a restart.
+func fan[T any](s *Scatter, query func(p int, n *cluster.Node, hedged bool) (T, error), fold func(T)) QueryMeta {
 	var meta QueryMeta
 	for p := 0; p < s.c.Partitions(); p++ {
-		v, winner, ok := s.askPartition(p, query)
+		v, winner, ok := askPartition(s, p, query)
 		if ok {
 			fold(v)
 		}
@@ -117,19 +117,19 @@ func (s *Scatter) fan(query func(p int, n *cluster.Node) (any, error), fold func
 // failover). Without a ReplicaTimeout the replicas are tried in order;
 // with one, a replica that neither answers nor errors within the
 // timeout gets raced against the next replica, first answer wins.
-func (s *Scatter) askPartition(p int, query func(p int, n *cluster.Node) (any, error)) (v any, winner int, ok bool) {
+func askPartition[T any](s *Scatter, p int, query func(p int, n *cluster.Node, hedged bool) (T, error)) (v T, winner int, ok bool) {
 	replicas := s.c.ReplicasOf(p)
 	if s.ReplicaTimeout <= 0 {
 		for i, id := range replicas {
-			if v, err := query(p, s.c.Node(id)); err == nil {
+			if v, err := query(p, s.c.Node(id), false); err == nil {
 				return v, i, true
 			}
 		}
-		return nil, len(replicas), false
+		return v, len(replicas), false
 	}
 	type reply struct {
 		idx int
-		v   any
+		v   T
 		err error
 	}
 	// Buffered to the full replica set: a losing replica's late answer
@@ -138,7 +138,7 @@ func (s *Scatter) askPartition(p int, query func(p int, n *cluster.Node) (any, e
 	launch := func(idx int) {
 		n := s.c.Node(replicas[idx])
 		go func() {
-			v, err := query(p, n)
+			v, err := query(p, n, true)
 			ch <- reply{idx: idx, v: v, err: err}
 		}()
 	}
@@ -155,7 +155,7 @@ func (s *Scatter) askPartition(p int, query func(p int, n *cluster.Node) (any, e
 			}
 			failed++
 			if failed == len(replicas) {
-				return nil, failed, false
+				return v, failed, false
 			}
 			if failed == launched && launched < len(replicas) {
 				// Everything in flight has errored: immediate failover,
@@ -185,33 +185,60 @@ func (s *Scatter) askPartition(p int, query func(p int, n *cluster.Node) (any, e
 	}
 }
 
-// PathSum sums a hierarchy path over [from, to) across the cluster.
-func (s *Scatter) PathSum(path string, from, to time.Time) (int64, QueryMeta) {
-	defer tmScatterPathSumNs.ObserveSince(time.Now())
+// sumPaths fans cluster.Node.SumPaths over the partitions behind one
+// Cluster.Sync and adds every partition's counts, index for index with
+// ids, into one vector. Replicas asked one at a time share one scratch
+// vector; a hedged attempt, which may race its siblings, gets its own.
+func (s *Scatter) sumPaths(ids []uint32, from, to time.Time) ([]int64, QueryMeta) {
 	s.c.Sync()
-	var total int64
-	meta := s.fan(func(p int, n *cluster.Node) (any, error) {
-		return n.PathSum(p, path, from, to)
-	}, func(v any) {
-		total += v.(int64)
+	vecs := make([]int64, 2*len(ids))
+	total, scratch := vecs[:len(ids)], vecs[len(ids):]
+	meta := fan(s, func(p int, n *cluster.Node, hedged bool) ([]int64, error) {
+		out := scratch
+		if hedged {
+			out = make([]int64, len(ids))
+		} else {
+			clear(out)
+		}
+		return out, n.SumPaths(p, ids, from, to, out)
+	}, func(v []int64) {
+		for i, x := range v {
+			total[i] += x
+		}
 	})
 	return total, meta
 }
 
+// PathSum sums a hierarchy path over [from, to) across the cluster.
+func (s *Scatter) PathSum(path string, from, to time.Time) (int64, QueryMeta) {
+	defer tmScatterPathSumNs.ObserveSince(time.Now())
+	id, ok := events.PathID(path)
+	if !ok {
+		id = events.NoParent // a path no counter counted: every partition adds 0
+	}
+	total, meta := s.sumPaths([]uint32{id}, from, to)
+	return total[0], meta
+}
+
 // Series sums per-minute counts of a path over [from, to) across the
-// cluster; index 0 holds from's minute.
+// cluster; index 0 holds from's minute. The partition counters share one
+// retention, so the answers share one length: the output is a copy of the
+// first, and scratch vectors are handed out as in sumPaths.
 func (s *Scatter) Series(path string, from, to time.Time) ([]int64, QueryMeta) {
 	defer tmScatterSeriesNs.ObserveSince(time.Now())
 	s.c.Sync()
-	var out []int64
-	meta := s.fan(func(p int, n *cluster.Node) (any, error) {
-		return n.Series(p, path, from, to)
-	}, func(raw any) {
-		v := raw.([]int64)
-		if len(v) > len(out) {
-			grown := make([]int64, len(v))
-			copy(grown, out)
-			out = grown
+	var out, scratch []int64
+	meta := fan(s, func(p int, n *cluster.Node, hedged bool) ([]int64, error) {
+		if hedged {
+			return n.Series(p, path, from, to, nil)
+		}
+		v, err := n.Series(p, path, from, to, scratch[:0]) // zeroed as it grows
+		scratch = v
+		return v, err
+	}, func(v []int64) {
+		if out == nil {
+			out = slices.Clone(v)
+			return
 		}
 		for i, x := range v {
 			out[i] += x
@@ -221,35 +248,15 @@ func (s *Scatter) Series(path string, from, to time.Time) ([]int64, QueryMeta) {
 }
 
 // TopK ranks the children of a hierarchy path by count over [from, to)
-// across the cluster. Each partition contributes its full child counts
-// (a child heavy overall may be light on any one partition's slice),
-// the union is ranked once, ties breaking by path ascending exactly as
+// across the cluster. Each partition adds its counts of every child into
+// one vector (a child heavy overall may be light on any one partition's
+// slice), which is ranked once, ties breaking by path ascending exactly as
 // realtime.Counter.TopK does.
 func (s *Scatter) TopK(parent string, k int, from, to time.Time) ([]realtime.PathCount, QueryMeta) {
 	defer tmScatterTopKNs.ObserveSince(time.Now())
-	s.c.Sync()
-	acc := make(map[string]int64)
-	meta := s.fan(func(p int, n *cluster.Node) (any, error) {
-		return n.ChildCounts(p, parent, from, to)
-	}, func(raw any) {
-		for _, pc := range raw.([]realtime.PathCount) {
-			acc[pc.Path] += pc.Count
-		}
-	})
-	if k <= 0 || len(acc) == 0 {
-		return nil, meta
-	}
-	ranked := make([]realtime.PathCount, 0, len(acc))
-	for path, count := range acc {
-		ranked = append(ranked, realtime.PathCount{Path: path, Count: count})
-	}
-	slices.SortFunc(ranked, func(a, b realtime.PathCount) int {
-		return cmp.Or(cmp.Compare(b.Count, a.Count), strings.Compare(a.Path, b.Path))
-	})
-	if len(ranked) > k {
-		ranked = ranked[:k]
-	}
-	return ranked, meta
+	children := events.ChildrenOf(parent)
+	counts, meta := s.sumPaths(children, from, to)
+	return realtime.RankChildren(children, counts, k), meta
 }
 
 // RollupSnapshot merges the §3.2 rollup rows of every partition over
@@ -257,10 +264,10 @@ func (s *Scatter) TopK(parent string, k int, from, to time.Time) ([]realtime.Pat
 func (s *Scatter) RollupSnapshot(from, to time.Time) (map[analytics.RollupKey]int64, QueryMeta) {
 	s.c.Sync()
 	out := make(map[analytics.RollupKey]int64)
-	meta := s.fan(func(p int, n *cluster.Node) (any, error) {
+	meta := fan(s, func(p int, n *cluster.Node, _ bool) (map[analytics.RollupKey]int64, error) {
 		return n.Rollups(p, from, to)
-	}, func(raw any) {
-		for k, v := range raw.(map[analytics.RollupKey]int64) {
+	}, func(rows map[analytics.RollupKey]int64) {
+		for k, v := range rows {
 			out[k] += v
 		}
 	})

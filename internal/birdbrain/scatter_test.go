@@ -1,6 +1,7 @@
 package birdbrain
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -38,50 +39,87 @@ var scatterNames = []string{
 	"android:home:timeline:stream:tweet:favorite",
 }
 
-// A scatter over a healthy cluster must agree exactly with a single
-// reference counter on every verb, with clean meta.
-func TestScatterMatchesReference(t *testing.T) {
-	clk := zk.NewManualClock(scatterT0)
-	c, err := cluster.New(cluster.Config{Nodes: 3, ReplicationFactor: 2, Clock: clk})
+// newScatterPair builds a 3-node R=2 cluster and one reference counter,
+// both fed the same events: name i of scatterNames 3i+1 times, seven
+// minutes apart from an hour before scatterT0, so the newest minute is
+// 14:45 and the partitions each hold a few names.
+func newScatterPair(t testing.TB) (*cluster.Cluster, *realtime.Counter) {
+	c, err := cluster.New(cluster.Config{Nodes: 3, ReplicationFactor: 2, Clock: zk.NewManualClock(scatterT0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { c.Close() })
 	ref := realtime.New(realtime.Config{Shards: 2})
-	defer ref.Close()
-
+	t.Cleanup(ref.Close)
 	for i, name := range scatterNames {
 		for j := 0; j <= i*3; j++ {
-			e := scatterEv(name, scatterT0.Add(time.Duration(j)*time.Minute), int64(j))
+			e := scatterEv(name, scatterT0.Add(-time.Hour+time.Duration(7*j)*time.Minute), int64(j))
 			c.Ingest(e)
 			ref.Ingest(e)
 		}
 	}
 	c.Tick()
 	ref.Sync()
+	return c, ref
+}
+
+// scatterWindows are the windows every verb is checked over, around the
+// newest minute (14:45): whole hours, an end mid-hour before it, mid-minute,
+// past it within its hour, at its hour's end, far in the future, and none.
+var scatterWindows = []struct {
+	name     string
+	from, to time.Time
+}{
+	{"hour-aligned", scatterT0.Add(-time.Hour), scatterT0},
+	{"mid-hour end", scatterT0.Add(-time.Hour), scatterT0.Add(20 * time.Minute)},
+	{"mid-minute end", scatterT0.Add(-30 * time.Minute), scatterT0.Add(20*time.Minute + 30*time.Second)},
+	{"past the newest minute", scatterT0.Add(-30 * time.Minute), scatterT0.Add(50 * time.Minute)},
+	{"the newest hour's end", scatterT0.Add(-time.Hour), scatterT0.Add(time.Hour)},
+	{"far future", scatterT0.Add(-2 * time.Hour), scatterT0.Add(48 * time.Hour)},
+	{"empty", scatterT0, scatterT0},
+}
+
+// Paths and parents the verbs are asked about: every level, a parent whose
+// children live on a few of the 16 partitions, and a path no name lies
+// under (still fanned out, so its meta is every other query's).
+var (
+	scatterPaths   = append([]string{"web", "iphone", "android", "web:home", "web:nowhere", ""}, scatterNames...)
+	scatterParents = []string{"", "web", "iphone", "web:home", "android:home:timeline", "web:nowhere"}
+)
+
+// checkScatter holds every verb of s to the reference counter over every
+// window, and each answer's meta to ok.
+func checkScatter(t *testing.T, s *Scatter, ref *realtime.Counter, ok func(QueryMeta) bool) {
+	t.Helper()
+	for _, w := range scatterWindows {
+		for _, path := range scatterPaths {
+			got, meta := s.PathSum(path, w.from, w.to)
+			if want := ref.PathSum(path, w.from, w.to); got != want || !ok(meta) {
+				t.Errorf("%s: PathSum(%q) = %d (meta %+v), want %d", w.name, path, got, meta, want)
+			}
+			gotSeries, meta := s.Series(path, w.from, w.to)
+			if want := ref.Series(path, w.from, w.to); !reflect.DeepEqual(gotSeries, want) || !ok(meta) {
+				t.Errorf("%s: Series(%q) = %v (meta %+v), want %v", w.name, path, gotSeries, meta, want)
+			}
+		}
+		for _, parent := range scatterParents {
+			for _, k := range []int{0, 2, 3, 100} {
+				got, meta := s.TopK(parent, k, w.from, w.to)
+				if want := ref.TopK(parent, k, w.from, w.to); !reflect.DeepEqual(got, want) || !ok(meta) {
+					t.Errorf("%s: TopK(%q, %d) = %v (meta %+v), want %v", w.name, parent, k, got, meta, want)
+				}
+			}
+		}
+	}
+}
+
+// A scatter over a healthy cluster must agree exactly with a single
+// reference counter on every verb, with clean meta; hedged against a slow
+// replica, it must still agree, from a full fan.
+func TestScatterMatchesReference(t *testing.T) {
+	c, ref := newScatterPair(t)
 	s := NewScatter(c)
-	from, to := scatterT0, scatterT0.Add(time.Hour)
-
-	for _, path := range append([]string{"web", "iphone", "android", "web:home"}, scatterNames...) {
-		got, meta := s.PathSum(path, from, to)
-		if want := ref.PathSum(path, from, to); got != want {
-			t.Errorf("PathSum(%q) = %d, want %d", path, got, want)
-		}
-		if meta.Degraded || meta.Partial || meta.Answered != meta.Partitions {
-			t.Errorf("PathSum(%q) meta = %+v, want clean full fan", path, meta)
-		}
-	}
-
-	gotSeries, _ := s.Series("web", from, to)
-	wantSeries := ref.Series("web", from, to)
-	if len(gotSeries) != len(wantSeries) {
-		t.Fatalf("Series length %d, want %d", len(gotSeries), len(wantSeries))
-	}
-	for i := range wantSeries {
-		if gotSeries[i] != wantSeries[i] {
-			t.Errorf("Series[%d] = %d, want %d", i, gotSeries[i], wantSeries[i])
-		}
-	}
+	clean := QueryMeta{Partitions: c.Partitions(), Answered: c.Partitions()}
 
 	// web:home (1 + 4 events) ties web:search (5), so the tie order of
 	// every cut through "web"'s children is pinned to the reference's.
@@ -92,23 +130,48 @@ func TestScatterMatchesReference(t *testing.T) {
 	}
 	c.Tick()
 	ref.Sync()
-	if all := ref.TopK("web", 3, from, to); len(all) != 3 || all[1].Count != all[2].Count {
+	if all := ref.TopK("web", 3, scatterT0.Add(-time.Hour), scatterT0.Add(time.Hour)); len(all) != 3 || all[1].Count != all[2].Count {
 		t.Fatalf("reference TopK(web) = %v, want a tie in second place", all)
 	}
-	for _, q := range []struct {
-		parent string
-		k      int
-	}{{"", 3}, {"web", 3}, {"web", 2}} {
-		gotTop, _ := s.TopK(q.parent, q.k, from, to)
-		wantTop := ref.TopK(q.parent, q.k, from, to)
-		if len(gotTop) != len(wantTop) {
-			t.Fatalf("TopK(%q, %d) = %v, want %v", q.parent, q.k, gotTop, wantTop)
+
+	t.Run("sequential", func(t *testing.T) {
+		checkScatter(t, s, ref, func(m QueryMeta) bool { return m == clean })
+	})
+	// A replica that leads a partition answers late: each of its partitions
+	// is raced by the sibling replica, and every answer is still exact. The
+	// race detector watches the hedged attempts' vectors.
+	t.Run("hedged", func(t *testing.T) {
+		hedged := &Scatter{c: c, ReplicaTimeout: time.Millisecond}
+		slow := c.Node(c.ReplicasOf(0)[0])
+		slow.SetQueryDelay(5 * time.Millisecond)
+		defer slow.SetQueryDelay(0)
+		checkScatter(t, hedged, ref, func(m QueryMeta) bool {
+			return m.Answered == m.Partitions && m.Partitions == clean.Partitions && !m.Partial
+		})
+	})
+}
+
+// One dashboard refresh through the scatter — PathSum over an hour and a
+// day, TopK of the root and of each client, Series over the hour — on a
+// small 3-node R=2 cluster allocates at most a third of what it did when
+// every partition answered TopK with a sorted, string-keyed list merged
+// through a map and Series with a slice of its own (98 objects).
+func TestScatterRefreshAllocations(t *testing.T) {
+	c, _ := newScatterPair(t)
+	s := NewScatter(c)
+	from, to := scatterT0.Add(-time.Hour), scatterT0.Add(23*time.Hour)
+	refresh := func() {
+		s.PathSum("web:home", scatterT0, scatterT0.Add(time.Hour))
+		s.PathSum("web:home", from, to)
+		for _, p := range []string{"", "web", "iphone", "android"} {
+			s.TopK(p, 5, from, to)
 		}
-		for i := range wantTop {
-			if gotTop[i] != wantTop[i] {
-				t.Errorf("TopK(%q, %d)[%d] = %v, want %v", q.parent, q.k, i, gotTop[i], wantTop[i])
-			}
-		}
+		s.Series("web:home", scatterT0, scatterT0.Add(time.Hour))
+	}
+	refresh()
+	const parent = 98
+	if avg := testing.AllocsPerRun(50, refresh); avg > parent/3 {
+		t.Fatalf("a scatter refresh allocates %.1f objects, want at most %d (a third of %d)", avg, parent/3, parent)
 	}
 }
 
@@ -344,4 +407,62 @@ func BenchmarkScatterRefresh(b *testing.B) {
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/refresh")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/refresh")
+}
+
+// FuzzScatterMatchesCounter holds the scatter's PathSum, TopK and Series on
+// a 3-node, R = 2 cluster to one reference counter fed the same events, over
+// writes and windows the input decodes. Each partition has its own newest
+// minute, so each clamps a window, and takes its trailing hour whole, at
+// its own; the writes span 150 minutes of a three-hour retention, so no
+// counter drops one and the sum of the partitions is the reference's.
+func FuzzScatterMatchesCounter(f *testing.F) {
+	f.Add([]byte{0, 0, 10, 2, 4, 70, 4, 1, 115, 1, 0, 60, 110, 0, 3, 50, 0, 120, 30, 1, 5, 60, 55, 0})
+	f.Add([]byte{0, 5, 100, 0, 3, 45, 2, 2, 99, 7, 30, 200, 7, 2, 9, 0, 1, 250, 0, 0})
+	names := append([]string{"web:search:results:stream:tweet:impression"}, scatterNames...)
+	m0 := scatterT0.Add(-time.Hour)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		take := func() int { // the next byte; 0 past the end
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		cfg := realtime.Config{Retention: 3 * time.Hour}
+		c, err := cluster.New(cluster.Config{Nodes: 3, ReplicationFactor: 2, Partitions: 8, Node: cfg, Clock: zk.NewManualClock(scatterT0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		cfg.Shards = 2
+		ref := realtime.New(cfg)
+		defer ref.Close()
+		s := NewScatter(c)
+		for len(data) > 0 {
+			op := take()
+			if op%2 == 0 {
+				name, minute := names[take()%len(names)], take()%150
+				e := scatterEv(name, m0.Add(time.Duration(minute)*time.Minute), int64(op))
+				c.Ingest(e)
+				ref.Ingest(e)
+				continue
+			}
+			a := take() - 60
+			from := m0.Add(time.Duration(a) * time.Minute)
+			to := from.Add(time.Duration(take()+op/2%2*120)*time.Minute + time.Duration(take()%60)*time.Second)
+			path, parent, k := scatterPaths[take()%len(scatterPaths)], scatterParents[op/4%len(scatterParents)], op/32
+			c.Tick()
+			ref.Sync()
+			if got, _ := s.PathSum(path, from, to); got != ref.PathSum(path, from, to) {
+				t.Fatalf("PathSum(%q, %v, %v) = %d, want %d", path, from, to, got, ref.PathSum(path, from, to))
+			}
+			if got, _ := s.TopK(parent, k, from, to); !reflect.DeepEqual(got, ref.TopK(parent, k, from, to)) {
+				t.Fatalf("TopK(%q, %d, %v, %v) = %v, want %v", parent, k, from, to, got, ref.TopK(parent, k, from, to))
+			}
+			if got, _ := s.Series(path, from, to); !reflect.DeepEqual(got, ref.Series(path, from, to)) {
+				t.Fatalf("Series(%q, %v, %v) = %v, want %v", path, from, to, got, ref.Series(path, from, to))
+			}
+		}
+	})
 }

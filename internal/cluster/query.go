@@ -4,58 +4,60 @@ import (
 	"time"
 
 	"unilog/internal/analytics"
+	"unilog/internal/events"
 	"unilog/internal/realtime"
 )
 
 // Per-node, per-partition query surface. Partitions hold disjoint name
 // sets, so a cluster-wide answer is the sum of one live replica's
 // partial per partition; the scatter-gather merge lives in
-// birdbrain.Scatter. Every method fails with ErrNodeDown on a crashed
-// node — a crashed counter's memory may still be readable in-process,
-// but a dead machine's would not be, and the failover path only gets
-// exercised if we refuse to answer.
+// birdbrain.Scatter. SumPaths takes path IDs of the process-wide events
+// name table, which the router also routes by, so every node's counts add
+// up index for index (separate processes would need ROADMAP's parked
+// dictionary delta first). Every method fails with ErrNodeDown on a
+// crashed node — a crashed counter's memory may still be readable
+// in-process, but a dead machine's would not be, and the failover path
+// only gets exercised if we refuse to answer.
+
+// SumPaths adds the node's count of each path ID within one partition
+// over [from, to) to out, index for index with ids (realtime.Counter's
+// SumPaths). On an error nothing is added.
+func (n *Node) SumPaths(p int, ids []uint32, from, to time.Time, out []int64) error {
+	n.stallQuery()
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	c, err := n.queryCounter(p)
+	if err != nil {
+		return err
+	}
+	c.SumPaths(ids, from, to, out)
+	return nil
+}
 
 // PathSum returns the node's count for a hierarchy path within one
 // partition over [from, to).
 func (n *Node) PathSum(p int, path string, from, to time.Time) (int64, error) {
-	n.stallQuery()
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	c, err := n.queryCounter(p)
-	if err != nil {
-		return 0, err
+	id, ok := events.PathID(path)
+	if !ok {
+		id = events.NoParent // a path no counter counted
 	}
-	return c.PathSum(path, from, to), nil
+	var total [1]int64
+	err := n.SumPaths(p, []uint32{id}, from, to, total[:])
+	return total[0], err
 }
 
-// Series returns the node's per-minute counts for a path within one
-// partition over [from, to).
-func (n *Node) Series(p int, path string, from, to time.Time) ([]int64, error) {
+// Series adds the node's per-minute counts for a path within one
+// partition over [from, to) into out and returns it
+// (realtime.Counter.AddSeries).
+func (n *Node) Series(p int, path string, from, to time.Time, out []int64) ([]int64, error) {
 	n.stallQuery()
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	c, err := n.queryCounter(p)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
-	return c.Series(path, from, to), nil
-}
-
-// ChildCounts returns the node's full per-child counts under parent
-// within one partition over [from, to) — unranked and uncut, because a
-// cluster-wide top-k can only be ranked after merging every partition's
-// children (a name small on this partition's slice of the namespace
-// may be absent from it entirely, not small globally; partitions hold
-// whole names, so no name is split, but the union is what ranks).
-func (n *Node) ChildCounts(p int, parent string, from, to time.Time) ([]realtime.PathCount, error) {
-	n.stallQuery()
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	c, err := n.queryCounter(p)
-	if err != nil {
-		return nil, err
-	}
-	return c.TopK(parent, allChildren, from, to), nil
+	return c.AddSeries(path, from, to, out), nil
 }
 
 // Rollups returns the node's §3.2 rollup rows for one partition over
@@ -70,9 +72,6 @@ func (n *Node) Rollups(p int, from, to time.Time) (map[analytics.RollupKey]int64
 	}
 	return c.RollupSnapshot(from, to), nil
 }
-
-// allChildren asks TopK for an effectively unbounded k.
-const allChildren = 1 << 30
 
 // queryCounter resolves partition p's counter; the caller holds RLock.
 func (n *Node) queryCounter(p int) (*realtime.Counter, error) {

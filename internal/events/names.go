@@ -208,3 +208,16 @@ func PathChildren(parent uint32) []uint32 {
 	names.mu.RUnlock()
 	return k[:len(k):len(k)]
 }
+
+// ChildrenOf is PathChildren by path: "" lists the clients, and a path no
+// name lies under has no children.
+func ChildrenOf(path string) []uint32 {
+	id, ok := PathID(path)
+	if path == "" {
+		id, ok = NoParent, true
+	}
+	if !ok {
+		return nil
+	}
+	return PathChildren(id)
+}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -202,6 +203,14 @@ func FuzzWindowReads(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 10, 0, 1, 2, 0, 200, 2, 0, 0, 0, 0, 2, 0, 20, 2, 3, 0})
 	f.Add([]byte{1, 1, 5, 3, 0, 0, 4, 0, 7, 0x30, 2, 2, 0, 0, 1, 0, 0, 1, 2, 0, 0, 9, 1, 0xff, 2, 1, 2, 0, 0, 0, 0x40, 6, 3, 3, 0, 0, 0, 0xff, 30})
 	f.Add([]byte{2, 0, 0, 0x10, 0, 4, 0x0a, 0x20, 5, 0x0c, 0x10, 2, 0, 0, 0x06, 0xc0, 0x05, 0xa0, 1, 3, 0x02, 0x00, 0x01, 0x00, 4, 0})
+	// A day retention on two shards, writes up to 14:25 (m0 + 55, mid-hour),
+	// then PathSum, TopK and Series from 13:00 to past that minute mid-hour
+	// (14:40), to the end of its hour (15:00, read whole from the hour cell)
+	// and to before it (14:20).
+	writes := []byte{5, 0, 0, 0, 10, 0, 4, 0, 40, 1, 2, 0, 55, 0, 1, 0, 31, 4, 3, 0, 54}
+	for _, z := range []byte{100, 120, 80} {
+		f.Add(append(slices.Clone(writes), 2, 0, 30, 0, z, 0, 0, 0x46, 0, 30, 0, z, 0, 5, 3, 0, 30, 0, z, 0, 1))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

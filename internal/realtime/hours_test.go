@@ -283,15 +283,15 @@ func TestRecycledSlotMarksItsHour(t *testing.T) {
 }
 
 // TestDayReadAllocations: on a clean generated day PathSum allocates
-// nothing, and TopK at most its child counts, its answer and, on a counter
-// that has not counted every child, the child list it keeps — no reflection
-// sort, no closure handed to the read, no growing of the answer.
+// nothing, and TopK its answer — the child counts and the ranking stay on
+// the stack for a parent of up to 64 children, and only the kept children
+// become PathCounts. The race detector's instrumentation adds one.
 func TestDayReadAllocations(t *testing.T) {
 	c := generatedDay(t)
 	from, to := day, day.Add(24*time.Hour)
 	for _, parent := range []string{"", "web", "iphone:home"} {
-		if n := testing.AllocsPerRun(20, func() { c.TopK(parent, 5, from, to) }); n > 3 {
-			t.Errorf("TopK(%q) allocates %.0f objects per call, want at most 3", parent, n)
+		if n := testing.AllocsPerRun(20, func() { c.TopK(parent, 5, from, to) }); n > 2 {
+			t.Errorf("TopK(%q) allocates %.0f objects per call, want at most 2", parent, n)
 		}
 	}
 	for _, w := range [][2]time.Time{{from, to}, {from.Add(14 * time.Hour), from.Add(15 * time.Hour)}, {from.Add(90 * time.Minute), to}} {

@@ -97,14 +97,25 @@ func (c *Counter) forEachBucket(from, to time.Time, prefixes bool, fn func(*buck
 	cost.record()
 }
 
-// sumPaths adds each path's count over [from, to) to out, index for index
-// with ids: the read kernel of PathSum and TopK. Per shard, under its lock,
-// it rebuilds each whole hour of the window whose cell is stale or holds
-// another hour (sumHour) and derives each stale edge minute; then a path
-// costs one row lookup, a sum over a run of its row, and a map probe per
-// live edge minute (at most 118, none on an hour-aligned window).
-func (c *Counter) sumPaths(ids []uint32, from, to time.Time, out []int64) {
+// SumPaths adds each path's count over [from, to) to out, index for index
+// with ids, skipping IDs this counter never counted: the read kernel of
+// PathSum, TopK and a cluster node's scatter reads. Per shard, under its
+// lock, it rebuilds each whole hour of the window whose cell is stale or
+// holds another hour (sumHour) and derives each stale edge minute; then a
+// path costs one row lookup, a sum over a run of its row, and a map probe
+// per live edge minute. No minute past the newest holds a count, so a window
+// that runs to the end of the newest minute's hour or beyond takes that hour
+// whole; edge minutes are those of a window starting mid-hour or behind the
+// horizon and of one ending mid-hour before the newest minute's hour ends:
+// at most 59 either side, 118 if it spans no whole hour.
+func (c *Counter) SumPaths(ids []uint32, from, to time.Time, out []int64) {
+	if !slices.ContainsFunc(ids, c.tab.counted) {
+		return
+	}
 	fm, tm := c.liveMinutes(from, to)
+	if _, end := minuteRange(from, to); fm < tm && end >= (tm+59)/60*60 {
+		tm = (tm + 59) / 60 * 60
+	}
 	// The whole hours are [hf, ht); edges holds the minutes either side.
 	hf, ht := (fm+59)/60*60, tm-tm%60
 	if hf >= ht {
@@ -112,7 +123,7 @@ func (c *Counter) sumPaths(ids []uint32, from, to time.Time, out []int64) {
 	}
 	edges := [2][2]int64{{fm, hf}, {ht, tm}}
 	var cost readCost
-	var edgeBuf [118]*bucket // the most edge minutes: 59 either side, or a window spanning no whole hour
+	var edgeBuf [118]*bucket
 	for _, s := range c.shards {
 		s.mu.Lock()
 		cost.names = nil
@@ -137,6 +148,9 @@ func (c *Counter) sumPaths(ids []uint32, from, to time.Time, out []int64) {
 		}
 		h0, end := int(hf/60%nh), int(hf/60%nh+(ht-hf)/60)
 		for i, id := range ids {
+			if !c.tab.counted(id) {
+				continue
+			}
 			if r, ok := s.hourRow[id]; ok {
 				row := s.hourSum[int(r)*int(nh):][:nh]
 				for _, v := range row[h0:min(end, int(nh))] {
@@ -207,17 +221,23 @@ func (c *Counter) leafTotals(from, to time.Time) map[uint64]int64 {
 func (c *Counter) PathSum(path string, from, to time.Time) int64 {
 	defer tmQueryPathSumNs.ObserveSince(time.Now())
 	id, ok := events.PathID(path)
-	if !ok || !c.tab.counted(id) {
+	if !ok {
 		return 0
 	}
 	var total [1]int64
-	c.sumPaths([]uint32{id}, from, to, total[:])
+	c.SumPaths([]uint32{id}, from, to, total[:])
 	return total[0]
 }
 
 // Series returns per-minute counts of a path over [from, to), index 0
 // holding from's minute. The window is capped at the retention length.
 func (c *Counter) Series(path string, from, to time.Time) []int64 {
+	return c.AddSeries(path, from, to, nil)
+}
+
+// AddSeries adds Series(path, from, to) into out, index for index, and
+// returns out, grown first to the window's length if it is shorter.
+func (c *Counter) AddSeries(path string, from, to time.Time, out []int64) []int64 {
 	defer tmQuerySeriesNs.ObserveSince(time.Now())
 	fm, tm := minuteRange(from, to)
 	if tm-fm > int64(c.buckets) {
@@ -225,9 +245,9 @@ func (c *Counter) Series(path string, from, to time.Time) []int64 {
 		to = time.Unix(tm*60, 0)
 	}
 	if tm <= fm {
-		return nil
+		return out
 	}
-	out := make([]int64, tm-fm)
+	out = append(out, make([]int64, max(int(tm-fm)-len(out), 0))...)
 	id, ok := events.PathID(path)
 	if !ok || !c.tab.counted(id) {
 		return out
@@ -252,41 +272,35 @@ func (c *Counter) TopK(parent string, k int, from, to time.Time) []PathCount {
 	if k <= 0 {
 		return nil
 	}
-	parentID := events.NoParent
-	if parent != "" {
-		id, ok := events.PathID(parent)
-		if !ok || !c.tab.counted(id) {
-			return nil
-		}
-		parentID = id
-	}
-	// Only the children this counter has counted can count; on a cluster
-	// partition that is often few of them.
-	children := events.PathChildren(parentID)
-	uncounted := func(id uint32) bool { return !c.tab.counted(id) }
-	if slices.ContainsFunc(children, uncounted) {
-		children = slices.DeleteFunc(slices.Clone(children), uncounted)
-	}
-	counts := make([]int64, len(children))
-	c.sumPaths(children, from, to, counts)
-	// Strings are resolved at the edge, for the children that counted.
-	paths := events.Paths()
-	ranked := make([]PathCount, 0, len(counts))
+	children := events.ChildrenOf(parent)
+	var buf [64]int64 // few parents have more children: the counts stay on the stack
+	counts := append(buf[:0], make([]int64, len(children))...)
+	c.SumPaths(children, from, to, counts)
+	return RankChildren(children, counts, k)
+}
+
+// RankChildren is TopK's answer from the children's counts, index for
+// index: the k largest nonzero ones, ties broken by path, ascending. The
+// children are ranked by index, and only the k kept resolve to strings.
+func RankChildren(children []uint32, counts []int64, k int) []PathCount {
+	order := make([]int, 0, 64)
 	for i, n := range counts {
 		if n != 0 {
-			ranked = append(ranked, PathCount{Path: paths[children[i]], Count: n})
+			order = append(order, i)
 		}
 	}
-	if len(ranked) == 0 {
+	if k <= 0 || len(order) == 0 {
 		return nil
 	}
-	slices.SortFunc(ranked, func(a, b PathCount) int {
-		return cmp.Or(cmp.Compare(b.Count, a.Count), strings.Compare(a.Path, b.Path))
+	paths := events.Paths()
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(counts[b], counts[a]), strings.Compare(paths[children[a]], paths[children[b]]))
 	})
-	if len(ranked) > k {
-		ranked = ranked[:k]
+	top := make([]PathCount, min(k, len(order)))
+	for j, i := range order[:len(top)] {
+		top[j] = PathCount{Path: paths[children[i]], Count: counts[i]}
 	}
-	return ranked
+	return top
 }
 
 // RollupSnapshot builds the §3.2 rollup table of [from, to), keyed

@@ -49,10 +49,11 @@
 //   - beside its minute ring a shard keeps hour sums path-major: one row
 //     per path, one entry per cell of a short ring of hour cells. The first
 //     write to a clean minute marks its hour's cell stale, so PathSum and
-//     TopK (one kernel, sumPaths) take every hour a window covers whole from
+//     TopK (one kernel, SumPaths) take every hour a window covers whole from
 //     the rows, a stale cell's column rebuilt first, and read minute buckets
-//     only at the window's edges: a day-window read is one row per path per
-//     shard. Series and the rollup readers keep reading minutes.
+//     only at the window's edges (none past the newest minute's hour): a
+//     day-window read is one row per path per shard. Series and the
+//     rollup readers keep reading minutes.
 //
 // What the write path no longer does the read side pays, bounded: a prefix
 // read that finds a bucket stale does about six map adds per leaf of that
@@ -78,6 +79,7 @@
 package realtime
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -308,6 +310,9 @@ type shard struct {
 	leafHint []int32
 }
 
+// busy reports a batch in flight (sent read first, then done).
+func (s *shard) busy() bool { return s.sent.Load() > s.done.Load() }
+
 // Counter is the realtime counting service. Create with New, feed it via
 // TapBatch (wired to scribe.Aggregator.Tap), a Batcher (decoded events
 // through Add, reduced ones through AddObservation), or Ingest, and read
@@ -324,8 +329,9 @@ type Counter struct {
 	// allocation-free.
 	batchPool sync.Pool
 
+	// closed is set under closeMu.Lock; Sync's idle check reads it without.
 	closeMu sync.RWMutex
-	closed  bool
+	closed  atomic.Bool
 	wg      sync.WaitGroup
 
 	// Durability state (zero on memory-only counters). dir, set by Open
@@ -431,11 +437,11 @@ func (c *Counter) Crash() { c.shutdown(false) }
 
 func (c *Counter) shutdown(final bool) {
 	c.closeMu.Lock()
-	if c.closed {
+	if c.closed.Load() {
 		c.closeMu.Unlock()
 		return
 	}
-	c.closed = true
+	c.closed.Store(true)
 	for _, s := range c.shards {
 		close(s.ch)
 	}
@@ -465,19 +471,23 @@ func (c *Counter) SetApplyDelay(d time.Duration) { c.applyDelay.Store(int64(d)) 
 
 // Sync blocks until every observation enqueued before the call has been
 // applied — the read-your-writes barrier queries and tests need. A shard
-// with nothing in flight costs two atomic loads; only shards whose drain
-// has batches still to apply are sent a sync message and waited on.
+// with nothing in flight costs two atomic loads, and an open counter with
+// none in flight returns before closeMu; only shards whose drain has
+// batches still to apply are sent a sync message and waited on.
 func (c *Counter) Sync() {
 	tmSyncCalls.Inc()
+	if !c.closed.Load() && !slices.ContainsFunc(c.shards, (*shard).busy) {
+		return
+	}
 	c.closeMu.RLock()
-	if c.closed {
+	if c.closed.Load() {
 		c.closeMu.RUnlock()
 		c.wg.Wait()
 		return
 	}
 	var dones []chan struct{}
 	for _, s := range c.shards {
-		if target := s.sent.Load(); s.done.Load() >= target {
+		if !s.busy() {
 			continue
 		}
 		d := make(chan struct{})
@@ -547,7 +557,7 @@ func (c *Counter) send(shardIdx int, batch []obs) {
 	}
 	c.closeMu.RLock()
 	defer c.closeMu.RUnlock()
-	if c.closed {
+	if c.closed.Load() {
 		return
 	}
 	s := c.shards[shardIdx]

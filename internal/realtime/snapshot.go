@@ -153,7 +153,7 @@ func (c *Counter) snapshotNow() error {
 	c.snapMu.Lock()
 	defer c.snapMu.Unlock()
 	c.closeMu.RLock()
-	if c.closed {
+	if c.closed.Load() {
 		c.closeMu.RUnlock()
 		return errClosed
 	}

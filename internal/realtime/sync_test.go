@@ -92,3 +92,44 @@ func TestSyncConcurrentWithTaps(t *testing.T) {
 		t.Fatalf("final PathSum(web) = %d, want %d", got, 300*per)
 	}
 }
+
+// An idle Sync on an open counter returns before closeMu — here held by the
+// test — and still counts as a call, not a wait. On a closed or crashed
+// counter Sync waits for the drains to exit: a batch in the drain's hands
+// when the counter stops is applied by the time Sync returns.
+func TestSyncIdleCountsCalls(t *testing.T) {
+	c := newCounter(t, Config{Shards: 4})
+	c.TapBatch(tapEntries(100))
+	c.Sync()
+	calls, waits := tmSyncCalls.Value(), tmSyncWaits.Value()
+	c.closeMu.Lock()
+	synced := make(chan struct{})
+	go func() { c.Sync(); close(synced) }()
+	select {
+	case <-synced:
+		c.closeMu.Unlock()
+	case <-time.After(5 * time.Second):
+		c.closeMu.Unlock()
+		t.Fatal("an idle Sync waited for closeMu")
+	}
+	if dc, dw := tmSyncCalls.Value()-calls, tmSyncWaits.Value()-waits; dc != 1 || dw != 0 {
+		t.Fatalf("an idle Sync added %d calls and %d waits, want 1 and 0", dc, dw)
+	}
+
+	for name, stop := range map[string]func(*Counter){"Close": (*Counter).Close, "Crash": (*Counter).Crash} {
+		c := newCounter(t, Config{Shards: 4})
+		c.SetApplyDelay(20 * time.Millisecond)
+		batch := tapEntries(500)
+		c.TapBatch(batch)
+		stopped := make(chan struct{})
+		go func() { stop(c); close(stopped) }()
+		for !c.closed.Load() {
+			time.Sleep(time.Millisecond)
+		}
+		c.Sync()
+		if got, want := c.PathSum("web", t0, t0.Add(time.Hour)), webIn(len(batch)); got != want {
+			t.Errorf("after %s, PathSum(web) behind Sync = %d, want %d", name, got, want)
+		}
+		<-stopped
+	}
+}
