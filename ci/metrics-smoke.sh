@@ -14,7 +14,8 @@
 #   logmover.records       — the log mover published hours into the warehouse
 #   columnar.seal.rows     — the mover sealed those hours into column chunks
 #                            in the pass that verified them
-#   warehouse.scan.records — the demo's delivery count read the row files back
+#   chunk.meta.reads       — the demo's delivery count read the sealed hours'
+#                            row counts back from their chunks' zone maps
 #
 # Once the demo has finished its day (its "holding" line), the script also
 # requires the demo's three verdict lines in its log:
@@ -73,7 +74,7 @@ for i in $(seq 1 "$POLL_SECONDS"); do
            and .series["events.names.entries"] > 0
            and .series["dataflow.spill.bytes"] > 0
            and .series["logmover.records"] > 0 and .series["columnar.seal.rows"] > 0
-           and .series["warehouse.scan.records"] > 0' \
+           and .series["chunk.meta.reads"] > 0' \
       "$OUT/snap.json" >/dev/null 2>&1 && grep -q '^holding ' "$OUT/demo.log"; then
     for verdict in '^reconcile .*: OK' 'exactly once: true' 'jump-free: true'; do
       if ! grep -q "$verdict" "$OUT/demo.log"; then
@@ -90,7 +91,7 @@ for i in $(seq 1 "$POLL_SECONDS"); do
           "dataflow.spill.bytes": .series["dataflow.spill.bytes"],
           "logmover.records": .series["logmover.records"],
           "columnar.seal.rows": .series["columnar.seal.rows"],
-          "warehouse.scan.records": .series["warehouse.scan.records"],
+          "chunk.meta.reads": .series["chunk.meta.reads"],
           series_total: (.series | length),
           histograms_total: (.histograms | length) }' "$OUT/snap.json"
     exit 0

@@ -30,6 +30,7 @@ import (
 	"unilog/internal/analytics"
 	"unilog/internal/birdbrain"
 	"unilog/internal/catalog"
+	"unilog/internal/chunk"
 	"unilog/internal/dataflow"
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
@@ -194,22 +195,37 @@ func main() {
 			redisc += s.Rediscoveries
 		}
 	}
+	// A sealed hour counts from its chunks' zone maps, an unsealed one from
+	// its row files.
 	var inWarehouse int64
 	for _, dir := range warehouse.HourDirs(wh, events.Category, day) {
-		check(warehouse.ScanHourRecords(wh, dir, func(string, []byte) error {
-			inWarehouse++
-			return nil
-		}))
+		files, err := chunk.HourFiles(wh, dir)
+		check(err)
+		for _, fi := range files {
+			if chunk.IsChunk(fi.Path) {
+				m, err := chunk.ReadMeta(wh, fi.Path)
+				check(err)
+				inWarehouse += int64(m.Rows)
+				continue
+			}
+			check(chunk.ScanFileRecords(wh, fi.Path, func([]byte) error {
+				inWarehouse++
+				return nil
+			}))
+		}
 	}
 	fmt.Printf("\ndelivery: accepted %d, delivered %d, in warehouse %d (exactly once: %v), zk rediscoveries %d\n",
 		accepted, delivered, inWarehouse, inWarehouse == truth.Events, redisc)
-	var filesIn, filesOut int
+	var filesIn, filesOut, sealedHours int
 	for _, a := range mover.Audits() {
 		filesIn += a.FilesIn
 		filesOut += a.FilesOut
+		if chunk.Sealed(wh, warehouse.HourDir(a.Category, a.Hour)) {
+			sealedHours++
+		}
 	}
-	fmt.Printf("log mover audit: %d moves, %d small staging files merged into %d warehouse files\n\n",
-		len(mover.Audits()), filesIn, filesOut)
+	fmt.Printf("log mover audit: %d moves, %d small staging files in, %d warehouse files out; %d hours published as column chunks alone\n\n",
+		len(mover.Audits()), filesIn, filesOut, sealedHours)
 
 	// --- Daily jobs: dictionary + session sequences + catalog + dashboard. ---
 	dict, _, stats, err := session.BuildDay(wh, day, 3)

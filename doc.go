@@ -24,8 +24,8 @@
 // scenario.Run, and the execution trace is logmover.AuditRecord. Elephant
 // Twin (§6, index push-down): internal/columnar's zone maps prune the
 // chunks a selection cannot match and a name pattern is evaluated once per
-// dictionary entry, with the row files as the always-correct fallback; the
-// full-text index is not reproduced. Protocol Buffers and Elephant Bird
+// dictionary entry, held by tests to the unpruned scan of the same day;
+// the full-text index is not reproduced. Protocol Buffers and Elephant Bird
 // (§3): every message here is Thrift compact, and the hand-written Struct
 // implementations (events.ClientEvent, session.Record) need no schema
 // compiler.
@@ -43,21 +43,29 @@
 // sealed an hour, the log mover (internal/logmover) inflates each staging
 // file end to end as its sanity check — every member's CRC-32 and length
 // are checked, and every record frame is walked to a clean boundary — and
-// then appends the file's compressed bytes, as they are, to a merged
-// warehouse part: a gzip file is a concatenation of gzip members and every
-// reader reads through member boundaries, so merging small files into big
-// ones needs no second deflate. Every read of a gzipped record file — that
-// check, the warehouse row scans, the dataflow row formats, the session
-// store, the catalog — goes through recordio's own decoder, which inflates
-// from the file image in memory into one fixed window, a piece at a time,
-// and refuses what compress/gzip refuses; compress/gzip writes, and is the
-// reference its tests hold it to. Parts roll at staging-file boundaries once
-// Mover.TargetFileBytes of raw payload is reached, the hour is published
-// by one directory rename, and an audit record accounts for every file,
-// record and byte. Only a Mover.Transform hook (the §3.2 anonymization
-// policy, say), whose records really do change, decodes and re-compresses.
-// The logmover.* telemetry series count hours, records, bytes and which of
-// the two paths each staging file took.
+// the same pass seals a client-events hour into column chunks (below),
+// which are all the hour publishes: the event is stored once, and the
+// staging bytes only cross from the aggregators' clusters to the
+// warehouse, so the aggregators deflate at level 3 (scribe.stagingLevel),
+// which prices that transfer rather than storage. An hour that does not
+// seal — another category, or a record the chunk encoder rejects — is
+// published as rows: the mover appends each verified file's compressed
+// bytes, as they are, to a merged warehouse part; a gzip file is a
+// concatenation of gzip members and every reader reads through member
+// boundaries, so merging small files into big ones needs no second
+// deflate. Every read of a gzipped record file — that check, the
+// warehouse row scans, the dataflow row formats, the session store, the
+// catalog — goes through recordio's own decoder, which inflates from the
+// file image in memory into one fixed window, a piece at a time, and
+// refuses what compress/gzip refuses; compress/gzip writes, and is the
+// reference its tests hold it to. Parts roll at staging-file boundaries
+// once Mover.TargetFileBytes of raw payload is reached, the hour is
+// published by one directory rename, and an audit record accounts for
+// every file, record and byte. Only a Mover.Transform hook (the §3.2
+// anonymization policy, say), whose records really do change, decodes, and
+// re-compresses an hour that publishes rows. The logmover.* telemetry
+// series count hours, records, bytes and which of the three paths each
+// staging file took (sealed, spliced, re-encoded).
 //
 // The dataflow engine keeps the operators the jobs run and meters the
 // three numbers §4 argues from: map tasks (one per file), bytes read and
@@ -122,8 +130,9 @@
 // Sealed warehouse hours additionally carry a columnar encoding
 // (internal/columnar seals and scans it; the layout, its one encoder and
 // the typed reader are the leaf package internal/chunk, below dataflow, so
-// the daily session job can read chunks too): SealHour re-encodes each
-// client-events hour into fixed-size row-count chunks, one CRC-framed
+// the daily session job can read chunks too): the log mover and SealHour
+// encode each client-events hour into fixed-size row-count chunks, one
+// CRC-framed
 // file per column —
 // dictionary + varint IDs for the low-cardinality strings (name,
 // session_id, ip), zigzag deltas for timestamps, run-length bytes for
@@ -139,8 +148,8 @@
 // row files) and the next seal cleans them up and retries, so a torn
 // seal can never silently drop rows. The seal builds chunks from the wire:
 // warehouse.ScanHourRecords hands it the raw records of the hour's row
-// files (through warehouse.ScanFileRecords, the per-file loop every
-// row-file reader shares, which names a damaged file in its error) and
+// files (through chunk.ScanFileRecords, the per-file loop every row-file
+// reader shares, which names a damaged file in its error) and
 // chunk.Builder.AddRecord walks each one without allocating
 // (events.Header.DecodePairs: the strings and details pairs stay slices of
 // the record) and appends the row straight to its column accumulators —
@@ -154,9 +163,10 @@
 // no more bytes than its row files (0.83 of them; 4.2 times them when
 // details were stored as length-prefixed pairs); columnar.seal.bytes over
 // columnar.seal.rows is the sealed bytes per row. The chunk files are
-// auxiliary
-// (underscore-prefixed): row files stay authoritative and row scanners
-// never see them, so sealed and unsealed hours coexist in one day. There
+// auxiliary (underscore-prefixed): row scanners never see them, an hour
+// with the marker is read from its chunks whether or not rows remain
+// beside it (an hour SealHour sealed keeps its rows; an hour the mover
+// sealed has none), and sealed and unsealed hours coexist in one day. There
 // is one client-events format over the two layouts,
 // dataflow.ClientEventFormat: its splits are the day reader's files
 // (chunk.HourFiles: a sealed hour's chunks, an unsealed hour's row files),
@@ -187,9 +197,11 @@
 // what the row path costs its batch-rows-spill. The log mover seals every
 // client-events hour as it publishes it: each record its verify pass
 // accepts goes on into a columnar.Sealer, whose chunks are renamed into
-// place with the rows, so an hour is inflated once on its way in and
-// rollups, raw-log counting, and funnel walks go columnar the moment it
-// lands.
+// place as the whole hour, with no row file beside them, so an hour is
+// inflated once on its way in, stored once, and rollups, raw-log counting,
+// and funnel walks go columnar the moment it lands. warehouse.ScanDay, the
+// one reader that builds a ClientEvent per row, reads through the same
+// day reader (chunk.ReadHour, then chunk.Columns.Event).
 //
 // The chunk reader's contract is the ID vector: a dictionary column
 // decodes to the chunk's sorted distinct values plus one validated uint32
@@ -210,8 +222,8 @@
 // goes, so each chunk decodes into the vectors the last one handed back.
 // The session partition is the one file the pipeline deflates at
 // gzip.BestSpeed (session.sequenceLevel; the aggregators' staging files,
-// which the mover splices into the warehouse as they are, are written at
-// level 5, scribe.stagingLevel, and everything else at level 6 through
+// whose bytes the warehouse keeps only for an hour that does not seal, are
+// written at level 3, scribe.stagingLevel, and everything else at level 6 through
 // recordio.NewGzipWriter): sequence strings of 2-byte
 // runes fill deflate's hash chains, level 6 was ~40% of the job, and the
 // fast level costs 0.12 B per event, leaving the sequences still over

@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -8,8 +9,8 @@ import (
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
 	"unilog/internal/recordio"
+	"unilog/internal/telemetry"
 	"unilog/internal/thrift"
-	"unilog/internal/warehouse"
 )
 
 // The day reader. A warehouse hour is read as a sequence of column batches,
@@ -36,6 +37,52 @@ type Batch struct {
 	walked  bool       // a row file has been read once: Rows is its record count
 	r       *rowReader // the walkers whose vectors a row file's columns are
 	v       *vectors   // the vectors a chunk's columns are
+}
+
+// IsAuxiliary reports whether a path names a non-data file living beside
+// log data: seal markers and column chunks, all of which carry a leading
+// underscore. Scanners and loaders skip these; every other file in a log
+// directory is read as a row file.
+func IsAuxiliary(path string) bool {
+	base := path
+	if i := strings.LastIndexByte(path, '/'); i >= 0 {
+		base = path[i+1:]
+	}
+	return strings.HasPrefix(base, "_")
+}
+
+// Telemetry for row-file scans, booked once per file read — never per
+// record — so the scan loop stays as cheap as it was dark.
+var (
+	tmScanFiles   = telemetry.GetCounter("warehouse.scan.files")
+	tmScanRecords = telemetry.GetCounter("warehouse.scan.records")
+	tmScanBytes   = telemetry.GetCounter("warehouse.scan.bytes")
+)
+
+// ScanFileRecords is the one loop over a row file: read whole and inflated,
+// fn invoked on each record. rec is valid only during the call — the next
+// record overwrites it — so fn copies what it keeps. A damaged file fails
+// the scan with recordio.ErrCorrupt and its path; an error from fn stops it
+// and is returned as it is. The day reader's row batches, the warehouse's
+// hour scan (and so the columnar seal) and the dataflow formats read
+// through it.
+func ScanFileRecords(fs *hdfs.FS, path string, fn func(rec []byte) error) error {
+	data, err := fs.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var records int64
+	err = recordio.ScanGzipFile(data, func(rec []byte) error {
+		records++
+		return fn(rec)
+	})
+	tmScanFiles.Inc()
+	tmScanRecords.Add(records)
+	tmScanBytes.Add(int64(len(data)))
+	if errors.Is(err, recordio.ErrCorrupt) {
+		return fmt.Errorf("warehouse: %s: %w", path, err)
+	}
+	return err
 }
 
 // IsChunk reports whether a path of HourFiles is a chunk's meta file rather
@@ -69,7 +116,7 @@ func HourFiles(fs *hdfs.FS, dir string) ([]hdfs.FileInfo, error) {
 	}
 	files := infos[:0]
 	for _, fi := range infos {
-		if !warehouse.IsAuxiliary(fi.Path) {
+		if !IsAuxiliary(fi.Path) {
 			files = append(files, fi)
 		}
 	}
@@ -221,7 +268,7 @@ func (r *rowReader) reset() {
 // need holds, as the seal and the tuple scan validate it.
 func (r *rowReader) read(fs *hdfs.FS, path string, need Set) (int, error) {
 	rows := 0
-	err := warehouse.ScanFileRecords(fs, path, func(rec []byte) error {
+	err := ScanFileRecords(fs, path, func(rec []byte) error {
 		if err := r.add(rec, need); err != nil {
 			return fmt.Errorf("warehouse: %s: %w", path, err)
 		}

@@ -1,4 +1,4 @@
-package chunk
+package chunk_test
 
 import (
 	"runtime"
@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"unilog/internal/chunk"
 	"unilog/internal/hdfs"
 	"unilog/internal/workload"
 )
@@ -20,20 +21,20 @@ func sealedHour(tb testing.TB, events int) (*hdfs.FS, int) {
 	evs, _ := workload.New(cfg).Generate()
 	evs = evs[:min(events, len(evs))]
 	fs := hdfs.New(0)
-	var b Builder
+	var b chunk.Builder
 	chunks := 0
 	for i := range evs {
 		if err := b.AddRecord(evs[i].Marshal()); err != nil {
 			tb.Fatal(err)
 		}
 		if b.Rows() == 8192 || i == len(evs)-1 {
-			if _, err := b.Flush(fs, testDir, chunks); err != nil {
+			if _, err := b.Flush(fs, chunk.TestDir, chunks); err != nil {
 				tb.Fatal(err)
 			}
 			chunks++
 		}
 	}
-	if err := WriteSealed(fs, testDir, chunks); err != nil {
+	if err := chunk.WriteSealed(fs, chunk.TestDir, chunks); err != nil {
 		tb.Fatal(err)
 	}
 	return fs, len(evs)
@@ -42,10 +43,10 @@ func sealedHour(tb testing.TB, events int) (*hdfs.FS, int) {
 // scanBytesPerRow reads the hour twice through ReadHour, releasing each
 // batch, and returns the bytes the second read allocated per row: the least
 // of a few tries, since a collection between reads empties the pools.
-func scanBytesPerRow(tb testing.TB, fs *hdfs.FS, rows int, need Set) float64 {
+func scanBytesPerRow(tb testing.TB, fs *hdfs.FS, rows int, need chunk.Set) float64 {
 	tb.Helper()
 	read := func() {
-		if err := ReadHour(fs, testDir, need, func(b *Batch) error {
+		if err := chunk.ReadHour(fs, chunk.TestDir, need, func(b *chunk.Batch) error {
 			b.Release()
 			return nil
 		}); err != nil {
@@ -77,11 +78,11 @@ const parentScanBytesPerRow = 146.6
 // per row it did when every batch allocated its own (34.8 now: what is
 // left is the strings a batch hands out, which outlive it).
 func TestChunkScanRecyclesVectors(t *testing.T) {
-	if raceEnabled {
+	if chunk.RaceEnabled {
 		t.Skip("the race detector drops pooled objects at random")
 	}
 	fs, rows := sealedHour(t, 24000)
-	if got := scanBytesPerRow(t, fs, rows, All); got > parentScanBytesPerRow/2 {
+	if got := scanBytesPerRow(t, fs, rows, chunk.All); got > parentScanBytesPerRow/2 {
 		t.Fatalf("a second ReadHour allocated %.1f B/row, want at most %.1f", got, parentScanBytesPerRow/2)
 	}
 }
@@ -92,28 +93,29 @@ func TestChunkScanRecyclesVectors(t *testing.T) {
 // value of the kept batch reads as it did.
 func TestKeptChunkBatchSurvivesLaterLoads(t *testing.T) {
 	fs, _ := sealedHour(t, 3*8192)
-	load := func(i int) *Batch {
+	load := func(i int) (*chunk.Batch, chunk.Meta) {
 		t.Helper()
-		m, err := ReadMeta(fs, MetaPath(testDir, i))
+		m, err := chunk.ReadMeta(fs, chunk.MetaPath(chunk.TestDir, i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := LoadChunk(fs, MetaPath(testDir, i), m, All)
+		b, err := chunk.LoadChunk(fs, chunk.MetaPath(chunk.TestDir, i), m, chunk.All)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b
+		return b, m
 	}
-	kept := load(0)
-	var want Columns // the same chunk in vectors of its own
-	if err := want.Load(fs, Base(testDir, 0), kept.meta, All); err != nil {
+	kept, m := load(0)
+	var want chunk.Columns // the same chunk in vectors of its own
+	if err := want.Load(fs, chunk.Base(chunk.TestDir, 0), m, chunk.All); err != nil {
 		t.Fatal(err)
 	}
 	ids := slices.Clone(kept.SessionID.IDs)
 	for i := 0; i < 20; i++ {
-		load(1 + i%2).Release()
+		b, _ := load(1 + i%2)
+		b.Release()
 	}
-	if col := sameRows(&kept.Columns, &want); col != "" {
+	if col := chunk.SameRows(&kept.Columns, &want); col != "" {
 		t.Fatalf("kept batch's %s column changed under later loads", col)
 	}
 	if !slices.Equal(kept.SessionID.IDs, ids) {

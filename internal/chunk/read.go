@@ -9,6 +9,7 @@ import (
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
 	"unilog/internal/recordio"
+	"unilog/internal/telemetry"
 )
 
 // Meta is a decoded zone map: everything pruning needs, nothing a pruned
@@ -80,12 +81,18 @@ func short(path string) error {
 	return fmt.Errorf("chunk: %s: %w: short column", path, recordio.ErrCorrupt)
 }
 
+// tmMetaReads counts the zone-map files read: one per chunk a scan plans,
+// prunes or loads, and one per chunk a row count taken from the metas
+// reads.
+var tmMetaReads = telemetry.GetCounter("chunk.meta.reads")
+
 // ReadMeta reads and decodes a chunk's zone-map file.
 func ReadMeta(fs *hdfs.FS, path string) (Meta, error) {
 	data, err := readFile(fs, path, nil)
 	if err != nil {
 		return Meta{}, err
 	}
+	tmMetaReads.Inc()
 	return decodeMeta(path, data)
 }
 

@@ -371,7 +371,7 @@ func TestClusterCrashRestartConvergence(t *testing.T) {
 				p := c.PartitionOf(name)
 				want := ref.PathSum(name, from, to)
 				for _, id := range c.ReplicasOf(p) {
-					got, err := c.Node(id).PathSum(p, name, from, to)
+					got, err := pathSum(c.Node(id), p, name, from, to)
 					if err != nil {
 						t.Fatalf("node %d PathSum(%q): %v", id, name, err)
 					}
@@ -382,4 +382,17 @@ func TestClusterCrashRestartConvergence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// pathSum is one hierarchy path's count on a node's partition over
+// [from, to), read through Node.SumPaths as the scatter reads it; a path
+// no counter counted reads as the ID none holds.
+func pathSum(n *Node, p int, path string, from, to time.Time) (int64, error) {
+	id, ok := events.PathID(path)
+	if !ok {
+		id = events.NoParent
+	}
+	var total [1]int64
+	err := n.SumPaths(p, []uint32{id}, from, to, total[:])
+	return total[0], err
 }

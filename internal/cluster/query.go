@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"unilog/internal/analytics"
-	"unilog/internal/events"
 	"unilog/internal/realtime"
 )
 
@@ -32,18 +31,6 @@ func (n *Node) SumPaths(p int, ids []uint32, from, to time.Time, out []int64) er
 	}
 	c.SumPaths(ids, from, to, out)
 	return nil
-}
-
-// PathSum returns the node's count for a hierarchy path within one
-// partition over [from, to).
-func (n *Node) PathSum(p int, path string, from, to time.Time) (int64, error) {
-	id, ok := events.PathID(path)
-	if !ok {
-		id = events.NoParent // a path no counter counted
-	}
-	var total [1]int64
-	err := n.SumPaths(p, []uint32{id}, from, to, total[:])
-	return total[0], err
 }
 
 // Series adds the node's per-minute counts for a path within one

@@ -111,7 +111,7 @@ func TestConcurrentTapsRouteEveryEventOnce(t *testing.T) {
 	for _, name := range testNames {
 		p := c.PartitionOf(name)
 		for _, id := range c.ReplicasOf(p) {
-			if got, err := c.Node(id).PathSum(p, name, from, to); err != nil || got != n/int64(len(testNames)) {
+			if got, err := pathSum(c.Node(id), p, name, from, to); err != nil || got != n/int64(len(testNames)) {
 				t.Errorf("node %d PathSum(%q) = %d (%v), want %d", id, name, got, err, n/int64(len(testNames)))
 			}
 		}
@@ -139,7 +139,7 @@ func TestRouterPartitionIsPartitionOf(t *testing.T) {
 		want := c.PartitionOf(name)
 		for p := 0; p < c.Partitions(); p++ {
 			for _, id := range c.ReplicasOf(p) {
-				got, err := c.Node(id).PathSum(p, name, from, to)
+				got, err := pathSum(c.Node(id), p, name, from, to)
 				if err != nil {
 					t.Fatal(err)
 				}

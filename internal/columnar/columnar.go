@@ -8,13 +8,14 @@
 // package internal/chunk, which the daily session-sequence job imports
 // too; this package is what sits on either side of it. This file seals:
 // a Sealer walks an hour's raw records into a chunk.Builder, cuts a chunk
-// every DefaultChunkRows events and writes them beside the row files,
-// whose leading-underscore names make them auxiliary to every row scanner
-// (warehouse.IsAuxiliary), so row and columnar layouts coexist in one
-// directory and either can serve a scan. The log mover runs a Sealer in
-// the pass that verifies an hour's staging files, so a client-events hour
-// is published sealed; SealHour runs one over an hour's published row
-// files, for a warehouse written some other way.
+// every DefaultChunkRows events and writes them into the hour directory
+// under leading-underscore names (chunk.IsAuxiliary), which no row scanner
+// reads. The log mover runs a Sealer in the pass that verifies an hour's
+// staging files, so a client-events hour is published as its chunks
+// alone; SealHour runs one over an hour's published row files, for a
+// warehouse written some other way (warehouse.Writer), and writes the
+// chunks beside those rows, which it keeps. Once the marker is written
+// the day reader reads the hour from its chunks, rows or no rows.
 //
 // Sealing is crash-safe at two levels: within a chunk the meta file is
 // written last, and across the hour the _col-SEALED marker is written
@@ -116,8 +117,8 @@ func SealHourChunks(fs *hdfs.FS, category string, hour time.Time, chunkRows int)
 // column chunks of one directory: a chunk every chunkRows rows, then the
 // _col-SEALED marker at Close. SealHour feeds it the published row files;
 // the log mover feeds it each record as it verifies the staging files, so
-// the chunks land in its tmp directory and the rename that publishes the
-// rows publishes them too. The columnar.seal.* counters learn of its
+// the chunks land in its tmp directory and one rename publishes the sealed
+// hour. The columnar.seal.* counters learn of its
 // chunks only once Close has written the marker, so a seal given up on
 // counts nothing. A Sealer is not safe for concurrent use.
 type Sealer struct {
@@ -170,7 +171,7 @@ func (s *Sealer) Close() (int, error) {
 }
 
 // Discard removes every _col- file in the Sealer's directory, so a caller
-// that gives up on the seal leaves only its rows behind.
+// that gives up on the seal leaves no column file behind.
 func (s *Sealer) Discard() error {
 	return removeTornSeal(s.fs, s.dir)
 }

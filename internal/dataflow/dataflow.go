@@ -318,7 +318,7 @@ type Split struct {
 // events (ClientEventFormat: sealed chunks and row files alike, through
 // the day reader, with a Selection pushed into the scan), session
 // sequences (SessionSequenceFormat) and legacy logs (RawRecordFormat).
-// Every row file is read through warehouse.ScanFileRecords, so a damaged
+// Every row file is read through chunk.ScanFileRecords, so a damaged
 // file fails its split with the file's path.
 type InputFormat interface {
 	// Schema describes the tuples this format produces.

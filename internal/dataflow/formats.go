@@ -21,7 +21,7 @@ func walkSplits(fs *hdfs.FS, dir string) ([]Split, error) {
 	}
 	splits := make([]Split, 0, len(infos))
 	for _, fi := range infos {
-		if warehouse.IsAuxiliary(fi.Path) {
+		if chunk.IsAuxiliary(fi.Path) {
 			continue
 		}
 		splits = append(splits, Split{Path: fi.Path, Size: fi.Size})
@@ -276,7 +276,7 @@ func (SessionSequenceFormat) Splits(fs *hdfs.FS, dir string) ([]Split, error) {
 
 // ReadSplit implements InputFormat.
 func (SessionSequenceFormat) ReadSplit(fs *hdfs.FS, s Split, emit func(Tuple) error) error {
-	return warehouse.ScanFileRecords(fs, s.Path, func(rec []byte) error {
+	return chunk.ScanFileRecords(fs, s.Path, func(rec []byte) error {
 		var r session.Record
 		if err := thrift.DecodeCompact(rec, &r); err != nil {
 			return err
@@ -309,7 +309,7 @@ func (f RawRecordFormat) Splits(fs *hdfs.FS, dir string) ([]Split, error) {
 
 // ReadSplit implements InputFormat.
 func (f RawRecordFormat) ReadSplit(fs *hdfs.FS, s Split, emit func(Tuple) error) error {
-	return warehouse.ScanFileRecords(fs, s.Path, func(rec []byte) error {
+	return chunk.ScanFileRecords(fs, s.Path, func(rec []byte) error {
 		if t := f.Decode(rec); t != nil {
 			return emit(t)
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"unilog/internal/chunk"
 	"unilog/internal/columnar"
 	"unilog/internal/dataflow"
 	"unilog/internal/events"
@@ -60,7 +61,7 @@ func referenceScan(tb testing.TB, fs *hdfs.FS, dirs []string, sel dataflow.Selec
 			tb.Fatal(err)
 		}
 		for _, fi := range infos {
-			if warehouse.IsAuxiliary(fi.Path) {
+			if chunk.IsAuxiliary(fi.Path) {
 				continue
 			}
 			data, err := fs.ReadFile(fi.Path)

@@ -11,17 +11,21 @@
 //     to a clean boundary; corrupt files fail the move rather than
 //     silently losing data. The same pass seals a client-events hour: each
 //     record the walk accepts goes on into a columnar.Sealer, whose column
-//     chunks and _col-SEALED marker are written beside the merged parts,
-//     so the hour is inflated once on its way in and is columnar from the
-//     moment it is published. A record the chunk encoder rejects costs the
-//     hour its columns, never its rows;
-//  3. merges the many small per-aggregator files into a few big warehouse
-//     files. A gzip file is a concatenation of gzip members, so a verified
-//     staging file's compressed bytes are appended to the merged part as
-//     they are — the aggregator's deflate is the only one an event pays on
-//     its way in, and each member keeps its own trailer, so later damage
-//     in the warehouse is detected per member. Only a Transform hook, whose
-//     records really do change, decodes and re-compresses;
+//     chunks and _col-SEALED marker are all the hour publishes, so the
+//     hour is inflated once on its way in, is columnar from the moment it
+//     is published, and is stored once. A record the chunk encoder rejects
+//     costs the hour its columns, never its rows: it is published as row
+//     files instead;
+//  3. for an hour that does not seal — another category, or a rejected
+//     record — merges the many small per-aggregator files into a few big
+//     warehouse files. A gzip file is a concatenation of gzip members, so
+//     a verified staging file's compressed bytes are appended to the
+//     merged part as they are, and each member keeps its own trailer, so
+//     later damage in the warehouse is detected per member. Only a
+//     Transform hook, whose records really do change, re-compresses. The
+//     verified files (or the transformed records) are held in memory until
+//     the seal has succeeded or failed, so a sealed hour never writes a
+//     row file;
 //  4. atomically slides the hour into /logs/<category>/YYYY/MM/DD/HH/ with
 //     a single directory rename;
 //  5. records an audit trace of what moved, how many records, and from
@@ -71,6 +75,8 @@ type AuditRecord struct {
 	Started  time.Time
 	Finished time.Time
 	FilesIn  int
+	// FilesOut and BytesOut count what the hour published: its column
+	// files and marker when it sealed, its merged row files when not.
 	FilesOut int
 	Records  int64
 	// Dropped counts records removed by the Transform hook.
@@ -85,7 +91,8 @@ type Mover struct {
 	Warehouse *hdfs.FS
 	Sources   []Source
 	// TargetFileBytes is the approximate uncompressed size of each merged
-	// warehouse file ("merging many small files into a few big ones", §2).
+	// row file of an hour that does not seal ("merging many small files
+	// into a few big ones", §2).
 	// Without a Transform a part is rolled at the first staging-file
 	// boundary at or past the target — a staging file is never split —
 	// with one, at the first record.
@@ -126,9 +133,9 @@ func (m *Mover) HourSealed(category string, hour time.Time) bool {
 }
 
 // MoveHour merges one sealed category-hour from all staging clusters into
-// the warehouse and atomically publishes it, a client-events hour with its
-// column chunks. On a move error the warehouse is untouched. A seal error
-// comes back after the hour was published and audited as rows alone.
+// the warehouse and atomically publishes it, a client-events hour as its
+// column chunks alone. On a move error the warehouse is untouched. A seal
+// error comes back after the hour was published and audited as rows.
 func (m *Mover) MoveHour(category string, hour time.Time) (AuditRecord, error) {
 	rec, sealErr, err := m.moveHour(category, hour)
 	if err != nil {
@@ -139,7 +146,7 @@ func (m *Mover) MoveHour(category string, hour time.Time) (AuditRecord, error) {
 
 // moveHour publishes one hour. err is a failed move, which publishes
 // nothing; sealErr is a record the columnar seal rejected, which publishes
-// the hour without its columns.
+// the hour as rows, without columns.
 func (m *Mover) moveHour(category string, hour time.Time) (rec AuditRecord, sealErr, err error) {
 	started := time.Now()
 	rec = AuditRecord{Category: category, Hour: hour.UTC().Truncate(time.Hour), Started: m.Clock()}
@@ -159,13 +166,15 @@ func (m *Mover) moveHour(category string, hour time.Time) (rec AuditRecord, seal
 		}
 	}
 
-	merger := newMerger(m.Warehouse, tmpDir, m.TargetFileBytes)
 	// Only the unified category stores client events, the rows a chunk
 	// holds.
 	var sealer *columnar.Sealer
 	if category == events.Category {
 		sealer = columnar.NewSealer(m.Warehouse, tmpDir, columnar.DefaultChunkRows)
 	}
+	// The hour's rows are held until the seal has its say: an hour that
+	// seals publishes its chunks alone, so its rows are never written.
+	var rows heldRows
 	srcDir := warehouse.StagingHourDir(category, hour)
 	type consumed struct {
 		fs   *hdfs.FS
@@ -207,15 +216,17 @@ func (m *Mover) moveHour(category string, hour time.Time) (rec AuditRecord, seal
 			}
 			var n int64
 			if m.Transform == nil {
-				// Splice: the whole file passes its sanity check before
-				// one compressed byte of it joins a merged part.
+				// The whole file passes its sanity check before it is held
+				// for a splice.
 				var raw int64
 				n, raw, err = recordio.VerifyGzipFile(data, seal)
 				if err == nil && n > 0 {
-					err = merger.splice(data, raw)
+					rows.files = append(rows.files, data)
+					rows.raw = append(rows.raw, raw)
 				}
 			} else {
-				// Sanity check + transform + re-encode in one scan.
+				// Sanity check + transform in one scan; the transformed
+				// records are held, and re-encoded only if they publish.
 				err = recordio.ScanGzipFile(data, func(r []byte) error {
 					out, terr := m.Transform(category, r)
 					if terr != nil {
@@ -229,7 +240,9 @@ func (m *Mover) moveHour(category string, hour time.Time) (rec AuditRecord, seal
 					if seal != nil {
 						seal(out)
 					}
-					return merger.append(out)
+					rows.recs = append(rows.recs, out...)
+					rows.ends = append(rows.ends, len(rows.recs))
+					return nil
 				})
 			}
 			if err != nil {
@@ -245,17 +258,14 @@ func (m *Mover) moveHour(category string, hour time.Time) (rec AuditRecord, seal
 			rec.Datacenters = append(rec.Datacenters, src.Datacenter)
 		}
 	}
-	filesOut, bytesOut, err := merger.close()
-	if err != nil {
-		return rec, nil, err
-	}
-	rec.FilesOut = filesOut
-	rec.BytesOut = bytesOut
-	// Chunks and marker go into the tmp directory with the parts: the
-	// rename below publishes rows and columns together, or neither.
-	if sealer != nil && filesOut > 0 && sealErr == nil {
+	// Chunks and marker go into the tmp directory: the rename below
+	// publishes them whole, or not at all.
+	sealed := false
+	if sealer != nil && rec.Records > 0 && sealErr == nil {
 		if _, err := sealer.Close(); err != nil {
 			sealErr = fmt.Errorf("logmover: %s published without columns: %w", destDir, err)
+		} else {
+			sealed = true
 		}
 	}
 	if sealErr != nil {
@@ -263,9 +273,17 @@ func (m *Mover) moveHour(category string, hour time.Time) (rec AuditRecord, seal
 			return rec, nil, err
 		}
 	}
+	if sealed {
+		rec.FilesOut, rec.BytesOut, err = published(m.Warehouse, tmpDir)
+	} else {
+		rec.FilesOut, rec.BytesOut, err = rows.write(newMerger(m.Warehouse, tmpDir, m.TargetFileBytes))
+	}
+	if err != nil {
+		return rec, nil, err
+	}
 
 	// The atomic slide: one rename publishes the whole hour.
-	if filesOut > 0 {
+	if rec.FilesOut > 0 {
 		if err := m.Warehouse.Rename(tmpDir, destDir); err != nil {
 			return rec, nil, err
 		}
@@ -279,7 +297,7 @@ func (m *Mover) moveHour(category string, hour time.Time) (rec AuditRecord, seal
 			return rec, nil, err
 		}
 	}
-	m.observeMove(rec, started)
+	m.observeMove(rec, sealed, started)
 	rec.Finished = m.Clock()
 	m.audits = append(m.audits, rec)
 	return rec, sealErr, nil
@@ -368,6 +386,47 @@ func parseStagingPath(p string) (string, time.Time, bool) {
 		return "", time.Time{}, false
 	}
 	return parts[2], hour, true
+}
+
+// heldRows is what an hour publishes as row files if it does not seal:
+// the verified staging images, each with its raw payload bytes, spliced
+// as they are; or, with a Transform, the records it returned, back to back
+// in recs, the i-th ending at ends[i].
+type heldRows struct {
+	files [][]byte
+	raw   []int64
+	recs  []byte
+	ends  []int
+}
+
+// write merges the held rows into parts and returns their count and bytes.
+func (h *heldRows) write(mg *merger) (int, int64, error) {
+	for i, data := range h.files {
+		if err := mg.splice(data, h.raw[i]); err != nil {
+			return 0, 0, err
+		}
+	}
+	start := 0
+	for _, end := range h.ends {
+		if err := mg.append(h.recs[start:end]); err != nil {
+			return 0, 0, err
+		}
+		start = end
+	}
+	return mg.close()
+}
+
+// published counts the files under dir and their bytes.
+func published(fs *hdfs.FS, dir string) (int, int64, error) {
+	infos, err := fs.Walk(dir)
+	if err != nil {
+		return 0, 0, err
+	}
+	var size int64
+	for _, fi := range infos {
+		size += fi.Size
+	}
+	return len(infos), size, nil
 }
 
 // merger builds one hour's warehouse parts in the tmp directory, rolling to

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"unilog/internal/chunk"
 	"unilog/internal/columnar"
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
@@ -78,31 +80,66 @@ func colFiles(t *testing.T, fs *hdfs.FS, dir string) map[string][]byte {
 	return out
 }
 
-// requireSealedLikeSealHour fails unless the published hour's column files
-// are, name for name and byte for byte, what columnar.SealHour writes over
-// the hour's published row files. It returns the number of chunks.
-func requireSealedLikeSealHour(t *testing.T, wh *hdfs.FS, hour time.Time) int {
+// stagedRecords returns the records the mover will publish for hour, in
+// the order it reads them: source by source, file by file in path order,
+// each through transform when one is given, a record it drops left out.
+func stagedRecords(t *testing.T, sources []Source, hour time.Time, transform func(string, []byte) ([]byte, error)) [][]byte {
+	t.Helper()
+	var recs [][]byte
+	for _, src := range sources {
+		for _, path := range readAllPaths(t, src.FS, warehouse.StagingHourDir(events.Category, hour)) {
+			data, err := src.FS.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := recordio.ScanGzipFile(data, func(r []byte) error {
+				if transform != nil {
+					if r, err = transform(events.Category, r); err != nil || r == nil {
+						return err
+					}
+				}
+				recs = append(recs, bytes.Clone(r))
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return recs
+}
+
+// requireSealedLikeSealHour fails unless the published hour holds column
+// files and no row file, and its column files are, name for name and byte
+// for byte, what columnar.SealHour writes over a warehouse.Writer copy of
+// recs, the records the mover read. It returns the number of chunks.
+func requireSealedLikeSealHour(t *testing.T, wh *hdfs.FS, hour time.Time, recs [][]byte) int {
 	t.Helper()
 	dir := warehouse.HourDir(events.Category, hour)
 	if !columnar.HasColumnar(wh, dir) {
 		t.Fatalf("%s was published without its column chunks", dir)
 	}
-	ref := hdfs.New(0)
 	infos, err := wh.Walk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, fi := range infos {
-		if warehouse.IsAuxiliary(fi.Path) {
-			continue
+		if !strings.Contains(fi.Path, "/_col-") {
+			t.Fatalf("sealed hour %s publishes %s, want column files only", dir, fi.Path)
 		}
-		data, err := wh.ReadFile(fi.Path)
-		if err != nil {
+	}
+	ref := hdfs.New(0)
+	w := warehouse.NewWriter(ref, events.Category)
+	for _, r := range recs {
+		var e events.ClientEvent
+		if err := e.Unmarshal(r); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.WriteFile(fi.Path, data); err != nil {
+		if err := w.Append(&e); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 	chunks, err := columnar.SealHour(ref, events.Category, hour)
 	if err != nil {
@@ -121,9 +158,10 @@ func requireSealedLikeSealHour(t *testing.T, wh *hdfs.FS, hour time.Time) int {
 }
 
 // TestMoveSealsLikeSealHour: the seal the mover runs inside its verify pass
-// writes exactly the column files SealHour writes over the published rows,
-// spliced or through an anonymizing Transform, for an hour of several
-// chunks delivered through the write path's full topology.
+// publishes exactly the column files SealHour writes over the same records
+// written as rows, and no row file, spliced or through an anonymizing
+// Transform, for an hour of several chunks delivered through the write
+// path's full topology. The audit counts the files the hour publishes.
 func TestMoveSealsLikeSealHour(t *testing.T) {
 	anon := events.NewAnonymizer([]byte("mover-policy"))
 	anonymize := func(_ string, rec []byte) ([]byte, error) {
@@ -140,6 +178,7 @@ func TestMoveSealsLikeSealHour(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			sources, n := stageDeliveredHour(t, 300)
+			recs := stagedRecords(t, sources, t0, transform)
 			wh := hdfs.New(0)
 			m := New(wh, sources...)
 			m.Transform = transform
@@ -150,8 +189,16 @@ func TestMoveSealsLikeSealHour(t *testing.T) {
 			if rec.Records != int64(n) || rec.FilesIn < 4 {
 				t.Fatalf("moved %d records from %d files, want %d from the topology's files", rec.Records, rec.FilesIn, n)
 			}
-			if chunks := requireSealedLikeSealHour(t, wh, t0); chunks < 2 {
+			if chunks := requireSealedLikeSealHour(t, wh, t0, recs); chunks < 2 {
 				t.Fatalf("%d events sealed into %d chunks, want several", n, chunks)
+			}
+			infos, err := wh.Walk(warehouse.HourDir(events.Category, t0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			size, err := wh.TotalSize(warehouse.HourDir(events.Category, t0))
+			if err != nil || rec.FilesOut != len(infos) || rec.BytesOut != size {
+				t.Fatalf("audit says %d files of %d bytes out, the hour holds %d of %d (%v)", rec.FilesOut, rec.BytesOut, len(infos), size, err)
 			}
 			if left := colFiles(t, wh, warehouse.TmpRoot); len(left) != 0 {
 				t.Fatalf("%d column files left behind in %s", len(left), warehouse.TmpRoot)
@@ -174,11 +221,23 @@ func badNameRecord() []byte {
 
 // TestMoveSealRejectionPublishesRows: a staged record the chunk encoder
 // rejects costs its hour the columns, not the rows. It comes after a chunk
-// was cut, so the seal had files to take back. The hour is published and
-// audited with every record and no _col- file; the next hour still moves
-// and seals; and the error MoveAllSealed returns once both have moved names
-// the staging file the record came from.
+// was cut, so the seal had files to take back. The hour is published as
+// rows holding every staged record in order, audited with every record and
+// no _col- file, whether its held staging files are spliced or its held
+// Transform output re-encoded; the next hour still moves and seals; and
+// the error MoveAllSealed returns once both have moved names the staging
+// file the record came from.
 func TestMoveSealRejectionPublishesRows(t *testing.T) {
+	identity := func(_ string, rec []byte) ([]byte, error) { return rec, nil }
+	for name, transform := range map[string]func(string, []byte) ([]byte, error){
+		"spliced":   nil,
+		"reencoded": identity,
+	} {
+		t.Run(name, func(t *testing.T) { moveSealRejection(t, transform) })
+	}
+}
+
+func moveSealRejection(t *testing.T, transform func(string, []byte) ([]byte, error)) {
 	clock := zk.NewManualClock(t0)
 	dc, err := scribe.NewDatacenter("dc1", hdfs.New(0), clock, 1, 1, 7)
 	if err != nil {
@@ -206,9 +265,12 @@ func TestMoveSealRejectionPublishesRows(t *testing.T) {
 	}
 	staged := readAllPaths(t, dc.Staging, warehouse.StagingHourDir(events.Category, t0))
 	last := staged[len(staged)-1] // the aggregator rolls its files in path order
+	rejectedRecs := stagedRecords(t, []Source{{"dc1", dc.Staging}}, t0, transform)
+	nextRecs := stagedRecords(t, []Source{{"dc1", dc.Staging}}, t0.Add(time.Hour), transform)
 
 	wh := hdfs.New(0)
 	m := New(wh, Source{"dc1", dc.Staging})
+	m.Transform = transform
 	rows0 := sealedRows()
 	recs, err := m.MoveAllSealed()
 	if err == nil || !strings.Contains(err.Error(), last) {
@@ -227,17 +289,17 @@ func TestMoveSealRejectionPublishesRows(t *testing.T) {
 	if !wh.Exists(rejected) || columnar.HasColumnar(wh, rejected) {
 		t.Fatalf("hour with the rejected record: published %v, sealed %v", wh.Exists(rejected), columnar.HasColumnar(wh, rejected))
 	}
-	requireSealedLikeSealHour(t, wh, t0.Add(time.Hour))
+	requireSealedLikeSealHour(t, wh, t0.Add(time.Hour), nextRecs)
 	next := warehouse.HourDir(events.Category, t0.Add(time.Hour))
 	if all, sealed := colFiles(t, wh, "/"), colFiles(t, wh, next); len(all) != len(sealed) {
 		t.Fatalf("the warehouse holds %d column files, the next hour %d of them", len(all), len(sealed))
 	}
-	var rows int
-	if err := warehouse.ScanHourRecords(wh, warehouse.HourDir(events.Category, t0), func(string, []byte) error {
-		rows++
+	var rows [][]byte
+	if err := warehouse.ScanHourRecords(wh, rejected, func(_ string, r []byte) error {
+		rows = append(rows, bytes.Clone(r))
 		return nil
-	}); err != nil || rows != counts[0]+1 {
-		t.Fatalf("hour with the rejected record holds %d rows (%v), want %d", rows, err, counts[0]+1)
+	}); err != nil || len(rows) != counts[0]+1 || !reflect.DeepEqual(rows, rejectedRecs) {
+		t.Fatalf("hour with the rejected record holds %d rows (%v), want the %d staged, in order", len(rows), err, counts[0]+1)
 	}
 }
 
@@ -323,6 +385,7 @@ func TestCorruptFileRetrySealsClean(t *testing.T) {
 	}
 
 	replace(good)
+	recs := stagedRecords(t, sources, t0, nil)
 	rec2, err := m.MoveHour(events.Category, t0)
 	if err != nil || rec2.Records != int64(n) {
 		t.Fatalf("retry moved %d of %d records: %v", rec2.Records, n, err)
@@ -330,8 +393,37 @@ func TestCorruptFileRetrySealsClean(t *testing.T) {
 	if got := sealedRows() - rows0; got != int64(n) {
 		t.Fatalf("columnar.seal.rows grew by %d over a failed attempt and a retry of %d rows", got, n)
 	}
-	requireSealedLikeSealHour(t, wh, t0)
+	requireSealedLikeSealHour(t, wh, t0, recs)
 	if published := colFiles(t, wh, warehouse.HourDir(events.Category, t0)); len(published) > len(debris) {
 		t.Fatalf("the retry published %d column files, the failed attempt had cut only %d", len(published), len(debris))
+	}
+}
+
+// TestCorruptChunkHasNoRowFallback: a sealed hour the mover published is
+// its chunks alone, so a column file damaged after the move fails the day
+// scan with recordio.ErrCorrupt naming that file; no row file is there to
+// read instead.
+func TestCorruptChunkHasNoRowFallback(t *testing.T) {
+	sources, _ := stageDeliveredHour(t, 100)
+	wh := hdfs.New(0)
+	if _, err := New(wh, sources...).MoveHour(events.Category, t0); err != nil {
+		t.Fatal(err)
+	}
+	dir := warehouse.HourDir(events.Category, t0)
+	victim := chunk.Base(dir, 0) + ".name"
+	data, err := wh.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	if err := wh.Delete(victim, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := wh.WriteFile(victim, data); err != nil {
+		t.Fatal(err)
+	}
+	err = warehouse.ScanDay(wh, events.Category, t0, func(*events.ClientEvent) error { return nil })
+	if !errors.Is(err, recordio.ErrCorrupt) || !strings.Contains(err.Error(), victim) {
+		t.Fatalf("err = %v, want recordio.ErrCorrupt naming %s", err, victim)
 	}
 }

@@ -69,7 +69,7 @@ func TestSpliceMatchesReencode(t *testing.T) {
 
 // TestCorruptFileAnywhereFailsSplice plants a damaged file as the first,
 // a middle and the last staging file of the hour. Whatever was already
-// verified and spliced ahead of it, the move fails with ErrCorruptFile
+// verified and held ahead of it, the move fails with ErrCorruptFile
 // naming file and datacenter, publishes nothing, and consumes nothing;
 // once the bad file is gone the same hour moves whole.
 func TestCorruptFileAnywhereFailsSplice(t *testing.T) {
@@ -97,7 +97,7 @@ func TestCorruptFileAnywhereFailsSplice(t *testing.T) {
 				}
 				wh := hdfs.New(0)
 				m := New(wh, Source{"dc1", dc.Staging})
-				m.TargetFileBytes = 1024 // parts roll ahead of the bad file
+				m.TargetFileBytes = 1024 // the hour would publish several parts
 				_, err = m.MoveHour("ce", t0)
 				if !errors.Is(err, ErrCorruptFile) {
 					t.Fatalf("err = %v, want ErrCorruptFile", err)

@@ -31,11 +31,12 @@
 // for the same frames in one Write. NewGzipWriter writes at level 6: the
 // warehouse.Writer, the log mover's Transform re-encode, the catalog and
 // the session dictionary use it. Two writers pick their level with
-// NewGzipWriterLevel: the Scribe aggregator's staging files at level 5
-// (scribe.stagingLevel), the one deflate a delivered event pays, since the
-// mover splices those members into the warehouse as they are; and the
-// session partition at gzip.BestSpeed (session.WriteDay). A reader never
-// needs to know which.
+// NewGzipWriterLevel: the Scribe aggregator's staging files at level 3
+// (scribe.stagingLevel), the one deflate a delivered event pays, whose
+// bytes only cross from staging to the warehouse (the mover publishes a
+// client-events hour as column chunks, and splices the members of any
+// other hour as they are); and the session partition at gzip.BestSpeed
+// (session.WriteDay). A reader never needs to know which.
 package recordio
 
 import (

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"unilog/internal/chunk"
 	"unilog/internal/hdfs"
 	"unilog/internal/recordio"
 	"unilog/internal/warehouse"
@@ -26,7 +27,7 @@ func countStaged(t *testing.T, fs *hdfs.FS, category string) (int64, map[string]
 	var n int64
 	seen := make(map[string]int)
 	for _, fi := range infos {
-		if warehouse.IsAuxiliary(fi.Path) {
+		if chunk.IsAuxiliary(fi.Path) {
 			continue
 		}
 		data, err := fs.ReadFile(fi.Path)

@@ -44,23 +44,24 @@ const AggregatorsZNode = "/scribe/aggregators"
 
 const zkSessionTimeout = time.Minute
 
-// stagingLevel is the deflate level of the aggregator's staging files. The
-// log mover splices their members into the warehouse as they are, so this
-// is the one deflate a delivered event pays, and the level sets both its
-// CPU and the bytes of the warehouse's row files. On the generator's
-// busiest hour of a 2,000-user day (13,683 events, 3.70 MB of messages, cut
-// into members of 5,000 records as RollRecords does), on a 2-vCPU x86-64
-// host, median of 15:
+// stagingLevel is the deflate level of the aggregator's staging files.
+// Those bytes only travel: the log mover copies them out of each
+// datacenter's staging cluster into the main warehouse (§2), verifies them
+// and publishes a client-events hour as its column chunks, so the
+// warehouse keeps none of them. The level prices the transfer, not
+// storage. On the generator's busiest hour of a 2,000-user day (13,683
+// events, 3.70 MB of messages, cut into members of 5,000 records as
+// RollRecords does), on a 2-vCPU x86-64 host, medians of 15 writes, three
+// rounds:
 //
-//	level   ms     bytes
-//	4       74.1   685,387
-//	5       88.5   670,528
-//	6       97.4   656,680
+//	level   ms          bytes     B/event
+//	1       48.2-52.9   813,442   59.4
+//	3       59.1-61.1   715,713   52.3
+//	5       83.9-88.6   671,343   49.1
 //
-// Level 5 takes 9% less time than 6 for 2.1% more bytes. Level 4 would take
-// 16% less again for 2.2% more again, paid by every hour the warehouse
-// keeps.
-const stagingLevel = 5
+// Level 3 takes 0.70x the time of level 5 for 6.6% more bytes on the wire.
+// Level 1 would take 0.84x the time of level 3 for 14% more bytes.
+const stagingLevel = 3
 
 // Entry is one log message: "Each log entry consists of two strings, a
 // category and a message" (§2).

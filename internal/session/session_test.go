@@ -8,6 +8,7 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"unilog/internal/chunk"
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
 	"unilog/internal/warehouse"
@@ -447,5 +448,52 @@ func TestEncodeDecodePropertyOverDictionary(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRawBytesCountChunkOnlyHours: the raw size behind Ratio counts an
+// hour's row files, or, for an hour the log mover published as column
+// chunks alone, the files it holds. Hours 0 and 1 are chunks only, hour 2
+// is sealed with its rows kept (its rows count, not its chunks), hour 3 is
+// rows only.
+func TestRawBytesCountChunkOnlyHours(t *testing.T) {
+	fs := hdfs.New(0)
+	w := warehouse.NewWriter(fs, events.Category)
+	for h := 0; h < 4; h++ {
+		for i := 0; i < 50; i++ {
+			e := ev(int64(i%7+1), fmt.Sprintf("s%d", i%7), "web:home:::tweet:impression", day.Add(time.Duration(h)*time.Hour+time.Duration(i)*time.Minute))
+			if err := w.Append(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sealHours(t, fs, 16, true, 0, 1, 2)
+	var want int64
+	for h := 0; h < 4; h++ {
+		dir := warehouse.HourDir(events.Category, day.Add(time.Duration(h)*time.Hour))
+		infos, err := fs.Walk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fi := range infos {
+			switch {
+			case h < 2 && !chunk.IsAuxiliary(fi.Path):
+				if err := fs.Delete(fi.Path, false); err != nil {
+					t.Fatal(err)
+				}
+			case h < 2 || !chunk.IsAuxiliary(fi.Path):
+				want += fi.Size
+			}
+		}
+	}
+	_, _, stats, err := BuildDay(fs, day, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Events != 200 || stats.RawBytes != want || stats.Ratio() <= 0 {
+		t.Fatalf("%d events, RawBytes = %d, ratio %.2f; want 200, %d and a ratio", stats.Events, stats.RawBytes, stats.Ratio(), want)
 	}
 }

@@ -174,7 +174,7 @@ type DayStats struct {
 	Events   int64
 	Sessions int64
 	Alphabet int
-	RawBytes int64 // size of the day's raw client-event logs on HDFS
+	RawBytes int64 // size of the day's raw client-event logs on HDFS, rows or chunks
 	SeqBytes int64 // size of the materialized session sequences on HDFS
 }
 
@@ -243,11 +243,16 @@ func BuildDay(fs *hdfs.FS, day time.Time, sampleLimit int) (*Dictionary, *Histog
 	return dict, h, stats, nil
 }
 
-// rawDaySize sums the on-disk size of the day's raw client-event logs.
+// rawDaySize sums the on-disk size of the day's raw client-event logs:
+// each hour's row files, or, for an hour that has none because the log
+// mover published it as column chunks alone, the files it holds.
 func rawDaySize(fs *hdfs.FS, day time.Time) (int64, error) {
 	var total int64
 	for _, dir := range warehouse.HourDirs(fs, events.Category, day) {
 		sz, err := warehouse.DataSize(fs, dir)
+		if err == nil && sz == 0 {
+			sz, err = fs.TotalSize(dir)
+		}
 		if err != nil {
 			return 0, err
 		}

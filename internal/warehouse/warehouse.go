@@ -1,28 +1,29 @@
 // Package warehouse defines the layout of the main Hadoop data warehouse
 // and the staging clusters as the paper describes them (§2): logs arrive in
 // per-category, per-hour directories, /logs/category/YYYY/MM/DD/HH/, with
-// messages bundled into a small number of large gzipped record files.
-// Every file in an hour directory is such a record file unless its name
-// starts with an underscore (seal markers, column chunks): there is no
-// other kind of sidecar, so a scan that meets anything else fails with
-// recordio.ErrCorrupt and the file's path rather than skipping it.
+// messages bundled into a small number of large gzipped record files. A
+// file whose name starts with an underscore is not such a record file but
+// a seal marker or a column chunk (chunk.IsAuxiliary); there is no other
+// kind of sidecar, so a scan that meets anything else fails with
+// recordio.ErrCorrupt and the file's path rather than skipping it. A
+// client-events hour the log mover sealed holds its column chunks and
+// _col-SEALED marker only, and no record file at all.
 //
-// It also provides a direct Writer/Scanner pair over that layout. The full
-// delivery path (daemon → aggregator → staging → log mover) produces the
-// same layout; the direct writer exists so analytics benchmarks can populate
-// a warehouse without running the whole pipeline.
+// It also provides a direct Writer over the row layout, and ScanDay, which
+// reads a day of either layout back as events. The full delivery path
+// (daemon → aggregator → staging → log mover) publishes client events as
+// column chunks; the direct writer exists so analytics benchmarks can
+// populate a warehouse without running the whole pipeline.
 package warehouse
 
 import (
-	"errors"
 	"fmt"
-	"strings"
 	"time"
 
+	"unilog/internal/chunk"
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
 	"unilog/internal/recordio"
-	"unilog/internal/telemetry"
 )
 
 // Root directories of the two clusters.
@@ -154,53 +155,21 @@ func (w *Writer) Close() error { return w.flushCurrent() }
 // Written reports the number of events appended.
 func (w *Writer) Written() int64 { return w.written }
 
-// Telemetry for row-file scans, booked once per file read — never per
-// record — so the scan loop stays as cheap as it was dark.
-var (
-	tmScanFiles   = telemetry.GetCounter("warehouse.scan.files")
-	tmScanRecords = telemetry.GetCounter("warehouse.scan.records")
-	tmScanBytes   = telemetry.GetCounter("warehouse.scan.bytes")
-)
-
-// ScanFileRecords is the one loop over a row file: read whole and inflated,
-// fn invoked on each record. rec is valid only during the call — the next
-// record overwrites it — so fn copies what it keeps. A damaged file fails
-// the scan with recordio.ErrCorrupt and its path; an error from fn stops it
-// and is returned as it is. The hour and day scans below, the columnar seal,
-// the day reader (internal/chunk) and the dataflow formats read through it.
-func ScanFileRecords(fs *hdfs.FS, path string, fn func(rec []byte) error) error {
-	data, err := fs.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var records int64
-	err = recordio.ScanGzipFile(data, func(rec []byte) error {
-		records++
-		return fn(rec)
-	})
-	tmScanFiles.Inc()
-	tmScanRecords.Add(records)
-	tmScanBytes.Add(int64(len(data)))
-	if errors.Is(err, recordio.ErrCorrupt) {
-		return fmt.Errorf("warehouse: %s: %w", path, err)
-	}
-	return err
-}
-
-// ScanHourRecords is ScanFileRecords over every file of the hour directory
-// dir that is not auxiliary, in path order, fn invoked on each record with
-// the path of the file it came from.
+// ScanHourRecords is chunk.ScanFileRecords over every row file of the hour
+// directory dir, in path order, fn invoked on each record with the path of
+// the file it came from. It reads rows only: a sealed hour the log mover
+// published holds none.
 func ScanHourRecords(fs *hdfs.FS, dir string, fn func(path string, rec []byte) error) error {
 	infos, err := fs.Walk(dir)
 	if err != nil {
 		return err
 	}
 	for _, fi := range infos {
-		if IsAuxiliary(fi.Path) {
+		if chunk.IsAuxiliary(fi.Path) {
 			continue
 		}
 		path := fi.Path
-		if err := ScanFileRecords(fs, path, func(rec []byte) error { return fn(path, rec) }); err != nil {
+		if err := chunk.ScanFileRecords(fs, path, func(rec []byte) error { return fn(path, rec) }); err != nil {
 			return err
 		}
 	}
@@ -222,18 +191,26 @@ func HourDirs(fs *hdfs.FS, category string, day time.Time) []string {
 }
 
 // ScanDay decodes every event of a category across all 24 hours of t's day,
-// hour by hour and in file order within an hour, invoking fn on each. It
-// builds a ClientEvent per row; the pipeline reads through the day reader
-// (internal/chunk) instead, and only tests and the benchmark's oracle call
-// this.
+// hour by hour and in scan order within an hour, invoking fn on each. It
+// reads each hour through the day reader (chunk.ReadHour): a sealed hour
+// from its column chunks, whether or not rows remain beside them, any
+// other hour from its row files. It builds a ClientEvent per row; the
+// pipeline folds the batches instead, and only tests and the benchmark's
+// oracle call this.
 func ScanDay(fs *hdfs.FS, category string, day time.Time, fn func(*events.ClientEvent) error) error {
 	for _, dir := range HourDirs(fs, category, day) {
-		err := ScanHourRecords(fs, dir, func(path string, rec []byte) error {
-			var e events.ClientEvent
-			if err := e.Unmarshal(rec); err != nil {
-				return fmt.Errorf("warehouse: %s: %w", path, err)
+		err := chunk.ReadHour(fs, dir, chunk.All&^chunk.LoggedIn, func(b *chunk.Batch) error {
+			defer b.Release()
+			for row := 0; row < b.Rows; row++ {
+				e, err := b.Event(row)
+				if err != nil {
+					return fmt.Errorf("warehouse: %s: %w", b.Path, err)
+				}
+				if err := fn(&e); err != nil {
+					return err
+				}
 			}
-			return fn(&e)
+			return nil
 		})
 		if err != nil {
 			return err
@@ -249,19 +226,8 @@ func DictionaryDir(t time.Time) string {
 	return "/event_dictionary/" + DatePath(t)
 }
 
-// IsAuxiliary reports whether a path names a non-data file living beside
-// log data: seal markers and column chunks, all of which carry a leading
-// underscore. Scanners and loaders skip these; every other file in a log
-// directory is read as data.
-func IsAuxiliary(path string) bool {
-	base := path
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		base = path[i+1:]
-	}
-	return strings.HasPrefix(base, "_")
-}
-
-// DataSize sums the sizes of data files (excluding auxiliaries) under dir.
+// DataSize sums the sizes of the row files (chunk.IsAuxiliary excluded)
+// under dir.
 func DataSize(fs *hdfs.FS, dir string) (int64, error) {
 	infos, err := fs.Walk(dir)
 	if err != nil {
@@ -269,7 +235,7 @@ func DataSize(fs *hdfs.FS, dir string) (int64, error) {
 	}
 	var total int64
 	for _, fi := range infos {
-		if IsAuxiliary(fi.Path) {
+		if chunk.IsAuxiliary(fi.Path) {
 			continue
 		}
 		total += fi.Size

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"unilog/internal/chunk"
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
 	"unilog/internal/recordio"
@@ -56,7 +57,7 @@ func TestIsAuxiliary(t *testing.T) {
 		"_marker":                                  true,
 	}
 	for p, want := range cases {
-		if got := IsAuxiliary(p); got != want {
+		if got := chunk.IsAuxiliary(p); got != want {
 			t.Errorf("IsAuxiliary(%q) = %v, want %v", p, got, want)
 		}
 	}
@@ -293,5 +294,98 @@ func TestWriterScannerRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScanDayReadsEveryLayout: the same events stored three ways — an hour
+// of column chunks only, as the log mover publishes a sealed hour; an hour
+// of row files only; and a sealed hour whose row files were left beside
+// its chunks — scan back as the same multiset, each hour once.
+func TestScanDayReadsEveryLayout(t *testing.T) {
+	day := time.Date(2012, 8, 21, 0, 0, 0, 0, time.UTC)
+	base := []*events.ClientEvent{
+		mkEvent(1, day),
+		{Initiator: events.InitiatorClientUser, Name: events.MustParseName("iphone:profile:::follow_button:click"),
+			UserID: 42, SessionID: "s42", IP: "192.168.0.9", Timestamp: day.Add(time.Minute).UnixMilli(),
+			Details: map[string]string{"lang": "en", "tweet_id": "1234567"}},
+		{Name: events.MustParseName("web:search:::results:impression"), SessionID: "anon", Timestamp: day.Add(2 * time.Minute).UnixMilli()},
+	}
+	for i := 0; i < 20; i++ {
+		base = append(base, mkEvent(int64(i%4), day.Add(time.Duration(3+i)*time.Minute)))
+	}
+	// shifted returns the events moved into hour hr of the day.
+	shifted := func(hr int) []*events.ClientEvent {
+		out := make([]*events.ClientEvent, len(base))
+		for i, e := range base {
+			c := *e
+			c.Timestamp += int64(hr) * time.Hour.Milliseconds()
+			out[i] = &c
+		}
+		return out
+	}
+	fs := hdfs.New(0)
+	// writeRows writes hour hr's events as row files.
+	writeRows := func(hr int) {
+		w := NewWriter(fs, "ce")
+		w.RollRecords = 10
+		for _, e := range shifted(hr) {
+			if err := w.Append(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// writeChunks seals hour hr's events into chunks of 7 rows and marks it.
+	writeChunks := func(hr int) {
+		dir := HourDir("ce", day.Add(time.Duration(hr)*time.Hour))
+		var b chunk.Builder
+		chunks := 0
+		for i, e := range shifted(hr) {
+			if err := b.AddRecord(e.Marshal()); err != nil {
+				t.Fatal(err)
+			}
+			if b.Rows() == 7 || i == len(base)-1 {
+				if _, err := b.Flush(fs, dir, chunks); err != nil {
+					t.Fatal(err)
+				}
+				chunks++
+			}
+		}
+		if err := chunk.WriteSealed(fs, dir, chunks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeChunks(2) // chunks only
+	writeRows(5)   // rows only
+	writeRows(9)   // sealed, rows left beside the chunks
+	writeChunks(9)
+
+	got := map[int]map[string]int{}
+	err := ScanDay(fs, "ce", day, func(e *events.ClientEvent) error {
+		hr := int((e.Timestamp - day.UnixMilli()) / time.Hour.Milliseconds())
+		c := *e
+		c.Timestamp -= int64(hr) * time.Hour.Milliseconds()
+		if got[hr] == nil {
+			got[hr] = map[string]int{}
+		}
+		got[hr][fmt.Sprintf("%+v", c)]++ // fmt prints a map's keys sorted
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{}
+	for _, e := range base {
+		want[fmt.Sprintf("%+v", *e)]++
+	}
+	if len(got) != 3 {
+		t.Fatalf("ScanDay read hours %v, want 2, 5 and 9", got)
+	}
+	for _, hr := range []int{2, 5, 9} {
+		if !reflect.DeepEqual(got[hr], want) {
+			t.Errorf("hour %d read %v, want the events written, each once: %v", hr, got[hr], want)
+		}
 	}
 }
