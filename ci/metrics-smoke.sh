@@ -12,8 +12,9 @@
 #                             does at hour 10, ahead of its kill) and sized it
 #   dataflow.spill.bytes   — the budgeted rollup job actually spilled
 #   logmover.records       — the log mover published hours into the warehouse
-#   columnar.seal.rows     — the mover sealed those hours into column chunks
-#                            in the pass that verified them
+#   columnar.seal.rows     — the mover sealed those hours into column chunks,
+#                            re-cut from the chunk images the aggregators
+#                            staged, as it read them back
 #   chunk.meta.reads       — the demo's delivery count read the sealed hours'
 #                            row counts back from their chunks' zone maps
 #

@@ -86,6 +86,9 @@ func main() {
 	mover := logmover.New(wh,
 		logmover.Source{Datacenter: "dc1", FS: dc1.Staging},
 		logmover.Source{Datacenter: "dc2", FS: dc2.Staging})
+	// A client event the aggregators' chunk encoder refuses is staged as a
+	// row of its own category, sealed and moved with client events.
+	cats := []string{events.Category, scribe.InvalidCategory}
 
 	// The realtime subsystem taps every aggregator: accepted client events
 	// fan into sharded counters and are queryable seconds later, a day
@@ -155,7 +158,7 @@ func main() {
 		clock.Advance(time.Hour)
 		for _, dc := range dcs {
 			// Sealing fails while a staging cluster is down; resealed later.
-			_ = dc.SealHour([]string{events.Category}, hour)
+			_ = dc.SealHour(cats, hour)
 		}
 		moved, err := mover.MoveAllSealed()
 		check(err)
@@ -176,7 +179,7 @@ func main() {
 	// Recovery pass for the outage hours.
 	for hr := 0; hr < 24; hr++ {
 		for _, dc := range dcs {
-			check(dc.SealHour([]string{events.Category}, day.Add(time.Duration(hr)*time.Hour)))
+			check(dc.SealHour(cats, day.Add(time.Duration(hr)*time.Hour)))
 		}
 	}
 	moved, err := mover.MoveAllSealed()
@@ -224,7 +227,7 @@ func main() {
 			sealedHours++
 		}
 	}
-	fmt.Printf("log mover audit: %d moves, %d small staging files in, %d warehouse files out; %d hours published as column chunks alone\n\n",
+	fmt.Printf("log mover audit: %d moves, %d staging files in (client events as chunk images), %d warehouse files out; %d hours published as column chunks re-cut from those images, nothing inflated\n\n",
 		len(mover.Audits()), filesIn, filesOut, sealedHours)
 
 	// --- Daily jobs: dictionary + session sequences + catalog + dashboard. ---

@@ -30,30 +30,45 @@
 // implementations (events.ClientEvent, session.Record) need no schema
 // compiler.
 //
-// The §2 transport compresses each event once. Daemons batch messages to
-// the aggregators ZooKeeper names; an aggregator frames each category's
-// messages as length-prefixed records (internal/recordio) and gzips them
-// on the fly into staging files. recordio.GzipWriter is block-buffered:
-// frames gather in a 32 KiB block and the compressor — drawn from a pool
-// and handed back by Close — is called once per block, not once per
-// record, which moves no byte of the output (deflate does not care how its
-// input was cut; the package's identity test holds it to compress/gzip fed
-// the same frames at once) but means appended data is only certain to have
-// reached the destination once Close returns. When every datacenter has
-// sealed an hour, the log mover (internal/logmover) inflates each staging
-// file end to end as its sanity check — every member's CRC-32 and length
-// are checked, and every record frame is walked to a clean boundary — and
-// the same pass seals a client-events hour into column chunks (below),
-// which are all the hour publishes: the event is stored once, and the
-// staging bytes only cross from the aggregators' clusters to the
-// warehouse, so the aggregators deflate at level 3 (scribe.stagingLevel),
-// which prices that transfer rather than storage. An hour that does not
-// seal — another category, or a record the chunk encoder rejects — is
-// published as rows: the mover appends each verified file's compressed
-// bytes, as they are, to a merged warehouse part; a gzip file is a
-// concatenation of gzip members and every reader reads through member
-// boundaries, so merging small files into big ones needs no second
-// deflate. Every read of a gzipped record file — that check, the
+// The §2 transport encodes each client event once, at the aggregator.
+// Daemons batch messages to the aggregators ZooKeeper names; an aggregator
+// walks each client-events message once into a chunk.Builder and, at each
+// roll, stages the stream as one chunk image (chunk.Builder.AppendImage):
+// a CRC-framed section table, then the meta and the eight column files of
+// a chunk, back to back. A message the encoder refuses — no thrift, or a
+// name events.ParseName rejects — is staged as a row of
+// scribe.InvalidCategory, counted in AggregatorStats.Invalid and
+// scribe.aggregator.invalid, and moved as that category's rows. Every
+// other category is framed as length-prefixed records (internal/recordio)
+// and gzipped on the fly at level 3 (scribe.stagingLevel).
+// recordio.GzipWriter is block-buffered: frames gather in a 32 KiB block
+// and the compressor — drawn from a pool and handed back by Close — is
+// called once per block, not once per record, which moves no byte of the
+// output (deflate does not care how its input was cut; the package's
+// identity test holds it to compress/gzip fed the same frames at once) but
+// means appended data is only certain to have reached the destination once
+// Close returns. A datacenter seals an hour (Datacenter.SealHour) once its
+// daemons' spools are drained and its aggregators' streams of that hour
+// and earlier are staged; a later hour's stream stays open, so the entries
+// a spool hands it at the seal share one image with the rest of their
+// hour. When every datacenter has sealed an hour, the log mover
+// (internal/logmover) reads each staged image back with the chunk
+// reader's checks (chunk.ReadImage: every section's CRC frames, then each
+// column's decoder, damage naming the file and the column) and re-chunks
+// the hour's rows into chunks of columnar.DefaultChunkRows
+// (chunk.Builder.AddColumns: each dictionary remapped once per entry,
+// details values appended as the bytes the wire held), so a client-events
+// hour publishes its column chunks alone, byte for byte the chunks a seal
+// of its records writes, with no deflate, no inflate and no record walk
+// between the aggregator and the warehouse. A failed move publishes
+// nothing and leaves the staging files for the retry. An hour of another
+// category is published as rows: the mover inflates each staging file end
+// to end as its sanity check — every member's CRC-32 and length are
+// checked, and every record frame is walked to a clean boundary — and
+// appends its compressed bytes, as they are, to a merged warehouse part; a
+// gzip file is a concatenation of gzip members and every reader reads
+// through member boundaries, so merging small files into big ones needs no
+// second deflate. Every read of a gzipped record file — that check, the
 // warehouse row scans, the dataflow row formats, the session store, the
 // catalog — goes through recordio's own decoder, which inflates from the
 // file image in memory into one fixed window, a piece at a time, and
@@ -61,11 +76,12 @@
 // reference its tests hold it to. Parts roll at staging-file boundaries
 // once Mover.TargetFileBytes of raw payload is reached, the hour is
 // published by one directory rename, and an audit record accounts for
-// every file, record and byte. Only a Mover.Transform hook (the §3.2
-// anonymization policy, say), whose records really do change, decodes, and
-// re-compresses an hour that publishes rows. The logmover.* telemetry
-// series count hours, records, bytes and which of the three paths each
-// staging file took (sealed, spliced, re-encoded).
+// every file, record and byte. A Mover.Transform hook (the §3.2
+// anonymization policy, say), whose records really do change, renders a
+// client-events row as its record and seals what the hook returns, and
+// decodes and re-compresses an hour of another category. The logmover.*
+// telemetry series count hours, records, bytes and which of the three
+// paths each staging file took (sealed, spliced, re-encoded).
 //
 // The dataflow engine keeps the operators the jobs run and meters the
 // three numbers §4 argues from: map tasks (one per file), bytes read and
@@ -131,7 +147,7 @@
 // (internal/columnar seals and scans it; the layout, its one encoder and
 // the typed reader are the leaf package internal/chunk, below dataflow, so
 // the daily session job can read chunks too): the log mover and SealHour
-// encode each client-events hour into fixed-size row-count chunks, one
+// cut each client-events hour into fixed-size row-count chunks, one
 // CRC-framed
 // file per column —
 // dictionary + varint IDs for the low-cardinality strings (name,
@@ -195,11 +211,11 @@
 // and BenchmarkRowScan measure the row scan per event. What the
 // pruned+projected path costs is the benchmark's batch-sealed workload,
 // what the row path costs its batch-rows-spill. The log mover seals every
-// client-events hour as it publishes it: each record its verify pass
-// accepts goes on into a columnar.Sealer, whose chunks are renamed into
-// place as the whole hour, with no row file beside them, so an hour is
-// inflated once on its way in, stored once, and rollups, raw-log counting,
-// and funnel walks go columnar the moment it lands. warehouse.ScanDay, the
+// client-events hour as it publishes it: the rows of each staged chunk
+// image go on into a columnar.Sealer, whose chunks are renamed into place
+// as the whole hour, with no row file beside them, so an hour is encoded
+// once on its way in, stored once, and rollups, raw-log counting, and
+// funnel walks go columnar the moment it lands. warehouse.ScanDay, the
 // one reader that builds a ClientEvent per row, reads through the same
 // day reader (chunk.ReadHour, then chunk.Columns.Event).
 //
@@ -221,9 +237,9 @@
 // ID -> code point table. The chunk batches it folds are released as it
 // goes, so each chunk decodes into the vectors the last one handed back.
 // The session partition is the one file the pipeline deflates at
-// gzip.BestSpeed (session.sequenceLevel; the aggregators' staging files,
-// whose bytes the warehouse keeps only for an hour that does not seal, are
-// written at level 3, scribe.stagingLevel, and everything else at level 6 through
+// gzip.BestSpeed (session.sequenceLevel; the aggregators' gzip staging
+// files, every category's but client events', are written at level 3,
+// scribe.stagingLevel, and everything else at level 6 through
 // recordio.NewGzipWriter): sequence strings of 2-byte
 // runes fill deflate's hash chains, level 6 was ~40% of the job, and the
 // fast level costs 0.12 B per event, leaving the sequences still over

@@ -3,6 +3,7 @@ package chunk
 import (
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 
@@ -161,6 +162,75 @@ func LoadChunk(fs *hdfs.FS, metaPath string, m Meta, need Set) (*Batch, error) {
 		return nil, err
 	}
 	return b, nil
+}
+
+// ReadImage reads a chunk image (Builder.AppendImage) held in data, whose
+// file is path, as a batch of every column. The section table must tile
+// the image exactly, and each section passes the checks its file would:
+// its CRC frames, then the meta's and each column's decoder. An error names
+// the file and the section, as path#meta or path#<column>. The batch keeps
+// nothing of data.
+func ReadImage(path string, data []byte) (*Batch, error) {
+	sections, err := imageSections(path, data)
+	if err != nil {
+		return nil, err
+	}
+	m, err := decodeMeta(path+"#meta", sections[0])
+	if err != nil {
+		return nil, err
+	}
+	if m.Cols != All {
+		return nil, fmt.Errorf("chunk: %s#meta: %w: columns %#x, want all", path, recordio.ErrCorrupt, m.Cols)
+	}
+	b := &Batch{Path: path, meta: m, v: vectorPool.Get().(*vectors)}
+	for i, col := range ColumnNames {
+		if err := b.decode(Set(1)<<i, path+"#"+col, sections[1+i], m.Rows, b.v); err != nil {
+			b.Release()
+			return nil, err
+		}
+	}
+	b.Rows = m.Rows
+	return b, nil
+}
+
+// imageSections splits a chunk image into its meta and column sections by
+// its section table.
+func imageSections(path string, data []byte) ([][]byte, error) {
+	table, rest, err := recordio.NextCRCRecord(data)
+	if err == io.EOF {
+		err = fmt.Errorf("%w: empty image", recordio.ErrTruncated)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("chunk: %s: %w", path, err)
+	}
+	c := recordio.NewCursor(table)
+	if magic := c.Uvarint("magic"); c.Ok() && magic != imageMagic {
+		return nil, fmt.Errorf("chunk: %s: %w: bad image magic %#x", path, recordio.ErrCorrupt, magic)
+	}
+	if v := c.Uvarint("version"); c.Ok() && v != metaVersion {
+		return nil, fmt.Errorf("chunk: %s: %w: unsupported image version %d", path, recordio.ErrCorrupt, v)
+	}
+	if n := c.Uvarint("sections"); c.Ok() && n != uint64(1+len(ColumnNames)) {
+		return nil, fmt.Errorf("chunk: %s: %w: %d sections", path, recordio.ErrCorrupt, n)
+	}
+	sections := make([][]byte, 1+len(ColumnNames))
+	for i := range sections {
+		n := c.Uvarint("section length")
+		if c.Ok() && n > uint64(len(rest)) {
+			return nil, fmt.Errorf("chunk: %s: %w: a section of %d bytes, %d left", path, recordio.ErrTruncated, n, len(rest))
+		}
+		if !c.Ok() {
+			break
+		}
+		sections[i], rest = rest[:n], rest[n:]
+	}
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("chunk: %s: %w", path, err)
+	}
+	if !c.Empty() || len(rest) > 0 {
+		return nil, fmt.Errorf("chunk: %s: %w: %d bytes after the sections", path, recordio.ErrCorrupt, len(rest)+c.Remaining())
+	}
+	return sections, nil
 }
 
 // ReadRowFile reads the need columns of one row file. A damaged file, a

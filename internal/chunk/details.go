@@ -100,16 +100,50 @@ func (d *detailsBuilder) add(pairs []events.Pair) {
 	}
 }
 
+// addColumn appends rows [lo, hi) of a decoded details column: each key
+// looked up once, each value appended as the bytes the wire held.
+func (d *detailsBuilder) addColumn(col DetailsColumn, lo, hi int) {
+	for i := range col.vals {
+		kc := &col.vals[i]
+		var k *keyValues
+		for row := lo; row < hi; row++ {
+			at := kc.at[row]
+			if at == absent {
+				continue
+			}
+			if k == nil {
+				k = d.keyOf(col.keys[i])
+			}
+			k.vals = kc.appendWire(k.vals, at)
+			k.rows = append(k.rows, uint32(d.rows+row-lo))
+			k.ends = append(k.ends, uint32(len(k.vals)))
+		}
+	}
+	d.rows += hi - lo
+}
+
 // key returns the accumulator of key k, starting one if the chunk has not
 // met the key yet.
 func (d *detailsBuilder) key(k []byte) *keyValues {
 	if i, ok := d.slot[string(k)]; ok {
 		return &d.keys[i]
 	}
+	return d.insert(string(k))
+}
+
+// keyOf is key for a key held as a string.
+func (d *detailsBuilder) keyOf(k string) *keyValues {
+	if i, ok := d.slot[k]; ok {
+		return &d.keys[i]
+	}
+	return d.insert(k)
+}
+
+// insert starts the accumulator of a key the chunk has not met.
+func (d *detailsBuilder) insert(key string) *keyValues {
 	if d.slot == nil {
 		d.slot = make(map[string]int)
 	}
-	key := string(k)
 	d.slot[key] = len(d.keys)
 	d.keys = append(d.keys, keyValues{key: key})
 	return &d.keys[len(d.keys)-1]
@@ -400,6 +434,26 @@ func (kc *keyColumn) value(at uint32) string {
 		return sb.String()
 	}
 	return kc.rec[off : off+int(x)]
+}
+
+// appendWire appends the value at a row's at entry as the bytes the wire
+// held — what value renders — to dst.
+func (kc *keyColumn) appendWire(dst []byte, at uint32) []byte {
+	if kc.tag == encDict {
+		return append(dst, kc.dict[at]...)
+	}
+	x, off := uvarintIn(kc.rec, int(at))
+	switch kc.tag {
+	case encUvarint:
+		return strconv.AppendUint(dst, x, 10)
+	case encHex:
+		const digits = "0123456789abcdef"
+		for _, c := range []byte(kc.rec[off : off+int(x)]) {
+			dst = append(dst, digits[c>>4], digits[c&15])
+		}
+		return dst
+	}
+	return append(dst, kc.rec[off:off+int(x)]...)
 }
 
 // uvarintIn decodes the uvarint at s[off:], which the decode has checked,

@@ -1,0 +1,374 @@
+package chunk
+
+import (
+	"encoding/binary"
+	"errors"
+	"reflect"
+	"strings"
+	"testing"
+
+	"unilog/internal/events"
+	"unilog/internal/hdfs"
+	"unilog/internal/recordio"
+)
+
+const imagePath = "/staging/client_events/2012/08/21/00/dc1-agg00-00000.col"
+
+// stageImage adds recs to a fresh builder and returns them as one image.
+func stageImage(tb testing.TB, recs [][]byte) []byte {
+	tb.Helper()
+	var b Builder
+	for _, rec := range recs {
+		if err := b.AddRecord(rec); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	img, err := b.AppendImage(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if b.Rows() != 0 {
+		tb.Fatalf("builder holds %d rows after AppendImage", b.Rows())
+	}
+	return img
+}
+
+// fileSet returns every file under dir of fs, by path.
+func fileSet(tb testing.TB, fs *hdfs.FS, dir string) map[string]string {
+	tb.Helper()
+	infos, err := fs.Walk(dir)
+	if errors.Is(err, hdfs.ErrNotFound) {
+		return map[string]string{}
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	files := make(map[string]string)
+	for _, fi := range infos {
+		data, err := fs.ReadFile(fi.Path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		files[fi.Path] = string(data)
+	}
+	return files
+}
+
+// TestAppendImageHoldsFlushedFiles: an image is the table and then the very
+// files Flush writes for the same rows, meta first; ReadImage reads back the
+// rows Load reads from those files.
+func TestAppendImageHoldsFlushedFiles(t *testing.T) {
+	evs := testEvents(300)
+	var b Builder
+	addEvents(t, &b, evs)
+	files := flushed(t, &b)
+	addEvents(t, &b, evs)
+	img, err := b.AppendImage([]byte("prefix"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(img[:6]) != "prefix" {
+		t.Fatal("AppendImage did not append to dst")
+	}
+	sections, err := imageSections(imagePath, img[6:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ext := range append([]string{"meta"}, ColumnNames...) {
+		if want := files[Base(testDir, 0)+"."+ext]; string(sections[i]) != want {
+			t.Fatalf("section %d (%s) is %d bytes, the flushed file %d", i, ext, len(sections[i]), len(want))
+		}
+	}
+	got, err := ReadImage(imagePath, img[6:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Release()
+	want, err := sealed(marshalAll(evs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if col := sameRows(&got.Columns, want); col != "" {
+		t.Fatalf("column %s of the image differs from the flushed chunk's", col)
+	}
+}
+
+func marshalAll(evs []*events.ClientEvent) [][]byte {
+	recs := make([][]byte, len(evs))
+	for i, e := range evs {
+		recs[i] = e.Marshal()
+	}
+	return recs
+}
+
+// rechunk reads images back and re-chunks their rows into chunks of
+// chunkRows in dir of a fresh file system, as the log mover does.
+func rechunk(tb testing.TB, images [][]byte, chunkRows int) (*hdfs.FS, error) {
+	tb.Helper()
+	fs := hdfs.New(0)
+	var b Builder
+	chunks := 0
+	flush := func() {
+		if _, err := b.Flush(fs, testDir, chunks); err != nil {
+			tb.Fatal(err)
+		}
+		chunks++
+	}
+	for _, img := range images {
+		batch, err := ReadImage(imagePath, img)
+		if err != nil {
+			return nil, err
+		}
+		for lo := 0; lo < batch.Rows; {
+			hi := min(batch.Rows, lo+chunkRows-b.Rows())
+			if err := b.AddColumns(&batch.Columns, lo, hi); err != nil {
+				return nil, err
+			}
+			if b.Rows() == chunkRows {
+				flush()
+			}
+			lo = hi
+		}
+		batch.Release()
+	}
+	if b.Rows() > 0 {
+		flush()
+	}
+	return fs, nil
+}
+
+// onePass seals the records AddRecord accepts into chunks of chunkRows in
+// dir of a fresh file system, and reports which it refused.
+func onePass(tb testing.TB, recs [][]byte, chunkRows int) (*hdfs.FS, []bool) {
+	tb.Helper()
+	fs := hdfs.New(0)
+	var b Builder
+	refused := make([]bool, len(recs))
+	chunks := 0
+	for i, rec := range recs {
+		if refused[i] = b.AddRecord(rec) != nil; !refused[i] && b.Rows() == chunkRows {
+			if _, err := b.Flush(fs, testDir, chunks); err != nil {
+				tb.Fatal(err)
+			}
+			chunks++
+		}
+	}
+	if _, err := b.Flush(fs, testDir, chunks); err != nil {
+		tb.Fatal(err)
+	}
+	return fs, refused
+}
+
+// checkRechunk stages recs as images cut after the record counts cuts
+// names in turn (each taken modulo 9), re-chunks them, and requires the
+// chunks a one-pass seal writes, byte for byte; a record one refuses, the
+// other refuses too.
+func checkRechunk(t *testing.T, recs [][]byte, cuts []byte, chunkRows int) {
+	want, refused := onePass(t, recs, chunkRows)
+	var images [][]byte
+	var b Builder
+	cut, staged := 0, 0
+	stage := func() {
+		img, err := b.AppendImage(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if img != nil {
+			images = append(images, img)
+		}
+		staged = 0
+	}
+	for i, rec := range recs {
+		if err := b.AddRecord(rec); (err != nil) != refused[i] {
+			t.Fatalf("record %d: staging error %v, the one-pass seal refused it: %v", i, err, refused[i])
+		}
+		if staged++; len(cuts) > 0 && staged >= int(cuts[cut%len(cuts)]%9) {
+			stage()
+			cut++
+		}
+	}
+	stage()
+	got, err := rechunk(t, images, chunkRows)
+	if err != nil {
+		t.Fatalf("re-chunking %d staged images: %v", len(images), err)
+	}
+	if g, w := fileSet(t, got, testDir), fileSet(t, want, testDir); !reflect.DeepEqual(g, w) {
+		t.Fatalf("re-chunked %d files, the one-pass seal %d: the bytes differ", len(g), len(w))
+	}
+}
+
+// TestRechunkMatchesSeal: a generated stream staged as images of any size
+// and re-chunked is, file for file, the one-pass seal of its records.
+func TestRechunkMatchesSeal(t *testing.T) {
+	recs := marshalAll(testEvents(700))
+	for _, tc := range []struct {
+		cuts      []byte
+		chunkRows int
+	}{
+		{nil, 256},      // one image
+		{[]byte{1}, 64}, // an image per record
+		{[]byte{7, 3, 8, 2}, 100},
+		{[]byte{5}, 5}, // images that are the chunks
+		{[]byte{8, 8, 1}, 1000},
+	} {
+		checkRechunk(t, recs, tc.cuts, tc.chunkRows)
+	}
+	var edges [][]byte
+	for _, recs := range typeEdges() {
+		edges = append(edges, recs...)
+	}
+	checkRechunk(t, edges, []byte{2, 3}, 4)
+}
+
+// TestAddColumnsRefusesABadName: a name that fails events.ParseName fails
+// AddColumns, and the builder is as it was.
+func TestAddColumnsRefusesABadName(t *testing.T) {
+	batch, err := ReadImage(imagePath, stageImage(t, marshalAll(testEvents(20))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch.Name.Dict[0] = "Not A Name"
+	var b, clean Builder
+	addEvents(t, &b, testEvents(3))
+	addEvents(t, &clean, testEvents(3))
+	if err := b.AddColumns(&batch.Columns, 0, batch.Rows); err == nil {
+		t.Fatal("AddColumns took a name ParseName refuses")
+	}
+	if !reflect.DeepEqual(flushed(t, &b), flushed(t, &clean)) {
+		t.Fatal("a refused AddColumns changed the builder")
+	}
+}
+
+// checkImageError requires a ReadImage error to be typed and to name the
+// file.
+func checkImageError(t *testing.T, err error) {
+	t.Helper()
+	if !errors.Is(err, recordio.ErrCorrupt) && !errors.Is(err, recordio.ErrTruncated) {
+		t.Fatalf("error %q is neither ErrCorrupt nor ErrTruncated", err)
+	}
+	if !strings.Contains(err.Error(), imagePath) {
+		t.Fatalf("error %q does not name the file", err)
+	}
+}
+
+// TestDamagedImageNamesTheSection: a flipped byte in a section fails
+// ReadImage with ErrCorrupt naming the file and that section; a cut image
+// fails typed too.
+func TestDamagedImageNamesTheSection(t *testing.T) {
+	img := stageImage(t, marshalAll(testEvents(50)))
+	table, rest, err := recordio.NextCRCRecord(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := len(img) - len(rest)
+	sections, err := imageSections(imagePath, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := head
+	for i, ext := range append([]string{"meta"}, ColumnNames...) {
+		bad := append([]byte(nil), img...)
+		bad[off+len(sections[i])-1] ^= 0x10
+		_, err := ReadImage(imagePath, bad)
+		checkImageError(t, err)
+		if !strings.Contains(err.Error(), imagePath+"#"+ext) {
+			t.Fatalf("damage to the %s section: %v", ext, err)
+		}
+		off += len(sections[i])
+	}
+	for _, n := range []int{0, 3, head, head + 1, len(img) - 1} {
+		_, err := ReadImage(imagePath, img[:n])
+		checkImageError(t, err)
+	}
+	_, err = ReadImage(imagePath, append(append([]byte(nil), img...), 0))
+	checkImageError(t, err)
+	if len(table) == 0 {
+		t.Fatal("empty section table")
+	}
+}
+
+// FuzzStagedImage: ReadImage on any bytes — a staged image, a damaged one,
+// or none — never panics; it fails with ErrCorrupt or ErrTruncated naming
+// the file, or its batch re-chunks through AddColumns into a chunk whose
+// rows are its rows.
+func FuzzStagedImage(f *testing.F) {
+	f.Add(stageImage(f, marshalAll(testEvents(24))))
+	for _, recs := range typeEdges() {
+		img := stageImage(f, recs)
+		f.Add(img)
+		f.Add(img[:len(img)/2])
+		flipped := append([]byte(nil), img...)
+		flipped[len(img)/3] ^= 1
+		f.Add(flipped)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		batch, err := ReadImage(imagePath, data)
+		if err != nil {
+			checkImageError(t, err)
+			return
+		}
+		defer batch.Release()
+		var b Builder
+		if err := b.AddColumns(&batch.Columns, 0, batch.Rows); err != nil {
+			return // a name ParseName refuses
+		}
+		if batch.Rows == 0 {
+			return
+		}
+		fs := hdfs.New(0)
+		if _, err := b.Flush(fs, testDir, 0); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadMeta(fs, MetaPath(testDir, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again Columns
+		if err := again.Load(fs, Base(testDir, 0), m, All); err != nil {
+			t.Fatalf("the re-chunked image does not load: %v", err)
+		}
+		for row := 0; row < batch.Rows; row++ {
+			e, err1 := batch.Event(row)
+			g, err2 := again.Event(row)
+			if (err1 != nil) != (err2 != nil) || !reflect.DeepEqual(e, g) {
+				t.Fatalf("row %d: %+v (%v), re-chunked %+v (%v)", row, e, err1, g, err2)
+			}
+		}
+	})
+}
+
+// FuzzRechunkMatchesSeal: records cut at fuzz-chosen points into staged
+// images, read back and re-chunked into chunks of a fuzz-chosen size, are
+// byte for byte the chunks one pass of AddRecord seals; a record one
+// refuses, the other refuses too.
+func FuzzRechunkMatchesSeal(f *testing.F) {
+	name := "web:home:timeline:stream:tweet:impression"
+	seeds := [][][]byte{
+		{},
+		{wireMessage(nil, 1), wireMessage(&name, 2), wireMessage(nil, 3)},
+		{wireMessage(&name, 1)[:5], wireMessage(&name, 2)},
+		marshalAll(testEvents(12)),
+	}
+	seeds = append(seeds, typeEdges()...)
+	for i, recs := range seeds {
+		var in []byte
+		for _, rec := range recs {
+			in = binary.AppendUvarint(in, uint64(len(rec)))
+			in = append(in, rec...)
+		}
+		f.Add(in, []byte{byte(i), 2, 5}, uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, in, cuts []byte, chunkRows uint8) {
+		var recs [][]byte
+		for len(in) > 0 {
+			n, k := binary.Uvarint(in)
+			if k <= 0 || n > uint64(len(in)-k) {
+				break
+			}
+			recs = append(recs, in[k:k+int(n)])
+			in = in[k+int(n):]
+		}
+		checkRechunk(t, recs, cuts, 1+int(chunkRows%16))
+	})
+}

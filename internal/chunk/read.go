@@ -336,38 +336,47 @@ func (cc *Columns) load(fs *hdfs.FS, base string, m Meta, need Set, v *vectors) 
 			return err
 		}
 		v.image = data // the next column's read overwrites it
-		switch bit {
-		case Initiator:
-			v.initiator, err = decodeRLE(path, data, m.Rows, v.initiator)
-			cc.Initiator = v.initiator
-		case Name:
-			cc.Name, err = decodeDict(path, data, m.Rows, v.name)
-			v.name = cc.Name.IDs
-		case UserID:
-			v.userID, err = decodeVarints(path, data, m.Rows, false, v.userID)
-			cc.UserID = v.userID
-		case SessionID:
-			cc.SessionID, err = decodeDict(path, data, m.Rows, v.sessionID)
-			v.sessionID = cc.SessionID.IDs
-		case IP:
-			cc.IP, err = decodeDict(path, data, m.Rows, v.ip)
-			v.ip = cc.IP.IDs
-		case Timestamp:
-			v.timestamp, err = decodeVarints(path, data, m.Rows, true, v.timestamp)
-			cc.Timestamp = v.timestamp
-		case LoggedIn:
-			v.loggedIn, err = decodeRLE(path, data, m.Rows, v.loggedIn)
-			cc.LoggedIn = v.loggedIn
-		case Details:
-			cc.Details, err = decodeDetails(path, data, m.Rows, v)
-		}
-		if err != nil {
+		if err := cc.decode(bit, path, data, m.Rows, v); err != nil {
 			return err
 		}
-		cc.have |= bit
 	}
 	cc.Rows = m.Rows
 	return nil
+}
+
+// decode decodes the file image of column bit into v's vectors, which cc's
+// column then is.
+func (cc *Columns) decode(bit Set, path string, data []byte, rows int, v *vectors) error {
+	var err error
+	switch bit {
+	case Initiator:
+		v.initiator, err = decodeRLE(path, data, rows, v.initiator)
+		cc.Initiator = v.initiator
+	case Name:
+		cc.Name, err = decodeDict(path, data, rows, v.name)
+		v.name = cc.Name.IDs
+	case UserID:
+		v.userID, err = decodeVarints(path, data, rows, false, v.userID)
+		cc.UserID = v.userID
+	case SessionID:
+		cc.SessionID, err = decodeDict(path, data, rows, v.sessionID)
+		v.sessionID = cc.SessionID.IDs
+	case IP:
+		cc.IP, err = decodeDict(path, data, rows, v.ip)
+		v.ip = cc.IP.IDs
+	case Timestamp:
+		v.timestamp, err = decodeVarints(path, data, rows, true, v.timestamp)
+		cc.Timestamp = v.timestamp
+	case LoggedIn:
+		v.loggedIn, err = decodeRLE(path, data, rows, v.loggedIn)
+		cc.LoggedIn = v.loggedIn
+	case Details:
+		cc.Details, err = decodeDetails(path, data, rows, v)
+	}
+	if err == nil {
+		cc.have |= bit
+	}
+	return err
 }
 
 // Event materializes one row as the client event it was sealed from. Every

@@ -100,6 +100,7 @@ func ColumnOf(name string) Set {
 const (
 	metaMagic   = 0x636f6c // "col"
 	sealedMagic = 0x73656c // "sel"
+	imageMagic  = 0x696d67 // "img"
 	metaVersion = 2        // 2: the details column is typed per key
 )
 
@@ -239,6 +240,28 @@ func (d *dictBuilder) nameID(wire []byte) (uint32, error) {
 	return d.insert(name), nil
 }
 
+// addColumn appends rows [lo, hi) of a decoded dictionary column, numbering
+// each entry those rows use on its first use; remap is scratch, returned
+// grown. The entries kept are col's own strings, which outlive its batch.
+func (d *dictBuilder) addColumn(col DictColumn, lo, hi int, remap []uint32) []uint32 {
+	remap = slices.Grow(remap[:0], len(col.Dict))[:len(col.Dict)]
+	for i := range remap {
+		remap[i] = absent
+	}
+	for _, id := range col.IDs[lo:hi] {
+		to := remap[id]
+		if to == absent {
+			var seen bool
+			if to, seen = d.ids[col.Dict[id]]; !seen {
+				to = d.insert(col.Dict[id])
+			}
+			remap[id] = to
+		}
+		d.rows = append(d.rows, to)
+	}
+	return remap
+}
+
 // records appends the column's two records to buf[:0] — the dictionary in
 // sorted order, then one uvarint ID per row, renumbered to that order — and
 // returns them with the grown buffer.
@@ -292,7 +315,9 @@ type Builder struct {
 	payload []byte                // scratch: a column's payload records
 	recs    [][]byte              // scratch: the details column's records
 	file    bytes.Buffer          // scratch: a file image being framed
-	written int                   // bytes of the files the current Flush wrote
+	image   []byte                // scratch: AppendImage's sections, in Flush's order
+	ends    []int                 // and where each of them ends
+	remap   []uint32              // scratch: AddColumns' dictionary remap
 }
 
 // Rows returns the number of rows added since the last Flush.
@@ -343,6 +368,47 @@ func (b *Builder) Add(h *events.Header, pairs []events.Pair) error {
 	return nil
 }
 
+// AddColumns appends rows [lo, hi) of cc — a chunk loaded whole, or a
+// staged image read back (ReadImage) — as AddRecord appends the records
+// they were sealed from, so a chunk cut from them is the bytes a one-pass
+// seal of those records writes. It walks no record: each dictionary entry
+// the rows use is numbered once, not once per row, and each details value
+// is appended as the bytes the wire held, a hex or decimal value written
+// back without becoming a string. The derived logged_in is derived again.
+// A name the builder has not seen must pass events.ParseName, as in Add;
+// if one of cc's names fails, nothing is added and the error comes back.
+func (b *Builder) AddColumns(cc *Columns, lo, hi int) error {
+	if cc.have != All {
+		return fmt.Errorf("chunk: AddColumns needs every column, have %#x", cc.have)
+	}
+	for _, s := range cc.Name.Dict {
+		if _, seen := b.name.ids[s]; !seen && s != zeroName {
+			if _, err := events.ParseName(s); err != nil {
+				return err
+			}
+		}
+	}
+	b.remap = b.name.addColumn(cc.Name, lo, hi, b.remap)
+	b.remap = b.sessionID.addColumn(cc.SessionID, lo, hi, b.remap)
+	b.remap = b.ip.addColumn(cc.IP, lo, hi, b.remap)
+	b.initiator = append(b.initiator, cc.Initiator[lo:hi]...)
+	for row := lo; row < hi; row++ {
+		uid, ts := cc.UserID[row], cc.Timestamp[row]
+		b.loggedIn = append(b.loggedIn, loggedIn(&events.Header{UserID: uid}))
+		b.userID = binary.AppendVarint(b.userID, uid)
+		b.timestamp = binary.AppendVarint(b.timestamp, ts-b.prevTs)
+		b.prevTs = ts
+		if b.rows == 0 && row == lo {
+			b.minTs, b.maxTs = ts, ts
+		} else {
+			b.minTs, b.maxTs = min(b.minTs, ts), max(b.maxTs, ts)
+		}
+	}
+	b.details.addColumn(cc.Details, lo, hi)
+	b.rows += hi - lo
+	return nil
+}
+
 // loggedIn is the derived logged_in column's byte for one row.
 func loggedIn(h *events.Header) byte {
 	if h.LoggedIn() {
@@ -359,61 +425,114 @@ func (b *Builder) Flush(fs *hdfs.FS, dir string, idx int) (int, error) {
 	if b.rows == 0 {
 		return 0, nil
 	}
-	b.written = 0
-	base := Base(dir, idx)
-	for i, col := range ColumnNames {
-		path := base + "." + col
-		var err error
-		switch Set(1) << i {
-		case Initiator:
-			err = b.writeFile(fs, path, b.runLengths(b.initiator))
-		case Name:
-			err = b.writeDict(fs, path, &b.name)
-		case UserID:
-			err = b.writeFile(fs, path, b.userID)
-		case SessionID:
-			err = b.writeDict(fs, path, &b.sessionID)
-		case IP:
-			err = b.writeDict(fs, path, &b.ip)
-		case Timestamp:
-			err = b.writeFile(fs, path, b.timestamp)
-		case LoggedIn:
-			err = b.writeFile(fs, path, b.runLengths(b.loggedIn))
-		case Details:
-			b.recs, b.payload = b.details.records(b.payload, b.recs)
-			err = b.writeFile(fs, path, b.recs...)
+	base, written := Base(dir, idx), 0
+	err := b.sections(func(ext string, image []byte) error {
+		path := base + "." + ext
+		if err := fs.WriteFile(path, image); err != nil {
+			return fmt.Errorf("chunk: write chunk %s: %w", path, err)
 		}
-		if err != nil {
-			return 0, err
-		}
-	}
-	if err := b.writeFile(fs, base+".meta", b.meta()); err != nil {
+		written += len(image)
+		return nil
+	})
+	if err != nil {
 		return 0, err
 	}
 	b.reset()
-	return b.written, nil
+	return written, nil
 }
 
-// writeFile frames recs as one CRC-framed file image and writes it.
-func (b *Builder) writeFile(fs *hdfs.FS, path string, recs ...[]byte) error {
+// AppendImage appends the rows added so far to dst as one chunk image,
+// empties the builder and returns the grown dst. The image is the chunk's
+// files in one: a CRC-framed section table — the image magic, the format
+// version, the section count and each section's length — then the meta
+// file and the column files in ColumnNames order, each the very bytes
+// Flush would write, framed as those files are. ReadImage reads it back.
+// With no rows it appends nothing.
+func (b *Builder) AppendImage(dst []byte) ([]byte, error) {
+	if b.rows == 0 {
+		return dst, nil
+	}
+	b.image, b.ends = b.image[:0], b.ends[:0]
+	err := b.sections(func(_ string, image []byte) error {
+		b.image = append(b.image, image...)
+		b.ends = append(b.ends, len(b.image))
+		return nil
+	})
+	if err != nil {
+		return dst, err
+	}
+	// sections hands the meta last, as Flush writes it; the image leads with it.
+	cols := b.ends[len(ColumnNames)-1]
+	table := binary.AppendUvarint(b.payload[:0], imageMagic)
+	table = binary.AppendUvarint(table, metaVersion)
+	table = binary.AppendUvarint(table, uint64(len(b.ends)))
+	table = binary.AppendUvarint(table, uint64(len(b.image)-cols))
+	start := 0
+	for _, end := range b.ends[:len(ColumnNames)] {
+		table = binary.AppendUvarint(table, uint64(end-start))
+		start = end
+	}
+	b.payload = table
+	framed := frame(table)
+	dst = slices.Grow(dst, len(framed)+len(b.image))
+	dst = append(dst, framed...)
+	dst = append(dst, b.image[cols:]...)
+	dst = append(dst, b.image[:cols]...)
+	b.reset()
+	return dst, nil
+}
+
+// sections frames the rows added so far as the chunk's file images, the
+// column files in ColumnNames order and the meta file last, and hands each
+// to put with its extension. The image put is given is reused for the
+// next: put copies what it keeps.
+func (b *Builder) sections(put func(ext string, image []byte) error) error {
+	for i, col := range ColumnNames {
+		var recs [][]byte
+		switch Set(1) << i {
+		case Initiator:
+			recs = [][]byte{b.runLengths(b.initiator)}
+		case Name:
+			recs = b.dictRecords(&b.name)
+		case UserID:
+			recs = [][]byte{b.userID}
+		case SessionID:
+			recs = b.dictRecords(&b.sessionID)
+		case IP:
+			recs = b.dictRecords(&b.ip)
+		case Timestamp:
+			recs = [][]byte{b.timestamp}
+		case LoggedIn:
+			recs = [][]byte{b.runLengths(b.loggedIn)}
+		case Details:
+			b.recs, b.payload = b.details.records(b.payload, b.recs)
+			recs = b.recs
+		}
+		if err := b.frameSection(col, put, recs); err != nil {
+			return err
+		}
+	}
+	return b.frameSection("meta", put, [][]byte{b.meta()})
+}
+
+// frameSection frames recs as one CRC-framed file image and hands it to put.
+func (b *Builder) frameSection(ext string, put func(string, []byte) error, recs [][]byte) error {
 	b.file.Reset()
 	w := recordio.NewCRCWriter(&b.file)
 	for _, rec := range recs {
 		if err := w.Append(rec); err != nil {
-			return fmt.Errorf("chunk: write chunk %s: %w", path, err)
+			return fmt.Errorf("chunk: encode the %s section: %w", ext, err)
 		}
 	}
-	if err := fs.WriteFile(path, b.file.Bytes()); err != nil {
-		return fmt.Errorf("chunk: write chunk %s: %w", path, err)
-	}
-	b.written += b.file.Len()
-	return nil
+	return put(ext, b.file.Bytes())
 }
 
-func (b *Builder) writeDict(fs *hdfs.FS, path string, d *dictBuilder) error {
+// dictRecords returns a dictionary column's two records.
+func (b *Builder) dictRecords(d *dictBuilder) [][]byte {
 	var dict, ids []byte
 	dict, ids, b.payload = d.records(b.payload)
-	return b.writeFile(fs, path, dict, ids)
+	b.recs = append(b.recs[:0], dict, ids)
+	return b.recs
 }
 
 func (b *Builder) reset() {

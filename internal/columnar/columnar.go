@@ -7,15 +7,16 @@
 // The chunk layout, its encoder and its typed reader live in the leaf
 // package internal/chunk, which the daily session-sequence job imports
 // too; this package is what sits on either side of it. This file seals:
-// a Sealer walks an hour's raw records into a chunk.Builder, cuts a chunk
-// every DefaultChunkRows events and writes them into the hour directory
-// under leading-underscore names (chunk.IsAuxiliary), which no row scanner
-// reads. The log mover runs a Sealer in the pass that verifies an hour's
-// staging files, so a client-events hour is published as its chunks
-// alone; SealHour runs one over an hour's published row files, for a
-// warehouse written some other way (warehouse.Writer), and writes the
-// chunks beside those rows, which it keeps. Once the marker is written
-// the day reader reads the hour from its chunks, rows or no rows.
+// a Sealer takes an hour's rows into a chunk.Builder, cuts a chunk every
+// DefaultChunkRows events and writes them into the hour directory under
+// leading-underscore names (chunk.IsAuxiliary), which no row scanner
+// reads. The log mover runs a Sealer over the rows of the chunk images the
+// aggregators staged, re-chunked without a record walk, so a client-events
+// hour is published as its chunks alone; SealHour runs one over an hour's
+// published row files, for a warehouse written some other way
+// (warehouse.Writer), and writes the chunks beside those rows, which it
+// keeps. Once the marker is written the day reader reads the hour from its
+// chunks, rows or no rows.
 //
 // Sealing is crash-safe at two levels: within a chunk the meta file is
 // written last, and across the hour the _col-SEALED marker is written
@@ -113,12 +114,13 @@ func SealHourChunks(fs *hdfs.FS, category string, hour time.Time, chunkRows int)
 	return n, err
 }
 
-// Sealer encodes one hour's records, in the order they are added, into
+// Sealer encodes one hour's rows, in the order they are added, into
 // column chunks of one directory: a chunk every chunkRows rows, then the
-// _col-SEALED marker at Close. SealHour feeds it the published row files;
-// the log mover feeds it each record as it verifies the staging files, so
-// the chunks land in its tmp directory and one rename publishes the sealed
-// hour. The columnar.seal.* counters learn of its
+// _col-SEALED marker at Close. SealHour feeds it the records of the
+// published row files; the log mover feeds it the rows of each staged
+// chunk image it reads back (AddColumns), or each record its Transform
+// returns (Add), so the chunks land in its tmp directory and one rename
+// publishes the sealed hour. The columnar.seal.* counters learn of its
 // chunks only once Close has written the marker, so a seal given up on
 // counts nothing. A Sealer is not safe for concurrent use.
 type Sealer struct {
@@ -155,6 +157,27 @@ func (s *Sealer) Add(rec []byte) error {
 	return nil
 }
 
+// AddColumns appends every row of cc — a staged chunk image read back —
+// through chunk.Builder.AddColumns, cut at the chunk boundaries Add would
+// cut at, so the hour's chunks are the bytes a seal of the records those
+// rows were staged from writes. A name the encoder refuses fails it; the
+// caller gives the seal up. cc is not kept.
+func (s *Sealer) AddColumns(cc *chunk.Columns) error {
+	for lo := 0; lo < cc.Rows; {
+		hi := min(cc.Rows, lo+s.chunkRows-s.b.Rows())
+		if err := s.b.AddColumns(cc, lo, hi); err != nil {
+			return err
+		}
+		if s.b.Rows() >= s.chunkRows {
+			if err := s.flush(); err != nil {
+				return err
+			}
+		}
+		lo = hi
+	}
+	return nil
+}
+
 // Close writes the last chunk and the completion marker and returns the
 // number of chunks the hour holds.
 func (s *Sealer) Close() (int, error) {
@@ -168,12 +191,6 @@ func (s *Sealer) Close() (int, error) {
 	tmSealRows.Add(s.rows)
 	tmSealBytes.Add(s.bytes)
 	return s.chunks, nil
-}
-
-// Discard removes every _col- file in the Sealer's directory, so a caller
-// that gives up on the seal leaves no column file behind.
-func (s *Sealer) Discard() error {
-	return removeTornSeal(s.fs, s.dir)
 }
 
 func (s *Sealer) flush() error {

@@ -16,7 +16,7 @@ var (
 
 	// Wall time of one SealHour, its row-file read included. A mover-sealed
 	// hour is not observed here: its seal is spread through the move's
-	// verify pass, whose time is logmover.move.ns.
+	// pass over the staged images, whose time is logmover.move.ns.
 	tmSealHourNs = telemetry.GetHistogram("columnar.seal.hour.ns")
 
 	// High-water worker count of concurrent hour sealing (SealDay /

@@ -33,6 +33,7 @@ package events
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"unilog/internal/thrift"
@@ -386,9 +387,17 @@ func (e *ClientEvent) Encode(enc thrift.Encoder) {
 	if len(e.Details) > 0 {
 		enc.WriteFieldBegin(thrift.MAP, fieldDetails)
 		enc.WriteMapBegin(thrift.STRING, thrift.STRING, len(e.Details))
-		for k, v := range e.Details {
+		// Keys in sorted order, so an event marshals to the same bytes
+		// every time; the common few sort on the stack.
+		var buf [8]string
+		keys := buf[:0]
+		for k := range e.Details {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
 			enc.WriteString(k)
-			enc.WriteString(v)
+			enc.WriteString(e.Details[k])
 		}
 	}
 	enc.WriteFieldStop()

@@ -347,3 +347,32 @@ func TestValidateErrorMentionsComponent(t *testing.T) {
 		t.Fatal("unreachable")
 	}
 }
+
+// TestMarshalDetailsSorted: an event marshals to the same bytes every time,
+// whatever order the map hands its details in — its keys go on the wire
+// sorted, past the few that sort on the stack too.
+func TestMarshalDetailsSorted(t *testing.T) {
+	for _, keys := range []int{2, 8, 9, 40} {
+		e := &ClientEvent{Name: MustParseName(paperExample), Timestamp: 1, Details: map[string]string{}}
+		for i := 0; i < keys; i++ {
+			e.Details[fmt.Sprintf("k%03d", (i*37)%keys)] = fmt.Sprint(i)
+		}
+		first := e.Marshal()
+		for i := 0; i < 50; i++ {
+			if got := e.Marshal(); string(got) != string(first) {
+				t.Fatalf("%d details: marshal %d wrote other bytes than the first", keys, i)
+			}
+		}
+		var h Header
+		dec := thrift.NewCompactDecoder(first)
+		pairs, err := h.DecodePairs(dec, nil)
+		if err != nil || len(pairs) != keys {
+			t.Fatalf("%d details: decoded %d pairs (%v)", keys, len(pairs), err)
+		}
+		for i := 1; i < len(pairs); i++ {
+			if string(pairs[i-1].K) >= string(pairs[i].K) {
+				t.Fatalf("%d details: key %q after %q on the wire", keys, pairs[i].K, pairs[i-1].K)
+			}
+		}
+	}
+}

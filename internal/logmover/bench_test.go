@@ -15,9 +15,10 @@ import (
 
 // BenchmarkDeliverHour delivers one generated hour per iteration through
 // the write path's slowest links: one region's daemons log it through two
-// aggregators into staging, the region seals the hour (the last member of
-// each stream deflated, _SEALED written), and the mover verifies, seals
-// and publishes it (MoveAllSealed). Building the topology is not timed.
+// aggregators, which walk each record into a chunk encoder, into staging,
+// the region seals the hour (each stream's last chunk image staged,
+// _SEALED written), and the mover reads the images back, re-chunks and
+// publishes them (MoveAllSealed). Building the topology is not timed.
 // It reports the cost per event — ns and allocations — and the staging
 // bytes that cross to the warehouse and the bytes it stores, per event.
 func BenchmarkDeliverHour(b *testing.B) {

@@ -5,27 +5,24 @@
 //
 //  1. waits until every datacenter has sealed the hour (the _SEALED marker
 //     written after all aggregators flushed);
-//  2. applies sanity checks — each staging file must be a well-formed
-//     gzipped record stream: it is inflated end to end, gzip verifies the
-//     CRC-32 and length of every member, and every record frame is walked
-//     to a clean boundary; corrupt files fail the move rather than
-//     silently losing data. The same pass seals a client-events hour: each
-//     record the walk accepts goes on into a columnar.Sealer, whose column
-//     chunks and _col-SEALED marker are all the hour publishes, so the
-//     hour is inflated once on its way in, is columnar from the moment it
-//     is published, and is stored once. A record the chunk encoder rejects
-//     costs the hour its columns, never its rows: it is published as row
-//     files instead;
-//  3. for an hour that does not seal — another category, or a rejected
-//     record — merges the many small per-aggregator files into a few big
+//  2. applies sanity checks, so corrupt files fail the move rather than
+//     silently losing data. A client-events hour is staged as chunk images
+//     (scribe): each is read with the chunk reader's checks, damage naming
+//     the file and the column, and its rows, in source, file and row
+//     order, are re-chunked into columnar.DefaultChunkRows chunks
+//     (columnar.Sealer.AddColumns), byte for byte what a seal of the
+//     staged records writes, with no inflate and no record walk. Those
+//     chunks and their _col-SEALED marker are all the hour publishes. Any
+//     other category is staged as gzipped record streams: every member is
+//     inflated and its CRC-32 and length checked, and every record frame
+//     walked to a clean boundary;
+//  3. merges such an hour's many small per-aggregator files into a few big
 //     warehouse files. A gzip file is a concatenation of gzip members, so
 //     a verified staging file's compressed bytes are appended to the
-//     merged part as they are, and each member keeps its own trailer, so
-//     later damage in the warehouse is detected per member. Only a
-//     Transform hook, whose records really do change, re-compresses. The
-//     verified files (or the transformed records) are held in memory until
-//     the seal has succeeded or failed, so a sealed hour never writes a
-//     row file;
+//     merged part as they are, each member keeping its own trailer. Only a
+//     Transform hook, whose records really do change, re-compresses (or,
+//     for client events, renders each row and seals what it returns). A
+//     failed move writes nothing and leaves staging for a retry;
 //  4. atomically slides the hour into /logs/<category>/YYYY/MM/DD/HH/ with
 //     a single directory rename;
 //  5. records an audit trace of what moved, how many records, and from
@@ -44,6 +41,7 @@ import (
 	"strings"
 	"time"
 
+	"unilog/internal/chunk"
 	"unilog/internal/columnar"
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
@@ -91,8 +89,8 @@ type Mover struct {
 	Warehouse *hdfs.FS
 	Sources   []Source
 	// TargetFileBytes is the approximate uncompressed size of each merged
-	// row file of an hour that does not seal ("merging many small files
-	// into a few big ones", §2).
+	// row file of an hour of another category than client events
+	// ("merging many small files into a few big ones", §2).
 	// Without a Transform a part is rolled at the first staging-file
 	// boundary at or past the target — a staging file is never split —
 	// with one, at the first record.
@@ -134,46 +132,35 @@ func (m *Mover) HourSealed(category string, hour time.Time) bool {
 
 // MoveHour merges one sealed category-hour from all staging clusters into
 // the warehouse and atomically publishes it, a client-events hour as its
-// column chunks alone. On a move error the warehouse is untouched. A seal
-// error comes back after the hour was published and audited as rows.
+// column chunks alone. On an error the warehouse is untouched and the
+// staging files stay for a retry.
 func (m *Mover) MoveHour(category string, hour time.Time) (AuditRecord, error) {
-	rec, sealErr, err := m.moveHour(category, hour)
-	if err != nil {
-		return rec, err
-	}
-	return rec, sealErr
-}
-
-// moveHour publishes one hour. err is a failed move, which publishes
-// nothing; sealErr is a record the columnar seal rejected, which publishes
-// the hour as rows, without columns.
-func (m *Mover) moveHour(category string, hour time.Time) (rec AuditRecord, sealErr, err error) {
 	started := time.Now()
-	rec = AuditRecord{Category: category, Hour: hour.UTC().Truncate(time.Hour), Started: m.Clock()}
+	rec := AuditRecord{Category: category, Hour: hour.UTC().Truncate(time.Hour), Started: m.Clock()}
 	destDir := warehouse.HourDir(category, hour)
 	if m.Warehouse.Exists(destDir) {
-		return rec, nil, fmt.Errorf("%w: %s", ErrAlreadyMoved, destDir)
+		return rec, fmt.Errorf("%w: %s", ErrAlreadyMoved, destDir)
 	}
 	if !m.HourSealed(category, hour) {
-		return rec, nil, fmt.Errorf("%w: %s %s", ErrHourIncomplete, category, warehouse.HourPath(hour))
+		return rec, fmt.Errorf("%w: %s %s", ErrHourIncomplete, category, warehouse.HourPath(hour))
 	}
 
 	tmpDir := fmt.Sprintf("%s/mover/%s/%s", warehouse.TmpRoot, category, warehouse.HourPath(hour))
 	// A previous failed attempt may have left debris; start clean.
 	if m.Warehouse.Exists(tmpDir) {
 		if err := m.Warehouse.Delete(tmpDir, true); err != nil {
-			return rec, nil, err
+			return rec, err
 		}
 	}
 
-	// Only the unified category stores client events, the rows a chunk
-	// holds.
+	// Only the unified category stores client events, staged as chunk
+	// images whose rows the hour's chunks are cut from.
 	var sealer *columnar.Sealer
 	if category == events.Category {
 		sealer = columnar.NewSealer(m.Warehouse, tmpDir, columnar.DefaultChunkRows)
 	}
-	// The hour's rows are held until the seal has its say: an hour that
-	// seals publishes its chunks alone, so its rows are never written.
+	// Any other hour's rows are held until every file has passed its
+	// check, so a failed move writes no row file.
 	var rows heldRows
 	srcDir := warehouse.StagingHourDir(category, hour)
 	type consumed struct {
@@ -187,7 +174,7 @@ func (m *Mover) moveHour(category string, hour time.Time) (rec AuditRecord, seal
 			continue
 		}
 		if err != nil {
-			return rec, nil, err
+			return rec, err
 		}
 		dcHadData := false
 		for _, fi := range infos {
@@ -197,36 +184,24 @@ func (m *Mover) moveHour(category string, hour time.Time) (rec AuditRecord, seal
 			}
 			data, err := src.FS.ReadFile(fi.Path)
 			if err != nil {
-				return rec, nil, err
-			}
-			// seal hands a record to the sealer. A rejection is only kept:
-			// the record may come from a member whose trailer has not been
-			// checked yet, and only the file's own check tells damage from
-			// a record the chunk encoder cannot hold.
-			var seal func(r []byte)
-			if sealer != nil {
-				path, dc := fi.Path, src.Datacenter
-				seal = func(r []byte) {
-					if sealErr == nil {
-						if err := sealer.Add(r); err != nil {
-							sealErr = fmt.Errorf("logmover: %s published without columns: %s from %s: %w", destDir, path, dc, err)
-						}
-					}
-				}
+				return rec, err
 			}
 			var n int64
-			if m.Transform == nil {
+			switch {
+			case sealer != nil:
+				n, err = m.sealImage(sealer, category, fi.Path, data, &rec.Dropped)
+			case m.Transform == nil:
 				// The whole file passes its sanity check before it is held
 				// for a splice.
 				var raw int64
-				n, raw, err = recordio.VerifyGzipFile(data, seal)
+				n, raw, err = recordio.VerifyGzipFile(data)
 				if err == nil && n > 0 {
 					rows.files = append(rows.files, data)
 					rows.raw = append(rows.raw, raw)
 				}
-			} else {
+			default:
 				// Sanity check + transform in one scan; the transformed
-				// records are held, and re-encoded only if they publish.
+				// records are held, and re-encoded once all have passed.
 				err = recordio.ScanGzipFile(data, func(r []byte) error {
 					out, terr := m.Transform(category, r)
 					if terr != nil {
@@ -237,16 +212,13 @@ func (m *Mover) moveHour(category string, hour time.Time) (rec AuditRecord, seal
 						return nil
 					}
 					n++
-					if seal != nil {
-						seal(out)
-					}
 					rows.recs = append(rows.recs, out...)
 					rows.ends = append(rows.ends, len(rows.recs))
 					return nil
 				})
 			}
 			if err != nil {
-				return rec, nil, fmt.Errorf("%w: %s from %s: %v", ErrCorruptFile, fi.Path, src.Datacenter, err)
+				return rec, fmt.Errorf("%w: %s from %s: %v", ErrCorruptFile, fi.Path, src.Datacenter, err)
 			}
 			rec.FilesIn++
 			rec.Records += n
@@ -260,54 +232,78 @@ func (m *Mover) moveHour(category string, hour time.Time) (rec AuditRecord, seal
 	}
 	// Chunks and marker go into the tmp directory: the rename below
 	// publishes them whole, or not at all.
-	sealed := false
-	if sealer != nil && rec.Records > 0 && sealErr == nil {
-		if _, err := sealer.Close(); err != nil {
-			sealErr = fmt.Errorf("logmover: %s published without columns: %w", destDir, err)
-		} else {
-			sealed = true
-		}
-	}
-	if sealErr != nil {
-		if err := sealer.Discard(); err != nil {
-			return rec, nil, err
-		}
-	}
+	sealed := sealer != nil && rec.Records > 0
+	var err error
 	if sealed {
-		rec.FilesOut, rec.BytesOut, err = published(m.Warehouse, tmpDir)
+		if _, err = sealer.Close(); err == nil {
+			rec.FilesOut, rec.BytesOut, err = published(m.Warehouse, tmpDir)
+		}
 	} else {
 		rec.FilesOut, rec.BytesOut, err = rows.write(newMerger(m.Warehouse, tmpDir, m.TargetFileBytes))
 	}
 	if err != nil {
-		return rec, nil, err
+		return rec, err
 	}
 
 	// The atomic slide: one rename publishes the whole hour.
 	if rec.FilesOut > 0 {
 		if err := m.Warehouse.Rename(tmpDir, destDir); err != nil {
-			return rec, nil, err
+			return rec, err
 		}
 	} else if err := m.Warehouse.MkdirAll(destDir); err != nil {
-		return rec, nil, err
+		return rec, err
 	}
 
 	// Source files are consumed only after the hour is published.
 	for _, c := range toDelete {
 		if err := c.fs.Delete(c.path, false); err != nil && !errors.Is(err, hdfs.ErrNotFound) {
-			return rec, nil, err
+			return rec, err
 		}
 	}
 	m.observeMove(rec, sealed, started)
 	rec.Finished = m.Clock()
 	m.audits = append(m.audits, rec)
-	return rec, sealErr, nil
+	return rec, nil
+}
+
+// sealImage reads one staged chunk image into the seal and returns the
+// rows that went in: re-chunked as they are, or each rendered as its record
+// and passed through the Transform, a nil result counted in dropped. A
+// record the encoder refuses fails the move, as a failing Transform does.
+func (m *Mover) sealImage(s *columnar.Sealer, category, path string, data []byte, dropped *int64) (int64, error) {
+	b, err := chunk.ReadImage(path, data)
+	if err != nil {
+		return 0, err
+	}
+	defer b.Release()
+	if m.Transform == nil {
+		return int64(b.Rows), s.AddColumns(&b.Columns)
+	}
+	var n int64
+	for row := 0; row < b.Rows; row++ {
+		e, err := b.Event(row)
+		if err != nil {
+			return n, err
+		}
+		out, err := m.Transform(category, e.Marshal())
+		if err != nil {
+			return n, err
+		}
+		if out == nil {
+			*dropped++
+			continue
+		}
+		if err := s.Add(out); err != nil {
+			return n, err
+		}
+		n++
+	}
+	return n, nil
 }
 
 // MoveAllSealed scans staging for sealed category-hours and moves each one,
 // returning the audit records of successful moves. Categories are
-// discovered from the staging directory trees. A move error stops the pass;
-// a seal error does not: every remaining hour still moves, and the first
-// seal error comes back once they have.
+// discovered from the staging directory trees. A move error stops the pass.
 func (m *Mover) MoveAllSealed() ([]AuditRecord, error) {
 	type catHour struct {
 		category string
@@ -339,7 +335,6 @@ func (m *Mover) MoveAllSealed() ([]AuditRecord, error) {
 		}
 	}
 	var recs []AuditRecord
-	var firstSealErr error
 	for _, ch := range order {
 		if !m.HourSealed(ch.category, ch.hour) {
 			continue
@@ -347,16 +342,13 @@ func (m *Mover) MoveAllSealed() ([]AuditRecord, error) {
 		if m.Warehouse.Exists(warehouse.HourDir(ch.category, ch.hour)) {
 			continue
 		}
-		rec, sealErr, err := m.moveHour(ch.category, ch.hour)
+		rec, err := m.MoveHour(ch.category, ch.hour)
 		if err != nil {
 			return recs, err
 		}
 		recs = append(recs, rec)
-		if firstSealErr == nil {
-			firstSealErr = sealErr
-		}
 	}
-	return recs, firstSealErr
+	return recs, nil
 }
 
 // parseStagingPath extracts (category, hour) from
@@ -388,10 +380,10 @@ func parseStagingPath(p string) (string, time.Time, bool) {
 	return parts[2], hour, true
 }
 
-// heldRows is what an hour publishes as row files if it does not seal:
-// the verified staging images, each with its raw payload bytes, spliced
-// as they are; or, with a Transform, the records it returned, back to back
-// in recs, the i-th ending at ends[i].
+// heldRows is what an hour of any category but client events publishes,
+// as row files: the verified staging files, each with its raw payload
+// bytes, spliced as they are; or, with a Transform, the records it
+// returned, back to back in recs, the i-th ending at ends[i].
 type heldRows struct {
 	files [][]byte
 	raw   []int64

@@ -251,7 +251,7 @@ func TestTargetFileSizeSplitsOutput(t *testing.T) {
 			if raw >= m.TargetFileBytes {
 				t.Fatalf("part %d took staging file %d with %d raw bytes already in it", i, next, raw)
 			}
-			_, n, err := recordio.VerifyGzipFile(staged[next], nil)
+			_, n, err := recordio.VerifyGzipFile(staged[next])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -25,8 +26,8 @@ import (
 // stageDeliveredHour delivers a generated day, every timestamp folded into
 // hour t0 with its order kept, through two datacenters of two aggregators
 // and three daemons each, and seals the hour in both. It returns the
-// mover's sources and the event count.
-func stageDeliveredHour(t *testing.T, users int) ([]Source, int) {
+// mover's sources and the messages logged.
+func stageDeliveredHour(t *testing.T, users int) ([]Source, [][]byte) {
 	t.Helper()
 	cfg := workload.DefaultConfig(t0)
 	cfg.Users = users
@@ -44,16 +45,18 @@ func stageDeliveredHour(t *testing.T, users int) ([]Source, int) {
 		sources = append(sources, Source{Datacenter: name, FS: dc.Staging})
 	}
 	day := cfg.Day.UnixMilli()
+	msgs := make([][]byte, len(evs))
 	for i := range evs {
 		evs[i].Timestamp = t0.UnixMilli() + (evs[i].Timestamp-day)/24
-		dcs[i%2].Daemons[(i/2)%3].Log(events.Category, evs[i].Marshal())
+		msgs[i] = evs[i].Marshal()
+		dcs[i%2].Daemons[(i/2)%3].Log(events.Category, msgs[i])
 	}
 	for _, dc := range dcs {
 		if err := dc.SealHour([]string{events.Category}, t0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return sources, len(evs)
+	return sources, msgs
 }
 
 // colFiles returns the _col- files under dir by name, with their bytes.
@@ -82,7 +85,8 @@ func colFiles(t *testing.T, fs *hdfs.FS, dir string) map[string][]byte {
 
 // stagedRecords returns the records the mover will publish for hour, in
 // the order it reads them: source by source, file by file in path order,
-// each through transform when one is given, a record it drops left out.
+// row by row of each staged chunk image rendered as its record, each
+// through transform when one is given, a record it drops left out.
 func stagedRecords(t *testing.T, sources []Source, hour time.Time, transform func(string, []byte) ([]byte, error)) [][]byte {
 	t.Helper()
 	var recs [][]byte
@@ -92,17 +96,27 @@ func stagedRecords(t *testing.T, sources []Source, hour time.Time, transform fun
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := recordio.ScanGzipFile(data, func(r []byte) error {
-				if transform != nil {
-					if r, err = transform(events.Category, r); err != nil || r == nil {
-						return err
-					}
-				}
-				recs = append(recs, bytes.Clone(r))
-				return nil
-			}); err != nil {
+			b, err := chunk.ReadImage(path, data)
+			if err != nil {
 				t.Fatal(err)
 			}
+			for row := 0; row < b.Rows; row++ {
+				e, err := b.Event(row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := e.Marshal()
+				if transform != nil {
+					if r, err = transform(events.Category, r); err != nil {
+						t.Fatal(err)
+					}
+					if r == nil {
+						continue
+					}
+				}
+				recs = append(recs, r)
+			}
+			b.Release()
 		}
 	}
 	return recs
@@ -157,11 +171,13 @@ func requireSealedLikeSealHour(t *testing.T, wh *hdfs.FS, hour time.Time, recs [
 	return chunks
 }
 
-// TestMoveSealsLikeSealHour: the seal the mover runs inside its verify pass
-// publishes exactly the column files SealHour writes over the same records
-// written as rows, and no row file, spliced or through an anonymizing
-// Transform, for an hour of several chunks delivered through the write
-// path's full topology. The audit counts the files the hour publishes.
+// TestMoveSealsLikeSealHour: the hour the mover re-chunks from the staged
+// chunk images is exactly the column files SealHour writes over the same
+// records written as rows, and no row file, as they are or through an
+// anonymizing Transform, for an hour of several chunks delivered through
+// the write path's full topology. The images hold the logged messages,
+// byte for byte once rendered. The audit counts the files the hour
+// publishes.
 func TestMoveSealsLikeSealHour(t *testing.T) {
 	anon := events.NewAnonymizer([]byte("mover-policy"))
 	anonymize := func(_ string, rec []byte) ([]byte, error) {
@@ -177,7 +193,11 @@ func TestMoveSealsLikeSealHour(t *testing.T) {
 		"anonymized": anonymize,
 	} {
 		t.Run(name, func(t *testing.T) {
-			sources, n := stageDeliveredHour(t, 300)
+			sources, msgs := stageDeliveredHour(t, 300)
+			n := len(msgs)
+			if staged := stagedRecords(t, sources, t0, nil); !sameMessages(staged, msgs) {
+				t.Fatalf("the staged images render %d records, not the %d messages logged", len(staged), n)
+			}
 			recs := stagedRecords(t, sources, t0, transform)
 			wh := hdfs.New(0)
 			m := New(wh, sources...)
@@ -207,42 +227,42 @@ func TestMoveSealsLikeSealHour(t *testing.T) {
 	}
 }
 
-// badNameRecord is a record the header walk reads but whose name fails
-// events.ParseName, so the chunk encoder rejects it.
-func badNameRecord() []byte {
-	e := thrift.NewCompactEncoder()
-	e.WriteStructBegin()
-	e.WriteFieldBegin(thrift.STRING, 2)
-	e.WriteString("NOT A NAME")
-	e.WriteFieldStop()
-	e.WriteStructEnd()
-	return e.Bytes()
+// sameMessages reports whether a and b hold the same messages, in any
+// order.
+func sameMessages(a, b [][]byte) bool {
+	sorted := func(msgs [][]byte) []string {
+		out := make([]string, len(msgs))
+		for i, m := range msgs {
+			out[i] = string(m)
+		}
+		slices.Sort(out)
+		return out
+	}
+	return slices.Equal(sorted(a), sorted(b))
 }
 
-// TestMoveSealRejectionPublishesRows: a staged record the chunk encoder
-// rejects costs its hour the columns, not the rows. It comes after a chunk
-// was cut, so the seal had files to take back. The hour is published as
-// rows holding every staged record in order, audited with every record and
-// no _col- file, whether its held staging files are spliced or its held
-// Transform output re-encoded; the next hour still moves and seals; and
-// the error MoveAllSealed returns once both have moved names the staging
-// file the record came from.
-func TestMoveSealRejectionPublishesRows(t *testing.T) {
+// TestInvalidRecordMovesAsRows: a record the chunk encoder refuses is
+// staged as a row of scribe.InvalidCategory, after a chunk's worth of
+// valid records, and moves as that category's rows, spliced or through a
+// Transform's re-encode, while its hour seals as chunks of every other
+// record, and the next hour moves and seals too.
+func TestInvalidRecordMovesAsRows(t *testing.T) {
 	identity := func(_ string, rec []byte) ([]byte, error) { return rec, nil }
 	for name, transform := range map[string]func(string, []byte) ([]byte, error){
 		"spliced":   nil,
 		"reencoded": identity,
 	} {
-		t.Run(name, func(t *testing.T) { moveSealRejection(t, transform) })
+		t.Run(name, func(t *testing.T) { moveInvalidRecord(t, transform) })
 	}
 }
 
-func moveSealRejection(t *testing.T, transform func(string, []byte) ([]byte, error)) {
+func moveInvalidRecord(t *testing.T, transform func(string, []byte) ([]byte, error)) {
 	clock := zk.NewManualClock(t0)
 	dc, err := scribe.NewDatacenter("dc1", hdfs.New(0), clock, 1, 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cats := []string{events.Category, scribe.InvalidCategory}
 	counts := []int{columnar.DefaultChunkRows + 10, 30}
 	for h, n := range counts {
 		hour := t0.Add(time.Duration(h) * time.Hour)
@@ -258,49 +278,69 @@ func moveSealRejection(t *testing.T, transform func(string, []byte) ([]byte, err
 		if h == 0 {
 			dc.Daemons[0].Log(events.Category, badNameRecord())
 		}
-		if err := dc.SealHour([]string{events.Category}, hour); err != nil {
+		if err := dc.SealHour(cats, hour); err != nil {
 			t.Fatal(err)
 		}
 		clock.Advance(time.Hour)
 	}
-	staged := readAllPaths(t, dc.Staging, warehouse.StagingHourDir(events.Category, t0))
-	last := staged[len(staged)-1] // the aggregator rolls its files in path order
-	rejectedRecs := stagedRecords(t, []Source{{"dc1", dc.Staging}}, t0, transform)
-	nextRecs := stagedRecords(t, []Source{{"dc1", dc.Staging}}, t0.Add(time.Hour), transform)
+	if st := dc.Aggregators[0].Stats(); st.Invalid != 1 {
+		t.Fatalf("the aggregator counted %d invalid records, want 1", st.Invalid)
+	}
+	recs := [][][]byte{
+		stagedRecords(t, []Source{{"dc1", dc.Staging}}, t0, transform),
+		stagedRecords(t, []Source{{"dc1", dc.Staging}}, t0.Add(time.Hour), transform),
+	}
 
 	wh := hdfs.New(0)
 	m := New(wh, Source{"dc1", dc.Staging})
 	m.Transform = transform
 	rows0 := sealedRows()
-	recs, err := m.MoveAllSealed()
-	if err == nil || !strings.Contains(err.Error(), last) {
-		t.Fatalf("err = %v, want a seal error naming %s", err, last)
+	moved, err := m.MoveAllSealed()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if errors.Is(err, ErrCorruptFile) {
-		t.Fatalf("seal error %v reads as a corrupt staging file", err)
+	var got []string
+	for _, rec := range moved {
+		got = append(got, fmt.Sprintf("%s %d", rec.Category, rec.Records))
 	}
-	if len(recs) != 2 || len(m.Audits()) != 2 || recs[0].Records != int64(counts[0]+1) || recs[1].Records != int64(counts[1]) {
-		t.Fatalf("moved %+v, audits %d; want both hours, %d and %d records", recs, len(m.Audits()), counts[0]+1, counts[1])
+	want := []string{
+		fmt.Sprintf("%s %d", events.Category, counts[0]),
+		fmt.Sprintf("%s %d", events.Category, counts[1]),
+		scribe.InvalidCategory + " 1",
+		scribe.InvalidCategory + " 0",
 	}
-	if got := sealedRows() - rows0; got != int64(counts[1]) {
-		t.Fatalf("columnar.seal.rows grew by %d, the one sealed hour holds %d", got, counts[1])
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("moved %q, want %q", got, want)
 	}
-	rejected := warehouse.HourDir(events.Category, t0)
-	if !wh.Exists(rejected) || columnar.HasColumnar(wh, rejected) {
-		t.Fatalf("hour with the rejected record: published %v, sealed %v", wh.Exists(rejected), columnar.HasColumnar(wh, rejected))
+	if got := sealedRows() - rows0; got != int64(counts[0]+counts[1]) {
+		t.Fatalf("columnar.seal.rows grew by %d, the sealed hours hold %d", got, counts[0]+counts[1])
 	}
-	requireSealedLikeSealHour(t, wh, t0.Add(time.Hour), nextRecs)
-	next := warehouse.HourDir(events.Category, t0.Add(time.Hour))
-	if all, sealed := colFiles(t, wh, "/"), colFiles(t, wh, next); len(all) != len(sealed) {
-		t.Fatalf("the warehouse holds %d column files, the next hour %d of them", len(all), len(sealed))
+	for h := range counts {
+		requireSealedLikeSealHour(t, wh, t0.Add(time.Duration(h)*time.Hour), recs[h])
+	}
+	invalid := warehouse.HourDir(scribe.InvalidCategory, t0)
+	if columnar.HasColumnar(wh, invalid) {
+		t.Fatalf("%s was sealed", invalid)
 	}
 	var rows [][]byte
-	if err := warehouse.ScanHourRecords(wh, rejected, func(_ string, r []byte) error {
+	if err := warehouse.ScanHourRecords(wh, invalid, func(_ string, r []byte) error {
 		rows = append(rows, bytes.Clone(r))
 		return nil
-	}); err != nil || len(rows) != counts[0]+1 || !reflect.DeepEqual(rows, rejectedRecs) {
-		t.Fatalf("hour with the rejected record holds %d rows (%v), want the %d staged, in order", len(rows), err, counts[0]+1)
+	}); err != nil || len(rows) != 1 || !bytes.Equal(rows[0], badNameRecord()) {
+		t.Fatalf("%s holds %d rows (%v), want the refused record", invalid, len(rows), err)
 	}
+}
+
+// badNameRecord is a record the header walk reads but whose name fails
+// events.ParseName, so the chunk encoder rejects it.
+func badNameRecord() []byte {
+	e := thrift.NewCompactEncoder()
+	e.WriteStructBegin()
+	e.WriteFieldBegin(thrift.STRING, 2)
+	e.WriteString("NOT A NAME")
+	e.WriteFieldStop()
+	e.WriteStructEnd()
+	return e.Bytes()
 }
 
 // sealedRows reads the columnar.seal.rows counter, which grows only by the
@@ -326,39 +366,46 @@ func readAllPaths(t *testing.T, fs *hdfs.FS, dir string) []string {
 	return paths
 }
 
-// TestCorruptFileRetrySealsClean: a staging file whose second member fails
-// its trailer check is found only after that member's records went to the
-// seal, which had cut a chunk of them by then. The move fails with
-// ErrCorruptFile and publishes nothing; once the file is repaired, the
-// retry publishes a sealed hour holding none of the failed attempt's
-// column files. Only the retry's rows count in columnar.seal.rows.
+// TestCorruptFileRetrySealsClean: a staged image that fails its check is
+// found only after the images ahead of it were re-chunked, two chunks'
+// worth of rows by then. The move fails with ErrCorruptFile naming the file
+// and the damaged column, publishes nothing and consumes nothing; once the
+// file is repaired, the retry publishes a sealed hour whose first two
+// chunks are, byte for byte, the ones the failed attempt had cut, and
+// whose files are SealHour's. Only the retry's rows count in
+// columnar.seal.rows.
 func TestCorruptFileRetrySealsClean(t *testing.T) {
-	sources, n := stageDeliveredHour(t, 100)
+	sources, msgs := stageDeliveredHour(t, 100)
+	// Two chunks of sound records, staged ahead of every other file.
+	rec := (&events.ClientEvent{
+		Name:      events.MustParseName("web:home:timeline:stream:tweet:impression"),
+		Timestamp: t0.UnixMilli(),
+	}).Marshal()
+	var b chunk.Builder
+	for i := 0; i < 2*columnar.DefaultChunkRows; i++ {
+		if err := b.AddRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ahead, err := b.AppendImage(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := warehouse.StagingHourDir(events.Category, t0)
+	if err := sources[0].FS.WriteFile(dir+"/dc1-agg00-00000-ahead.col", ahead); err != nil {
+		t.Fatal(err)
+	}
+	n := len(msgs) + 2*columnar.DefaultChunkRows
+
 	last := sources[len(sources)-1]
-	paths := readAllPaths(t, last.FS, warehouse.StagingHourDir(events.Category, t0))
+	paths := readAllPaths(t, last.FS, dir)
 	victim := paths[len(paths)-1]
 	good, err := last.FS.ReadFile(victim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One more member of two chunks' worth of sound records, its CRC
-	// flipped: the failed attempt cuts more chunks than the hour holds.
-	rec := (&events.ClientEvent{
-		Name:      events.MustParseName("web:home:timeline:stream:tweet:impression"),
-		Timestamp: t0.UnixMilli(),
-	}).Marshal()
-	var extra bytes.Buffer
-	w := recordio.NewGzipWriter(&extra)
-	for i := 0; i < 2*columnar.DefaultChunkRows; i++ {
-		if err := w.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	damaged := append(append([]byte(nil), good...), extra.Bytes()...)
-	damaged[len(damaged)-6] ^= 0x40
+	damaged := append([]byte(nil), good...)
+	damaged[len(damaged)-6] ^= 0x40 // in the last section, the details column
 	replace := func(data []byte) {
 		t.Helper()
 		if err := last.FS.Delete(victim, false); err != nil {
@@ -369,19 +416,30 @@ func TestCorruptFileRetrySealsClean(t *testing.T) {
 		}
 	}
 	replace(damaged)
+	before, err := last.FS.Walk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	wh := hdfs.New(0)
 	m := New(wh, sources...)
 	rows0 := sealedRows()
-	if _, err := m.MoveHour(events.Category, t0); !errors.Is(err, ErrCorruptFile) {
+	_, err = m.MoveHour(events.Category, t0)
+	if !errors.Is(err, ErrCorruptFile) {
 		t.Fatalf("err = %v, want ErrCorruptFile", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, victim+"#details") || !strings.Contains(msg, last.Datacenter) {
+		t.Fatalf("error does not name the file, its column and the datacenter: %v", err)
 	}
 	if wh.Exists(warehouse.HourDir(events.Category, t0)) {
 		t.Fatal("warehouse published despite corrupt input")
 	}
+	if after, err := last.FS.Walk(dir); err != nil || !reflect.DeepEqual(before, after) {
+		t.Fatalf("staging changed by a failed move (%v)", err)
+	}
 	debris := colFiles(t, wh, warehouse.TmpRoot)
-	if len(debris) == 0 {
-		t.Fatal("the failed attempt cut no chunk: the test exercises nothing")
+	if len(debris) != 2*(len(chunk.ColumnNames)+1) {
+		t.Fatalf("the failed attempt cut %d column files, want two chunks' worth", len(debris))
 	}
 
 	replace(good)
@@ -394,8 +452,12 @@ func TestCorruptFileRetrySealsClean(t *testing.T) {
 		t.Fatalf("columnar.seal.rows grew by %d over a failed attempt and a retry of %d rows", got, n)
 	}
 	requireSealedLikeSealHour(t, wh, t0, recs)
-	if published := colFiles(t, wh, warehouse.HourDir(events.Category, t0)); len(published) > len(debris) {
-		t.Fatalf("the retry published %d column files, the failed attempt had cut only %d", len(published), len(debris))
+	published := colFiles(t, wh, warehouse.HourDir(events.Category, t0))
+	prefix := "/mover/" + events.Category + "/" + warehouse.HourPath(t0) // colFiles trims TmpRoot
+	for name, data := range debris {
+		if got, ok := published[strings.TrimPrefix(name, prefix)]; !ok || !bytes.Equal(got, data) {
+			t.Fatalf("the failed attempt's %s is not what the retry published", name)
+		}
 	}
 }
 
@@ -425,5 +487,94 @@ func TestCorruptChunkHasNoRowFallback(t *testing.T) {
 	err = warehouse.ScanDay(wh, events.Category, t0, func(*events.ClientEvent) error { return nil })
 	if !errors.Is(err, recordio.ErrCorrupt) || !strings.Contains(err.Error(), victim) {
 		t.Fatalf("err = %v, want recordio.ErrCorrupt naming %s", err, victim)
+	}
+}
+
+// TestCorruptImageFailsMove plants a damaged chunk image as the first and
+// as the last staging file of a client-events hour. Whatever was already
+// re-chunked ahead of it, the move fails with ErrCorruptFile naming file
+// and datacenter, publishes nothing, consumes nothing and leaves no audit;
+// once the bad file is gone the same hour moves whole.
+func TestCorruptImageFailsMove(t *testing.T) {
+	var b chunk.Builder
+	for i := 0; i < 60; i++ {
+		e := &events.ClientEvent{
+			Name:      events.MustParseName("web:home:timeline:stream:tweet:impression"),
+			SessionID: fmt.Sprintf("s%d", i%4),
+			Timestamp: t0.UnixMilli() + int64(i),
+			Details:   map[string]string{"rank": fmt.Sprint(i)},
+		}
+		if err := b.AddRecord(e.Marshal()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	good, err := b.AppendImage(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damage := map[string][]byte{
+		"flipped byte":     append([]byte(nil), good...),
+		"truncated":        good[:len(good)-5],
+		"trailing garbage": append(append([]byte(nil), good...), "garbage"...),
+		"gzip rows":        readAll(t, stageFiles(t, 10, 10).Staging, warehouse.StagingHourDir("ce", t0))[0],
+	}
+	damage["flipped byte"][len(good)/2] ^= 0x40
+	for place, name := range map[string]string{"first": "aaa.col", "last": "zzz.col"} {
+		for kind, data := range damage {
+			t.Run(place+"/"+kind, func(t *testing.T) {
+				dc, err := scribe.NewDatacenter("dc1", hdfs.New(0), zk.NewManualClock(t0), 1, 1, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dc.Aggregators[0].RollRecords = 50
+				for i := 0; i < 500; i++ {
+					e := &events.ClientEvent{
+						Name:      events.MustParseName("iphone:profile:header:bio:link:click"),
+						UserID:    int64(i % 7),
+						Timestamp: t0.UnixMilli() + int64(i),
+					}
+					dc.Daemons[0].Log(events.Category, e.Marshal())
+				}
+				if err := dc.SealHour([]string{events.Category}, t0); err != nil {
+					t.Fatal(err)
+				}
+				dir := warehouse.StagingHourDir(events.Category, t0)
+				bad := dir + "/" + name
+				if err := dc.Staging.WriteFile(bad, data); err != nil {
+					t.Fatal(err)
+				}
+				before, err := dc.Staging.Walk(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wh := hdfs.New(0)
+				m := New(wh, Source{"dc1", dc.Staging})
+				_, err = m.MoveHour(events.Category, t0)
+				if !errors.Is(err, ErrCorruptFile) {
+					t.Fatalf("err = %v, want ErrCorruptFile", err)
+				}
+				if msg := err.Error(); !strings.Contains(msg, bad) || !strings.Contains(msg, "dc1") {
+					t.Fatalf("error does not name file and datacenter: %v", err)
+				}
+				if wh.Exists(warehouse.LogsRoot) {
+					t.Fatal("warehouse touched despite corrupt input")
+				}
+				after, err := dc.Staging.Walk(dir)
+				if err != nil || !reflect.DeepEqual(before, after) {
+					t.Fatalf("staging changed by a failed move (%v)", err)
+				}
+				if len(m.Audits()) != 0 {
+					t.Fatalf("failed move left an audit: %+v", m.Audits())
+				}
+
+				if err := dc.Staging.Delete(bad, false); err != nil {
+					t.Fatal(err)
+				}
+				rec, err := m.MoveHour(events.Category, t0)
+				if err != nil || rec.Records != 500 || rec.FilesIn != 10 {
+					t.Fatalf("after removing the bad file: %+v, %v", rec, err)
+				}
+			})
+		}
 	}
 }

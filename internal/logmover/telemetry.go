@@ -23,8 +23,8 @@ var (
 	tmHoursMoved     = telemetry.GetCounter("logmover.hours.moved")
 
 	// Wall time from the first staging read to the last source delete. A
-	// client-events hour's columnar seal runs inside it, in the verify
-	// pass, and columnar.seal.hour.ns does not observe it.
+	// client-events hour's columnar seal runs inside it, as each staged
+	// image is read back, and columnar.seal.hour.ns does not observe it.
 	tmMoveNs = telemetry.GetHistogram("logmover.move.ns")
 )
 

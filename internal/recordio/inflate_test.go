@@ -512,7 +512,7 @@ func TestScanGzipBoundedMemory(t *testing.T) {
 	}
 	verify := func(data []byte) func() (int64, error) {
 		return func() (int64, error) {
-			records, _, err := VerifyGzipFile(data, func([]byte) {})
+			records, _, err := VerifyGzipFile(data)
 			return records, err
 		}
 	}

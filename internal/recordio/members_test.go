@@ -88,9 +88,9 @@ func gzipRaw(t testing.TB, stream []byte) []byte {
 
 // scanAll runs both whole-file checks over data and requires them to
 // agree with each other and with the reference, refScan: the records ScanGzipFile delivered, and the error of either.
-// When the file is sound, the records VerifyGzipFile handed its callback
-// and the reference read must be ScanGzipFile's, byte for byte and in
-// order, and so must what a nil callback counts.
+// When the file is sound, the records the reference read must be
+// ScanGzipFile's, byte for byte and in order, and VerifyGzipFile must count
+// as many records and payload bytes.
 func scanAll(t testing.TB, data []byte) ([][]byte, error) {
 	t.Helper()
 	var recs, ref [][]byte
@@ -117,33 +117,20 @@ func scanAll(t testing.TB, data []byte) ([][]byte, error) {
 			}
 		}
 	}
-	var handed [][]byte
-	n, p, verifyErr := VerifyGzipFile(data, func(rec []byte) {
-		handed = append(handed, append([]byte(nil), rec...))
-	})
-	n0, p0, countErr := VerifyGzipFile(data, nil)
-	for _, err := range []error{scanErr, verifyErr, countErr} {
+	n, p, verifyErr := VerifyGzipFile(data)
+	for _, err := range []error{scanErr, verifyErr} {
 		if err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("untyped error %v", err)
 		}
 	}
-	if (scanErr == nil) != (verifyErr == nil) || (countErr == nil) != (verifyErr == nil) {
-		t.Fatalf("ScanGzipFile: %v, VerifyGzipFile: %v, without a callback: %v", scanErr, verifyErr, countErr)
+	if (scanErr == nil) != (verifyErr == nil) {
+		t.Fatalf("ScanGzipFile: %v, VerifyGzipFile: %v", scanErr, verifyErr)
 	}
 	if scanErr != nil {
 		return recs, scanErr
 	}
-	if n != int64(len(recs)) || p != payload || n0 != n || p0 != p {
-		t.Fatalf("VerifyGzipFile counted %d records, %d bytes (%d, %d without a callback); ScanGzipFile read %d, %d",
-			n, p, n0, p0, len(recs), payload)
-	}
-	if len(handed) != len(recs) {
-		t.Fatalf("VerifyGzipFile handed %d records, ScanGzipFile read %d", len(handed), len(recs))
-	}
-	for i := range recs {
-		if !bytes.Equal(handed[i], recs[i]) {
-			t.Fatalf("record %d: VerifyGzipFile handed %d bytes that differ from ScanGzipFile's %d", i, len(handed[i]), len(recs[i]))
-		}
+	if n != int64(len(recs)) || p != payload {
+		t.Fatalf("VerifyGzipFile counted %d records, %d bytes; ScanGzipFile read %d, %d", n, p, len(recs), payload)
 	}
 	return recs, nil
 }
@@ -228,11 +215,11 @@ func TestVerifyRequiresRecordBoundary(t *testing.T) {
 	var stream bytes.Buffer
 	NewWriter(&stream).Append([]byte("hello world"))
 	half := gzipRaw(t, stream.Bytes()[:5])
-	if _, _, err := VerifyGzipFile(half, nil); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := VerifyGzipFile(half); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("file ending mid-record: %v, want ErrCorrupt", err)
 	}
 	midPrefix := gzipRaw(t, []byte{0x80})
-	if _, _, err := VerifyGzipFile(midPrefix, nil); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := VerifyGzipFile(midPrefix); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("file ending mid-length: %v, want ErrCorrupt", err)
 	}
 }
@@ -240,11 +227,10 @@ func TestVerifyRequiresRecordBoundary(t *testing.T) {
 // FuzzGzipRecords: on any file image, ScanGzipFile and VerifyGzipFile
 // neither panic nor return an untyped error, and they agree with each
 // other and with refScan (compress/gzip) — on whether the file is
-// sound and, when it is, on how many records it holds and on every record,
-// which VerifyGzipFile hands its callback as ScanGzipFile reads it. Seeds
-// include a file that inflates past one piece of the decoder's window, so
-// records straddle pieces and both of the callback's ways of handing a
-// record out are in the corpus; members at every level the writers use and at the
+// sound and, when it is, on how many records it holds and on every record
+// ScanGzipFile reads. Seeds include a file that inflates past one piece of
+// the decoder's window, so records straddle pieces and both of the frame
+// walker's ways of handing a record out are in the corpus; members at every level the writers use and at the
 // extremes (stored blocks, Huffman only, 9); header fields and a header
 // CRC; a member reaching back into the one before it; broken literal/length
 // codes; and a trailing zero byte.
@@ -388,7 +374,7 @@ func TestGzipLevelsConcatenate(t *testing.T) {
 	}
 
 	file := append(append([]byte(nil), fast...), slow...)
-	n, _, err := VerifyGzipFile(file, nil)
+	n, _, err := VerifyGzipFile(file)
 	if err != nil || n != int64(len(fastRecs)+len(slowRecs)) {
 		t.Fatalf("VerifyGzipFile: %d records, %v; want %d", n, err, len(fastRecs)+len(slowRecs))
 	}

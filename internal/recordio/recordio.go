@@ -1,9 +1,12 @@
 // Package recordio frames variable-length records inside a byte stream and
-// optionally compresses the stream with gzip. It is the on-disk layout used
-// throughout the pipeline: Scribe aggregators write gzipped record streams
-// to staging HDFS, the log mover concatenates them into big warehouse
-// files, and the session store uses the same framing for materialized
-// sequences.
+// optionally compresses the stream with gzip. It is the on-disk layout of
+// every row file in the pipeline: Scribe aggregators write gzipped record
+// streams to staging HDFS for every category but client events (staged as
+// chunk images, CRC-framed sections, see chunk.Builder.AppendImage), the
+// log mover concatenates them into big warehouse files, and the session
+// store uses the same framing for materialized sequences. The CRC frames
+// (crc.go) are what the column chunks, the realtime WAL and the spill runs
+// sit behind.
 //
 // The format is a sequence of records, each a uvarint length followed by
 // that many bytes. It supports streaming append and streaming scans without
@@ -32,11 +35,11 @@
 // warehouse.Writer, the log mover's Transform re-encode, the catalog and
 // the session dictionary use it. Two writers pick their level with
 // NewGzipWriterLevel: the Scribe aggregator's staging files at level 3
-// (scribe.stagingLevel), the one deflate a delivered event pays, whose
-// bytes only cross from staging to the warehouse (the mover publishes a
-// client-events hour as column chunks, and splices the members of any
-// other hour as they are); and the session partition at gzip.BestSpeed
-// (session.WriteDay). A reader never needs to know which.
+// (scribe.stagingLevel), whose bytes only cross from staging to the
+// warehouse (the mover splices their members as they are; a client event
+// pays no deflate, for it is staged as a chunk image); and the session
+// partition at gzip.BestSpeed (session.WriteDay). A reader never needs to
+// know which.
 package recordio
 
 import (
@@ -186,20 +189,8 @@ func ScanGzipFile(data []byte, fn func(rec []byte) error) error {
 // bytes (length prefixes excluded). A file that passes scans with
 // ScanGzipFile to exactly that many records, alone or concatenated with
 // other files that pass.
-//
-// fn, when not nil, is handed each whole record the walk accepts, in order,
-// so a caller can transform the stream in the pass that checks it. A record
-// inside one inflated piece is a subslice of that piece, and one that
-// straddles pieces is assembled in a scratch buffer the next such record
-// reuses: fn must not keep rec. fn sees a member's records as the member
-// inflates, before its trailer is checked, so a caller may act on what it
-// was handed only once VerifyGzipFile has returned nil.
-func VerifyGzipFile(data []byte, fn func(rec []byte)) (records, payload int64, err error) {
-	var each func(rec []byte) error
-	if fn != nil {
-		each = func(rec []byte) error { fn(rec); return nil }
-	}
-	records, payload, err = walkGzip(data, each)
+func VerifyGzipFile(data []byte) (records, payload int64, err error) {
+	records, payload, err = walkGzip(data, nil)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -55,6 +55,13 @@ func NewDatacenter(name string, staging *hdfs.FS, clock zk.Clock, nAggs, nDaemon
 // staging cluster. The first error is returned but all components are
 // attempted.
 func (dc *Datacenter) FlushAll() error {
+	return dc.flush((*Aggregator).FlushAll)
+}
+
+// flush drains every daemon spool into the aggregators, then each
+// aggregator through flushAgg, returning the first error once all were
+// attempted.
+func (dc *Datacenter) flush(flushAgg func(*Aggregator) error) error {
 	var first error
 	for _, d := range dc.Daemons {
 		if err := d.Flush(); err != nil && first == nil {
@@ -62,20 +69,22 @@ func (dc *Datacenter) FlushAll() error {
 		}
 	}
 	for _, a := range dc.Aggregators {
-		if err := a.FlushAll(); err != nil && first == nil {
+		if err := flushAgg(a); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-// SealHour flushes everything and writes the _SEALED marker for each given
-// category-hour, signalling to the log mover that this datacenter has
-// transferred all its logs for the hour (§2: the mover "ensures that ...
-// all datacenters that produce a given log category have transferred their
-// logs").
+// SealHour flushes the hour — every daemon spool, and every aggregator
+// stream of this hour or an earlier one — and writes the _SEALED marker for
+// each given category-hour, signalling to the log mover that this
+// datacenter has transferred all its logs for the hour (§2: the mover
+// "ensures that ... all datacenters that produce a given log category have
+// transferred their logs"). A stream of a later hour stays open: the
+// entries a spool hands it now are staged with the rest of that hour.
 func (dc *Datacenter) SealHour(categories []string, hour time.Time) error {
-	if err := dc.FlushAll(); err != nil {
+	if err := dc.flush(func(a *Aggregator) error { return a.flush(hour, false) }); err != nil {
 		return err
 	}
 	for _, cat := range categories {

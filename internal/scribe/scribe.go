@@ -1,7 +1,13 @@
 // Package scribe reimplements the message-delivery layer of §2: Scribe
 // daemons on every production host forward (category, message) log entries
 // to a cluster of per-datacenter aggregators, which merge per-category
-// streams and write them, gzip-compressed, onto the staging HDFS cluster.
+// streams and write them, compressed on the fly, onto the staging HDFS
+// cluster. A client-events stream is encoded as it arrives: each message
+// is walked once into a chunk.Builder, and each roll stages one chunk image
+// (chunk.Builder.AppendImage), the rows the log mover re-chunks into the
+// warehouse's column chunks without inflating or walking a record. A
+// client event the encoder refuses is staged as a row of InvalidCategory.
+// Every other category is staged as gzipped record streams.
 //
 // Fault-tolerance follows the paper:
 //
@@ -25,6 +31,8 @@ import (
 	"sync"
 	"time"
 
+	"unilog/internal/chunk"
+	"unilog/internal/events"
 	"unilog/internal/hdfs"
 	"unilog/internal/recordio"
 	"unilog/internal/warehouse"
@@ -44,15 +52,14 @@ const AggregatorsZNode = "/scribe/aggregators"
 
 const zkSessionTimeout = time.Minute
 
-// stagingLevel is the deflate level of the aggregator's staging files.
-// Those bytes only travel: the log mover copies them out of each
-// datacenter's staging cluster into the main warehouse (§2), verifies them
-// and publishes a client-events hour as its column chunks, so the
-// warehouse keeps none of them. The level prices the transfer, not
-// storage. On the generator's busiest hour of a 2,000-user day (13,683
-// events, 3.70 MB of messages, cut into members of 5,000 records as
-// RollRecords does), on a 2-vCPU x86-64 host, medians of 15 writes, three
-// rounds:
+// stagingLevel is the deflate level of the aggregator's gzip staging
+// files, which since client events are staged as chunk images hold every
+// other category only: it prices their transfer, not storage, for the log
+// mover copies those bytes out of each datacenter's staging cluster into
+// the main warehouse (§2) and splices them there as they are. On the
+// generator's busiest hour of a 2,000-user day (13,683 client events,
+// 3.70 MB of messages, cut into members of 5,000 records as RollRecords
+// does), on a 2-vCPU x86-64 host, medians of 15 writes, three rounds:
 //
 //	level   ms          bytes     B/event
 //	1       48.2-52.9   813,442   59.4
@@ -62,6 +69,13 @@ const zkSessionTimeout = time.Minute
 // Level 3 takes 0.70x the time of level 5 for 6.6% more bytes on the wire.
 // Level 1 would take 0.84x the time of level 3 for 14% more bytes.
 const stagingLevel = 3
+
+// InvalidCategory is where an aggregator stages a client event the chunk
+// encoder refuses — a message the header walk cannot read, or a name
+// events.ParseName rejects — as a gzip row, so it is counted
+// (AggregatorStats.Invalid) and moved like any other category's rows,
+// never dropped.
+const InvalidCategory = events.Category + "_invalid"
 
 // Entry is one log message: "Each log entry consists of two strings, a
 // category and a message" (§2).
@@ -89,6 +103,9 @@ type AggregatorStats struct {
 	PolicyDropped    int64 // dropped by category config (blackhole/sampling)
 	PendingFiles     int64 // files buffered awaiting a staging retry
 	PendingMessages  int64 // messages in open streams not yet in a file
+	// Invalid counts client events the chunk encoder refused, staged as
+	// rows of InvalidCategory instead.
+	Invalid int64
 }
 
 type memBuf struct{ data []byte }
@@ -98,11 +115,13 @@ func (m *memBuf) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// categoryStream is an open, compressing output stream for one category and
-// hour.
+// categoryStream is an open output stream for one category and hour: a
+// client-events stream's rows in a chunk encoder, any other's a
+// compressing gzip stream.
 type categoryStream struct {
 	hour  time.Time
-	buf   *memBuf
+	b     *chunk.Builder // the client-events category's
+	buf   *memBuf        // the others'
 	w     *recordio.GzipWriter
 	count int64
 }
@@ -139,6 +158,7 @@ type Aggregator struct {
 	mu                sync.Mutex
 	state             aggState
 	streams           map[string]*categoryStream
+	spare             []*chunk.Builder // emptied encoders of rolled streams
 	pending           []pendingFile
 	fileSeq           int
 	stats             AggregatorStats
@@ -228,32 +248,30 @@ func (a *Aggregator) appendLocked(batch []Entry) (func(batch []Entry), []Entry, 
 	received := a.stats.MessagesReceived
 	defer func() { tmAggMessages.Add(a.stats.MessagesReceived - received) }()
 	var tapped []Entry
+	var invalid int64
+	defer func() { tmAggInvalid.Add(invalid) }()
 	now := a.clock.Now().UTC().Truncate(time.Hour)
 	for _, e := range batch {
 		category, rollAt, keep := a.applyCategoryPolicyLocked(e.Category)
 		if !keep {
 			continue
 		}
+		s := a.streamLocked(category, now)
+		if s.b != nil && s.b.AddRecord(e.Message) != nil {
+			// Not a row a chunk can hold: it is staged, and moved, as a
+			// row of its own category.
+			invalid++
+			a.stats.Invalid++
+			category = InvalidCategory
+			s = a.streamLocked(category, now)
+		}
+		if s.w != nil {
+			if err := s.w.Append(e.Message); err != nil {
+				return a.Tap, tapped, err
+			}
+		}
 		if a.Tap != nil {
 			tapped = append(tapped, Entry{Category: category, Message: e.Message})
-		}
-		s := a.streams[category]
-		if s != nil && !s.hour.Equal(now) {
-			a.rollStreamLocked(category, s)
-			s = nil
-		}
-		if s == nil {
-			buf := &memBuf{}
-			w, _ := recordio.NewGzipWriterLevel(buf, stagingLevel) // a valid level
-			s = &categoryStream{hour: now, buf: buf, w: w}
-			a.streams[category] = s
-		}
-		if err := s.w.Append(e.Message); err != nil {
-			if a.Tap != nil && len(tapped) > 0 {
-				// Drop the entry that failed; the earlier ones committed.
-				tapped = tapped[:len(tapped)-1]
-			}
-			return a.Tap, tapped, err
 		}
 		s.count++
 		a.stats.MessagesReceived++
@@ -266,27 +284,64 @@ func (a *Aggregator) appendLocked(batch []Entry) (func(batch []Entry), []Entry, 
 	return a.Tap, tapped, nil
 }
 
-// rollStreamLocked closes the stream and queues its file for writing.
+// streamLocked returns the open stream of category for hour, rolling one
+// still open for an earlier hour and opening a new one as needed.
+func (a *Aggregator) streamLocked(category string, hour time.Time) *categoryStream {
+	s := a.streams[category]
+	if s != nil && !s.hour.Equal(hour) {
+		a.rollStreamLocked(category, s)
+		s = nil
+	}
+	if s == nil {
+		s = &categoryStream{hour: hour}
+		if category == events.Category {
+			if n := len(a.spare); n > 0 {
+				s.b, a.spare = a.spare[n-1], a.spare[:n-1]
+			} else {
+				s.b = new(chunk.Builder)
+			}
+		} else {
+			s.buf = &memBuf{}
+			s.w, _ = recordio.NewGzipWriterLevel(s.buf, stagingLevel) // a valid level
+		}
+		a.streams[category] = s
+	}
+	return s
+}
+
+// rollStreamLocked closes the stream and queues its file for writing: a
+// client-events stream's rows as one chunk image, any other's gzip member.
 func (a *Aggregator) rollStreamLocked(category string, s *categoryStream) {
+	delete(a.streams, category)
+	var data []byte
+	var err error
+	ext := "gz"
+	if s.b != nil {
+		if data, err = s.b.AppendImage(nil); err == nil {
+			a.spare = append(a.spare, s.b) // empty, as AppendImage leaves it
+		}
+		ext = "col"
+	} else if s.count > 0 {
+		err = s.w.Close()
+		data = s.buf.data
+	}
 	if s.count == 0 {
-		delete(a.streams, category)
 		return
 	}
-	if err := s.w.Close(); err != nil {
-		// Closing an in-memory gzip stream cannot fail in practice; if it
-		// does, treat the stream's messages as dropped rather than corrupt.
+	if err != nil {
+		// Neither an in-memory gzip stream nor a chunk image of records
+		// the encoder took can fail in practice; if one does, its messages
+		// are counted as dropped rather than staged corrupt.
 		a.stats.MessagesDropped += s.count
 		a.stats.PendingMessages -= s.count
 		tmAggDropped.Add(s.count)
-		delete(a.streams, category)
 		return
 	}
-	path := fmt.Sprintf("%s/%s-%05d.gz", warehouse.StagingHourDir(category, s.hour), a.ID, a.fileSeq)
+	path := fmt.Sprintf("%s/%s-%05d.%s", warehouse.StagingHourDir(category, s.hour), a.ID, a.fileSeq, ext)
 	a.fileSeq++
-	a.pending = append(a.pending, pendingFile{path: path, data: s.buf.data, count: s.count})
+	a.pending = append(a.pending, pendingFile{path: path, data: data, count: s.count})
 	a.stats.PendingFiles++
 	a.stats.PendingMessages -= s.count
-	delete(a.streams, category)
 	a.retryPendingLocked()
 }
 
@@ -311,7 +366,13 @@ func (a *Aggregator) retryPendingLocked() {
 
 // FlushAll rolls every open stream and attempts to write all queued files.
 // It returns ErrSpilled if staging is unavailable and data remains queued.
-func (a *Aggregator) FlushAll() error {
+func (a *Aggregator) FlushAll() error { return a.flush(time.Time{}, true) }
+
+// flush rolls every open stream, or with all false those of hour through
+// and earlier only, and attempts to write all queued files. A later hour's
+// stream left open stages the entries it holds in one image with the rest
+// of its hour, not in one of their own.
+func (a *Aggregator) flush(through time.Time, all bool) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.state == aggCrashed {
@@ -319,7 +380,9 @@ func (a *Aggregator) FlushAll() error {
 	}
 	a.heartbeatLocked()
 	for cat, s := range a.streams {
-		a.rollStreamLocked(cat, s)
+		if all || !s.hour.After(through) {
+			a.rollStreamLocked(cat, s)
+		}
 	}
 	a.retryPendingLocked()
 	if len(a.pending) > 0 {

@@ -63,13 +63,13 @@ func TestDeliveryEndToEnd(t *testing.T) {
 	const perDaemon = 50
 	for i, d := range dc.Daemons {
 		for j := 0; j < perDaemon; j++ {
-			d.Log("client_events", []byte(fmt.Sprintf("msg-%d-%d", i, j)))
+			d.Log("web_events", []byte(fmt.Sprintf("msg-%d-%d", i, j)))
 		}
 	}
 	if err := dc.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	msgs := stagingMessages(t, dc.Staging, "client_events", t0)
+	msgs := stagingMessages(t, dc.Staging, "web_events", t0)
 	if len(msgs) != 3*perDaemon {
 		t.Fatalf("staged %d messages, want %d", len(msgs), 3*perDaemon)
 	}
@@ -91,13 +91,13 @@ func TestDeliveryEndToEnd(t *testing.T) {
 func TestPerCategoryStreams(t *testing.T) {
 	dc, _ := newDC(t, 1, 1)
 	d := dc.Daemons[0]
-	d.Log("client_events", []byte("a"))
+	d.Log("web_events", []byte("a"))
 	d.Log("search_logs", []byte("b"))
-	d.Log("client_events", []byte("c"))
+	d.Log("web_events", []byte("c"))
 	if err := dc.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	if got := stagingMessages(t, dc.Staging, "client_events", t0); len(got) != 2 {
+	if got := stagingMessages(t, dc.Staging, "web_events", t0); len(got) != 2 {
 		t.Fatalf("client_events = %v", got)
 	}
 	if got := stagingMessages(t, dc.Staging, "search_logs", t0); len(got) != 1 || got[0] != "b" {
@@ -399,7 +399,7 @@ func TestStagingLevel(t *testing.T) {
 	w := recordio.NewWriter(&frames)
 	for i := 0; i < 3000; i++ {
 		msg := []byte(fmt.Sprintf("web:home:timeline:stream:tweet:impression user=%d session=s%03d", i*7919%1000, i%97))
-		dc.Daemons[0].Log("client_events", msg)
+		dc.Daemons[0].Log("web_events", msg)
 		if err := w.Append(msg); err != nil {
 			t.Fatal(err)
 		}
@@ -407,7 +407,7 @@ func TestStagingLevel(t *testing.T) {
 	if err := dc.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	infos, err := dc.Staging.Walk(warehouse.StagingHourDir("client_events", t0))
+	infos, err := dc.Staging.Walk(warehouse.StagingHourDir("web_events", t0))
 	if err != nil || len(infos) != 1 {
 		t.Fatalf("staging holds %d files (%v), want one", len(infos), err)
 	}

@@ -19,7 +19,7 @@ func TestAggregatorTap(t *testing.T) {
 	agg.Tap = func(batch []Entry) { got = append(got, batch...) }
 
 	err := agg.Append([]Entry{
-		{Category: "client_events", Message: []byte("a")},
+		{Category: "web_events", Message: []byte("a")},
 		{Category: "noise", Message: []byte("dropped")},
 		{Category: "legacy", Message: []byte("b")},
 	})
@@ -29,7 +29,7 @@ func TestAggregatorTap(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("tapped %d entries, want 2: %v", len(got), got)
 	}
-	if got[0].Category != "client_events" || string(got[0].Message) != "a" {
+	if got[0].Category != "web_events" || string(got[0].Message) != "a" {
 		t.Errorf("tapped[0] = %q/%q", got[0].Category, got[0].Message)
 	}
 	if got[1].Category != "merged" || string(got[1].Message) != "b" {
@@ -49,7 +49,7 @@ func TestAggregatorTap(t *testing.T) {
 	if err := agg.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	err = agg.Append([]Entry{{Category: "client_events", Message: []byte("late")}})
+	err = agg.Append([]Entry{{Category: "web_events", Message: []byte("late")}})
 	if !errors.Is(err, ErrAggregatorDown) {
 		t.Fatalf("Append after Stop = %v", err)
 	}
@@ -69,7 +69,7 @@ func TestAggregatorTapDelivery(t *testing.T) {
 	const perDaemon = 40
 	for i, d := range dc.Daemons {
 		for k := 0; k < perDaemon; k++ {
-			d.Log("client_events", []byte(fmt.Sprintf("msg-%d-%d", i, k)))
+			d.Log("web_events", []byte(fmt.Sprintf("msg-%d-%d", i, k)))
 		}
 	}
 	if err := dc.FlushAll(); err != nil {
@@ -79,7 +79,7 @@ func TestAggregatorTapDelivery(t *testing.T) {
 	if tapped != want {
 		t.Fatalf("tapped %d messages, want %d", tapped, want)
 	}
-	if msgs := stagingMessages(t, dc.Staging, "client_events", t0); len(msgs) != want {
+	if msgs := stagingMessages(t, dc.Staging, "web_events", t0); len(msgs) != want {
 		t.Fatalf("staged %d messages, want %d", len(msgs), want)
 	}
 }

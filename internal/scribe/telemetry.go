@@ -12,6 +12,7 @@ var (
 	tmTapEntries    = telemetry.GetCounter("scribe.tap.entries")
 	tmAggMessages   = telemetry.GetCounter("scribe.aggregator.messages")
 	tmAggDropped    = telemetry.GetCounter("scribe.aggregator.dropped")
+	tmAggInvalid    = telemetry.GetCounter("scribe.aggregator.invalid")
 	tmFlushFailures = telemetry.GetCounter("scribe.staging.flush_failures")
 	tmFilesWritten  = telemetry.GetCounter("scribe.staging.files")
 	tmDaemonAccept  = telemetry.GetCounter("scribe.daemon.accepted")
