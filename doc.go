@@ -34,8 +34,9 @@
 // Daemons batch messages to the aggregators ZooKeeper names; an aggregator
 // walks each client-events message once into a chunk.Builder and, at each
 // roll, stages the stream as one chunk image (chunk.Builder.AppendImage):
-// a CRC-framed section table, then the meta and the eight column files of
-// a chunk, back to back. A message the encoder refuses — no thrift, or a
+// a CRC-framed section table, then the meta and the eight column sections
+// of a chunk, back to back — the very layout the warehouse stores a chunk
+// in. A message the encoder refuses — no thrift, or a
 // name events.ParseName rejects — is staged as a row of
 // scribe.InvalidCategory, counted in AggregatorStats.Invalid and
 // scribe.aggregator.invalid, and moved as that category's rows. Every
@@ -58,7 +59,8 @@
 // the hour's rows into chunks of columnar.DefaultChunkRows
 // (chunk.Builder.AddColumns: each dictionary remapped once per entry,
 // details values appended as the bytes the wire held), so a client-events
-// hour publishes its column chunks alone, byte for byte the chunks a seal
+// hour publishes its chunk images and their marker alone, one file per
+// chunk, byte for byte the chunks a seal
 // of its records writes, with no deflate, no inflate and no record walk
 // between the aggregator and the warehouse. A failed move publishes
 // nothing and leaves the staging files for the retry. An hour of another
@@ -147,17 +149,16 @@
 // (internal/columnar seals and scans it; the layout, its one encoder and
 // the typed reader are the leaf package internal/chunk, below dataflow, so
 // the daily session job can read chunks too): the log mover and SealHour
-// cut each client-events hour into fixed-size row-count chunks, one
-// CRC-framed
-// file per column —
+// cut each client-events hour into fixed-size row-count chunks, each one
+// image file (_col-NNNNN.col) of CRC-framed sections, one per column —
 // dictionary + varint IDs for the low-cardinality strings (name,
 // session_id, ip), zigzag deltas for timestamps, run-length bytes for
 // initiator and the derived logged_in flag, and for details a sorted
 // key dictionary then one sub-column per key (a presence bitmap when some
 // rows lack the key, and the values packed by type: a value dictionary,
 // hex packed to bytes, decimal as uvarints, or raw, whichever is smallest
-// for that key in that chunk) — plus a per-chunk meta
-// record holding row count and min/max zone maps over timestamp and
+// for that key in that chunk) — behind a section table and a meta
+// section holding row count and min/max zone maps over timestamp and
 // name, and an hour-level _col-SEALED marker written after the last
 // chunk. Only the marker makes an hour columnar: a seal that dies
 // mid-hour leaves its partial chunks invisible (scans keep using the
@@ -175,10 +176,10 @@
 // chunk — so no ClientEvent is built to be taken apart again
 // (TestSealAllocatesPerChunkNotPerEvent; BenchmarkSealHour reports ns and
 // allocs per event). TestSealedBytesPinned holds the bytes of chunk format
-// 2, and TestSealedNoLargerThanRows holds a sealed hour's column files to
+// 2, and TestSealedNoLargerThanRows holds a sealed hour's chunk images to
 // no more bytes than its row files (0.83 of them; 4.2 times them when
 // details were stored as length-prefixed pairs); columnar.seal.bytes over
-// columnar.seal.rows is the sealed bytes per row. The chunk files are
+// columnar.seal.rows is the sealed bytes per row. The chunk images are
 // auxiliary (underscore-prefixed): row scanners never see them, an hour
 // with the marker is read from its chunks whether or not rows remain
 // beside it (an hour SealHour sealed keeps its rows; an hour the mover
@@ -192,10 +193,11 @@
 // — a declarative (columns, name pattern, time range) triple — and
 // Job.LoadDirsSelective, where the format absorbs the selection: it prunes
 // whole chunks whose zone maps cannot intersect a head-anchored name
-// prefix or the time window (a pruned chunk costs one meta record, never a
-// column byte), reads only the columns the projection and predicate
-// reference, matches the name pattern once per dictionary entry, and
-// builds only the projected columns of the rows that pass. A row file is
+// prefix or the time window (a pruned chunk costs a ranged read of its
+// section table and meta, never a column byte), reads only the sections of
+// the columns the projection and predicate reference (one hdfs.FS.ReadAt
+// each), matches the name pattern once per dictionary entry, and builds
+// only the projected columns of the rows that pass. A row file is
 // walked with events.Header, no ClientEvent built, each distinct name
 // validated once per file, the details column only when projected. Any
 // other format (RawRecordFormat's legacy logs), and any predicate that is

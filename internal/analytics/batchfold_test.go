@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"unilog/internal/chunk"
 	"unilog/internal/columnar"
 	"unilog/internal/dataflow"
 	"unilog/internal/events"
@@ -295,13 +296,16 @@ func TestPlantedRawSessions(t *testing.T) {
 }
 
 // What the tuple-based Rollups and CountRawDay charged over
-// TestBatchFoldsMeterLikeTheTupleScan's day, at any Parallelism.
+// TestBatchFoldsMeterLikeTheTupleScan's day, at any Parallelism, when every
+// section of a chunk was a file of its own; a chunk image adds its section
+// table, read with the meta.
 const (
 	goldenRowFiles    = 22
 	goldenChunks      = 22
 	goldenEvents      = 5361
-	goldenRollupBytes = 56195 // meta, name, ip and logged_in files
-	goldenRawBytes    = 74708 // meta, name, user_id, session_id and timestamp files
+	goldenTableBytes  = 574                      // the 22 chunks' section tables
+	goldenRollupBytes = 56195 + goldenTableBytes // meta, name, ip and logged_in sections
+	goldenRawBytes    = 74708 + goldenTableBytes // meta, name, user_id, session_id and timestamp sections
 )
 
 // TestBatchFoldsMeterLikeTheTupleScan: on a sealed day and on a row-file
@@ -379,6 +383,31 @@ func TestBatchFoldsMeterLikeTheTupleScan(t *testing.T) {
 	}
 }
 
+// sessionIDEnd returns where the session_id section of a chunk image ends:
+// the image opens with a CRC record of the magic, the version, the section
+// count and each section's length, the meta's first.
+func sessionIDEnd(t *testing.T, img []byte) int {
+	table, rest, err := recordio.NextCRCRecord(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := recordio.NewCursor(table)
+	c.Uvarint("magic")
+	c.Uvarint("version")
+	c.Uvarint("sections")
+	end := len(img) - len(rest)
+	for _, section := range append([]string{"meta"}, chunk.ColumnNames[:]...) {
+		end += int(c.Uvarint("section length"))
+		if section == "session_id" {
+			break
+		}
+	}
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return end
+}
+
 // TestBatchPathErrorsNameTheFile: a damaged row file and a damaged chunk
 // column fail both batch folds with recordio.ErrCorrupt and the file's path.
 func TestBatchPathErrorsNameTheFile(t *testing.T) {
@@ -392,9 +421,10 @@ func TestBatchPathErrorsNameTheFile(t *testing.T) {
 		layout string
 		seal   func(int) bool
 		file   string
+		end    func([]byte) int // where the last record of the damaged part ends
 	}{
-		{"rows", func(int) bool { return false }, hour + "/part-"},
-		{"sealed", func(int) bool { return true }, hour + "/_col-00001.session_id"},
+		{"rows", func(int) bool { return false }, hour + "/part-", func(b []byte) int { return len(b) }},
+		{"sealed", func(int) bool { return true }, hour + "/_col-00001.col", func(b []byte) int { return sessionIDEnd(t, b) }},
 	} {
 		fs := plantedWarehouse(t, evs, c.seal)
 		infos, err := fs.Walk(hour)
@@ -412,7 +442,7 @@ func TestBatchPathErrorsNameTheFile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %q: %v", c.layout, path, err)
 		}
-		data[len(data)-6] ^= 0xff // a gzip trailer's CRC-32, or a CRC frame's payload
+		data[c.end(data)-6] ^= 0xff // a gzip trailer's CRC-32, or a CRC frame's payload
 		if err := fs.Delete(path, false); err != nil {
 			t.Fatal(err)
 		}

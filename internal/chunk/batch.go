@@ -3,7 +3,6 @@ package chunk
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 
@@ -29,7 +28,7 @@ import (
 // chunk, or a row file of an hour that is not sealed.
 type Batch struct {
 	Columns
-	// Path is the chunk's meta file or the row file.
+	// Path is the chunk's image file or the row file.
 	Path string
 
 	fs      *hdfs.FS
@@ -86,11 +85,11 @@ func ScanFileRecords(fs *hdfs.FS, path string, fn func(rec []byte) error) error 
 	return err
 }
 
-// IsChunk reports whether a path of HourFiles is a chunk's meta file rather
-// than a row file.
-func IsChunk(path string) bool { return strings.HasSuffix(path, ".meta") }
+// IsChunk reports whether a path of HourFiles is a chunk's image file
+// rather than a row file.
+func IsChunk(path string) bool { return IsAuxiliary(path) && strings.HasSuffix(path, ".col") }
 
-// HourFiles lists the files of one hour directory in scan order: the meta
+// HourFiles lists the files of one hour directory in scan order: the image
 // file of every chunk when the hour is sealed, its row files when it is not.
 // A sealed hour's chunks are enumerated from the marker's count rather than
 // by listing, so one that went missing after the seal is an error instead
@@ -103,7 +102,7 @@ func HourFiles(fs *hdfs.FS, dir string) ([]hdfs.FileInfo, error) {
 		}
 		files := make([]hdfs.FileInfo, 0, n)
 		for i := 0; i < n; i++ {
-			fi, err := fs.Stat(MetaPath(dir, i))
+			fi, err := fs.Stat(Path(dir, i))
 			if err != nil {
 				return nil, err
 			}
@@ -153,10 +152,11 @@ func ReadHour(fs *hdfs.FS, dir string, need Set, fn func(*Batch) error) error {
 	return nil
 }
 
-// LoadChunk reads the need columns of the chunk whose meta file is metaPath
-// and whose zone map is m.
-func LoadChunk(fs *hdfs.FS, metaPath string, m Meta, need Set) (*Batch, error) {
-	b := &Batch{Path: metaPath, fs: fs, meta: m}
+// LoadChunk reads the need columns of the chunk image at path, whose zone
+// map ReadMeta read as m: a ranged read of each one's section, and no other
+// byte of the image.
+func LoadChunk(fs *hdfs.FS, path string, m Meta, need Set) (*Batch, error) {
+	b := &Batch{Path: path, fs: fs, meta: m}
 	if err := b.Widen(need); err != nil {
 		b.Release()
 		return nil, err
@@ -164,73 +164,26 @@ func LoadChunk(fs *hdfs.FS, metaPath string, m Meta, need Set) (*Batch, error) {
 	return b, nil
 }
 
-// ReadImage reads a chunk image (Builder.AppendImage) held in data, whose
-// file is path, as a batch of every column. The section table must tile
-// the image exactly, and each section passes the checks its file would:
-// its CRC frames, then the meta's and each column's decoder. An error names
-// the file and the section, as path#meta or path#<column>. The batch keeps
-// nothing of data.
+// ReadImage reads a chunk image held in data, whose file is path, as a
+// batch of every column, with the checks of ReadMeta and LoadChunk: the
+// section table must tile the image exactly, and each section passes its
+// CRC frames and its decoder, an error naming path#meta or path#<column>.
+// The batch keeps nothing of data.
 func ReadImage(path string, data []byte) (*Batch, error) {
-	sections, err := imageSections(path, data)
+	mem := func(p []byte, off int) error {
+		copy(p, data[off:])
+		return nil
+	}
+	m, err := readMeta(path, len(data), mem)
 	if err != nil {
 		return nil, err
-	}
-	m, err := decodeMeta(path+"#meta", sections[0])
-	if err != nil {
-		return nil, err
-	}
-	if m.Cols != All {
-		return nil, fmt.Errorf("chunk: %s#meta: %w: columns %#x, want all", path, recordio.ErrCorrupt, m.Cols)
 	}
 	b := &Batch{Path: path, meta: m, v: vectorPool.Get().(*vectors)}
-	for i, col := range ColumnNames {
-		if err := b.decode(Set(1)<<i, path+"#"+col, sections[1+i], m.Rows, b.v); err != nil {
-			b.Release()
-			return nil, err
-		}
+	if err := b.load(path, &b.meta, All, b.v, mem); err != nil {
+		b.Release()
+		return nil, err
 	}
-	b.Rows = m.Rows
 	return b, nil
-}
-
-// imageSections splits a chunk image into its meta and column sections by
-// its section table.
-func imageSections(path string, data []byte) ([][]byte, error) {
-	table, rest, err := recordio.NextCRCRecord(data)
-	if err == io.EOF {
-		err = fmt.Errorf("%w: empty image", recordio.ErrTruncated)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("chunk: %s: %w", path, err)
-	}
-	c := recordio.NewCursor(table)
-	if magic := c.Uvarint("magic"); c.Ok() && magic != imageMagic {
-		return nil, fmt.Errorf("chunk: %s: %w: bad image magic %#x", path, recordio.ErrCorrupt, magic)
-	}
-	if v := c.Uvarint("version"); c.Ok() && v != metaVersion {
-		return nil, fmt.Errorf("chunk: %s: %w: unsupported image version %d", path, recordio.ErrCorrupt, v)
-	}
-	if n := c.Uvarint("sections"); c.Ok() && n != uint64(1+len(ColumnNames)) {
-		return nil, fmt.Errorf("chunk: %s: %w: %d sections", path, recordio.ErrCorrupt, n)
-	}
-	sections := make([][]byte, 1+len(ColumnNames))
-	for i := range sections {
-		n := c.Uvarint("section length")
-		if c.Ok() && n > uint64(len(rest)) {
-			return nil, fmt.Errorf("chunk: %s: %w: a section of %d bytes, %d left", path, recordio.ErrTruncated, n, len(rest))
-		}
-		if !c.Ok() {
-			break
-		}
-		sections[i], rest = rest[:n], rest[n:]
-	}
-	if err := c.Err(); err != nil {
-		return nil, fmt.Errorf("chunk: %s: %w", path, err)
-	}
-	if !c.Empty() || len(rest) > 0 {
-		return nil, fmt.Errorf("chunk: %s: %w: %d bytes after the sections", path, recordio.ErrCorrupt, len(rest)+c.Remaining())
-	}
-	return sections, nil
 }
 
 // ReadRowFile reads the need columns of one row file. A damaged file, a
@@ -245,13 +198,13 @@ func ReadRowFile(fs *hdfs.FS, path string, need Set) (*Batch, error) {
 }
 
 // Widen loads the columns of need the batch does not hold yet: a chunk reads
-// their column files, a row file is walked again for them.
+// their sections, a row file is walked again for them.
 func (b *Batch) Widen(need Set) error {
 	if !b.rowFile {
 		if b.v == nil {
 			b.v = vectorPool.Get().(*vectors)
 		}
-		return b.load(b.fs, strings.TrimSuffix(b.Path, ".meta"), b.meta, need, b.v)
+		return b.load(b.Path, &b.meta, need, b.v, fileSource(b.fs, b.Path))
 	}
 	need &^= b.have
 	if need == 0 && b.walked {

@@ -76,18 +76,14 @@ func sealed(recs [][]byte) (*Columns, error) {
 		return &Columns{}, nil
 	}
 	fs := hdfs.New(0)
-	if _, err := b.Flush(fs, testDir, 0); err != nil {
+	if err := writeChunk(&b, fs, testDir, 0); err != nil {
 		return nil, err
 	}
-	m, err := ReadMeta(fs, MetaPath(testDir, 0))
+	batch, err := loadChunk(fs, testChunk, All)
 	if err != nil {
 		return nil, err
 	}
-	var cc Columns
-	if err := cc.Load(fs, Base(testDir, 0), m, All); err != nil {
-		return nil, err
-	}
-	return &cc, nil
+	return &batch.Columns, nil
 }
 
 // TestReadHourSealedAndRows: one hour read through the day reader gives the
@@ -129,7 +125,7 @@ func TestReadHourSealedAndRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		if bld.Rows() == 150 || i == len(recs)-1 {
-			if _, err := bld.Flush(fs, rowDir, i/150); err != nil {
+			if err := writeChunk(&bld, fs, rowDir, i/150); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -71,12 +71,22 @@ func addEvents(t testing.TB, b *Builder, evs []*events.ClientEvent) {
 	}
 }
 
+// writeChunk writes the rows added to b as chunk i of dir, one image file,
+// as the columnar seal writes it; with no rows it writes nothing.
+func writeChunk(b *Builder, fs *hdfs.FS, dir string, i int) error {
+	img, err := b.AppendImage(nil)
+	if err != nil || img == nil {
+		return err
+	}
+	return fs.WriteFile(Path(dir, i), img)
+}
+
 func writeTestChunk(t testing.TB, evs []*events.ClientEvent) *hdfs.FS {
 	t.Helper()
 	fs := hdfs.New(0)
 	var b Builder
 	addEvents(t, &b, evs)
-	if _, err := b.Flush(fs, testDir, 0); err != nil {
+	if err := writeChunk(&b, fs, testDir, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteSealed(fs, testDir, 1); err != nil {
@@ -85,10 +95,69 @@ func writeTestChunk(t testing.TB, evs []*events.ClientEvent) *hdfs.FS {
 	return fs
 }
 
-// TestRoundTrip: what the Builder seals, Load reads back — every row as the
-// event it was, the zone map as the chunk's true ranges, and the dictionary
-// columns under the ID-vector contract (sorted distinct values, one
-// in-range ID per row).
+// testChunk is the image file of chunk 0 of testDir.
+var testChunk = Path(testDir, 0)
+
+// loadChunk reads the need columns of the chunk image at path through
+// ReadMeta and LoadChunk.
+func loadChunk(fs *hdfs.FS, path string, need Set) (*Batch, error) {
+	m, err := ReadMeta(fs, path)
+	if err != nil {
+		return nil, err
+	}
+	return LoadChunk(fs, path, m, need)
+}
+
+// sectionNames are the sections of an image in order.
+var sectionNames = append([]string{"meta"}, ColumnNames[:]...)
+
+// sectionsOf splits a chunk image into its sections, in image order.
+func sectionsOf(tb testing.TB, img []byte) [][]byte {
+	tb.Helper()
+	t, err := imageSections(imagePath, img[:min(len(img), maxTable)], len(img))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := make([][]byte, len(t)-1)
+	for s := range out {
+		out[s] = img[t[s]:t[s+1]]
+	}
+	return out
+}
+
+// imageOf frames a section table for sections and returns the image they
+// make, so a test can put any section, damaged or empty, in an image whose
+// table is true.
+func imageOf(sections [][]byte) []byte {
+	table := binary.AppendUvarint(nil, imageMagic)
+	table = binary.AppendUvarint(table, metaVersion)
+	table = binary.AppendUvarint(table, uint64(len(sections)))
+	for _, sec := range sections {
+		table = binary.AppendUvarint(table, uint64(len(sec)))
+	}
+	img := frame(table)
+	for _, sec := range sections {
+		img = append(img, sec...)
+	}
+	return img
+}
+
+// rewrite replaces the file at path with data.
+func rewrite(tb testing.TB, fs *hdfs.FS, path string, data []byte) {
+	tb.Helper()
+	if err := fs.Delete(path, false); err != nil {
+		tb.Fatal(err)
+	}
+	if err := fs.WriteFile(path, data); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestRoundTrip: what the Builder seals, LoadChunk reads back — every row
+// as the event it was, the zone map as the chunk's true ranges, and the
+// dictionary columns under the ID-vector contract (sorted distinct values,
+// one in-range ID per row). AppendImage appends the image to what dst
+// holds, and ReadImage reads the image back from memory to the same rows.
 func TestRoundTrip(t *testing.T) {
 	evs := testEvents(300)
 	fs := writeTestChunk(t, evs)
@@ -98,17 +167,21 @@ func TestRoundTrip(t *testing.T) {
 	if n, err := SealedChunks(fs, testDir); err != nil || n != 1 {
 		t.Fatalf("SealedChunks = %d, %v", n, err)
 	}
-	m, err := ReadMeta(fs, MetaPath(testDir, 0))
+	if files, err := HourFiles(fs, testDir); err != nil || len(files) != 1 || files[0].Path != testChunk || !IsChunk(testChunk) {
+		t.Fatalf("HourFiles = %v, %v; want the one image %s", files, err, testChunk)
+	}
+	m, err := ReadMeta(fs, testChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Rows != len(evs) || m.Cols != All {
-		t.Fatalf("meta: %d rows, columns %08b", m.Rows, m.Cols)
+	if m.Rows != len(evs) {
+		t.Fatalf("meta: %d rows", m.Rows)
 	}
-	var cc Columns
-	if err := cc.Load(fs, Base(testDir, 0), m, All); err != nil {
+	b, err := LoadChunk(fs, testChunk, m, All)
+	if err != nil {
 		t.Fatal(err)
 	}
+	cc := &b.Columns
 	minTs, maxTs := evs[0].Timestamp, evs[0].Timestamp
 	for row, want := range evs {
 		got, err := cc.Event(row)
@@ -139,6 +212,27 @@ func TestRoundTrip(t *testing.T) {
 	if m.MinName != cc.Name.Dict[0] || m.MaxName != cc.Name.Dict[len(cc.Name.Dict)-1] {
 		t.Fatalf("zone map names [%s, %s], dictionary [%s, %s]", m.MinName, m.MaxName, cc.Name.Dict[0], cc.Name.Dict[len(cc.Name.Dict)-1])
 	}
+
+	file, err := fs.ReadFile(testChunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again Builder
+	addEvents(t, &again, evs)
+	img, err := again.AppendImage([]byte("prefix"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(img) != "prefix"+string(file) {
+		t.Fatal("AppendImage did not append the image to dst")
+	}
+	got, err := ReadImage(testChunk, file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if col := sameRows(&got.Columns, cc); col != "" {
+		t.Fatalf("column %s read from memory differs from the one read from the file", col)
+	}
 }
 
 // wireMessage encodes a client event by hand, so a test can put on the wire
@@ -168,33 +262,33 @@ func wireMessage(name *string, ts int64, details ...[2]string) []byte {
 	return append([]byte(nil), enc.Bytes()...)
 }
 
-// flushed flushes b as chunk 0 of a fresh file system and returns every
-// file it wrote.
+// flushed flushes b as chunk 0 of a fresh file system, requires it to have
+// written the one image file, and returns the image's sections by name.
 func flushed(t testing.TB, b *Builder) map[string]string {
 	t.Helper()
 	fs := hdfs.New(0)
-	if _, err := b.Flush(fs, testDir, 0); err != nil {
+	if err := writeChunk(b, fs, testDir, 0); err != nil {
 		t.Fatal(err)
 	}
 	if b.Rows() != 0 {
-		t.Fatalf("builder holds %d rows after Flush", b.Rows())
+		t.Fatalf("builder holds %d rows after AppendImage", b.Rows())
 	}
 	infos, err := fs.Walk(testDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := make(map[string]string)
-	for _, fi := range infos {
-		data, err := fs.ReadFile(fi.Path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files[fi.Path] = string(data)
+	if len(infos) != 1 || infos[0].Path != testChunk {
+		t.Fatalf("writeChunk wrote %v, want the one file %s", infos, testChunk)
 	}
-	if len(files) != len(ColumnNames)+1 {
-		t.Fatalf("Flush wrote %d files, want %d", len(files), len(ColumnNames)+1)
+	img, err := fs.ReadFile(testChunk)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return files
+	sections := make(map[string]string)
+	for i, sec := range sectionsOf(t, img) {
+		sections[sectionNames[i]] = string(sec)
+	}
+	return sections
 }
 
 // TestBuilderDetailsFromTheWire: pairs arrive in wire order with repeats,
@@ -215,7 +309,7 @@ func TestBuilderDetailsFromTheWire(t *testing.T) {
 	if want := flushed(t, &clean); !reflect.DeepEqual(got, want) {
 		t.Fatal("a details map with a repeated key seals to other bytes than its last-wins meaning")
 	}
-	col, err := decodeDetails("details", []byte(got[Base(testDir, 0)+".details"]), 1, new(vectors))
+	col, err := decodeDetails("details", []byte(got["details"]), 1, new(vectors))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +350,7 @@ func TestDetailsEncodings(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		col, err := decodeDetails("details", []byte(flushed(t, &b)[Base(testDir, 0)+".details"]), len(tc.vals), new(vectors))
+		col, err := decodeDetails("details", []byte(flushed(t, &b)["details"]), len(tc.vals), new(vectors))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,14 +398,14 @@ func TestBuilderNames(t *testing.T) {
 	if !reflect.DeepEqual(got, flushed(t, &want)) {
 		t.Fatal("failed Adds changed the bytes of the rows around them")
 	}
-	names, err := decodeDict("name", []byte(got[Base(testDir, 0)+".name"]), 3, nil)
+	names, err := decodeDict("name", []byte(got["name"]), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if names.At(0) != zeroName || names.At(1) != good {
 		t.Fatalf("names = %q, %q", names.At(0), names.At(1))
 	}
-	m, err := decodeMeta("meta", []byte(got[MetaPath(testDir, 0)]))
+	m, err := decodeMeta("meta", []byte(got["meta"]))
 	if err != nil || m.MinName != zeroName || m.MaxName != good || m.MinTs != 1 || m.MaxTs != 4 {
 		t.Fatalf("meta = %+v, %v", m, err)
 	}
@@ -319,7 +413,7 @@ func TestBuilderNames(t *testing.T) {
 
 // TestBuilderReuse: a builder that has flushed writes its next chunk to the
 // bytes a fresh one does — no dictionary entry, timestamp base or zone-map
-// bound survives Flush.
+// bound survives AppendImage.
 func TestBuilderReuse(t *testing.T) {
 	evs := testEvents(200)
 	var reused, fresh Builder
@@ -330,46 +424,88 @@ func TestBuilderReuse(t *testing.T) {
 	if !reflect.DeepEqual(flushed(t, &reused), flushed(t, &fresh)) {
 		t.Fatal("a reused builder and a fresh one seal the same rows to different bytes")
 	}
-	fs := hdfs.New(0)
-	if _, err := reused.Flush(fs, testDir, 1); err != nil || fs.Exists(MetaPath(testDir, 1)) {
-		t.Fatalf("Flush of an empty builder: %v, wrote a chunk: %v", err, fs.Exists(MetaPath(testDir, 1)))
+	if img, err := reused.AppendImage(nil); err != nil || img != nil {
+		t.Fatalf("AppendImage of an empty builder: %v, appended %d bytes", err, len(img))
 	}
 }
 
-// TestLoadWidens: a second Load reads only the column files the first did
-// not, and a Load of nothing new reads none.
+// TestLoadWidens: a load reads the sections of the columns it asks for and
+// no byte more, a widening reads only the sections the first did not, and
+// a widening to nothing new reads nothing.
 func TestLoadWidens(t *testing.T) {
 	fs := writeTestChunk(t, testEvents(64))
-	m, err := ReadMeta(fs, MetaPath(testDir, 0))
+	img, err := fs.ReadFile(testChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opens := func() int64 { return fs.Snapshot().OpenOps }
-	var cc Columns
-	o0 := opens()
-	if err := cc.Load(fs, Base(testDir, 0), m, Name|Timestamp); err != nil {
+	size := make(map[string]int64)
+	for i, sec := range sectionsOf(t, img) {
+		size[sectionNames[i]] = int64(len(sec))
+	}
+	m, err := ReadMeta(fs, testChunk)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := opens() - o0; got != 2 {
-		t.Fatalf("first Load opened %d files, want 2", got)
-	}
-	if cc.UserID != nil || cc.IP.IDs != nil {
-		t.Fatal("Load decoded a column nobody asked for")
-	}
-	o1 := opens()
-	if err := cc.Load(fs, Base(testDir, 0), m, Name|UserID|Details); err != nil {
+	read := func() int64 { return fs.Snapshot().BytesRead }
+	r0 := read()
+	b, err := LoadChunk(fs, testChunk, m, Name|Timestamp)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := opens() - o1; got != 2 {
-		t.Fatalf("widening Load opened %d files, want 2 (user_id, details)", got)
+	if got, want := read()-r0, size["name"]+size["timestamp"]; got != want {
+		t.Fatalf("first load read %d bytes, the two sections hold %d", got, want)
 	}
-	o2 := opens()
-	if err := cc.Load(fs, Base(testDir, 0), m, Name|UserID); err != nil || opens() != o2 {
-		t.Fatalf("Load of loaded columns: %v, %d opens", err, opens()-o2)
+	if b.UserID != nil || b.IP.IDs != nil {
+		t.Fatal("LoadChunk decoded a column nobody asked for")
+	}
+	r1 := read()
+	if err := b.Widen(Name | UserID | Details); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := read()-r1, size["user_id"]+size["details"]; got != want {
+		t.Fatalf("widening read %d bytes, the user_id and details sections hold %d", got, want)
+	}
+	r2 := read()
+	if err := b.Widen(Name | UserID); err != nil || read() != r2 {
+		t.Fatalf("widening to loaded columns: %v, %d bytes read", err, read()-r2)
 	}
 }
 
-// payloads splits a file image into its record payloads.
+// TestProjectionReadsPartOfTheImage: a one-column load of an image that
+// spans many blocks reads that column's section — fewer bytes and fewer
+// blocks than the image holds — and so does the meta read before it.
+func TestProjectionReadsPartOfTheImage(t *testing.T) {
+	fs := hdfs.New(1 << 10)
+	var b Builder
+	addEvents(t, &b, testEvents(2000))
+	if err := writeChunk(&b, fs, testDir, 0); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := fs.Stat(testChunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Blocks < 8 {
+		t.Fatalf("the image spans %d blocks, want many", fi.Blocks)
+	}
+	before := fs.Snapshot()
+	batch, err := loadChunk(fs, testChunk, Initiator)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer batch.Release()
+	after := fs.Snapshot()
+	bytesRead, blocksRead := after.BytesRead-before.BytesRead, after.BlocksRead-before.BlocksRead
+	t.Logf("one column of a %d-byte, %d-block image: %d bytes, %d blocks read", fi.Size, fi.Blocks, bytesRead, blocksRead)
+	if bytesRead*4 >= fi.Size || blocksRead*2 >= int64(fi.Blocks) {
+		t.Fatalf("reading one column of a %d-byte, %d-block image read %d bytes, %d blocks", fi.Size, fi.Blocks, bytesRead, blocksRead)
+	}
+	if batch.Rows != 2000 || len(batch.Initiator) != 2000 || batch.Details.vals != nil {
+		t.Fatalf("the projected batch: %d rows, %d initiators", batch.Rows, len(batch.Initiator))
+	}
+}
+
+// payloads splits a section into its record payloads.
 func payloads(t testing.TB, data []byte) [][]byte {
 	t.Helper()
 	var recs [][]byte
@@ -384,7 +520,7 @@ func payloads(t testing.TB, data []byte) [][]byte {
 	return recs
 }
 
-// keyHeader is one key's record of a details column file, split at its
+// keyHeader is one key's record of a details section, split at its
 // fields.
 type keyHeader struct {
 	tag     byte
@@ -393,8 +529,8 @@ type keyHeader struct {
 	values  []byte
 }
 
-// withKeyRecord rewrites the record of one key of a details column file
-// image, which must have the given encoding, and reframes the file.
+// withKeyRecord rewrites the record of one key of a details section,
+// which must have the given encoding, and reframes the section.
 func withKeyRecord(t testing.TB, data []byte, key string, tag byte, edit func(*keyHeader)) []byte {
 	t.Helper()
 	p := payloads(t, data)
@@ -421,7 +557,7 @@ func withKeyRecord(t testing.TB, data []byte, key string, tag byte, edit func(*k
 	return frame(p...)
 }
 
-// corruption is one way to damage a column file image.
+// corruption is one way to damage one section of a chunk image.
 type corruption struct {
 	name   string
 	col    string
@@ -431,7 +567,8 @@ type corruption struct {
 
 // corruptions is the corruption matrix at the codec's level: the storage
 // failures columnar's scan-level matrix drives (torn tail, flipped bit,
-// over-long column) plus the ones only a crafted, CRC-valid file can hold.
+// over-long column) plus the ones only a crafted, CRC-valid section can
+// hold.
 var corruptions = []corruption{
 	{"torn tail", "name", func(_ testing.TB, b []byte) []byte { return b[:len(b)-3] }, recordio.ErrTruncated},
 	{"bit flip", "user_id", func(_ testing.TB, b []byte) []byte { b[len(b)-1] ^= 0x40; return b }, recordio.ErrCorrupt},
@@ -519,30 +656,24 @@ var corruptions = []corruption{
 	}, recordio.ErrCorrupt},
 }
 
-// TestCorruptionMatrix: every damaged file fails its Load (or ReadMeta)
-// with the right recordio kind and its own path in the message.
+// TestCorruptionMatrix: an image with one damaged section, under a table
+// that tells its true length, fails its ReadMeta or LoadChunk with the
+// right recordio kind, naming the file and the section.
 func TestCorruptionMatrix(t *testing.T) {
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := writeTestChunk(t, testEvents(120))
-			path := Base(testDir, 0) + "." + tc.col
-			data, err := fs.ReadFile(path)
+			img, err := fs.ReadFile(testChunk)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fs.Delete(path, false); err != nil {
-				t.Fatal(err)
-			}
-			if err := fs.WriteFile(path, tc.mutate(t, data)); err != nil {
-				t.Fatal(err)
-			}
+			sections := sectionsOf(t, img)
+			i := slices.Index(sectionNames, tc.col)
+			sections[i] = tc.mutate(t, append([]byte(nil), sections[i]...))
+			rewrite(t, fs, testChunk, imageOf(sections))
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			m, err := ReadMeta(fs, MetaPath(testDir, 0))
-			if err == nil {
-				var cc Columns
-				err = cc.Load(fs, Base(testDir, 0), m, All)
-			}
+			_, err = loadChunk(fs, testChunk, All)
 			runtime.ReadMemStats(&after)
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("error = %v, want %v", err, tc.want)
@@ -552,39 +683,81 @@ func TestCorruptionMatrix(t *testing.T) {
 			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
 				t.Fatalf("the damaged load allocated %d bytes", alloc)
 			}
-			if !strings.Contains(err.Error(), path) {
-				t.Fatalf("error %q does not name %s", err, path)
+			if want := testChunk + "#" + tc.col; !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name %s", err, want)
 			}
 		})
 	}
 }
 
-// TestMissingColumn: a column file that is gone is hdfs.ErrNotFound with
-// its path, and one the meta never listed is corruption, not a nil vector.
+// TestMissingColumn: a column section that is empty is corruption naming
+// the file and the column, while the columns beside it still load; a meta
+// that does not list every column is corruption naming the meta; and an
+// image cut short, before or after its zone map was read, is truncated.
 func TestMissingColumn(t *testing.T) {
 	fs := writeTestChunk(t, testEvents(40))
-	m, err := ReadMeta(fs, MetaPath(testDir, 0))
+	img, err := fs.ReadFile(testChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := Base(testDir, 0) + ".session_id"
-	if err := fs.Delete(path, false); err != nil {
+	sections := sectionsOf(t, img)
+	i := slices.Index(sectionNames, "session_id")
+	emptied := slices.Clone(sections)
+	emptied[i] = nil
+	rewrite(t, fs, testChunk, imageOf(emptied))
+	if _, err := loadChunk(fs, testChunk, SessionID); !errors.Is(err, recordio.ErrCorrupt) || !strings.Contains(err.Error(), testChunk+"#session_id") {
+		t.Fatalf("empty section: %v", err)
+	}
+	if b, err := loadChunk(fs, testChunk, IP|Name); err != nil || len(b.IP.IDs) != 40 {
+		t.Fatalf("the sections beside an empty one: %v", err)
+	}
+
+	var rec []byte
+	rec = binary.AppendUvarint(rec, metaMagic)
+	rec = binary.AppendUvarint(rec, metaVersion)
+	rec = binary.AppendUvarint(rec, 40)
+	rec = binary.AppendVarint(rec, 1)
+	rec = binary.AppendVarint(rec, 2)
+	rec = appendString(rec, "a")
+	rec = appendString(rec, "b")
+	rec = binary.AppendUvarint(rec, uint64(len(ColumnNames)-1))
+	for _, col := range ColumnNames {
+		if col != "ip" {
+			rec = appendString(rec, col)
+		}
+	}
+	unlisted := slices.Clone(sections)
+	unlisted[0] = frame(rec)
+	rewrite(t, fs, testChunk, imageOf(unlisted))
+	if _, err := ReadMeta(fs, testChunk); !errors.Is(err, recordio.ErrCorrupt) || !strings.Contains(err.Error(), testChunk+"#meta") {
+		t.Fatalf("unlisted column: %v", err)
+	}
+
+	rewrite(t, fs, testChunk, img)
+	m, err := ReadMeta(fs, testChunk)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var cc Columns
-	if err := cc.Load(fs, Base(testDir, 0), m, SessionID); !errors.Is(err, hdfs.ErrNotFound) || !strings.Contains(err.Error(), path) {
-		t.Fatalf("missing file: %v", err)
+	cut := img[:len(img)-len(sections[len(sections)-1])-1]
+	rewrite(t, fs, testChunk, cut)
+	if _, err := LoadChunk(fs, testChunk, m, SessionID|Details); !errors.Is(err, recordio.ErrTruncated) || !strings.Contains(err.Error(), testChunk) {
+		t.Fatalf("image cut after its meta was read: %v", err)
 	}
-	m.Cols &^= IP
-	if err := cc.Load(fs, Base(testDir, 0), m, IP); !errors.Is(err, recordio.ErrCorrupt) {
-		t.Fatalf("unlisted column: %v", err)
+	if _, err := ReadMeta(fs, testChunk); !errors.Is(err, recordio.ErrTruncated) || !strings.Contains(err.Error(), testChunk) {
+		t.Fatalf("cut image: %v", err)
+	}
+	if err := fs.Delete(testChunk, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadMeta(fs, testChunk); !errors.Is(err, hdfs.ErrNotFound) || !strings.Contains(err.Error(), testChunk) {
+		t.Fatalf("missing image: %v", err)
 	}
 }
 
 // decoderKinds numbers the decoders FuzzChunkColumns drives.
 const decoderKinds = 6
 
-// fuzzDecode runs one decoder over a file image and, when it accepts,
+// fuzzDecode runs one decoder over a section and, when it accepts,
 // checks what the typed reader promises its consumers.
 func fuzzDecode(t *testing.T, kind uint8, rows int, data []byte) {
 	const path = "/fuzz/_col-00000.x"
@@ -680,11 +853,12 @@ func poison[E any](vec []E, junk E) []E {
 }
 
 // FuzzChunkColumns drives the dictionary/ID, varint, delta, run-length,
-// details and meta decoders with arbitrary file images. The property: no
+// details and meta decoders with arbitrary sections. The property: no
 // panic, no allocation sized by a lying count; an accepted column has
 // exactly rows rows and every dictionary ID in range; a rejected one fails
 // with ErrCorrupt or ErrTruncated and names the file. The corpus starts
-// from a real chunk and the corruption matrix's damage to it.
+// from the sections of a real chunk image and the corruption matrix's
+// damage to them.
 func FuzzChunkColumns(f *testing.F) {
 	const rows = 24 // small images: the engine minimizes every input that finds new coverage
 	fs := writeTestChunk(f, testEvents(rows))
@@ -692,12 +866,13 @@ func FuzzChunkColumns(f *testing.F) {
 		"name": {0}, "session_id": {0}, "ip": {0}, "user_id": {1}, "timestamp": {2},
 		"initiator": {3}, "logged_in": {3}, "details": {4}, "meta": {5},
 	}
+	img, err := fs.ReadFile(testChunk)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sections := sectionsOf(f, img)
 	image := func(col string) []byte {
-		data, err := fs.ReadFile(Base(testDir, 0) + "." + col)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return data
+		return slices.Clone(sections[slices.Index(sectionNames, col)])
 	}
 	for col, kinds := range kindOf {
 		for _, kind := range kinds {
@@ -717,7 +892,7 @@ func FuzzChunkColumns(f *testing.F) {
 				f.Fatal(err)
 			}
 		}
-		data := []byte(flushed(f, &b)[Base(testDir, 0)+".details"])
+		data := []byte(flushed(f, &b)["details"])
 		f.Add(uint8(4), uint16(len(recs)), data)
 		f.Add(uint8(4), uint16(len(recs)+8), data)
 	}

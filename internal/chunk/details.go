@@ -16,7 +16,7 @@ import (
 	"unilog/internal/recordio"
 )
 
-// The details column is stored one sub-column per key. Its file's first
+// The details column is stored one sub-column per key. Its section's first
 // record is the chunk's key dictionary, sorted; then each key, in that
 // order, has one record:
 //
@@ -470,7 +470,7 @@ func uvarintIn(s string, off int) (uint64, int) {
 	}
 }
 
-// decodeDetails checks and indexes a details column file image, splitting
+// decodeDetails checks and indexes a details column section, splitting
 // it into v.recs and indexing its keys' rows in v.details.
 func decodeDetails(path string, data []byte, rows int, v *vectors) (DetailsColumn, error) {
 	var err error

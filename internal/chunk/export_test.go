@@ -8,4 +8,7 @@ const (
 	TestDir     = testDir
 )
 
-var SameRows = sameRows
+var (
+	SameRows   = sameRows
+	WriteChunk = writeChunk
+)

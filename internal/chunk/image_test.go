@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,45 +55,6 @@ func fileSet(tb testing.TB, fs *hdfs.FS, dir string) map[string]string {
 	return files
 }
 
-// TestAppendImageHoldsFlushedFiles: an image is the table and then the very
-// files Flush writes for the same rows, meta first; ReadImage reads back the
-// rows Load reads from those files.
-func TestAppendImageHoldsFlushedFiles(t *testing.T) {
-	evs := testEvents(300)
-	var b Builder
-	addEvents(t, &b, evs)
-	files := flushed(t, &b)
-	addEvents(t, &b, evs)
-	img, err := b.AppendImage([]byte("prefix"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(img[:6]) != "prefix" {
-		t.Fatal("AppendImage did not append to dst")
-	}
-	sections, err := imageSections(imagePath, img[6:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ext := range append([]string{"meta"}, ColumnNames...) {
-		if want := files[Base(testDir, 0)+"."+ext]; string(sections[i]) != want {
-			t.Fatalf("section %d (%s) is %d bytes, the flushed file %d", i, ext, len(sections[i]), len(want))
-		}
-	}
-	got, err := ReadImage(imagePath, img[6:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer got.Release()
-	want, err := sealed(marshalAll(evs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if col := sameRows(&got.Columns, want); col != "" {
-		t.Fatalf("column %s of the image differs from the flushed chunk's", col)
-	}
-}
-
 func marshalAll(evs []*events.ClientEvent) [][]byte {
 	recs := make([][]byte, len(evs))
 	for i, e := range evs {
@@ -109,7 +71,7 @@ func rechunk(tb testing.TB, images [][]byte, chunkRows int) (*hdfs.FS, error) {
 	var b Builder
 	chunks := 0
 	flush := func() {
-		if _, err := b.Flush(fs, testDir, chunks); err != nil {
+		if err := writeChunk(&b, fs, testDir, chunks); err != nil {
 			tb.Fatal(err)
 		}
 		chunks++
@@ -147,13 +109,13 @@ func onePass(tb testing.TB, recs [][]byte, chunkRows int) (*hdfs.FS, []bool) {
 	chunks := 0
 	for i, rec := range recs {
 		if refused[i] = b.AddRecord(rec) != nil; !refused[i] && b.Rows() == chunkRows {
-			if _, err := b.Flush(fs, testDir, chunks); err != nil {
+			if err := writeChunk(&b, fs, testDir, chunks); err != nil {
 				tb.Fatal(err)
 			}
 			chunks++
 		}
 	}
-	if _, err := b.Flush(fs, testDir, chunks); err != nil {
+	if err := writeChunk(&b, fs, testDir, chunks); err != nil {
 		tb.Fatal(err)
 	}
 	return fs, refused
@@ -252,8 +214,8 @@ func checkImageError(t *testing.T, err error) {
 }
 
 // TestDamagedImageNamesTheSection: a flipped byte in a section fails
-// ReadImage with ErrCorrupt naming the file and that section; a cut image
-// fails typed too.
+// ReadImage, and ReadMeta and LoadChunk on the same bytes in a file, with
+// ErrCorrupt naming the file and that section; a cut image fails typed too.
 func TestDamagedImageNamesTheSection(t *testing.T) {
 	img := stageImage(t, marshalAll(testEvents(50)))
 	table, rest, err := recordio.NextCRCRecord(img)
@@ -261,20 +223,24 @@ func TestDamagedImageNamesTheSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	head := len(img) - len(rest)
-	sections, err := imageSections(imagePath, img)
-	if err != nil {
-		t.Fatal(err)
-	}
 	off := head
-	for i, ext := range append([]string{"meta"}, ColumnNames...) {
+	for i, sec := range sectionsOf(t, img) {
 		bad := append([]byte(nil), img...)
-		bad[off+len(sections[i])-1] ^= 0x10
+		bad[off+len(sec)-1] ^= 0x10
 		_, err := ReadImage(imagePath, bad)
 		checkImageError(t, err)
-		if !strings.Contains(err.Error(), imagePath+"#"+ext) {
-			t.Fatalf("damage to the %s section: %v", ext, err)
+		if !strings.Contains(err.Error(), imagePath+"#"+sectionNames[i]) {
+			t.Fatalf("damage to the %s section: %v", sectionNames[i], err)
 		}
-		off += len(sections[i])
+		fs := hdfs.New(0)
+		if err := fs.WriteFile(imagePath, bad); err != nil {
+			t.Fatal(err)
+		}
+		_, ferr := loadChunk(fs, imagePath, All)
+		if ferr == nil || ferr.Error() != err.Error() {
+			t.Fatalf("damage to the %s section: from a file %v, from memory %v", sectionNames[i], ferr, err)
+		}
+		off += len(sec)
 	}
 	for _, n := range []int{0, 3, head, head + 1, len(img) - 1} {
 		_, err := ReadImage(imagePath, img[:n])
@@ -290,25 +256,40 @@ func TestDamagedImageNamesTheSection(t *testing.T) {
 // FuzzStagedImage: ReadImage on any bytes — a staged image, a damaged one,
 // or none — never panics; it fails with ErrCorrupt or ErrTruncated naming
 // the file, or its batch re-chunks through AddColumns into a chunk whose
-// rows are its rows.
+// rows are its rows. The same bytes written to a file and read through
+// ReadMeta and LoadChunk of a fuzzed column set fail typed and named too,
+// load every column ReadImage's batch holds as it holds it, and when every
+// column is asked for, reach ReadImage's verdict.
 func FuzzStagedImage(f *testing.F) {
-	f.Add(stageImage(f, marshalAll(testEvents(24))))
+	need := uint8(Name | Timestamp)
+	f.Add(stageImage(f, marshalAll(testEvents(24))), uint8(All))
 	for _, recs := range typeEdges() {
 		img := stageImage(f, recs)
-		f.Add(img)
-		f.Add(img[:len(img)/2])
+		f.Add(img, need)
+		f.Add(img[:len(img)/2], uint8(All))
 		flipped := append([]byte(nil), img...)
 		flipped[len(img)/3] ^= 1
-		f.Add(flipped)
+		f.Add(flipped, need)
+		need = need*7 + 1
 	}
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{}, uint8(All))
+	f.Fuzz(func(t *testing.T, data []byte, need uint8) {
 		batch, err := ReadImage(imagePath, data)
+		loaded := loadFile(t, data, Set(need))
 		if err != nil {
 			checkImageError(t, err)
+			if loaded != nil && Set(need) == All {
+				t.Fatalf("LoadChunk of every column took an image ReadImage refuses: %v", err)
+			}
 			return
 		}
 		defer batch.Release()
+		if loaded == nil {
+			t.Fatal("LoadChunk refused an image ReadImage takes")
+		}
+		if col := sameLoaded(&batch.Columns, &loaded.Columns, Set(need)); col != "" {
+			t.Fatalf("column %s: LoadChunk reads other values than ReadImage", col)
+		}
 		var b Builder
 		if err := b.AddColumns(&batch.Columns, 0, batch.Rows); err != nil {
 			return // a name ParseName refuses
@@ -317,15 +298,11 @@ func FuzzStagedImage(f *testing.F) {
 			return
 		}
 		fs := hdfs.New(0)
-		if _, err := b.Flush(fs, testDir, 0); err != nil {
+		if err := writeChunk(&b, fs, testDir, 0); err != nil {
 			t.Fatal(err)
 		}
-		m, err := ReadMeta(fs, MetaPath(testDir, 0))
+		again, err := loadChunk(fs, testChunk, All)
 		if err != nil {
-			t.Fatal(err)
-		}
-		var again Columns
-		if err := again.Load(fs, Base(testDir, 0), m, All); err != nil {
 			t.Fatalf("the re-chunked image does not load: %v", err)
 		}
 		for row := 0; row < batch.Rows; row++ {
@@ -338,7 +315,70 @@ func FuzzStagedImage(f *testing.F) {
 	})
 }
 
-// FuzzRechunkMatchesSeal: records cut at fuzz-chosen points into staged
+// loadFile writes data as an image file and reads the need columns of it
+// through ReadMeta and LoadChunk, on a file system of small blocks so that
+// the ranged reads cross block edges. It returns the batch, or nil after
+// checking that the error is typed and names the file.
+func loadFile(t *testing.T, data []byte, need Set) *Batch {
+	fs := hdfs.New(64)
+	if err := fs.WriteFile(imagePath, data); err != nil {
+		t.Fatal(err)
+	}
+	b, err := loadChunk(fs, imagePath, need)
+	if err != nil {
+		checkImageError(t, err)
+		return nil
+	}
+	return b
+}
+
+// sameLoaded reports the first column of need whose values differ between
+// a batch of every column and a batch of the need columns.
+func sameLoaded(all, part *Columns, need Set) string {
+	if all.Rows != part.Rows {
+		return "rows"
+	}
+	for i, col := range ColumnNames {
+		bit := Set(1) << i
+		if need&bit == 0 {
+			continue
+		}
+		var same bool
+		switch bit {
+		case Initiator:
+			same = slices.Equal(all.Initiator, part.Initiator)
+		case Name:
+			same = sameDict(all.Name, part.Name)
+		case UserID:
+			same = slices.Equal(all.UserID, part.UserID)
+		case SessionID:
+			same = sameDict(all.SessionID, part.SessionID)
+		case IP:
+			same = sameDict(all.IP, part.IP)
+		case Timestamp:
+			same = slices.Equal(all.Timestamp, part.Timestamp)
+		case LoggedIn:
+			same = slices.Equal(all.LoggedIn, part.LoggedIn)
+		case Details:
+			same = true
+			for row := 0; row < all.Rows; row++ {
+				same = same && reflect.DeepEqual(all.Details.At(row), part.Details.At(row))
+			}
+		}
+		if !same {
+			return col
+		}
+	}
+	return ""
+}
+
+// sameDict reports whether two dictionary columns hold the same entries and
+// IDs.
+func sameDict(a, b DictColumn) bool {
+	return slices.Equal(a.Dict, b.Dict) && slices.Equal(a.IDs, b.IDs)
+}
+
+// FuzzRechunkMatchesSeal:records cut at fuzz-chosen points into staged
 // images, read back and re-chunked into chunks of a fuzz-chosen size, are
 // byte for byte the chunks one pass of AddRecord seals; a record one
 // refuses, the other refuses too.

@@ -28,7 +28,7 @@ func sealedHour(tb testing.TB, events int) (*hdfs.FS, int) {
 			tb.Fatal(err)
 		}
 		if b.Rows() == 8192 || i == len(evs)-1 {
-			if _, err := b.Flush(fs, chunk.TestDir, chunks); err != nil {
+			if err := chunk.WriteChunk(&b, fs, chunk.TestDir, chunks); err != nil {
 				tb.Fatal(err)
 			}
 			chunks++
@@ -93,29 +93,25 @@ func TestChunkScanRecyclesVectors(t *testing.T) {
 // value of the kept batch reads as it did.
 func TestKeptChunkBatchSurvivesLaterLoads(t *testing.T) {
 	fs, _ := sealedHour(t, 3*8192)
-	load := func(i int) (*chunk.Batch, chunk.Meta) {
+	load := func(i int) *chunk.Batch {
 		t.Helper()
-		m, err := chunk.ReadMeta(fs, chunk.MetaPath(chunk.TestDir, i))
+		m, err := chunk.ReadMeta(fs, chunk.Path(chunk.TestDir, i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := chunk.LoadChunk(fs, chunk.MetaPath(chunk.TestDir, i), m, chunk.All)
+		b, err := chunk.LoadChunk(fs, chunk.Path(chunk.TestDir, i), m, chunk.All)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b, m
+		return b
 	}
-	kept, m := load(0)
-	var want chunk.Columns // the same chunk in vectors of its own
-	if err := want.Load(fs, chunk.Base(chunk.TestDir, 0), m, chunk.All); err != nil {
-		t.Fatal(err)
-	}
+	kept := load(0)
+	want := load(0) // the same chunk in vectors of its own: it is never released
 	ids := slices.Clone(kept.SessionID.IDs)
 	for i := 0; i < 20; i++ {
-		b, _ := load(1 + i%2)
-		b.Release()
+		load(1 + i%2).Release()
 	}
-	if col := chunk.SameRows(&kept.Columns, &want); col != "" {
+	if col := chunk.SameRows(&kept.Columns, &want.Columns); col != "" {
 		t.Fatalf("kept batch's %s column changed under later loads", col)
 	}
 	if !slices.Equal(kept.SessionID.IDs, ids) {

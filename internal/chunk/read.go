@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"slices"
@@ -13,27 +14,62 @@ import (
 )
 
 // Meta is a decoded zone map: everything pruning needs, nothing a pruned
-// chunk has to pay for beyond this one small file.
+// chunk has to pay for beyond its section table and this one small section.
 type Meta struct {
 	Rows             int
 	MinTs, MaxTs     int64
 	MinName, MaxName string
-	// Cols is the set of column files the chunk was written with.
-	Cols Set
+
+	at table // where the chunk's sections lie in its image
 }
 
-// readFile reads a chunk file whole into buf[:0], through the same metered
-// Open and ReadFull as hdfs.ReadFile, and names the file in an error.
-func readFile(fs *hdfs.FS, path string, buf []byte) ([]byte, error) {
-	r, err := fs.Open(path)
+// table locates the sections of a chunk image: section s spans
+// [t[s], t[s+1]), section 0 is the meta and section 1+i column i, and the
+// last entry is the image's length.
+type table [2 + len(ColumnNames)]int
+
+// maxTable bounds the framed section table of any image a reader accepts:
+// a frame length and 12 uvarints of at most 10 bytes each, and a 4-byte
+// CRC. A reader takes the table from the first maxTable bytes.
+const maxTable = (5+len(ColumnNames))*binary.MaxVarintLen64 + 4
+
+// imageSections reads the section table of a chunk image of size bytes from
+// head, a prefix of the image holding at least its first maxTable bytes.
+// The sections must tile the rest of the image exactly.
+func imageSections(path string, head []byte, size int) (table, error) {
+	var t table
+	rec, rest, err := recordio.NextCRCRecord(head)
+	if err == io.EOF {
+		err = fmt.Errorf("%w: empty image", recordio.ErrTruncated)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("chunk: %s: %w", path, err)
+		return t, fmt.Errorf("chunk: %s: %w", path, err)
 	}
-	buf = slices.Grow(buf[:0], int(r.Size()))[:r.Size()]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("chunk: %s: %w", path, err)
+	c := recordio.NewCursor(rec)
+	if magic := c.Uvarint("magic"); c.Ok() && magic != imageMagic {
+		return t, fmt.Errorf("chunk: %s: %w: bad image magic %#x", path, recordio.ErrCorrupt, magic)
 	}
-	return buf, nil
+	if v := c.Uvarint("version"); c.Ok() && v != metaVersion {
+		return t, fmt.Errorf("chunk: %s: %w: unsupported image version %d", path, recordio.ErrCorrupt, v)
+	}
+	if n := c.Uvarint("sections"); c.Ok() && n != uint64(len(t)-1) {
+		return t, fmt.Errorf("chunk: %s: %w: %d sections", path, recordio.ErrCorrupt, n)
+	}
+	t[0] = len(head) - len(rest)
+	for s := 1; s < len(t) && c.Ok(); s++ {
+		n := c.Uvarint("section length") // 0 once the cursor fails
+		if left := size - t[s-1]; n > uint64(left) {
+			return t, fmt.Errorf("chunk: %s: %w: a section of %d bytes, %d left", path, recordio.ErrTruncated, n, left)
+		}
+		t[s] = t[s-1] + int(n)
+	}
+	if err := c.Err(); err != nil {
+		return t, fmt.Errorf("chunk: %s: %w", path, err)
+	}
+	if end := t[len(t)-1]; !c.Empty() || end != size {
+		return t, fmt.Errorf("chunk: %s: %w: %d bytes after the sections", path, recordio.ErrCorrupt, size-end+c.Remaining())
+	}
+	return t, nil
 }
 
 // records splits a file image into exactly want CRC records, in place, or
@@ -81,22 +117,67 @@ func short(path string) error {
 	return fmt.Errorf("chunk: %s: %w: short column", path, recordio.ErrCorrupt)
 }
 
-// tmMetaReads counts the zone-map files read: one per chunk a scan plans,
+// tmMetaReads counts the zone maps read: one per chunk a scan plans,
 // prunes or loads, and one per chunk a row count taken from the metas
 // reads.
 var tmMetaReads = telemetry.GetCounter("chunk.meta.reads")
 
-// ReadMeta reads and decodes a chunk's zone-map file.
+// ReadMeta reads a chunk image's section table and its meta section, and
+// nothing else of it, and decodes the zone map.
 func ReadMeta(fs *hdfs.FS, path string) (Meta, error) {
-	data, err := readFile(fs, path, nil)
+	fi, err := fs.Stat(path)
+	if err != nil {
+		return Meta{}, fmt.Errorf("chunk: %s: %w", path, err)
+	}
+	m, err := readMeta(path, int(fi.Size), fileSource(fs, path))
+	if err == nil {
+		tmMetaReads.Inc()
+	}
+	return m, err
+}
+
+// source fills p from offset off of a chunk image.
+type source func(p []byte, off int) error
+
+// fileSource reads the chunk image in the file at path; a file shorter
+// than a read is a truncated image.
+func fileSource(fs *hdfs.FS, path string) source {
+	return func(p []byte, off int) error {
+		_, err := fs.ReadAt(path, int64(off), p)
+		if err == io.EOF {
+			err = fmt.Errorf("%w: the image ends before byte %d", recordio.ErrTruncated, off+len(p))
+		}
+		if err != nil {
+			return fmt.Errorf("chunk: %s: %w", path, err)
+		}
+		return nil
+	}
+}
+
+// readMeta decodes the zone map of a chunk image of size bytes: it reads
+// the first maxTable bytes for the section table, then whatever of the
+// meta section they did not hold.
+func readMeta(path string, size int, src source) (Meta, error) {
+	buf := make([]byte, min(size, maxTable))
+	if err := src(buf, 0); err != nil {
+		return Meta{}, err
+	}
+	t, err := imageSections(path, buf, size)
 	if err != nil {
 		return Meta{}, err
 	}
-	tmMetaReads.Inc()
-	return decodeMeta(path, data)
+	if n := len(buf); t[1] > n {
+		buf = slices.Grow(buf, t[1]-n)[:t[1]]
+		if err := src(buf[n:], n); err != nil {
+			return Meta{}, err
+		}
+	}
+	m, err := decodeMeta(path+"#meta", buf[t[0]:t[1]])
+	m.at = t
+	return m, err
 }
 
-// decodeMeta decodes a zone-map file image.
+// decodeMeta decodes a meta section. The chunk must list every column.
 func decodeMeta(path string, data []byte) (Meta, error) {
 	rec, err := oneRecord(path, data)
 	if err != nil {
@@ -121,12 +202,16 @@ func decodeMeta(path string, data []byte) (Meta, error) {
 	m.MaxTs = c.Varint("max_ts")
 	m.MinName = c.String("min_name")
 	m.MaxName = c.String("max_name")
+	var cols Set
 	n := c.Count("columns")
 	for i := 0; i < n; i++ {
-		m.Cols |= ColumnOf(string(c.Bytes("column"))) // a column this reader does not know is one it never loads
+		cols |= ColumnOf(string(c.Bytes("column"))) // a column this reader does not know is one it never loads
 	}
 	if err := c.Err(); err != nil {
 		return Meta{}, fmt.Errorf("chunk: %s: %w", path, err)
+	}
+	if cols != All {
+		return Meta{}, fmt.Errorf("chunk: %s: %w: columns %#x, want all", path, recordio.ErrCorrupt, cols)
 	}
 	return m, nil
 }
@@ -175,7 +260,7 @@ func (t *Interner) Remap(dict []string, buf []uint32) []uint32 {
 	return buf
 }
 
-// decodeDict decodes a dictionary column file image, its IDs into ids[:0].
+// decodeDict decodes a dictionary column section, its IDs into ids[:0].
 func decodeDict(path string, data []byte, rows int, ids []uint32) (DictColumn, error) {
 	var two [2][]byte
 	recs, err := records(path, data, 2, two[:0])
@@ -214,7 +299,7 @@ func decodeDict(path string, data []byte, rows int, ids []uint32) (DictColumn, e
 	return DictColumn{Dict: dict, IDs: ids}, nil
 }
 
-// decodeVarints decodes a zig-zag varint column file image into one int64
+// decodeVarints decodes a zig-zag varint column section into one int64
 // per row in out[:0]; delta == true accumulates row-over-row deltas (the
 // timestamp column).
 func decodeVarints(path string, data []byte, rows int, delta bool, out []int64) ([]int64, error) {
@@ -245,7 +330,7 @@ func decodeVarints(path string, data []byte, rows int, delta bool, out []int64) 
 	return out, nil
 }
 
-// decodeRLE decodes a run-length byte column file image into one byte per
+// decodeRLE decodes a run-length byte column section into one byte per
 // row in out[:0].
 func decodeRLE(path string, data []byte, rows int, out []byte) ([]byte, error) {
 	rec, err := oneRecord(path, data)
@@ -277,8 +362,8 @@ func decodeRLE(path string, data []byte, rows int, out []byte) ([]byte, error) {
 }
 
 // Columns holds the decoded column vectors of one chunk, or of one row file
-// read into the same shape (ReadRowFile). Vectors that no Load asked for stay
-// nil and their files stay unread.
+// read into the same shape (ReadRowFile). Vectors that no load asked for
+// stay nil and their sections stay unread.
 type Columns struct {
 	Rows      int // the length of every loaded vector
 	Initiator []byte
@@ -293,18 +378,9 @@ type Columns struct {
 	have Set
 }
 
-// Load decodes the column files of chunk base (a meta path without its
-// extension) that need names and no earlier Load on cc has read, so a
-// consumer can start from the columns it always wants and widen only for
-// the chunks that turn out to need more. The vectors are cc's own; a chunk
-// batch decodes into recycled ones instead (Batch.Release).
-func (cc *Columns) Load(fs *hdfs.FS, base string, m Meta, need Set) error {
-	return cc.load(fs, base, m, need, new(vectors))
-}
-
 // vectors are the buffers one chunk batch decodes into: a vector per
-// column, each details key's row index, and the image every column file is
-// read into in turn. A batch takes a set from vectorPool on its first load
+// column, each details key's row index, and the buffer a chunk's sections
+// are read into. A batch takes a set from vectorPool on its first load
 // and Release hands it back, so a scan that releases each batch decodes
 // into vectors already grown instead of allocating them chunk after chunk.
 // Nothing else refers to them: every decoder copies the strings it keeps
@@ -320,23 +396,22 @@ type vectors struct {
 
 var vectorPool = sync.Pool{New: func() any { return new(vectors) }}
 
-// load is Load decoding into v's vectors, which cc's columns then are.
-func (cc *Columns) load(fs *hdfs.FS, base string, m Meta, need Set, v *vectors) error {
+// load decodes into v's vectors the columns of need that cc does not hold
+// yet, reading each one's section of the image of path, which m locates,
+// into v's buffer: a consumer can start from the columns it always wants
+// and widen only for the chunks that turn out to need more.
+func (cc *Columns) load(path string, m *Meta, need Set, v *vectors, src source) error {
 	for i, col := range ColumnNames {
 		bit := Set(1) << i
 		if need&^cc.have&bit == 0 {
 			continue
 		}
-		path := base + "." + col
-		if m.Cols&bit == 0 {
-			return fmt.Errorf("chunk: %s: %w: column not listed in the chunk meta", path, recordio.ErrCorrupt)
-		}
-		data, err := readFile(fs, path, v.image)
-		if err != nil {
+		lo, hi := m.at[1+i], m.at[2+i]
+		v.image = slices.Grow(v.image[:0], hi-lo)[:hi-lo]
+		if err := src(v.image, lo); err != nil {
 			return err
 		}
-		v.image = data // the next column's read overwrites it
-		if err := cc.decode(bit, path, data, m.Rows, v); err != nil {
+		if err := cc.decode(bit, path+"#"+col, v.image, m.Rows, v); err != nil {
 			return err
 		}
 	}
@@ -344,7 +419,7 @@ func (cc *Columns) load(fs *hdfs.FS, base string, m Meta, need Set, v *vectors) 
 	return nil
 }
 
-// decode decodes the file image of column bit into v's vectors, which cc's
+// decode decodes the section of column bit into v's vectors, which cc's
 // column then is.
 func (cc *Columns) decode(bit Set, path string, data []byte, rows int, v *vectors) error {
 	var err error

@@ -11,26 +11,32 @@
 //
 // The encoder is Builder, and it is the only one: rows go in as wire
 // records — walked to a header and details pairs that still alias the
-// message — and come out as the column files below, with no ClientEvent in
-// between.
+// message — and come out as one chunk image (AppendImage), with no
+// ClientEvent in between. An aggregator stages that image and the columnar
+// seal stores it as it is: it is the one layout of a chunk.
 //
-// A sealed hour directory holds, beside its row files, one group of column
-// files per chunk of events (in warehouse scan order):
+// A sealed hour directory holds, beside any row files, one image file per
+// chunk of events (_col-00000.col on, in warehouse scan order) and the
+// _col-SEALED marker that counts them. An image is a section table — one
+// CRC record of the image magic, the format version, the section count and
+// each section's length — and then the sections, back to back:
 //
-//	_col-00000.meta        zone map: row count, min/max timestamp, min/max name
-//	_col-00000.initiator   run-length pairs (initiator byte, run)
-//	_col-00000.name        sorted per-chunk dictionary + uvarint IDs
-//	_col-00000.user_id     zig-zag varints
-//	_col-00000.session_id  sorted per-chunk dictionary + uvarint IDs
-//	_col-00000.ip          sorted per-chunk dictionary + uvarint IDs
-//	_col-00000.timestamp   zig-zag varint deltas from the previous row
-//	_col-00000.logged_in   run-length pairs (bool byte, run)
-//	_col-00000.details     sorted key dictionary + one typed sub-column per key (details.go)
-//	_col-SEALED            hour-level completion marker: total chunk count
+//	meta        zone map: row count, min/max timestamp, min/max name, column names
+//	initiator   run-length pairs (initiator byte, run)
+//	name        sorted per-chunk dictionary + uvarint IDs
+//	user_id     zig-zag varints
+//	session_id  sorted per-chunk dictionary + uvarint IDs
+//	ip          sorted per-chunk dictionary + uvarint IDs
+//	timestamp   zig-zag varint deltas from the previous row
+//	logged_in   run-length pairs (bool byte, run)
+//	details     sorted key dictionary + one typed sub-column per key (details.go)
 //
-// Every file is framed with the repository's recordio CRC discipline, so
-// a torn tail reads back as recordio.ErrTruncated and a flipped bit as
-// recordio.ErrCorrupt, and every decode error names the file.
+// Every section is framed with the repository's recordio CRC discipline,
+// so a torn tail reads back as recordio.ErrTruncated and a flipped bit as
+// recordio.ErrCorrupt, and every decode error names the file and the
+// section, as path#meta or path#<column>. A reader prunes on the table and
+// the meta alone (ReadMeta) and then reads only the sections of the
+// columns it needs (LoadChunk), one ranged read each.
 //
 // The reader's contract is the ID vector. A dictionary column decodes to
 // Dict — the chunk's distinct values in file order, which the encoder
@@ -44,11 +50,10 @@
 // Batch.Release hands them back to a pool, from which a later batch decodes
 // or walks into them instead of allocating its own: the ID, varint and
 // run-length vectors, each details key's row index, and for a chunk the
-// buffer its column files are read into. Nothing read from a batch may be
-// used after its Release but strings — dictionary entries and rendered
-// details are copies. A batch that is never released keeps its vectors and
-// is garbage collected; Columns.Load, outside any batch, decodes into
-// vectors of its own.
+// buffer its sections are read into. Nothing read from a batch may be used
+// after its Release but strings — dictionary entries and rendered details
+// are copies. A batch that is never released keeps its vectors and is
+// garbage collected.
 package chunk
 
 import (
@@ -83,9 +88,9 @@ const (
 	All Set = 1<<iota - 1
 )
 
-// ColumnNames is the column order of a chunk: ColumnNames[i] is the file
-// extension and schema name of column Set(1)<<i.
-var ColumnNames = []string{"initiator", "name", "user_id", "session_id", "ip", "timestamp", "logged_in", "details"}
+// ColumnNames is the column order of a chunk: ColumnNames[i] is the section
+// and schema name of column Set(1)<<i.
+var ColumnNames = [...]string{"initiator", "name", "user_id", "session_id", "ip", "timestamp", "logged_in", "details"}
 
 // ColumnOf returns the Set bit of a column name, or 0 for an unknown one.
 func ColumnOf(name string) Set {
@@ -104,18 +109,13 @@ const (
 	metaVersion = 2        // 2: the details column is typed per key
 )
 
-// Base returns the path prefix of chunk i in dir, without extension.
-func Base(dir string, i int) string {
-	return fmt.Sprintf("%s/_col-%05d", dir, i)
-}
-
-// MetaPath returns the zone-map file of chunk i in dir.
-func MetaPath(dir string, i int) string { return Base(dir, i) + ".meta" }
+// Path returns the image file of chunk i in dir.
+func Path(dir string, i int) string { return fmt.Sprintf("%s/_col-%05d.col", dir, i) }
 
 // SealedPath returns the hour-level completion marker of dir.
 func SealedPath(dir string) string { return dir + "/_col-SEALED" }
 
-// Sealed reports whether dir carries the completion marker. Chunk files
+// Sealed reports whether dir carries the completion marker. Chunks
 // without it — a seal that died mid-hour — do not count: the hour keeps
 // scanning through its row files until a re-seal finishes the job.
 func Sealed(fs *hdfs.FS, dir string) bool {
@@ -138,9 +138,9 @@ func WriteSealed(fs *hdfs.FS, dir string, chunks int) error {
 // SealedChunks reads the completion marker's chunk count.
 func SealedChunks(fs *hdfs.FS, dir string) (int, error) {
 	path := SealedPath(dir)
-	data, err := readFile(fs, path, nil)
+	data, err := fs.ReadFile(path)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("chunk: %s: %w", path, err)
 	}
 	rec, err := oneRecord(path, data)
 	if err != nil {
@@ -160,7 +160,7 @@ func SealedChunks(fs *hdfs.FS, dir string) (int, error) {
 	return n, nil
 }
 
-// frame wraps column payload records in one CRC-framed file image.
+// frame wraps payload records in CRC frames.
 func frame(recs ...[]byte) []byte {
 	var buf bytes.Buffer
 	w := recordio.NewCRCWriter(&buf)
@@ -175,8 +175,9 @@ func frame(recs ...[]byte) []byte {
 const zeroName = ":::::"
 
 // dictBuilder accumulates one dictionary column: every distinct value once,
-// numbered in first-seen order, and one such number per row. Flush renumbers
-// to sorted order, so the file is the one a sort-first encoder writes.
+// numbered in first-seen order, and one such number per row. records
+// renumbers to sorted order, so the section is the one a sort-first encoder
+// writes.
 type dictBuilder struct {
 	ids  map[string]uint32
 	vals []string // first-seen order; vals[ids[v]] == v
@@ -294,16 +295,16 @@ func (d *dictBuilder) reset() {
 // decoded header and the details pairs, all slices of the message — and
 // are appended straight to the column accumulators, so sealing an hour
 // builds no ClientEvent, renders no name and sorts no map. A Builder is
-// reusable: after Flush it is empty and keeps its buffers. The zero value
-// is ready to use; it is not safe for concurrent use.
+// reusable: after AppendImage it is empty and keeps its buffers.
+// The zero value is ready to use; it is not safe for concurrent use.
 type Builder struct {
 	rows         int
-	initiator    []byte // one byte per row, run-length-coded at Flush
+	initiator    []byte // one byte per row, run-length-coded in the image
 	loggedIn     []byte // likewise
 	name         dictBuilder
 	sessionID    dictBuilder
 	ip           dictBuilder
-	userID       []byte // zig-zag varints, as the file holds them
+	userID       []byte // zig-zag varints, as the section holds them
 	timestamp    []byte // zig-zag varint deltas from the previous row
 	prevTs       int64
 	minTs, maxTs int64
@@ -314,13 +315,12 @@ type Builder struct {
 	wire    []events.Pair         // and its details, in wire order
 	payload []byte                // scratch: a column's payload records
 	recs    [][]byte              // scratch: the details column's records
-	file    bytes.Buffer          // scratch: a file image being framed
-	image   []byte                // scratch: AppendImage's sections, in Flush's order
+	image   bytes.Buffer          // scratch: the framed sections of an image
 	ends    []int                 // and where each of them ends
 	remap   []uint32              // scratch: AddColumns' dictionary remap
 }
 
-// Rows returns the number of rows added since the last Flush.
+// Rows returns the number of rows added since the builder was last emptied.
 func (b *Builder) Rows() int { return b.rows }
 
 // AddRecord appends the row one compact-protocol client event holds: a
@@ -417,76 +417,46 @@ func loggedIn(h *events.Header) byte {
 	return 0
 }
 
-// Flush writes the rows added so far as chunk idx of dir — column files
-// first, the meta file last, so a torn seal never claims a chunk it did not
-// finish — empties the builder and returns the bytes of the files it
-// wrote. With no rows it writes nothing.
-func (b *Builder) Flush(fs *hdfs.FS, dir string, idx int) (int, error) {
-	if b.rows == 0 {
-		return 0, nil
-	}
-	base, written := Base(dir, idx), 0
-	err := b.sections(func(ext string, image []byte) error {
-		path := base + "." + ext
-		if err := fs.WriteFile(path, image); err != nil {
-			return fmt.Errorf("chunk: write chunk %s: %w", path, err)
-		}
-		written += len(image)
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	b.reset()
-	return written, nil
-}
-
 // AppendImage appends the rows added so far to dst as one chunk image,
-// empties the builder and returns the grown dst. The image is the chunk's
-// files in one: a CRC-framed section table — the image magic, the format
-// version, the section count and each section's length — then the meta
-// file and the column files in ColumnNames order, each the very bytes
-// Flush would write, framed as those files are. ReadImage reads it back.
-// With no rows it appends nothing.
+// empties the builder and returns the grown dst. The image is a CRC-framed
+// section table — the image magic, the format version, the section count
+// and each section's length — and then the sections, the meta first and
+// the columns in ColumnNames order. ReadImage reads it back from memory,
+// ReadMeta and LoadChunk from a file (Path). With no rows it appends
+// nothing.
 func (b *Builder) AppendImage(dst []byte) ([]byte, error) {
 	if b.rows == 0 {
 		return dst, nil
 	}
-	b.image, b.ends = b.image[:0], b.ends[:0]
-	err := b.sections(func(_ string, image []byte) error {
-		b.image = append(b.image, image...)
-		b.ends = append(b.ends, len(b.image))
-		return nil
-	})
-	if err != nil {
+	if err := b.sections(); err != nil {
 		return dst, err
 	}
-	// sections hands the meta last, as Flush writes it; the image leads with it.
-	cols := b.ends[len(ColumnNames)-1]
 	table := binary.AppendUvarint(b.payload[:0], imageMagic)
 	table = binary.AppendUvarint(table, metaVersion)
 	table = binary.AppendUvarint(table, uint64(len(b.ends)))
-	table = binary.AppendUvarint(table, uint64(len(b.image)-cols))
 	start := 0
-	for _, end := range b.ends[:len(ColumnNames)] {
+	for _, end := range b.ends {
 		table = binary.AppendUvarint(table, uint64(end-start))
 		start = end
 	}
 	b.payload = table
 	framed := frame(table)
-	dst = slices.Grow(dst, len(framed)+len(b.image))
+	dst = slices.Grow(dst, len(framed)+b.image.Len())
 	dst = append(dst, framed...)
-	dst = append(dst, b.image[cols:]...)
-	dst = append(dst, b.image[:cols]...)
+	dst = append(dst, b.image.Bytes()...)
 	b.reset()
 	return dst, nil
 }
 
-// sections frames the rows added so far as the chunk's file images, the
-// column files in ColumnNames order and the meta file last, and hands each
-// to put with its extension. The image put is given is reused for the
-// next: put copies what it keeps.
-func (b *Builder) sections(put func(ext string, image []byte) error) error {
+// sections frames the rows added so far as the image's sections into
+// b.image, the meta first and the columns in ColumnNames order, and
+// records where each ends in b.ends.
+func (b *Builder) sections() error {
+	b.image.Reset()
+	b.ends = b.ends[:0]
+	if err := b.frameSection("meta", b.meta()); err != nil {
+		return err
+	}
 	for i, col := range ColumnNames {
 		var recs [][]byte
 		switch Set(1) << i {
@@ -508,23 +478,23 @@ func (b *Builder) sections(put func(ext string, image []byte) error) error {
 			b.recs, b.payload = b.details.records(b.payload, b.recs)
 			recs = b.recs
 		}
-		if err := b.frameSection(col, put, recs); err != nil {
+		if err := b.frameSection(col, recs...); err != nil {
 			return err
 		}
 	}
-	return b.frameSection("meta", put, [][]byte{b.meta()})
+	return nil
 }
 
-// frameSection frames recs as one CRC-framed file image and hands it to put.
-func (b *Builder) frameSection(ext string, put func(string, []byte) error, recs [][]byte) error {
-	b.file.Reset()
-	w := recordio.NewCRCWriter(&b.file)
+// frameSection appends recs to b.image in CRC frames, as section name.
+func (b *Builder) frameSection(name string, recs ...[]byte) error {
+	w := recordio.NewCRCWriter(&b.image)
 	for _, rec := range recs {
 		if err := w.Append(rec); err != nil {
-			return fmt.Errorf("chunk: encode the %s section: %w", ext, err)
+			return fmt.Errorf("chunk: encode the %s section: %w", name, err)
 		}
 	}
-	return put(ext, b.file.Bytes())
+	b.ends = append(b.ends, b.image.Len())
+	return nil
 }
 
 // dictRecords returns a dictionary column's two records.

@@ -1,6 +1,6 @@
-// Package columnar re-encodes sealed warehouse hours into column-chunk
-// files so day-scale batch queries read IO proportional to the query, not
-// the corpus — the §3/§5 rollup scripts touch two or three columns of an
+// Package columnar re-encodes sealed warehouse hours into column chunks
+// so day-scale batch queries read IO proportional to the query, not the
+// corpus — the §3/§5 rollup scripts touch two or three columns of an
 // eight-column event, and the row-oriented hour files make them inflate
 // and walk all eight.
 //
@@ -8,22 +8,22 @@
 // package internal/chunk, which the daily session-sequence job imports
 // too; this package is what sits on either side of it. This file seals:
 // a Sealer takes an hour's rows into a chunk.Builder, cuts a chunk every
-// DefaultChunkRows events and writes them into the hour directory under
-// leading-underscore names (chunk.IsAuxiliary), which no row scanner
-// reads. The log mover runs a Sealer over the rows of the chunk images the
-// aggregators staged, re-chunked without a record walk, so a client-events
-// hour is published as its chunks alone; SealHour runs one over an hour's
-// published row files, for a warehouse written some other way
-// (warehouse.Writer), and writes the chunks beside those rows, which it
-// keeps. Once the marker is written the day reader reads the hour from its
+// DefaultChunkRows events and writes each as one chunk image file into the
+// hour directory under a leading-underscore name (chunk.IsAuxiliary),
+// which no row scanner reads. The log mover runs a Sealer over the rows of
+// the chunk images the aggregators staged, re-chunked without a record
+// walk, so a client-events hour is published as its chunks alone;
+// SealHour runs one over an hour's published row files, for a warehouse
+// written some other way (warehouse.Writer), and writes the chunks beside
+// those rows, which it keeps. Once the marker is written the day reader reads the hour from its
 // chunks, rows or no rows.
 //
-// Sealing is crash-safe at two levels: within a chunk the meta file is
-// written last, and across the hour the _col-SEALED marker is written
-// after the last chunk. An hour without the marker is not columnar —
-// scans keep reading its row files, and the next SealHour removes the
-// orphaned chunk files and re-seals from scratch — so a seal that dies
-// mid-hour can never silently drop the rows it had not reached.
+// Sealing is crash-safe at two levels: a chunk is one file, written in one
+// call, and across the hour the _col-SEALED marker is written after the
+// last chunk. An hour without the marker is not columnar — scans keep
+// reading its row files, and the next SealHour removes the orphaned chunks
+// and re-seals from scratch — so a seal that dies mid-hour can never
+// silently drop the rows it had not reached.
 //
 // This package writes chunks; no scan lives here. Both layouts of an hour
 // are read through internal/chunk's day reader — by
@@ -52,7 +52,7 @@ import (
 const DefaultChunkRows = 8192
 
 // HasColumnar reports whether dir has been fully sealed into column
-// chunks. Chunk files without the completion marker — a seal that died
+// chunks. Chunks without the completion marker — a seal that died
 // mid-hour — do not count: the hour keeps scanning through its row files
 // until a re-seal finishes the job.
 func HasColumnar(fs *hdfs.FS, dir string) bool {
@@ -198,13 +198,17 @@ func (s *Sealer) flush() error {
 	if rows == 0 {
 		return nil
 	}
-	written, err := s.b.Flush(s.fs, s.dir, s.chunks)
+	img, err := s.b.AppendImage(nil)
 	if err != nil {
 		return err
 	}
+	path := chunk.Path(s.dir, s.chunks)
+	if err := s.fs.WriteFile(path, img); err != nil {
+		return fmt.Errorf("columnar: write chunk %s: %w", path, err)
+	}
 	s.chunks++
 	s.rows += int64(rows)
-	s.bytes += int64(written)
+	s.bytes += int64(len(img))
 	return nil
 }
 
@@ -228,7 +232,7 @@ func SealDayParallel(fs *hdfs.FS, category string, day time.Time, workers int) (
 }
 
 // SealHoursParallel seals a set of hours on a bounded worker pool. Hour
-// directories are disjoint, so the chunk files each worker writes are
+// directories are disjoint, so the chunk images each worker writes are
 // exactly the files the serial loop would write. Error reporting is
 // deterministic: the earliest listed hour's failure wins, and the
 // returned total counts the hours before it plus the failing hour's

@@ -3,11 +3,14 @@ package columnar
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -259,26 +262,86 @@ func TestZoneMapPruning(t *testing.T) {
 	}
 }
 
-// TestCorruptionMatrix drives the three storage-failure modes through a
-// full scan: a torn chunk tail, a bit-flipped record body, and a missing
-// column file must each surface as their recordio/hdfs error kind, never
-// as silent data loss.
+// sectionNames are the sections of a chunk image in order.
+var sectionNames = append([]string{"meta"}, chunk.ColumnNames[:]...)
+
+// imageSections splits a chunk image into its sections by its section
+// table: the magic, the version, the section count, and each section's
+// length.
+func imageSections(t testing.TB, img []byte) [][]byte {
+	t.Helper()
+	table, rest, err := recordio.NextCRCRecord(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := recordio.NewCursor(table)
+	c.Uvarint("magic")
+	c.Uvarint("version")
+	sections := make([][]byte, c.Uvarint("sections"))
+	for i := range sections {
+		n := c.Uvarint("section length")
+		if !c.Ok() || n > uint64(len(rest)) {
+			t.Fatalf("section %d of %d bytes, %d left: %v", i, n, len(rest), c.Err())
+		}
+		sections[i], rest = rest[:n], rest[n:]
+	}
+	if len(sections) != len(sectionNames) || len(rest) != 0 || !c.Empty() {
+		t.Fatalf("an image of %d sections and %d bytes after them", len(sections), len(rest))
+	}
+	return sections
+}
+
+// withSection returns img with the section named col replaced by sec, and
+// its table telling the new length.
+func withSection(t testing.TB, img []byte, col string, sec []byte) []byte {
+	t.Helper()
+	table, _, err := recordio.NextCRCRecord(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := imageSections(t, img)
+	c := recordio.NewCursor(table)
+	var head []byte
+	for _, field := range []string{"magic", "version", "sections"} {
+		head = binary.AppendUvarint(head, c.Uvarint(field))
+	}
+	var body []byte
+	for i, old := range sections {
+		if sectionNames[i] == col {
+			old = sec
+		}
+		head = binary.AppendUvarint(head, uint64(len(old)))
+		body = append(body, old...)
+	}
+	var out bytes.Buffer
+	if err := recordio.NewCRCWriter(&out).Append(head); err != nil {
+		t.Fatal(err)
+	}
+	return append(out.Bytes(), body...)
+}
+
+// TestCorruptionMatrix drives the storage-failure modes through a full
+// scan: a torn section tail, a bit-flipped record body, a missing section
+// and an over-long column inside a chunk image must each surface as their
+// recordio error kind, naming the image and the section, never as silent
+// data loss.
 func TestCorruptionMatrix(t *testing.T) {
 	hourDir := warehouse.HourDir(events.Category, testDay)
+	image := chunk.Path(hourDir, 0)
 
-	corrupt := func(t *testing.T, fs *hdfs.FS, path string, mutate func([]byte) []byte) {
+	corrupt := func(t *testing.T, fs *hdfs.FS, col string, mutate func([]byte) []byte) {
 		t.Helper()
-		data, err := fs.ReadFile(path)
+		data, err := fs.ReadFile(image)
 		if err != nil {
-			t.Fatalf("read %s: %v", path, err)
+			t.Fatalf("read %s: %v", image, err)
 		}
-		if err := fs.Delete(path, false); err != nil {
-			t.Fatalf("delete %s: %v", path, err)
+		if err := fs.Delete(image, false); err != nil {
+			t.Fatalf("delete %s: %v", image, err)
 		}
-		if data = mutate(data); data != nil {
-			if err := fs.WriteFile(path, data); err != nil {
-				t.Fatalf("rewrite %s: %v", path, err)
-			}
+		sec := imageSections(t, data)[slices.Index(sectionNames, col)]
+		data = withSection(t, data, col, mutate(append([]byte(nil), sec...)))
+		if err := fs.WriteFile(image, data); err != nil {
+			t.Fatalf("rewrite %s: %v", image, err)
 		}
 	}
 	scan := func(fs *hdfs.FS) error {
@@ -293,13 +356,13 @@ func TestCorruptionMatrix(t *testing.T) {
 
 	cases := []struct {
 		name   string
-		file   string
+		col    string
 		mutate func([]byte) []byte
 		want   error
 	}{
 		{
 			name: "torn tail truncated",
-			file: hourDir + "/_col-00000.name",
+			col:  "name",
 			mutate: func(b []byte) []byte {
 				return b[:len(b)-3] // cut mid-record: framing sees a torn final write
 			},
@@ -307,7 +370,7 @@ func TestCorruptionMatrix(t *testing.T) {
 		},
 		{
 			name: "bit flip corrupt",
-			file: hourDir + "/_col-00000.user_id",
+			col:  "user_id",
 			mutate: func(b []byte) []byte {
 				b[len(b)-1] ^= 0x40 // flip a payload bit: checksum must catch it
 				return b
@@ -316,7 +379,7 @@ func TestCorruptionMatrix(t *testing.T) {
 		},
 		{
 			name: "meta bit flip corrupt",
-			file: hourDir + "/_col-00000.meta",
+			col:  "meta",
 			mutate: func(b []byte) []byte {
 				b[len(b)-1] ^= 0x01
 				return b
@@ -325,13 +388,13 @@ func TestCorruptionMatrix(t *testing.T) {
 		},
 		{
 			name:   "missing column file",
-			file:   hourDir + "/_col-00000.session_id",
-			mutate: func([]byte) []byte { return nil }, // delete, no rewrite
-			want:   hdfs.ErrNotFound,
+			col:    "session_id",
+			mutate: func([]byte) []byte { return nil }, // the section left out of the image
+			want:   recordio.ErrCorrupt,
 		},
 		{
 			name: "over-long column corrupt",
-			file: hourDir + "/_col-00000.user_id",
+			col:  "user_id",
 			mutate: func(b []byte) []byte {
 				// Re-frame the record with one extra trailing varint: the
 				// CRC is valid but the column now holds more rows than its
@@ -355,7 +418,7 @@ func TestCorruptionMatrix(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			fs, _ := buildDay(t, 4)
 			sealTestDay(t, fs, 32)
-			corrupt(t, fs, tc.file, tc.mutate)
+			corrupt(t, fs, tc.col, tc.mutate)
 			err := scan(fs)
 			if err == nil {
 				t.Fatal("scan of damaged chunk succeeded")
@@ -363,8 +426,8 @@ func TestCorruptionMatrix(t *testing.T) {
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("scan error = %v, want %v", err, tc.want)
 			}
-			if !strings.Contains(err.Error(), tc.file) {
-				t.Fatalf("scan error %q does not name the damaged file %s", err, tc.file)
+			if want := image + "#" + tc.col; !strings.Contains(err.Error(), want) {
+				t.Fatalf("scan error %q does not name the damaged section %s", err, want)
 			}
 		})
 	}
@@ -381,16 +444,11 @@ func TestTornSealRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rewind the seal to "died before chunk 4": drop the completion
-	// marker and the last chunk's files.
+	// marker and the last chunk.
 	if err := fs.Delete(chunk.SealedPath(hourDir), false); err != nil {
 		t.Fatal(err)
 	}
-	for _, col := range chunk.ColumnNames {
-		if err := fs.Delete(chunk.Base(hourDir, 4)+"."+col, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fs.Delete(chunk.MetaPath(hourDir, 4), false); err != nil {
+	if err := fs.Delete(chunk.Path(hourDir, 4), false); err != nil {
 		t.Fatal(err)
 	}
 	if HasColumnar(fs, hourDir) {
@@ -422,7 +480,7 @@ func TestTornSealRecovers(t *testing.T) {
 	if n == 0 {
 		t.Fatal("re-seal of a torn hour was a no-op")
 	}
-	if fs.Exists(chunk.MetaPath(hourDir, 3)) {
+	if fs.Exists(chunk.Path(hourDir, 3)) {
 		t.Fatal("re-seal left stale chunks from the torn attempt")
 	}
 	if !HasColumnar(fs, hourDir) {
@@ -466,11 +524,15 @@ func TestHybridDirFallsBackToRows(t *testing.T) {
 	}
 }
 
-// TestSealedBytesPinned seals one fixed-seed hour and compares a digest of
-// every _col-* file with the value recorded when the details column became
-// typed per key (chunk format 2): an encoder change that moves one byte of
-// the sealed layout — dictionary order, a details key's encoding, the zone
-// map — fails here.
+// TestSealedBytesPinned seals one fixed-seed hour and pins two digests. The
+// first is over the chunk's sections, each under the name of the file it
+// was when every section was a file of its own (_col-NNNNN.<column>,
+// _col-NNNNN.meta), and the marker: it is the value recorded when the
+// details column became typed per key (chunk format 2), so an encoder
+// change that moves one byte of a section — dictionary order, a details
+// key's encoding, the zone map — fails here. The second is over the files
+// the seal writes, one image per chunk and the marker, and pins the
+// section tables too.
 func TestSealedBytesPinned(t *testing.T) {
 	fs := hdfs.New(0)
 	w := warehouse.NewWriter(fs, events.Category)
@@ -502,12 +564,13 @@ func TestSealedBytesPinned(t *testing.T) {
 	if _, err := SealHourChunks(fs, events.Category, testDay, 64); err != nil {
 		t.Fatal(err)
 	}
-	infos, err := fs.Walk(warehouse.HourDir(events.Category, testDay))
+	dir := warehouse.HourDir(events.Category, testDay)
+	infos, err := fs.Walk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := sha256.New()
-	files := 0
+	sections, files := map[string][]byte{}, sha256.New()
+	images := 0
 	for _, fi := range infos { // Walk returns paths sorted
 		if !strings.Contains(fi.Path, "/_col-") {
 			continue
@@ -516,12 +579,29 @@ func TestSealedBytesPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(h, "%s %d\n", fi.Path, len(data))
-		h.Write(data)
-		files++
+		fmt.Fprintf(files, "%s %d\n", fi.Path, len(data))
+		files.Write(data)
+		if !chunk.IsChunk(fi.Path) {
+			sections[fi.Path] = data
+			continue
+		}
+		images++
+		base := strings.TrimSuffix(fi.Path, ".col")
+		for i, sec := range imageSections(t, data) {
+			sections[base+"."+sectionNames[i]] = sec
+		}
+	}
+	h := sha256.New()
+	for _, path := range slices.Sorted(maps.Keys(sections)) {
+		fmt.Fprintf(h, "%s %d\n", path, len(sections[path]))
+		h.Write(sections[path])
 	}
 	const want = "24c83eb51e13a27cc60dcfc8a3548bc6a6958089c7c046196a2e583a21c5ab98"
-	if got := hex.EncodeToString(h.Sum(nil)); got != want || files != 8*9+1 {
-		t.Fatalf("digest of %d column files = %s, want %d files, %s", files, got, 8*9+1, want)
+	if got := hex.EncodeToString(h.Sum(nil)); got != want || len(sections) != 8*9+1 {
+		t.Fatalf("digest of %d sections = %s, want %d sections, %s", len(sections), got, 8*9+1, want)
+	}
+	const wantFiles = "a988b806c3d1366f04deb949e4d073022860f3efc787d5b580081997dc259d77"
+	if got := hex.EncodeToString(files.Sum(nil)); got != wantFiles || images != 8 {
+		t.Fatalf("digest of %d chunk images and the marker = %s, want 8 images, %s", images, got, wantFiles)
 	}
 }

@@ -181,14 +181,14 @@ func TestSealErrorNamesTheRowFile(t *testing.T) {
 			if errors.Is(err, recordio.ErrCorrupt) {
 				t.Fatalf("seal error %v reads as file damage", err)
 			}
-			if n != 2 || HasColumnar(fs, dir) || !fs.Exists(chunk.MetaPath(dir, 1)) || fs.Exists(chunk.MetaPath(dir, 2)) {
+			if n != 2 || HasColumnar(fs, dir) || !fs.Exists(chunk.Path(dir, 1)) || fs.Exists(chunk.Path(dir, 2)) {
 				t.Fatalf("failed seal: %d chunks counted, sealed %v", n, HasColumnar(fs, dir))
 			}
 		})
 	}
 }
 
-// hourBytes sums the row files and the column files of the generated hour.
+// hourBytes sums the row files and the chunk images of the generated hour.
 func hourBytes(tb testing.TB, fs *hdfs.FS) (rows, cols int64) {
 	tb.Helper()
 	infos, err := fs.Walk(warehouse.HourDir(events.Category, testDay))
@@ -206,7 +206,7 @@ func hourBytes(tb testing.TB, fs *hdfs.FS) (rows, cols int64) {
 }
 
 // TestSealedNoLargerThanRows holds the seal to its storage target: a sealed
-// hour's column files take no more bytes than the row files they were cut
+// hour's chunk images take no more bytes than the row files they were cut
 // from. With the details column stored as length-prefixed pairs they took
 // 4.2 times as many; typed per key, 0.83.
 func TestSealedNoLargerThanRows(t *testing.T) {
@@ -215,7 +215,7 @@ func TestSealedNoLargerThanRows(t *testing.T) {
 	rows, cols := hourBytes(t, fs)
 	t.Logf("%d events: rows %.1f B/event, columns %.1f B/event", n, float64(rows)/float64(n), float64(cols)/float64(n))
 	if cols > rows {
-		t.Fatalf("column files hold %d bytes, the row files %d", cols, rows)
+		t.Fatalf("chunk images hold %d bytes, the row files %d", cols, rows)
 	}
 }
 

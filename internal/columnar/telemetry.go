@@ -10,7 +10,7 @@ import (
 var (
 	tmSealChunks = telemetry.GetCounter("columnar.seal.chunks")
 	tmSealRows   = telemetry.GetCounter("columnar.seal.rows")
-	// The bytes of the column files a seal wrote: over columnar.seal.rows,
+	// The bytes of the chunk images a seal wrote: over columnar.seal.rows,
 	// the sealed bytes per row.
 	tmSealBytes = telemetry.GetCounter("columnar.seal.bytes")
 

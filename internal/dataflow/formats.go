@@ -40,9 +40,9 @@ func walkSplits(fs *hdfs.FS, dir string) ([]Split, error) {
 // The zero value is a full scan. Specialized to a Selection
 // (LoadDirsSelective), the format reads only the columns the projection and
 // the predicate reference, skips a chunk whose zone map excludes the
-// predicate without opening a column file, matches the name pattern once per
-// name dictionary entry and builds only the projected columns of the rows
-// that pass. A message without a name field reads as ":::::", the zero
+// predicate without reading a column section, matches the name pattern once
+// per name dictionary entry and builds only the projected columns of the
+// rows that pass.A message without a name field reads as ":::::", the zero
 // EventName's string; an invalid name, empty included, fails the split as
 // ClientEvent.Decode fails on it.
 type ClientEventFormat struct {

@@ -117,12 +117,17 @@ func cleanPath(p string) (string, error) {
 		return p, nil
 	}
 	p = strings.TrimSuffix(p, "/")
-	for _, part := range strings.Split(p[1:], "/") {
+	// Cut, not Split: every call cleans its path, and a split allocates.
+	for rest := p[1:]; ; {
+		part, tail, more := strings.Cut(rest, "/")
 		if part == "" || part == "." || part == ".." {
 			return "", fmt.Errorf("%w: %q", ErrInvalidPath, p)
 		}
+		if !more {
+			return p, nil
+		}
+		rest = tail
 	}
-	return p, nil
 }
 
 func parentDir(p string) string {
@@ -262,24 +267,35 @@ func (w *FileWriter) Path() string { return w.path }
 // units: touching any byte of a block counts the whole block as read, which
 // mirrors how HDFS map tasks consume input splits.
 func (fs *FS) Open(path string) (*FileReader, error) {
-	if err := fs.check(); err != nil {
-		return nil, err
-	}
-	p, err := cleanPath(path)
+	p, data, err := fs.file(path)
 	if err != nil {
 		return nil, err
 	}
-	fs.mu.RLock()
-	data, ok := fs.files[p]
-	fs.mu.RUnlock()
-	if !ok {
-		if _, isDir := fs.dirs[p]; isDir {
-			return nil, fmt.Errorf("%w: %s", ErrIsDirectory, p)
-		}
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, p)
-	}
 	fs.addStats(Stats{OpenOps: 1})
 	return &FileReader{fs: fs, path: p, data: data}, nil
+}
+
+// file returns the clean path and the contents of the file at path; a
+// directory there is ErrIsDirectory, with its clean path.
+func (fs *FS) file(path string) (string, []byte, error) {
+	if err := fs.check(); err != nil {
+		return "", nil, err
+	}
+	p, err := cleanPath(path)
+	if err != nil {
+		return "", nil, err
+	}
+	fs.mu.RLock()
+	data, ok := fs.files[p]
+	_, isDir := fs.dirs[p]
+	fs.mu.RUnlock()
+	switch {
+	case isDir:
+		return p, nil, fmt.Errorf("%w: %s", ErrIsDirectory, p)
+	case !ok:
+		return p, nil, fmt.Errorf("%w: %s", ErrNotFound, p)
+	}
+	return p, data, nil
 }
 
 // ReadFile returns the full contents of the file at path.
@@ -298,15 +314,15 @@ func (fs *FS) ReadFile(path string) ([]byte, error) {
 
 // FileReader reads a published file.
 type FileReader struct {
-	fs   *FS
-	path string
-	data []byte
-	off  int
-	// blocksSeen tracks which blocks have been charged to stats.
-	lastBlockCharged int
+	fs      *FS
+	path    string
+	data    []byte
+	off     int
+	charged int // blocks [0, charged) are charged to stats
 }
 
-// Read implements io.Reader with block-granular accounting.
+// Read implements io.Reader with block-granular accounting: a read charges
+// the blocks it reaches that no earlier read did.
 func (r *FileReader) Read(p []byte) (int, error) {
 	if err := r.fs.check(); err != nil {
 		return 0, err
@@ -315,73 +331,49 @@ func (r *FileReader) Read(p []byte) (int, error) {
 		return 0, io.EOF
 	}
 	n := copy(p, r.data[r.off:])
-	firstBlock := r.off / r.fs.blockSize
 	r.off += n
-	lastBlock := (r.off - 1) / r.fs.blockSize
-	if r.lastBlockCharged == 0 && r.off > 0 {
-		// First read charges the first block.
-		r.fs.addStats(Stats{BytesRead: int64(n), BlocksRead: int64(lastBlock-firstBlock) + 1})
-		r.lastBlockCharged = lastBlock + 1
-		return n, nil
-	}
-	newBlocks := 0
-	if lastBlock+1 > r.lastBlockCharged {
-		newBlocks = lastBlock + 1 - r.lastBlockCharged
-		r.lastBlockCharged = lastBlock + 1
-	}
-	r.fs.addStats(Stats{BytesRead: int64(n), BlocksRead: int64(newBlocks)})
+	reached := (r.off + r.fs.blockSize - 1) / r.fs.blockSize
+	r.fs.addStats(Stats{BytesRead: int64(n), BlocksRead: int64(reached - r.charged)})
+	r.charged = reached
 	return n, nil
 }
 
 // Size returns the file's size in bytes.
 func (r *FileReader) Size() int64 { return int64(len(r.data)) }
 
-// ReadBlock returns the contents of block i, charging one block read. It is
-// how simulated map tasks consume their input split.
-func (fs *FS) ReadBlock(path string, i int) ([]byte, error) {
-	if err := fs.check(); err != nil {
-		return nil, err
-	}
-	p, err := cleanPath(path)
+// ReadAt reads len(p) bytes of the file at path from offset off, charging
+// the bytes and every block they touch: the ranged read a map task reads
+// its split with. As io.ReaderAt, a read that ends past the end of the
+// file returns what is there with io.EOF.
+func (fs *FS) ReadAt(path string, off int64, p []byte) (int, error) {
+	path, data, err := fs.file(path)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	fs.mu.RLock()
-	data, ok := fs.files[p]
-	fs.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, p)
+	if off < 0 {
+		return 0, fmt.Errorf("hdfs: negative offset %d reading %s", off, path)
 	}
-	start := i * fs.blockSize
-	if start < 0 || start >= len(data) {
-		return nil, fmt.Errorf("hdfs: block %d out of range for %s", i, p)
+	n := copy(p, data[min(off, int64(len(data))):])
+	if n > 0 {
+		first, last := int(off)/fs.blockSize, (int(off)+n-1)/fs.blockSize
+		fs.addStats(Stats{BytesRead: int64(n), BlocksRead: int64(last - first + 1)})
 	}
-	end := start + fs.blockSize
-	if end > len(data) {
-		end = len(data)
+	if n < len(p) {
+		return n, io.EOF
 	}
-	fs.addStats(Stats{BytesRead: int64(end - start), BlocksRead: 1})
-	return data[start:end], nil
+	return n, nil
 }
 
 // Stat describes the file or directory at path.
 func (fs *FS) Stat(path string) (FileInfo, error) {
-	if err := fs.check(); err != nil {
-		return FileInfo{}, err
+	p, data, err := fs.file(path)
+	if errors.Is(err, ErrIsDirectory) {
+		return FileInfo{Path: p, IsDir: true}, nil
 	}
-	p, err := cleanPath(path)
 	if err != nil {
 		return FileInfo{}, err
 	}
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	if data, ok := fs.files[p]; ok {
-		return FileInfo{Path: p, Size: int64(len(data)), Blocks: fs.numBlocks(len(data))}, nil
-	}
-	if _, ok := fs.dirs[p]; ok {
-		return FileInfo{Path: p, IsDir: true}, nil
-	}
-	return FileInfo{}, fmt.Errorf("%w: %s", ErrNotFound, p)
+	return FileInfo{Path: p, Size: int64(len(data)), Blocks: fs.numBlocks(len(data))}, nil
 }
 
 func (fs *FS) numBlocks(size int) int {

@@ -81,19 +81,49 @@ func TestBlockAccounting(t *testing.T) {
 	}
 }
 
-func TestReadBlock(t *testing.T) {
+// TestReadAt: a ranged read returns the bytes it was asked for and charges
+// them and each block they touch, one block per block touched however
+// small the range; a range past the end returns what is there with io.EOF.
+func TestReadAt(t *testing.T) {
 	fs := New(4)
 	if err := fs.WriteFile("/f", []byte("abcdefghij")); err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []string{"abcd", "efgh", "ij"} {
-		got, err := fs.ReadBlock("/f", i)
-		if err != nil || string(got) != want {
-			t.Fatalf("block %d = %q, %v", i, got, err)
+	for _, tc := range []struct {
+		off    int64
+		n      int
+		want   string
+		blocks int64
+		err    error
+	}{
+		{0, 4, "abcd", 1, nil},
+		{4, 4, "efgh", 1, nil},
+		{8, 2, "ij", 1, nil},
+		{3, 2, "de", 2, nil},
+		{1, 9, "bcdefghij", 3, nil},
+		{5, 0, "", 0, nil},
+		{8, 4, "ij", 1, io.EOF},
+		{10, 1, "", 0, io.EOF},
+	} {
+		before := fs.Snapshot()
+		p := make([]byte, tc.n)
+		n, err := fs.ReadAt("/f", tc.off, p)
+		after := fs.Snapshot()
+		if err != tc.err || string(p[:n]) != tc.want {
+			t.Fatalf("ReadAt(%d, %d) = %q, %v; want %q, %v", tc.off, tc.n, p[:n], err, tc.want, tc.err)
+		}
+		if got := after.BlocksRead - before.BlocksRead; got != tc.blocks {
+			t.Fatalf("ReadAt(%d, %d) charged %d blocks, want %d", tc.off, tc.n, got, tc.blocks)
+		}
+		if got := after.BytesRead - before.BytesRead; got != int64(n) {
+			t.Fatalf("ReadAt(%d, %d) charged %d bytes, read %d", tc.off, tc.n, got, n)
 		}
 	}
-	if _, err := fs.ReadBlock("/f", 3); err == nil {
-		t.Fatal("out-of-range block read succeeded")
+	if _, err := fs.ReadAt("/f", -1, make([]byte, 1)); err == nil {
+		t.Fatal("a read at a negative offset succeeded")
+	}
+	if _, err := fs.ReadAt("/g", 0, make([]byte, 1)); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("a read of a missing file: %v", err)
 	}
 }
 

@@ -12,7 +12,8 @@
 //     order, are re-chunked into columnar.DefaultChunkRows chunks
 //     (columnar.Sealer.AddColumns), byte for byte what a seal of the
 //     staged records writes, with no inflate and no record walk. Those
-//     chunks and their _col-SEALED marker are all the hour publishes. Any
+//     chunks, one image file each in the layout the aggregators staged,
+//     and their _col-SEALED marker are all the hour publishes. Any
 //     other category is staged as gzipped record streams: every member is
 //     inflated and its CRC-32 and length checked, and every record frame
 //     walked to a clean boundary;
@@ -73,8 +74,8 @@ type AuditRecord struct {
 	Started  time.Time
 	Finished time.Time
 	FilesIn  int
-	// FilesOut and BytesOut count what the hour published: its column
-	// files and marker when it sealed, its merged row files when not.
+	// FilesOut and BytesOut count what the hour published: its chunk
+	// images and marker when it sealed, its merged row files when not.
 	FilesOut int
 	Records  int64
 	// Dropped counts records removed by the Transform hook.

@@ -123,7 +123,7 @@ func stagedRecords(t *testing.T, sources []Source, hour time.Time, transform fun
 }
 
 // requireSealedLikeSealHour fails unless the published hour holds column
-// files and no row file, and its column files are, name for name and byte
+// files and no row file, and its chunk files are, name for name and byte
 // for byte, what columnar.SealHour writes over a warehouse.Writer copy of
 // recs, the records the mover read. It returns the number of chunks.
 func requireSealedLikeSealHour(t *testing.T, wh *hdfs.FS, hour time.Time, recs [][]byte) int {
@@ -138,7 +138,7 @@ func requireSealedLikeSealHour(t *testing.T, wh *hdfs.FS, hour time.Time, recs [
 	}
 	for _, fi := range infos {
 		if !strings.Contains(fi.Path, "/_col-") {
-			t.Fatalf("sealed hour %s publishes %s, want column files only", dir, fi.Path)
+			t.Fatalf("sealed hour %s publishes %s, want chunk files only", dir, fi.Path)
 		}
 	}
 	ref := hdfs.New(0)
@@ -161,18 +161,18 @@ func requireSealedLikeSealHour(t *testing.T, wh *hdfs.FS, hour time.Time, recs [
 	}
 	got, want := colFiles(t, wh, dir), colFiles(t, ref, dir)
 	if len(got) != len(want) {
-		t.Fatalf("the mover published %d column files, SealHour writes %d", len(got), len(want))
+		t.Fatalf("the mover published %d chunk files, SealHour writes %d", len(got), len(want))
 	}
 	for name, data := range want {
 		if !bytes.Equal(got[name], data) {
-			t.Fatalf("column file %s differs from SealHour's (%d bytes, want %d)", name, len(got[name]), len(data))
+			t.Fatalf("chunk file %s differs from SealHour's (%d bytes, want %d)", name, len(got[name]), len(data))
 		}
 	}
 	return chunks
 }
 
 // TestMoveSealsLikeSealHour: the hour the mover re-chunks from the staged
-// chunk images is exactly the column files SealHour writes over the same
+// chunk images is exactly the chunk files SealHour writes over the same
 // records written as rows, and no row file, as they are or through an
 // anonymizing Transform, for an hour of several chunks delivered through
 // the write path's full topology. The images hold the logged messages,
@@ -221,7 +221,7 @@ func TestMoveSealsLikeSealHour(t *testing.T) {
 				t.Fatalf("audit says %d files of %d bytes out, the hour holds %d of %d (%v)", rec.FilesOut, rec.BytesOut, len(infos), size, err)
 			}
 			if left := colFiles(t, wh, warehouse.TmpRoot); len(left) != 0 {
-				t.Fatalf("%d column files left behind in %s", len(left), warehouse.TmpRoot)
+				t.Fatalf("%d chunk files left behind in %s", len(left), warehouse.TmpRoot)
 			}
 		})
 	}
@@ -438,8 +438,8 @@ func TestCorruptFileRetrySealsClean(t *testing.T) {
 		t.Fatalf("staging changed by a failed move (%v)", err)
 	}
 	debris := colFiles(t, wh, warehouse.TmpRoot)
-	if len(debris) != 2*(len(chunk.ColumnNames)+1) {
-		t.Fatalf("the failed attempt cut %d column files, want two chunks' worth", len(debris))
+	if len(debris) != 2 {
+		t.Fatalf("the failed attempt cut %d chunk images, want two", len(debris))
 	}
 
 	replace(good)
@@ -462,7 +462,7 @@ func TestCorruptFileRetrySealsClean(t *testing.T) {
 }
 
 // TestCorruptChunkHasNoRowFallback: a sealed hour the mover published is
-// its chunks alone, so a column file damaged after the move fails the day
+// its chunks alone, so a chunk image damaged after the move fails the day
 // scan with recordio.ErrCorrupt naming that file; no row file is there to
 // read instead.
 func TestCorruptChunkHasNoRowFallback(t *testing.T) {
@@ -472,7 +472,7 @@ func TestCorruptChunkHasNoRowFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := warehouse.HourDir(events.Category, t0)
-	victim := chunk.Base(dir, 0) + ".name"
+	victim := chunk.Path(dir, 0)
 	data, err := wh.ReadFile(victim)
 	if err != nil {
 		t.Fatal(err)

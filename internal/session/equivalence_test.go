@@ -75,7 +75,11 @@ func sealHours(t testing.TB, fs *hdfs.FS, chunkRows int, marker bool, hours ...i
 			if b.Rows() == 0 {
 				return
 			}
-			if _, err := b.Flush(fs, dir, chunks); err != nil {
+			img, err := b.AppendImage(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.WriteFile(chunk.Path(dir, chunks), img); err != nil {
 				t.Fatal(err)
 			}
 			chunks++

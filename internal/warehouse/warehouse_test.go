@@ -188,7 +188,7 @@ func TestScanHourRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := HourDir("ce", hour)
-	if err := fs.WriteFile(dir+"/_col-00000.meta", []byte("not a record file")); err != nil {
+	if err := fs.WriteFile(dir+"/_col-00000.col", []byte("not a record file")); err != nil {
 		t.Fatal(err)
 	}
 	size, err := DataSize(fs, dir)
@@ -240,7 +240,7 @@ func TestDataSizeExcludesAuxiliary(t *testing.T) {
 	if err := fs.WriteFile("/logs/ce/part-0.gz", make([]byte, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.WriteFile("/logs/ce/_col-000000.name", make([]byte, 999)); err != nil {
+	if err := fs.WriteFile("/logs/ce/_col-00000.col", make([]byte, 999)); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.WriteFile("/logs/ce/_SEALED", make([]byte, 5)); err != nil {
@@ -347,7 +347,11 @@ func TestScanDayReadsEveryLayout(t *testing.T) {
 				t.Fatal(err)
 			}
 			if b.Rows() == 7 || i == len(base)-1 {
-				if _, err := b.Flush(fs, dir, chunks); err != nil {
+				img, err := b.AppendImage(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := fs.WriteFile(chunk.Path(dir, chunks), img); err != nil {
 					t.Fatal(err)
 				}
 				chunks++
