@@ -105,9 +105,10 @@ func oneRecord(path string, data []byte) ([]byte, error) {
 	return recs[0], nil
 }
 
-// trailing is the error of a column record that holds more than rows rows.
-func trailing(path string, c *recordio.Cursor, rows int) error {
-	return fmt.Errorf("chunk: %s: %w: %d trailing bytes after %d rows", path, recordio.ErrCorrupt, c.Remaining(), rows)
+// trailing is the error of a column record that holds more than rows rows,
+// left bytes past the last.
+func trailing(path string, left, rows int) error {
+	return fmt.Errorf("chunk: %s: %w: %d trailing bytes after %d rows", path, recordio.ErrCorrupt, left, rows)
 }
 
 // short is the error of a column record that cannot hold its chunk's rows:
@@ -284,17 +285,25 @@ func decodeDict(path string, data []byte, rows int, ids []uint32) (DictColumn, e
 	if rows > len(recs[1]) {
 		return DictColumn{}, short(path)
 	}
-	ic := recordio.NewCursor(recs[1])
+	// The IDs are read in place, a one-byte one — any ID of a dictionary
+	// under 128 entries — without a call.
+	rec, p := recs[1], 0
 	ids = slices.Grow(ids[:0], rows)[:rows]
 	for i := range ids {
-		id := ic.Uvarint("dict id")
-		if !ic.Ok() || id >= uint64(len(dict)) {
+		id, n := uint64(0), 0
+		if p < len(rec) && rec[p] < 0x80 {
+			id, n = uint64(rec[p]), 1
+		} else {
+			id, n = binary.Uvarint(rec[p:])
+		}
+		if n <= 0 || id >= uint64(len(dict)) {
 			return DictColumn{}, fmt.Errorf("chunk: %s: %w: dict id out of range", path, recordio.ErrCorrupt)
 		}
 		ids[i] = uint32(id)
+		p += n
 	}
-	if !ic.Empty() {
-		return DictColumn{}, trailing(path, ic, rows)
+	if p < len(rec) {
+		return DictColumn{}, trailing(path, len(rec)-p, rows)
 	}
 	return DictColumn{Dict: dict, IDs: ids}, nil
 }
@@ -310,22 +319,31 @@ func decodeVarints(path string, data []byte, rows int, delta bool, out []int64) 
 	if rows > len(rec) {
 		return nil, short(path)
 	}
-	c := recordio.NewCursor(rec)
+	// The values are read in place, a one-byte one — a small user ID or
+	// timestamp delta — without a call.
 	out = slices.Grow(out[:0], rows)[:rows]
-	prev := int64(0)
+	prev, p := int64(0), 0
 	for i := range out {
-		v := c.Varint("varint value")
+		var v int64
+		if p < len(rec) && rec[p] < 0x80 {
+			b := int64(rec[p])
+			v = b>>1 ^ -(b & 1)
+			p++
+		} else {
+			var n int
+			if v, n = binary.Varint(rec[p:]); n <= 0 {
+				return nil, fmt.Errorf("chunk: %s: %w: varint value", path, recordio.ErrCorrupt)
+			}
+			p += n
+		}
 		if delta {
 			v += prev
 			prev = v
 		}
 		out[i] = v
 	}
-	if err := c.Err(); err != nil {
-		return nil, fmt.Errorf("chunk: %s: %w", path, err)
-	}
-	if !c.Empty() {
-		return nil, trailing(path, c, rows)
+	if p < len(rec) {
+		return nil, trailing(path, len(rec)-p, rows)
 	}
 	return out, nil
 }
@@ -356,7 +374,7 @@ func decodeRLE(path string, data []byte, rows int, out []byte) ([]byte, error) {
 		return nil, short(path)
 	}
 	if !c.Empty() {
-		return nil, trailing(path, c, rows)
+		return nil, trailing(path, c.Remaining(), rows)
 	}
 	return out, nil
 }

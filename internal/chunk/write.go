@@ -444,7 +444,7 @@ func (b *Builder) AppendImage(dst []byte) ([]byte, error) {
 	dst = slices.Grow(dst, len(framed)+b.image.Len())
 	dst = append(dst, framed...)
 	dst = append(dst, b.image.Bytes()...)
-	b.reset()
+	b.Reset()
 	return dst, nil
 }
 
@@ -505,7 +505,9 @@ func (b *Builder) dictRecords(d *dictBuilder) [][]byte {
 	return b.recs
 }
 
-func (b *Builder) reset() {
+// Reset empties the builder, as AppendImage leaves it, keeping the buffers
+// its columns have grown.
+func (b *Builder) Reset() {
 	b.rows = 0
 	b.initiator, b.loggedIn = b.initiator[:0], b.loggedIn[:0]
 	b.name.reset()

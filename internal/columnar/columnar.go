@@ -142,6 +142,15 @@ func NewSealer(fs *hdfs.FS, dir string, chunkRows int) *Sealer {
 	return &Sealer{fs: fs, dir: dir, chunkRows: chunkRows}
 }
 
+// Reset readies s for another directory, as NewSealer(fs, dir, chunkRows)
+// would, keeping the buffers its chunk builder has grown; rows added since
+// its last chunk was written are dropped. The log mover seals hour after
+// hour with one Sealer this way.
+func (s *Sealer) Reset(fs *hdfs.FS, dir string) {
+	s.b.Reset()
+	s.fs, s.dir, s.chunks, s.rows, s.bytes = fs, dir, 0, 0, 0
+}
+
 // Add appends the row one compact-protocol client event holds, going from
 // the wire to the column accumulators with one header walk and no
 // ClientEvent in between, and writes a chunk once chunkRows rows are in. A

@@ -20,11 +20,12 @@
 // a few fields of every message (the realtime tap, the cluster router, the
 // per-file name index) and for the dataflow row scan, which builds only the
 // tuple columns a job projects. Header.DecodePairs is that plus the details
-// as key/value slices of the message, for the columnar seal, which re-lays
-// every field out and needs none of them as an object; Header.DecodeDetails
-// is that plus the details as a map, for a row scan that projects them. All
-// four are one switch over the field ids (walk), and FuzzHeaderMatchesDecode
-// holds them to the decoder they replaced.
+// as key/value slices of the message, for the chunk encoder and the
+// row-file reader, which lay every field out as a column and need none of
+// them as an object. All three are one switch over the field ids (walk) on
+// the concrete thrift.CompactDecoder, whose field-header, string and varint
+// reads take a short path for the one-byte forms nearly every field uses,
+// and FuzzHeaderMatchesDecode holds them to the decoder they replaced.
 //
 // The name table (names.go) numbers each valid name once per process and
 // digests it into a NameEntry, which the realtime counters, the cluster
@@ -370,7 +371,7 @@ const (
 )
 
 // Encode writes the event as a Thrift struct.
-func (e *ClientEvent) Encode(enc thrift.Encoder) {
+func (e *ClientEvent) Encode(enc *thrift.CompactEncoder) {
 	enc.WriteStructBegin()
 	enc.WriteFieldBegin(thrift.BYTE, fieldInitiator)
 	enc.WriteI8(int8(e.Initiator))
@@ -408,7 +409,7 @@ func (e *ClientEvent) Encode(enc thrift.Encoder) {
 // newer producers remain readable. It is the header walk plus the
 // allocations a decoded event needs: the parsed name, the strings, the
 // details map.
-func (e *ClientEvent) Decode(dec thrift.Decoder) error {
+func (e *ClientEvent) Decode(dec *thrift.CompactDecoder) error {
 	var h Header
 	var details map[string]string
 	if err := walk(dec, &h, &details, nil); err != nil {
@@ -482,29 +483,13 @@ func (h *Header) DecodePairs(dec *thrift.CompactDecoder, pairs []Pair) ([]Pair, 
 	return pairs, err
 }
 
-// DecodeDetails is Decode that also builds the message's details map the way
-// ClientEvent.Decode does: nil when the message carries no details field, an
-// empty map for a field with no entries, the last value of a key the map
-// holds twice, and the second map of a message that carries the field twice.
-// It is for a scan that hands the details on as an object while reading the
-// rest of the header in place. The dataflow row scan turns the empty map
-// into nil, because a sealed chunk cannot tell it from an absent field.
-func (h *Header) DecodeDetails(dec *thrift.CompactDecoder) (map[string]string, error) {
-	*h = Header{}
-	var details map[string]string
-	if err := walk(dec, h, &details, nil); err != nil {
-		return nil, err
-	}
-	return details, nil
-}
-
 // walk reads one client event struct from dec: the one place the field ids
 // are switched on. Strings land in h as slices of dec's input. The details
 // pairs are stored into *details and appended to *pairs, whichever is
 // non-nil, and read past otherwise; a message that carries the field twice
 // keeps the second map only. Known fields are read by id whatever wire type
 // the header declared, as Decode always has.
-func walk(dec thrift.Decoder, h *Header, details *map[string]string, pairs *[]Pair) error {
+func walk(dec *thrift.CompactDecoder, h *Header, details *map[string]string, pairs *[]Pair) error {
 	if err := dec.ReadStructBegin(); err != nil {
 		return err
 	}

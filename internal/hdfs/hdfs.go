@@ -278,24 +278,33 @@ func (fs *FS) Open(path string) (*FileReader, error) {
 // file returns the clean path and the contents of the file at path; a
 // directory there is ErrIsDirectory, with its clean path.
 func (fs *FS) file(path string) (string, []byte, error) {
-	if err := fs.check(); err != nil {
-		return "", nil, err
-	}
-	p, err := cleanPath(path)
-	if err != nil {
-		return "", nil, err
-	}
-	fs.mu.RLock()
-	data, ok := fs.files[p]
-	_, isDir := fs.dirs[p]
-	fs.mu.RUnlock()
+	p, data, isFile, isDir, err := fs.lookup(path)
 	switch {
+	case err != nil:
+		return "", nil, err
 	case isDir:
 		return p, nil, fmt.Errorf("%w: %s", ErrIsDirectory, p)
-	case !ok:
+	case !isFile:
 		return p, nil, fmt.Errorf("%w: %s", ErrNotFound, p)
 	}
 	return p, data, nil
+}
+
+// lookup returns the clean path and what is there: a file and its contents,
+// a directory, or neither. It builds no error for a directory or a missing
+// path, so Stat on a directory and Exists allocate nothing.
+func (fs *FS) lookup(path string) (p string, data []byte, isFile, isDir bool, err error) {
+	if err := fs.check(); err != nil {
+		return "", nil, false, false, err
+	}
+	if p, err = cleanPath(path); err != nil {
+		return "", nil, false, false, err
+	}
+	fs.mu.RLock()
+	data, isFile = fs.files[p]
+	_, isDir = fs.dirs[p]
+	fs.mu.RUnlock()
+	return p, data, isFile, isDir, nil
 }
 
 // ReadFile returns the full contents of the file at path.
@@ -366,12 +375,14 @@ func (fs *FS) ReadAt(path string, off int64, p []byte) (int, error) {
 
 // Stat describes the file or directory at path.
 func (fs *FS) Stat(path string) (FileInfo, error) {
-	p, data, err := fs.file(path)
-	if errors.Is(err, ErrIsDirectory) {
-		return FileInfo{Path: p, IsDir: true}, nil
-	}
-	if err != nil {
+	p, data, isFile, isDir, err := fs.lookup(path)
+	switch {
+	case err != nil:
 		return FileInfo{}, err
+	case isDir:
+		return FileInfo{Path: p, IsDir: true}, nil
+	case !isFile:
+		return FileInfo{}, fmt.Errorf("%w: %s", ErrNotFound, p)
 	}
 	return FileInfo{Path: p, Size: int64(len(data)), Blocks: fs.numBlocks(len(data))}, nil
 }
@@ -385,8 +396,8 @@ func (fs *FS) numBlocks(size int) int {
 
 // Exists reports whether path names a file or directory.
 func (fs *FS) Exists(path string) bool {
-	_, err := fs.Stat(path)
-	return err == nil
+	_, _, isFile, isDir, err := fs.lookup(path)
+	return err == nil && (isFile || isDir)
 }
 
 // List returns the immediate children of the directory at path, sorted.

@@ -290,6 +290,30 @@ func TestInvalidPaths(t *testing.T) {
 
 // TestRoundTripProperty: any byte content survives write/read, and block
 // math matches ceil(len/blockSize).
+// TestExistsAllocatesNothing: the warehouse asks Exists of hour
+// directories on every query plan, most of them missing; neither answer
+// builds an error to throw away.
+func TestExistsAllocatesNothing(t *testing.T) {
+	fs := New(64)
+	if err := fs.WriteFile("/logs/a/part-0", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]bool{"/logs/a/part-0": true, "/logs/a": true, "/logs/b": false} {
+		if got := fs.Exists(path); got != want {
+			t.Fatalf("Exists(%s) = %v, want %v", path, got, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { fs.Exists(path) }); n != 0 {
+			t.Errorf("Exists(%s) allocates %v times", path, n)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = fs.Stat("/logs/a") }); n != 0 {
+		t.Errorf("Stat of a directory allocates %v times", n)
+	}
+	if _, err := fs.Stat("/logs/b"); !errors.Is(err, ErrNotFound) || err.Error() != ErrNotFound.Error()+": /logs/b" {
+		t.Errorf("Stat of a missing path = %v", err)
+	}
+}
+
 func TestRoundTripProperty(t *testing.T) {
 	fs := New(7)
 	i := 0

@@ -129,7 +129,7 @@ type SearchEvent struct {
 }
 
 // Encode implements thrift.Struct.
-func (e *SearchEvent) Encode(enc thrift.Encoder) {
+func (e *SearchEvent) Encode(enc *thrift.CompactEncoder) {
 	enc.WriteStructBegin()
 	enc.WriteFieldBegin(thrift.I64, 1)
 	enc.WriteI64(e.UserID)
@@ -144,7 +144,7 @@ func (e *SearchEvent) Encode(enc thrift.Encoder) {
 }
 
 // Decode implements thrift.Struct.
-func (e *SearchEvent) Decode(dec thrift.Decoder) error {
+func (e *SearchEvent) Decode(dec *thrift.CompactDecoder) error {
 	if err := dec.ReadStructBegin(); err != nil {
 		return err
 	}

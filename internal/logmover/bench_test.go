@@ -18,7 +18,9 @@ import (
 // aggregators, which walk each record into a chunk encoder, into staging,
 // the region seals the hour (each stream's last chunk image staged,
 // _SEALED written), and the mover reads the images back, re-chunks and
-// publishes them (MoveAllSealed). Building the topology is not timed.
+// publishes them (MoveAllSealed). Iteration i delivers hour t0+i, and one
+// mover moves them all into one warehouse, as a mover runs hour after
+// hour. Building the region and the hour's messages is not timed.
 // It reports the cost per event — ns and allocations — and the staging
 // bytes that cross to the warehouse and the bytes it stores, per event.
 func BenchmarkDeliverHour(b *testing.B) {
@@ -26,12 +28,14 @@ func BenchmarkDeliverHour(b *testing.B) {
 	cfg.Users = 300
 	evs, _ := workload.New(cfg).Generate()
 	day := cfg.Day.UnixMilli()
-	msgs := make([][]byte, len(evs))
+	offsets := make([]int64, len(evs))
 	for i := range evs {
-		evs[i].Timestamp = t0.UnixMilli() + (evs[i].Timestamp-day)/24 // the day folded into hour t0
-		msgs[i] = evs[i].Marshal()
+		offsets[i] = (evs[i].Timestamp - day) / 24 // the day folded into one hour
 	}
+	msgs := make([][]byte, len(evs))
 	cats := []string{events.Category}
+	wh := hdfs.New(0)
+	m := New(wh)
 	var ns time.Duration
 	var allocs uint64
 	var staged, stored int64
@@ -39,19 +43,23 @@ func BenchmarkDeliverHour(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		dc, err := scribe.NewDatacenter("dc1", hdfs.New(0), zk.NewManualClock(t0), 2, 3, 7)
+		hour := t0.Add(time.Duration(i) * time.Hour)
+		for j := range evs {
+			evs[j].Timestamp = hour.UnixMilli() + offsets[j]
+			msgs[j] = evs[j].Marshal()
+		}
+		dc, err := scribe.NewDatacenter("dc1", hdfs.New(0), zk.NewManualClock(hour), 2, 3, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
-		wh := hdfs.New(0)
-		m := New(wh, Source{"dc1", dc.Staging})
+		m.Sources = []Source{{"dc1", dc.Staging}}
 		runtime.ReadMemStats(&before)
 		b.StartTimer()
 		start := time.Now()
 		for j, msg := range msgs {
 			dc.Daemons[j%len(dc.Daemons)].Log(events.Category, msg)
 		}
-		if err := dc.SealHour(cats, t0); err != nil {
+		if err := dc.SealHour(cats, hour); err != nil {
 			b.Fatal(err)
 		}
 		moved, err := m.MoveAllSealed()
@@ -63,7 +71,7 @@ func BenchmarkDeliverHour(b *testing.B) {
 		runtime.ReadMemStats(&after)
 		allocs += after.Mallocs - before.Mallocs
 		staged += moved[0].BytesIn
-		size, err := wh.TotalSize(warehouse.CategoryDir(events.Category))
+		size, err := wh.TotalSize(warehouse.HourDir(events.Category, hour))
 		if err != nil {
 			b.Fatal(err)
 		}

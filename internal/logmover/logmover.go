@@ -105,6 +105,9 @@ type Mover struct {
 	Clock func() time.Time
 
 	audits []AuditRecord
+	// sealer seals every client-events hour in turn, Reset for each, so
+	// an hour's chunk builder starts from the buffers the last one grew.
+	sealer *columnar.Sealer
 }
 
 // New returns a Mover targeting the given warehouse filesystem.
@@ -158,7 +161,11 @@ func (m *Mover) MoveHour(category string, hour time.Time) (AuditRecord, error) {
 	// images whose rows the hour's chunks are cut from.
 	var sealer *columnar.Sealer
 	if category == events.Category {
-		sealer = columnar.NewSealer(m.Warehouse, tmpDir, columnar.DefaultChunkRows)
+		if m.sealer == nil {
+			m.sealer = columnar.NewSealer(m.Warehouse, tmpDir, columnar.DefaultChunkRows)
+		}
+		sealer = m.sealer
+		sealer.Reset(m.Warehouse, tmpDir)
 	}
 	// Any other hour's rows are held until every file has passed its
 	// check, so a failed move writes no row file.

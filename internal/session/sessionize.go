@@ -58,7 +58,7 @@ const (
 )
 
 // Encode writes the record as a Thrift struct.
-func (r *Record) Encode(enc thrift.Encoder) {
+func (r *Record) Encode(enc *thrift.CompactEncoder) {
 	enc.WriteStructBegin()
 	enc.WriteFieldBegin(thrift.I64, rfUserID)
 	enc.WriteI64(r.UserID)
@@ -77,7 +77,7 @@ func (r *Record) Encode(enc thrift.Encoder) {
 }
 
 // Decode reads the record from a Thrift struct.
-func (r *Record) Decode(dec thrift.Decoder) error {
+func (r *Record) Decode(dec *thrift.CompactDecoder) error {
 	if err := dec.ReadStructBegin(); err != nil {
 		return err
 	}

@@ -53,30 +53,17 @@ func toCompactType(t Type) byte {
 	return ctStop
 }
 
+// compactTypes maps a compact type nibble to its Type; STOP marks a nibble
+// that names none (0, which only ends a struct, and 13-15).
+var compactTypes = [16]Type{
+	ctBoolTrue: BOOL, ctBoolFalse: BOOL, ctByte: BYTE, ctI16: I16, ctI32: I32,
+	ctI64: I64, ctDouble: DOUBLE, ctBinary: STRING, ctList: LIST, ctSet: SET,
+	ctMap: MAP, ctStruct: STRUCT,
+}
+
 func fromCompactType(ct byte) (Type, error) {
-	switch ct {
-	case ctBoolTrue, ctBoolFalse:
-		return BOOL, nil
-	case ctByte:
-		return BYTE, nil
-	case ctI16:
-		return I16, nil
-	case ctI32:
-		return I32, nil
-	case ctI64:
-		return I64, nil
-	case ctDouble:
-		return DOUBLE, nil
-	case ctBinary:
-		return STRING, nil
-	case ctList:
-		return LIST, nil
-	case ctSet:
-		return SET, nil
-	case ctMap:
-		return MAP, nil
-	case ctStruct:
-		return STRUCT, nil
+	if t := compactTypes[ct&0x0F]; t != STOP {
+		return t, nil
 	}
 	return STOP, fmt.Errorf("%w: compact type 0x%02x", ErrInvalidType, ct)
 }
@@ -106,8 +93,6 @@ type CompactEncoder struct {
 
 // NewCompactEncoder returns an empty compact-protocol encoder.
 func NewCompactEncoder() *CompactEncoder { return &CompactEncoder{} }
-
-var _ Encoder = (*CompactEncoder)(nil)
 
 func (e *CompactEncoder) varint(v uint64) {
 	e.buf = binary.AppendUvarint(e.buf, v)
@@ -207,8 +192,8 @@ func (e *CompactEncoder) WriteMapBegin(k, v Type, size int) {
 	e.buf = append(e.buf, toCompactType(k)<<4|toCompactType(v))
 }
 
-// WriteListBegin writes a list header: sizes below 15 pack into the type
-// byte, larger sizes follow as a varint.
+// WriteListBegin writes a list or set header: sizes below 15 pack into the
+// type byte, larger sizes follow as a varint.
 func (e *CompactEncoder) WriteListBegin(elem Type, size int) {
 	if size < 15 {
 		e.buf = append(e.buf, byte(size)<<4|toCompactType(elem))
@@ -217,9 +202,6 @@ func (e *CompactEncoder) WriteListBegin(elem Type, size int) {
 	e.buf = append(e.buf, 0xF0|toCompactType(elem))
 	e.varint(uint64(size))
 }
-
-// WriteSetBegin writes a set header, identical in shape to a list header.
-func (e *CompactEncoder) WriteSetBegin(elem Type, size int) { e.WriteListBegin(elem, size) }
 
 // Bytes returns the encoded bytes accumulated so far.
 func (e *CompactEncoder) Bytes() []byte { return e.buf }
@@ -250,8 +232,6 @@ type CompactDecoder struct {
 // NewCompactDecoder returns a decoder consuming data.
 func NewCompactDecoder(data []byte) *CompactDecoder { return &CompactDecoder{data: data} }
 
-var _ Decoder = (*CompactDecoder)(nil)
-
 // Reset points the decoder at a new message, keeping its field-id stack's
 // backing array, so one decoder walks a whole batch of messages without
 // allocating.
@@ -268,7 +248,16 @@ func (d *CompactDecoder) readByte() (byte, error) {
 	return b, nil
 }
 
+// readUvarint reads a varint, a one-byte one without a further call.
 func (d *CompactDecoder) readUvarint() (uint64, error) {
+	if d.pos < len(d.data) && d.data[d.pos] < 0x80 {
+		d.pos++
+		return uint64(d.data[d.pos-1]), nil
+	}
+	return d.readUvarintSlow()
+}
+
+func (d *CompactDecoder) readUvarintSlow() (uint64, error) {
 	v, n := binary.Uvarint(d.data[d.pos:])
 	if n <= 0 {
 		return 0, fmt.Errorf("%w: bad varint at offset %d", ErrTruncated, d.pos)
@@ -294,8 +283,21 @@ func (d *CompactDecoder) ReadStructEnd() error {
 }
 
 // ReadFieldBegin reads the next field header, resolving field-id deltas. For
-// BOOL fields the value is stashed for the following ReadBool.
+// BOOL fields the value is stashed for the following ReadBool. A header
+// with a short id delta and any other type is read without a further call.
 func (d *CompactDecoder) ReadFieldBegin() (Type, int16, error) {
+	if d.pos < len(d.data) {
+		b := d.data[d.pos]
+		if t := compactTypes[b&0x0F]; b > 0x0F && t != STOP && t != BOOL {
+			d.pos++
+			d.lastFieldID += int16(b >> 4)
+			return t, d.lastFieldID, nil
+		}
+	}
+	return d.readFieldBegin()
+}
+
+func (d *CompactDecoder) readFieldBegin() (Type, int16, error) {
 	b, err := d.readByte()
 	if err != nil {
 		return STOP, 0, err
@@ -358,9 +360,13 @@ func (d *CompactDecoder) ReadI32() (int32, error) {
 	return unzigzag32(uint32(v)), err
 }
 
-// ReadI64 reads a zigzag varint.
+// ReadI64 reads a zigzag varint, a one-byte one without a further call.
 func (d *CompactDecoder) ReadI64() (int64, error) {
-	v, err := d.readUvarint()
+	if d.pos < len(d.data) && d.data[d.pos] < 0x80 {
+		d.pos++
+		return unzigzag64(uint64(d.data[d.pos-1])), nil
+	}
+	v, err := d.readUvarintSlow()
 	return unzigzag64(v), err
 }
 
@@ -381,9 +387,20 @@ func (d *CompactDecoder) ReadString() (string, error) {
 }
 
 // ReadBinary reads a varint-length-prefixed byte slice. The returned slice
-// aliases the decoder's input.
+// aliases the decoder's input. One shorter than 128 bytes is read without
+// a further call.
 func (d *CompactDecoder) ReadBinary() ([]byte, error) {
-	n, err := d.readUvarint()
+	if p := d.pos; p < len(d.data) {
+		if n := int(d.data[p]); n < 0x80 && n < len(d.data)-p {
+			d.pos = p + 1 + n
+			return d.data[p+1 : d.pos], nil
+		}
+	}
+	return d.readBinary()
+}
+
+func (d *CompactDecoder) readBinary() ([]byte, error) {
+	n, err := d.readUvarintSlow()
 	if err != nil {
 		return nil, err
 	}
@@ -422,7 +439,7 @@ func (d *CompactDecoder) ReadMapBegin() (Type, Type, int, error) {
 	return kt, vt, int(n), nil
 }
 
-// ReadListBegin reads a list header.
+// ReadListBegin reads a list or set header.
 func (d *CompactDecoder) ReadListBegin() (Type, int, error) {
 	b, err := d.readByte()
 	if err != nil {
@@ -445,11 +462,81 @@ func (d *CompactDecoder) ReadListBegin() (Type, int, error) {
 	return et, int(n), nil
 }
 
-// ReadSetBegin reads a set header.
-func (d *CompactDecoder) ReadSetBegin() (Type, int, error) { return d.ReadListBegin() }
+// Skip discards a value of type t, recursing into containers and structs.
+// It is how a decoder tolerates unknown fields.
+func (d *CompactDecoder) Skip(t Type) error { return d.skip(t, 0) }
 
-// Skip discards a value of type t, recursing into containers.
-func (d *CompactDecoder) Skip(t Type) error { return skipValue(d, t, 0) }
+func (d *CompactDecoder) skip(t Type, depth int) error {
+	if depth > maxSkipDepth {
+		return ErrDepthLimit
+	}
+	switch t {
+	case BOOL:
+		_, err := d.ReadBool()
+		return err
+	case BYTE:
+		_, err := d.ReadI8()
+		return err
+	case DOUBLE:
+		_, err := d.ReadDouble()
+		return err
+	case I16:
+		_, err := d.ReadI16()
+		return err
+	case I32:
+		_, err := d.ReadI32()
+		return err
+	case I64:
+		_, err := d.ReadI64()
+		return err
+	case STRING:
+		_, err := d.ReadBinary()
+		return err
+	case STRUCT:
+		if err := d.ReadStructBegin(); err != nil {
+			return err
+		}
+		for {
+			ft, _, err := d.ReadFieldBegin()
+			if err != nil {
+				return err
+			}
+			if ft == STOP {
+				break
+			}
+			if err := d.skip(ft, depth+1); err != nil {
+				return err
+			}
+		}
+		return d.ReadStructEnd()
+	case MAP:
+		kt, vt, n, err := d.ReadMapBegin()
+		if err != nil {
+			return err
+		}
+		for i := 0; i < n; i++ {
+			if err := d.skip(kt, depth+1); err != nil {
+				return err
+			}
+			if err := d.skip(vt, depth+1); err != nil {
+				return err
+			}
+		}
+		return nil
+	case SET, LIST:
+		et, n, err := d.ReadListBegin() // a set header is a list header
+		if err != nil {
+			return err
+		}
+		for i := 0; i < n; i++ {
+			if err := d.skip(et, depth+1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return fmt.Errorf("%w: cannot skip %v", ErrInvalidType, t)
+}
 
 // Remaining reports undecoded bytes left in the input.
 func (d *CompactDecoder) Remaining() int { return len(d.data) - d.pos }

@@ -9,7 +9,7 @@ type boolListStruct struct {
 	M     map[string]bool
 }
 
-func (s *boolListStruct) Encode(e Encoder) {
+func (s *boolListStruct) Encode(e *CompactEncoder) {
 	e.WriteStructBegin()
 	e.WriteFieldBegin(LIST, 1)
 	e.WriteListBegin(BOOL, len(s.Flags))
@@ -26,7 +26,7 @@ func (s *boolListStruct) Encode(e Encoder) {
 	e.WriteStructEnd()
 }
 
-func (s *boolListStruct) Decode(d Decoder) error {
+func (s *boolListStruct) Decode(d *CompactDecoder) error {
 	if err := d.ReadStructBegin(); err != nil {
 		return err
 	}
@@ -115,8 +115,12 @@ func TestBoolContainerSkipped(t *testing.T) {
 
 type skipAll struct{}
 
-func (skipAll) Encode(e Encoder) { e.WriteStructBegin(); e.WriteFieldStop(); e.WriteStructEnd() }
-func (s *skipAll) Decode(d Decoder) error {
+func (skipAll) Encode(e *CompactEncoder) {
+	e.WriteStructBegin()
+	e.WriteFieldStop()
+	e.WriteStructEnd()
+}
+func (s *skipAll) Decode(d *CompactDecoder) error {
 	if err := d.ReadStructBegin(); err != nil {
 		return err
 	}

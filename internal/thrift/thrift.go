@@ -3,12 +3,19 @@
 // evolution guarantees (unknown fields are skipped on decode).
 //
 // The paper serializes every log message as a Thrift struct (§3); this
-// package is the substrate that plays Thrift's role. One protocol is
-// provided, the compact one: zigzag varints and field-id delta encoding.
+// package is the substrate that plays Thrift's role. It has one protocol,
+// the compact one (zigzag varints and field-id delta encoding), and no
+// protocol interface: CompactEncoder and CompactDecoder are concrete types,
+// and a message's Encode and Decode take them. Every consumer of a client
+// event walks it field by field, so the decoder's common reads — a field
+// header with a short id delta, a string shorter than 128 bytes, a one-byte
+// varint — are small enough for the compiler to inline at the call site;
+// anything else falls back to the general code, which gives every error.
 //
-// Encoders append to an internal buffer and never fail; decoders consume a
-// byte slice and return errors for malformed or truncated input. A type that
-// implements Struct is round-tripped with EncodeCompact/DecodeCompact.
+// The encoder appends to an internal buffer and never fails; the decoder
+// consumes a byte slice and returns errors for malformed or truncated
+// input. A type that implements Struct is round-tripped with
+// EncodeCompact/DecodeCompact.
 package thrift
 
 import (
@@ -80,66 +87,12 @@ var (
 // maxSkipDepth bounds recursion in Skip.
 const maxSkipDepth = 64
 
-// Encoder is the write half of a protocol. Encoders buffer internally and
-// cannot fail; call Bytes to obtain the encoded message.
-type Encoder interface {
-	WriteStructBegin()
-	WriteStructEnd()
-	// WriteFieldBegin starts a struct field with the given type and id.
-	WriteFieldBegin(t Type, id int16)
-	// WriteFieldStop terminates the field list of the current struct.
-	WriteFieldStop()
-	WriteBool(v bool)
-	WriteI8(v int8)
-	WriteI16(v int16)
-	WriteI32(v int32)
-	WriteI64(v int64)
-	WriteDouble(v float64)
-	WriteString(v string)
-	WriteBinary(v []byte)
-	WriteMapBegin(k, v Type, size int)
-	WriteListBegin(elem Type, size int)
-	WriteSetBegin(elem Type, size int)
-	// Bytes returns the encoded message. The returned slice aliases the
-	// encoder's internal buffer and is valid until the next Write call.
-	Bytes() []byte
-	// Len reports the number of encoded bytes so far.
-	Len() int
-	// Reset discards the buffered output so the encoder can be reused.
-	Reset()
-}
-
-// Decoder is the read half of a protocol.
-type Decoder interface {
-	ReadStructBegin() error
-	ReadStructEnd() error
-	// ReadFieldBegin returns the next field's type and id. A returned type
-	// of STOP signals the end of the current struct.
-	ReadFieldBegin() (Type, int16, error)
-	ReadBool() (bool, error)
-	ReadI8() (int8, error)
-	ReadI16() (int16, error)
-	ReadI32() (int32, error)
-	ReadI64() (int64, error)
-	ReadDouble() (float64, error)
-	ReadString() (string, error)
-	ReadBinary() ([]byte, error)
-	ReadMapBegin() (k, v Type, size int, err error)
-	ReadListBegin() (elem Type, size int, err error)
-	ReadSetBegin() (elem Type, size int, err error)
-	// Skip consumes and discards a value of the given type, recursing into
-	// containers and structs. It is how decoders tolerate unknown fields.
-	Skip(t Type) error
-	// Remaining reports how many undecoded bytes are left.
-	Remaining() int
-}
-
 // Struct is a message that knows how to serialize itself. Encode must write
 // WriteStructBegin, the fields, WriteFieldStop, and WriteStructEnd; Decode
 // must mirror it and Skip unknown fields so old readers accept new messages.
 type Struct interface {
-	Encode(e Encoder)
-	Decode(d Decoder) error
+	Encode(e *CompactEncoder)
+	Decode(d *CompactDecoder) error
 }
 
 // EncodeCompact serializes s with the compact protocol.
@@ -154,84 +107,4 @@ func EncodeCompact(s Struct) []byte {
 // DecodeCompact deserializes data into s with the compact protocol.
 func DecodeCompact(data []byte, s Struct) error {
 	return s.Decode(NewCompactDecoder(data))
-}
-
-// skipValue implements Skip generically in terms of the Decoder interface.
-func skipValue(d Decoder, t Type, depth int) error {
-	if depth > maxSkipDepth {
-		return ErrDepthLimit
-	}
-	switch t {
-	case BOOL:
-		_, err := d.ReadBool()
-		return err
-	case BYTE:
-		_, err := d.ReadI8()
-		return err
-	case DOUBLE:
-		_, err := d.ReadDouble()
-		return err
-	case I16:
-		_, err := d.ReadI16()
-		return err
-	case I32:
-		_, err := d.ReadI32()
-		return err
-	case I64:
-		_, err := d.ReadI64()
-		return err
-	case STRING:
-		_, err := d.ReadBinary()
-		return err
-	case STRUCT:
-		if err := d.ReadStructBegin(); err != nil {
-			return err
-		}
-		for {
-			ft, _, err := d.ReadFieldBegin()
-			if err != nil {
-				return err
-			}
-			if ft == STOP {
-				break
-			}
-			if err := skipValue(d, ft, depth+1); err != nil {
-				return err
-			}
-		}
-		return d.ReadStructEnd()
-	case MAP:
-		kt, vt, n, err := d.ReadMapBegin()
-		if err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			if err := skipValue(d, kt, depth+1); err != nil {
-				return err
-			}
-			if err := skipValue(d, vt, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	case SET, LIST:
-		var et Type
-		var n int
-		var err error
-		if t == SET {
-			et, n, err = d.ReadSetBegin()
-		} else {
-			et, n, err = d.ReadListBegin()
-		}
-		if err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			if err := skipValue(d, et, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("%w: cannot skip %v", ErrInvalidType, t)
 }

@@ -2,6 +2,7 @@ package thrift
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -23,7 +24,7 @@ type testStruct struct {
 	Sub *testStruct
 }
 
-func (t *testStruct) Encode(e Encoder) {
+func (t *testStruct) Encode(e *CompactEncoder) {
 	e.WriteStructBegin()
 	e.WriteFieldBegin(BOOL, 1)
 	e.WriteBool(t.B)
@@ -60,7 +61,7 @@ func (t *testStruct) Encode(e Encoder) {
 	e.WriteStructEnd()
 }
 
-func (t *testStruct) Decode(d Decoder) error {
+func (t *testStruct) Decode(d *CompactDecoder) error {
 	if err := d.ReadStructBegin(); err != nil {
 		return err
 	}
@@ -163,7 +164,7 @@ type v2Struct struct {
 	ExtraSub  *testStruct
 }
 
-func (v *v2Struct) Encode(e Encoder) {
+func (v *v2Struct) Encode(e *CompactEncoder) {
 	e.WriteStructBegin()
 	e.WriteFieldBegin(BOOL, 1)
 	e.WriteBool(v.B)
@@ -187,7 +188,7 @@ func (v *v2Struct) Encode(e Encoder) {
 	e.WriteStructEnd()
 }
 
-func (v *v2Struct) Decode(d Decoder) error { return v.testStruct.Decode(d) }
+func (v *v2Struct) Decode(d *CompactDecoder) error { return v.testStruct.Decode(d) }
 
 // TestSchemaEvolution verifies the paper's backwards-compatibility property:
 // messages "can be augmented with additional fields in a completely
@@ -343,5 +344,74 @@ func TestFieldIDDeltaAcrossNesting(t *testing.T) {
 	}
 	if out.Sub == nil || out.Sub.Sub == nil || out.Sub.Sub.I64 != 7 {
 		t.Fatalf("nested decode mismatch: %+v", out.Sub)
+	}
+}
+
+// TestShortPathsMatchGeneral holds each read's one-byte short path to the
+// general code it falls back to, on every lead byte, after every tail
+// length, from a decoder with and without a pending bool: same value, same
+// error text, same decoder state after the read.
+func TestShortPathsMatchGeneral(t *testing.T) {
+	reads := []struct {
+		name        string
+		short, slow func(d *CompactDecoder) (any, error)
+	}{
+		{"field header",
+			func(d *CompactDecoder) (any, error) { ft, id, err := d.ReadFieldBegin(); return [2]any{ft, id}, err },
+			func(d *CompactDecoder) (any, error) { ft, id, err := d.readFieldBegin(); return [2]any{ft, id}, err }},
+		{"binary",
+			func(d *CompactDecoder) (any, error) { return d.ReadBinary() },
+			func(d *CompactDecoder) (any, error) { return d.readBinary() }},
+		{"uvarint",
+			func(d *CompactDecoder) (any, error) { return d.readUvarint() },
+			func(d *CompactDecoder) (any, error) { return d.readUvarintSlow() }},
+		{"i64",
+			func(d *CompactDecoder) (any, error) { return d.ReadI64() },
+			func(d *CompactDecoder) (any, error) { v, err := d.readUvarintSlow(); return unzigzag64(v), err }},
+	}
+	tail := []byte{0x05, 0x80, 0x01, 'a', 'b', 'c'}
+	for _, r := range reads {
+		for lead := 0; lead < 256; lead++ {
+			for n := 0; n <= len(tail); n++ {
+				for _, pending := range []bool{false, true} {
+					data := append([]byte{0x11, byte(lead)}, tail[:n]...)
+					var short CompactDecoder
+					short.Reset(data)
+					short.pos, short.lastFieldID = 1, 3
+					short.pendingBool, short.hasPendingBool = pending, pending
+					slow := short
+					sv, serr := r.short(&short)
+					gv, gerr := r.slow(&slow)
+					if fmt.Sprint(serr) != fmt.Sprint(gerr) || !reflect.DeepEqual(sv, gv) || !reflect.DeepEqual(short, slow) {
+						t.Fatalf("%s on %x: short path %v, %v, %+v; general %v, %v, %+v",
+							r.name, data[1:], sv, serr, short, gv, gerr, slow)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMistypedBoolFieldLeavesItsBool: a BOOL field header read by a
+// decoder that then reads the field as another type leaves its bool
+// pending, and the next ReadBool — here the first element of a skipped
+// list<bool> — takes it without reading a byte. 0x30 is then the list's
+// second element, and the next 0x30 a field header of no type.
+func TestMistypedBoolFieldLeavesItsBool(t *testing.T) {
+	d := NewCompactDecoder([]byte{0x61, 0x30, 0x39, 0x21, 0x30, 0x30})
+	if ft, id, err := d.ReadFieldBegin(); ft != BOOL || id != 6 || err != nil {
+		t.Fatalf("first header = %v %d %v", ft, id, err)
+	}
+	if v, err := d.ReadI64(); v != 24 || err != nil {
+		t.Fatalf("i64 under the bool header = %d, %v", v, err)
+	}
+	if ft, id, err := d.ReadFieldBegin(); ft != LIST || id != 9 || err != nil {
+		t.Fatalf("second header = %v %d %v", ft, id, err)
+	}
+	if err := d.Skip(LIST); err != nil {
+		t.Fatalf("skip list<bool>: %v", err)
+	}
+	if _, _, err := d.ReadFieldBegin(); !errors.Is(err, ErrInvalidType) {
+		t.Fatalf("third header: err = %v, want ErrInvalidType", err)
 	}
 }
