@@ -193,11 +193,15 @@
 // — a declarative (columns, name pattern, time range) triple — and
 // Job.LoadDirsSelective, where the format absorbs the selection: it prunes
 // whole chunks whose zone maps cannot intersect a head-anchored name
-// prefix or the time window (a pruned chunk costs a ranged read of its
-// section table and meta, never a column byte), reads only the sections of
-// the columns the projection and predicate reference (one hdfs.FS.ReadAt
-// each), matches the name pattern once per dictionary entry, and builds
-// only the projected columns of the rows that pass. A row file is
+// prefix or the time window (a pruned chunk costs one read of its section
+// table and meta, one block, never a column byte), then with a name
+// pattern reads the name section alone and matches the pattern over the
+// range of its sorted dictionary that starts with the pattern's literal
+// head (a chunk with no matching entry stops there,
+// columnar.chunks.dict_pruned), and only then reads the sections of the
+// other columns the projection and predicate reference (one
+// hdfs.FS.ReadAt each), and builds only the projected columns of the rows
+// that pass. A row file is
 // walked with events.Header, no ClientEvent built, each distinct name
 // validated once per file, the details column only when projected. Any
 // other format (RawRecordFormat's legacy logs), and any predicate that is
@@ -206,7 +210,9 @@
 // asserted by internal/columnar's property tests (TestColumnarMatchesRowScan
 // holds the sealed day to its row files' relation over a sweep of
 // selections; TestZoneMapPruning requires chunks pruned and fewer bytes
-// read than the scan of the rows) and by internal/dataflow's, which hold
+// read than the scan of the rows; FuzzSelectMatchesFilter holds any
+// pattern and window over sealed and unsealed hours to the full scan
+// filtered by Pattern.MatchesString) and by internal/dataflow's, which hold
 // both layouts to a full ClientEvent.Unmarshal per row over every
 // projection of one, three and eight columns, hand-built edge records and
 // a fuzzer (FuzzRowTupleMatchesDecode); TestRowScanAllocatesLittlePerRow

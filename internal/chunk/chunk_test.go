@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -592,6 +593,20 @@ var corruptions = []corruption{
 		p[0] = p[0][:40]
 		return frame(p...)
 	}, recordio.ErrCorrupt},
+	{"name dict out of order", "name", func(t testing.TB, b []byte) []byte {
+		p := payloads(t, b)
+		c := recordio.NewCursor(p[0])
+		dict := make([]string, c.Count("dict size"))
+		for i := range dict {
+			dict[i] = string(c.Bytes("dict entry"))
+		}
+		slices.Reverse(dict) // the IDs stay in range
+		p[0] = binary.AppendUvarint(nil, uint64(len(dict)))
+		for _, e := range dict {
+			p[0] = appendString(p[0], e)
+		}
+		return frame(p...)
+	}, recordio.ErrCorrupt},
 	{"ids record missing", "ip", func(t testing.TB, b []byte) []byte { return frame(payloads(t, b)[0]) }, recordio.ErrCorrupt},
 	{"rle run past the chunk", "initiator", func(t testing.TB, b []byte) []byte {
 		p := payloads(t, b)[0]
@@ -687,6 +702,69 @@ func TestCorruptionMatrix(t *testing.T) {
 				t.Fatalf("error %q does not name %s", err, want)
 			}
 		})
+	}
+}
+
+// TestPathMatchesFmt: Path writes what fmt's %05d form writes, below,
+// at and past five digits.
+func TestPathMatchesFmt(t *testing.T) {
+	for _, i := range []int{0, 7, 10, 9999, 12345, 99999, 100000, 1234567} {
+		if got, want := Path(testDir, i), fmt.Sprintf("%s/_col-%05d.col", testDir, i); got != want {
+			t.Errorf("Path(%d) = %q, fmt %q", i, got, want)
+		}
+	}
+}
+
+// TestVarintLengths: a varint column reads every value at the one-, two-,
+// three- and four-byte boundaries of its zig-zag encoding as binary.Varint
+// reads it, at the head of a record, in its middle and in its last bytes,
+// where the read inline gives way to binary.Varint, and as plain values
+// and as timestamp deltas. A value cut off at the record's end is
+// corruption.
+func TestVarintLengths(t *testing.T) {
+	edges := []int64{0, -1, 63, -64, 64, -65, 8191, -8192, 8192, -8193,
+		1<<20 - 1, -1 << 20, 1 << 20, -1<<20 - 1, 1<<27 - 1, 1 << 27, math.MaxInt64, math.MinInt64}
+	for _, v := range edges {
+		for _, pad := range []int{0, 1, 2, 3} { // one-byte values after it
+			vals := append([]int64{v}, make([]int64, pad)...)
+			vals = append(append(vals, v), make([]int64, pad)...)
+			var rec, deltas []byte
+			prev := int64(0)
+			for _, x := range vals {
+				rec = binary.AppendVarint(rec, x)
+				deltas = binary.AppendVarint(deltas, x-prev)
+				prev = x
+			}
+			for _, delta := range []bool{false, true} {
+				data := rec
+				if delta {
+					data = deltas
+				}
+				got, err := decodeVarints("v", frame(data), len(vals), delta, nil)
+				if err != nil || !slices.Equal(got, vals) {
+					t.Fatalf("%d with %d after it, delta %v: %v, %v", v, pad, delta, got, err)
+				}
+			}
+		}
+	}
+	// Non-minimal encodings read as binary.Varint reads them.
+	for _, rec := range [][]byte{{0x80, 0x00, 0x02}, {0x81, 0x80, 0x00, 0x02}, {0x80, 0x80, 0x00, 0x80, 0x00}} {
+		var want []int64
+		for p := 0; p < len(rec); {
+			v, n := binary.Varint(rec[p:])
+			want, p = append(want, v), p+n
+		}
+		if got, err := decodeVarints("v", frame(rec), len(want), false, nil); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("% x: %v, %v; binary.Varint reads %v", rec, got, err, want)
+		}
+	}
+	for _, tc := range []struct {
+		rec  []byte
+		rows int
+	}{{[]byte{0x80}, 1}, {[]byte{0x80, 0x80}, 1}, {[]byte{0x00, 0x80, 0x80}, 2}, {[]byte{0x00, 0x00, 0x80, 0x80}, 3}, {[]byte{0x00, 0xff, 0xff, 0xff}, 2}} {
+		if _, err := decodeVarints("v", frame(tc.rec), tc.rows, false, nil); !errors.Is(err, recordio.ErrCorrupt) || !strings.Contains(err.Error(), "varint value") {
+			t.Fatalf("% x cut short: %v", tc.rec, err)
+		}
 	}
 }
 

@@ -124,13 +124,21 @@ func short(path string) error {
 var tmMetaReads = telemetry.GetCounter("chunk.meta.reads")
 
 // ReadMeta reads a chunk image's section table and its meta section, and
-// nothing else of it, and decodes the zone map.
+// nothing else of it, and decodes the zone map. It reads through one open
+// reader: the path is looked up once, the size comes with the file, and the
+// table and the meta are read in sequence, so the block they share is
+// charged once.
 func ReadMeta(fs *hdfs.FS, path string) (Meta, error) {
-	fi, err := fs.Stat(path)
+	r, err := fs.Open(path)
 	if err != nil {
 		return Meta{}, fmt.Errorf("chunk: %s: %w", path, err)
 	}
-	m, err := readMeta(path, int(fi.Size), fileSource(fs, path))
+	m, err := readMeta(path, int(r.Size()), func(p []byte, _ int) error {
+		if _, err := io.ReadFull(r, p); err != nil {
+			return fmt.Errorf("chunk: %s: %w", path, err)
+		}
+		return nil
+	})
 	if err == nil {
 		tmMetaReads.Inc()
 	}
@@ -157,7 +165,7 @@ func fileSource(fs *hdfs.FS, path string) source {
 
 // readMeta decodes the zone map of a chunk image of size bytes: it reads
 // the first maxTable bytes for the section table, then whatever of the
-// meta section they did not hold.
+// meta section they did not hold, from where the first read ended.
 func readMeta(path string, size int, src source) (Meta, error) {
 	buf := make([]byte, min(size, maxTable))
 	if err := src(buf, 0); err != nil {
@@ -261,7 +269,8 @@ func (t *Interner) Remap(dict []string, buf []uint32) []uint32 {
 	return buf
 }
 
-// decodeDict decodes a dictionary column section, its IDs into ids[:0].
+// decodeDict decodes a dictionary column section, its IDs into ids[:0]. Its
+// entries must be strictly increasing.
 func decodeDict(path string, data []byte, rows int, ids []uint32) (DictColumn, error) {
 	var two [2][]byte
 	recs, err := records(path, data, 2, two[:0])
@@ -281,6 +290,14 @@ func decodeDict(path string, data []byte, rows int, ids []uint32) (DictColumn, e
 	}
 	if err := dc.Err(); err != nil {
 		return DictColumn{}, fmt.Errorf("chunk: %s: %w", path, err)
+	}
+	// The encoder writes the entries strictly increasing, and a reader may
+	// search them (dataflow's name-range match): an image that breaks the
+	// order is damaged.
+	for i := 1; i < len(dict); i++ {
+		if dict[i-1] >= dict[i] {
+			return DictColumn{}, fmt.Errorf("chunk: %s: %w: dict entries out of order at %d", path, recordio.ErrCorrupt, i)
+		}
 	}
 	if rows > len(recs[1]) {
 		return DictColumn{}, short(path)
@@ -319,19 +336,25 @@ func decodeVarints(path string, data []byte, rows int, delta bool, out []int64) 
 	if rows > len(rec) {
 		return nil, short(path)
 	}
-	// The values are read in place, a one-byte one — a small user ID or
-	// timestamp delta — without a call.
+	// The values are read in place. One of up to three bytes — a user ID
+	// below 2^20, a timestamp delta of up to ~17 minutes — is read without a
+	// call wherever the record holds three more bytes (a one-byte one
+	// anywhere); a longer one, or one in the record's last two bytes, goes
+	// through binary.Varint.
 	out = slices.Grow(out[:0], rows)[:rows]
 	prev, p := int64(0), 0
 	for i := range out {
 		var v int64
-		if p < len(rec) && rec[p] < 0x80 {
-			b := int64(rec[p])
-			v = b>>1 ^ -(b & 1)
-			p++
-		} else {
+		switch r := rec[p:]; {
+		case len(r) > 0 && r[0] < 0x80:
+			v, p = unzigzag(uint64(r[0])), p+1
+		case len(r) >= 3 && r[1] < 0x80:
+			v, p = unzigzag(uint64(r[0]&0x7f)|uint64(r[1])<<7), p+2
+		case len(r) >= 3 && r[2] < 0x80:
+			v, p = unzigzag(uint64(r[0]&0x7f)|uint64(r[1]&0x7f)<<7|uint64(r[2])<<14), p+3
+		default:
 			var n int
-			if v, n = binary.Varint(rec[p:]); n <= 0 {
+			if v, n = binary.Varint(r); n <= 0 {
 				return nil, fmt.Errorf("chunk: %s: %w: varint value", path, recordio.ErrCorrupt)
 			}
 			p += n
@@ -347,6 +370,9 @@ func decodeVarints(path string, data []byte, rows int, delta bool, out []int64) 
 	}
 	return out, nil
 }
+
+// unzigzag decodes a zig-zag encoded value, as binary.Varint does.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // decodeRLE decodes a run-length byte column section into one byte per
 // row in out[:0].

@@ -39,10 +39,13 @@
 // columns it needs (LoadChunk), one ranged read each.
 //
 // The reader's contract is the ID vector. A dictionary column decodes to
-// Dict — the chunk's distinct values in file order, which the encoder
-// writes sorted — and IDs, one uint32 per row, every one checked to be
-// below len(Dict). A consumer that works on IDs (remap chunk-local to
-// day-global once per Dict entry, evaluate a predicate once per Dict entry)
+// Dict — the chunk's distinct values, strictly increasing: the encoder
+// writes them sorted, and the decoder checks it, failing a dictionary out
+// of order with recordio.ErrCorrupt naming path#<column> — and IDs, one
+// uint32 per row, every one checked to be below len(Dict). A consumer that
+// works on IDs (remap chunk-local to day-global once per Dict entry,
+// evaluate a predicate once per Dict entry, or over the range of entries
+// a binary search finds, as the selective scan does for a name prefix)
 // never pays a string per row; a consumer that wants strings indexes Dict.
 // The entries of one Dict share a single backing allocation.
 //
@@ -61,6 +64,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"unilog/internal/events"
@@ -109,8 +113,13 @@ const (
 	metaVersion = 2        // 2: the details column is typed per key
 )
 
-// Path returns the image file of chunk i in dir.
-func Path(dir string, i int) string { return fmt.Sprintf("%s/_col-%05d.col", dir, i) }
+// Path returns the image file of chunk i >= 0 in dir: what fmt's
+// "%s/_col-%05d.col" writes, without fmt, since a scan forms one per chunk.
+func Path(dir string, i int) string {
+	var buf [20]byte
+	n := strconv.AppendUint(buf[:0], uint64(i), 10)
+	return dir + "/_col-" + "0000"[:max(0, 5-len(n))] + string(n) + ".col"
+}
 
 // SealedPath returns the hour-level completion marker of dir.
 func SealedPath(dir string) string { return dir + "/_col-SEALED" }

@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"slices"
+	"sort"
 	"strings"
 	"time"
 
@@ -39,11 +41,22 @@ func walkSplits(fs *hdfs.FS, dir string) ([]Split, error) {
 //
 // The zero value is a full scan. Specialized to a Selection
 // (LoadDirsSelective), the format reads only the columns the projection and
-// the predicate reference, skips a chunk whose zone map excludes the
-// predicate without reading a column section, matches the name pattern once
-// per name dictionary entry and builds only the projected columns of the
-// rows that pass.A message without a name field reads as ":::::", the zero
-// EventName's string; an invalid name, empty included, fails the split as
+// the predicate reference and builds only the projected columns of the rows
+// that pass. A chunk is read in this order, each step able to end it:
+//
+//  1. its zone map (chunk.ReadMeta), which skips a chunk the predicate
+//     excludes without reading a column section (columnar.chunks.pruned);
+//  2. with a name pattern, its name section alone, whose sorted dictionary
+//     is matched only over the range of entries that start with the
+//     pattern's literal head (a binary search; Pattern.MatchesString
+//     decides inside it), and a chunk with no matching entry reads nothing
+//     more (columnar.chunks.dict_pruned, a share of columnar.chunks.scanned);
+//  3. the rest of the columns: the projection's and the window's.
+//
+// A row file is walked once for every column, and its dictionary, in
+// first-seen order, is matched entry by entry. A message without a name
+// field reads as ":::::", the zero EventName's string, which no pattern
+// matches; an invalid name, empty included, fails the split as
 // ClientEvent.Decode fails on it.
 type ClientEventFormat struct {
 	sel    Selection
@@ -100,7 +113,8 @@ func (ClientEventFormat) Splits(fs *hdfs.FS, dir string) ([]Split, error) {
 // ReadSplit implements InputFormat: the split's batch, filtered on the
 // selection's pattern and window, as tuples of the projected columns. A
 // damaged file, a message the header walk cannot read and an invalid name
-// each fail the split with its path.
+// each fail the split with its path. A chunk is read in the order the
+// type's comment gives.
 func (f ClientEventFormat) ReadSplit(fs *hdfs.FS, s Split, emit func(Tuple) error) error {
 	byName := f.sel.NamePattern != ""
 	byTime := f.sel.TimeMin != 0 || f.sel.TimeMax != 0
@@ -111,16 +125,29 @@ func (f ClientEventFormat) ReadSplit(fs *hdfs.FS, s Split, emit func(Tuple) erro
 	if byTime {
 		need |= chunk.Timestamp
 	}
-	b, err := f.open(fs, s.Path, need)
+	// A chunk's dictionary is sorted (chunk.decodeDict checks it) and is
+	// read first; a row file's is in first-seen order and comes with the
+	// walk of every need column.
+	sorted := chunk.IsChunk(s.Path)
+	load := need
+	if byName && sorted {
+		load = chunk.Name
+	}
+	b, err := f.open(fs, s.Path, load)
 	if err != nil || b == nil {
 		return err
 	}
 	defer b.Release()
 	var nameOK []bool
 	if byName {
-		nameOK = make([]bool, len(b.Name.Dict))
-		for id, name := range b.Name.Dict {
-			nameOK[id] = f.pat.MatchesString(name)
+		if nameOK = f.matchNames(b.Name.Dict, sorted); nameOK == nil {
+			if sorted {
+				tmChunksDictPruned.Inc()
+			}
+			return nil
+		}
+		if err := b.Widen(need); err != nil {
+			return err
 		}
 	}
 	out := f.Schema()
@@ -202,6 +229,28 @@ func (f ClientEventFormat) prune(m chunk.Meta) bool {
 	}
 	p := f.prefix
 	return p != "" && (m.MaxName < p || m.MinName > p && !strings.HasPrefix(m.MinName, p))
+}
+
+// matchNames evaluates the pattern once per dictionary entry: nameOK[id]
+// reports whether entry id matches, and nameOK is nil when none does. Every
+// name the pattern matches starts with its literal head, so in a sorted
+// dictionary only the entries of the range that starts with it, found by
+// binary search, are matched; an entry outside the range never is.
+func (f ClientEventFormat) matchNames(dict []string, sorted bool) (nameOK []bool) {
+	lo, hi := 0, len(dict)
+	if p := f.prefix; sorted && p != "" {
+		lo, _ = slices.BinarySearch(dict, p)
+		hi = lo + sort.Search(hi-lo, func(i int) bool { return !strings.HasPrefix(dict[lo+i], p) })
+	}
+	for id := lo; id < hi; id++ {
+		if f.pat.MatchesString(dict[id]) {
+			if nameOK == nil {
+				nameOK = make([]bool, len(dict))
+			}
+			nameOK[id] = true
+		}
+	}
+	return nameOK
 }
 
 // inWindow applies the selection's time window to one row.

@@ -23,10 +23,13 @@ var (
 	// ClientEventFormat's chunks, named columnar.* because the benchmark
 	// reads them by those names. chunks.pruned / chunks.scanned is the
 	// zone-map hit ratio: a pruned chunk costs one meta read and no column
-	// bytes. rows.read counts the rows of the chunks scanned.
-	tmChunksScanned = telemetry.GetCounter("columnar.chunks.scanned")
-	tmChunksPruned  = telemetry.GetCounter("columnar.chunks.pruned")
-	tmRowsRead      = telemetry.GetCounter("columnar.rows.read")
+	// bytes. chunks.dict_pruned counts the scanned chunks whose name
+	// dictionary holds no entry the pattern matches: they read their name
+	// section and no other. rows.read counts the rows of the chunks scanned.
+	tmChunksScanned    = telemetry.GetCounter("columnar.chunks.scanned")
+	tmChunksPruned     = telemetry.GetCounter("columnar.chunks.pruned")
+	tmChunksDictPruned = telemetry.GetCounter("columnar.chunks.dict_pruned")
+	tmRowsRead         = telemetry.GetCounter("columnar.rows.read")
 
 	tmScanSplitNs  = telemetry.GetHistogram("dataflow.stage.scan.ns")
 	tmShuffleNs    = telemetry.GetHistogram("dataflow.stage.shuffle.ns")

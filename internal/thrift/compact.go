@@ -234,9 +234,13 @@ func NewCompactDecoder(data []byte) *CompactDecoder { return &CompactDecoder{dat
 
 // Reset points the decoder at a new message, keeping its field-id stack's
 // backing array, so one decoder walks a whole batch of messages without
-// allocating.
+// allocating. It sets the fields one by one: a composite literal builds
+// the whole struct in a zeroed temporary and copies it in, through
+// runtime.wbMove while the collector marks, once per message.
 func (d *CompactDecoder) Reset(data []byte) {
-	*d = CompactDecoder{data: data, idStack: d.idStack[:0]}
+	d.data, d.pos, d.lastFieldID = data, 0, 0
+	d.idStack = d.idStack[:0]
+	d.pendingBool, d.hasPendingBool = false, false
 }
 
 func (d *CompactDecoder) readByte() (byte, error) {

@@ -18,6 +18,7 @@ package warehouse
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"unilog/internal/chunk"
@@ -38,16 +39,41 @@ const (
 	SessionRoot = "/session_sequences"
 )
 
-// HourPath formats t's UTC hour as YYYY/MM/DD/HH.
+// HourPath formats t's UTC hour as YYYY/MM/DD/HH. It and DatePath write
+// what fmt's "%04d/%02d/%02d" forms write, without fmt: every day-scale
+// query formats 24 of them.
 func HourPath(t time.Time) string {
 	u := t.UTC()
-	return fmt.Sprintf("%04d/%02d/%02d/%02d", u.Year(), int(u.Month()), u.Day(), u.Hour())
+	b := appendDate(make([]byte, 0, len("YYYY/MM/DD/HH")), u)
+	return string(appendPadded(append(b, '/'), u.Hour(), 2))
 }
 
 // DatePath formats t's UTC date as YYYY/MM/DD.
 func DatePath(t time.Time) string {
-	u := t.UTC()
-	return fmt.Sprintf("%04d/%02d/%02d", u.Year(), int(u.Month()), u.Day())
+	return string(appendDate(make([]byte, 0, len("YYYY/MM/DD")), t.UTC()))
+}
+
+// appendDate appends u's date as YYYY/MM/DD.
+func appendDate(b []byte, u time.Time) []byte {
+	y, m, d := u.Date()
+	b = appendPadded(b, y, 4)
+	b = appendPadded(append(b, '/'), int(m), 2)
+	return appendPadded(append(b, '/'), d, 2)
+}
+
+// appendPadded appends v in decimal, zero-padded to width bytes sign
+// included, as fmt's %0<width>d does.
+func appendPadded(b []byte, v, width int) []byte {
+	if v < 0 {
+		b = append(b, '-')
+		width--
+	}
+	var buf [20]byte
+	digits := strconv.AppendUint(buf[:0], uint64(max(v, -v)), 10)
+	for i := len(digits); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
 }
 
 // CategoryDir is the warehouse directory of a category: /logs/<category>.

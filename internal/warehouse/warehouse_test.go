@@ -39,6 +39,32 @@ func TestPathHelpers(t *testing.T) {
 	}
 }
 
+// TestPathsMatchFmt: HourPath and DatePath write what fmt's zero-padded
+// forms write, at the edges of every field: hours 0 and 23, one-digit
+// months and days, years below 1000 and past 9999, and a negative year.
+func TestPathsMatchFmt(t *testing.T) {
+	for _, tm := range []time.Time{
+		time.Date(2012, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(2012, 12, 31, 23, 59, 59, 0, time.UTC),
+		time.Date(2012, 9, 9, 9, 0, 0, 0, time.UTC),
+		time.Date(2012, 10, 10, 10, 0, 0, 0, time.UTC),
+		time.Date(999, 3, 4, 5, 0, 0, 0, time.UTC),
+		time.Date(7, 3, 4, 5, 0, 0, 0, time.UTC),
+		time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(-5, 6, 7, 8, 0, 0, 0, time.UTC),
+		time.Date(10000, 2, 29, 12, 0, 0, 0, time.UTC),
+	} {
+		hour := fmt.Sprintf("%04d/%02d/%02d/%02d", tm.Year(), int(tm.Month()), tm.Day(), tm.Hour())
+		date := fmt.Sprintf("%04d/%02d/%02d", tm.Year(), int(tm.Month()), tm.Day())
+		if got := HourPath(tm); got != hour {
+			t.Errorf("HourPath(%v) = %q, fmt %q", tm, got, hour)
+		}
+		if got := DatePath(tm); got != date {
+			t.Errorf("DatePath(%v) = %q, fmt %q", tm, got, date)
+		}
+	}
+}
+
 func TestHourPathUsesUTC(t *testing.T) {
 	est := time.FixedZone("EST", -5*3600)
 	local := time.Date(2012, 8, 21, 22, 0, 0, 0, est) // 03:00 UTC next day
