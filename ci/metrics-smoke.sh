@@ -3,7 +3,7 @@
 #
 # Runs unilog-demo with the /debug/unilog endpoint up and a post-run hold,
 # scrapes the endpoint while the process is alive, and asserts that the
-# JSON parses and that the seven load-bearing series are present and nonzero:
+# JSON parses and that the eight load-bearing series are present and nonzero:
 #
 #   realtime.ingest.events — the streaming path counted events
 #   events.names.entries   — the process-wide event-name table numbered names
@@ -15,6 +15,8 @@
 #   columnar.seal.rows     — the mover sealed those hours into column chunks,
 #                            re-cut from the chunk images the aggregators
 #                            staged, as it read them back
+#   logmover.files.sealed  — the staged client-events files took the sealed
+#                            path, the one path the mover has for them
 #   chunk.meta.reads       — the demo's delivery count read the sealed hours'
 #                            row counts back from their chunks' zone maps
 #
@@ -60,7 +62,7 @@ echo "metrics-smoke: starting unilog-demo with telemetry on :${PORT}"
   -http "127.0.0.1:${PORT}" -hold 90s >"$OUT/demo.log" 2>&1 &
 DEMO_PID=$!
 
-# Poll until the endpoint answers with nonzero values for all seven series
+# Poll until the endpoint answers with nonzero values for all eight series
 # and the demo has finished its day, or time out with a clear error. The
 # demo takes a few seconds to build its day of traffic and run the budgeted
 # rollup; POLL_SECONDS x 1s is generous for a cold CI box.
@@ -75,6 +77,7 @@ for i in $(seq 1 "$POLL_SECONDS"); do
            and .series["events.names.entries"] > 0
            and .series["dataflow.spill.bytes"] > 0
            and .series["logmover.records"] > 0 and .series["columnar.seal.rows"] > 0
+           and .series["logmover.files.sealed"] > 0
            and .series["chunk.meta.reads"] > 0' \
       "$OUT/snap.json" >/dev/null 2>&1 && grep -q '^holding ' "$OUT/demo.log"; then
     for verdict in '^reconcile .*: OK' 'exactly once: true' 'jump-free: true'; do
@@ -92,6 +95,7 @@ for i in $(seq 1 "$POLL_SECONDS"); do
           "dataflow.spill.bytes": .series["dataflow.spill.bytes"],
           "logmover.records": .series["logmover.records"],
           "columnar.seal.rows": .series["columnar.seal.rows"],
+          "logmover.files.sealed": .series["logmover.files.sealed"],
           "chunk.meta.reads": .series["chunk.meta.reads"],
           series_total: (.series | length),
           histograms_total: (.histograms | length) }' "$OUT/snap.json"

@@ -87,8 +87,8 @@ func main() {
 		logmover.Source{Datacenter: "dc1", FS: dc1.Staging},
 		logmover.Source{Datacenter: "dc2", FS: dc2.Staging})
 	// A client event the aggregators' chunk encoder refuses is staged as a
-	// row of its own category, sealed and moved with client events.
-	cats := []string{events.Category, scribe.InvalidCategory}
+	// row of its own category, which SealHour seals with client events.
+	cats := []string{events.Category}
 
 	// The realtime subsystem taps every aggregator: accepted client events
 	// fan into sharded counters and are queryable seconds later, a day

@@ -39,7 +39,8 @@
 // in. A message the encoder refuses — no thrift, or a
 // name events.ParseName rejects — is staged as a row of
 // scribe.InvalidCategory, counted in AggregatorStats.Invalid and
-// scribe.aggregator.invalid, and moved as that category's rows. Every
+// scribe.aggregator.invalid, sealed whenever client events are, and moved
+// as that category's rows. Every
 // other category is framed as length-prefixed records (internal/recordio)
 // and gzipped on the fly at level 3 (scribe.stagingLevel).
 // recordio.GzipWriter is block-buffered: frames gather in a 32 KiB block
@@ -78,12 +79,11 @@
 // reference its tests hold it to. Parts roll at staging-file boundaries
 // once Mover.TargetFileBytes of raw payload is reached, the hour is
 // published by one directory rename, and an audit record accounts for
-// every file, record and byte. A Mover.Transform hook (the §3.2
-// anonymization policy, say), whose records really do change, renders a
-// client-events row as its record and seals what the hook returns, and
-// decodes and re-compresses an hour of another category. The logmover.*
-// telemetry series count hours, records, bytes and which of the three
-// paths each staging file took (sealed, spliced, re-encoded).
+// every file, record and byte. The mover changes no record: a staging
+// file takes one of two paths, sealed (a client-events image re-chunked)
+// or spliced (another category's gzip members appended), and the
+// logmover.* telemetry series count hours, records, bytes and the files
+// each path took.
 //
 // The dataflow engine keeps the operators the jobs run and meters the
 // three numbers §4 argues from: map tasks (one per file), bytes read and

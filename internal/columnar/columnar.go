@@ -117,10 +117,9 @@ func SealHourChunks(fs *hdfs.FS, category string, hour time.Time, chunkRows int)
 // Sealer encodes one hour's rows, in the order they are added, into
 // column chunks of one directory: a chunk every chunkRows rows, then the
 // _col-SEALED marker at Close. SealHour feeds it the records of the
-// published row files; the log mover feeds it the rows of each staged
-// chunk image it reads back (AddColumns), or each record its Transform
-// returns (Add), so the chunks land in its tmp directory and one rename
-// publishes the sealed hour. The columnar.seal.* counters learn of its
+// published row files (Add); the log mover feeds it the rows of each
+// staged chunk image it reads back (AddColumns), so the chunks land in its
+// tmp directory and one rename publishes the sealed hour. The columnar.seal.* counters learn of its
 // chunks only once Close has written the marker, so a seal given up on
 // counts nothing. A Sealer is not safe for concurrent use.
 type Sealer struct {

@@ -400,42 +400,6 @@ func (fs *FS) Exists(path string) bool {
 	return err == nil && (isFile || isDir)
 }
 
-// List returns the immediate children of the directory at path, sorted.
-func (fs *FS) List(path string) ([]FileInfo, error) {
-	if err := fs.check(); err != nil {
-		return nil, err
-	}
-	p, err := cleanPath(path)
-	if err != nil {
-		return nil, err
-	}
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	if _, ok := fs.dirs[p]; !ok {
-		if _, isFile := fs.files[p]; isFile {
-			return nil, fmt.Errorf("%w: %s", ErrNotDir, p)
-		}
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, p)
-	}
-	prefix := p
-	if prefix != "/" {
-		prefix += "/"
-	}
-	var out []FileInfo
-	for f, data := range fs.files {
-		if strings.HasPrefix(f, prefix) && !strings.Contains(f[len(prefix):], "/") {
-			out = append(out, FileInfo{Path: f, Size: int64(len(data)), Blocks: fs.numBlocks(len(data))})
-		}
-	}
-	for d := range fs.dirs {
-		if d != "/" && strings.HasPrefix(d, prefix) && !strings.Contains(d[len(prefix):], "/") {
-			out = append(out, FileInfo{Path: d, IsDir: true})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out, nil
-}
-
 // Walk returns every file under dir (recursively), sorted by path.
 func (fs *FS) Walk(dir string) ([]FileInfo, error) {
 	if err := fs.check(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -226,32 +227,34 @@ func TestWriterFailsDuringOutage(t *testing.T) {
 	}
 }
 
-func TestListAndWalk(t *testing.T) {
+func TestWalkAndTotalSize(t *testing.T) {
 	fs := New(0)
-	paths := []string{"/logs/a/1", "/logs/a/2", "/logs/b/1", "/logs/top"}
-	for _, p := range paths {
-		if err := fs.WriteFile(p, nil); err != nil {
+	paths := []string{"/logs/b/1", "/logs/top", "/logs/a/2", "/logs/a/1"}
+	for i, p := range paths {
+		if err := fs.WriteFile(p, make([]byte, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ls, err := fs.List("/logs")
+	all, err := fs.Walk("/logs")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var names []string
-	for _, fi := range ls {
+	for _, fi := range all {
 		names = append(names, fi.Path)
 	}
-	want := []string{"/logs/a", "/logs/b", "/logs/top"}
-	if len(names) != 3 || names[0] != want[0] || names[1] != want[1] || names[2] != want[2] {
-		t.Fatalf("List = %v, want %v", names, want)
+	want := []string{"/logs/a/1", "/logs/a/2", "/logs/b/1", "/logs/top"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("Walk = %v, want every file under /logs in path order %v", names, want)
 	}
-	all, err := fs.Walk("/logs")
-	if err != nil || len(all) != 4 {
-		t.Fatalf("Walk = %v, %v", all, err)
+	if sub, err := fs.Walk("/logs/a"); err != nil || len(sub) != 2 {
+		t.Fatalf("Walk(/logs/a) = %v, %v", sub, err)
+	}
+	if _, err := fs.Walk("/missing"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Walk(/missing) err = %v, want ErrNotFound", err)
 	}
 	total, err := fs.TotalSize("/logs")
-	if err != nil || total != 0 {
+	if err != nil || total != 0+1+2+3 {
 		t.Fatalf("TotalSize = %d, %v", total, err)
 	}
 }

@@ -62,8 +62,10 @@ func BenchmarkDeliverHour(b *testing.B) {
 		if err := dc.SealHour(cats, hour); err != nil {
 			b.Fatal(err)
 		}
+		// The hour's client events, then the empty invalid-category hour
+		// SealHour seals beside it.
 		moved, err := m.MoveAllSealed()
-		if err != nil || len(moved) != 1 || moved[0].Records != int64(len(msgs)) {
+		if err != nil || len(moved) != 2 || moved[0].Records != int64(len(msgs)) || moved[1].Records != 0 {
 			b.Fatalf("moved %+v: %v", moved, err)
 		}
 		ns += time.Since(start)

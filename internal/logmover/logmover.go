@@ -20,10 +20,9 @@
 //  3. merges such an hour's many small per-aggregator files into a few big
 //     warehouse files. A gzip file is a concatenation of gzip members, so
 //     a verified staging file's compressed bytes are appended to the
-//     merged part as they are, each member keeping its own trailer. Only a
-//     Transform hook, whose records really do change, re-compresses (or,
-//     for client events, renders each row and seals what it returns). A
-//     failed move writes nothing and leaves staging for a retry;
+//     merged part as they are, each member keeping its own trailer: no
+//     hour is re-compressed. A failed move writes nothing and leaves
+//     staging for a retry;
 //  4. atomically slides the hour into /logs/<category>/YYYY/MM/DD/HH/ with
 //     a single directory rename;
 //  5. records an audit trace of what moved, how many records, and from
@@ -76,10 +75,8 @@ type AuditRecord struct {
 	FilesIn  int
 	// FilesOut and BytesOut count what the hour published: its chunk
 	// images and marker when it sealed, its merged row files when not.
-	FilesOut int
-	Records  int64
-	// Dropped counts records removed by the Transform hook.
-	Dropped     int64
+	FilesOut    int
+	Records     int64
 	BytesIn     int64
 	BytesOut    int64
 	Datacenters []string
@@ -91,16 +88,10 @@ type Mover struct {
 	Sources   []Source
 	// TargetFileBytes is the approximate uncompressed size of each merged
 	// row file of an hour of another category than client events
-	// ("merging many small files into a few big ones", §2).
-	// Without a Transform a part is rolled at the first staging-file
-	// boundary at or past the target — a staging file is never split —
-	// with one, at the first record.
+	// ("merging many small files into a few big ones", §2). A part is
+	// rolled at the first staging-file boundary at or past the target — a
+	// staging file is never split.
 	TargetFileBytes int64
-	// Transform, when set, rewrites each record on its way into the
-	// warehouse — §2's "sanity checks and transformations". Returning nil
-	// drops the record (counted in the audit); a typical transform is the
-	// §3.2 anonymization policy. Errors abort the move.
-	Transform func(category string, rec []byte) ([]byte, error)
 	// Clock stamps audit records; nil uses time.Now.
 	Clock func() time.Time
 
@@ -195,10 +186,9 @@ func (m *Mover) MoveHour(category string, hour time.Time) (AuditRecord, error) {
 				return rec, err
 			}
 			var n int64
-			switch {
-			case sealer != nil:
-				n, err = m.sealImage(sealer, category, fi.Path, data, &rec.Dropped)
-			case m.Transform == nil:
+			if sealer != nil {
+				n, err = sealImage(sealer, fi.Path, data)
+			} else {
 				// The whole file passes its sanity check before it is held
 				// for a splice.
 				var raw int64
@@ -207,23 +197,6 @@ func (m *Mover) MoveHour(category string, hour time.Time) (AuditRecord, error) {
 					rows.files = append(rows.files, data)
 					rows.raw = append(rows.raw, raw)
 				}
-			default:
-				// Sanity check + transform in one scan; the transformed
-				// records are held, and re-encoded once all have passed.
-				err = recordio.ScanGzipFile(data, func(r []byte) error {
-					out, terr := m.Transform(category, r)
-					if terr != nil {
-						return terr
-					}
-					if out == nil {
-						rec.Dropped++ // not counted as moved
-						return nil
-					}
-					n++
-					rows.recs = append(rows.recs, out...)
-					rows.ends = append(rows.ends, len(rows.recs))
-					return nil
-				})
 			}
 			if err != nil {
 				return rec, fmt.Errorf("%w: %s from %s: %v", ErrCorruptFile, fi.Path, src.Datacenter, err)
@@ -268,45 +241,21 @@ func (m *Mover) MoveHour(category string, hour time.Time) (AuditRecord, error) {
 			return rec, err
 		}
 	}
-	m.observeMove(rec, sealed, started)
+	observeMove(rec, sealed, started)
 	rec.Finished = m.Clock()
 	m.audits = append(m.audits, rec)
 	return rec, nil
 }
 
-// sealImage reads one staged chunk image into the seal and returns the
-// rows that went in: re-chunked as they are, or each rendered as its record
-// and passed through the Transform, a nil result counted in dropped. A
-// record the encoder refuses fails the move, as a failing Transform does.
-func (m *Mover) sealImage(s *columnar.Sealer, category, path string, data []byte, dropped *int64) (int64, error) {
+// sealImage reads one staged chunk image and re-chunks its rows, as they
+// are, into the seal, returning how many went in.
+func sealImage(s *columnar.Sealer, path string, data []byte) (int64, error) {
 	b, err := chunk.ReadImage(path, data)
 	if err != nil {
 		return 0, err
 	}
 	defer b.Release()
-	if m.Transform == nil {
-		return int64(b.Rows), s.AddColumns(&b.Columns)
-	}
-	var n int64
-	for row := 0; row < b.Rows; row++ {
-		e, err := b.Event(row)
-		if err != nil {
-			return n, err
-		}
-		out, err := m.Transform(category, e.Marshal())
-		if err != nil {
-			return n, err
-		}
-		if out == nil {
-			*dropped++
-			continue
-		}
-		if err := s.Add(out); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
+	return int64(b.Rows), s.AddColumns(&b.Columns)
 }
 
 // MoveAllSealed scans staging for sealed category-hours and moves each one,
@@ -390,13 +339,10 @@ func parseStagingPath(p string) (string, time.Time, bool) {
 
 // heldRows is what an hour of any category but client events publishes,
 // as row files: the verified staging files, each with its raw payload
-// bytes, spliced as they are; or, with a Transform, the records it
-// returned, back to back in recs, the i-th ending at ends[i].
+// bytes, spliced as they are.
 type heldRows struct {
 	files [][]byte
 	raw   []int64
-	recs  []byte
-	ends  []int
 }
 
 // write merges the held rows into parts and returns their count and bytes.
@@ -405,13 +351,6 @@ func (h *heldRows) write(mg *merger) (int, int64, error) {
 		if err := mg.splice(data, h.raw[i]); err != nil {
 			return 0, 0, err
 		}
-	}
-	start := 0
-	for _, end := range h.ends {
-		if err := mg.append(h.recs[start:end]); err != nil {
-			return 0, 0, err
-		}
-		start = end
 	}
 	return mg.close()
 }
@@ -430,14 +369,12 @@ func published(fs *hdfs.FS, dir string) (int, int64, error) {
 }
 
 // merger builds one hour's warehouse parts in the tmp directory, rolling to
-// a new part once the current one holds target raw payload bytes. A move
-// drives it through splice or through append, never both.
+// a new part once the current one holds target raw payload bytes.
 type merger struct {
 	fs      *hdfs.FS
 	dir     string
 	target  int64
-	part    bytes.Buffer         // compressed bytes of the part being built
-	w       *recordio.GzipWriter // append's open gzip member over part
+	part    bytes.Buffer // compressed bytes of the part being built
 	raw     int64
 	seq     int
 	files   int
@@ -459,28 +396,7 @@ func (m *merger) splice(members []byte, raw int64) error {
 	return nil
 }
 
-// append re-encodes one record into the current part.
-func (m *merger) append(rec []byte) error {
-	if m.w == nil {
-		m.w = recordio.NewGzipWriter(&m.part)
-	}
-	if err := m.w.Append(rec); err != nil {
-		return err
-	}
-	m.raw += int64(len(rec))
-	if m.raw >= m.target {
-		return m.roll()
-	}
-	return nil
-}
-
 func (m *merger) roll() error {
-	if m.w != nil {
-		if err := m.w.Close(); err != nil {
-			return err
-		}
-		m.w = nil
-	}
 	if m.part.Len() == 0 {
 		return nil
 	}

@@ -85,9 +85,8 @@ func colFiles(t *testing.T, fs *hdfs.FS, dir string) map[string][]byte {
 
 // stagedRecords returns the records the mover will publish for hour, in
 // the order it reads them: source by source, file by file in path order,
-// row by row of each staged chunk image rendered as its record, each
-// through transform when one is given, a record it drops left out.
-func stagedRecords(t *testing.T, sources []Source, hour time.Time, transform func(string, []byte) ([]byte, error)) [][]byte {
+// row by row of each staged chunk image rendered as its record.
+func stagedRecords(t *testing.T, sources []Source, hour time.Time) [][]byte {
 	t.Helper()
 	var recs [][]byte
 	for _, src := range sources {
@@ -105,16 +104,7 @@ func stagedRecords(t *testing.T, sources []Source, hour time.Time, transform fun
 				if err != nil {
 					t.Fatal(err)
 				}
-				r := e.Marshal()
-				if transform != nil {
-					if r, err = transform(events.Category, r); err != nil {
-						t.Fatal(err)
-					}
-					if r == nil {
-						continue
-					}
-				}
-				recs = append(recs, r)
+				recs = append(recs, e.Marshal())
 			}
 			b.Release()
 		}
@@ -173,57 +163,42 @@ func requireSealedLikeSealHour(t *testing.T, wh *hdfs.FS, hour time.Time, recs [
 
 // TestMoveSealsLikeSealHour: the hour the mover re-chunks from the staged
 // chunk images is exactly the chunk files SealHour writes over the same
-// records written as rows, and no row file, as they are or through an
-// anonymizing Transform, for an hour of several chunks delivered through
-// the write path's full topology. The images hold the logged messages,
-// byte for byte once rendered. The audit counts the files the hour
-// publishes.
+// records written as rows, and no row file, for an hour of several chunks
+// delivered through the write path's full topology. The images hold the
+// logged messages, byte for byte once rendered. The audit counts the files
+// the hour publishes.
 func TestMoveSealsLikeSealHour(t *testing.T) {
-	anon := events.NewAnonymizer([]byte("mover-policy"))
-	anonymize := func(_ string, rec []byte) ([]byte, error) {
-		var e events.ClientEvent
-		if err := e.Unmarshal(rec); err != nil {
-			return nil, err
-		}
-		anon.Apply(&e)
-		return e.Marshal(), nil
+	sources, msgs := stageDeliveredHour(t, 300)
+	n := len(msgs)
+	recs := stagedRecords(t, sources, t0)
+	if !sameMessages(recs, msgs) {
+		t.Fatalf("the staged images render %d records, not the %d messages logged", len(recs), n)
 	}
-	for name, transform := range map[string]func(string, []byte) ([]byte, error){
-		"spliced":    nil,
-		"anonymized": anonymize,
-	} {
-		t.Run(name, func(t *testing.T) {
-			sources, msgs := stageDeliveredHour(t, 300)
-			n := len(msgs)
-			if staged := stagedRecords(t, sources, t0, nil); !sameMessages(staged, msgs) {
-				t.Fatalf("the staged images render %d records, not the %d messages logged", len(staged), n)
-			}
-			recs := stagedRecords(t, sources, t0, transform)
-			wh := hdfs.New(0)
-			m := New(wh, sources...)
-			m.Transform = transform
-			rec, err := m.MoveHour(events.Category, t0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rec.Records != int64(n) || rec.FilesIn < 4 {
-				t.Fatalf("moved %d records from %d files, want %d from the topology's files", rec.Records, rec.FilesIn, n)
-			}
-			if chunks := requireSealedLikeSealHour(t, wh, t0, recs); chunks < 2 {
-				t.Fatalf("%d events sealed into %d chunks, want several", n, chunks)
-			}
-			infos, err := wh.Walk(warehouse.HourDir(events.Category, t0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			size, err := wh.TotalSize(warehouse.HourDir(events.Category, t0))
-			if err != nil || rec.FilesOut != len(infos) || rec.BytesOut != size {
-				t.Fatalf("audit says %d files of %d bytes out, the hour holds %d of %d (%v)", rec.FilesOut, rec.BytesOut, len(infos), size, err)
-			}
-			if left := colFiles(t, wh, warehouse.TmpRoot); len(left) != 0 {
-				t.Fatalf("%d chunk files left behind in %s", len(left), warehouse.TmpRoot)
-			}
-		})
+	wh := hdfs.New(0)
+	sealed0 := telemetry.Snapshot().Series["logmover.files.sealed"]
+	rec, err := New(wh, sources...).MoveHour(events.Category, t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Records != int64(n) || rec.FilesIn < 4 {
+		t.Fatalf("moved %d records from %d files, want %d from the topology's files", rec.Records, rec.FilesIn, n)
+	}
+	if got := telemetry.Snapshot().Series["logmover.files.sealed"] - sealed0; got != int64(rec.FilesIn) {
+		t.Fatalf("logmover.files.sealed grew by %d, want the %d files in", got, rec.FilesIn)
+	}
+	if chunks := requireSealedLikeSealHour(t, wh, t0, recs); chunks < 2 {
+		t.Fatalf("%d events sealed into %d chunks, want several", n, chunks)
+	}
+	infos, err := wh.Walk(warehouse.HourDir(events.Category, t0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, err := wh.TotalSize(warehouse.HourDir(events.Category, t0))
+	if err != nil || rec.FilesOut != len(infos) || rec.BytesOut != size {
+		t.Fatalf("audit says %d files of %d bytes out, the hour holds %d of %d (%v)", rec.FilesOut, rec.BytesOut, len(infos), size, err)
+	}
+	if left := colFiles(t, wh, warehouse.TmpRoot); len(left) != 0 {
+		t.Fatalf("%d chunk files left behind in %s", len(left), warehouse.TmpRoot)
 	}
 }
 
@@ -243,26 +218,15 @@ func sameMessages(a, b [][]byte) bool {
 
 // TestInvalidRecordMovesAsRows: a record the chunk encoder refuses is
 // staged as a row of scribe.InvalidCategory, after a chunk's worth of
-// valid records, and moves as that category's rows, spliced or through a
-// Transform's re-encode, while its hour seals as chunks of every other
-// record, and the next hour moves and seals too.
+// valid records, and moves as that category's spliced rows, while its hour
+// seals as chunks of every other record, and the next hour moves and seals
+// too. Sealing the client-events category seals InvalidCategory with it.
 func TestInvalidRecordMovesAsRows(t *testing.T) {
-	identity := func(_ string, rec []byte) ([]byte, error) { return rec, nil }
-	for name, transform := range map[string]func(string, []byte) ([]byte, error){
-		"spliced":   nil,
-		"reencoded": identity,
-	} {
-		t.Run(name, func(t *testing.T) { moveInvalidRecord(t, transform) })
-	}
-}
-
-func moveInvalidRecord(t *testing.T, transform func(string, []byte) ([]byte, error)) {
 	clock := zk.NewManualClock(t0)
 	dc, err := scribe.NewDatacenter("dc1", hdfs.New(0), clock, 1, 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cats := []string{events.Category, scribe.InvalidCategory}
 	counts := []int{columnar.DefaultChunkRows + 10, 30}
 	for h, n := range counts {
 		hour := t0.Add(time.Duration(h) * time.Hour)
@@ -278,7 +242,7 @@ func moveInvalidRecord(t *testing.T, transform func(string, []byte) ([]byte, err
 		if h == 0 {
 			dc.Daemons[0].Log(events.Category, badNameRecord())
 		}
-		if err := dc.SealHour(cats, hour); err != nil {
+		if err := dc.SealHour([]string{events.Category}, hour); err != nil {
 			t.Fatal(err)
 		}
 		clock.Advance(time.Hour)
@@ -287,13 +251,12 @@ func moveInvalidRecord(t *testing.T, transform func(string, []byte) ([]byte, err
 		t.Fatalf("the aggregator counted %d invalid records, want 1", st.Invalid)
 	}
 	recs := [][][]byte{
-		stagedRecords(t, []Source{{"dc1", dc.Staging}}, t0, transform),
-		stagedRecords(t, []Source{{"dc1", dc.Staging}}, t0.Add(time.Hour), transform),
+		stagedRecords(t, []Source{{"dc1", dc.Staging}}, t0),
+		stagedRecords(t, []Source{{"dc1", dc.Staging}}, t0.Add(time.Hour)),
 	}
 
 	wh := hdfs.New(0)
 	m := New(wh, Source{"dc1", dc.Staging})
-	m.Transform = transform
 	rows0 := sealedRows()
 	moved, err := m.MoveAllSealed()
 	if err != nil {
@@ -443,7 +406,7 @@ func TestCorruptFileRetrySealsClean(t *testing.T) {
 	}
 
 	replace(good)
-	recs := stagedRecords(t, sources, t0, nil)
+	recs := stagedRecords(t, sources, t0)
 	rec2, err := m.MoveHour(events.Category, t0)
 	if err != nil || rec2.Records != int64(n) {
 		t.Fatalf("retry moved %d of %d records: %v", rec2.Records, n, err)

@@ -149,21 +149,3 @@ func NextCRCRecord(data []byte) (rec, rest []byte, err error) {
 	}
 	return rec, body[crcHeaderLen+size:], nil
 }
-
-// ForEach scans every record, invoking fn on each. It returns nil at a
-// clean end of stream and the terminal error otherwise; fn errors stop the
-// scan immediately.
-func (r *CRCReader) ForEach(fn func(rec []byte) error) error {
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-}

@@ -30,11 +30,15 @@ func TestCRCRoundTrip(t *testing.T) {
 	data := crcStream(t, want...)
 	r := NewCRCReader(bytes.NewReader(data))
 	var got []string
-	if err := r.ForEach(func(rec []byte) error {
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 		got = append(got, string(rec))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d records, want %d", len(got), len(want))
@@ -216,20 +220,4 @@ func FuzzCRCFrames(f *testing.F) {
 			}
 		}
 	})
-}
-
-func TestCRCForEachStopsOnFnError(t *testing.T) {
-	data := crcStream(t, "a", "b", "c")
-	boom := errors.New("boom")
-	seen := 0
-	err := NewCRCReader(bytes.NewReader(data)).ForEach(func([]byte) error {
-		seen++
-		if seen == 2 {
-			return boom
-		}
-		return nil
-	})
-	if err != boom || seen != 2 {
-		t.Fatalf("err = %v after %d records, want boom after 2", err, seen)
-	}
 }

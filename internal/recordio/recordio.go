@@ -32,8 +32,7 @@
 // member is complete — and the destination has seen all of it — only when
 // Close returns. The bytes are the ones compress/gzip writes at that level
 // for the same frames in one Write. NewGzipWriter writes at level 6: the
-// warehouse.Writer, the log mover's Transform re-encode, the catalog and
-// the session dictionary use it. Two writers pick their level with
+// warehouse.Writer, the catalog and the session dictionary use it. Two writers pick their level with
 // NewGzipWriterLevel: the Scribe aggregator's staging files at level 3
 // (scribe.stagingLevel), whose bytes only cross from staging to the
 // warehouse (the mover splices their members as they are; a client event

@@ -224,7 +224,7 @@ func Run(spec *Spec, rc RunConfig) (*Result, error) {
 		return nil, err
 	}
 
-	cats := []string{events.Category, scribe.InvalidCategory}
+	cats := []string{events.Category} // SealHour seals scribe.InvalidCategory with it
 	dayMs := day.UnixMilli()
 	curHour := 0
 

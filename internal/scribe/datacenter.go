@@ -2,8 +2,10 @@ package scribe
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
+	"unilog/internal/events"
 	"unilog/internal/hdfs"
 	"unilog/internal/warehouse"
 	"unilog/internal/zk"
@@ -81,11 +83,16 @@ func (dc *Datacenter) flush(flushAgg func(*Aggregator) error) error {
 // each given category-hour, signalling to the log mover that this
 // datacenter has transferred all its logs for the hour (§2: the mover
 // "ensures that ... all datacenters that produce a given log category have
-// transferred their logs"). A stream of a later hour stays open: the
-// entries a spool hands it now are staged with the rest of that hour.
+// transferred their logs"). Sealing events.Category seals InvalidCategory
+// with it, where the client events the encoder refused are staged. A
+// stream of a later hour stays open: the entries a spool hands it now are
+// staged with the rest of that hour.
 func (dc *Datacenter) SealHour(categories []string, hour time.Time) error {
 	if err := dc.flush(func(a *Aggregator) error { return a.flush(hour, false) }); err != nil {
 		return err
+	}
+	if slices.Contains(categories, events.Category) {
+		categories = append(slices.Clip(categories), InvalidCategory)
 	}
 	for _, cat := range categories {
 		dir := warehouse.StagingHourDir(cat, hour)

@@ -100,7 +100,6 @@ type AggregatorStats struct {
 	FilesWritten     int64
 	FlushFailures    int64
 	MessagesDropped  int64 // lost in a hard crash
-	PolicyDropped    int64 // dropped by category config (blackhole/sampling)
 	PendingFiles     int64 // files buffered awaiting a staging retry
 	PendingMessages  int64 // messages in open streams not yet in a file
 	// Invalid counts client events the chunk encoder refused, staged as
@@ -147,23 +146,22 @@ type Aggregator struct {
 	// RollRecords caps messages per staging file before it is rolled.
 	RollRecords int64
 
-	// Tap, when set, observes every entry Append accepts — after category
-	// policy (blackhole/sampling) and with the policy-resolved category —
-	// so a streaming consumer sees exactly the traffic that will reach
-	// staging. It runs synchronously once the batch has committed, outside
-	// the aggregator lock; a slow tap therefore slows the sending daemon,
-	// which is the intended backpressure. Set it before traffic starts.
+	// Tap, when set, observes every entry Append accepts, under the
+	// category it is staged in (InvalidCategory for a client event the
+	// encoder refuses), so a streaming consumer sees exactly the traffic
+	// that will reach staging. It runs synchronously once the batch has
+	// committed, outside the aggregator lock; a slow tap therefore slows
+	// the sending daemon, which is the intended backpressure. Set it
+	// before traffic starts.
 	Tap func(batch []Entry)
 
-	mu                sync.Mutex
-	state             aggState
-	streams           map[string]*categoryStream
-	spare             []*chunk.Builder // emptied encoders of rolled streams
-	pending           []pendingFile
-	fileSeq           int
-	stats             AggregatorStats
-	catConfigs        map[string]CategoryConfig
-	catSampleCounters map[string]int64
+	mu      sync.Mutex
+	state   aggState
+	streams map[string]*categoryStream
+	spare   []*chunk.Builder // emptied encoders of rolled streams
+	pending []pendingFile
+	fileSeq int
+	stats   AggregatorStats
 }
 
 // NewAggregator creates an aggregator, connects it to ZooKeeper, and
@@ -235,8 +233,8 @@ func (a *Aggregator) Append(batch []Entry) error {
 }
 
 // appendLocked commits the batch under the lock and returns the tap
-// callback plus the entries it should observe (kept entries, with their
-// policy-resolved categories). The tap itself runs in Append, unlocked.
+// callback plus the entries it should observe, each with the category it
+// was staged in. The tap itself runs in Append, unlocked.
 func (a *Aggregator) appendLocked(batch []Entry) (func(batch []Entry), []Entry, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -252,10 +250,7 @@ func (a *Aggregator) appendLocked(batch []Entry) (func(batch []Entry), []Entry, 
 	defer func() { tmAggInvalid.Add(invalid) }()
 	now := a.clock.Now().UTC().Truncate(time.Hour)
 	for _, e := range batch {
-		category, rollAt, keep := a.applyCategoryPolicyLocked(e.Category)
-		if !keep {
-			continue
-		}
+		category := e.Category
 		s := a.streamLocked(category, now)
 		if s.b != nil && s.b.AddRecord(e.Message) != nil {
 			// Not a row a chunk can hold: it is staged, and moved, as a
@@ -276,7 +271,7 @@ func (a *Aggregator) appendLocked(batch []Entry) (func(batch []Entry), []Entry, 
 		s.count++
 		a.stats.MessagesReceived++
 		a.stats.PendingMessages++
-		if s.count >= rollAt {
+		if s.count >= a.RollRecords {
 			a.rollStreamLocked(category, s)
 		}
 	}

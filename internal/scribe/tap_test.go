@@ -3,47 +3,51 @@ package scribe
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
+
+	"unilog/internal/events"
 )
 
-// TestAggregatorTap covers the realtime tap hook: kept entries are
-// observed with their policy-resolved categories, policy-dropped entries
-// are not, and a stopped aggregator taps nothing.
+// TestAggregatorTap covers the realtime tap hook: each entry is observed
+// under the category it was logged with, a client event the encoder
+// refuses under InvalidCategory, an empty batch calls no tap, and a
+// stopped aggregator taps nothing.
 func TestAggregatorTap(t *testing.T) {
 	dc, _ := newDC(t, 1, 0)
 	agg := dc.Aggregators[0]
-	agg.ConfigureCategory("noise", CategoryConfig{Blackhole: true})
-	agg.ConfigureCategory("legacy", CategoryConfig{WriteAs: "merged"})
 
 	var got []Entry
 	agg.Tap = func(batch []Entry) { got = append(got, batch...) }
 
+	valid := clientEvent(0).Marshal()
 	err := agg.Append([]Entry{
 		{Category: "web_events", Message: []byte("a")},
-		{Category: "noise", Message: []byte("dropped")},
+		{Category: events.Category, Message: valid},
+		{Category: events.Category, Message: []byte("not thrift")},
 		{Category: "legacy", Message: []byte("b")},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 {
-		t.Fatalf("tapped %d entries, want 2: %v", len(got), got)
+	want := []Entry{
+		{Category: "web_events", Message: []byte("a")},
+		{Category: events.Category, Message: valid},
+		{Category: InvalidCategory, Message: []byte("not thrift")},
+		{Category: "legacy", Message: []byte("b")},
 	}
-	if got[0].Category != "web_events" || string(got[0].Message) != "a" {
-		t.Errorf("tapped[0] = %q/%q", got[0].Category, got[0].Message)
-	}
-	if got[1].Category != "merged" || string(got[1].Message) != "b" {
-		t.Errorf("tapped[1] = %q/%q, want policy-resolved category merged", got[1].Category, got[1].Message)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("tapped %q, want %q", got, want)
 	}
 
-	// An empty or fully-dropped batch must not invoke the tap.
+	// An empty batch must not invoke the tap.
 	calls := 0
 	agg.Tap = func([]Entry) { calls++ }
-	if err := agg.Append([]Entry{{Category: "noise", Message: []byte("x")}}); err != nil {
+	if err := agg.Append(nil); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 0 {
-		t.Errorf("tap invoked %d times for a fully-dropped batch", calls)
+		t.Errorf("tap invoked %d times for an empty batch", calls)
 	}
 
 	if err := agg.Stop(); err != nil {
