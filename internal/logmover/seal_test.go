@@ -168,6 +168,10 @@ func requireSealedLikeSealHour(t *testing.T, wh *hdfs.FS, hour time.Time, recs [
 // logged messages, byte for byte once rendered. The audit counts the files
 // the hour publishes.
 func TestMoveSealsLikeSealHour(t *testing.T) {
+	t.Run("spliced", moveSealsLikeSealHour)
+}
+
+func moveSealsLikeSealHour(t *testing.T) {
 	sources, msgs := stageDeliveredHour(t, 300)
 	n := len(msgs)
 	recs := stagedRecords(t, sources, t0)
@@ -222,6 +226,10 @@ func sameMessages(a, b [][]byte) bool {
 // seals as chunks of every other record, and the next hour moves and seals
 // too. Sealing the client-events category seals InvalidCategory with it.
 func TestInvalidRecordMovesAsRows(t *testing.T) {
+	t.Run("spliced", moveInvalidRecord)
+}
+
+func moveInvalidRecord(t *testing.T) {
 	clock := zk.NewManualClock(t0)
 	dc, err := scribe.NewDatacenter("dc1", hdfs.New(0), clock, 1, 1, 7)
 	if err != nil {
