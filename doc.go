@@ -92,7 +92,7 @@
 // datasets are lazy pull-based iterator pipelines (scans buffer one split
 // at a time; Filter/Project/Union stream, and a Project directly on a
 // pushed-down scan folds into the scan instead), and the pipeline breakers —
-// GroupBy, GroupAll, Join, OrderBy — are external operators that buffer
+// GroupBy, GroupAll, OrderBy — are external operators that buffer
 // their input, numbering its distinct rendered keys, and, each time
 // dataflow.Job.MemoryBudget is exceeded, sort the buffer on (rendered key,
 // optional order column, insertion sequence) — the distinct keys ranked

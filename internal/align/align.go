@@ -63,83 +63,6 @@ func LocalScore(a, b string, s Scoring) int {
 	return best
 }
 
-// Alignment is the traceback of a local alignment: aligned rune pairs,
-// with -1 marking a gap on that side.
-type Alignment struct {
-	Score int
-	// PairsA[i] and PairsB[i] are indices into the two rune sequences, or
-	// -1 for a gap.
-	PairsA []int
-	PairsB []int
-}
-
-// Local computes the Smith-Waterman alignment with full traceback.
-func Local(a, b string, s Scoring) Alignment {
-	ra, rb := []rune(a), []rune(b)
-	n, m := len(ra), len(rb)
-	if n == 0 || m == 0 {
-		return Alignment{}
-	}
-	h := make([][]int, n+1)
-	for i := range h {
-		h[i] = make([]int, m+1)
-	}
-	best, bi, bj := 0, 0, 0
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= m; j++ {
-			sub := s.Mismatch
-			if ra[i-1] == rb[j-1] {
-				sub = s.Match
-			}
-			v := h[i-1][j-1] + sub
-			if d := h[i-1][j] + s.Gap; d > v {
-				v = d
-			}
-			if d := h[i][j-1] + s.Gap; d > v {
-				v = d
-			}
-			if v < 0 {
-				v = 0
-			}
-			h[i][j] = v
-			if v > best {
-				best, bi, bj = v, i, j
-			}
-		}
-	}
-	al := Alignment{Score: best}
-	// Traceback from the best cell to the first zero.
-	i, j := bi, bj
-	var pa, pb []int
-	for i > 0 && j > 0 && h[i][j] > 0 {
-		sub := s.Mismatch
-		if ra[i-1] == rb[j-1] {
-			sub = s.Match
-		}
-		switch {
-		case h[i][j] == h[i-1][j-1]+sub:
-			pa = append(pa, i-1)
-			pb = append(pb, j-1)
-			i, j = i-1, j-1
-		case h[i][j] == h[i-1][j]+s.Gap:
-			pa = append(pa, i-1)
-			pb = append(pb, -1)
-			i--
-		default:
-			pa = append(pa, -1)
-			pb = append(pb, j-1)
-			j--
-		}
-	}
-	// Reverse into forward order.
-	for k, l := 0, len(pa)-1; k < l; k, l = k+1, l-1 {
-		pa[k], pa[l] = pa[l], pa[k]
-		pb[k], pb[l] = pb[l], pb[k]
-	}
-	al.PairsA, al.PairsB = pa, pb
-	return al
-}
-
 // Similarity normalizes LocalScore into [0, 1]: 1 means one sequence is a
 // perfect subsequence match of the other under the scheme's match reward.
 func Similarity(a, b string, s Scoring) float64 {

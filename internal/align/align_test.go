@@ -57,44 +57,6 @@ func TestSimilarityBounds(t *testing.T) {
 	}
 }
 
-func TestTracebackConsistent(t *testing.T) {
-	a, b := "openimpressclickfollow", "openimpressXclickfollow"
-	al := Local(a, b, DefaultScoring)
-	if al.Score != LocalScore(a, b, DefaultScoring) {
-		t.Fatalf("traceback score %d != plain score %d", al.Score, LocalScore(a, b, DefaultScoring))
-	}
-	if len(al.PairsA) != len(al.PairsB) || len(al.PairsA) == 0 {
-		t.Fatalf("pairs = %d/%d", len(al.PairsA), len(al.PairsB))
-	}
-	// Recompute the score from the traceback.
-	ra, rb := []rune(a), []rune(b)
-	score := 0
-	for k := range al.PairsA {
-		ia, ib := al.PairsA[k], al.PairsB[k]
-		switch {
-		case ia >= 0 && ib >= 0 && ra[ia] == rb[ib]:
-			score += DefaultScoring.Match
-		case ia >= 0 && ib >= 0:
-			score += DefaultScoring.Mismatch
-		default:
-			score += DefaultScoring.Gap
-		}
-	}
-	if score != al.Score {
-		t.Fatalf("traceback recomputes to %d, want %d", score, al.Score)
-	}
-	// Indices are strictly increasing on both sides (ignoring gaps).
-	last := -1
-	for _, ia := range al.PairsA {
-		if ia >= 0 {
-			if ia <= last {
-				t.Fatal("PairsA not increasing")
-			}
-			last = ia
-		}
-	}
-}
-
 func TestQueryByExample(t *testing.T) {
 	// The query session browses then follows; candidate 0 is nearly
 	// identical, candidate 1 unrelated, candidate 2 shares a prefix.

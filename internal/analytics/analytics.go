@@ -72,9 +72,6 @@ func NewCounter(dict *session.Dictionary, m Matcher) *Counter {
 	return c
 }
 
-// NumSymbols reports how many event types the matcher expanded to.
-func (c *Counter) NumSymbols() int { return len(c.symbols) }
-
 // Count returns the number of matching events in one session sequence —
 // the SUM variant of the paper's counting script.
 func (c *Counter) Count(seq string) int64 {
@@ -85,18 +82,6 @@ func (c *Counter) Count(seq string) int64 {
 		}
 	}
 	return n
-}
-
-// Contains reports whether the sequence has at least one matching event —
-// the COUNT variant, "useful for understanding what fraction of users take
-// advantage of a particular feature" (§5.2).
-func (c *Counter) Contains(seq string) bool {
-	for _, r := range seq {
-		if _, ok := c.symbols[r]; ok {
-			return true
-		}
-	}
-	return false
 }
 
 // CountReport aggregates a counting query over a day.

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"time"
 
 	"unilog/internal/events"
@@ -195,23 +194,4 @@ func BuildTrend(fs *hdfs.FS, from time.Time, n int) (*Trend, error) {
 		return nil, fmt.Errorf("birdbrain: no built days in range")
 	}
 	return tr, nil
-}
-
-// Render plots sessions per day as a proportional text bar chart.
-func (tr *Trend) Render(w io.Writer) {
-	fmt.Fprintf(w, "sessions per day:\n")
-	var max int64 = 1
-	for _, d := range tr.Days {
-		if d.Sessions > max {
-			max = d.Sessions
-		}
-	}
-	const width = 40
-	for _, d := range tr.Days {
-		bar := int(d.Sessions * width / max)
-		if bar < 1 && d.Sessions > 0 {
-			bar = 1
-		}
-		fmt.Fprintf(w, "  %s %-*s %6d\n", d.Day.Format("2006-01-02"), width, strings.Repeat("█", bar), d.Sessions)
-	}
 }

@@ -1,7 +1,6 @@
 package birdbrain
 
 import (
-	"strings"
 	"time"
 
 	"unilog/internal/analytics"
@@ -73,36 +72,4 @@ func (l *Lambda) EventTotal(day time.Time, level events.RollupLevel, name string
 		return 0, SourceWarehouse, err
 	}
 	return analytics.RollupTotal(r, level, name), SourceWarehouse, nil
-}
-
-// ClientTotals breaks one day's events down by client — the first level
-// of the §3 hierarchy — from whichever path owns the day.
-func (l *Lambda) ClientTotals(day time.Time) (map[string]int64, Source, error) {
-	defer tmClientTotalsNs.ObserveSince(time.Now())
-	day = day.UTC().Truncate(24 * time.Hour)
-	out := make(map[string]int64)
-	if l.today(day) {
-		l.rt.Sync()
-		for _, pc := range l.rt.TopK("", 1<<30, day, day.Add(24*time.Hour)) {
-			out[pc.Path] = pc.Count
-		}
-		return out, SourceRealtime, nil
-	}
-	r, err := l.sealedRollups(day)
-	if err != nil {
-		return nil, SourceWarehouse, err
-	}
-	// Level-4 rows are (client, *, *, *, *, action); summing them per
-	// leading component yields exact per-client totals.
-	for k, n := range r {
-		if k.Level != events.NumRollupLevels-1 {
-			continue
-		}
-		client := k.Name
-		if i := strings.IndexByte(client, ':'); i >= 0 {
-			client = client[:i]
-		}
-		out[client] += n
-	}
-	return out, SourceWarehouse, nil
 }

@@ -1,7 +1,6 @@
 package birdbrain
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -80,19 +79,23 @@ func TestLambdaServingSplit(t *testing.T) {
 		t.Fatalf("EventTotal(sealed, level 4) = %d/%v, want 2", n, err)
 	}
 
-	got, src, err := l.ClientTotals(liveDay)
-	if err != nil || src != SourceRealtime {
-		t.Fatalf("ClientTotals(live): %s/%v", src, err)
-	}
-	if want := map[string]int64{"web": 3, "android": 1}; !reflect.DeepEqual(got, want) {
-		t.Errorf("ClientTotals(live) = %v, want %v", got, want)
-	}
-	got, src, err = l.ClientTotals(sealedDay)
-	if err != nil || src != SourceWarehouse {
-		t.Fatalf("ClientTotals(sealed): %s/%v", src, err)
-	}
-	if want := map[string]int64{"web": 4, "iphone": 2}; !reflect.DeepEqual(got, want) {
-		t.Errorf("ClientTotals(sealed) = %v, want %v", got, want)
+	// Each client's events stay apart on both paths (web live and iphone
+	// sealed are above).
+	for _, c := range []struct {
+		day  time.Time
+		name string
+		want int64
+		src  Source
+	}{
+		{liveDay, "android:*:*:*:*:open", 1, SourceRealtime},
+		{liveDay, "iphone:*:*:*:*:open", 0, SourceRealtime},
+		{sealedDay, "web:*:*:*:*:impression", 4, SourceWarehouse},
+		{sealedDay, "android:*:*:*:*:open", 0, SourceWarehouse},
+	} {
+		n, src, err := l.EventTotal(c.day, 4, c.name)
+		if err != nil || n != c.want || src != c.src {
+			t.Errorf("EventTotal(%s, level 4, %s) = %d/%s/%v, want %d/%s", c.day.Format("01-02"), c.name, n, src, err, c.want, c.src)
+		}
 	}
 
 	// A day with no data at all answers zero from the warehouse path.
@@ -192,8 +195,8 @@ func TestLambdaServesRecoveredEngine(t *testing.T) {
 	if err != nil || src != SourceRealtime || n != 11 {
 		t.Fatalf("EventTotal from recovered engine = %d/%s/%v, want 11/realtime", n, src, err)
 	}
-	totals, src, err := l.ClientTotals(liveDay)
-	if err != nil || src != SourceRealtime || totals["web"] != 11 {
-		t.Fatalf("ClientTotals from recovered engine = %v/%s/%v, want web=11", totals, src, err)
+	n, src, err = l.EventTotal(liveDay, 4, "web:*:*:*:*:impression")
+	if err != nil || src != SourceRealtime || n != 11 {
+		t.Fatalf("EventTotal(level 4) from recovered engine = %d/%s/%v, want 11/realtime", n, src, err)
 	}
 }

@@ -7,8 +7,7 @@ import (
 // Telemetry instruments for the dashboard query layer: per-verb latency
 // histograms.
 var (
-	tmEventTotalNs   = telemetry.GetHistogram("birdbrain.query.event_total.ns")
-	tmClientTotalsNs = telemetry.GetHistogram("birdbrain.query.client_totals.ns")
+	tmEventTotalNs = telemetry.GetHistogram("birdbrain.query.event_total.ns")
 )
 
 // Scatter-gather instruments: every fanned query ticks queries; the

@@ -255,14 +255,8 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// NumNodes reports the node count.
-func (c *Cluster) NumNodes() int { return len(c.nodes) }
-
 // Partitions reports the partition count.
 func (c *Cluster) Partitions() int { return c.cfg.Partitions }
-
-// Replication reports the replication factor.
-func (c *Cluster) Replication() int { return c.cfg.ReplicationFactor }
 
 // Node returns the node with the given id.
 func (c *Cluster) Node(id int) *Node { return c.nodes[id] }
@@ -270,9 +264,6 @@ func (c *Cluster) Node(id int) *Node { return c.nodes[id] }
 // ReplicasOf returns the ids of the nodes replicating partition p,
 // primary first.
 func (c *Cluster) ReplicasOf(p int) []int { return c.ring.replicas[p] }
-
-// PartitionOf returns the partition an event name routes to.
-func (c *Cluster) PartitionOf(name string) int { return c.ring.partitionOf(events.Hash64(name)) }
 
 // NodeStatus reports the failure detector's current view of a node.
 func (c *Cluster) NodeStatus(id int) Status { return c.det.statusOf(id) }

@@ -286,11 +286,11 @@ func TestClusterBasicIngestAndStats(t *testing.T) {
 	if s.Ingested != wantIngest {
 		t.Errorf("Ingested = %d, want %d", s.Ingested, wantIngest)
 	}
-	if want := wantIngest * int64(c.Replication()); s.Delivered != want {
+	if want := wantIngest * int64(c.cfg.ReplicationFactor); s.Delivered != want {
 		t.Errorf("Delivered = %d, want %d (R× ingested)", s.Delivered, want)
 	}
-	if s.Counter.Observed != wantIngest*int64(c.Replication()) {
-		t.Errorf("Counter.Observed = %d, want %d", s.Counter.Observed, wantIngest*int64(c.Replication()))
+	if s.Counter.Observed != wantIngest*int64(c.cfg.ReplicationFactor) {
+		t.Errorf("Counter.Observed = %d, want %d", s.Counter.Observed, wantIngest*int64(c.cfg.ReplicationFactor))
 	}
 	if s.Hinted != 0 || s.SendFailures != 0 {
 		t.Errorf("healthy cluster hinted %d / failed %d deliveries", s.Hinted, s.SendFailures)
@@ -332,7 +332,7 @@ func TestClusterCrashRestartConvergence(t *testing.T) {
 				}
 				switch r := rng.Float64(); {
 				case r < 0.10:
-					id := rng.Intn(c.NumNodes())
+					id := rng.Intn(len(c.nodes))
 					if !crashed[id] && len(crashed) == 0 { // at most one down at a time: R=2 tolerates one
 						c.Crash(id)
 						crashed[id] = true
@@ -368,7 +368,7 @@ func TestClusterCrashRestartConvergence(t *testing.T) {
 			for _, name := range testNames {
 				// Every node must agree with the reference on every partition
 				// it hosts — replicas converged, not just one.
-				p := c.PartitionOf(name)
+				p := partitionOf(c, name)
 				want := ref.PathSum(name, from, to)
 				for _, id := range c.ReplicasOf(p) {
 					got, err := pathSum(c.Node(id), p, name, from, to)
@@ -396,3 +396,6 @@ func pathSum(n *Node, p int, path string, from, to time.Time) (int64, error) {
 	err := n.SumPaths(p, []uint32{id}, from, to, total[:])
 	return total[0], err
 }
+
+// partitionOf is the partition the ring assigns to an event name's hash.
+func partitionOf(c *Cluster, name string) int { return c.ring.partitionOf(events.Hash64(name)) }

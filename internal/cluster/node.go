@@ -111,9 +111,6 @@ func (n *Node) openCounters(partitions []int) (map[int]*realtime.Counter, error)
 	return counters, nil
 }
 
-// ID returns the node's cluster-wide id.
-func (n *Node) ID() int { return n.id }
-
 // deliver applies a batch of routed events: the whole batch, or — if the
 // node is down or the batch names a partition it does not host — none of
 // it. The events go through one realtime.Batcher per partition counter,

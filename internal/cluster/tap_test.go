@@ -77,7 +77,7 @@ func TestTapBatchAppendsOneWALRecordPerPartition(t *testing.T) {
 		t.Fatalf("stats = %+v, want %d ingested, each delivered to and observed on 2 replicas", st, n)
 	}
 	bound := int64(0)
-	for id := 0; id < c.NumNodes(); id++ {
+	for id := 0; id < len(c.nodes); id++ {
 		bound += int64(len(c.ring.hostedBy(id)) * c.cfg.Node.Shards)
 	}
 	if got := st.Counter.WALBatches; got == 0 || got > bound {
@@ -109,7 +109,7 @@ func TestConcurrentTapsRouteEveryEventOnce(t *testing.T) {
 	}
 	from, to := t0.Add(-time.Hour), t0.Add(time.Hour)
 	for _, name := range testNames {
-		p := c.PartitionOf(name)
+		p := partitionOf(c, name)
 		for _, id := range c.ReplicasOf(p) {
 			if got, err := pathSum(c.Node(id), p, name, from, to); err != nil || got != n/int64(len(testNames)) {
 				t.Errorf("node %d PathSum(%q) = %d (%v), want %d", id, name, got, err, n/int64(len(testNames)))
@@ -118,9 +118,9 @@ func TestConcurrentTapsRouteEveryEventOnce(t *testing.T) {
 	}
 }
 
-// The router partitions by the name table's hash, PartitionOf by hashing the
+// The router partitions by the name table's hash, partitionOf by hashing the
 // rendered string. Over the generated day's namespace the two agree: each
-// name's events land in PartitionOf(name)'s replicas and nowhere else.
+// name's events land in partitionOf(name)'s replicas and nowhere else.
 func TestRouterPartitionIsPartitionOf(t *testing.T) {
 	evs, _ := workload.New(workload.DefaultConfig(t0)).Generate()
 	c := testCluster(t, Config{Nodes: 3, ReplicationFactor: 2, Clock: zk.NewManualClock(t0)})
@@ -136,7 +136,7 @@ func TestRouterPartitionIsPartitionOf(t *testing.T) {
 	c.Sync()
 	from, to := t0.Add(-24*time.Hour), t0.Add(24*time.Hour)
 	for name := range seen {
-		want := c.PartitionOf(name)
+		want := partitionOf(c, name)
 		for p := 0; p < c.Partitions(); p++ {
 			for _, id := range c.ReplicasOf(p) {
 				got, err := pathSum(c.Node(id), p, name, from, to)
@@ -144,7 +144,7 @@ func TestRouterPartitionIsPartitionOf(t *testing.T) {
 					t.Fatal(err)
 				}
 				if (got == 1) != (p == want) || got > 1 {
-					t.Errorf("%q: node %d partition %d counted %d; PartitionOf says %d", name, id, p, got, want)
+					t.Errorf("%q: node %d partition %d counted %d; partitionOf says %d", name, id, p, got, want)
 				}
 			}
 		}

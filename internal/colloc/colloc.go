@@ -44,9 +44,6 @@ func Collect(seqs []string) *Stats {
 	return s
 }
 
-// Count returns the adjacent-bigram count of (a, b).
-func (s *Stats) Count(a, b rune) int64 { return s.bigrams[[2]rune{a, b}] }
-
 // PMI returns the pointwise mutual information of the adjacent pair (a, b)
 // in bits: log2( P(a,b) / (P(a)·P(b)) ).
 func (s *Stats) PMI(a, b rune) float64 {

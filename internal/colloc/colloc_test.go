@@ -14,8 +14,8 @@ import (
 func TestCountsAndPMI(t *testing.T) {
 	// "ab" appears always together; "cd" independently.
 	s := Collect([]string{"abab", "abab", "cdcc", "dcdd"})
-	if s.Count('a', 'b') != 4 {
-		t.Fatalf("count(ab) = %d", s.Count('a', 'b'))
+	if n := s.bigrams[[2]rune{'a', 'b'}]; n != 4 {
+		t.Fatalf("count(ab) = %d", n)
 	}
 	if got := s.PMI('a', 'b'); got <= 0 {
 		t.Fatalf("PMI(ab) = %f, want positive", got)

@@ -108,12 +108,6 @@ func appendRunRec(buf, key []byte, seq uint64, t Tuple) ([]byte, error) {
 	return appendTuple(buf, t)
 }
 
-// decodeTuple parses one whole record as a tuple (tests and tooling; the
-// merge path goes through decodeTupleFrom after the run header).
-func decodeTuple(rec []byte) (Tuple, error) {
-	return decodeTupleFrom(recordio.NewCursor(rec))
-}
-
 // decodeTupleFrom parses a tuple from the cursor's remaining bytes, which
 // it must consume exactly.
 func decodeTupleFrom(c *recordio.Cursor) (Tuple, error) {

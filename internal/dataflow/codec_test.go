@@ -209,3 +209,9 @@ func FuzzSpillRecord(f *testing.F) {
 		}
 	})
 }
+
+// decodeTuple parses one whole record as a tuple; the merge path reads
+// records through decodeTupleFrom after the run header.
+func decodeTuple(rec []byte) (Tuple, error) {
+	return decodeTupleFrom(recordio.NewCursor(rec))
+}

@@ -12,7 +12,7 @@
 //     the paper's complaint that raw-log jobs "routinely spawned tens of
 //     thousands of mappers and clogged our Hadoop jobtracker";
 //   - bytes read come from the filesystem's own accounting;
-//   - every GroupBy, GroupAll, Join and OrderBy charges shuffle bytes for
+//   - every GroupBy, GroupAll and OrderBy charges shuffle bytes for
 //     the tuples that move between the map and reduce sides.
 //
 // Execution is out-of-core, the way the MapReduce jobs it models are:
@@ -25,7 +25,7 @@
 //     operator at all: it re-plans the scan with its columns, so the
 //     reader builds only those (§4.1's early projection, pushed to where
 //     the bytes are decoded).
-//   - GroupBy, GroupAll, Join, and OrderBy are the pipeline breakers, and
+//   - GroupBy, GroupAll and OrderBy are the pipeline breakers, and
 //     they are external operators with a *sort-merge* shuffle, like the
 //     Hadoop jobs they model: input tuples are buffered in one buffer that
 //     numbers their distinct rendered keys and — each time the buffered
@@ -131,7 +131,7 @@ type Job struct {
 	FS   *hdfs.FS
 
 	// MemoryBudget bounds the tuple bytes an external operator (GroupBy,
-	// GroupAll, Join, OrderBy) may buffer before it spills the buffer to
+	// GroupAll, OrderBy) may buffer before it spills the buffer to
 	// disk as a sorted run. <= 0 (the default) disables spilling:
 	// everything stays in memory.
 	MemoryBudget int64
@@ -217,8 +217,8 @@ type Dataset struct {
 	job    *Job
 	schema Schema
 	open   func() (Iterator, error)
-	// cleanup releases operator state backing this dataset (the spill
-	// files behind a Join); nil for sources and streaming operators.
+	// cleanup releases operator state backing this dataset (the sorted
+	// runs behind an OrderBy); nil for sources and streaming operators.
 	cleanup func() error
 	// scan is the plan of a bare pushed-down scan, which Project folds
 	// into; nil for every other dataset.
@@ -236,17 +236,13 @@ func NewDataset(j *Job, schema Schema, tuples []Tuple) *Dataset {
 // Schema returns the dataset's schema.
 func (d *Dataset) Schema() Schema { return d.schema }
 
-// Open starts one execution of the pipeline and returns its cursor. Most
-// callers want Each, Tuples, or Count instead.
-func (d *Dataset) Open() (Iterator, error) { return d.open() }
-
-// Close releases operator state backing this dataset — the spill files
-// behind a Join output. Streaming wrappers (Filter, Project, Union)
-// propagate their source's cleanup, so
-// closing a derived view is equivalent to closing the operator output it
-// wraps. It is a no-op when nothing upstream holds spill state. After
-// Close the dataset (and any view sharing its state) must not be iterated
-// again; doing so fails with an error rather than reading empty data.
+// Close releases operator state backing this dataset — the sorted runs
+// behind an OrderBy output. Streaming wrappers (Filter, Project, Union)
+// propagate their source's cleanup, so closing a derived view is
+// equivalent to closing the operator output it wraps. It is a no-op when
+// nothing upstream holds spill state. After Close the dataset (and any
+// view sharing its state) must not be iterated again; doing so fails with
+// an error rather than reading empty data.
 func (d *Dataset) Close() error {
 	if d.cleanup != nil {
 		return d.cleanup()
@@ -335,16 +331,6 @@ type InputFormat interface {
 // against the job.
 func (j *Job) Load(dir string, f InputFormat) (*Dataset, error) {
 	splits, err := f.Splits(j.FS, dir)
-	if err != nil {
-		return nil, err
-	}
-	return j.datasetForSplits(f, splits), nil
-}
-
-// LoadDirs is Load over several directories (e.g. the 24 hours of a day),
-// concatenating the results; missing directories are skipped.
-func (j *Job) LoadDirs(dirs []string, f InputFormat) (*Dataset, error) {
-	splits, err := j.splitsOf(dirs, f)
 	if err != nil {
 		return nil, err
 	}

@@ -224,42 +224,6 @@ func TestGroupAllSum(t *testing.T) {
 	}
 }
 
-func TestJoin(t *testing.T) {
-	j := NewJob("join", hdfs.New(0))
-	left := NewDataset(j, Schema{"user_id", "event"}, []Tuple{
-		{int64(1), "click"}, {int64(2), "click"}, {int64(1), "view"},
-	})
-	users := NewDataset(j, Schema{"user_id", "country"}, []Tuple{
-		{int64(1), "us"}, {int64(2), "uk"}, {int64(3), "jp"},
-	})
-	joined, err := left.Join(users, "user_id", "user_id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer joined.Close()
-	rows, err := joined.Tuples()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("joined rows = %d", len(rows))
-	}
-	wantSchema := Schema{"user_id", "event", "user_id_r", "country"}
-	for i, c := range wantSchema {
-		if joined.Schema()[i] != c {
-			t.Fatalf("schema = %v", joined.Schema())
-		}
-	}
-	ci := joined.Schema().MustIndex("country")
-	for _, tp := range rows {
-		u := tp[0].(int64)
-		want := map[int64]string{1: "us", 2: "uk"}[u]
-		if tp[ci] != want {
-			t.Fatalf("row %v country = %v", tp, tp[ci])
-		}
-	}
-}
-
 // TestMapTaskReduction measures the §4.1 effect (the root
 // BenchmarkMapTaskReduction reports it at day scale): loading session
 // sequences spawns far fewer map tasks and reads far fewer bytes than the
@@ -305,7 +269,7 @@ func TestRawRecordFormat(t *testing.T) {
 	j.Parallelism = 1 // Decode counts on the test goroutine
 	dirs := warehouse.HourDirs(fs, events.Category, day)
 	var decoded int
-	d, err := j.LoadDirs(dirs, RawRecordFormat{
+	d, err := j.LoadDirsSelective(dirs, RawRecordFormat{
 		Columns: Schema{"user_id"},
 		Decode: func(rec []byte) Tuple {
 			decoded++
@@ -319,7 +283,7 @@ func TestRawRecordFormat(t *testing.T) {
 			}
 			return Tuple{e.UserID}
 		},
-	})
+	}, Selection{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,13 +301,13 @@ func TestLoadMissingDir(t *testing.T) {
 	if _, err := j.Load("/nope", ClientEventFormat{}); err == nil {
 		t.Fatal("load of missing dir succeeded")
 	}
-	// LoadDirs skips missing dirs silently.
-	d, err := j.LoadDirs([]string{"/nope"}, ClientEventFormat{})
+	// LoadDirsSelective skips missing dirs silently.
+	d, err := j.LoadDirsSelective([]string{"/nope"}, ClientEventFormat{}, Selection{})
 	if err != nil {
-		t.Fatalf("LoadDirs err = %v", err)
+		t.Fatalf("LoadDirsSelective err = %v", err)
 	}
 	if n, err := d.Count(); err != nil || n != 0 {
-		t.Fatalf("LoadDirs count = %d, %v", n, err)
+		t.Fatalf("LoadDirsSelective count = %d, %v", n, err)
 	}
 }
 
@@ -363,7 +327,7 @@ func TestScanErrorIsSticky(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := d.Open()
+	it, err := d.open()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -443,187 +443,6 @@ func (g *Grouped) Sum(col, out string) (*Dataset, error) {
 	return NewDataset(g.job, schema, rows), nil
 }
 
-// Join sort-merge-joins two datasets on equality of leftCol and rightCol:
-// both sides shuffle into sorted spill runs under Job.MemoryBudget, and
-// the merge advances the two ordered streams in lockstep — buffering only
-// the right tuples of the *current* key, never a hash table. Output schema is the left schema followed by the right schema
-// with joined-column collisions suffixed "_r"; rows arrive in key order,
-// left-input order within a key. Close the returned dataset to release the
-// spill files.
-func (d *Dataset) Join(other *Dataset, leftCol, rightCol string) (*Dataset, error) {
-	li, err := d.schema.Index(leftCol)
-	if err != nil {
-		return nil, err
-	}
-	ri, err := other.schema.Index(rightCol)
-	if err != nil {
-		return nil, err
-	}
-	lt := newSpillTable(d.job, []int{li}, noSort)
-	if err := lt.fill(d); err != nil {
-		return nil, err
-	}
-	rt := newSpillTable(d.job, []int{ri}, noSort)
-	if err := rt.fill(other); err != nil {
-		lt.Close()
-		return nil, err
-	}
-	schema := append(Schema(nil), d.schema...)
-	for _, c := range other.schema {
-		if _, err := d.schema.Index(c); err == nil {
-			schema = append(schema, c+"_r")
-		} else {
-			schema = append(schema, c)
-		}
-	}
-	js := &joinState{job: d.job, lt: lt, rt: rt}
-	return &Dataset{job: d.job, schema: schema, open: js.open, cleanup: js.close}, nil
-}
-
-// joinState is the sorted both-sides shuffle behind a Join output; every
-// iteration of the output dataset merges it again.
-type joinState struct {
-	job    *Job
-	lt, rt *spillTable
-}
-
-func (s *joinState) open() (Iterator, error) {
-	s.job.stats.mergePasses.Add(1)
-	tmMergePasses.Inc()
-	lm, err := s.lt.mergeAll()
-	if err != nil {
-		return nil, err
-	}
-	rm, err := s.rt.mergeAll()
-	if err != nil {
-		lm.Close()
-		return nil, err
-	}
-	return &joinIter{s: s, lm: lm, rm: rm}, nil
-}
-
-func (s *joinState) close() error {
-	err := s.lt.Close()
-	if rerr := s.rt.Close(); err == nil {
-		err = rerr
-	}
-	return err
-}
-
-// joinIter merges the two key-ordered streams. The right stream holds a
-// one-record lookahead; matches is the right group of the current left
-// key, reused key over key.
-type joinIter struct {
-	s      *joinState
-	lm, rm *mergeIter
-
-	cur     Tuple // current left tuple
-	matches []Tuple
-	mi      int
-	matched []byte // key of the buffered matches
-	haveKey bool
-
-	rKey  []byte // right lookahead
-	rTup  Tuple
-	rOK   bool
-	rDone bool
-
-	err error // sticky: a failed side cannot be skipped
-}
-
-func (it *joinIter) Next() (Tuple, error) {
-	if it.err != nil {
-		return nil, it.err
-	}
-	t, err := it.next()
-	if err != nil && err != io.EOF {
-		it.err = err
-	}
-	return t, err
-}
-
-func (it *joinIter) next() (Tuple, error) {
-	for {
-		if it.mi < len(it.matches) {
-			rt := it.matches[it.mi]
-			it.mi++
-			nt := make(Tuple, 0, len(it.cur)+len(rt))
-			nt = append(nt, it.cur...)
-			nt = append(nt, rt...)
-			return nt, nil
-		}
-		lkey, lt, err := it.lm.next()
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		if err != nil {
-			return nil, err
-		}
-		if !it.haveKey || !bytes.Equal(lkey, it.matched) {
-			if err := it.seekRight(lkey); err != nil {
-				return nil, err
-			}
-		}
-		it.cur = lt
-		it.mi = 0
-	}
-}
-
-// advanceRight loads the right lookahead.
-func (it *joinIter) advanceRight() (bool, error) {
-	if it.rDone {
-		return false, nil
-	}
-	key, t, err := it.rm.next()
-	if err == io.EOF {
-		it.rDone = true
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	it.rKey = append(it.rKey[:0], key...)
-	it.rTup = t
-	it.rOK = true
-	return true, nil
-}
-
-// seekRight positions the right stream at key k, buffering the right
-// tuples that match it.
-func (it *joinIter) seekRight(k []byte) error {
-	it.matches = it.matches[:0]
-	it.matched = append(it.matched[:0], k...)
-	it.haveKey = true
-	for {
-		if !it.rOK {
-			ok, err := it.advanceRight()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-		}
-		switch c := bytes.Compare(it.rKey, k); {
-		case c < 0:
-			it.rOK = false
-		case c == 0:
-			it.matches = append(it.matches, it.rTup)
-			it.rOK = false
-		default:
-			return nil // lookahead kept for a later left key
-		}
-	}
-}
-
-func (it *joinIter) Close() error {
-	err := it.lm.Close()
-	if rerr := it.rm.Close(); err == nil {
-		err = rerr
-	}
-	return err
-}
-
 // OrderBy sorts by the named column; numeric columns sort numerically and
 // the sort is stable (equal keys keep input order, for descending too).
 // It is an external merge sort: the input streams into sorted runs through

@@ -35,31 +35,6 @@ func TestAggregateUnknownColumn(t *testing.T) {
 	}
 }
 
-func TestJoinUnknownColumns(t *testing.T) {
-	l := NewDataset(emptyJob(), Schema{"a"}, []Tuple{{int64(1)}})
-	r := NewDataset(emptyJob(), Schema{"b"}, []Tuple{{int64(1)}})
-	if _, err := l.Join(r, "zz", "b"); !errors.Is(err, ErrNoColumn) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := l.Join(r, "a", "zz"); !errors.Is(err, ErrNoColumn) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestJoinNoMatches(t *testing.T) {
-	j := emptyJob()
-	l := NewDataset(j, Schema{"k"}, []Tuple{{"x"}})
-	r := NewDataset(j, Schema{"k"}, []Tuple{{"y"}})
-	out, err := l.Join(r, "k", "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
-	if n, err := out.Count(); err != nil || n != 0 {
-		t.Fatalf("join = %d rows, %v", n, err)
-	}
-}
-
 func TestGroupByEmptyDataset(t *testing.T) {
 	d := NewDataset(emptyJob(), Schema{"k"}, nil)
 	g, err := d.GroupBy("k")

@@ -55,7 +55,8 @@ func (j *Job) pushdownDataset(splits []Split, sel Selection) (*Dataset, bool) {
 	return d, true
 }
 
-// LoadDirsSelective is LoadDirs with a Selection. ClientEventFormat
+// LoadDirsSelective is Load over several directories (e.g. the 24 hours of
+// a day) in order, skipping missing ones, with a Selection. ClientEventFormat
 // evaluates the predicate inside the scan (against zone maps and per name
 // dictionary entry) and builds only the projected columns; every other
 // format gets the selection applied as ordinary row-side Filter/Project

@@ -356,7 +356,7 @@ func TestRowScanEdgeRecords(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cur, err := it.Open()
+			cur, err := dataflow.OpenDataset(it)
 			if err != nil {
 				t.Fatal(err)
 			}

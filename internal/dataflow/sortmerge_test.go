@@ -481,37 +481,3 @@ func TestMergeAbandonReleasesRunFiles(t *testing.T) {
 		t.Fatalf("spill files survived Close after mid-merge abandon: %v", left)
 	}
 }
-
-// TestJoinDuplicateKeysBothSides: the sort-merge join's current-key
-// buffering produces the full cross product per key.
-func TestJoinDuplicateKeysBothSides(t *testing.T) {
-	for _, budget := range []int64{0, 128} {
-		j := spillJob(t, budget)
-		left := NewDataset(j, Schema{"k", "l"}, []Tuple{
-			{"a", "l1"}, {"b", "l2"}, {"a", "l3"}, {"c", "l4"}, {"a", "l5"},
-		})
-		right := NewDataset(j, Schema{"k", "r"}, []Tuple{
-			{"a", "r1"}, {"a", "r2"}, {"b", "r3"}, {"d", "r4"},
-		})
-		joined, err := left.Join(right, "k", "k")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := joined.Tuples()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// 3 left "a" x 2 right "a" + 1x1 for "b" = 7 rows.
-		if len(rows) != 7 {
-			t.Fatalf("budget %d: join rows = %d, want 7: %v", budget, len(rows), rows)
-		}
-		perKey := map[string]int{}
-		for _, r := range rows {
-			perKey[r[0].(string)]++
-		}
-		if perKey["a"] != 6 || perKey["b"] != 1 || perKey["c"] != 0 || perKey["d"] != 0 {
-			t.Fatalf("budget %d: per-key join counts = %v", budget, perKey)
-		}
-		joined.Close()
-	}
-}

@@ -13,7 +13,7 @@ import (
 	"unilog/internal/recordio"
 )
 
-// An external operator (GroupBy, GroupAll, Join, OrderBy) cannot assume
+// An external operator (GroupBy, GroupAll, OrderBy) cannot assume
 // its input fits in memory. spillTable is the shared machinery, and — like
 // the sort-merge shuffle of the MapReduce jobs this engine models — it is
 // sort-based: each tuple's key is rendered once, and the buffer numbers

@@ -130,18 +130,6 @@ func renderRows(rows []Tuple) []string {
 	return out
 }
 
-func equalRows(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestGroupBySpillMatchesInMemory is the acceptance property: on
 // randomized datasets, the spilling path and the in-memory path produce
 // identical relations — same rows, same order — for Sum and ForEachGroup.
@@ -194,51 +182,6 @@ func TestGroupBySpillMatchesInMemory(t *testing.T) {
 		}
 		if fmt.Sprintf("%v", memRed) != fmt.Sprintf("%v", spillRed) {
 			t.Fatalf("seed %d: reduce diverged\nmem:   %v\nspill: %v", seed, memRed, spillRed)
-		}
-	}
-}
-
-// TestJoinSpillMatchesInMemory: the spilled join's output equals the
-// in-memory join as a relation.
-func TestJoinSpillMatchesInMemory(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		rng := rand.New(rand.NewSource(seed + 100))
-		nl, nr := 100+rng.Intn(800), 50+rng.Intn(400)
-		keys := 1 + rng.Intn(40)
-
-		build := func(j *Job, n int, tag string) *Dataset {
-			r := rand.New(rand.NewSource(seed*7 + int64(n)))
-			tuples := make([]Tuple, n)
-			for i := range tuples {
-				tuples[i] = Tuple{int64(r.Intn(keys)), fmt.Sprintf("%s-%d", tag, i)}
-			}
-			return NewDataset(j, Schema{"id", tag}, tuples)
-		}
-		run := func(budget int64) ([]string, int) {
-			j := spillJob(t, budget)
-			left := build(j, nl, "left")
-			right := build(j, nr, "right")
-			joined, err := left.Join(right, "id", "id")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer joined.Close()
-			rows, err := joined.Tuples()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return renderRows(rows), j.Stats().SpillRuns
-		}
-		mem, memSpills := run(0)
-		spilled, spills := run(256)
-		if memSpills != 0 {
-			t.Fatalf("seed %d: in-memory join spilled", seed)
-		}
-		if spills == 0 {
-			t.Fatalf("seed %d: budgeted join never spilled", seed)
-		}
-		if !equalRows(mem, spilled) {
-			t.Fatalf("seed %d: join diverged (%d vs %d rows)", seed, len(mem), len(spilled))
 		}
 	}
 }
@@ -334,33 +277,6 @@ func TestSpillEncodeErrorCleansUp(t *testing.T) {
 	defer g.Close()
 	if n := countGroups(t, g); n != 1 {
 		t.Fatalf("in-memory groups = %d", n)
-	}
-}
-
-// TestJoinSpillCleanup: closing a Join output removes both sides' files.
-func TestJoinSpillCleanup(t *testing.T) {
-	j := spillJob(t, 128)
-	left := wideDataset(j, 500, 20, 6)
-	right := wideDataset(j, 300, 20, 7)
-	rn, err := right.Project("k", "v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined, err := left.Join(rn, "k", "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spillFiles(t, j)) == 0 {
-		t.Fatal("join under budget produced no spill files")
-	}
-	if _, err := joined.Count(); err != nil {
-		t.Fatal(err)
-	}
-	if err := joined.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if left := spillFiles(t, j); len(left) != 0 {
-		t.Fatalf("join spill files survived Close: %v", left)
 	}
 }
 
@@ -499,23 +415,18 @@ func TestClosedGroupedErrs(t *testing.T) {
 	}
 }
 
-// TestDerivedDatasetCloseReleasesJoin: closing a Filter over a Join output
-// releases the join's spill files (cleanup propagates through streaming
-// wrappers).
-func TestDerivedDatasetCloseReleasesJoin(t *testing.T) {
+// TestDerivedDatasetCloseReleasesOrderBy: closing a Filter over an
+// OrderBy output releases the sort's spill files (cleanup propagates
+// through streaming wrappers).
+func TestDerivedDatasetCloseReleasesOrderBy(t *testing.T) {
 	j := spillJob(t, 128)
-	left := wideDataset(j, 400, 20, 8)
-	right, err := wideDataset(j, 200, 20, 9).Project("k", "v")
+	sorted, err := wideDataset(j, 400, 20, 8).OrderBy("k", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined, err := left.Join(right, "k", "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	filtered := joined.Filter(func(Tuple) bool { return true })
+	filtered := sorted.Filter(func(Tuple) bool { return true })
 	if len(spillFiles(t, j)) == 0 {
-		t.Fatal("join under budget produced no spill files")
+		t.Fatal("OrderBy under budget produced no spill files")
 	}
 	if _, err := filtered.Count(); err != nil {
 		t.Fatal(err)
@@ -524,10 +435,10 @@ func TestDerivedDatasetCloseReleasesJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	if left := spillFiles(t, j); len(left) != 0 {
-		t.Fatalf("closing the derived view leaked join spill files: %v", left)
+		t.Fatalf("closing the derived view leaked OrderBy spill files: %v", left)
 	}
 	// The shared state is gone: iterating either handle now errs.
-	if _, err := joined.Count(); err == nil {
-		t.Fatal("iterating a closed join succeeded")
+	if _, err := sorted.Count(); err == nil {
+		t.Fatal("iterating a closed OrderBy succeeded")
 	}
 }

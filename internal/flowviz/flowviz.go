@@ -131,16 +131,3 @@ func (t *Tree) renderNode(w io.Writer, n *Node, indent string, name Namer, opts 
 		fmt.Fprintf(w, "%s└─ … %d more branches\n", indent, pruned)
 	}
 }
-
-// PathCount returns how many sessions start with the given symbol prefix.
-func (t *Tree) PathCount(prefix []rune) int {
-	cur := t.Root
-	for _, r := range prefix {
-		next := cur.Children[r]
-		if next == nil {
-			return 0
-		}
-		cur = next
-	}
-	return cur.Count
-}

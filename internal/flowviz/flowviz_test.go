@@ -12,14 +12,14 @@ func TestBuildCounts(t *testing.T) {
 	if tree.Sessions != 4 {
 		t.Fatalf("sessions = %d", tree.Sessions)
 	}
-	if got := tree.PathCount([]rune("ab")); got != 3 {
-		t.Fatalf("PathCount(ab) = %d", got)
+	if got := pathCount(tree, "ab"); got != 3 {
+		t.Fatalf("pathCount(ab) = %d", got)
 	}
-	if got := tree.PathCount([]rune("abc")); got != 1 {
-		t.Fatalf("PathCount(abc) = %d", got)
+	if got := pathCount(tree, "abc"); got != 1 {
+		t.Fatalf("pathCount(abc) = %d", got)
 	}
-	if got := tree.PathCount([]rune("zz")); got != 0 {
-		t.Fatalf("PathCount(zz) = %d", got)
+	if got := pathCount(tree, "zz"); got != 0 {
+		t.Fatalf("pathCount(zz) = %d", got)
 	}
 	// One session terminates exactly at "ab".
 	cur := tree.Root
@@ -33,10 +33,10 @@ func TestBuildCounts(t *testing.T) {
 
 func TestMaxDepthTruncation(t *testing.T) {
 	tree := Build([]string{"abcdefgh"}, 3)
-	if tree.PathCount([]rune("abc")) != 1 {
+	if pathCount(tree, "abc") != 1 {
 		t.Fatal("depth-3 path missing")
 	}
-	if tree.PathCount([]rune("abcd")) != 0 {
+	if pathCount(tree, "abcd") != 0 {
 		t.Fatal("path deeper than maxDepth present")
 	}
 }
@@ -81,4 +81,17 @@ func TestEmptyTree(t *testing.T) {
 	if !strings.Contains(buf.String(), "0 sessions") {
 		t.Fatalf("out = %q", buf.String())
 	}
+}
+
+// pathCount returns how many sessions start with the given symbol prefix.
+func pathCount(t *Tree, prefix string) int {
+	cur := t.Root
+	for _, r := range prefix {
+		next := cur.Children[r]
+		if next == nil {
+			return 0
+		}
+		cur = next
+	}
+	return cur.Count
 }

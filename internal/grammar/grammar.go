@@ -14,11 +14,7 @@
 // and needs no training corpus beyond the sessions themselves.
 package grammar
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // Symbol is either a terminal (session-sequence code point) or a
 // nonterminal rule reference.
@@ -221,18 +217,4 @@ func (g *Grammar) TopRules(k, minLen int) []RuleInfo {
 		infos = infos[:k]
 	}
 	return infos
-}
-
-// DescribeRule renders a rule's expansion as decoded event names, one per
-// line, via the supplied symbol namer.
-func (g *Grammar) DescribeRule(rule int, name func(rune) (string, bool)) string {
-	var b strings.Builder
-	for _, r := range g.Expand(N(rule)) {
-		if n, ok := name(r); ok {
-			fmt.Fprintf(&b, "%s\n", n)
-		} else {
-			fmt.Fprintf(&b, "%U\n", r)
-		}
-	}
-	return b.String()
 }

@@ -123,21 +123,6 @@ func TestTopRules(t *testing.T) {
 	}
 }
 
-func TestDescribeRule(t *testing.T) {
-	g := Induce([]string{"abab"}, 2)
-	desc := g.DescribeRule(0, func(r rune) (string, bool) {
-		return "event-" + string(r), true
-	})
-	if !strings.Contains(desc, "event-a") || !strings.Contains(desc, "event-b") {
-		t.Fatalf("desc = %q", desc)
-	}
-	// Unknown symbols fall back to code-point notation.
-	desc = g.DescribeRule(0, func(r rune) (string, bool) { return "", false })
-	if !strings.Contains(desc, "U+") {
-		t.Fatalf("desc = %q", desc)
-	}
-}
-
 func TestMinSupportFloor(t *testing.T) {
 	// minSupport below 2 is clamped; a single occurrence never makes a rule.
 	g := Induce([]string{"abcdefg"}, 0)

@@ -99,9 +99,6 @@ func New(blockSize int) *FS {
 // operation fails with ErrUnavailable.
 func (fs *FS) SetAvailable(up bool) { fs.down.Store(!up) }
 
-// Available reports whether the filesystem is serving requests.
-func (fs *FS) Available() bool { return !fs.down.Load() }
-
 func (fs *FS) check() error {
 	if fs.down.Load() {
 		return ErrUnavailable
@@ -259,9 +256,6 @@ func (w *FileWriter) Close() error {
 	w.fs.addStats(Stats{BytesWritten: int64(len(w.buf)), FilesCreated: 1})
 	return nil
 }
-
-// Path returns the destination path of the writer.
-func (w *FileWriter) Path() string { return w.path }
 
 // Open returns a reader over the file at path. Reading is metered in block
 // units: touching any byte of a block counts the whole block as read, which

@@ -127,8 +127,11 @@ func (m *Mover) HourSealed(category string, hour time.Time) bool {
 
 // MoveHour merges one sealed category-hour from all staging clusters into
 // the warehouse and atomically publishes it, a client-events hour as its
-// column chunks alone. On an error the warehouse is untouched and the
-// staging files stay for a retry.
+// column chunks alone. An hour every datacenter sealed empty publishes an
+// empty directory: the hour's directory is the record that it moved, which
+// MoveAllSealed's skip and ErrAlreadyMoved read when a datacenter seals the
+// hour again, so a moved hour is never moved, or audited, twice. On an
+// error the warehouse is untouched and the staging files stay for a retry.
 func (m *Mover) MoveHour(category string, hour time.Time) (AuditRecord, error) {
 	started := time.Now()
 	rec := AuditRecord{Category: category, Hour: hour.UTC().Truncate(time.Hour), Started: m.Clock()}
@@ -226,7 +229,8 @@ func (m *Mover) MoveHour(category string, hour time.Time) (AuditRecord, error) {
 		return rec, err
 	}
 
-	// The atomic slide: one rename publishes the whole hour.
+	// The atomic slide: one rename publishes the whole hour, and an empty
+	// hour still gets its directory, the record that it moved.
 	if rec.FilesOut > 0 {
 		if err := m.Warehouse.Rename(tmpDir, destDir); err != nil {
 			return rec, err

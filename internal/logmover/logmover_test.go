@@ -344,6 +344,67 @@ func TestEmptySealedHour(t *testing.T) {
 	}
 }
 
+// TestEmptyHourResealedStaysMoved pins what the empty directory an empty
+// hour publishes is for. Every datacenter seals the invalid category's
+// hour with nothing in it, the mover moves it, and then every datacenter
+// seals the hour again, as a run's closing seal of the whole day does. The
+// directory is the record of the move: the second pass skips the hour and
+// MoveHour refuses it, so the hour is audited once. Without the directory
+// the same hour is moved, and audited, a second time.
+func TestEmptyHourResealedStaysMoved(t *testing.T) {
+	clock := zk.NewManualClock(t0)
+	var sources []Source
+	var dcs []*scribe.Datacenter
+	for _, name := range []string{"dc1", "dc2"} {
+		dc, err := scribe.NewDatacenter(name, hdfs.New(0), clock, 1, 1, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dcs = append(dcs, dc)
+		sources = append(sources, Source{name, dc.Staging})
+	}
+	sealAll := func() {
+		t.Helper()
+		for _, dc := range dcs {
+			if err := dc.SealHour([]string{scribe.InvalidCategory}, t0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	wh := hdfs.New(0)
+	m := New(wh, sources...)
+	dest := warehouse.HourDir(scribe.InvalidCategory, t0)
+
+	sealAll()
+	recs, err := m.MoveAllSealed()
+	if err != nil || len(recs) != 1 || recs[0].FilesIn != 0 || recs[0].FilesOut != 0 {
+		t.Fatalf("first pass = %+v, %v; want one empty move", recs, err)
+	}
+	if !wh.Exists(dest) || m.HourSealed(scribe.InvalidCategory, t0) {
+		t.Fatal("the move must publish the empty directory and consume every marker")
+	}
+
+	sealAll()
+	if recs, err := m.MoveAllSealed(); err != nil || len(recs) != 0 {
+		t.Fatalf("pass after the reseal = %+v, %v; want nothing moved", recs, err)
+	}
+	if _, err := m.MoveHour(scribe.InvalidCategory, t0); !errors.Is(err, ErrAlreadyMoved) {
+		t.Fatalf("MoveHour after the reseal: err = %v, want ErrAlreadyMoved", err)
+	}
+	if len(m.Audits()) != 1 {
+		t.Fatalf("%d audit records, want 1", len(m.Audits()))
+	}
+
+	// The counterfactual: with the directory gone, the resealed hour moves
+	// again.
+	if err := wh.Delete(dest, true); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := m.MoveAllSealed(); err != nil || len(recs) != 1 {
+		t.Fatalf("pass without the directory = %+v, %v; want the hour moved again", recs, err)
+	}
+}
+
 func TestParseStagingPath(t *testing.T) {
 	cat, hour, ok := parseStagingPath("/staging/client_events/2012/08/21/14/agg0-00001.gz")
 	if !ok || cat != "client_events" || !hour.Equal(t0) {

@@ -57,9 +57,6 @@ func NewModel(order int) *Model {
 	return m
 }
 
-// Order returns the model order.
-func (m *Model) Order() int { return m.order }
-
 // Vocabulary returns the number of distinct symbols seen in training.
 func (m *Model) Vocabulary() int { return len(m.vocab) }
 

@@ -136,8 +136,8 @@ func TestEmptyEvaluation(t *testing.T) {
 
 func TestOrderClamped(t *testing.T) {
 	m := NewModel(0)
-	if m.Order() != 1 {
-		t.Fatalf("order = %d", m.Order())
+	if m.order != 1 {
+		t.Fatalf("order = %d", m.order)
 	}
 }
 

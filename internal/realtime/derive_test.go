@@ -119,19 +119,19 @@ func testDeriveMinutes(t *testing.T) {
 	}
 	c.Sync()
 	from, to := t0, t0.Add(time.Hour)
-	buckets0, calls0 := tmDeriveBuckets.Value(), tmDeriveNs.Count()
+	buckets0, calls0 := tmDeriveBuckets.Value(), tmDeriveNs.Summary().Count
 	c.RollupSnapshot(from, to)
-	if tmDeriveBuckets.Value() != buckets0 || tmDeriveNs.Count() != calls0 {
+	if tmDeriveBuckets.Value() != buckets0 || tmDeriveNs.Summary().Count != calls0 {
 		t.Fatal("a rollup read counted a derivation")
 	}
 	if got := c.PathSum("web", from, to); got != 3 {
 		t.Fatalf("PathSum = %d, want 3", got)
 	}
-	if b, n := tmDeriveBuckets.Value()-buckets0, tmDeriveNs.Count()-calls0; b != 3 || n != 1 {
+	if b, n := tmDeriveBuckets.Value()-buckets0, tmDeriveNs.Summary().Count-calls0; b != 3 || n != 1 {
 		t.Fatalf("first read after the writes: %d buckets derived in %d timed queries, want 3 in 1", b, n)
 	}
 	c.TopK("web", 3, from, to)
-	if b, n := tmDeriveBuckets.Value()-buckets0, tmDeriveNs.Count()-calls0; b != 3 || n != 1 {
+	if b, n := tmDeriveBuckets.Value()-buckets0, tmDeriveNs.Summary().Count-calls0; b != 3 || n != 1 {
 		t.Fatalf("second read: counters moved to %d buckets, %d queries", b, n)
 	}
 }

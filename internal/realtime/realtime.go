@@ -520,9 +520,6 @@ func (c *Counter) Stats() Stats {
 	}
 }
 
-// Shards reports the configured shard count.
-func (c *Counter) Shards() int { return len(c.shards) }
-
 // shardOf picks the shard of an event name: its hash modulo the shard
 // count, in 32 bits, where the division is cheaper.
 func (c *Counter) shardOf(e *events.NameEntry) int {

@@ -39,8 +39,8 @@ func TestSustainedIngestWithConcurrentQueries(t *testing.T) {
 	day := t0.UTC().Truncate(24 * time.Hour)
 
 	c := newCounter(t, Config{Shards: 4})
-	if c.Shards() < 4 {
-		t.Fatalf("Shards = %d, want >= 4", c.Shards())
+	if len(c.shards) < 4 {
+		t.Fatalf("shards = %d, want >= 4", len(c.shards))
 	}
 
 	// Producers ingest disjoint index ranges, each recording a local
@@ -143,6 +143,6 @@ func TestSustainedIngestWithConcurrentQueries(t *testing.T) {
 		t.Errorf("unexpected drops: %+v", st)
 	}
 	t.Logf("ingested %d events across %d shards in %v (%.0f events/s), %d concurrent queries (backpressure waits: %d)",
-		total, c.Shards(), elapsed.Round(time.Millisecond),
+		total, len(c.shards), elapsed.Round(time.Millisecond),
 		float64(total)/elapsed.Seconds(), queries.Load(), st.QueueFull)
 }

@@ -38,7 +38,6 @@ const crcHeaderLen = 4
 type CRCWriter struct {
 	w     io.Writer
 	hdr   [binary.MaxVarintLen64 + crcHeaderLen]byte
-	count int64
 	bytes int64
 }
 
@@ -61,13 +60,9 @@ func (w *CRCWriter) Append(rec []byte) error {
 	if _, err := w.w.Write(rec); err != nil {
 		return err
 	}
-	w.count++
 	w.bytes += int64(n + crcHeaderLen + len(rec))
 	return nil
 }
-
-// Count returns the number of records appended.
-func (w *CRCWriter) Count() int64 { return w.count }
 
 // Bytes returns the number of framed bytes written.
 func (w *CRCWriter) Bytes() int64 { return w.bytes }

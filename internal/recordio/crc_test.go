@@ -19,8 +19,8 @@ func crcStream(t testing.TB, recs ...string) []byte {
 			t.Fatal(err)
 		}
 	}
-	if w.Count() != int64(len(recs)) || w.Bytes() != int64(buf.Len()) {
-		t.Fatalf("writer accounting: count %d bytes %d, stream %d", w.Count(), w.Bytes(), buf.Len())
+	if w.Bytes() != int64(buf.Len()) {
+		t.Fatalf("writer accounting: bytes %d, stream %d", w.Bytes(), buf.Len())
 	}
 	return buf.Bytes()
 }
@@ -144,8 +144,8 @@ func TestCRCAppendRejectsOversizedRecord(t *testing.T) {
 	if err := w.Append(make([]byte, MaxRecordSize+1)); err == nil {
 		t.Fatal("oversized record appended cleanly")
 	}
-	if buf.Len() != 0 || w.Count() != 0 {
-		t.Fatalf("rejected append left %d bytes, count %d", buf.Len(), w.Count())
+	if buf.Len() != 0 || w.Bytes() != 0 {
+		t.Fatalf("rejected append left %d bytes, counted %d", buf.Len(), w.Bytes())
 	}
 }
 

@@ -87,9 +87,6 @@ func (c *Cursor) Byte(what string) byte {
 	return b
 }
 
-// Bool reads one byte and reports whether it is 1.
-func (c *Cursor) Bool(what string) bool { return c.Byte(what) == 1 }
-
 // Bytes reads a uvarint length followed by that many bytes. The returned
 // slice aliases the cursor's buffer; copy it to retain it past the
 // buffer's lifetime.

@@ -63,7 +63,6 @@ type Writer struct {
 	w     io.Writer
 	frame []byte // scratch: the current record's length prefix + payload
 	count int64
-	bytes int64
 }
 
 // NewWriter returns a Writer framing onto w.
@@ -77,16 +76,11 @@ func (w *Writer) Append(rec []byte) error {
 		return err
 	}
 	w.count++
-	w.bytes += int64(len(w.frame))
 	return nil
 }
 
 // Count returns the number of records appended.
 func (w *Writer) Count() int64 { return w.count }
-
-// Bytes returns the number of framed bytes written (before any outer
-// compression).
-func (w *Writer) Bytes() int64 { return w.bytes }
 
 // gzipBlock is how many framed bytes a GzipWriter gathers before it calls
 // the compressor: deflate's per-call costs are paid once per block, not once

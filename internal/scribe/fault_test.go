@@ -74,10 +74,12 @@ func TestRandomFaultScheduleConservation(t *testing.T) {
 
 			var accepted int64
 			aliveAggs := len(dc.Aggregators)
+			stagingUp := true
 			for step := 0; step < 300; step++ {
 				switch rng.Intn(20) {
 				case 0: // staging outage toggle
-					staging.SetAvailable(!staging.Available())
+					stagingUp = !stagingUp
+					staging.SetAvailable(stagingUp)
 				case 1: // graceful stop of a random live aggregator
 					if aliveAggs > 1 {
 						a := dc.Aggregators[rng.Intn(len(dc.Aggregators))]

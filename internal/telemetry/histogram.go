@@ -96,9 +96,6 @@ func (h *Histogram) ObserveSince(t0 time.Time) {
 	h.Observe(int64(time.Since(t0)))
 }
 
-// Count returns the number of recorded values.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // reset zeroes the histogram in place (see Registry.Reset). Not
 // synchronized against concurrent Observe calls.
 func (h *Histogram) reset() {

@@ -59,9 +59,6 @@ type Gauge struct {
 // Set stores the current level.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add moves the level by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
 // SetMax raises the gauge to v if v exceeds the current value — the
 // high-water-mark update (peak merge fan-in, spool high water).
 func (g *Gauge) SetMax(v int64) {
@@ -261,9 +258,6 @@ func (r *Registry) SnapshotBuckets() Snap {
 	}
 	return s
 }
-
-// SnapshotBuckets captures the Default registry with raw buckets.
-func SnapshotBuckets() Snap { return Default.SnapshotBuckets() }
 
 // Reset zeroes every counter, gauge, and histogram in place. Instruments
 // stay registered and previously fetched handles stay valid — the maps

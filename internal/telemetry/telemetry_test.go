@@ -292,8 +292,8 @@ func TestRegistryReset(t *testing.T) {
 
 	r.Reset()
 
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Fatalf("reset left values: counter=%d gauge=%d hist=%d", c.Value(), g.Value(), h.Count())
+	if c.Value() != 0 || g.Value() != 0 || h.count.Load() != 0 {
+		t.Fatalf("reset left values: counter=%d gauge=%d hist=%d", c.Value(), g.Value(), h.count.Load())
 	}
 	s := h.Summary()
 	if s.Min != 0 || s.Max != 0 || s.Sum != 0 {
@@ -344,8 +344,8 @@ func TestHistogramBucketDump(t *testing.T) {
 		}
 		total += bc.Count
 	}
-	if total != h.Count() {
-		t.Fatalf("bucket counts sum to %d, histogram count is %d", total, h.Count())
+	if total != h.count.Load() {
+		t.Fatalf("bucket counts sum to %d, histogram count is %d", total, h.count.Load())
 	}
 	covered := func(v int64) bool {
 		for _, bc := range b {

@@ -155,19 +155,11 @@ func (e *CompactEncoder) WriteBool(v bool) {
 // WriteI8 writes a raw byte.
 func (e *CompactEncoder) WriteI8(v int8) { e.buf = append(e.buf, byte(v)) }
 
-// WriteI16 writes a zigzag varint.
-func (e *CompactEncoder) WriteI16(v int16) { e.varint(uint64(zigzag32(int32(v)))) }
-
 // WriteI32 writes a zigzag varint.
 func (e *CompactEncoder) WriteI32(v int32) { e.varint(uint64(zigzag32(v))) }
 
 // WriteI64 writes a zigzag varint.
 func (e *CompactEncoder) WriteI64(v int64) { e.varint(zigzag64(v)) }
-
-// WriteDouble writes an IEEE-754 double, little-endian per the compact spec.
-func (e *CompactEncoder) WriteDouble(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
 
 // WriteString writes a varint length followed by the UTF-8 bytes.
 func (e *CompactEncoder) WriteString(v string) {

@@ -1,6 +1,7 @@
 package thrift
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -31,13 +32,13 @@ func (t *testStruct) Encode(e *CompactEncoder) {
 	e.WriteFieldBegin(BYTE, 2)
 	e.WriteI8(t.I8)
 	e.WriteFieldBegin(I16, 3)
-	e.WriteI16(t.I16)
+	e.WriteI32(int32(t.I16)) // an i16 is an i32's zigzag varint on the wire
 	e.WriteFieldBegin(I32, 4)
 	e.WriteI32(t.I32)
 	e.WriteFieldBegin(I64, 5)
 	e.WriteI64(t.I64)
 	e.WriteFieldBegin(DOUBLE, 6)
-	e.WriteDouble(t.F)
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(t.F))
 	e.WriteFieldBegin(STRING, 7)
 	e.WriteString(t.S)
 	e.WriteFieldBegin(STRING, 8)
