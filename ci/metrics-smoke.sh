@@ -17,8 +17,8 @@
 #                            staged, as it read them back
 #   logmover.files.sealed  — the staged client-events files took the sealed
 #                            path, the one path the mover has for them
-#   chunk.meta.reads       — the demo's delivery count read the sealed hours'
-#                            row counts back from their chunks' zone maps
+#   chunk.manifest.reads   — the demo's delivery count read the sealed hours'
+#                            row counts back from their manifests
 #
 # Once the demo has finished its day (its "holding" line), the script also
 # requires the demo's three verdict lines in its log:
@@ -78,7 +78,7 @@ for i in $(seq 1 "$POLL_SECONDS"); do
            and .series["dataflow.spill.bytes"] > 0
            and .series["logmover.records"] > 0 and .series["columnar.seal.rows"] > 0
            and .series["logmover.files.sealed"] > 0
-           and .series["chunk.meta.reads"] > 0' \
+           and .series["chunk.manifest.reads"] > 0' \
       "$OUT/snap.json" >/dev/null 2>&1 && grep -q '^holding ' "$OUT/demo.log"; then
     for verdict in '^reconcile .*: OK' 'exactly once: true' 'jump-free: true'; do
       if ! grep -q "$verdict" "$OUT/demo.log"; then
@@ -96,7 +96,7 @@ for i in $(seq 1 "$POLL_SECONDS"); do
           "logmover.records": .series["logmover.records"],
           "columnar.seal.rows": .series["columnar.seal.rows"],
           "logmover.files.sealed": .series["logmover.files.sealed"],
-          "chunk.meta.reads": .series["chunk.meta.reads"],
+          "chunk.manifest.reads": .series["chunk.manifest.reads"],
           series_total: (.series | length),
           histograms_total: (.histograms | length) }' "$OUT/snap.json"
     exit 0

@@ -198,19 +198,16 @@ func main() {
 			redisc += s.Rediscoveries
 		}
 	}
-	// A sealed hour counts from its chunks' zone maps, an unsealed one from
-	// its row files.
+	// A sealed hour counts from its manifest's zone maps, an unsealed one
+	// from its row files.
 	var inWarehouse int64
 	for _, dir := range warehouse.HourDirs(wh, events.Category, day) {
-		files, err := chunk.HourFiles(wh, dir)
+		chunks, rows, err := chunk.HourFiles(wh, dir)
 		check(err)
-		for _, fi := range files {
-			if chunk.IsChunk(fi.Path) {
-				m, err := chunk.ReadMeta(wh, fi.Path)
-				check(err)
-				inWarehouse += int64(m.Rows)
-				continue
-			}
+		for _, m := range chunks {
+			inWarehouse += int64(m.Rows)
+		}
+		for _, fi := range rows {
 			check(chunk.ScanFileRecords(wh, fi.Path, func([]byte) error {
 				inWarehouse++
 				return nil
@@ -223,7 +220,7 @@ func main() {
 	for _, a := range mover.Audits() {
 		filesIn += a.FilesIn
 		filesOut += a.FilesOut
-		if chunk.Sealed(wh, warehouse.HourDir(a.Category, a.Hour)) {
+		if wh.Exists(chunk.SealedPath(warehouse.HourDir(a.Category, a.Hour))) {
 			sealedHours++
 		}
 	}

@@ -160,7 +160,9 @@
 // for that key in that chunk) — behind a section table and a meta
 // section holding row count and min/max zone maps over timestamp and
 // name, and an hour-level _col-SEALED marker written after the last
-// chunk. Only the marker makes an hour columnar: a seal that dies
+// chunk: the hour's manifest, one CRC record holding every chunk's zone map
+// and section table (version 3), so a query plans and prunes the hour from
+// one read of one file. Only the marker makes an hour columnar: a seal that dies
 // mid-hour leaves its partial chunks invisible (scans keep using the
 // row files) and the next seal cleans them up and retries, so a torn
 // seal can never silently drop rows. The seal builds chunks from the wire:
@@ -186,15 +188,17 @@
 // sealed has none), and sealed and unsealed hours coexist in one day. There
 // is one client-events format over the two layouts,
 // dataflow.ClientEventFormat: its splits are the day reader's files
-// (chunk.HourFiles: a sealed hour's chunks, an unsealed hour's row files),
-// and each split is opened as one column batch (chunk.LoadChunk,
-// chunk.ReadRowFile) from which the tuples are built, so an hour reads the
-// same before and after its seal. Queries opt in through dataflow.Selection
-// — a declarative (columns, name pattern, time range) triple — and
-// Job.LoadDirsSelective, where the format absorbs the selection: it prunes
-// whole chunks whose zone maps cannot intersect a head-anchored name
-// prefix or the time window (a pruned chunk costs one read of its section
-// table and meta, one block, never a column byte), then with a name
+// (chunk.HourFiles: the chunks a sealed hour's manifest lists, an unsealed
+// hour's row files), and each split is opened as one column batch
+// (chunk.LoadChunk under the zone map its split carries, chunk.ReadRowFile)
+// from which the tuples are built, so an hour reads the same before and
+// after its seal. Queries opt in through dataflow.Selection — a
+// declarative (columns, name pattern, time range) triple — and
+// Job.LoadDirsSelective, where the format absorbs the selection: at
+// planning it drops whole chunks whose manifest zone maps cannot intersect
+// a head-anchored name prefix or the time window (a pruned chunk is never
+// a split: no scan worker sees it and no byte of its image is read), then
+// in the scan, with a name
 // pattern reads the name section alone and matches the pattern over the
 // range of its sorted dictionary that starts with the pattern's literal
 // head (a chunk with no matching entry stops there,

@@ -297,15 +297,17 @@ func TestPlantedRawSessions(t *testing.T) {
 
 // What the tuple-based Rollups and CountRawDay charged over
 // TestBatchFoldsMeterLikeTheTupleScan's day, at any Parallelism, when every
-// section of a chunk was a file of its own; a chunk image adds its section
-// table, read with the meta.
+// section of a chunk was a file of its own, less each chunk's meta section:
+// since a sealed hour's manifest holds every chunk's zone map and section
+// table, a chunk's load reads neither its meta nor its table, and reads the
+// last byte of its image instead, to check the image's length.
 const (
 	goldenRowFiles    = 22
 	goldenChunks      = 22
 	goldenEvents      = 5361
-	goldenTableBytes  = 574                      // the 22 chunks' section tables
-	goldenRollupBytes = 56195 + goldenTableBytes // meta, name, ip and logged_in sections
-	goldenRawBytes    = 74708 + goldenTableBytes // meta, name, user_id, session_id and timestamp sections
+	goldenMetaBytes   = 3391                                   // the 22 chunks' meta sections
+	goldenRollupBytes = 56195 - goldenMetaBytes + goldenChunks // name, ip and logged_in sections, a last byte each
+	goldenRawBytes    = 74708 - goldenMetaBytes + goldenChunks // name, user_id, session_id and timestamp sections, a last byte each
 )
 
 // TestBatchFoldsMeterLikeTheTupleScan: on a sealed day and on a row-file

@@ -3,6 +3,7 @@ package chunk
 import (
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 
@@ -14,15 +15,15 @@ import (
 )
 
 // The day reader. A warehouse hour is read as a sequence of column batches,
-// one per file HourFiles lists: every chunk of an hour whose _col-SEALED
-// marker exists, and every row file of an hour without it. A row file is
-// walked record by record with events.Header into the same Columns a chunk
-// decodes to — only the requested columns, details only when asked for —
-// and its names are validated exactly as the seal validates them, so a
-// consumer folds either kind with one loop over dictionary IDs and never
-// sees a ClientEvent. It is the one reader of a row file's events: the
-// tuple scan, dataflow.ClientEventFormat, builds its tuples from these
-// batches too.
+// one per file HourFiles lists: every chunk the manifest of a sealed hour
+// lists, and every row file of an hour without the _col-SEALED marker. A
+// row file is walked record by record with events.Header into the same
+// Columns a chunk decodes to — only the requested columns, details only
+// when asked for — and its names are validated exactly as the seal
+// validates them, so a consumer folds either kind with one loop over
+// dictionary IDs and never sees a ClientEvent. It is the one reader of a
+// row file's events: the tuple scan, dataflow.ClientEventFormat, builds
+// its tuples from these batches too.
 
 // Batch is one file of a warehouse hour read as column vectors: a sealed
 // chunk, or a row file of an hour that is not sealed.
@@ -32,7 +33,7 @@ type Batch struct {
 	Path string
 
 	fs      *hdfs.FS
-	meta    Meta // a chunk's zone map
+	meta    Meta // a chunk's zone map, which locates its sections
 	rowFile bool
 	walked  bool       // a row file has been read once: Rows is its record count
 	r       *rowReader // the walkers whose vectors a row file's columns are
@@ -85,64 +86,49 @@ func ScanFileRecords(fs *hdfs.FS, path string, fn func(rec []byte) error) error 
 	return err
 }
 
-// IsChunk reports whether a path of HourFiles is a chunk's image file
-// rather than a row file.
-func IsChunk(path string) bool { return IsAuxiliary(path) && strings.HasSuffix(path, ".col") }
-
-// HourFiles lists the files of one hour directory in scan order: the image
-// file of every chunk when the hour is sealed, its row files when it is not.
-// A sealed hour's chunks are enumerated from the marker's count rather than
-// by listing, so one that went missing after the seal is an error instead
-// of a silently shorter hour.
-func HourFiles(fs *hdfs.FS, dir string) ([]hdfs.FileInfo, error) {
-	if Sealed(fs, dir) {
-		n, err := SealedChunks(fs, dir)
-		if err != nil {
-			return nil, err
-		}
-		files := make([]hdfs.FileInfo, 0, n)
-		for i := 0; i < n; i++ {
-			fi, err := fs.Stat(Path(dir, i))
-			if err != nil {
-				return nil, err
-			}
-			files = append(files, fi)
-		}
-		return files, nil
+// HourFiles lists one hour directory in scan order, as the day reader
+// reads it. A sealed hour is its manifest (ReadManifest): chunks[i] is the
+// zone map and section table of chunk i, whose image is Path(dir, i), and
+// listing it opens, stats and reads no image. An hour without the marker is
+// its row files.
+func HourFiles(fs *hdfs.FS, dir string) (chunks []Meta, rows []hdfs.FileInfo, err error) {
+	chunks, err = ReadManifest(fs, dir)
+	if !errors.Is(err, hdfs.ErrNotFound) {
+		return chunks, nil, err
 	}
 	infos, err := fs.Walk(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	files := infos[:0]
+	rows = infos[:0]
 	for _, fi := range infos {
 		if !IsAuxiliary(fi.Path) {
-			files = append(files, fi)
+			rows = append(rows, fi)
 		}
 	}
-	return files, nil
+	return nil, rows, nil
 }
 
 // ReadHour reads every file of one hour directory as a batch of the need
 // columns and hands each to fn in scan order. The batch is fn's: fn may
 // keep it, or Release it once done.
 func ReadHour(fs *hdfs.FS, dir string, need Set, fn func(*Batch) error) error {
-	files, err := HourFiles(fs, dir)
+	chunks, rows, err := HourFiles(fs, dir)
 	if err != nil {
 		return err
 	}
-	for _, fi := range files {
-		var b *Batch
-		if IsChunk(fi.Path) {
-			m, err := ReadMeta(fs, fi.Path)
-			if err != nil {
-				return err
-			}
-			b, err = LoadChunk(fs, fi.Path, m, need)
-			if err != nil {
-				return err
-			}
-		} else if b, err = ReadRowFile(fs, fi.Path, need); err != nil {
+	for i := range chunks {
+		b, err := LoadChunk(fs, Path(dir, i), chunks[i], need)
+		if err != nil {
+			return err
+		}
+		if err := fn(b); err != nil {
+			return err
+		}
+	}
+	for _, fi := range rows {
+		b, err := ReadRowFile(fs, fi.Path, need)
+		if err != nil {
 			return err
 		}
 		if err := fn(b); err != nil {
@@ -153,9 +139,15 @@ func ReadHour(fs *hdfs.FS, dir string, need Set, fn func(*Batch) error) error {
 }
 
 // LoadChunk reads the need columns of the chunk image at path, whose zone
-// map ReadMeta read as m: a ranged read of each one's section, and no other
-// byte of the image.
+// map and section table m are, as its hour's manifest lists them: a ranged
+// read of each one's section, and of the image nothing else but its last
+// byte, which checks that the file ends where the table does. A missing
+// image, or one shorter or longer than its table, fails before any section
+// is read, with an error naming the file.
 func LoadChunk(fs *hdfs.FS, path string, m Meta, need Set) (*Batch, error) {
+	if err := checkEnd(fs, path, m.at[len(m.at)-1]); err != nil {
+		return nil, err
+	}
 	b := &Batch{Path: path, fs: fs, meta: m}
 	if err := b.Widen(need); err != nil {
 		b.Release()
@@ -164,10 +156,28 @@ func LoadChunk(fs *hdfs.FS, path string, m Meta, need Set) (*Batch, error) {
 	return b, nil
 }
 
+// checkEnd asks for the last byte of an image of size bytes and the byte
+// after it: exactly one must be there.
+func checkEnd(fs *hdfs.FS, path string, size int) error {
+	var two [2]byte
+	n, err := fs.ReadAt(path, int64(size-1), two[:])
+	switch {
+	case err != nil && err != io.EOF:
+		return fmt.Errorf("chunk: %s: %w", path, err)
+	case n == 0:
+		return fmt.Errorf("chunk: %s: %w: the image ends before byte %d, where its table ends it", path, recordio.ErrTruncated, size)
+	case n == 2:
+		return fmt.Errorf("chunk: %s: %w: the image runs past byte %d, where its table ends it", path, recordio.ErrCorrupt, size)
+	}
+	return nil
+}
+
 // ReadImage reads a chunk image held in data, whose file is path, as a
-// batch of every column, with the checks of ReadMeta and LoadChunk: the
-// section table must tile the image exactly, and each section passes its
-// CRC frames and its decoder, an error naming path#meta or path#<column>.
+// batch of every column: the section table must tile the image exactly,
+// the meta section must decode, and each column section passes its CRC
+// frames and its decoder, as LoadChunk's do, an error naming path#meta or
+// path#<column>. It is how the log mover reads a staged image, which has no
+// manifest.
 // The batch keeps nothing of data.
 func ReadImage(path string, data []byte) (*Batch, error) {
 	mem := func(p []byte, off int) error {

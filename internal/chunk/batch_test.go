@@ -76,7 +76,7 @@ func sealed(recs [][]byte) (*Columns, error) {
 		return &Columns{}, nil
 	}
 	fs := hdfs.New(0)
-	if err := writeChunk(&b, fs, testDir, 0); err != nil {
+	if _, err := writeChunk(&b, fs, testDir, 0); err != nil {
 		return nil, err
 	}
 	batch, err := loadChunk(fs, testChunk, All)
@@ -120,21 +120,24 @@ func TestReadHourSealedAndRows(t *testing.T) {
 	}
 
 	var bld Builder
+	var metas []Meta
 	for i, rec := range recs {
 		if err := bld.AddRecord(rec); err != nil {
 			t.Fatal(err)
 		}
 		if bld.Rows() == 150 || i == len(recs)-1 {
-			if err := writeChunk(&bld, fs, rowDir, i/150); err != nil {
+			m, err := writeChunk(&bld, fs, rowDir, i/150)
+			if err != nil {
 				t.Fatal(err)
 			}
+			metas = append(metas, m)
 		}
 	}
-	if err := WriteSealed(fs, rowDir, 4); err != nil {
+	if err := WriteSealed(fs, rowDir, metas); err != nil {
 		t.Fatal(err)
 	}
 	chunks := read()
-	if len(chunks) != 4 || !IsChunk(chunks[0].Path) || IsChunk(rows[0].Path) {
+	if len(chunks) != 4 || chunks[0].Path != Path(rowDir, 0) || chunks[0].rowFile || !rows[0].rowFile {
 		t.Fatalf("%d chunk batches", len(chunks))
 	}
 	var fromRows, fromChunks []events.ClientEvent

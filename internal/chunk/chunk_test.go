@@ -73,24 +73,28 @@ func addEvents(t testing.TB, b *Builder, evs []*events.ClientEvent) {
 }
 
 // writeChunk writes the rows added to b as chunk i of dir, one image file,
-// as the columnar seal writes it; with no rows it writes nothing.
-func writeChunk(b *Builder, fs *hdfs.FS, dir string, i int) error {
-	img, err := b.AppendImage(nil)
+// as the columnar seal writes it, and returns its zone map, the chunk's
+// entry in a manifest; with no rows it writes nothing.
+func writeChunk(b *Builder, fs *hdfs.FS, dir string, i int) (Meta, error) {
+	img, m, err := b.AppendImage(nil)
 	if err != nil || img == nil {
-		return err
+		return m, err
 	}
-	return fs.WriteFile(Path(dir, i), img)
+	return m, fs.WriteFile(Path(dir, i), img)
 }
 
+// writeTestChunk seals evs as the one chunk of testDir, its manifest
+// included.
 func writeTestChunk(t testing.TB, evs []*events.ClientEvent) *hdfs.FS {
 	t.Helper()
 	fs := hdfs.New(0)
 	var b Builder
 	addEvents(t, &b, evs)
-	if err := writeChunk(&b, fs, testDir, 0); err != nil {
+	m, err := writeChunk(&b, fs, testDir, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSealed(fs, testDir, 1); err != nil {
+	if err := WriteSealed(fs, testDir, []Meta{m}); err != nil {
 		t.Fatal(err)
 	}
 	return fs
@@ -99,10 +103,21 @@ func writeTestChunk(t testing.TB, evs []*events.ClientEvent) *hdfs.FS {
 // testChunk is the image file of chunk 0 of testDir.
 var testChunk = Path(testDir, 0)
 
+// imageMeta reads the zone map and section table of the chunk image at
+// path from the image itself, its table and its meta section, with ranged
+// reads: what the manifest of a seal that wrote the image lists.
+func imageMeta(fs *hdfs.FS, path string) (Meta, error) {
+	r, err := fs.Open(path)
+	if err != nil {
+		return Meta{}, fmt.Errorf("chunk: %s: %w", path, err)
+	}
+	return readMeta(path, int(r.Size()), fileSource(fs, path))
+}
+
 // loadChunk reads the need columns of the chunk image at path through
-// ReadMeta and LoadChunk.
+// LoadChunk, under the zone map imageMeta reads.
 func loadChunk(fs *hdfs.FS, path string, need Set) (*Batch, error) {
-	m, err := ReadMeta(fs, path)
+	m, err := imageMeta(fs, path)
 	if err != nil {
 		return nil, err
 	}
@@ -154,26 +169,26 @@ func rewrite(tb testing.TB, fs *hdfs.FS, path string, data []byte) {
 	}
 }
 
-// TestRoundTrip: what the Builder seals, LoadChunk reads back — every row
-// as the event it was, the zone map as the chunk's true ranges, and the
-// dictionary columns under the ID-vector contract (sorted distinct values,
-// one in-range ID per row). AppendImage appends the image to what dst
-// holds, and ReadImage reads the image back from memory to the same rows.
+// TestRoundTrip: what the Builder seals, LoadChunk reads back under the
+// manifest's zone map — every row as the event it was, the zone map as the
+// chunk's true ranges and as the image's own meta section holds it, and
+// the dictionary columns under the ID-vector contract (sorted distinct
+// values, one in-range ID per row). AppendImage appends the image to what
+// dst holds, and ReadImage reads the image back from memory to the same
+// rows.
 func TestRoundTrip(t *testing.T) {
 	evs := testEvents(300)
 	fs := writeTestChunk(t, evs)
-	if !Sealed(fs, testDir) {
-		t.Fatal("sealed dir does not read as sealed")
+	chunks, rows, err := HourFiles(fs, testDir)
+	if err != nil || len(chunks) != 1 || rows != nil {
+		t.Fatalf("HourFiles = %v, %v, %v; want the manifest of one chunk", chunks, rows, err)
 	}
-	if n, err := SealedChunks(fs, testDir); err != nil || n != 1 {
-		t.Fatalf("SealedChunks = %d, %v", n, err)
+	m := chunks[0]
+	if own, err := imageMeta(fs, testChunk); err != nil || own != m {
+		t.Fatalf("the image's own zone map %+v (%v), the manifest's %+v", own, err, m)
 	}
-	if files, err := HourFiles(fs, testDir); err != nil || len(files) != 1 || files[0].Path != testChunk || !IsChunk(testChunk) {
-		t.Fatalf("HourFiles = %v, %v; want the one image %s", files, err, testChunk)
-	}
-	m, err := ReadMeta(fs, testChunk)
-	if err != nil {
-		t.Fatal(err)
+	if m.Size() != int64(m.at[len(m.at)-1]) || m.at[0] <= 0 {
+		t.Fatalf("manifest table %v", m.at)
 	}
 	if m.Rows != len(evs) {
 		t.Fatalf("meta: %d rows", m.Rows)
@@ -220,12 +235,12 @@ func TestRoundTrip(t *testing.T) {
 	}
 	var again Builder
 	addEvents(t, &again, evs)
-	img, err := again.AppendImage([]byte("prefix"))
+	img, again0, err := again.AppendImage([]byte("prefix"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(img) != "prefix"+string(file) {
-		t.Fatal("AppendImage did not append the image to dst")
+	if string(img) != "prefix"+string(file) || again0 != m {
+		t.Fatal("AppendImage did not append the image to dst, or returned another zone map")
 	}
 	got, err := ReadImage(testChunk, file)
 	if err != nil {
@@ -268,7 +283,7 @@ func wireMessage(name *string, ts int64, details ...[2]string) []byte {
 func flushed(t testing.TB, b *Builder) map[string]string {
 	t.Helper()
 	fs := hdfs.New(0)
-	if err := writeChunk(b, fs, testDir, 0); err != nil {
+	if _, err := writeChunk(b, fs, testDir, 0); err != nil {
 		t.Fatal(err)
 	}
 	if b.Rows() != 0 {
@@ -425,14 +440,15 @@ func TestBuilderReuse(t *testing.T) {
 	if !reflect.DeepEqual(flushed(t, &reused), flushed(t, &fresh)) {
 		t.Fatal("a reused builder and a fresh one seal the same rows to different bytes")
 	}
-	if img, err := reused.AppendImage(nil); err != nil || img != nil {
+	if img, _, err := reused.AppendImage(nil); err != nil || img != nil {
 		t.Fatalf("AppendImage of an empty builder: %v, appended %d bytes", err, len(img))
 	}
 }
 
-// TestLoadWidens: a load reads the sections of the columns it asks for and
-// no byte more, a widening reads only the sections the first did not, and
-// a widening to nothing new reads nothing.
+// TestLoadWidens: a load under the manifest's zone map reads the sections
+// of the columns it asks for and the image's last byte, which checks where
+// the image ends, and no byte more; a widening reads only the sections the
+// first did not, and a widening to nothing new reads nothing.
 func TestLoadWidens(t *testing.T) {
 	fs := writeTestChunk(t, testEvents(64))
 	img, err := fs.ReadFile(testChunk)
@@ -443,18 +459,18 @@ func TestLoadWidens(t *testing.T) {
 	for i, sec := range sectionsOf(t, img) {
 		size[sectionNames[i]] = int64(len(sec))
 	}
-	m, err := ReadMeta(fs, testChunk)
+	chunks, err := ReadManifest(fs, testDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	read := func() int64 { return fs.Snapshot().BytesRead }
 	r0 := read()
-	b, err := LoadChunk(fs, testChunk, m, Name|Timestamp)
+	b, err := LoadChunk(fs, testChunk, chunks[0], Name|Timestamp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := read()-r0, size["name"]+size["timestamp"]; got != want {
-		t.Fatalf("first load read %d bytes, the two sections hold %d", got, want)
+	if got, want := read()-r0, size["name"]+size["timestamp"]+1; got != want {
+		t.Fatalf("first load read %d bytes, the two sections and the image's last byte hold %d", got, want)
 	}
 	if b.UserID != nil || b.IP.IDs != nil {
 		t.Fatal("LoadChunk decoded a column nobody asked for")
@@ -479,13 +495,14 @@ func TestProjectionReadsPartOfTheImage(t *testing.T) {
 	fs := hdfs.New(1 << 10)
 	var b Builder
 	addEvents(t, &b, testEvents(2000))
-	if err := writeChunk(&b, fs, testDir, 0); err != nil {
+	if _, err := writeChunk(&b, fs, testDir, 0); err != nil {
 		t.Fatal(err)
 	}
-	fi, err := fs.Stat(testChunk)
-	if err != nil {
-		t.Fatal(err)
+	infos, err := fs.Walk(testDir)
+	if err != nil || len(infos) != 1 {
+		t.Fatal(infos, err)
 	}
+	fi := infos[0]
 	if fi.Blocks < 8 {
 		t.Fatalf("the image spans %d blocks, want many", fi.Blocks)
 	}
@@ -671,9 +688,57 @@ var corruptions = []corruption{
 	}, recordio.ErrCorrupt},
 }
 
+// manifestCorruption is one way to damage a sealed hour's manifest, or an
+// image it lists: the read of the hour must fail with want, naming file.
+type manifestCorruption struct {
+	name   string
+	damage func(t testing.TB, fs *hdfs.FS, marker, img []byte)
+	want   error
+	file   string
+}
+
+// manifestCorruptions is the corruption matrix at the manifest's level.
+var manifestCorruptions = []manifestCorruption{
+	{"torn manifest", func(t testing.TB, fs *hdfs.FS, marker, _ []byte) {
+		rewrite(t, fs, SealedPath(testDir), marker[:len(marker)-3])
+	}, recordio.ErrTruncated, SealedPath(testDir)},
+	{"bit-flipped manifest", func(t testing.TB, fs *hdfs.FS, marker, _ []byte) {
+		marker[len(marker)-1] ^= 0x08
+		rewrite(t, fs, SealedPath(testDir), marker)
+	}, recordio.ErrCorrupt, SealedPath(testDir)},
+	{"count-only marker", func(t testing.TB, fs *hdfs.FS, _, _ []byte) { // the marker of manifest version 2
+		rec := binary.AppendUvarint(nil, sealedMagic)
+		rec = binary.AppendUvarint(rec, 2)
+		rewrite(t, fs, SealedPath(testDir), frame(binary.AppendUvarint(rec, 1)))
+	}, recordio.ErrCorrupt, SealedPath(testDir)},
+	{"manifest with an over-long varint", func(t testing.TB, fs *hdfs.FS, marker, _ []byte) {
+		rec := payloads(t, marker)[0]
+		_, n := binary.Uvarint(rec)
+		_, v := binary.Uvarint(rec[n:])
+		count := n + v // the chunk count, 1, follows the magic and the version
+		long := append(append(slices.Clip(rec[:count]), 0x81, 0x00), rec[count+1:]...)
+		rewrite(t, fs, SealedPath(testDir), frame(long))
+	}, recordio.ErrCorrupt, SealedPath(testDir)},
+	{"manifest over a missing image", func(t testing.TB, fs *hdfs.FS, _, _ []byte) {
+		if err := fs.Delete(testChunk, false); err != nil {
+			t.Fatal(err)
+		}
+	}, hdfs.ErrNotFound, testChunk},
+	{"image shorter than the manifest's table", func(t testing.TB, fs *hdfs.FS, _, img []byte) {
+		rewrite(t, fs, testChunk, img[:len(img)-1])
+	}, recordio.ErrTruncated, testChunk},
+	{"image longer than the manifest's table", func(t testing.TB, fs *hdfs.FS, _, img []byte) {
+		rewrite(t, fs, testChunk, append(img, 0))
+	}, recordio.ErrCorrupt, testChunk},
+}
+
 // TestCorruptionMatrix: an image with one damaged section, under a table
-// that tells its true length, fails its ReadMeta or LoadChunk with the
-// right recordio kind, naming the file and the section.
+// that tells its true length, fails its LoadChunk — or its read of the
+// image's own table and meta — with the right recordio kind, naming the
+// file and the section. A damaged manifest, and a manifest over an image
+// that is missing or that does not end where its table says, fail the
+// hour's read with a typed error naming the file, before any of the hour
+// is handed over, even when the one column read lies whole in the image.
 func TestCorruptionMatrix(t *testing.T) {
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
@@ -700,6 +765,32 @@ func TestCorruptionMatrix(t *testing.T) {
 			}
 			if want := testChunk + "#" + tc.col; !strings.Contains(err.Error(), want) {
 				t.Fatalf("error %q does not name %s", err, want)
+			}
+		})
+	}
+	for _, tc := range manifestCorruptions {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := writeTestChunk(t, testEvents(120))
+			marker, err := fs.ReadFile(SealedPath(testDir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			img, err := fs.ReadFile(testChunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, fs, marker, img)
+			batches := 0
+			err = ReadHour(fs, testDir, Name, func(b *Batch) error {
+				batches++
+				b.Release()
+				return nil
+			})
+			if !errors.Is(err, tc.want) || batches != 0 {
+				t.Fatalf("error = %v after %d batches, want %v and none", err, batches, tc.want)
+			}
+			if !strings.Contains(err.Error(), tc.file) {
+				t.Fatalf("error %q does not name %s", err, tc.file)
 			}
 		})
 	}
@@ -807,12 +898,12 @@ func TestMissingColumn(t *testing.T) {
 	unlisted := slices.Clone(sections)
 	unlisted[0] = frame(rec)
 	rewrite(t, fs, testChunk, imageOf(unlisted))
-	if _, err := ReadMeta(fs, testChunk); !errors.Is(err, recordio.ErrCorrupt) || !strings.Contains(err.Error(), testChunk+"#meta") {
+	if _, err := imageMeta(fs, testChunk); !errors.Is(err, recordio.ErrCorrupt) || !strings.Contains(err.Error(), testChunk+"#meta") {
 		t.Fatalf("unlisted column: %v", err)
 	}
 
 	rewrite(t, fs, testChunk, img)
-	m, err := ReadMeta(fs, testChunk)
+	m, err := imageMeta(fs, testChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -821,13 +912,13 @@ func TestMissingColumn(t *testing.T) {
 	if _, err := LoadChunk(fs, testChunk, m, SessionID|Details); !errors.Is(err, recordio.ErrTruncated) || !strings.Contains(err.Error(), testChunk) {
 		t.Fatalf("image cut after its meta was read: %v", err)
 	}
-	if _, err := ReadMeta(fs, testChunk); !errors.Is(err, recordio.ErrTruncated) || !strings.Contains(err.Error(), testChunk) {
+	if _, err := imageMeta(fs, testChunk); !errors.Is(err, recordio.ErrTruncated) || !strings.Contains(err.Error(), testChunk) {
 		t.Fatalf("cut image: %v", err)
 	}
 	if err := fs.Delete(testChunk, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadMeta(fs, testChunk); !errors.Is(err, hdfs.ErrNotFound) || !strings.Contains(err.Error(), testChunk) {
+	if _, err := imageMeta(fs, testChunk); !errors.Is(err, hdfs.ErrNotFound) || !strings.Contains(err.Error(), testChunk) {
 		t.Fatalf("missing image: %v", err)
 	}
 }

@@ -24,7 +24,7 @@ func stageImage(tb testing.TB, recs [][]byte) []byte {
 			tb.Fatal(err)
 		}
 	}
-	img, err := b.AppendImage(nil)
+	img, _, err := b.AppendImage(nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func rechunk(tb testing.TB, images [][]byte, chunkRows int) (*hdfs.FS, error) {
 	var b Builder
 	chunks := 0
 	flush := func() {
-		if err := writeChunk(&b, fs, testDir, chunks); err != nil {
+		if _, err := writeChunk(&b, fs, testDir, chunks); err != nil {
 			tb.Fatal(err)
 		}
 		chunks++
@@ -109,13 +109,13 @@ func onePass(tb testing.TB, recs [][]byte, chunkRows int) (*hdfs.FS, []bool) {
 	chunks := 0
 	for i, rec := range recs {
 		if refused[i] = b.AddRecord(rec) != nil; !refused[i] && b.Rows() == chunkRows {
-			if err := writeChunk(&b, fs, testDir, chunks); err != nil {
+			if _, err := writeChunk(&b, fs, testDir, chunks); err != nil {
 				tb.Fatal(err)
 			}
 			chunks++
 		}
 	}
-	if err := writeChunk(&b, fs, testDir, chunks); err != nil {
+	if _, err := writeChunk(&b, fs, testDir, chunks); err != nil {
 		tb.Fatal(err)
 	}
 	return fs, refused
@@ -131,7 +131,7 @@ func checkRechunk(t *testing.T, recs [][]byte, cuts []byte, chunkRows int) {
 	var b Builder
 	cut, staged := 0, 0
 	stage := func() {
-		img, err := b.AppendImage(nil)
+		img, _, err := b.AppendImage(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func checkImageError(t *testing.T, err error) {
 }
 
 // TestDamagedImageNamesTheSection: a flipped byte in a section fails
-// ReadImage, and ReadMeta and LoadChunk on the same bytes in a file, with
+// ReadImage, and imageMeta and LoadChunk on the same bytes in a file, with
 // ErrCorrupt naming the file and that section; a cut image fails typed too.
 func TestDamagedImageNamesTheSection(t *testing.T) {
 	img := stageImage(t, marshalAll(testEvents(50)))
@@ -257,7 +257,7 @@ func TestDamagedImageNamesTheSection(t *testing.T) {
 // or none — never panics; it fails with ErrCorrupt or ErrTruncated naming
 // the file, or its batch re-chunks through AddColumns into a chunk whose
 // rows are its rows. The same bytes written to a file and read through
-// ReadMeta and LoadChunk of a fuzzed column set fail typed and named too,
+// imageMeta and LoadChunk of a fuzzed column set fail typed and named too,
 // load every column ReadImage's batch holds as it holds it, and when every
 // column is asked for, reach ReadImage's verdict.
 func FuzzStagedImage(f *testing.F) {
@@ -298,7 +298,7 @@ func FuzzStagedImage(f *testing.F) {
 			return
 		}
 		fs := hdfs.New(0)
-		if err := writeChunk(&b, fs, testDir, 0); err != nil {
+		if _, err := writeChunk(&b, fs, testDir, 0); err != nil {
 			t.Fatal(err)
 		}
 		again, err := loadChunk(fs, testChunk, All)
@@ -316,7 +316,7 @@ func FuzzStagedImage(f *testing.F) {
 }
 
 // loadFile writes data as an image file and reads the need columns of it
-// through ReadMeta and LoadChunk, on a file system of small blocks so that
+// through imageMeta and LoadChunk, on a file system of small blocks so that
 // the ranged reads cross block edges. It returns the batch, or nil after
 // checking that the error is typed and names the file.
 func loadFile(t *testing.T, data []byte, need Set) *Batch {

@@ -22,16 +22,17 @@ func sealedHour(tb testing.TB, events int) (*hdfs.FS, int) {
 	evs = evs[:min(events, len(evs))]
 	fs := hdfs.New(0)
 	var b chunk.Builder
-	chunks := 0
+	var chunks []chunk.Meta
 	for i := range evs {
 		if err := b.AddRecord(evs[i].Marshal()); err != nil {
 			tb.Fatal(err)
 		}
 		if b.Rows() == 8192 || i == len(evs)-1 {
-			if err := chunk.WriteChunk(&b, fs, chunk.TestDir, chunks); err != nil {
+			m, err := chunk.WriteChunk(&b, fs, chunk.TestDir, len(chunks))
+			if err != nil {
 				tb.Fatal(err)
 			}
-			chunks++
+			chunks = append(chunks, m)
 		}
 	}
 	if err := chunk.WriteSealed(fs, chunk.TestDir, chunks); err != nil {
@@ -93,13 +94,13 @@ func TestChunkScanRecyclesVectors(t *testing.T) {
 // value of the kept batch reads as it did.
 func TestKeptChunkBatchSurvivesLaterLoads(t *testing.T) {
 	fs, _ := sealedHour(t, 3*8192)
+	chunks, err := chunk.ReadManifest(fs, chunk.TestDir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	load := func(i int) *chunk.Batch {
 		t.Helper()
-		m, err := chunk.ReadMeta(fs, chunk.Path(chunk.TestDir, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := chunk.LoadChunk(fs, chunk.Path(chunk.TestDir, i), m, chunk.All)
+		b, err := chunk.LoadChunk(fs, chunk.Path(chunk.TestDir, i), chunks[i], chunk.All)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,11 +10,13 @@ import (
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
 	"unilog/internal/recordio"
-	"unilog/internal/telemetry"
 )
 
-// Meta is a decoded zone map: everything pruning needs, nothing a pruned
-// chunk has to pay for beyond its section table and this one small section.
+// Meta is a decoded zone map: everything pruning needs. A sealed hour's
+// manifest holds one per chunk, with the chunk's section table, so a chunk
+// pruned on it costs nothing past the manifest; the image's own meta
+// section holds the same zone map for a reader of the image alone
+// (ReadImage).
 type Meta struct {
 	Rows             int
 	MinTs, MaxTs     int64
@@ -23,6 +25,10 @@ type Meta struct {
 	at table // where the chunk's sections lie in its image
 }
 
+// Size returns the length of the chunk's image, as its section table
+// gives it.
+func (m *Meta) Size() int64 { return int64(m.at[len(m.at)-1]) }
+
 // table locates the sections of a chunk image: section s spans
 // [t[s], t[s+1]), section 0 is the meta and section 1+i column i, and the
 // last entry is the image's length.
@@ -30,7 +36,7 @@ type table [2 + len(ColumnNames)]int
 
 // maxTable bounds the framed section table of any image a reader accepts:
 // a frame length and 12 uvarints of at most 10 bytes each, and a 4-byte
-// CRC. A reader takes the table from the first maxTable bytes.
+// CRC. ReadImage takes the table from the first maxTable bytes.
 const maxTable = (5+len(ColumnNames))*binary.MaxVarintLen64 + 4
 
 // imageSections reads the section table of a chunk image of size bytes from
@@ -118,33 +124,6 @@ func short(path string) error {
 	return fmt.Errorf("chunk: %s: %w: short column", path, recordio.ErrCorrupt)
 }
 
-// tmMetaReads counts the zone maps read: one per chunk a scan plans,
-// prunes or loads, and one per chunk a row count taken from the metas
-// reads.
-var tmMetaReads = telemetry.GetCounter("chunk.meta.reads")
-
-// ReadMeta reads a chunk image's section table and its meta section, and
-// nothing else of it, and decodes the zone map. It reads through one open
-// reader: the path is looked up once, the size comes with the file, and the
-// table and the meta are read in sequence, so the block they share is
-// charged once.
-func ReadMeta(fs *hdfs.FS, path string) (Meta, error) {
-	r, err := fs.Open(path)
-	if err != nil {
-		return Meta{}, fmt.Errorf("chunk: %s: %w", path, err)
-	}
-	m, err := readMeta(path, int(r.Size()), func(p []byte, _ int) error {
-		if _, err := io.ReadFull(r, p); err != nil {
-			return fmt.Errorf("chunk: %s: %w", path, err)
-		}
-		return nil
-	})
-	if err == nil {
-		tmMetaReads.Inc()
-	}
-	return m, err
-}
-
 // source fills p from offset off of a chunk image.
 type source func(p []byte, off int) error
 
@@ -163,9 +142,10 @@ func fileSource(fs *hdfs.FS, path string) source {
 	}
 }
 
-// readMeta decodes the zone map of a chunk image of size bytes: it reads
-// the first maxTable bytes for the section table, then whatever of the
-// meta section they did not hold, from where the first read ended.
+// readMeta decodes the zone map and section table of a chunk image of size
+// bytes: it reads the first maxTable bytes for the section table, then
+// whatever of the meta section they did not hold, from where the first
+// read ended.
 func readMeta(path string, size int, src source) (Meta, error) {
 	buf := make([]byte, min(size, maxTable))
 	if err := src(buf, 0); err != nil {

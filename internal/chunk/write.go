@@ -17,9 +17,11 @@
 //
 // A sealed hour directory holds, beside any row files, one image file per
 // chunk of events (_col-00000.col on, in warehouse scan order) and the
-// _col-SEALED marker that counts them. An image is a section table — one
-// CRC record of the image magic, the format version, the section count and
-// each section's length — and then the sections, back to back:
+// _col-SEALED marker, which is the hour's manifest (manifest.go, version 3):
+// every chunk's zone map and section table, in one CRC record. An image is
+// a section table — one CRC record of the image magic, the format version,
+// the section count and each section's length — and then the sections,
+// back to back:
 //
 //	meta        zone map: row count, min/max timestamp, min/max name, column names
 //	initiator   run-length pairs (initiator byte, run)
@@ -34,9 +36,16 @@
 // Every section is framed with the repository's recordio CRC discipline,
 // so a torn tail reads back as recordio.ErrTruncated and a flipped bit as
 // recordio.ErrCorrupt, and every decode error names the file and the
-// section, as path#meta or path#<column>. A reader prunes on the table and
-// the meta alone (ReadMeta) and then reads only the sections of the
-// columns it needs (LoadChunk), one ranged read each.
+// section, as path#meta or path#<column>. A reader of a sealed hour plans
+// from its manifest alone (ReadManifest): it prunes chunks on their zone
+// maps without opening one, and reads of a kept chunk only the sections of
+// the columns it needs (LoadChunk), one ranged read each, located by the
+// manifest's copy of the chunk's table. A stored image keeps its own table
+// and meta section all the same: it is the one layout of a chunk, the
+// bytes an aggregator stages, and a staged image has no manifest, so the
+// log mover reads it whole (ReadImage) and checks it against them; the
+// meta section costs about 120 bytes a chunk, and no reader of a sealed
+// hour reads it.
 //
 // The reader's contract is the ID vector. A dictionary column decodes to
 // Dict — the chunk's distinct values, strictly increasing: the encoder
@@ -68,7 +77,6 @@ import (
 	"strings"
 
 	"unilog/internal/events"
-	"unilog/internal/hdfs"
 	"unilog/internal/recordio"
 	"unilog/internal/thrift"
 )
@@ -111,6 +119,9 @@ const (
 	sealedMagic = 0x73656c // "sel"
 	imageMagic  = 0x696d67 // "img"
 	metaVersion = 2        // 2: the details column is typed per key
+	// 3: the marker lists every chunk's zone map and section table; 2
+	// counted the chunks, and no reader of it is kept.
+	manifestVersion = 3
 )
 
 // Path returns the image file of chunk i >= 0 in dir: what fmt's
@@ -121,53 +132,9 @@ func Path(dir string, i int) string {
 	return dir + "/_col-" + "0000"[:max(0, 5-len(n))] + string(n) + ".col"
 }
 
-// SealedPath returns the hour-level completion marker of dir.
+// SealedPath returns the hour-level completion marker of dir, which is the
+// hour's manifest (manifest.go).
 func SealedPath(dir string) string { return dir + "/_col-SEALED" }
-
-// Sealed reports whether dir carries the completion marker. Chunks
-// without it — a seal that died mid-hour — do not count: the hour keeps
-// scanning through its row files until a re-seal finishes the job.
-func Sealed(fs *hdfs.FS, dir string) bool {
-	return fs.Exists(SealedPath(dir))
-}
-
-// WriteSealed writes dir's completion marker: one CRC record naming the
-// chunk count of the sealed hour.
-func WriteSealed(fs *hdfs.FS, dir string, chunks int) error {
-	var rec []byte
-	rec = binary.AppendUvarint(rec, sealedMagic)
-	rec = binary.AppendUvarint(rec, metaVersion)
-	rec = binary.AppendUvarint(rec, uint64(chunks))
-	if err := fs.WriteFile(SealedPath(dir), frame(rec)); err != nil {
-		return fmt.Errorf("chunk: write seal marker %s: %w", SealedPath(dir), err)
-	}
-	return nil
-}
-
-// SealedChunks reads the completion marker's chunk count.
-func SealedChunks(fs *hdfs.FS, dir string) (int, error) {
-	path := SealedPath(dir)
-	data, err := fs.ReadFile(path)
-	if err != nil {
-		return 0, fmt.Errorf("chunk: %s: %w", path, err)
-	}
-	rec, err := oneRecord(path, data)
-	if err != nil {
-		return 0, err
-	}
-	c := recordio.NewCursor(rec)
-	if magic := c.Uvarint("magic"); c.Ok() && magic != sealedMagic {
-		return 0, fmt.Errorf("chunk: %s: %w: bad magic %#x", path, recordio.ErrCorrupt, magic)
-	}
-	if v := c.Uvarint("version"); c.Ok() && v != metaVersion {
-		return 0, fmt.Errorf("chunk: %s: %w: unsupported seal version %d", path, recordio.ErrCorrupt, v)
-	}
-	n := int(c.Uvarint("chunks"))
-	if err := c.Err(); err != nil {
-		return 0, fmt.Errorf("chunk: %s: %w", path, err)
-	}
-	return n, nil
-}
 
 // frame wraps payload records in CRC frames.
 func frame(recs ...[]byte) []byte {
@@ -427,18 +394,20 @@ func loggedIn(h *events.Header) byte {
 }
 
 // AppendImage appends the rows added so far to dst as one chunk image,
-// empties the builder and returns the grown dst. The image is a CRC-framed
-// section table — the image magic, the format version, the section count
-// and each section's length — and then the sections, the meta first and
-// the columns in ColumnNames order. ReadImage reads it back from memory,
-// ReadMeta and LoadChunk from a file (Path). With no rows it appends
-// nothing.
-func (b *Builder) AppendImage(dst []byte) ([]byte, error) {
+// empties the builder and returns the grown dst and the image's zone map,
+// which locates its sections: the entry a seal lists in its hour's
+// manifest (WriteSealed). The image is a CRC-framed section table — the
+// image magic, the format version, the section count and each section's
+// length — and then the sections, the meta first and the columns in
+// ColumnNames order. ReadImage reads it back from memory, LoadChunk from a
+// file (Path) under that zone map. With no rows it appends nothing.
+func (b *Builder) AppendImage(dst []byte) ([]byte, Meta, error) {
 	if b.rows == 0 {
-		return dst, nil
+		return dst, Meta{}, nil
 	}
-	if err := b.sections(); err != nil {
-		return dst, err
+	m := Meta{Rows: b.rows, MinTs: b.minTs, MaxTs: b.maxTs, MinName: slices.Min(b.name.vals), MaxName: slices.Max(b.name.vals)}
+	if err := b.sections(&m); err != nil {
+		return dst, Meta{}, err
 	}
 	table := binary.AppendUvarint(b.payload[:0], imageMagic)
 	table = binary.AppendUvarint(table, metaVersion)
@@ -450,20 +419,24 @@ func (b *Builder) AppendImage(dst []byte) ([]byte, error) {
 	}
 	b.payload = table
 	framed := frame(table)
+	m.at[0] = len(framed)
+	for s, end := range b.ends {
+		m.at[1+s] = len(framed) + end
+	}
 	dst = slices.Grow(dst, len(framed)+b.image.Len())
 	dst = append(dst, framed...)
 	dst = append(dst, b.image.Bytes()...)
 	b.Reset()
-	return dst, nil
+	return dst, m, nil
 }
 
 // sections frames the rows added so far as the image's sections into
-// b.image, the meta first and the columns in ColumnNames order, and
-// records where each ends in b.ends.
-func (b *Builder) sections() error {
+// b.image, the meta — zone map m — first and the columns in ColumnNames
+// order, and records where each ends in b.ends.
+func (b *Builder) sections(m *Meta) error {
 	b.image.Reset()
 	b.ends = b.ends[:0]
-	if err := b.frameSection("meta", b.meta()); err != nil {
+	if err := b.frameSection("meta", b.meta(m)); err != nil {
 		return err
 	}
 	for i, col := range ColumnNames {
@@ -527,16 +500,17 @@ func (b *Builder) Reset() {
 	b.prevTs = 0
 }
 
-// meta builds the zone-map record: the row count, the timestamp range, and
-// the lexical name range of the chunk, taken over its dictionary.
-func (b *Builder) meta() []byte {
+// meta builds the meta section's record of zone map m: the row count, the
+// timestamp range, and the lexical name range of the chunk, taken over its
+// dictionary.
+func (b *Builder) meta(m *Meta) []byte {
 	rec := binary.AppendUvarint(b.payload[:0], metaMagic)
 	rec = binary.AppendUvarint(rec, metaVersion)
-	rec = binary.AppendUvarint(rec, uint64(b.rows))
-	rec = binary.AppendVarint(rec, b.minTs)
-	rec = binary.AppendVarint(rec, b.maxTs)
-	rec = appendString(rec, slices.Min(b.name.vals))
-	rec = appendString(rec, slices.Max(b.name.vals))
+	rec = binary.AppendUvarint(rec, uint64(m.Rows))
+	rec = binary.AppendVarint(rec, m.MinTs)
+	rec = binary.AppendVarint(rec, m.MaxTs)
+	rec = appendString(rec, m.MinName)
+	rec = appendString(rec, m.MaxName)
 	rec = binary.AppendUvarint(rec, uint64(len(ColumnNames)))
 	for _, col := range ColumnNames {
 		rec = appendString(rec, col)

@@ -20,15 +20,19 @@
 //
 // Sealing is crash-safe at two levels: a chunk is one file, written in one
 // call, and across the hour the _col-SEALED marker is written after the
-// last chunk. An hour without the marker is not columnar — scans keep
+// last chunk. The marker is the hour's manifest: the Sealer keeps the zone
+// map and section table AppendImage returns for each chunk and writes them
+// all into it, so a reader lists, prunes and locates the hour's chunks from
+// one file. An hour without the marker is not columnar — scans keep
 // reading its row files, and the next SealHour removes the orphaned chunks
 // and re-seals from scratch — so a seal that dies mid-hour can never
 // silently drop the rows it had not reached.
 //
 // This package writes chunks; no scan lives here. Both layouts of an hour
 // are read through internal/chunk's day reader — by
-// dataflow.ClientEventFormat, which builds tuples from each file's batch
-// and prunes chunks on their zone maps, by the batch folds behind
+// dataflow.ClientEventFormat, which prunes chunks on the manifest's zone
+// maps when it plans a scan and builds tuples from each kept file's batch,
+// by the batch folds behind
 // dataflow.Dataset.EachBatch, and by session.BuildDay — so an hour reads
 // the same before and after its seal. format.go keeps two names the
 // benchmark module still uses, EventsFormat and LoadDay.
@@ -56,7 +60,7 @@ const DefaultChunkRows = 8192
 // mid-hour — do not count: the hour keeps scanning through its row files
 // until a re-seal finishes the job.
 func HasColumnar(fs *hdfs.FS, dir string) bool {
-	return chunk.Sealed(fs, dir)
+	return fs.Exists(chunk.SealedPath(dir))
 }
 
 // removeTornSeal deletes the leftover _col- files of a seal that died
@@ -105,7 +109,7 @@ func SealHourChunks(fs *hdfs.FS, category string, hour time.Time, chunkRows int)
 		return nil
 	})
 	if err != nil {
-		return s.chunks, err
+		return len(s.chunks), err
 	}
 	n, err := s.Close()
 	if err == nil {
@@ -116,7 +120,8 @@ func SealHourChunks(fs *hdfs.FS, category string, hour time.Time, chunkRows int)
 
 // Sealer encodes one hour's rows, in the order they are added, into
 // column chunks of one directory: a chunk every chunkRows rows, then the
-// _col-SEALED marker at Close. SealHour feeds it the records of the
+// _col-SEALED marker at Close, the hour's manifest of every chunk's zone
+// map and section table. SealHour feeds it the records of the
 // published row files (Add); the log mover feeds it the rows of each
 // staged chunk image it reads back (AddColumns), so the chunks land in its
 // tmp directory and one rename publishes the sealed hour. The columnar.seal.* counters learn of its
@@ -127,7 +132,7 @@ type Sealer struct {
 	dir       string
 	chunkRows int
 	b         chunk.Builder
-	chunks    int
+	chunks    []chunk.Meta // the manifest: the zone map of each chunk written
 	rows      int64
 	bytes     int64
 }
@@ -147,7 +152,7 @@ func NewSealer(fs *hdfs.FS, dir string, chunkRows int) *Sealer {
 // hour with one Sealer this way.
 func (s *Sealer) Reset(fs *hdfs.FS, dir string) {
 	s.b.Reset()
-	s.fs, s.dir, s.chunks, s.rows, s.bytes = fs, dir, 0, 0, 0
+	s.fs, s.dir, s.chunks, s.rows, s.bytes = fs, dir, s.chunks[:0], 0, 0
 }
 
 // Add appends the row one compact-protocol client event holds, going from
@@ -186,19 +191,19 @@ func (s *Sealer) AddColumns(cc *chunk.Columns) error {
 	return nil
 }
 
-// Close writes the last chunk and the completion marker and returns the
-// number of chunks the hour holds.
+// Close writes the last chunk and the completion marker, the hour's
+// manifest, and returns the number of chunks the hour holds.
 func (s *Sealer) Close() (int, error) {
 	if err := s.flush(); err != nil {
-		return s.chunks, err
+		return len(s.chunks), err
 	}
 	if err := chunk.WriteSealed(s.fs, s.dir, s.chunks); err != nil {
-		return s.chunks, err
+		return len(s.chunks), err
 	}
-	tmSealChunks.Add(int64(s.chunks))
+	tmSealChunks.Add(int64(len(s.chunks)))
 	tmSealRows.Add(s.rows)
 	tmSealBytes.Add(s.bytes)
-	return s.chunks, nil
+	return len(s.chunks), nil
 }
 
 func (s *Sealer) flush() error {
@@ -206,15 +211,15 @@ func (s *Sealer) flush() error {
 	if rows == 0 {
 		return nil
 	}
-	img, err := s.b.AppendImage(nil)
+	img, m, err := s.b.AppendImage(nil)
 	if err != nil {
 		return err
 	}
-	path := chunk.Path(s.dir, s.chunks)
+	path := chunk.Path(s.dir, len(s.chunks))
 	if err := s.fs.WriteFile(path, img); err != nil {
 		return fmt.Errorf("columnar: write chunk %s: %w", path, err)
 	}
-	s.chunks++
+	s.chunks = append(s.chunks, m)
 	s.rows += int64(rows)
 	s.bytes += int64(len(img))
 	return nil

@@ -320,29 +320,96 @@ func withSection(t testing.TB, img []byte, col string, sec []byte) []byte {
 	return append(out.Bytes(), body...)
 }
 
+// rewrite replaces the file at path with data.
+func rewrite(tb testing.TB, fs *hdfs.FS, path string, data []byte) {
+	tb.Helper()
+	if err := fs.Delete(path, false); err != nil {
+		tb.Fatal(err)
+	}
+	if err := fs.WriteFile(path, data); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// withManifestTable rewrites the manifest of dir so that its entry for
+// chunk 0 locates the sections of img, and leaves every other byte of it
+// as it was: the manifest a seal that wrote img would have written.
+func withManifestTable(t testing.TB, fs *hdfs.FS, dir string, img []byte) {
+	t.Helper()
+	marker := chunk.SealedPath(dir)
+	data, err := fs.ReadFile(marker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := recordio.NextCRCRecord(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := recordio.NewCursor(rec)
+	c.Uvarint("magic")
+	c.Uvarint("version")
+	c.Uvarint("chunks")
+	c.Uvarint("rows")
+	c.Varint("min_ts")
+	c.Uvarint("ts span")
+	c.Bytes("min_name")
+	c.Bytes("max_name")
+	head := rec[:len(rec)-c.Remaining()]
+	sections := imageSections(t, img)
+	table := len(img)
+	for range sections {
+		c.Uvarint("section length")
+	}
+	c.Uvarint("section length") // the table's
+	if !c.Ok() {
+		t.Fatal(c.Err())
+	}
+	out := append([]byte(nil), head...)
+	for _, sec := range sections {
+		table -= len(sec)
+	}
+	out = binary.AppendUvarint(out, uint64(table))
+	for _, sec := range sections {
+		out = binary.AppendUvarint(out, uint64(len(sec)))
+	}
+	out = append(out, rec[len(rec)-c.Remaining():]...)
+	var framed bytes.Buffer
+	if err := recordio.NewCRCWriter(&framed).Append(out); err != nil {
+		t.Fatal(err)
+	}
+	rewrite(t, fs, marker, framed.Bytes())
+}
+
 // TestCorruptionMatrix drives the storage-failure modes through a full
 // scan: a torn section tail, a bit-flipped record body, a missing section
-// and an over-long column inside a chunk image must each surface as their
+// and an over-long column inside a chunk image, each under a manifest that
+// locates the damaged image's sections, must each surface as their
 // recordio error kind, naming the image and the section, never as silent
-// data loss.
+// data loss; and a bit flipped in the zone map the scan plans with, the
+// manifest's, fails it naming the marker.
 func TestCorruptionMatrix(t *testing.T) {
 	hourDir := warehouse.HourDir(events.Category, testDay)
 	image := chunk.Path(hourDir, 0)
+	marker := chunk.SealedPath(hourDir)
 
 	corrupt := func(t *testing.T, fs *hdfs.FS, col string, mutate func([]byte) []byte) {
 		t.Helper()
+		if col == "meta" {
+			data, err := fs.ReadFile(marker)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rewrite(t, fs, marker, mutate(data))
+			return
+		}
 		data, err := fs.ReadFile(image)
 		if err != nil {
 			t.Fatalf("read %s: %v", image, err)
 		}
-		if err := fs.Delete(image, false); err != nil {
-			t.Fatalf("delete %s: %v", image, err)
-		}
 		sec := imageSections(t, data)[slices.Index(sectionNames, col)]
 		data = withSection(t, data, col, mutate(append([]byte(nil), sec...)))
-		if err := fs.WriteFile(image, data); err != nil {
-			t.Fatalf("rewrite %s: %v", image, err)
-		}
+		rewrite(t, fs, image, data)
+		withManifestTable(t, fs, hourDir, data)
 	}
 	scan := func(fs *hdfs.FS) error {
 		j := dataflow.NewJob("scan", fs)
@@ -426,7 +493,11 @@ func TestCorruptionMatrix(t *testing.T) {
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("scan error = %v, want %v", err, tc.want)
 			}
-			if want := image + "#" + tc.col; !strings.Contains(err.Error(), want) {
+			want := image + "#" + tc.col
+			if tc.col == "meta" {
+				want = marker
+			}
+			if !strings.Contains(err.Error(), want) {
 				t.Fatalf("scan error %q does not name the damaged section %s", err, want)
 			}
 		})
@@ -496,11 +567,11 @@ func TestTornSealRecovers(t *testing.T) {
 
 func mustSealedChunks(t *testing.T, fs *hdfs.FS, dir string) int {
 	t.Helper()
-	n, err := chunk.SealedChunks(fs, dir)
+	chunks, err := chunk.ReadManifest(fs, dir)
 	if err != nil {
 		t.Fatalf("read seal marker: %v", err)
 	}
-	return n
+	return len(chunks)
 }
 
 // TestHybridDirFallsBackToRows proves the format reads an unsealed hour
@@ -524,15 +595,17 @@ func TestHybridDirFallsBackToRows(t *testing.T) {
 	}
 }
 
-// TestSealedBytesPinned seals one fixed-seed hour and pins two digests. The
-// first is over the chunk's sections, each under the name of the file it
-// was when every section was a file of its own (_col-NNNNN.<column>,
-// _col-NNNNN.meta), and the marker: it is the value recorded when the
-// details column became typed per key (chunk format 2), so an encoder
-// change that moves one byte of a section — dictionary order, a details
-// key's encoding, the zone map — fails here. The second is over the files
-// the seal writes, one image per chunk and the marker, and pins the
-// section tables too.
+// TestSealedBytesPinned seals one fixed-seed hour and pins three digests.
+// The first is over the chunk images' sections, each under the name of the
+// file it was when every section was a file of its own
+// (_col-NNNNN.<column>, _col-NNNNN.meta), so an encoder change that moves
+// one byte of a section — dictionary order, a details key's encoding, the
+// zone map — fails here. The second is over the image files, one per
+// chunk, and pins the section tables too. Both hold the bytes of chunk
+// format 2, which the images kept when the marker became the hour's
+// manifest. The third is over the marker: re-pinned at manifest version 3,
+// when it began to list every chunk's zone map and section table instead
+// of counting the chunks.
 func TestSealedBytesPinned(t *testing.T) {
 	fs := hdfs.New(0)
 	w := warehouse.NewWriter(fs, events.Category)
@@ -569,8 +642,9 @@ func TestSealedBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	marker := chunk.SealedPath(dir)
 	sections, files := map[string][]byte{}, sha256.New()
-	images := 0
+	var manifest []byte
 	for _, fi := range infos { // Walk returns paths sorted
 		if !strings.Contains(fi.Path, "/_col-") {
 			continue
@@ -579,13 +653,12 @@ func TestSealedBytesPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(files, "%s %d\n", fi.Path, len(data))
-		files.Write(data)
-		if !chunk.IsChunk(fi.Path) {
-			sections[fi.Path] = data
+		if fi.Path == marker {
+			manifest = data
 			continue
 		}
-		images++
+		fmt.Fprintf(files, "%s %d\n", fi.Path, len(data))
+		files.Write(data)
 		base := strings.TrimSuffix(fi.Path, ".col")
 		for i, sec := range imageSections(t, data) {
 			sections[base+"."+sectionNames[i]] = sec
@@ -596,12 +669,16 @@ func TestSealedBytesPinned(t *testing.T) {
 		fmt.Fprintf(h, "%s %d\n", path, len(sections[path]))
 		h.Write(sections[path])
 	}
-	const want = "24c83eb51e13a27cc60dcfc8a3548bc6a6958089c7c046196a2e583a21c5ab98"
-	if got := hex.EncodeToString(h.Sum(nil)); got != want || len(sections) != 8*9+1 {
-		t.Fatalf("digest of %d sections = %s, want %d sections, %s", len(sections), got, 8*9+1, want)
+	const want = "1526a80e997a0783c69ac650a3a32fefbcc43ad020aed13f6abfa23fdfed95c1"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want || len(sections) != 8*9 {
+		t.Fatalf("digest of %d sections = %s, want %d sections, %s", len(sections), got, 8*9, want)
 	}
-	const wantFiles = "a988b806c3d1366f04deb949e4d073022860f3efc787d5b580081997dc259d77"
-	if got := hex.EncodeToString(files.Sum(nil)); got != wantFiles || images != 8 {
-		t.Fatalf("digest of %d chunk images and the marker = %s, want 8 images, %s", images, got, wantFiles)
+	const wantFiles = "5f9e51e8a3edfc2ff62f825fcdec35cf5b2826efcde242ff20d1fa9c96ed5c42"
+	if got := hex.EncodeToString(files.Sum(nil)); got != wantFiles {
+		t.Fatalf("digest of the chunk images = %s, want %s", got, wantFiles)
+	}
+	const wantMarker = "d908e72b83254ebd2ec294d5fe9594f2ff41bc9ef2fb10bb7529084a2873b1bd"
+	if got := sha256.Sum256(manifest); hex.EncodeToString(got[:]) != wantMarker {
+		t.Fatalf("digest of the %d-byte marker = %x, want %s", len(manifest), got, wantMarker)
 	}
 }

@@ -162,7 +162,8 @@ func FuzzSelectMatchesFilter(f *testing.F) {
 
 // TestDictPrunedChunkReadsItsNameSection: a chunk the zone map cannot
 // prune but whose dictionary holds no name the pattern matches reads its
-// section table, its meta and its name section, and nothing else.
+// name section, which the manifest locates, and the image's last byte,
+// which checks the image's length against the manifest, and nothing else.
 func TestDictPrunedChunkReadsItsNameSection(t *testing.T) {
 	fs := hdfs.New(0)
 	w := warehouse.NewWriter(fs, events.Category)
@@ -184,11 +185,7 @@ func TestDictPrunedChunkReadsItsNameSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	secs := imageSections(t, img)
-	table := len(img)
-	for _, s := range secs {
-		table -= len(s)
-	}
-	want := int64(table + len(secs[0]) + len(secs[1+1])) // the table, the meta, the name section
+	want := int64(len(secs[1+1]) + 1) // the name section and the image's last byte
 
 	// "web:home:nothing" sorts inside the chunk's name range
 	// [android:…, web:search:…], so only the dictionary rules it out.
@@ -210,7 +207,7 @@ func TestDictPrunedChunkReadsItsNameSection(t *testing.T) {
 	}
 	// The marker was read when the scan was planned.
 	if got := fs1.BytesRead - fs0.BytesRead; got != want {
-		t.Fatalf("the dictionary-pruned chunk read %d bytes, want %d of its %d: table, meta and name section", got, want, len(img))
+		t.Fatalf("the dictionary-pruned chunk read %d bytes, want %d of its %d: the name section and the last byte", got, want, len(img))
 	}
 	rows, err = scanTuples(fs, dirs, dataflow.Selection{NamePattern: "web:home", Columns: []string{"user_id", "timestamp"}})
 	if err != nil || !reflect.DeepEqual(rows, []dataflow.Tuple{{int64(1), testDay.UnixMilli()}}) {
@@ -218,16 +215,23 @@ func TestDictPrunedChunkReadsItsNameSection(t *testing.T) {
 	}
 }
 
-// TestPrunedDayScanReadsOneBlockPerMeta: a day scan whose every chunk the
-// zone maps prune reads one block per chunk, the one its table and meta
-// share, and one per sealed hour's marker.
+// TestPrunedDayScanReadsOneBlockPerMeta pins the filesystem operations of a
+// day scan whose every chunk the zone maps prune: one marker read per
+// sealed hour, the manifest that plans it, and no chunk image opened or
+// read — every chunk is pruned at planning, in columnar.chunks.pruned.
 func TestPrunedDayScanReadsOneBlockPerMeta(t *testing.T) {
 	fs, _ := buildDay(t, 6)
 	sealTestDay(t, fs, 32)
 	chunks := 0
+	var markerBytes int64
 	dirs := warehouse.HourDirs(fs, events.Category, testDay)
 	for _, dir := range dirs {
 		chunks += mustSealedChunks(t, fs, dir)
+		marker, err := fs.ReadFile(chunk.SealedPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		markerBytes += int64(len(marker))
 	}
 	before, fs0 := telemetry.Snapshot().Series, fs.Snapshot()
 	d, err := LoadDay(dataflow.NewJob("pruned", fs), testDay, dataflow.Selection{NamePattern: "zzz:*"})
@@ -242,7 +246,19 @@ func TestPrunedDayScanReadsOneBlockPerMeta(t *testing.T) {
 	if pruned := after["columnar.chunks.pruned"] - before["columnar.chunks.pruned"]; pruned != int64(chunks) {
 		t.Fatalf("%d of %d chunks pruned", pruned, chunks)
 	}
-	if got, want := fs1.BlocksRead-fs0.BlocksRead, int64(chunks+len(dirs)); got != want {
-		t.Fatalf("%d blocks read, want %d: one per chunk meta (%d) and one per marker (%d)", got, want, chunks, len(dirs))
+	if scanned := after["columnar.chunks.scanned"] - before["columnar.chunks.scanned"]; scanned != 0 {
+		t.Fatalf("%d chunks scanned", scanned)
+	}
+	if got, want := after["chunk.manifest.reads"]-before["chunk.manifest.reads"], int64(len(dirs)); got != want {
+		t.Fatalf("%d manifests read for %d sealed hours", got, want)
+	}
+	if got, want := fs1.OpenOps-fs0.OpenOps, int64(len(dirs)); got != want {
+		t.Fatalf("%d files opened, want %d: the markers and no image", got, want)
+	}
+	if got, want := fs1.BlocksRead-fs0.BlocksRead, int64(len(dirs)); got != want {
+		t.Fatalf("%d blocks read, want %d: one per marker", got, want)
+	}
+	if got := fs1.BytesRead - fs0.BytesRead; got != markerBytes {
+		t.Fatalf("%d bytes read, the markers hold %d", got, markerBytes)
 	}
 }

@@ -66,6 +66,7 @@ import (
 	"runtime"
 	"time"
 
+	"unilog/internal/chunk"
 	"unilog/internal/hdfs"
 )
 
@@ -308,6 +309,9 @@ func (d *Dataset) Count() (int64, error) {
 type Split struct {
 	Path string
 	Size int64
+	// Meta is a sealed chunk's zone map and section table, as its hour's
+	// manifest lists them (ClientEventFormat); nil for any other file.
+	Meta *chunk.Meta
 }
 
 // InputFormat decodes splits into tuples. Implementations exist for client
@@ -337,14 +341,15 @@ func (j *Job) Load(dir string, f InputFormat) (*Dataset, error) {
 	return j.datasetForSplits(f, splits), nil
 }
 
-// splitsOf enumerates the splits of every existing directory, in order.
+// splitsOf enumerates the splits of every existing directory, in order: a
+// directory whose listing finds nothing there is skipped.
 func (j *Job) splitsOf(dirs []string, f InputFormat) ([]Split, error) {
 	var all []Split
 	for _, dir := range dirs {
-		if !j.FS.Exists(dir) {
+		splits, err := f.Splits(j.FS, dir)
+		if errors.Is(err, hdfs.ErrNotFound) {
 			continue
 		}
-		splits, err := f.Splits(j.FS, dir)
 		if err != nil {
 			return nil, err
 		}

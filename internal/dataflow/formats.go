@@ -33,19 +33,21 @@ func walkSplits(fs *hdfs.FS, dir string) ([]Split, error) {
 
 // ClientEventFormat reads warehouse client events. Its schema is the
 // flattened Table 2 structure plus the derived logged_in flag. Its splits
-// are the files chunk.HourFiles lists: every chunk of a sealed hour, every
-// row file of an hour that is not. The day reader opens each split as one
-// chunk.Batch (chunk.LoadChunk, chunk.ReadRowFile), and the tuples are built
-// from that batch, so both layouts deliver the same relation and an hour
-// reads correctly whether or not its seal has run.
+// are the files chunk.HourFiles lists: every chunk a sealed hour's manifest
+// lists, every row file of an hour that is not sealed. The day reader opens
+// each split as one chunk.Batch (chunk.LoadChunk under the split's Meta,
+// chunk.ReadRowFile), and the tuples are built from that batch, so both
+// layouts deliver the same relation and an hour reads correctly whether or
+// not its seal has run.
 //
 // The zero value is a full scan. Specialized to a Selection
 // (LoadDirsSelective), the format reads only the columns the projection and
 // the predicate reference and builds only the projected columns of the rows
 // that pass. A chunk is read in this order, each step able to end it:
 //
-//  1. its zone map (chunk.ReadMeta), which skips a chunk the predicate
-//     excludes without reading a column section (columnar.chunks.pruned);
+//  1. the manifest's zone map, at planning: Splits drops a chunk the
+//     predicate excludes, which no scan worker then sees and no byte of
+//     whose image is read (columnar.chunks.pruned);
 //  2. with a name pattern, its name section alone, whose sorted dictionary
 //     is matched only over the range of entries that start with the
 //     pattern's literal head (a binary search; Pattern.MatchesString
@@ -97,15 +99,27 @@ func (f ClientEventFormat) Schema() Schema {
 	return Schema(f.sel.Columns)
 }
 
-// Splits implements InputFormat: chunk.HourFiles, the day reader's listing.
-func (ClientEventFormat) Splits(fs *hdfs.FS, dir string) ([]Split, error) {
-	files, err := chunk.HourFiles(fs, dir)
+// Splits implements InputFormat: chunk.HourFiles, the day reader's
+// listing, less the chunks whose zone maps prove the selection keeps none
+// of their rows.
+func (f ClientEventFormat) Splits(fs *hdfs.FS, dir string) ([]Split, error) {
+	chunks, rows, err := chunk.HourFiles(fs, dir)
 	if err != nil {
 		return nil, err
 	}
-	splits := make([]Split, len(files))
-	for i, fi := range files {
-		splits[i] = Split{Path: fi.Path, Size: fi.Size}
+	splits := make([]Split, 0, len(chunks)+len(rows))
+	pruned := 0
+	for i := range chunks {
+		m := &chunks[i]
+		if f.prune(m) {
+			pruned++
+			continue
+		}
+		splits = append(splits, Split{Path: chunk.Path(dir, i), Size: m.Size(), Meta: m})
+	}
+	tmChunksPruned.Add(int64(pruned))
+	for _, fi := range rows {
+		splits = append(splits, Split{Path: fi.Path, Size: fi.Size})
 	}
 	return splits, nil
 }
@@ -128,13 +142,13 @@ func (f ClientEventFormat) ReadSplit(fs *hdfs.FS, s Split, emit func(Tuple) erro
 	// A chunk's dictionary is sorted (chunk.decodeDict checks it) and is
 	// read first; a row file's is in first-seen order and comes with the
 	// walk of every need column.
-	sorted := chunk.IsChunk(s.Path)
+	sorted := s.Meta != nil
 	load := need
 	if byName && sorted {
 		load = chunk.Name
 	}
-	b, err := f.open(fs, s.Path, load)
-	if err != nil || b == nil {
+	b, err := f.open(fs, s, load)
+	if err != nil {
 		return err
 	}
 	defer b.Release()
@@ -174,13 +188,12 @@ func (f ClientEventFormat) ReadSplit(fs *hdfs.FS, s Split, emit func(Tuple) erro
 }
 
 // ReadBatch hands one split to fn as one batch of the projected columns,
-// with no tuple built, or nothing for a chunk the zone map prunes. The batch
-// holds every row of the split: the selection's predicate, if it has one,
-// is left to the caller. It is released when fn returns, so fn must not
-// keep it.
+// with no tuple built. The batch holds every row of the split: the
+// selection's predicate, if it has one, is left to the caller. It is
+// released when fn returns, so fn must not keep it.
 func (f ClientEventFormat) ReadBatch(fs *hdfs.FS, s Split, fn func(*chunk.Batch) error) error {
-	b, err := f.open(fs, s.Path, f.need())
-	if err != nil || b == nil {
+	b, err := f.open(fs, s, f.need())
+	if err != nil {
 		return err
 	}
 	defer b.Release()
@@ -197,25 +210,17 @@ func (f ClientEventFormat) need() chunk.Set {
 }
 
 // open reads the need columns of one split through the day reader: a row
-// file, or a chunk after its zone map, which may prune it (nil, nil).
-func (f ClientEventFormat) open(fs *hdfs.FS, path string, need chunk.Set) (*chunk.Batch, error) {
-	if !chunk.IsChunk(path) {
-		return chunk.ReadRowFile(fs, path, need)
-	}
-	m, err := chunk.ReadMeta(fs, path)
-	if err != nil {
-		return nil, err
-	}
-	if f.prune(m) {
-		tmChunksPruned.Inc()
-		return nil, nil
+// file, or a chunk under the zone map its split carries.
+func (f ClientEventFormat) open(fs *hdfs.FS, s Split, need chunk.Set) (*chunk.Batch, error) {
+	if s.Meta == nil {
+		return chunk.ReadRowFile(fs, s.Path, need)
 	}
 	tmChunksScanned.Inc()
-	b, err := chunk.LoadChunk(fs, path, m, need)
+	b, err := chunk.LoadChunk(fs, s.Path, *s.Meta, need)
 	if err != nil {
 		return nil, err
 	}
-	tmRowsRead.Add(int64(m.Rows))
+	tmRowsRead.Add(int64(s.Meta.Rows))
 	return b, nil
 }
 
@@ -223,7 +228,7 @@ func (f ClientEventFormat) open(fs *hdfs.FS, path string, need chunk.Set) (*chun
 // match. The names sharing the pattern's literal head as a string prefix
 // are one contiguous range, a superset of the componentwise match: a chunk
 // whose names all sort before it, or all after it, holds none of them.
-func (f ClientEventFormat) prune(m chunk.Meta) bool {
+func (f ClientEventFormat) prune(m *chunk.Meta) bool {
 	if f.sel.TimeMin != 0 && m.MaxTs < f.sel.TimeMin || f.sel.TimeMax != 0 && m.MinTs >= f.sel.TimeMax {
 		return true
 	}

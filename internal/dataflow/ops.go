@@ -49,8 +49,8 @@ func (d *Dataset) Project(cols ...string) (*Dataset, error) {
 	if d.scan != nil && len(cols) > 0 {
 		sel := d.scan.pushed.sel
 		sel.Columns = schema
-		if p, ok := d.job.pushdownDataset(d.scan.splits, sel); ok {
-			return p, nil
+		if f, ok := pushdown(sel); ok {
+			return d.job.pushdownDataset(f, d.scan.splits), nil
 		}
 	}
 	return &Dataset{job: d.job, schema: schema, cleanup: d.cleanup, open: func() (Iterator, error) {

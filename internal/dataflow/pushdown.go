@@ -36,44 +36,45 @@ func (s Selection) empty() bool {
 
 // pushdownScan is the plan behind a bare scan of ClientEventFormat: its
 // splits and the format specialized to the selection. Project re-plans it
-// rather than wrapping it, over the same splits: they do not depend on the
-// selection.
+// rather than wrapping it, over the same splits: the chunks the predicate
+// pruned from them stay pruned, since a projection keeps the predicate.
 type pushdownScan struct {
 	splits []Split
 	pushed ClientEventFormat
 }
 
-// pushdownDataset plans a ClientEventFormat scan of splits under sel, or
-// returns ok == false when the format cannot absorb sel.
-func (j *Job) pushdownDataset(splits []Split, sel Selection) (*Dataset, bool) {
-	f, ok := pushdown(sel)
-	if !ok {
-		return nil, false
-	}
+// pushdownDataset plans a scan of splits by f, a ClientEventFormat
+// specialized to a selection.
+func (j *Job) pushdownDataset(f ClientEventFormat, splits []Split) *Dataset {
 	d := j.datasetForSplits(f, splits)
 	d.scan = &pushdownScan{splits: splits, pushed: f}
-	return d, true
+	return d
 }
 
 // LoadDirsSelective is Load over several directories (e.g. the 24 hours of
 // a day) in order, skipping missing ones, with a Selection. ClientEventFormat
-// evaluates the predicate inside the scan (against zone maps and per name
-// dictionary entry) and builds only the projected columns; every other
-// format gets the selection applied as ordinary row-side Filter/Project
-// operators on top of the scan. Either way the resulting dataset has the
-// projected schema and only the selected rows — the selection is a semantic
-// contract, pushdown is just the cheap way to honor it. A Project on a
-// pushed-down scan folds into it: the same splits, the same predicate, the
-// new columns.
+// evaluates the predicate in the plan and inside the scan — a chunk its
+// manifest's zone map excludes is never a split, and a kept one is matched
+// per name dictionary entry — and builds only the projected columns; every
+// other format gets the selection applied as ordinary row-side
+// Filter/Project operators on top of the scan. Either way the resulting
+// dataset has the projected schema and only the selected rows — the
+// selection is a semantic contract, pushdown is just the cheap way to honor
+// it. A Project on a pushed-down scan folds into it: the same splits, the
+// same predicate, the new columns.
 func (j *Job) LoadDirsSelective(dirs []string, f InputFormat, sel Selection) (*Dataset, error) {
+	if _, ok := f.(ClientEventFormat); ok {
+		if pushed, ok := pushdown(sel); ok {
+			splits, err := j.splitsOf(dirs, pushed)
+			if err != nil {
+				return nil, err
+			}
+			return j.pushdownDataset(pushed, splits), nil
+		}
+	}
 	splits, err := j.splitsOf(dirs, f)
 	if err != nil {
 		return nil, err
-	}
-	if _, ok := f.(ClientEventFormat); ok {
-		if d, ok := j.pushdownDataset(splits, sel); ok {
-			return d, nil
-		}
 	}
 	return applySelection(j.datasetForSplits(f, splits), sel)
 }

@@ -286,7 +286,7 @@ func (fs *FS) file(path string) (string, []byte, error) {
 
 // lookup returns the clean path and what is there: a file and its contents,
 // a directory, or neither. It builds no error for a directory or a missing
-// path, so Stat on a directory and Exists allocate nothing.
+// path, so Exists allocates nothing.
 func (fs *FS) lookup(path string) (p string, data []byte, isFile, isDir bool, err error) {
 	if err := fs.check(); err != nil {
 		return "", nil, false, false, err
@@ -365,20 +365,6 @@ func (fs *FS) ReadAt(path string, off int64, p []byte) (int, error) {
 		return n, io.EOF
 	}
 	return n, nil
-}
-
-// Stat describes the file or directory at path.
-func (fs *FS) Stat(path string) (FileInfo, error) {
-	p, data, isFile, isDir, err := fs.lookup(path)
-	switch {
-	case err != nil:
-		return FileInfo{}, err
-	case isDir:
-		return FileInfo{Path: p, IsDir: true}, nil
-	case !isFile:
-		return FileInfo{}, fmt.Errorf("%w: %s", ErrNotFound, p)
-	}
-	return FileInfo{Path: p, Size: int64(len(data)), Blocks: fs.numBlocks(len(data))}, nil
 }
 
 func (fs *FS) numBlocks(size int) int {

@@ -21,8 +21,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatalf("ReadFile = %q, %v", got, err)
 	}
 	// Parents are created implicitly.
-	if fi, err := fs.Stat("/logs/client_events"); err != nil || !fi.IsDir {
-		t.Fatalf("Stat parent = %+v, %v", fi, err)
+	if _, err := fs.ReadFile("/logs/client_events"); !fs.Exists("/logs/client_events") || !errors.Is(err, ErrIsDirectory) {
+		t.Fatalf("the parent reads as %v", err)
 	}
 }
 
@@ -65,9 +65,9 @@ func TestBlockAccounting(t *testing.T) {
 	if err := fs.WriteFile("/f", data); err != nil {
 		t.Fatal(err)
 	}
-	fi, err := fs.Stat("/f")
-	if err != nil || fi.Blocks != 10 {
-		t.Fatalf("Blocks = %d, %v; want 10", fi.Blocks, err)
+	infos, err := fs.Walk("/")
+	if err != nil || len(infos) != 1 || infos[0].Blocks != 10 {
+		t.Fatalf("Walk = %+v, %v; want one file of 10 blocks", infos, err)
 	}
 	before := fs.Snapshot()
 	if _, err := fs.ReadFile("/f"); err != nil {
@@ -309,11 +309,8 @@ func TestExistsAllocatesNothing(t *testing.T) {
 			t.Errorf("Exists(%s) allocates %v times", path, n)
 		}
 	}
-	if n := testing.AllocsPerRun(100, func() { _, _ = fs.Stat("/logs/a") }); n != 0 {
-		t.Errorf("Stat of a directory allocates %v times", n)
-	}
-	if _, err := fs.Stat("/logs/b"); !errors.Is(err, ErrNotFound) || err.Error() != ErrNotFound.Error()+": /logs/b" {
-		t.Errorf("Stat of a missing path = %v", err)
+	if _, err := fs.Open("/logs/b"); !errors.Is(err, ErrNotFound) || err.Error() != ErrNotFound.Error()+": /logs/b" {
+		t.Errorf("Open of a missing path = %v", err)
 	}
 }
 
@@ -330,12 +327,17 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil || !bytes.Equal(got, data) {
 			return false
 		}
-		fi, err := fs.Stat(path)
+		infos, err := fs.Walk("/p")
 		if err != nil {
 			return false
 		}
 		want := (len(data) + 6) / 7
-		return fi.Blocks == want
+		for _, fi := range infos {
+			if fi.Path == path {
+				return fi.Blocks == want
+			}
+		}
+		return false
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

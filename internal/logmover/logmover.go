@@ -301,6 +301,12 @@ func (m *Mover) MoveAllSealed() ([]AuditRecord, error) {
 			continue
 		}
 		if m.Warehouse.Exists(warehouse.HourDir(ch.category, ch.hour)) {
+			// Moved before: the datacenters sealed it again. Its markers
+			// are consumed, so no later pass walks them; anything staged
+			// beside them stays where it is.
+			if err := m.consumeMarkers(ch.category, ch.hour); err != nil {
+				return recs, err
+			}
 			continue
 		}
 		rec, err := m.MoveHour(ch.category, ch.hour)
@@ -310,6 +316,17 @@ func (m *Mover) MoveAllSealed() ([]AuditRecord, error) {
 		recs = append(recs, rec)
 	}
 	return recs, nil
+}
+
+// consumeMarkers deletes every datacenter's seal marker of a category-hour.
+func (m *Mover) consumeMarkers(category string, hour time.Time) error {
+	marker := warehouse.StagingHourDir(category, hour) + "/" + warehouse.SealedMarker
+	for _, src := range m.Sources {
+		if err := src.FS.Delete(marker, false); err != nil && !errors.Is(err, hdfs.ErrNotFound) {
+			return err
+		}
+	}
+	return nil
 }
 
 // parseStagingPath extracts (category, hour) from

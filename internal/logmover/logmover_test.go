@@ -348,9 +348,10 @@ func TestEmptySealedHour(t *testing.T) {
 // hour publishes is for. Every datacenter seals the invalid category's
 // hour with nothing in it, the mover moves it, and then every datacenter
 // seals the hour again, as a run's closing seal of the whole day does. The
-// directory is the record of the move: the second pass skips the hour and
+// directory is the record of the move: the second pass skips the hour,
+// consuming the new markers so no later pass walks them again, and
 // MoveHour refuses it, so the hour is audited once. Without the directory
-// the same hour is moved, and audited, a second time.
+// the same hour, sealed again, is moved, and audited, a second time.
 func TestEmptyHourResealedStaysMoved(t *testing.T) {
 	clock := zk.NewManualClock(t0)
 	var sources []Source
@@ -388,6 +389,9 @@ func TestEmptyHourResealedStaysMoved(t *testing.T) {
 	if recs, err := m.MoveAllSealed(); err != nil || len(recs) != 0 {
 		t.Fatalf("pass after the reseal = %+v, %v; want nothing moved", recs, err)
 	}
+	if m.HourSealed(scribe.InvalidCategory, t0) {
+		t.Fatal("the pass that skipped the moved hour left its markers behind")
+	}
 	if _, err := m.MoveHour(scribe.InvalidCategory, t0); !errors.Is(err, ErrAlreadyMoved) {
 		t.Fatalf("MoveHour after the reseal: err = %v, want ErrAlreadyMoved", err)
 	}
@@ -395,8 +399,9 @@ func TestEmptyHourResealedStaysMoved(t *testing.T) {
 		t.Fatalf("%d audit records, want 1", len(m.Audits()))
 	}
 
-	// The counterfactual: with the directory gone, the resealed hour moves
-	// again.
+	// The counterfactual: with the directory gone, the hour sealed again
+	// moves again.
+	sealAll()
 	if err := wh.Delete(dest, true); err != nil {
 		t.Fatal(err)
 	}

@@ -358,7 +358,7 @@ func TestCorruptFileRetrySealsClean(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ahead, err := b.AppendImage(nil)
+	ahead, _, err := b.AppendImage(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +479,7 @@ func TestCorruptImageFailsMove(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	good, err := b.AppendImage(nil)
+	good, _, err := b.AppendImage(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -480,7 +480,7 @@ func storedDigest(wh *hdfs.FS, day time.Time) (events.Digest, error) {
 		if err != nil {
 			return d, err
 		}
-		if rows > 0 && !chunk.Sealed(wh, dir) {
+		if rows > 0 && !wh.Exists(chunk.SealedPath(dir)) {
 			return d, fmt.Errorf("scenario: %s was published without its column chunks", dir)
 		}
 		err = chunk.ReadHour(wh, dir, chunk.UserID|chunk.SessionID|chunk.Timestamp|chunk.Name, func(b *chunk.Batch) error {

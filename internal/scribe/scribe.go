@@ -312,7 +312,7 @@ func (a *Aggregator) rollStreamLocked(category string, s *categoryStream) {
 	var err error
 	ext := "gz"
 	if s.b != nil {
-		if data, err = s.b.AppendImage(nil); err == nil {
+		if data, _, err = s.b.AppendImage(nil); err == nil {
 			a.spare = append(a.spare, s.b) // empty, as AppendImage leaves it
 		}
 		ext = "col"

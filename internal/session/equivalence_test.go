@@ -69,20 +69,20 @@ func sealHours(t testing.TB, fs *hdfs.FS, chunkRows int, marker bool, hours ...i
 		}
 		var (
 			b      chunk.Builder
-			chunks int
+			chunks []chunk.Meta
 		)
 		flush := func() {
 			if b.Rows() == 0 {
 				return
 			}
-			img, err := b.AppendImage(nil)
+			img, m, err := b.AppendImage(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fs.WriteFile(chunk.Path(dir, chunks), img); err != nil {
+			if err := fs.WriteFile(chunk.Path(dir, len(chunks)), img); err != nil {
 				t.Fatal(err)
 			}
-			chunks++
+			chunks = append(chunks, m)
 		}
 		err := warehouse.ScanHourRecords(fs, dir, func(_ string, rec []byte) error {
 			if err := b.AddRecord(rec); err != nil {

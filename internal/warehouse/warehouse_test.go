@@ -367,20 +367,20 @@ func TestScanDayReadsEveryLayout(t *testing.T) {
 	writeChunks := func(hr int) {
 		dir := HourDir("ce", day.Add(time.Duration(hr)*time.Hour))
 		var b chunk.Builder
-		chunks := 0
+		var chunks []chunk.Meta
 		for i, e := range shifted(hr) {
 			if err := b.AddRecord(e.Marshal()); err != nil {
 				t.Fatal(err)
 			}
 			if b.Rows() == 7 || i == len(base)-1 {
-				img, err := b.AppendImage(nil)
+				img, m, err := b.AppendImage(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := fs.WriteFile(chunk.Path(dir, chunks), img); err != nil {
+				if err := fs.WriteFile(chunk.Path(dir, len(chunks)), img); err != nil {
 					t.Fatal(err)
 				}
-				chunks++
+				chunks = append(chunks, m)
 			}
 		}
 		if err := chunk.WriteSealed(fs, dir, chunks); err != nil {
