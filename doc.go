@@ -59,7 +59,8 @@
 // column's decoder, damage naming the file and the column) and re-chunks
 // the hour's rows into chunks of columnar.DefaultChunkRows
 // (chunk.Builder.AddColumns: each dictionary remapped once per entry,
-// details values appended as the bytes the wire held), so a client-events
+// details values merged in the typed form their staged column holds them,
+// numbers as numbers and hex as bytes, none rendered to text), so a client-events
 // hour publishes its chunk images and their marker alone, one file per
 // chunk, byte for byte the chunks a seal
 // of its records writes, with no deflate, no inflate and no record walk

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -377,6 +378,20 @@ func TestDetailsEncodings(t *testing.T) {
 			if got := col.At(row)["k"]; got != v {
 				t.Errorf("%q: row %d reads back %q", tc.vals, row, got)
 			}
+		}
+	}
+}
+
+// TestDecimalLen: decimalLen is the length strconv.FormatUint writes, at
+// zero, the uint64 edge, and on both sides of every power of ten.
+func TestDecimalLen(t *testing.T) {
+	xs := []uint64{0, math.MaxUint64}
+	for p := uint64(1); p <= math.MaxUint64/10; p *= 10 {
+		xs = append(xs, p-1, p, p+1, 10*p-1)
+	}
+	for _, x := range xs {
+		if got, want := decimalLen(x), len(strconv.FormatUint(x, 10)); got != want {
+			t.Errorf("decimalLen(%d) = %d, want %d", x, got, want)
 		}
 	}
 }

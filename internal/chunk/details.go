@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -37,6 +38,20 @@ import (
 // meaning ClientEvent.Decode gives a message's pairs: one value per key and
 // row, the last one a row repeats, and a row that holds no key reads back as
 // a nil map.
+//
+// The builder holds each key's values typed, in the narrowest of three
+// forms that holds them all: as numbers while every value is canonical
+// decimal, as the bytes they spell while every value is canonical lowercase
+// hex of even length, and as their text otherwise. Beside them it keeps
+// exact running counts — the bytes the raw, hex and uvarint encodings would
+// take and the values each does not admit — so choosing a key's encoding
+// reads the counts and writing it reads the typed values. A value a row
+// repeats is dropped from the counts as from the values. The re-chunk
+// (addColumn) appends a decoded key column by its tag: a uvarint as its
+// number and a hex value as its bytes, never through their text, and a
+// dictionary's entries are classified once each. None of this reaches the
+// disk: a key's record is the one above, whatever form its values were
+// held in.
 
 // The encodings of a key's values.
 const (
@@ -64,23 +79,207 @@ type detailsBuilder struct {
 	first   []int    // the value that numbered each first-seen ID
 	byVal   []uint32 // first-seen IDs in sorted order of their values
 	rank    []uint32 // the sorted position of each first-seen ID
+
+	// Scratch of addColumn: a value copied out of its record, and a
+	// dictionary's entries, copied and classified.
+	text     []byte
+	dictText []byte
+	entries  []value
 }
 
-// keyValues is one key's share of the column.
+// keyValues is one key's share of the column: the rows that hold it, their
+// values in one form, and the counts choose reads.
 type keyValues struct {
 	key  string
 	rows []uint32 // the rows that hold the key, ascending
-	ends []uint32 // where each of their values ends in vals
-	vals []byte
+
+	form byte     // how the values are held: encUvarint in uvs, else in vals
+	uvs  []uint64 // under encUvarint, each value's number
+	ends []uint32 // else where each value ends in vals
+	vals []byte   // under encHex the bytes each value spells, under encRaw its text
+
+	// Over the values held: the bytes the raw encoding takes for them, the
+	// bytes the hex and uvarint encodings take for those they admit, and
+	// how many values each does not admit.
+	rawSize, hexSize, uvSize int
+	notHex, notUv            int
 }
 
-// value returns the key's i-th value.
-func (k *keyValues) value(i int) []byte {
+// A value is one details value, classified, in the form its source holds
+// it: its text, the bytes its hex text spells, or its decimal's number.
+type value struct {
+	src byte   // encRaw: b is the text; encHex: b is the bytes; encUvarint: x
+	b   []byte // under encRaw or encHex
+	x   uint64 // the number, when uv
+	n   int    // the length of the text
+	hex bool   // the text is canonical lowercase hex: even length, not empty
+	uv  bool   // the text is canonical decimal, as decimal accepts it
+}
+
+// textValue classifies a value held as its text.
+func textValue(v []byte) value {
+	class := byte(classHex | classDigit)
+	for _, c := range v {
+		if class &= byteClass[c]; class == 0 {
+			break
+		}
+	}
+	t := value{src: encRaw, b: v, n: len(v), hex: class&classHex != 0 && len(v) > 0 && len(v)%2 == 0}
+	if class&classDigit != 0 {
+		t.x, t.uv = decimal(v)
+	}
+	return t
+}
+
+// uvValue classifies a value held as its decimal's number.
+func uvValue(x uint64) value {
+	n := decimalLen(x)
+	return value{src: encUvarint, x: x, n: n, hex: n%2 == 0, uv: true}
+}
+
+// hexValue classifies a value held as the bytes its hex text spells. No
+// bytes spell the empty text, which is not hex.
+func hexValue(b []byte) value {
+	if len(b) == 0 {
+		return textValue(nil)
+	}
+	t := value{src: encHex, b: b, n: 2 * len(b), hex: true}
+	if len(b) <= 10 { // a decimal has 20 digits at most
+		var text [20]byte
+		t.x, t.uv = decimal(hex.AppendEncode(text[:0], b))
+	}
+	return t
+}
+
+// appendText appends v's text to dst.
+func (v *value) appendText(dst []byte) []byte {
+	switch v.src {
+	case encUvarint:
+		return strconv.AppendUint(dst, v.x, 10)
+	case encHex:
+		return hex.AppendEncode(dst, v.b)
+	}
+	return append(dst, v.b...)
+}
+
+// appendBytes appends the bytes v's text spells as hex to dst; v.hex holds.
+func (v *value) appendBytes(dst []byte) []byte {
+	switch v.src {
+	case encUvarint:
+		var text [20]byte
+		dst, _ = hex.AppendDecode(dst, strconv.AppendUint(text[:0], v.x, 10))
+		return dst
+	case encRaw:
+		dst, _ = hex.AppendDecode(dst, v.b)
+		return dst
+	}
+	return append(dst, v.b...)
+}
+
+// bytes returns the key's i-th value as vals holds it, under encHex or
+// encRaw.
+func (k *keyValues) bytes(i int) []byte {
 	start := uint32(0)
 	if i > 0 {
 		start = k.ends[i-1]
 	}
 	return k.vals[start:k.ends[i]]
+}
+
+// at returns the key's i-th value, classified.
+func (k *keyValues) at(i int) value {
+	switch k.form {
+	case encUvarint:
+		return uvValue(k.uvs[i])
+	case encHex:
+		return hexValue(k.bytes(i))
+	}
+	return textValue(k.bytes(i))
+}
+
+// add appends one row's value, widening the form of the values held when
+// it does not hold v.
+func (k *keyValues) add(row uint32, v *value) {
+	switch {
+	case k.form == encUvarint && v.uv:
+	case v.hex && (k.form == encHex || k.form == encUvarint && k.notHex == 0):
+		k.widen(encHex)
+	default:
+		k.widen(encRaw)
+	}
+	k.tally(v, 1)
+	k.rows = append(k.rows, row)
+	k.store(v)
+}
+
+// store appends v to the values in their form, which holds it.
+func (k *keyValues) store(v *value) {
+	switch k.form {
+	case encUvarint:
+		k.uvs = append(k.uvs, v.x)
+		return
+	case encHex:
+		k.vals = v.appendBytes(k.vals)
+	default:
+		k.vals = v.appendText(k.vals)
+	}
+	k.ends = append(k.ends, uint32(len(k.vals)))
+}
+
+// widen moves the values held to form to, no narrower than theirs, which
+// holds every one of them.
+func (k *keyValues) widen(to byte) {
+	switch from := k.form; {
+	case from == to:
+	case from == encUvarint:
+		uvs := k.uvs
+		k.form = to
+		for _, x := range uvs {
+			v := uvValue(x)
+			k.store(&v)
+		}
+		k.uvs = uvs[:0]
+	default: // from hex to text in place, two digits a byte, from the end
+		n := len(k.vals)
+		k.vals = slices.Grow(k.vals, n)[:2*n]
+		for i := n - 1; i >= 0; i-- {
+			c := k.vals[i]
+			k.vals[2*i], k.vals[2*i+1] = hexDigits[c>>4], hexDigits[c&15]
+		}
+		for i := range k.ends {
+			k.ends[i] *= 2
+		}
+		k.form = to
+	}
+}
+
+// tally adds v to the counts, sign 1, or takes it out of them, sign -1.
+func (k *keyValues) tally(v *value, sign int) {
+	k.rawSize += sign * (uvlen(uint64(v.n)) + v.n)
+	if v.hex {
+		k.hexSize += sign * (uvlen(uint64(v.n/2)) + v.n/2)
+	} else {
+		k.notHex += sign
+	}
+	if v.uv {
+		k.uvSize += sign * uvlen(v.x)
+	} else {
+		k.notUv += sign
+	}
+}
+
+// pop drops the key's last row and its value, from the counts too.
+func (k *keyValues) pop() {
+	last := len(k.rows) - 1
+	v := k.at(last)
+	k.tally(&v, -1)
+	k.rows = k.rows[:last]
+	if k.form == encUvarint {
+		k.uvs = k.uvs[:last]
+		return
+	}
+	k.vals = k.vals[:len(k.vals)-len(v.b)]
+	k.ends = k.ends[:last]
 }
 
 // add appends one row's pairs, in wire order: a key the row repeats keeps
@@ -91,35 +290,91 @@ func (d *detailsBuilder) add(pairs []events.Pair) {
 	for _, p := range pairs {
 		k := d.key(p.K)
 		if n := len(k.rows); n > 0 && k.rows[n-1] == row {
-			k.vals = k.vals[:len(k.vals)-len(k.value(n-1))]
-			k.rows, k.ends = k.rows[:n-1], k.ends[:n-1]
+			k.pop()
 		}
-		k.vals = append(k.vals, p.V...)
-		k.rows = append(k.rows, row)
-		k.ends = append(k.ends, uint32(len(k.vals)))
+		v := textValue(p.V)
+		k.add(row, &v)
 	}
 }
 
 // addColumn appends rows [lo, hi) of a decoded details column: each key
-// looked up once, each value appended as the bytes the wire held.
+// looked up once, each value appended by its key column's tag — a uvarint
+// as its number, a hex value as its bytes, a raw one as its text, a
+// dictionary entry as it was classified once for the column. A column
+// appended to values held in its own form goes in as it lies.
 func (d *detailsBuilder) addColumn(col DetailsColumn, lo, hi int) {
 	for i := range col.vals {
 		kc := &col.vals[i]
-		var k *keyValues
-		for row := lo; row < hi; row++ {
+		row := lo
+		for row < hi && kc.at[row] == absent {
+			row++
+		}
+		if row == hi {
+			continue
+		}
+		k := d.keyOf(col.keys[i])
+		if kc.tag == encDict {
+			d.classify(kc.dict)
+		}
+		for ; row < hi; row++ {
 			at := kc.at[row]
 			if at == absent {
 				continue
 			}
-			if k == nil {
-				k = d.keyOf(col.keys[i])
+			to := uint32(d.rows + row - lo)
+			if kc.tag == encDict {
+				k.add(to, &d.entries[at])
+				continue
 			}
-			k.vals = kc.appendWire(k.vals, at)
-			k.rows = append(k.rows, uint32(d.rows+row-lo))
-			k.ends = append(k.ends, uint32(len(k.vals)))
+			x, off := uvarintIn(kc.rec, int(at))
+			switch {
+			case kc.tag == encUvarint && k.form == encUvarint:
+				v := uvValue(x)
+				k.tally(&v, 1)
+				k.rows = append(k.rows, to)
+				k.uvs = append(k.uvs, x)
+			case kc.tag == k.form && (kc.tag == encRaw || x > 0): // text, or hex bytes
+				k.vals = append(k.vals, kc.rec[off:off+int(x)]...)
+				k.ends = append(k.ends, uint32(len(k.vals)))
+				k.rows = append(k.rows, to)
+				v := k.at(len(k.rows) - 1)
+				k.tally(&v, 1)
+			default:
+				v := d.valueAt(kc.tag, x, kc.rec[off:])
+				k.add(to, &v)
+			}
 		}
 	}
 	d.rows += hi - lo
+}
+
+// classify classifies a decoded dictionary's entries into d.entries.
+func (d *detailsBuilder) classify(dict []string) {
+	d.dictText = d.dictText[:0]
+	for _, s := range dict {
+		d.dictText = append(d.dictText, s...)
+	}
+	d.entries = d.entries[:0]
+	start := 0
+	for _, s := range dict {
+		end := start + len(s)
+		d.entries = append(d.entries, textValue(d.dictText[start:end:end]))
+		start = end
+	}
+}
+
+// valueAt classifies one value of a raw, hex or uvarint key column, whose
+// record holds x there: the number, or the length of the bytes that begin
+// rest.
+func (d *detailsBuilder) valueAt(tag byte, x uint64, rest string) value {
+	if tag == encUvarint {
+		return uvValue(x)
+	}
+	d.text = append(d.text[:0], rest[:x]...)
+	if tag == encHex {
+		return hexValue(d.text)
+	}
+	return textValue(d.text)
 }
 
 // key returns the accumulator of key k, starting one if the chunk has not
@@ -145,22 +400,26 @@ func (d *detailsBuilder) insert(key string) *keyValues {
 		d.slot = make(map[string]int)
 	}
 	d.slot[key] = len(d.keys)
-	d.keys = append(d.keys, keyValues{key: key})
+	d.keys = append(d.keys, keyValues{key: key, form: encUvarint})
 	return &d.keys[len(d.keys)-1]
 }
 
 // reset empties the builder for the next chunk. A key the chunk held keeps
 // its accumulator, so the next chunk appends to buffers already grown;
-// the others are dropped.
+// the others are dropped. Resetting an empty builder keeps every key, so
+// a Sealer Reset for the next hour after its Close keeps them too.
 func (d *detailsBuilder) reset() {
+	if d.rows == 0 {
+		return
+	}
 	d.rows = 0
 	clear(d.slot)
 	kept := d.keys[:0]
 	for _, k := range d.keys {
 		if len(k.rows) > 0 {
 			d.slot[k.key] = len(kept)
-			k.rows, k.ends, k.vals = k.rows[:0], k.ends[:0], k.vals[:0]
-			kept = append(kept, k)
+			kept = append(kept, keyValues{key: k.key, form: encUvarint,
+				rows: k.rows[:0], uvs: k.uvs[:0], ends: k.ends[:0], vals: k.vals[:0]})
 		}
 	}
 	clear(d.keys[len(kept):]) // release the dropped keys' buffers
@@ -212,66 +471,56 @@ func (d *detailsBuilder) appendKey(buf []byte, k *keyValues) []byte {
 			present[row/8] |= 1 << (row % 8)
 		}
 	}
-	switch tag {
-	case encRaw:
-		for i := range n {
-			buf = appendString(buf, k.value(i))
-		}
-	case encHex:
-		for i := range n {
-			v := k.value(i)
-			buf = binary.AppendUvarint(buf, uint64(len(v)/2))
-			buf, _ = hex.AppendDecode(buf, v) // choose checked v
-		}
-	case encUvarint:
-		for i := range n {
-			x, _ := decimal(k.value(i))
-			buf = binary.AppendUvarint(buf, x)
-		}
-	case encDict:
+	switch {
+	case tag == encDict:
 		buf = binary.AppendUvarint(buf, uint64(len(d.byVal)))
 		for _, id := range d.byVal {
-			buf = appendString(buf, k.value(d.first[id]))
+			buf = k.appendAs(buf, encRaw, d.first[id])
 		}
 		for _, id := range d.ids {
 			buf = binary.AppendUvarint(buf, uint64(d.rank[id]))
+		}
+	case tag == k.form && tag == encUvarint:
+		for _, x := range k.uvs {
+			buf = binary.AppendUvarint(buf, x)
+		}
+	case tag == k.form: // bytes or text, length-prefixed as vals holds them
+		for i := range n {
+			buf = appendString(buf, k.bytes(i))
+		}
+	default: // a value a row repeated was the one that widened the form
+		for i := range n {
+			buf = k.appendAs(buf, tag, i)
 		}
 	}
 	return buf
 }
 
+// appendAs appends the key's i-th value as tag encodes it; tag admits it.
+func (k *keyValues) appendAs(buf []byte, tag byte, i int) []byte {
+	v := k.at(i)
+	switch tag {
+	case encUvarint:
+		return binary.AppendUvarint(buf, v.x)
+	case encHex:
+		buf = binary.AppendUvarint(buf, uint64(v.n/2))
+		return v.appendBytes(buf)
+	}
+	buf = binary.AppendUvarint(buf, uint64(v.n))
+	return v.appendText(buf)
+}
+
 // choose returns the tag of the smallest encoding that admits every value
-// of k. A tie goes to uvarint, then hex, then raw; a dictionary has to be
-// strictly smaller, and when it is, its numbering is left in d's scratch.
+// of k, read off its counts. A tie goes to uvarint, then hex, then raw; a
+// dictionary has to be strictly smaller, and when it is, its numbering is
+// left in d's scratch.
 func (d *detailsBuilder) choose(k *keyValues) byte {
-	rawSize, hexSize, uvSize := 0, 0, 0
-	isHex, isUv := true, true
-	for i := range k.rows {
-		v := k.value(i)
-		rawSize += uvlen(uint64(len(v))) + len(v)
-		if !isHex && !isUv {
-			continue
-		}
-		class := byte(classHex | classDigit)
-		for _, c := range v {
-			class &= byteClass[c]
-		}
-		if isHex = isHex && class&classHex != 0 && len(v) > 0 && len(v)%2 == 0; isHex {
-			hexSize += uvlen(uint64(len(v)/2)) + len(v)/2
-		}
-		if isUv = isUv && class&classDigit != 0; isUv {
-			var x uint64
-			if x, isUv = decimal(v); isUv {
-				uvSize += uvlen(x)
-			}
-		}
+	tag, best := encRaw, k.rawSize
+	if k.notHex == 0 && k.hexSize <= best {
+		tag, best = encHex, k.hexSize
 	}
-	tag, best := encRaw, rawSize
-	if isHex && hexSize <= best {
-		tag, best = encHex, hexSize
-	}
-	if isUv && uvSize <= best {
-		tag, best = encUvarint, uvSize
+	if k.notUv == 0 && k.uvSize <= best {
+		tag, best = encUvarint, k.uvSize
 	}
 	if d.dictSmaller(k, best) {
 		return encDict
@@ -283,7 +532,8 @@ func (d *detailsBuilder) choose(k *keyValues) byte {
 // dictionary holds them in fewer than best bytes. It stops as soon as the
 // bytes it has counted — every ID and the dictionary's size at one byte
 // each, and the entries seen so far — reach best, so a key of unique values
-// is not numbered to the end.
+// is not numbered to the end. Values are hashed and compared as they are
+// held, numbers as numbers, and ordered by their text.
 func (d *detailsBuilder) dictSmaller(k *keyValues, best int) bool {
 	n := len(k.rows)
 	size := n + 1
@@ -298,13 +548,13 @@ func (d *detailsBuilder) dictSmaller(k *keyValues, best int) bool {
 	mask := uint64(slots - 1)
 	d.ids, d.first = d.ids[:0], d.first[:0]
 	for i := range n {
-		v := k.value(i)
-		slot := maphash.Bytes(hashSeed, v) & mask
-		for d.table[slot] != 0 && !bytes.Equal(k.value(int(d.table[slot]-1)), v) {
+		slot := k.hash(i) & mask
+		for d.table[slot] != 0 && !k.same(int(d.table[slot]-1), i) {
 			slot = (slot + 1) & mask
 		}
 		if d.table[slot] == 0 {
-			if size += uvlen(uint64(len(v))) + len(v); size >= best {
+			l := k.textLen(i)
+			if size += uvlen(uint64(l)) + l; size >= best {
 				return false
 			}
 			d.table[slot] = uint32(i + 1)
@@ -320,9 +570,7 @@ func (d *detailsBuilder) dictSmaller(k *keyValues, best int) bool {
 	for id := range d.first {
 		d.byVal = append(d.byVal, uint32(id))
 	}
-	slices.SortFunc(d.byVal, func(a, b uint32) int {
-		return bytes.Compare(k.value(d.first[a]), k.value(d.first[b]))
-	})
+	slices.SortFunc(d.byVal, func(a, b uint32) int { return k.compare(d.first[a], d.first[b]) })
 	d.rank = slices.Grow(d.rank[:0], len(d.byVal))[:len(d.byVal)]
 	for pos, id := range d.byVal {
 		d.rank[id] = uint32(pos)
@@ -334,12 +582,79 @@ func (d *detailsBuilder) dictSmaller(k *keyValues, best int) bool {
 	return size < best
 }
 
+// hash hashes the key's i-th value as it is held.
+func (k *keyValues) hash(i int) uint64 {
+	if k.form == encUvarint {
+		h := k.uvs[i] * 0x9e3779b97f4a7c15
+		return h ^ h>>32
+	}
+	return maphash.Bytes(hashSeed, k.bytes(i))
+}
+
+// same reports whether the key's i-th and j-th values are equal.
+func (k *keyValues) same(i, j int) bool {
+	if k.form == encUvarint {
+		return k.uvs[i] == k.uvs[j]
+	}
+	return bytes.Equal(k.bytes(i), k.bytes(j))
+}
+
+// textLen is the length of the key's i-th value's text.
+func (k *keyValues) textLen(i int) int {
+	switch k.form {
+	case encUvarint:
+		return decimalLen(k.uvs[i])
+	case encHex:
+		return 2 * len(k.bytes(i))
+	}
+	return len(k.bytes(i))
+}
+
+// compare orders the key's i-th and j-th values by their text: numbers as
+// their decimals, where "10" < "9", and bytes as their hex, which orders
+// as they do.
+func (k *keyValues) compare(i, j int) int {
+	if k.form != encUvarint {
+		return bytes.Compare(k.bytes(i), k.bytes(j))
+	}
+	x, y := k.uvs[i], k.uvs[j]
+	if decimalLen(x) == decimalLen(y) {
+		return cmp.Compare(x, y)
+	}
+	var a, b [20]byte
+	return bytes.Compare(strconv.AppendUint(a[:0], x, 10), strconv.AppendUint(b[:0], y, 10))
+}
+
+// hexDigits are the lowercase hex digits.
+const hexDigits = "0123456789abcdef"
+
 // hashSeed seeds dictSmaller's table; the numbering it finds does not
 // depend on it.
 var hashSeed = maphash.MakeSeed()
 
 // uvlen is the length of x as a uvarint.
 func uvlen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// pow10[i] is 10 to the i.
+var pow10 = func() (p [20]uint64) {
+	p[0] = 1
+	for i := 1; i < len(p); i++ {
+		p[i] = p[i-1] * 10
+	}
+	return p
+}()
+
+// decimalLen is the length of x's decimal. Its bit length puts it at n or
+// n+1 digits, n = ⌊bits·log10 2⌋ (1233/4096 ≈ log10 2). x|1 has as many
+// digits as x, zero included, and is never below pow10[0].
+func decimalLen(x uint64) int {
+	x |= 1
+	n := bits.Len64(x) * 1233 >> 12
+	if x < pow10[n] {
+		return n
+	}
+	return n + 1
+}
 
 // The classes of a byte: a lowercase hex digit, a decimal digit.
 const (
@@ -424,36 +739,15 @@ func (kc *keyColumn) value(at uint32) string {
 	case encUvarint:
 		return strconv.FormatUint(x, 10)
 	case encHex:
-		const digits = "0123456789abcdef"
 		var sb strings.Builder
 		sb.Grow(2 * int(x))
 		for _, c := range []byte(kc.rec[off : off+int(x)]) {
-			sb.WriteByte(digits[c>>4])
-			sb.WriteByte(digits[c&15])
+			sb.WriteByte(hexDigits[c>>4])
+			sb.WriteByte(hexDigits[c&15])
 		}
 		return sb.String()
 	}
 	return kc.rec[off : off+int(x)]
-}
-
-// appendWire appends the value at a row's at entry as the bytes the wire
-// held — what value renders — to dst.
-func (kc *keyColumn) appendWire(dst []byte, at uint32) []byte {
-	if kc.tag == encDict {
-		return append(dst, kc.dict[at]...)
-	}
-	x, off := uvarintIn(kc.rec, int(at))
-	switch kc.tag {
-	case encUvarint:
-		return strconv.AppendUint(dst, x, 10)
-	case encHex:
-		const digits = "0123456789abcdef"
-		for _, c := range []byte(kc.rec[off : off+int(x)]) {
-			dst = append(dst, digits[c>>4], digits[c&15])
-		}
-		return dst
-	}
-	return append(dst, kc.rec[off:off+int(x)]...)
 }
 
 // uvarintIn decodes the uvarint at s[off:], which the decode has checked,

@@ -412,3 +412,145 @@ func FuzzRechunkMatchesSeal(f *testing.F) {
 		checkRechunk(t, recs, cuts, 1+int(chunkRows%16))
 	})
 }
+
+// detailsKey returns key k's column in a chunk's details column.
+func detailsKey(tb testing.TB, cols *Columns, k string) *keyColumn {
+	tb.Helper()
+	i, found := slices.BinarySearch(cols.Details.keys, k)
+	if !found {
+		tb.Fatalf("details key %q not in %q", k, cols.Details.keys)
+	}
+	return &cols.Details.vals[i]
+}
+
+// checkDetailsDicts requires every details dictionary of the chunks in
+// testDir of fs to be in strictly increasing order of its values' text,
+// which the decoder does not check.
+func checkDetailsDicts(t *testing.T, fs *hdfs.FS) {
+	t.Helper()
+	for path := range fileSet(t, fs, testDir) {
+		b, err := loadChunk(fs, path, All)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, kc := range b.Details.vals {
+			for j := 1; kc.tag == encDict && j < len(kc.dict); j++ {
+				if kc.dict[j-1] >= kc.dict[j] {
+					t.Fatalf("%s: details key %q: dictionary %q out of text order", path, b.Details.keys[i], kc.dict)
+				}
+			}
+		}
+		b.Release()
+	}
+}
+
+// TestRechunkMixedEncodings: a key its staged images encode differently
+// re-chunks into the chunk a one-pass seal of their records writes, byte
+// for byte, under the encoding the values of the whole chunk choose.
+func TestRechunkMixedEncodings(t *testing.T) {
+	name := "web:home:timeline:stream:tweet:impression"
+	for _, tc := range []struct {
+		name   string
+		images [][][]string // each staged image's rows, each row its "k" values in wire order
+		staged []byte       // each staged image's encoding of "k"
+		want   byte         // the re-chunked one's
+		dict   []string     // and its dictionary, under encDict
+	}{
+		{"uvarint, hex and raw images",
+			[][][]string{{{"12"}, {"7"}}, {{"ab"}, {"cd12"}}, {{"x y"}}},
+			[]byte{encUvarint, encHex, encRaw}, encRaw, nil},
+		{"a decimal dictionary only the union wins, in text order",
+			[][][]string{{{"1000000000"}, {"999999999"}}, {{"999999999"}, {"1000000000"}}, {{"1000000000"}, {"999999999"}}, {{"999999999"}, {"1000000000"}}},
+			[]byte{encUvarint, encUvarint, encUvarint, encUvarint}, encDict, []string{"1000000000", "999999999"}},
+		{"a text dictionary only the union wins",
+			[][][]string{{{"alpha"}, {"beta"}}, {{"beta"}, {"alpha"}}, {{"alpha"}, {"beta"}}},
+			[]byte{encRaw, encRaw, encRaw}, encDict, []string{"alpha", "beta"}},
+		{"a repeated key overwrites the row's only non-decimal value",
+			[][][]string{{{"6"}, {"x", "5"}, {"70"}}, {{"x y", "8"}}},
+			[]byte{encUvarint, encUvarint}, encUvarint, nil},
+		{"a repeated key overwrites the row's only non-hex value",
+			[][][]string{{{"ab"}, {"x", "cd"}}, {{"ee"}}},
+			[]byte{encHex, encHex}, encHex, nil},
+		{"20 digits at the uint64 edge",
+			[][][]string{{{"18446744073709551615"}, {"1"}}, {{"18446744073709551616"}}, {{"18446744073709551614"}}},
+			[]byte{encUvarint, encHex, encUvarint}, encRaw, nil},
+		{"a value with a leading zero",
+			[][][]string{{{"10"}, {"12"}}, {{"0012"}}, {{"0"}}},
+			[]byte{encUvarint, encHex, encUvarint}, encRaw, nil},
+		{"decimals widened to hex by a leading zero",
+			[][][]string{{{"10"}, {"12"}}, {{"0012"}}},
+			[]byte{encUvarint, encHex}, encHex, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var recs [][]byte
+			var cuts []byte
+			for i, rows := range tc.images {
+				var image [][]byte
+				for _, vals := range rows {
+					pairs := make([][2]string, len(vals))
+					for j, v := range vals {
+						pairs[j] = [2]string{"k", v}
+					}
+					image = append(image, wireMessage(&name, int64(len(recs)+len(image)), pairs...))
+				}
+				batch, err := ReadImage(imagePath, stageImage(t, image))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := detailsKey(t, &batch.Columns, "k").tag; got != tc.staged[i] {
+					t.Fatalf("staged image %d encodes k as %d, want %d", i, got, tc.staged[i])
+				}
+				batch.Release()
+				recs, cuts = append(recs, image...), append(cuts, byte(len(image)))
+			}
+			checkRechunk(t, recs, cuts, 1000)
+			fs, _ := onePass(t, recs, 1000)
+			b, err := loadChunk(fs, testChunk, All)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Release()
+			if kc := detailsKey(t, &b.Columns, "k"); kc.tag != tc.want || !slices.Equal(kc.dict, tc.dict) {
+				t.Fatalf("the seal encodes k as %d with dictionary %q, want %d with %q", kc.tag, kc.dict, tc.want, tc.dict)
+			}
+		})
+	}
+}
+
+// mergeAlphabet is FuzzDetailsMergeMatchesSeal's values: decimals, hex that
+// is not decimal, both, and neither, at the edges of each.
+var mergeAlphabet = []string{
+	"0", "7", "10", "12", "99", "1000000000", "999999999", "18446744073709551615",
+	"00", "0012", "ab", "cd12", "deadbeef", "18446744073709551616", "99999999999999999999",
+	"", "x", "AB", "en", "abc", "-1",
+}
+
+// FuzzDetailsMergeMatchesSeal: rows of details drawn from an alphabet that
+// straddles decimal, hex and raw, cut into staged images at fuzz-chosen
+// points and re-chunked at a fuzz-chosen chunk size, are byte for byte the
+// chunks one pass of AddRecord seals, whose every details dictionary is in
+// text order. Each byte of in is one pair: its low seven bits pick the key
+// of three and the value, and its high bit ends the row, so a row can
+// repeat a key.
+func FuzzDetailsMergeMatchesSeal(f *testing.F) {
+	f.Add([]byte{0x80, 0x83, 0x86, 0x89}, []byte{1}, uint8(3))
+	f.Add([]byte{3 * 8, 0x80 | 3*9, 3 * 4, 0x80 | 3*14, 0x80 | 3*15, 3 * 1, 0x80 | 1}, []byte{2, 1}, uint8(15))
+	f.Add([]byte{0x80 | 3*5, 0x80 | 3*6, 0x80 | 3*6, 0x80 | 3*5, 0x80 | 3*5, 0x80 | 3*6}, []byte{2}, uint8(15))
+	f.Add([]byte{3 * 17, 0x80 | 3*1, 0x80 | 3*2, 0x80 | 3*20, 0x80 | 3*9, 0x80 | 3*16}, []byte{3, 1}, uint8(2))
+	f.Fuzz(func(t *testing.T, in, cuts []byte, chunkRows uint8) {
+		name := "web:home:timeline:stream:tweet:impression"
+		var recs [][]byte
+		var pairs [][2]string
+		for i, c := range in {
+			v := int(c & 0x7f)
+			pairs = append(pairs, [2]string{"abc"[v%3 : v%3+1], mergeAlphabet[v/3%len(mergeAlphabet)]})
+			if c&0x80 != 0 || i == len(in)-1 {
+				recs = append(recs, wireMessage(&name, int64(len(recs)), pairs...))
+				pairs = pairs[:0]
+			}
+		}
+		checkRechunk(t, recs, cuts, 1+int(chunkRows%16))
+		fs, _ := onePass(t, recs, 1+int(chunkRows%16))
+		checkDetailsDicts(t, fs)
+	})
+}

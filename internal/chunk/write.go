@@ -319,7 +319,8 @@ func (b *Builder) AddRecord(rec []byte) error {
 // acceptance a full decode of every row applies, paid once per distinct
 // value — and a row that fails it is not added: the builder is as it was.
 // Details keep the meaning ClientEvent.Decode gives them: one value per
-// key, a repeated key keeping its last value.
+// key, a repeated key keeping its last value. Each details value is
+// classified once, here — decimal, hex or text — and held in that form.
 func (b *Builder) Add(h *events.Header, pairs []events.Pair) error {
 	nameID, err := b.name.nameID(h.Name)
 	if err != nil {
@@ -348,9 +349,11 @@ func (b *Builder) Add(h *events.Header, pairs []events.Pair) error {
 // staged image read back (ReadImage) — as AddRecord appends the records
 // they were sealed from, so a chunk cut from them is the bytes a one-pass
 // seal of those records writes. It walks no record: each dictionary entry
-// the rows use is numbered once, not once per row, and each details value
-// is appended as the bytes the wire held, a hex or decimal value written
-// back without becoming a string. The derived logged_in is derived again.
+// the rows use is numbered once, not once per row, and each details key
+// column is merged by its tag into the builder's typed store (details.go)
+// without rendering a value to text — a uvarint as its number, a hex value
+// as its bytes, a details dictionary entry classified once and appended
+// by ID. The derived logged_in is derived again.
 // A name the builder has not seen must pass events.ParseName, as in Add;
 // if one of cc's names fails, nothing is added and the error comes back.
 func (b *Builder) AddColumns(cc *Columns, lo, hi int) error {

@@ -262,3 +262,37 @@ func TestPrunedDayScanReadsOneBlockPerMeta(t *testing.T) {
 		t.Fatalf("%d bytes read, the markers hold %d", got, markerBytes)
 	}
 }
+
+// TestPrunedChunksCountWhenTheScanRuns: columnar.chunks.pruned counts the
+// chunks a selective scan's plan dropped each time the scan runs, beside
+// columnar.chunks.scanned: planning counts none, two runs count them twice,
+// and a plan never run counts none.
+func TestPrunedChunksCountWhenTheScanRuns(t *testing.T) {
+	fs, _ := buildDay(t, 6)
+	sealTestDay(t, fs, 32)
+	chunks := 0
+	for _, dir := range warehouse.HourDirs(fs, events.Category, testDay) {
+		chunks += mustSealedChunks(t, fs, dir)
+	}
+	pruned := func() int64 { return telemetry.Snapshot().Series["columnar.chunks.pruned"] }
+	sel := dataflow.Selection{NamePattern: "zzz:*"}
+	start := pruned()
+	d, err := LoadDay(dataflow.NewJob("pruned twice", fs), testDay, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadDay(dataflow.NewJob("never run", fs), testDay, sel); err != nil {
+		t.Fatal(err)
+	}
+	if got := pruned() - start; got != 0 {
+		t.Fatalf("planning counted %d pruned chunks", got)
+	}
+	for run := 1; run <= 2; run++ {
+		if rows, err := d.Tuples(); err != nil || len(rows) != 0 {
+			t.Fatalf("run %d: %d rows, %v", run, len(rows), err)
+		}
+		if got, want := pruned()-start, int64(run*chunks); got != want {
+			t.Fatalf("after run %d: %d pruned chunks counted, want %d", run, got, want)
+		}
+	}
+}

@@ -342,20 +342,23 @@ func (j *Job) Load(dir string, f InputFormat) (*Dataset, error) {
 }
 
 // splitsOf enumerates the splits of every existing directory, in order: a
-// directory whose listing finds nothing there is skipped.
-func (j *Job) splitsOf(dirs []string, f InputFormat) ([]Split, error) {
+// directory whose listing finds nothing there is skipped. plan lists one
+// directory, with the chunks it pruned, which splitsOf sums.
+func (j *Job) splitsOf(dirs []string, plan func(dir string) ([]Split, int, error)) ([]Split, int, error) {
 	var all []Split
+	pruned := 0
 	for _, dir := range dirs {
-		splits, err := f.Splits(j.FS, dir)
+		splits, n, err := plan(dir)
 		if errors.Is(err, hdfs.ErrNotFound) {
 			continue
 		}
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		all = append(all, splits...)
+		pruned += n
 	}
-	return all, nil
+	return all, pruned, nil
 }
 
 // scanSpec is the plan of a scan source: the format and the splits.

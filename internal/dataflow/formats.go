@@ -47,7 +47,8 @@ func walkSplits(fs *hdfs.FS, dir string) ([]Split, error) {
 //
 //  1. the manifest's zone map, at planning: Splits drops a chunk the
 //     predicate excludes, which no scan worker then sees and no byte of
-//     whose image is read (columnar.chunks.pruned);
+//     whose image is read (columnar.chunks.pruned, counted each time the
+//     planned scan runs);
 //  2. with a name pattern, its name section alone, whose sorted dictionary
 //     is matched only over the range of entries that start with the
 //     pattern's literal head (a binary search; Pattern.MatchesString
@@ -103,9 +104,16 @@ func (f ClientEventFormat) Schema() Schema {
 // listing, less the chunks whose zone maps prove the selection keeps none
 // of their rows.
 func (f ClientEventFormat) Splits(fs *hdfs.FS, dir string) ([]Split, error) {
+	splits, _, err := f.plan(fs, dir)
+	return splits, err
+}
+
+// plan is Splits, with the number of chunks it pruned, which a scan
+// counts in columnar.chunks.pruned each time it runs.
+func (f ClientEventFormat) plan(fs *hdfs.FS, dir string) ([]Split, int, error) {
 	chunks, rows, err := chunk.HourFiles(fs, dir)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	splits := make([]Split, 0, len(chunks)+len(rows))
 	pruned := 0
@@ -117,11 +125,10 @@ func (f ClientEventFormat) Splits(fs *hdfs.FS, dir string) ([]Split, error) {
 		}
 		splits = append(splits, Split{Path: chunk.Path(dir, i), Size: m.Size(), Meta: m})
 	}
-	tmChunksPruned.Add(int64(pruned))
 	for _, fi := range rows {
 		splits = append(splits, Split{Path: fi.Path, Size: fi.Size})
 	}
-	return splits, nil
+	return splits, pruned, nil
 }
 
 // ReadSplit implements InputFormat: the split's batch, filtered on the

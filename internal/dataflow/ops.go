@@ -50,7 +50,7 @@ func (d *Dataset) Project(cols ...string) (*Dataset, error) {
 		sel := d.scan.pushed.sel
 		sel.Columns = schema
 		if f, ok := pushdown(sel); ok {
-			return d.job.pushdownDataset(f, d.scan.splits), nil
+			return d.job.pushdownDataset(f, d.scan.splits, d.scan.pruned), nil
 		}
 	}
 	return &Dataset{job: d.job, schema: schema, cleanup: d.cleanup, open: func() (Iterator, error) {

@@ -35,19 +35,29 @@ func (s Selection) empty() bool {
 }
 
 // pushdownScan is the plan behind a bare scan of ClientEventFormat: its
-// splits and the format specialized to the selection. Project re-plans it
-// rather than wrapping it, over the same splits: the chunks the predicate
-// pruned from them stay pruned, since a projection keeps the predicate.
+// splits, the number of chunks the plan pruned from them, and the format
+// specialized to the selection. Project re-plans it rather than wrapping
+// it, over the same splits: the chunks the predicate pruned from them stay
+// pruned, since a projection keeps the predicate.
 type pushdownScan struct {
 	splits []Split
+	pruned int
 	pushed ClientEventFormat
 }
 
 // pushdownDataset plans a scan of splits by f, a ClientEventFormat
-// specialized to a selection.
-func (j *Job) pushdownDataset(f ClientEventFormat, splits []Split) *Dataset {
+// specialized to a selection, which pruned pruned chunks. Each run of the
+// scan counts them in columnar.chunks.pruned, as it counts the chunks it
+// reads in columnar.chunks.scanned; a plan never run counts none. (EachBatch
+// runs only a scan with no predicate, which prunes nothing.)
+func (j *Job) pushdownDataset(f ClientEventFormat, splits []Split, pruned int) *Dataset {
 	d := j.datasetForSplits(f, splits)
-	d.scan = &pushdownScan{splits: splits, pushed: f}
+	open := d.open
+	d.open = func() (Iterator, error) {
+		tmChunksPruned.Add(int64(pruned))
+		return open()
+	}
+	d.scan = &pushdownScan{splits: splits, pruned: pruned, pushed: f}
 	return d
 }
 
@@ -65,14 +75,19 @@ func (j *Job) pushdownDataset(f ClientEventFormat, splits []Split) *Dataset {
 func (j *Job) LoadDirsSelective(dirs []string, f InputFormat, sel Selection) (*Dataset, error) {
 	if _, ok := f.(ClientEventFormat); ok {
 		if pushed, ok := pushdown(sel); ok {
-			splits, err := j.splitsOf(dirs, pushed)
+			splits, pruned, err := j.splitsOf(dirs, func(dir string) ([]Split, int, error) {
+				return pushed.plan(j.FS, dir)
+			})
 			if err != nil {
 				return nil, err
 			}
-			return j.pushdownDataset(pushed, splits), nil
+			return j.pushdownDataset(pushed, splits, pruned), nil
 		}
 	}
-	splits, err := j.splitsOf(dirs, f)
+	splits, _, err := j.splitsOf(dirs, func(dir string) ([]Split, int, error) {
+		splits, err := f.Splits(j.FS, dir)
+		return splits, 0, err
+	})
 	if err != nil {
 		return nil, err
 	}

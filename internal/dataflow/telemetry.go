@@ -23,7 +23,8 @@ var (
 	// ClientEventFormat's chunks, named columnar.* because the benchmark
 	// reads them by those names. chunks.pruned / chunks.scanned is the
 	// zone-map hit ratio: a chunk is pruned when its scan is planned, from
-	// its hour's manifest, and costs no read of its own. chunks.dict_pruned counts the scanned chunks whose name
+	// its hour's manifest, and costs no read of its own; it is counted each
+	// time the planned scan runs. chunks.dict_pruned counts the scanned chunks whose name
 	// dictionary holds no entry the pattern matches: they read their name
 	// section and no other. rows.read counts the rows of the chunks scanned.
 	tmChunksScanned    = telemetry.GetCounter("columnar.chunks.scanned")

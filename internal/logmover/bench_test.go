@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"unilog/internal/columnar"
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
 	"unilog/internal/scribe"
@@ -88,4 +89,72 @@ func BenchmarkDeliverHour(b *testing.B) {
 	b.ReportMetric(float64(allocs)/n, "allocs/event")
 	b.ReportMetric(float64(staged)/n, "staging-B/event")
 	b.ReportMetric(float64(stored)/n, "stored-B/event")
+}
+
+// BenchmarkRechunkHour is the mover's re-chunk link alone: one generated
+// hour, staged as chunk images by two aggregators (not timed), is read back
+// and re-chunked into a fresh warehouse directory per iteration —
+// chunk.ReadImage, columnar.Sealer.AddColumns and Close, through the
+// mover's sealImage — with one Sealer across iterations, as a mover keeps
+// it. It reports the cost per event, ns and allocations.
+func BenchmarkRechunkHour(b *testing.B) {
+	cfg := workload.DefaultConfig(t0)
+	cfg.Users = 300
+	evs, _ := workload.New(cfg).Generate()
+	dc, err := scribe.NewDatacenter("dc1", hdfs.New(0), zk.NewManualClock(t0), 2, 3, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	day := cfg.Day.UnixMilli()
+	for j := range evs {
+		evs[j].Timestamp = t0.UnixMilli() + (evs[j].Timestamp-day)/24 // the day folded into one hour
+		dc.Daemons[j%len(dc.Daemons)].Log(events.Category, evs[j].Marshal())
+	}
+	if err := dc.SealHour([]string{events.Category}, t0); err != nil {
+		b.Fatal(err)
+	}
+	for _, d := range dc.Daemons {
+		d.Close()
+	}
+	dir := warehouse.StagingHourDir(events.Category, t0)
+	infos, err := dc.Staging.Walk(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var paths []string
+	var images [][]byte
+	for _, fi := range infos {
+		if fi.Path == dir+"/"+warehouse.SealedMarker {
+			continue
+		}
+		data, err := dc.Staging.ReadFile(fi.Path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		paths, images = append(paths, fi.Path), append(images, data)
+	}
+	hourDir := warehouse.HourDir(events.Category, t0)
+	sealer := columnar.NewSealer(hdfs.New(0), hourDir, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sealer.Reset(hdfs.New(0), hourDir)
+		var rows int64
+		for k, img := range images {
+			n, err := sealImage(sealer, paths[k], img)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows += n
+		}
+		if _, err := sealer.Close(); err != nil || rows != int64(len(evs)) {
+			b.Fatalf("re-chunked %d of %d rows: %v", rows, len(evs), err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N * len(evs))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/event")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/event")
 }

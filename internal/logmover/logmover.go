@@ -11,7 +11,10 @@
 //     the file and the column, and its rows, in source, file and row
 //     order, are re-chunked into columnar.DefaultChunkRows chunks
 //     (columnar.Sealer.AddColumns), byte for byte what a seal of the
-//     staged records writes, with no inflate and no record walk. Those
+//     staged records writes, with no inflate and no record walk; a
+//     details value is merged in the typed form its staged column holds
+//     it — a number, hex bytes, or text — and never rendered to text and
+//     parsed again. Those
 //     chunks, one image file each in the layout the aggregators staged,
 //     and their _col-SEALED marker are all the hour publishes. Any
 //     other category is staged as gzipped record streams: every member is

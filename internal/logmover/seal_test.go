@@ -16,6 +16,7 @@ import (
 	"unilog/internal/hdfs"
 	"unilog/internal/recordio"
 	"unilog/internal/scribe"
+	"unilog/internal/session"
 	"unilog/internal/telemetry"
 	"unilog/internal/thrift"
 	"unilog/internal/warehouse"
@@ -547,5 +548,41 @@ func TestCorruptImageFailsMove(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestMoverSealedDayRawBytes: the raw size the sequence job reports for a
+// day the mover published as chunks alone is the sum of the hour's chunk
+// images, without its _col-SEALED manifest.
+func TestMoverSealedDayRawBytes(t *testing.T) {
+	sources, msgs := stageDeliveredHour(t, 60)
+	wh := hdfs.New(0)
+	if moved, err := New(wh, sources...).MoveAllSealed(); err != nil || len(moved) == 0 || moved[0].Records != int64(len(msgs)) {
+		t.Fatalf("moved %+v: %v", moved, err)
+	}
+	dir := warehouse.HourDir(events.Category, t0)
+	infos, err := wh.Walk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var images int64
+	for _, fi := range infos {
+		switch {
+		case fi.Path == chunk.SealedPath(dir):
+			if fi.Size == 0 {
+				t.Fatalf("%s is empty", fi.Path)
+			}
+		case chunk.IsAuxiliary(fi.Path):
+			images += fi.Size
+		default:
+			t.Fatalf("%s: a row file in a mover-sealed hour", fi.Path)
+		}
+	}
+	_, _, stats, err := session.BuildDay(wh, t0.Truncate(24*time.Hour), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.RawBytes != images {
+		t.Fatalf("RawBytes = %d, the hour's chunk images hold %d", stats.RawBytes, images)
 	}
 }

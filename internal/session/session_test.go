@@ -453,9 +453,9 @@ func TestEncodeDecodePropertyOverDictionary(t *testing.T) {
 
 // TestRawBytesCountChunkOnlyHours: the raw size behind Ratio counts an
 // hour's row files, or, for an hour the log mover published as column
-// chunks alone, the files it holds. Hours 0 and 1 are chunks only, hour 2
-// is sealed with its rows kept (its rows count, not its chunks), hour 3 is
-// rows only.
+// chunks alone, its chunk images, and never the _col-SEALED manifest
+// beside them. Hours 0 and 1 are chunks only, hour 2 is sealed with its
+// rows kept (its rows count, not its chunks), hour 3 is rows only.
 func TestRawBytesCountChunkOnlyHours(t *testing.T) {
 	fs := hdfs.New(0)
 	w := warehouse.NewWriter(fs, events.Category)
@@ -483,6 +483,10 @@ func TestRawBytesCountChunkOnlyHours(t *testing.T) {
 			case h < 2 && !chunk.IsAuxiliary(fi.Path):
 				if err := fs.Delete(fi.Path, false); err != nil {
 					t.Fatal(err)
+				}
+			case fi.Path == chunk.SealedPath(dir):
+				if fi.Size == 0 {
+					t.Fatalf("%s is empty", fi.Path)
 				}
 			case h < 2 || !chunk.IsAuxiliary(fi.Path):
 				want += fi.Size

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"unilog/internal/chunk"
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
 	"unilog/internal/recordio"
@@ -245,13 +246,14 @@ func BuildDay(fs *hdfs.FS, day time.Time, sampleLimit int) (*Dictionary, *Histog
 
 // rawDaySize sums the on-disk size of the day's raw client-event logs:
 // each hour's row files, or, for an hour that has none because the log
-// mover published it as column chunks alone, the files it holds.
+// mover published it as column chunks alone, the chunk images its manifest
+// lists. The manifest itself is an index, not log data.
 func rawDaySize(fs *hdfs.FS, day time.Time) (int64, error) {
 	var total int64
 	for _, dir := range warehouse.HourDirs(fs, events.Category, day) {
 		sz, err := warehouse.DataSize(fs, dir)
 		if err == nil && sz == 0 {
-			sz, err = fs.TotalSize(dir)
+			sz, err = imagesSize(fs, dir)
 		}
 		if err != nil {
 			return 0, err
@@ -259,4 +261,18 @@ func rawDaySize(fs *hdfs.FS, day time.Time) (int64, error) {
 		total += sz
 	}
 	return total, nil
+}
+
+// imagesSize sums the chunk images of a sealed hour, as its manifest gives
+// them; an hour that is not sealed has none.
+func imagesSize(fs *hdfs.FS, dir string) (int64, error) {
+	chunks, err := chunk.ReadManifest(fs, dir)
+	if errors.Is(err, hdfs.ErrNotFound) {
+		return 0, nil
+	}
+	var total int64
+	for i := range chunks {
+		total += chunks[i].Size()
+	}
+	return total, err
 }
