@@ -3,7 +3,7 @@
 #
 # Runs unilog-demo with the /debug/unilog endpoint up and a post-run hold,
 # scrapes the endpoint while the process is alive, and asserts that the
-# JSON parses and that the eight load-bearing series are present and nonzero:
+# JSON parses and that the nine load-bearing series are present and nonzero:
 #
 #   realtime.ingest.events — the streaming path counted events
 #   events.names.entries   — the process-wide event-name table numbered names
@@ -19,6 +19,10 @@
 #                            path, the one path the mover has for them
 #   chunk.manifest.reads   — the demo's delivery count read the sealed hours'
 #                            row counts back from their manifests
+#   realtime.hours.rows    — the live counter's whole-hour reads summed hour
+#                            cells into the rows SumPaths reads: the demo's
+#                            mid-run TopK over the day so far (its -live
+#                            print at hours 8 and 16, on by default)
 #
 # Once the demo has finished its day (its "holding" line), the script also
 # requires the demo's three verdict lines in its log:
@@ -58,11 +62,11 @@ echo "metrics-smoke: building unilog-demo"
 go build -o "$OUT/unilog-demo" ./cmd/unilog-demo
 
 echo "metrics-smoke: starting unilog-demo with telemetry on :${PORT}"
-"$OUT/unilog-demo" -users 20 -live=false \
+"$OUT/unilog-demo" -users 20 \
   -http "127.0.0.1:${PORT}" -hold 90s >"$OUT/demo.log" 2>&1 &
 DEMO_PID=$!
 
-# Poll until the endpoint answers with nonzero values for all eight series
+# Poll until the endpoint answers with nonzero values for all nine series
 # and the demo has finished its day, or time out with a clear error. The
 # demo takes a few seconds to build its day of traffic and run the budgeted
 # rollup; POLL_SECONDS x 1s is generous for a cold CI box.
@@ -78,7 +82,8 @@ for i in $(seq 1 "$POLL_SECONDS"); do
            and .series["dataflow.spill.bytes"] > 0
            and .series["logmover.records"] > 0 and .series["columnar.seal.rows"] > 0
            and .series["logmover.files.sealed"] > 0
-           and .series["chunk.manifest.reads"] > 0' \
+           and .series["chunk.manifest.reads"] > 0
+           and .series["realtime.hours.rows"] > 0' \
       "$OUT/snap.json" >/dev/null 2>&1 && grep -q '^holding ' "$OUT/demo.log"; then
     for verdict in '^reconcile .*: OK' 'exactly once: true' 'jump-free: true'; do
       if ! grep -q "$verdict" "$OUT/demo.log"; then
@@ -97,6 +102,7 @@ for i in $(seq 1 "$POLL_SECONDS"); do
           "columnar.seal.rows": .series["columnar.seal.rows"],
           "logmover.files.sealed": .series["logmover.files.sealed"],
           "chunk.manifest.reads": .series["chunk.manifest.reads"],
+          "realtime.hours.rows": .series["realtime.hours.rows"],
           series_total: (.series | length),
           histograms_total: (.histograms | length) }' "$OUT/snap.json"
     exit 0

@@ -323,12 +323,15 @@
 // RollupSnapshot and RollupTotal sum leaves and expand each distinct one
 // into its five rows. Each shard also keeps its hour sums path-major: one
 // row per path, one entry per cell of a short ring of hour cells, a cell
-// marked stale by the write that dirties a clean minute of its hour.
+// marked stale by the write that dirties a clean minute of its hour, and a
+// dense row index, a slice indexed by path ID like the counted-path bitset.
 // PathSum and TopK share one read kernel, Counter.SumPaths, that takes
 // every hour a window covers whole from the rows (a stale cell's column
 // rebuilt first; realtime.derive.hours counts the rebuilds,
 // realtime.hours.rows the rows) and reads minutes only at the window's
-// edges, so a day-window read is one row lookup per path per shard. Reads
+// edges, so a day-window read is one slice index per path per shard and a
+// sum of its row's run of cells in a local, walked, like the edge minutes
+// and Series' minutes, by a wrapping index with no division. Reads
 // are clamped to the live minutes, from the retention horizon to the newest
 // minute applied; since no minute past that one holds a count, a window
 // that runs to the end of its hour or beyond reads that hour whole from its

@@ -668,6 +668,22 @@ var corruptions = []corruption{
 	{"details dict id out of range", "details", func(t testing.TB, b []byte) []byte {
 		return withKeyRecord(t, b, "lang", encDict, func(h *keyHeader) { h.values[len(h.values)-1] = 7 })
 	}, recordio.ErrCorrupt},
+	{"details dict out of order", "details", func(t testing.TB, b []byte) []byte {
+		return withKeyRecord(t, b, "lang", encDict, func(h *keyHeader) {
+			c := recordio.NewCursor(h.values)
+			size := c.Count("dict size")
+			dict := make([][]byte, size, size+1)
+			for i := range dict {
+				dict[i] = c.Bytes("dict entry")
+			}
+			dict = append(dict, []byte("de")) // after "en": the IDs stay in range
+			vals := binary.AppendUvarint(nil, uint64(len(dict)))
+			for _, e := range dict {
+				vals = appendString(vals, e)
+			}
+			h.values = append(vals, h.values[len(h.values)-c.Remaining():]...)
+		})
+	}, recordio.ErrCorrupt},
 	{"details short hex vector", "details", func(t testing.TB, b []byte) []byte {
 		return withKeyRecord(t, b, "trace", encHex, func(h *keyHeader) { h.values = h.values[:len(h.values)-3] })
 	}, recordio.ErrCorrupt},

@@ -532,8 +532,9 @@ func (d *detailsBuilder) choose(k *keyValues) byte {
 // dictionary holds them in fewer than best bytes. It stops as soon as the
 // bytes it has counted — every ID and the dictionary's size at one byte
 // each, and the entries seen so far — reach best, so a key of unique values
-// is not numbered to the end. Values are hashed and compared as they are
-// held, numbers as numbers, and ordered by their text.
+// is not numbered to the end. A value equal to the one before it takes
+// that one's ID unhashed; others are hashed and compared as they are held,
+// numbers as numbers. The dictionary is ordered by their text.
 func (d *detailsBuilder) dictSmaller(k *keyValues, best int) bool {
 	n := len(k.rows)
 	size := n + 1
@@ -548,6 +549,10 @@ func (d *detailsBuilder) dictSmaller(k *keyValues, best int) bool {
 	mask := uint64(slots - 1)
 	d.ids, d.first = d.ids[:0], d.first[:0]
 	for i := range n {
+		if i > 0 && k.same(i-1, i) {
+			d.ids = append(d.ids, d.ids[i-1])
+			continue
+		}
 		slot := k.hash(i) & mask
 		for d.table[slot] != 0 && !k.same(int(d.table[slot]-1), i) {
 			slot = (slot + 1) & mask
@@ -849,6 +854,11 @@ func (kc *keyColumn) decode(rec []byte, rows int) error {
 			l := len(c.Bytes("details dict entry"))
 			end := len(kc.rec) - c.Remaining()
 			kc.dict[i] = kc.rec[end-l : end]
+			// The encoder writes the entries strictly increasing, as
+			// decodeDict requires of a column's dictionary.
+			if c.Ok() && i > 0 && kc.dict[i] <= kc.dict[i-1] {
+				return fmt.Errorf("%w: details dict entries out of order at %d", recordio.ErrCorrupt, i)
+			}
 		}
 	}
 	for row := range kc.at {

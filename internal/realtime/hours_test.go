@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"unilog/internal/events"
 )
 
 // hourRun drives refGen through stretches whose minutes follow a moving
@@ -208,6 +210,102 @@ func TestHourCellsMatchReference(t *testing.T) {
 			}
 			r.covered(c)
 		})
+	}
+}
+
+// TestSumPathsAcrossCellWrap: a 90-minute retention gives each shard three
+// hour cells and a 90-slot ring, and t0's Unix hour is the last cell, so a
+// window of t0's hour and the next reads a run of every row that wraps from
+// the last cell to the first, and later reads walk past the ring's last
+// slot. PathSum, TopK and Series over such windows answer as the per-minute
+// reference does, and so do reads of a path whose ID lies above every row
+// its shard has made, and of events.NoParent, which no counter counts.
+func TestSumPathsAcrossCellWrap(t *testing.T) {
+	const retention = 90 * time.Minute
+	r := newHourRun(t, 20120826, retention)
+	c := newCounter(t, Config{Shards: 3, Retention: retention, MaxBatch: 64})
+	h0 := r.first / 60 // the first stretch writes minutes [h0*60, h0*60+90)
+	if nh := int64(len(c.shards[0].hours)); nh != 3 || h0%nh != nh-1 {
+		t.Fatalf("t0's hour %d lands in cell %d of %d, want the last of 3", h0, h0%nh, nh)
+	}
+	at := func(m int64) time.Time { return time.Unix(m*60, 0) }
+	r.stretch(0, 600, c)
+	newest := c.maxMinute.Load()
+	horizon := newest - r.buckets + 1
+	check := func(a, z int64) {
+		t.Helper()
+		lo, hi := max(a, horizon), min(z, newest+1)
+		for _, path := range []string{"web", "iphone:home", "android:search:mentions"} {
+			if got, want := c.PathSum(path, at(a), at(z)), r.g.ref.sum(path, lo, hi); got != want {
+				t.Errorf("PathSum(%q, [%d, %d) from h0) = %d, want %d", path, a-h0*60, z-h0*60, got, want)
+			}
+		}
+		for _, parent := range []string{"", "web", "iphone:home"} {
+			if got, want := c.TopK(parent, 3, at(a), at(z)), refTopK(r.g.ref, parent, 3, lo, hi); !reflect.DeepEqual(got, want) {
+				t.Errorf("TopK(%q, [%d, %d) from h0) = %v, want %v", parent, a-h0*60, z-h0*60, got, want)
+			}
+		}
+	}
+	for _, w := range [][2]int64{{0, 120}, {-60, 120}, {0, 180}, {-h0 * 60 % 1440, 1440 - h0*60%1440}} {
+		check(h0*60+w[0], h0*60+w[1])
+	}
+	for i, s := range c.shards {
+		if s.hours[2].minute != h0*60 || s.hours[0].minute != (h0+1)*60 {
+			t.Fatalf("shard %d's cells hold hours from minutes %d and %d, want h0 in the last and h0+1 in the first", i, s.hours[2].minute, s.hours[0].minute)
+		}
+	}
+
+	// A name new to the process, written into the open hour after its cell
+	// was summed: its paths have the highest IDs and no row yet, so a window
+	// of h0 whole and that hour's first minutes finds them past the row
+	// index and counts them from the edge minutes alone.
+	const fresh = "web:home:cellwrap:stream:tweet:impression"
+	c.Ingest(ev(fresh, at(h0*60+65), 1, "us"))
+	c.Sync()
+	r.g.ref.addPaths(fresh, h0*60+65)
+	entry, _ := events.Lookup(fresh)
+	s := c.shards[c.shardOf(entry)]
+	for _, id := range entry.Prefix[2:] {
+		if int(id) < len(s.hourRow.slot) {
+			t.Fatalf("path ID %d of %q lies inside its shard's row index (%d)", id, fresh, len(s.hourRow.slot))
+		}
+	}
+	check(h0*60, h0*60+70)
+	if got := c.PathSum("web:home:cellwrap", at(h0*60), at(h0*60+70)); got != 1 {
+		t.Errorf("PathSum of the fresh name's section = %d, want 1", got)
+	}
+	check(h0*60, h0*60+120) // sums the open hour again: now the fresh paths have rows
+	if got := c.PathSum("web:home:cellwrap", at(h0*60), at(h0*60+120)); got != 1 {
+		t.Errorf("PathSum of the fresh name's section over both hours = %d, want 1", got)
+	}
+
+	// Ninety minutes on, ring slot 0 holds minute 150 from h0, half-way
+	// through hour h0+2, so that hour's sum, the edge minutes of a window
+	// across minute 150 and the Series across it walk past the ring's end.
+	if (h0*60+150)%r.buckets != 0 {
+		t.Fatalf("minute 150 from h0 is in ring slot %d, want 0", (h0*60+150)%r.buckets)
+	}
+	r.stretch(90, 600, c)
+	newest = c.maxMinute.Load()
+	horizon = newest - r.buckets + 1
+	check(h0*60+120, h0*60+180)
+	check(h0*60+140, h0*60+160)
+	for _, path := range []string{"web", "iphone:home"} {
+		a, z := h0*60+140, h0*60+160
+		want := make([]int64, z-a)
+		for m := max(a, horizon); m < min(z, newest+1); m++ {
+			want[m-a] = r.g.ref.minute[path][m]
+		}
+		if got := c.Series(path, at(a), at(z)); !reflect.DeepEqual(got, want) {
+			t.Errorf("Series(%q) across ring slot 0 = %v, want %v", path, got, want)
+		}
+	}
+
+	web, _ := events.PathID("web")
+	out := []int64{7, 0}
+	c.SumPaths([]uint32{events.NoParent, web}, at(h0*60), at(h0*60+180), out)
+	if want := r.g.ref.sum("web", horizon, newest+1); out[0] != 7 || out[1] != want {
+		t.Errorf("SumPaths(NoParent, web) added %v, want [0 %d]", []int64{out[0] - 7, out[1]}, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package realtime
 
 import (
 	"cmp"
+	"iter"
 	"slices"
 	"strings"
 	"time"
@@ -22,8 +23,7 @@ import (
 // minuteRange converts a [from, to) time window to a half-open Unix-minute
 // interval, widening to to's enclosing minute when to is mid-minute.
 func minuteRange(from, to time.Time) (int64, int64) {
-	fm := from.Unix() / 60
-	tm := to.Unix() / 60
+	fm, tm := from.Unix()/60, to.Unix()/60
 	if to.Unix()%60 != 0 {
 		tm++
 	}
@@ -35,7 +35,7 @@ func minuteRange(from, to time.Time) (int64, int64) {
 // retention horizon is not live even while its slot is unrecycled — writes
 // there are dropped, so reads there are empty (Config.Retention) — and
 // nothing lies beyond the newest minute applied. What is left is at most a
-// ring long, so each minute's slot is probed by index.
+// ring long, for shard.minutes to walk.
 func (c *Counter) liveMinutes(from, to time.Time) (int64, int64) {
 	fm, tm := minuteRange(from, to)
 	newest := c.maxMinute.Load()
@@ -72,29 +72,26 @@ func (r *readCost) record() {
 	}
 }
 
-// forEachBucket invokes fn under the shard lock for every live minute
-// bucket in the window (liveMinutes). With prefixes set, a bucket written
-// since it was last read that way is derived first, and a clean bucket
-// costs what it always has; without, nothing is derived: a rollup question
-// must not pay for (or hide the staleness of) a cache it does not use.
-func (c *Counter) forEachBucket(from, to time.Time, prefixes bool, fn func(*bucket)) {
-	fm, tm := c.liveMinutes(from, to)
-	var cost readCost
-	for _, s := range c.shards {
-		s.mu.Lock()
-		cost.names = nil
-		n := int64(len(s.ring))
-		for m := fm; m < tm; m++ {
-			if b := &s.ring[m%n]; b.minute == m {
-				if prefixes && b.stale {
+// minutes yields the live bucket of each minute in [from, to), at most a
+// ring long, stepping through the slots after the first without a division;
+// with cost set, a stale bucket is derived first. Callers hold the lock.
+func (s *shard) minutes(from, to int64, cost *readCost) iter.Seq[*bucket] {
+	return func(yield func(*bucket) bool) {
+		slot := int(from % int64(len(s.ring)))
+		for m := from; m < to; m++ {
+			if b := &s.ring[slot]; b.minute == m {
+				if cost != nil && b.stale {
 					cost.derive(b)
 				}
-				fn(b)
+				if !yield(b) {
+					return
+				}
+			}
+			if slot++; slot == len(s.ring) {
+				slot = 0
 			}
 		}
-		s.mu.Unlock()
 	}
-	cost.record()
 }
 
 // SumPaths adds each path's count over [from, to) to out, index for index
@@ -102,12 +99,12 @@ func (c *Counter) forEachBucket(from, to time.Time, prefixes bool, fn func(*buck
 // PathSum, TopK and a cluster node's scatter reads. Per shard, under its
 // lock, it rebuilds each whole hour of the window whose cell is stale or
 // holds another hour (sumHour) and derives each stale edge minute; then a
-// path costs one row lookup, a sum over a run of its row, and a map probe
-// per live edge minute. No minute past the newest holds a count, so a window
-// that runs to the end of the newest minute's hour or beyond takes that hour
-// whole; edge minutes are those of a window starting mid-hour or behind the
-// horizon and of one ending mid-hour before the newest minute's hour ends:
-// at most 59 either side, 118 if it spans no whole hour.
+// path costs an index into hourRow, a sum in locals over a run of its row,
+// and a table read per live edge minute. No minute past the newest holds a
+// count, so a window that runs to the end of the newest minute's hour or
+// beyond takes that hour whole; edge minutes, those of a window starting
+// mid-hour or behind the horizon or ending mid-hour before the newest
+// minute's hour ends, are at most 59 either side, 118 if it spans no hour.
 func (c *Counter) SumPaths(ids []uint32, from, to time.Time, out []int64) {
 	if !slices.ContainsFunc(ids, c.tab.counted) {
 		return
@@ -116,103 +113,105 @@ func (c *Counter) SumPaths(ids []uint32, from, to time.Time, out []int64) {
 	if _, end := minuteRange(from, to); fm < tm && end >= (tm+59)/60*60 {
 		tm = (tm + 59) / 60 * 60
 	}
-	// The whole hours are [hf, ht); edges holds the minutes either side.
+	// The whole hours are [hf, ht), the edge minutes either side of them.
 	hf, ht := (fm+59)/60*60, tm-tm%60
 	if hf >= ht {
 		hf, ht = tm, tm
 	}
-	edges := [2][2]int64{{fm, hf}, {ht, tm}}
 	var cost readCost
 	var edgeBuf [118]*bucket
 	for _, s := range c.shards {
 		s.mu.Lock()
 		cost.names = nil
-		n, nh := int64(len(s.ring)), int64(len(s.hours))
-		for m := hf; m < ht; m += 60 {
-			if h := m / 60 % nh; s.hours[h] != (hourCell{minute: m}) {
+		nh, h0 := len(s.hours), int(hf/60%int64(len(s.hours)))
+		for h, m := h0, hf; m < ht; m += 60 {
+			if s.hours[h] != (hourCell{minute: m}) {
 				t0, spent := time.Now(), cost.spent
-				c.sumHour(s, int(h), m, &cost)
+				c.sumHour(s, h, m, &cost)
 				cost.spent = spent + time.Since(t0)
 			}
-		}
-		live := edgeBuf[:0]
-		for _, e := range edges {
-			for m := e[0]; m < e[1]; m++ {
-				if b := &s.ring[m%n]; b.minute == m {
-					if b.stale {
-						cost.derive(b)
-					}
-					live = append(live, b)
-				}
+			if h++; h == nh {
+				h = 0
 			}
 		}
-		h0, end := int(hf/60%nh), int(hf/60%nh+(ht-hf)/60)
+		live := slices.AppendSeq(edgeBuf[:0], s.minutes(fm, hf, &cost))
+		live = slices.AppendSeq(live, s.minutes(ht, tm, &cost))
+		end := h0 + int(ht-hf)/60
 		for i, id := range ids {
 			if !c.tab.counted(id) {
 				continue
 			}
-			if r, ok := s.hourRow[id]; ok {
-				row := s.hourSum[int(r)*int(nh):][:nh]
-				for _, v := range row[h0:min(end, int(nh))] {
-					out[i] += v
-				}
-				for _, v := range row[:max(end-int(nh), 0)] {
-					out[i] += v
-				}
+			var sum int64
+			if r, ok := s.hourRow.find(id); ok {
+				row := s.hourSum[int(r)*nh:][:nh]
+				sum = sumRun(row[h0:min(end, nh)]) + sumRun(row[:max(end-nh, 0)])
 			}
 			for _, b := range live {
-				out[i] += b.prefix[id]
+				sum += b.prefix[b.prefix.slot(id)].count
 			}
+			out[i] += sum
 		}
 		s.mu.Unlock()
 	}
 	cost.record()
 }
 
+// sumRun sums a run of hour cells four at a time, so no add waits on the last.
+func sumRun(r []int64) int64 {
+	var a, b, c, d int64
+	for ; len(r) >= 4; r = r[4:] {
+		a, b, c, d = a+r[0], b+r[1], c+r[2], d+r[3]
+	}
+	for _, v := range r {
+		a += v
+	}
+	return a + b + c + d
+}
+
 // sumHour rebuilds hour cell h as the hour starting at minute first, which
 // it claims: it zeroes column h of every row, then adds in each live
 // minute's prefix cache, derived first if stale, giving a path seen for the
-// first time a new zeroed row. Rows are never removed. Callers hold the
-// shard lock.
+// first time a new zeroed row after the others. Rows are never removed.
+// Callers hold the shard lock.
 func (c *Counter) sumHour(s *shard, h int, first int64, cost *readCost) {
-	nh, rows, n := len(s.hours), len(s.hourRow), int64(len(s.ring))
+	nh, rows := len(s.hours), s.hourRow.n
 	for i := h; i < len(s.hourSum); i += nh {
 		s.hourSum[i] = 0
 	}
-	for m := first; m < first+60; m++ {
-		b := &s.ring[m%n]
-		if b.minute != m {
-			continue
-		}
-		if b.stale {
-			cost.derive(b)
-		}
-		for id, v := range b.prefix {
-			r, ok := s.hourRow[id]
-			if !ok {
-				r = int32(len(s.hourRow))
-				s.hourRow[id] = r
+	for b := range s.minutes(first, first+60, cost) {
+		for _, p := range b.prefix {
+			if p.path == 0 {
+				continue
+			}
+			if s.hourRow.add(p.path - 1) {
 				s.hourSum = append(s.hourSum, make([]int64, nh)...)
 			}
-			s.hourSum[int(r)*nh+h] += v
+			s.hourSum[int(s.hourRow.local(p.path-1))*nh+h] += p.count
 		}
 	}
 	s.hours[h] = hourCell{minute: first}
 	cost.hours++
-	if added := len(s.hourRow) - rows; added > 0 {
+	if added := s.hourRow.n - rows; added > 0 {
 		tmHourRows.Set(c.hourRows.Add(int64(added)))
 	}
 }
 
 // leafTotals sums the leaves of every live bucket in the window — what
-// both rollup readers expand. It never derives a prefix cache.
+// both rollup readers expand. It never derives a prefix cache: a rollup
+// question must not pay for (or hide the staleness of) a cache it does not
+// use.
 func (c *Counter) leafTotals(from, to time.Time) map[uint64]int64 {
 	acc := make(map[uint64]int64)
-	c.forEachBucket(from, to, false, func(b *bucket) {
-		for k, n := range b.leaf {
-			acc[k] += n
+	fm, tm := c.liveMinutes(from, to)
+	for _, s := range c.shards {
+		s.mu.Lock()
+		for b := range s.minutes(fm, tm, nil) {
+			for k, n := range b.leaf {
+				acc[k] += n
+			}
 		}
-	})
+		s.mu.Unlock()
+	}
 	return acc
 }
 
@@ -252,9 +251,17 @@ func (c *Counter) AddSeries(path string, from, to time.Time, out []int64) []int6
 	if !ok || !c.tab.counted(id) {
 		return out
 	}
-	c.forEachBucket(from, to, true, func(b *bucket) {
-		out[b.minute-fm] += b.prefix[id]
-	})
+	var cost readCost
+	lo, hi := c.liveMinutes(from, to)
+	for _, s := range c.shards {
+		s.mu.Lock()
+		cost.names = nil
+		for b := range s.minutes(lo, hi, &cost) {
+			out[b.minute-fm] += b.prefix[b.prefix.slot(id)].count
+		}
+		s.mu.Unlock()
+	}
+	cost.record()
 	return out
 }
 
@@ -294,7 +301,10 @@ func RankChildren(children []uint32, counts []int64, k int) []PathCount {
 	}
 	paths := events.Paths()
 	slices.SortFunc(order, func(a, b int) int {
-		return cmp.Or(cmp.Compare(counts[b], counts[a]), strings.Compare(paths[children[a]], paths[children[b]]))
+		if counts[a] != counts[b] {
+			return cmp.Compare(counts[b], counts[a])
+		}
+		return strings.Compare(paths[children[a]], paths[children[b]])
 	})
 	top := make([]PathCount, min(k, len(order)))
 	for j, i := range order[:len(top)] {

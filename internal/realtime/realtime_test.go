@@ -154,6 +154,26 @@ func TestTopK(t *testing.T) {
 	if got := c.TopK("ipad", 3, from, to); len(got) != 0 {
 		t.Errorf("TopK(ipad) = %v, want empty", got)
 	}
+
+	// RankChildren breaks every tie by path, whatever order the children
+	// come in, and compares paths only between equal counts.
+	var ids []uint32
+	for _, p := range []string{"web", "iphone", "android"} {
+		id, _ := events.PathID(p)
+		ids = append(ids, id)
+	}
+	for _, tc := range []struct {
+		counts []int64
+		want   []PathCount
+	}{
+		{[]int64{40, 40, 40}, []PathCount{{"android", 40}, {"iphone", 40}, {"web", 40}}},
+		{[]int64{40, 40, 100}, []PathCount{{"android", 100}, {"iphone", 40}, {"web", 40}}},
+		{[]int64{7, 40, 40}, []PathCount{{"android", 40}, {"iphone", 40}, {"web", 7}}},
+	} {
+		if got := RankChildren(ids, tc.counts, 3); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("RankChildren(web, iphone, android: %v) = %v, want %v", tc.counts, got, tc.want)
+		}
+	}
 }
 
 // A parent with more children than a bucket has cells: each action lands in

@@ -57,8 +57,8 @@ var (
 	tmDeriveNs      = telemetry.GetHistogram("realtime.derive.ns")
 
 	// realtime.hours.rows is the hour rows of the counter that last summed
-	// an hour: one row per path per shard, len(hours) × 8 B each. Rows are
-	// never removed, so it grows with the name table (ROADMAP I).
+	// an hour: one row per path per shard, len(hours) × 8 B each, plus 4 B
+	// per path ID of the row index. Neither shrinks (ROADMAP I).
 	tmHourRows = telemetry.GetGauge("realtime.hours.rows")
 )
 
