@@ -301,6 +301,9 @@ func TestSumPathsAcrossCellWrap(t *testing.T) {
 		}
 	}
 
+	if got := c.PathSum("web", time.Unix(-100000, 0), time.Unix(-7200, 0)); got != 0 {
+		t.Errorf("PathSum over a pre-epoch window = %d, want 0", got)
+	}
 	web, _ := events.PathID("web")
 	out := []int64{7, 0}
 	c.SumPaths([]uint32{events.NoParent, web}, at(h0*60), at(h0*60+180), out)

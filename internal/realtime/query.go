@@ -110,7 +110,10 @@ func (c *Counter) SumPaths(ids []uint32, from, to time.Time, out []int64) {
 		return
 	}
 	fm, tm := c.liveMinutes(from, to)
-	if _, end := minuteRange(from, to); fm < tm && end >= (tm+59)/60*60 {
+	if fm >= tm { // nothing live: a pre-epoch window would index no cell
+		return
+	}
+	if _, end := minuteRange(from, to); end >= (tm+59)/60*60 {
 		tm = (tm + 59) / 60 * 60
 	}
 	// The whole hours are [hf, ht), the edge minutes either side of them.
