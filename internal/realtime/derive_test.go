@@ -1,10 +1,8 @@
 package realtime
 
 import (
-	"fmt"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -40,72 +38,15 @@ func TestPrefixCacheFollowsWrites(t *testing.T) {
 		t.Errorf("RollupSnapshot has %d rows, want %d", got, events.NumRollupLevels)
 	}
 	webHome, _ := events.PathID("web:home")
-	if !b.stale || b.prefix[b.prefix.slot(webHome)].count != 1 {
+	if !b.stale || b.prefix[webHome] != 1 {
 		t.Fatalf("a rollup read derived the prefix cache (stale = %v, cached web:home = %d)",
-			b.stale, b.prefix[b.prefix.slot(webHome)].count)
+			b.stale, b.prefix[webHome])
 	}
 	if got := c.PathSum("web:home", from, to); got != 2 || b.stale {
 		t.Fatalf("second read: PathSum = %d (want 2), stale = %v (want derived)", got, b.stale)
 	}
 	if got := c.Series("web", from, to); !reflect.DeepEqual(got, []int64{2}) {
 		t.Errorf("Series = %v, want [2]", got)
-	}
-}
-
-// TestPrefixTableSizes: a bucket's prefix table is sized from its leaves
-// when it is derived, grows when a later write adds leaves, and is reused,
-// cut to the smaller size, when a new minute recycles the slot. Every
-// prefix of every name reads back its count each time, as do paths the
-// bucket holds none of.
-func TestPrefixTableSizes(t *testing.T) {
-	c := newCounter(t, Config{Shards: 1, Retention: 2 * time.Minute})
-	m0 := t0.Unix() / 60
-	at := func(m int64) time.Time { return time.Unix(m*60, 0) }
-	want, last := map[string]int64{}, m0
-	write := func(m int64, names int) {
-		if m != last {
-			clear(want) // the slot's old minute is gone
-			last = m
-		}
-		for i := range names {
-			name := fmt.Sprintf("c%d:p%d:s%d:stream:e%d:a%d", i%7, i%13, i, i%3, i%5)
-			c.Ingest(ev(name, at(m), 1, "us"))
-			parts := strings.Split(name, ":")
-			for d := 1; d <= len(parts); d++ {
-				want[strings.Join(parts[:d], ":")]++
-			}
-		}
-		c.Sync()
-	}
-	check := func(m int64, size int) {
-		t.Helper()
-		for p, n := range want {
-			if got := c.PathSum(p, at(m), at(m+1)); got != n {
-				t.Fatalf("PathSum(%q) = %d, want %d", p, got, n)
-			}
-		}
-		for _, p := range []string{"c0:p1", "c9", "web:home"} {
-			if got := c.Series(p, at(m), at(m+1)); !reflect.DeepEqual(got, []int64{want[p]}) {
-				t.Fatalf("Series(%q) = %v, want [%d]", p, got, want[p])
-			}
-		}
-		if b := &c.shards[0].ring[m%2]; len(b.prefix) != size {
-			t.Fatalf("the bucket's table has %d slots, want %d", len(b.prefix), size)
-		}
-	}
-	for _, step := range []struct {
-		minute      int64
-		names, size int
-	}{
-		{m0, 1, 8},         // six paths at most
-		{m0, 60, 512},      // 60 leaves, so 360 paths at most
-		{m0, 120, 1024},    // 720: a power of two, not an append's growth
-		{m0, 200, 2048},    // 1200
-		{m0 + 2, 3, 32},    // the recycled slot's table, cut to 18 paths
-		{m0 + 4, 90, 1024}, // and grown back within its capacity
-	} {
-		write(step.minute, step.names)
-		check(step.minute, step.size)
 	}
 }
 

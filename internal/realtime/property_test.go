@@ -2,11 +2,11 @@ package realtime
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -343,14 +343,14 @@ func snapshotLeaves(t *testing.T, path string) map[int64]map[analytics.RollupKey
 }
 
 // cacheStates copies every live bucket's stale mark and prefix cache.
-func cacheStates(c *Counter) (stale map[[2]int64]bool, prefix map[[2]int64]prefixTable) {
-	stale, prefix = map[[2]int64]bool{}, map[[2]int64]prefixTable{}
+func cacheStates(c *Counter) (stale map[[2]int64]bool, prefix map[[2]int64]map[uint32]int64) {
+	stale, prefix = map[[2]int64]bool{}, map[[2]int64]map[uint32]int64{}
 	for i, s := range c.shards {
 		s.mu.Lock()
 		for j := range s.ring {
 			if b := &s.ring[j]; b.leaf != nil {
 				at := [2]int64{int64(i), b.minute}
-				stale[at], prefix[at] = b.stale, slices.Clone(b.prefix)
+				stale[at], prefix[at] = b.stale, maps.Clone(b.prefix)
 			}
 		}
 		s.mu.Unlock()

@@ -23,7 +23,8 @@ import (
 // minuteRange converts a [from, to) time window to a half-open Unix-minute
 // interval, widening to to's enclosing minute when to is mid-minute.
 func minuteRange(from, to time.Time) (int64, int64) {
-	fm, tm := from.Unix()/60, to.Unix()/60
+	fm := from.Unix() / 60
+	tm := to.Unix() / 60
 	if to.Unix()%60 != 0 {
 		tm++
 	}
@@ -72,9 +73,9 @@ func (r *readCost) record() {
 	}
 }
 
-// minutes yields the live bucket of each minute in [from, to), at most a
-// ring long, stepping through the slots after the first without a division;
-// with cost set, a stale bucket is derived first. Callers hold the lock.
+// minutes yields the bucket of each minute in [from, to) that its slot
+// holds, walking at most a ring's slots with no division, derived first if
+// stale and cost is set. Callers hold the shard lock.
 func (s *shard) minutes(from, to int64, cost *readCost) iter.Seq[*bucket] {
 	return func(yield func(*bucket) bool) {
 		slot := int(from % int64(len(s.ring)))
@@ -99,18 +100,15 @@ func (s *shard) minutes(from, to int64, cost *readCost) iter.Seq[*bucket] {
 // PathSum, TopK and a cluster node's scatter reads. Per shard, under its
 // lock, it rebuilds each whole hour of the window whose cell is stale or
 // holds another hour (sumHour) and derives each stale edge minute; then a
-// path costs an index into hourRow, a sum in locals over a run of its row,
-// and a table read per live edge minute. No minute past the newest holds a
-// count, so a window that runs to the end of the newest minute's hour or
-// beyond takes that hour whole; edge minutes, those of a window starting
-// mid-hour or behind the horizon or ending mid-hour before the newest
-// minute's hour ends, are at most 59 either side, 118 if it spans no hour.
+// path costs a slice index, a local sum of a run of its row, a map probe
+// per live edge minute. No minute past the newest holds a count, so a window
+// that runs to the end of the newest minute's hour or beyond takes that hour
+// whole; edge minutes are those of a window starting mid-hour or behind the
+// horizon and of one ending mid-hour before the newest minute's hour ends:
+// at most 59 either side, 118 if it spans no whole hour.
 func (c *Counter) SumPaths(ids []uint32, from, to time.Time, out []int64) {
-	if !slices.ContainsFunc(ids, c.tab.counted) {
-		return
-	}
 	fm, tm := c.liveMinutes(from, to)
-	if fm >= tm { // nothing live: a pre-epoch window would index no cell
+	if fm >= tm || !slices.ContainsFunc(ids, c.tab.counted) {
 		return
 	}
 	if _, end := minuteRange(from, to); end >= (tm+59)/60*60 {
@@ -145,12 +143,12 @@ func (c *Counter) SumPaths(ids []uint32, from, to time.Time, out []int64) {
 				continue
 			}
 			var sum int64
-			if r, ok := s.hourRow.find(id); ok {
-				row := s.hourSum[int(r)*nh:][:nh]
+			if int(id) < len(s.hourRow.slot) && s.hourRow.slot[id] != 0 {
+				row := s.hourSum[int(s.hourRow.local(id))*nh:][:nh]
 				sum = sumRun(row[h0:min(end, nh)]) + sumRun(row[:max(end-nh, 0)])
 			}
 			for _, b := range live {
-				sum += b.prefix[b.prefix.slot(id)].count
+				sum += b.prefix[id]
 			}
 			out[i] += sum
 		}
@@ -174,22 +172,19 @@ func sumRun(r []int64) int64 {
 // sumHour rebuilds hour cell h as the hour starting at minute first, which
 // it claims: it zeroes column h of every row, then adds in each live
 // minute's prefix cache, derived first if stale, giving a path seen for the
-// first time a new zeroed row after the others. Rows are never removed.
-// Callers hold the shard lock.
+// first time a new zeroed row. Rows are never removed. Callers hold the
+// shard lock.
 func (c *Counter) sumHour(s *shard, h int, first int64, cost *readCost) {
 	nh, rows := len(s.hours), s.hourRow.n
 	for i := h; i < len(s.hourSum); i += nh {
 		s.hourSum[i] = 0
 	}
 	for b := range s.minutes(first, first+60, cost) {
-		for _, p := range b.prefix {
-			if p.path == 0 {
-				continue
-			}
-			if s.hourRow.add(p.path - 1) {
+		for id, v := range b.prefix {
+			if s.hourRow.add(id) {
 				s.hourSum = append(s.hourSum, make([]int64, nh)...)
 			}
-			s.hourSum[int(s.hourRow.local(p.path-1))*nh+h] += p.count
+			s.hourSum[int(s.hourRow.local(id))*nh+h] += v
 		}
 	}
 	s.hours[h] = hourCell{minute: first}
@@ -201,8 +196,7 @@ func (c *Counter) sumHour(s *shard, h int, first int64, cost *readCost) {
 
 // leafTotals sums the leaves of every live bucket in the window — what
 // both rollup readers expand. It never derives a prefix cache: a rollup
-// question must not pay for (or hide the staleness of) a cache it does not
-// use.
+// question must not pay for, or hide the staleness of, a cache it skips.
 func (c *Counter) leafTotals(from, to time.Time) map[uint64]int64 {
 	acc := make(map[uint64]int64)
 	fm, tm := c.liveMinutes(from, to)
@@ -254,13 +248,13 @@ func (c *Counter) AddSeries(path string, from, to time.Time, out []int64) []int6
 	if !ok || !c.tab.counted(id) {
 		return out
 	}
-	var cost readCost
 	lo, hi := c.liveMinutes(from, to)
+	var cost readCost
 	for _, s := range c.shards {
 		s.mu.Lock()
 		cost.names = nil
 		for b := range s.minutes(lo, hi, &cost) {
-			out[b.minute-fm] += b.prefix[b.prefix.slot(id)].count
+			out[b.minute-fm] += b.prefix[id]
 		}
 		s.mu.Unlock()
 	}

@@ -12,7 +12,7 @@
 // minute — and everything else is derived from leaves when it is read:
 // the six prefix sums ("web", "web:home", ..., the full name) into a
 // per-bucket cache, after which point lookups, drill-downs and prefix top-K
-// are table reads, no scan required; the rollup rows on the fly.
+// are map reads, no scan required; the rollup rows on the fly.
 //
 // Architecture:
 //
@@ -47,27 +47,31 @@
 //     Reconcile diffs the day a counter holds, live or recovered, against
 //     analytics.Rollups and asserts exact agreement;
 //   - beside its minute ring a shard keeps hour sums path-major: one row
-//     per path, found by indexing a slice with the path's ID, and one entry
-//     per cell of a short ring of hour cells. The first write to a clean
-//     minute marks its hour's cell stale, so PathSum and TopK (one kernel,
-//     SumPaths) take every hour a window covers whole from the rows, a stale
-//     cell's column rebuilt first, and read minute buckets only at the
-//     window's edges (none past the newest minute's hour): a day-window read
-//     sums one run of one row per path and shard in a register, stepping
-//     through cells with no division. Series and the rollup readers keep
-//     reading minutes.
+//     per path, found by a slice index by path ID, one entry per cell of a
+//     short ring of hour cells. The first write to a clean minute marks its
+//     hour's cell stale, so PathSum and TopK (one kernel, SumPaths) take
+//     every hour a window covers whole from the rows, a stale cell's column
+//     rebuilt first, and read minute buckets only at the window's edges: a
+//     day-window read sums one run of one row per path per shard in a local.
+//     Series and the rollup readers keep reading minutes.
 //
 // What the write path no longer does the read side pays, bounded: a prefix
-// read that finds a bucket stale does about six table adds per leaf of that
+// read that finds a bucket stale does about six map adds per leaf of that
 // bucket, once, however many events the leaves count, and one that finds an
 // hour cell stale zeroes its column and adds in that hour's ≤ 60 minute
-// caches. A late write costs the next read one minute's derivation and one
-// hour's sum; a poller of a minute still being written derives that one
-// bucket per poll. realtime.derive.buckets, .hours and .ns (telemetry.go)
-// show all of it, and realtime.hours.rows the rows, which are never
-// removed. A snapshot pays none of it: the file holds the leaves as the
-// buckets do (snapshot.go), hour rows are never written to disk, and a
-// loaded bucket and its hour are derived like any other stale ones.
+// caches. A generated day of 80k events holds ~11 leaves in each of its
+// ~4.6k buckets: the first dashboard refresh after ingesting it derives them
+// all and sums every shard's 24 cells, and later refreshes over the clean
+// day add up a 24-entry run of one row per path and shard, where a TopK
+// probed 24 hour maps per child (BenchmarkDashboardRefresh). A late write
+// costs the next read one minute's derivation and one hour's sum. The case
+// that pays repeatedly is a poller of a minute still being written, which
+// derives that one bucket per poll.
+// realtime.derive.buckets, realtime.derive.hours and realtime.derive.ns
+// (telemetry.go) show all of it, and realtime.hours.rows the rows, which
+// are never removed. A snapshot pays none of it: the file holds the leaves
+// as the buckets do (snapshot.go), hour rows are never written to disk, and
+// a loaded bucket and its hour are derived like any other stale ones.
 //
 // Totals are distributive: a key's count is the sum of its per-shard,
 // per-bucket cells, so ingestion never coordinates across shards and
@@ -75,7 +79,6 @@
 package realtime
 
 import (
-	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -219,31 +222,14 @@ func leafFields(k uint64) (name, country uint32, loggedIn bool) {
 // is the finest cell §3.2 defines and every other count is a sum over
 // leaves. prefix caches the six hierarchy-prefix sums per leaf for the
 // prefix readers; any write sets stale and the next prefix read rebuilds
-// the table from the leaves (derive). Staleness belongs to the bucket, not
+// the map from the leaves (derive). Staleness belongs to the bucket, not
 // to the clock: a replayed or late event dirties an old minute like any
 // other.
 type bucket struct {
 	minute int64            // Unix minute this slot currently holds; 0 = empty
 	leaf   map[uint64]int64 // leafKey -> count; nil = slot never used
-	prefix prefixTable      // path ID -> count, valid while !stale
+	prefix map[uint32]int64 // path ID -> count, valid while !stale
 	stale  bool
-}
-
-// prefixTable is a bucket's prefix cache: open addressing by path ID over a
-// power of two of slots, one empty at least (whose count is 0), so a read
-// is a multiply and one slot, or a few beside it, with no pointer to chase.
-type prefixTable []struct {
-	path  uint32 // path ID + 1; 0 = empty
-	count int64
-}
-
-// slot returns the slot that holds path, or the empty one it would take.
-func (t prefixTable) slot(path uint32) int {
-	i := int(uint64(path)*0x9e3779b97f4a7c15>>32) & (len(t) - 1)
-	for t[i].path != path+1 && t[i].path != 0 {
-		i = (i + 1) & (len(t) - 1)
-	}
-	return i
 }
 
 // hourCell says which hour one column of a shard's hour rows holds, and
@@ -254,19 +240,26 @@ type hourCell struct {
 	stale  bool
 }
 
-// derive rebuilds the prefix cache, sized past six paths a leaf, adding
-// each leaf's count to its six hierarchy prefixes. names is an
-// events.NameEntries taken after the leaves were last written. It is where
-// anything else computed per bucket from its leaves belongs.
-func (b *bucket) derive(names []*events.NameEntry) {
-	b.prefix = append(b.prefix[:0], make(prefixTable, 1<<bits.Len(uint(events.NumComponents*len(b.leaf))))...)
-	for k, n := range b.leaf {
+// sumPrefixes adds every leaf's count to its six hierarchy prefixes in dst.
+// names is an events.NameEntries taken after the leaves were last written.
+func sumPrefixes(dst map[uint32]int64, leaf map[uint64]int64, names []*events.NameEntry) {
+	for k, n := range leaf {
 		name, _, _ := leafFields(k)
 		for _, id := range names[name].Prefix {
-			p := &b.prefix[b.prefix.slot(id)]
-			p.path, p.count = id+1, p.count+n
+			dst[id] += n
 		}
 	}
+}
+
+// derive rebuilds the prefix cache from the leaves, reusing the map. It is
+// where anything else computed per bucket from its leaves belongs.
+func (b *bucket) derive(names []*events.NameEntry) {
+	if b.prefix == nil {
+		b.prefix = make(map[uint32]int64, 2*events.NumComponents)
+	} else {
+		clear(b.prefix)
+	}
+	sumPrefixes(b.prefix, b.leaf, names)
 	b.stale = false
 }
 

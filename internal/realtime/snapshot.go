@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"time"
 
 	"unilog/internal/events"
@@ -63,9 +64,19 @@ func snapName(seq int64) string { return fmt.Sprintf("snap-%010d.snap", seq) }
 
 // parseSnapName inverts snapName.
 func parseSnapName(name string) (seq int64, ok bool) {
-	rest, ok := cutName(name, "snap-", ".snap")
+	rest, ok := strings.CutPrefix(name, "snap-")
+	if !ok {
+		return 0, false
+	}
+	rest, ok = strings.CutSuffix(rest, ".snap")
+	if !ok {
+		return 0, false
+	}
 	seq, err := strconv.ParseInt(rest, 10, 64)
-	return seq, ok && err == nil && seq >= 0
+	if err != nil || seq < 0 {
+		return 0, false
+	}
+	return seq, true
 }
 
 // shardState is one shard's contribution to a snapshot: its live leaves
@@ -98,21 +109,24 @@ func (c *Counter) captureShard(s *shard, rotate bool) shardState {
 		}
 		st.nextSeq = seq
 	}
-	newest := c.maxMinute.Load()
-	live := s.minutes(max(newest-int64(c.buckets)+1, 1), newest+1, nil)
+	horizon := c.maxMinute.Load() - int64(c.buckets)
 	s.mu.Lock()
 	names := events.NameEntries() // covers every ID in the ring
 	// Sized first: a day's ring holds tens of thousands of leaves.
-	size := 0
-	for b := range live {
-		size += len(b.leaf)
+	live := 0
+	for j := range s.ring {
+		if b := &s.ring[j]; b.minute > horizon {
+			live += len(b.leaf)
+		}
 	}
-	st.leaves, st.counts = make([]obs, 0, size), make([]int64, 0, size)
-	for b := range live {
-		for k, n := range b.leaf {
-			name, country, loggedIn := leafFields(k)
-			st.leaves = append(st.leaves, obs{minute: b.minute, name: names[name], country: country, loggedIn: loggedIn})
-			st.counts = append(st.counts, n)
+	st.leaves, st.counts = make([]obs, 0, live), make([]int64, 0, live)
+	for j := range s.ring {
+		if b := &s.ring[j]; b.minute > horizon {
+			for k, n := range b.leaf {
+				name, country, loggedIn := leafFields(k)
+				st.leaves = append(st.leaves, obs{minute: b.minute, name: names[name], country: country, loggedIn: loggedIn})
+				st.counts = append(st.counts, n)
+			}
 		}
 	}
 	s.mu.Unlock()
@@ -263,12 +277,17 @@ func (c *Counter) writeSnapshot(states []shardState) error {
 // still has WAL files on disk, the highest segment sequence present.
 func (c *Counter) lingeringSegments(liveShards int) map[int]int64 {
 	out := map[int]int64{}
-	_, segs, _, _ := scanDir(c.dir) // unreadable, it has none to record
-	for shard, files := range segs {
-		for _, f := range files {
-			if shard >= liveShards {
-				out[shard] = max(out[shard], f.seq)
-			}
+	entries, err := os.ReadDir(c.dir)
+	if err != nil {
+		return out
+	}
+	for _, e := range entries {
+		shard, seq, ok := parseWALName(e.Name())
+		if !ok || shard < liveShards {
+			continue
+		}
+		if cur, ok := out[shard]; !ok || seq > cur {
+			out[shard] = seq
 		}
 	}
 	return out

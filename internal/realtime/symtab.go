@@ -83,3 +83,6 @@ func (t *symtab) counted(path uint32) bool {
 
 // countries returns the country ID → code table as it stands.
 func (t *symtab) countries() []string { return *t.codes.Load() }
+
+// countryName resolves a country ID back to its code.
+func (t *symtab) countryName(id uint32) string { return t.countries()[id] }

@@ -87,7 +87,7 @@ func TestSymtabConcurrentCountries(t *testing.T) {
 	}
 	for g := range got {
 		for i, code := range codes {
-			if got[g][i] != got[0][i] || tab.countries()[got[g][i]] != code {
+			if got[g][i] != got[0][i] || tab.countryName(got[g][i]) != code {
 				t.Fatalf("goroutine %d: %q has ID %d, goroutine 0 %d", g, code, got[g][i], got[0][i])
 			}
 		}

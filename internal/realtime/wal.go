@@ -27,8 +27,10 @@ import (
 // name and country dictionaries, built incrementally — the first record
 // that references a name embeds its string once, and every later
 // observation in the segment refers to it by a small varint ID. Minutes
-// are delta-encoded against the record's first observation, so steady
-// state is a few bytes per observation. Dictionaries are strictly per-segment, so segments stay independently
+// are delta-encoded against the record's first observation. Steady state
+// is therefore a few bytes per observation instead of the ~36 B the v1
+// format spent re-logging the full hierarchical name every time.
+// Dictionaries are strictly per-segment, so segments stay independently
 // replayable and rotation/pruning needs no cross-file bookkeeping.
 //
 // A snapshot (snapshot.go) is written in the same records with one
@@ -66,20 +68,24 @@ func walName(shard int, seq int64) string {
 
 // parseWALName inverts walName.
 func parseWALName(name string) (shard int, seq int64, ok bool) {
-	rest, ok := cutName(name, "wal-", ".log")
-	shardStr, seqStr, cut := strings.Cut(rest, "-")
+	rest, ok := strings.CutPrefix(name, "wal-")
+	if !ok {
+		return 0, 0, false
+	}
+	rest, ok = strings.CutSuffix(rest, ".log")
+	if !ok {
+		return 0, 0, false
+	}
+	shardStr, seqStr, ok := strings.Cut(rest, "-")
+	if !ok {
+		return 0, 0, false
+	}
 	s, err1 := strconv.Atoi(shardStr)
 	q, err2 := strconv.ParseInt(seqStr, 10, 64)
-	return s, q, ok && cut && err1 == nil && err2 == nil && s >= 0 && q >= 0
-}
-
-// cutName returns what name holds between prefix and suffix.
-func cutName(name, prefix, suffix string) (string, bool) {
-	rest, ok := strings.CutPrefix(name, prefix)
-	if !ok {
-		return "", false
+	if err1 != nil || err2 != nil || s < 0 || q < 0 {
+		return 0, 0, false
 	}
-	return strings.CutSuffix(rest, suffix)
+	return s, q, true
 }
 
 // walWriter appends CRC-framed batch records to one shard's current
@@ -110,7 +116,7 @@ type walWriter struct {
 // added: a segment's name and country dictionaries, a shard's hour rows.
 // slot is indexed by the process ID and holds the local ID + 1, 0 for an ID
 // not numbered, so a lookup is one array index. It grows to the highest ID
-// added, however few IDs it numbers.
+// added: for names, the highest name-table ID, however few it numbers.
 type idIndex struct {
 	slot []uint32
 	n    uint32 // local IDs assigned
@@ -132,14 +138,6 @@ func (d *idIndex) add(id uint32) bool {
 
 // local returns the local ID of an id add has numbered.
 func (d *idIndex) local(id uint32) uint32 { return d.slot[id] - 1 }
-
-// find returns id's local ID, if add has numbered it.
-func (d *idIndex) find(id uint32) (uint32, bool) {
-	if int(id) < len(d.slot) && d.slot[id] != 0 {
-		return d.slot[id] - 1, true
-	}
-	return 0, false
-}
 
 // forget undoes the assignments of ids, the last len(ids) made.
 func (d *idIndex) forget(ids []uint32) {
@@ -298,7 +296,7 @@ func (w *walWriter) encodeBatch(buf []byte, batch []obs, counts []int64, tab *sy
 		}
 		if w.countryLocal.add(o.country) {
 			addedCountries = append(addedCountries, o.country)
-			newCountries = append(newCountries, tab.countries()[o.country])
+			newCountries = append(newCountries, tab.countryName(o.country))
 		}
 	}
 	if counts == nil {

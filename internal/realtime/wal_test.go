@@ -94,26 +94,3 @@ func TestWALBytesUnchanged(t *testing.T) {
 		t.Fatalf("segment bytes changed:\n got %x\nwant %x", got, want)
 	}
 }
-
-// TestFileNames: segment and snapshot names parse back to what formatted
-// them, and nothing else in a counter's directory parses as either.
-func TestFileNames(t *testing.T) {
-	if shard, seq, ok := parseWALName(walName(3, 42)); !ok || shard != 3 || seq != 42 {
-		t.Errorf("parseWALName(%q) = %d, %d, %v", walName(3, 42), shard, seq, ok)
-	}
-	if seq, ok := parseSnapName(snapName(7)); !ok || seq != 7 {
-		t.Errorf("parseSnapName(%q) = %d, %v", snapName(7), seq, ok)
-	}
-	for _, name := range []string{
-		"wal-001.log", "wal-x-1.log", "wal-1-x.log", "wal--1-2.log", "wal-1--2.log",
-		"wal-1-2.log.tmp", "xwal-1-2.log", "snap-0000000007.tmp", "snap-x.snap",
-		"snap--1.snap", "snap-.snap", "wal-.log", "",
-	} {
-		if _, _, ok := parseWALName(name); ok {
-			t.Errorf("parseWALName(%q) accepted it", name)
-		}
-		if _, ok := parseSnapName(name); ok {
-			t.Errorf("parseSnapName(%q) accepted it", name)
-		}
-	}
-}
