@@ -3,7 +3,7 @@
 #
 # Runs unilog-demo with the /debug/unilog endpoint up and a post-run hold,
 # scrapes the endpoint while the process is alive, and asserts that the
-# JSON parses and that the nine load-bearing series are present and nonzero:
+# JSON parses and that the ten load-bearing series are present and nonzero:
 #
 #   realtime.ingest.events — the streaming path counted events
 #   events.names.entries   — the process-wide event-name table numbered names
@@ -23,6 +23,9 @@
 #                            cells into the rows SumPaths reads: the demo's
 #                            mid-run TopK over the day so far (its -live
 #                            print at hours 8 and 16, on by default)
+#   realtime.wal.bytes     — the demo's durable counters logged their batches
+#                            to the WAL, in the record layout that logs each
+#                            country as its geo index
 #
 # Once the demo has finished its day (its "holding" line), the script also
 # requires the demo's three verdict lines in its log:
@@ -66,7 +69,7 @@ echo "metrics-smoke: starting unilog-demo with telemetry on :${PORT}"
   -http "127.0.0.1:${PORT}" -hold 90s >"$OUT/demo.log" 2>&1 &
 DEMO_PID=$!
 
-# Poll until the endpoint answers with nonzero values for all nine series
+# Poll until the endpoint answers with nonzero values for all ten series
 # and the demo has finished its day, or time out with a clear error. The
 # demo takes a few seconds to build its day of traffic and run the budgeted
 # rollup; POLL_SECONDS x 1s is generous for a cold CI box.
@@ -83,7 +86,8 @@ for i in $(seq 1 "$POLL_SECONDS"); do
            and .series["logmover.records"] > 0 and .series["columnar.seal.rows"] > 0
            and .series["logmover.files.sealed"] > 0
            and .series["chunk.manifest.reads"] > 0
-           and .series["realtime.hours.rows"] > 0' \
+           and .series["realtime.hours.rows"] > 0
+           and .series["realtime.wal.bytes"] > 0' \
       "$OUT/snap.json" >/dev/null 2>&1 && grep -q '^holding ' "$OUT/demo.log"; then
     for verdict in '^reconcile .*: OK' 'exactly once: true' 'jump-free: true'; do
       if ! grep -q "$verdict" "$OUT/demo.log"; then
@@ -103,6 +107,7 @@ for i in $(seq 1 "$POLL_SECONDS"); do
           "logmover.files.sealed": .series["logmover.files.sealed"],
           "chunk.manifest.reads": .series["chunk.manifest.reads"],
           "realtime.hours.rows": .series["realtime.hours.rows"],
+          "realtime.wal.bytes": .series["realtime.wal.bytes"],
           series_total: (.series | length),
           histograms_total: (.histograms | length) }' "$OUT/snap.json"
     exit 0

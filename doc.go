@@ -309,7 +309,9 @@
 //
 // The counter hot path is interned: each event's name resolves to its
 // events.NameEntry — hierarchy prefixes, §3.2 rollup names and hash
-// digested once per process — and its country to a per-counter ID, so
+// digested once per process — and its country to its index in geo's fixed
+// table (geo.CountryIndex, len(geo.Countries) for geo.Unknown), the one
+// country numbering from the tap through the leaf key to the WAL, so
 // steady-state ingestion is an allocation-free read-locked lookup plus one
 // integer-keyed increment, and query results resolve IDs back to strings
 // only at the edges; a read of a path the counter never counted (most, on
@@ -341,14 +343,16 @@
 // damaged message fails as ClientEvent.Decode, which is built on the same
 // walk, fails it), the name is looked up by its bytes in the message and
 // parsed and validated only the first time the process sees them, and the
-// country is read off the IP bytes. Three doors lead to the counters and
-// meet at one digested observation, with WAL replay beside them:
-// Batcher.Add and Counter.Ingest for decoded events (tests, benchmarks),
-// Batcher.AddObservation for an event already reduced to
-// realtime.Observation {name-table entry, minute, country, login bit} — a
-// cluster delivery, which never looks the name up again — and TapBatch from
-// the header. Counter.Sync, the read-your-writes barrier, waits until every
-// batch enqueued before it is applied. Each shard counts the batches sent
+// country is read off the IP bytes as its geo index. Three doors lead to
+// the counters and meet at one form, realtime.Observation {name-table
+// entry, minute, geo country index, login bit}, which digest vets and a
+// shard applies, with WAL replay beside them: Batcher.Add and
+// Counter.Ingest for decoded events (tests, benchmarks),
+// Batcher.AddObservation for an event already in that form — a cluster
+// delivery, which never looks the name up again — and TapBatch, whose
+// header walk, realtime.ReadObservations, the cluster router shares.
+// Counter.Sync, the read-your-writes barrier, waits until every batch
+// enqueued before it is applied. Each shard counts the batches sent
 // to its queue and the batches its drain has applied, so a shard with
 // nothing in flight costs Sync two atomic loads, and only a shard whose
 // drain still holds a batch is sent a sync message and waited on
@@ -360,25 +364,28 @@
 // fsync cadence against throughput) before it is applied, and a periodic
 // snapshotter (Config.SnapshotEvery) serializes the shard rings and
 // truncates the covered log segments. WAL records are
-// dictionary-compressed (WAL format v2): each segment embeds a first-seen
-// name once and logs a few varint bytes per observation after that,
-// cutting the log from ~36 B to a few bytes per event; a record or
-// snapshot header of any other version is rejected as corrupt. A record
-// is one batch as a producer handed it over, so a Batcher logs hundreds
-// of events per record and Counter.Ingest exactly one per call — its
-// own dictionary delta, its own write(2), its own share of an fsync
-// (realtime.wal.record_events is the histogram of that). A snapshot
-// (format v4) is the leaf table: a header with the full Stats block, so
-// activity counters survive restarts, then the live leaves as WAL records
-// of lead byte 3 — each leaf one observation with a count, under one
-// dictionary for the file — nothing derived, so a capture reads the leaves
-// as they stand. A load reads them back with the WAL's own decoder and
-// applies each with the drain's own applyOne on its name's shard, and
-// prefix sums are derived when first read. Formats v1 to v3 are retired: a
-// directory last written by a binary from before v4 recovers from its WAL
-// tail only. After a crash, Open loads the newest valid snapshot and
-// replays the WAL tail on top —
-// tolerating a torn final
+// dictionary-compressed (WAL record format v4): each segment embeds a
+// first-seen name once and logs a few varint bytes per observation after
+// that — the country as its geo index beside the login bit, one byte, no
+// dictionary — cutting the log from ~36 B to a few bytes per event; a
+// record or snapshot header of any other version is rejected as corrupt,
+// and since the index is the format, reordering or growing geo.Countries
+// is a format change. A record is one batch as a producer handed it over,
+// so a Batcher logs hundreds of events per record and Counter.Ingest
+// exactly one per call — its own dictionary delta, its own write(2), its
+// own share of an fsync (realtime.wal.record_events is the histogram of
+// that). A snapshot (format v5) is the leaf table: a header with the full
+// Stats block, so activity counters survive restarts, then the live leaves
+// as WAL records of lead byte 5 — each leaf one observation with a count,
+// under one name dictionary for the file — nothing derived, so a capture
+// reads the leaves as they stand. A load reads them back with the WAL's own
+// decoder and applies each with the drain's own applyOne on its name's
+// shard, and prefix sums are derived when first read. WAL records v1 to v3
+// and snapshots v1 to v4 are retired (v2 and v3 records and v4 snapshots
+// carried a country dictionary per file): a directory last written by an
+// older binary recovers empty, its snapshot refused and each segment cut
+// at its first record as damage. After a crash, Open loads the newest
+// valid snapshot and replays the WAL tail on top — tolerating a torn final
 // record, flipped bits, damaged or missing snapshots, and a changed
 // shard count (replay re-digests every name) — so a restarted shard
 // remembers "today so far" instead of waiting a day for the warehouse
@@ -389,11 +396,12 @@
 // Dynamo-style map — event name to one of P fixed partitions, partition
 // to R distinct nodes on a virtual-point ring, computed once at startup
 // so crashes divert writes to hints rather than re-route the ring).
-// The router reads each tapped message's events.Header, looks its name up
-// in the events name table by its bytes, takes the partition from the
+// The router reads each tapped message with the counter tap's own header
+// walk (realtime.ReadObservations), takes the partition from the name
 // entry's hash, and queues a 16-byte, pointer-free routed record — the
-// entry's ID, the minute, the country's geo.Countries index, the login bit
-// — nothing that aliases the Scribe buffer, no ClientEvent, no string.
+// entry's ID, the minute, the country's geo index, the login bit — nothing
+// that aliases the Scribe buffer, no ClientEvent, no string; a delivery
+// hands the index on to the partition counter as it is.
 // Every event lands on all R replicas through one send queue per node,
 // which adopts the router's per-node slice as its backlog; a delivery
 // resolves the IDs against one events.NameEntries snapshot (the replicas

@@ -68,11 +68,9 @@ import (
 	"time"
 
 	"unilog/internal/events"
-	"unilog/internal/geo"
 	"unilog/internal/realtime"
 	"unilog/internal/scribe"
 	"unilog/internal/telemetry"
-	"unilog/internal/thrift"
 	"unilog/internal/zk"
 )
 
@@ -281,41 +279,23 @@ func (c *Cluster) Ingest(e *events.ClientEvent) {
 // are grouped per target node so a staging flush costs one queue
 // interaction per replica node, not per event.
 //
-// The router reads each message's header in place (events.Header), looks
-// the name up in the events name table by its bytes, routes by the entry's
-// hash and queues a 16-byte routed record — the entry's ID, the minute, the
-// country's index, the login bit — so nothing it parks aliases the
+// The router reads each message with realtime.ReadObservations, the
+// counter tap's own header walk, routes by the name entry's hash and
+// queues a 16-byte routed record — the entry's ID, the minute, the
+// country's geo index, the login bit — so nothing it parks aliases the
 // caller's buffers and no replica looks the name up again. A message that
 // fails the walk, or whose name fails events.ParseName the first time it is
 // seen, counts in Stats.DecodeErrors and is routed nowhere. Each per-node
 // slice built here is handed to its send queue, which keeps it.
 func (c *Cluster) TapBatch(batch []scribe.Entry) {
 	perNode := make([][]routed, len(c.nodes))
-	var dec thrift.CompactDecoder
-	var h events.Header
-	for i := range batch {
-		if batch[i].Category != events.Category {
-			continue
-		}
-		dec.Reset(batch[i].Message)
-		err := h.Decode(&dec)
-		var name *events.NameEntry
-		if err == nil {
-			name, err = events.LookupBytes(h.Name)
-		}
-		if err != nil {
-			c.decodeErrs.Add(1)
-			tmClusterDecodeErrs.Inc()
-			continue
-		}
-		c.ingested.Add(1)
-		tmClusterIngest.Inc()
+	entries, failed := realtime.ReadObservations(batch, func(o realtime.Observation) {
 		r := routed{
-			minute:   h.Timestamp / 60_000,
-			name:     name.ID,
-			p:        uint16(c.ring.partitionOf(name.Hash)),
-			country:  uint8(geo.CountryIndexOfBytes(h.IP)),
-			loggedIn: h.LoggedIn(),
+			minute:   o.Minute,
+			name:     o.Name.ID,
+			p:        uint16(c.ring.partitionOf(o.Name.Hash)),
+			country:  o.Country,
+			loggedIn: o.LoggedIn,
 		}
 		for _, id := range c.ring.replicas[r.p] {
 			if perNode[id] == nil {
@@ -323,7 +303,11 @@ func (c *Cluster) TapBatch(batch []scribe.Entry) {
 			}
 			perNode[id] = append(perNode[id], r)
 		}
-	}
+	})
+	c.decodeErrs.Add(failed)
+	tmClusterDecodeErrs.Add(failed)
+	c.ingested.Add(entries - failed)
+	tmClusterIngest.Add(entries - failed)
 	for id, b := range perNode {
 		if len(b) > 0 {
 			c.queues[id].send(b, c.det.statusOf(id))

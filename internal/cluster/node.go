@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"unilog/internal/events"
-	"unilog/internal/geo"
 	"unilog/internal/realtime"
 )
 
@@ -32,7 +31,7 @@ type routed struct {
 	minute   int64  // event timestamp in Unix minutes
 	name     uint32 // events.NameEntry.ID
 	p        uint16 // partition; New caps Partitions at 1<<16
-	country  uint8  // geo.CountryIndexOfBytes of the event's IP
+	country  uint8  // geo.CountryIndex of the event's IP, as realtime.Observation keeps it
 	loggedIn bool
 }
 
@@ -143,7 +142,7 @@ func (n *Node) deliver(batch []routed) error {
 		batchers[r.p].AddObservation(realtime.Observation{
 			Name:     names[r.name],
 			Minute:   r.minute,
-			Country:  geo.CountryOfIndex(int(r.country)),
+			Country:  r.country,
 			LoggedIn: r.loggedIn,
 		})
 	}

@@ -10,6 +10,7 @@ import (
 	"unsafe"
 
 	"unilog/internal/events"
+	"unilog/internal/geo"
 	"unilog/internal/realtime"
 	"unilog/internal/scribe"
 	"unilog/internal/thrift"
@@ -86,9 +87,8 @@ func TestTapBatchAppendsOneWALRecordPerPartition(t *testing.T) {
 }
 
 // Many aggregators tap one cluster. Taps racing to number the same
-// first-seen names and countries — in the name table and in each partition
-// counter's country table — must route every event to both replicas exactly
-// once.
+// first-seen names in the name table must route every event to both
+// replicas exactly once.
 func TestConcurrentTapsRouteEveryEventOnce(t *testing.T) {
 	c := testCluster(t, Config{Nodes: 3, ReplicationFactor: 2, Clock: zk.NewManualClock(t0)})
 	batch := tapEntries(2000)
@@ -236,9 +236,11 @@ func TestTapsClassifyMessages(t *testing.T) {
 // Ingest and TapBatch are two doors into one router: the same event,
 // decoded or still a Scribe message, must leave identical Stats behind —
 // a name events.ParseName rejects is a decode error routed nowhere, not
-// an event every replica counts invalid.
+// an event every replica counts invalid, and an address geo cannot resolve
+// is counted like any other.
 func TestIngestMatchesTapBatch(t *testing.T) {
 	good := ev(testNames[0], t0, 7, "us")
+	stray := ev(testNames[0], t0, 7, geo.Unknown)
 	badName := ev(testNames[0], t0, 7, "us")
 	badName.Name = events.EventName{Client: "web", Page: "Home", Action: "click"}
 	epoch := ev(testNames[0], time.Unix(0, 0), 7, "us")
@@ -247,6 +249,7 @@ func TestIngestMatchesTapBatch(t *testing.T) {
 		e    *events.ClientEvent
 	}{
 		{"well-formed", good},
+		{"unresolvable address", stray},
 		{"bad character in a component", badName},
 		{"timestamp 0", epoch},
 	} {

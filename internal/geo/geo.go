@@ -21,21 +21,10 @@ var Countries = []string{"us", "jp", "uk", "br", "in", "de", "id", "mx"}
 const firstOctetBase = 10
 
 // CountryOf resolves an IPv4 address to a country code.
-func CountryOf(ip string) string { return CountryOfIndex(countryIndex(ip)) }
+func CountryOf(ip string) string { return CountryOfIndex(CountryIndex(ip)) }
 
-// CountryOfBytes is CountryOf for an address still lying in a message
-// buffer: CountryOfBytes(b) == CountryOf(string(b)) for every b, without
-// the conversion. The result is Unknown or one of the Countries constants,
-// never a slice of b.
-func CountryOfBytes(ip []byte) string { return CountryOfIndex(countryIndex(ip)) }
-
-// CountryIndexOfBytes is CountryOfBytes as an index into Countries, with
-// len(Countries) standing for Unknown — a country a fixed-size record can
-// carry. CountryOfIndex(CountryIndexOfBytes(b)) == CountryOfBytes(b).
-func CountryIndexOfBytes(ip []byte) int { return countryIndex(ip) }
-
-// CountryOfIndex inverts CountryIndexOfBytes: Countries[i], or Unknown for
-// any i outside the table.
+// CountryOfIndex inverts CountryIndex: Countries[i], or Unknown for any i
+// outside the table.
 func CountryOfIndex(i int) string {
 	if uint(i) < uint(len(Countries)) {
 		return Countries[i]
@@ -43,11 +32,15 @@ func CountryOfIndex(i int) string {
 	return Unknown
 }
 
-// countryIndex reads the first octet the way strconv.Atoi would — an
-// optional '+', then decimal digits, leading zeros allowed — up to the first
-// '.'. Anything Atoi would reject, and any value outside the table (a '-'
-// can only give one), is Unknown, len(Countries).
-func countryIndex[S string | []byte](ip S) int {
+// CountryIndex is CountryOf as an index into Countries, with len(Countries)
+// standing for Unknown — a country a fixed-size record can carry — read as
+// well from an address still lying in a message buffer as from a string:
+// CountryOfIndex(CountryIndex(ip)) == CountryOf(string(ip)) for every ip.
+// It reads the first octet the way strconv.Atoi would — an optional '+',
+// then decimal digits, leading zeros allowed — up to the first '.'.
+// Anything Atoi would reject, and any value outside the table (a '-' can
+// only give one), is Unknown.
+func CountryIndex[S string | []byte](ip S) int {
 	unknown := len(Countries)
 	i := 0
 	if len(ip) > 0 && ip[0] == '+' {

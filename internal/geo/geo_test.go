@@ -58,8 +58,9 @@ func countryOfAtoi(ip string) string {
 	return Countries[i]
 }
 
-// FuzzCountryOf: over arbitrary bytes, CountryOf, CountryOfBytes and the
-// index form mapped back to a code all answer what the Atoi-based reference
+// FuzzCountryOf: over arbitrary bytes, CountryOf and the index form — of
+// the bytes and of the string alike, the form every counter and record
+// carries — mapped back to a code all answer what the Atoi-based reference
 // answers. The seeds are the inputs
 // where a digit loop and Atoi could part ways: signs, leading zeros,
 // numbers past int64, underscores, a missing or leading dot.
@@ -75,18 +76,18 @@ func FuzzCountryOf(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		want := countryOfAtoi(string(b))
-		if got := CountryOfBytes(b); got != want {
-			t.Errorf("CountryOfBytes(%q) = %q, the Atoi reference says %q", b, got, want)
-		}
 		if got := CountryOf(string(b)); got != want {
 			t.Errorf("CountryOf(%q) = %q, the Atoi reference says %q", b, got, want)
 		}
-		i := CountryIndexOfBytes(b)
+		i := CountryIndex(b)
 		if i < 0 || i > len(Countries) {
-			t.Fatalf("CountryIndexOfBytes(%q) = %d, outside 0..%d", b, i, len(Countries))
+			t.Fatalf("CountryIndex(%q) = %d, outside 0..%d", b, i, len(Countries))
+		}
+		if s := CountryIndex(string(b)); s != i {
+			t.Errorf("CountryIndex of %q is %d as a string, %d as bytes", b, s, i)
 		}
 		if got := CountryOfIndex(i); got != want {
-			t.Errorf("CountryOfIndex(CountryIndexOfBytes(%q)) = %q, the Atoi reference says %q", b, got, want)
+			t.Errorf("CountryOfIndex(CountryIndex(%q)) = %q, the Atoi reference says %q", b, got, want)
 		}
 	})
 }

@@ -239,12 +239,12 @@ func TestIndexedProbeMatchesRingWalk(t *testing.T) {
 // timestamp folded into the day's first hour with order kept, into
 // MaxBatch-sized batches for a one-shard counter — what its drain
 // goroutine is handed, without the tap, the queue or a WAL in front.
-func hourBatches(tb testing.TB, c *Counter, users int) (batches [][]obs, n int) {
+func hourBatches(tb testing.TB, c *Counter, users int) (batches [][]Observation, n int) {
 	tb.Helper()
 	cfg := workload.DefaultConfig(day)
 	cfg.Users = users
 	evs, _ := workload.New(cfg).Generate()
-	var batch []obs
+	var batch []Observation
 	for i := range evs {
 		evs[i].Timestamp = day.UnixMilli() + (evs[i].Timestamp-day.UnixMilli())/24
 		o, ok := c.observe(&evs[i])

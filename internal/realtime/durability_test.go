@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"unilog/internal/analytics"
 	"unilog/internal/events"
+	"unilog/internal/geo"
 	"unilog/internal/hdfs"
 	"unilog/internal/recordio"
 	"unilog/internal/scribe"
@@ -87,7 +89,8 @@ func sameAnswers(t *testing.T, got, want *Counter) {
 // TestKillAndRecoverMatchesNeverCrashed is the core durability guarantee:
 // a durable counter that snapshots mid-stream and then dies without a
 // graceful close must, after Open, answer every query exactly like a
-// memory-only counter that never went down.
+// memory-only counter that never went down. An address geo cannot resolve,
+// in the snapshot and in the WAL tail, comes back as geo.Unknown.
 func TestKillAndRecoverMatchesNeverCrashed(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir, durCfg(3))
@@ -96,13 +99,23 @@ func TestKillAndRecoverMatchesNeverCrashed(t *testing.T) {
 	}
 	m := New(Config{Shards: 3})
 	t.Cleanup(m.Close)
+	stray := ev("web:home:mentions:stream:avatar:profile_click", t0, 2, geo.Unknown)
+	unknownRow := func(c *Counter) int64 {
+		from := t0.Truncate(24 * time.Hour)
+		key := analytics.RollupKey{Name: "web:home:mentions:stream:avatar:profile_click", Country: geo.Unknown, LoggedIn: true}
+		return c.RollupSnapshot(from, from.Add(24*time.Hour))[key]
+	}
 
 	feedBoth(400, d, m)
+	d.Ingest(stray)
+	m.Ingest(stray)
 	d.Sync()
 	if err := d.Snapshot(); err != nil {
 		t.Fatalf("mid-stream snapshot: %v", err)
 	}
 	feedBoth(300, d, m) // tail lives only in the WAL
+	d.Ingest(stray)
+	m.Ingest(stray)
 	d.Sync()
 	m.Sync()
 	d.Crash()
@@ -114,6 +127,9 @@ func TestKillAndRecoverMatchesNeverCrashed(t *testing.T) {
 	sameAnswers(t, r, m)
 	if r.Stats().SnapshotErrors != 0 || r.Stats().WALErrors != 0 {
 		t.Errorf("recovery reported errors: %+v", r.Stats())
+	}
+	if got := unknownRow(r); got != 2 {
+		t.Errorf("recovered counter keys %d events to geo.Unknown, want the 2 unresolved addresses", got)
 	}
 
 	// A graceful Close writes a final snapshot and retires the WAL; the
@@ -132,6 +148,9 @@ func TestKillAndRecoverMatchesNeverCrashed(t *testing.T) {
 	}
 	defer r2.Close()
 	sameAnswers(t, r2, m)
+	if got := unknownRow(r2); got != 2 {
+		t.Errorf("counter reopened from its final snapshot keys %d events to geo.Unknown, want 2", got)
+	}
 }
 
 // TestRecoverFromWALOnly covers the no-snapshot path: everything lives in
@@ -292,22 +311,20 @@ func TestRecoverFlippedCRCByte(t *testing.T) {
 // count both Invalid and carry on, every time.
 func TestRecoverSkipsPreEpochWALRecord(t *testing.T) {
 	dir := t.TempDir()
-	tab := newSymtab()
 	name, err := events.Lookup("web:home:timeline:stream:tweet:impression")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cid := tab.country("us")
 	minute := t0.Unix() / 60
 	w, err := openWAL(dir, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, batch := range [][]obs{
-		{{minute: -5, name: name, country: cid}},
-		{{minute: minute, name: name, country: cid}, {minute: 0, name: name, country: cid}, {minute: minute + 1, name: name, country: cid}},
+	for _, batch := range [][]Observation{
+		{{Name: name, Minute: -5}},
+		{{Name: name, Minute: minute}, {Name: name, Minute: 0}, {Name: name, Minute: minute + 1}},
 	} {
-		rec, _, _ := w.encodeBatch(nil, batch, nil, tab)
+		rec, _ := w.encodeBatch(nil, batch, nil)
 		if err := w.cw.Append(rec); err != nil {
 			t.Fatal(err)
 		}
@@ -537,26 +554,24 @@ func TestSnapshotLeafNamingNoEventIsCorrupt(t *testing.T) {
 }
 
 // TestSnapshotLeafIDPastDictionaryIsCorrupt: a leaf indexes its file's
-// dictionary, and an ID one past either table's end is refused.
+// name dictionary and geo's country table, whose last index is
+// geo.Unknown's, and an ID one past either table's end is refused.
 func TestSnapshotLeafIDPastDictionaryIsCorrupt(t *testing.T) {
 	minute := t0.Unix() / 60
+	unknown := uint64(len(geo.Countries))
 	for _, tc := range []struct {
 		what          string
 		name, country uint64
 		ok            bool
 	}{
-		{"last name and country", 1, 2, true},
-		{"name one past", 2, 2, false},
-		{"country one past", 1, 3, false},
+		{"last name and country", 1, unknown, true},
+		{"name one past", 2, unknown, false},
+		{"country one past", 1, unknown + 1, false},
 	} {
-		// A counted record by hand: two names, three countries, one leaf
-		// of 7 logged-in events.
+		// A counted record by hand: two names, one leaf of 7 logged-in
+		// events.
 		rec := []byte{countedRecordVersion, 2}
 		for _, s := range []string{"web:home:timeline:stream:tweet:impression", "iphone:search:results:cell:tweet:open"} {
-			rec = append(binary.AppendUvarint(rec, uint64(len(s))), s...)
-		}
-		rec = append(rec, 3)
-		for _, s := range []string{"us", "jp", "br"} {
 			rec = append(binary.AppendUvarint(rec, uint64(len(s))), s...)
 		}
 		rec = binary.AppendUvarint(append(rec, 1), uint64(minute))
@@ -566,24 +581,26 @@ func TestSnapshotLeafIDPastDictionaryIsCorrupt(t *testing.T) {
 		rec = binary.AppendUvarint(rec, 7)
 
 		var got []string
-		err := (&walDecoder{counted: true}).decodeBatch(rec, func(name *events.NameEntry, _ int64, country string, loggedIn bool, n int64) error {
-			got = append(got, fmt.Sprintf("%s %s %v %d", name.Full, country, loggedIn, n))
+		err := (&walDecoder{counted: true}).decodeBatch(rec, func(o Observation, n int64) error {
+			got = append(got, fmt.Sprintf("%s %s %v %d", o.Name.Full, geo.CountryOfIndex(int(o.Country)), o.LoggedIn, n))
 			return nil
 		})
 		if tc.ok {
-			if want := "iphone:search:results:cell:tweet:open br true 7"; err != nil || len(got) != 1 || got[0] != want {
+			if want := "iphone:search:results:cell:tweet:open unknown true 7"; err != nil || len(got) != 1 || got[0] != want {
 				t.Errorf("%s: decodeBatch = %q, %v; want the leaf back", tc.what, got, err)
 			}
 		} else if !errors.Is(err, recordio.ErrCorrupt) || len(got) != 0 {
 			t.Errorf("%s: err = %v after %q, want an error wrapping recordio.ErrCorrupt and no leaf", tc.what, err, got)
+		} else if what := strings.Fields(tc.what)[0]; !strings.Contains(err.Error(), what) {
+			t.Errorf("%s: err = %v, want it to name the %s", tc.what, err, what)
 		}
 	}
 }
 
 // TestSnapshotIDsAreTheWritersOwn: the IDs in a file are its writer's, and a
 // load maps them into whatever numbering the recovering process already has.
-// Two hand-built files reference the same names and countries first in
-// opposite orders. The newer one is damaged in its last record and refused
+// Two hand-built files reference the same names first in opposite
+// orders. The newer one is damaged in its last record and refused
 // whole, after its first records decoded; the older one must then load, and
 // the WAL tail replay on top of it.
 func TestSnapshotIDsAreTheWritersOwn(t *testing.T) {
@@ -624,7 +641,6 @@ func TestSnapshotIDsAreTheWritersOwn(t *testing.T) {
 	m.Sync()
 	// fileInOrder writes that content one leaf per record, in order.
 	fileInOrder := func(seq int64, order []int, damage bool) {
-		tab := newSymtab()
 		var w walWriter
 		recs := [][]byte{encodeSnapHeader(nil, []int64{0, 0}, observed, minute+int64(len(names))-1, Stats{})}
 		for _, i := range order {
@@ -632,8 +648,8 @@ func TestSnapshotIDsAreTheWritersOwn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			leaf := []obs{{minute: minute + int64(i), name: e, country: tab.country(countries[i]), loggedIn: i%2 == 0}}
-			rec, _, _ := w.encodeBatch(nil, leaf, []int64{int64(i + 1)}, tab)
+			leaf := []Observation{{Name: e, Minute: minute + int64(i), Country: countryOf(countries[i]), LoggedIn: i%2 == 0}}
+			rec, _ := w.encodeBatch(nil, leaf, []int64{int64(i + 1)})
 			recs = append(recs, rec)
 		}
 		if damage {
@@ -894,8 +910,8 @@ func TestStatsPersistAcrossRestart(t *testing.T) {
 // Version bytes that are not a format's current one: those it has retired
 // and the next one up, which this build has never heard of.
 var (
-	staleWALVersions  = []byte{1, 3}
-	staleSnapVersions = []byte{1, 2, 3, 5}
+	staleWALVersions  = []byte{1, 2, 3, 5}
+	staleSnapVersions = []byte{1, 2, 3, 4, 6}
 )
 
 // TestRetiredAndUnknownFormatVersionsAreCorrupt: a WAL record or a

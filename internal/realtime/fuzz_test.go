@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"unilog/internal/events"
+	"unilog/internal/geo"
 	"unilog/internal/recordio"
 )
 
@@ -68,20 +69,19 @@ func checkRecord(t *testing.T, rec []byte) func(what string, sized int, err erro
 }
 
 // walSeedBatch is one batch with several names, countries, login bits and
-// a negative minute delta, and the table its countries are in.
-func walSeedBatch(f *testing.F) ([]obs, *symtab) {
-	tab := newSymtab()
-	var batch []obs
+// a negative minute delta.
+func walSeedBatch(f *testing.F) []Observation {
+	var batch []Observation
 	for i, full := range []string{"web:home:timeline:stream:tweet:impression", "iphone:search:results:cell:tweet:open"} {
 		name, err := events.Lookup(full)
 		if err != nil {
 			f.Fatal(err)
 		}
-		for j, country := range []string{"us", "jp", "br"} {
-			batch = append(batch, obs{minute: t0.Unix()/60 - int64(i+j), name: name, country: tab.country(country), loggedIn: j%2 == 0})
+		for j, country := range []string{"us", geo.Unknown, "br"} {
+			batch = append(batch, Observation{Name: name, Minute: t0.Unix()/60 - int64(i+j), Country: countryOf(country), LoggedIn: j%2 == 0})
 		}
 	}
-	return batch, tab
+	return batch
 }
 
 // FuzzWALBatch: on any record, decodeBatch reading a live segment returns
@@ -94,17 +94,21 @@ func FuzzWALBatch(f *testing.F) {
 	recs := fileRecords(f, oneShardScenario(f, f.TempDir(), 3))
 	addDamaged(f, recs[0], 0, staleWALVersions)
 	f.Add(recs[1])
-	batch, tab := walSeedBatch(f)
-	rec, _, _ := (&walWriter{}).encodeBatch(nil, batch, nil, tab)
+	batch := walSeedBatch(f)
+	rec, _ := (&walWriter{}).encodeBatch(nil, batch, nil)
 	addDamaged(f, rec, 0, staleWALVersions)
+	// A country one past geo.Unknown's index, which the decoder refuses.
+	batch[len(batch)-1].Country = uint8(len(geo.Countries) + 1)
+	rec, _ = (&walWriter{}).encodeBatch(nil, batch, nil)
+	f.Add(rec)
 	f.Add([]byte{})
 	f.Add([]byte{walRecordVersion, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, rec []byte) {
 		dec := &walDecoder{}
 		seen := 0
-		err := dec.decodeBatch(rec, func(*events.NameEntry, int64, string, bool, int64) error { seen++; return nil })
-		checkRecord(t, rec)("live", len(dec.names)+len(dec.countries)+seen, err)
+		err := dec.decodeBatch(rec, func(Observation, int64) error { seen++; return nil })
+		checkRecord(t, rec)("live", len(dec.names)+seen, err)
 	})
 }
 
@@ -128,9 +132,8 @@ func FuzzSnapshotRecords(f *testing.F) {
 	f.Add([]byte{snapTagHeader, snapRecordVersion, 0xFF, 0xFF, 0x03}) // 65535 shards in five bytes
 	// A batch with several names, countries and login bits as a snapshot's
 	// leaves, with counts up to the largest a load accepts.
-	batch, tab := walSeedBatch(f)
 	counts := []int64{1, 2, 300, 1 << 40, 7, math.MaxInt64}
-	rec, _, _ := (&walWriter{}).encodeBatch(nil, batch, counts, tab)
+	rec, _ := (&walWriter{}).encodeBatch(nil, walSeedBatch(f), counts)
 	addDamaged(f, rec, 0, nil)
 
 	f.Fuzz(func(t *testing.T, rec []byte) {
@@ -142,14 +145,14 @@ func FuzzSnapshotRecords(f *testing.F) {
 		type leaf struct{ minute, n int64 }
 		var leaves []leaf
 		dec := &walDecoder{counted: true}
-		err = dec.decodeBatch(rec, func(name *events.NameEntry, minute int64, _ string, _ bool, n int64) error {
-			if name == nil || minute < 1 || n < 1 {
-				t.Fatalf("leaf (%v, minute %d, count %d) accepted", name, minute, n)
+		err = dec.decodeBatch(rec, func(o Observation, n int64) error {
+			if o.Name == nil || o.Minute < 1 || n < 1 || int(o.Country) > len(geo.Countries) {
+				t.Fatalf("leaf (%+v, count %d) accepted", o, n)
 			}
-			leaves = append(leaves, leaf{minute, n})
+			leaves = append(leaves, leaf{o.Minute, n})
 			return nil
 		})
-		check("counted", len(dec.names)+len(dec.countries)+len(leaves), err)
+		check("counted", len(dec.names)+len(leaves), err)
 		if err != nil {
 			return
 		}
@@ -258,7 +261,8 @@ func FuzzWindowReads(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				o, _ := c.digest(name, minute, []string{"us", "jp"}[op/4%2], op/8%2 == 1)
+				o := Observation{Name: name, Minute: minute, Country: uint8(op / 4 % 2), LoggedIn: op/8%2 == 1}
+				c.digest(o)
 				c.applyOne(c.shards[c.shardOf(name)], &o, 1)
 				newest = max(newest, minute)
 				if minute > newest-buckets {

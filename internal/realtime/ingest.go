@@ -14,38 +14,51 @@ import (
 // client_events into the counters; entries of other categories pass
 // through uncounted. Safe for concurrent use by many aggregators.
 //
-// It digests each message from its header walk (events.Header) without
-// building a ClientEvent: the name is looked up in the events name table by
-// the bytes in the message, the country read off the IP bytes, so an event
-// whose name has been seen before allocates nothing. A message that fails
-// the walk, or whose name fails events.ParseName the first time it is
-// seen, counts in Stats.DecodeErrors; a timestamp before Unix minute 1 in
-// Stats.Invalid.
+// It reads each message with ReadObservations, so an event whose name has
+// been seen before allocates nothing. A message that fails the walk, or
+// whose name fails events.ParseName the first time it is seen, counts in
+// Stats.DecodeErrors; a timestamp before Unix minute 1 in Stats.Invalid.
 func (c *Counter) TapBatch(batch []scribe.Entry) {
 	defer tmTapBatchNs.ObserveSince(time.Now())
 	b := c.NewBatcher()
+	entries, failed := ReadObservations(batch, b.AddObservation)
+	c.tapEntries.Add(entries)
+	c.decodeErrors.Add(failed)
+	b.Flush()
+}
+
+// ReadObservations reduces each client_events entry of a Scribe batch to
+// its Observation and hands it to fn; entries of other categories are
+// skipped. It is the one header walk both taps share, a counter's and a
+// cluster router's: each message's events.Header is read in place — no
+// ClientEvent, no strings, no details map — the name looked up in the
+// events name table by the bytes in the message, and the country read off
+// the IP bytes as its geo index. It returns how many client_events entries
+// it read and how many of them failed the walk or carried a name
+// events.ParseName rejects the first time it is seen; fn sees none of
+// those. What fn does see is not vetted: a minute before 1 is the
+// counter's to refuse.
+func ReadObservations(batch []scribe.Entry, fn func(Observation)) (entries, failed int64) {
 	var dec thrift.CompactDecoder
 	var h events.Header
 	for i := range batch {
 		if batch[i].Category != events.Category {
 			continue
 		}
-		c.tapEntries.Add(1)
+		entries++
 		dec.Reset(batch[i].Message)
-		if err := h.Decode(&dec); err != nil {
-			c.decodeErrors.Add(1)
-			continue
+		err := h.Decode(&dec)
+		var name *events.NameEntry
+		if err == nil {
+			name, err = events.LookupBytes(h.Name)
 		}
-		name, err := events.LookupBytes(h.Name)
 		if err != nil {
-			c.decodeErrors.Add(1)
+			failed++
 			continue
 		}
-		if o, ok := c.digest(name, h.Timestamp/60_000, geo.CountryOfBytes(h.IP), h.LoggedIn()); ok {
-			b.add(o)
-		}
+		fn(Observation{Name: name, Minute: h.Timestamp / 60_000, Country: uint8(geo.CountryIndex(h.IP)), LoggedIn: h.LoggedIn()})
 	}
-	b.Flush()
+	return entries, failed
 }
 
 // Ingest counts one already-decoded event as a batch of its own: one
@@ -55,7 +68,7 @@ func (c *Counter) TapBatch(batch []scribe.Entry) {
 // event in hand uses a Batcher.
 func (c *Counter) Ingest(e *events.ClientEvent) {
 	if o, ok := c.observe(e); ok {
-		c.send(c.shardOf(o.name), []obs{o})
+		c.send(c.shardOf(o.Name), []Observation{o})
 	}
 }
 
@@ -66,24 +79,26 @@ func (c *Counter) Ingest(e *events.ClientEvent) {
 // applying it — so a producer in steady state allocates nothing.
 type Batcher struct {
 	c   *Counter
-	per [][]obs
+	per [][]Observation
 }
 
 // NewBatcher returns an empty batcher bound to the counter.
 func (c *Counter) NewBatcher() *Batcher {
-	return &Batcher{c: c, per: make([][]obs, len(c.shards))}
+	return &Batcher{c: c, per: make([][]Observation, len(c.shards))}
 }
 
 // Observation is one event reduced to what the counters keep of it: the
-// name table's entry for its name, its minute, the country its IP resolved
-// to and whether a user was logged in — what a WAL record logs per event,
-// and what a cluster node hands its partition counters for each routed
-// event it delivers. Every field is owned by the process, so it outlives the
-// message it was read from.
+// name table's entry for its name, its minute, its country as geo numbers it
+// and whether a user was logged in — what a shard applies, what a WAL
+// record logs per event (a snapshot per leaf, with a count), and what a
+// cluster node hands its partition counters for each routed event it
+// delivers. Every field is owned by the process, so it outlives the message
+// it was read from: at ~24 bytes it is what the shard channels carry, where
+// the pre-interning representation hauled eleven strings (~200 B) per event.
 type Observation struct {
 	Name     *events.NameEntry // the name's entry; nil stands for an invalid name
 	Minute   int64             // event timestamp in Unix minutes
-	Country  string            // geo.CountryOf the event's IP
+	Country  uint8             // geo.CountryIndex of the event's IP; len(geo.Countries) is geo.Unknown
 	LoggedIn bool
 }
 
@@ -98,20 +113,21 @@ func (b *Batcher) Add(e *events.ClientEvent) {
 // AddObservation is Add for an event that has already been reduced to an
 // Observation. The name is already the table's entry, so it goes straight
 // to digest — no lookup — where every other door, WAL replay included,
-// meets it: a nil Name or a minute before 1 counts in Stats.Invalid.
+// meets it: a nil Name, a minute before 1 or a Country past geo.Unknown's
+// index counts in Stats.Invalid.
 func (b *Batcher) AddObservation(o Observation) {
-	if o, ok := b.c.digest(o.Name, o.Minute, o.Country, o.LoggedIn); ok {
+	if b.c.digest(o) {
 		b.add(o)
 	}
 }
 
 // add buffers one digested observation — where the decoded-event, the
 // observation and the tap paths meet.
-func (b *Batcher) add(o obs) {
-	shard := b.c.shardOf(o.name)
+func (b *Batcher) add(o Observation) {
+	shard := b.c.shardOf(o.Name)
 	buf := b.per[shard]
 	if buf == nil {
-		buf = (*b.c.batchPool.Get().(*[]obs))[:0]
+		buf = (*b.c.batchPool.Get().(*[]Observation))[:0]
 	}
 	buf = append(buf, o)
 	if len(buf) >= b.c.cfg.MaxBatch {

@@ -324,15 +324,15 @@ func snapshotLeaves(t *testing.T, path string) map[int64]map[analytics.RollupKey
 	rows := map[int64]map[analytics.RollupKey]int64{}
 	dec := &walDecoder{counted: true}
 	for _, rec := range fileRecords(t, path)[1:] {
-		err := dec.decodeBatch(rec, func(name *events.NameEntry, minute int64, country string, loggedIn bool, n int64) error {
-			if rows[minute] == nil {
-				rows[minute] = map[analytics.RollupKey]int64{}
+		err := dec.decodeBatch(rec, func(o Observation, n int64) error {
+			if rows[o.Minute] == nil {
+				rows[o.Minute] = map[analytics.RollupKey]int64{}
 			}
-			k := analytics.RollupKey{Name: name.Full, Country: country, LoggedIn: loggedIn}
-			if rows[minute][k] != 0 {
-				t.Errorf("minute %d: leaf %+v written twice", minute, k)
+			k := analytics.RollupKey{Name: o.Name.Full, Country: geo.CountryOfIndex(int(o.Country)), LoggedIn: o.LoggedIn}
+			if rows[o.Minute][k] != 0 {
+				t.Errorf("minute %d: leaf %+v written twice", o.Minute, k)
 			}
-			rows[minute][k] += n
+			rows[o.Minute][k] += n
 			return nil
 		})
 		if err != nil {

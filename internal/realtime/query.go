@@ -9,6 +9,7 @@ import (
 
 	"unilog/internal/analytics"
 	"unilog/internal/events"
+	"unilog/internal/geo"
 )
 
 // Queries merge counts across every shard and minute bucket whose
@@ -317,11 +318,11 @@ func RankChildren(children []uint32, counts []int64, k int) []PathCount {
 func (c *Counter) RollupSnapshot(from, to time.Time) map[analytics.RollupKey]int64 {
 	defer tmQueryRollupNs.ObserveSince(time.Now())
 	acc := c.leafTotals(from, to)
-	names, countries := events.NameEntries(), c.tab.countries()
+	names := events.NameEntries()
 	out := make(map[analytics.RollupKey]int64, len(acc))
 	for k, n := range acc {
 		name, country, loggedIn := leafFields(k)
-		key := analytics.RollupKey{Country: countries[country], LoggedIn: loggedIn}
+		key := analytics.RollupKey{Country: geo.CountryOfIndex(int(country)), LoggedIn: loggedIn}
 		for lvl, rolled := range names[name].Rolled {
 			key.Level, key.Name = events.RollupLevel(lvl), rolled
 			out[key] += n

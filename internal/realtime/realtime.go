@@ -21,9 +21,10 @@
 //     immutable events.NameEntry, so the per-event hot path is one
 //     read-locked lookup (none for an Observation, which carries the
 //     entry), the shard is the entry's hash modulo the shard
-//     count, and the counters below increment one integer-keyed cell;
-//     countries, and a bit per path a counter has counted, are kept per
-//     counter (symtab.go);
+//     count, and the counters below increment one integer-keyed cell.
+//     A country is its index in geo's fixed table from the tap to the WAL,
+//     so no counter numbers countries; what a counter keeps of its own is
+//     a bit per path it has counted (symtab.go);
 //   - a Tap on scribe.Aggregator.Append fans accepted client_events into N
 //     counter shards (hash of the event name) over bounded channels;
 //     producers block when a shard queue is full (backpressure), and each
@@ -186,25 +187,10 @@ type Stats struct {
 	SnapshotErrors int64
 }
 
-// obs is one decoded, pre-digested observation: everything a shard needs
-// to apply the event without touching the Thrift message again. The name
-// table did the string work the first time this name appeared, so an obs
-// is ~24 bytes — a minute, an immutable *events.NameEntry (its ID keys the
-// leaf, its hash routed the obs here), and an interned country — where the
-// pre-interning representation hauled eleven strings (~200 B) through the
-// shard channel per event.
-type obs struct {
-	minute   int64 // event timestamp in Unix minutes
-	name     *events.NameEntry
-	country  uint32 // interned country ID
-	loggedIn bool
-}
-
 // leafKey packs what the counters keep of an event besides its minute —
-// name ID, country ID, logged-in bit — into the one word a bucket's leaf
-// map is keyed by. Country IDs index a table held in memory, so they stay
-// far below the 31 bits they get.
-func leafKey(name, country uint32, loggedIn bool) uint64 {
+// name ID, geo country index, logged-in bit — into the one word a bucket's
+// leaf map is keyed by.
+func leafKey(name uint32, country uint8, loggedIn bool) uint64 {
 	k := uint64(name)<<32 | uint64(country)<<1
 	if loggedIn {
 		k |= 1
@@ -213,8 +199,8 @@ func leafKey(name, country uint32, loggedIn bool) uint64 {
 }
 
 // leafFields inverts leafKey.
-func leafFields(k uint64) (name, country uint32, loggedIn bool) {
-	return uint32(k >> 32), uint32(k) >> 1, k&1 != 0
+func leafFields(k uint64) (name uint32, country uint8, loggedIn bool) {
+	return uint32(k >> 32), uint8(k >> 1), k&1 != 0
 }
 
 // bucket is one minute of counters within one shard. The leaf table is the
@@ -264,7 +250,7 @@ func (b *bucket) derive(names []*events.NameEntry) {
 }
 
 type shardMsg struct {
-	batch []obs
+	batch []Observation
 	// sync, when non-nil, is closed once every message enqueued before it
 	// has been applied.
 	sync chan struct{}
@@ -324,10 +310,10 @@ type Counter struct {
 	buckets int // ring length, minutes
 	tab     *symtab
 
-	// batchPool recycles obs slices between the drain goroutines (which
-	// finish with a batch after applying it) and Batchers (which need an
-	// empty buffer after handing one off), making steady-state ingestion
-	// allocation-free.
+	// batchPool recycles Observation slices between the drain goroutines
+	// (which finish with a batch after applying it) and Batchers (which
+	// need an empty buffer after handing one off), making steady-state
+	// ingestion allocation-free.
 	batchPool sync.Pool
 
 	// closed is set under closeMu.Lock; Sync's idle check reads it without.
@@ -395,7 +381,7 @@ func allocCounter(cfg Config) *Counter {
 		tab:     newSymtab(),
 	}
 	c.batchPool.New = func() any {
-		b := make([]obs, 0, cfg.MaxBatch)
+		b := make([]Observation, 0, cfg.MaxBatch)
 		return &b
 	}
 	for i := 0; i < cfg.Shards; i++ {
@@ -526,29 +512,31 @@ func (c *Counter) shardOf(e *events.NameEntry) int {
 	return int(uint32(e.Hash) % uint32(len(c.shards)))
 }
 
-// digest makes the obs of one event, given the name table's entry for its
-// name — where every door to the counters meets. It reports false, counting
+// digest vets one observation — where every door to the counters meets —
+// and marks its name's paths counted. It reports false, counting
 // Stats.Invalid, for events that must not be counted: a nil entry (the name
-// was invalid), or a timestamp before Unix minute 1 — the timestamp comes
-// from outside, a negative minute would index the ring out of range and
-// minute 0 is the ring's empty-slot value.
-func (c *Counter) digest(name *events.NameEntry, minute int64, country string, loggedIn bool) (obs, bool) {
-	if name == nil || minute < 1 {
+// was invalid), a timestamp before Unix minute 1 — the timestamp comes from
+// outside, a negative minute would index the ring out of range and minute 0
+// is the ring's empty-slot value — or a country past geo.Unknown's index,
+// which no WAL record may carry.
+func (c *Counter) digest(o Observation) bool {
+	if o.Name == nil || o.Minute < 1 || int(o.Country) > len(geo.Countries) {
 		c.invalid.Add(1)
-		return obs{}, false
+		return false
 	}
-	c.tab.count(name)
-	return obs{minute: minute, name: name, country: c.tab.country(country), loggedIn: loggedIn}, true
+	c.tab.count(o.Name)
+	return true
 }
 
-// observe digests one decoded event.
-func (c *Counter) observe(e *events.ClientEvent) (obs, bool) {
+// observe reduces one decoded event to its Observation and digests it.
+func (c *Counter) observe(e *events.ClientEvent) (Observation, bool) {
 	name, _ := events.LookupName(e.Name)
-	return c.digest(name, e.Timestamp/60_000, geo.CountryOf(e.IP), e.LoggedIn())
+	o := Observation{Name: name, Minute: e.Timestamp / 60_000, Country: uint8(geo.CountryIndex(e.IP)), LoggedIn: e.LoggedIn()}
+	return o, c.digest(o)
 }
 
 // send enqueues one batch on a shard, blocking when the queue is full.
-func (c *Counter) send(shardIdx int, batch []obs) {
+func (c *Counter) send(shardIdx int, batch []Observation) {
 	if len(batch) == 0 {
 		return
 	}
@@ -603,7 +591,7 @@ func (c *Counter) drain(s *shard) {
 	}
 }
 
-func (c *Counter) apply(s *shard, batch []obs) {
+func (c *Counter) apply(s *shard, batch []Observation) {
 	t0 := time.Now()
 	var applied int64
 	s.mu.Lock()
@@ -628,24 +616,24 @@ func (c *Counter) apply(s *shard, batch []obs) {
 // Callers hold the shard lock (or are single-threaded recovery) and account
 // the observed total (apply batches one atomic add per batch; recovery adds
 // per record).
-func (c *Counter) applyOne(s *shard, o *obs, n int64) bool {
+func (c *Counter) applyOne(s *shard, o *Observation, n int64) bool {
 	for {
 		cur := c.maxMinute.Load()
-		if o.minute <= cur || c.maxMinute.CompareAndSwap(cur, o.minute) {
+		if o.Minute <= cur || c.maxMinute.CompareAndSwap(cur, o.Minute) {
 			break
 		}
 	}
-	if o.minute <= c.maxMinute.Load()-int64(c.buckets) {
+	if o.Minute <= c.maxMinute.Load()-int64(c.buckets) {
 		// Older than the retention horizon: drop rather than serve a
 		// partially-evicted minute.
 		s.dropped += n
 		c.droppedOld.Add(n)
 		return false
 	}
-	slot := int(o.minute) % c.buckets
+	slot := int(o.Minute) % c.buckets
 	b := &s.ring[slot]
-	if b.minute != o.minute {
-		if b.minute > o.minute {
+	if b.minute != o.Minute {
+		if b.minute > o.Minute {
 			// The slot already holds a newer minute (the horizon advanced
 			// between the checks above): treat as past retention.
 			s.dropped += n
@@ -658,17 +646,17 @@ func (c *Counter) applyOne(s *shard, o *obs, n int64) bool {
 		}
 		// A recycled slot starts clean, so its first write marks the new
 		// minute's hour: the old minute's stale mark says nothing about it.
-		b.minute, b.stale = o.minute, false
+		b.minute, b.stale = o.Minute, false
 		hint := 2 * events.NumComponents
 		if s.leafHint != nil {
 			hint = int(s.leafHint[slot])
 		}
 		b.leaf = make(map[uint64]int64, hint)
 	}
-	b.leaf[leafKey(o.name.ID, o.country, o.loggedIn)] += n
+	b.leaf[leafKey(o.Name.ID, o.Country, o.LoggedIn)] += n
 	if !b.stale {
 		b.stale = true
-		s.touchHour(o.minute)
+		s.touchHour(o.Minute)
 	}
 	s.applied += n
 	return true

@@ -359,10 +359,10 @@ func TestSetApplyDelayOpensAndCloses(t *testing.T) {
 }
 
 // TestBatcherSteadyStateAllocationFree pins the hot-path contract the
-// symbol table and batch pool buy: once the names and countries in play
-// are interned and a recycled batch buffer is in hand, Add performs no
-// allocations at all — digest is a read-locked lookup, the obs appends
-// into pooled capacity.
+// name table and batch pool buy: once the names in play are interned and a
+// recycled batch buffer is in hand, Add performs no allocations at all —
+// digest is a read-locked lookup, the Observation appends into pooled
+// capacity.
 func TestBatcherSteadyStateAllocationFree(t *testing.T) {
 	c := newCounter(t, Config{Shards: 1, MaxBatch: 1 << 16})
 	b := c.NewBatcher()
@@ -372,7 +372,7 @@ func TestBatcherSteadyStateAllocationFree(t *testing.T) {
 		ev("iphone:home:timeline:stream:tweet:impression", t0, 2, "uk"),
 		ev("android:profile:header:card:follow:click", t0.Add(2*time.Minute), 3, "br"),
 	}
-	// Warm up: intern every name and country, then hand the batch to the
+	// Warm up: intern every name, then hand the batch to the
 	// drain and take a recycled buffer back out of the pool.
 	for i := 0; i < 64; i++ {
 		b.Add(es[i%len(es)])

@@ -9,7 +9,6 @@ import (
 	"slices"
 	"sort"
 
-	"unilog/internal/events"
 	"unilog/internal/recordio"
 	"unilog/internal/telemetry"
 )
@@ -36,11 +35,11 @@ import (
 //
 // Replay and snapshot load read the same records, with the same decoder,
 // and apply them with the drain's own applyOne: every logged name is
-// re-digested through the process's name table and the counter's own
-// country table, built fresh here, so routing and IDs always follow the
-// current process and configuration — a log or snapshot written under a
-// different shard count (or a different ID assignment) recovers exactly,
-// each leaf on its name's shard.
+// re-digested through the process's name table, so routing and IDs always
+// follow the current process and configuration — a log or snapshot written
+// under a different shard count (or a different name ID assignment)
+// recovers exactly, each leaf on its name's shard. A country is logged as
+// its geo index, the very key a leaf holds, so it needs no translation.
 //
 // Counts recovered this way are exact for everything the WAL fsync
 // cadence made durable: after a clean Close, or a Crash with the tail
@@ -211,9 +210,9 @@ func (c *Counter) loadSnapshot(path string) (snapHeader, error) {
 	}
 	var recs [][]byte
 	hints := make([]int32, len(c.shards)*c.buckets)
-	count := func(name *events.NameEntry, minute int64, _ string, _ bool, _ int64) error {
-		if name != nil && minute >= 1 {
-			hints[c.shardOf(name)*c.buckets+int(minute%int64(c.buckets))]++
+	count := func(o Observation, _ int64) error {
+		if o.Name != nil && o.Minute >= 1 {
+			hints[c.shardOf(o.Name)*c.buckets+int(o.Minute%int64(c.buckets))]++
 		}
 		return nil
 	}
@@ -253,19 +252,19 @@ func (c *Counter) loadSnapshot(path string) (snapHeader, error) {
 // replayOne applies n of one observation read back from a WAL record or a
 // snapshot: digested afresh, so it routes under this configuration and a
 // name or minute observe would refuse counts Invalid, then applyOne.
-func (c *Counter) replayOne(name *events.NameEntry, minute int64, country string, loggedIn bool, n int64) error {
-	if o, ok := c.digest(name, minute, country, loggedIn); ok && c.applyOne(c.shards[c.shardOf(o.name)], &o, n) {
+func (c *Counter) replayOne(o Observation, n int64) error {
+	if c.digest(o) && c.applyOne(c.shards[c.shardOf(o.Name)], &o, n) {
 		c.observed.Add(n)
 	}
 	return nil
 }
 
 // replaySegment re-applies every intact batch record in one WAL segment,
-// feeding a per-segment decoder (records grow its dictionaries in
-// order). On a torn or corrupt record it applies
-// the intact prefix, truncates the file down to that prefix (counting the
-// damage in WALErrors), and reports success so the shard's chain
-// continues; it errors only when the segment cannot be read or repaired.
+// feeding a per-segment decoder (records grow its dictionary in order). On
+// a torn or corrupt record it applies the intact prefix, truncates the file
+// down to that prefix (counting the damage in WALErrors), and reports
+// success so the shard's chain continues; it errors only when the segment
+// cannot be read or repaired.
 func (c *Counter) replaySegment(path string) error {
 	f, err := os.Open(path)
 	if err != nil {

@@ -37,8 +37,8 @@ import (
 // minute, and the full Stats block so activity counters survive
 // restarts), then the live leaves as counted WAL records (wal.go): each
 // leaf one observation — name, minute, country, logged-in bit — with its
-// count, up to Config.MaxBatch per record, under one dictionary that runs
-// through the file as a segment's does. A load reads them back with the
+// count, up to Config.MaxBatch per record, under one name dictionary that
+// runs through the file as a segment's does. A load reads them back with the
 // WAL's decoder and applies them with the drain's applyOne, so a leaf
 // lands on its name's shard under the loading configuration. A snapshot
 // is the leaf table and nothing derived from it: prefix sums and rollup
@@ -52,9 +52,10 @@ var errClosed = errors.New("realtime: counter is closed")
 
 // snapRecordVersion is the snapshot format version. A header carrying any
 // other version — the retired v1 (string-keyed buckets, no dictionary, no
-// stats), v2 (prefix and rollup tables per bucket) and v3 (a dictionary
-// record, then leaf rows per bucket) included — is rejected as corrupt.
-const snapRecordVersion = 4
+// stats), v2 (prefix and rollup tables per bucket), v3 (a dictionary
+// record, then leaf rows per bucket) and v4 (counted records with a
+// country dictionary) included — is rejected as corrupt.
+const snapRecordVersion = 5
 
 // snapTagHeader leads a snapshot's header record.
 const snapTagHeader = 'H'
@@ -83,7 +84,7 @@ func parseSnapName(name string) (seq int64, ok bool) {
 // as observations with their counts, its applied-event count, and the WAL
 // sequence number its state is exact up to (exclusive).
 type shardState struct {
-	leaves  []obs
+	leaves  []Observation
 	counts  []int64
 	applied int64
 	dropped int64
@@ -119,12 +120,12 @@ func (c *Counter) captureShard(s *shard, rotate bool) shardState {
 			live += len(b.leaf)
 		}
 	}
-	st.leaves, st.counts = make([]obs, 0, live), make([]int64, 0, live)
+	st.leaves, st.counts = make([]Observation, 0, live), make([]int64, 0, live)
 	for j := range s.ring {
 		if b := &s.ring[j]; b.minute > horizon {
 			for k, n := range b.leaf {
 				name, country, loggedIn := leafFields(k)
-				st.leaves = append(st.leaves, obs{minute: b.minute, name: names[name], country: country, loggedIn: loggedIn})
+				st.leaves = append(st.leaves, Observation{Name: names[name], Minute: b.minute, Country: country, LoggedIn: loggedIn})
 				st.counts = append(st.counts, n)
 			}
 		}
@@ -234,7 +235,8 @@ func (c *Counter) writeSnapshot(states []shardState) error {
 	bw := bufio.NewWriterSize(f, 1<<16)
 	cw := recordio.NewCRCWriter(bw)
 	werr := cw.Append(encodeSnapHeader(nil, next, observed, c.maxMinute.Load(), stats))
-	// One writer for the file, so one dictionary runs through its records.
+	// One writer for the file, so one name dictionary runs through its
+	// records.
 	var w walWriter
 	var rec []byte
 	var leaves int64
@@ -242,7 +244,7 @@ func (c *Counter) writeSnapshot(states []shardState) error {
 		leaves += int64(len(st.leaves))
 		for i := 0; i < len(st.leaves) && werr == nil; i += c.cfg.MaxBatch {
 			j := min(i+c.cfg.MaxBatch, len(st.leaves))
-			rec, _, _ = w.encodeBatch(rec[:0], st.leaves[i:j], st.counts[i:j], c.tab)
+			rec, _ = w.encodeBatch(rec[:0], st.leaves[i:j], st.counts[i:j])
 			werr = cw.Append(rec)
 		}
 	}

@@ -1,9 +1,7 @@
 package realtime
 
 import (
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -46,50 +44,6 @@ func TestSymtabPathsAreHierarchyPrefixes(t *testing.T) {
 	for id, p := range paths {
 		if listed[uint32(id)] != 1 {
 			t.Errorf("path %q listed as a child %d times, want once", p, listed[uint32(id)])
-		}
-	}
-}
-
-// TestSymtabConcurrentCountries: goroutines numbering an overlapping set of
-// countries at once agree on every ID, and each code is numbered once (run
-// under -race in CI).
-func TestSymtabConcurrentCountries(t *testing.T) {
-	tab := newSymtab()
-	codes := make([]string, 12)
-	for i := range codes {
-		codes[i] = fmt.Sprintf("c%d", i)
-	}
-	const goroutines = 8
-	got := make([][]uint32, goroutines)
-	var wg sync.WaitGroup
-	for g := range got {
-		got[g] = make([]uint32, len(codes))
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for rep := 0; rep < 100; rep++ {
-				for i := range codes {
-					// Each goroutine starts at its own offset.
-					j := (i + g) % len(codes)
-					id := tab.country(codes[j])
-					if rep > 0 && got[g][j] != id {
-						t.Errorf("goroutine %d saw two IDs for %q", g, codes[j])
-						return
-					}
-					got[g][j] = id
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if n := len(tab.countries()); n != len(codes) {
-		t.Fatalf("numbered %d countries, want %d", n, len(codes))
-	}
-	for g := range got {
-		for i, code := range codes {
-			if got[g][i] != got[0][i] || tab.countryName(got[g][i]) != code {
-				t.Fatalf("goroutine %d: %q has ID %d, goroutine 0 %d", g, code, got[g][i], got[0][i])
-			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"unilog/internal/analytics"
 	"unilog/internal/events"
 	"unilog/internal/geo"
 	"unilog/internal/scribe"
@@ -30,7 +31,7 @@ func tapEntries(n int) []scribe.Entry {
 }
 
 // TestTapBatchSteadyStateAllocations pins the property the tap's speed
-// rests on: once a batch's names and countries are interned, tapping it
+// rests on: once a batch's names are interned, tapping it
 // again allocates a Batcher and nothing per event — no ClientEvent, no
 // name components, no strings, no details map.
 func TestTapBatchSteadyStateAllocations(t *testing.T) {
@@ -52,13 +53,16 @@ func TestTapBatchSteadyStateAllocations(t *testing.T) {
 }
 
 // An observation carrying the name table's entry must land where the same
-// event added decoded lands — both doors meet in digest — and one with no
-// entry (the name was invalid) or a minute before 1 must count as invalid.
+// event added decoded lands — both doors meet in digest — an address geo
+// cannot resolve included, and one with no entry (the name was invalid), a
+// minute before 1 or a country past geo.Unknown's index must count as
+// invalid.
 func TestAddObservationMatchesAdd(t *testing.T) {
 	byEvent := newCounter(t, Config{Shards: 2})
 	byObs := newCounter(t, Config{Shards: 2})
 	be, bo := byEvent.NewBatcher(), byObs.NewBatcher()
-	for _, entry := range tapEntries(200) {
+	stray := ev("web:home:timeline:stream:tweet:impression", t0, 1, geo.Unknown)
+	for _, entry := range append(tapEntries(200), scribe.Entry{Category: events.Category, Message: stray.Marshal()}) {
 		var e events.ClientEvent
 		if err := e.Unmarshal(entry.Message); err != nil {
 			t.Fatal(err)
@@ -70,23 +74,29 @@ func TestAddObservationMatchesAdd(t *testing.T) {
 		}
 		bo.AddObservation(Observation{
 			Name: name, Minute: e.Timestamp / 60_000,
-			Country: geo.CountryOf(e.IP), LoggedIn: e.LoggedIn(),
+			Country: uint8(geo.CountryIndex(e.IP)), LoggedIn: e.LoggedIn(),
 		})
 	}
 	valid, err := events.Lookup("web:home:timeline:stream:tweet:impression")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bo.AddObservation(Observation{Name: nil, Minute: t0.Unix() / 60, Country: "us"})
-	bo.AddObservation(Observation{Name: valid, Minute: 0, Country: "us"})
+	bo.AddObservation(Observation{Name: nil, Minute: t0.Unix() / 60})
+	bo.AddObservation(Observation{Name: valid, Minute: 0})
+	bo.AddObservation(Observation{Name: valid, Minute: t0.Unix() / 60, Country: uint8(len(geo.Countries) + 1)})
 	be.Flush()
 	bo.Flush()
 	byEvent.Sync()
 	byObs.Sync()
-	if st := byObs.Stats(); st.Observed != 200 || st.Invalid != 2 {
-		t.Fatalf("AddObservation stats = %+v, want 200 observed, 2 invalid", st)
+	if st := byObs.Stats(); st.Observed != 201 || st.Invalid != 3 {
+		t.Fatalf("AddObservation stats = %+v, want 201 observed, 3 invalid", st)
 	}
 	sameAnswers(t, byObs, byEvent)
+	from := t0.Truncate(24 * time.Hour)
+	key := analytics.RollupKey{Name: "web:home:timeline:stream:tweet:impression", Country: geo.Unknown, LoggedIn: true}
+	if got := byObs.RollupSnapshot(from, from.Add(24*time.Hour))[key]; got != 1 {
+		t.Errorf("rollup row %+v = %d, want the one unresolved address", key, got)
+	}
 }
 
 // Many aggregators tap one counter. Taps racing to intern the same

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"unilog/internal/events"
+	"unilog/internal/geo"
 	"unilog/internal/recordio"
 )
 
@@ -23,20 +24,24 @@ import (
 // logging parallelizes with sharding and costs one buffered write per
 // batch, not per event. fsync is amortized over Config.FsyncEvery batches.
 //
-// Record format v2 is dictionary-compressed: each segment carries its own
-// name and country dictionaries, built incrementally — the first record
-// that references a name embeds its string once, and every later
-// observation in the segment refers to it by a small varint ID. Minutes
-// are delta-encoded against the record's first observation. Steady state
-// is therefore a few bytes per observation instead of the ~36 B the v1
-// format spent re-logging the full hierarchical name every time.
-// Dictionaries are strictly per-segment, so segments stay independently
+// Record format v4 is dictionary-compressed: each segment carries its own
+// name dictionary, built incrementally — the first record that references
+// a name embeds its string once, and every later observation in the
+// segment refers to it by a small varint ID. Minutes are delta-encoded
+// against the record's first observation, and a country is logged as its
+// index in geo.Countries (len(geo.Countries) for geo.Unknown), shifted
+// past the login bit: one varint byte, and no dictionary. The index is the
+// one every counter keys its leaves by, so reordering geo.Countries — or
+// adding to it, which moves Unknown's index — is a format change. Steady
+// state is therefore a few bytes per observation instead of the ~36 B the
+// v1 format spent re-logging the full hierarchical name every time. The
+// dictionary is strictly per-segment, so segments stay independently
 // replayable and rotation/pruning needs no cross-file bookkeeping.
 //
 // A snapshot (snapshot.go) is written in the same records with one
-// difference: lead byte 3 instead of 2, and a count after each
+// difference: lead byte 5 instead of 4, and a count after each
 // observation, so one record row stands for a whole leaf. A live segment
-// accepts only 2 and a snapshot only 3, so either byte out of place is
+// accepts only 4 and a snapshot only 5, so either byte out of place is
 // corruption like any other.
 //
 // The log remains the minimum needed to re-digest its observations on
@@ -53,12 +58,13 @@ import (
 // interrupted snapshot failed to delete, which recovery ignores).
 
 // walRecordVersion is the WAL record format version. Any other version
-// byte — the retired v1 (full name logged per observation) and the
+// byte — the retired v1 (full name logged per observation), v2 and v3 (live
+// and counted records that carried a country dictionary), and the
 // snapshot's counted records included — is rejected as corrupt.
 // countedRecordVersion leads a counted record, which only a snapshot holds.
 const (
-	walRecordVersion     = 2
-	countedRecordVersion = 3
+	walRecordVersion     = 4
+	countedRecordVersion = 5
 )
 
 // walName formats a segment file name.
@@ -104,16 +110,15 @@ type walWriter struct {
 	sinceSync int    // batches appended since the last fsync
 	scratch   []byte // batch encoding buffer, reused
 
-	// Per-segment dictionaries: name-table or country ID -> dense
-	// segment-local ID, assigned in first-reference order (the decoder
-	// mirrors the assignment, so only the strings travel). Reset on
-	// rotate — each segment's dictionary stands alone.
-	nameLocal    idIndex
-	countryLocal idIndex
+	// Per-segment name dictionary: name-table ID -> dense segment-local
+	// ID, assigned in first-reference order (the decoder mirrors the
+	// assignment, so only the strings travel). Reset on rotate — each
+	// segment's dictionary stands alone.
+	nameLocal idIndex
 }
 
 // idIndex numbers process-wide IDs densely, in the order they are first
-// added: a segment's name and country dictionaries, a shard's hour rows.
+// added: a segment's name dictionary, a shard's hour rows.
 // slot is indexed by the process ID and holds the local ID + 1, 0 for an ID
 // not numbered, so a lookup is one array index. It grows to the highest ID
 // added: for names, the highest name-table ID, however few it numbers.
@@ -169,29 +174,24 @@ var errFsync = errors.New("realtime: wal fsync failed")
 
 // append logs one batch: encode, frame, flush to the OS, and fsync every
 // fsyncEvery batches. It returns the framed size and whether this append
-// fsynced. tab resolves the country strings a first-seen dictionary entry
-// needs. On a write or flush error the dictionary additions are rolled
+// fsynced. On a write or flush error the dictionary additions are rolled
 // back, so a batch that never reached the log cannot leave later records
 // referencing entries the decoder will never see; a failed fsync keeps
 // them (the record is in the file) and reports errFsync, with the sync
 // retried on the very next append rather than a full fsyncEvery later.
-func (w *walWriter) append(batch []obs, fsyncEvery int, tab *symtab) (int64, bool, error) {
-	var addedNames, addedCountries []uint32
-	w.scratch, addedNames, addedCountries = w.encodeBatch(w.scratch[:0], batch, nil, tab)
-	rollback := func() {
-		w.nameLocal.forget(addedNames)
-		w.countryLocal.forget(addedCountries)
-	}
+func (w *walWriter) append(batch []Observation, fsyncEvery int) (int64, bool, error) {
+	var added []uint32
+	w.scratch, added = w.encodeBatch(w.scratch[:0], batch, nil)
 	before := w.cw.Bytes()
 	if err := w.cw.Append(w.scratch); err != nil {
-		rollback()
+		w.nameLocal.forget(added)
 		return 0, false, err
 	}
 	// Flush the bufio layer every batch: once this returns, a process
 	// kill cannot lose the batch, only an OS crash can (until the next
 	// fsync).
 	if err := w.bw.Flush(); err != nil {
-		rollback()
+		w.nameLocal.forget(added)
 		return 0, false, err
 	}
 	w.sinceSync++
@@ -247,9 +247,9 @@ func (w *walWriter) close() error {
 // A failed fsync still counts the batch and its bytes (the record is in
 // the log and will replay after a kill) alongside a WALError for the
 // weakened durability.
-func (c *Counter) walAppend(s *shard, batch []obs) {
+func (c *Counter) walAppend(s *shard, batch []Observation) {
 	t0 := time.Now()
-	n, synced, err := s.wal.append(batch, c.cfg.FsyncEvery, c.tab)
+	n, synced, err := s.wal.append(batch, c.cfg.FsyncEvery)
 	tmWALAppendNs.ObserveSince(t0)
 	if err != nil && !errors.Is(err, errFsync) {
 		c.walErrors.Add(1)
@@ -268,35 +268,29 @@ func (c *Counter) walAppend(s *shard, batch []obs) {
 	}
 }
 
-// encodeBatch appends the v2 wire form of a batch to buf:
+// encodeBatch appends the v4 wire form of a batch to buf:
 //
-//	version byte (2)
+//	version byte (4)
 //	uvarint count of first-seen names, then each name (len-prefixed);
 //	  segment-local name IDs are implicit, assigned in listed order
-//	uvarint count of first-seen countries, then each code (len-prefixed)
 //	uvarint observation count
 //	uvarint base minute (the first observation's)
 //	per observation:
 //	  uvarint segment-local name ID
 //	  signed varint minute delta from the base
-//	  uvarint (segment-local country ID << 1) | logged-in bit
+//	  uvarint (geo.Countries index << 1) | logged-in bit
 //
 // With counts non-nil (a snapshot's leaves, counts[i] for batch[i]) the
-// version byte is 3 and each observation ends with a uvarint count.
+// version byte is 5 and each observation ends with a uvarint count.
 //
-// It also returns the global IDs it added to the segment dictionaries so
+// It also returns the name-table IDs it added to the segment dictionary so
 // a failed append can roll them back.
-func (w *walWriter) encodeBatch(buf []byte, batch []obs, counts []int64, tab *symtab) (out []byte, addedNames, addedCountries []uint32) {
-	var newNames, newCountries []string
+func (w *walWriter) encodeBatch(buf []byte, batch []Observation, counts []int64) (out []byte, added []uint32) {
+	var newNames []string
 	for i := range batch {
-		o := &batch[i]
-		if w.nameLocal.add(o.name.ID) {
-			addedNames = append(addedNames, o.name.ID)
-			newNames = append(newNames, o.name.Full)
-		}
-		if w.countryLocal.add(o.country) {
-			addedCountries = append(addedCountries, o.country)
-			newCountries = append(newCountries, tab.countryName(o.country))
+		if id := batch[i].Name.ID; w.nameLocal.add(id) {
+			added = append(added, id)
+			newNames = append(newNames, batch[i].Name.Full)
 		}
 	}
 	if counts == nil {
@@ -309,23 +303,18 @@ func (w *walWriter) encodeBatch(buf []byte, batch []obs, counts []int64, tab *sy
 		buf = binary.AppendUvarint(buf, uint64(len(s)))
 		buf = append(buf, s...)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(newCountries)))
-	for _, s := range newCountries {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	}
 	buf = binary.AppendUvarint(buf, uint64(len(batch)))
 	base := int64(0)
 	if len(batch) > 0 {
-		base = batch[0].minute
+		base = batch[0].Minute
 	}
 	buf = binary.AppendUvarint(buf, uint64(base))
 	for i := range batch {
 		o := &batch[i]
-		buf = binary.AppendUvarint(buf, uint64(w.nameLocal.local(o.name.ID)))
-		buf = binary.AppendVarint(buf, o.minute-base)
-		cl := uint64(w.countryLocal.local(o.country)) << 1
-		if o.loggedIn {
+		buf = binary.AppendUvarint(buf, uint64(w.nameLocal.local(o.Name.ID)))
+		buf = binary.AppendVarint(buf, o.Minute-base)
+		cl := uint64(o.Country) << 1
+		if o.LoggedIn {
 			cl |= 1
 		}
 		buf = binary.AppendUvarint(buf, cl)
@@ -333,31 +322,30 @@ func (w *walWriter) encodeBatch(buf []byte, batch []obs, counts []int64, tab *sy
 			buf = binary.AppendUvarint(buf, uint64(counts[i]))
 		}
 	}
-	return buf, addedNames, addedCountries
+	return buf, added
 }
 
-// walDecoder accumulates one file's dictionaries while replaying its
+// walDecoder accumulates one file's name dictionary while replaying its
 // records in order: each name resolved once, as it is read, through the
-// process's name table (nil for a name the table refuses), each country as
-// its code. Create one per segment, with counted set for a snapshot's
-// records.
+// process's name table (nil for a name the table refuses). Create one per
+// segment, with counted set for a snapshot's records.
 type walDecoder struct {
-	names     []*events.NameEntry
-	countries []string
-	counted   bool
+	names   []*events.NameEntry
+	counted bool
 }
 
 // decodeBatch walks one record, invoking fn per observation with its count
-// (1 in a live segment) and extending the dictionaries with the record's
-// first-seen entries. Any structural damage — a version byte other than
-// the decoder's, or a count of 0 or past math.MaxInt64, included —
-// surfaces as recordio.ErrCorrupt so replay treats it like a failed
-// checksum. A snapshot holds only leaves its writer counted, so in a
-// counted record a name that is not an event name, or a minute before the
-// first, is damage too; a live segment hands them to fn, which counts them
-// Invalid. Bounds checking rides on the shared recordio.Cursor; the wrap
-// keeps errors in the familiar "wal record <field>" shape.
-func (d *walDecoder) decodeBatch(rec []byte, fn func(name *events.NameEntry, minute int64, country string, loggedIn bool, n int64) error) error {
+// (1 in a live segment) and extending the dictionary with the record's
+// first-seen names. Any structural damage — a version byte other than
+// the decoder's, a country index past geo.Unknown's, or a count of 0 or
+// past math.MaxInt64, included — surfaces as recordio.ErrCorrupt so replay
+// treats it like a failed checksum. A snapshot holds only leaves its writer
+// counted, so in a counted record a name that is not an event name, or a
+// minute before the first, is damage too; a live segment hands them to fn,
+// which counts them Invalid. Bounds checking rides on the shared
+// recordio.Cursor; the wrap keeps errors in the familiar "wal record
+// <field>" shape.
+func (d *walDecoder) decodeBatch(rec []byte, fn func(o Observation, n int64) error) error {
 	if len(rec) == 0 {
 		return fmt.Errorf("%w: wal record empty", recordio.ErrCorrupt)
 	}
@@ -380,9 +368,6 @@ func (d *walDecoder) decodeBatch(rec []byte, fn func(name *events.NameEntry, min
 		}
 		d.names = append(d.names, e)
 	}
-	for i, count := 0, c.Count("dictionary country count"); i < count && c.Ok(); i++ {
-		d.countries = append(d.countries, c.String("dictionary country"))
-	}
 	count := c.Uvarint("count")
 	base := c.Uvarint("base minute")
 	if !c.Ok() {
@@ -391,7 +376,7 @@ func (d *walDecoder) decodeBatch(rec []byte, fn func(name *events.NameEntry, min
 	for i := uint64(0); i < count; i++ {
 		nameID := c.Uvarint("name id")
 		delta := c.Varint("minute delta")
-		cl := c.Uvarint("country id")
+		cl := c.Uvarint("country")
 		n := uint64(1)
 		if d.counted {
 			n = c.Uvarint("leaf count")
@@ -402,8 +387,8 @@ func (d *walDecoder) decodeBatch(rec []byte, fn func(name *events.NameEntry, min
 		if nameID >= uint64(len(d.names)) {
 			return corrupt("name id")
 		}
-		if cl>>1 >= uint64(len(d.countries)) {
-			return corrupt("country id")
+		if cl>>1 > uint64(len(geo.Countries)) {
+			return corrupt(fmt.Sprintf("country %d", cl>>1))
 		}
 		if n == 0 || n > math.MaxInt64 {
 			return corrupt("leaf count")
@@ -412,7 +397,8 @@ func (d *walDecoder) decodeBatch(rec []byte, fn func(name *events.NameEntry, min
 		if d.counted && minute < 1 {
 			return corrupt(fmt.Sprintf("leaf minute %d", minute))
 		}
-		if err := fn(d.names[nameID], minute, d.countries[cl>>1], cl&1 == 1, int64(n)); err != nil {
+		o := Observation{Name: d.names[nameID], Minute: minute, Country: uint8(cl >> 1), LoggedIn: cl&1 == 1}
+		if err := fn(o, int64(n)); err != nil {
 			return err
 		}
 	}
